@@ -195,7 +195,7 @@ def bench_sharded_throughput(args, data, params, queries) -> tuple[dict, bool]:
     with tempfile.TemporaryDirectory(prefix="repro-bench-serving-") as tmp:
         index_path = Path(tmp) / "corpus.idx"
         searcher = PKWiseSearcher(data, params)
-        save_searcher(searcher, index_path, data=data, compact=True)
+        save_searcher(searcher, index_path, data=data)
         searcher.close()
         single_qps = _measure_http_qps(
             index_path, token_queries, num_requests, args.shards, []

@@ -15,15 +15,11 @@ contracts on them:
   the guard fails only when a timer exceeds the previous record by more
   than ``--time-tolerance`` (a fraction: 0.5 = +50%).
 
-``--min-probe-ratio`` adds an absolute gate on the *current* record
-alone: ``probe.compact_to_dict_probe_ratio`` (written by
-``bench_compact.py``) must be at least the given floor — the compact
-index losing to the dict index on batched probes is a hot-path
-regression regardless of any baseline.  ``--min-pruned-fraction`` and
-``--min-routing-speedup`` are the same kind of absolute gate over the
-``routing`` section written by ``bench_routing.py``: the fingerprint
-tier pruning too little, or no longer paying for its own fingerprint
-pass, is a regression regardless of baseline.
+``--min-pruned-fraction`` and ``--min-routing-speedup`` add absolute
+gates on the *current* record alone, over the ``routing`` section
+written by ``bench_routing.py``: the fingerprint tier pruning too
+little, or no longer paying for its own fingerprint pass, is a
+regression regardless of baseline.
 
 Records with different configs (corpus size, w, tau, query count) are
 not comparable; the guard reports that and exits 0 unless ``--strict``
@@ -141,11 +137,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--strict", action="store_true",
                         help="fail (exit 1) on incomparable configs or a "
                              "missing baseline instead of passing")
-    parser.add_argument("--min-probe-ratio", type=float, default=None,
-                        help="fail when the current record's "
-                             "probe.compact_to_dict_probe_ratio is below "
-                             "this floor (records lacking the section fail "
-                             "only under --strict)")
     parser.add_argument("--min-pruned-fraction", type=float, default=None,
                         help="fail when the current record's "
                              "routing.pruned_fraction (written by "
@@ -179,24 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     previous_sections = dict(iter_metric_sections(previous))
     problems: list[str] = []
 
-    # Absolute gate on the current record (no baseline involved): the
-    # compact index must not lose to the dict index on batched probes.
-    if args.min_probe_ratio is not None:
-        ratio = current.get("probe", {}).get("compact_to_dict_probe_ratio")
-        if ratio is None:
-            message = "current record has no probe.compact_to_dict_probe_ratio"
-            if args.strict:
-                problems.append(message)
-            else:
-                print(f"note: {message}; ratio gate skipped", file=sys.stderr)
-        elif float(ratio) < args.min_probe_ratio:
-            problems.append(
-                f"probe ratio compact/dict {float(ratio):.2f} below required "
-                f"{args.min_probe_ratio}"
-            )
-
-    # Absolute gates on the routing section (bench_routing.py): the
-    # fingerprint tier must keep pruning and keep paying for itself.
+    # Absolute gates on the current record's routing section
+    # (bench_routing.py; no baseline involved): the fingerprint tier
+    # must keep pruning and keep paying for itself.
     for attr, key, floor_format in (
         ("min_pruned_fraction", "pruned_fraction", "{:.2%}"),
         ("min_routing_speedup", "net_speedup", "{:.2f}x"),

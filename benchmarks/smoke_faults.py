@@ -151,7 +151,7 @@ def scenario_exactness() -> None:
 
 def scenario_corrupt() -> None:
     from repro import FaultSpec, PersistenceError, save_searcher
-    from repro.persistence import load_searcher
+    from repro.persistence import load_bundle
 
     _data, _params, searcher, _queries = build_workload()
     with tempfile.TemporaryDirectory(prefix="smoke-faults-") as workdir:
@@ -162,15 +162,15 @@ def scenario_corrupt() -> None:
         env_activated_plan(
             [
                 FaultSpec(point="persistence.read", kind="corrupt",
-                          match={"section": "searcher"}, max_triggers=1),
+                          match={"section": "order"}, max_triggers=1),
             ],
             workdir,
         )
         try:
             try:
-                load_searcher(path, fallback=False)
+                load_bundle(path, fallback=False)
             except PersistenceError as exc:
-                assert "section 'searcher'" in str(exc), (
+                assert "section 'order'" in str(exc), (
                     f"corruption error must name the section, got: {exc}"
                 )
             else:
@@ -185,7 +185,7 @@ def scenario_corrupt() -> None:
         path.write_bytes(b"crash left garbage here")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            recovered = load_searcher(path)
+            recovered = load_bundle(path).searcher
         assert recovered.params == searcher.params
     print("corrupt: ok (typed error named the section; "
           "rotation fallback recovered)", file=sys.stderr)

@@ -52,9 +52,9 @@ def main() -> None:
         print(f"saved {index_path.stat().st_size / 1024:.0f} KiB to disk")
 
         # --- day 1: reload and serve ----------------------------------
-        # (Mutations go through the Index facade: the first add lazily
-        # upgrades the snapshot to the LSM write path, so this works
-        # even when the file was saved compact/frozen.)
+        # (A snapshot always reopens frozen.  Mutations go through the
+        # Index facade: the first add lazily layers the LSM write path
+        # over the frozen base.)
         reopened = Index.open(index_path)
         data = reopened.data
         print(f"reloaded: {reopened.searcher().index}")

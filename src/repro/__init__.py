@@ -17,8 +17,9 @@ Quickstart — the :class:`Index` facade is the documented entry point::
     for match in index.search_text("the lord and the kings ..."):
         print(match.doc_id, match.data_start, match.query_start, match.overlap)
 
-    # Persist (compact, mmap-able) and reopen without copying:
-    index.save("corpus.idx", compact=True)
+    # Persist (one frozen, mmap-able snapshot format) and reopen
+    # without copying:
+    index.save("corpus.idx")
     index = Index.open("corpus.idx", mmap=True)
 
     # Serve concurrently (see repro.service / `repro serve`):
@@ -38,8 +39,6 @@ directly for fine-grained control.  See DESIGN.md for the full system
 inventory and EXPERIMENTS.md for the reproduction of every table and
 figure of the paper.
 """
-
-import warnings as _warnings
 
 from . import api
 from .api import Index, ProbeHit, Searcher
@@ -125,32 +124,7 @@ from .partition import (
     workload_cost,
 )
 
-__version__ = "1.3.0"
-
-#: Legacy top-level loaders, kept importable behind a DeprecationWarning.
-_DEPRECATED_ALIASES = {
-    "load_searcher": "repro.Index.open(path).searcher()",
-    "load_bundle": "repro.Index.open",
-}
-
-
-def __getattr__(name: str):
-    """Deprecated aliases: ``repro.load_searcher`` / ``repro.load_bundle``.
-
-    Both now live behind :meth:`repro.Index.open`; the old names keep
-    working (they forward to :mod:`repro.persistence`) but warn.
-    """
-    if name in _DEPRECATED_ALIASES:
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {_DEPRECATED_ALIASES[name]}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import persistence
-
-        return getattr(persistence, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -211,8 +185,6 @@ __all__ = [
     "tau_to_jaccard",
     # Persistence
     "save_searcher",
-    "load_searcher",
-    "load_bundle",
     "SearcherBundle",
     "PersistenceError",
     # Corpus

@@ -8,12 +8,12 @@ underneath.
 
 * :meth:`Index.build` — corpus in (a
   :class:`~repro.DocumentCollection`, a directory path, or raw texts),
-  queryable :class:`Index` out; optional greedy partitioning,
-  multi-process builds, and ``compact=True`` freezing.
+  queryable :class:`Index` out; optional greedy partitioning and
+  multi-process builds.
 * :meth:`Index.open` / :meth:`Index.save` — round-trip through the
-  snapshot formats in :mod:`repro.persistence`; ``Index.open(path,
-  mmap=True)`` maps a compact (format-v3) snapshot's array columns
-  without copying.
+  snapshot format in :mod:`repro.persistence` (the engine is stored
+  frozen onto its compact array columns); ``Index.open(path,
+  mmap=True)`` maps those columns without copying.
 * :meth:`Index.searcher` — the underlying query engine, for callers
   that want the algorithm object itself.
 * :class:`Searcher` — the :class:`~typing.Protocol` every query engine
@@ -34,8 +34,8 @@ Quickstart::
     index = Index.build(["some corpus text ..."], w=10, tau=3)
     result = index.search_text("query text")
 
-    # or, round-tripped through a compact mmap-able snapshot:
-    index.save("corpus.idx", compact=True)
+    # or, round-tripped through a snapshot file:
+    index.save("corpus.idx")
     with Index.open("corpus.idx", mmap=True) as index:
         result = index.search_text("query text")
 
@@ -218,7 +218,6 @@ class Index:
         greedy_partition: bool = False,
         sample_ratio: float = 0.01,
         jobs: int = 1,
-        compact: bool = False,
         routing: RoutingPolicy | dict | str | None = None,
     ) -> "Index":
         """Build a ready-to-query pkwise index over ``data``.
@@ -233,10 +232,9 @@ class Index:
         ``greedy_partition=True`` runs the cost-based greedy
         partitioner (Section 5) before indexing — slower to build,
         faster to query on skewed corpora.  ``jobs > 1`` (or ``0`` for
-        one per CPU) builds the index across worker processes.
-        ``compact=True`` freezes the result into the array-backed
-        :class:`~repro.index.CompactIntervalIndex` (read-only, leaner,
-        what ``save(compact=True)`` snapshots).
+        one per CPU) builds the index across worker processes.  Call
+        :meth:`compacted` on the result to freeze it onto the
+        array-backed structures a snapshot stores.
 
         ``routing`` sets the fingerprint routing policy the index
         searches under — a :class:`~repro.RoutingPolicy`, its dict
@@ -256,8 +254,6 @@ class Index:
             jobs=jobs,
             routing=routing,
         )
-        if compact:
-            searcher = searcher.compacted()
         return cls(searcher, collection)
 
     @classmethod
@@ -271,17 +267,19 @@ class Index:
     ) -> "Index":
         """Load an index saved by :meth:`save` (or ``repro index``).
 
-        ``mmap=True`` memory-maps a compact (format-v3) snapshot's
-        array columns instead of copying them — near-constant cold
-        open, and concurrent processes mapping the same file share one
-        page cache.  Asking for ``mmap`` on a v2 pickle is a typed
-        :class:`~repro.persistence.PersistenceError`.  ``fallback``
-        controls rotated-snapshot recovery as in
-        :func:`~repro.persistence.load_bundle`.
+        The loaded engine is frozen (array-backed); the first
+        :meth:`add` / :meth:`remove` layers a mutable memtable over it.
+        ``mmap=True`` memory-maps the snapshot's array columns instead
+        of copying them — near-constant cold open, and concurrent
+        processes mapping the same file share one page cache.
+        ``fallback`` controls rotated-snapshot recovery as in
+        :func:`~repro.persistence.load_bundle`.  A file written by a
+        pre-2.0 release is a typed
+        :class:`~repro.persistence.PersistenceError`: rebuild it.
 
         ``routing`` overrides the snapshot's routing policy for every
         query through this index.  Requesting an active mode against a
-        compact snapshot saved without fingerprints raises
+        snapshot saved without fingerprints raises
         :class:`~repro.errors.RoutingUnavailableError` here, at open
         time, rather than on the first query.
 
@@ -292,7 +290,7 @@ class Index:
         searcher = bundle.searcher
         if routing is not None:
             policy = RoutingPolicy.from_dict(routing)
-            if policy.enabled and getattr(searcher, "_routing_tier", "auto") is None:
+            if policy.enabled and searcher._routing_tier is None:
                 raise RoutingUnavailableError(
                     f"{path} was saved without routing fingerprints; "
                     f"re-save it with a routing policy (mode != 'off') "
@@ -390,29 +388,31 @@ class Index:
         path: str | Path,
         *,
         rotate: int | None = None,
-        compact: bool = False,
+        compact: bool = True,
     ) -> None:
         """Persist this index to ``path`` (atomic write).
 
-        ``rotate=N`` keeps the previous N snapshot generations;
-        ``compact=True`` writes the mmap-able format-v3 layout (the
-        engine is frozen with
-        :meth:`~repro.PKWiseSearcher.compacted` first).
+        The engine is frozen with
+        :meth:`~repro.PKWiseSearcher.compacted` and written in the one
+        mmap-able snapshot layout; ``rotate=N`` keeps the previous N
+        snapshot generations.  ``compact`` is a single-valued residue
+        of the 1.x pickle format, kept only because the end-to-end
+        benchmark (which this library may not edit) still passes
+        ``compact=True``; ``compact=False`` raises
+        :class:`~repro.errors.ConfigurationError`.
 
         A live (LSM-backed) index is folded into a single plain
         searcher first — the snapshot is self-contained and reopens
         with :meth:`open` like any other; the live store itself
         persists through its own manifest + WAL instead.
         """
-        searcher = self._engine()
-        if self._store is not None:
-            searcher = searcher.compacted()
+        if not compact:
+            raise ConfigurationError(
+                "Index.save(compact=False) was removed in 2.0: the pickle "
+                "snapshot format is gone and every snapshot is compact"
+            )
         save_searcher(
-            searcher,
-            path,
-            data=self.data,
-            rotate=rotate or 0,
-            compact=compact,
+            self._engine(), path, data=self.data, rotate=rotate or 0
         )
 
     def _engine(self):

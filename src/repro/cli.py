@@ -43,10 +43,11 @@ Robustness surfaces: ``repro search``/``repro selfjoin`` take
 ``repro query --retries/--timeout`` drives the retrying
 :class:`~repro.service.ResilientClient`.
 
-Compact snapshots: ``repro index --compact`` writes the array-backed
-format-v3 layout, and ``repro search``/``repro serve`` accept
-``--mmap`` to map such a snapshot's columns zero-copy instead of
-deserializing them (fast cold start; results are identical).
+Snapshots: ``repro index`` writes the one array-backed snapshot
+layout, and ``repro search``/``repro serve`` accept ``--mmap`` to map
+its columns zero-copy instead of reading them into memory (fast cold
+start; results are identical).  Files written by pre-2.0 releases are
+not read — rebuild them with ``repro index``.
 """
 
 from __future__ import annotations
@@ -192,13 +193,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         f"{time.perf_counter() - start:.2f}s",
         file=sys.stderr,
     )
-    save_searcher(
-        searcher, args.out, data=data, rotate=args.rotate, compact=args.compact
-    )
-    print(
-        f"wrote {args.out}" + (" (compact v3)" if args.compact else ""),
-        file=sys.stderr,
-    )
+    save_searcher(searcher, args.out, data=data, rotate=args.rotate)
+    print(f"wrote {args.out}", file=sys.stderr)
     if args.metrics_out:
         registry = MetricsRegistry()
         registry.timer("index.build_seconds").add(searcher.index_build_seconds)
@@ -284,7 +280,7 @@ def _apply_routing_override(searcher, routing, source) -> None:
     """Re-key a loaded searcher's params with a --routing override."""
     if routing is None:
         return
-    if routing.enabled and getattr(searcher, "_routing_tier", "auto") is None:
+    if routing.enabled and searcher._routing_tier is None:
         from .errors import RoutingUnavailableError
 
         raise RoutingUnavailableError(
@@ -632,9 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     index_parser.add_argument("--rotate", type=int, default=0,
                               help="keep N previous snapshot generations "
                                    "(.1 newest .. .N oldest; default 0)")
-    index_parser.add_argument("--compact", action="store_true",
-                              help="write the array-backed format-v3 snapshot "
-                                   "(frozen; loadable with --mmap)")
     _add_search_params(index_parser)
     _add_routing_flags(index_parser)
     _add_jobs_flag(index_parser)
@@ -686,8 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.add_argument("--resume", action="store_true",
                                help="continue from an existing --checkpoint")
     search_parser.add_argument("--mmap", action="store_true",
-                               help="memory-map a compact (v3) index instead "
-                                    "of deserializing it")
+                               help="memory-map the index columns instead "
+                                    "of reading them into memory")
     _add_routing_flags(search_parser)
     _add_jobs_flag(search_parser)
     _add_obs_flags(search_parser)
@@ -733,8 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "POST /ingest and /remove mutate while "
                                    "queries keep flowing")
     serve_parser.add_argument("--mmap", action="store_true",
-                              help="memory-map a compact (v3) index instead "
-                                   "of deserializing it")
+                              help="memory-map the index columns instead "
+                                   "of reading them into memory")
     serve_parser.add_argument("--shards", type=int, default=1,
                               help="partition the corpus into N compact "
                                    "shards, each served by its own worker "

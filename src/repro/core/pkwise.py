@@ -143,7 +143,7 @@ class PKWiseSearcher:
         #: :meth:`repro.parallel.ParallelExecutor.build_searcher`.
         self.build_worker_reports: list = []
         #: Monotone counter bumped by every index mutation
-        #: (:meth:`add_document` / :meth:`remove_document`).  Result
+        #: (:meth:`_add_document` / :meth:`_remove_document`).  Result
         #: caches key on it so cached and fresh results stay
         #: pair-for-pair identical across mutations.
         self.index_epoch = 0
@@ -165,7 +165,7 @@ class PKWiseSearcher:
         """Assemble a searcher around an already-built interval index.
 
         Used by :mod:`repro.parallel` after merging per-worker partial
-        indexes, and by the v3 snapshot loader; the parts must be
+        indexes, and by the snapshot loader; the parts must be
         mutually consistent (``rank_docs[i]`` is document ``i``'s rank
         sequence under ``order``, and ``index`` covers exactly those
         documents with ``scheme``/``params``).  ``index`` may be the
@@ -177,8 +177,8 @@ class PKWiseSearcher:
         snapshotted searcher.  ``routing_tier`` is the fingerprint
         routing slot: ``"auto"`` (the default) builds lazily from
         ``rank_docs`` on the first routed query, an explicit
-        :class:`~repro.routing.FingerprintTier` is used as-is (the v3
-        loader's mmap path), and ``None`` marks routing unavailable —
+        :class:`~repro.routing.FingerprintTier` is used as-is (the
+        snapshot loader's mmap path), and ``None`` marks routing unavailable —
         a routed query raises
         :class:`~repro.errors.RoutingUnavailableError`.
         """
@@ -213,7 +213,7 @@ class PKWiseSearcher:
         stay pair-identical (hash-merged postings only add candidates,
         which verification removes).  The copy shares the order/scheme
         and carries over tombstones and the index epoch, but refuses
-        :meth:`add_document` — freeze after the corpus settles.
+        :meth:`_add_document` — freeze after the corpus settles.
         Returns ``self`` when already compact.
         """
         from ..index.compact import CompactIntervalIndex, PackedRankDocs
@@ -230,7 +230,7 @@ class PKWiseSearcher:
         clone.index_build_seconds = self.index_build_seconds
         clone.build_worker_reports = []
         clone.index_epoch = self.index_epoch
-        clone._routing_tier = getattr(self, "_routing_tier", "auto")
+        clone._routing_tier = self._routing_tier
         return clone
 
     @property
@@ -241,26 +241,6 @@ class PKWiseSearcher:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def add_document(self, document: Document) -> int:
-        """Deprecated direct mutation; use ``Index.add`` (ingest path).
-
-        .. deprecated:: 1.3
-            The unified write path (:class:`repro.Index` backed by
-            :class:`repro.ingest.IngestStore`) replaces per-searcher
-            mutation: it works on frozen snapshots too, batches index
-            maintenance behind a memtable, and is crash-safe when
-            durable.  This wrapper keeps the old in-place semantics.
-        """
-        import warnings
-
-        warnings.warn(
-            "PKWiseSearcher.add_document is deprecated; mutate through "
-            "Index.add (the LSM ingest write path)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._add_document(document)
-
     def _add_document(self, document: Document) -> int:
         """Index one more document; returns its doc_id in this searcher.
 
@@ -274,7 +254,7 @@ class PKWiseSearcher:
         if self.frozen:
             raise IndexStateError(
                 "cannot add documents to a frozen compact searcher; "
-                "open the snapshot without compact/mmap (or rebuild) to mutate"
+                "mutate through Index.add (the LSM ingest write path)"
             )
         doc_id = len(self.rank_docs)
         ranks = self.order.rank_document(document)
@@ -282,22 +262,6 @@ class PKWiseSearcher:
         self.index.index_document(doc_id, ranks)
         self.index_epoch += 1
         return doc_id
-
-    def remove_document(self, doc_id: int) -> None:
-        """Deprecated direct mutation; use ``Index.remove`` (ingest path).
-
-        .. deprecated:: 1.3
-            See :meth:`add_document`.
-        """
-        import warnings
-
-        warnings.warn(
-            "PKWiseSearcher.remove_document is deprecated; mutate "
-            "through Index.remove (the LSM ingest write path)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._remove_document(doc_id)
 
     def _remove_document(self, doc_id: int) -> None:
         """Stop returning matches from ``doc_id`` (tombstone removal).
@@ -313,17 +277,16 @@ class PKWiseSearcher:
 
     @property
     def removed_documents(self) -> frozenset[int]:
-        """Ids tombstoned by :meth:`remove_document`."""
+        """Ids tombstoned by :meth:`_remove_document`."""
         return frozenset(self._removed)
 
     # ------------------------------------------------------------------
     # Fingerprint routing tier
     # ------------------------------------------------------------------
-    #: The routing-tier slot.  ``"auto"`` (the class default — also what
-    #: searchers pickled before 1.3 fall back to) builds the tier lazily
-    #: from ``rank_docs`` on the first routed query; an explicit
-    #: :class:`~repro.routing.FingerprintTier` (the v3 mmap path) is
-    #: used as-is; ``None`` means the snapshot carries no fingerprints
+    #: The routing-tier slot.  ``"auto"`` (the class default) builds the
+    #: tier lazily from ``rank_docs`` on the first routed query; an
+    #: explicit :class:`~repro.routing.FingerprintTier` (the snapshot
+    #: loader's mmap path) is used as-is; ``None`` means the snapshot carries no fingerprints
     #: and routed queries raise :class:`RoutingUnavailableError`.
     _routing_tier = "auto"
     _routing_memo = None
@@ -336,7 +299,7 @@ class PKWiseSearcher:
         deterministic, so serial, fork, and spawn workers reconstruct
         byte-identical tiers.
         """
-        tier = getattr(self, "_routing_tier", "auto")
+        tier = self._routing_tier
         if tier is None:
             raise RoutingUnavailableError(
                 "this snapshot carries no routing fingerprints; re-save it "
@@ -346,7 +309,7 @@ class PKWiseSearcher:
         if isinstance(tier, FingerprintTier):
             return tier
         ndocs = len(self.rank_docs)
-        memo = getattr(self, "_routing_memo", None)
+        memo = self._routing_memo
         if memo is not None and memo[0] == ndocs:
             return memo[1]
         policy = self.params.routing

@@ -14,10 +14,9 @@ With ``jobs > 1`` the workload is sharded across a process pool by
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
-from ..core.base import MatchPair, SearchResult, SearchStats
+from ..core.base import MatchPair, SearchStats
 from ..corpus import Document
 from ..obs import get_tracer
 
@@ -136,35 +135,6 @@ class AggregateRun:
     failures: list[QueryFailure] = field(default_factory=list)
     #: Recovery actions taken (None on the serial path).
     recovery: RecoveryReport | None = None
-
-    def per_query_results(self) -> list[SearchResult]:
-        """Per-query :class:`SearchResult` views, in workload order.
-
-        ``results_by_query`` is insertion-ordered by workload position,
-        so this reconstructs the list shape ``search_many`` returned
-        before 1.1.  The per-query ``stats`` are empty — only the run
-        totals survive aggregation.
-        """
-        return [
-            SearchResult(pairs=list(pairs))
-            for pairs in self.results_by_query.values()
-        ]
-
-    def __iter__(self):
-        """Deprecated tuple unpacking: ``results, stats = run``.
-
-        Kept so pre-1.1 callers of ``search_many`` (which returned
-        ``(list[SearchResult], SearchStats)``) keep working; new code
-        should use ``run.results_by_query`` and ``run.stats``.
-        """
-        warnings.warn(
-            "unpacking AggregateRun as (results, stats) is deprecated; "
-            "use run.results_by_query and run.stats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        yield self.per_query_results()
-        yield self.stats
 
     @property
     def avg_query_seconds(self) -> float:

@@ -8,7 +8,7 @@ the exact contract of the dict index (a list of
 resolves keys by binary search instead of hashing tuples, and the whole
 structure is a handful of contiguous buffers — ~10x less Python-object
 overhead, picklable in O(bytes), and mmap-able without copying (the
-format-v3 envelope in :mod:`repro.persistence` stores these columns
+snapshot envelope in :mod:`repro.persistence` stores these columns
 verbatim).
 
 Keys are always :func:`~repro.signatures.signature_hash` values, even
@@ -65,7 +65,7 @@ class CompactIntervalIndex:
     Construct with :meth:`from_index` (freeze a built dict index) or
     :meth:`from_arrays` (rehydrate saved/mapped columns).  The probe
     contract matches :class:`IntervalIndex.probe`; mutation
-    (``add_document``/``merge``) raises
+    (``index_document``/``merge``) raises
     :class:`~repro.errors.IndexStateError` — freezing is one-way.
     """
 
@@ -331,10 +331,8 @@ class CompactIntervalIndex:
     # ------------------------------------------------------------------
     # Mutation is refused — the structure is frozen by design.
     # ------------------------------------------------------------------
-    def add_document(self, doc_id: int, ranks: Sequence[int]) -> None:
+    def index_document(self, doc_id: int, ranks: Sequence[int]) -> None:
         raise IndexStateError(_FROZEN_MESSAGE)
-
-    index_document = add_document
 
     def merge(self, other) -> None:
         raise IndexStateError(_FROZEN_MESSAGE)
@@ -380,8 +378,10 @@ class PackedRankDocs(Sequence):
 
     ``packed[doc_id]`` returns the document's ranks as a plain Python
     list (what the rolling verifier's per-element hot loop wants),
-    decoded on demand and kept in a small FIFO cache so verifying
-    several intervals of one document decodes it once.  Read-only:
+    decoded on demand and kept in a small LRU cache so verifying
+    several intervals of one document decodes it once.  Lookups are
+    safe from concurrent search threads (each cache operation is one
+    atomic ``OrderedDict`` call).  Read-only:
     appending documents requires thawing to lists first (the searcher's
     frozen guard raises before ever getting here).
     """
@@ -426,7 +426,13 @@ class PackedRankDocs(Sequence):
             raise IndexError(f"doc_id {doc_id} out of range")
         cached = self._cache.get(doc_id)
         if cached is not None:
-            self._cache.move_to_end(doc_id)
+            try:
+                self._cache.move_to_end(doc_id)
+            except KeyError:
+                # Another search thread evicted the entry between the
+                # two calls; the decoded list is still right, only its
+                # recency bump is lost.
+                pass
             return cached
         start = int(self._offsets[doc_id])
         end = int(self._offsets[doc_id + 1])

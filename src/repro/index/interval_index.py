@@ -11,7 +11,6 @@ transition and every stored interval is maximal.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 
 from ..errors import IndexStateError
@@ -60,23 +59,6 @@ class IntervalIndex:
         return signature_hash(signature) if self.hashed else signature
 
     # ------------------------------------------------------------------
-    def add_document(self, doc_id: int, ranks: Sequence[int]) -> None:
-        """Deprecated alias of :meth:`index_document`.
-
-        .. deprecated:: 1.3
-            Renamed to :meth:`index_document` to free ``add_document``
-            for the unified mutation surface (``Index.add`` routes
-            through the ingest pipeline, never into an index directly).
-        """
-        warnings.warn(
-            "IntervalIndex.add_document is deprecated; call "
-            "index_document (build-time) or mutate through Index.add "
-            "(the ingest write path)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.index_document(doc_id, ranks)
-
     def index_document(self, doc_id: int, ranks: Sequence[int]) -> None:
         """Index all windows of one document (given as a rank sequence)."""
         stream = SignatureStream(ranks, self.w, self.tau, self.scheme)

@@ -8,7 +8,6 @@ interval postings 3-14x smaller).
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 
 from ..partition.scheme import PartitionScheme
@@ -35,18 +34,6 @@ class WindowInvertedIndex:
 
     def _key(self, signature: Signature) -> object:
         return signature_hash(signature) if self.hashed else signature
-
-    def add_document(self, doc_id: int, ranks: Sequence[int]) -> None:
-        """Deprecated alias of :meth:`index_document` (see
-        :meth:`repro.index.IntervalIndex.add_document`)."""
-        warnings.warn(
-            "WindowInvertedIndex.add_document is deprecated; call "
-            "index_document (build-time) or mutate through Index.add "
-            "(the ingest write path)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.index_document(doc_id, ranks)
 
     def index_document(self, doc_id: int, ranks: Sequence[int]) -> None:
         """Index every window of one document individually."""

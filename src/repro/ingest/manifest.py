@@ -9,10 +9,10 @@ recovery invariant is::
     manifest state  +  replay of WAL generations >= wal_generation
         ==  pre-crash live state   (pair-identical query results)
 
-It reuses the v2 checksummed-pickle envelope from
-:mod:`repro.persistence` (kind ``"ingest-manifest"``), written
-atomically, so a crash mid-write leaves the previous manifest intact
-and a corrupted file fails loudly with a typed
+It reuses the checksummed envelope from :mod:`repro.persistence` (kind
+``"ingest-manifest"``, pickled sections only), written atomically, so a
+crash mid-write leaves the previous manifest intact and a corrupted
+file fails loudly with a typed
 :class:`~repro.persistence.PersistenceError` instead of resurrecting a
 half-written state.
 
@@ -109,13 +109,15 @@ def write_manifest(directory: str | Path, state: ManifestState) -> None:
         "data": state.data,
         "tombstones": sorted(state.tombstones),
     }
-    write_envelope(manifest_path(directory), MANIFEST_KIND, sections, header)
+    write_envelope(
+        manifest_path(directory), MANIFEST_KIND, sections, header=header
+    )
 
 
 def read_manifest(directory: str | Path) -> ManifestState:
     """Load and validate the manifest of an ingest directory."""
     path = manifest_path(directory)
-    header, sections = read_envelope(path, MANIFEST_KIND)
+    header, sections, _arrays = read_envelope(path, MANIFEST_KIND)
     segments = list(header.get("segments", []))
     lo = 0
     for segment in segments:

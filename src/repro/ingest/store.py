@@ -755,7 +755,7 @@ class IngestStore:
                 "ingest.compact", phase="segment", generation=generation
             )
             path = self.directory / generation_name(SEGMENT_STEM, generation)
-            save_searcher(segment_searcher, path, compact=True)
+            save_searcher(segment_searcher, path)
         new_tier = Tier(
             doc_lo, doc_hi, generation, compact_index, packed, "segment", path
         )

@@ -102,7 +102,7 @@ class RunCheckpoint:
     @classmethod
     def load(cls, path: str | Path, kind: str, fingerprint: str) -> "RunCheckpoint":
         """Load an existing checkpoint, validating kind and fingerprint."""
-        header, sections = read_envelope(path, kind)
+        header, sections, _arrays = read_envelope(path, kind)
         recorded = header.get("fingerprint")
         if recorded != fingerprint:
             raise PersistenceError(

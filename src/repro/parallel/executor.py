@@ -195,11 +195,10 @@ class ParallelExecutor:
         its own pools, so state transport is factored out of pool
         construction: under ``fork`` the state sits in ``worker._STATE``
         for the whole run and every pool generation inherits it; under
-        ``spawn`` each generation replays the initializer — a compact
-        format-v3 snapshot that every worker memory-maps (plain
-        ``PKWiseSearcher`` state: one file, one shared page cache,
-        near-constant per-worker startup instead of a full unpickle), a
-        v2 pickle file for searcher subclasses, a pickled payload
+        ``spawn`` each generation replays the initializer — a snapshot
+        file that every worker memory-maps (``PKWiseSearcher`` state:
+        one file, one shared page cache, near-constant per-worker
+        startup instead of a full unpickle), a pickled payload
         otherwise.  The active fault plan travels in the initargs so
         injection points fire identically under every start method.
         """
@@ -214,17 +213,14 @@ class ParallelExecutor:
         elif persist and isinstance(state, PKWiseSearcher):
             from ..persistence import save_searcher
 
-            # Exactly PKWiseSearcher compacts losslessly; subclasses
-            # (e.g. the weighted engine) keep the full-pickle transport.
-            compact = type(state) is PKWiseSearcher
             temp_dir = tempfile.TemporaryDirectory(prefix="repro-parallel-")
             try:
                 index_path = Path(temp_dir.name) / "searcher.idx"
-                save_searcher(state, index_path, compact=compact)
+                save_searcher(state, index_path)
                 yield (
                     context,
                     worker.init_searcher_file,
-                    (str(index_path), plan, compact),
+                    (str(index_path), plan),
                 )
             finally:
                 temp_dir.cleanup()

@@ -54,22 +54,21 @@ def init_state(payload, fault_plan=None) -> None:
         faults.install_plan(fault_plan)
 
 
-def init_searcher_file(path: str, fault_plan=None, mmap: bool = False) -> None:
-    """Pool initializer (spawn fallback): load a persisted searcher.
+def init_searcher_file(path: str, fault_plan=None) -> None:
+    """Pool initializer (spawn fallback): map a persisted searcher.
 
-    With ``mmap=True`` the file is a compact format-v3 snapshot and its
-    array columns are memory-mapped instead of copied — every worker of
-    the pool maps the same file, so the index pages are shared through
-    the OS page cache rather than duplicated per process.
+    The snapshot's array columns are memory-mapped instead of copied —
+    every worker of the pool maps the same file, so the index pages are
+    shared through the OS page cache rather than duplicated per process.
 
     The fault plan (when given) is installed *after* the searcher loads,
     so persistence faults target real save/load paths, not this
     transport detail.
     """
-    from ..persistence import load_searcher
+    from ..persistence import load_bundle
 
     global _STATE
-    _STATE = load_searcher(path, mmap=mmap)
+    _STATE = load_bundle(path, mmap=True).searcher
     if fault_plan is not None:
         faults.install_plan(fault_plan)
 

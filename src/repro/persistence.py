@@ -3,63 +3,60 @@
 Index construction (and especially greedy partitioning) is the
 expensive, offline part of the pipeline; production deployments build
 once and serve many queries.  This module persists a fully built
-:class:`~repro.PKWiseSearcher` — interval index, partition scheme,
-global order and rank-converted documents — to a single file.
+:class:`~repro.PKWiseSearcher` — frozen onto its compact array-backed
+structures — to a single file.
 
-Two on-disk layouts share one loader surface:
+There is one on-disk layout, shared by index snapshots, the ingest
+``MANIFEST`` and the parallel executor's run checkpoints
+(:func:`write_envelope` / :func:`read_envelope`): a 16-byte magic, an
+8-byte little-endian TOC length, a pickled TOC, then each section's raw
+bytes at a 64-byte aligned offset.  Small sections (params, order,
+scheme, data, checkpoint records) are pickled; a snapshot's index and
+rank columns are stored as raw typed arrays, so ``load_bundle(path,
+mmap=True)`` maps them with ``mmap`` + ``np.frombuffer`` without
+copying — workers sharing one snapshot share one page cache.  Every
+section, pickled or raw, carries a BLAKE2b payload digest in the TOC,
+so a flipped bit on disk surfaces as a typed :class:`PersistenceError`
+naming the corrupt section — never a pickle error or silently wrong
+data.
 
-* **Format v2** — Python pickle sections wrapped in a small versioned
-  envelope whose every section carries a BLAKE2b payload digest, so a
-  flipped bit on disk surfaces as a typed :class:`PersistenceError`
-  naming the corrupt section — never a pickle error or silently wrong
-  data.  Pickle is appropriate here because an index file is a local
-  artifact produced by the same trust domain that loads it; never load
-  index files from untrusted sources (the standard pickle caveat,
-  restated in :func:`load_searcher`).
-* **Format v3** (``save_searcher(..., compact=True)``) — the compact
-  array-backed searcher: a 16-byte magic, an 8-byte little-endian TOC
-  length, a pickled TOC, then each section's raw bytes at a 64-byte
-  aligned offset.  Small sections (params/order/scheme/data) are still
-  pickled; the index and rank columns are stored as raw typed arrays,
-  so ``load_bundle(path, mmap=True)`` maps them with ``mmap`` +
-  ``np.frombuffer`` without copying — workers sharing one snapshot
-  share one page cache.  Every section (pickled or raw) keeps the v2
-  per-section BLAKE2b digest contract.
+Pickle is appropriate for the TOC and the small sections because an
+index file is a local artifact produced by the same trust domain that
+loads it; never load index files from untrusted sources.  A file that
+does not start with the magic is rejected before a byte of it is
+unpickled: snapshots written by pre-2.0 releases are not migrated —
+rebuild them with ``repro index``.
 
 :func:`save_searcher` can additionally keep rotated snapshot
-generations (``index.idx.1``, ``index.idx.2``, ...); the loaders fall
-back to the newest intact generation when the primary is corrupt, so a
-crash mid-deploy never leaves serving without an index.
-
-The checksummed envelope is generic (:func:`write_envelope` /
-:func:`read_envelope`) and is shared by the parallel executor's run
-checkpoints (:mod:`repro.parallel.checkpoint`).
+generations (``index.idx.1``, ``index.idx.2``, ...); :func:`load_bundle`
+falls back to the newest intact generation when the primary is corrupt,
+so a crash mid-deploy never leaves serving without an index.
 """
 
 from __future__ import annotations
 
 import hashlib
+import mmap as mmap_module
 import os
 import pickle
 import tempfile
 import time
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import faults
 from .core.pkwise import PKWiseSearcher
 from .errors import ReproError
+from .index.compact import CompactIntervalIndex, PackedRankDocs
+from .routing import FingerprintTier
 
-#: Bumped whenever the on-disk layout changes incompatibly.
-#: Version 2 added per-section BLAKE2b digests and the ``kind`` field.
-FORMAT_VERSION = 2
-#: The compact/mmap-able layout written by ``save_searcher(compact=True)``.
-FORMAT_VERSION_V3 = 3
-_MAGIC = "repro-envelope"
-_MAGIC_V1 = "repro-pkwise-index"
-_MAGIC_V3 = b"repro-envelope-3"  # exactly 16 bytes
-_V3_HEAD_SIZE = len(_MAGIC_V3) + 8  # magic + TOC length
-_V3_ALIGN = 64
+_MAGIC = b"repro-envelope-3"  # exactly 16 bytes
+_TOC_VERSION = 3
+_HEAD_SIZE = len(_MAGIC) + 8  # magic + TOC length
+_ALIGN = 64
 _INDEX_KIND = "pkwise-index"
 _DIGEST_SIZE = 16
 
@@ -68,7 +65,7 @@ class PersistenceError(ReproError):
     """The file is missing, corrupt, or from another format version."""
 
 
-def _digest(payload: bytes) -> str:
+def _digest(payload) -> str:
     return hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).hexdigest()
 
 
@@ -93,125 +90,31 @@ def _atomic_write(path: Path, serialize) -> None:
         temp_path.unlink(missing_ok=True)
 
 
+def _align(offset: int) -> int:
+    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
 def write_envelope(
-    path: str | Path, kind: str, sections: dict, header: dict | None = None
-) -> None:
-    """Atomically write a checksummed envelope of pickled ``sections``.
-
-    Each section value is pickled independently and stored next to the
-    BLAKE2b digest of its bytes; ``header`` is a small plain-data dict
-    readable without touching any section payload.  ``kind`` names the
-    envelope's schema (index file, workload checkpoint, ...) and is
-    verified on read.
-    """
-    path = Path(path)
-    packed: dict[str, bytes] = {}
-    digests: dict[str, str] = {}
-    for name, obj in sections.items():
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = faults.inject_bytes("persistence.write", blob, section=name, kind=kind)
-        packed[name] = blob
-        digests[name] = _digest(blob)
-    envelope = {
-        "magic": _MAGIC,
-        "version": FORMAT_VERSION,
-        "kind": kind,
-        "header": dict(header or {}),
-        "sections": packed,
-        "digests": digests,
-    }
-    _atomic_write(
-        path,
-        lambda handle: pickle.dump(
-            envelope, handle, protocol=pickle.HIGHEST_PROTOCOL
-        ),
-    )
-
-
-def read_envelope(path: str | Path, kind: str) -> tuple[dict, dict]:
-    """Load ``(header, sections)`` from a checksummed envelope.
-
-    Every failure mode is a typed :class:`PersistenceError`: missing
-    file, unreadable outer frame, wrong magic/kind, old format version,
-    and — checked before any section is unpickled — a section whose
-    bytes no longer match their recorded digest (the error names the
-    corrupt section).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise PersistenceError(f"{kind} file {path} does not exist")
-    try:
-        with open(path, "rb") as handle:
-            envelope = pickle.load(handle)
-    except (pickle.UnpicklingError, EOFError, AttributeError, ValueError,
-            IndexError, MemoryError) as exc:
-        raise PersistenceError(f"cannot read {kind} file {path}: {exc}") from exc
-    if not isinstance(envelope, dict):
-        raise PersistenceError(f"{path} is not a repro {kind} file")
-    magic = envelope.get("magic")
-    if magic == _MAGIC_V1:
-        raise PersistenceError(
-            f"{path} has format version 1; this build reads version "
-            f"{FORMAT_VERSION} — rebuild the file"
-        )
-    if magic != _MAGIC:
-        raise PersistenceError(f"{path} is not a repro {kind} file")
-    version = envelope.get("version")
-    if version != FORMAT_VERSION:
-        raise PersistenceError(
-            f"{kind} file {path} has format version {version}; this build "
-            f"reads version {FORMAT_VERSION} — rebuild the file"
-        )
-    if envelope.get("kind") != kind:
-        raise PersistenceError(
-            f"{path} is a {envelope.get('kind')!r} envelope, not {kind!r}"
-        )
-    packed = envelope.get("sections")
-    digests = envelope.get("digests")
-    if not isinstance(packed, dict) or not isinstance(digests, dict):
-        raise PersistenceError(f"{kind} file {path} has a malformed envelope")
-    sections: dict = {}
-    for name, blob in packed.items():
-        blob = faults.inject_bytes("persistence.read", blob, section=name, kind=kind)
-        if _digest(blob) != digests.get(name):
-            raise PersistenceError(
-                f"{kind} file {path}: section {name!r} is corrupt "
-                f"(payload checksum mismatch) — restore from a snapshot "
-                f"or rebuild"
-            )
-        try:
-            sections[name] = pickle.loads(blob)
-        except Exception as exc:  # digest matched but payload won't load
-            raise PersistenceError(
-                f"{kind} file {path}: section {name!r} cannot be "
-                f"deserialized: {exc}"
-            ) from exc
-    return envelope.get("header", {}), sections
-
-
-def _align_v3(offset: int) -> int:
-    return (offset + _V3_ALIGN - 1) // _V3_ALIGN * _V3_ALIGN
-
-
-def write_envelope_v3(
     path: str | Path,
     kind: str,
     sections: dict,
-    arrays: dict,
+    arrays: dict | None = None,
     header: dict | None = None,
 ) -> None:
-    """Atomically write a format-v3 envelope (pickled + raw sections).
+    """Atomically write a checksummed envelope (pickled + raw sections).
 
-    ``sections`` values are pickled; ``arrays`` values are numpy arrays
-    stored as raw bytes at 64-byte-aligned offsets (dtype and shape
-    recorded in the TOC) so readers can map them zero-copy.  Every
-    payload — pickled or raw — carries a BLAKE2b digest in the TOC.
+    ``sections`` values are pickled independently; ``arrays`` values
+    are numpy arrays stored as raw bytes at 64-byte-aligned offsets
+    (dtype and shape recorded in the TOC) so readers can map them
+    zero-copy.  Every payload — pickled or raw — carries a BLAKE2b
+    digest in the TOC.  ``header`` is a small plain-data dict readable
+    without touching any section payload.  ``kind`` names the
+    envelope's schema (index file, workload checkpoint, ingest
+    manifest) and is verified on read.
     """
-    import numpy as np
-
     path = Path(path)
     toc: dict = {
-        "version": FORMAT_VERSION_V3,
+        "version": _TOC_VERSION,
         "kind": kind,
         "header": dict(header or {}),
         "pickled": {},
@@ -219,39 +122,36 @@ def write_envelope_v3(
     }
     entries: list[tuple[int, bytes]] = []
     rel = 0
+
+    def place(group: str, name: str, blob: bytes, **extra) -> None:
+        nonlocal rel
+        blob = faults.inject_bytes("persistence.write", blob, section=name, kind=kind)
+        rel = _align(rel)
+        toc[group][name] = {
+            "offset": rel,
+            "length": len(blob),
+            "digest": _digest(blob),
+            **extra,
+        }
+        entries.append((rel, blob))
+        rel += len(blob)
+
     for name, obj in sections.items():
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = faults.inject_bytes("persistence.write", blob, section=name, kind=kind)
-        rel = _align_v3(rel)
-        toc["pickled"][name] = {
-            "offset": rel,
-            "length": len(blob),
-            "digest": _digest(blob),
-        }
-        entries.append((rel, blob))
-        rel += len(blob)
-    for name, array in arrays.items():
+        place("pickled", name, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    for name, array in (arrays or {}).items():
         array = np.ascontiguousarray(array)
-        blob = array.tobytes()
-        blob = faults.inject_bytes("persistence.write", blob, section=name, kind=kind)
-        rel = _align_v3(rel)
-        toc["arrays"][name] = {
-            "offset": rel,
-            "length": len(blob),
-            "digest": _digest(blob),
-            "dtype": array.dtype.str,
-            "shape": tuple(array.shape),
-        }
-        entries.append((rel, blob))
-        rel += len(blob)
+        place(
+            "arrays", name, array.tobytes(),
+            dtype=array.dtype.str, shape=tuple(array.shape),
+        )
     toc_bytes = pickle.dumps(toc, protocol=pickle.HIGHEST_PROTOCOL)
-    data_start = _align_v3(_V3_HEAD_SIZE + len(toc_bytes))
+    data_start = _align(_HEAD_SIZE + len(toc_bytes))
 
     def serialize(handle) -> None:
-        handle.write(_MAGIC_V3)
+        handle.write(_MAGIC)
         handle.write(len(toc_bytes).to_bytes(8, "little"))
         handle.write(toc_bytes)
-        position = _V3_HEAD_SIZE + len(toc_bytes)
+        position = _HEAD_SIZE + len(toc_bytes)
         for rel_offset, blob in entries:
             target = data_start + rel_offset
             if target > position:
@@ -262,19 +162,10 @@ def write_envelope_v3(
     _atomic_write(path, serialize)
 
 
-def is_v3_file(path: str | Path) -> bool:
-    """True when ``path`` exists and starts with the format-v3 magic."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(_MAGIC_V3)) == _MAGIC_V3
-    except OSError:
-        return False
-
-
-def read_envelope_v3(
+def read_envelope(
     path: str | Path, kind: str, *, mmap: bool = False
 ) -> tuple[dict, dict, dict]:
-    """Load ``(header, sections, arrays)`` from a format-v3 envelope.
+    """Load ``(header, sections, arrays)`` from a checksummed envelope.
 
     With ``mmap=True`` the file is memory-mapped and every array in
     ``arrays`` is a read-only view into the mapping (zero copy); the
@@ -282,77 +173,85 @@ def read_envelope_v3(
     holds the buffer via ``.base``).  With ``mmap=False`` the file is
     read once into memory and arrays view that buffer.  In both modes
     every section's bytes are verified against their recorded BLAKE2b
-    digest before use, and all failure modes raise a typed
-    :class:`PersistenceError` naming the corrupt section.
+    digest before use.
+
+    Every failure mode is a typed :class:`PersistenceError`: missing
+    file, a file without the magic (anything written before 2.0 —
+    rejected without unpickling it), malformed TOC, wrong kind,
+    truncation, and a section whose bytes no longer match their digest
+    (the error names the corrupt section).
     """
-    import mmap as mmap_module
-
-    import numpy as np
-
     path = Path(path)
     if not path.exists():
         raise PersistenceError(f"{kind} file {path} does not exist")
     with open(path, "rb") as handle:
-        magic = handle.read(len(_MAGIC_V3))
-        if magic != _MAGIC_V3:
-            raise PersistenceError(f"{path} is not a format-v3 {kind} envelope")
+        if handle.read(len(_MAGIC)) != _MAGIC:
+            raise PersistenceError(
+                f"{path} is not a repro 2.0 {kind} file; files written by "
+                f"1.x releases are not migrated — rebuild it with this "
+                f"release (repro index / repro ingest)"
+            )
         try:
             toc_length = int.from_bytes(handle.read(8), "little")
-            toc_bytes = handle.read(toc_length)
-            toc = pickle.loads(toc_bytes)
+            toc = pickle.loads(handle.read(toc_length))
         except Exception as exc:
             raise PersistenceError(
-                f"cannot read {kind} file {path}: malformed v3 TOC: {exc}"
+                f"cannot read {kind} file {path}: malformed TOC: {exc}"
             ) from exc
-        if not isinstance(toc, dict) or toc.get("version") != FORMAT_VERSION_V3:
-            raise PersistenceError(f"{kind} file {path} has a malformed v3 TOC")
+        if not isinstance(toc, dict) or toc.get("version") != _TOC_VERSION:
+            raise PersistenceError(
+                f"{kind} file {path} has a malformed TOC or an unknown "
+                f"format version — rebuild the file"
+            )
         if toc.get("kind") != kind:
             raise PersistenceError(
                 f"{path} is a {toc.get('kind')!r} envelope, not {kind!r}"
             )
-        data_start = _align_v3(_V3_HEAD_SIZE + toc_length)
+        data_start = _align(_HEAD_SIZE + toc_length)
         if mmap:
-            mapping = mmap_module.mmap(
-                handle.fileno(), 0, access=mmap_module.ACCESS_READ
+            buffer: memoryview | bytes = memoryview(
+                mmap_module.mmap(handle.fileno(), 0, access=mmap_module.ACCESS_READ)
             )
-            buffer: memoryview | bytes = memoryview(mapping)
         else:
             handle.seek(0)
             buffer = handle.read()
-        if len(buffer) < data_start:
-            raise PersistenceError(f"{kind} file {path} is truncated")
-    sections: dict = {}
-    for name, entry in toc.get("pickled", {}).items():
-        start = data_start + entry["offset"]
-        blob = bytes(buffer[start : start + entry["length"]])
-        blob = faults.inject_bytes("persistence.read", blob, section=name, kind=kind)
-        if _digest(blob) != entry.get("digest"):
-            raise PersistenceError(
-                f"{kind} file {path}: section {name!r} is corrupt "
-                f"(payload checksum mismatch) — restore from a snapshot "
-                f"or rebuild"
-            )
-        try:
-            sections[name] = pickle.loads(blob)
-        except Exception as exc:
-            raise PersistenceError(
-                f"{kind} file {path}: section {name!r} cannot be "
-                f"deserialized: {exc}"
-            ) from exc
-    arrays: dict = {}
-    for name, entry in toc.get("arrays", {}).items():
+
+    def corrupt(name: str) -> PersistenceError:
+        return PersistenceError(
+            f"{kind} file {path}: section {name!r} is corrupt "
+            f"(payload checksum mismatch) — restore from a snapshot "
+            f"or rebuild"
+        )
+
+    def span(name: str, entry: dict) -> tuple[int, int]:
         start = data_start + entry["offset"]
         end = start + entry["length"]
         if end > len(buffer):
             raise PersistenceError(
                 f"{kind} file {path}: section {name!r} is truncated"
             )
-        if _digest(buffer[start:end]) != entry.get("digest"):
+        return start, end
+
+    sections: dict = {}
+    for name, entry in toc.get("pickled", {}).items():
+        start, end = span(name, entry)
+        blob = faults.inject_bytes(
+            "persistence.read", bytes(buffer[start:end]), section=name, kind=kind
+        )
+        if _digest(blob) != entry.get("digest"):
+            raise corrupt(name)
+        try:
+            sections[name] = pickle.loads(blob)
+        except Exception as exc:  # digest matched but payload won't load
             raise PersistenceError(
-                f"{kind} file {path}: section {name!r} is corrupt "
-                f"(payload checksum mismatch) — restore from a snapshot "
-                f"or rebuild"
-            )
+                f"{kind} file {path}: section {name!r} cannot be "
+                f"deserialized: {exc}"
+            ) from exc
+    arrays: dict = {}
+    for name, entry in toc.get("arrays", {}).items():
+        start, end = span(name, entry)
+        if _digest(buffer[start:end]) != entry.get("digest"):
+            raise corrupt(name)
         dtype = np.dtype(entry["dtype"])
         arrays[name] = np.frombuffer(
             buffer, dtype=dtype, count=entry["length"] // dtype.itemsize,
@@ -397,15 +296,19 @@ def _rotate_snapshots(path: Path, keep: int) -> None:
     path.replace(generations[0])
 
 
-def _params_header(searcher: PKWiseSearcher) -> dict:
-    return {
-        "params": {
-            "w": searcher.params.w,
-            "tau": searcher.params.tau,
-            "k_max": searcher.params.k_max,
-            "m": searcher.params.m,
-        },
-    }
+@dataclass
+class SearcherBundle:
+    """A loaded searcher plus its document collection and provenance."""
+
+    #: The frozen query engine.
+    searcher: PKWiseSearcher
+    #: The bundled :class:`~repro.DocumentCollection`, or None for
+    #: ids-only index files.
+    data: object = None
+    #: The file that actually loaded (a rotated sibling after a fallback).
+    path: Path | None = None
+    #: Wall-clock seconds spent deserializing.
+    load_seconds: float = 0.0
 
 
 def save_searcher(
@@ -414,9 +317,14 @@ def save_searcher(
     data=None,
     *,
     rotate: int = 0,
-    compact: bool = False,
 ) -> None:
-    """Serialize a built searcher to ``path`` (atomic via temp file).
+    """Freeze ``searcher`` and write its snapshot to ``path`` (atomic).
+
+    The searcher is frozen with :meth:`~repro.PKWiseSearcher.compacted`
+    (a no-op when it already is) and its index/rank columns stored as
+    raw typed arrays, so :func:`load_bundle` can map them.  Only
+    :class:`~repro.PKWiseSearcher` (and its live LSM view) can be
+    snapshotted; anything else is a typed :class:`PersistenceError`.
 
     Pass the :class:`~repro.DocumentCollection` as ``data`` to bundle
     the original documents (needed to decode matches back to text, e.g.
@@ -424,55 +332,43 @@ def save_searcher(
 
     ``rotate=N`` keeps the previous N snapshot generations as
     ``path.1`` (newest) through ``path.N`` (oldest) before writing the
-    new file; the loaders automatically fall back to the newest intact
-    generation when the primary fails its checksum.
-
-    ``compact=True`` writes the format-v3 compact snapshot instead of
-    the v2 pickle: the searcher is frozen
-    (:meth:`~repro.PKWiseSearcher.compacted`) and its index/rank
-    columns stored as raw typed arrays, which loads ~an order of
-    magnitude faster and supports ``load_bundle(path, mmap=True)``.
-    Only :class:`~repro.PKWiseSearcher` supports compaction.
+    new file; :func:`load_bundle` automatically falls back to the
+    newest intact generation when the primary fails its checksum.
     """
+    if not isinstance(searcher, PKWiseSearcher):
+        raise PersistenceError(
+            f"snapshots hold a PKWiseSearcher, got {type(searcher).__name__}"
+        )
     path = Path(path)
     if rotate:
         _rotate_snapshots(path, rotate)
-    if not compact:
-        write_envelope(
-            path,
-            _INDEX_KIND,
-            {"searcher": searcher, "data": data},
-            header=_params_header(searcher),
-        )
-        return
-    if not isinstance(searcher, PKWiseSearcher):
-        raise PersistenceError(
-            f"compact snapshots require a PKWiseSearcher, "
-            f"got {type(searcher).__name__}"
-        )
     frozen = searcher.compacted()
+    params = frozen.params
     index_meta, index_arrays = frozen.index.to_arrays()
-    rank_arrays = frozen.rank_docs.to_arrays()
     meta = {
-        "params": frozen.params,
+        "params": params,
         "index": index_meta,
         "removed": sorted(frozen._removed),
         "index_epoch": frozen.index_epoch,
         "build_seconds": frozen.index_build_seconds,
     }
     arrays = {f"index.{name}": array for name, array in index_arrays.items()}
-    arrays.update({f"ranks.{name}": array for name, array in rank_arrays.items()})
-    routing = getattr(frozen.params, "routing", None)
-    if routing is not None and routing.enabled:
-        # Fingerprints ride in their own v3 section so reopened
-        # snapshots (and the shard workers mmapping them) route without
-        # decoding a single rank column.
+    arrays.update(
+        {
+            f"ranks.{name}": array
+            for name, array in frozen.rank_docs.to_arrays().items()
+        }
+    )
+    if params.routing.enabled:
+        # Fingerprints ride in their own section so reopened snapshots
+        # (and the shard workers mmapping them) route without decoding
+        # a single rank column.
         tier = frozen.routing_fingerprints()
         meta["routing"] = tier.describe()
         arrays.update(
             {f"routing.{name}": array for name, array in tier.to_arrays().items()}
         )
-    write_envelope_v3(
+    write_envelope(
         path,
         _INDEX_KIND,
         {
@@ -482,56 +378,36 @@ def save_searcher(
             "data": data,
         },
         arrays,
-        header=_params_header(searcher),
+        header={
+            "params": {
+                "w": params.w,
+                "tau": params.tau,
+                "k_max": params.k_max,
+                "m": params.m,
+            },
+        },
     )
 
 
-def _load_envelope_v2(path: Path) -> dict:
-    header, sections = read_envelope(path, _INDEX_KIND)
-    searcher = sections.get("searcher")
-    if not isinstance(searcher, PKWiseSearcher):
-        raise PersistenceError(f"{path} does not contain a PKWiseSearcher")
-    return {
-        "params": header.get("params", {}),
-        "searcher": searcher,
-        "data": sections.get("data"),
-    }
-
-
-def _load_envelope_v3(path: Path, *, mmap: bool = False) -> dict:
-    from .index.compact import CompactIntervalIndex, PackedRankDocs
-
-    header, sections, arrays = read_envelope_v3(path, _INDEX_KIND, mmap=mmap)
+def _load_snapshot(path: Path, *, mmap: bool) -> tuple[PKWiseSearcher, object]:
+    """``(searcher, data)`` from one snapshot file."""
+    _header, sections, arrays = read_envelope(path, _INDEX_KIND, mmap=mmap)
     meta = sections.get("meta")
     if not isinstance(meta, dict):
         raise PersistenceError(f"{path} does not contain a compact searcher")
+
+    def columns(prefix: str) -> dict:
+        return {
+            name[len(prefix):]: array
+            for name, array in arrays.items()
+            if name.startswith(prefix)
+        }
+
     try:
-        index = CompactIntervalIndex.from_arrays(
-            meta["index"],
-            sections["scheme"],
-            {
-                name.partition(".")[2]: array
-                for name, array in arrays.items()
-                if name.startswith("index.")
-            },
-        )
-        rank_docs = PackedRankDocs.from_arrays(
-            {
-                name.partition(".")[2]: array
-                for name, array in arrays.items()
-                if name.startswith("ranks.")
-            }
-        )
         routing_meta = meta.get("routing")
         if routing_meta is not None:
-            from .routing import FingerprintTier
-
             routing_tier = FingerprintTier.from_arrays(
-                {
-                    name.partition(".")[2]: array
-                    for name, array in arrays.items()
-                    if name.startswith("routing.")
-                },
+                columns("routing."),
                 block_len=routing_meta["block_len"],
                 bands=routing_meta["bands"],
                 doc_lo=routing_meta.get("doc_lo", 0),
@@ -545,8 +421,10 @@ def _load_envelope_v3(path: Path, *, mmap: bool = False) -> dict:
             meta["params"],
             sections["order"],
             sections["scheme"],
-            index,
-            rank_docs,
+            CompactIntervalIndex.from_arrays(
+                meta["index"], sections["scheme"], columns("index.")
+            ),
+            PackedRankDocs.from_arrays(columns("ranks.")),
             build_seconds=meta.get("build_seconds", 0.0),
             removed=meta.get("removed", ()),
             index_epoch=meta.get("index_epoch", 0),
@@ -554,52 +432,39 @@ def _load_envelope_v3(path: Path, *, mmap: bool = False) -> dict:
         )
     except KeyError as exc:
         raise PersistenceError(
-            f"{path}: compact snapshot is missing section {exc}"
+            f"{path}: snapshot is missing section {exc}"
         ) from exc
-    return {
-        "params": header.get("params", {}),
-        "searcher": searcher,
-        "data": sections.get("data"),
-    }
+    return searcher, sections.get("data")
 
 
-def _load_envelope(path: Path, *, mmap: bool = False) -> dict:
-    """Load ``path`` whichever format version it carries.
+def load_bundle(
+    path: str | Path, *, fallback: bool = True, mmap: bool = False
+) -> SearcherBundle:
+    """Load a :class:`SearcherBundle` saved by :func:`save_searcher`.
 
-    ``mmap=True`` requires a format-v3 compact snapshot — a v2 pickle
-    cannot be mapped, so asking for it is a typed error rather than a
-    silent full deserialization.
+    ``mmap=True`` memory-maps the snapshot's array columns instead of
+    copying them.  With ``fallback=True`` (default) a corrupt or
+    missing primary file falls back to the newest intact rotated
+    snapshot (``path.1``, ``path.2``, ...) when one exists, with a
+    :class:`RuntimeWarning` naming both files; the primary's error is
+    re-raised when no candidate loads.  The bundle's ``path`` records
+    the file that actually loaded; ``data`` is None for ids-only files.
+
+    SECURITY: this unpickles parts of the file — only load files you
+    (or your pipeline) wrote.
     """
-    if is_v3_file(path):
-        return _load_envelope_v3(path, mmap=mmap)
-    if mmap:
-        raise PersistenceError(
-            f"{path} is not a format-v3 compact snapshot; mmap loading "
-            f"requires one (save with compact=True / repro index --compact)"
-        )
-    return _load_envelope_v2(path)
-
-
-def _load_with_fallback(path: Path, *, mmap: bool = False) -> tuple[dict, Path]:
-    """Load ``path`` or, on failure, the newest intact rotated snapshot.
-
-    Candidates are the primary plus every existing ``path.N`` sibling in
-    generation order (newest first).  The primary's error is re-raised
-    when no candidate loads; a successful fallback emits a
-    :class:`RuntimeWarning` naming both files.
-    """
+    path = Path(path)
+    start = time.perf_counter()
     candidates = [path]
-    generation = 1
-    while True:
-        sibling = path.with_name(f"{path.name}.{generation}")
-        if not sibling.exists():
-            break
+    while (
+        fallback
+        and (sibling := path.with_name(f"{path.name}.{len(candidates)}")).exists()
+    ):
         candidates.append(sibling)
-        generation += 1
     primary_error: PersistenceError | None = None
     for candidate in candidates:
         try:
-            envelope = _load_envelope(candidate, mmap=mmap)
+            searcher, data = _load_snapshot(candidate, mmap=mmap)
         except PersistenceError as exc:
             if primary_error is None:
                 primary_error = exc
@@ -609,153 +474,9 @@ def _load_with_fallback(path: Path, *, mmap: bool = False) -> tuple[dict, Path]:
                 f"index file {path} is unreadable ({primary_error}); "
                 f"fell back to rotated snapshot {candidate}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
-        return envelope, candidate
-    assert primary_error is not None
+        return SearcherBundle(
+            searcher, data, candidate, time.perf_counter() - start
+        )
     raise primary_error
-
-
-class SearcherBundle:
-    """A loaded (or freshly built) searcher plus its document collection.
-
-    The unit the serving and facade layers pass around: the query
-    engine, the collection needed to encode text queries against it,
-    and provenance (source path, load time).
-
-    .. deprecated:: 1.2
-        The historical ``(searcher, data)`` tuple unpack
-        (``searcher, data = bundle``) emits a ``DeprecationWarning``
-        and will be removed in 2.0 — read ``bundle.searcher`` /
-        ``bundle.data`` instead.
-    """
-
-    __slots__ = ("searcher", "data", "path", "load_seconds")
-
-    def __init__(
-        self,
-        searcher,
-        data=None,
-        path: Path | None = None,
-        load_seconds: float = 0.0,
-    ) -> None:
-        #: The query engine (a :class:`~repro.PKWiseSearcher` for files
-        #: written by :func:`save_searcher`).
-        self.searcher = searcher
-        #: The bundled :class:`~repro.DocumentCollection`, or None for
-        #: ids-only index files.
-        self.data = data
-        #: Source file, or None when built in memory.
-        self.path = path
-        #: Wall-clock seconds spent deserializing (0.0 in memory).
-        self.load_seconds = load_seconds
-
-    # Legacy tuple shape: ``searcher, data = load_bundle(path)``.
-    def __iter__(self):
-        warnings.warn(
-            "unpacking a SearcherBundle as a (searcher, data) tuple is "
-            "deprecated and will be removed in 2.0; use bundle.searcher "
-            "and bundle.data",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        yield self.searcher
-        yield self.data
-
-    @property
-    def params(self):
-        """The searcher's :class:`~repro.SearchParams`."""
-        return self.searcher.params
-
-    def encode_query(self, text: str, name: str | None = None):
-        """Tokenize ``text`` against the bundled collection's vocabulary."""
-        if self.data is None:
-            raise PersistenceError(
-                "bundle has no document collection (saved ids-only); "
-                "rebuild the index with its data to encode text queries"
-            )
-        return self.data.encode_query(text, name=name)
-
-    def search(self, query):
-        """Delegate to the searcher (single query)."""
-        return self.searcher.search(query)
-
-    def search_text(self, text: str):
-        """Encode ``text`` and search it in one step."""
-        return self.searcher.search(self.encode_query(text))
-
-    def search_many(self, queries, *, jobs: int = 1):
-        """Delegate to the searcher (workload run)."""
-        return self.searcher.search_many(queries, jobs=jobs)
-
-    def serve(self, **kwargs):
-        """Wrap this bundle in a :class:`~repro.service.SearchService`.
-
-        Keyword arguments are forwarded (``max_workers``, ``max_queue``,
-        ``cache_size``, ``default_timeout`` ...).
-        """
-        from .service import SearchService
-
-        return SearchService(self.searcher, self.data, **kwargs)
-
-    def close(self) -> None:
-        """Release the searcher's resources."""
-        self.searcher.close()
-
-    def __enter__(self) -> "SearcherBundle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        source = str(self.path) if self.path is not None else "<memory>"
-        return (
-            f"SearcherBundle({type(self.searcher).__name__}, "
-            f"data={'yes' if self.data is not None else 'no'}, "
-            f"source={source})"
-        )
-
-
-def load_searcher(
-    path: str | Path, *, fallback: bool = True, mmap: bool = False
-) -> PKWiseSearcher:
-    """Load a searcher saved by :func:`save_searcher` (either format).
-
-    With ``fallback=True`` (default) a corrupt or missing primary file
-    falls back to the newest intact rotated snapshot (``path.1``,
-    ``path.2``, ...) when one exists, warning about the substitution.
-    ``mmap=True`` memory-maps a format-v3 compact snapshot's array
-    columns instead of copying them (typed error on a v2 file).
-
-    SECURITY: this unpickles (parts of) the file — only load files you
-    (or your pipeline) wrote.
-    """
-    if not fallback:
-        return _load_envelope(Path(path), mmap=mmap)["searcher"]
-    envelope, _source = _load_with_fallback(Path(path), mmap=mmap)
-    return envelope["searcher"]
-
-
-def load_bundle(
-    path: str | Path, *, fallback: bool = True, mmap: bool = False
-) -> SearcherBundle:
-    """Load a :class:`SearcherBundle` from ``path`` (either format).
-
-    ``data`` is None for ids-only files.  ``fallback`` and ``mmap`` as
-    in :func:`load_searcher`; the bundle's ``path`` records the file
-    that actually loaded (the rotated sibling after a fallback).  Same
-    pickle caveat as :func:`load_searcher`.
-    """
-    path = Path(path)
-    start = time.perf_counter()
-    if fallback:
-        envelope, source = _load_with_fallback(path, mmap=mmap)
-    else:
-        envelope, source = _load_envelope(path, mmap=mmap), path
-    return SearcherBundle(
-        envelope["searcher"],
-        envelope.get("data"),
-        path=source,
-        load_seconds=time.perf_counter() - start,
-    )

@@ -132,7 +132,7 @@ class FingerprintTier:
     Grows incrementally (:meth:`add`, the memtable insert path) or
     builds in one pass over a rank-docs sequence
     (:meth:`from_rank_docs`), and freezes to flat numpy columns for the
-    format-v3 envelope (:meth:`to_arrays` / :meth:`from_arrays`).
+    snapshot envelope (:meth:`to_arrays` / :meth:`from_arrays`).
     ``doc_lo`` is the global id of the first fingerprinted document —
     survivor masks cover ``[0, doc_lo + ndocs)`` with the prefix all
     False (ids below ``doc_lo`` are never probed by the view that owns
@@ -252,7 +252,7 @@ class FingerprintTier:
 
     # -- persistence ----------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flat columns for the format-v3 envelope."""
+        """Flat columns for the snapshot envelope."""
         compiled = self._compile()
         return {
             "cover_lanes": compiled.cover_lanes,

@@ -70,6 +70,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as two writes; with Nagle on, the body of
+    # every keep-alive reply waits ~40 ms for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002

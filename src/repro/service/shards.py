@@ -9,7 +9,7 @@ document; per-shard global orders may differ but verification is
 order-independent).  This module exploits that:
 
 * :class:`ShardPlan` — partition a collection into N contiguous doc-id
-  ranges balanced by token count, build one compact v3 snapshot per
+  ranges balanced by token count, build one compact snapshot per
   range, and persist a JSON manifest (``shards.json``) mapping ranges →
   generation-named shard files
   (:func:`~repro.persistence.generation_name`).  The plan also records
@@ -237,12 +237,12 @@ class ShardPlan:
         generation: int = 1,
         replicas: int = 1,
     ) -> "ShardPlan":
-        """Build ``num_shards`` compact v3 snapshots + manifest under ``directory``.
+        """Build ``num_shards`` compact snapshots + manifest under ``directory``.
 
         Each shard is built from :meth:`DocumentCollection.subset` of a
         contiguous doc-id range — subsets share the parent vocabulary,
         so every shard file can encode any query identically — and
-        written via the v3 envelope so workers mmap it zero-copy.
+        written as a snapshot file so workers mmap it zero-copy.
         Re-building a higher ``generation`` into the same directory
         leaves the previous generation's files in place for the rolling
         swap window.
@@ -256,7 +256,7 @@ class ShardPlan:
             subset = data.subset(range(lo, hi))
             searcher = PKWiseSearcher(subset, params)
             name = generation_name(f"shard-{shard_id:03d}", generation)
-            save_searcher(searcher, directory / name, data=subset, compact=True)
+            save_searcher(searcher, directory / name, data=subset)
             specs.append(
                 ShardSpec(
                     shard_id=shard_id,
@@ -753,7 +753,7 @@ class ShardRouter:
         """Serve an existing :class:`ShardPlan` directory in process.
 
         Every replica loads its shard snapshot independently
-        (``mmap=True`` maps the v3 sections zero-copy — the page cache
+        (``mmap=True`` maps the array sections zero-copy — the page cache
         is shared, the searcher state is not) behind its own
         :class:`SearchService`.  ``replicas=None`` uses the plan's
         recorded replica count.

@@ -1,9 +1,9 @@
-"""Tests for the compact array-backed index and the format-v3 snapshots.
+"""Tests for the compact array-backed index and its snapshot files.
 
 Covers the freeze (``PKWiseSearcher.compacted``) parity contract —
 serial, fork, spawn, and behind a :class:`~repro.SearchService` — the
 hash-collision path collisions can only *add* candidates, the frozen
-mutation guards, the mmap-able v3 envelope (roundtrip, digests,
+mutation guards, the mmap-able snapshot envelope (roundtrip, digests,
 truncation, tombstones), and the :class:`~repro.index.PackedRankDocs`
 sequence semantics.
 """
@@ -26,7 +26,7 @@ from repro import (
 from repro.errors import IndexStateError
 from repro.eval import run_searcher
 from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs, ProbeHit
-from repro.persistence import is_v3_file, load_bundle, load_searcher
+from repro.persistence import load_bundle
 
 from .conftest import pairs_as_set
 
@@ -178,7 +178,7 @@ class TestFrozenGuards:
         _data, searcher = built
         frozen = searcher.compacted()
         with pytest.raises(IndexStateError, match="frozen"):
-            frozen.index.add_document(99, [1, 2, 3])
+            frozen.index.index_document(99, [1, 2, 3])
         with pytest.raises(IndexStateError, match="frozen"):
             frozen.index.merge(searcher.index)
 
@@ -230,33 +230,30 @@ class TestV3Snapshots:
     def test_compact_save_is_v3_and_loads_identically(self, built, queries, tmp_path):
         data, searcher = built
         path = tmp_path / "index.idx"
-        save_searcher(searcher, path, data=data, compact=True)
-        assert is_v3_file(path)
+        save_searcher(searcher, path, data=data)
+        assert path.read_bytes()[:16] == b"repro-envelope-3"
         for mmap in (False, True):
-            loaded = load_searcher(path, mmap=mmap)
+            loaded = load_bundle(path, mmap=mmap).searcher
             assert loaded.frozen
             for query in queries:
                 assert pairs_as_set(loaded.search(query)) == pairs_as_set(
                     searcher.search(query)
                 )
 
-    def test_plain_save_stays_v2(self, built, tmp_path):
-        _data, searcher = built
-        path = tmp_path / "index.pkl"
-        save_searcher(searcher, path)
-        assert not is_v3_file(path)
-
-    def test_mmap_on_v2_is_typed_error(self, built, tmp_path):
-        _data, searcher = built
-        path = tmp_path / "index.pkl"
-        save_searcher(searcher, path)
-        with pytest.raises(PersistenceError, match="format-v3"):
-            load_searcher(path, mmap=True)
+    def test_plain_save_opens_with_mmap(self, built, queries, tmp_path):
+        data, searcher = built
+        path = tmp_path / "index.idx"
+        Index(searcher, data).save(path)  # no keyword: the one format
+        with Index.open(path, mmap=True) as index:
+            assert index.frozen
+            assert pairs_as_set(index.search(queries[0])) == pairs_as_set(
+                searcher.search(queries[0])
+            )
 
     def test_bundle_data_roundtrips(self, built, tmp_path):
         data, searcher = built
         path = tmp_path / "index.idx"
-        save_searcher(searcher, path, data=data, compact=True)
+        save_searcher(searcher, path, data=data)
         bundle = load_bundle(path, mmap=True)
         assert len(bundle.data) == len(data)
         assert bundle.data[0].tokens == data[0].tokens
@@ -266,8 +263,8 @@ class TestV3Snapshots:
         searcher._remove_document(0)
         epoch_before = searcher.index_epoch
         path = tmp_path / "index.idx"
-        save_searcher(searcher, path, compact=True)
-        loaded = load_searcher(path, mmap=True)
+        save_searcher(searcher, path)
+        loaded = load_bundle(path, mmap=True).searcher
         assert loaded.removed_documents == frozenset({0})
         assert loaded.index_epoch == epoch_before
         assert not any(
@@ -277,25 +274,25 @@ class TestV3Snapshots:
     def test_flipped_array_byte_is_typed_error(self, built, tmp_path):
         _data, searcher = built
         path = tmp_path / "index.idx"
-        save_searcher(searcher, path, compact=True)
+        save_searcher(searcher, path)
         raw = bytearray(path.read_bytes())
         raw[-8] ^= 0xFF  # inside the last array section
         path.write_bytes(bytes(raw))
         with pytest.raises(PersistenceError):
-            load_searcher(path, fallback=False)
+            load_bundle(path, fallback=False)
 
     def test_truncated_file_is_typed_error(self, built, tmp_path):
         _data, searcher = built
         path = tmp_path / "index.idx"
-        save_searcher(searcher, path, compact=True)
+        save_searcher(searcher, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(PersistenceError):
-            load_searcher(path, fallback=False)
+            load_bundle(path, fallback=False)
         for mode in (False, True):
             path.write_bytes(raw[:20])  # not even a whole TOC length
             with pytest.raises(PersistenceError):
-                load_searcher(path, fallback=False, mmap=mode)
+                load_bundle(path, fallback=False, mmap=mode)
 
     def test_compact_requires_pkwise(self, small_corpus, tmp_path):
         from repro.core import WeightedPKWiseSearcher
@@ -303,14 +300,15 @@ class TestV3Snapshots:
         weighted = WeightedPKWiseSearcher(
             small_corpus, w=10, theta_weight=8.0, weight_of_token=lambda _t: 1.0
         )
-        with pytest.raises(PersistenceError, match="compact"):
-            save_searcher(weighted, tmp_path / "w.idx", compact=True)
+        with pytest.raises(PersistenceError, match="PKWiseSearcher"):
+            save_searcher(weighted, tmp_path / "w.idx")
+        assert not (tmp_path / "w.idx").exists()
 
     def test_mmap_load_shares_file_pages(self, built, tmp_path):
         _data, searcher = built
         path = tmp_path / "index.idx"
-        save_searcher(searcher, path, compact=True)
-        loaded = load_searcher(path, mmap=True)
+        save_searcher(searcher, path)
+        loaded = load_bundle(path, mmap=True).searcher
         keys = loaded.index._keys
         # The column is a view over the mapped buffer, not a copy.
         assert not keys.flags["OWNDATA"]
@@ -347,6 +345,43 @@ class TestPackedRankDocs:
         for _round in range(2):
             for i, expected in enumerate(lists):
                 assert packed[i] == expected
+
+    def test_concurrent_lookups_are_safe(self):
+        # Search threads of one service share the decode cache: a hit's
+        # recency bump must tolerate another thread's eviction.
+        import sys
+        import threading
+
+        lists = [[i, i + 1, i + 2] for i in range(64)]  # 4x the cache
+        packed = PackedRankDocs.from_lists(lists)
+        errors: list[BaseException] = []
+
+        def hammer(seed: int) -> None:
+            try:
+                doc_id = seed
+                for _ in range(20_000):
+                    doc_id = (doc_id * 29 + 7) % len(lists)
+                    # Re-read a recent neighbour so hits (the racing
+                    # branch) are as common as misses.
+                    for probe in (doc_id, (doc_id + seed) % len(lists), doc_id):
+                        assert packed[probe] == lists[probe]
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(seed,)) for seed in range(1, 5)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_arrays_roundtrip(self):
         packed = PackedRankDocs.from_lists([[9, 8], [], [7]])

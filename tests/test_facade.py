@@ -20,7 +20,6 @@ from repro.core import (
     PKWiseSearcher,
     WeightedPKWiseSearcher,
 )
-from repro.persistence import SearcherBundle
 
 from .conftest import pairs_as_set
 
@@ -69,7 +68,7 @@ class TestIndexBuild:
 
     def test_build_compact_is_frozen_with_same_pairs(self):
         plain = Index.build(TEXTS, w=10, tau=2, k_max=3)
-        compact = Index.build(TEXTS, w=10, tau=2, k_max=3, compact=True)
+        compact = plain.compacted()
         assert not plain.frozen
         assert compact.frozen
         assert (
@@ -115,6 +114,21 @@ class TestIndexRoundtrip:
                 loaded.search_text(TEXTS[0]).sorted_pairs()
                 == index.search_text(TEXTS[0]).sorted_pairs()
             )
+
+    def test_opened_snapshot_accepts_add(self, tmp_path):
+        # 1.3-style usage: open, then mutate.  The opened engine is
+        # frozen; the first add layers a memtable over it.
+        path = tmp_path / "corpus.idx"
+        Index.build(TEXTS, w=10, tau=2, k_max=3).save(path)
+        with Index.open(path) as loaded:
+            assert loaded.frozen and not loaded.live
+            new_id = loaded.add(TEXTS[0])
+            assert new_id == len(TEXTS) and loaded.live
+            hits = {pair.doc_id for pair in loaded.search_text(TEXTS[0]).pairs}
+            assert {0, new_id} <= hits
+            loaded.remove(0)
+            hits = {pair.doc_id for pair in loaded.search_text(TEXTS[0]).pairs}
+            assert new_id in hits and 0 not in hits
 
     def test_index_serve(self):
         index = Index.build(TEXTS, w=10, tau=2, k_max=3)
@@ -167,7 +181,7 @@ class TestSearcherProtocol:
 
 
 class TestRemovedFacadeNames:
-    """The pre-1.2 function facade is gone in 1.3, not just deprecated."""
+    """The pre-1.2 function facade and the 1.x loader aliases are gone."""
 
     @pytest.mark.parametrize(
         "name", ["build_index", "open_index", "save_index"]
@@ -188,24 +202,11 @@ class TestRemovedFacadeNames:
         with pytest.raises(Exception, match="ids-only"):
             loaded.search_text("anything")
 
-    def test_bundle_tuple_unpack_warns(self, tmp_path):
-        index = Index.build(TEXTS, w=10, tau=2, k_max=3)
-        path = tmp_path / "corpus.idx"
-        index.save(path)
-        with pytest.warns(DeprecationWarning, match="Index.open"):
-            bundle = repro.load_bundle(path)
-        with pytest.warns(DeprecationWarning, match="bundle.searcher"):
-            searcher, data = bundle
-        assert isinstance(searcher, PKWiseSearcher)
-        assert len(data) == 2
-
-    def test_load_searcher_warns_but_works(self, tmp_path):
-        index = Index.build(TEXTS, w=10, tau=2, k_max=3)
-        path = tmp_path / "corpus.idx"
-        index.save(path)
-        with pytest.warns(DeprecationWarning, match="Index.open"):
-            loader = repro.load_searcher
-        assert isinstance(loader(path), PKWiseSearcher)
+    @pytest.mark.parametrize("name", ["load_searcher", "load_bundle"])
+    def test_loader_aliases_removed(self, name):
+        assert name not in repro.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -271,4 +272,4 @@ class TestModuleSurface:
         assert "open_index" not in repro.__all__
 
     def test_version_bumped(self):
-        assert repro.__version__ == "1.3.0"
+        assert repro.__version__ == "2.0.0"

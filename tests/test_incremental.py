@@ -142,29 +142,6 @@ class TestRemoveDocument:
         assert any(doc_id == new_id for doc_id, *_ in result)
 
 
-class TestDeprecatedMutation:
-    def test_searcher_add_document_warns(self):
-        data, rng = corpus(seed=10, docs=2)
-        searcher = PKWiseSearcher(data, SearchParams(w=10, tau=2, k_max=2))
-        new_doc = data.add_tokens([f"t{rng.randrange(60)}" for _ in range(30)])
-        with pytest.warns(DeprecationWarning, match="Index.add"):
-            doc_id = searcher.add_document(new_doc)
-        assert doc_id == 2
-
-    def test_searcher_remove_document_warns(self):
-        data, _rng = corpus(seed=11, docs=2)
-        searcher = PKWiseSearcher(data, SearchParams(w=10, tau=2, k_max=2))
-        with pytest.warns(DeprecationWarning, match="Index.remove"):
-            searcher.remove_document(1)
-        assert searcher.removed_documents == frozenset({1})
-
-    def test_interval_index_add_document_warns(self):
-        data, _rng = corpus(seed=12, docs=1)
-        searcher = PKWiseSearcher(data, SearchParams(w=10, tau=2, k_max=2))
-        with pytest.warns(DeprecationWarning, match="index_document"):
-            searcher.index.add_document(1, searcher.rank_docs[0])
-
-
 class TestTopK:
     def test_returns_best_overlaps(self):
         data, _rng = corpus(seed=6)

@@ -545,7 +545,7 @@ class TestQueryAfterAddTokenVisibility:
     def test_compact_snapshot_upgrade_resolves_new_tokens(self, tmp_path):
         path = tmp_path / "snap.pkz"
         built = repro.Index.build(self._seed_texts(), PARAMS)
-        built.save(path, compact=True)
+        built.save(path)
         built.close()
         index = repro.Index.open(path, mmap=True)
         assert index.frozen

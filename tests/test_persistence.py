@@ -1,10 +1,16 @@
-"""Tests for index save/load."""
+"""Tests for the one checksummed envelope and the snapshots built on it.
+
+Every guarantee is pinned against the single on-disk layout: index
+snapshots first, then once each for the two other envelope kinds (a
+run checkpoint and an ingest ``MANIFEST``).
+"""
 
 from __future__ import annotations
 
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -13,18 +19,28 @@ from repro import (
     PersistenceError,
     PKWiseSearcher,
     SearchParams,
+    WeightedPKWiseSearcher,
     faults,
     save_searcher,
 )
+from repro.ingest.manifest import (
+    MANIFEST_KIND,
+    ManifestState,
+    manifest_path,
+    read_manifest,
+    write_manifest,
+)
+from repro.parallel.checkpoint import WORKLOAD_KIND, RunCheckpoint
 from repro.persistence import (
     load_bundle,
-    load_searcher,
     read_envelope,
     rotated_paths,
     write_envelope,
 )
 
 from .conftest import pairs_as_set
+
+MAGIC = b"repro-envelope-3"
 
 
 @pytest.fixture
@@ -33,50 +49,91 @@ def built(small_corpus):
     return small_corpus, PKWiseSearcher(small_corpus, params)
 
 
+@pytest.fixture
+def _clean_plan():
+    faults.clear_plan()
+    yield
+    faults.clear_plan()
+
+
+def corrupt_plan(point: str, section: str) -> FaultPlan:
+    return FaultPlan(
+        [FaultSpec(point=point, kind="corrupt", match={"section": section})]
+    )
+
+
 class TestRoundtrip:
     def test_search_results_identical(self, built, tmp_path):
         data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path)
-        loaded = load_searcher(path)
-        query = data[3]
-        assert pairs_as_set(loaded.search(query)) == pairs_as_set(
-            searcher.search(query)
-        )
+        for mmap in (False, True):
+            loaded = load_bundle(path, mmap=mmap).searcher
+            assert loaded.frozen and not searcher.frozen
+            for query in (data[0], data[3], data[5]):
+                assert pairs_as_set(loaded.search(query)) == pairs_as_set(
+                    searcher.search(query)
+                )
 
     def test_bundle_with_data(self, built, tmp_path):
         data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path, data=data)
-        loaded_data = load_bundle(path).data
-        assert loaded_data is not None
-        assert len(loaded_data) == len(data)
-        assert loaded_data[0].tokens == data[0].tokens
+        bundle = load_bundle(path)
+        assert len(bundle.data) == len(data)
+        assert bundle.data[0].tokens == data[0].tokens
+        assert pairs_as_set(bundle.searcher.search(data[3])) == pairs_as_set(
+            searcher.search(data[3])
+        )
+        assert bundle.path == path and bundle.load_seconds > 0
 
     def test_bundle_without_data(self, built, tmp_path):
-        _data, searcher = built
-        path = tmp_path / "index.pkl"
+        data, searcher = built
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path)
-        assert load_bundle(path).data is None
+        bundle = load_bundle(path)
+        assert bundle.data is None
+        assert pairs_as_set(bundle.searcher.search(data[3])) == pairs_as_set(
+            searcher.search(data[3])
+        )
 
     def test_params_preserved(self, built, tmp_path):
         _data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path)
-        loaded = load_searcher(path)
+        loaded = load_bundle(path).searcher
         assert loaded.params == searcher.params
         assert loaded.scheme.borders == searcher.scheme.borders
+        # The header carries the params readable without any section.
+        header, _sections, _arrays = read_envelope(path, "pkwise-index")
+        assert header["params"] == {
+            "w": 10, "tau": 2, "k_max": 3, "m": searcher.params.m,
+        }
+
+    def test_saving_a_frozen_searcher_writes_the_same_bytes(self, built, tmp_path):
+        _data, searcher = built
+        save_searcher(searcher, tmp_path / "a.idx")
+        save_searcher(searcher.compacted(), tmp_path / "b.idx")
+        assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
+
+    def test_weighted_searcher_is_a_typed_error(self, small_corpus, tmp_path):
+        weighted = WeightedPKWiseSearcher(
+            small_corpus, w=10, theta_weight=8.0, weight_of_token=lambda _t: 1.0
+        )
+        path = tmp_path / "weighted.idx"
+        with pytest.raises(PersistenceError, match="PKWiseSearcher"):
+            save_searcher(weighted, path, rotate=1)
+        assert not path.exists()
 
     def test_atomic_write_leaves_no_temp(self, built, tmp_path):
         _data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path)
-        assert not list(tmp_path.glob("*.tmp"))
+        assert [p.name for p in tmp_path.iterdir()] == ["index.idx"]
 
     def test_failing_dump_cleans_temp_and_keeps_old_file(self, built, tmp_path):
-        # Regression: a raising pickle.dump used to leak ``path + .tmp``.
         _data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path)
         good_bytes = path.read_bytes()
 
@@ -89,7 +146,27 @@ class TestRoundtrip:
         assert not list(tmp_path.glob("*.tmp"))
         # The previous index file survives a failed overwrite untouched.
         assert path.read_bytes() == good_bytes
-        assert load_searcher(path).params == searcher.params
+        assert load_bundle(path).searcher.params == searcher.params
+
+    def test_failing_write_cleans_temp_and_keeps_old_file(
+        self, built, tmp_path, monkeypatch
+    ):
+        # The failure lands inside the temp-file write, not before it.
+        import repro.persistence as persistence
+
+        _data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path)
+        good_bytes = path.read_bytes()
+
+        def failing_fsync(_fd):
+            raise OSError("simulated disk full")
+
+        monkeypatch.setattr(persistence.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            save_searcher(searcher, path)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert path.read_bytes() == good_bytes
 
     def test_concurrent_writers_use_distinct_temp_names(
         self, built, tmp_path, monkeypatch
@@ -100,7 +177,7 @@ class TestRoundtrip:
         import repro.persistence as persistence
 
         _data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         seen = []
         original = persistence.tempfile.mkstemp
 
@@ -119,168 +196,223 @@ class TestRoundtrip:
             assert Path(name).parent == tmp_path
 
 
+class MarkerBomb:
+    """Unpickling an instance creates ``marker`` (it calls ``open``)."""
+
+    def __init__(self, marker: Path) -> None:
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(PersistenceError):
-            load_searcher(tmp_path / "nope.pkl")
+        with pytest.raises(PersistenceError, match="does not exist"):
+            load_bundle(tmp_path / "nope.idx")
 
     def test_garbage_file(self, tmp_path):
-        path = tmp_path / "garbage.pkl"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.raises(PersistenceError):
-            load_searcher(path)
+        path = tmp_path / "garbage.idx"
+        path.write_bytes(b"not an envelope at all")
+        with pytest.raises(PersistenceError, match="rebuild"):
+            load_bundle(path)
 
     def test_wrong_pickle_content(self, tmp_path):
-        path = tmp_path / "wrong.pkl"
+        path = tmp_path / "wrong.idx"
         path.write_bytes(pickle.dumps({"hello": "world"}))
-        with pytest.raises(PersistenceError):
-            load_searcher(path)
-
-    def test_version_mismatch(self, built, tmp_path):
-        _data, searcher = built
-        path = tmp_path / "index.pkl"
-        save_searcher(searcher, path)
-        envelope = pickle.loads(path.read_bytes())
-        envelope["version"] = 999
-        path.write_bytes(pickle.dumps(envelope))
-        with pytest.raises(PersistenceError, match="version"):
-            load_searcher(path)
-
-    def test_non_searcher_payload(self, tmp_path):
-        path = tmp_path / "odd.pkl"
-        path.write_bytes(
-            pickle.dumps(
-                {"magic": "repro-pkwise-index", "version": 1, "searcher": 42}
-            )
-        )
-        with pytest.raises(PersistenceError):
-            load_searcher(path)
+        with pytest.raises(PersistenceError, match="rebuild"):
+            load_bundle(path)
 
     def test_v1_file_names_the_old_version(self, tmp_path):
-        path = tmp_path / "old.pkl"
+        path = tmp_path / "old.idx"
         path.write_bytes(
             pickle.dumps(
                 {"magic": "repro-pkwise-index", "version": 1, "searcher": None}
             )
         )
-        with pytest.raises(PersistenceError, match="format version 1"):
-            load_searcher(path)
+        with pytest.raises(PersistenceError, match="1.x releases"):
+            load_bundle(path)
 
-    def test_wrong_kind_envelope(self, built, tmp_path):
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_pre_2_0_pickle_is_rejected_without_unpickling(self, tmp_path, mmap):
+        # A 1.3 ``save_searcher`` default: one pickled dict.  Nothing of
+        # it may be unpickled — the payload here would create a file.
+        marker = tmp_path / "unpickled.marker"
+        path = tmp_path / "old.idx"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": "repro-envelope",
+                    "version": 2,
+                    "kind": "pkwise-index",
+                    "header": {},
+                    "sections": {"searcher": MarkerBomb(marker)},
+                    "digests": {},
+                }
+            )
+        )
+        with pytest.raises(PersistenceError, match="rebuild"):
+            load_bundle(path, mmap=mmap)
+        assert not marker.exists()
+        # The payload is live: unpickling it does create the marker.
+        pickle.loads(path.read_bytes())["sections"]["searcher"].close()
+        assert marker.exists()
+
+    def test_version_mismatch(self, tmp_path):
+        path = tmp_path / "future.idx"
+        toc = pickle.dumps({"version": 999, "kind": "pkwise-index"})
+        path.write_bytes(MAGIC + len(toc).to_bytes(8, "little") + toc)
+        with pytest.raises(PersistenceError, match="version"):
+            load_bundle(path)
+
+    def test_malformed_toc(self, tmp_path):
+        path = tmp_path / "torn.idx"
+        path.write_bytes(MAGIC + (5).to_bytes(8, "little") + b"\x80nope")
+        with pytest.raises(PersistenceError, match="malformed TOC"):
+            load_bundle(path)
+
+    def test_non_searcher_payload(self, tmp_path):
+        path = tmp_path / "odd.idx"
+        write_envelope(path, "pkwise-index", {"searcher": 42})
+        with pytest.raises(PersistenceError, match="compact searcher"):
+            load_bundle(path)
+
+    def test_missing_section(self, tmp_path):
+        path = tmp_path / "partial.idx"
+        write_envelope(path, "pkwise-index", {"meta": {"params": None}})
+        with pytest.raises(PersistenceError, match="missing section"):
+            load_bundle(path)
+
+    def test_wrong_kind_envelope(self, tmp_path):
         path = tmp_path / "other.ckpt"
         write_envelope(path, "workload-checkpoint", {"records": []})
         with pytest.raises(PersistenceError, match="not 'pkwise-index'"):
-            load_searcher(path)
+            load_bundle(path)
+
+    def test_index_save_compact_false_names_the_removal(self, built, tmp_path):
+        from repro import ConfigurationError, Index
+
+        data, searcher = built
+        index = Index(searcher, data)
+        with pytest.raises(ConfigurationError, match="removed in 2.0"):
+            index.save(tmp_path / "index.idx", compact=False)
+        assert not (tmp_path / "index.idx").exists()
 
 
+@pytest.mark.usefixtures("_clean_plan")
 class TestChecksums:
     """A flipped payload byte is a typed error, never a pickle error."""
 
-    @pytest.fixture(autouse=True)
-    def _clean_plan(self):
-        faults.clear_plan()
-        yield
-        faults.clear_plan()
-
     def test_corrupt_section_named_in_error(self, built, tmp_path):
-        # Corrupt the searcher section's bytes after digest computation,
-        # exactly as a disk fault would, via the persistence.write hook.
+        # Corrupt one pickled section's bytes as they are read, exactly
+        # as a disk fault would, via the persistence.read hook.
         _data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path)
-        faults.install_plan(
-            FaultPlan(
-                [
-                    FaultSpec(
-                        point="persistence.read",
-                        kind="corrupt",
-                        match={"section": "searcher"},
-                    )
-                ]
-            )
-        )
-        with pytest.raises(PersistenceError, match="section 'searcher'"):
-            load_searcher(path, fallback=False)
+        faults.install_plan(corrupt_plan("persistence.read", "order"))
+        with pytest.raises(PersistenceError, match="section 'order' is corrupt"):
+            load_bundle(path, fallback=False)
 
     def test_corrupt_write_detected_on_clean_read(self, built, tmp_path):
+        # The write hook damages the bytes before their digest is taken,
+        # so the read-side digest check passes and unpickling the
+        # section may still fail — either way the error is typed, never
+        # a raw pickle exception.
         _data, searcher = built
-        path = tmp_path / "index.pkl"
-        faults.install_plan(
-            FaultPlan(
-                [
-                    FaultSpec(
-                        point="persistence.write",
-                        kind="corrupt",
-                        match={"section": "searcher"},
-                    )
-                ]
-            )
-        )
+        path = tmp_path / "index.idx"
+        faults.install_plan(corrupt_plan("persistence.write", "meta"))
         save_searcher(searcher, path)
         faults.clear_plan()
-        # The digest was computed over the corrupted bytes, so the read
-        # digest check passes but unpickling may still fail — either
-        # way the error is typed, never a raw pickle exception.
         try:
-            load_searcher(path, fallback=False)
+            load_bundle(path, fallback=False)
         except PersistenceError:
             pass
 
     def test_flipped_byte_on_disk_is_typed_error(self, built, tmp_path):
-        # No fault plan at all: corrupt the file bytes directly.  The
-        # outer frame usually still unpickles (we flip a byte near the
-        # end, inside a section payload), and the digest check turns it
-        # into a typed error before any payload unpickle happens.
+        # No fault plan at all: corrupt the file bytes directly, inside
+        # the last raw column.  The digest check names the section.
         _data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path)
         raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
+        raw[-8] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(PersistenceError):
-            load_searcher(path, fallback=False)
+        for mmap in (False, True):
+            with pytest.raises(
+                PersistenceError, match="section 'ranks.values' is corrupt"
+            ):
+                load_bundle(path, fallback=False, mmap=mmap)
+
+    def test_flipped_byte_in_pickled_section_is_typed_error(self, built, tmp_path):
+        data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path, data=data)
+        raw = path.read_bytes()
+        at = raw.index(pickle.dumps(searcher.scheme, protocol=pickle.HIGHEST_PROTOCOL))
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :])
+        with pytest.raises(PersistenceError, match="section 'scheme' is corrupt"):
+            load_bundle(path, fallback=False)
+
+    def test_truncated_section_is_named(self, built, tmp_path):
+        _data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(PersistenceError, match="'ranks.values' is truncated"):
+            load_bundle(path, fallback=False)
 
     def test_envelope_header_roundtrip(self, tmp_path):
         path = tmp_path / "env.bin"
+        column = np.arange(7, dtype=np.int32)
         write_envelope(
-            path, "test-kind", {"a": [1, 2, 3]}, header={"note": "hi"}
+            path,
+            "test-kind",
+            {"a": [1, 2, 3]},
+            {"column": column},
+            header={"note": "hi"},
         )
-        header, sections = read_envelope(path, "test-kind")
-        assert header == {"note": "hi"}
-        assert sections == {"a": [1, 2, 3]}
+        for mmap in (False, True):
+            header, sections, arrays = read_envelope(path, "test-kind", mmap=mmap)
+            assert header == {"note": "hi"}
+            assert sections == {"a": [1, 2, 3]}
+            assert list(arrays) == ["column"]
+            assert arrays["column"].dtype == np.int32
+            assert arrays["column"].tolist() == column.tolist()
+            assert not arrays["column"].flags["OWNDATA"]
 
 
 class TestRotation:
     def test_rotated_paths_helper(self, tmp_path):
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         assert rotated_paths(path, 2) == [
-            tmp_path / "index.pkl.1",
-            tmp_path / "index.pkl.2",
+            tmp_path / "index.idx.1",
+            tmp_path / "index.idx.2",
         ]
 
     def test_generations_shift_newest_first(self, built, tmp_path):
         _data, searcher = built
-        path = tmp_path / "index.pkl"
-        save_searcher(searcher, path, rotate=2)  # nothing to rotate yet
-        first = path.read_bytes()
-        save_searcher(searcher, path, rotate=2)
-        second = path.read_bytes()
-        save_searcher(searcher, path, rotate=2)
-        # .1 is the previous primary, .2 the one before that.
-        assert (tmp_path / "index.pkl.1").read_bytes() == second
-        assert (tmp_path / "index.pkl.2").read_bytes() == first
-        save_searcher(searcher, path, rotate=2)
-        # The oldest generation fell off the end.
-        assert (tmp_path / "index.pkl.2").read_bytes() == second
+        path = tmp_path / "index.idx"
+        generations = []
+        for tombstone in range(4):
+            # A tombstone per save makes every generation's bytes differ.
+            searcher._remove_document(tombstone)
+            save_searcher(searcher, path, rotate=2)
+            generations.append(path.read_bytes())
+        assert len(set(generations)) == 4
+        # .1 is the previous primary, .2 the one before that; the
+        # oldest generation fell off the end.
+        assert (tmp_path / "index.idx.1").read_bytes() == generations[2]
+        assert (tmp_path / "index.idx.2").read_bytes() == generations[1]
+        assert not (tmp_path / "index.idx.3").exists()
 
     def test_fallback_to_rotated_snapshot_warns(self, built, tmp_path):
         data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path, rotate=1)
-        save_searcher(searcher, path, rotate=1)  # now index.pkl.1 exists
+        save_searcher(searcher, path, rotate=1)  # now index.idx.1 exists
         path.write_bytes(b"scribbled over by a crash")
         with pytest.warns(RuntimeWarning, match="fell back to"):
-            loaded = load_searcher(path)
+            loaded = load_bundle(path).searcher
         query = data[3]
         assert pairs_as_set(loaded.search(query)) == pairs_as_set(
             searcher.search(query)
@@ -288,29 +420,169 @@ class TestRotation:
 
     def test_fallback_disabled_raises_primary_error(self, built, tmp_path):
         _data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path, rotate=1)
         save_searcher(searcher, path, rotate=1)
         path.write_bytes(b"scribbled over by a crash")
         with pytest.raises(PersistenceError):
-            load_searcher(path, fallback=False)
+            load_bundle(path, fallback=False)
 
     def test_bundle_records_fallback_source(self, built, tmp_path):
         _data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path, rotate=1)
         save_searcher(searcher, path, rotate=1)
         path.write_bytes(b"scribbled over by a crash")
         with pytest.warns(RuntimeWarning):
             bundle = load_bundle(path)
-        assert bundle.path == tmp_path / "index.pkl.1"
+        assert bundle.path == tmp_path / "index.idx.1"
+
+    def test_fallback_skips_a_corrupt_newer_generation(self, built, tmp_path):
+        _data, searcher = built
+        path = tmp_path / "index.idx"
+        for _ in range(3):
+            save_searcher(searcher, path, rotate=2)
+        path.unlink()  # a missing primary falls back too
+        (tmp_path / "index.idx.1").write_bytes(b"also bad")
+        with pytest.warns(RuntimeWarning, match="index.idx.2"):
+            bundle = load_bundle(path)
+        assert bundle.path == tmp_path / "index.idx.2"
 
     def test_no_intact_generation_reraises_primary(self, built, tmp_path):
         _data, searcher = built
-        path = tmp_path / "index.pkl"
+        path = tmp_path / "index.idx"
         save_searcher(searcher, path, rotate=1)
         save_searcher(searcher, path, rotate=1)
         path.write_bytes(b"bad primary")
-        (tmp_path / "index.pkl.1").write_bytes(b"bad snapshot too")
-        with pytest.raises(PersistenceError, match="index.pkl[^.]"):
-            load_searcher(path)
+        (tmp_path / "index.idx.1").write_bytes(b"bad snapshot too")
+        with pytest.raises(PersistenceError, match="index.idx[^.]"):
+            load_bundle(path)
+
+
+# ----------------------------------------------------------------------
+# The other two envelope kinds ride the same writer and reader.
+# ----------------------------------------------------------------------
+def _write_checkpoint(directory: Path, built) -> Path:
+    checkpoint = RunCheckpoint(directory / "run.ckpt", WORKLOAD_KIND, "fingerprint")
+    checkpoint.record([0, 1], rows=[(0, 7, [])], snapshot={})
+    checkpoint.flush()
+    return checkpoint.path
+
+
+def _read_checkpoint(path: Path):
+    loaded = RunCheckpoint.load(path, WORKLOAD_KIND, "fingerprint")
+    assert loaded.done_keys() == {0, 1}
+    return loaded
+
+
+def _write_manifest(directory: Path, built) -> Path:
+    data, searcher = built
+    write_manifest(
+        directory,
+        ManifestState(
+            params=searcher.params,
+            order=searcher.order,
+            scheme=searcher.scheme,
+            data=data,
+            segments=[],
+            tombstones={2},
+            next_doc_id=len(data),
+            wal_generation=1,
+            generation=1,
+            policy={},
+        ),
+    )
+    return manifest_path(directory)
+
+
+def _read_manifest(path: Path):
+    state = read_manifest(path.parent)
+    assert state.tombstones == {2} and state.wal_generation == 1
+    return state
+
+
+@pytest.mark.usefixtures("_clean_plan")
+@pytest.mark.parametrize(
+    "write, read, kind, section",
+    [
+        pytest.param(
+            _write_checkpoint, _read_checkpoint, WORKLOAD_KIND, "records",
+            id="checkpoint",
+        ),
+        pytest.param(
+            _write_manifest, _read_manifest, MANIFEST_KIND, "order",
+            id="manifest",
+        ),
+    ],
+)
+class TestOtherEnvelopeKinds:
+    def test_roundtrip_through_the_one_envelope(
+        self, built, tmp_path, write, read, kind, section
+    ):
+        path = write(tmp_path, built)
+        assert path.read_bytes()[: len(MAGIC)] == MAGIC
+        assert not list(tmp_path.glob("*.tmp"))
+        read(path)
+        _header, sections, arrays = read_envelope(path, kind)
+        assert section in sections and arrays == {}
+
+    def test_wrong_kind(self, built, tmp_path, write, read, kind, section):
+        path = write(tmp_path, built)
+        with pytest.raises(PersistenceError, match=f"is a '{kind}' envelope"):
+            read_envelope(path, "pkwise-index")
+
+    def test_corrupt_section_named_on_read(
+        self, built, tmp_path, write, read, kind, section
+    ):
+        path = write(tmp_path, built)
+        faults.install_plan(corrupt_plan("persistence.read", section))
+        with pytest.raises(PersistenceError, match=f"section '{section}' is corrupt"):
+            read(path)
+
+    def test_flipped_byte_on_disk(self, built, tmp_path, write, read, kind, section):
+        path = write(tmp_path, built)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF  # the last pickled section's final byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PersistenceError, match="is corrupt"):
+            read(path)
+
+    def test_failed_write_keeps_the_old_file(
+        self, built, tmp_path, monkeypatch, write, read, kind, section
+    ):
+        import repro.persistence as persistence
+
+        path = write(tmp_path, built)
+        good_bytes = path.read_bytes()
+
+        def failing_fsync(_fd):
+            raise OSError("simulated disk full")
+
+        monkeypatch.setattr(persistence.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path, built)
+        monkeypatch.undo()
+        assert not list(tmp_path.glob("*.tmp"))
+        assert path.read_bytes() == good_bytes
+        read(path)
+
+    def test_pre_2_0_file_is_rejected_without_unpickling(
+        self, built, tmp_path, write, read, kind, section
+    ):
+        path = write(tmp_path, built)
+        marker = tmp_path / "unpickled.marker"
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "magic": "repro-envelope",
+                    "version": 2,
+                    "kind": kind,
+                    "header": {"fingerprint": "fingerprint"},
+                    "sections": {section: MarkerBomb(marker)},
+                    "digests": {},
+                }
+            )
+        )
+        with pytest.raises(PersistenceError, match="rebuild"):
+            read(path)
+        assert not marker.exists()

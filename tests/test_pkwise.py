@@ -194,19 +194,6 @@ class TestStats:
             len(pairs) for pairs in run.results_by_query.values()
         )
 
-    def test_search_many_legacy_unpack_warns(self, small_corpus):
-        import pytest
-
-        params = SearchParams(w=10, tau=1, k_max=2)
-        searcher = PKWiseSearcher(small_corpus, params)
-        queries = [small_corpus[0], small_corpus[1]]
-        run = searcher.search_many(queries)
-        with pytest.warns(DeprecationWarning):
-            results, totals = searcher.search_many(queries)
-        assert len(results) == 2
-        assert totals.num_results == run.stats.num_results
-        assert [r.pairs for r in results] == list(run.results_by_query.values())
-
     def test_index_build_time_recorded(self, small_corpus):
         params = SearchParams(w=10, tau=1, k_max=2)
         searcher = PKWiseSearcher(small_corpus, params)

@@ -386,17 +386,16 @@ class TestRoutingPersistence:
         )
         return index, query_text
 
-    @pytest.mark.parametrize("compact", [False, True])
-    def test_fingerprints_round_trip_v3(self, tmp_path, compact):
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_fingerprints_round_trip_v3(self, tmp_path, mmap):
         index, query_text = self._build("exact")
         want = pairs_as_set(index.search_text(query_text))
         path = tmp_path / "routed.pkz"
-        index.save(path, compact=compact)
-        loaded = Index.open(path, mmap=compact)
+        index.save(path)
+        loaded = Index.open(path, mmap=mmap)
         assert loaded.params.routing.mode == "exact"
-        if compact:
-            tier = loaded.searcher()._routing_tier
-            assert isinstance(tier, FingerprintTier) and tier.frozen
+        tier = loaded.searcher()._routing_tier
+        assert isinstance(tier, FingerprintTier) and tier.frozen
         assert pairs_as_set(loaded.search_text(query_text)) == want
         result = loaded.search_text(query_text)
         assert result.stats.routing_checked_docs > 0
@@ -405,7 +404,7 @@ class TestRoutingPersistence:
     def test_open_raises_eagerly_without_fingerprints(self, tmp_path):
         index, _ = self._build(None)  # saved with routing off
         path = tmp_path / "plain.pkz"
-        index.save(path, compact=True)
+        index.save(path)
         with pytest.raises(RoutingUnavailableError):
             Index.open(path, mmap=True, routing="exact")
         # Overriding with "off" on the same snapshot is fine.
@@ -414,7 +413,7 @@ class TestRoutingPersistence:
     def test_query_time_raise_without_fingerprints(self, tmp_path):
         index, query_text = self._build(None)
         path = tmp_path / "plain.pkz"
-        index.save(path, compact=True)
+        index.save(path)
         loaded = Index.open(path, mmap=True)
         with pytest.raises(RoutingUnavailableError):
             loaded.search_text(query_text, routing="exact")

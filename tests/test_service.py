@@ -362,6 +362,36 @@ class TestHTTP:
         assert first["pairs"] == second["pairs"]
         assert not first["cached"] and second["cached"]
 
+    def test_keep_alive_replies_do_not_wait_for_delayed_ack(
+        self, server, small_corpus
+    ):
+        # Headers and body are two writes; with Nagle on, each reply on
+        # a reused connection stalled ~40 ms on the client's delayed ACK.
+        import http.client
+        import json
+        import statistics
+        from urllib.parse import urlparse
+
+        text = " ".join(
+            small_corpus.vocabulary.decode(small_corpus[0].tokens[10:40])
+        )
+        body = json.dumps({"text": text})
+        url = urlparse(server.url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            latencies = []
+            for _ in range(25):
+                started = time.perf_counter()
+                connection.request(
+                    "POST", "/search", body, {"Content-Type": "application/json"}
+                )
+                reply = json.loads(connection.getresponse().read())
+                latencies.append(time.perf_counter() - started)
+            assert reply["cached"] and reply["num_pairs"] > 0
+        finally:
+            connection.close()
+        assert statistics.median(latencies[1:]) < 0.010
+
     def test_search_by_token_ids(self, server, small_corpus):
         tokens = list(small_corpus[0].tokens[10:40])
         reply = remote_search(server.url, token_ids=tokens)
