@@ -15,12 +15,6 @@ contracts on them:
   the guard fails only when a timer exceeds the previous record by more
   than ``--time-tolerance`` (a fraction: 0.5 = +50%).
 
-``--min-pruned-fraction`` and ``--min-routing-speedup`` add absolute
-gates on the *current* record alone, over the ``routing`` section
-written by ``bench_routing.py``: the fingerprint tier pruning too
-little, or no longer paying for its own fingerprint pass, is a
-regression regardless of baseline.
-
 Records with different configs (corpus size, w, tau, query count) are
 not comparable; the guard reports that and exits 0 unless ``--strict``
 is given, so a freshly re-scaled benchmark does not spuriously fail CI.
@@ -137,13 +131,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--strict", action="store_true",
                         help="fail (exit 1) on incomparable configs or a "
                              "missing baseline instead of passing")
-    parser.add_argument("--min-pruned-fraction", type=float, default=None,
-                        help="fail when the current record's "
-                             "routing.pruned_fraction (written by "
-                             "bench_routing.py) is below this floor")
-    parser.add_argument("--min-routing-speedup", type=float, default=None,
-                        help="fail when the current record's "
-                             "routing.net_speedup is below this floor")
     args = parser.parse_args(argv)
 
     current = load_record(args.current)
@@ -169,29 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     current_sections = dict(iter_metric_sections(current))
     previous_sections = dict(iter_metric_sections(previous))
     problems: list[str] = []
-
-    # Absolute gates on the current record's routing section
-    # (bench_routing.py; no baseline involved): the fingerprint tier
-    # must keep pruning and keep paying for itself.
-    for attr, key, floor_format in (
-        ("min_pruned_fraction", "pruned_fraction", "{:.2%}"),
-        ("min_routing_speedup", "net_speedup", "{:.2f}x"),
-    ):
-        floor = getattr(args, attr)
-        if floor is None:
-            continue
-        value = current.get("routing", {}).get(key)
-        if value is None:
-            message = f"current record has no routing.{key}"
-            if args.strict:
-                problems.append(message)
-            else:
-                print(f"note: {message}; gate skipped", file=sys.stderr)
-        elif float(value) < floor:
-            problems.append(
-                f"routing {key} " + floor_format.format(float(value))
-                + f" below required " + floor_format.format(floor)
-            )
 
     # Internal parity: within the current record, every parallel
     # section's counters must equal the serial section's — the merged

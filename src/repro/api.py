@@ -16,10 +16,10 @@ underneath.
   mmap=True)`` maps those columns without copying.
 * :meth:`Index.searcher` — the underlying query engine, for callers
   that want the algorithm object itself.
-* :class:`Searcher` — the :class:`~typing.Protocol` every query engine
-  in the library satisfies (pkwise, the weighted extension, and all
-  baselines), so harnesses and the service can be typed against the
-  interface instead of a concrete class.
+* :class:`Searcher` — the :class:`~typing.Protocol` of a query engine,
+  so harnesses and the service can be typed against the interface
+  instead of a concrete class; its ``search`` keywords are the serving
+  stack's engine contract.
 
 Search results are typed and frozen end to end: ``search`` yields
 :class:`~repro.core.base.MatchPair` (named fields ``doc_id`` /
@@ -45,7 +45,6 @@ were deprecated in 1.2 and have been removed; use :class:`Index`.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Iterable
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -75,17 +74,27 @@ __all__ = [
 class Searcher(Protocol):
     """What every query engine in the library provides.
 
-    Satisfied by :class:`~repro.PKWiseSearcher`,
-    :class:`~repro.PKWiseNonIntervalSearcher`,
-    :class:`~repro.WeightedPKWiseSearcher`, and every baseline in
-    :mod:`repro.baselines`.  ``search`` returns an object with ``pairs``
-    and ``stats``; ``search_many`` returns an
+    ``search`` returns an object with ``pairs`` and ``stats``;
+    ``search_many`` returns an
     :class:`~repro.eval.harness.AggregateRun`; ``close`` releases any
     resources (a no-op for the in-memory engines, but part of the
     contract so callers can treat engines uniformly).
+
+    The keywords of ``search`` are the serving stack's engine contract:
+    :class:`~repro.service.SearchService` passes its deadline hook as
+    ``cancel=`` (a zero-argument callable polled between query windows;
+    True aborts with :class:`~repro.errors.SearchCancelled`) on every
+    uncached request, and :meth:`Index.search` / the service pass
+    ``routing=`` (a :class:`~repro.RoutingPolicy`) exactly when a
+    request overrides the engine's policy.
+    :class:`~repro.PKWiseSearcher` and the LSM view implement both.
+    The batch-only engines (:class:`~repro.PKWiseNonIntervalSearcher`,
+    :class:`~repro.WeightedPKWiseSearcher`, :mod:`repro.baselines`)
+    take the query alone, which is all the evaluation harness and
+    :class:`~repro.parallel.ParallelExecutor` call them with.
     """
 
-    def search(self, query): ...
+    def search(self, query, *, cancel=None, routing=None): ...
 
     def search_many(self, queries, *, jobs: int = 1): ...
 
@@ -457,16 +466,7 @@ class Index:
         engine = self._engine()
         if routing is None:
             return engine.search(query)
-        policy = RoutingPolicy.from_dict(routing)
-        if "routing" not in inspect.signature(engine.search).parameters:
-            if policy.enabled:
-                raise ConfigurationError(
-                    f"{type(engine).__name__} does not support fingerprint "
-                    f"routing; use the pkwise interval engine or pass "
-                    f"routing=None"
-                )
-            return engine.search(query)
-        return engine.search(query, routing=policy)
+        return engine.search(query, routing=RoutingPolicy.from_dict(routing))
 
     def search_text(
         self, text: str, *, routing: RoutingPolicy | dict | str | None = None

@@ -20,7 +20,6 @@ from collections.abc import Callable
 from ..corpus import Document, DocumentCollection
 from ..errors import (
     ConfigurationError,
-    IndexStateError,
     RoutingUnavailableError,
     SearchCancelled,
 )
@@ -100,9 +99,6 @@ class PKWiseSearcher:
         Global token order; built from ``data`` if omitted.  Pass a
         shared order when comparing multiple algorithms so they agree on
         ranks.
-    hashed:
-        Key the index by 64-bit signature hashes (paper's Section 7.1
-        hashing) instead of rank tuples.
     """
 
     name = "pkwise"
@@ -113,7 +109,6 @@ class PKWiseSearcher:
         params: SearchParams,
         scheme: PartitionScheme | None = None,
         order: GlobalOrder | None = None,
-        hashed: bool = False,
     ) -> None:
         self.params = params
         self.order = order if order is not None else GlobalOrder(data, params.w)
@@ -132,7 +127,7 @@ class PKWiseSearcher:
         with get_tracer().span(
             "pkwise.index_build", documents=len(self.rank_docs)
         ) as build_span:
-            self.index = IntervalIndex(params.w, params.tau, scheme, hashed=hashed)
+            self.index = IntervalIndex(params.w, params.tau, scheme)
             for doc_id, ranks in enumerate(self.rank_docs):
                 self.index.index_document(doc_id, ranks)
             build_span.annotate(
@@ -143,9 +138,9 @@ class PKWiseSearcher:
         #: :meth:`repro.parallel.ParallelExecutor.build_searcher`.
         self.build_worker_reports: list = []
         #: Monotone counter bumped by every index mutation
-        #: (:meth:`_add_document` / :meth:`_remove_document`).  Result
-        #: caches key on it so cached and fresh results stay
-        #: pair-for-pair identical across mutations.
+        #: (:meth:`_remove_document`).  Result caches key on it so
+        #: cached and fresh results stay pair-for-pair identical across
+        #: mutations.
         self.index_epoch = 0
 
     @classmethod
@@ -212,26 +207,26 @@ class PKWiseSearcher:
         sequences a :class:`~repro.index.PackedRankDocs`; search results
         stay pair-identical (hash-merged postings only add candidates,
         which verification removes).  The copy shares the order/scheme
-        and carries over tombstones and the index epoch, but refuses
-        :meth:`_add_document` — freeze after the corpus settles.
-        Returns ``self`` when already compact.
+        and carries over tombstones and the index epoch; documents are
+        added through :meth:`repro.Index.add` (the LSM write path),
+        which layers a memtable over it.  Returns ``self`` when already
+        compact.
         """
         from ..index.compact import CompactIntervalIndex, PackedRankDocs
 
-        if getattr(self.index, "frozen", False):
+        if self.frozen:
             return self
-        clone = type(self).__new__(type(self))
-        clone.params = self.params
-        clone.order = self.order
-        clone.scheme = self.scheme
-        clone.rank_docs = PackedRankDocs.from_lists(self.rank_docs)
-        clone._removed = set(self._removed)
-        clone.index = CompactIntervalIndex.from_index(self.index)
-        clone.index_build_seconds = self.index_build_seconds
-        clone.build_worker_reports = []
-        clone.index_epoch = self.index_epoch
-        clone._routing_tier = self._routing_tier
-        return clone
+        return type(self).from_prebuilt(
+            self.params,
+            self.order,
+            self.scheme,
+            CompactIntervalIndex.from_index(self.index),
+            PackedRankDocs.from_lists(self.rank_docs),
+            self.index_build_seconds,
+            removed=self._removed,
+            index_epoch=self.index_epoch,
+            routing_tier=self._routing_tier,
+        )
 
     @property
     def frozen(self) -> bool:
@@ -239,30 +234,8 @@ class PKWiseSearcher:
         return bool(getattr(self.index, "frozen", False))
 
     # ------------------------------------------------------------------
-    # Incremental maintenance
+    # Tombstones (documents are added through the LSM write path)
     # ------------------------------------------------------------------
-    def _add_document(self, document: Document) -> int:
-        """Index one more document; returns its doc_id in this searcher.
-
-        The document must be encoded against the same vocabulary as the
-        original collection (e.g. produced by ``data.add_text``).  The
-        global order stays fixed: tokens first seen now are treated as
-        rarest (class 1), and existing tokens keep their build-time
-        frequencies — a heuristic drift that affects performance only,
-        never correctness (any fixed total order is valid, Theorem 1).
-        """
-        if self.frozen:
-            raise IndexStateError(
-                "cannot add documents to a frozen compact searcher; "
-                "mutate through Index.add (the LSM ingest write path)"
-            )
-        doc_id = len(self.rank_docs)
-        ranks = self.order.rank_document(document)
-        self.rank_docs.append(ranks)
-        self.index.index_document(doc_id, ranks)
-        self.index_epoch += 1
-        return doc_id
-
     def _remove_document(self, doc_id: int) -> None:
         """Stop returning matches from ``doc_id`` (tombstone removal).
 
@@ -571,9 +544,7 @@ class PKWiseSearcher:
         The same shape the parallel executor produces, so serial and
         ``jobs=N`` callers consume one type: per-query pair lists in
         canonical order under ``results_by_query``, summed stats under
-        ``stats``.  (Releases before 1.1 returned a
-        ``(results, stats)`` tuple; ``AggregateRun`` still unpacks that
-        way with a :class:`DeprecationWarning`.)
+        ``stats``.
         """
         from ..eval.harness import run_searcher
 

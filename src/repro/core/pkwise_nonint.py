@@ -36,7 +36,6 @@ class PKWiseNonIntervalSearcher:
         params: SearchParams,
         scheme: PartitionScheme | None = None,
         order: GlobalOrder | None = None,
-        hashed: bool = False,
     ) -> None:
         self.params = params
         self.order = order if order is not None else GlobalOrder(data, params.w)
@@ -51,7 +50,7 @@ class PKWiseNonIntervalSearcher:
             self.order.rank_document(document) for document in data
         ]
         build_start = time.perf_counter()
-        self.index = WindowInvertedIndex(params.w, params.tau, scheme, hashed=hashed)
+        self.index = WindowInvertedIndex(params.w, params.tau, scheme)
         for doc_id, ranks in enumerate(self.rank_docs):
             self.index.index_document(doc_id, ranks)
         self.index_build_seconds = time.perf_counter() - build_start

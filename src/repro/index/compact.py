@@ -2,21 +2,21 @@
 
 :class:`CompactIntervalIndex` freezes an :class:`IntervalIndex` into
 five flat numpy columns: sorted 64-bit signature-hash keys, per-key
-offsets, and packed ``(doc, u, v)`` posting columns.  ``probe`` keeps
-the exact contract of the dict index (a list of
-:class:`~repro.index.intervals.WindowInterval` / :data:`ProbeHit`) but
+offsets, and packed ``(doc, u, v)`` posting columns.  ``probe_many``
+keeps the exact contract of the dict index (one
+:class:`~repro.index.intervals.ProbeBatch` per batch of signatures) but
 resolves keys by binary search instead of hashing tuples, and the whole
 structure is a handful of contiguous buffers — ~10x less Python-object
 overhead, picklable in O(bytes), and mmap-able without copying (the
 snapshot envelope in :mod:`repro.persistence` stores these columns
 verbatim).
 
-Keys are always :func:`~repro.signatures.signature_hash` values, even
-when the source index keyed on rank tuples.  A 64-bit hash collision
-merges two postings lists, which can only *add* candidates — rolling
-verification removes them — so final search results are pair-identical
-to the dict index (the property the ``hashed=True`` mode already relies
-on, covered by the collision tests).
+Keys are :func:`~repro.signatures.signature_hash` values (the paper's
+Section 7.1 signature hashing); this module is the only place that
+decides so — the dict index keys on rank tuples.  A 64-bit hash
+collision merges two postings lists, which can only *add* candidates —
+rolling verification removes them — so final search results are
+pair-identical to the dict index (covered by the collision tests).
 
 :class:`PackedRankDocs` applies the same treatment to the searcher's
 per-document rank sequences (one values column + offsets), handing the
@@ -38,7 +38,7 @@ from .intervals import ProbeBatch, WindowInterval
 #: Typed probe result with named fields ``doc_id``/``u``/``v``.
 #: An alias of :class:`WindowInterval` (a NamedTuple), so it keeps
 #: tuple-compat — unpacking, ordering, equality — while giving call
-#: sites attribute access; both index flavours return it from ``probe``.
+#: sites attribute access; the dict index returns it from ``probe``.
 ProbeHit = WindowInterval
 
 _FROZEN_MESSAGE = (
@@ -64,7 +64,7 @@ class CompactIntervalIndex:
 
     Construct with :meth:`from_index` (freeze a built dict index) or
     :meth:`from_arrays` (rehydrate saved/mapped columns).  The probe
-    contract matches :class:`IntervalIndex.probe`; mutation
+    contract matches :meth:`IntervalIndex.probe_many`; mutation
     (``index_document``/``merge``) raises
     :class:`~repro.errors.IndexStateError` — freezing is one-way.
     """
@@ -86,7 +86,6 @@ class CompactIntervalIndex:
         docs: np.ndarray,
         us: np.ndarray,
         vs: np.ndarray,
-        hashed: bool = False,
         num_documents: int = 0,
         num_windows: int = 0,
         build_stats: dict[str, int] | None = None,
@@ -94,7 +93,6 @@ class CompactIntervalIndex:
         self.w = w
         self.tau = tau
         self.scheme = scheme
-        self.hashed = hashed
         self.num_documents = num_documents
         self.num_windows = num_windows
         self.build_stats = dict(build_stats or {})
@@ -117,7 +115,7 @@ class CompactIntervalIndex:
         self._offsets_padded = np.concatenate([offsets, offsets[-1:]])
         # signature -> slot memo (misses stored as -1).  Keyed on the
         # signature tuple, not its hash: the pure-Python FNV hash is the
-        # dominant cost of a scalar probe (~2.5us vs ~0.2us for a dict
+        # dominant cost of a scalar slot lookup (~2.5us vs ~0.2us for a dict
         # hit), so a repeat probe of a memoized signature skips hashing
         # and the scalar np.searchsorted alike.  Cleared wholesale at
         # the bound to stay O(1) per probe; worst-case footprint is a
@@ -131,13 +129,13 @@ class CompactIntervalIndex:
     def from_index(cls, index: IntervalIndex) -> "CompactIntervalIndex":
         """Freeze a built dict :class:`IntervalIndex` into columns.
 
-        Tuple keys are hashed; equal hashes (either the source's own
-        ``hashed`` keys or genuine 64-bit collisions) share one postings
-        run.  Within a key, postings keep the source append order.
+        Tuple keys are hashed; equal hashes (genuine 64-bit collisions)
+        share one postings run.  Within a key, postings keep the source
+        append order.
         """
         buckets: dict[int, list[WindowInterval]] = {}
         for key, postings in index._postings.items():
-            h = key if index.hashed else signature_hash(key)
+            h = signature_hash(key)
             existing = buckets.get(h)
             if existing is None:
                 buckets[h] = list(postings)
@@ -164,7 +162,6 @@ class CompactIntervalIndex:
             docs=_packed_column(docs),
             us=_packed_column(us),
             vs=_packed_column(vs),
-            hashed=index.hashed,
             num_documents=index.num_documents,
             num_windows=index.num_windows,
             build_stats=index.build_stats,
@@ -184,7 +181,6 @@ class CompactIntervalIndex:
             docs=arrays["docs"],
             us=arrays["us"],
             vs=arrays["vs"],
-            hashed=meta.get("hashed", False),
             num_documents=meta.get("num_documents", 0),
             num_windows=meta.get("num_windows", 0),
             build_stats=meta.get("build_stats"),
@@ -195,7 +191,6 @@ class CompactIntervalIndex:
         meta = {
             "w": self.w,
             "tau": self.tau,
-            "hashed": self.hashed,
             "num_documents": self.num_documents,
             "num_windows": self.num_windows,
             "build_stats": dict(self.build_stats),
@@ -232,22 +227,6 @@ class CompactIntervalIndex:
                 self._slots.clear()
             self._slots[signature] = slot
         return slot
-
-    def probe(self, signature: Signature) -> list[ProbeHit]:
-        """Postings list of ``signature`` (empty list if absent)."""
-        slot = self._slot(signature)
-        if slot < 0:
-            return []
-        start = int(self._offsets[slot])
-        end = int(self._offsets[slot + 1])
-        return list(
-            map(
-                ProbeHit,
-                self._docs[start:end].tolist(),
-                self._us[start:end].tolist(),
-                self._vs[start:end].tolist(),
-            )
-        )
 
     def probe_many(
         self,

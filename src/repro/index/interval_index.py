@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 from ..errors import IndexStateError
 from ..partition.scheme import PartitionScheme
-from ..signatures.generate import Signature, signature_hash
+from ..signatures.generate import Signature
 from ..signatures.maintain import SignatureStream
 from .intervals import ProbeBatch, WindowInterval
 
@@ -30,22 +30,17 @@ class IntervalIndex:
     tau, w:
         Search parameters the index was built for.  Queries must use the
         same values; :meth:`probe` does not re-check.
-    hashed:
-        When true, postings are keyed by the 64-bit
-        :func:`~repro.signatures.signature_hash` instead of the rank
-        tuple, trading a negligible collision probability (extra
-        candidates only — never lost results) for less key memory; this
-        mirrors the paper's 4-byte signature hashing.
+
+    Postings are keyed by the signature's rank tuple (collision-free);
+    the paper's Section 7.1 signature hashing happens when the index is
+    frozen (:class:`~repro.index.CompactIntervalIndex`).
     """
 
-    def __init__(
-        self, w: int, tau: int, scheme: PartitionScheme, hashed: bool = False
-    ) -> None:
+    def __init__(self, w: int, tau: int, scheme: PartitionScheme) -> None:
         self.w = w
         self.tau = tau
         self.scheme = scheme
-        self.hashed = hashed
-        self._postings: dict[object, list[WindowInterval]] = {}
+        self._postings: dict[Signature, list[WindowInterval]] = {}
         self.num_documents = 0
         self.num_windows = 0
         self.build_stats: dict[str, int] = {
@@ -55,16 +50,12 @@ class IntervalIndex:
             "changed_windows": 0,
         }
 
-    def _key(self, signature: Signature) -> object:
-        return signature_hash(signature) if self.hashed else signature
-
     # ------------------------------------------------------------------
     def index_document(self, doc_id: int, ranks: Sequence[int]) -> None:
         """Index all windows of one document (given as a rank sequence)."""
         stream = SignatureStream(ranks, self.w, self.tau, self.scheme)
         open_at: dict[Signature, int] = {}
         postings = self._postings
-        key_of = self._key
         for event in stream.events():
             for signature in event.opened:
                 if signature in open_at:
@@ -81,7 +72,7 @@ class IntervalIndex:
                         f"window {event.start} of document {doc_id}"
                     )
                 interval = WindowInterval(doc_id, start, event.start - 1)
-                postings.setdefault(key_of(signature), []).append(interval)
+                postings.setdefault(signature, []).append(interval)
         if open_at:
             raise IndexStateError(
                 f"{len(open_at)} signatures left open at end of document {doc_id}"
@@ -99,17 +90,16 @@ class IntervalIndex:
         ascending doc_id-block order reproduces exactly the lists a
         serial build over the whole collection would have produced
         (serial ``index_document`` also appends in doc_id order).  The
-        parameters, scheme, and key mode must match.
+        parameters and scheme must match.
         """
         if (
             self.w != other.w
             or self.tau != other.tau
-            or self.hashed != other.hashed
             or self.scheme != other.scheme
         ):
             raise IndexStateError(
                 "cannot merge interval indexes built with different "
-                "parameters, schemes, or key modes"
+                "parameters or schemes"
             )
         postings = self._postings
         for key, intervals in other._postings.items():
@@ -126,7 +116,7 @@ class IntervalIndex:
     # ------------------------------------------------------------------
     def probe(self, signature: Signature) -> list[WindowInterval]:
         """Postings list of ``signature`` (empty list if absent)."""
-        return self._postings.get(self._key(signature), [])
+        return self._postings.get(signature, [])
 
     def probe_many(
         self,
@@ -148,9 +138,8 @@ class IntervalIndex:
         hit_signs: list[int] = []
         sig_counts: list[int] = []
         postings_map = self._postings
-        key_of = self._key
         for i, signature in enumerate(signatures):
-            postings = postings_map.get(key_of(signature))
+            postings = postings_map.get(signature)
             if not postings:
                 sig_counts.append(0)
                 continue
@@ -166,7 +155,7 @@ class IntervalIndex:
         return ProbeBatch.from_rows(docs, us, vs, hit_signs, sig_counts)
 
     def __contains__(self, signature: Signature) -> bool:
-        return self._key(signature) in self._postings
+        return signature in self._postings
 
     @property
     def num_signatures(self) -> int:

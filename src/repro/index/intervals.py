@@ -187,16 +187,6 @@ class ProbeBatch:
             self.signs[keep], sig_counts, self.probed,
         )
 
-    def signed_intervals(self) -> list[tuple[WindowInterval, int]]:
-        """Decode to ``(interval, sign)`` pairs (tests and debugging)."""
-        return [
-            (WindowInterval(doc, u, v), sign)
-            for doc, u, v, sign in zip(
-                self.docs.tolist(), self.us.tolist(),
-                self.vs.tolist(), self.signs.tolist(),
-            )
-        ]
-
     def __repr__(self) -> str:
         return f"ProbeBatch(probed={self.probed}, entries={self.entries})"
 

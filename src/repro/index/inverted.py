@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..partition.scheme import PartitionScheme
-from ..signatures.generate import Signature, generate_signatures, signature_hash
+from ..signatures.generate import Signature, generate_signatures
 from ..windows.slider import WindowSlider
 from .intervals import ProbeBatch
 
@@ -19,27 +19,20 @@ from .intervals import ProbeBatch
 class WindowInvertedIndex:
     """Signature -> list of (doc_id, window_start) postings."""
 
-    def __init__(
-        self, w: int, tau: int, scheme: PartitionScheme, hashed: bool = False
-    ) -> None:
+    def __init__(self, w: int, tau: int, scheme: PartitionScheme) -> None:
         self.w = w
         self.tau = tau
         self.scheme = scheme
-        self.hashed = hashed
-        self._postings: dict[object, list[tuple[int, int]]] = {}
+        self._postings: dict[Signature, list[tuple[int, int]]] = {}
         self.num_documents = 0
         self.num_windows = 0
         self.generated_signatures = 0
         self.generated_token_cost = 0
 
-    def _key(self, signature: Signature) -> object:
-        return signature_hash(signature) if self.hashed else signature
-
     def index_document(self, doc_id: int, ranks: Sequence[int]) -> None:
         """Index every window of one document individually."""
         slider = WindowSlider(ranks, self.w)
         postings = self._postings
-        key_of = self._key
         for start, _outgoing, _incoming in slider.slides():
             signatures = generate_signatures(
                 slider.multiset.raw, self.tau, self.scheme
@@ -50,13 +43,13 @@ class WindowInvertedIndex:
             # signature type; multiset duplicates matter only for
             # interval maintenance, not here.
             for signature in set(signatures):
-                postings.setdefault(key_of(signature), []).append((doc_id, start))
+                postings.setdefault(signature, []).append((doc_id, start))
         self.num_documents += 1
         self.num_windows += slider.num_windows
 
     def probe(self, signature: Signature) -> list[tuple[int, int]]:
         """Postings list of ``signature`` (empty list if absent)."""
-        return self._postings.get(self._key(signature), [])
+        return self._postings.get(signature, [])
 
     def probe_many(
         self,
@@ -74,9 +67,8 @@ class WindowInvertedIndex:
         hit_signs: list[int] = []
         sig_counts: list[int] = []
         postings_map = self._postings
-        key_of = self._key
         for i, signature in enumerate(signatures):
-            postings = postings_map.get(key_of(signature))
+            postings = postings_map.get(signature)
             if not postings:
                 sig_counts.append(0)
                 continue

@@ -41,7 +41,7 @@ class Memtable:
         #: Store-wide tier generation (monotone across memtables and
         #: segments; the per-segment cache epoch vector is built from it).
         self.generation = generation
-        self.index = IntervalIndex(params.w, params.tau, scheme, hashed=False)
+        self.index = IntervalIndex(params.w, params.tau, scheme)
         #: Local-id rank sequences (``rank_docs[i]`` is global doc
         #: ``doc_lo + i``).
         self.rank_docs: list[list[int]] = []

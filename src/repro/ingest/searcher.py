@@ -155,9 +155,6 @@ class LSMSearcher(PKWiseSearcher):
         return super().search_many(queries, jobs=1)
 
     # -- mutation (routed through the store) ----------------------------
-    def _add_document(self, document) -> int:
-        return self.store.add_document(document)
-
     def _remove_document(self, doc_id: int) -> None:
         self.store.remove(doc_id)
 

@@ -725,9 +725,7 @@ class IngestStore:
             "ingest.compact", phase="fold", doc_lo=doc_lo, doc_hi=doc_hi
         )
         with self.metrics.timer("ingest.fold_seconds").time():
-            folded = IntervalIndex(
-                self.params.w, self.params.tau, self.scheme, hashed=False
-            )
+            folded = IntervalIndex(self.params.w, self.params.tau, self.scheme)
             rank_lists = []
             for tier in pending:
                 base = tier.doc_lo
@@ -836,9 +834,7 @@ class IngestStore:
                 active_len = len(active)
                 removed = set(self.removed)
                 epoch = self.mutation_epoch
-            folded = IntervalIndex(
-                self.params.w, self.params.tau, self.scheme, hashed=False
-            )
+            folded = IntervalIndex(self.params.w, self.params.tau, self.scheme)
             rank_lists = []
             for tier in tiers:
                 for local in range(tier.doc_hi - tier.doc_lo):

@@ -6,8 +6,8 @@ any sealed (immutable) memtables, then the active memtable.  Each tier
 indexes its documents under local ids; these views glue the tiers back
 into the single-index shape the pkwise search kernel expects:
 
-* :class:`TieredIntervalIndex` satisfies the ``probe``/``probe_many``
-  contract of :class:`~repro.index.IntervalIndex`.  A batched probe
+* :class:`TieredIntervalIndex` satisfies the ``probe_many`` contract
+  of :class:`~repro.index.IntervalIndex`.  A batched probe
   fans out to every tier, offsets each tier's hit docs by its base, and
   merges the batches *signature-wise* with one stable argsort — entries
   for each probed signature come back grouped, ordered by tier base and
@@ -102,14 +102,6 @@ class TieredIntervalIndex:
         self.scheme = scheme
 
     # -- probe contract -------------------------------------------------
-    def probe(self, signature):
-        """Scalar probe: concatenated per-tier postings, globally numbered."""
-        hits = []
-        for tier in self.tiers:
-            for hit in tier.index.probe(signature):
-                hits.append(type(hit)(hit[0] + tier.doc_lo, hit[1], hit[2]))
-        return hits
-
     def probe_many(self, signatures, signs=None) -> ProbeBatch:
         """Batched probe across all tiers, merged signature-wise.
 

@@ -605,7 +605,6 @@ class ParallelExecutor:
         params: SearchParams,
         scheme: PartitionScheme | None = None,
         order: GlobalOrder | None = None,
-        hashed: bool = False,
     ) -> PKWiseSearcher:
         """Build a :class:`PKWiseSearcher` by document partition.
 
@@ -617,9 +616,7 @@ class ParallelExecutor:
         """
         started = time.perf_counter()
         if self.jobs == 1 or len(data) <= 1:
-            return PKWiseSearcher(
-                data, params, scheme=scheme, order=order, hashed=hashed
-            )
+            return PKWiseSearcher(data, params, scheme=scheme, order=order)
         tracer = get_tracer()
         if order is None:
             blocks = split_blocks(len(data), self.jobs * CHUNKS_PER_WORKER)
@@ -641,7 +638,7 @@ class ParallelExecutor:
 
         blocks = split_blocks(len(data), self.jobs * CHUNKS_PER_WORKER)
         tasks = [(i, lo, hi) for i, (lo, hi) in enumerate(blocks)]
-        state = (data, params, scheme, order, hashed)
+        state = (data, params, scheme, order)
         with tracer.span(
             "parallel.build_searcher",
             documents=len(data),
@@ -651,7 +648,7 @@ class ParallelExecutor:
             with self._pool(state, min(self.jobs, len(tasks))) as pool:
                 raw = pool.map(worker.index_chunk, tasks)
             raw.sort(key=lambda row: row[0])
-            index = IntervalIndex(params.w, params.tau, scheme, hashed=hashed)
+            index = IntervalIndex(params.w, params.tau, scheme)
             rank_docs: list[list[int]] = []
             for _chunk_index, _pid, _elapsed, partial_index, partial_ranks in raw:
                 index.merge(partial_index)

@@ -127,14 +127,14 @@ def frequency_chunk(task):
 def index_chunk(task):
     """Partial interval index over one contiguous document block.
 
-    Shared state: ``(data, params, scheme, order, hashed)``.  Merging
+    Shared state: ``(data, params, scheme, order)``.  Merging
     the partial indexes in block order reproduces the serial build
     exactly (see :meth:`~repro.index.interval_index.IntervalIndex.merge`).
     """
     chunk_index, lo, hi = task
-    data, params, scheme, order, hashed = _STATE
+    data, params, scheme, order = _STATE
     started = time.perf_counter()
-    index = IntervalIndex(params.w, params.tau, scheme, hashed=hashed)
+    index = IntervalIndex(params.w, params.tau, scheme)
     rank_docs = []
     for doc_id in range(lo, hi):
         ranks = order.rank_document(data[doc_id])

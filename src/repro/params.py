@@ -120,15 +120,6 @@ class SearchParams:
             )
         object.__setattr__(self, "theta", self.w - self.tau)
 
-    def __getattr__(self, name: str):
-        # Params pickled before 1.3 predate the ``routing`` field; read
-        # them as the off policy so old snapshots keep opening.
-        if name == "routing":
-            return RoutingPolicy()
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
     @classmethod
     def from_theta(
         cls, w: int, theta: int, k_max: int = DEFAULT_K_MAX, m: int = 1

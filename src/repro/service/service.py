@@ -35,7 +35,6 @@ exit.  :class:`SearchService` is the resident layer for serving a
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from collections import deque
@@ -205,12 +204,11 @@ class SearchService:
     Parameters
     ----------
     searcher:
-        Any object satisfying the :class:`repro.api.Searcher` protocol
-        whose ``search(query)`` returns an object with ``pairs``; the
-        deadline hook additionally requires ``search`` to accept a
-        ``cancel`` keyword (as :class:`~repro.PKWiseSearcher` does —
-        for searchers without it the service still enforces deadlines
-        at dequeue and reply time, just not mid-query).
+        Any object satisfying the :class:`repro.api.Searcher` protocol:
+        ``search(query, *, cancel=None, routing=None)`` returns an
+        object with ``pairs``.  The service passes its deadline hook as
+        ``cancel=`` on every uncached request and ``routing=`` exactly
+        when the request carries a per-request policy.
     data:
         Optional :class:`~repro.DocumentCollection` bundled with the
         searcher; required only by :meth:`search_text` (and hence the
@@ -266,13 +264,6 @@ class SearchService:
         self._completed_count = 0
         self._closed = False
         self._abort = False
-        try:
-            signature = inspect.signature(searcher.search)
-            self._supports_cancel = "cancel" in signature.parameters
-            self._supports_routing = "routing" in signature.parameters
-        except (TypeError, ValueError):  # builtins without signatures
-            self._supports_cancel = False
-            self._supports_routing = False
         self._queue: deque[_Request] = deque()
         self._queue_capacity = max_queue
         self._queue_lock = threading.Lock()
@@ -403,12 +394,6 @@ class SearchService:
             raise ServiceClosedError(f"{self.name} is closed")
         if routing is not None:
             routing = RoutingPolicy.from_dict(routing)
-            if not self._supports_routing:
-                raise ConfigurationError(
-                    f"{type(self.searcher).__name__} does not support "
-                    f"fingerprint routing; serve a pkwise interval engine "
-                    f"or drop the routing override"
-                )
         if timeout is None:
             timeout = self.default_timeout
         with self._metrics_lock:
@@ -588,13 +573,6 @@ class SearchService:
                 self.data = data
             self._epoch_base = old_epoch + 1 - new_contrib
             self._params_key = repr(getattr(searcher, "params", None))
-            try:
-                signature = inspect.signature(searcher.search)
-                self._supports_cancel = "cancel" in signature.parameters
-                self._supports_routing = "routing" in signature.parameters
-            except (TypeError, ValueError):
-                self._supports_cancel = False
-                self._supports_routing = False
             self.generation += 1
             generation = self.generation
         finally:
@@ -665,14 +643,13 @@ class SearchService:
                 was_cached = True
             else:
                 was_cached = False
-                kwargs = {}
-                if self._supports_cancel:
-                    # Searcher without a cancel hook: deadlines are still
-                    # enforced at dequeue time, just not mid-query.
-                    kwargs["cancel"] = cancelled
-                if request.routing is not None and self._supports_routing:
-                    kwargs["routing"] = request.routing
-                result = self.searcher.search(request.query, **kwargs)
+                override = (
+                    {} if request.routing is None
+                    else {"routing": request.routing}
+                )
+                result = self.searcher.search(
+                    request.query, cancel=cancelled, **override
+                )
                 pairs = tuple(canonical_pair_order(list(result.pairs)))
                 self.cache.put(key, pairs)
         except SearchCancelled as exc:

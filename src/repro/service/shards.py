@@ -314,16 +314,21 @@ class ShardPlan:
             raise ConfigurationError(f"corrupt shard manifest {manifest}: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
             raise ConfigurationError(f"{manifest} is not a shard manifest")
-        plan = cls(
-            shards=tuple(
-                ShardSpec.from_dict(entry) for entry in payload["shards"]
-            ),
-            num_documents=int(payload["num_documents"]),
-            generation=int(payload["generation"]),
-            params=dict(payload.get("params", {})),
-            # Pre-replication manifests carry no key: one worker per shard.
-            replicas=int(payload.get("replicas", 1)),
-        )
+        try:
+            plan = cls(
+                shards=tuple(
+                    ShardSpec.from_dict(entry) for entry in payload["shards"]
+                ),
+                num_documents=int(payload["num_documents"]),
+                generation=int(payload["generation"]),
+                params=dict(payload.get("params", {})),
+                # Pre-replication manifests carry no key: one worker per shard.
+                replicas=int(payload.get("replicas", 1)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"damaged shard manifest {manifest}: {exc!r}"
+            ) from exc
         plan.validate()
         return plan
 

@@ -77,8 +77,9 @@ def signature_hash(signature: Signature) -> int:
 
     The paper hashes signatures to 4-byte integers for index
     compactness; we use 64 bits to make collisions negligible while
-    keeping the same memory-shape argument.  Exposed for the index's
-    hashed mode; the default index keys on tuples (collision-free).
+    keeping the same memory-shape argument.  The frozen
+    :class:`~repro.index.CompactIntervalIndex` keys on it; the dict
+    index keys on the rank tuples themselves (collision-free).
     """
     value = 0xCBF29CE484222325
     for rank in signature:

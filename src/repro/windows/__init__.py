@@ -2,24 +2,21 @@
 
 A window is ``w`` consecutive tokens viewed as a multiset.  This package
 provides the data structures the paper's Section 4 relies on: a sorted
-multiset with logarithmic-ish updates (the paper suggests a binary
-search tree; we ship both a bisect-backed sorted list — fastest in
-CPython for window-sized collections — and an order-statistic treap with
-the same interface), a :class:`WindowSlider` that walks a document
-maintaining the sorted view, and a :class:`RollingOverlap` that keeps
-the multiset-intersection size of a (data window, query window) pair
-up to date in O(1) per slide (Section 4.3).
+multiset (the paper suggests a binary search tree; a bisect-backed
+sorted list is fastest in CPython for window-sized collections), a
+:class:`WindowSlider` that walks a document maintaining the sorted
+view, and :func:`window_overlap`, the one-shot multiset-intersection
+size that non-rolling algorithms and the tests use as the reference.
+The rolling O(1)-per-slide update of Section 4.3 lives in
+:class:`repro.core.verify.IntervalVerifier`.
 """
 
-from .rolling import RollingOverlap, window_overlap
+from .rolling import window_overlap
 from .slider import WindowSlider
 from .sorted_multiset import SortedMultiset
-from .treap import TreapMultiset
 
 __all__ = [
     "SortedMultiset",
-    "TreapMultiset",
     "WindowSlider",
-    "RollingOverlap",
     "window_overlap",
 ]

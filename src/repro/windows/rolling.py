@@ -1,14 +1,10 @@
-"""Rolling multiset-overlap between a query window and data windows.
+"""One-shot multiset overlap between two windows.
 
-Section 4.3: to verify a candidate interval ``d[u, v]`` against a query
-window, count token multiplicities of both windows in hash tables once,
-then slide the data window across the interval updating the overlap in
-O(1) per step (one deletion, one insertion, two lookups).  The same
-trick updates the query-side table in two operations when the query
-window slides.
-
-``window_overlap`` is the one-shot reference implementation used by
-tests and by algorithms that do not roll.
+``window_overlap`` computes O(x, y) from scratch.  The non-interval
+pkwise variant and the baselines verify with it, and the tests use it
+as the reference for the rolling verifier
+(:class:`~repro.core.verify.IntervalVerifier`, the one implementation
+of Section 4.3's O(1)-per-slide update).
 """
 
 from __future__ import annotations
@@ -26,90 +22,3 @@ def window_overlap(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(
         min(count, counts_y[token]) for token, count in counts_x.items() if token in counts_y
     )
-
-
-class RollingOverlap:
-    """Maintains O(x, y) for a sliding data window x and query window y.
-
-    ``hash_ops`` counts hash-table operations using the paper's
-    accounting (Section 4.3: initial fill = w ops; each slide = one
-    deletion + one insertion + two lookups = 4 ops on the moving side,
-    2 ops when only the query table changes), so the verification cost
-    model (Equation 4) can be validated against actual behaviour.
-    """
-
-    def __init__(self, data_window: Sequence[int], query_window: Sequence[int]) -> None:
-        self._data = Counter(data_window)
-        self._query = Counter(query_window)
-        self.hash_ops = len(data_window) + len(query_window)
-        self._overlap = 0
-        small, large = self._data, self._query
-        if len(small) > len(large):
-            small, large = large, small
-        for token, count in small.items():
-            other = large.get(token)
-            if other:
-                self._overlap += min(count, other)
-
-    @property
-    def overlap(self) -> int:
-        """Current multiset intersection size."""
-        return self._overlap
-
-    def slide_data(self, outgoing: int, incoming: int) -> int:
-        """Data window drops ``outgoing`` and gains ``incoming``."""
-        if outgoing == incoming:
-            return self._overlap
-        data, query = self._data, self._query
-        self.hash_ops += 4
-        # Removal of `outgoing` reduces the intersection iff the query
-        # still needs at least the data's old multiplicity of it.
-        old = data[outgoing]
-        if query.get(outgoing, 0) >= old:
-            self._overlap -= 1
-        if old == 1:
-            del data[outgoing]
-        else:
-            data[outgoing] = old - 1
-        new = data.get(incoming, 0) + 1
-        data[incoming] = new
-        if query.get(incoming, 0) >= new:
-            self._overlap += 1
-        return self._overlap
-
-    def slide_query(self, outgoing: int, incoming: int) -> int:
-        """Query window drops ``outgoing`` and gains ``incoming``."""
-        if outgoing == incoming:
-            return self._overlap
-        data, query = self._data, self._query
-        self.hash_ops += 4
-        old = query[outgoing]
-        if data.get(outgoing, 0) >= old:
-            self._overlap -= 1
-        if old == 1:
-            del query[outgoing]
-        else:
-            query[outgoing] = old - 1
-        new = query.get(incoming, 0) + 1
-        query[incoming] = new
-        if data.get(incoming, 0) >= new:
-            self._overlap += 1
-        return self._overlap
-
-    def reset_data(self, data_window: Sequence[int]) -> int:
-        """Re-fill the data-side table from scratch (new interval)."""
-        self._data = Counter(data_window)
-        self.hash_ops += len(data_window)
-        self._overlap = self._recount()
-        return self._overlap
-
-    def _recount(self) -> int:
-        small, large = self._data, self._query
-        if len(small) > len(large):
-            small, large = large, small
-        total = 0
-        for token, count in small.items():
-            other = large.get(token)
-            if other:
-                total += min(count, other)
-        return total

@@ -2,9 +2,8 @@
 
 For window-sized collections (w <= a few hundred) the memmove cost of
 list insertion is far cheaper in CPython than pointer-chasing through a
-balanced tree, so this is the default window representation.  The
-interface is shared with :class:`~repro.windows.TreapMultiset`, which
-offers true O(log n) updates for very large windows.
+balanced tree, so this is the window representation (the paper's
+Section 4.1 suggests a binary search tree).
 """
 
 from __future__ import annotations

@@ -72,3 +72,11 @@ def brute_force_pairs(data: DocumentCollection, query, w: int, tau: int) -> set:
 def pairs_as_set(result) -> set:
     """MatchPair list -> comparable set of tuples."""
     return set(map(tuple, result.pairs if hasattr(result, "pairs") else result))
+
+
+def probe_runs(batch) -> list[list[tuple]]:
+    """ProbeBatch -> one ``[(doc, u, v), ...]`` run per probed signature."""
+    rows = list(zip(batch.docs.tolist(), batch.us.tolist(), batch.vs.tolist()))
+    bounds = batch.entry_bounds().tolist()
+    assert bounds[-1] == batch.entries
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -28,7 +28,7 @@ from repro.eval import run_searcher
 from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs, ProbeHit
 from repro.persistence import load_bundle
 
-from .conftest import pairs_as_set
+from .conftest import pairs_as_set, probe_runs
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -73,13 +73,12 @@ class TestCompactParity:
         _data, searcher = built
         frozen = searcher.compacted()
         assert frozen.index.num_postings == searcher.index.size_in_entries()
-        hits = 0
-        for key in searcher.index._postings:
-            dict_hits = searcher.index.probe(key)
-            compact_hits = frozen.index.probe(key)
-            assert sorted(compact_hits) == sorted(dict_hits)
-            hits += len(compact_hits)
-        assert hits > 0
+        keys = list(searcher.index._postings)
+        runs = probe_runs(frozen.index.probe_many(keys))
+        assert len(runs) == len(keys)
+        for key, run in zip(keys, runs):
+            assert sorted(run) == sorted(map(tuple, searcher.index.probe(key)))
+        assert sum(map(len, runs)) > 0
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
     def test_parity_under_fork(self, built, queries):
@@ -112,14 +111,10 @@ class TestHashedCollisions:
     """Colliding keys merge postings runs: extra candidates, same pairs."""
 
     def _collide_all_hashes(self, monkeypatch):
-        import numpy as np
-
         from repro.index import compact as compact_module
-        from repro.index import interval_index as interval_module
 
         # Both the scalar and the vectorized hasher must collide, or
         # the batched probe path would "hash" differently from freezing.
-        monkeypatch.setattr(interval_module, "signature_hash", lambda sig: 7)
         monkeypatch.setattr(compact_module, "signature_hash", lambda sig: 7)
         monkeypatch.setattr(
             compact_module,
@@ -127,35 +122,24 @@ class TestHashedCollisions:
             lambda sigs: np.full(len(sigs), 7, dtype=np.uint64),
         )
 
-    def test_dict_hashed_collision_pairs_survive(
-        self, built, queries, monkeypatch
-    ):
-        data, baseline = built
+    def test_compact_collision_pairs_survive(self, built, queries, monkeypatch):
+        _data, baseline = built
         expected = [pairs_as_set(baseline.search(q)) for q in queries]
         base_candidates = sum(
             baseline.search(q).stats.candidate_windows for q in queries
         )
         self._collide_all_hashes(monkeypatch)
-        collided = PKWiseSearcher(data, baseline.params, hashed=True)
-        assert len(collided.index._postings) == 1  # every signature collided
-        got = [pairs_as_set(collided.search(q)) for q in queries]
-        assert got == expected
-        # Merged postings can only add candidates; verification removes
-        # the extras so the final pairs above are unchanged.
-        collided_candidates = sum(
-            collided.search(q).stats.candidate_windows for q in queries
-        )
-        assert collided_candidates >= base_candidates
-
-    def test_compact_collision_pairs_survive(self, built, queries, monkeypatch):
-        _data, baseline = built
-        expected = [pairs_as_set(baseline.search(q)) for q in queries]
-        self._collide_all_hashes(monkeypatch)
         frozen = baseline.compacted()
         assert frozen.index.num_signatures == 1
         assert frozen.index.num_postings == baseline.index.size_in_entries()
-        got = [pairs_as_set(frozen.search(q)) for q in queries]
-        assert got == expected
+        results = [frozen.search(q) for q in queries]
+        assert [pairs_as_set(result) for result in results] == expected
+        # Merged postings can only add candidates; verification removes
+        # the extras so the final pairs above are unchanged.
+        assert (
+            sum(result.stats.candidate_windows for result in results)
+            >= base_candidates
+        )
 
     def test_two_keys_share_a_bucket(self, monkeypatch):
         # Minimal shape of the collision property: two distinct tuple
@@ -170,7 +154,9 @@ class TestHashedCollisions:
         index._postings[(3, 4)] = [ProbeHit(1, 5, 9)]
         frozen = CompactIntervalIndex.from_index(index)
         assert frozen.num_signatures == 1
-        assert sorted(frozen.probe((1, 2))) == [ProbeHit(0, 0, 3), ProbeHit(1, 5, 9)]
+        for key in ((1, 2), (3, 4)):
+            (run,) = probe_runs(frozen.probe_many([key]))
+            assert sorted(run) == [(0, 0, 3), (1, 5, 9)]
 
 
 class TestFrozenGuards:
@@ -181,15 +167,6 @@ class TestFrozenGuards:
             frozen.index.index_document(99, [1, 2, 3])
         with pytest.raises(IndexStateError, match="frozen"):
             frozen.index.merge(searcher.index)
-
-    def test_searcher_add_document_raises(self, built, small_corpus):
-        # The frozen engine itself stays immutable; the supported
-        # mutation route is Index.add, which upgrades to the LSM write
-        # path instead of touching the compact arrays.
-        _data, searcher = built
-        frozen = searcher.compacted()
-        with pytest.raises(IndexStateError, match="frozen"):
-            frozen._add_document(small_corpus[0])
 
     def test_remove_document_still_works(self, built, queries):
         _data, searcher = built
@@ -400,14 +377,12 @@ class TestPackedRankDocs:
 class TestTypedResults:
     def test_probe_hits_have_named_fields(self, built):
         _data, searcher = built
-        frozen = searcher.compacted()
         key = next(iter(searcher.index._postings))
-        for index in (searcher.index, frozen.index):
-            hit = index.probe(key)[0]
-            assert isinstance(hit, ProbeHit)
-            assert hit.doc_id == hit[0] and hit.u == hit[1] and hit.v == hit[2]
-            doc_id, u, v = hit  # tuple unpack keeps working
-            assert (doc_id, u, v) == tuple(hit)
+        hit = searcher.index.probe(key)[0]
+        assert isinstance(hit, ProbeHit)
+        assert hit.doc_id == hit[0] and hit.u == hit[1] and hit.v == hit[2]
+        doc_id, u, v = hit  # tuple unpack keeps working
+        assert (doc_id, u, v) == tuple(hit)
 
     def test_match_pairs_have_named_fields(self, built, queries):
         from repro import MatchPair

@@ -21,6 +21,10 @@ from repro.core import (
     WeightedPKWiseSearcher,
 )
 
+from repro.index import CompactIntervalIndex, IntervalIndex, WindowInvertedIndex
+from repro.parallel import ParallelExecutor
+from repro.partition import PartitionScheme
+
 from .conftest import pairs_as_set
 
 TEXTS = [
@@ -213,6 +217,62 @@ class TestRemovedFacadeNames:
             repro.does_not_exist
 
 
+class TestTrafficAuditRemovals:
+    """2.1: options and forks no benchmark, CLI or server path reached."""
+
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda data, params, scheme: IntervalIndex(
+                params.w, params.tau, scheme, hashed=False
+            ),
+            lambda data, params, scheme: WindowInvertedIndex(
+                params.w, params.tau, scheme, hashed=False
+            ),
+            lambda data, params, scheme: CompactIntervalIndex(
+                params.w, params.tau, scheme, hashed=False
+            ),
+            lambda data, params, scheme: PKWiseSearcher(
+                data, params, hashed=False
+            ),
+            lambda data, params, scheme: PKWiseNonIntervalSearcher(
+                data, params, hashed=False
+            ),
+            lambda data, params, scheme: ParallelExecutor(jobs=1).build_searcher(
+                data, params, hashed=False
+            ),
+        ],
+        ids=[
+            "IntervalIndex", "WindowInvertedIndex", "CompactIntervalIndex",
+            "PKWiseSearcher", "PKWiseNonIntervalSearcher", "build_searcher",
+        ],
+    )
+    def test_hashed_keyword_is_gone(self, small_corpus, construct):
+        params = SearchParams(w=10, tau=2, k_max=3)
+        scheme = PartitionScheme.single(8)
+        with pytest.raises(TypeError, match="hashed"):
+            construct(small_corpus, params, scheme)
+
+    def test_windows_exports_one_of_each(self):
+        import repro.windows
+
+        assert sorted(repro.windows.__all__) == [
+            "SortedMultiset", "WindowSlider", "window_overlap",
+        ]
+        for name in ("TreapMultiset", "RollingOverlap"):
+            assert not hasattr(repro.windows, name)
+
+    def test_no_signature_probing_left_in_src(self):
+        from pathlib import Path
+
+        offenders = [
+            str(path)
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            if "inspect.signature" in path.read_text(encoding="utf-8")
+        ]
+        assert offenders == []
+
+
 class TestSearchManyUnification:
     def test_facade_search_many_returns_run(self, small_corpus):
         index = Index.build(small_corpus, SearchParams(w=10, tau=2, k_max=3))
@@ -272,4 +332,4 @@ class TestModuleSurface:
         assert "open_index" not in repro.__all__
 
     def test_version_bumped(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "2.1.0"

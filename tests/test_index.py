@@ -127,19 +127,6 @@ class TestIntervalIndex:
         assert index.num_documents == 2
         assert {interval.doc_id for interval in index.probe((0,))} == {0, 1}
 
-    def test_hashed_mode_equivalent(self):
-        rng = random.Random(9)
-        scheme = PartitionScheme(universe_size=8, borders=(4,))
-        ranks = [rng.randrange(8) for _ in range(30)]
-        plain = IntervalIndex(4, 1, scheme)
-        hashed = IntervalIndex(4, 1, scheme, hashed=True)
-        plain.index_document(0, ranks)
-        hashed.index_document(0, ranks)
-        assert plain.num_postings == hashed.num_postings
-        window = sorted(ranks[0:4])
-        for signature in set(generate_signatures(window, 1, scheme)):
-            assert plain.probe(signature) == hashed.probe(signature)
-
     def test_build_stats_accumulate(self):
         scheme = PartitionScheme.single(5)
         index = IntervalIndex(2, 0, scheme)

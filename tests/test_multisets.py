@@ -1,7 +1,7 @@
-"""Property tests for SortedMultiset and TreapMultiset.
+"""Property tests for SortedMultiset.
 
-Both structures implement the same interface; a single hypothesis suite
-drives them against a naive sorted-list model.
+A hypothesis suite drives the structure against a naive sorted-list
+model.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.windows import SortedMultiset, TreapMultiset
+from repro.windows import SortedMultiset
 
-STRUCTURES = [SortedMultiset, TreapMultiset]
+STRUCTURES = [SortedMultiset]
 
 # Operations: ("add", v) or ("discard", v).
 operations = st.lists(
@@ -107,29 +107,3 @@ class TestSortedMultisetSpecifics:
     def test_repr_preview(self):
         assert "len=12" in repr(SortedMultiset(range(12)))
 
-
-class TestTreapSpecifics:
-    def test_negative_index(self):
-        treap = TreapMultiset([1, 2, 3])
-        assert treap[-1] == 3
-
-    def test_index_out_of_range(self):
-        treap = TreapMultiset([1])
-        with pytest.raises(IndexError):
-            treap[5]
-
-    def test_slice_access(self):
-        treap = TreapMultiset([5, 3, 1])
-        assert treap[0:2] == [1, 3]
-
-    def test_deterministic_for_seed(self):
-        a = TreapMultiset(range(100), seed=7)
-        b = TreapMultiset(range(100), seed=7)
-        assert a.as_list() == b.as_list()
-
-    def test_large_balanced(self):
-        # Sanity: 5000 sequential inserts/lookups stay fast (treap stays
-        # roughly balanced under its deterministic priorities).
-        treap = TreapMultiset(range(5000))
-        assert treap.rank(2500) == 2500
-        assert treap[4999] == 4999

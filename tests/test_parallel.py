@@ -171,14 +171,6 @@ class TestBuildParity:
                 == serial.search(query).sorted_pairs()
             )
 
-    def test_hashed_index_build(self, corpus, params):
-        data, _queries = corpus
-        serial = PKWiseSearcher(data, params, hashed=True)
-        parallel = ParallelExecutor(jobs=2).build_searcher(
-            data, params, hashed=True
-        )
-        assert parallel.index._postings == serial.index._postings
-
     def test_single_document_collection_falls_back_to_serial(self, params):
         data = DocumentCollection()
         data.add_tokens([f"t{i % 9}" for i in range(40)])

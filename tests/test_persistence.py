@@ -16,6 +16,7 @@ import pytest
 from repro import (
     FaultPlan,
     FaultSpec,
+    Index,
     PersistenceError,
     PKWiseSearcher,
     SearchParams,
@@ -38,7 +39,7 @@ from repro.persistence import (
     write_envelope,
 )
 
-from .conftest import pairs_as_set
+from .conftest import brute_force_pairs, pairs_as_set
 
 MAGIC = b"repro-envelope-3"
 
@@ -109,6 +110,22 @@ class TestRoundtrip:
         assert header["params"] == {
             "w": 10, "tau": 2, "k_max": 3, "m": searcher.params.m,
         }
+
+    def test_2_0_0_snapshot_with_hashed_key_still_opens(self, built, tmp_path):
+        # 2.0.0 wrote ``"hashed": false`` into the index meta; 2.1 drops
+        # the key on write and ignores it on read — same format.
+        data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path, data=data)
+        header, sections, arrays = read_envelope(path, "pkwise-index")
+        assert "hashed" not in sections["meta"]["index"]
+        sections["meta"]["index"]["hashed"] = False
+        write_envelope(path, "pkwise-index", sections, arrays, header)
+        with Index.open(path, mmap=True) as index:
+            for query in (data[0], data[3]):
+                assert pairs_as_set(index.search(query)) == brute_force_pairs(
+                    data, query, 10, 2
+                )
 
     def test_saving_a_frozen_searcher_writes_the_same_bytes(self, built, tmp_path):
         _data, searcher = built

@@ -55,19 +55,6 @@ class TestEquivalence:
         assert pairs_as_set(interval.search(query)) == expected
         assert pairs_as_set(nonint.search(query)) == expected
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 1_000_000))
-    def test_hashed_index_equivalent(self, seed):
-        rng = random.Random(seed)
-        data, query = random_collection(rng)
-        params = SearchParams(w=5, tau=1, k_max=2)
-        order = GlobalOrder(data, params.w)
-        plain = PKWiseSearcher(data, params, order=order)
-        hashed = PKWiseSearcher(data, params, order=order, hashed=True)
-        assert pairs_as_set(plain.search(query)) == pairs_as_set(
-            hashed.search(query)
-        )
-
     def test_query_is_data_document(self, small_corpus):
         # Self-similarity: querying with a data document must at least
         # find every window paired with itself.

@@ -19,7 +19,7 @@ from repro.index import CompactIntervalIndex, ProbeBatch
 from repro.index import compact as compact_module
 from repro.signatures.generate import signature_hash, signature_hashes
 
-from .conftest import pairs_as_set
+from .conftest import pairs_as_set, probe_runs
 
 
 @pytest.fixture
@@ -110,22 +110,15 @@ class TestProbeManyParity:
         assert a.signs.tolist() == [1] * a.entries  # default sign is +1
 
     def test_sig_counts_slice_matches_scalar_probe(self, built):
+        # The dict index's scalar ``probe`` is the reference postings
+        # list; each signature's slice of the compact batch must be it.
         _data, searcher = built
         dict_index, compact_index = self._indexes(searcher)
         keys = list(dict_index._postings)[:40]
-        batch = compact_index.probe_many(keys)
-        bounds = batch.entry_bounds().tolist()
-        assert bounds[-1] == batch.entries
-        for i, key in enumerate(keys):
-            run = [
-                (doc, u, v)
-                for doc, u, v in zip(
-                    batch.docs[bounds[i]:bounds[i + 1]].tolist(),
-                    batch.us[bounds[i]:bounds[i + 1]].tolist(),
-                    batch.vs[bounds[i]:bounds[i + 1]].tolist(),
-                )
-            ]
-            assert run == [tuple(hit) for hit in compact_index.probe(key)]
+        runs = probe_runs(compact_index.probe_many(keys))
+        assert len(runs) == len(keys)
+        for key, run in zip(keys, runs):
+            assert run == [tuple(hit) for hit in dict_index.probe(key)]
 
     def test_forced_collision_merges_runs(self, built, monkeypatch):
         _data, searcher = built

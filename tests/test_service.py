@@ -11,6 +11,7 @@ from repro import (
     DeadlineExceededError,
     DocumentCollection,
     PKWiseSearcher,
+    RoutingPolicy,
     SearchCancelled,
     SearchParams,
     SearchService,
@@ -56,7 +57,7 @@ def queries(small_corpus):
 
 
 class BlockingSearcher:
-    """Stub whose search blocks until released (no cancel hook)."""
+    """Stub whose search blocks until released (ignores the cancel hook)."""
 
     name = "blocking"
     params = None
@@ -65,7 +66,7 @@ class BlockingSearcher:
         self.release = threading.Event()
         self.started = threading.Event()
 
-    def search(self, query) -> SearchResult:
+    def search(self, query, *, cancel=None, routing=None) -> SearchResult:
         self.started.set()
         self.release.wait(10)
         return SearchResult(pairs=[])
@@ -80,11 +81,28 @@ class CancellableSearcher:
     name = "cancellable"
     params = None
 
-    def search(self, query, *, cancel=None) -> SearchResult:
+    def search(self, query, *, cancel=None, routing=None) -> SearchResult:
         for window in range(500):
             if cancel is not None and cancel():
                 raise SearchCancelled("stub cancelled", windows_processed=window)
             time.sleep(0.002)
+        return SearchResult(pairs=[])
+
+    def close(self) -> None:
+        pass
+
+
+class RecordingSearcher:
+    """Stub that records the keywords each ``search`` call received."""
+
+    name = "recording"
+    params = None
+
+    def __init__(self) -> None:
+        self.calls: list[dict] = []
+
+    def search(self, query, **kwargs) -> SearchResult:
+        self.calls.append(kwargs)
         return SearchResult(pairs=[])
 
     def close(self) -> None:
@@ -203,6 +221,22 @@ class TestServiceBasics:
             assert health["status"] == "ok"
             assert health["documents"] == 6
         assert service.healthz()["status"] == "closed"
+
+    def test_engine_contract_keywords(self):
+        # The serving stack's engine contract: ``cancel=`` on every
+        # uncached request, ``routing=`` exactly when the request
+        # carries a per-request policy.
+        stub = RecordingSearcher()
+        doc = DocumentCollection().add_text("a b c")
+        with SearchService(stub, max_workers=1) as service:
+            assert not service.search(doc).cached
+            assert service.search(doc).cached  # no engine call
+            assert not service.search(doc, routing="exact").cached
+        plain, routed = stub.calls
+        assert set(plain) == {"cancel"} and callable(plain["cancel"])
+        assert plain["cancel"]() is False
+        assert set(routed) == {"cancel", "routing"}
+        assert routed["routing"] == RoutingPolicy(mode="exact")
 
     def test_search_text_needs_data(self, searcher):
         with SearchService(searcher) as service:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -132,6 +133,30 @@ class TestShardPlan:
         )
         assert rebuilt.num_shards == 2
         assert ShardPlan.load(tmp_path).num_shards == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: {
+                key: payload[key] for key in ("format", "version")
+            },
+            lambda payload: {**payload, "num_documents": "many", "shards": 5},
+        ],
+        ids=["missing-keys", "wrong-types"],
+    )
+    def test_damaged_manifest_is_typed_and_rebuilt(
+        self, small_corpus, tmp_path, damage
+    ):
+        # Valid JSON, right format tag, structurally damaged: load must
+        # raise the typed error ensure() catches, and ensure() rebuild.
+        built = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
+        manifest = tmp_path / MANIFEST_NAME
+        manifest.write_text(json.dumps(damage(json.loads(manifest.read_text()))))
+        with pytest.raises(ConfigurationError, match=MANIFEST_NAME):
+            ShardPlan.load(tmp_path)
+        rebuilt = ShardPlan.ensure(small_corpus, PARAMS, tmp_path, num_shards=2)
+        assert rebuilt.shards == built.shards
+        assert ShardPlan.load(tmp_path).shards == built.shards
 
     def test_generation_name_format(self):
         assert generation_name("shard-001", 7) == "shard-001.g000007.idx"

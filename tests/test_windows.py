@@ -1,15 +1,13 @@
-"""Tests for the window slider and rolling overlap."""
+"""Tests for the window slider and the one-shot window overlap."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.windows import RollingOverlap, WindowSlider, window_overlap
+from repro.windows import WindowSlider, window_overlap
 
 
 class TestWindowOverlap:
@@ -76,53 +74,3 @@ class TestWindowSlider:
         for start, _out, _in in slider.slides():
             assert slider.sorted_window() == sorted(ranks[start : start + w])
 
-
-class TestRollingOverlap:
-    def test_initial_overlap(self):
-        rolling = RollingOverlap([1, 2, 3], [2, 3, 4])
-        assert rolling.overlap == 2
-
-    def test_slide_data_matches_reference(self):
-        data_seq = [1, 2, 3, 4, 5, 1, 2]
-        query = [2, 3, 1]
-        w = 3
-        rolling = RollingOverlap(data_seq[:w], query)
-        for start in range(1, len(data_seq) - w + 1):
-            rolling.slide_data(data_seq[start - 1], data_seq[start + w - 1])
-            assert rolling.overlap == window_overlap(
-                data_seq[start : start + w], query
-            )
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_random_walk_both_sides(self, seed):
-        rng = random.Random(seed)
-        w = rng.randint(1, 8)
-        data_seq = [rng.randrange(5) for _ in range(w + rng.randint(0, 15))]
-        query_seq = [rng.randrange(5) for _ in range(w + rng.randint(0, 15))]
-        rolling = RollingOverlap(data_seq[:w], query_seq[:w])
-        di = qi = 0
-        for _ in range(30):
-            move_data = rng.random() < 0.5
-            if move_data and di + w < len(data_seq):
-                rolling.slide_data(data_seq[di], data_seq[di + w])
-                di += 1
-            elif qi + w < len(query_seq):
-                rolling.slide_query(query_seq[qi], query_seq[qi + w])
-                qi += 1
-            assert rolling.overlap == window_overlap(
-                data_seq[di : di + w], query_seq[qi : qi + w]
-            )
-
-    def test_reset_data(self):
-        rolling = RollingOverlap([1, 2, 3], [3, 4, 5])
-        rolling.reset_data([3, 4, 5])
-        assert rolling.overlap == 3
-
-    def test_hash_ops_accounting(self):
-        rolling = RollingOverlap([1, 2, 3], [4, 5, 6])
-        assert rolling.hash_ops == 6  # two fills of w=3
-        rolling.slide_data(1, 9)
-        assert rolling.hash_ops == 10  # +4 per slide
-        rolling.slide_data(2, 2)  # no-op slide costs nothing
-        assert rolling.hash_ops == 10
