@@ -17,12 +17,15 @@ exactly as an operator would hit it:
    retracted, and a full compaction folds everything,
 4. asserts the recovered store answers a fixed query set pair-for-pair
    identically to a one-shot build over the same final corpus,
-5. snapshots the resume run's ingest metrics into a
+5. asserts the compaction purged the retracted document's postings
+   (``ingest.fold_postings_dropped > 0``),
+6. snapshots the resume run's ingest metrics into a
    ``check_regression.py``-compatible record.
 
 Two runs of this smoke on the same commit must agree counter for
-counter (WAL records, replays, recovered orphans, fold counts, result
-pairs); diff the records with ``check_regression.py --strict``.
+counter (WAL records, replays, recovered orphans, fold counts, postings
+merged and dropped by folds, result pairs); diff the records with
+``check_regression.py --strict``.
 
 Usage::
 
@@ -190,6 +193,17 @@ def main() -> int:
         if recovered < 1:
             print("FAIL: the killed compaction left a segment file the "
                   "resume leg should have swept", file=sys.stderr)
+            return 1
+        # The resume leg's compaction merges tier columns; the retracted
+        # document's postings must be masked out, and both fold counters
+        # ride in the record the determinism step diffs.
+        merged = ingest_metrics["counters"].get("ingest.fold_postings_merged", 0)
+        dropped = ingest_metrics["counters"].get("ingest.fold_postings_dropped", 0)
+        print(f"folds merged {merged} postings, dropped {dropped}")
+        if merged < 1 or dropped < 1:
+            print("FAIL: the compaction after the retraction should have "
+                  "merged postings and dropped the retracted document's",
+                  file=sys.stderr)
             return 1
         for qid, count in enumerate(pair_counts):
             ingest_metrics["gauges"][f"smoke.query_{qid}_pairs"] = count

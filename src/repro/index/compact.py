@@ -26,7 +26,7 @@ verifier plain Python lists through a small decode cache.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +62,8 @@ def _packed_column(values: Sequence[int]) -> np.ndarray:
 class CompactIntervalIndex:
     """Frozen signature -> postings index over flat array columns.
 
-    Construct with :meth:`from_index` (freeze a built dict index) or
+    Construct with :meth:`from_index` (freeze a built dict index),
+    :meth:`merged` (concatenate tier indexes — the LSM fold) or
     :meth:`from_arrays` (rehydrate saved/mapped columns).  The probe
     contract matches :meth:`IntervalIndex.probe_many`; mutation
     (``index_document``/``merge``) raises
@@ -165,6 +166,63 @@ class CompactIntervalIndex:
             num_documents=index.num_documents,
             num_windows=index.num_windows,
             build_stats=index.build_stats,
+        )
+
+    @classmethod
+    def merged(
+        cls, parts: Sequence[tuple], removed: Iterable[int] = ()
+    ) -> "CompactIntervalIndex":
+        """Concatenate tier indexes into one — the LSM fold.
+
+        ``parts`` is a non-empty list of ``(index, doc_offset)`` over
+        disjoint doc-id blocks in ascending order; each index holds its
+        block under local ids and is shifted by its offset.  A dict
+        :class:`IntervalIndex` part is frozen first (:meth:`from_index`).
+        Postings of the doc ids in ``removed`` (output ids) are dropped.
+
+        Postings are ``(doc, u, v)`` triples under one global order, so
+        no signature is generated again: a stable sort of the
+        concatenated postings by key keeps, within a key, part order and
+        then each part's append order — the order a serial build over
+        the same documents appends in.  Absent a 64-bit hash collision
+        the columns equal :meth:`from_index` of that build (a collision
+        only permutes postings within the shared key).  ``num_windows``
+        and ``build_stats`` are summed over the parts, so they still
+        count the work spent on documents dropped here.
+        """
+        frozen = [
+            (index if isinstance(index, cls) else cls.from_index(index), base)
+            for index, base in parts
+        ]
+        keys = np.concatenate(
+            [np.repeat(p._keys, np.diff(p._offsets)) for p, _ in frozen]
+        )
+        docs = np.concatenate(
+            [p._docs.astype(np.int64) + base for p, base in frozen]
+        )
+        keep = ~np.isin(docs, np.fromiter(removed, dtype=np.int64))
+        order = np.flatnonzero(keep)
+        order = order[np.argsort(keys[order], kind="stable")]
+        unique_keys, counts = np.unique(keys[order], return_counts=True)
+        offsets = np.zeros(len(unique_keys) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        first = frozen[0][0]
+        build_stats: dict[str, int] = {}
+        for part, _ in frozen:
+            for name, value in part.build_stats.items():
+                build_stats[name] = build_stats.get(name, 0) + value
+        return cls(
+            first.w,
+            first.tau,
+            first.scheme,
+            keys=unique_keys,
+            offsets=offsets,
+            docs=_packed_column(docs[order]),
+            us=_packed_column(np.concatenate([p._us for p, _ in frozen])[order]),
+            vs=_packed_column(np.concatenate([p._vs for p, _ in frozen])[order]),
+            num_documents=sum(p.num_documents for p, _ in frozen),
+            num_windows=sum(p.num_windows for p, _ in frozen),
+            build_stats=build_stats,
         )
 
     @classmethod
@@ -384,6 +442,29 @@ class PackedRankDocs(Sequence):
         values: list[int] = []
         for ranks in rank_docs:
             values.extend(ranks)
+        return cls(offsets, _packed_column(values))
+
+    @classmethod
+    def concatenated(
+        cls, parts: Sequence[Sequence[Sequence[int]]], removed: Iterable[int] = ()
+    ) -> "PackedRankDocs":
+        """Rank columns of consecutive tiers as one — the fold's companion
+        to :meth:`CompactIntervalIndex.merged`.
+
+        A plain list-of-lists part is packed first (:meth:`from_lists`).
+        Each doc id in ``removed`` (output ids) keeps its slot with an
+        empty run.  Columns are sliced directly: no document is decoded
+        and the parts' decode caches are left as they were.
+        """
+        packed = [p if isinstance(p, cls) else cls.from_lists(p) for p in parts]
+        lengths = np.concatenate([np.diff(p._offsets) for p in packed])
+        values = np.concatenate([p._values for p in packed])
+        dropped = np.zeros(len(lengths), dtype=bool)
+        dropped[np.fromiter(removed, dtype=np.int64)] = True
+        values = values[~np.repeat(dropped, lengths)]
+        lengths[dropped] = 0
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
         return cls(offsets, _packed_column(values))
 
     def to_arrays(self) -> dict[str, np.ndarray]:

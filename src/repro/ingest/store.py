@@ -43,8 +43,7 @@ from ..corpus import DocumentCollection
 from ..core.pkwise import PKWiseSearcher, default_scheme
 from ..errors import ConfigurationError, CorpusError, IndexStateError
 from ..index.compact import CompactIntervalIndex, PackedRankDocs
-from ..index.interval_index import IntervalIndex
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, get_tracer
 from ..ordering import GlobalOrder
 from ..persistence import (
     PersistenceError,
@@ -561,11 +560,15 @@ class IngestStore:
         return doc_id
 
     def remove(self, doc_id: int) -> None:
-        """Tombstone ``doc_id``; space is reclaimed at the next fold."""
+        """Tombstone ``doc_id``; space is reclaimed at the next fold.  An
+        id already tombstoned, or emptied by a compaction, is left alone:
+        no WAL record, no epoch bump, no tombstone for the next fold."""
         with self._writer():
             self._check_open()
             if not 0 <= doc_id < self.next_doc_id:
                 raise IndexError(f"no document with id {doc_id}")
+            if doc_id in self.removed or not self._view.rank_docs[doc_id]:
+                return
             self._log({"op": "remove", "doc_id": doc_id})
             self.removed.add(doc_id)
             self.tombstone_epoch += 1
@@ -720,25 +723,21 @@ class IngestStore:
         doc_lo = pending[0].doc_lo
         doc_hi = pending[-1].doc_hi
         with self._mutex:
-            removed_snapshot = set(self.removed)
+            purged = {d for d in self.removed if doc_lo <= d < doc_hi}
         faults.inject(
             "ingest.compact", phase="fold", doc_lo=doc_lo, doc_hi=doc_hi
         )
-        with self.metrics.timer("ingest.fold_seconds").time():
-            folded = IntervalIndex(self.params.w, self.params.tau, self.scheme)
-            rank_lists = []
-            for tier in pending:
-                base = tier.doc_lo
-                for local in range(tier.doc_hi - base):
-                    doc_id = base + local
-                    if doc_id in removed_snapshot:
-                        ranks = []  # keep the id slot, drop the postings
-                    else:
-                        ranks = list(tier.rank_docs[local])
-                    folded.index_document(doc_id - doc_lo, ranks)
-                    rank_lists.append(ranks)
-            compact_index = CompactIntervalIndex.from_index(folded)
-            packed = PackedRankDocs.from_lists(rank_lists)
+        with get_tracer().span(
+            "ingest.fold", doc_lo=doc_lo, doc_hi=doc_hi
+        ) as fold_span, self.metrics.timer("ingest.fold_seconds").time():
+            compact_index, packed = self._merge_tiers(pending, purged)
+            postings = compact_index.num_postings
+            dropped = sum(t.index.num_postings for t in pending) - postings
+            fold_span.annotate(
+                tiers=len(pending), postings=postings, dropped=dropped
+            )
+        self.metrics.counter("ingest.fold_postings_merged").inc(postings)
+        self.metrics.counter("ingest.fold_postings_dropped").inc(dropped)
         with self._mutex:
             self._generation += 1
             generation = self._generation
@@ -759,7 +758,6 @@ class IngestStore:
         )
         keep = [t for t in self._segments
                 if not any(t is p for p in pending)]
-        purged = {d for d in removed_snapshot if doc_lo <= d < doc_hi}
         if self.directory is not None:
             faults.inject(
                 "ingest.compact", phase="manifest", generation=generation
@@ -802,6 +800,17 @@ class IngestStore:
                     tier.path.unlink(missing_ok=True)
         return generation
 
+    @staticmethod
+    def _merge_tiers(tiers, removed=()):
+        """Index and rank columns of contiguous ``tiers`` merged into one;
+        ``removed`` documents (global ids in the span) become empty slots."""
+        doc_lo = tiers[0].doc_lo
+        removed = [doc_id - doc_lo for doc_id in removed]
+        parts = [(tier.index, tier.doc_lo - doc_lo) for tier in tiers]
+        rank_parts = [tier.rank_docs for tier in tiers]
+        return (CompactIntervalIndex.merged(parts, removed),
+                PackedRankDocs.concatenated(rank_parts, removed))
+
     def _write_initial_manifest(self) -> None:
         snapshot = self._snapshot
         write_manifest(self.directory, ManifestState(
@@ -829,30 +838,20 @@ class IngestStore:
         """
         with self._fold_lock:
             with self._mutex:
-                tiers = list(self._segments)
+                # The live memtable is frozen under the mutex: a
+                # concurrent add mutates its dict index.
                 active = self._active
-                active_len = len(active)
+                tiers = self._segments + [Tier(
+                    active.doc_lo, active.doc_hi, active.generation,
+                    CompactIntervalIndex.from_index(active.index),
+                    PackedRankDocs.from_lists(active.rank_docs), "segment",
+                )]
                 removed = set(self.removed)
                 epoch = self.mutation_epoch
-            folded = IntervalIndex(self.params.w, self.params.tau, self.scheme)
-            rank_lists = []
-            for tier in tiers:
-                for local in range(tier.doc_hi - tier.doc_lo):
-                    ranks = list(tier.rank_docs[local])
-                    folded.index_document(tier.doc_lo + local, ranks)
-                    rank_lists.append(ranks)
-            for local in range(active_len):
-                ranks = list(active.rank_docs[local])
-                folded.index_document(active.doc_lo + local, ranks)
-                rank_lists.append(ranks)
+            compact_index, packed = self._merge_tiers(tiers)
             return PKWiseSearcher.from_prebuilt(
-                self.params,
-                self.order,
-                self.scheme,
-                CompactIntervalIndex.from_index(folded),
-                PackedRankDocs.from_lists(rank_lists),
-                removed=removed,
-                index_epoch=epoch,
+                self.params, self.order, self.scheme, compact_index, packed,
+                removed=removed, index_epoch=epoch,
             )
 
     # ------------------------------------------------------------------

@@ -13,8 +13,10 @@ into the single-index shape the pkwise search kernel expects:
   for each probed signature come back grouped, ordered by tier base and
   within a tier in postings-append order, which is exactly the order a
   serial from-scratch build over the same documents would have stored
-  (the parallel build's exact-merge argument, applied at probe time
-  instead of merge time).
+  (the parallel build's exact-merge argument, applied at probe time;
+  a fold applies it once more, for good —
+  :meth:`~repro.index.CompactIntervalIndex.merged` sorts the tiers'
+  concatenated postings the same way, without re-signaturing).
 * :class:`TieredRankDocs` resolves a global doc id to its owning tier's
   rank sequence for verification.
 

@@ -26,8 +26,13 @@ import random
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import (
@@ -43,8 +48,11 @@ from repro import (
 from repro.errors import FaultInjectionError
 from repro.eval.harness import canonical_pair_order
 from repro.faults import KILL_EXIT_CODE, FaultPlan, FaultSpec
-from repro.ingest import read_wal, wal_generations
+from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs
+from repro.index import compact as compact_module
+from repro.ingest import Tier, read_wal, wal_generations
 from repro.persistence import PersistenceError
+from repro.signatures.maintain import SignatureStream
 
 PARAMS = SearchParams(w=8, tau=2, k_max=2)
 VOCAB = 40
@@ -281,6 +289,243 @@ class TestInterleavingProperty:
             )
             assert got == want
         store.close()
+
+
+@contextmanager
+def no_signature_streams():
+    """Fail if the block signatures any document (a fold must not)."""
+    with mock.patch.object(
+        SignatureStream, "events",
+        side_effect=AssertionError("a fold ran the signature stream"),
+    ) as spy:
+        yield
+    assert spy.call_count == 0
+
+
+def zipf_tokens(rng, length):
+    return [
+        f"t{min(VOCAB, int(rng.paretovariate(1.2))) - 1}" for _ in range(length)
+    ]
+
+
+def scratch_columns(store, ranks_of, doc_lo, doc_hi, dead):
+    """Columns of a from-scratch build over ``[doc_lo, doc_hi)`` with the
+    ``dead`` documents indexed as empty slots (what a fold must equal)."""
+    index = IntervalIndex(PARAMS.w, PARAMS.tau, store.scheme)
+    rank_lists = [
+        [] if doc_id in dead else ranks_of[doc_id]
+        for doc_id in range(doc_lo, doc_hi)
+    ]
+    for local, ranks in enumerate(rank_lists):
+        index.index_document(local, ranks)
+    return (
+        CompactIntervalIndex.from_index(index).to_arrays()[1],
+        PackedRankDocs.from_lists(rank_lists).to_arrays(),
+    )
+
+
+def assert_same_columns(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+def postings_by_key(columns):
+    """``key -> sorted (doc, u, v)`` — order-free view of one index."""
+    offsets = columns["offsets"].tolist()
+    rows = list(zip(
+        columns["docs"].tolist(), columns["us"].tolist(), columns["vs"].tolist()
+    ))
+    return {
+        key: sorted(rows[offsets[i]:offsets[i + 1]])
+        for i, key in enumerate(columns["keys"].tolist())
+    }
+
+
+def run_fold_ops(ops, check_fold):
+    """Apply ``ops`` to a fresh store; after every flush/compact that
+    folded, call ``check_fold(store, ranks_of, segment, dead)``."""
+    store = IngestStore.create(PARAMS, data=DocumentCollection())
+    ranks_of: list[list[int]] = []
+    dead: set[int] = set()
+    try:
+        for op, arg in ops:
+            if op == "add":
+                length, seed = arg
+                doc_id = store.add_tokens(zipf_tokens(random.Random(seed), length))
+                ranks_of.append(
+                    store.order.rank_document(store.data.documents[doc_id])
+                )
+            elif op == "remove":
+                if ranks_of:
+                    store.remove(arg % len(ranks_of))
+                    dead.add(arg % len(ranks_of))
+            else:
+                with no_signature_streams():
+                    folded = getattr(store, op)()
+                if folded is not None:
+                    check_fold(store, ranks_of, store._segments[-1], dead)
+        with no_signature_streams():
+            frozen = store.compacted_searcher()
+        # Tombstones stay tombstones in a snapshot; only slots an
+        # earlier fold emptied are empty.
+        check_fold(
+            store, ranks_of,
+            Tier(0, len(ranks_of), 0, frozen.index, frozen.rank_docs, "segment"),
+            dead - store.removed,
+        )
+    finally:
+        store.close()
+
+
+#: ``(token count, token seed)`` — lengths straddle ``w`` (8), 0 included.
+ADD_ARG = st.tuples(st.integers(0, 30), st.integers(0, 10_000))
+FOLD_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), ADD_ARG),
+        st.tuples(st.just("add"), ADD_ARG),  # twice: adds outweigh the rest
+        st.tuples(st.just("remove"), st.integers(0, 63)),
+        st.tuples(st.just("flush"), st.none()),
+        st.tuples(st.just("compact"), st.none()),
+    ),
+    max_size=30,
+)
+
+
+class TestFoldIsMerge:
+    """A fold concatenates tier columns; it never re-signatures, and the
+    result is the from-scratch build over the surviving documents."""
+
+    @staticmethod
+    def check_exact(store, ranks_of, segment, dead):
+        want_index, want_ranks = scratch_columns(
+            store, ranks_of, segment.doc_lo, segment.doc_hi, dead
+        )
+        assert_same_columns(segment.index.to_arrays()[1], want_index)
+        assert_same_columns(segment.rank_docs.to_arrays(), want_ranks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=FOLD_OPS)
+    # A document shorter than w, then a flush with an empty memtable.
+    @example(ops=[("add", (5, 0)), ("flush", None), ("flush", None),
+                  ("compact", None)])
+    # Every document in the folded span is tombstoned.
+    @example(ops=[("add", (20, 1)), ("add", (20, 2)), ("remove", 0),
+                  ("remove", 1), ("flush", None), ("add", (20, 3)),
+                  ("remove", 2), ("compact", None)])
+    def test_fold_equals_rebuild(self, ops):
+        run_fold_ops(ops, self.check_exact)
+
+    def test_colliding_hashes_merge_as_multisets(self, monkeypatch):
+        monkeypatch.setattr(
+            compact_module, "signature_hash", lambda sig: sum(sig) % 5
+        )
+
+        def check(store, ranks_of, segment, dead):
+            want_index, want_ranks = scratch_columns(
+                store, ranks_of, segment.doc_lo, segment.doc_hi, dead
+            )
+            got_index = segment.index.to_arrays()[1]
+            assert np.array_equal(got_index["keys"], want_index["keys"])
+            assert np.array_equal(got_index["offsets"], want_index["offsets"])
+            assert postings_by_key(got_index) == postings_by_key(want_index)
+            assert_same_columns(segment.rank_docs.to_arrays(), want_ranks)
+
+        rng = random.Random(5)
+        ops = []
+        for _ in range(4):
+            ops += [("add", (24, rng.randrange(10_000))) for _ in range(3)]
+            ops += [("remove", rng.randrange(64)), ("flush", None)]
+        run_fold_ops(ops + [("compact", None)], check)
+
+    def test_fold_leaves_decode_caches_alone(self):
+        rng = random.Random(6)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        texts = [make_tokens(rng) for _ in range(40)]
+        for start in (0, 20):  # each tier: more documents than cache entries
+            for tokens in texts[start:start + 20]:
+                store.add_tokens(tokens)
+            store.flush()
+        for doc_id in (7, 31):  # a hit in each tier fills its cache
+            store.searcher().search(
+                store.data.encode_query_tokens(texts[doc_id][:24])
+            )
+        store.remove(3)
+        segments = list(store._segments)
+        before = [list(t.rank_docs._cache.items()) for t in segments]
+        assert all(before)
+        assert store.compact() is not None
+        assert [list(t.rank_docs._cache.items()) for t in segments] == before
+        store.compacted_searcher()
+        assert not store._segments[-1].rank_docs._cache
+        store.close()
+
+    def test_fold_counters_report_merged_and_dropped_postings(self):
+        rng = random.Random(7)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        for _ in range(4):
+            store.add_tokens(make_tokens(rng))
+        store.flush()
+        merged = store._segments[-1].index.num_postings
+        counters = store.metrics_snapshot()["counters"]
+        assert counters["ingest.fold_postings_merged"] == merged
+        assert counters["ingest.fold_postings_dropped"] == 0
+        store.remove(0)
+        store.compact()
+        kept = store._segments[-1].index.num_postings
+        counters = store.metrics_snapshot()["counters"]
+        assert counters["ingest.fold_postings_merged"] == merged + kept
+        assert counters["ingest.fold_postings_dropped"] == merged - kept > 0
+        store.close()
+
+
+class TestNoOpRemove:
+    def test_repeat_remove_changes_nothing(self):
+        rng = random.Random(8)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        for _ in range(4):
+            store.add_tokens(make_tokens(rng))
+        store.remove(1)
+        state = (store.mutation_epoch, store.tombstone_epoch,
+                 store.metrics_snapshot()["counters"]["ingest.removes"])
+        store.remove(1)  # still tombstoned
+        assert (store.mutation_epoch, store.tombstone_epoch,
+                store.metrics_snapshot()["counters"]["ingest.removes"]) == state
+        store.compact()
+        assert not store.removed
+        store.remove(1)  # purged by the compaction
+        assert not store.removed
+        assert (store.mutation_epoch, store.tombstone_epoch) == state[:2]
+        assert store.compact() is None  # still fully compact
+        store.close()
+
+    def test_repeat_remove_writes_one_wal_record(self, tmp_path):
+        rng = random.Random(9)
+        directory = tmp_path / "store"
+        store = IngestStore.create(
+            PARAMS, directory=directory, data=DocumentCollection()
+        )
+        for _ in range(3):
+            store.add_tokens(make_tokens(rng))
+        store.remove(2)
+        store.remove(2)
+        store.close()
+        records = [
+            record
+            for _gen, path in wal_generations(directory)
+            for record in read_wal(path)[0]
+        ]
+        assert [r["op"] for r in records] == ["add", "add", "add", "remove"]
+        reopened = IngestStore.open(directory)
+        assert reopened.removed == {2}
+        assert reopened.metrics_snapshot()["counters"]["ingest.wal_replayed"] == 4
+        reopened.remove(2)  # still a no-op after replay
+        assert reopened.tombstone_epoch == 0
+        reopened.compact()
+        reopened.remove(2)
+        assert not reopened.removed
+        reopened.close()
 
 
 def drive_durable(directory, *, steps, seed=7):
