@@ -588,7 +588,6 @@ class Index:
                 self.params,
                 shards=shards,
                 replicas=replicas,
-                compact=True,
                 default_timeout=default_timeout,
                 hedge_after=hedge_after,
                 **kwargs,

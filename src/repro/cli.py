@@ -528,11 +528,8 @@ def _serve_sharded(args: argparse.Namespace) -> int:
                 f"docs=[{spec.doc_lo},{spec.doc_hi}) replica={worker.replica}",
                 flush=True,
             )
-        # With replicas the router's failover beats client retries (a
-        # retry hammers a dead worker; a failover moves past it).
-        retries = 0 if plan.replicas > 1 else 2
         router = ShardRouter(
-            backends_for_workers(workers, retries=retries),
+            backends_for_workers(workers),
             index.data,
             default_timeout=args.request_timeout,
             hedge_after=args.hedge_after,
@@ -543,8 +540,6 @@ def _serve_sharded(args: argparse.Namespace) -> int:
                 workers,
                 directory=shard_dir,
                 check_interval=args.check_interval,
-                cache_size=args.cache_size,
-                http_workers=args.workers,
             ).start()
         server = serve_http(
             router, host=args.host, port=args.port, verbose=args.verbose

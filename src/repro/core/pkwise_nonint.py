@@ -121,12 +121,3 @@ class PKWiseNonIntervalSearcher:
             f"tau={self.params.tau}, k_max={self.scheme.k_max})"
         )
 
-
-def non_partitioned_scheme(order: GlobalOrder, k: int, m: int = 1) -> PartitionScheme:
-    """All tokens in class ``k`` (the "Non-P" variant of Figure 6)."""
-    return PartitionScheme.all_k(order.universe_size, k, m=m)
-
-
-def standard_prefix_scheme(order: GlobalOrder) -> PartitionScheme:
-    """k_max = 1: standard prefix filtering as a pkwise special case."""
-    return PartitionScheme.single(order.universe_size)

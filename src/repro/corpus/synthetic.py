@@ -245,15 +245,6 @@ def effective_universe_size(data: DocumentCollection) -> int:
     return len(used)
 
 
-def zipf_expected_frequency(rank: int, size: int, s: float) -> float:
-    """Expected relative frequency of the ``rank``-th most common token.
-
-    Exposed for tests that validate the generator's distribution.
-    """
-    harmonic = sum(1.0 / (r**s) for r in range(1, size + 1))
-    return (1.0 / (rank**s)) / harmonic
-
-
 def log_log_slope(frequencies: list[int]) -> float:
     """Least-squares slope of log(frequency) vs log(rank).
 

@@ -132,7 +132,7 @@ class ServiceClosedError(ServiceError):
 class WorkerStartupError(ServiceError):
     """A spawned shard worker died (or hung) before it started serving.
 
-    Raised by :func:`~repro.service.shards.spawn_shard_workers` when a
+    Raised by :func:`~repro.service.workers.spawn_shard_workers` when a
     worker process exits before printing its ``SERVING`` line or fails
     to serve within the startup timeout.  Carries the worker's exit
     code (``None`` if it is still running) and the tail of its captured

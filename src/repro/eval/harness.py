@@ -172,14 +172,6 @@ class AggregateRun:
             f"results={self.num_results}"
         )
 
-    def worker_rows(self) -> list[str]:
-        """One formatted line per worker (empty for serial runs)."""
-        return [
-            f"worker {report.worker_id:<3} chunks={report.chunks:<4} "
-            f"queries={report.num_queries:<5} busy={report.seconds * 1e3:9.2f}ms"
-            for report in self.worker_reports
-        ]
-
     def to_dict(self, include_results: bool = False) -> dict:
         """JSON-ready dict of the run (no hand-rolled field lists).
 

@@ -51,7 +51,6 @@ Injection-point catalog (see ``docs/robustness.md`` for semantics):
 ``replica``), ``shards.failover`` (before a failover sub-request to
 the next replica of a failed shard, context ``shard``, ``replica``),
 ``shards.gather`` (merging one shard's reply, context ``shard``),
-``shards.swap`` (rolling snapshot swap of one shard, context ``shard``),
 ``supervisor.restart`` (before respawning a dead shard worker, context
 ``shard``, ``replica``), ``supervisor.readmit`` (before the restarted
 worker's health + generation gate, context ``shard``, ``replica``),

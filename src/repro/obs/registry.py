@@ -199,11 +199,6 @@ class MetricsRegistry:
         return self
 
     # ------------------------------------------------------------------
-    def as_flat_dict(self) -> dict:
-        """``{name: value}`` across all kinds (for table-style reports)."""
-        return {name: metric.value if not isinstance(metric, Timer) else metric.seconds
-                for name, metric in sorted(self._metrics.items())}
-
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 

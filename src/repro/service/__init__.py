@@ -17,15 +17,17 @@ thread-safe query service:
   --server`` CLI path — plus :class:`ResilientClient`, the production
   wrapper with jittered retries, a deadline budget, and a circuit
   breaker (``repro query --retries/--timeout``).
-* :mod:`~repro.service.shards` — sharded scatter-gather serving:
+* Sharded scatter-gather serving (``repro serve --shards N --replicas
+  R``), one module per decision: :mod:`~repro.service.plan` —
   :class:`ShardPlan` partitions a corpus into compact snapshot shards
   (times ``replicas`` workers per shard) with a persisted manifest;
-  :class:`ShardRouter` fans every query out to one replica per shard
-  (in-process services or HTTP workers), fails over to sibling
-  replicas before declaring a shard dead, merges pairs in canonical
-  order, hedges slow shards, reports dead shards as partial results,
-  and swaps in new snapshot generations without stopping serving
-  (``repro serve --shards N --replicas R``).
+  :mod:`~repro.service.router` — :class:`ShardRouter` fans every query
+  out to one replica per shard (in-process services or HTTP workers),
+  fails over to sibling replicas before declaring a shard dead, merges
+  pairs in canonical order, hedges slow shards and reports dead shards
+  as partial results (a read path only: ``/ingest`` and ``/remove``
+  answer 405 on a router); :mod:`~repro.service.workers` — spawning
+  and stopping the worker processes, and the one worker → backend rule.
 * :class:`~repro.service.supervisor.ShardSupervisor` — self-healing
   supervision of the spawned worker processes: detects death, restarts
   from the snapshot, re-admits after health + generation checks, and
@@ -42,22 +44,22 @@ from .client import (
 )
 from .http import ServiceHTTPServer, ServiceRequestHandler, serve_http
 from .service import SearchService, ServiceFuture, ServiceResponse
-from .shards import (
+from .plan import ShardPlan, ShardSpec, partition_ranges
+from .router import (
     HTTPShardBackend,
     LocalShardBackend,
     ReplicaSet,
     RouterResponse,
-    ShardPlan,
     ShardRouter,
-    ShardSpec,
+)
+from .supervisor import ShardSupervisor
+from .workers import (
     ShardWorker,
     backends_for_workers,
-    partition_ranges,
     spawn_one_worker,
     spawn_shard_workers,
     stop_shard_workers,
 )
-from .supervisor import ShardSupervisor
 
 __all__ = [
     "SearchService",

@@ -4,8 +4,9 @@ Deliberately minimal — ``urllib`` only, blocking — so scripts, the CI
 smoke job, and ``repro query --server`` need no HTTP dependency.
 Server-side errors surface as the same typed exceptions the in-process
 service raises (429 → :class:`~repro.errors.ServiceOverloadError`,
-504 → :class:`~repro.errors.DeadlineExceededError`), so callers can
-share retry logic between local and remote use.
+504 → :class:`~repro.errors.DeadlineExceededError`, 405 →
+:class:`~repro.errors.ServiceError`), so callers can share retry logic
+between local and remote use.
 
 Two layers:
 
@@ -89,6 +90,10 @@ def _typed_http_error(code: int, message: str, body: dict) -> ReproError:
         error = DeadlineExceededError(message)
     elif code == 503:
         error = ServiceClosedError(message)
+    elif code == 405:
+        # e.g. a write sent to a read-only shard router: the tier, not
+        # the request body, is wrong — and no retry will change that.
+        error = ServiceError(message)
     else:
         error = ReproError(message)
     error.status = code

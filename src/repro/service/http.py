@@ -14,7 +14,7 @@ endpoints:
     the same query as a URL parameter for curl-friendliness.  Replies
     ``{"pairs": [[doc_id, data_start, query_start, overlap], ...],
     "num_pairs": N, "cached": bool, "seconds": s, "index_epoch": e}``.
-    When the service is a :class:`~repro.service.shards.ShardRouter`
+    When the service is a :class:`~repro.service.router.ShardRouter`
     and some shards failed, the reply additionally carries
     ``"partial": true`` and ``"failures": [QueryFailure dicts]`` —
     the pairs cover the shards that answered.  Overload maps to ``429``
@@ -27,7 +27,9 @@ endpoints:
     soon as the reply is sent.
 ``POST /remove``
     JSON body ``{"doc_id": N}``: tombstone one document.  Unknown ids
-    map to ``404``.
+    map to ``404``.  A :class:`~repro.service.router.ShardRouter` is a
+    read path only: behind one, ``/ingest`` and ``/remove`` answer
+    ``405`` with a JSON error (writes go to ``repro serve --live``).
 ``GET /healthz``
     Liveness and index state (documents, epoch, queue depth, uptime,
     plus an ``ingest`` block — memtable size, segment count,
@@ -58,6 +60,7 @@ from ..errors import (
     ServiceError,
     ServiceOverloadError,
 )
+from .router import ShardRouter
 from .service import SearchService
 
 #: Largest accepted /search request body, in bytes (64 MiB): a query
@@ -143,6 +146,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         if url.path == "/search":
             self._search(payload)
+        elif isinstance(self.server.service, ShardRouter):
+            self._reply_error(
+                405,
+                f"{url.path} is not served by a shard router (read-only); "
+                "send writes to a single live index: repro serve --live",
+                headers={"Allow": ""},
+            )
         elif url.path == "/ingest":
             self._ingest(payload)
         else:
@@ -279,10 +289,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 class ServiceHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to one :class:`SearchService`.
 
-    Anything duck-typing the service surface (``search`` /
-    ``search_text`` / ``healthz`` / ``metrics_snapshot``) works too —
-    notably :class:`~repro.service.shards.ShardRouter`, which fronts N
-    shard workers behind the exact same three endpoints.
+    A :class:`~repro.service.router.ShardRouter` (``search`` /
+    ``search_text`` / ``healthz`` / ``metrics_snapshot``) is fronted
+    the same way: N shard workers behind the same three read endpoints,
+    the two write endpoints refused with ``405``.
 
     ``port=0`` binds an OS-assigned ephemeral port; read the final
     address from :attr:`server_address`.
@@ -292,7 +302,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
     def __init__(
         self,
-        service: SearchService,
+        service: SearchService | ShardRouter,
         host: str = "127.0.0.1",
         port: int = 8080,
         verbose: bool = False,
@@ -309,7 +319,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 
 def serve_http(
-    service: SearchService,
+    service: SearchService | ShardRouter,
     host: str = "127.0.0.1",
     port: int = 8080,
     verbose: bool = False,

@@ -1,7 +1,7 @@
 """Self-healing supervision for shard worker processes.
 
 :class:`ShardSupervisor` owns the ``repro serve`` worker processes
-behind a :class:`~repro.service.shards.ShardRouter` and closes the last
+behind a :class:`~repro.service.router.ShardRouter` and closes the last
 operator-in-the-loop gap in the serving stack: a SIGKILLed worker is
 detected, restarted from its snapshot, and re-admitted to routing —
 ``/healthz`` returns to ``ok`` with no human action.  The router's
@@ -18,19 +18,23 @@ Each replica walks a small state machine::
   ``poll()``\\ ed (a reaped process is dead, no RPC needed) and, when
   alive, probed over ``/healthz``; either failing marks the replica
   dead and immediately deprioritizes it in the router
-  (:meth:`~repro.service.shards.ShardRouter.mark_replica_down`).
+  (:meth:`~repro.service.router.ShardRouter.mark_replica_down`).
 * **Restart** — the replica's shard spec is re-read from the plan
-  manifest when a plan directory is known, so a restart that races a
-  rolling swap spawns the *current* generation, then the worker is
-  respawned via :func:`~repro.service.shards.spawn_one_worker`.
+  manifest when a plan directory is known, so a restart after a new
+  generation was written into the directory spawns the *current*
+  generation, then the worker is respawned via
+  :func:`~repro.service.workers.spawn_one_worker` with the settings
+  the dead worker was spawned with.
 * **Re-admission** — the restarted worker rejoins routing
-  (:meth:`~repro.service.shards.ShardRouter.replace_replica` +
-  :meth:`~repro.service.shards.ShardRouter.readmit_replica`) only after
+  (:meth:`~repro.service.router.ShardRouter.replace_replica` +
+  :meth:`~repro.service.router.ShardRouter.readmit_replica`) only after
   it passes a health check **and** a generation-consistency check
   against the manifest.  A worker serving a stale generation — the
   manifest moved while it was starting — is killed and retried rather
   than re-admitted: one stale replica would silently answer queries
-  from the old corpus generation.
+  from the old corpus generation.  Its backend comes from
+  :func:`~repro.service.workers.backend_for_worker`, the same rule
+  start-up uses, so a healed replica keeps its retry budget.
 * **Quarantine** — a replica whose crash streak exceeds
   ``max_crash_streak`` is parked for an exponentially growing backoff
   (``backoff_base * 2^excess``, capped at ``backoff_cap``) instead of
@@ -58,10 +62,11 @@ from .. import faults
 from ..errors import ReplicaQuarantinedError, WorkerStartupError
 from ..obs import MetricsRegistry
 from .client import remote_healthz
-from .shards import (
-    HTTPShardBackend,
-    ShardPlan,
+from .plan import ShardPlan
+from .router import HTTPShardBackend
+from .workers import (
     ShardWorker,
+    backend_for_worker,
     spawn_one_worker,
     stop_shard_workers,
 )
@@ -100,17 +105,17 @@ class ShardSupervisor:
     Parameters
     ----------
     router:
-        The :class:`~repro.service.shards.ShardRouter` whose replica
+        The :class:`~repro.service.router.ShardRouter` whose replica
         slots this supervisor heals.
     workers:
-        The :class:`~repro.service.shards.ShardWorker`\\ s backing the
+        The :class:`~repro.service.workers.ShardWorker`\\ s backing the
         router's backends, as returned by
-        :func:`~repro.service.shards.spawn_shard_workers`.
+        :func:`~repro.service.workers.spawn_shard_workers`.
     directory:
         The shard-plan directory.  When given, restarts re-read the
         manifest so they always spawn the current generation; when
-        ``None`` the original spec is reused (fine without rolling
-        swaps).
+        ``None`` only injected ``spawn_worker`` collaborators can
+        restart, from the original spec.
     check_interval:
         Seconds between liveness sweeps of the monitor thread.
     health_timeout:
@@ -138,9 +143,6 @@ class ShardSupervisor:
         max_crash_streak: int = 3,
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
-        startup_timeout: float = 60.0,
-        cache_size: int | None = None,
-        http_workers: int | None = None,
         spawn_worker=None,
         make_backend=None,
         probe=None,
@@ -154,9 +156,6 @@ class ShardSupervisor:
         self.max_crash_streak = max_crash_streak
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.startup_timeout = startup_timeout
-        self.cache_size = cache_size
-        self.http_workers = http_workers
         self.name = name
         self._spawn_worker = spawn_worker or self._default_spawn
         self._make_backend = make_backend or self._default_backend
@@ -184,27 +183,15 @@ class ShardSupervisor:
             raise WorkerStartupError(
                 "supervisor has no plan directory to respawn workers from"
             )
+        dead = self._records[(spec.shard_id, replica)].worker
         return spawn_one_worker(
-            self.directory,
-            spec,
-            replica=replica,
-            cache_size=self.cache_size,
-            workers=self.http_workers,
-            startup_timeout=self.startup_timeout,
+            self.directory, spec, replica=replica, **dead.spawn_settings
         )
 
     def _default_backend(self, worker: ShardWorker) -> HTTPShardBackend:
-        # retries=0: the router's failover handles a flaky replacement
-        # better than client-side retries against it would.
-        return HTTPShardBackend(
-            worker.url,
-            shard_id=worker.spec.shard_id,
-            doc_lo=worker.spec.doc_lo,
-            doc_hi=worker.spec.doc_hi,
-            replica=worker.replica,
-            retries=0,
-            pid=worker.pid,
-        )
+        shard_id = worker.spec.shard_id
+        replicas = sum(1 for shard, _ in self._records if shard == shard_id)
+        return backend_for_worker(worker, replicas=replicas)
 
     def _default_probe(self, worker: ShardWorker) -> dict:
         return remote_healthz(worker.url, http_timeout=self.health_timeout)
@@ -392,16 +379,16 @@ class ShardSupervisor:
                     f"{health.get('status')!r}, not ok"
                 )
             # Generation-consistency rule: never re-admit a replica
-            # serving an older generation than the manifest — a rolling
-            # swap that landed while the worker was starting would
-            # otherwise leave one replica silently answering from the
-            # old corpus.
+            # serving an older generation than the manifest — a new
+            # generation that landed while the worker was starting
+            # would otherwise leave one replica silently answering from
+            # the old corpus.
             current = self._current_spec(shard_id, new_worker.spec)
             if new_worker.spec.generation != current.generation:
                 raise WorkerStartupError(
                     f"restarted worker serves generation "
                     f"{new_worker.spec.generation}, manifest moved to "
-                    f"{current.generation} (mid-rolling-swap); not re-admitting"
+                    f"{current.generation}; not re-admitting"
                 )
             backend = self._make_backend(new_worker)
             self.router.replace_replica(shard_id, replica, backend)

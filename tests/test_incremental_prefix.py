@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PartitionScheme
-from repro.signatures import (
-    IncrementalPrefixLength,
-    SignatureStream,
-    prefix_length,
-)
+from repro.signatures import IncrementalPrefixLength, prefix_length
 
 
 def random_setup(rng: random.Random):
@@ -60,24 +56,6 @@ class TestAgainstRescan:
                 assert maintainer.coverage == tau + 1
             else:
                 assert maintainer.coverage <= tau + 1
-
-
-class TestStreamEngines:
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 10_000_000))
-    def test_incremental_and_rescan_streams_identical(self, seed):
-        rng = random.Random(seed)
-        scheme, w, tau, ranks = random_setup(rng)
-        incremental = SignatureStream(ranks, w, tau, scheme, incremental=True)
-        rescan = SignatureStream(ranks, w, tau, scheme, incremental=False)
-        events_a = list(incremental.events())
-        events_b = list(rescan.events())
-        assert len(events_a) == len(events_b)
-        for a, b in zip(events_a, events_b):
-            assert a.start == b.start
-            assert sorted(a.opened) == sorted(b.opened)
-            assert sorted(a.closed) == sorted(b.closed)
-            assert a.final == b.final
 
 
 class TestEdgeCases:

@@ -1,17 +1,14 @@
-"""Tests for repro.service.shards: plans, router parity, faults, swaps."""
+"""Tests for sharded serving: plans (service.plan), router parity, faults."""
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 
 import pytest
 
 from repro import (
     ConfigurationError,
-    DocumentCollection,
-    FaultInjectionError,
     FaultPlan,
     FaultSpec,
     Index,
@@ -22,18 +19,17 @@ from repro import (
 )
 from repro.errors import ServiceClosedError
 from repro.eval.harness import canonical_pair_order
-from repro.persistence import generation_name
+from repro.persistence import generation_name, load_bundle
 from repro.service import (
-    ShardPlan,
-    ShardRouter,
-    partition_ranges,
+    ResilientClient,
+    SearchService,
     remote_healthz,
     remote_search,
     serve_http,
 )
-from repro.service.shards import MANIFEST_NAME
-
-from .conftest import pairs_as_set
+from repro.service.client import _request
+from repro.service.plan import MANIFEST_NAME, ShardPlan, partition_ranges
+from repro.service.router import LocalShardBackend, ShardRouter
 
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
 
@@ -186,9 +182,22 @@ class TestRouterParity:
     def test_snapshot_router_matches_single_index(
         self, small_corpus, query, tmp_path, shards
     ):
+        # A plan's snapshot files behind in-process services: what the
+        # worker processes map, without spawning them.
         single = expected_pairs(small_corpus, query)
-        ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=shards)
-        with ShardRouter.open(tmp_path, mmap=True) as router:
+        plan = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=shards)
+        backends = []
+        for spec in plan.shards:
+            bundle = load_bundle(tmp_path / spec.path, mmap=True)
+            backends.append(
+                LocalShardBackend(
+                    SearchService(bundle.searcher, bundle.data),
+                    shard_id=spec.shard_id,
+                    doc_lo=spec.doc_lo,
+                    doc_hi=spec.doc_hi,
+                )
+            )
+        with ShardRouter(backends, small_corpus) as router:
             assert list(router.search(query).pairs) == single
 
     def test_index_serve_shards_facade(self, small_corpus, query):
@@ -270,26 +279,6 @@ class TestPartialResults:
                 router.search(query)
             assert len(excinfo.value.failures) == 3
 
-    def test_search_many_tags_query_positions(self, small_corpus, query):
-        with ShardRouter.local(small_corpus, PARAMS, shards=3) as router:
-            faults.install_plan(
-                FaultPlan(
-                    [
-                        FaultSpec(
-                            point="shards.scatter",
-                            kind="raise",
-                            match={"shard": 2},
-                        )
-                    ]
-                )
-            )
-            run = router.search_many([query, query])
-            assert sorted(run.results_by_query) == [0, 1]
-            assert [f.position for f in run.failures] == [0, 1]
-            assert all(
-                f.query_name.endswith("@shard-002") for f in run.failures
-            )
-
     def test_http_partial_reply_shape(self, small_corpus, query):
         with ShardRouter.local(small_corpus, PARAMS, shards=3) as router:
             faults.install_plan(
@@ -359,143 +348,87 @@ class TestHedging:
 
 
 # ----------------------------------------------------------------------
-def _mutated_corpus(small_corpus, doc_id=0):
-    """Same shape (doc count + token counts) with ``doc_id`` rewritten,
-    so a rebuilt ShardPlan has identical ranges but different matches.
-    Shares the parent vocabulary so old-vocab queries stay comparable."""
-    data = DocumentCollection(
-        tokenizer=small_corpus.tokenizer,
-        vocabulary=small_corpus.vocabulary,
+class TestRouterIsReadOnly:
+    @pytest.mark.parametrize(
+        "path, body",
+        [("/ingest", {"text": "alpha beta gamma"}), ("/remove", {"doc_id": 0})],
+        ids=["ingest", "remove"],
     )
-    for doc in small_corpus:
-        words = small_corpus.vocabulary.decode(doc.tokens)
-        if doc.doc_id == doc_id:
-            words = [f"swapped{i}" for i in range(len(words))]
-        data.add_tokens(words)
-    return data
-
-
-class TestRollingSwap:
-    def test_rolling_swap_changes_results_and_epochs(
-        self, small_corpus, query, tmp_path
+    def test_write_verbs_answer_405_and_serving_continues(
+        self, small_corpus, query, path, body
     ):
-        ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=3)
-        with ShardRouter.open(tmp_path, mmap=True) as router:
-            before = router.search(query)
-            assert before.pairs
-            epoch_before = router.index_epoch
-            mutated = _mutated_corpus(small_corpus, doc_id=0)
-            ShardPlan.build(
-                mutated, PARAMS, tmp_path, num_shards=3, generation=2
+        single = expected_pairs(small_corpus, query)
+        with ShardRouter.local(small_corpus, PARAMS, shards=2) as router:
+            server = serve_http(router, port=0)
+            thread = threading.Thread(
+                target=server.serve_forever, daemon=True
             )
-            assert router.rolling_swap(tmp_path) == 2
-            after = router.search(query)
-            assert router.index_epoch > epoch_before
-            # Doc 0 was rewritten: its matches are gone, doc 3's stay.
-            assert not after.cached
-            after_docs = {p.doc_id for p in after.pairs}
-            assert 0 not in after_docs
-            assert 3 in after_docs
-            expected = expected_pairs(mutated, query)
-            assert list(after.pairs) == expected
-
-    def test_swap_is_atomic_per_shard_under_live_queries(
-        self, small_corpus, query, tmp_path
-    ):
-        """Each shard's slice of every response is wholly old or new."""
-        ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=3)
-        mutated = _mutated_corpus(small_corpus, doc_id=0)
-        old = pairs_as_set(expected_pairs(small_corpus, query))
-        new = pairs_as_set(expected_pairs(mutated, query))
-        assert old != new
-        with ShardRouter.open(tmp_path, mmap=True) as router:
-            shard_ranges = [
-                (b.doc_lo, b.doc_hi) for b in router.backends
-            ]
-
-            def slices(pair_set):
-                return [
-                    frozenset(p for p in pair_set if lo <= p[0] < hi)
-                    for lo, hi in shard_ranges
-                ]
-
-            old_slices, new_slices = slices(old), slices(new)
-            errors: list[str] = []
-            stop = threading.Event()
-
-            def stream():
-                while not stop.is_set():
-                    got = slices(pairs_as_set(router.search(query)))
-                    for shard, observed in enumerate(got):
-                        if observed not in (
-                            old_slices[shard],
-                            new_slices[shard],
-                        ):
-                            errors.append(
-                                f"shard {shard} served a mixed "
-                                f"generation: {sorted(observed)}"
-                            )
-                            stop.set()
-
-            thread = threading.Thread(target=stream, daemon=True)
             thread.start()
             try:
-                time.sleep(0.05)
-                ShardPlan.build(
-                    mutated, PARAMS, tmp_path, num_shards=3, generation=2
+                sent = []
+
+                def send(http_timeout):
+                    sent.append(path)
+                    return _request(
+                        f"{server.url}{path}", body, timeout=http_timeout
+                    )
+
+                client = ResilientClient(server.url, retries=3)
+                with pytest.raises(ServiceError, match="repro serve --live") as info:
+                    client._call(send)
+                assert info.value.status == 405
+                assert sent == [path], "a 405 must not be retried"
+                reply = remote_search(
+                    server.url, token_ids=list(query.tokens)
                 )
-                router.rolling_swap(tmp_path)
-                time.sleep(0.05)
+                assert [tuple(p) for p in reply["pairs"]] == [
+                    tuple(p) for p in single
+                ]
             finally:
-                stop.set()
-                thread.join(timeout=10)
-            assert not errors, errors[0]
-            assert pairs_as_set(router.search(query)) == new
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=5)
 
-    def test_swap_invalidates_cache(self, small_corpus, query, tmp_path):
-        ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
-        with ShardRouter.open(tmp_path, mmap=True) as router:
-            first = router.search(query)
-            assert router.search(query).cached
-            mutated = _mutated_corpus(small_corpus, doc_id=0)
-            ShardPlan.build(
-                mutated, PARAMS, tmp_path, num_shards=2, generation=2
-            )
-            router.rolling_swap(tmp_path)
-            fresh = router.search(query)
-            assert not fresh.cached
-            assert pairs_as_set(fresh) != pairs_as_set(first)
 
-    def test_swap_fault_point_fires(self, small_corpus, tmp_path):
-        ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
-        with ShardRouter.open(tmp_path, mmap=True) as router:
-            faults.install_plan(
-                FaultPlan(
-                    [
-                        FaultSpec(
-                            point="shards.swap",
-                            kind="raise",
-                            match={"shard": 1},
-                        )
-                    ]
-                )
-            )
-            searcher = PKWiseSearcher(
-                small_corpus.subset(
-                    range(router.backends[1].doc_lo, router.backends[1].doc_hi)
-                ),
-                PARAMS,
-            )
-            with pytest.raises(FaultInjectionError):
-                router.swap_shard(1, searcher)
+def test_service_public_names():
+    """The plan/router/workers split exports what ``shards.py`` did."""
+    import importlib
 
-    def test_remove_document_routes_to_owner(self, small_corpus, query):
-        with ShardRouter.local(small_corpus, PARAMS, shards=3) as router:
-            before = pairs_as_set(router.search(query))
-            assert any(p[0] == 3 for p in before)
-            router.remove_document(3)
-            after = pairs_as_set(router.search(query))
-            assert not any(p[0] == 3 for p in after)
-            assert after == {p for p in before if p[0] != 3}
-            with pytest.raises(ConfigurationError):
-                router.remove_document(10_000)
+    import repro.service
+
+    assert sorted(repro.service.__all__) == sorted(
+        [
+            "SearchService",
+            "ServiceFuture",
+            "ServiceResponse",
+            "ResultCache",
+            "CacheKey",
+            "query_token_hash",
+            "ServiceHTTPServer",
+            "ServiceRequestHandler",
+            "serve_http",
+            "remote_search",
+            "remote_healthz",
+            "remote_metrics",
+            "ResilientClient",
+            "CircuitBreaker",
+            "ShardPlan",
+            "ShardSpec",
+            "ShardRouter",
+            "ShardSupervisor",
+            "ReplicaSet",
+            "RouterResponse",
+            "LocalShardBackend",
+            "HTTPShardBackend",
+            "ShardWorker",
+            "partition_ranges",
+            "spawn_one_worker",
+            "spawn_shard_workers",
+            "stop_shard_workers",
+            "backends_for_workers",
+        ]
+    )
+    for name in repro.service.__all__:
+        assert hasattr(repro.service, name), name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.service.shards")

@@ -36,20 +36,20 @@ from repro import (
 from repro.errors import WorkerStartupError
 from repro.eval.harness import canonical_pair_order
 from repro.persistence import generation_name
-from repro.service import (
-    ShardPlan,
-    ShardRouter,
-    ShardSupervisor,
-    ShardWorker,
-    backends_for_workers,
-    spawn_shard_workers,
-    stop_shard_workers,
-)
-from repro.service.shards import ShardSpec, _read_serving_line
+from repro.service.plan import ShardPlan, ShardSpec
+from repro.service.router import ShardRouter
 from repro.service.supervisor import (
     STATE_DEAD,
     STATE_OK,
     STATE_QUARANTINED,
+    ShardSupervisor,
+)
+from repro.service.workers import (
+    ShardWorker,
+    _read_serving_line,
+    backends_for_workers,
+    spawn_shard_workers,
+    stop_shard_workers,
 )
 
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
@@ -221,7 +221,7 @@ class TestRouterReplicaAdmin:
             assert router.num_shards == 2
             assert len(router.backends) == 2
             assert [b.replica for b in router.backends] == [0, 0]
-            assert len(router.all_backends) == 4
+            assert [len(rset) for rset in router.replica_sets] == [2, 2]
 
     def test_mark_and_readmit_roundtrip(self, small_corpus):
         with ShardRouter.local(
@@ -514,7 +514,7 @@ class TestSupervisorStateMachine:
         assert router.readmitted == [(0, 0)]
 
     def test_stale_generation_is_never_readmitted(self, tmp_path):
-        # The manifest has moved to generation 2 (a rolling swap), but
+        # The manifest has moved to generation 2 (a rebuilt plan), but
         # the respawned worker reports generation 1: re-admitting it
         # would serve stale pairs from one replica, so the supervisor
         # must refuse, kill it, and retry with the current spec.
@@ -551,6 +551,21 @@ class TestSupervisorStateMachine:
         assert record["state"] == STATE_OK
         assert router.readmitted == [(0, 0)]
         assert supervisor.workers[0].spec.generation == 2
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_readmitted_backend_keeps_startup_retry_budget(self, replicas):
+        # One worker → backend rule: the backend a healed replica gets
+        # carries the retry budget start-up gave the one it replaces.
+        workers = [make_worker(make_spec(), r) for r in range(replicas)]
+        at_startup = backends_for_workers(workers)
+        supervisor, router, _clock, _ = self.make_supervisor(
+            workers, make_backend=None
+        )
+        workers[0].process.die(-9)
+        supervisor.check_once()
+        (_, _, healed), = router.replaced
+        assert healed._client.retries == at_startup[0]._client.retries
+        assert healed._client.retries == (2 if replicas == 1 else 0)
 
     def test_supervisor_fault_points_fire(self):
         worker = make_worker(make_spec())
@@ -641,7 +656,7 @@ class TestEndToEndSelfHealing:
         supervisor = None
         try:
             router = ShardRouter(
-                backends_for_workers(workers, retries=0),
+                backends_for_workers(workers),
                 small_corpus,
             )
             supervisor = ShardSupervisor(
