@@ -15,8 +15,9 @@ Three questions, answered on the fig8-style synthetic workload:
    run must finish with zero quarantined queries, results identical to
    the clean run, and the slowdown is reported as ``recovery_cost``.
 
-Emits ``BENCH_faults.json`` at the repo root; ``--metrics-out`` writes
-the snapshot layout ``benchmarks/check_regression.py`` diffs.  Exits
+Emits ``BENCH_faults.json`` at the repo root (untracked);
+``--metrics-out`` writes the snapshot layout
+``benchmarks/check_regression.py`` diffs.  Exits
 non-zero on any parity failure or unrecovered kill, so the CI
 ``fault-injection`` job doubles as a correctness gate.
 

@@ -5,8 +5,7 @@ Runs the fig8 query workload (synthetic REUTERS by default) serially and
 at 1/2/4/8 workers through :class:`repro.ParallelExecutor`, covering all
 three parallel grains — query sharding, index construction, and the
 self-join — and emits a machine-readable ``BENCH_parallel.json`` at the
-repo root (the start of the perf trajectory; later PRs append newer
-records next to it for comparison).
+repo root (untracked; pass ``--out`` to write elsewhere).
 
 Every parallel run is parity-checked against the serial result; the
 process exits non-zero on any mismatch, so CI smoke runs double as

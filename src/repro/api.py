@@ -347,8 +347,9 @@ class Index:
 
         ``routing`` sets (on creation) or overrides (on resume) the
         store's :class:`~repro.RoutingPolicy` — new memtables maintain
-        fingerprints incrementally; frozen tiers fall back to lazily
-        built ones.
+        fingerprints incrementally; segments keep the fingerprints
+        they were saved with, and a tier without any builds its own on
+        the first routed query.
         """
         from .ingest import IngestStore
         from .ingest.manifest import MANIFEST_NAME

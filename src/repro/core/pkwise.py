@@ -262,15 +262,13 @@ class PKWiseSearcher:
     #: loader's mmap path) is used as-is; ``None`` means the snapshot carries no fingerprints
     #: and routed queries raise :class:`RoutingUnavailableError`.
     _routing_tier = "auto"
-    _routing_memo = None
 
     def routing_fingerprints(self) -> FingerprintTier:
         """The document fingerprint tier gating this searcher's queries.
 
-        Lazily built (and memoized, keyed on corpus size so live adds
-        invalidate it) when the slot is ``"auto"``; the build is
-        deterministic, so serial, fork, and spawn workers reconstruct
-        byte-identical tiers.
+        Built on the first routed query when the slot is ``"auto"`` and
+        kept in the slot; the build is deterministic, so serial, fork,
+        and spawn workers reconstruct byte-identical tiers.
         """
         tier = self._routing_tier
         if tier is None:
@@ -279,21 +277,11 @@ class PKWiseSearcher:
                 "with a routing policy (mode != 'off') or query with "
                 "routing mode 'off'"
             )
-        if isinstance(tier, FingerprintTier):
-            return tier
-        ndocs = len(self.rank_docs)
-        memo = self._routing_memo
-        if memo is not None and memo[0] == ndocs:
-            return memo[1]
-        policy = self.params.routing
-        built = FingerprintTier.from_rank_docs(
-            self.rank_docs,
-            block_len=max(policy.block_tokens, self.params.w),
-            bands=policy.bands,
-            doc_lo=getattr(self.rank_docs, "doc_lo", 0),
-        )
-        self._routing_memo = (ndocs, built)
-        return built
+        if not isinstance(tier, FingerprintTier):
+            tier = self._routing_tier = FingerprintTier.from_rank_docs(
+                self.rank_docs, **self.params.routing.layout(self.params.w)
+            )
+        return tier
 
     def _route_query(
         self, query_ranks, policy: RoutingPolicy, stats: SearchStats

@@ -205,12 +205,10 @@ class AggregateRun:
         """The run as a structured :mod:`repro.obs` metrics snapshot.
 
         This is the canonical machine-readable record behind the CLI's
-        ``--metrics-out`` flag and the benchmark JSON files: the search
-        counters/timers from the registry plus run-level metrics under
-        the ``run.`` prefix.  The counter section is execution-path
-        independent — serial and ``--jobs N`` runs of one workload
-        produce identical counters — which is what
-        ``benchmarks/check_regression.py`` diffs across records.
+        ``--metrics-out`` flag: the search counters/timers from the
+        registry plus run-level metrics under the ``run.`` prefix.  The
+        counter section is execution-path independent — serial and
+        ``--jobs N`` runs of one workload produce identical counters.
         """
         registry = self.stats.to_registry()
         registry.counter("run.num_queries").inc(self.num_queries)

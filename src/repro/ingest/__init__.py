@@ -24,7 +24,7 @@ from .manifest import ManifestState, read_manifest, write_manifest
 from .memtable import Memtable
 from .searcher import LSMSearcher
 from .store import CompactionPolicy, IngestStore
-from .tiered import Tier, TieredIntervalIndex, TieredRankDocs
+from .tiered import Tier, TieredFingerprints, TieredIntervalIndex, TieredRankDocs
 from .wal import WriteAheadLog, read_wal, wal_generations, wal_name
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "ManifestState",
     "Memtable",
     "Tier",
+    "TieredFingerprints",
     "TieredIntervalIndex",
     "TieredRankDocs",
     "WriteAheadLog",

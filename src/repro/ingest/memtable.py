@@ -39,7 +39,7 @@ class Memtable:
         #: First global doc id this memtable covers.
         self.doc_lo = doc_lo
         #: Store-wide tier generation (monotone across memtables and
-        #: segments; the per-segment cache epoch vector is built from it).
+        #: segments; names the WAL and segment files).
         self.generation = generation
         self.index = IntervalIndex(params.w, params.tau, scheme)
         #: Local-id rank sequences (``rank_docs[i]`` is global doc
@@ -48,13 +48,12 @@ class Memtable:
         self.total_tokens = 0
         #: Routing fingerprints, maintained on insert when the store's
         #: policy enables the tier (``None`` otherwise — a per-request
-        #: routed query then falls back to a lazily built tier).
+        #: routed query then builds them on demand, see
+        #: :class:`~repro.ingest.tiered.TieredFingerprints`).
         routing = params.routing
         if routing.enabled:
             self.fingerprints = FingerprintTier(
-                block_len=max(routing.block_tokens, params.w),
-                bands=routing.bands,
-                doc_lo=doc_lo,
+                doc_lo=doc_lo, **routing.layout(params.w)
             )
         else:
             self.fingerprints = None

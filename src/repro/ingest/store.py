@@ -5,7 +5,7 @@ One store owns everything mutable about a live corpus:
 * the **active memtable** (dict-backed, search-visible immediately),
 * the ordered list of frozen tiers — compact **segments** plus any
   sealed memtables a fold has not consumed yet,
-* the **tombstone** set and the epoch counters caches key on,
+* the **tombstone** set and the mutation epoch result caches key on,
 * the **WAL** (durable stores) and the **manifest** snapshot,
 * the optional background **compactor** thread.
 
@@ -51,7 +51,7 @@ from ..persistence import (
     load_bundle,
     save_searcher,
 )
-from ..service.cache import ResultCache
+from ..routing import FingerprintTier
 from .manifest import (
     SEGMENT_STEM,
     ManifestState,
@@ -63,9 +63,6 @@ from .memtable import Memtable
 from .searcher import LSMSearcher
 from .tiered import Tier
 from .wal import WriteAheadLog, read_wal, wal_generations, wal_name
-
-#: Segment-cache capacity (frozen-part results; see LSMSearcher).
-DEFAULT_SEGMENT_CACHE = 128
 
 
 class CompactionPolicy:
@@ -144,6 +141,14 @@ def _copy_collection(data: DocumentCollection) -> DocumentCollection:
     return clone
 
 
+def _stored_fingerprints(searcher, doc_lo: int) -> FingerprintTier | None:
+    """The fingerprints ``searcher`` already carries (loaded from its
+    snapshot, or built by a save or a routed query), re-based to the
+    tier's global doc range; ``None`` leaves the tier to build them."""
+    stored = searcher._routing_tier
+    return stored.rebased(doc_lo) if isinstance(stored, FingerprintTier) else None
+
+
 class IngestStore:
     """Log-structured write path over memtable + segment tiers.
 
@@ -163,7 +168,6 @@ class IngestStore:
         directory=None,
         policy=None,
         fsync: bool = False,
-        cache_size: int = DEFAULT_SEGMENT_CACHE,
     ) -> None:
         self.params = params
         self.order = order
@@ -184,13 +188,9 @@ class IngestStore:
         self.removed: set[int] = set()
         #: Bumped by every add/remove; the service-level cache epoch.
         self.mutation_epoch = 0
-        #: Bumped by removes only; leading element of the segment-cache
-        #: epoch vector, so adds leave frozen-part results warm.
-        self.tombstone_epoch = 0
         self._wal: WriteAheadLog | None = None
         self._seq = 0
         self._snapshot: _SealedSnapshot | None = None
-        self.segment_cache = ResultCache(cache_size)
         self.metrics = MetricsRegistry()
         self._mutex = threading.RLock()
         self._fold_lock = threading.Lock()
@@ -219,7 +219,6 @@ class IngestStore:
         routing=None,
         background: bool = False,
         fsync: bool = False,
-        cache_size: int = DEFAULT_SEGMENT_CACHE,
     ) -> "IngestStore":
         """A fresh store; pre-existing ``data`` documents are bootstrapped
         through the write path (so a durable store's WAL covers them)."""
@@ -238,7 +237,6 @@ class IngestStore:
             directory=directory,
             policy=policy,
             fsync=fsync,
-            cache_size=cache_size,
         )
         store._generation = 1
         store._active = Memtable(0, 1, params, scheme)
@@ -281,7 +279,6 @@ class IngestStore:
         routing=None,
         background: bool = False,
         fsync: bool = False,
-        cache_size: int = DEFAULT_SEGMENT_CACHE,
     ) -> "IngestStore":
         """Recover a durable store: manifest, segments, then WAL replay."""
         directory = Path(directory)
@@ -289,7 +286,8 @@ class IngestStore:
         if routing is not None:
             # Routing is a query-time policy: overriding it re-keys the
             # store's params (memtables created from here on fingerprint
-            # accordingly; frozen tiers fall back to lazy fingerprints).
+            # accordingly; segments saved without fingerprints build
+            # theirs on the first routed query).
             state.params = state.params.with_routing(routing)
         if state.data is None:
             raise PersistenceError(
@@ -304,7 +302,6 @@ class IngestStore:
             policy=policy if policy is not None else
             CompactionPolicy.from_dict(state.policy),
             fsync=fsync,
-            cache_size=cache_size,
         )
         store.removed = set(state.tombstones)
         # Snapshot the sealed prefix *before* replay mutates the live
@@ -331,6 +328,7 @@ class IngestStore:
                     segment.rank_docs,
                     "segment",
                     path,
+                    _stored_fingerprints(segment, record["doc_lo"]),
                 )
             )
         for orphan in directory.glob(f"{SEGMENT_STEM}.g*.idx"):
@@ -375,7 +373,6 @@ class IngestStore:
         data=None,
         *,
         policy=None,
-        cache_size: int = DEFAULT_SEGMENT_CACHE,
     ) -> "IngestStore":
         """Wrap an existing searcher as the base tier of an in-memory store.
 
@@ -394,7 +391,6 @@ class IngestStore:
             searcher.scheme,
             data,
             policy=policy,
-            cache_size=cache_size,
         )
         num_docs = len(searcher.rank_docs)
         if num_docs:
@@ -403,7 +399,8 @@ class IngestStore:
                 else "memtable"
             )
             store._segments.append(
-                Tier(0, num_docs, 1, searcher.index, searcher.rank_docs, kind)
+                Tier(0, num_docs, 1, searcher.index, searcher.rank_docs, kind,
+                     fingerprints=_stored_fingerprints(searcher, 0))
             )
             store._generation = 2
         else:
@@ -439,9 +436,6 @@ class IngestStore:
         registry.gauge("ingest.memtable_docs").set(len(self._active))
         registry.gauge("ingest.segments").set(self.num_segments)
         registry.gauge("ingest.tombstones").set(len(self.removed))
-        cache = self.segment_cache
-        registry.counter("ingest.segment_cache_hits").inc(cache.hits)
-        registry.counter("ingest.segment_cache_misses").inc(cache.misses)
         return registry.snapshot()
 
     # ------------------------------------------------------------------
@@ -571,7 +565,6 @@ class IngestStore:
                 return
             self._log({"op": "remove", "doc_id": doc_id})
             self.removed.add(doc_id)
-            self.tombstone_epoch += 1
             self.mutation_epoch += 1
             self.metrics.counter("ingest.removes").inc()
         self._after_write()
@@ -741,7 +734,7 @@ class IngestStore:
         with self._mutex:
             self._generation += 1
             generation = self._generation
-        path = None
+        path = fingerprints = None
         snapshot = self._snapshot
         if self.directory is not None:
             segment_searcher = PKWiseSearcher.from_prebuilt(
@@ -753,8 +746,11 @@ class IngestStore:
             )
             path = self.directory / generation_name(SEGMENT_STEM, generation)
             save_searcher(segment_searcher, path)
+            # With routing on, the save fingerprinted the segment.
+            fingerprints = _stored_fingerprints(segment_searcher, doc_lo)
         new_tier = Tier(
-            doc_lo, doc_hi, generation, compact_index, packed, "segment", path
+            doc_lo, doc_hi, generation, compact_index, packed, "segment", path,
+            fingerprints,
         )
         keep = [t for t in self._segments
                 if not any(t is p for p in pending)]

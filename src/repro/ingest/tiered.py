@@ -19,8 +19,10 @@ into the single-index shape the pkwise search kernel expects:
   concatenated postings the same way, without re-signaturing).
 * :class:`TieredRankDocs` resolves a global doc id to its owning tier's
   rank sequence for verification.
+* :class:`TieredFingerprints` glues the tiers' routing survivor masks
+  by doc id, so the kernel's routing gate sees one fingerprint tier.
 
-Both are read-only views: tier *membership* only changes when the store
+All three are read-only views: tier *membership* only changes when the store
 installs a new searcher snapshot, so a search that captured a view
 never sees tiers appear or vanish mid-query.
 """
@@ -34,6 +36,7 @@ import numpy as np
 
 from ..errors import IndexStateError
 from ..index.intervals import ProbeBatch
+from ..routing import FingerprintTier
 
 
 class Tier:
@@ -63,8 +66,11 @@ class Tier:
         #: Backing snapshot file for segments persisted to disk.
         self.path = path
         #: Routing :class:`~repro.routing.FingerprintTier` for this
-        #: tier's doc range (the memtable's insert-maintained tier, or
-        #: ``None`` — callers fall back to a lazily built one).
+        #: tier's doc range, and its only home: the memtable's
+        #: insert-maintained tier, a segment's stored columns, or
+        #: ``None`` until :class:`TieredFingerprints` builds it on the
+        #: first routed query (a frozen tier outlives view installs, so
+        #: that build happens once).
         self.fingerprints = fingerprints
 
     @property
@@ -207,17 +213,6 @@ class TieredRankDocs(Sequence):
             return 0
         return self._tiers[-1].doc_hi
 
-    @property
-    def doc_lo(self) -> int:
-        """First global doc id covered (ids below raise ``IndexError``).
-
-        The routing tier's lazy builder starts fingerprinting here, so
-        a memtable-only view never decodes frozen documents.
-        """
-        if not self._tiers:
-            return 0
-        return self._tiers[0].doc_lo
-
     def __getitem__(self, doc_id: int):
         if not 0 <= doc_id < len(self):
             raise IndexError(f"no document with id {doc_id}")
@@ -231,3 +226,46 @@ class TieredRankDocs(Sequence):
 
     def __repr__(self) -> str:
         return f"TieredRankDocs({len(self._tiers)} tiers, docs={len(self)})"
+
+
+class TieredFingerprints:
+    """The tiers' routing fingerprints behind one ``survivors`` call.
+
+    Exposes what the kernel's routing gate reads of a
+    :class:`~repro.routing.FingerprintTier` — ``survivors``, ``ndocs``,
+    ``doc_lo`` — over every document of every tier.
+    """
+
+    doc_lo = 0
+
+    def __init__(self, tiers: Sequence[Tier], params) -> None:
+        self._tiers = tuple(tiers)
+        self._layout = params.routing.layout(params.w)
+
+    @property
+    def ndocs(self) -> int:
+        return self._tiers[-1].doc_hi
+
+    def _of(self, tier: Tier) -> FingerprintTier:
+        """``tier``'s fingerprints, built (and kept on it) when missing
+        or — an active memtable the store's policy does not fingerprint
+        on insert — behind the documents added since."""
+        built = tier.fingerprints
+        if built is None or built.ndocs != len(tier):
+            built = tier.fingerprints = FingerprintTier.from_rank_docs(
+                tier.rank_docs, doc_lo=tier.doc_lo, **self._layout
+            )
+        return built
+
+    def survivors(self, query_ranks, **policy) -> np.ndarray | None:
+        """Survivor mask over global doc ids ``[0, ndocs)``, or ``None``
+        when the query or budget is unprunable (the same verdict on
+        every tier)."""
+        out = np.zeros(self.ndocs, dtype=bool)
+        for tier in self._tiers:
+            if len(tier):
+                mask = self._of(tier).survivors(query_ranks, **policy)
+                if mask is None:
+                    return None
+                out[tier.doc_lo : len(mask)] = mask[tier.doc_lo :]
+        return out

@@ -21,8 +21,8 @@ deterministically.  Three metric types with fixed merge semantics:
     meaningful across workers.
 
 Snapshots are canonical: keys are emitted in sorted order so two equal
-registries serialize to identical JSON, making ``BENCH_*.json`` records
-diffable across PRs (see ``benchmarks/check_regression.py``).
+registries serialize to identical JSON, so the records two runs of one
+workload write (``--metrics-out``, ``/metrics``) diff counter for counter.
 """
 
 from __future__ import annotations

@@ -135,8 +135,8 @@ class FingerprintTier:
     snapshot envelope (:meth:`to_arrays` / :meth:`from_arrays`).
     ``doc_lo`` is the global id of the first fingerprinted document —
     survivor masks cover ``[0, doc_lo + ndocs)`` with the prefix all
-    False (ids below ``doc_lo`` are never probed by the view that owns
-    this tier).
+    False (ids below ``doc_lo`` belong to other tiers; the live view
+    glues the tiers' masks by doc id).
     """
 
     __slots__ = (
@@ -233,21 +233,15 @@ class FingerprintTier:
     def from_rank_docs(
         cls, rank_docs, *, block_len: int, bands: int, doc_lo: int = 0
     ) -> "FingerprintTier":
-        """Fingerprint ``rank_docs[doc_lo:]`` in one pass.
+        """Fingerprint every document of ``rank_docs`` in one pass.
 
-        ``rank_docs`` is anything indexable by global doc id (a list of
-        lists, a :class:`~repro.index.PackedRankDocs`, or a
-        :class:`~repro.ingest.tiered.TieredRankDocs`).  Ids that raise
-        ``IndexError`` (gaps between tiers) get zero covers — they are
-        never probed, so pruning them is vacuous.
+        ``rank_docs`` is one tier's rank sequences under local ids (a
+        list of lists or a :class:`~repro.index.PackedRankDocs`);
+        ``doc_lo`` is the global id of its first document.
         """
         tier = cls(block_len=block_len, bands=bands, doc_lo=doc_lo)
-        for doc_id in range(doc_lo, len(rank_docs)):
-            try:
-                ranks = rank_docs[doc_id]
-            except IndexError:
-                ranks = ()
-            tier.add(ranks)
+        for local_id in range(len(rank_docs)):
+            tier.add(rank_docs[local_id])
         return tier
 
     # -- persistence ----------------------------------------------------
@@ -291,6 +285,19 @@ class FingerprintTier:
         tier._cover_counts = cover_counts  # len() works on the array
         tier._compiled = _Compiled(cover_lanes, band_minima, cover_counts)
         return tier
+
+    def rebased(self, doc_lo: int) -> "FingerprintTier":
+        """A frozen tier over the same columns, first document ``doc_lo``.
+
+        A segment file stores its fingerprints under local ids; the
+        ingest store re-bases them to the tier's global doc range.
+        """
+        return type(self).from_arrays(
+            self.to_arrays(),
+            block_len=self.block_len,
+            bands=self.bands,
+            doc_lo=doc_lo,
+        )
 
     def _compile(self) -> _Compiled:
         """Concatenate per-doc arrays into the kernel's flat columns."""

@@ -84,6 +84,11 @@ class RoutingPolicy:
         """True when the tier should gate candidates at all."""
         return self.mode != "off"
 
+    def layout(self, w: int) -> dict:
+        """Build-time layout of a fingerprint tier at window size ``w``
+        (the keyword arguments :class:`~repro.routing.FingerprintTier` takes)."""
+        return {"block_len": max(self.block_tokens, w), "bands": self.bands}
+
     def with_mode(self, mode: str) -> "RoutingPolicy":
         """Copy with a different ``mode`` (re-validated)."""
         return replace(self, mode=mode)

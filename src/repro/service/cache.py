@@ -16,15 +16,6 @@ cache exploits exactly that and nothing more:
   results are pair-for-pair identical by construction.  Stale-epoch
   entries are also actively purged on insert so a mutation burst
   cannot pin dead entries in the LRU.
-* The epoch component may also be a *segment-generation vector* — the
-  LSM ingest layer caches frozen-segment partial results under
-  ``(tombstone_epoch, gen_1, ..., gen_k)`` tuples, so memtable inserts
-  (which move only the service-level scalar epoch) leave
-  frozen-segment hits warm.  Tuples compare lexicographically and the
-  ingest layer only ever moves them upward (removes bump element 0,
-  seals append a higher generation, folds replace tiers with a higher
-  generation), so the same ``<`` purge logic applies unchanged; one
-  cache instance only ever sees one epoch shape.
 * Values are canonically ordered pair lists, stored as immutable
   tuples so a caller mutating its response list cannot corrupt the
   cache.
@@ -38,12 +29,9 @@ import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 
-#: Cache keys: (query token hash, params fingerprint, index epoch).
-#: The epoch component is a scalar mutation counter at the service
-#: level, or a segment-generation vector ``tuple[int, ...]`` in the
-#: ingest layer's frozen-segment cache — anything totally ordered and
-#: monotonically increasing works.
-CacheKey = tuple[str, str, "int | tuple[int, ...]"]
+#: Cache keys: (query token hash, params fingerprint, index epoch) —
+#: the epoch is the searcher's monotone mutation counter.
+CacheKey = tuple[str, str, int]
 
 
 def query_token_hash(tokens: Sequence[int]) -> str:

@@ -38,8 +38,8 @@ endpoints:
     The service's :class:`~repro.obs.MetricsRegistry` snapshot —
     request-latency timers, queue-depth gauges, cache hit/miss
     counters, and the searcher's accumulated phase stats — in the same
-    envelope the CLI's ``--metrics-out`` writes, so
-    ``benchmarks/check_regression.py`` can diff two serving runs.
+    envelope the CLI's ``--metrics-out`` writes, so two serving runs
+    of one workload diff counter for counter.
 
 The server binds but does not accept until :py:meth:`serve_forever`
 runs; use :func:`serve_http` for the common blocking case or drive the

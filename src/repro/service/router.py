@@ -596,7 +596,7 @@ class ShardRouter:
 
         Counters and timers sum across replicas (deterministic for a
         deterministic workload), gauges keep the maximum — the same
-        envelope ``check_regression.py`` diffs for a single service.
+        envelope a single service's ``metrics_snapshot`` has.
         A supervisor attached via :meth:`attach_supervisor` contributes
         its restart/readmit/quarantine counters too.
         """

@@ -330,8 +330,8 @@ class SearchService:
     def metrics_snapshot(self) -> dict:
         """Canonical metrics record (service + cache + search counters).
 
-        Same envelope as the CLI's ``--metrics-out`` records, so
-        ``benchmarks/check_regression.py`` can diff two serving runs.
+        Same envelope as the CLI's ``--metrics-out`` records, so two
+        serving runs of one workload diff counter for counter.
         """
         with self._metrics_lock:
             registry = MetricsRegistry.from_snapshot(self._registry.snapshot())
@@ -492,9 +492,7 @@ class SearchService:
         Routed through the LSM ingest write path: the document lands in
         the store's mutable memtable (upgrading a plain or frozen
         compact searcher to a tiered live view on first write) and
-        becomes visible to the next search atomically.  Frozen-segment
-        cache entries stay warm — only the epoch component covering the
-        memtable moves.
+        becomes visible to the next search atomically.
         """
         store = self._live_store()
         doc_id = store.add_document(document)

@@ -49,7 +49,7 @@ carrying ``shard=<id>, replica=<r>`` context.
 The metrics registry records only *event* counters (deaths, restarts,
 readmits, quarantines) — never per-check-tick counters — so a chaos
 run that kills K workers produces the same snapshot every time and
-``check_regression.py --strict`` can diff two runs.
+two runs diff counter for counter.
 """
 
 from __future__ import annotations

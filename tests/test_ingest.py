@@ -144,26 +144,40 @@ class TestStoreBasics:
         assert store_pairs(store, query) == got
         store.close()
 
-    def test_segment_cache_stays_warm_across_memtable_adds(self):
+    def test_live_query_is_one_kernel_pass(self):
+        # A live view is the kernel itself: one signature stream, one
+        # verifier, pairs in kernel order -- not two sub-searches whose
+        # query-side work is summed.
+        from repro.ingest.searcher import LSMSearcher
+
+        assert LSMSearcher._search is PKWiseSearcher._search
         rng = random.Random(3)
         store = IngestStore.create(PARAMS, data=DocumentCollection())
-        for _ in range(5):
-            store.add_tokens(make_tokens(rng))
+        texts = [make_tokens(rng) for _ in range(9)]
+        shared = texts[1][4:28]
+        texts[4][6:30] = shared  # a frozen and ...
+        texts[7][2:26] = shared  # ... a memtable document both match
+        for tokens in texts[:6]:
+            store.add_tokens(tokens)
+        store.remove(2)
         store.flush()
-        query = make_query(store.data, rng)
-        store.searcher().search(query)
-        hits0 = store.segment_cache.hits
-        misses0 = store.segment_cache.misses
-        # A memtable insert must NOT invalidate the frozen-segment
-        # partial result: its generation vector is unchanged.
-        store.add_tokens(make_tokens(rng))
-        store.searcher().search(query)
-        assert store.segment_cache.hits == hits0 + 1
-        assert store.segment_cache.misses == misses0
-        # A remove bumps the tombstone epoch: partial result recomputed.
-        store.remove(0)
-        store.searcher().search(query)
-        assert store.segment_cache.misses == misses0 + 1
+        for tokens in texts[6:]:
+            store.add_tokens(tokens)
+        assert store.num_segments == 1 and store.memtable_docs == 3
+        # One-shot build under the store's order and scheme, so the
+        # query-side counters are comparable and not only the pairs.
+        ref = PKWiseSearcher(
+            store.data, PARAMS, scheme=store.scheme, order=store.order
+        )
+        ref._remove_document(2)
+        query = store.data.encode_query_tokens(shared)
+        got = store.searcher().search(query)
+        want = ref.search(query)
+        assert {pair.doc_id for pair in got.pairs} >= {1, 4, 7}
+        assert got.pairs == want.pairs  # same pairs, same (kernel) order
+        for field in ("signatures_generated", "changed_windows",
+                      "candidate_windows", "num_results"):
+            assert getattr(got.stats, field) == getattr(want.stats, field)
         store.close()
 
     def test_compacted_searcher_is_plain_and_exact(self):
@@ -487,16 +501,16 @@ class TestNoOpRemove:
         for _ in range(4):
             store.add_tokens(make_tokens(rng))
         store.remove(1)
-        state = (store.mutation_epoch, store.tombstone_epoch,
+        state = (store.mutation_epoch,
                  store.metrics_snapshot()["counters"]["ingest.removes"])
         store.remove(1)  # still tombstoned
-        assert (store.mutation_epoch, store.tombstone_epoch,
+        assert (store.mutation_epoch,
                 store.metrics_snapshot()["counters"]["ingest.removes"]) == state
         store.compact()
         assert not store.removed
         store.remove(1)  # purged by the compaction
         assert not store.removed
-        assert (store.mutation_epoch, store.tombstone_epoch) == state[:2]
+        assert store.mutation_epoch == state[0]
         assert store.compact() is None  # still fully compact
         store.close()
 
@@ -520,11 +534,13 @@ class TestNoOpRemove:
         reopened = IngestStore.open(directory)
         assert reopened.removed == {2}
         assert reopened.metrics_snapshot()["counters"]["ingest.wal_replayed"] == 4
+        epoch = reopened.mutation_epoch
         reopened.remove(2)  # still a no-op after replay
-        assert reopened.tombstone_epoch == 0
         reopened.compact()
         reopened.remove(2)
         assert not reopened.removed
+        assert reopened.mutation_epoch == epoch
+        assert "ingest.wal_records" not in reopened.metrics_snapshot()["counters"]
         reopened.close()
 
 

@@ -33,7 +33,6 @@ from repro import (
     ConfigurationError,
     DocumentCollection,
     Index,
-    IngestStore,
     PKWiseSearcher,
     RoutingPolicy,
     RoutingUnavailableError,
@@ -203,14 +202,21 @@ class TestFingerprintTier:
         )
 
     def test_doc_lo_offsets_global_mask(self):
-        _, searcher, rank_docs, _ = self._tier_and_corpus()
+        # ``rank_docs`` is one tier's local sequence; ``doc_lo`` places
+        # its first document in the global id space.
+        _, searcher, rank_docs, base = self._tier_and_corpus()
         tier = FingerprintTier.from_rank_docs(
             rank_docs, block_len=16, bands=4, doc_lo=2
         )
-        alien = [hash(f"alien{i}") % (2**31) for i in range(30)]
-        mask = tier.survivors(alien, w=8, tau=2)
-        assert len(mask) == len(rank_docs)
+        query = rank_docs[0][8:38]
+        mask = tier.survivors(query, w=8, tau=2)
+        assert len(mask) == 2 + len(rank_docs)
         assert not mask[:2].any()  # prefix below doc_lo is never alive
+        assert mask[2]  # document 0 of the tier is global id 2
+        assert np.array_equal(mask[2:], base.survivors(query, w=8, tau=2))
+        rebased = base.rebased(2)
+        assert rebased.frozen and rebased.doc_lo == 2
+        assert np.array_equal(rebased.survivors(query, w=8, tau=2), mask)
 
     def test_array_round_trip_is_identical(self):
         data, searcher, rank_docs, tier = self._tier_and_corpus()
@@ -324,53 +330,74 @@ class TestExactRoutingIdentity:
             )
             assert pairs_as_set(router.search(query, routing="off")) == want
 
-    @pytest.mark.parametrize("seed", [17, 29])
-    def test_lsm_interleaving_matches_off(self, seed):
+    @pytest.mark.parametrize(
+        "seed, per_request",
+        [
+            pytest.param(17, False, id="17"),
+            pytest.param(29, False, id="29"),
+            pytest.param(17, True, id="17-per-request"),
+        ],
+    )
+    def test_lsm_interleaving_matches_off(self, seed, per_request):
         params = SearchParams(w=8, tau=2, k_max=2)
         rng = random.Random(seed)
-        stores = [
-            IngestStore.create(
-                params.with_routing(mode), data=DocumentCollection()
-            )
-            for mode in ("off", "exact")
-        ]
+        if per_request:
+            # One live index whose policy is off -- its memtable keeps no
+            # fingerprints -- queried with routing on the request.
+            indexes = [Index.open_live(params=params)]
+            variants = [(indexes[0], "off"), (indexes[0], "exact")]
+        else:
+            indexes = [
+                Index.open_live(params=params, routing=mode)
+                for mode in ("off", "exact")
+            ]
+            variants = [(index, None) for index in indexes]
         vocab = 40
 
-        def new_tokens(length=60):
-            return [f"t{rng.randrange(vocab)}" for _ in range(length)]
+        def new_text(length=60):
+            return " ".join(f"t{rng.randrange(vocab)}" for _ in range(length))
+
+        def check(where):
+            query_text = new_text(24)
+            results = [
+                index.search(index.encode_query(query_text), routing=routing)
+                for index, routing in variants
+            ]
+            off, exact = (canonical_pair_order(r.pairs) for r in results)
+            assert off == exact, f"diverged {where}"
+            # Every document of every tier went through the gate.
+            assert results[1].stats.routing_checked_docs == len(indexes[0].data)
 
         live = []
         for step in range(30):
             op = rng.random()
             if op < 0.55 or not live:
-                tokens = new_tokens()
-                ids = [store.add_tokens(tokens) for store in stores]
-                assert ids[0] == ids[1]
-                live.append(ids[0])
+                text = new_text()
+                ids = {index.add(text) for index in indexes}
+                assert len(ids) == 1
+                live.append(ids.pop())
             elif op < 0.75:
                 victim = rng.choice(live)
                 live.remove(victim)
-                for store in stores:
-                    store.remove(victim)
+                for index in indexes:
+                    index.remove(victim)
             elif op < 0.9:
-                for store in stores:
-                    store.flush()
+                for index in indexes:
+                    index.flush()
             else:
-                for store in stores:
-                    store.compact()
+                for index in indexes:
+                    index.compact()
             if step % 5 == 4:
-                query_tokens = new_tokens(24)
-                results = [
-                    canonical_pair_order(
-                        store.searcher()
-                        .search(store.data.encode_query_tokens(query_tokens))
-                        .pairs
-                    )
-                    for store in stores
-                ]
-                assert results[0] == results[1], f"diverged at step {step}"
-        for store in stores:
-            store.close()
+                check(f"at step {step}")
+        # Across a flush, then after further adds with no install between.
+        for index in indexes:
+            index.flush()
+        for round_ in range(2):
+            for index in indexes:
+                index.add(new_text())
+            check(f"after add {round_} past the last flush")
+        for index in indexes:
+            index.close()
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +447,49 @@ class TestRoutingPersistence:
         # Routing off still searches.
         assert loaded.search_text(query_text, routing="off").pairs
         loaded.close()
+
+
+    def test_segment_fingerprints_are_stored_and_reused(
+        self, tmp_path, monkeypatch
+    ):
+        # A durable routed store fingerprints a document on insert and
+        # once more when its segment is written; no query, install or
+        # reopen fingerprints a segment document again.
+        fingerprinted = []
+        real = FingerprintTier._fingerprint_document
+
+        def counted(tier, ranks):
+            fingerprinted.append(len(ranks))
+            return real(tier, ranks)
+
+        monkeypatch.setattr(FingerprintTier, "_fingerprint_document", counted)
+        data, rng = make_corpus(10, docs=7)
+        texts = [" ".join(data.vocabulary.decode(doc.tokens)) for doc in data]
+        query_text = " ".join(data.vocabulary.decode(data[0].tokens[8:38]))
+        directory = tmp_path / "store"
+        index = Index.open_live(directory, self.PARAMS, routing="exact")
+        for text in texts[:4]:
+            index.add(text)
+        index.flush()
+        assert pairs_as_set(index.search_text(query_text))
+        for text in texts[4:]:
+            index.add(text)
+        index.flush()  # second seal: two segments, both with stored tiers
+        assert index._store.num_segments == 2
+        assert len(fingerprinted) == 2 * len(texts)
+        routed = index.search_text(query_text)
+        assert len(fingerprinted) == 2 * len(texts)
+        assert routed.stats.routing_checked_docs == len(texts)
+        want = pairs_as_set(index.search_text(query_text, routing="off"))
+        assert {pair.doc_id for pair in routed.pairs} >= {0, 3}
+        assert pairs_as_set(routed) == want
+        index.close()
+
+        del fingerprinted[:]
+        reopened = Index.open_live(directory, routing="exact")
+        assert pairs_as_set(reopened.search_text(query_text)) == want
+        assert fingerprinted == []
+        reopened.close()
 
 
 # ----------------------------------------------------------------------
