@@ -1,31 +1,22 @@
 #!/usr/bin/env python
-"""Diff two repro.obs benchmark metrics snapshots; fail on regressions.
+"""Strict counter diff of two smoke metrics records.
 
-Consumes the files written by ``bench_parallel_scaling.py --metrics-out``
-(or any two snapshots with the same layout) and enforces two different
-contracts on them:
-
-* **Counters must match exactly.**  Abstract operation counts
-  (postings entries, hash ops, results...) are deterministic for a
-  given workload and independent of the execution path, so any drift
-  between two records of the same config is a correctness regression,
-  not noise.  This also holds *across start methods*: a fork-run and a
-  spawn-run of the same workload must agree counter for counter.
-* **Timers may only regress within a tolerance.**  Wall clock is noisy;
-  the guard fails only when a timer exceeds the previous record by more
-  than ``--time-tolerance`` (a fraction: 0.5 = +50%).
-
-Records with different configs (corpus size, w, tau, query count) are
-not comparable; the guard reports that and exits 0 unless ``--strict``
-is given, so a freshly re-scaled benchmark does not spuriously fail CI.
+``smoke_serving.py`` (plain, ``--shards``, ``--chaos``) and
+``smoke_ingest.py`` write ``{"config": {...}, "serial": {"metrics":
+<repro.obs snapshot>}}``.  Abstract operation counts (requests, cache
+hits, postings entries, hash ops, WAL records, folds, results...) are
+deterministic for a fixed-seed workload and independent of the execution
+path, so two runs of one commit must agree counter for counter: any
+drift is a correctness regression, not noise.  Wall clock is not judged
+here — performance is gated by ``benchmarks/e2e/compare.py`` alone.
 
 Usage::
 
-    python benchmarks/check_regression.py CURRENT.json PREVIOUS.json \
-        [--time-tolerance 0.5] [--strict]
+    python benchmarks/check_regression.py RUN_1.json RUN_2.json --strict
 
-Exit codes: 0 = no regression (or no comparable baseline),
-1 = regression found, 2 = malformed input.
+Exit codes: 0 = same config and identical counters, 1 = a config key or
+a counter differs (or there are no counters to compare), 2 = a file is
+missing or is not a smoke metrics record.
 """
 
 from __future__ import annotations
@@ -35,168 +26,55 @@ import json
 import sys
 from pathlib import Path
 
-#: Config keys that must agree for two records to be comparable.
-COMPARABLE_KEYS = ("profile", "num_documents", "num_queries", "w", "tau", "k_max")
 
+def load_record(path: Path) -> tuple[dict, dict]:
+    """``(config, counters)`` of one smoke metrics record.
 
-def load_record(path: Path) -> dict | None:
-    """Load one snapshot record; None when the file does not exist."""
-    if not path.exists():
-        return None
-    try:
-        record = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
-    if not isinstance(record, dict):
-        raise SystemExit(f"error: {path} is not a snapshot record")
-    return record
-
-
-def comparable(current: dict, previous: dict) -> list[str]:
-    """Config keys that differ between the two records (empty = comparable)."""
-    cur, prev = current.get("config", {}), previous.get("config", {})
-    return [
-        key
-        for key in COMPARABLE_KEYS
-        if cur.get(key) != prev.get(key)
-    ]
-
-
-def unwrap_snapshot(payload: dict) -> dict:
-    """Reduce a ``metrics_snapshot()`` wrapper to its registry snapshot.
-
-    Accepts either the bare ``{counters, timers, gauges}`` dict or any
-    wrapper that nests it under a ``metrics`` key (one or more levels).
+    The registry snapshot may sit under one or more ``metrics`` keys
+    (``metrics_snapshot()`` wrappers nest it).
     """
-    while (
-        isinstance(payload, dict)
-        and "counters" not in payload
-        and isinstance(payload.get("metrics"), dict)
-    ):
+    record = json.loads(path.read_text())
+    payload = record["serial"]
+    while "counters" not in payload:
         payload = payload["metrics"]
-    return payload
+    return record.get("config", {}), payload["counters"]
 
 
-def iter_metric_sections(record: dict):
-    """Yield ``(label, registry_snapshot)`` pairs of one record."""
-    serial = record.get("serial")
-    if isinstance(serial, dict) and "metrics" in serial:
-        yield "serial", unwrap_snapshot(serial)
-    for row in record.get("parallel", []) or []:
-        if isinstance(row, dict) and "metrics" in row:
-            yield f"jobs={row.get('jobs')}", unwrap_snapshot(row["metrics"])
-
-
-def diff_counters(label: str, current: dict, previous: dict) -> list[str]:
-    """Exact-match check over one section's counter maps."""
-    problems = []
-    cur = current.get("counters", {})
-    prev = previous.get("counters", {})
-    for name in sorted(set(cur) | set(prev)):
-        # run.* metrics describe the run shape, not the workload's
-        # operation counts; total counts are covered by the config gate.
-        if cur.get(name) != prev.get(name):
-            problems.append(
-                f"[{label}] counter {name}: {prev.get(name)} -> {cur.get(name)}"
-            )
-    return problems
-
-
-def diff_timers(
-    label: str, current: dict, previous: dict, tolerance: float
-) -> list[str]:
-    """Timers that regressed beyond ``previous * (1 + tolerance)``."""
-    problems = []
-    cur = current.get("timers", {})
-    prev = previous.get("timers", {})
-    for name in sorted(set(cur) & set(prev)):
-        before, after = float(prev[name]), float(cur[name])
-        if before > 0 and after > before * (1.0 + tolerance):
-            problems.append(
-                f"[{label}] timer {name}: {before:.4f}s -> {after:.4f}s "
-                f"(+{(after / before - 1.0) * 100:.0f}%, "
-                f"allowed +{tolerance * 100:.0f}%)"
-            )
-    return problems
+def differing(label: str, current: dict, previous: dict) -> list[str]:
+    """One line per key whose value is not the same in both dicts."""
+    return [
+        f"{label} {key}: {previous.get(key)} -> {current.get(key)}"
+        for key in sorted(set(current) | set(previous))
+        if current.get(key) != previous.get(key)
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("current", type=Path,
-                        help="latest metrics snapshot (from --metrics-out)")
-    parser.add_argument("previous", type=Path,
-                        help="baseline snapshot to diff against")
-    parser.add_argument("--time-tolerance", type=float, default=0.5,
-                        help="allowed fractional timer growth (default 0.5)")
+    parser.add_argument("current", type=Path, help="one run's metrics record")
+    parser.add_argument("previous", type=Path, help="the other run's record")
     parser.add_argument("--strict", action="store_true",
-                        help="fail (exit 1) on incomparable configs or a "
-                             "missing baseline instead of passing")
+                        help="accepted for the documented command line; "
+                             "the diff has no lenient mode")
     args = parser.parse_args(argv)
 
-    current = load_record(args.current)
-    if current is None:
-        print(f"error: current snapshot {args.current} does not exist",
-              file=sys.stderr)
+    try:
+        config, counters = load_record(args.current)
+        previous_config, previous_counters = load_record(args.previous)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: not a smoke metrics record: {exc!r}", file=sys.stderr)
         return 2
-    previous = load_record(args.previous)
-    if previous is None:
-        print(f"no baseline at {args.previous}; nothing to diff",
-              file=sys.stderr)
-        return 1 if args.strict else 0
 
-    mismatched = comparable(current, previous)
-    if mismatched:
-        print(
-            "records are not comparable; config differs on: "
-            + ", ".join(mismatched),
-            file=sys.stderr,
-        )
-        return 1 if args.strict else 0
-
-    current_sections = dict(iter_metric_sections(current))
-    previous_sections = dict(iter_metric_sections(previous))
-    problems: list[str] = []
-
-    # Internal parity: within the current record, every parallel
-    # section's counters must equal the serial section's — the merged
-    # registry of a --jobs N run is field-for-field the serial run's.
-    serial_metrics = current_sections.get("serial")
-    if serial_metrics is not None:
-        for label, metrics in current_sections.items():
-            if label != "serial":
-                problems.extend(
-                    diff_counters(f"serial vs {label}", metrics, serial_metrics)
-                )
-
-    checked = 0
-    for label in sorted(set(current_sections) & set(previous_sections)):
-        checked += 1
-        problems.extend(
-            diff_counters(label, current_sections[label], previous_sections[label])
-        )
-        problems.extend(
-            diff_timers(
-                label,
-                current_sections[label],
-                previous_sections[label],
-                args.time_tolerance,
-            )
-        )
-    if checked == 0:
-        print("no overlapping metric sections between the records",
-              file=sys.stderr)
-        return 1 if args.strict else 0
-
+    problems = differing("config", config, previous_config)
+    problems += differing("counter", counters, previous_counters)
+    if not counters:
+        problems.append("no counters to compare")
     if problems:
-        print(f"REGRESSION: {len(problems)} metric(s) drifted:", file=sys.stderr)
+        print(f"REGRESSION: {len(problems)} value(s) differ:", file=sys.stderr)
         for line in problems:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print(
-        f"ok: {checked} section(s) compared, counters identical, "
-        f"timers within +{args.time_tolerance * 100:.0f}%",
-        file=sys.stderr,
-    )
+    print(f"ok: {len(counters)} counters identical", file=sys.stderr)
     return 0
 
 

@@ -38,9 +38,6 @@ Quickstart::
     index.save("corpus.idx")
     with Index.open("corpus.idx", mmap=True) as index:
         result = index.search_text("query text")
-
-The pre-1.2 functions ``build_index`` / ``open_index`` / ``save_index``
-were deprecated in 1.2 and have been removed; use :class:`Index`.
 """
 
 from __future__ import annotations
@@ -115,6 +112,32 @@ def _as_collection(data) -> DocumentCollection:
     )
 
 
+def params_from_values(
+    *,
+    w: int | None,
+    tau: int | None,
+    k_max: int = DEFAULT_K_MAX,
+    m: int | None = None,
+    what: str = "building an index",
+) -> SearchParams:
+    """The one rule from loose ``w``/``tau`` values to :class:`SearchParams`.
+
+    Both ``w`` and ``tau`` are required; an omitted ``m`` follows the
+    paper's Section 7.5 rule.  Shared by :meth:`Index.build`,
+    :meth:`Index.open_live` and the ``repro`` command line.
+    """
+    if w is None or tau is None:
+        raise ConfigurationError(
+            f"{what} needs either params=SearchParams(...) or both w= and tau="
+        )
+    return SearchParams(
+        w=w,
+        tau=tau,
+        k_max=k_max,
+        m=m if m is not None else suggested_subpartitions(tau),
+    )
+
+
 def _build_searcher(
     data,
     params: SearchParams | None,
@@ -131,17 +154,7 @@ def _build_searcher(
     """Shared build kernel behind :meth:`Index.build`."""
     collection = _as_collection(data)
     if params is None:
-        if w is None or tau is None:
-            raise ConfigurationError(
-                "building an index needs either params=SearchParams(...) "
-                "or both w= and tau="
-            )
-        params = SearchParams(
-            w=w,
-            tau=tau,
-            k_max=k_max,
-            m=m if m is not None else suggested_subpartitions(tau),
-        )
+        params = params_from_values(w=w, tau=tau, k_max=k_max, m=m)
     elif w is not None or tau is not None or m is not None:
         raise ConfigurationError(
             "pass either params= or the individual w=/tau=/m= values, not both"
@@ -166,16 +179,11 @@ def _build_searcher(
         )
         scheme, _report = partitioner.partition()
 
-    if jobs != 1:
-        from .parallel import ParallelExecutor
+    from .parallel import ParallelExecutor
 
-        searcher = ParallelExecutor(jobs=None if jobs == 0 else jobs).build_searcher(
-            collection, params, scheme=scheme, order=order
-        )
-    else:
-        from .core.pkwise import PKWiseSearcher
-
-        searcher = PKWiseSearcher(collection, params, scheme=scheme, order=order)
+    searcher = ParallelExecutor(jobs=jobs).build_searcher(
+        collection, params, scheme=scheme, order=order
+    )
     return searcher, collection
 
 
@@ -302,7 +310,8 @@ class Index:
             if policy.enabled and searcher._routing_tier is None:
                 raise RoutingUnavailableError(
                     f"{path} was saved without routing fingerprints; "
-                    f"re-save it with a routing policy (mode != 'off') "
+                    f"rebuild it under a routing policy (Index.build(..., "
+                    f"routing='exact') or repro index --routing exact) "
                     f"to route queries"
                 )
             searcher.params = searcher.params.with_routing(policy)
@@ -366,16 +375,8 @@ class Index:
             )
         else:
             if params is None:
-                if w is None or tau is None:
-                    raise ConfigurationError(
-                        "creating a live index needs either "
-                        "params=SearchParams(...) or both w= and tau="
-                    )
-                params = SearchParams(
-                    w=w,
-                    tau=tau,
-                    k_max=k_max,
-                    m=m if m is not None else suggested_subpartitions(tau),
+                params = params_from_values(
+                    w=w, tau=tau, k_max=k_max, m=m, what="creating a live index"
                 )
             store = IngestStore.create(
                 params,
@@ -476,7 +477,8 @@ class Index:
         return self.search(self.encode_query(text), routing=routing)
 
     def search_many(self, queries, *, jobs: int = 1):
-        """Run a query workload (serial or multi-process)."""
+        """Run a query workload (``jobs`` worker processes; ``0`` = one
+        per CPU, as in :meth:`build`)."""
         return self._engine().search_many(queries, jobs=jobs)
 
     # ------------------------------------------------------------------

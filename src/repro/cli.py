@@ -28,10 +28,11 @@ Examples::
     repro serve  --index corpus.lsm --live --port 8080
     repro query  --server http://127.0.0.1:8080 --text "some passage"
 
-All subcommands accept ``--jobs N`` to spread the work over ``N``
-worker processes (``--jobs 0`` = one per CPU); results are identical
-to single-process runs.  Observability flags (also on every
-subcommand): ``--trace FILE`` appends JSON-lines span events from
+``repro index``, ``repro search`` and ``repro selfjoin`` take
+``--jobs N`` to spread the work over ``N`` worker processes
+(``--jobs 0`` = one per CPU); results are identical to single-process
+runs.  Observability flags (on every subcommand but ``query``):
+``--trace FILE`` appends JSON-lines span events from
 :mod:`repro.obs`, ``--metrics-out FILE`` writes a structured metrics
 snapshot whose counters are identical across ``--jobs`` settings, and
 ``--faults FILE`` installs a deterministic fault-injection plan
@@ -59,13 +60,12 @@ import sys
 import time
 from pathlib import Path
 
+from .api import Index, params_from_values
 from .core.selfjoin import local_similarity_self_join
 from .corpus import collection_from_directory
 from .errors import ReproError
 from .obs import MetricsRegistry, configure_tracing, disable_tracing
-from .params import SearchParams, suggested_subpartitions
-from .partition import GreedyPartitioner
-from .persistence import load_bundle, save_searcher
+from .params import SearchParams
 from .postprocess import filter_passages, merge_passages
 
 
@@ -99,11 +99,6 @@ def _write_metrics(path: str, payload: dict) -> None:
     """Write one metrics snapshot as indented JSON."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote metrics snapshot to {path}", file=sys.stderr)
-
-
-def _jobs_from_args(args: argparse.Namespace) -> int | None:
-    """``--jobs`` as the library convention: None = auto, else N."""
-    return None if args.jobs == 0 else args.jobs
 
 
 def _add_routing_flags(parser: argparse.ArgumentParser) -> None:
@@ -142,10 +137,9 @@ def _routing_from_args(args: argparse.Namespace):
 
 
 def _params_from_args(args: argparse.Namespace) -> SearchParams:
-    m = args.sub_partitions
-    if m is None:
-        m = suggested_subpartitions(args.tau)
-    params = SearchParams(w=args.window, tau=args.tau, k_max=args.k_max, m=m)
+    params = params_from_values(
+        w=args.window, tau=args.tau, k_max=args.k_max, m=args.sub_partitions
+    )
     routing = _routing_from_args(args)
     if routing is not None:
         params = params.with_routing(routing)
@@ -153,47 +147,29 @@ def _params_from_args(args: argparse.Namespace) -> SearchParams:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    from .core.pkwise import PKWiseSearcher
-    from .ordering import GlobalOrder
-
     params = _params_from_args(args)
-    jobs = _jobs_from_args(args)
     print(f"loading corpus from {args.data} ...", file=sys.stderr)
     data = collection_from_directory(args.data, min_tokens=args.min_tokens)
     print(f"  {data}", file=sys.stderr)
-
-    order = None
-    scheme = None
     if args.greedy_partition:
-        order = GlobalOrder(data, params.w)
         print("running greedy token-universe partitioning ...", file=sys.stderr)
-        partitioner = GreedyPartitioner(
-            data, params, order=order,
-            b1_fraction=0.25, b2_fraction=0.1, sample_ratio=args.sample_ratio,
-        )
-        scheme, report = partitioner.partition()
-        print(
-            f"  borders {scheme.borders} "
-            f"({report.evaluations} cost evaluations)",
-            file=sys.stderr,
-        )
-
-    start = time.perf_counter()
-    if jobs != 1:
-        from .parallel import ParallelExecutor
-
-        searcher = ParallelExecutor(jobs=jobs).build_searcher(
-            data, params, scheme=scheme, order=order
-        )
-    else:
-        searcher = PKWiseSearcher(data, params, scheme=scheme, order=order)
+    index = Index.build(
+        data,
+        params,
+        greedy_partition=args.greedy_partition,
+        sample_ratio=args.sample_ratio,
+        jobs=args.jobs,
+    )
+    searcher = index.searcher()
+    if args.greedy_partition:
+        print(f"  borders {searcher.scheme.borders}", file=sys.stderr)
     print(
         f"indexed {searcher.index.num_windows} windows "
         f"({searcher.index.num_postings} interval postings) in "
-        f"{time.perf_counter() - start:.2f}s",
+        f"{searcher.index_build_seconds:.2f}s",
         file=sys.stderr,
     )
-    save_searcher(searcher, args.out, data=data, rotate=args.rotate)
+    index.save(args.out, rotate=args.rotate)
     print(f"wrote {args.out}", file=sys.stderr)
     if args.metrics_out:
         registry = MetricsRegistry()
@@ -201,7 +177,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         registry.counter("index.num_documents").inc(len(data))
         registry.counter("index.num_windows").inc(searcher.index.num_windows)
         registry.counter("index.num_postings").inc(searcher.index.num_postings)
-        registry.gauge("run.jobs").set(jobs if jobs is not None else 0)
+        registry.gauge("run.jobs").set(args.jobs)
         _write_metrics(
             args.metrics_out,
             {"name": "index", "schema_version": 1,
@@ -220,7 +196,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     Killing the process mid-stream loses nothing: the next open
     replays the WAL and resumes at the same state.
     """
-    from .api import Index
     from .ingest.manifest import MANIFEST_NAME
 
     directory = Path(args.dir)
@@ -232,7 +207,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         routing=None if creating else _routing_from_args(args),
         fsync=args.fsync,
     )
-    store = index._store
+    store = index.searcher().store
     print(
         f"{'created' if creating else 'opened'} ingest store at {directory} "
         f"(w={index.params.w}, tau={index.params.tau}, "
@@ -276,27 +251,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_routing_override(searcher, routing, source) -> None:
-    """Re-key a loaded searcher's params with a --routing override."""
-    if routing is None:
-        return
-    if routing.enabled and searcher._routing_tier is None:
-        from .errors import RoutingUnavailableError
-
-        raise RoutingUnavailableError(
-            f"{source} was saved without routing fingerprints; re-save it "
-            f"with a routing policy (repro index --routing exact) or drop "
-            f"the --routing flags"
-        )
-    searcher.params = searcher.params.with_routing(routing)
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     from .eval.harness import run_searcher
 
-    bundle = load_bundle(args.index, mmap=args.mmap)
-    searcher, data = bundle.searcher, bundle.data
-    _apply_routing_override(searcher, _routing_from_args(args), args.index)
+    index = Index.open(
+        args.index, mmap=args.mmap, routing=_routing_from_args(args)
+    )
+    searcher, data = index.searcher(), index.data
     if data is None:
         raise ReproError(
             "index was saved without the document collection; rebuild with "
@@ -312,7 +273,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     run = run_searcher(
         searcher,
         queries,
-        jobs=_jobs_from_args(args),
+        jobs=args.jobs,
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
@@ -364,7 +325,7 @@ def _cmd_selfjoin(args: argparse.Namespace) -> int:
         data,
         params,
         exclude_same_document_within=params.w,
-        jobs=_jobs_from_args(args),
+        jobs=args.jobs,
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
@@ -409,8 +370,7 @@ def _graceful_sigterm() -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .api import Index
-    from .service import SearchService, serve_http
+    from .service import serve_http
 
     _graceful_sigterm()
     if args.shards > 1:
@@ -423,7 +383,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         index = Index.open_live(
             args.index, routing=_routing_from_args(args), background=True
         )
-        store = index._store
+        store = index.searcher().store
         print(
             f"opened live ingest store {args.index} "
             f"(w={index.params.w}, tau={index.params.tau}, "
@@ -440,9 +400,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"(w={index.params.w}, tau={index.params.tau})",
             file=sys.stderr,
         )
-    service = SearchService(
-        index.searcher(),
-        index.data,
+    service = index.serve(
         max_workers=args.workers,
         max_queue=args.max_queue,
         cache_size=args.cache_size,
@@ -482,9 +440,6 @@ def _serve_sharded(args: argparse.Namespace) -> int:
     :class:`~repro.service.ShardSupervisor` watches the workers and
     restarts + re-admits dead ones automatically.
     """
-    from pathlib import Path
-
-    from .api import Index
     from .service import (
         ShardPlan,
         ShardRouter,
@@ -654,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "durability, slower)")
     _add_search_params(ingest_parser)
     _add_routing_flags(ingest_parser)
-    _add_jobs_flag(ingest_parser)
     _add_obs_flags(ingest_parser)
     ingest_parser.set_defaults(func=_cmd_ingest)
 

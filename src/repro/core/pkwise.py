@@ -134,9 +134,6 @@ class PKWiseSearcher:
                 windows=self.index.num_windows, postings=self.index.num_postings
             )
         self.index_build_seconds = time.perf_counter() - build_start
-        #: Per-worker build reports when constructed by
-        #: :meth:`repro.parallel.ParallelExecutor.build_searcher`.
-        self.build_worker_reports: list = []
         #: Monotone counter bumped by every index mutation
         #: (:meth:`_remove_document`).  Result caches key on it so
         #: cached and fresh results stay pair-for-pair identical across
@@ -159,8 +156,9 @@ class PKWiseSearcher:
     ) -> "PKWiseSearcher":
         """Assemble a searcher around an already-built interval index.
 
-        Used by :mod:`repro.parallel` after merging per-worker partial
-        indexes, and by the snapshot loader; the parts must be
+        Used by :meth:`repro.parallel.ParallelExecutor.build_searcher`
+        after merging its supervised pool's per-block partial indexes in
+        document order, and by the snapshot loader; the parts must be
         mutually consistent (``rank_docs[i]`` is document ``i``'s rank
         sequence under ``order``, and ``index`` covers exactly those
         documents with ``scheme``/``params``).  ``index`` may be the
@@ -194,7 +192,6 @@ class PKWiseSearcher:
         self._removed = set(removed)
         self.index = index
         self.index_build_seconds = build_seconds
-        self.build_worker_reports = []
         self.index_epoch = index_epoch
         self._routing_tier = routing_tier
         return self

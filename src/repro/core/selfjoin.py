@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..corpus import DocumentCollection
-from ..obs import get_tracer
 from ..ordering import GlobalOrder
 from ..params import SearchParams
 from ..partition.scheme import PartitionScheme
@@ -90,33 +89,23 @@ def local_similarity_self_join(
     the self-overlapping pairs; ``None`` keeps everything.
 
     ``jobs`` distributes both the index build and the join itself over
-    that many worker processes (``None`` = one per CPU); the output is
-    identical to the serial join.  ``checkpoint`` names a file that
-    accumulates completed document blocks so a long join interrupted by
-    a crash or Ctrl-C can be re-invoked with ``resume=True`` and finish
-    from where it stopped (a checkpoint routes the join through the
-    supervised executor even at ``jobs=1``).
+    that many worker processes (``0`` or ``None`` = one per CPU;
+    :class:`~repro.parallel.ParallelExecutor` runs ``jobs=1`` in-process);
+    the output is identical to the serial join.  ``checkpoint`` names a
+    file that accumulates completed document blocks so a long join
+    interrupted by a crash or Ctrl-C can be re-invoked with
+    ``resume=True`` and finish from where it stopped (a checkpoint runs
+    the supervised dispatcher even at ``jobs=1``).
     """
-    if jobs is None or jobs != 1 or checkpoint is not None:
-        from ..parallel import ParallelExecutor
+    from ..parallel import ParallelExecutor
 
-        executor = ParallelExecutor(jobs=jobs, start_method=start_method)
-        return executor.self_join(
-            data,
-            params,
-            scheme=scheme,
-            order=order,
-            exclude_same_document_within=exclude_same_document_within,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
-    with get_tracer().span("selfjoin", documents=len(data)) as join_span:
-        searcher = PKWiseSearcher(data, params, scheme=scheme, order=order)
-        results: list[SelfJoinPair] = []
-        for document in data:
-            results.extend(
-                document_join_pairs(searcher, document, exclude_same_document_within)
-            )
-        results.sort()
-        join_span.annotate(pairs=len(results))
-    return results
+    executor = ParallelExecutor(jobs=jobs, start_method=start_method)
+    return executor.self_join(
+        data,
+        params,
+        scheme=scheme,
+        order=order,
+        exclude_same_document_within=exclude_same_document_within,
+        checkpoint=checkpoint,
+        resume=resume,
+    )

@@ -250,25 +250,25 @@ def run_searcher(
     of how the searcher emitted them.
 
     ``jobs`` shards the workload over that many worker processes
-    (``None`` = one per CPU); results are merged back deterministically,
-    identical to the serial run.  ``start_method`` and ``chunk_size``
-    are forwarded to :class:`~repro.parallel.ParallelExecutor`.
+    (``0`` or ``None`` = one per CPU); results are merged back
+    deterministically, identical to the serial run.
+    :class:`~repro.parallel.ParallelExecutor` decides between
+    :func:`serial_run` in-process (``jobs=1``, no checkpoint) and its
+    pool; ``start_method`` and ``chunk_size`` are forwarded to it.
 
     ``checkpoint`` names a file that accumulates completed chunks
     (atomic, checksummed) so an interrupted run can be re-invoked with
-    ``resume=True`` and finish from where it stopped; setting it routes
-    the run through the executor even at ``jobs=1``.
+    ``resume=True`` and finish from where it stopped; setting it runs
+    the supervised dispatcher even at ``jobs=1``.
     """
-    if jobs is None or jobs != 1 or checkpoint is not None:
-        from ..parallel import ParallelExecutor
+    from ..parallel import ParallelExecutor
 
-        executor = ParallelExecutor(
-            jobs=jobs, start_method=start_method, chunk_size=chunk_size
-        )
-        return executor.run_workload(
-            searcher, queries, name=name, checkpoint=checkpoint, resume=resume
-        )
-    return serial_run(searcher, queries, name=name)
+    executor = ParallelExecutor(
+        jobs=jobs, start_method=start_method, chunk_size=chunk_size
+    )
+    return executor.run_workload(
+        searcher, queries, name=name, checkpoint=checkpoint, resume=resume
+    )
 
 
 def serial_run(

@@ -13,8 +13,6 @@ Design constraints, in order:
 * **Measured-zero disabled path.**  Every injection site is one call to
   :func:`inject` (or :func:`inject_bytes`); with no plan installed that
   call is a module-global load, an ``is None`` test, and a return.
-  ``benchmarks/bench_faults.py`` measures the end-to-end overhead of the
-  disabled layer and CI fails it above 1%.
 * **Determinism.**  A plan is a list of :class:`FaultSpec` rules; a rule
   fires based on the injection point's name, an equality ``match`` on
   the site's context (chunk index, query position, section name...), a
@@ -44,7 +42,8 @@ Fault kinds:
     ``finally`` blocks and pool bookkeeping, exactly like a SIGKILL.
 
 Injection-point catalog (see ``docs/robustness.md`` for semantics):
-``parallel.worker.chunk``, ``parallel.worker.query``,
+``parallel.worker.chunk`` (context ``kind`` = ``search`` / ``selfjoin``
+/ ``frequency`` / ``index``), ``parallel.worker.query``,
 ``parallel.worker.document``, ``persistence.write``,
 ``persistence.read``, ``service.request``, ``client.request``,
 ``shards.scatter`` (router → shard sub-request, context ``shard``,

@@ -56,7 +56,6 @@ class LSMSearcher(PKWiseSearcher):
         #: Shared with the store — removals are visible to every view.
         self._removed = store.removed
         self.index_build_seconds = 0.0
-        self.build_worker_reports = []
 
     @property
     def index_epoch(self) -> int:

@@ -12,21 +12,23 @@ self-join — across a process pool, with four invariants:
 * **Chunked dispatch.**  Work is cut into ~``CHUNKS_PER_WORKER`` pieces
   per worker so one slow shard cannot idle the rest of the pool; the
   resulting skew is measured and reported per worker.
-* **Graceful degradation.**  ``jobs=1`` (or trivially small inputs)
-  bypasses the pool entirely and runs the serial code in-process.
-* **Crash recovery.**  Workloads and self-joins run under *supervised*
-  dispatch (:mod:`concurrent.futures`): a chunk that raises is retried
-  with capped exponential backoff, a chunk that keeps failing is
-  bisected until the poison item is isolated, and a worker process that
-  dies outright (segfault, OOM kill, injected ``os._exit``) triggers a
-  bounded pool restart with every lost chunk re-dispatched.  Surviving
-  results stay exact — a failed chunk contributes nothing until a
-  retry completes it whole.  Poison queries are quarantined into typed
-  :class:`~repro.eval.harness.QueryFailure` records on the run; a
-  poison self-join document re-raises (a join is exact-or-error).
-  Optional chunk-granularity checkpoints make both operations
-  resumable after a crash or Ctrl-C (see
-  :mod:`repro.parallel.checkpoint`).
+* **One decider.**  This module alone chooses between the serial code
+  and the pool: ``jobs=1`` (or a trivially small input) runs in-process,
+  and "one per CPU" is spelled here and nowhere else (``jobs=0`` or
+  ``None``).  Callers pass ``jobs`` through unconditionally.
+* **Crash recovery, one pool.**  All three operations run under the
+  same *supervised* dispatch (:mod:`concurrent.futures`): a chunk that
+  raises is retried with capped exponential backoff, a chunk that keeps
+  failing is bisected until the poison item is isolated, and a worker
+  process that dies outright (segfault, OOM kill, injected
+  ``os._exit``) triggers a bounded pool restart with every lost chunk
+  re-dispatched.  Surviving results stay exact — a failed chunk
+  contributes nothing until a retry completes it whole.  Poison queries
+  are quarantined into typed :class:`~repro.eval.harness.QueryFailure`
+  records on the run; a poison build block or self-join document
+  re-raises (an index and a join are exact-or-error).  Optional
+  chunk-granularity checkpoints make workloads and self-joins resumable
+  after a crash or Ctrl-C (see :mod:`repro.parallel.checkpoint`).
 """
 
 from __future__ import annotations
@@ -95,13 +97,19 @@ def split_blocks(total: int, parts: int) -> list[tuple[int, int]]:
 
 
 class _Unit:
-    """One retryable unit of dispatched work (a chunk of items)."""
+    """One retryable unit of dispatched work (a sliceable chunk of items)."""
 
     __slots__ = ("items", "attempts")
 
-    def __init__(self, items: list, attempts: int = 0) -> None:
+    def __init__(self, items, attempts: int = 0) -> None:
         self.items = items
         self.attempts = attempts
+
+
+def _reraise(item, exc: Exception, attempts: int) -> None:
+    """``on_poison`` of the exact-or-error operations (build, self-join):
+    there is no per-item report that makes a partial result safe."""
+    raise exc
 
 
 class ParallelExecutor:
@@ -110,8 +118,8 @@ class ParallelExecutor:
     Parameters
     ----------
     jobs:
-        Worker processes; ``None`` means one per CPU.  ``1`` disables
-        the pool (serial pass-through).
+        Worker processes; ``0`` or ``None`` means one per CPU.  ``1``
+        disables the pool (serial pass-through).
     start_method:
         ``"fork"`` (POSIX; workers inherit state through copy-on-write)
         or ``"spawn"`` (portable; state travels through a persisted
@@ -147,10 +155,12 @@ class ParallelExecutor:
         retry_backoff_cap: float = 1.0,
         checkpoint_every: int = 1,
     ) -> None:
-        if jobs is None:
+        if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
         if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+            raise ConfigurationError(
+                f"jobs must be >= 1 (or 0 for one per CPU), got {jobs}"
+            )
         available = multiprocessing.get_all_start_methods()
         if start_method is None:
             start_method = "fork" if "fork" in available else "spawn"
@@ -188,8 +198,8 @@ class ParallelExecutor:
     # Pool plumbing
     # ------------------------------------------------------------------
     @contextmanager
-    def _worker_state(self, state, persist: bool = False):
-        """Yield ``(mp_context, initializer, initargs)`` carrying ``state``.
+    def _worker_state(self, state):
+        """Yield the ``ProcessPoolExecutor`` keywords that carry ``state``.
 
         The supervised dispatcher creates (and after a crash, recreates)
         its own pools, so state transport is factored out of pool
@@ -202,55 +212,34 @@ class ParallelExecutor:
         otherwise.  The active fault plan travels in the initargs so
         injection points fire identically under every start method.
         """
-        context = multiprocessing.get_context(self.start_method)
+        pool_args = {"mp_context": multiprocessing.get_context(self.start_method)}
         plan = faults.get_plan()
         if self.start_method == "fork":
             worker.set_forked_state(state)
             try:
-                yield context, None, ()
+                yield pool_args
             finally:
                 worker.clear_forked_state()
-        elif persist and isinstance(state, PKWiseSearcher):
+        elif isinstance(state, PKWiseSearcher):
             from ..persistence import save_searcher
 
             temp_dir = tempfile.TemporaryDirectory(prefix="repro-parallel-")
             try:
                 index_path = Path(temp_dir.name) / "searcher.idx"
                 save_searcher(state, index_path)
-                yield (
-                    context,
-                    worker.init_searcher_file,
-                    (str(index_path), plan),
-                )
+                yield {
+                    **pool_args,
+                    "initializer": worker.init_searcher_file,
+                    "initargs": (str(index_path), plan),
+                }
             finally:
                 temp_dir.cleanup()
         else:
-            yield context, worker.init_state, (state, plan)
-
-    @contextmanager
-    def _pool(self, state, processes: int, persist: bool = False):
-        """A classic :mod:`multiprocessing` pool over ``state``.
-
-        Used by the barrier-style build phases (every chunk must succeed
-        or the build is wrong anyway).  A ``KeyboardInterrupt`` — or any
-        other abort — terminates the pool promptly instead of closing
-        it and hanging on ``join`` behind unfinished tasks.
-        """
-        with self._worker_state(state, persist=persist) as (
-            context,
-            initializer,
-            initargs,
-        ):
-            pool = context.Pool(processes, initializer=initializer, initargs=initargs)
-            try:
-                yield pool
-            except BaseException:
-                pool.terminate()
-                pool.join()
-                raise
-            else:
-                pool.close()
-                pool.join()
+            yield {
+                **pool_args,
+                "initializer": worker.init_state,
+                "initargs": (state, plan),
+            }
 
     def _chunk(self, items: list) -> list[list]:
         """Cut ``items`` into dispatch chunks (order-preserving)."""
@@ -262,20 +251,6 @@ class ParallelExecutor:
             size = max(1, math.ceil(len(items) / (self.jobs * CHUNKS_PER_WORKER)))
         return [items[lo : lo + size] for lo in range(0, len(items), size)]
 
-    @staticmethod
-    def _reports_by_pid(raw_chunks) -> list[WorkerReport]:
-        """Fold ``(chunk_index, pid, elapsed, ...)`` rows into reports."""
-        by_pid: dict[int, WorkerReport] = {}
-        for row in raw_chunks:
-            pid, elapsed = row[1], row[2]
-            report = by_pid.setdefault(pid, WorkerReport(worker_id=0))
-            report.chunks += 1
-            report.seconds += elapsed
-        reports = [by_pid[pid] for pid in sorted(by_pid)]
-        for worker_id, report in enumerate(reports):
-            report.worker_id = worker_id
-        return reports
-
     # ------------------------------------------------------------------
     # Supervised dispatch (crash recovery core)
     # ------------------------------------------------------------------
@@ -285,9 +260,7 @@ class ParallelExecutor:
         units: list[_Unit],
         task_fn,
         make_task,
-        mp_context,
-        initializer,
-        initargs,
+        pool_args: dict,
         processes: int,
         recovery: RecoveryReport,
         on_result,
@@ -296,8 +269,9 @@ class ParallelExecutor:
     ) -> None:
         """Drive ``units`` through a restartable supervised pool.
 
-        Per completed unit ``on_result(unit, result)`` fires exactly
-        once.  A unit whose task raises an :class:`Exception` is retried
+        ``pool_args`` comes from :meth:`_worker_state`.  Per completed
+        unit ``on_result(unit, result)`` fires exactly once.  A unit
+        whose task raises an :class:`Exception` is retried
         up to ``chunk_retries`` times with capped exponential backoff,
         then bisected (multi-item) or handed to ``on_poison(item, exc,
         attempts)`` (single item).  A dead worker process breaks the
@@ -318,14 +292,6 @@ class ParallelExecutor:
         task_ids = itertools.count()
         restarts = 0
         pool: ProcessPoolExecutor | None = None
-
-        def new_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=processes,
-                mp_context=mp_context,
-                initializer=initializer,
-                initargs=initargs,
-            )
 
         def handle_failure(unit: _Unit, exc: Exception) -> None:
             unit.attempts += 1
@@ -367,7 +333,7 @@ class ParallelExecutor:
                     raise exc
             return broken
 
-        def handle_broken_pool() -> None:
+        def on_pool_broken() -> None:
             nonlocal pool, restarts
             # Every in-flight future settles once the pool is broken;
             # results that arrived before the crash are kept.
@@ -393,7 +359,7 @@ class ParallelExecutor:
         try:
             while pending or in_flight:
                 if pool is None:
-                    pool = new_pool()
+                    pool = ProcessPoolExecutor(max_workers=processes, **pool_args)
                 submitted_ok = True
                 while pending:
                     unit = pending.popleft()
@@ -408,11 +374,11 @@ class ParallelExecutor:
                     in_flight[future] = unit
                 if not in_flight:
                     if not submitted_ok:
-                        handle_broken_pool()
+                        on_pool_broken()
                     continue
                 done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
                 if harvest(done) or not submitted_ok:
-                    handle_broken_pool()
+                    on_pool_broken()
             if pool is not None:
                 pool.shutdown(wait=True)
         except BaseException:
@@ -528,18 +494,12 @@ class ParallelExecutor:
             chunks=len(units),
         ):
             if units:
-                with self._worker_state(searcher, persist=True) as (
-                    context,
-                    initializer,
-                    initargs,
-                ):
+                with self._worker_state(searcher) as pool_args:
                     self._supervise(
                         units=units,
                         task_fn=worker.search_chunk,
                         make_task=lambda task_id, unit: (task_id, unit.items),
-                        mp_context=context,
-                        initializer=initializer,
-                        initargs=initargs,
+                        pool_args=pool_args,
                         processes=processes,
                         recovery=recovery,
                         on_result=on_result,
@@ -608,55 +568,59 @@ class ParallelExecutor:
     ) -> PKWiseSearcher:
         """Build a :class:`PKWiseSearcher` by document partition.
 
-        Two pool phases: (1) per-block window-frequency vectors, summed
-        elementwise into the exact global vector the serial
+        Two supervised phases: (1) per-block window-frequency vectors,
+        summed elementwise into the exact global vector the serial
         :class:`GlobalOrder` would compute; (2) per-block partial
-        interval indexes, merged in block order so every postings list
-        matches the serial build byte for byte.
+        interval indexes, merged in document order so every postings
+        list matches the serial build byte for byte.  A worker lost in
+        either phase costs one pool restart, never the build.
         """
         started = time.perf_counter()
         if self.jobs == 1 or len(data) <= 1:
             return PKWiseSearcher(data, params, scheme=scheme, order=order)
         tracer = get_tracer()
         if order is None:
-            blocks = split_blocks(len(data), self.jobs * CHUNKS_PER_WORKER)
-            tasks = [(i, lo, hi) for i, (lo, hi) in enumerate(blocks)]
-            with tracer.span("parallel.frequency_pass", chunks=len(tasks)):
-                with self._pool(
-                    (data, params.w), min(self.jobs, len(tasks))
-                ) as pool:
-                    raw = pool.map(worker.frequency_chunk, tasks)
             frequencies = [0] * len(data.vocabulary)
-            for _chunk_index, _pid, _elapsed, partial in raw:
+
+            def add_frequencies(_lo: int, partial) -> None:
                 for token_id, count in enumerate(partial):
                     frequencies[token_id] += count
+
+            with tracer.span("parallel.frequency_pass") as phase_span:
+                self._build_phase(
+                    (data, params.w),
+                    len(data),
+                    worker.frequency_chunk,
+                    add_frequencies,
+                    phase_span,
+                )
             order = GlobalOrder.from_frequencies(
                 data.vocabulary, params.w, frequencies, data.total_windows(params.w)
             )
         if scheme is None:
             scheme = default_scheme(params, order)
 
-        blocks = split_blocks(len(data), self.jobs * CHUNKS_PER_WORKER)
-        tasks = [(i, lo, hi) for i, (lo, hi) in enumerate(blocks)]
-        state = (data, params, scheme, order)
+        parts: dict[int, tuple] = {}
         with tracer.span(
-            "parallel.build_searcher",
-            documents=len(data),
-            jobs=min(self.jobs, len(tasks)),
-            chunks=len(tasks),
+            "parallel.build_searcher", documents=len(data)
         ) as build_span:
-            with self._pool(state, min(self.jobs, len(tasks))) as pool:
-                raw = pool.map(worker.index_chunk, tasks)
-            raw.sort(key=lambda row: row[0])
+            self._build_phase(
+                (data, params, scheme, order),
+                len(data),
+                worker.index_chunk,
+                parts.__setitem__,
+                build_span,
+            )
             index = IntervalIndex(params.w, params.tau, scheme)
             rank_docs: list[list[int]] = []
-            for _chunk_index, _pid, _elapsed, partial_index, partial_ranks in raw:
+            for lo in sorted(parts):
+                partial_index, partial_ranks = parts[lo]
                 index.merge(partial_index)
                 rank_docs.extend(partial_ranks)
             build_span.annotate(
                 windows=index.num_windows, postings=index.num_postings
             )
-        searcher = PKWiseSearcher.from_prebuilt(
+        return PKWiseSearcher.from_prebuilt(
             params,
             order,
             scheme,
@@ -664,8 +628,44 @@ class ParallelExecutor:
             rank_docs,
             build_seconds=time.perf_counter() - started,
         )
-        searcher.build_worker_reports = self._reports_by_pid(raw)
-        return searcher
+
+    def _build_phase(
+        self, state, num_documents: int, task_fn, on_result, span
+    ) -> None:
+        """One supervised pass of ``task_fn`` over contiguous document blocks.
+
+        Workers receive ``(task_id, lo, hi)`` and ``on_result(lo,
+        result)`` fires exactly once per completed block, whatever
+        retries and bisection made of the blocks; callers combine by
+        ``lo``, never by arrival, which keeps the build deterministic.
+        An index is exact-or-error like the self-join, so a block that
+        keeps failing re-raises its exception.  ``span`` is annotated
+        with the dispatch shape and any pool restarts.
+        """
+        units = [
+            _Unit(range(lo, hi))
+            for lo, hi in split_blocks(num_documents, self.jobs * CHUNKS_PER_WORKER)
+        ]
+        processes = min(self.jobs, len(units))
+        recovery = RecoveryReport()
+        with self._worker_state(state) as pool_args:
+            self._supervise(
+                units=units,
+                task_fn=task_fn,
+                make_task=lambda task_id, unit: (
+                    task_id,
+                    unit.items.start,
+                    unit.items.stop,
+                ),
+                pool_args=pool_args,
+                processes=processes,
+                recovery=recovery,
+                on_result=lambda unit, result: on_result(unit.items.start, result),
+                on_poison=_reraise,
+            )
+        span.annotate(
+            jobs=processes, chunks=len(units), pool_restarts=recovery.pool_restarts
+        )
 
     # ------------------------------------------------------------------
     # (c) Parallel self-join
@@ -688,7 +688,8 @@ class ParallelExecutor:
         whole collection; the canonical-orientation filter already
         deduplicates across blocks, and the final sort makes the output
         identical to the serial join.  Pass a prebuilt ``searcher`` to
-        skip (re)building the index.
+        skip (re)building the index.  ``jobs=1`` without a checkpoint
+        (or a single document) runs the same probes in-process.
 
         Supervised like :meth:`run_workload` (chunk retries, pool
         restarts, ``checkpoint=``/``resume=``), with one difference: a
@@ -702,17 +703,9 @@ class ParallelExecutor:
         if searcher is None:
             searcher = self.build_searcher(data, params, scheme=scheme, order=order)
         documents = list(data)
-        if checkpoint is None and (self.jobs == 1 or len(documents) <= 1):
-            results = []
-            for document in documents:
-                results.extend(
-                    document_join_pairs(
-                        searcher, document, exclude_same_document_within
-                    )
-                )
-            results.sort()
-            return results
-
+        in_process = checkpoint is None and (
+            self.jobs == 1 or len(documents) <= 1
+        )
         recovery = RecoveryReport()
         results: list = []
         run_checkpoint: RunCheckpoint | None = None
@@ -742,19 +735,19 @@ class ParallelExecutor:
                 if run_checkpoint.dirty >= self.checkpoint_every:
                     run_checkpoint.flush()
 
-        def on_poison(document, exc: Exception, attempts: int) -> None:
-            raise exc
-
         with get_tracer().span(
             "parallel.self_join", documents=len(documents), jobs=processes,
             chunks=len(units),
         ) as join_span:
-            if units:
-                with self._worker_state(searcher, persist=True) as (
-                    context,
-                    initializer,
-                    initargs,
-                ):
+            if in_process:
+                for document in documents:
+                    results.extend(
+                        document_join_pairs(
+                            searcher, document, exclude_same_document_within
+                        )
+                    )
+            elif units:
+                with self._worker_state(searcher) as pool_args:
                     self._supervise(
                         units=units,
                         task_fn=worker.selfjoin_chunk,
@@ -763,13 +756,11 @@ class ParallelExecutor:
                             unit.items,
                             exclude_same_document_within,
                         ),
-                        mp_context=context,
-                        initializer=initializer,
-                        initargs=initargs,
+                        pool_args=pool_args,
                         processes=processes,
                         recovery=recovery,
                         on_result=on_result,
-                        on_poison=on_poison,
+                        on_poison=_reraise,
                         checkpoint=run_checkpoint,
                     )
             results.sort()

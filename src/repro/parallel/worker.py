@@ -1,6 +1,8 @@
 """Pool-worker entry points for :class:`~repro.parallel.ParallelExecutor`.
 
-Everything here runs inside worker processes.  The shared read-only
+Everything here runs inside worker processes of the executor's one
+supervised pool (a ``ProcessPoolExecutor``, rebuilt after a worker
+death; all four task functions below run under it).  The shared read-only
 state (a searcher, or the pieces of an index build) lives in the module
 global ``_STATE``: under the ``fork`` start method the parent sets it
 before creating the pool and children inherit it for free; under
@@ -10,13 +12,16 @@ otherwise.  The initializers also re-install the parent's active
 :class:`~repro.faults.FaultPlan`, so injected faults fire identically
 under every start method.
 
-Task functions take one picklable tuple and return
-``(chunk_index, pid, elapsed_seconds, ...)`` so the parent can reorder
-chunks deterministically and attribute busy time to workers.  Each task
-function passes through the :mod:`repro.faults` injection points
-``parallel.worker.chunk`` (once per chunk), ``parallel.worker.query``
-(once per workload query) and ``parallel.worker.document`` (once per
-self-join probe document) — all no-ops unless a fault plan is active.
+Task functions take one picklable tuple whose first element is the
+dispatch id.  The workload and self-join tasks return ``(chunk_index,
+pid, elapsed_seconds, ...)`` so the parent can attribute busy time to
+workers; the two build tasks return their partial result alone (the
+parent keys it by the block's first document).  Every task function
+passes through the :mod:`repro.faults` injection point
+``parallel.worker.chunk`` once per chunk (``kind`` = ``search`` /
+``selfjoin`` / ``frequency`` / ``index``); ``parallel.worker.query``
+fires once per workload query and ``parallel.worker.document`` once per
+self-join probe document — all no-ops unless a fault plan is active.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ def init_searcher_file(path: str, fault_plan=None) -> None:
     """Pool initializer (spawn fallback): map a persisted searcher.
 
     The snapshot's array columns are memory-mapped instead of copied —
-    every worker of the pool maps the same file, so the index pages are
+    every pool worker maps the same file, so the index pages are
     shared through the OS page cache rather than duplicated per process.
 
     The fault plan (when given) is installed *after* the searcher loads,
@@ -111,37 +116,40 @@ def search_chunk(task):
 def frequency_chunk(task):
     """Window-frequency vector over one contiguous document block.
 
-    Shared state: ``(data, w)``.  The vectors of all blocks sum
+    ``task`` is ``(chunk_index, lo, hi)``; shared state: ``(data, w)``.
+    The vectors of any set of blocks covering the collection sum
     elementwise to ``window_frequencies(data, w)``.
     """
     chunk_index, lo, hi = task
+    faults.inject(
+        "parallel.worker.chunk", chunk_index=chunk_index, kind="frequency"
+    )
     data, w = _STATE
-    started = time.perf_counter()
-    freq = window_frequencies_of_documents(
+    return window_frequencies_of_documents(
         (data[doc_id] for doc_id in range(lo, hi)), len(data.vocabulary), w
     )
-    elapsed = time.perf_counter() - started
-    return chunk_index, os.getpid(), elapsed, freq
 
 
 def index_chunk(task):
     """Partial interval index over one contiguous document block.
 
-    Shared state: ``(data, params, scheme, order)``.  Merging
-    the partial indexes in block order reproduces the serial build
+    ``task`` is ``(chunk_index, lo, hi)``; shared state: ``(data,
+    params, scheme, order)``.  Returns ``(index, rank_docs)``; merging
+    the partial indexes in document order reproduces the serial build
     exactly (see :meth:`~repro.index.interval_index.IntervalIndex.merge`).
     """
     chunk_index, lo, hi = task
+    faults.inject(
+        "parallel.worker.chunk", chunk_index=chunk_index, kind="index"
+    )
     data, params, scheme, order = _STATE
-    started = time.perf_counter()
     index = IntervalIndex(params.w, params.tau, scheme)
     rank_docs = []
     for doc_id in range(lo, hi):
         ranks = order.rank_document(data[doc_id])
         rank_docs.append(ranks)
         index.index_document(doc_id, ranks)
-    elapsed = time.perf_counter() - started
-    return chunk_index, os.getpid(), elapsed, index, rank_docs
+    return index, rank_docs
 
 
 def selfjoin_chunk(task):

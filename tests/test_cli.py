@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro import (
+    FaultPlan,
+    FaultSpec,
+    Index,
+    ParallelExecutor,
+    WorkerCrashError,
+    faults,
+)
 from repro.cli import main
+from repro.errors import RoutingUnavailableError
+from repro.persistence import read_envelope
 
 
 @pytest.fixture
@@ -89,6 +101,118 @@ class TestIndexAndSearch:
              "--sample-ratio", "0.3"]
         )
         assert rc == 0
+
+
+class TestFrontDoor:
+    """The CLI is a client of ``repro.api``: same bytes, same words."""
+
+    @pytest.mark.parametrize(
+        "flags, build_kwargs",
+        [
+            (["--tau", "3"], {"tau": 3}),
+            (
+                ["--tau", "1", "--greedy-partition", "--sample-ratio", "0.3"],
+                {"tau": 1, "greedy_partition": True, "sample_ratio": 0.3},
+            ),
+            (["--tau", "3", "--jobs", "2"], {"tau": 3, "jobs": 2}),
+            (["--tau", "3", "--routing", "exact"], {"tau": 3, "routing": "exact"}),
+        ],
+        ids=["plain", "greedy", "jobs2", "routing-exact"],
+    )
+    def test_index_writes_what_index_build_saves(
+        self, corpus_dir, tmp_path, flags, build_kwargs
+    ):
+        directory, query_path = corpus_dir
+        cli_path, api_path = tmp_path / "cli.idx", tmp_path / "api.idx"
+        rc = main(
+            ["index", "--data", str(directory), "--out", str(cli_path),
+             "-w", "20", *flags]
+        )
+        assert rc == 0
+        Index.build(directory, w=20, **build_kwargs).save(api_path)
+        _header, _sections, cli_arrays = read_envelope(cli_path, "pkwise-index")
+        _header, _sections, api_arrays = read_envelope(api_path, "pkwise-index")
+        assert set(cli_arrays) == set(api_arrays)
+        for name, array in api_arrays.items():
+            assert np.array_equal(cli_arrays[name], array), name
+        text = query_path.read_text()
+        with Index.open(cli_path) as from_cli, Index.open(api_path) as from_api:
+            assert from_cli.params == from_api.params
+            pairs = from_cli.search_text(text).pairs
+            assert pairs and pairs == from_api.search_text(text).pairs
+
+    def test_search_routing_on_unrouted_snapshot_is_one_message(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        directory, query_path = corpus_dir
+        index_path = tmp_path / "plain.idx"
+        main(["index", "--data", str(directory), "--out", str(index_path),
+              "-w", "20", "--tau", "4"])
+        with pytest.raises(RoutingUnavailableError) as raised:
+            Index.open(index_path, routing="exact")
+        capsys.readouterr()
+        rc = main(
+            ["search", "--index", str(index_path), "--query", str(query_path),
+             "--routing", "exact"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+    def test_search_jobs_checkpoint_resume_print_the_serial_output(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        directory, query_path = corpus_dir
+        index_path = tmp_path / "corpus.idx"
+        main(["index", "--data", str(directory), "--out", str(index_path),
+              "-w", "20", "--tau", "4"])
+        query_paths = [query_path, directory / "doc5.txt"]
+        search = ["search", "--index", str(index_path)]
+        for path in query_paths:
+            search += ["--query", str(path)]
+        capsys.readouterr()
+        assert main(search) == 0
+        expected = capsys.readouterr().out
+        assert "doc1.txt" in expected and "doc0.txt" in expected
+
+        checkpoint = tmp_path / "run.ckpt"
+        parallel = search + ["--jobs", "2", "--checkpoint", str(checkpoint)]
+        assert main(parallel) == 0
+        assert capsys.readouterr().out == expected
+        assert not checkpoint.exists()  # removed on success
+        assert main(search + ["--jobs", "0"]) == 0
+        assert capsys.readouterr().out == expected
+
+        # An interrupted run (one worker killed, no restart budget)
+        # leaves the checkpoint behind; --resume finishes it.
+        with Index.open(index_path) as index:
+            queries = [
+                index.encode_query(Path(path).read_text(), name=Path(path).name)
+                for path in query_paths
+            ]
+            faults.install_plan(
+                FaultPlan(
+                    [
+                        FaultSpec(
+                            point="parallel.worker.query",
+                            kind="kill",
+                            match={"position": 1},
+                            max_triggers=1,
+                        )
+                    ],
+                    ledger=tmp_path / "ledger",
+                )
+            )
+            try:
+                with pytest.raises(WorkerCrashError):
+                    ParallelExecutor(jobs=2, max_pool_restarts=0).run_workload(
+                        index.searcher(), queries, checkpoint=checkpoint
+                    )
+            finally:
+                faults.clear_plan()
+        assert checkpoint.exists()
+        assert main(parallel + ["--resume"]) == 0
+        assert capsys.readouterr().out == expected
+        assert not checkpoint.exists()
 
 
 class TestSelfJoin:

@@ -20,6 +20,7 @@ from repro.core import (
     PKWiseSearcher,
     WeightedPKWiseSearcher,
 )
+from repro.eval import run_searcher
 
 from repro.index import CompactIntervalIndex, IntervalIndex, WindowInvertedIndex
 from repro.parallel import ParallelExecutor
@@ -288,6 +289,14 @@ class TestSearchManyUnification:
         run = index.search_many(queries)
         assert run.num_queries == 2
         assert set(run.results_by_query) == {0, 1}
+        # jobs=0 is "one per CPU" everywhere jobs= is taken, not only in
+        # Index.build (2.4 raised "jobs must be >= 1, got 0" here).
+        for auto in (
+            index.search_many(queries, jobs=0),
+            run_searcher(index.searcher(), queries, jobs=0),
+            Index.build(small_corpus, index.params, jobs=0).search_many(queries),
+        ):
+            assert auto.results_by_query == run.results_by_query
 
     def test_weighted_and_baseline_agree_on_shape(self, small_corpus):
         params = SearchParams(w=10, tau=2, k_max=3)
@@ -332,4 +341,4 @@ class TestModuleSurface:
         assert "open_index" not in repro.__all__
 
     def test_version_bumped(self):
-        assert repro.__version__ == "2.4.0"
+        assert repro.__version__ == "2.5.0"

@@ -10,8 +10,11 @@ surviving results stay byte-identical to a clean serial run.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import multiprocessing
 import random
+import signal
 
 import pytest
 
@@ -28,6 +31,7 @@ from repro import (
 )
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.eval.harness import serial_run
+from repro.obs import configure_tracing, disable_tracing
 from repro.parallel.checkpoint import RunCheckpoint, workload_fingerprint
 from repro.persistence import PersistenceError
 
@@ -62,6 +66,36 @@ def _executor(**kwargs) -> ParallelExecutor:
     kwargs.setdefault("chunk_size", 2)
     kwargs.setdefault("retry_backoff", 0.0)
     return ParallelExecutor(**kwargs)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail (instead of hanging the suite) when the body outlives ``seconds``.
+
+    POSIX only, main thread only — which is where the fork-gated tests
+    that use it run.  The alarm interrupts a blocked pool wait, so the
+    executor's own abort path still cleans its workers up.
+    """
+
+    def _expired(signum, frame):  # noqa: ARG001 - signal API
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _kill_one_chunk(kind: str) -> FaultSpec:
+    return FaultSpec(
+        point="parallel.worker.chunk",
+        kind="kill",
+        match={"kind": kind},
+        max_triggers=1,
+    )
 
 
 class TestFaultSpec:
@@ -350,7 +384,7 @@ class TestWorkerKill:
     def test_persistent_killer_raises_worker_crash_error(
         self, workload, tmp_path
     ):
-        _data, _params, searcher, queries = workload
+        data, params, searcher, queries = workload
         faults.install_plan(
             FaultPlan(
                 [
@@ -368,6 +402,62 @@ class TestWorkerKill:
         with pytest.raises(WorkerCrashError) as info:
             executor.run_workload(searcher, queries)
         assert info.value.restarts == 1
+        # The build spends the same budget under the same supervisor.
+        faults.install_plan(
+            FaultPlan([_kill_one_chunk("index")], ledger=tmp_path / "build")
+        )
+        with _deadline(60), pytest.raises(WorkerCrashError) as info:
+            executor.build_searcher(data, params)
+        assert info.value.restarts == 1
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_kill_during_build_recovers(self, workload, tmp_path, start_method):
+        # One worker dies in each build phase.  Before 2.5 the phases ran
+        # under multiprocessing.Pool.map, which never returns once a
+        # worker is lost: this test hung instead of failing.
+        data, params, serial, _queries = workload
+        faults.install_plan(
+            FaultPlan(
+                [_kill_one_chunk("frequency"), _kill_one_chunk("index")],
+                ledger=tmp_path / "ledger",
+            )
+        )
+        trace = tmp_path / "build.jsonl"
+        configure_tracing(str(trace))
+        try:
+            with _deadline(120):
+                built = _executor(start_method=start_method).build_searcher(
+                    data, params
+                )
+        finally:
+            disable_tracing()
+        assert built.index._postings == serial.index._postings
+        assert built.rank_docs == serial.rank_docs
+        restarts = {
+            event["name"]: event["attrs"]["pool_restarts"]
+            for event in map(json.loads, trace.read_text().splitlines())
+        }
+        assert restarts == {
+            "parallel.frequency_pass": 1,
+            "parallel.build_searcher": 1,
+        }
+
+    def test_build_exact_or_error_on_poison(self, workload):
+        # A block that never stops failing re-raises: no partial index.
+        data, params, _searcher, _queries = workload
+        faults.install_plan(
+            FaultPlan(
+                [
+                    FaultSpec(
+                        point="parallel.worker.chunk",
+                        kind="raise",
+                        match={"kind": "index"},
+                    )
+                ]
+            )
+        )
+        with _deadline(60), pytest.raises(FaultInjectionError):
+            _executor().build_searcher(data, params)
 
 
 @needs_fork

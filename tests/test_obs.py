@@ -161,12 +161,21 @@ class TestSerialParallelCounterParity:
     """Acceptance: serial and --jobs N merged counters are identical."""
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method required")
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_counters_field_for_field(self, reuse_corpus, jobs):
+    @pytest.mark.parametrize(
+        "jobs, start_method",
+        [
+            pytest.param(2, "fork", id="2"),
+            pytest.param(3, "fork", id="3"),
+            pytest.param(2, "spawn", id="2-spawn"),
+        ],
+    )
+    def test_counters_field_for_field(self, reuse_corpus, jobs, start_method):
         data, queries = reuse_corpus
         searcher = PKWiseSearcher(data, SearchParams(w=12, tau=3, k_max=2))
         serial = run_searcher(searcher, queries)
-        parallel = run_searcher(searcher, queries, jobs=jobs, chunk_size=1)
+        parallel = run_searcher(
+            searcher, queries, jobs=jobs, chunk_size=1, start_method=start_method
+        )
         serial_snap = serial.stats.snapshot()
         parallel_snap = parallel.stats.snapshot()
         assert parallel_snap["counters"] == serial_snap["counters"]
