@@ -9,7 +9,12 @@ Exercises the full ``repro serve`` path end to end:
    ``SERVING http://...`` line for the ephemeral port,
 4. hits ``/healthz``, runs the same query twice through ``/search``
    (one cache miss, one hit) and asserts pair-for-pair parity,
-5. snapshots ``/metrics`` into a ``check_regression.py``-compatible
+5. routes as an operator does — the index is built with ``repro index
+   --routing exact``, so the two queries above were routed; the same
+   text through ``repro query --routing off`` (CLI flag → HTTP body →
+   service → searcher) must print the same pairs, and ``/metrics``
+   must show the fingerprint tier checked documents,
+6. snapshots ``/metrics`` into a ``check_regression.py``-compatible
    record (``{"config": ..., "serial": {"metrics": ...}}``).
 
 Run it twice and diff the two snapshots with ``check_regression.py``:
@@ -50,6 +55,7 @@ import argparse
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -381,10 +387,14 @@ def main(argv: list[str] | None = None) -> int:
         query_text = write_corpus(corpus_dir)
         index_path = tmp_path / "corpus.idx"
 
+        # The single-process leg serves a routed snapshot; the sharded
+        # legs keep the unrouted one their records were taken with.
+        single = not args.chaos and args.shards <= 1
         subprocess.run(
             [sys.executable, "-m", "repro.cli", "index",
              "--data", str(corpus_dir), "--out", str(index_path),
-             "-w", str(W), "--tau", str(TAU)],
+             "-w", str(W), "--tau", str(TAU),
+             *(["--routing", "exact"] if single else [])],
             check=True,
         )
 
@@ -461,10 +471,25 @@ def main(argv: list[str] | None = None) -> int:
             assert not first["cached"] and second["cached"], (first, second)
             assert first["pairs"] == second["pairs"], "cache changed the answer"
 
+            unrouted = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "query", "--server", url,
+                 "--text", query_text, "--routing", "off", "--show-pairs"],
+                check=True, capture_output=True, text=True,
+            ).stdout
+            assert "(fresh," in unrouted, "a mode override shared a cache entry"
+            printed = re.findall(
+                r"doc (\d+) \[(\d+)\] ~ query \[(\d+)\] overlap (\d+)", unrouted
+            )
+            assert [list(map(int, pair)) for pair in printed] == first["pairs"], (
+                "routing changed the answer"
+            )
+
             snapshot = remote_metrics(url)
             counters = snapshot["metrics"]["counters"]
             assert counters["service.cache_hits"] == 1, counters
-            assert counters["service.completed"] == 2, counters
+            assert counters["service.completed"] == 3, counters
+            # One routed miss went through the fingerprint tier.
+            assert counters["routing_checked_docs"] == NUM_DOCS, counters
         finally:
             server.terminate()
             server.wait(timeout=10)
@@ -473,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         "config": {
             "profile": "serving-smoke",
             "num_documents": NUM_DOCS,
-            "num_queries": 2,
+            "num_queries": 3,
             "w": W,
             "tau": TAU,
             "k_max": 4,
@@ -481,8 +506,8 @@ def main(argv: list[str] | None = None) -> int:
         "serial": {"metrics": snapshot},
     }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"smoke ok: {first['num_pairs']} pairs, cache hit verified; "
-          f"wrote {args.out}")
+    print(f"smoke ok: {first['num_pairs']} pairs, cache hit and routed/"
+          f"unrouted parity verified; wrote {args.out}")
     return 0
 
 

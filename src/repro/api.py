@@ -82,8 +82,8 @@ class Searcher(Protocol):
     ``cancel=`` (a zero-argument callable polled between query windows;
     True aborts with :class:`~repro.errors.SearchCancelled`) on every
     uncached request, and :meth:`Index.search` / the service pass
-    ``routing=`` (a :class:`~repro.RoutingPolicy`) exactly when a
-    request overrides the engine's policy.
+    ``routing=`` (a mode string or a :class:`~repro.RoutingPolicy`, read
+    for its ``mode``) exactly when a request overrides the engine's.
     :class:`~repro.PKWiseSearcher` and the LSM view implement both.
     The batch-only engines (:class:`~repro.PKWiseNonIntervalSearcher`,
     :class:`~repro.WeightedPKWiseSearcher`, :mod:`repro.baselines`)
@@ -255,9 +255,9 @@ class Index:
 
         ``routing`` sets the fingerprint routing policy the index
         searches under — a :class:`~repro.RoutingPolicy`, its dict
-        form, or a bare mode string (``"exact"`` / ``"approx"``); the
-        policy rides on the params, so it round-trips through
-        :meth:`save` / :meth:`open`.
+        form, or a bare mode string (``"off"`` / ``"exact"``).
+        Fingerprints are written here, so ``block_tokens`` is read; the
+        policy rides on the params through :meth:`save` / :meth:`open`.
         """
         searcher, collection = _build_searcher(
             data,
@@ -294,9 +294,10 @@ class Index:
         pre-2.0 release is a typed
         :class:`~repro.persistence.PersistenceError`: rebuild it.
 
-        ``routing`` overrides the snapshot's routing policy for every
-        query through this index.  Requesting an active mode against a
-        snapshot saved without fingerprints raises
+        ``routing`` overrides the snapshot's routing *mode* for every
+        query through this index (of a :class:`~repro.RoutingPolicy`
+        only ``mode`` is read; the stored layout stays).  ``"exact"``
+        against a snapshot saved without fingerprints raises
         :class:`~repro.errors.RoutingUnavailableError` here, at open
         time, rather than on the first query.
 
@@ -306,15 +307,15 @@ class Index:
         bundle = load_bundle(path, fallback=fallback, mmap=mmap)
         searcher = bundle.searcher
         if routing is not None:
-            policy = RoutingPolicy.from_dict(routing)
-            if policy.enabled and searcher._routing_tier is None:
+            params = searcher.params.with_routing_mode(routing)
+            if params.routing.enabled and searcher._routing_tier is None:
                 raise RoutingUnavailableError(
                     f"{path} was saved without routing fingerprints; "
                     f"rebuild it under a routing policy (Index.build(..., "
                     f"routing='exact') or repro index --routing exact) "
                     f"to route queries"
                 )
-            searcher.params = searcher.params.with_routing(policy)
+            searcher.params = params
         return cls(
             searcher,
             bundle.data,
@@ -354,17 +355,15 @@ class Index:
         ``fsync=True`` makes every WAL append durable against power
         loss, not just process crash.
 
-        ``routing`` sets (on creation) or overrides (on resume) the
-        store's :class:`~repro.RoutingPolicy` — new memtables maintain
-        fingerprints incrementally; segments keep the fingerprints
-        they were saved with, and a tier without any builds its own on
-        the first routed query.
+        ``routing`` sets the store's :class:`~repro.RoutingPolicy` on
+        creation and overrides its *mode* on resume (the stored layout
+        stays) — new memtables maintain fingerprints incrementally;
+        segments keep the fingerprints they were saved with, and a tier
+        without any builds its own on the first routed query.
         """
         from .ingest import IngestStore
         from .ingest.manifest import MANIFEST_NAME
 
-        if routing is not None:
-            routing = RoutingPolicy.from_dict(routing)
         if directory is not None and (Path(directory) / MANIFEST_NAME).exists():
             store = IngestStore.open(
                 directory,
@@ -461,14 +460,14 @@ class Index:
     def search(self, query, *, routing: RoutingPolicy | dict | str | None = None):
         """Search one encoded query; pairs are typed ``MatchPair``s.
 
-        ``routing`` overrides the index's routing policy for this one
-        query (e.g. ``"exact"`` to route on an off-policy index, or
-        ``RoutingPolicy(mode="off")`` to bypass a routed one).
+        ``routing`` overrides the index's routing mode for this one
+        query (``"exact"`` to route on an off-policy index, ``"off"``
+        or ``RoutingPolicy(mode="off")`` to bypass a routed one).
         """
         engine = self._engine()
         if routing is None:
             return engine.search(query)
-        return engine.search(query, routing=RoutingPolicy.from_dict(routing))
+        return engine.search(query, routing=routing)
 
     def search_text(
         self, text: str, *, routing: RoutingPolicy | dict | str | None = None

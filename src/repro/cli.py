@@ -63,10 +63,11 @@ from pathlib import Path
 from .api import Index, params_from_values
 from .core.selfjoin import local_similarity_self_join
 from .corpus import collection_from_directory
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .obs import MetricsRegistry, configure_tracing, disable_tracing
 from .params import SearchParams
 from .postprocess import filter_passages, merge_passages
+from .routing import ROUTING_MODES, RoutingPolicy
 
 
 def _add_search_params(parser: argparse.ArgumentParser) -> None:
@@ -102,48 +103,31 @@ def _write_metrics(path: str, payload: dict) -> None:
 
 
 def _add_routing_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--routing", choices=("off", "exact", "approx"),
-                        default=None,
+    parser.add_argument("--routing", choices=ROUTING_MODES, default=None,
                         help="fingerprint routing tier: 'exact' prunes "
-                             "documents without losing any pair, 'approx' "
-                             "prunes harder with bounded recall "
+                             "documents without losing any pair "
                              "(default: the index's stored policy)")
-    parser.add_argument("--hamming-budget", type=int, default=None,
-                        help="approx-mode Hamming budget (default tau; "
-                             "exact mode derives its own conservative one)")
-    parser.add_argument("--routing-bands", type=int, default=None,
-                        help="MinHash bands per fingerprint (default 4)")
+
+
+def _add_routing_layout_flag(parser: argparse.ArgumentParser) -> None:
+    """Only for the commands that write fingerprints: layout is decided
+    there, and every other command takes routing as a mode."""
     parser.add_argument("--routing-block", type=int, default=None,
-                        help="tokens per fingerprint block (default 128)")
-
-
-def _routing_from_args(args: argparse.Namespace):
-    """A RoutingPolicy from the --routing* flags, or None when untouched."""
-    from .routing import RoutingPolicy
-    from .routing.policy import DEFAULT_BANDS, DEFAULT_BLOCK_TOKENS
-
-    mode = getattr(args, "routing", None)
-    budget = getattr(args, "hamming_budget", None)
-    bands = getattr(args, "routing_bands", None)
-    block = getattr(args, "routing_block", None)
-    if mode is None and budget is None and bands is None and block is None:
-        return None
-    return RoutingPolicy(
-        mode=mode if mode is not None else "exact",
-        hamming_budget=budget,
-        bands=bands if bands is not None else DEFAULT_BANDS,
-        block_tokens=block if block is not None else DEFAULT_BLOCK_TOKENS,
-    )
+                        help="tokens per fingerprint block (default 128; "
+                             "alone it implies --routing exact)")
 
 
 def _params_from_args(args: argparse.Namespace) -> SearchParams:
     params = params_from_values(
         w=args.window, tau=args.tau, k_max=args.k_max, m=args.sub_partitions
     )
-    routing = _routing_from_args(args)
-    if routing is not None:
-        params = params.with_routing(routing)
-    return params
+    mode = getattr(args, "routing", None)
+    block = getattr(args, "routing_block", None)
+    if block is None:
+        return params.with_routing(mode)
+    return params.with_routing(
+        RoutingPolicy(mode=mode or "exact", block_tokens=block)
+    )
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
@@ -200,11 +184,16 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     directory = Path(args.dir)
     creating = not (directory / MANIFEST_NAME).exists()
+    if not creating and args.routing_block is not None:
+        raise ConfigurationError(
+            f"--routing-block sets the fingerprint layout when --dir is "
+            f"created; {directory} exists and keeps the one it was created with"
+        )
     params = _params_from_args(args) if creating else None
     index = Index.open_live(
         directory,
         params,
-        routing=None if creating else _routing_from_args(args),
+        routing=None if creating else args.routing,
         fsync=args.fsync,
     )
     store = index.searcher().store
@@ -255,7 +244,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from .eval.harness import run_searcher
 
     index = Index.open(
-        args.index, mmap=args.mmap, routing=_routing_from_args(args)
+        args.index, mmap=args.mmap, routing=args.routing
     )
     searcher, data = index.searcher(), index.data
     if data is None:
@@ -381,7 +370,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_sharded(args)
     if args.live:
         index = Index.open_live(
-            args.index, routing=_routing_from_args(args), background=True
+            args.index, routing=args.routing, background=True
         )
         store = index.searcher().store
         print(
@@ -393,7 +382,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     else:
         index = Index.open(
-            args.index, mmap=args.mmap, routing=_routing_from_args(args)
+            args.index, mmap=args.mmap, routing=args.routing
         )
         print(
             f"loaded {index} in {index.load_seconds:.2f}s "
@@ -537,11 +526,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.text is not None
         else Path(args.query).read_text(encoding="utf-8")
     )
-    routing = _routing_from_args(args)
     reply = client.search(
-        text,
-        timeout=args.request_timeout,
-        routing=routing.to_dict() if routing is not None else None,
+        text, timeout=args.request_timeout, routing=args.routing
     )
     print(
         f"{reply['num_pairs']} window pairs "
@@ -580,6 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(.1 newest .. .N oldest; default 0)")
     _add_search_params(index_parser)
     _add_routing_flags(index_parser)
+    _add_routing_layout_flag(index_parser)
     _add_jobs_flag(index_parser)
     _add_obs_flags(index_parser)
     index_parser.set_defaults(func=_cmd_index)
@@ -609,6 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "durability, slower)")
     _add_search_params(ingest_parser)
     _add_routing_flags(ingest_parser)
+    _add_routing_layout_flag(ingest_parser)
     _add_obs_flags(ingest_parser)
     ingest_parser.set_defaults(func=_cmd_ingest)
 

@@ -280,18 +280,11 @@ class PKWiseSearcher:
             )
         return tier
 
-    def _route_query(
-        self, query_ranks, policy: RoutingPolicy, stats: SearchStats
-    ):
-        """Survivor mask (or ``None``) for one query under ``policy``."""
+    def _route_query(self, query_ranks, stats: SearchStats):
+        """Survivor mask (or ``None``) for one routed query."""
         tier = self.routing_fingerprints()
         allowed = tier.survivors(
-            query_ranks,
-            w=self.params.w,
-            tau=self.params.tau,
-            mode=policy.mode,
-            hamming_budget=policy.hamming_budget,
-            bands=policy.bands,
+            query_ranks, w=self.params.w, tau=self.params.tau
         )
         if allowed is not None:
             stats.routing_checked_docs += tier.ndocs
@@ -306,7 +299,7 @@ class PKWiseSearcher:
         query: Document,
         *,
         cancel: Callable[[], bool] | None = None,
-        routing: RoutingPolicy | None = None,
+        routing: RoutingPolicy | str | None = None,
     ) -> SearchResult:
         """All matching window pairs between ``query`` and the data.
 
@@ -317,10 +310,10 @@ class PKWiseSearcher:
         this for per-request deadlines; a hook that always returns
         False costs one call per window.
 
-        ``routing`` overrides the fingerprint routing policy for this
-        request (``None`` uses ``self.params.routing``).  The tier's
-        *layout* (block width, stored bands) is fixed at build time; a
-        per-request policy can change the mode and budget freely.
+        ``routing`` overrides the routing mode for this request
+        (``None`` uses ``self.params.routing``): a mode string or a
+        :class:`~repro.RoutingPolicy`, of which only ``mode`` is read —
+        the tier's layout was fixed where its fingerprints were written.
         """
         tracer = get_tracer()
         if not tracer.enabled:
@@ -350,7 +343,7 @@ class PKWiseSearcher:
         self,
         query: Document,
         cancel: Callable[[], bool] | None = None,
-        routing: RoutingPolicy | None = None,
+        routing: RoutingPolicy | str | None = None,
     ) -> SearchResult:
         """The untraced search kernel behind :meth:`search`.
 
@@ -379,10 +372,10 @@ class PKWiseSearcher:
         # documents may participate before any signature is generated.
         policy = params.routing if routing is None else routing
         allowed = None
-        if policy is not None and policy.enabled:
+        if RoutingPolicy.from_dict(policy).enabled:
             clock = time.perf_counter
             routing_start = clock()
-            allowed = self._route_query(query_ranks, policy, stats)
+            allowed = self._route_query(query_ranks, stats)
             stats.routing_fingerprint_time += clock() - routing_start
             if allowed is not None and not allowed.any():
                 return SearchResult(pairs=[], stats=stats)

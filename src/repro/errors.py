@@ -192,8 +192,8 @@ IndexStateError = IndexError_
 class RoutingUnavailableError(IndexError_):
     """Routing was requested but the snapshot carries no fingerprints.
 
-    Raised when a query asks for ``RoutingPolicy(mode="exact"|"approx")``
-    against a compact snapshot that was saved without a routing section
-    (built with ``mode="off"``).  Rebuild or re-save the snapshot with a
-    routing policy, or query with ``mode="off"``.
+    Raised when a query asks for routing mode ``"exact"`` against a
+    compact snapshot that was saved without a routing section (built
+    with ``mode="off"``).  Rebuild or re-save the snapshot under
+    ``mode="exact"``, or query with ``mode="off"``.
     """

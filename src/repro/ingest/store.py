@@ -284,11 +284,9 @@ class IngestStore:
         directory = Path(directory)
         state = read_manifest(directory)
         if routing is not None:
-            # Routing is a query-time policy: overriding it re-keys the
-            # store's params (memtables created from here on fingerprint
-            # accordingly; segments saved without fingerprints build
-            # theirs on the first routed query).
-            state.params = state.params.with_routing(routing)
+            # On resume routing is a mode: the stored layout stays, and
+            # memtables created from here on fingerprint under it.
+            state.params = state.params.with_routing_mode(routing)
         if state.data is None:
             raise PersistenceError(
                 f"{manifest_path(directory)} carries no document collection"

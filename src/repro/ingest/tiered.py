@@ -257,14 +257,14 @@ class TieredFingerprints:
             )
         return built
 
-    def survivors(self, query_ranks, **policy) -> np.ndarray | None:
+    def survivors(self, query_ranks, *, w: int, tau: int) -> np.ndarray | None:
         """Survivor mask over global doc ids ``[0, ndocs)``, or ``None``
         when the query or budget is unprunable (the same verdict on
         every tier)."""
         out = np.zeros(self.ndocs, dtype=bool)
         for tier in self._tiers:
             if len(tier):
-                mask = self._of(tier).survivors(query_ranks, **policy)
+                mask = self._of(tier).survivors(query_ranks, w=w, tau=tau)
                 if mask is None:
                     return None
                 out[tier.doc_lo : len(mask)] = mask[tier.doc_lo :]

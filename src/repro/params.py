@@ -82,8 +82,7 @@ class SearchParams:
         The fingerprint routing policy (:class:`~repro.RoutingPolicy`)
         this configuration searches under.  ``mode="off"`` (the
         default) bypasses the tier; ``"exact"`` prunes documents
-        conservatively before the exact engine (recall 1.0);
-        ``"approx"`` is opt-in bounded-recall pruning.
+        conservatively before the exact engine (recall 1.0).
     """
 
     w: int
@@ -161,3 +160,10 @@ class SearchParams:
             m=self.m,
             routing=RoutingPolicy.from_dict(routing),
         )
+
+    def with_routing_mode(self, routing: RoutingPolicy | dict | str) -> "SearchParams":
+        """Return a copy under the *mode* of ``routing``, layout kept:
+        what opening or resuming an index does with ``routing=``, since
+        the fingerprints already written fix the layout."""
+        mode = RoutingPolicy.from_dict(routing).mode
+        return self.with_routing(self.routing.with_mode(mode))

@@ -409,7 +409,6 @@ def _load_snapshot(path: Path, *, mmap: bool) -> tuple[PKWiseSearcher, object]:
             routing_tier = FingerprintTier.from_arrays(
                 columns("routing."),
                 block_len=routing_meta["block_len"],
-                bands=routing_meta["bands"],
                 doc_lo=routing_meta.get("doc_lo", 0),
             )
         else:

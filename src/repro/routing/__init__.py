@@ -1,20 +1,20 @@
 """Document-fingerprint routing tier (pre-filter in front of exact search).
 
 Window-level indexing bounds per-query cost but still touches every
-data document.  This package adds a *routing tier*: per-block 256-bit
-OR-fingerprints (a saturating simhash over token ids) plus banded
-MinHash minima, computed per document at build/ingest time and stored
-as flat numpy columns.  At query time the tier vector-computes missing
-bits (popcount over AND-NOT of packed ``uint64`` lanes — equivalently
-the asymmetric half of the XOR Hamming distance) between the query's
-window fingerprints and every document's block covers, and prunes
-documents that *provably* cannot contain a qualifying window under
-``(w, tau)``.  The exact engine then runs only over the survivors.
+data document.  This package adds a *routing tier*: per-block 512-bit
+OR-fingerprints (a saturating simhash over token ids), computed per
+document at build/ingest time and stored as flat numpy columns.  At
+query time the tier vector-computes missing bits (popcount over AND-NOT
+of packed ``uint64`` lanes — equivalently the asymmetric half of the
+XOR Hamming distance) between the query's window fingerprints and every
+document's block covers, and prunes documents that *provably* cannot
+contain a qualifying window under ``(w, tau)``.  The exact engine then
+runs only over the survivors.
 
-``exact`` mode uses a conservative budget derived from ``tau`` and the
-query stride (see :func:`exact_hamming_budget`): recall is exactly 1.0
-by construction.  ``approx`` mode is opt-in and trades bounded recall
-for deeper pruning via a tighter budget and MinHash band agreement.
+Routing is a mode — ``"off"`` or ``"exact"`` — and ``exact`` uses a
+conservative budget derived from ``tau`` and the query stride (see
+:func:`missing_bit_budget`): recall is exactly 1.0 by construction.
+There is no lossy mode.
 
 The public surface is :class:`RoutingPolicy` (carried on
 :class:`~repro.params.SearchParams`) and :class:`FingerprintTier` (the
@@ -25,7 +25,7 @@ from .fingerprints import (
     FINGERPRINT_BITS,
     LANES,
     FingerprintTier,
-    exact_hamming_budget,
+    missing_bit_budget,
 )
 from .policy import ROUTING_MODES, RoutingPolicy
 
@@ -35,5 +35,5 @@ __all__ = [
     "FingerprintTier",
     "FINGERPRINT_BITS",
     "LANES",
-    "exact_hamming_budget",
+    "missing_bit_budget",
 ]

@@ -3,18 +3,16 @@
 Layout
 ------
 Every document's rank sequence is cut into tumbling blocks of
-``block_len = max(block_tokens, w)`` tokens.  Each block gets a 256-bit
-OR-fingerprint — bit ``mix(rank) mod 256`` set for every token in the
+``block_len = max(block_tokens, w)`` tokens.  Each block gets a 512-bit
+OR-fingerprint — bit ``mix(rank) mod 512`` set for every token in the
 block, packed into :data:`LANES` ``uint64`` lanes — and what is stored
 is the *cover* of every pair of consecutive blocks,
 ``cover_i = block_i | block_{i+1}``.  Because ``block_len >= w``, any
 ``w``-window of the document lies within two consecutive blocks, hence
-within some stored cover.  Alongside each cover sit ``bands`` MinHash
-minima (one universal-hash minimum per band over the cover's tokens),
-consulted only by ``approx`` mode.
+within some stored cover.
 
-Conservativeness (``exact`` mode)
----------------------------------
+Conservativeness
+----------------
 Let ``Q`` be a query window and ``D`` a data window with at most
 ``tau`` differing tokens.  Every bit set in ``F(Q)`` but not in
 ``F(D)`` requires a token *type* present in ``Q`` and wholly absent
@@ -78,12 +76,8 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-#: Fixed per-band seeds (enough for the policy's maximum band count).
-_BAND_SEEDS = _mix64(np.arange(1, 17, dtype=np.uint64) * _SPLIT_GAMMA)
-
-
-def exact_hamming_budget(tau: int) -> int:
-    """The conservative missing-bit budget for ``exact`` mode.
+def missing_bit_budget(tau: int) -> int:
+    """The conservative missing-bit budget of the survivor test.
 
     ``tau`` bits for the qualifying pair itself plus ``tau`` for the
     worst-case alignment shift to the nearest tested query window
@@ -115,11 +109,10 @@ def _query_positions(n: int, w: int, tau: int) -> list[int]:
 class _Compiled:
     """Flat concatenated columns the survivor kernel runs over."""
 
-    __slots__ = ("cover_lanes", "band_minima", "cover_counts", "doc_of_cover")
+    __slots__ = ("cover_lanes", "cover_counts", "doc_of_cover")
 
-    def __init__(self, cover_lanes, band_minima, cover_counts) -> None:
+    def __init__(self, cover_lanes, cover_counts) -> None:
         self.cover_lanes = cover_lanes
-        self.band_minima = band_minima
         self.cover_counts = cover_counts
         self.doc_of_cover = np.repeat(
             np.arange(len(cover_counts), dtype=np.int64), cover_counts
@@ -141,24 +134,18 @@ class FingerprintTier:
 
     __slots__ = (
         "block_len",
-        "bands",
         "doc_lo",
         "_cover_lanes",
-        "_band_minima",
         "_cover_counts",
         "_compiled",
     )
 
-    def __init__(self, *, block_len: int, bands: int, doc_lo: int = 0) -> None:
+    def __init__(self, *, block_len: int, doc_lo: int = 0) -> None:
         if block_len < 1:
             raise ValueError(f"block_len must be >= 1, got {block_len}")
-        if not 1 <= bands <= len(_BAND_SEEDS):
-            raise ValueError(f"bands must be in [1, {len(_BAND_SEEDS)}]")
         self.block_len = block_len
-        self.bands = bands
         self.doc_lo = doc_lo
         self._cover_lanes: list | None = []
-        self._band_minima: list | None = []
         self._cover_counts: list[int] = []
         self._compiled: _Compiled | None = None
 
@@ -191,27 +178,22 @@ class FingerprintTier:
             raise IndexStateError(
                 "cannot add documents to a frozen fingerprint tier"
             )
-        lanes, minima = self._fingerprint_document(ranks)
+        lanes = self._fingerprint_document(ranks)
         self._cover_lanes.append(lanes)
-        self._band_minima.append(minima)
         self._cover_counts.append(len(lanes))
         self._compiled = None
 
-    def _fingerprint_document(self, ranks) -> tuple[np.ndarray, np.ndarray]:
-        """One document's ``(cover_lanes, band_minima)`` arrays."""
+    def _fingerprint_document(self, ranks) -> np.ndarray:
+        """One document's ``cover_lanes`` rows."""
         u = _as_u64(ranks)
         n = len(u)
-        bands = self.bands
         if n == 0:
-            return (
-                np.zeros((0, LANES), dtype=np.uint64),
-                np.zeros((0, bands), dtype=np.uint64),
-            )
+            return np.zeros((0, LANES), dtype=np.uint64)
         block_len = self.block_len
         nblocks = -(-n // block_len)
         pad = nblocks * block_len - n
         if pad:
-            # Repeating the last token changes neither ORs nor minima.
+            # Repeating the last token leaves every OR unchanged.
             u = np.concatenate([u, np.full(pad, u[-1], dtype=np.uint64)])
         lane, mask = _token_masks(u)
         token_lanes = np.zeros((len(u), LANES), dtype=np.uint64)
@@ -219,19 +201,13 @@ class FingerprintTier:
         block_lanes = np.bitwise_or.reduce(
             token_lanes.reshape(nblocks, block_len, LANES), axis=1
         )
-        hashed = _mix64(u[:, None] ^ _BAND_SEEDS[None, :bands])
-        block_minima = hashed.reshape(nblocks, block_len, bands).min(axis=1)
         if nblocks > 1:
-            cover_lanes = block_lanes[:-1] | block_lanes[1:]
-            cover_minima = np.minimum(block_minima[:-1], block_minima[1:])
-        else:
-            cover_lanes = block_lanes
-            cover_minima = block_minima
-        return cover_lanes, cover_minima
+            return block_lanes[:-1] | block_lanes[1:]
+        return block_lanes
 
     @classmethod
     def from_rank_docs(
-        cls, rank_docs, *, block_len: int, bands: int, doc_lo: int = 0
+        cls, rank_docs, *, block_len: int, doc_lo: int = 0
     ) -> "FingerprintTier":
         """Fingerprint every document of ``rank_docs`` in one pass.
 
@@ -239,7 +215,7 @@ class FingerprintTier:
         list of lists or a :class:`~repro.index.PackedRankDocs`);
         ``doc_lo`` is the global id of its first document.
         """
-        tier = cls(block_len=block_len, bands=bands, doc_lo=doc_lo)
+        tier = cls(block_len=block_len, doc_lo=doc_lo)
         for local_id in range(len(rank_docs)):
             tier.add(rank_docs[local_id])
         return tier
@@ -250,7 +226,6 @@ class FingerprintTier:
         compiled = self._compile()
         return {
             "cover_lanes": compiled.cover_lanes,
-            "band_minima": compiled.band_minima,
             "cover_counts": compiled.cover_counts,
         }
 
@@ -258,7 +233,6 @@ class FingerprintTier:
         """Layout parameters persisted next to the arrays."""
         return {
             "block_len": self.block_len,
-            "bands": self.bands,
             "doc_lo": self.doc_lo,
             "ndocs": self.ndocs,
             "lanes": LANES,
@@ -270,20 +244,15 @@ class FingerprintTier:
         arrays: dict[str, np.ndarray],
         *,
         block_len: int,
-        bands: int,
         doc_lo: int = 0,
     ) -> "FingerprintTier":
         """Rebuild a frozen tier straight over mmap-able columns."""
-        tier = cls(block_len=block_len, bands=bands, doc_lo=doc_lo)
+        tier = cls(block_len=block_len, doc_lo=doc_lo)
         cover_counts = np.ascontiguousarray(arrays["cover_counts"], dtype=np.int64)
         cover_lanes = np.asarray(arrays["cover_lanes"], dtype=np.uint64)
-        band_minima = np.asarray(arrays["band_minima"], dtype=np.uint64)
-        cover_lanes = cover_lanes.reshape(-1, LANES)
-        band_minima = band_minima.reshape(len(cover_lanes), -1)
         tier._cover_lanes = None
-        tier._band_minima = None
         tier._cover_counts = cover_counts  # len() works on the array
-        tier._compiled = _Compiled(cover_lanes, band_minima, cover_counts)
+        tier._compiled = _Compiled(cover_lanes.reshape(-1, LANES), cover_counts)
         return tier
 
     def rebased(self, doc_lo: int) -> "FingerprintTier":
@@ -293,10 +262,7 @@ class FingerprintTier:
         ingest store re-bases them to the tier's global doc range.
         """
         return type(self).from_arrays(
-            self.to_arrays(),
-            block_len=self.block_len,
-            bands=self.bands,
-            doc_lo=doc_lo,
+            self.to_arrays(), block_len=self.block_len, doc_lo=doc_lo
         )
 
     def _compile(self) -> _Compiled:
@@ -306,43 +272,29 @@ class FingerprintTier:
             return compiled
         if self._cover_lanes:
             cover_lanes = np.concatenate(self._cover_lanes, axis=0)
-            band_minima = np.concatenate(self._band_minima, axis=0)
         else:
             cover_lanes = np.zeros((0, LANES), dtype=np.uint64)
-            band_minima = np.zeros((0, self.bands), dtype=np.uint64)
         counts = np.asarray(self._cover_counts, dtype=np.int64)
-        compiled = _Compiled(cover_lanes, band_minima, counts)
+        compiled = _Compiled(cover_lanes, counts)
         self._compiled = compiled
         return compiled
 
     # -- the survivor kernel --------------------------------------------
-    def survivors(
-        self,
-        query_ranks,
-        *,
-        w: int,
-        tau: int,
-        mode: str = "exact",
-        hamming_budget: int | None = None,
-        bands: int | None = None,
-    ) -> np.ndarray | None:
+    def survivors(self, query_ranks, *, w: int, tau: int) -> np.ndarray | None:
         """Boolean mask over global doc ids ``[0, doc_lo + ndocs)``.
 
         ``True`` means the document *may* contain a qualifying window
         and must go to exact verification; ``False`` means it provably
-        (``exact``) or probably (``approx``) cannot.  Returns ``None``
-        when the tier cannot prune anything (empty tier, query shorter
-        than ``w``, or a budget at or above the fingerprint width).
+        cannot.  Returns ``None`` when the tier cannot prune anything
+        (empty tier, query shorter than ``w``, or a ``2 * tau`` budget
+        at or above the fingerprint width).
         """
         ndocs = self.ndocs
         u = _as_u64(query_ranks)
         n = len(u)
         if ndocs == 0 or n < w:
             return None
-        if mode == "exact":
-            budget = exact_hamming_budget(tau)
-        else:
-            budget = tau if hamming_budget is None else hamming_budget
+        budget = missing_bit_budget(tau)
         if budget >= FINGERPRINT_BITS:
             return None
 
@@ -361,19 +313,6 @@ class FingerprintTier:
             missing = np.bitwise_count(window[None, :] & inverted).sum(axis=1)
             cover_ok |= missing.astype(np.int64) <= budget_u
 
-        if mode == "approx" and cover_ok.any():
-            use_bands = self.bands if bands is None else min(bands, self.bands)
-            if use_bands >= 1:
-                hashed = _mix64(u[:, None] ^ _BAND_SEEDS[None, :use_bands])
-                window_minima = np.stack(
-                    [hashed[p : p + w].min(axis=0) for p in positions]
-                )
-                band_match = np.zeros(len(cover_lanes), dtype=bool)
-                stored = compiled.band_minima
-                for j in range(use_bands):
-                    band_match |= np.isin(stored[:, j], window_minima[:, j])
-                cover_ok &= band_match
-
         alive = (
             np.bincount(
                 compiled.doc_of_cover, weights=cover_ok, minlength=ndocs
@@ -387,6 +326,5 @@ class FingerprintTier:
     def __repr__(self) -> str:
         return (
             f"FingerprintTier(docs=[{self.doc_lo},{self.doc_lo + self.ndocs}), "
-            f"block_len={self.block_len}, bands={self.bands}, "
-            f"frozen={self.frozen})"
+            f"block_len={self.block_len}, frozen={self.frozen})"
         )

@@ -1,12 +1,15 @@
-"""The routing policy object threaded through every API surface.
+"""The routing policy: one mode and the layout fingerprints are written in.
 
-One frozen, keyword-only dataclass replaces what would otherwise be a
-sprawl of per-call ``routing_mode=`` / ``hamming_budget=`` kwargs: the
-same :class:`RoutingPolicy` rides on
-:class:`~repro.params.SearchParams`, the ``Index`` facade, the CLI
-(``--routing`` / ``--hamming-budget``), and the HTTP ``/search`` body,
-and serializes into the params envelope so saved snapshots round-trip
-it.
+**Layout is decided where fingerprints are written**
+(:meth:`repro.Index.build`, creating :meth:`repro.Index.open_live` /
+``IngestStore.create``, ``repro index``, creating ``repro ingest`` — the
+only doors that read :attr:`RoutingPolicy.block_tokens`);
+**everywhere else routing is a mode** (:meth:`repro.Index.open`,
+resuming a live store, ``search(routing=)``, the HTTP ``/search`` body,
+``repro search|serve|query --routing``): those doors take a mode string
+or a :class:`RoutingPolicy` and read its ``mode``, nothing else.  The
+policy rides on :class:`~repro.params.SearchParams`, so saved snapshots
+and ingest directories round-trip it.
 """
 
 from __future__ import annotations
@@ -16,40 +19,25 @@ from dataclasses import asdict, dataclass, replace
 from ..errors import ConfigurationError
 
 #: Valid values of :attr:`RoutingPolicy.mode`.
-ROUTING_MODES = ("off", "exact", "approx")
+ROUTING_MODES = ("off", "exact")
 
 #: Default tumbling-block width (tokens) for document fingerprints.
 #: The effective block length is ``max(block_tokens, w)`` so every
 #: ``w``-window always fits inside two consecutive blocks.
 DEFAULT_BLOCK_TOKENS = 128
 
-#: Default number of stored MinHash bands (used by ``approx`` mode).
-DEFAULT_BANDS = 4
-
-_MAX_BANDS = 16
-
 
 @dataclass(frozen=True, kw_only=True)
 class RoutingPolicy:
-    """How (and whether) the fingerprint routing tier gates a search.
+    """Whether the fingerprint routing tier gates a search, and its layout.
 
     Parameters
     ----------
     mode:
-        ``"off"`` disables the tier, ``"exact"`` prunes conservatively
-        (recall 1.0 — the Hamming budget is derived from ``tau`` and
-        the query stride, see
-        :func:`~repro.routing.exact_hamming_budget`), ``"approx"``
-        prunes more aggressively with a caller-chosen budget plus
-        MinHash band agreement, trading bounded recall for speed.
-    hamming_budget:
-        Missing-bit budget for ``approx`` mode (``None`` derives
-        ``tau``).  Ignored in ``exact`` mode, which always uses the
-        conservative derived budget.
-    bands:
-        MinHash bands stored per block cover (and consulted by
-        ``approx`` mode).  Build-time: raising it on a query against an
-        index that stored fewer bands clamps to what is stored.
+        ``"off"`` disables the tier; ``"exact"`` prunes documents that
+        provably hold no qualifying window (recall 1.0 — the
+        missing-bit budget is derived from ``tau`` and the query
+        stride, see :func:`~repro.routing.missing_bit_budget`).
     block_tokens:
         Tumbling-block width floor for document fingerprints; the
         effective width is ``max(block_tokens, w)``.  Smaller blocks
@@ -57,22 +45,12 @@ class RoutingPolicy:
     """
 
     mode: str = "off"
-    hamming_budget: int | None = None
-    bands: int = DEFAULT_BANDS
     block_tokens: int = DEFAULT_BLOCK_TOKENS
 
     def __post_init__(self) -> None:
         if self.mode not in ROUTING_MODES:
             raise ConfigurationError(
                 f"routing mode must be one of {ROUTING_MODES}, got {self.mode!r}"
-            )
-        if self.hamming_budget is not None and self.hamming_budget < 0:
-            raise ConfigurationError(
-                f"hamming_budget must be >= 0, got {self.hamming_budget}"
-            )
-        if not 1 <= self.bands <= _MAX_BANDS:
-            raise ConfigurationError(
-                f"bands must be in [1, {_MAX_BANDS}], got {self.bands}"
             )
         if self.block_tokens < 1:
             raise ConfigurationError(
@@ -87,10 +65,10 @@ class RoutingPolicy:
     def layout(self, w: int) -> dict:
         """Build-time layout of a fingerprint tier at window size ``w``
         (the keyword arguments :class:`~repro.routing.FingerprintTier` takes)."""
-        return {"block_len": max(self.block_tokens, w), "bands": self.bands}
+        return {"block_len": max(self.block_tokens, w)}
 
     def with_mode(self, mode: str) -> "RoutingPolicy":
-        """Copy with a different ``mode`` (re-validated)."""
+        """Copy with a different ``mode`` (re-validated), same layout."""
         return replace(self, mode=mode)
 
     def to_dict(self) -> dict:
@@ -116,7 +94,7 @@ class RoutingPolicy:
                 f"routing policy must be a mode string or an object, "
                 f"got {type(payload).__name__}"
             )
-        unknown = set(payload) - {"mode", "hamming_budget", "bands", "block_tokens"}
+        unknown = set(payload) - {"mode", "block_tokens"}
         if unknown:
             raise ConfigurationError(
                 f"unknown routing policy fields: {sorted(unknown)}"

@@ -43,6 +43,7 @@ from ..errors import (
     ServiceError,
     ServiceOverloadError,
 )
+from ..routing import RoutingPolicy
 
 #: Floor for server-supplied ``retry_after`` hints: a malformed,
 #: negative, or zero value must never turn the retry loop into a
@@ -152,9 +153,9 @@ def remote_search(
 
     Exactly one of ``text`` / ``token_ids`` must be given.  ``timeout``
     is the *service-side* deadline forwarded in the request body;
-    ``http_timeout`` bounds the socket.  ``routing`` (a
-    :class:`~repro.RoutingPolicy`, dict, or mode string) is forwarded
-    as the per-request fingerprint routing override.
+    ``http_timeout`` bounds the socket.  ``routing`` (a mode string or
+    a :class:`~repro.RoutingPolicy`) is the per-request routing
+    override; its mode is what the body carries.
     """
     if (text is None) == (token_ids is None):
         raise ValueError("pass exactly one of text= or token_ids=")
@@ -164,9 +165,7 @@ def remote_search(
     else:
         payload["token_ids"] = list(token_ids)
     if routing is not None:
-        payload["routing"] = (
-            routing.to_dict() if hasattr(routing, "to_dict") else routing
-        )
+        payload["routing"] = RoutingPolicy.from_dict(routing).mode
     return _request(f"{base_url.rstrip('/')}/search", payload, timeout=http_timeout)
 
 

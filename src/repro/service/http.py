@@ -7,9 +7,11 @@ endpoints:
 ``POST /search``
     JSON body ``{"text": "..."}`` or ``{"token_ids": [...]}`` plus an
     optional ``"timeout"`` (seconds) and an optional ``"routing"``
-    (``"off"``/``"exact"``/``"approx"`` or a
-    :meth:`~repro.RoutingPolicy.to_dict` object) overriding the
-    serving index's fingerprint routing policy per request.
+    (``"off"``/``"exact"``, or a :meth:`~repro.RoutingPolicy.to_dict`
+    object of which only ``"mode"`` is read) overriding the serving
+    index's routing mode per request.  A non-numeric ``timeout``,
+    token ids outside signed 64 bits and an unknown routing mode or
+    field answer ``400`` before the service is called.
     ``GET /search?q=...`` accepts
     the same query as a URL parameter for curl-friendliness.  Replies
     ``{"pairs": [[doc_id, data_start, query_start, overlap], ...],
@@ -53,6 +55,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from ..errors import (
+    ConfigurationError,
     DeadlineExceededError,
     FaultInjectionError,
     ReproError,
@@ -60,6 +63,7 @@ from ..errors import (
     ServiceError,
     ServiceOverloadError,
 )
+from ..routing import RoutingPolicy
 from .router import ShardRouter
 from .service import SearchService
 
@@ -117,9 +121,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._reply_error(400, "missing query parameter 'q'")
                 return
             timeout = query.get("timeout", [None])[0]
-            self._search(
-                {"text": text, "timeout": float(timeout) if timeout else None}
-            )
+            try:
+                timeout = float(timeout) if timeout else None
+            except ValueError:
+                self._reply_error(400, "'timeout' must be a number of seconds")
+                return
+            self._search({"text": text, "timeout": timeout})
         else:
             self._reply_error(404, f"unknown path {url.path!r}")
 
@@ -131,6 +138,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
+            # The body cannot be framed, so the connection cannot be reused.
+            self.close_connection = True
             self._reply_error(400, "bad Content-Length")
             return
         if length > MAX_BODY_BYTES:
@@ -210,11 +221,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         routing = payload.get("routing")
         if routing is not None:
-            from ..errors import ConfigurationError
-            from ..routing import RoutingPolicy
-
             try:
-                routing = RoutingPolicy.from_dict(routing)
+                routing = RoutingPolicy.from_dict(routing).mode
             except ConfigurationError as exc:
                 self._reply_error(400, str(exc))
                 return
@@ -228,9 +236,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
                 token_ids = payload["token_ids"]
                 if not isinstance(token_ids, list) or not all(
-                    isinstance(token, int) for token in token_ids
+                    isinstance(token, int)
+                    and not isinstance(token, bool)
+                    and -(2**63) <= token < 2**63
+                    for token in token_ids
                 ):
-                    self._reply_error(400, "'token_ids' must be a list of ints")
+                    self._reply_error(
+                        400, "'token_ids' must be a list of 64-bit ints"
+                    )
                     return
                 response = service.search(
                     Document(-1, token_ids, name="http-query"),

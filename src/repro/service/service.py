@@ -207,8 +207,8 @@ class SearchService:
         Any object satisfying the :class:`repro.api.Searcher` protocol:
         ``search(query, *, cancel=None, routing=None)`` returns an
         object with ``pairs``.  The service passes its deadline hook as
-        ``cancel=`` on every uncached request and ``routing=`` exactly
-        when the request carries a per-request policy.
+        ``cancel=`` on every uncached request and ``routing=`` (the
+        mode string) exactly when the request overrides the mode.
     data:
         Optional :class:`~repro.DocumentCollection` bundled with the
         searcher; required only by :meth:`search_text` (and hence the
@@ -363,10 +363,10 @@ class SearchService:
         backlog = self.queue_depth + len(self._workers)
         return max(MIN_RETRY_AFTER, backlog * latency / len(self._workers))
 
-    def _cache_key(self, query: Document, routing=None) -> CacheKey:
+    def _cache_key(self, query: Document, routing: str | None) -> CacheKey:
         params_key = (
             self._params_key if routing is None
-            else (self._params_key, repr(routing))
+            else (self._params_key, routing)
         )
         return (query_token_hash(query.tokens), params_key, self.index_epoch)
 
@@ -385,15 +385,15 @@ class SearchService:
         :class:`~repro.errors.ServiceOverloadError` when the queue is
         at capacity.
 
-        ``routing`` overrides the searcher's
-        :class:`~repro.RoutingPolicy` for this request only; cached
-        entries are keyed per policy, so routed and unrouted results
-        never mix.
+        ``routing`` (a mode string or a :class:`~repro.RoutingPolicy`)
+        overrides the searcher's routing mode for this request only;
+        nothing but the mode is read and cached entries are keyed by
+        it, so routed and unrouted results never mix.
         """
         if self._closed:
             raise ServiceClosedError(f"{self.name} is closed")
         if routing is not None:
-            routing = RoutingPolicy.from_dict(routing)
+            routing = RoutingPolicy.from_dict(routing).mode
         if timeout is None:
             timeout = self.default_timeout
         with self._metrics_lock:

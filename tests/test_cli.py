@@ -116,8 +116,12 @@ class TestFrontDoor:
             ),
             (["--tau", "3", "--jobs", "2"], {"tau": 3, "jobs": 2}),
             (["--tau", "3", "--routing", "exact"], {"tau": 3, "routing": "exact"}),
+            (
+                ["--tau", "3", "--routing", "exact", "--routing-block", "64"],
+                {"tau": 3, "routing": {"mode": "exact", "block_tokens": 64}},
+            ),
         ],
-        ids=["plain", "greedy", "jobs2", "routing-exact"],
+        ids=["plain", "greedy", "jobs2", "routing-exact", "routing-block"],
     )
     def test_index_writes_what_index_build_saves(
         self, corpus_dir, tmp_path, flags, build_kwargs
@@ -140,6 +144,48 @@ class TestFrontDoor:
             assert from_cli.params == from_api.params
             pairs = from_cli.search_text(text).pairs
             assert pairs and pairs == from_api.search_text(text).pairs
+            if "--routing-block" in flags:
+                tier = from_cli.searcher().routing_fingerprints()
+                assert tier.block_len == max(64, 20)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--index", "x", "--query", "q", "--routing", "approx"],
+            ["search", "--index", "x", "--query", "q", "--hamming-budget", "3"],
+            ["index", "--data", "d", "--out", "o", "--routing-bands", "2"],
+            ["search", "--index", "x", "--query", "q", "--routing-block", "64"],
+            ["serve", "--index", "x", "--routing-block", "64"],
+            ["query", "--server", "u", "--text", "t", "--routing-block", "64"],
+        ],
+        ids=["approx", "hamming-budget", "routing-bands", "search-block",
+             "serve-block", "query-block"],
+    )
+    def test_removed_and_misplaced_routing_flags_exit_2(self, argv, capsys):
+        # Layout flags live where fingerprints are written (index,
+        # ingest); anywhere else they are refused, not ignored.
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_ingest_takes_the_layout_only_when_it_creates(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        directory, _query = corpus_dir
+        store = tmp_path / "store"
+        create = ["ingest", "--dir", str(store), "--data", str(directory),
+                  "-w", "20", "--tau", "4", "--routing-block", "64"]
+        assert main(create) == 0
+        capsys.readouterr()
+        assert main(["ingest", "--dir", str(store), "--routing-block", "32"]) == 2
+        assert "--routing-block" in capsys.readouterr().err
+        assert main(["ingest", "--dir", str(store), "--routing", "exact"]) == 0
+        with Index.open_live(store) as live:
+            assert live.params.routing.to_dict() == {
+                "mode": "exact", "block_tokens": 64,
+            }
+            assert len(live.data) == 6
 
     def test_search_routing_on_unrouted_snapshot_is_one_message(
         self, corpus_dir, tmp_path, capsys

@@ -341,4 +341,4 @@ class TestModuleSurface:
         assert "open_index" not in repro.__all__
 
     def test_version_bumped(self):
-        assert repro.__version__ == "2.5.0"
+        assert repro.__version__ == "2.6.0"

@@ -42,10 +42,12 @@ from repro import (
 )
 from repro.errors import IndexStateError
 from repro.eval.harness import canonical_pair_order, run_searcher
+from repro.persistence import read_envelope, write_envelope
 from repro.routing import (
     FINGERPRINT_BITS,
+    ROUTING_MODES,
     FingerprintTier,
-    exact_hamming_budget,
+    missing_bit_budget,
 )
 from repro.service import ShardRouter, serve_http
 
@@ -102,7 +104,6 @@ class TestRoutingPolicy:
         assert policy.mode == "off"
         assert not policy.enabled
         assert RoutingPolicy(mode="exact").enabled
-        assert RoutingPolicy(mode="approx").enabled
 
     def test_frozen_and_kwonly(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -113,18 +114,13 @@ class TestRoutingPolicy:
     def test_from_dict_normalizes(self):
         assert RoutingPolicy.from_dict(None) == RoutingPolicy()
         assert RoutingPolicy.from_dict("exact").mode == "exact"
-        policy = RoutingPolicy.from_dict(
-            {"mode": "approx", "hamming_budget": 3, "bands": 2}
-        )
-        assert (policy.mode, policy.hamming_budget, policy.bands) == (
-            "approx",
-            3,
-            2,
-        )
+        policy = RoutingPolicy.from_dict({"mode": "exact", "block_tokens": 64})
+        assert (policy.mode, policy.block_tokens) == ("exact", 64)
         assert RoutingPolicy.from_dict(policy) is policy
 
     def test_round_trips_through_dict(self):
-        policy = RoutingPolicy(mode="exact", bands=2, block_tokens=64)
+        policy = RoutingPolicy(mode="exact", block_tokens=64)
+        assert policy.to_dict() == {"mode": "exact", "block_tokens": 64}
         assert RoutingPolicy.from_dict(policy.to_dict()) == policy
 
     def test_validation_errors_are_typed(self):
@@ -133,16 +129,25 @@ class TestRoutingPolicy:
         with pytest.raises(ConfigurationError):
             RoutingPolicy.from_dict("fuzzy")
         with pytest.raises(ConfigurationError):
-            RoutingPolicy(bands=0)
-        with pytest.raises(ConfigurationError):
             RoutingPolicy(block_tokens=0)
         with pytest.raises(ConfigurationError):
             RoutingPolicy.from_dict(3.14)
+        # The lossy mode and its knobs are gone, not aliased.
+        assert ROUTING_MODES == ("off", "exact")
+        with pytest.raises(ConfigurationError):
+            RoutingPolicy(mode="approx")
+        for removed in (
+            "approx",
+            {"mode": "exact", "bands": 2},
+            {"hamming_budget": 3},
+        ):
+            with pytest.raises(ConfigurationError):
+                RoutingPolicy.from_dict(removed)
 
     def test_with_mode(self):
-        policy = RoutingPolicy(mode="off", bands=2)
+        policy = RoutingPolicy(mode="off", block_tokens=64)
         routed = policy.with_mode("exact")
-        assert routed.mode == "exact" and routed.bands == 2
+        assert routed.mode == "exact" and routed.block_tokens == 64
         assert policy.mode == "off"  # original untouched
 
     def test_rides_on_params_and_repr(self):
@@ -160,7 +165,7 @@ class TestFingerprintTier:
         data, rng = make_corpus(seed)
         searcher = PKWiseSearcher(data, self.PARAMS)
         rank_docs = searcher.rank_docs
-        tier = FingerprintTier.from_rank_docs(rank_docs, block_len=16, bands=4)
+        tier = FingerprintTier.from_rank_docs(rank_docs, block_len=16)
         return data, searcher, rank_docs, tier
 
     def test_survivors_keep_every_true_match(self):
@@ -187,19 +192,17 @@ class TestFingerprintTier:
         assert not mask.any()
 
     def test_survivors_none_when_unprunable(self):
-        empty = FingerprintTier(block_len=16, bands=4)
+        empty = FingerprintTier(block_len=16)
         assert empty.survivors([1, 2, 3], w=8, tau=2) is None
         data, searcher, rank_docs, tier = self._tier_and_corpus()
         # Query shorter than w: no window to fingerprint.
         assert tier.survivors([1, 2], w=8, tau=2) is None
-        # Budget at/above the width can never prune.
+        # A 2 * tau budget at/above the width can never prune.
         assert (
             tier.survivors(
-                list(range(30)),
-                w=8,
-                tau=2,
-                mode="approx",
-                hamming_budget=FINGERPRINT_BITS,
+                list(range(FINGERPRINT_BITS + 30)),
+                w=FINGERPRINT_BITS,
+                tau=FINGERPRINT_BITS // 2,
             )
             is None
         )
@@ -209,7 +212,7 @@ class TestFingerprintTier:
         # its first document in the global id space.
         _, searcher, rank_docs, base = self._tier_and_corpus()
         tier = FingerprintTier.from_rank_docs(
-            rank_docs, block_len=16, bands=4, doc_lo=2
+            rank_docs, block_len=16, doc_lo=2
         )
         query = rank_docs[0][8:38]
         mask = tier.survivors(query, w=8, tau=2)
@@ -226,12 +229,10 @@ class TestFingerprintTier:
         arrays = {
             key: np.asarray(value) for key, value in tier.to_arrays().items()
         }
+        assert sorted(arrays) == ["cover_counts", "cover_lanes"]
         meta = tier.describe()
         loaded = FingerprintTier.from_arrays(
-            arrays,
-            block_len=meta["block_len"],
-            bands=meta["bands"],
-            doc_lo=meta["doc_lo"],
+            arrays, block_len=meta["block_len"], doc_lo=meta["doc_lo"]
         )
         assert loaded.frozen and loaded.ndocs == tier.ndocs
         query = list(range(40))
@@ -242,8 +243,8 @@ class TestFingerprintTier:
             loaded.add([1, 2, 3])
 
     def test_exact_budget_derivation(self):
-        assert exact_hamming_budget(0) == 0
-        assert exact_hamming_budget(3) == 6
+        assert missing_bit_budget(0) == 0
+        assert missing_bit_budget(3) == 6
 
 
 # ----------------------------------------------------------------------
@@ -451,6 +452,50 @@ class TestRoutingPersistence:
         assert loaded.search_text(query_text, routing="off").pairs
         loaded.close()
 
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_2_5_layout_snapshot_opens_unchanged(self, tmp_path, mmap):
+        # What 2.5 wrote: the same sections plus a MinHash column and a
+        # ``bands`` layout key.  The loader picks columns by name, so
+        # both are simply not read -- there is no branch for them.
+        index, query_text = self._build("exact")
+        current = tmp_path / "routed.pkz"
+        index.save(current)
+        header, sections, arrays = read_envelope(current, "pkwise-index")
+        arrays["routing.band_minima"] = np.zeros(
+            (len(arrays["routing.cover_lanes"]), 4), dtype=np.uint64
+        )
+        sections["meta"]["routing"]["bands"] = 4
+        legacy = tmp_path / "routed-2.5.pkz"
+        write_envelope(legacy, "pkwise-index", sections, arrays, header=header)
+        loaded = Index.open(legacy, mmap=mmap)
+        routed = loaded.search_text(query_text)
+        assert routed.stats.routing_checked_docs > 0
+        assert pairs_as_set(routed) == pairs_as_set(index.search_text(query_text))
+        assert pairs_as_set(routed) == pairs_as_set(
+            loaded.search_text(query_text, routing="off")
+        )
+        loaded.close()
+
+    def test_open_and_resume_keep_the_stored_layout(self, tmp_path):
+        # Layout is decided where fingerprints are written; opening or
+        # resuming under routing= changes the mode and nothing else.
+        policy = RoutingPolicy(mode="off", block_tokens=64)
+        index, _ = self._build(policy.with_mode("exact"))
+        path = tmp_path / "routed.pkz"
+        index.save(path)
+        for override in ("exact", RoutingPolicy(mode="exact")):
+            loaded = Index.open(path, routing=override)
+            assert loaded.params.routing == policy.with_mode("exact")
+            loaded.add("a b c d e f g h i j")
+            assert loaded._store._active.fingerprints.block_len == 64
+            loaded.close()
+
+        directory = tmp_path / "store"
+        Index.open_live(directory, self.PARAMS, routing=policy).close()
+        resumed = Index.open_live(directory, routing="exact")
+        assert resumed.params.routing == policy.with_mode("exact")
+        assert resumed._store._active.fingerprints.block_len == 64
+        resumed.close()
 
     def test_segment_fingerprints_are_stored_and_reused(
         self, tmp_path, monkeypatch
@@ -507,13 +552,18 @@ class TestRoutingService:
     def test_cache_is_keyed_per_policy(self):
         service, data, rng = self._service()
         query = make_queries(data, rng, count=1)[0]
-        first = service.search(query, routing="exact")
+        # An override is keyed by its mode: a layout it also names is
+        # not read, so it cannot split the cache.
+        first = service.search(
+            query, routing={"mode": "exact", "block_tokens": 64}
+        )
         second = service.search(query, routing="exact")
+        third = service.search(query, routing=RoutingPolicy(mode="exact"))
         crossed = service.search(query, routing="off")
         assert not first.cached
-        assert second.cached
-        assert not crossed.cached  # a different policy is a different key
-        assert pairs_as_set(first) == pairs_as_set(crossed)
+        assert second.cached and third.cached
+        assert not crossed.cached  # a different mode is a different key
+        assert pairs_as_set(first) == pairs_as_set(second) == pairs_as_set(crossed)
         service.close()
 
     def test_http_routing_body(self):
@@ -540,8 +590,16 @@ class TestRoutingService:
             status, off = post({"text": query_text, "routing": {"mode": "off"}})
             assert status == 200
             assert routed["pairs"] == off["pairs"]
-            status, error = post({"text": query_text, "routing": "fuzzy"})
-            assert status == 400 and "routing" in error["error"]
+            for removed in (
+                "fuzzy",
+                "approx",
+                {"mode": "exact", "bands": 2},
+                {"hamming_budget": 3},
+            ):
+                status, error = post({"text": query_text, "routing": removed})
+                assert status == 400 and "routing" in error["error"]
+            status, again = post({"text": query_text, "routing": "exact"})
+            assert status == 200 and again["pairs"] == routed["pairs"]
         finally:
             httpd.shutdown()
             httpd.server_close()

@@ -224,19 +224,20 @@ class TestServiceBasics:
 
     def test_engine_contract_keywords(self):
         # The serving stack's engine contract: ``cancel=`` on every
-        # uncached request, ``routing=`` exactly when the request
-        # carries a per-request policy.
+        # uncached request, ``routing=`` (the mode) exactly when the
+        # request overrides it.
         stub = RecordingSearcher()
         doc = DocumentCollection().add_text("a b c")
         with SearchService(stub, max_workers=1) as service:
             assert not service.search(doc).cached
             assert service.search(doc).cached  # no engine call
-            assert not service.search(doc, routing="exact").cached
+            policy = RoutingPolicy(mode="exact", block_tokens=64)
+            assert not service.search(doc, routing=policy).cached
         plain, routed = stub.calls
         assert set(plain) == {"cancel"} and callable(plain["cancel"])
         assert plain["cancel"]() is False
         assert set(routed) == {"cancel", "routing"}
-        assert routed["routing"] == RoutingPolicy(mode="exact")
+        assert routed["routing"] == "exact"  # the mode, whatever was passed
 
     def test_search_text_needs_data(self, searcher):
         with SearchService(searcher) as service:
@@ -464,6 +465,42 @@ class TestHTTP:
         assert excinfo.value.code == 400
         body = json.loads(excinfo.value.read())
         assert "invalid JSON" in body["error"]
+
+    @pytest.mark.parametrize(
+        "method, path, body, headers",
+        [
+            ("GET", "/search?q=x&timeout=abc", None, {}),
+            ("POST", "/search", '{"token_ids": [1000000000000000000000000000000, 1]}', {}),
+            ("POST", "/search", '{"token_ids": [true, 1]}', {}),
+            ("POST", "/search", None, {"Content-Length": "-5"}),
+        ],
+        ids=["timeout-abc", "token-id-over-64-bits", "token-id-bool",
+             "negative-content-length"],
+    )
+    def test_hostile_input_is_a_typed_400(
+        self, server, small_corpus, method, path, body, headers
+    ):
+        # Each of these used to raise inside the handler thread: the
+        # client saw a dropped connection instead of an error reply.
+        import http.client
+        import json
+        from urllib.parse import urlparse
+
+        text = " ".join(
+            small_corpus.vocabulary.decode(small_corpus[0].tokens[10:40])
+        )
+        before = remote_search(server.url, text)
+        url = urlparse(server.url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            connection.request(method, path, body, headers)
+            reply = connection.getresponse()
+            assert reply.status == 400
+            assert json.loads(reply.read())["error"]
+        finally:
+            connection.close()
+        after = remote_search(server.url, text)
+        assert before["num_pairs"] > 0 and after["pairs"] == before["pairs"]
 
     def test_http_overload_maps_to_429(self):
         stub = BlockingSearcher()
