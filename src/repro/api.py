@@ -355,6 +355,15 @@ class Index:
         ``fsync=True`` makes every WAL append durable against power
         loss, not just process crash.
 
+        Thread-safe: any number of threads may query beside one or more
+        that add, remove, flush or compact — with or without a
+        :class:`~repro.service.SearchService` in front, ``background=True``
+        included.  A query holds the read side of the store's lock for
+        its whole run and every change to what it reads takes the write
+        side, so each reply is exact for the documents live at one
+        moment.  A write waits for the queries already running and a
+        query for the write in progress; a fold's merge blocks neither.
+
         ``routing`` sets the store's :class:`~repro.RoutingPolicy` on
         creation and overrides its *mode* on resume (the stored layout
         stays) — new memtables maintain fingerprints incrementally;
@@ -385,13 +394,11 @@ class Index:
                 background=background,
                 fsync=fsync,
             )
-        index = cls(
+        return cls(
             store.searcher(),
             store.data,
             path=Path(directory) if directory is not None else None,
         )
-        index._store = store
-        return index
 
     def save(
         self,
@@ -422,18 +429,14 @@ class Index:
                 "snapshot format is gone and every snapshot is compact"
             )
         save_searcher(
-            self._engine(), path, data=self.data, rotate=rotate or 0
+            self._searcher, path, data=self.data, rotate=rotate or 0
         )
 
-    def _engine(self):
-        """Current query engine, re-pointed after LSM installs."""
-        if self._store is not None:
-            self._searcher = self._store.searcher()
-        return self._searcher
-
     def searcher(self) -> Searcher:
-        """The underlying query engine (algorithm object)."""
-        return self._engine()
+        """The underlying query engine (algorithm object).  It changes
+        identity once at most: when the first write on a built or
+        loaded index layers a live store over it."""
+        return self._searcher
 
     @property
     def params(self) -> SearchParams:
@@ -464,10 +467,9 @@ class Index:
         query (``"exact"`` to route on an off-policy index, ``"off"``
         or ``RoutingPolicy(mode="off")`` to bypass a routed one).
         """
-        engine = self._engine()
         if routing is None:
-            return engine.search(query)
-        return engine.search(query, routing=routing)
+            return self._searcher.search(query)
+        return self._searcher.search(query, routing=routing)
 
     def search_text(
         self, text: str, *, routing: RoutingPolicy | dict | str | None = None
@@ -478,7 +480,7 @@ class Index:
     def search_many(self, queries, *, jobs: int = 1):
         """Run a query workload (``jobs`` worker processes; ``0`` = one
         per CPU, as in :meth:`build`)."""
-        return self._engine().search_many(queries, jobs=jobs)
+        return self._searcher.search_many(queries, jobs=jobs)
 
     # ------------------------------------------------------------------
     # Mutation (the unified write path)
@@ -488,9 +490,9 @@ class Index:
 
         The first write on a built or loaded index wraps the existing
         engine as the base segment of an in-memory
-        :class:`~repro.ingest.IngestStore` and swaps the tiered LSM
-        view in; frozen compact indexes upgrade the same way (the
-        compact segment stays frozen — writes land in the memtable).
+        :class:`~repro.ingest.IngestStore`, whose engine takes over;
+        frozen compact indexes upgrade the same way (the compact
+        segment stays frozen — writes land in the memtable).
         """
         if self._store is None:
             from .ingest import IngestStore
@@ -594,13 +596,13 @@ class Index:
                 hedge_after=hedge_after,
                 **kwargs,
             )
-        return SearchService(self._engine(), self.data, **kwargs)
+        return SearchService(self._searcher, self.data, **kwargs)
 
     def compacted(self) -> "Index":
         """This index frozen onto array-backed structures (see
         :meth:`~repro.PKWiseSearcher.compacted`)."""
         return type(self)(
-            self._engine().compacted(),
+            self._searcher.compacted(),
             self.data,
             path=self.path,
             load_seconds=self.load_seconds,

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 import time
@@ -733,10 +734,18 @@ def main(argv: list[str] | None = None) -> int:
 
         faults.install_plan(faults.FaultPlan.from_json_file(fault_file))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left (`repro search ... | head -1`).  As the Python
+        # docs' SIGPIPE note prescribes: point stdout at devnull so the
+        # interpreter's exit flush cannot raise again, exit non-zero.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         if tracing:
             disable_tracing()

@@ -6,9 +6,10 @@ memtable + frozen compact segments with exact merged results
 (:mod:`~repro.ingest.tiered`, :mod:`~repro.ingest.searcher`), and a
 background compactor folds sealed memtables and tombstones into new
 compact segments behind a persisted manifest
-(:mod:`~repro.ingest.store`, :mod:`~repro.ingest.manifest`), installing
-each new tier snapshot through the serving layer's epoch-monotone
-searcher swap so serving never stops.  A write-ahead token log
+(:mod:`~repro.ingest.store`, :mod:`~repro.ingest.manifest`), committing
+each new tier list under the write side of the store's own
+readers–writer lock — queries hold the read side — so serving never
+stops and never reads half a change.  A write-ahead token log
 (:mod:`~repro.ingest.wal`) makes acknowledged mutations crash-safe.
 
 Most callers never touch this package directly: ``Index.add`` /

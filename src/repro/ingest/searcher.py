@@ -1,16 +1,15 @@
-"""The searcher view over an LSM ingest store.
+"""The query engine of an LSM ingest store.
 
-An :class:`LSMSearcher` is an immutable *tier snapshot*: it captures the
-store's frozen tiers (segments + sealed memtables) and its active
-memtable at install time, and satisfies the full
-:class:`~repro.api.Searcher` protocol — the serving layer cannot tell it
-from a plain :class:`~repro.PKWiseSearcher`.  The store installs a fresh
-view whenever tier membership changes (seal, flush, compaction), via
-:meth:`~repro.service.SearchService.swap_searcher` when attached to a
-service; adds into the active memtable and tombstones are visible
-through the *current* view immediately, with no reinstall.
+A store has one :class:`LSMSearcher` for its whole life
+(:meth:`~repro.ingest.IngestStore.searcher` always returns it), and it
+satisfies the full :class:`~repro.api.Searcher` protocol — the serving
+layer cannot tell it from a plain :class:`~repro.PKWiseSearcher`.
+Whenever tier membership changes (seal, flush, compaction) the store
+re-points it over the new tiers, under the write side of its lock;
+adds into the active memtable and tombstones are visible at once, with
+no install.
 
-A live view *is* the kernel: :meth:`~repro.PKWiseSearcher._search` is
+A live engine *is* the kernel: :meth:`~repro.PKWiseSearcher._search` is
 inherited unchanged and runs once per query, over one
 :class:`~repro.ingest.tiered.TieredIntervalIndex` (``probe_many`` fans
 out to every tier and merges signature-wise) and one
@@ -22,7 +21,10 @@ from a one-shot searcher over the same documents; result caching is the
 service's business (:class:`~repro.service.cache.ResultCache`, keyed on
 the store's mutation epoch).
 
-Routing is the only thing a view overrides: fingerprints live per tier
+The only things a live engine adds to the kernel: the read lock and
+per-tier routing.  :meth:`LSMSearcher.search` holds the read side of
+the store's lock for the whole query, whoever calls it, so no add,
+remove or install lands mid-query.  Fingerprints live per tier
 (maintained on insert by the memtable, stored with a segment, or built
 on the first routed query), and
 :class:`~repro.ingest.tiered.TieredFingerprints` glues their survivor
@@ -37,25 +39,27 @@ from .tiered import TieredFingerprints, TieredIntervalIndex, TieredRankDocs
 
 
 class LSMSearcher(PKWiseSearcher):
-    """Read view over one tier snapshot of an :class:`~repro.ingest.IngestStore`."""
+    """The one query engine of an :class:`~repro.ingest.IngestStore`."""
 
     name = "pkwise-lsm"
 
-    def __init__(self, store, frozen_tiers, active_tier) -> None:
-        params = store.params
-        self.params = params
+    def __init__(self, store) -> None:
+        self.params = store.params
         self.order = store.order
         self.scheme = store.scheme
         self.store = store
-        self._frozen_tiers = tuple(frozen_tiers)
-        self._active_tier = active_tier
-        tiers = self._frozen_tiers + (active_tier,)
-        self.index = TieredIntervalIndex(tiers, params.w, params.tau, store.scheme)
-        self.rank_docs = TieredRankDocs(tiers)
-        self._fingerprints = TieredFingerprints(tiers, params)
-        #: Shared with the store — removals are visible to every view.
+        #: The store's own set, never re-bound: removals are visible
+        #: at once, here and through ``removed_documents``.
         self._removed = store.removed
         self.index_build_seconds = 0.0
+
+    def _install(self, tiers) -> None:
+        """Re-point over ``tiers`` (frozen ones, then the active
+        memtable's); the store calls this under its write side."""
+        params = self.params
+        self.index = TieredIntervalIndex(tiers, params.w, params.tau, self.scheme)
+        self.rank_docs = TieredRankDocs(tiers)
+        self._fingerprints = TieredFingerprints(tiers, params)
 
     @property
     def index_epoch(self) -> int:
@@ -67,12 +71,15 @@ class LSMSearcher(PKWiseSearcher):
         a tier without stored fingerprints builds them on demand)."""
         return self._fingerprints
 
-    @property
-    def frozen(self) -> bool:
-        """Never frozen: writes land in the store's active memtable."""
-        return False
+    # -- search: the kernel under the read lock; batches stay serial ---
+    def search(self, query, *, cancel=None, routing=None):
+        lock = self.store._lock
+        lock.acquire_read()
+        try:
+            return super().search(query, cancel=cancel, routing=routing)
+        finally:
+            lock.release_read()
 
-    # -- search: the inherited kernel; batches stay serial --------------
     def search_many(self, queries, *, jobs: int = 1):
         if jobs != 1:
             raise ConfigurationError(
@@ -86,22 +93,19 @@ class LSMSearcher(PKWiseSearcher):
     def _remove_document(self, doc_id: int) -> None:
         self.store.remove(doc_id)
 
-    @property
-    def removed_documents(self) -> frozenset:
-        return frozenset(self.store.removed)
-
     # -- lifecycle ------------------------------------------------------
     def compacted(self) -> PKWiseSearcher:
         """A plain frozen searcher over every live document (all tiers)."""
         return self.store.compacted_searcher()
 
     def close(self) -> None:
-        """Views are cheap and shared; closing the store is explicit
+        """The engine is shared; closing the store is explicit
         (:meth:`~repro.ingest.IngestStore.close`)."""
 
     def __repr__(self) -> str:
+        tiers = self.index.tiers
         return (
-            f"LSMSearcher({len(self._frozen_tiers)} frozen tiers, "
-            f"memtable={len(self._active_tier)} docs, "
+            f"LSMSearcher({len(tiers) - 1} frozen tiers, "
+            f"memtable={len(tiers[-1])} docs, "
             f"epoch={self.index_epoch})"
         )

@@ -12,12 +12,9 @@ One store owns everything mutable about a live corpus:
 Writes are strictly write-ahead: the WAL record is appended and flushed
 before the memtable or collection mutates, so an acknowledged add or
 remove survives any crash.  Tier membership only ever changes through
-an *install*: a new :class:`~repro.ingest.searcher.LSMSearcher` view is
-built over the post-change tiers and swapped into the attached
-:class:`~repro.service.SearchService` inside its writer-preferring lock
-(standalone stores just flip the view under their own mutex).  Queries
-therefore always run against one consistent tier snapshot — serving
-never blocks on a fold, which happens entirely outside the lock.
+an *install*: the store's one :class:`~repro.ingest.searcher.LSMSearcher`
+(the same object for the store's life) is re-pointed over the
+post-change tiers.
 
 Durable fold ordering (crash-safe at every point, see
 :mod:`repro.ingest.manifest`): segment file → manifest → in-memory flip
@@ -26,10 +23,14 @@ fault point fires at each phase boundary (``phase`` context:
 ``"fold"``, ``"segment"``, ``"manifest"``) so tests can kill the
 compactor exactly where a real crash would land.
 
-Locking order, everywhere: service write lock (when attached) OUTER,
-store mutex INNER; folds additionally serialize on a dedicated fold
-lock that is never held while taking the service lock's write side
-until the (brief) install commit.
+Locking, the one rule: everything that changes what a query reads — an
+add, a remove, the commit of a seal or a fold — happens under the write
+side of the store's readers–writer lock, and a query
+(:meth:`LSMSearcher.search <repro.ingest.searcher.LSMSearcher.search>`,
+whoever calls it) holds the read side for its whole run and takes
+nothing else.  Folds do their work off-lock and enter only to commit,
+so serving never blocks on a merge.  Order, everywhere: fold lock →
+write side → store mutex.
 """
 
 from __future__ import annotations
@@ -63,6 +64,49 @@ from .memtable import Memtable
 from .searcher import LSMSearcher
 from .tiered import Tier
 from .wal import WriteAheadLog, read_wal, wal_generations, wal_name
+
+
+class _ReadWriteLock:
+    """Writer-preferring readers-writer lock.
+
+    Searches share the index (readers); adds, removes and installs
+    mutate postings dicts and tier lists that a concurrent probe may be
+    iterating (writers).  Writer preference keeps mutations from
+    starving under a steady query stream.
+    """
+
+    def __init__(self) -> None:
+        self._condition = threading.Condition()
+        self._readers = 0
+        self._writer = False
+        self._writers_waiting = 0
+
+    def acquire_read(self) -> None:
+        with self._condition:
+            while self._writer or self._writers_waiting:
+                self._condition.wait()
+            self._readers += 1
+
+    def release_read(self) -> None:
+        with self._condition:
+            self._readers -= 1
+            if self._readers == 0:
+                self._condition.notify_all()
+
+    def acquire_write(self) -> None:
+        with self._condition:
+            self._writers_waiting += 1
+            try:
+                while self._writer or self._readers:
+                    self._condition.wait()
+            finally:
+                self._writers_waiting -= 1
+            self._writer = True
+
+    def release_write(self) -> None:
+        with self._condition:
+            self._writer = False
+            self._condition.notify_all()
 
 
 class CompactionPolicy:
@@ -184,7 +228,8 @@ class IngestStore:
         self._segments: list[Tier] = []
         self._active: Memtable | None = None
         self._generation = 0
-        #: Live tombstones (shared by reference with every searcher view).
+        #: Live tombstones (shared by reference with the engine; only
+        #: ever mutated in place, under the write side).
         self.removed: set[int] = set()
         #: Bumped by every add/remove; the service-level cache epoch.
         self.mutation_epoch = 0
@@ -192,10 +237,12 @@ class IngestStore:
         self._seq = 0
         self._snapshot: _SealedSnapshot | None = None
         self.metrics = MetricsRegistry()
+        #: Readers–writer lock: queries hold the read side, everything
+        #: that changes what they read the write side.
+        self._lock = _ReadWriteLock()
         self._mutex = threading.RLock()
         self._fold_lock = threading.Lock()
-        self._service = None
-        self._view: LSMSearcher | None = None
+        self._view = LSMSearcher(self)
         self._closed = False
         self._compactor: threading.Thread | None = None
         self._wake = threading.Event()
@@ -301,7 +348,7 @@ class IngestStore:
             CompactionPolicy.from_dict(state.policy),
             fsync=fsync,
         )
-        store.removed = set(state.tombstones)
+        store.removed.update(state.tombstones)
         # Snapshot the sealed prefix *before* replay mutates the live
         # collection/order (a compact() before the next seal reuses it).
         store._snapshot = _SealedSnapshot(
@@ -380,9 +427,14 @@ class IngestStore:
         memtable on top without thawing.  Mutations are not durable;
         create a directory-backed store for that.
         """
-        existing = getattr(searcher, "store", None)
-        if existing is not None:
-            return existing
+        if isinstance(searcher, LSMSearcher):
+            return searcher.store
+        if not isinstance(searcher, PKWiseSearcher):
+            raise ConfigurationError(
+                f"{type(searcher).__name__} cannot take writes: live "
+                f"ingestion layers a memtable over a PKWiseSearcher's "
+                f"interval index, which this engine does not have"
+            )
         store = cls(
             searcher.params,
             searcher.order,
@@ -392,10 +444,7 @@ class IngestStore:
         )
         num_docs = len(searcher.rank_docs)
         if num_docs:
-            kind = (
-                "segment" if getattr(searcher.index, "frozen", False)
-                else "memtable"
-            )
+            kind = "segment" if searcher.frozen else "memtable"
             store._segments.append(
                 Tier(0, num_docs, 1, searcher.index, searcher.rank_docs, kind,
                      fingerprints=_stored_fingerprints(searcher, 0))
@@ -405,8 +454,8 @@ class IngestStore:
             store._generation = 1
         store._active = Memtable(num_docs, store._generation,
                                  searcher.params, searcher.scheme)
-        store.removed = set(getattr(searcher, "removed_documents", ()))
-        store.mutation_epoch = getattr(searcher, "index_epoch", 0)
+        store.removed.update(searcher.removed_documents)
+        store.mutation_epoch = searcher.index_epoch
         store._refresh_view_locked()
         return store
 
@@ -414,7 +463,8 @@ class IngestStore:
     # Introspection
     # ------------------------------------------------------------------
     def searcher(self) -> LSMSearcher:
-        """The current installed view (changes identity on installs)."""
+        """The store's query engine — one object for the store's life;
+        installs re-point it, they never replace it."""
         return self._view
 
     @property
@@ -441,18 +491,13 @@ class IngestStore:
     # ------------------------------------------------------------------
     @contextmanager
     def _writer(self):
-        """Service write lock (when attached) outside, store mutex inside."""
-        service = self._service
-        if service is not None:
-            service._index_lock.acquire_write()
-            try:
-                with self._mutex:
-                    yield
-            finally:
-                service._index_lock.release_write()
-        else:
+        """Write side of the store's lock outside, store mutex inside."""
+        self._lock.acquire_write()
+        try:
             with self._mutex:
                 yield
+        finally:
+            self._lock.release_write()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -600,7 +645,7 @@ class IngestStore:
             self.compact()
 
     # ------------------------------------------------------------------
-    # Installs (view swaps)
+    # Installs (tier flips)
     # ------------------------------------------------------------------
     def _refresh_view_locked(self) -> None:
         active = self._active
@@ -609,64 +654,50 @@ class IngestStore:
             active.index, active.rank_docs, "memtable",
             fingerprints=active.fingerprints,
         )
-        self._view = LSMSearcher(self, tuple(self._segments), active_tier)
+        self._view._install((*self._segments, active_tier))
 
     def _run_install(self, commit):
-        """Run ``commit`` (tier flip + view rebuild) atomically for readers.
-
-        Attached: inside the service's write-lock critical section, via
-        the factory form of ``swap_searcher`` — in-flight queries drain,
-        the flip happens, and the new view starts serving, all without
-        rejecting a single request.  Standalone: under the store mutex
-        (``commit`` takes it itself).
-        """
-        service = self._service
-        if service is None:
-            return commit()
-        outcome = {}
-
-        def factory():
-            outcome["result"] = commit()
-            if outcome["result"] is None:
-                return None
-            return self._view
-
-        service.swap_searcher(factory=factory)
-        return outcome.get("result")
+        """Run ``commit`` (a tier flip) and re-point the engine over its
+        outcome, as the writer: in-flight queries drain, the flip
+        happens, and the next query reads the new tiers — none ever
+        spans both.  A ``commit`` returning ``None`` changed nothing."""
+        with self._writer():
+            outcome = commit()
+            if outcome is not None:
+                self._refresh_view_locked()
+            return outcome
 
     def _seal(self):
         """Freeze the active memtable into a sealed tier; rotate the WAL."""
         def commit():
-            with self._mutex:
-                if self._closed or len(self._active) == 0:
-                    return None
-                old = self._active
-                sealed = Tier(
-                    old.doc_lo, old.doc_hi, old.generation,
-                    old.index, old.rank_docs, "memtable",
-                    fingerprints=old.fingerprints,
+            if self._closed or len(self._active) == 0:
+                return None
+            old = self._active
+            sealed = Tier(
+                old.doc_lo, old.doc_hi, old.generation,
+                old.index, old.rank_docs, "memtable",
+                fingerprints=old.fingerprints,
+            )
+            self._segments.append(sealed)
+            self._generation += 1
+            self._active = Memtable(
+                old.doc_hi, self._generation, self.params, self.scheme
+            )
+            if self._wal is not None:
+                self._wal.close()
+                self._wal = WriteAheadLog(
+                    self.directory / wal_name(self._generation),
+                    fsync=self.fsync,
                 )
-                self._segments.append(sealed)
-                self._generation += 1
-                self._active = Memtable(
-                    old.doc_hi, self._generation, self.params, self.scheme
+            if self.directory is not None:
+                self._snapshot = _SealedSnapshot(
+                    data=_copy_collection(self.data),
+                    order=self.order.snapshot(self.data.vocabulary.copy()),
+                    tombstones=set(self.removed),
+                    next_doc_id=old.doc_hi,
+                    wal_generation=self._generation,
                 )
-                if self._wal is not None:
-                    self._wal.close()
-                    self._wal = WriteAheadLog(
-                        self.directory / wal_name(self._generation),
-                        fsync=self.fsync,
-                    )
-                if self.directory is not None:
-                    self._snapshot = _SealedSnapshot(
-                        data=_copy_collection(self.data),
-                        order=self.order.snapshot(self.data.vocabulary.copy()),
-                        tombstones=set(self.removed),
-                        next_doc_id=old.doc_hi,
-                        wal_generation=self._generation,
-                    )
-                self._refresh_view_locked()
-                return sealed
+            return sealed
 
         return self._run_install(commit)
 
@@ -778,11 +809,9 @@ class IngestStore:
             ))
 
         def commit():
-            with self._mutex:
-                self._segments[:] = keep + [new_tier]
-                self.removed -= purged
-                self._refresh_view_locked()
-                return new_tier
+            self._segments[:] = keep + [new_tier]
+            self.removed -= purged
+            return new_tier
 
         self._run_install(commit)
         if self.directory is not None:
@@ -891,24 +920,11 @@ class IngestStore:
                 self.metrics.counter("ingest.compactor_errors").inc()
 
     # ------------------------------------------------------------------
-    # Service wiring + lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-    def attach(self, service) -> None:
-        """Route installs through ``service`` (its write lock becomes the
-        writer-side outer lock, and swaps go through swap_searcher)."""
-        with self._mutex:
-            self._service = service
-        if service.searcher is not self._view:
-            service.swap_searcher(self._view)
-
-    def detach(self, service) -> None:
-        with self._mutex:
-            if self._service is service:
-                self._service = None
-
     def close(self) -> None:
-        """Stop the compactor and close the WAL; queries on existing
-        views keep working (they are in-memory)."""
+        """Stop the compactor and close the WAL; queries keep working
+        (the tiers are in memory)."""
         self.stop_compactor()
         with self._mutex:
             self._closed = True

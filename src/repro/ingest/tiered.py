@@ -23,8 +23,9 @@ into the single-index shape the pkwise search kernel expects:
   by doc id, so the kernel's routing gate sees one fingerprint tier.
 
 All three are read-only views: tier *membership* only changes when the store
-installs a new searcher snapshot, so a search that captured a view
-never sees tiers appear or vanish mid-query.
+re-points its engine over a new tier tuple, under the write side of
+its lock, so a search (which holds the read side) never sees tiers
+appear or vanish mid-query.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ class Tier:
 class TieredIntervalIndex:
     """Probe-side fan-out over an ordered tuple of :class:`Tier`\\ s.
 
-    Mutation goes through the store (which installs new views), never
-    through this object — ``add_document`` raises like the frozen
-    compact index does.
+    Mutation goes through the store (which builds a new view per
+    install), never through this object — ``add_document`` raises like
+    the frozen compact index does.
     """
 
     frozen = False

@@ -24,9 +24,14 @@ exit.  :class:`SearchService` is the resident layer for serving a
 * **Result caching.**  An epoch-invalidated LRU
   (:class:`~repro.service.cache.ResultCache`) keyed by canonical query
   token hash + params fingerprint + index epoch.  Mutations
-  (:meth:`add_document` / :meth:`remove_document`) bump the searcher's
+  (:meth:`add_document` / :meth:`remove_document`) bump the engine's
   epoch, so cached and fresh results are always pair-for-pair
-  identical.
+  identical; a flush or compaction changes no pair, moves no epoch and
+  empties nothing.
+* **No index lock.**  A snapshot engine is immutable and a live one
+  (:class:`~repro.ingest.LSMSearcher`) locks inside ``search``; the
+  service only checks, before caching a result, that no write moved
+  the epoch during the search.
 * **Observability.**  All of it reports through a
   :class:`~repro.obs.MetricsRegistry`: request/latency timers,
   queue-depth gauges, cache hit/miss counters, plus the searchers' own
@@ -60,49 +65,6 @@ MIN_RETRY_AFTER = 0.05
 
 #: Fallback per-request latency estimate before any request completed.
 DEFAULT_LATENCY_ESTIMATE = 0.1
-
-
-class _ReadWriteLock:
-    """Writer-preferring readers-writer lock.
-
-    Searches share the index (readers); ``add_document`` /
-    ``remove_document`` mutate postings dicts that a concurrent probe
-    may be iterating (writers).  Writer preference keeps mutations from
-    starving under a steady query stream.
-    """
-
-    def __init__(self) -> None:
-        self._condition = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    def acquire_read(self) -> None:
-        with self._condition:
-            while self._writer or self._writers_waiting:
-                self._condition.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._condition:
-            self._readers -= 1
-            if self._readers == 0:
-                self._condition.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._condition:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._condition.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
-
-    def release_write(self) -> None:
-        with self._condition:
-            self._writer = False
-            self._condition.notify_all()
 
 
 class ServiceResponse:
@@ -209,6 +171,10 @@ class SearchService:
         object with ``pairs``.  The service passes its deadline hook as
         ``cancel=`` on every uncached request and ``routing=`` (the
         mode string) exactly when the request overrides the mode.
+        The first write layers an :class:`~repro.ingest.IngestStore`
+        over a snapshot engine and serves that store's engine from
+        then on; an engine that is not a :class:`~repro.PKWiseSearcher`
+        refuses writes (``ConfigurationError``) and keeps serving.
     data:
         Optional :class:`~repro.DocumentCollection` bundled with the
         searcher; required only by :meth:`search_text` (and hence the
@@ -249,13 +215,6 @@ class SearchService:
         self.cache = ResultCache(cache_size)
         self.started_at = time.time()
         self._params_key = repr(getattr(searcher, "params", None))
-        #: Epoch offset accumulated across :meth:`swap_searcher` calls so
-        #: the service-level epoch stays monotonic even when a freshly
-        #: built replacement searcher restarts its own counter at 0.
-        self._epoch_base = 0
-        #: Snapshot generation currently serving (bumped per swap).
-        self.generation = 0
-        self._index_lock = _ReadWriteLock()
         self._metrics_lock = threading.Lock()
         self._registry = MetricsRegistry()
         self._registry.gauge("service.workers").set(max_workers)
@@ -277,23 +236,16 @@ class SearchService:
         ]
         for thread in self._workers:
             thread.start()
-        store = getattr(searcher, "store", None)
-        if store is not None:
-            store.attach(self)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def index_epoch(self) -> int:
-        """The service-level index epoch.
-
-        The wrapped searcher's mutation counter plus the offset
-        accumulated across :meth:`swap_searcher` calls — monotone over
-        the service's lifetime, so cache keys from before a snapshot
-        swap can never collide with keys minted after it.
-        """
-        return self._epoch_base + getattr(self.searcher, "index_epoch", 0)
+        """The engine's own mutation counter: one step per add or
+        remove, none for a fold.  Monotone over the service's life (a
+        store layered over a snapshot starts at the snapshot's epoch)."""
+        return getattr(self.searcher, "index_epoch", 0)
 
     @property
     def queue_depth(self) -> int:
@@ -470,9 +422,10 @@ class SearchService:
         :class:`~repro.ingest.IngestStore` (the LSM write path).  If the
         current searcher does not carry one yet — including a frozen
         compact searcher, which is read-only on its own — the existing
-        index becomes the base segment of a fresh in-memory store and
-        the tiered LSM view is swapped in, so the first write upgrades
-        the service to live ingestion transparently.
+        index becomes the base segment of a fresh in-memory store whose
+        engine takes over, so the first write upgrades the service to
+        live ingestion transparently (a query already running on the
+        old engine finishes there: nothing ever mutates it).
         """
         store = getattr(self.searcher, "store", None)
         if store is not None:
@@ -483,7 +436,7 @@ class SearchService:
                 from ..ingest import IngestStore
 
                 store = IngestStore.from_searcher(self.searcher, self.data)
-                store.attach(self)
+                self.searcher = store.searcher()
         return store
 
     def add_document(self, document: Document) -> int:
@@ -519,68 +472,6 @@ class SearchService:
         store.remove(doc_id)
         with self._metrics_lock:
             self._registry.counter("service.mutations").inc()
-
-    def swap_searcher(
-        self,
-        searcher=None,
-        data: DocumentCollection | None = None,
-        *,
-        factory=None,
-    ) -> int:
-        """Atomically replace the serving searcher (rolling snapshot swap).
-
-        The replacement — typically a freshly built compact snapshot
-        mapped with ``mmap=True`` — is installed under the write side of
-        the index lock, which by construction waits for every in-flight
-        search (reader) to drain and admits no new one until the swap
-        completes.  Each request therefore runs entirely against exactly
-        one generation; a query stream across a swap can observe the old
-        result set or the new one, never a mix.  The service epoch jumps
-        strictly past everything the old searcher served, so every
-        cached result from the old generation becomes unreachable (and
-        is purged in one scan on the next insert).  Dropping the old
-        searcher releases its snapshot mapping.
-
-        Pass ``factory`` (a zero-argument callable) instead of
-        ``searcher`` to run the final commit of a prepared swap inside
-        the write-lock critical section itself — the ingest compactor
-        uses this so flipping its tier list and installing the new view
-        are one atomic step against concurrent searches.  A factory
-        returning ``None`` aborts: nothing is swapped and the current
-        generation is returned unchanged.
-
-        Returns the new serving generation number.
-        """
-        if self._closed:
-            raise ServiceClosedError(f"{self.name} is closed")
-        if (searcher is None) == (factory is None):
-            raise ConfigurationError(
-                "swap_searcher takes exactly one of searcher or factory"
-            )
-        self._index_lock.acquire_write()
-        try:
-            if factory is not None:
-                searcher = factory()
-                if searcher is None:
-                    return self.generation
-            new_contrib = getattr(searcher, "index_epoch", 0)
-            old_searcher = self.searcher
-            old_epoch = self.index_epoch
-            self.searcher = searcher
-            if data is not None:
-                self.data = data
-            self._epoch_base = old_epoch + 1 - new_contrib
-            self._params_key = repr(getattr(searcher, "params", None))
-            self.generation += 1
-            generation = self.generation
-        finally:
-            self._index_lock.release_write()
-        with self._metrics_lock:
-            self._registry.counter("service.swaps").inc()
-        close = getattr(old_searcher, "close", None)
-        if close is not None and old_searcher is not searcher:
-            close()
-        return generation
 
     # ------------------------------------------------------------------
     # Worker side
@@ -619,7 +510,6 @@ class SearchService:
                 deadline is not None and time.monotonic() > deadline
             )
 
-        self._index_lock.acquire_read()
         try:
             # Fault-injection site for the request path: an injected
             # raise surfaces through the future like any searcher error
@@ -628,8 +518,6 @@ class SearchService:
             faults.inject(
                 "service.request", query_name=request.query.name
             )
-            # Key under the read lock: mutations cannot interleave here,
-            # so the epoch is exactly the one the search observes.
             key = (
                 request.cache_key[0],
                 request.cache_key[1],
@@ -649,7 +537,11 @@ class SearchService:
                     request.query, cancel=cancelled, **override
                 )
                 pairs = tuple(canonical_pair_order(list(result.pairs)))
-                self.cache.put(key, pairs)
+                # The engine locks inside search(), so a write may have
+                # landed since the key was minted; store only a result
+                # the key's epoch still describes.
+                if self.index_epoch == key[2]:
+                    self.cache.put(key, pairs)
         except SearchCancelled as exc:
             self._finish_cancelled(request, waited, exc)
             return
@@ -658,8 +550,6 @@ class SearchService:
                 self._registry.counter("service.errors").inc()
             request.future._fail(exc)
             return
-        finally:
-            self._index_lock.release_read()
 
         elapsed = time.monotonic() - request.enqueued_at
         stats = None if was_cached else getattr(result, "stats", None)
@@ -725,9 +615,6 @@ class SearchService:
             request.future._fail(ServiceClosedError(f"{self.name} is closed"))
         for thread in self._workers:
             thread.join()
-        store = getattr(self.searcher, "store", None)
-        if store is not None:
-            store.detach(self)
 
     def __enter__(self) -> "SearchService":
         return self

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     FaultPlan,
     FaultSpec,
@@ -288,6 +292,30 @@ class TestErrors:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_reader_closing_the_pipe_is_not_a_traceback(
+        self, corpus_dir, tmp_path
+    ):
+        # `repro search ... | head -1`: enough output to outrun the pipe
+        # buffer, the reader gone after one line.
+        directory, query_path = corpus_dir
+        index_path = tmp_path / "corpus.idx"
+        main(["index", "--data", str(directory), "--out", str(index_path),
+              "-w", "20", "--tau", "4"])
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "search", "--index",
+             str(index_path), "--show-text"]
+            + ["--query", str(query_path)] * 200,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert b"doc1.txt" in process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=60) != 0
+        assert "Traceback" not in stderr and "BrokenPipe" not in stderr
 
     def test_index_missing_directory(self, tmp_path):
         rc = main(

@@ -184,6 +184,43 @@ class TestSearcherProtocol:
     def test_index_satisfies_protocol(self):
         assert isinstance(Index.build(TEXTS, w=10, tau=2, k_max=3), Searcher)
 
+    @pytest.mark.parametrize(
+        "engine_class", [FBWSearcher, PKWiseNonIntervalSearcher]
+    )
+    def test_writes_on_a_batch_only_engine_are_a_typed_error(
+        self, small_corpus, engine_class
+    ):
+        # Live ingestion layers a memtable over a PKWiseSearcher's
+        # interval index; any other engine says so, by name.
+        params = SearchParams(w=10, tau=2, k_max=3)
+        documents = len(small_corpus)
+        index = Index(engine_class(small_corpus, params), small_corpus)
+        for write in (lambda: index.add("a b c"), lambda: index.remove(0),
+                      index.flush, index.compact):
+            with pytest.raises(ConfigurationError, match=engine_class.__name__):
+                write()
+        assert not index.live and len(small_corpus) == documents
+
+        class Served(engine_class):
+            """The engine under the serving stack's keyword contract."""
+
+            def search(self, query, *, cancel=None, routing=None):
+                return super().search(query)
+
+        engine = Served(small_corpus, params)
+        query = small_corpus.encode_query_tokens(
+            small_corpus.vocabulary.decode(small_corpus[0].tokens[10:40])
+        )
+        want = pairs_as_set(engine.search(query).pairs)
+        with Index(engine, small_corpus).serve(cache_size=0) as service:
+            assert pairs_as_set(service.search(query).pairs) == want
+            with pytest.raises(ConfigurationError, match="Served"):
+                service.add_text("a b c")
+            with pytest.raises(ConfigurationError, match="Served"):
+                service.remove_document(0)
+            assert len(small_corpus) == documents
+            assert pairs_as_set(service.search(query).pairs) == want
+
 
 class TestRemovedFacadeNames:
     """The pre-1.2 function facade and the 1.x loader aliases are gone."""
@@ -341,4 +378,4 @@ class TestModuleSurface:
         assert "open_index" not in repro.__all__
 
     def test_version_bumped(self):
-        assert repro.__version__ == "2.6.0"
+        assert repro.__version__ == "2.7.0"

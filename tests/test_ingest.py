@@ -7,11 +7,11 @@ The contract under test, end to end:
   results of a one-shot :class:`~repro.PKWiseSearcher` built over the
   final collection state (Theorem 1: the shared global order makes
   tier boundaries invisible to the result set).
-* **Serving never stops** — installs happen inside the service's
-  write-lock critical section via the factory form of
-  ``swap_searcher``; queries interleaved with a mutation storm see
-  zero :class:`~repro.ServiceOverloadError` and per-thread epochs
-  only move forward.
+* **Serving never stops** — an install commits under the write side of
+  the store's own lock, a query holds the read side for its whole run;
+  queries interleaved with a mutation storm (behind a service or
+  standalone) see zero :class:`~repro.ServiceOverloadError`, no pair
+  from a removed document, and per-thread epochs only move forward.
 * **Crash safety** — segment files and the manifest are persisted
   before the in-memory flip; dying at any ``ingest.compact`` phase (or
   mid-WAL-append) loses nothing that was acknowledged: reopen replays
@@ -20,12 +20,14 @@ The contract under test, end to end:
 
 from __future__ import annotations
 
+import itertools
 import os
 import pathlib
 import random
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from unittest import mock
 
@@ -303,6 +305,114 @@ class TestInterleavingProperty:
             )
             assert got == want
         store.close()
+
+    def test_standalone_query_across_a_fold_is_exact(self):
+        # No SearchService anywhere: the store's own lock is all that
+        # keeps a fold from purging tombstones under a running query.
+        rng = random.Random(5)
+        texts = [make_tokens(rng, 120) for _ in range(6)]
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        for tokens in texts:
+            store.add_tokens(tokens)
+        store.flush()
+        store.remove(0)
+        ref_data, ref = one_shot_reference(texts, range(1, 6))
+        want = canonical_pair_order(
+            ref.search(ref_data.encode_query_tokens(texts[0])).pairs
+        )
+        parked, folded = threading.Event(), threading.Event()
+        windows = itertools.count()
+
+        def park_after_three_windows() -> bool:
+            if next(windows) == 2:
+                parked.set()
+                folded.wait(0.5)  # times out: the fold waits for this query
+            return False
+
+        def compactor() -> None:
+            parked.wait(5)
+            store.compact()
+            folded.set()
+
+        thread = threading.Thread(target=compactor)
+        thread.start()
+        query = store.data.encode_query_tokens(texts[0])
+        got = store.searcher().search(query, cancel=park_after_three_windows)
+        thread.join(5)
+        assert not thread.is_alive() and folded.is_set()
+        assert not store.removed  # the compaction did purge document 0
+        assert all(pair.doc_id != 0 for pair in got.pairs)
+        assert canonical_pair_order(got.pairs) == want
+        store.close()
+
+        # Second case: the facade with its background compactor, one
+        # writer thread, the main thread querying throughout.
+        base = make_tokens(rng, 40)
+        variants = []
+        for _ in range(24):
+            tokens = list(base)
+            tokens[rng.randrange(len(tokens))] = "edit"
+            variants.append(tokens)
+
+        def by_document(pairs) -> dict[int, list]:
+            grouped: dict[int, list] = {}
+            for pair in canonical_pair_order(pairs):
+                grouped.setdefault(pair.doc_id, []).append(pair)
+            return grouped
+
+        ref_data, ref = one_shot_reference(variants, range(len(variants)))
+        pairs_of = by_document(
+            ref.search(ref_data.encode_query_tokens(base)).pairs
+        )
+        assert len(pairs_of) == len(variants)
+        index = repro.Index.open_live(
+            params=PARAMS,
+            policy=CompactionPolicy(memtable_max_docs=4, max_segments=1),
+            background=True,
+        )
+        store = index.searcher().store
+        added: list[int] = []  # ids whose add() has returned
+        removing: list[int] = []  # ids whose remove() has been called
+        removed: list[int] = []  # ids whose remove() has returned
+        failures: list[BaseException] = []
+
+        def writer() -> None:
+            try:
+                for step, tokens in enumerate(variants):
+                    added.append(index.add(" ".join(tokens)))
+                    if step % 3 == 2:
+                        removing.append(added[-2])
+                        index.remove(added[-2])
+                        removed.append(added[-2])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        thread = threading.Thread(target=writer)
+        deadline = time.monotonic() + 30
+        try:
+            thread.start()
+            # ... until the writer is done and the compactor has folded.
+            while thread.is_alive() or not store.num_segments:
+                assert time.monotonic() < deadline
+                visible, gone = set(added), set(removed)
+                got = index.search(index.data.encode_query_tokens(base))
+                by_doc = by_document(got.pairs)
+                # Every document is in a reply whole or not at all ...
+                for doc_id, pairs in by_doc.items():
+                    assert pairs == pairs_of[doc_id]
+                # ... in, if added before the query and not being removed
+                # by its end; out, if removed before it started.
+                assert visible - set(removing) <= by_doc.keys()
+                assert not gone & by_doc.keys()
+        finally:
+            thread.join(30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and not failures, failures
+        assert len(added) == len(variants)
+        assert store.last_error is None
+        index.close()
 
 
 @contextmanager

@@ -10,6 +10,7 @@ import pytest
 from repro import (
     DeadlineExceededError,
     DocumentCollection,
+    Index,
     PKWiseSearcher,
     RoutingPolicy,
     SearchCancelled,
@@ -183,9 +184,9 @@ class TestServiceBasics:
                 ]
             )
             new_id = service.add_document(new_doc)
-            # The first mutation upgrades to the LSM write path (one
-            # epoch step for the view swap, one for the add).
-            assert service.index_epoch > epoch
+            # The first mutation upgrades to the LSM write path; the
+            # upgrade itself is no epoch step, the add is the one.
+            assert service.index_epoch == epoch + 1
             after = service.search(query)
             assert not after.cached
             assert len(after.pairs) > len(before.pairs)
@@ -197,6 +198,67 @@ class TestServiceBasics:
             assert pairs_as_set(list(restored.pairs)) == pairs_as_set(
                 list(before.pairs)
             )
+
+    def test_a_fold_keeps_the_cache_and_a_write_never_fills_it_stale(
+        self, small_corpus, monkeypatch
+    ):
+        def text_of(doc_id, lo, hi):
+            return " ".join(
+                small_corpus.vocabulary.decode(small_corpus[doc_id].tokens[lo:hi])
+            )
+
+        index = Index.open_live(params=PARAMS)
+        for doc_id in range(len(small_corpus)):
+            index.add(text_of(doc_id, 0, None))
+            if doc_id == 2:
+                index.flush()  # a segment below, a memtable above
+        query = index.encode_query(text_of(0, 10, 40))
+        with index.serve() as service:
+            first = service.search(query)
+            assert not first.cached and first.pairs
+            assert service.search(query).cached
+            epoch = service.index_epoch
+            # A fold changes no pair, so it moves neither the epoch nor
+            # the cache.
+            assert index.flush() is not None
+            assert index.compact() is not None
+            again = service.search(query)
+            assert again.cached and again.pairs == first.pairs
+            assert service.index_epoch == again.index_epoch == epoch
+            # A write does: next epoch, a miss, the new document found.
+            new_id = index.add(text_of(0, 10, 40))
+            after = service.search(query)
+            assert not after.cached and service.index_epoch == epoch + 1
+            assert any(pair.doc_id == new_id for pair in after.pairs)
+            # A write that lands after the request's key was minted and
+            # before its search took the read side: the reply is newer
+            # than its key, and is not stored under it.
+            engine, search = service.searcher, service.searcher.search
+            other = index.encode_query(text_of(2, 30, 60))
+            late_ids = []
+
+            def search_after_a_write(*args, **kwargs):
+                writer = threading.Thread(
+                    target=lambda: late_ids.append(
+                        index.add(text_of(2, 30, 60))
+                    )
+                )
+                writer.start()
+                writer.join(5)
+                return search(*args, **kwargs)
+
+            entries = len(service.cache)
+            monkeypatch.setattr(engine, "search", search_after_a_write)
+            late = service.search(other)
+            monkeypatch.undo()
+            assert late.index_epoch == epoch + 1
+            assert service.index_epoch == epoch + 2
+            assert any(pair.doc_id == late_ids[0] for pair in late.pairs)
+            assert len(service.cache) == entries
+            fresh = service.search(other)
+            assert not fresh.cached and fresh.pairs == late.pairs
+            assert service.search(other).cached
+        index.close()
 
     def test_validation(self, searcher):
         with pytest.raises(ConfigurationError):
