@@ -25,10 +25,13 @@ change, not noise.
 
 With ``--shards N`` the smoke instead exercises the sharded stack:
 ``repro serve --shards N`` (N worker processes + scatter router),
-asserts pair-for-pair parity against the single-process server, writes
-the deterministic metrics record, then SIGKILLs one worker mid-run and
-asserts the router serves partial results naming the dead shard (the
-supervisor is disabled so the corpse stays dead for the assertion).
+asserts pair-for-pair parity against the single-process server and that
+the repeat was a hit of the router's own result cache, writes the
+deterministic metrics record, then SIGKILLs one worker mid-run and
+asserts that the cached text is still answered whole (from the router,
+no sub-request) while a text never asked before gets partial results
+naming the dead shard (the supervisor is disabled so the corpse stays
+dead for the assertion).
 
 With ``--chaos`` (requires ``--replicas >= 2``) the smoke becomes a
 self-healing drill: ``repro serve --shards N --replicas R`` with the
@@ -36,10 +39,14 @@ supervisor on, then a seeded loop SIGKILLs random workers under a
 sustained query stream.  Every query during every outage must come back
 complete and pair-identical (replica failover), and after each kill the
 supervisor must restart + re-admit the worker until ``/healthz`` is
-``ok`` again with no operator action.  The emitted metrics record is a
-hand-built envelope of chaos counters (kills, query failures = 0,
-parity violations = 0, heals) that is identical across runs, so two
-chaos runs diff clean under ``check_regression.py --strict``.
+``ok`` again with no operator action.  The drill repeats one text, so
+its server runs with ``--cache-size 0``: with the result caches on,
+every query after the first would be answered by the router alone and
+"0 lost queries" would say nothing about failover.  The emitted
+metrics record is a hand-built envelope of chaos counters (kills, query
+failures = 0, parity violations = 0, heals) that is identical across
+runs, so two chaos runs diff clean under ``check_regression.py
+--strict``.
 
 Usage::
 
@@ -80,8 +87,10 @@ VOCAB = 150
 W, TAU = 20, 4
 
 
-def write_corpus(directory: Path) -> str:
-    """Write a deterministic corpus with real repeats; returns a query."""
+def write_corpus(directory: Path) -> tuple[str, str]:
+    """Write a deterministic corpus with real repeats; returns two
+    queries that match every document (the second is for legs that need
+    a text no cache has seen)."""
     rng = random.Random(SEED)
     vocab = [f"word{i}" for i in range(VOCAB)]
     base = [rng.choice(vocab) for _ in range(DOC_TOKENS)]
@@ -90,7 +99,7 @@ def write_corpus(directory: Path) -> str:
         for j in range(0, len(tokens), 13):  # light per-doc perturbation
             tokens[j] = rng.choice(vocab)
         (directory / f"doc{i}.txt").write_text(" ".join(tokens))
-    return " ".join(base[50:150])
+    return " ".join(base[50:150]), " ".join(base[150:250])
 
 
 def _spawn_server(cmd: list[str], startup_timeout: float):
@@ -155,7 +164,7 @@ def _parse_shard_line(line: str) -> dict:
 
 
 def run_sharded(args: argparse.Namespace, index_path: Path,
-                query_text: str) -> dict:
+                query_text: str, fresh_text: str) -> dict:
     """The --shards mode: parity, deterministic metrics, kill a worker."""
     from repro.service.client import (
         remote_healthz,
@@ -171,6 +180,7 @@ def run_sharded(args: argparse.Namespace, index_path: Path,
     )
     try:
         reference = remote_search(url, query_text)
+        fresh_reference = remote_search(url, fresh_text)
     finally:
         server.terminate()
         server.wait(timeout=10)
@@ -204,12 +214,23 @@ def run_sharded(args: argparse.Namespace, index_path: Path,
         # Snapshot metrics BEFORE the kill phase: the counters up to
         # here are deterministic, the recovery path below is not.
         snapshot = remote_metrics(url)
+        counters = snapshot["metrics"]["counters"]
+        # The repeat was the router's hit: it reached no shard.
+        assert counters["router.cache_hits"] == 1, counters
+        assert counters["service.cache_hits"] == 0, counters
 
         victim = shards[1]
         os.kill(victim["pid"], signal.SIGKILL)
         time.sleep(0.5)  # let the OS reap the port
 
-        partial = remote_search(url, query_text)
+        # A stored complete reply outlives a dead shard ...
+        stored = remote_search(url, query_text)
+        assert stored["cached"] and not stored.get("partial"), stored
+        assert stored["pairs"] == reference["pairs"], (
+            "the router's cache changed the answer"
+        )
+        # ... and a text it never answered gets the partial contract.
+        partial = remote_search(url, fresh_text)
         assert partial.get("partial") is True, partial
         failures = partial["failures"]
         assert len(failures) == 1, failures
@@ -218,13 +239,13 @@ def run_sharded(args: argparse.Namespace, index_path: Path,
             f"@shard-{victim['shard_id']:03d}"
         ), failures
         survivors = [
-            pair for pair in reference["pairs"]
+            pair for pair in fresh_reference["pairs"]
             if not victim["doc_lo"] <= pair[0] < victim["doc_hi"]
         ]
         assert partial["pairs"] == survivors, (
             "partial results must cover exactly the surviving shards"
         )
-        assert len(survivors) < reference["num_pairs"], (
+        assert len(survivors) < fresh_reference["num_pairs"], (
             "kill test needs matches inside the killed shard"
         )
 
@@ -239,8 +260,9 @@ def run_sharded(args: argparse.Namespace, index_path: Path,
         server.wait(timeout=30)
 
     print(f"sharded smoke ok: {first['num_pairs']} pairs across "
-          f"{args.shards} shards, parity + cache verified; killed shard "
-          f"{victim['shard_id']} -> {len(survivors)} partial pairs")
+          f"{args.shards} shards, parity + router cache verified; killed "
+          f"shard {victim['shard_id']} -> cached text still whole, fresh "
+          f"text {len(survivors)} partial pairs")
     return snapshot
 
 
@@ -277,11 +299,13 @@ def run_chaos(args: argparse.Namespace, index_path: Path,
         server.wait(timeout=10)
     assert reference["num_pairs"] > 0, "smoke query found no matches"
 
+    # --cache-size 0 (router and workers): the drill repeats one text,
+    # and only an uncached query scatters and can exercise failover.
     server, url, shard_lines = _spawn_server(
         [sys.executable, "-m", "repro.cli", "serve",
          "--index", str(index_path), "--port", "0",
          "--shards", str(args.shards), "--replicas", str(args.replicas),
-         "--check-interval", "0.2"],
+         "--check-interval", "0.2", "--cache-size", "0"],
         args.startup_timeout,
     )
     queries = 0
@@ -384,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         tmp_path = Path(tmp)
         corpus_dir = tmp_path / "corpus"
         corpus_dir.mkdir()
-        query_text = write_corpus(corpus_dir)
+        query_text, fresh_text = write_corpus(corpus_dir)
         index_path = tmp_path / "corpus.idx"
 
         # The single-process leg serves a routed snapshot; the sharded
@@ -420,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.shards > 1:
-            snapshot = run_sharded(args, index_path, query_text)
+            snapshot = run_sharded(args, index_path, query_text, fresh_text)
             record = {
                 "config": {
                     "profile": "serving-smoke-sharded",

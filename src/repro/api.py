@@ -567,8 +567,8 @@ class Index:
         shard from R independent in-process services with automatic
         failover; ``hedge_after`` enables hedged sub-requests to slow
         shards).  Keyword arguments are forwarded to each underlying
-        service (``max_workers``, ``max_queue``, ``cache_size``,
-        ``default_timeout`` ...).
+        service (``max_workers``, ``max_queue``, ``cache_size`` — which
+        also sizes the router's own result cache — ``default_timeout`` ...).
         """
         from .service import SearchService
 

@@ -478,6 +478,7 @@ def _serve_sharded(args: argparse.Namespace) -> int:
             index.data,
             default_timeout=args.request_timeout,
             hedge_after=args.hedge_after,
+            cache_size=args.cache_size,
         )
         if not args.no_supervise:
             supervisor = ShardSupervisor(
@@ -653,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--max-queue", type=int, default=64,
                               help="admission queue bound (default 64)")
     serve_parser.add_argument("--cache-size", type=int, default=256,
-                              help="result cache entries, 0 disables (default 256)")
+                              help="result cache entries, router's and workers' "
+                                   "alike with --shards; 0 disables (default 256)")
     serve_parser.add_argument("--request-timeout", type=float, default=None,
                               help="default per-request deadline in seconds")
     serve_parser.add_argument("--verbose", action="store_true",

@@ -16,9 +16,15 @@ cache exploits exactly that and nothing more:
   results are pair-for-pair identical by construction.  Stale-epoch
   entries are also actively purged on insert so a mutation burst
   cannot pin dead entries in the LRU.
-* Values are canonically ordered pair lists, stored as immutable
-  tuples so a caller mutating its response list cannot corrupt the
-  cache.
+* Values are :class:`ResultEntry` records: the canonically ordered
+  pairs as an immutable tuple (a caller mutating its response list
+  cannot corrupt the cache) and, once the HTTP front-end has written a
+  reply for them, their UTF-8 JSON — a hit is written from the stored
+  bytes, so an entry is encoded at most once.
+
+A :class:`~repro.service.ShardRouter` keeps a cache of this class in
+front of its shard services' own (its epoch: the shards' last-observed
+epochs plus its replica replacements).
 """
 
 from __future__ import annotations
@@ -47,17 +53,27 @@ def query_token_hash(tokens: Sequence[int]) -> str:
     return digest.hexdigest()
 
 
+class ResultEntry:
+    """One result: its pair tuple and, once a reply was written, their JSON."""
+
+    __slots__ = ("pairs", "pairs_json")
+
+    def __init__(self, pairs: Sequence) -> None:
+        self.pairs = tuple(pairs)
+        self.pairs_json: bytes | None = None  # set by repro.service.http
+
+
 class ResultCache:
-    """A thread-safe LRU mapping cache keys to match-pair tuples.
+    """A thread-safe LRU mapping cache keys to :class:`ResultEntry` records.
 
     ``capacity <= 0`` disables the cache entirely (every ``get`` misses,
-    ``put`` is a no-op) — the configuration the serving benchmark uses
+    ``put`` stores nothing) — the configuration the serving benchmark uses
     as its uncached baseline.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[CacheKey, tuple] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, ResultEntry] = OrderedDict()
         self._lock = threading.Lock()
         #: Highest epoch component seen by :meth:`put`.  Stale-entry
         #: purges only run when an insert advances past it, so a burst
@@ -69,8 +85,8 @@ class ResultCache:
         self.evictions = 0
         self.invalidations = 0
 
-    def get(self, key: CacheKey) -> tuple | None:
-        """The cached pair tuple for ``key``, or None; refreshes LRU order."""
+    def get(self, key: CacheKey) -> ResultEntry | None:
+        """The cached entry for ``key``, or None; refreshes LRU order."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -80,17 +96,20 @@ class ResultCache:
             self.hits += 1
             return entry
 
-    def put(self, key: CacheKey, pairs: Sequence) -> None:
+    def put(self, key: CacheKey, pairs: Sequence) -> ResultEntry:
         """Insert ``pairs`` under ``key``, evicting LRU entries beyond capacity.
 
+        Returns the entry made for them (also when caching is disabled);
+        the response carries it, so a later hit shares its encoding.
         Entries whose epoch component predates ``key``'s are purged:
         they can never be read again (epochs only grow), so keeping
         them would waste capacity on dead results.  The purge scan only
         runs when ``key`` carries a higher epoch than any insert before
         it — repeated inserts at a steady epoch never rescan.
         """
+        entry = ResultEntry(pairs)
         if self.capacity <= 0:
-            return
+            return entry
         epoch = key[2]
         with self._lock:
             if self._max_epoch is None or epoch > self._max_epoch:
@@ -103,16 +122,20 @@ class ResultCache:
                     del self._entries[entry_key]
                     self.invalidations += 1
                 self._max_epoch = epoch
-            self._entries[key] = tuple(pairs)
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+        return entry
 
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
+    def to_registry(self, registry, tier: str) -> None:
+        """Report the counters and the entry gauge as ``<tier>.cache_*``."""
+        registry.counter(f"{tier}.cache_hits").inc(self.hits)
+        registry.counter(f"{tier}.cache_misses").inc(self.misses)
+        registry.counter(f"{tier}.cache_evictions").inc(self.evictions)
+        registry.counter(f"{tier}.cache_invalidations").inc(self.invalidations)
+        registry.gauge(f"{tier}.cache_entries").set(len(self))
 
     def __len__(self) -> int:
         with self._lock:

@@ -10,8 +10,11 @@ endpoints:
     (``"off"``/``"exact"``, or a :meth:`~repro.RoutingPolicy.to_dict`
     object of which only ``"mode"`` is read) overriding the serving
     index's routing mode per request.  A non-numeric ``timeout``,
-    token ids outside signed 64 bits and an unknown routing mode or
-    field answer ``400`` before the service is called.
+    token ids outside signed 64 bits, an unknown routing mode or
+    field, and a body that is not JSON text (undecodable bytes, nesting
+    past the recursion limit) answer ``400`` before the service is
+    called; a body over :data:`MAX_BODY_BYTES` answers ``413`` and
+    closes the connection (it is never read).
     ``GET /search?q=...`` accepts
     the same query as a URL parameter for curl-friendliness.  Replies
     ``{"pairs": [[doc_id, data_start, query_start, overlap], ...],
@@ -21,6 +24,9 @@ endpoints:
     ``"partial": true`` and ``"failures": [QueryFailure dicts]`` —
     the pairs cover the shards that answered.  Overload maps to ``429``
     with a ``Retry-After`` header; a missed deadline maps to ``504``.
+    ``pairs`` is the body's last member, spliced in as bytes: the
+    response's :class:`~repro.service.cache.ResultEntry` keeps its
+    encoding, so a cache hit (service or router) is not encoded again.
 ``POST /ingest``
     JSON body ``{"text": "...", "name": "optional"}``: add one document
     through the service's LSM write path (upgrading a read-only
@@ -86,8 +92,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _reply(self, status: int, payload: dict, headers: dict | None = None) -> None:
+    def _reply(
+        self, status: int, payload: dict, headers: dict | None = None,
+        pairs_json: bytes | None = None,
+    ) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        if pairs_json is not None:  # spliced in as the last member
+            body = body[:-1] + b', "pairs": ' + pairs_json + b"}"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -145,11 +156,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._reply_error(400, "bad Content-Length")
             return
         if length > MAX_BODY_BYTES:
+            # Unread, the body would be parsed as the next request.
+            self.close_connection = True
             self._reply_error(413, f"request body over {MAX_BODY_BYTES} bytes")
             return
         try:
             payload = json.loads(self.rfile.read(length) or b"{}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, undecodable bytes, nesting past the limit.
             self._reply_error(400, f"invalid JSON body: {exc}")
             return
         if not isinstance(payload, dict):
@@ -285,8 +299,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except ReproError as exc:
             self._reply_error(400, str(exc))
             return
+        entry = response.entry
+        if entry.pairs_json is None:
+            # Once per entry: a later cache hit is written from these bytes.
+            entry.pairs_json = json.dumps(
+                entry.pairs, separators=(",", ":")
+            ).encode("utf-8")
         reply = {
-            "pairs": [list(pair) for pair in response.pairs],
             "num_pairs": len(response.pairs),
             "cached": response.cached,
             "seconds": response.seconds,
@@ -296,7 +315,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if failures:
             reply["partial"] = True
             reply["failures"] = [failure.to_dict() for failure in failures]
-        self._reply(200, reply)
+        self._reply(200, reply, pairs_json=entry.pairs_json)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

@@ -27,6 +27,12 @@ backends were started on.
   of a shard has failed does the shard become a
   :class:`~repro.eval.harness.QueryFailure` on the response — callers
   get partial results plus an explicit account of what is missing.
+* Result cache — a *complete* response is kept in the router's own
+  :class:`~repro.service.cache.ResultCache` (sized like the shards',
+  ``cache_size``), so a repeated query costs no sub-request and is
+  answered even with shards down.  A partial response is never stored:
+  its repeat re-scatters, and the healthy shards answer from their own
+  caches.  :meth:`ShardRouter.replace_replica` strands every entry.
 * Self-healing — :class:`~repro.service.supervisor.ShardSupervisor`
   heals dead replicas through :meth:`ShardRouter.mark_replica_down`,
   :meth:`~ShardRouter.replace_replica` and
@@ -69,6 +75,8 @@ from ..errors import (
 from ..eval.harness import QueryFailure
 from ..obs import MetricsRegistry
 from ..params import SearchParams
+from ..routing import RoutingPolicy
+from .cache import ResultCache, ResultEntry, query_token_hash
 from .client import ResilientClient
 from .plan import partition_ranges
 from .service import SearchService, ServiceResponse
@@ -258,14 +266,14 @@ class RouterResponse(ServiceResponse):
 
     def __init__(
         self,
-        pairs: tuple,
+        entry: ResultEntry,
         cached: bool,
         seconds: float,
         index_epoch: int,
         failures: Sequence[QueryFailure] = (),
         shard_epochs: dict | None = None,
     ) -> None:
-        super().__init__(pairs, cached, seconds, index_epoch)
+        super().__init__(entry, cached, seconds, index_epoch)
         self.failures = list(failures)
         self.shard_epochs = dict(shard_epochs or {})
 
@@ -304,6 +312,8 @@ class ShardRouter:
         Seconds to wait for a shard before sending one hedged duplicate
         sub-request (to the next replica, when there is one); first
         reply wins.  ``None`` disables hedging.
+    cache_size:
+        Entries in the router's own result cache; ``0`` disables it.
     """
 
     def __init__(
@@ -313,6 +323,7 @@ class ShardRouter:
         *,
         default_timeout: float | None = None,
         hedge_after: float | None = None,
+        cache_size: int = 256,
         name: str = "shard-router",
     ) -> None:
         backends = list(backends)
@@ -354,6 +365,8 @@ class ShardRouter:
         self._registry.gauge("router.shards").set(len(sets))
         self._registry.gauge("router.replicas").set(len(backends))
         self._last_epochs = {rset.shard_id: 0 for rset in sets}
+        self.cache = ResultCache(cache_size)
+        self._replacements = 0
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -368,6 +381,7 @@ class ShardRouter:
         replicas: int = 1,
         default_timeout: float | None = None,
         hedge_after: float | None = None,
+        cache_size: int = 256,
         name: str = "shard-router",
         **service_kwargs,
     ) -> "ShardRouter":
@@ -376,7 +390,8 @@ class ShardRouter:
         Every replica of a shard gets its *own* searcher over the same
         document subset, mirroring the process isolation of worker
         replicas — no searcher state (decode caches, lazy routing
-        tiers) is shared through one object.
+        tiers) is shared through one object.  ``cache_size`` sizes the
+        router's result cache and each service's alike.
         """
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
@@ -390,6 +405,7 @@ class ShardRouter:
                     PKWiseSearcher(subset, params).compacted(),
                     subset,
                     name=f"{name}-shard-{shard_id:03d}-r{replica}",
+                    cache_size=cache_size,
                     **service_kwargs,
                 )
                 backends.append(
@@ -406,6 +422,7 @@ class ShardRouter:
             data,
             default_timeout=default_timeout,
             hedge_after=hedge_after,
+            cache_size=cache_size,
             name=name,
         )
 
@@ -429,6 +446,12 @@ class ShardRouter:
     def index_epoch(self) -> int:
         """Sum of the last-observed per-shard epochs (monotone)."""
         return sum(self._last_epochs.values())
+
+    def _cache_epoch(self) -> int:
+        """Epoch of the router's cache keys (monotone): a shard seen at
+        a newer epoch or a replaced replica — which may serve a newer
+        generation — strands every entry minted before it."""
+        return self.index_epoch + self._replacements
 
     # ------------------------------------------------------------------
     # Replica health (used by the failover path and the supervisor)
@@ -477,6 +500,7 @@ class ShardRouter:
                 raise ConfigurationError(
                     f"shard {shard_id} has no replica {replica} to replace"
                 )
+            self._replacements += 1
         with self._metrics_lock:
             self._registry.counter("router.replica_replacements").inc()
 
@@ -584,6 +608,7 @@ class ShardRouter:
             "shards_ok": shards_reachable,
             "documents": self._sets[-1].doc_hi,
             "index_epoch": self.index_epoch,
+            "cache_entries": len(self.cache),
             "uptime_seconds": time.time() - self.started_at,
             "shards": shards,
         }
@@ -602,6 +627,7 @@ class ShardRouter:
         """
         with self._metrics_lock:
             registry = MetricsRegistry.from_snapshot(self._registry.snapshot())
+        self.cache.to_registry(registry, "router")
         for rset in self._sets:
             for backend in rset.replicas:
                 try:
@@ -634,16 +660,24 @@ class ShardRouter:
         chained); otherwise missing shards are reported on
         ``response.failures`` and the merged pairs cover the shards
         that answered.  ``routing`` is forwarded to every shard as its
-        per-request fingerprint routing override.
+        per-request fingerprint routing override.  A repeat of a
+        completely answered query (same tokens, routing mode and epoch)
+        is served from the router's result cache with no sub-request.
         """
         if self._closed:
             raise ServiceClosedError(f"{self.name} is closed")
+        if routing is not None:
+            routing = RoutingPolicy.from_dict(routing).mode
         if timeout is None:
             timeout = self.default_timeout
         start = time.monotonic()
         deadline_at = start + timeout if timeout is not None else None
         with self._metrics_lock:
             self._registry.counter("router.requests").inc()
+        key = (query_token_hash(query.tokens), routing, self._cache_epoch())
+        entry = self.cache.get(key)
+        if entry is not None:
+            return self._respond(entry, True, start, self._last_epochs)
         results, failures, last_error = self._scatter_gather(
             query, deadline_at, routing
         )
@@ -679,6 +713,21 @@ class ShardRouter:
                 MatchPair(pair[0] + offset, pair[1], pair[2], pair[3])
                 for pair in reply.pairs
             )
+        # Only a complete response is stored (after a failed shard the
+        # repeat re-scatters and the healthy shards answer from their
+        # caches), and only under an epoch the gather did not move.
+        entry = (
+            self.cache.put(key, pairs)
+            if not failures and self._cache_epoch() == key[2]
+            else ResultEntry(pairs)
+        )
+        cached = bool(cached_votes) and all(cached_votes)
+        return self._respond(entry, cached, start, shard_epochs, failures)
+
+    def _respond(
+        self, entry: ResultEntry, cached: bool, start: float,
+        shard_epochs: dict, failures: Sequence[QueryFailure] = (),
+    ) -> RouterResponse:
         elapsed = time.monotonic() - start
         with self._metrics_lock:
             self._registry.counter("router.completed").inc()
@@ -687,12 +736,8 @@ class ShardRouter:
                 self._registry.counter("router.partial_responses").inc()
                 self._registry.counter("router.shard_failures").inc(len(failures))
         return RouterResponse(
-            tuple(pairs),
-            cached=bool(cached_votes) and all(cached_votes),
-            seconds=elapsed,
-            index_epoch=sum(shard_epochs.values()),
-            failures=failures,
-            shard_epochs=shard_epochs,
+            entry, cached, elapsed, sum(shard_epochs.values()),
+            failures, shard_epochs,
         )
 
     def search_text(

@@ -58,7 +58,7 @@ from ..errors import (
 from ..eval.harness import canonical_pair_order
 from ..obs import MetricsRegistry
 from ..routing import RoutingPolicy
-from .cache import CacheKey, ResultCache, query_token_hash
+from .cache import CacheKey, ResultCache, ResultEntry, query_token_hash
 
 #: Floor for retry-after estimates so clients never busy-spin.
 MIN_RETRY_AFTER = 0.05
@@ -70,14 +70,16 @@ DEFAULT_LATENCY_ESTIMATE = 0.1
 class ServiceResponse:
     """One served request: canonical pairs plus serving metadata."""
 
-    __slots__ = ("pairs", "cached", "seconds", "index_epoch")
+    __slots__ = ("entry", "pairs", "cached", "seconds", "index_epoch")
 
     def __init__(
-        self, pairs: tuple, cached: bool, seconds: float, index_epoch: int
+        self, entry: ResultEntry, cached: bool, seconds: float, index_epoch: int
     ) -> None:
+        #: The record shared with the cache (pairs + their reply JSON).
+        self.entry = entry
         #: Match pairs in canonical (doc_id, data_start, query_start)
-        #: order, as an immutable tuple (shared with the cache).
-        self.pairs = pairs
+        #: order, as an immutable tuple.
+        self.pairs = entry.pairs
         #: True when served from the result cache.
         self.cached = cached
         #: End-to-end seconds inside the service (admission to reply).
@@ -287,11 +289,7 @@ class SearchService:
         """
         with self._metrics_lock:
             registry = MetricsRegistry.from_snapshot(self._registry.snapshot())
-        registry.counter("service.cache_hits").inc(self.cache.hits)
-        registry.counter("service.cache_misses").inc(self.cache.misses)
-        registry.counter("service.cache_evictions").inc(self.cache.evictions)
-        registry.counter("service.cache_invalidations").inc(self.cache.invalidations)
-        registry.gauge("service.cache_entries").set(len(self.cache))
+        self.cache.to_registry(registry, "service")
         registry.gauge("service.queue_depth_now").set(self.queue_depth)
         registry.gauge("service.index_epoch").set(self.index_epoch)
         store = getattr(self.searcher, "store", None)
@@ -523,12 +521,9 @@ class SearchService:
                 request.cache_key[1],
                 self.index_epoch,
             )
-            cached = self.cache.get(key)
-            if cached is not None:
-                pairs: tuple | None = cached
-                was_cached = True
-            else:
-                was_cached = False
+            entry = self.cache.get(key)
+            was_cached = entry is not None
+            if not was_cached:
                 override = (
                     {} if request.routing is None
                     else {"routing": request.routing}
@@ -536,12 +531,14 @@ class SearchService:
                 result = self.searcher.search(
                     request.query, cancel=cancelled, **override
                 )
-                pairs = tuple(canonical_pair_order(list(result.pairs)))
+                pairs = canonical_pair_order(list(result.pairs))
                 # The engine locks inside search(), so a write may have
                 # landed since the key was minted; store only a result
                 # the key's epoch still describes.
-                if self.index_epoch == key[2]:
+                entry = (
                     self.cache.put(key, pairs)
+                    if self.index_epoch == key[2] else ResultEntry(pairs)
+                )
         except SearchCancelled as exc:
             self._finish_cancelled(request, waited, exc)
             return
@@ -563,7 +560,7 @@ class SearchService:
             self._completed_count += 1
         request.future._resolve(
             ServiceResponse(
-                pairs, cached=was_cached, seconds=elapsed, index_epoch=key[2]
+                entry, cached=was_cached, seconds=elapsed, index_epoch=key[2]
             )
         )
 

@@ -116,7 +116,7 @@ class TestResultCache:
         key = ("h", "p", 0)
         assert cache.get(key) is None
         cache.put(key, [1, 2])
-        assert cache.get(key) == (1, 2)
+        assert cache.get(key).pairs == (1, 2)
         assert cache.hits == 1 and cache.misses == 1
 
     def test_lru_eviction(self):
@@ -126,7 +126,7 @@ class TestResultCache:
         cache.get(("a", "p", 0))  # refresh a; b becomes LRU
         cache.put(("c", "p", 0), [3])
         assert cache.get(("b", "p", 0)) is None
-        assert cache.get(("a", "p", 0)) == (1,)
+        assert cache.get(("a", "p", 0)).pairs == (1,)
         assert cache.evictions == 1
 
     def test_epoch_purge(self):
@@ -535,9 +535,11 @@ class TestHTTP:
             ("POST", "/search", '{"token_ids": [1000000000000000000000000000000, 1]}', {}),
             ("POST", "/search", '{"token_ids": [true, 1]}', {}),
             ("POST", "/search", None, {"Content-Length": "-5"}),
+            ("POST", "/search", b'\xff\xfe{"text": "a"}', {}),
+            ("POST", "/search", b"[" * 200_000, {}),
         ],
         ids=["timeout-abc", "token-id-over-64-bits", "token-id-bool",
-             "negative-content-length"],
+             "negative-content-length", "undecodable-body", "nested-body"],
     )
     def test_hostile_input_is_a_typed_400(
         self, server, small_corpus, method, path, body, headers
@@ -563,6 +565,29 @@ class TestHTTP:
             connection.close()
         after = remote_search(server.url, text)
         assert before["num_pairs"] > 0 and after["pairs"] == before["pairs"]
+
+    def test_oversized_body_closes_the_connection(self, server):
+        # The 413 leaves the announced body unread; on a kept-alive
+        # connection whatever follows the headers was parsed as the next
+        # request (two replies on one socket, a 413 and a 200).
+        import socket
+        from urllib.parse import urlparse
+
+        from repro.service.http import MAX_BODY_BYTES
+
+        url = urlparse(server.url)
+        with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /search HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+                + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            received = b""
+            while chunk := sock.recv(65536):  # until the server's EOF
+                received += chunk
+        assert received.startswith(b"HTTP/1.1 413 ")
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert remote_healthz(server.url)["status"] == "ok"
 
     def test_http_overload_maps_to_429(self):
         stub = BlockingSearcher()

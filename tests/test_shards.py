@@ -9,10 +9,12 @@ import pytest
 
 from repro import (
     ConfigurationError,
+    DocumentCollection,
     FaultPlan,
     FaultSpec,
     Index,
     PKWiseSearcher,
+    RoutingPolicy,
     SearchParams,
     ServiceError,
     faults,
@@ -313,6 +315,315 @@ class TestPartialResults:
         router.close()
         with pytest.raises(ServiceClosedError):
             router.search(query)
+
+
+# ----------------------------------------------------------------------
+class CountingBackend(LocalShardBackend):
+    """A real in-process shard that counts its searches, can be taken
+    down, and can run a hook while the router is gathering."""
+
+    calls = 0
+    down = False
+    during_search = None
+
+    def search(self, query, *, timeout, routing=None):
+        self.calls += 1
+        if self.during_search is not None:
+            hook, self.during_search = self.during_search, None
+            hook()
+        if self.down:
+            raise ServiceError(f"shard {self.shard_id} is down")
+        return super().search(query, timeout=timeout, routing=routing)
+
+
+def counting_backend(corpus, shard_id, lo, hi):
+    subset = corpus.subset(range(lo, hi))
+    service = SearchService(PKWiseSearcher(subset, PARAMS).compacted(), subset)
+    return CountingBackend(service, shard_id=shard_id, doc_lo=lo, doc_hi=hi)
+
+
+def counting_router(corpus, shards=2, **kwargs):
+    ranges = partition_ranges([len(doc) for doc in corpus], shards)
+    backends = [
+        counting_backend(corpus, shard_id, lo, hi)
+        for shard_id, (lo, hi) in enumerate(ranges)
+    ]
+    return ShardRouter(backends, corpus, **kwargs), backends
+
+
+def router_counters(router):
+    return router.metrics_snapshot()["metrics"]["counters"]
+
+
+class TestRouterCache:
+    def test_repeat_is_answered_without_a_sub_request(self, small_corpus, query):
+        single = expected_pairs(small_corpus, query)
+        router, backends = counting_router(small_corpus)
+        with router:
+            first = router.search(query)
+            assert [b.calls for b in backends] == [1, 1]
+            assert not first.cached and list(first.pairs) == single
+            again = router.search(query)
+            assert [b.calls for b in backends] == [1, 1]
+            assert again.cached and not again.partial
+            assert list(again.pairs) == single
+            assert again.index_epoch == first.index_epoch
+            assert again.shard_epochs == first.shard_epochs
+            snapshot = router.metrics_snapshot()["metrics"]
+            assert snapshot["counters"]["router.cache_hits"] == 1
+            assert snapshot["counters"]["router.cache_misses"] == 1
+            assert snapshot["counters"]["router.cache_evictions"] == 0
+            assert snapshot["counters"]["router.cache_invalidations"] == 0
+            assert snapshot["counters"]["router.completed"] == 2
+            assert snapshot["gauges"]["router.cache_entries"] == 1
+            # The shards saw one lookup each: the hit never reached them.
+            assert snapshot["counters"]["service.cache_hits"] == 0
+            assert snapshot["counters"]["service.cache_misses"] == 4
+            assert router.healthz()["cache_entries"] == 1
+
+    def test_routing_modes_are_separate_entries(self, small_corpus, query):
+        single = expected_pairs(small_corpus, query)
+        router, backends = counting_router(small_corpus)
+        with router:
+            for routing in (None, "exact"):
+                response = router.search(query, routing=routing)
+                assert not response.cached
+                assert list(response.pairs) == single
+            assert [b.calls for b in backends] == [2, 2]
+            assert len(router.cache) == 2
+            for routing in (None, "exact", RoutingPolicy(mode="exact")):
+                assert router.search(query, routing=routing).cached
+            assert [b.calls for b in backends] == [2, 2]
+            with pytest.raises(ConfigurationError):
+                router.search(query, routing="approx")
+
+    def test_partial_is_not_stored_and_the_retry_uses_shard_caches(
+        self, small_corpus, query
+    ):
+        single = expected_pairs(small_corpus, query)
+        router, backends = counting_router(small_corpus)
+        with router:
+            backends[1].down = True
+            for asked in (1, 2):
+                partial = router.search(query)
+                assert partial.partial and len(partial.failures) == 1
+                assert backends[0].calls == asked, "a partial must re-scatter"
+                assert len(router.cache) == 0
+            # The healthy shard answered the repeat from its own cache:
+            # only the failed shard has any searching left to do.
+            assert router_counters(router)["service.cache_hits"] == 1
+            backends[1].down = False
+            complete = router.search(query)
+            assert not complete.partial and list(complete.pairs) == single
+            assert [b.calls for b in backends] == [3, 3]
+            assert len(router.cache) == 1
+            assert router.search(query).cached
+            assert [b.calls for b in backends] == [3, 3]
+            assert router_counters(router)["router.partial_responses"] == 2
+
+    def test_stored_reply_outlives_dead_shards(self, small_corpus, query):
+        single = expected_pairs(small_corpus, query)
+        router, backends = counting_router(small_corpus)
+        with router:
+            router.search(query)
+            for backend in backends:
+                backend.down = True
+            response = router.search(query)
+            assert response.cached and not response.partial
+            assert list(response.pairs) == single
+            other = small_corpus.encode_query_tokens(
+                small_corpus.vocabulary.decode(small_corpus[1].tokens[:30])
+            )
+            with pytest.raises(ServiceError):
+                router.search(other)
+
+    def test_replace_replica_invalidates(self, small_corpus, query):
+        single = expected_pairs(small_corpus, query)
+        router, backends = counting_router(small_corpus)
+        with router:
+            router.search(query)
+            assert router.search(query).cached
+            fresh = counting_backend(
+                small_corpus, 0, backends[0].doc_lo, backends[0].doc_hi
+            )
+            router.replace_replica(0, 0, fresh)
+            response = router.search(query)
+            assert not response.cached and list(response.pairs) == single
+            assert (fresh.calls, backends[1].calls) == (1, 2)
+            assert router_counters(router)["router.cache_invalidations"] == 1
+            assert len(router.cache) == 1
+            assert router.search(query).cached
+            backends[0].close()
+
+    def test_replacement_during_a_gather_is_not_stored(self, small_corpus, query):
+        # The key is minted before the scatter; a replica replaced while
+        # the gather runs may have answered from either generation.
+        router, backends = counting_router(small_corpus)
+        with router:
+            fresh = counting_backend(
+                small_corpus, 0, backends[0].doc_lo, backends[0].doc_hi
+            )
+            backends[1].during_search = lambda: router.replace_replica(0, 0, fresh)
+            assert not router.search(query).partial
+            assert len(router.cache) == 0
+            assert not router.search(query).partial
+            assert (fresh.calls, backends[1].calls) == (1, 2)
+            assert len(router.cache) == 1
+            backends[0].close()
+
+    def test_cache_size_zero_scatters_every_time(self, small_corpus, query):
+        router, backends = counting_router(small_corpus, cache_size=0)
+        with router:
+            for asked in (1, 2, 3):
+                router.search(query)
+                assert [b.calls for b in backends] == [asked, asked]
+            counters = router_counters(router)
+            assert counters["router.cache_hits"] == 0
+            assert counters["router.cache_misses"] == 3
+            assert len(router.cache) == 0
+
+    def test_one_cache_size_sizes_both_tiers(self, small_corpus):
+        with ShardRouter.local(
+            small_corpus, PARAMS, shards=2, cache_size=0
+        ) as router:
+            assert router.cache.capacity == 0
+            assert [b.service.cache.capacity for b in router.backends] == [0, 0]
+        with ShardRouter.local(small_corpus, PARAMS, shards=2) as router:
+            assert router.cache.capacity == 256
+            assert [b.service.cache.capacity for b in router.backends] == [256] * 2
+
+    def test_lru_bound_and_evictions(self, small_corpus):
+        queries = [
+            small_corpus.encode_query_tokens(
+                small_corpus.vocabulary.decode(small_corpus[doc].tokens[5:35])
+            )
+            for doc in (0, 1, 2)
+        ]
+        router, backends = counting_router(small_corpus, cache_size=2)
+        with router:
+            for query in queries:
+                router.search(query)
+            assert len(router.cache) == 2
+            assert router_counters(router)["router.cache_evictions"] == 1
+            assert router.search(queries[2]).cached
+            assert backends[0].calls == 3
+            router.search(queries[0])  # evicted: scatters again
+            assert backends[0].calls == 4
+
+    def test_concurrent_callers_share_the_tier(self, small_corpus):
+        import sys
+
+        queries = [
+            small_corpus.encode_query_tokens(
+                small_corpus.vocabulary.decode(small_corpus[doc].tokens[5:35])
+            )
+            for doc in (0, 1, 2, 3)
+        ]
+        expected = [expected_pairs(small_corpus, query) for query in queries]
+        router, _backends = counting_router(small_corpus, cache_size=2)
+        wrong: list = []
+
+        def ask(offset: int) -> None:
+            for turn in range(40):
+                which = (offset + turn) % len(queries)
+                pairs = list(router.search(queries[which]).pairs)
+                if pairs != expected[which]:
+                    wrong.append(which)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with router:
+                threads = [
+                    threading.Thread(target=ask, args=(n,)) for n in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                counters = router_counters(router)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong
+        assert counters["router.cache_hits"] + counters["router.cache_misses"] == 240
+        assert counters["router.completed"] == 240
+        assert len(router.cache) <= 2
+
+    @pytest.mark.parametrize("tier", ["service", "router"])
+    @pytest.mark.parametrize("reuse", [False, True], ids=["no-pairs", "many-pairs"])
+    def test_http_hit_body_equals_miss_body(self, tier, reuse, monkeypatch):
+        # Two long documents sharing all their text: asking for that
+        # text returns > 1,000 pairs, asking for unseen words none.
+        words = [f"w{(7 * i * i + 3 * i) % 97}" for i in range(320)]
+        corpus = DocumentCollection()
+        for tokens in (words, [f"x{i % 89}" for i in range(200)], words):
+            corpus.add_tokens(tokens)
+        text = " ".join(words if reuse else [f"unseen{i}" for i in range(40)])
+        if tier == "service":
+            service = SearchService(PKWiseSearcher(corpus, PARAMS), corpus)
+        else:
+            service = ShardRouter.local(corpus, PARAMS, shards=2)
+        encoded = []
+        dumps = json.dumps
+
+        def counting_dumps(value, *args, **kwargs):
+            if isinstance(value, (tuple, list)):
+                encoded.append(len(value))
+            return dumps(value, *args, **kwargs)
+
+        with service:
+            single = expected_pairs(corpus, corpus.encode_query(text))
+            assert (len(single) > 1000) if reuse else not single
+            server = serve_http(service, port=0)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            monkeypatch.setattr(json, "dumps", counting_dumps)
+            try:
+                miss, hit, hit_again = (
+                    remote_search(server.url, text) for _ in range(3)
+                )
+            finally:
+                monkeypatch.undo()
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=5)
+        assert not miss["cached"] and hit["cached"] and hit_again["cached"]
+        assert [tuple(pair) for pair in miss["pairs"]] == [tuple(p) for p in single]
+        assert miss["num_pairs"] == len(single)
+        for reply in (miss, hit, hit_again):
+            del reply["cached"], reply["seconds"]
+        assert hit == miss and hit_again == miss
+        # One entry, one encoding: the pairs met json.dumps once per
+        # process that holds them (the in-process shards are SearchServices
+        # called directly, not over HTTP).
+        assert encoded == [len(single)]
+
+    def test_http_partial_reply_is_never_a_hit(self, small_corpus, query):
+        single = expected_pairs(small_corpus, query)
+        router, backends = counting_router(small_corpus)
+        backends[0].down = True
+        lo, hi = backends[0].doc_lo, backends[0].doc_hi
+        survivors = [list(p) for p in single if not lo <= p[0] < hi]
+        with router:
+            server = serve_http(router, port=0)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                for asked in (1, 2):
+                    reply = remote_search(
+                        server.url, token_ids=list(query.tokens)
+                    )
+                    assert reply["partial"] is True
+                    assert reply["failures"][0]["position"] == 0
+                    assert reply["pairs"] == survivors
+                    assert reply["num_pairs"] == len(survivors)
+                    assert backends[1].calls == asked
+                assert remote_healthz(server.url)["cache_entries"] == 0
+            finally:
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=5)
 
 
 # ----------------------------------------------------------------------
