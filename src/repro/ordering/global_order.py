@@ -18,6 +18,9 @@ total order consistent between both sides).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
+
+import numpy as np
 
 from ..corpus import Document, DocumentCollection
 from ..errors import ConfigurationError
@@ -36,10 +39,10 @@ def window_frequencies(data: DocumentCollection, w: int) -> list[int]:
     window "contains" a token if at least one of its ``w`` positions
     holds it; multiplicities within one window do not add.
 
-    Runs in O(total tokens): for each occurrence at position ``p`` the
-    containing window starts form the interval
-    ``[max(0, p - w + 1), min(p, n - w)]``; per token we count the union
-    of those intervals with a running high-water mark.
+    For each occurrence at position ``p`` the containing window starts
+    form the interval ``[max(0, p - w + 1), min(p, n - w)]``; per token
+    and document we count the union of those intervals, as array
+    operations over all occurrences at once (one stable sort).
     """
     return window_frequencies_of_documents(data, len(data.vocabulary), w)
 
@@ -55,20 +58,29 @@ def window_frequencies_of_documents(
     """
     if w < 1:
         raise ConfigurationError(f"window size must be >= 1, got {w}")
-    freq = [0] * vocabulary_size
-    for document in documents:
-        n = len(document)
-        if n < w:
-            continue
-        covered_to: dict[int, int] = {}  # token -> last counted window start
-        for p, token in enumerate(document.tokens):
-            lo = max(0, p - w + 1)
-            hi = min(p, n - w)
-            start = max(lo, covered_to.get(token, -1) + 1)
-            if start <= hi:
-                freq[token] += hi - start + 1
-                covered_to[token] = hi
-    return freq
+    kept = [document.tokens for document in documents if len(document) >= w]
+    if not kept:
+        return [0] * vocabulary_size
+    lengths = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
+    total = int(lengths.sum())
+    tokens = np.fromiter(chain.from_iterable(kept), dtype=np.int64, count=total)
+    position = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    lo = np.maximum(position - (w - 1), 0)
+    hi = np.minimum(position, np.repeat(lengths - w, lengths))
+    # Bring each token's occurrences within one document together, in
+    # position order.  Their window ranges then have non-decreasing
+    # ends, so what is already counted for the token ends at the
+    # previous occurrence's `hi` (the loop's high-water mark).
+    key = np.repeat(np.arange(len(kept)) * vocabulary_size, lengths) + tokens
+    order = np.argsort(key, kind="stable")
+    key, lo, hi = key[order], lo[order], hi[order]
+    counted_to = np.empty_like(hi)
+    counted_to[0] = -1
+    counted_to[1:] = np.where(key[1:] == key[:-1], hi[:-1], -1)
+    new_windows = hi - np.maximum(lo, counted_to + 1) + 1
+    # Float weights are exact here: window counts stay far below 2**53.
+    freq = np.bincount(tokens[order], weights=new_windows, minlength=vocabulary_size)
+    return freq.astype(np.int64).tolist()
 
 
 class GlobalOrder:
