@@ -124,7 +124,7 @@ from .partition import (
     workload_cost,
 )
 
-__version__ = "2.8.0"
+__version__ = "2.9.0"
 
 __all__ = [
     "__version__",

@@ -16,6 +16,7 @@ import heapq
 import time
 from collections import Counter
 from collections.abc import Callable
+from itertools import islice
 
 from ..corpus import Document, DocumentCollection
 from ..errors import (
@@ -353,13 +354,16 @@ class PKWiseSearcher:
         closed signatures together (``probe_many``), then replays the
         run window by window, applying each event's slice of the
         batch's +1/-1 candidate deltas before merging and verifying
-        that window.  Phase timing is boundary timing — one running
-        clock, read once per phase actually executed, so an unchanged
-        window with nothing to verify costs no clock reads at all
-        (the per-section scheme needed five per window); the few
-        untimed instructions between phases land in the next boundary's
-        reading, keeping ``total_time == signature + candidate +
-        verify`` by construction.
+        that window.  The stream yields changed windows only; the
+        windows between two events are verified against the merged
+        candidates carried from the earlier one.  Phase timing is
+        boundary timing — one running clock, read once per phase
+        actually executed, so an unchanged window with nothing to
+        verify costs no clock reads at all (the per-section scheme
+        needed five per window); the few untimed instructions between
+        phases land in the next boundary's reading, keeping
+        ``total_time == signature + candidate + verify`` by
+        construction.
         """
         stats = SearchStats()
         params = self.params
@@ -394,38 +398,54 @@ class PKWiseSearcher:
         events = stream.events()
         clock = time.perf_counter
         last = clock()
+
+        def verify_window(start: int) -> None:
+            """Verify the carried ``merged`` intervals against window ``start``."""
+            nonlocal last
+            if cancel is not None and cancel():
+                raise SearchCancelled(
+                    f"search of {query.name!r} cancelled at window {start}",
+                    windows_processed=start,
+                )
+            if merged:
+                verifier.advance_to(start)
+                for interval in merged:
+                    pairs.extend(
+                        verifier.verify_interval(
+                            interval.doc_id,
+                            self.rank_docs[interval.doc_id],
+                            interval.u,
+                            interval.v,
+                        )
+                    )
+                now = clock()
+                stats.verify_time += now - last
+                last = now
+
+        next_window = 0  # first window not verified yet
         finished = False
         while not finished:
-            # Signature phase: prefetch a run of window events.  Each
-            # changed event's opened-then-closed signatures go into one
-            # flat probe list; `spans` remembers every event's slice of
-            # it (None for unchanged windows).
-            chunk: list = []
+            # Signature phase: prefetch a run of changed-window events
+            # (the stream yields no others, and ends with the final
+            # close).  Each event's opened-then-closed signatures go
+            # into one flat probe list; `spans` remembers its slice.
+            chunk = list(islice(events, chunk_target))
+            finished = chunk[-1].final
+            if finished:
+                chunk.pop()
             spans: list = []
             probe_sigs: list = []
             probe_signs: list = []
-            changed = 0
-            while changed < chunk_target:
-                event = next(events, None)
-                if event is None or event.final:
-                    finished = True
-                    break
-                chunk.append(event)
-                if event.unchanged:
-                    spans.append(None)
-                else:
-                    lo = len(probe_sigs)
-                    probe_sigs.extend(event.opened)
-                    probe_sigs.extend(event.closed)
-                    probe_signs.extend((1,) * len(event.opened))
-                    probe_signs.extend((-1,) * len(event.closed))
-                    spans.append((lo, len(probe_sigs)))
-                    changed += 1
+            for event in chunk:
+                lo = len(probe_sigs)
+                probe_sigs.extend(event.opened)
+                probe_sigs.extend(event.closed)
+                probe_signs.extend((1,) * len(event.opened))
+                probe_signs.extend((-1,) * len(event.closed))
+                spans.append((lo, len(probe_sigs)))
             now = clock()
             stats.signature_time += now - last
             last = now
-            if not chunk:
-                break
 
             # Candidate phase, part 1: one vectorized probe for the
             # whole run, decoded to lists once.
@@ -447,44 +467,28 @@ class PKWiseSearcher:
                 stats.candidate_time += now - last
                 last = now
 
-            # Replay the run in window order; semantics per window are
-            # exactly the event-at-a-time loop's.
+            # Replay the run in window order.  The windows before an
+            # event generate what the previous event's window did, so
+            # they meet the carried `merged` unchanged; semantics per
+            # window are exactly the event-at-a-time loop's.
             for event, span in zip(chunk, spans):
-                if cancel is not None and cancel():
-                    raise SearchCancelled(
-                        f"search of {query.name!r} cancelled at window "
-                        f"{event.start}",
-                        windows_processed=event.start,
-                    )
-                if span is not None:
-                    for k in range(bounds[span[0]], bounds[span[1]]):
-                        interval = WindowInterval(
-                            hit_docs[k], hit_us[k], hit_vs[k]
-                        )
-                        count = candidates[interval] + hit_signs[k]
-                        if count <= 0:
-                            del candidates[interval]
-                        else:
-                            candidates[interval] = count
-                    merged = merge_intervals(candidates.keys(), merge_gap)
-                    now = clock()
-                    stats.candidate_time += now - last
-                    last = now
-
-                if merged:
-                    verifier.advance_to(event.start)
-                    for interval in merged:
-                        pairs.extend(
-                            verifier.verify_interval(
-                                interval.doc_id,
-                                self.rank_docs[interval.doc_id],
-                                interval.u,
-                                interval.v,
-                            )
-                        )
-                    now = clock()
-                    stats.verify_time += now - last
-                    last = now
+                for start in range(next_window, event.start):
+                    verify_window(start)
+                next_window = event.start + 1
+                for k in range(bounds[span[0]], bounds[span[1]]):
+                    interval = WindowInterval(hit_docs[k], hit_us[k], hit_vs[k])
+                    count = candidates[interval] + hit_signs[k]
+                    if count <= 0:
+                        del candidates[interval]
+                    else:
+                        candidates[interval] = count
+                merged = merge_intervals(candidates.keys(), merge_gap)
+                now = clock()
+                stats.candidate_time += now - last
+                last = now
+                verify_window(event.start)
+        for start in range(next_window, len(query_ranks) - w + 1):
+            verify_window(start)
 
         stats.signature_tokens = stream.generated_token_cost
         stats.signatures_generated = stream.generated_signatures

@@ -8,7 +8,7 @@ Section 4.1 suggests a binary search tree).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator
 
 
@@ -16,8 +16,8 @@ class SortedMultiset:
     """Sorted multiset with positional access.
 
     Supports duplicates.  ``add`` and ``remove`` are O(n) worst-case
-    (list shifting) but with a tiny constant; ``count``, ``__contains__``
-    and rank queries are O(log n); iteration yields ascending order.
+    (list shifting) but with a tiny constant; ``__contains__`` is
+    O(log n); iteration yields ascending order.
     """
 
     __slots__ = ("_items",)
@@ -43,21 +43,6 @@ class SortedMultiset:
             del self._items[index]
             return True
         return False
-
-    def count(self, value: int) -> int:
-        """Multiplicity of ``value``."""
-        return bisect_right(self._items, value) - bisect_left(self._items, value)
-
-    def index_of_first(self, value: int) -> int:
-        """Index of the first occurrence of ``value``; KeyError if absent."""
-        index = bisect_left(self._items, value)
-        if index >= len(self._items) or self._items[index] != value:
-            raise KeyError(value)
-        return index
-
-    def rank(self, value: int) -> int:
-        """Number of elements strictly smaller than ``value``."""
-        return bisect_left(self._items, value)
 
     def __contains__(self, value: int) -> bool:
         index = bisect_left(self._items, value)

@@ -378,4 +378,4 @@ class TestModuleSurface:
         assert "open_index" not in repro.__all__
 
     def test_version_bumped(self):
-        assert repro.__version__ == "2.8.0"
+        assert repro.__version__ == "2.9.0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,13 +36,25 @@ class TestAgainstRescan:
             sorted(ranks[:w]), tau, scheme
         )
         for start in range(1, len(ranks) - w + 1):
-            maintainer.slide(ranks[start - 1], ranks[start + w - 1])
-            assert maintainer.multiset.as_list() == sorted(
+            before = maintainer.window[: maintainer.length]
+            changed = maintainer.slide(ranks[start - 1], ranks[start + w - 1])
+            assert maintainer.window == sorted(
                 ranks[start : start + w]
             )
             assert maintainer.length == prefix_length(
-                maintainer.multiset.raw, tau, scheme
+                maintainer.window, tau, scheme
             )
+            # The report is exact: False iff the prefix holds the same
+            # tokens, else `joined` / `left` are the multiset difference.
+            after = maintainer.window[: maintainer.length]
+            assert changed == (after != before)
+            if changed:
+                joined = Counter(rank for rank, _ in maintainer.joined)
+                left = Counter(rank for rank, _ in maintainer.left)
+                assert joined == Counter(after) - Counter(before)
+                assert left == Counter(before) - Counter(after)
+                for rank, key in maintainer.joined + maintainer.left:
+                    assert key == scheme.group_key(rank)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000_000))
@@ -65,20 +78,21 @@ class TestEdgeCases:
         before = maintainer.length
         maintainer.slide(2, 2)
         assert maintainer.length == before
-        assert maintainer.multiset.as_list() == [1, 2, 3]
+        assert maintainer.window == [1, 2, 3]
 
     def test_single_token_window(self):
         scheme = PartitionScheme.single(5)
         maintainer = IncrementalPrefixLength([3], 0, scheme)
         assert maintainer.length == 1
         maintainer.slide(3, 1)
-        assert maintainer.multiset.as_list() == [1]
+        assert maintainer.window == [1]
         assert maintainer.length == 1
 
     def test_prefix_returns_head(self):
         scheme = PartitionScheme.single(10)
         maintainer = IncrementalPrefixLength([5, 1, 9, 3], 1, scheme)
-        assert maintainer.prefix() == [1, 3]
+        assert maintainer.window[: maintainer.length] == [1, 3]
+        assert maintainer.joined == [(1, 1), (3, 1)] and not maintainer.left
 
     def test_negative_ranks(self):
         # Query-only tokens (negative ranks) are class 1.
@@ -87,5 +101,5 @@ class TestEdgeCases:
         assert maintainer.length == prefix_length([-2, -1, 4, 5], 1, scheme)
         maintainer.slide(-2, -3)
         assert maintainer.length == prefix_length(
-            maintainer.multiset.raw, 1, scheme
+            maintainer.window, 1, scheme
         )

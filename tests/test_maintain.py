@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PartitionScheme
-from repro.signatures import SignatureStream, generate_signatures
+from repro import Index, PartitionScheme
+from repro.corpus.synthetic import make_profile_collection
+from repro.ordering.global_order import OOV_RANK
+from repro.signatures import SignatureStream, generate_signatures, prefix_length
 
 
 def replay_presence(ranks, w, tau, scheme):
@@ -25,11 +28,16 @@ def replay_presence(ranks, w, tau, scheme):
     by_window: list[set] = []
     final_seen = False
     for event in stream.events():
+        # Events come for changed windows only: the windows up to this
+        # one generate what the previous event left present.
+        assert event.start >= len(by_window), "events out of window order"
+        by_window.extend(set(present) for _ in range(len(by_window), event.start))
         if event.final:
             final_seen = True
             for signature in event.closed:
                 present.discard(signature)
             break
+        assert event.opened or event.closed, "event without a transition"
         for signature in event.opened:
             assert signature not in present, "opened while already present"
             present.add(signature)
@@ -51,6 +59,48 @@ def scratch_presence(ranks, w, tau, scheme):
         window = sorted(ranks[start : start + w])
         out.append(set(generate_signatures(window, tau, scheme)))
     return out
+
+
+def scratch_counters(ranks, w, tau, scheme):
+    """Reference Eq. 2 accounting, window by window from scratch.
+
+    A window whose prefix equals the previous window's is shared; a
+    changed one is charged ``C(n, i)`` signatures of ``i`` tokens for
+    every group whose token tuple differs from the previous window's.
+    """
+    totals = Counter()
+    previous = None
+    for start in range(max(0, len(ranks) - w + 1)):
+        window = sorted(ranks[start : start + w])
+        groups: dict[int, list[int]] = {}
+        for rank in window[: prefix_length(window, tau, scheme)]:
+            groups.setdefault(scheme.group_key(rank), []).append(rank)
+        if groups == previous:
+            totals["shared_windows"] += 1
+            continue
+        totals["changed_windows"] += 1
+        for key, tokens in groups.items():
+            if previous is None or previous.get(key) != tokens:
+                class_index = key // scheme.m
+                count = comb(len(tokens), class_index)
+                totals["generated_signatures"] += count
+                totals["generated_token_cost"] += count * class_index
+        previous = groups
+    return totals
+
+
+def stream_counters(stream):
+    return Counter(
+        {
+            name: getattr(stream, name)
+            for name in (
+                "generated_signatures",
+                "generated_token_cost",
+                "shared_windows",
+                "changed_windows",
+            )
+        }
+    )
 
 
 class TestPaperExample5:
@@ -101,6 +151,77 @@ class TestEquivalence:
         assert streamed == scratch_presence(ranks, w, tau, scheme)
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 1_000_000), m=st.sampled_from([1, 2]))
+    def test_paper_shape_stream_and_counters(self, seed, m):
+        # The benchmark's shape (w=50, tau=5, k_max=4): long windows,
+        # a Zipfian head of frequent (high-rank) tokens, and a few
+        # ranks below zero — lazily admitted tokens in a live index's
+        # data documents, the OOV sentinel in a query.
+        rng = random.Random(seed)
+        universe = 2000
+        scheme = PartitionScheme(
+            universe_size=universe, borders=(1500, 1850, 1960), m=m
+        )
+        ranks = [
+            universe - min(universe, int(rng.paretovariate(0.6)))
+            for _ in range(rng.randint(300, 600))
+        ]
+        for _ in range(rng.randint(0, 6)):
+            ranks[rng.randrange(len(ranks))] = rng.choice([-1, -2, -3, OOV_RANK])
+        streamed, stream = replay_presence(ranks, 50, 5, scheme)
+        assert streamed == scratch_presence(ranks, 50, 5, scheme)
+        assert stream_counters(stream) == scratch_counters(ranks, 50, 5, scheme)
+
+
+class TestCornerCases:
+    """Slides at the prefix boundary ``b`` (k_max=1, tau=1: the prefix
+    is the two smallest tokens)."""
+
+    scheme = PartitionScheme.single(10)
+
+    def shared_slide(self, ranks):
+        """One slide over ``ranks`` (w=5) that must leave the prefix alone."""
+        streamed, stream = replay_presence(ranks, 5, 1, self.scheme)
+        assert streamed == scratch_presence(ranks, 5, 1, self.scheme)
+        assert (stream.changed_windows, stream.shared_windows) == (1, 1)
+        events = SignatureStream(ranks, 5, 1, self.scheme).events()
+        assert [event.start for event in events] == [0, 2]
+
+    def test_incoming_equals_boundary(self):
+        # [1 2 | 3 7 9] -> [1 2 | 2 3 7]: equals insert to the right.
+        self.shared_slide([9, 1, 2, 3, 7, 2])
+
+    def test_boundary_leaves_and_its_duplicate_steps_in(self):
+        # [1 2 | 2 5 6] -> [1 2 | 5 6 9]: the prefix is touched (b
+        # left) and ends up holding the same tokens.
+        self.shared_slide([2, 1, 2, 5, 6, 9])
+
+    def test_outgoing_equals_incoming(self):
+        self.shared_slide([1, 3, 4, 5, 6, 1])
+
+    def test_window_that_never_reaches_coverage(self):
+        # One class-2 group: three tokens cover 2 < tau + 1, the whole
+        # window is the prefix and no token is "past the boundary".
+        scheme = PartitionScheme.all_k(10, 2)
+        rng = random.Random(5)
+        ranks = [rng.randrange(6) for _ in range(40)]
+        streamed, stream = replay_presence(ranks, 3, 2, scheme)
+        assert streamed == scratch_presence(ranks, 3, 2, scheme)
+        assert stream_counters(stream) == scratch_counters(ranks, 3, 2, scheme)
+        assert stream.changed_windows == 1 + sum(
+            ranks[start - 1] != ranks[start + 2] for start in range(1, 38)
+        )
+
+    def test_ranks_below_zero_on_either_side_of_the_boundary(self):
+        scheme = PartitionScheme(universe_size=10, borders=(4,))
+        ranks = [7, OOV_RANK, 8, -1, 9, 5, OOV_RANK, 6, -2, 7, 8, 9, -1, 5, 6, 7]
+        for tau in (0, 1, 3):
+            streamed, stream = replay_presence(ranks, 5, tau, scheme)
+            assert streamed == scratch_presence(ranks, 5, tau, scheme)
+            assert stream_counters(stream) == scratch_counters(ranks, 5, tau, scheme)
+
+
 class TestSharingCounters:
     def test_constant_document_shares_everything(self):
         scheme = PartitionScheme.single(5)
@@ -124,6 +245,34 @@ class TestSharingCounters:
         list(stream.events())
         assert stream.generated_signatures == 3
         assert stream.generated_token_cost == 6
+
+
+    def test_golden_counters_of_a_seeded_build(self):
+        # Literals taken at 2.8.0 (regenerate-and-diff): Eq. 2's
+        # accounting, the postings and one query's probe plan must not
+        # drift with how the stream enumerates its deltas.
+        data, queries, _ = make_profile_collection(
+            "REUTERS", 0.01, 11, num_queries=2
+        )
+        built = Index.build(data, w=50, tau=5, k_max=4)
+        index = built.searcher().index
+        assert index.build_stats == {
+            "generated_signatures": 64920,
+            "generated_token_cost": 143706,
+            "shared_windows": 9954,
+            "changed_windows": 4055,
+        }
+        assert (index.num_postings, index.num_signatures) == (20382, 17069)
+        stats = built.search(queries[0]).stats
+        assert (
+            stats.signatures_generated,
+            stats.signature_tokens,
+            stats.shared_windows,
+            stats.changed_windows,
+            stats.probe_batches,
+            stats.probe_signatures,
+            stats.postings_entries,
+        ) == (866, 1739, 211, 76, 3, 544, 511)
 
 
 class TestShortDocuments:

@@ -53,12 +53,8 @@ class TestAgainstModel:
 
     @settings(max_examples=40, deadline=None)
     @given(items=st.lists(st.integers(-10, 10), max_size=60), probe=st.integers(-12, 12))
-    def test_count_rank_contains(self, cls, items, probe):
-        structure = cls(items)
-        expected = sorted(items)
-        assert structure.count(probe) == expected.count(probe)
-        assert structure.rank(probe) == sum(1 for x in expected if x < probe)
-        assert (probe in structure) == (probe in expected)
+    def test_contains(self, cls, items, probe):
+        assert (probe in cls(items)) == (probe in items)
 
 
 @pytest.mark.parametrize("cls", STRUCTURES)
@@ -71,8 +67,7 @@ class TestEdgeCases:
     def test_remove_one_of_duplicates(self, cls):
         structure = cls([5, 5, 5])
         structure.remove(5)
-        assert structure.count(5) == 2
-        assert len(structure) == 2
+        assert structure.as_list() == [5, 5]
 
     def test_empty(self, cls):
         structure = cls()
@@ -86,12 +81,6 @@ class TestEdgeCases:
 
 
 class TestSortedMultisetSpecifics:
-    def test_index_of_first(self):
-        multiset = SortedMultiset([1, 2, 2, 3])
-        assert multiset.index_of_first(2) == 1
-        with pytest.raises(KeyError):
-            multiset.index_of_first(9)
-
     def test_raw_is_internal(self):
         multiset = SortedMultiset([2, 1])
         assert multiset.raw == [1, 2]

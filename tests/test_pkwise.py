@@ -15,9 +15,11 @@ from repro import (
     PartitionScheme,
     PKWiseNonIntervalSearcher,
     PKWiseSearcher,
+    SearchCancelled,
     SearchParams,
 )
 from repro.core.pkwise import default_scheme
+from repro.signatures import SignatureStream
 
 from .conftest import brute_force_pairs, pairs_as_set, random_collection
 
@@ -147,6 +149,48 @@ class TestEdgeCases:
         searcher = PKWiseSearcher(data, params)
         query = data.encode_query("a b c d e")
         assert searcher.search(query).pairs == []
+
+
+class TestChangedOnlyEvents:
+    """The stream yields changed windows only; ``_search`` meets the
+    windows in between with the merged candidates it carries."""
+
+    W = 8
+
+    @pytest.fixture
+    def trailing_run(self):
+        # The query ends "f f f f a b f f f f f f": from window 6 on,
+        # every slide swaps one f for another and nothing changes.
+        data = DocumentCollection()
+        data.add_text("g h i j k l f f f f a b f f f f f f m n o p")
+        data.add_text("f f f f q r f f f f s t f f f f u v f f f f")
+        searcher = PKWiseSearcher(data, SearchParams(w=self.W, tau=1, k_max=2))
+        query = data.encode_query("g h i j k l f f f f a b f f f f f f")
+        return data, searcher, query
+
+    def test_trailing_unchanged_windows_are_verified(self, trailing_run):
+        data, searcher, query = trailing_run
+        ranks = searcher.order.rank_document(query)
+        stream = SignatureStream(ranks, self.W, 1, searcher.scheme)
+        starts = [event.start for event in stream.events()]
+        last_window = len(ranks) - self.W
+        assert starts[-1] == last_window + 1 and starts[-2] <= last_window - 3
+        result = searcher.search(query)
+        assert pairs_as_set(result) == brute_force_pairs(data, query, self.W, 1)
+        assert any(pair.query_start == last_window for pair in result.pairs)
+
+    def test_cancel_inside_an_unchanged_run(self, trailing_run):
+        _data, searcher, query = trailing_run
+        calls = []
+
+        def cancel():
+            calls.append(None)
+            return len(calls) == 10  # one call per window: window 9
+
+        with pytest.raises(SearchCancelled) as raised:
+            searcher.search(query, cancel=cancel)
+        assert raised.value.windows_processed == 9
+        assert len(calls) == 10
 
 
 class TestStats:
