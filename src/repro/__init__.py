@@ -110,12 +110,6 @@ from .service import (
     ShardRouter,
     ShardSupervisor,
 )
-from .similarity import (
-    jaccard_to_overlap,
-    jaccard_to_tau,
-    overlap_to_jaccard,
-    tau_to_jaccard,
-)
 from .partition import (
     CostWeights,
     GreedyPartitioner,
@@ -124,7 +118,7 @@ from .partition import (
     workload_cost,
 )
 
-__version__ = "2.9.0"
+__version__ = "2.10.0"
 
 __all__ = [
     "__version__",
@@ -178,11 +172,6 @@ __all__ = [
     "Passage",
     "merge_passages",
     "filter_passages",
-    # Threshold conversions
-    "jaccard_to_overlap",
-    "overlap_to_jaccard",
-    "jaccard_to_tau",
-    "tau_to_jaccard",
     # Persistence
     "save_searcher",
     "SearcherBundle",

@@ -64,6 +64,7 @@ from pathlib import Path
 from .api import Index, params_from_values
 from .core.selfjoin import local_similarity_self_join
 from .corpus import collection_from_directory
+from .corpus.loaders import text_files
 from .errors import ConfigurationError, ReproError
 from .obs import MetricsRegistry, configure_tracing, disable_tracing
 from .params import SearchParams
@@ -175,14 +176,16 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     """Stream documents into a durable LSM ingest directory.
 
     Opens (or creates) the write-ahead-logged store at ``--dir``,
-    appends every ``.txt`` under ``--data`` and/or every line of
-    stdin (``--from-stdin``), applies ``--remove`` tombstones, and
-    optionally folds with ``--flush`` / ``--compact`` before closing.
+    appends every ``.txt`` directly in ``--data`` (the files ``repro
+    index`` reads) and/or every line of stdin (``--from-stdin``),
+    applies ``--remove`` tombstones, and optionally folds with
+    ``--flush`` / ``--compact`` before closing.
     Killing the process mid-stream loses nothing: the next open
     replays the WAL and resumes at the same state.
     """
     from .ingest.manifest import MANIFEST_NAME
 
+    paths = text_files(args.data) if args.data else []
     directory = Path(args.dir)
     creating = not (directory / MANIFEST_NAME).exists()
     if not creating and args.routing_block is not None:
@@ -206,12 +209,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     added = 0
     try:
-        if args.data:
-            for path in sorted(Path(args.data).glob("**/*.txt")):
-                index.add(
-                    path.read_text(encoding="utf-8"), name=str(path.name)
-                )
-                added += 1
+        for path in paths:
+            index.add(path.read_text(encoding="utf-8"), name=path.name)
+            added += 1
         if args.from_stdin:
             for line in sys.stdin:
                 line = line.strip()
@@ -368,6 +368,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("error: --live and --shards are mutually exclusive",
                   file=sys.stderr)
             return 2
+        unread = [
+            flag
+            for flag, value in (
+                ("--routing", args.routing),
+                ("--max-queue", args.max_queue),
+            )
+            if value is not None
+        ]
+        if unread:
+            print(
+                f"error: {' and '.join(unread)} cannot be combined with "
+                f"--shards: the shards serve under the routing policy "
+                f"stored in the snapshot (repro index --routing) unless a "
+                f"request names one (repro query --routing), and each "
+                f"shard worker keeps the default admission queue",
+                file=sys.stderr,
+            )
+            return 2
         return _serve_sharded(args)
     if args.live:
         index = Index.open_live(
@@ -392,7 +410,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     service = index.serve(
         max_workers=args.workers,
-        max_queue=args.max_queue,
+        max_queue=64 if args.max_queue is None else args.max_queue,
         cache_size=args.cache_size,
         default_timeout=args.request_timeout,
     )
@@ -651,8 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="bind port (0 = OS-assigned; default 8080)")
     serve_parser.add_argument("--workers", type=int, default=4,
                               help="service worker threads (default 4)")
-    serve_parser.add_argument("--max-queue", type=int, default=64,
-                              help="admission queue bound (default 64)")
+    serve_parser.add_argument("--max-queue", type=int, default=None,
+                              help="admission queue bound (default 64; "
+                                   "refused with --shards)")
     serve_parser.add_argument("--cache-size", type=int, default=256,
                               help="result cache entries, router's and workers' "
                                    "alike with --shards; 0 disables (default 256)")

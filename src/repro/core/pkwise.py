@@ -12,7 +12,6 @@ skips.
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import Counter
 from collections.abc import Callable
@@ -500,26 +499,6 @@ class PKWiseSearcher:
         return SearchResult(pairs=pairs, stats=stats)
 
     # ------------------------------------------------------------------
-    def search_top_k(self, query: Document, k: int) -> list:
-        """The ``k`` best-matching window pairs (highest overlap first).
-
-        Convenience wrapper: runs the exact threshold search and keeps
-        the top ``k`` by (overlap, then position).  For "best matches
-        anywhere" semantics, run with a loose ``tau`` and let this
-        method rank.
-        """
-        result = self.search(query)
-        return heapq.nlargest(
-            k,
-            result.pairs,
-            key=lambda pair: (
-                pair.overlap,
-                -pair.doc_id,
-                -pair.data_start,
-                -pair.query_start,
-            ),
-        )
-
     def search_many(self, queries: list[Document], *, jobs: int = 1):
         """Search every query; returns an :class:`~repro.eval.AggregateRun`.
 

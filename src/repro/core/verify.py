@@ -165,11 +165,3 @@ class IntervalVerifier:
                 if query_counts.get(incoming, 0) >= new:
                     overlap += 1
         return matches
-
-    # ------------------------------------------------------------------
-    def verify_single(
-        self, doc_id: int, doc_ranks: Sequence[int], start: int
-    ) -> MatchPair | None:
-        """Verify one data window against the current query window."""
-        pairs = self.verify_interval(doc_id, doc_ranks, start, start)
-        return pairs[0] if pairs else None

@@ -1,26 +1,18 @@
 """Corpus substrate: documents, collections, loaders, and generators.
 
-Real corpora used by the paper (REUTERS, TREC, PAN-PC-10) are not
-redistributable here, so this package also ships synthetic generators
-whose statistics are calibrated to Table 1 of the paper, plus a
-plagiarism injector that produces exact ground-truth spans for the
-quality experiments (Appendix D.2).
+The corpora the paper evaluates on (REUTERS, TREC, PAN-PC-10) are not
+redistributable, so this package ships synthetic generators whose
+statistics are calibrated to Table 1 of the paper, plus a plagiarism
+injector that produces exact ground-truth spans for the quality
+experiments (Appendix D.2).  Text of your own enters through
+:func:`collection_from_directory` (one ``.txt`` file per document) or
+:func:`collection_from_texts`.
 """
 
 from .collection import DocumentCollection
 from .document import Document
 from .loaders import collection_from_directory, collection_from_texts
-from .plagiarism import (
-    GroundTruthPair,
-    ObfuscationLevel,
-    PlagiarismCase,
-    PlagiarismInjector,
-)
-from .real_datasets import (
-    load_medline_abstracts,
-    load_pan_corpus,
-    load_reuters_sgml,
-)
+from .plagiarism import GroundTruthPair, ObfuscationLevel, PlagiarismInjector
 from .stats import CollectionStats
 from .synthetic import (
     DATASET_PROFILES,
@@ -40,10 +32,6 @@ __all__ = [
     "DATASET_PROFILES",
     "make_profile_collection",
     "PlagiarismInjector",
-    "PlagiarismCase",
     "GroundTruthPair",
     "ObfuscationLevel",
-    "load_reuters_sgml",
-    "load_medline_abstracts",
-    "load_pan_corpus",
 ]

@@ -3,7 +3,9 @@
 Users reproducing the paper on the real REUTERS / TREC / PAN corpora can
 point :func:`collection_from_directory` at a directory of ``.txt`` files
 (one document per file); everything downstream is identical to the
-synthetic path.
+synthetic path.  :func:`text_files` is the one listing of such a
+directory: ``repro index``, ``selfjoin``, ``ingest`` and
+``Index.build(path)`` all read the same files under the same names.
 """
 
 from __future__ import annotations
@@ -40,6 +42,21 @@ def collection_from_texts(
     return collection
 
 
+def text_files(directory: str | Path, pattern: str = "*.txt") -> list[Path]:
+    """The files of a one-document-per-file corpus, in sorted name order.
+
+    Flat, not recursive: a document is named by its file name, and no
+    two files of one directory share a name.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise CorpusError(f"{directory} is not a directory")
+    paths = sorted(directory.glob(pattern))
+    if not paths:
+        raise CorpusError(f"no files matching {pattern!r} under {directory}")
+    return paths
+
+
 def collection_from_directory(
     directory: str | Path,
     tokenizer: Tokenizer | None = None,
@@ -51,14 +68,8 @@ def collection_from_directory(
 
     Files are loaded in sorted name order for determinism.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise CorpusError(f"{directory} is not a directory")
-    paths = sorted(directory.glob(pattern))
-    if not paths:
-        raise CorpusError(f"no files matching {pattern!r} under {directory}")
     collection = DocumentCollection(tokenizer=tokenizer)
-    for path in paths:
+    for path in text_files(directory, pattern):
         tokens = collection.tokenizer.tokenize(path.read_text(encoding=encoding))
         if len(tokens) < min_tokens:
             continue

@@ -70,26 +70,6 @@ class GroundTruthPair:
     query_span: tuple[int, int]
     level: ObfuscationLevel
 
-    def data_overlaps(self, window_start: int, w: int) -> bool:
-        """Does window ``W(d, window_start)`` overlap the data span?"""
-        lo, hi = self.data_span
-        return window_start <= hi and window_start + w - 1 >= lo
-
-    def query_overlaps(self, window_start: int, w: int) -> bool:
-        """Does window ``W(q, window_start)`` overlap the query span?"""
-        lo, hi = self.query_span
-        return window_start <= hi and window_start + w - 1 >= lo
-
-
-@dataclass(frozen=True)
-class PlagiarismCase:
-    """A planned injection: which data segment goes into which query."""
-
-    data_doc_id: int
-    data_start: int
-    length: int
-    level: ObfuscationLevel
-
 
 class PlagiarismInjector:
     """Copies data segments into queries with level-controlled edits.
@@ -209,50 +189,6 @@ class PlagiarismInjector:
             level=level,
         )
         return new_tokens, truth
-
-    def inject_all(
-        self,
-        data: DocumentCollection,
-        queries: list[list[int]],
-        cases: list[PlagiarismCase],
-    ) -> tuple[list[list[int]], list[GroundTruthPair]]:
-        """Apply explicit :class:`PlagiarismCase` plans round-robin.
-
-        Each case ``i`` is spliced into query ``i % len(queries)``.
-        Useful when a bench wants full control over which documents are
-        copied (e.g. equal numbers of each obfuscation level).
-        """
-        if not queries:
-            raise CorpusError("need at least one query to inject into")
-        out_queries = [list(tokens) for tokens in queries]
-        truths: list[GroundTruthPair] = []
-        for index, case in enumerate(cases):
-            query_id = index % len(out_queries)
-            donor = data[case.data_doc_id]
-            end = case.data_start + case.length
-            if case.data_start < 0 or end > len(donor):
-                raise CorpusError(
-                    f"case segment [{case.data_start}, {end}) out of range "
-                    f"for document {case.data_doc_id} of length {len(donor)}"
-                )
-            segment = list(donor.tokens[case.data_start : end])
-            copied = self.obfuscate(segment, case.level)
-            if not copied:
-                continue
-            tokens = out_queries[query_id]
-            insert_at = self._rng.randrange(len(tokens) + 1)
-            out_queries[query_id] = tokens[:insert_at] + copied + tokens[insert_at:]
-            truths = shift_spans(truths, query_id, insert_at, len(copied))
-            truths.append(
-                GroundTruthPair(
-                    data_doc_id=case.data_doc_id,
-                    data_span=(case.data_start, end - 1),
-                    query_id=query_id,
-                    query_span=(insert_at, insert_at + len(copied) - 1),
-                    level=case.level,
-                )
-            )
-        return out_queries, truths
 
 
 def shift_spans(

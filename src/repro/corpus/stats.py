@@ -7,7 +7,6 @@ bench for Table 1 prints the same row layout from
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .collection import DocumentCollection
@@ -68,11 +67,3 @@ class CollectionStats:
             f"avg|q|={self.avg_query_length:<8.1f} "
             f"|U|={self.universe_size}"
         )
-
-
-def token_frequency_counter(data: DocumentCollection) -> Counter[int]:
-    """Document-level token frequencies (occurrences, with multiplicity)."""
-    counter: Counter[int] = Counter()
-    for document in data:
-        counter.update(document.tokens)
-    return counter

@@ -1,9 +1,9 @@
-"""Evaluation utilities: quality metrics, experiment harness, reports.
+"""Evaluation utilities: quality metrics, experiment harness, analysis.
 
 Implements the paper's Appendix D.2 quality metrics (span-overlap recall
 and token-level precision), aggregate timing over query workloads with
-the Section 5.1 phase decomposition, and fixed-width report printers
-that mimic the paper's tables.
+the Section 5.1 phase decomposition, and the Section 7.3 structural
+measurements (adjacent-prefix sharing, postings-length distribution).
 """
 
 from .analysis import (
@@ -12,12 +12,9 @@ from .analysis import (
     multiset_jaccard,
     postings_statistics,
     prefix_sharing,
-    selectivity_by_class,
 )
-from .export import aggregate_to_row, quality_to_row, write_csv, write_json
 from .harness import AggregateRun, WorkerReport, canonical_pair_order, run_searcher
 from .metrics import QualityReport, evaluate_quality
-from .report import format_seconds, print_table
 
 __all__ = [
     "QualityReport",
@@ -26,16 +23,9 @@ __all__ = [
     "WorkerReport",
     "canonical_pair_order",
     "run_searcher",
-    "print_table",
-    "format_seconds",
     "PrefixSharingReport",
     "PostingsReport",
     "prefix_sharing",
     "postings_statistics",
-    "selectivity_by_class",
     "multiset_jaccard",
-    "aggregate_to_row",
-    "quality_to_row",
-    "write_csv",
-    "write_json",
 ]

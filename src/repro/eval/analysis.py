@@ -2,8 +2,8 @@
 
 Section 7.3 quantifies *why* interval sharing works: the average Jaccard
 similarity of adjacent windows' prefixes is 0.87–0.97 on REUTERS.  This
-module computes that measurement, plus postings-length and
-candidate-distribution statistics useful when tuning a deployment.
+module computes that measurement, plus the postings-length statistics
+useful when tuning a deployment.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from ..corpus import Document, DocumentCollection
+from ..corpus import Document
 from ..index.interval_index import IntervalIndex
 from ..ordering import GlobalOrder
 from ..partition.scheme import PartitionScheme
@@ -119,28 +119,3 @@ def postings_statistics(index: IntervalIndex) -> PostingsReport:
         max_length=max(lengths),
         singleton_fraction=sum(1 for n in lengths if n == 1) / len(lengths),
     )
-
-
-def selectivity_by_class(
-    data: DocumentCollection,
-    order: GlobalOrder,
-    scheme: PartitionScheme,
-) -> dict[int, float]:
-    """Average relative window frequency of the tokens in each class.
-
-    Confirms the partitioning intuition: class 1 should hold tokens that
-    are orders of magnitude rarer than the top class.
-    """
-    del data  # frequencies live in the order; parameter kept for symmetry
-    totals: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for rank in range(order.universe_size):
-        class_index = scheme.class_of(rank)
-        totals[class_index] = totals.get(class_index, 0.0) + (
-            order.relative_frequency_of_rank(rank)
-        )
-        counts[class_index] = counts.get(class_index, 0) + 1
-    return {
-        class_index: totals[class_index] / counts[class_index]
-        for class_index in totals
-    }

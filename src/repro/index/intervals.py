@@ -216,8 +216,3 @@ def merge_intervals(
                 continue
         merged.append(interval)
     return merged
-
-
-def total_window_count(intervals: Iterable[WindowInterval]) -> int:
-    """Sum of window counts over intervals (assumed disjoint)."""
-    return sum(interval.num_windows for interval in intervals)

@@ -69,9 +69,8 @@ class SearchParams:
         windows.
     tau:
         Maximum number of differing tokens between matching windows,
-        i.e. results satisfy ``w - O(x, y) <= tau``.  Use
-        :meth:`from_theta` to construct from an overlap threshold
-        instead.
+        i.e. results satisfy ``w - O(x, y) <= tau``; the equivalent
+        overlap threshold is the derived field ``theta = w - tau``.
     k_max:
         Number of token classes for partitioned k-wise signatures.
         ``k_max = 1`` degenerates to standard prefix filtering.
@@ -118,22 +117,6 @@ class SearchParams:
                 self, "routing", RoutingPolicy.from_dict(self.routing)
             )
         object.__setattr__(self, "theta", self.w - self.tau)
-
-    @classmethod
-    def from_theta(
-        cls, w: int, theta: int, k_max: int = DEFAULT_K_MAX, m: int = 1
-    ) -> "SearchParams":
-        """Build params from an overlap threshold ``theta = w - tau``."""
-        if theta < 1 or theta > w:
-            raise ConfigurationError(
-                f"theta must be in [1, w]; got theta={theta}, w={w}"
-            )
-        return cls(w=w, tau=w - theta, k_max=k_max, m=m)
-
-    @property
-    def prefix_length_bound(self) -> int:
-        """Corollary 1 upper bound on any window's prefix length."""
-        return max_prefix_length(self.tau, self.k_max, self.m)
 
     def with_k_max(self, k_max: int) -> "SearchParams":
         """Return a copy with a different ``k_max`` (re-validated)."""

@@ -133,12 +133,6 @@ class PartitionScheme:
             for class_index in range(self.k_max)
         ]
 
-    def with_borders(self, borders: tuple[int, ...]) -> "PartitionScheme":
-        """Copy with different borders (used by the greedy optimizer)."""
-        return PartitionScheme(
-            universe_size=self.universe_size, borders=borders, m=self.m
-        )
-
     def with_m(self, m: int) -> "PartitionScheme":
         """Copy with a different sub-partition count."""
         return PartitionScheme(

@@ -9,7 +9,6 @@ from repro.eval import (
     multiset_jaccard,
     postings_statistics,
     prefix_sharing,
-    selectivity_by_class,
 )
 
 
@@ -96,16 +95,14 @@ class TestPostingsStatistics:
         assert report.mean_length == 0.0
 
 
-class TestSelectivityByClass:
-    def test_monotone_across_classes(self, small_corpus):
-        order = GlobalOrder(small_corpus, 10)
-        scheme = PartitionScheme(
-            universe_size=order.universe_size,
-            borders=(
-                order.universe_size // 3,
-                2 * order.universe_size // 3,
-            ),
-        )
-        selectivity = selectivity_by_class(small_corpus, order, scheme)
-        # The order is sorted by frequency, so class means must ascend.
-        assert selectivity[1] <= selectivity[2] <= selectivity[3]
+class TestAnalysisOnProfiles:
+    def test_postings_singleton_heavy_for_tight_tau(self, small_corpus):
+        from repro import PKWiseSearcher, SearchParams
+        from repro.eval import postings_statistics
+
+        tight = PKWiseSearcher(small_corpus, SearchParams(w=20, tau=1, k_max=2))
+        loose = PKWiseSearcher(small_corpus, SearchParams(w=20, tau=5, k_max=2))
+        tight_stats = postings_statistics(tight.index)
+        loose_stats = postings_statistics(loose.index)
+        # Looser constraints index more signatures overall.
+        assert loose_stats.num_postings > tight_stats.num_postings

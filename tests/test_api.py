@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -13,6 +16,13 @@ from repro import (
     ReproError,
     TokenizationError,
 )
+
+#: ``repro`` and every sub-package: each ``__all__`` is a promise.
+PACKAGES = ["repro"] + [
+    f"repro.{module.name}"
+    for module in pkgutil.iter_modules(repro.__path__)
+    if module.ispkg
+]
 
 
 class TestErrorHierarchy:
@@ -36,31 +46,29 @@ class TestErrorHierarchy:
 
 
 class TestPublicSurface:
-    def test_all_exports_resolve(self):
-        import warnings
-
-        # Deprecated aliases stay in __all__ on purpose; resolving them
-        # warns, which is their job, not a test failure.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in repro.__all__:
-                assert hasattr(repro, name), f"__all__ lists missing name {name}"
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_all_exports_resolve(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), (
+                f"{package}.__all__ lists missing name {name}"
+            )
 
     def test_version_string(self):
         assert repro.__version__.count(".") == 2
 
     def test_quickstart_from_docstring(self):
         # The module docstring's quickstart must actually work.
-        from repro import DocumentCollection, PKWiseSearcher, SearchParams
+        from repro import Index
 
-        data = DocumentCollection()
-        data.add_text(
-            "the lord of the rings is a famous novel about a ring of power"
+        index = Index.build(
+            ["the lord of the rings is a famous novel about a ring of power"],
+            w=8, tau=2, k_max=2,
         )
-        query = data.encode_query(
-            "the lord of the rings was a famous novel about a ring of power"
-        )
-        params = SearchParams(w=8, tau=2, k_max=2)
-        searcher = PKWiseSearcher(data, params)
-        matches = searcher.search(query)
-        assert len(matches.pairs) > 0
+        matches = [
+            (match.doc_id, match.data_start, match.query_start, match.overlap)
+            for match in index.search_text(
+                "the lord of the rings was a famous novel about a ring of power"
+            )
+        ]
+        assert (0, 0, 0, 7) in matches

@@ -191,3 +191,19 @@ class TestSearchMany:
         assert run.stats.num_results == sum(
             len(pairs) for pairs in run.results_by_query.values()
         )
+
+
+class TestBaselineStats:
+    def test_adapt_reports_postings_and_candidates(self, small_corpus):
+        params = SearchParams(w=10, tau=2, k_max=1)
+        adapt = AdaptSearcher(small_corpus, params)
+        stats = adapt.search(small_corpus[2]).stats
+        assert stats.postings_entries > 0
+        assert stats.candidate_windows >= stats.num_results
+
+    def test_fbw_reports_fingerprint_counts(self, small_corpus):
+        params = SearchParams(w=10, tau=2, k_max=1)
+        fbw = FBWSearcher(small_corpus, params)
+        stats = fbw.search(small_corpus[2]).stats
+        assert stats.signatures_generated > 0
+        assert stats.signature_tokens == stats.signatures_generated * fbw.q

@@ -264,6 +264,34 @@ class TestFrontDoor:
         assert capsys.readouterr().out == expected
         assert not checkpoint.exists()
 
+    def test_index_and_ingest_read_the_same_files_under_the_same_names(
+        self, tmp_path
+    ):
+        # `--data DIR` is DIR/*.txt for every command: the nested copy
+        # of a.txt is not a second document called a.txt.
+        directory = tmp_path / "nested"
+        (directory / "sub").mkdir(parents=True)
+        for name in ("a.txt", "b.txt", "sub/a.txt", "sub/c.txt"):
+            (directory / name).write_text(
+                " ".join(f"{name}-{i}" for i in range(40))
+            )
+        params = ["-w", "20", "--tau", "4"]
+        index_path, store = tmp_path / "n.idx", tmp_path / "n.lsm"
+        assert main(["index", "--data", str(directory),
+                     "--out", str(index_path)] + params) == 0
+        assert main(["ingest", "--dir", str(store),
+                     "--data", str(directory)] + params) == 0
+        with Index.open(index_path) as built, Index.open_live(store) as live:
+            names = [document.name for document in built.data]
+            assert names == ["a.txt", "b.txt"]
+            assert [document.name for document in live.data] == names
+        # ... and a directory `repro index` refuses, `repro ingest`
+        # refuses too, before it creates a store for it.
+        missing = ["--data", str(tmp_path / "missing")] + params
+        assert main(["index", "--out", str(index_path)] + missing) == 2
+        assert main(["ingest", "--dir", str(tmp_path / "m.lsm")] + missing) == 2
+        assert not (tmp_path / "m.lsm").exists()
+
 
 class TestSelfJoin:
     def test_finds_shared_passage(self, corpus_dir, capsys):
@@ -323,3 +351,54 @@ class TestErrors:
              "--out", str(tmp_path / "o.idx")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flag", [["--routing", "exact"], ["--max-queue", "8"]],
+        ids=["routing", "max-queue"],
+    )
+    def test_serve_shards_refuses_the_flags_it_would_ignore(
+        self, flag, tmp_path, capsys
+    ):
+        # Refused on the arguments alone, before anything is opened.
+        rc = main(["serve", "--index", str(tmp_path / "nope.idx"),
+                   "--shards", "2"] + flag)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {flag[0]} cannot be combined with --shards" in err
+        assert "repro index --routing" in err
+        assert "repro query --routing" in err
+
+
+class TestCliFilters:
+    def test_min_pairs_filters_weak_passages(self, tmp_path, capsys):
+        import random as rnd
+
+        from repro.cli import main
+
+        rng = rnd.Random(2)
+        vocab = [f"v{i}" for i in range(800)]
+        directory = tmp_path / "corpus"
+        directory.mkdir()
+        base = [rng.choice(vocab) for _ in range(200)]
+        (directory / "a.txt").write_text(" ".join(base))
+        (directory / "b.txt").write_text(
+            " ".join(rng.choice(vocab) for _ in range(200))
+        )
+        # Query: long copy of a (many pairs) — should survive min-pairs.
+        query = tmp_path / "q.txt"
+        query.write_text(" ".join(base[50:150]))
+        index_path = tmp_path / "c.idx"
+        main(["index", "--data", str(directory), "--out", str(index_path),
+              "-w", "20", "--tau", "3"])
+        rc_loose = main(
+            ["search", "--index", str(index_path), "--query", str(query),
+             "--min-pairs", "1"]
+        )
+        out_loose = capsys.readouterr().out
+        rc_strict = main(
+            ["search", "--index", str(index_path), "--query", str(query),
+             "--min-pairs", "10000"]
+        )
+        out_strict = capsys.readouterr().out
+        assert rc_loose == 0 and "a.txt" in out_loose
+        assert rc_strict == 1 and "no reused passages" in out_strict

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import CorpusError, DocumentCollection
+from repro import CorpusError, DocumentCollection, PKWiseSearcher
 from repro.corpus import (
     CollectionStats,
     collection_from_directory,
     collection_from_texts,
 )
-from repro.corpus.stats import token_frequency_counter
 
 
 class TestDocument:
@@ -163,9 +162,34 @@ class TestStats:
         row = CollectionStats.compute(data, []).as_table_row("TEST")
         assert "TEST" in row and "|D|=1" in row
 
-    def test_token_frequency_counter(self):
-        data = DocumentCollection()
-        data.add_text("a a b")
-        counter = token_frequency_counter(data)
-        assert counter[data.vocabulary.id_of("a")] == 2
-        assert counter[data.vocabulary.id_of("b")] == 1
+
+class TestDocumentDecoding:
+    def test_match_decodes_to_text(self, paper_example):
+        data, query, params = paper_example
+        searcher = PKWiseSearcher(data, params)
+        match = searcher.search(query).pairs[0]
+        document = data[match.doc_id]
+        window = data.vocabulary.decode(
+            document.window(match.data_start, params.w)
+        )
+        assert window == ["the", "lord", "of", "the"]
+
+    def test_query_window_decodes(self, paper_example):
+        data, query, params = paper_example
+        searcher = PKWiseSearcher(data, params)
+        match = searcher.search(query).pairs[0]
+        # decode_window prefers the query's source_tokens: OOV words
+        # ("and" here) render faithfully, not as the sentinel.
+        window = data.decode_window(query, match.query_start, params.w)
+        assert window == ["the", "lord", "and", "the"]
+
+    def test_query_window_vocab_decode_shows_sentinel(self, paper_example):
+        from repro.tokenize import OOV_TOKEN
+
+        data, query, params = paper_example
+        searcher = PKWiseSearcher(data, params)
+        match = searcher.search(query).pairs[0]
+        window = data.vocabulary.decode(
+            query.window(match.query_start, params.w)
+        )
+        assert window == ["the", "lord", OOV_TOKEN, "the"]

@@ -1,9 +1,9 @@
-"""Tests for the workload runner and report printers."""
+"""Tests for the workload runner."""
 
 from __future__ import annotations
 
 from repro import PKWiseSearcher, SearchParams
-from repro.eval import format_seconds, print_table, run_searcher
+from repro.eval import run_searcher
 
 
 class TestRunSearcher:
@@ -46,21 +46,3 @@ class TestRunSearcher:
         searcher = PKWiseSearcher(small_corpus, params)
         run = run_searcher(searcher, [])
         assert run.avg_query_seconds == 0.0
-
-
-class TestReport:
-    def test_format_seconds_scales(self):
-        assert format_seconds(5e-7).endswith("us")
-        assert format_seconds(5e-3).endswith("ms")
-        assert format_seconds(2.0).endswith("s")
-
-    def test_print_table(self, capsys):
-        print_table(
-            "Table X: demo",
-            ["col_a", "col_b"],
-            [["1", "2"], ["333333333333", "4"]],
-        )
-        out = capsys.readouterr().out
-        assert "Table X: demo" in out
-        assert "col_a" in out
-        assert "333333333333" in out

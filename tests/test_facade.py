@@ -378,4 +378,12 @@ class TestModuleSurface:
         assert "open_index" not in repro.__all__
 
     def test_version_bumped(self):
-        assert repro.__version__ == "2.9.0"
+        import re
+        from pathlib import Path
+
+        pyproject = Path(repro.__file__).parents[2] / "pyproject.toml"
+        declared = re.search(
+            r'^version = "(.+)"$', pyproject.read_text(), re.MULTILINE
+        )
+        assert declared is not None
+        assert repro.__version__ == declared.group(1)

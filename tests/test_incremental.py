@@ -140,32 +140,3 @@ class TestRemoveDocument:
         result = pairs_as_set(index.search(new_doc))
         assert all(doc_id != 0 for doc_id, *_ in result)
         assert any(doc_id == new_id for doc_id, *_ in result)
-
-
-class TestTopK:
-    def test_returns_best_overlaps(self):
-        data, _rng = corpus(seed=6)
-        params = SearchParams(w=10, tau=4, k_max=2)
-        searcher = PKWiseSearcher(data, params)
-        query = data[0]
-        top = searcher.search_top_k(query, 5)
-        assert len(top) == 5
-        full = sorted(
-            searcher.search(query).pairs, key=lambda p: -p.overlap
-        )
-        assert top[0].overlap == full[0].overlap
-        overlaps = [pair.overlap for pair in top]
-        assert overlaps == sorted(overlaps, reverse=True)
-
-    def test_k_larger_than_results(self):
-        data, _rng = corpus(seed=7, docs=1, length=15)
-        params = SearchParams(w=10, tau=1, k_max=2)
-        searcher = PKWiseSearcher(data, params)
-        query = data[0]
-        top = searcher.search_top_k(query, 1000)
-        assert len(top) == len(searcher.search(query).pairs)
-
-    def test_k_zero(self):
-        data, _rng = corpus(seed=8)
-        searcher = PKWiseSearcher(data, SearchParams(w=10, tau=2, k_max=2))
-        assert searcher.search_top_k(data[0], 0) == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro import PartitionScheme
 from repro.index import IntervalIndex, WindowInvertedIndex, merge_intervals
-from repro.index.intervals import WindowInterval, total_window_count
+from repro.index.intervals import WindowInterval
 from repro.signatures import generate_signatures
 
 
@@ -42,11 +42,6 @@ class TestIntervals:
             [WindowInterval(0, 1, 10), WindowInterval(0, 3, 5)]
         )
         assert merged == [WindowInterval(0, 1, 10)]
-
-    def test_total_window_count(self):
-        assert total_window_count(
-            [WindowInterval(0, 1, 3), WindowInterval(1, 0, 0)]
-        ) == 4
 
     def test_interval_str(self):
         assert str(WindowInterval(2, 3, 7)) == "d2[3,7]"
@@ -161,3 +156,34 @@ class TestWindowInvertedIndex:
         index.index_document(0, [0, 1, 2])
         assert index.num_signatures >= 1
         assert index.num_postings == 2  # one prefix token per window
+
+
+class TestMergeIntervalsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        merge_gap=st.integers(0, 20),
+    )
+    def test_output_disjoint_and_covering(self, seed, merge_gap):
+        rng = random.Random(seed)
+        intervals = []
+        for _ in range(rng.randint(0, 20)):
+            doc = rng.randrange(3)
+            u = rng.randrange(50)
+            intervals.append(WindowInterval(doc, u, u + rng.randrange(10)))
+        merged = merge_intervals(intervals, merge_gap)
+        # Sorted, disjoint with gap >= threshold between same-doc runs.
+        threshold = max(2, merge_gap)
+        for left, right in zip(merged, merged[1:]):
+            assert (left.doc_id, left.u) <= (right.doc_id, right.u)
+            if left.doc_id == right.doc_id:
+                assert right.u - left.v >= threshold
+        # Coverage: every input window is inside some merged interval.
+        covered = {
+            (interval.doc_id, start)
+            for interval in merged
+            for start in range(interval.u, interval.v + 1)
+        }
+        for interval in intervals:
+            for start in range(interval.u, interval.v + 1):
+                assert (interval.doc_id, start) in covered

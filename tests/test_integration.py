@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import (
+    DocumentCollection,
     GlobalOrder,
     PKWiseNonIntervalSearcher,
     PKWiseSearcher,
@@ -131,3 +134,28 @@ class TestScalabilityMechanics:
             for p in half_pairs
         }
         assert remapped <= full
+
+
+class TestSharedOrderConsistency:
+    def test_algorithms_with_shared_order_vs_private_orders(self):
+        # Searchers must produce identical results whether they share a
+        # GlobalOrder instance or each build their own (same data).
+        rng = random.Random(12)
+        data = DocumentCollection()
+        for _ in range(3):
+            data.add_tokens([f"t{rng.randrange(40)}" for _ in range(60)])
+        query = data.encode_query_tokens(
+            [f"t{rng.randrange(40)}" for _ in range(40)]
+        )
+        params = SearchParams(w=10, tau=2, k_max=2)
+        shared = GlobalOrder(data, 10)
+        with_shared = PKWiseSearcher(data, params, order=shared).search(query)
+        with_private = PKWiseSearcher(data, params).search(query)
+        assert pairs_as_set(with_shared) == pairs_as_set(with_private)
+
+    def test_baseline_and_core_share_rank_docs_shape(self, small_corpus):
+        params = SearchParams(w=10, tau=1, k_max=1)
+        order = GlobalOrder(small_corpus, 10)
+        core = PKWiseSearcher(small_corpus, params, order=order)
+        baseline = StandardPrefixSearcher(small_corpus, params, order=order)
+        assert core.rank_docs == baseline.rank_docs

@@ -132,3 +132,20 @@ class TestGlobalOrder:
         ranks = order.rank_document(document)
         assert ranks[0] == ranks[2]
         assert ranks[0] != ranks[1]
+
+
+class TestGlobalOrderEdges:
+    def test_window_larger_than_all_documents(self):
+        data = DocumentCollection()
+        data.add_text("a b c")
+        order = GlobalOrder(data, 10)
+        assert order.num_data_windows == 0
+        assert order.relative_frequency_of_rank(0) == 0.0
+
+    def test_empty_collection(self):
+        data = DocumentCollection()
+        order = GlobalOrder(data, 5)
+        assert order.universe_size == 0
+        # Any token id is "new" and gets a negative rank.
+        data.vocabulary.add("x")
+        assert order.rank(0) < 0

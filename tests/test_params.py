@@ -55,23 +55,6 @@ class TestValidation:
         assert params.theta == 4
 
 
-class TestFromTheta:
-    def test_roundtrip(self):
-        params = SearchParams.from_theta(w=100, theta=95)
-        assert params.tau == 5
-        assert params.theta == 95
-
-    def test_rejects_theta_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            SearchParams.from_theta(w=10, theta=0)
-        with pytest.raises(ConfigurationError):
-            SearchParams.from_theta(w=10, theta=11)
-
-    def test_theta_equal_w_means_exact_match(self):
-        params = SearchParams.from_theta(w=10, theta=10, k_max=1)
-        assert params.tau == 0
-
-
 class TestCopies:
     def test_with_k_max(self):
         params = SearchParams(w=100, tau=5, k_max=4)
@@ -106,6 +89,14 @@ class TestHelpers:
         assert suggested_subpartitions(40) == 10
         assert suggested_subpartitions(100) == 25
 
-    def test_prefix_length_bound_property(self):
-        params = SearchParams(w=50, tau=5, k_max=4, m=1)
-        assert params.prefix_length_bound == 12
+
+class TestSearchParamsEquality:
+    def test_frozen_dataclass_semantics(self):
+        a = SearchParams(w=10, tau=2, k_max=2)
+        b = SearchParams(w=10, tau=2, k_max=2)
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_theta_derived_consistently(self):
+        params = SearchParams(w=10, tau=3, k_max=1)
+        assert params.theta == 7

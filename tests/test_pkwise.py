@@ -17,6 +17,7 @@ from repro import (
     PKWiseSearcher,
     SearchCancelled,
     SearchParams,
+    SearchStats,
 )
 from repro.core.pkwise import default_scheme
 from repro.signatures import SignatureStream
@@ -233,3 +234,51 @@ class TestStats:
     def test_repr(self, small_corpus):
         params = SearchParams(w=10, tau=1, k_max=2)
         assert "pkwise" in repr(PKWiseSearcher(small_corpus, params)).lower()
+
+
+class TestSearchStatsAccounting:
+    def test_merge_accumulates_every_field(self):
+        a = SearchStats(
+            signature_time=1.0, candidate_time=2.0, verify_time=3.0,
+            signature_tokens=4, signatures_generated=5, postings_entries=6,
+            hash_ops=7, candidate_windows=8, num_results=9,
+            shared_windows=10, changed_windows=11,
+        )
+        b = SearchStats(
+            signature_time=0.5, candidate_time=0.5, verify_time=0.5,
+            signature_tokens=1, signatures_generated=1, postings_entries=1,
+            hash_ops=1, candidate_windows=1, num_results=1,
+            shared_windows=1, changed_windows=1,
+        )
+        a.merge(b)
+        assert a.signature_time == 1.5
+        assert a.signature_tokens == 5
+        assert a.num_results == 10
+        assert a.changed_windows == 12
+        assert a.total_time == 1.5 + 2.5 + 3.5
+
+    def test_abstract_cost_default_weights(self):
+        stats = SearchStats(signature_tokens=1, postings_entries=1, hash_ops=1)
+        # Paper defaults: 10 + 2 + 1.
+        assert stats.abstract_cost() == 13.0
+
+
+class TestPhaseInstrumentation:
+    def test_nonint_counts_per_window_generation(self, small_corpus):
+        params = SearchParams(w=10, tau=2, k_max=2)
+        order = GlobalOrder(small_corpus, 10)
+        interval = PKWiseSearcher(small_corpus, params, order=order)
+        nonint = PKWiseNonIntervalSearcher(small_corpus, params, order=order)
+        query = small_corpus[3]
+        shared = interval.search(query).stats
+        unshared = nonint.search(query).stats
+        # Without sharing, far more signatures are generated ...
+        assert unshared.signatures_generated > shared.signatures_generated
+        # ... and far more candidate windows are verified.
+        assert unshared.candidate_windows > shared.candidate_windows
+
+    def test_interval_sharing_fast_path_dominates(self, small_corpus):
+        params = SearchParams(w=20, tau=2, k_max=2)
+        searcher = PKWiseSearcher(small_corpus, params)
+        stats = searcher.search(small_corpus[0]).stats
+        assert stats.shared_windows > stats.changed_windows

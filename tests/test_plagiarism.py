@@ -8,7 +8,6 @@ from repro import DocumentCollection
 from repro.corpus.plagiarism import (
     GroundTruthPair,
     ObfuscationLevel,
-    PlagiarismCase,
     PlagiarismInjector,
     shift_spans,
 )
@@ -95,41 +94,6 @@ class TestSpliceCase:
         assert truth.query_id == 7
 
 
-class TestInjectAll:
-    def test_explicit_cases(self):
-        data = make_data()
-        injector = PlagiarismInjector(seed=0, vocabulary_size=len(data.vocabulary))
-        cases = [
-            PlagiarismCase(0, 10, 20, ObfuscationLevel.NONE),
-            PlagiarismCase(1, 0, 15, ObfuscationLevel.NONE),
-        ]
-        queries, truths = injector.inject_all(data, [list(range(30))], cases)
-        assert len(truths) == 2
-        # After both insertions, every recorded span is verbatim.
-        for truth in truths:
-            qlo, qhi = truth.query_span
-            dlo, dhi = truth.data_span
-            assert queries[truth.query_id][qlo : qhi + 1] == list(
-                data[truth.data_doc_id].tokens[dlo : dhi + 1]
-            )
-
-    def test_out_of_range_case(self):
-        data = make_data(length=10)
-        injector = PlagiarismInjector(seed=0, vocabulary_size=len(data.vocabulary))
-        with pytest.raises(Exception):
-            injector.inject_all(
-                data,
-                [[1, 2]],
-                [PlagiarismCase(0, 5, 20, ObfuscationLevel.NONE)],
-            )
-
-    def test_requires_queries(self):
-        data = make_data()
-        injector = PlagiarismInjector(seed=0, vocabulary_size=10)
-        with pytest.raises(Exception):
-            injector.inject_all(data, [], [])
-
-
 class TestShiftSpans:
     def _truth(self, span, query_id=0):
         return GroundTruthPair(
@@ -155,13 +119,3 @@ class TestShiftSpans:
     def test_other_query_untouched(self):
         out = shift_spans([self._truth((10, 19), query_id=1)], 0, 0, 100)
         assert out[0].query_span == (10, 19)
-
-
-class TestGroundTruthPair:
-    def test_overlap_predicates(self):
-        truth = GroundTruthPair(0, (10, 20), 0, (30, 40), ObfuscationLevel.NONE)
-        assert truth.data_overlaps(window_start=15, w=5)
-        assert truth.data_overlaps(window_start=5, w=6)  # touches at 10
-        assert not truth.data_overlaps(window_start=21, w=5)
-        assert truth.query_overlaps(window_start=36, w=5)
-        assert not truth.query_overlaps(window_start=41, w=5)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro import MatchPair, Passage, filter_passages, merge_passages
 
 
@@ -91,3 +96,47 @@ class TestFilterPassages:
 
     def test_no_filters_keeps_all(self):
         assert len(filter_passages(self._passages())) == 2
+
+
+class TestPassageProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_every_match_covered_by_exactly_one_passage(self, seed):
+        rng = random.Random(seed)
+        w = rng.randint(3, 15)
+        pairs = []
+        for _ in range(rng.randint(0, 40)):
+            doc = rng.randrange(3)
+            q = rng.randrange(100)
+            d = max(0, q + rng.randint(-5, 5))
+            pairs.append(MatchPair(doc, d, q, w))
+        passages = merge_passages(pairs, w)
+        for pair in pairs:
+            containing = [
+                p
+                for p in passages
+                if p.doc_id == pair.doc_id
+                and p.query_span[0] <= pair.query_start
+                and pair.query_start + w - 1 <= p.query_span[1]
+                and p.data_span[0] <= pair.data_start
+                and pair.data_start + w - 1 <= p.data_span[1]
+            ]
+            assert containing, f"pair {pair} not covered"
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_pair_counts_conserved(self, seed):
+        rng = random.Random(seed)
+        w = rng.randint(3, 10)
+        pairs = [
+            MatchPair(0, rng.randrange(50), rng.randrange(50), w)
+            for _ in range(rng.randint(0, 30))
+        ]
+        passages = merge_passages(pairs, w)
+        assert sum(p.num_pairs for p in passages) == len(pairs)
+
+    def test_filter_composes(self):
+        pairs = [MatchPair(0, i, i, 10) for i in range(20)]
+        passages = merge_passages(pairs, 10)
+        assert filter_passages(passages, min_pairs=21) == []
+        assert filter_passages(passages, min_pairs=20) == passages

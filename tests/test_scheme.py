@@ -144,7 +144,6 @@ class TestFactories:
 
     def test_with_borders_and_m(self):
         scheme = PartitionScheme(universe_size=10, borders=(5,))
-        assert scheme.with_borders((3,)).borders == (3,)
         assert scheme.with_m(4).m == 4
 
     def test_describe(self):

@@ -135,3 +135,18 @@ class TestVocabulary:
         assert len(set(mapping.values())) == len(mapping)
         # Decoding inverts encoding.
         assert vocab.decode(ids) == tokens
+
+
+class TestTokenizerUnicode:
+    def test_whitespace_handles_unicode(self):
+        from repro.tokenize import WhitespaceTokenizer
+
+        tokens = WhitespaceTokenizer().tokenize("naïve café　東京")
+        assert "naïve" in tokens and "café" in tokens
+
+    def test_word_tokenizer_ascii_only_words(self):
+        from repro.tokenize import WordTokenizer
+
+        # The word tokenizer extracts ASCII alphanumerics; non-Latin
+        # scripts need the whitespace tokenizer.
+        assert WordTokenizer().tokenize("abc123 déf") == ["abc123", "d", "f"]

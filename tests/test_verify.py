@@ -111,13 +111,6 @@ class TestVerifyInterval:
         verifier.verify_interval(0, [1, 2, 3, 4, 5], 0, 2)
         assert verifier.hash_ops > before
 
-    def test_verify_single(self):
-        verifier = IntervalVerifier([7, 8, 9], w=3, tau=1)
-        match = verifier.verify_single(3, [7, 8, 0], 0)
-        assert match is not None
-        assert match.doc_id == 3 and match.overlap == 2
-        assert verifier.verify_single(3, [0, 0, 0], 0) is None
-
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 1_000_000))
     def test_sequential_query_windows(self, seed):

@@ -18,7 +18,7 @@ from repro import (
     WeightedPKWiseSearcher,
 )
 from repro.baselines import BruteForceSearcher
-from repro.core.weighted import weighted_overlap
+from repro.core.weighted import UNIVERSAL_SIGNATURE, weighted_overlap
 
 from .conftest import random_collection
 
@@ -174,3 +174,34 @@ class TestValidation:
             default_weight=2.5,
         )
         assert searcher.weight_of_rank(-1) == 2.5
+
+
+class TestWeightedFallbackDeterministic:
+    def test_universal_signature_used_when_unfilterable(self):
+        # Everything 2-wise; unit weights; w=3, theta=0.5: a window's
+        # weighted coverage (sum of n-1 smallest weights = 2) is below
+        # its budget wt - theta = 2.5, so prefix filtering is unsound
+        # for every window and the sentinel must kick in.
+        data = DocumentCollection()
+        data.add_tokens(["a", "b", "c", "d", "e"])
+        order = GlobalOrder(data, 3)
+        scheme = PartitionScheme.all_k(order.universe_size, 2)
+        searcher = WeightedPKWiseSearcher(
+            data, w=3, theta_weight=0.5, weight_of_token=lambda _t: 1.0,
+            scheme=scheme, order=order,
+        )
+        assert UNIVERSAL_SIGNATURE in searcher._postings
+        # Exactness despite the fallback: the identity windows match.
+        query = data.encode_query_tokens(["a", "b", "c"])
+        pairs, _stats = searcher.search(query)
+        assert any(
+            p.data_start == 0 and p.intersection_weight == 3.0 for p in pairs
+        )
+
+    def test_no_fallback_with_single_class(self):
+        data = DocumentCollection()
+        data.add_tokens(["a", "b", "c", "d"])
+        searcher = WeightedPKWiseSearcher(
+            data, w=3, theta_weight=0.5, weight_of_token=lambda _t: 1.0
+        )
+        assert UNIVERSAL_SIGNATURE not in searcher._postings
