@@ -15,7 +15,7 @@ from .base import MatchPair, SearchResult, SearchStats
 from .pkwise import PKWiseSearcher
 from .pkwise_nonint import PKWiseNonIntervalSearcher
 from .selfjoin import SelfJoinPair, document_join_pairs, local_similarity_self_join
-from .verify import IntervalVerifier
+from .verify import IntervalVerifier, slice_accessor
 from .weighted import WeightedMatchPair, WeightedPKWiseSearcher, WeightedSearchResult
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "WeightedMatchPair",
     "WeightedSearchResult",
     "IntervalVerifier",
+    "slice_accessor",
     "SelfJoinPair",
     "document_join_pairs",
     "local_similarity_self_join",

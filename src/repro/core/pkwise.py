@@ -32,7 +32,7 @@ from ..partition.scheme import PartitionScheme
 from ..routing import FingerprintTier, RoutingPolicy
 from ..signatures.maintain import SignatureStream
 from .base import SearchResult, SearchStats
-from .verify import IntervalVerifier
+from .verify import IntervalVerifier, slice_accessor
 
 
 #: Relative window-frequency span used by :func:`default_scheme`:
@@ -385,6 +385,7 @@ class PKWiseSearcher:
 
         stream = SignatureStream(query_ranks, w, tau, self.scheme)
         verifier = IntervalVerifier(query_ranks, w, tau)
+        rank_slice = slice_accessor(self.rank_docs)
         index = self.index
         merge_gap = w // 2
         chunk_target = self._PROBE_CHUNK_EVENTS
@@ -408,14 +409,9 @@ class PKWiseSearcher:
                 )
             if merged:
                 verifier.advance_to(start)
-                for interval in merged:
+                for doc_id, u, v in merged:
                     pairs.extend(
-                        verifier.verify_interval(
-                            interval.doc_id,
-                            self.rank_docs[interval.doc_id],
-                            interval.u,
-                            interval.v,
-                        )
+                        verifier.verify_interval(doc_id, rank_slice, u, v)
                     )
                 now = clock()
                 stats.verify_time += now - last

@@ -8,17 +8,38 @@ the paper's early-termination rule: when window ``W(d, j)`` misses the
 threshold by ``delta`` (``w - O = tau + delta``), the next possible
 result is ``W(d, j + delta)``; if that exceeds the interval end, the
 rest of the interval is abandoned without rolling through it.
+
+The verifier never sees a whole document: it reads ``d[u : v + w]``
+through the rank container's slice accessor (:func:`slice_accessor`),
+one kernel for packed columns, tiered views and plain lists.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from itertools import compress, count
+from operator import ne
 
 import numpy as np
 
 from ..errors import ReproError
 from .base import MatchPair
+
+
+def slice_accessor(rank_docs) -> Callable[[int, int, int], list[int]]:
+    """``rank_slice(doc_id, lo, hi) -> d[lo:hi]`` as a plain list.
+
+    A container that can cut the slice without decoding the document
+    (:class:`~repro.index.PackedRankDocs`,
+    :class:`~repro.ingest.tiered.TieredRankDocs`) brings its own
+    ``rank_slice``; list-backed documents are sliced as lists.  Resolved
+    once per query, so the verifier's kernel never asks what it holds.
+    """
+    try:
+        return rank_docs.rank_slice
+    except AttributeError:
+        return lambda doc_id, lo, hi: rank_docs[doc_id][lo:hi]
 
 
 class IntervalVerifier:
@@ -95,73 +116,92 @@ class IntervalVerifier:
 
     # ------------------------------------------------------------------
     def verify_interval(
-        self, doc_id: int, doc_ranks: Sequence[int], u: int, v: int
+        self,
+        doc_id: int,
+        rank_slice: Callable[[int, int, int], list[int]],
+        u: int,
+        v: int,
     ) -> list[MatchPair]:
         """All matches of the current query window in ``d[u, v]``.
 
-        The rolling overlap deltas are vectorized across the interval:
-        one numpy comparison finds every slide position in ``[u, v)``
-        whose outgoing and incoming tokens differ, and the roll then
-        visits only those — content-sharing text makes most slides
-        no-ops, which the scalar loop still paid a Python iteration
-        (and two list indexings) to discover.  Early-termination jumps
-        skip changed positions wholesale by advancing the cursor.
+        ``rank_slice(doc_id, lo, hi)`` is the rank container's slice
+        accessor (:func:`slice_accessor`); only ``d[u : v + w]`` — the
+        ranks this interval can touch — is fetched, and every position
+        below is relative to that segment.  The work is ordered so that
+        the cheapest decisive test comes first: the first window's table
+        and overlap are built, and when its deficit already exceeds
+        ``v - u`` the interval is left at once (overlap grows by at most
+        1 per slide, so no window of it can match — the jump rule below,
+        applied to the first window).  Only a surviving interval finds
+        its changed slide positions — a slide whose outgoing and
+        incoming ranks are equal is never visited — and rolls across
+        them; early-termination jumps skip changed positions wholesale
+        by advancing the cursor.
         """
         w = self.w
-        tau = self.tau
         query_counts = self._query_counts
-        window = doc_ranks[u : u + w]
-        data_counts: Counter[int] = Counter(window)
-        # Initial overlap: fill (w ops) + lookups (w ops) = 2w, per paper.
-        self.hash_ops += 2 * w
+        ranks = rank_slice(doc_id, u, v + w)
+        data_counts: Counter[int] = Counter(ranks[:w])
         overlap = 0
-        for rank, count in data_counts.items():
-            other = query_counts.get(rank)
-            if other:
-                overlap += min(count, other)
+        for rank in query_counts.keys() & data_counts.keys():
+            ours = query_counts[rank]
+            theirs = data_counts[rank]
+            overlap += ours if ours < theirs else theirs
 
-        if v > u:
-            outgoing_run = np.asarray(doc_ranks[u:v], dtype=np.int64)
-            incoming_run = np.asarray(doc_ranks[u + w : v + w], dtype=np.int64)
-            changes = (np.flatnonzero(outgoing_run != incoming_run) + u).tolist()
-        else:
-            changes = []
+        # A window's deficit — Section 4.3's delta — is reach - overlap.
+        reach = w - self.tau
+        last = v - u
+        if reach - overlap > last:
+            self.hash_ops += 2 * w
+            self.candidate_windows += 1
+            return []
+
+        # Slides p (segment-relative) with ranks[p] != ranks[p + w], in
+        # one C-level pass; at interval lengths a list->array conversion
+        # costs more than the whole comparison does here.
+        changes = list(compress(count(), map(ne, ranks, ranks[w:])))
         num_changes = len(changes)
-        cursor = 0
+        cursor = 0  # changes rolled so far
 
         matches: list[MatchPair] = []
         query_start = self.query_start
-        j = u
+        query_get = query_counts.get
+        data_get = data_counts.get
+        candidate_windows = 0
+        j = 0
         while True:
-            self.candidate_windows += 1
-            deficit = (w - overlap) - tau
+            candidate_windows += 1
+            deficit = reach - overlap
             if deficit <= 0:
-                matches.append(MatchPair(doc_id, j, query_start, overlap))
+                matches.append(MatchPair(doc_id, u + j, query_start, overlap))
                 step = 1
             else:
                 # Windows j+1 .. j+deficit-1 cannot match (overlap grows
                 # by at most 1 per slide); jump to j+deficit.
                 step = deficit
-            if j + step > v:
+            if j + step > last:
                 break
             # Roll `step` slides; only content-changing positions touch
-            # the table, 4 hash ops each.
+            # the table.
             j += step
             while cursor < num_changes and changes[cursor] < j:
                 position = changes[cursor]
                 cursor += 1
-                outgoing = doc_ranks[position]
-                incoming = doc_ranks[position + w]
-                self.hash_ops += 4
+                outgoing = ranks[position]
+                incoming = ranks[position + w]
                 old = data_counts[outgoing]
-                if query_counts.get(outgoing, 0) >= old:
+                if query_get(outgoing, 0) >= old:
                     overlap -= 1
-                if old == 1:
-                    del data_counts[outgoing]
-                else:
-                    data_counts[outgoing] = old - 1
-                new = data_counts.get(incoming, 0) + 1
+                # A rank that left stays in the table at 0 (``del`` on
+                # a Counter is a Python-level call); the table dies
+                # with this call.
+                data_counts[outgoing] = old - 1
+                new = data_get(incoming, 0) + 1
                 data_counts[incoming] = new
-                if query_counts.get(incoming, 0) >= new:
+                if query_get(incoming, 0) >= new:
                     overlap += 1
+        # Eq. 4's abstract operations: the first window's fill and
+        # lookups (2w, per paper), then 4 per rolled change.
+        self.hash_ops += 2 * w + 4 * cursor
+        self.candidate_windows += candidate_windows
         return matches

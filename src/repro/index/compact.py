@@ -19,13 +19,15 @@ rolling verification removes them — so final search results are
 pair-identical to the dict index (covered by the collision tests).
 
 :class:`PackedRankDocs` applies the same treatment to the searcher's
-per-document rank sequences (one values column + offsets), handing the
-verifier plain Python lists through a small decode cache.
+per-document rank sequences (one values column + offsets).  The
+verifier reads it by slice — ``rank_slice(doc_id, lo, hi)`` cuts the
+ranks of one candidate interval straight off the column — so a search
+decodes no document and the container holds nothing but its two
+columns.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -413,24 +415,23 @@ class CompactIntervalIndex:
 class PackedRankDocs(Sequence):
     """Per-document rank sequences packed into one values column.
 
-    ``packed[doc_id]`` returns the document's ranks as a plain Python
-    list (what the rolling verifier's per-element hot loop wants),
-    decoded on demand and kept in a small LRU cache so verifying
-    several intervals of one document decodes it once.  Lookups are
-    safe from concurrent search threads (each cache operation is one
-    atomic ``OrderedDict`` call).  Read-only:
-    appending documents requires thawing to lists first (the searcher's
-    frozen guard raises before ever getting here).
+    The read path is :meth:`rank_slice`: the verifier asks for the
+    ranks of one candidate interval and gets that slice of the column
+    as a plain Python list (what its per-element roll wants), whatever
+    the document's length.  ``packed[doc_id]`` decodes a whole document
+    — the :class:`Sequence` contract, for the callers that walk
+    documents (fingerprint builds, tests).  Nothing is cached and
+    nothing is written after construction, so any number of search
+    threads may read one instance.  Read-only: appending documents
+    requires thawing to lists first (the searcher's frozen guard raises
+    before ever getting here).
     """
-
-    _CACHE_SIZE = 16
 
     def __init__(self, offsets: np.ndarray, values: np.ndarray) -> None:
         if len(offsets) == 0:
             raise IndexStateError("offsets column must have at least 1 entry")
         self._offsets = offsets
         self._values = values
-        self._cache: OrderedDict[int, list[int]] = OrderedDict()
 
     @classmethod
     def from_lists(cls, rank_docs: Sequence[Sequence[int]]) -> "PackedRankDocs":
@@ -453,8 +454,7 @@ class PackedRankDocs(Sequence):
 
         A plain list-of-lists part is packed first (:meth:`from_lists`).
         Each doc id in ``removed`` (output ids) keeps its slot with an
-        empty run.  Columns are sliced directly: no document is decoded
-        and the parts' decode caches are left as they were.
+        empty run.  Columns are sliced directly: no document is decoded.
         """
         packed = [p if isinstance(p, cls) else cls.from_lists(p) for p in parts]
         lengths = np.concatenate([np.diff(p._offsets) for p in packed])
@@ -484,23 +484,26 @@ class PackedRankDocs(Sequence):
             doc_id += len(self)
         if not 0 <= doc_id < len(self):
             raise IndexError(f"doc_id {doc_id} out of range")
-        cached = self._cache.get(doc_id)
-        if cached is not None:
-            try:
-                self._cache.move_to_end(doc_id)
-            except KeyError:
-                # Another search thread evicted the entry between the
-                # two calls; the decoded list is still right, only its
-                # recency bump is lost.
-                pass
-            return cached
         start = int(self._offsets[doc_id])
         end = int(self._offsets[doc_id + 1])
-        ranks = self._values[start:end].tolist()
-        self._cache[doc_id] = ranks
-        if len(self._cache) > self._CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return ranks
+        return self._values[start:end].tolist()
+
+    def rank_slice(self, doc_id: int, lo: int, hi: int) -> list[int]:
+        """``packed[doc_id][lo:hi]`` for ``0 <= lo <= hi`` without
+        decoding the document: a view of the values column, clipped to
+        the document's run, as plain ints.  ``doc_id`` is not checked —
+        the verifier gets it from a probe of the index over these very
+        documents."""
+        offsets = self._offsets
+        start = offsets.item(doc_id)
+        end = offsets.item(doc_id + 1)
+        return self._values[min(start + lo, end) : min(start + hi, end)].tolist()
+
+    def doc_length(self, doc_id: int) -> int:
+        """``len(packed[doc_id])`` from the two offsets around it; no
+        rank is read."""
+        offsets = self._offsets
+        return offsets.item(doc_id + 1) - offsets.item(doc_id)
 
     def nbytes(self) -> int:
         """Bytes held by the two columns."""

@@ -604,8 +604,10 @@ class IngestStore:
             self._check_open()
             if not 0 <= doc_id < self.next_doc_id:
                 raise IndexError(f"no document with id {doc_id}")
-            if doc_id in self.removed or not self._view.rank_docs[doc_id]:
+            if doc_id in self.removed:
                 return
+            if not self._view.rank_docs.doc_length(doc_id):
+                return  # emptied by a compaction
             self._log({"op": "remove", "doc_id": doc_id})
             self.removed.add(doc_id)
             self.mutation_epoch += 1

@@ -18,7 +18,7 @@ into the single-index shape the pkwise search kernel expects:
   :meth:`~repro.index.CompactIntervalIndex.merged` sorts the tiers'
   concatenated postings the same way, without re-signaturing).
 * :class:`TieredRankDocs` resolves a global doc id to its owning tier's
-  rank sequence for verification.
+  rank sequence; verification reads it by slice (``rank_slice``).
 * :class:`TieredFingerprints` glues the tiers' routing survivor masks
   by doc id, so the kernel's routing gate sees one fingerprint tier.
 
@@ -35,7 +35,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..core.verify import slice_accessor
 from ..errors import IndexStateError
+from ..index.compact import PackedRankDocs
 from ..index.intervals import ProbeBatch
 from ..routing import FingerprintTier
 
@@ -203,18 +205,19 @@ class TieredRankDocs(Sequence):
     they are added.
     """
 
-    __slots__ = ("_tiers", "_starts")
+    __slots__ = ("_tiers", "_starts", "_slices")
 
     def __init__(self, tiers: Sequence[Tier]) -> None:
         self._tiers = tuple(tiers)
         self._starts = [tier.doc_lo for tier in tiers]
+        self._slices = [slice_accessor(tier.rank_docs) for tier in tiers]
 
     def __len__(self) -> int:
         if not self._tiers:
             return 0
         return self._tiers[-1].doc_hi
 
-    def __getitem__(self, doc_id: int):
+    def _owner(self, doc_id: int) -> Tier:
         if not 0 <= doc_id < len(self):
             raise IndexError(f"no document with id {doc_id}")
         slot = bisect_right(self._starts, doc_id) - 1
@@ -223,7 +226,27 @@ class TieredRankDocs(Sequence):
         tier = self._tiers[slot]
         if doc_id >= tier.doc_hi:
             raise IndexError(f"doc id {doc_id} falls in a tier gap")
+        return tier
+
+    def __getitem__(self, doc_id: int):
+        tier = self._owner(doc_id)
         return tier.rank_docs[doc_id - tier.doc_lo]
+
+    def rank_slice(self, doc_id: int, lo: int, hi: int) -> list[int]:
+        """``self[doc_id][lo:hi]`` cut by the owning tier (a segment's
+        column or a memtable's list).  ``doc_id`` is not checked — the
+        verifier gets it from a probe of these very tiers."""
+        slot = bisect_right(self._starts, doc_id) - 1
+        return self._slices[slot](doc_id - self._starts[slot], lo, hi)
+
+    def doc_length(self, doc_id: int) -> int:
+        """``len(self[doc_id])``; a segment answers from its offsets
+        column without reading a rank."""
+        tier = self._owner(doc_id)
+        docs = tier.rank_docs
+        if isinstance(docs, PackedRankDocs):
+            return docs.doc_length(doc_id - tier.doc_lo)
+        return len(docs[doc_id - tier.doc_lo])
 
     def __repr__(self) -> str:
         return f"TieredRankDocs({len(self._tiers)} tiers, docs={len(self)})"

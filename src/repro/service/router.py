@@ -389,9 +389,9 @@ class ShardRouter:
 
         Every replica of a shard gets its *own* searcher over the same
         document subset, mirroring the process isolation of worker
-        replicas — no searcher state (decode caches, lazy routing
-        tiers) is shared through one object.  ``cache_size`` sizes the
-        router's result cache and each service's alike.
+        replicas — no searcher state (lazy routing tiers) is shared
+        through one object.  ``cache_size`` sizes the router's result
+        cache and each service's alike.
         """
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")

@@ -4,16 +4,22 @@ Covers the freeze (``PKWiseSearcher.compacted``) parity contract —
 serial, fork, spawn, and behind a :class:`~repro.SearchService` — the
 hash-collision path collisions can only *add* candidates, the frozen
 mutation guards, the mmap-able snapshot envelope (roundtrip, digests,
-truncation, tombstones), and the :class:`~repro.index.PackedRankDocs`
-sequence semantics.
+truncation, tombstones), the :class:`~repro.index.PackedRankDocs`
+sequence and slice semantics, and concurrent search threads on one
+mapped snapshot.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Index,
@@ -23,9 +29,11 @@ from repro import (
     SearchService,
     save_searcher,
 )
+from repro.core import slice_accessor
 from repro.errors import IndexStateError
 from repro.eval import run_searcher
 from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs, ProbeHit
+from repro.ingest import Tier, TieredRankDocs
 from repro.persistence import load_bundle
 
 from .conftest import pairs_as_set, probe_runs
@@ -301,6 +309,23 @@ class TestV3Snapshots:
             )
 
 
+RANK_LISTS = st.lists(
+    st.lists(st.integers(0, 40), max_size=9), min_size=3, max_size=7
+)
+
+
+def assert_slices_like_lists(container, lists):
+    """``rank_slice(doc, lo, hi) == lists[doc][lo:hi]`` for every
+    ``lo <= hi`` up to past the document's end, in plain ``int``s."""
+    rank_slice = slice_accessor(container)
+    for doc_id, ranks in enumerate(lists):
+        for lo in range(len(ranks) + 2):
+            for hi in range(lo, len(ranks) + 3):
+                got = rank_slice(doc_id, lo, hi)
+                assert got == ranks[lo:hi], (doc_id, lo, hi)
+                assert all(type(rank) is int for rank in got)
+
+
 class TestPackedRankDocs:
     def test_roundtrip_matches_lists(self, built):
         _data, searcher = built
@@ -316,49 +341,44 @@ class TestPackedRankDocs:
         with pytest.raises(IndexError):
             packed[3]
 
-    def test_cache_eviction_keeps_answers_right(self):
-        lists = [[i, i + 1] for i in range(40)]  # > cache size
+    @settings(max_examples=60, deadline=None)
+    @given(lists=RANK_LISTS, wide=st.booleans(), dropped=st.integers(0, 6))
+    def test_rank_slice_is_list_slicing(self, lists, wide, dropped):
+        if wide:  # one rank past int32: the column falls back to int64
+            lists = [lists[0] + [2**40], *lists[1:]]
         packed = PackedRankDocs.from_lists(lists)
-        for _round in range(2):
-            for i, expected in enumerate(lists):
-                assert packed[i] == expected
+        assert packed._values.dtype == (np.int64 if wide else np.int32)
+        assert_slices_like_lists(packed, lists)
+        assert [packed.doc_length(i) for i in range(len(lists))] == [
+            len(ranks) for ranks in lists
+        ]
+        # A compacted-away document keeps its slot with an empty run.
+        dropped %= len(lists)
+        folded = PackedRankDocs.concatenated([packed], removed=[dropped])
+        kept = [[] if i == dropped else ranks for i, ranks in enumerate(lists)]
+        assert_slices_like_lists(folded, kept)
+        assert folded.doc_length(dropped) == 0
+        # The same answers through the live index's view: a segment, a
+        # sealed memtable and the active one (whose list grows in place).
+        first, second = len(lists) // 3, 2 * len(lists) // 3
+        active = [list(ranks) for ranks in lists[second:]]
+        tiered = TieredRankDocs([
+            Tier(0, first, 1, None, PackedRankDocs.from_lists(lists[:first]),
+                 "segment"),
+            Tier(first, second, 2, None, lists[first:second], "memtable"),
+            Tier(second, None, 3, None, active, "memtable"),
+        ])
+        active.append([7, 7, 8])
+        assert_slices_like_lists(tiered, lists + [[7, 7, 8]])
+        assert tiered.doc_length(len(lists)) == 3
 
-    def test_concurrent_lookups_are_safe(self):
-        # Search threads of one service share the decode cache: a hit's
-        # recency bump must tolerate another thread's eviction.
-        import sys
-        import threading
-
-        lists = [[i, i + 1, i + 2] for i in range(64)]  # 4x the cache
-        packed = PackedRankDocs.from_lists(lists)
-        errors: list[BaseException] = []
-
-        def hammer(seed: int) -> None:
-            try:
-                doc_id = seed
-                for _ in range(20_000):
-                    doc_id = (doc_id * 29 + 7) % len(lists)
-                    # Re-read a recent neighbour so hits (the racing
-                    # branch) are as common as misses.
-                    for probe in (doc_id, (doc_id + seed) % len(lists), doc_id):
-                        assert packed[probe] == lists[probe]
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=hammer, args=(seed,)) for seed in range(1, 5)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+    def test_rank_slice_reads_a_mapped_file(self, built, tmp_path):
+        _data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path)
+        mapped = load_bundle(path, mmap=True).searcher.rank_docs
+        assert not mapped._values.flags["OWNDATA"]
+        assert_slices_like_lists(mapped, searcher.rank_docs)
 
     def test_arrays_roundtrip(self):
         packed = PackedRankDocs.from_lists([[9, 8], [], [7]])
@@ -372,6 +392,88 @@ class TestPackedRankDocs:
     def test_wide_values_fall_back_to_int64(self):
         packed = PackedRankDocs.from_lists([[2**40]])
         assert packed[0] == [2**40]
+
+
+class TestSearchThreadsShareNothing:
+    """Concurrent searches of one mapped snapshot: the rank column is
+    read by slice and nothing is written, so no interleaving of search
+    threads can change — or fail — an answer."""
+
+    THREADS, PER_THREAD = 4, 12
+
+    @pytest.fixture
+    def opened(self, tmp_path):
+        rng = random.Random(77)
+        shared = [f"s{rng.randrange(40)}" for _ in range(400)]
+        texts = []
+        for _ in range(self.THREADS * self.PER_THREAD):
+            at = rng.randrange(len(shared) - 40)
+            filler = [f"f{rng.randrange(200)}" for _ in range(10)]
+            texts.append(" ".join(filler + shared[at : at + 40] + filler))
+        path = tmp_path / "corpus.idx"
+        Index.build(texts, w=10, tau=2, k_max=3).save(path)
+        with Index.open(path, mmap=True) as index:
+            queries = [index.encode_query(text) for text in texts]
+            serial = [pairs_as_set(index.search(query)) for query in queries]
+            # Candidates span far more documents than any one query's own.
+            assert min(len({p[0] for p in pairs}) for pairs in serial) > 1
+            yield index, queries, serial
+
+    @pytest.fixture
+    def tight_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_return_the_serial_pairs(self, opened, tight_switching):
+        index, queries, serial = opened
+        got: dict[int, set] = {}
+        errors: list[BaseException] = []
+
+        def search(mine: range) -> None:
+            try:
+                for qid in mine:
+                    got[qid] = pairs_as_set(index.search(queries[qid]))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(
+                target=search,
+                args=(range(t * self.PER_THREAD, (t + 1) * self.PER_THREAD),),
+            )
+            for t in range(self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [got[qid] for qid in range(len(queries))] == serial
+
+    def test_service_workers_answer_every_request_whole(
+        self, opened, tight_switching
+    ):
+        index, queries, serial = opened
+        rng = random.Random(78)
+        # Mixed: a hot few (cache hits between evictions) and the rest.
+        asked = [
+            rng.randrange(4) if rng.random() < 0.3 else rng.randrange(len(queries))
+            for _ in range(200)
+        ]
+        with index.serve(max_workers=4, max_queue=len(asked), cache_size=8) as service:
+            futures = [service.submit(queries[qid]) for qid in asked]
+            replies = [future.result(timeout=120) for future in futures]
+            counters = service.metrics_snapshot()["metrics"]["counters"]
+        assert counters.get("service.errors", 0) == 0
+        assert counters["service.completed"] == len(asked)
+        assert [set(map(tuple, reply.pairs)) for reply in replies] == [
+            serial[qid] for qid in asked
+        ]
 
 
 class TestTypedResults:

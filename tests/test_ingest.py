@@ -563,28 +563,6 @@ class TestFoldIsMerge:
             ops += [("remove", rng.randrange(64)), ("flush", None)]
         run_fold_ops(ops + [("compact", None)], check)
 
-    def test_fold_leaves_decode_caches_alone(self):
-        rng = random.Random(6)
-        store = IngestStore.create(PARAMS, data=DocumentCollection())
-        texts = [make_tokens(rng) for _ in range(40)]
-        for start in (0, 20):  # each tier: more documents than cache entries
-            for tokens in texts[start:start + 20]:
-                store.add_tokens(tokens)
-            store.flush()
-        for doc_id in (7, 31):  # a hit in each tier fills its cache
-            store.searcher().search(
-                store.data.encode_query_tokens(texts[doc_id][:24])
-            )
-        store.remove(3)
-        segments = list(store._segments)
-        before = [list(t.rank_docs._cache.items()) for t in segments]
-        assert all(before)
-        assert store.compact() is not None
-        assert [list(t.rank_docs._cache.items()) for t in segments] == before
-        store.compacted_searcher()
-        assert not store._segments[-1].rank_docs._cache
-        store.close()
-
     def test_fold_counters_report_merged_and_dropped_postings(self):
         rng = random.Random(7)
         store = IngestStore.create(PARAMS, data=DocumentCollection())
@@ -622,6 +600,29 @@ class TestNoOpRemove:
         assert not store.removed
         assert store.mutation_epoch == state[0]
         assert store.compact() is None  # still fully compact
+        store.close()
+
+    def test_remove_in_a_segment_decodes_no_document(self, monkeypatch):
+        # "Is it already empty?" is two offsets, not a document's ranks.
+        rng = random.Random(10)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        for _ in range(4):
+            store.add_tokens(make_tokens(rng))
+        store.remove(0)
+        store.flush()  # documents 0..3 now live in a segment, 0 emptied
+        store.add_tokens(make_tokens(rng))
+
+        def decoded(_self, doc_id):
+            raise AssertionError(f"document {doc_id} decoded by a remove")
+
+        monkeypatch.setattr(PackedRankDocs, "__getitem__", decoded)
+        epoch = store.mutation_epoch
+        store.remove(0)  # emptied by the fold: a no-op
+        assert (store.mutation_epoch, store.removed) == (epoch, set())
+        store.remove(2)  # segment-resident
+        store.remove(4)  # in the memtable
+        assert (store.mutation_epoch, store.removed) == (epoch + 2, {2, 4})
+        monkeypatch.undo()
         store.close()
 
     def test_repeat_remove_writes_one_wal_record(self, tmp_path):

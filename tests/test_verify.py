@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IntervalVerifier
+from repro.core import IntervalVerifier, slice_accessor
+from repro.index import PackedRankDocs
 from repro.windows import window_overlap
 
 
@@ -25,12 +26,12 @@ def reference_matches(doc_ranks, query_ranks, query_start, u, v, w, tau, doc_id=
 class TestVerifyInterval:
     def test_single_window_match(self):
         verifier = IntervalVerifier([1, 2, 3], w=3, tau=0)
-        matches = verifier.verify_interval(0, [1, 2, 3], 0, 0)
+        matches = verifier.verify_interval(0, slice_accessor([[1, 2, 3]]), 0, 0)
         assert [tuple(match) for match in matches] == [(0, 0, 0, 3)]
 
     def test_single_window_miss(self):
         verifier = IntervalVerifier([1, 2, 3], w=3, tau=0)
-        assert verifier.verify_interval(0, [4, 5, 6], 0, 0) == []
+        assert verifier.verify_interval(0, slice_accessor([[4, 5, 6]]), 0, 0) == []
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 1_000_000))
@@ -46,7 +47,8 @@ class TestVerifyInterval:
         max_start = len(doc_ranks) - w
         u = rng.randint(0, max_start)
         v = rng.randint(u, max_start)
-        got = [tuple(match) for match in verifier.verify_interval(0, doc_ranks, u, v)]
+        matches = verifier.verify_interval(0, slice_accessor([doc_ranks]), u, v)
+        got = [tuple(match) for match in matches]
         assert got == reference_matches(
             doc_ranks, query_ranks, query_start, u, v, w, tau
         )
@@ -59,14 +61,14 @@ class TestVerifyInterval:
         doc_ranks = list(range(100, 200))
         query_ranks = list(range(0, 10))
         verifier = IntervalVerifier(query_ranks, w, tau)
-        verifier.verify_interval(0, doc_ranks, 0, 89)
+        verifier.verify_interval(0, slice_accessor([doc_ranks]), 0, 89)
         assert verifier.candidate_windows < 30  # 90 windows, but skipped
 
     def test_advance_to_rolls_query(self):
         query_ranks = [1, 2, 3, 4, 5]
         verifier = IntervalVerifier(query_ranks, w=3, tau=0)
         verifier.advance_to(2)
-        matches = verifier.verify_interval(0, [3, 4, 5], 0, 0)
+        matches = verifier.verify_interval(0, slice_accessor([[3, 4, 5]]), 0, 0)
         assert len(matches) == 1
         assert matches[0].query_start == 2
 
@@ -108,7 +110,7 @@ class TestVerifyInterval:
     def test_hash_ops_grow_with_work(self):
         verifier = IntervalVerifier([1, 2, 3, 4, 5], w=3, tau=2)
         before = verifier.hash_ops
-        verifier.verify_interval(0, [1, 2, 3, 4, 5], 0, 2)
+        verifier.verify_interval(0, slice_accessor([[1, 2, 3, 4, 5]]), 0, 2)
         assert verifier.hash_ops > before
 
     @settings(max_examples=40, deadline=None)
@@ -127,8 +129,114 @@ class TestVerifyInterval:
             verifier.advance_to(query_start)
             got = [
                 tuple(m)
-                for m in verifier.verify_interval(0, doc_ranks, 0, max_doc_start)
+                for m in verifier.verify_interval(
+                    0, slice_accessor([doc_ranks]), 0, max_doc_start
+                )
             ]
             assert got == reference_matches(
                 doc_ranks, query_ranks, query_start, 0, max_doc_start, w, tau
             )
+
+
+def zipfian(rng, length, universe=30):
+    """``length`` ranks with Zipfian frequencies (rank k weighs 1/(k+1))."""
+    weights = [1 / (k + 1) for k in range(universe)]
+    return rng.choices(range(universe), weights, k=length)
+
+
+def stride(length, step, modulus):
+    return [(i * step) % modulus for i in range(length)]
+
+
+class TestVerifierAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 1_000_000),
+        tau_pick=st.sampled_from(["0", "5", "w - 1"]),
+        shape=st.sampled_from(["random", "one window", "to the last window"]),
+    )
+    def test_accepts_exactly_what_window_overlap_accepts(self, seed, tau_pick, shape):
+        rng = random.Random(seed)
+        w = rng.randint(6, 12)
+        tau = {"0": 0, "5": 5, "w - 1": w - 1}[tau_pick]
+        query_ranks = zipfian(rng, w + rng.randint(0, 12))
+        query_start = rng.randint(0, len(query_ranks) - w)
+        doc_ranks = zipfian(rng, w + rng.randint(0, 40))
+        if rng.random() < 0.5:  # reuse: the query window, one rank changed
+            copy = query_ranks[query_start : query_start + w]
+            copy[rng.randrange(w)] = 99
+            at = rng.randint(0, len(doc_ranks) - w)
+            doc_ranks[at : at + w] = copy
+        last_window = len(doc_ranks) - w
+        u = rng.randint(0, last_window)
+        v = {
+            "random": rng.randint(u, last_window),
+            "one window": u,
+            "to the last window": last_window,
+        }[shape]
+        want = reference_matches(
+            doc_ranks, query_ranks, query_start, u, v, w, tau, doc_id=1
+        )
+        counts = set()
+        docs = [[], doc_ranks]
+        for container in (docs, PackedRankDocs.from_lists(docs)):
+            verifier = IntervalVerifier(query_ranks, w, tau)
+            verifier.advance_to(query_start)
+            got = verifier.verify_interval(1, slice_accessor(container), u, v)
+            assert [tuple(match) for match in got] == want
+            counts.add((verifier.hash_ops, verifier.candidate_windows))
+        assert len(counts) == 1  # one kernel: same work on both containers
+
+    # hash_ops / candidate_windows of one call, written down from the
+    # commit before verify_interval read slices (c76bb46): Eq. 4's
+    # operations are 2w for the first window and 4 per rolled change,
+    # however the implementation gets there.
+    COUNTED = [
+        # w, tau, query, query_start, doc, u, v -> hash_ops, windows, pairs
+        (10, 1, list(range(10)), 0, list(range(100, 200)), 0, 89, 344, 10, 0),
+        (6, 1, stride(20, 7, 11), 3, stride(40, 7, 11), 0, 34, 148, 22, 9),
+        (8, 2, stride(30, 5, 13), 4,
+         stride(30, 3, 17) + stride(30, 5, 13) + stride(20, 3, 17), 0, 72,
+         292, 43, 19),
+        (5, 0, [4, 1, 3, 1, 2, 9], 0, [9, 9, 1, 1, 2, 3, 4, 9], 2, 2, 10, 1, 1),
+        # Period w: no slide changes the window, nothing is rolled.
+        (4, 3, [1, 2, 3, 4, 5, 6], 1, [2, 5, 8, 9] * 6, 0, 20, 8, 21, 21),
+    ]
+
+    @pytest.mark.parametrize(
+        "w, tau, query, query_start, doc, u, v, hash_ops, windows, pairs", COUNTED
+    )
+    def test_counts_do_not_move(
+        self, w, tau, query, query_start, doc, u, v, hash_ops, windows, pairs
+    ):
+        verifier = IntervalVerifier(query, w, tau)
+        verifier.advance_to(query_start)
+        before = verifier.hash_ops
+        got = verifier.verify_interval(0, slice_accessor([doc]), u, v)
+        assert [tuple(match) for match in got] == reference_matches(
+            doc, query, query_start, u, v, w, tau
+        )
+        assert (
+            verifier.hash_ops - before, verifier.candidate_windows, len(got)
+        ) == (hash_ops, windows, pairs)
+
+    def test_first_window_out_of_reach_ends_the_interval(self, monkeypatch):
+        # Overlap grows by at most 1 a slide: a first window missing by
+        # more than v - u rules the whole interval out, before its
+        # change positions are looked for.
+        w, tau = 10, 1
+        doc_ranks = list(range(100, 130))
+        verifier = IntervalVerifier(list(range(12)), w, tau)
+        before = verifier.hash_ops
+
+        def unreachable(*_args):
+            raise AssertionError("change positions built for a dead interval")
+
+        monkeypatch.setattr("repro.core.verify.compress", unreachable)
+        # deficit = w - tau - 0 = 9 > v - u = 8
+        assert verifier.verify_interval(0, slice_accessor([doc_ranks]), 0, 8) == []
+        assert verifier.candidate_windows == 1
+        assert verifier.hash_ops - before == 2 * w
+        # One window further the jump lands inside: the roll is reached.
+        with pytest.raises(AssertionError, match="dead interval"):
+            verifier.verify_interval(0, slice_accessor([doc_ranks]), 0, 9)
