@@ -46,6 +46,7 @@ STAT_COUNTER_FIELDS: tuple[str, ...] = (
     "probe_signatures",
     "hash_ops",
     "candidate_windows",
+    "verify_carried",
     "num_results",
     "shared_windows",
     "changed_windows",
@@ -78,6 +79,12 @@ class SearchStats:
         Hash-table operations during verification (Equation 4's unit).
     ``candidate_windows``
         Number of data windows whose similarity was actually checked.
+    ``verify_carried``
+        (query window, merged interval) verifications that started from
+        the state the same query kept for that interval — segment, first
+        table, change list, updated first overlap — instead of from the
+        rank container; the rest are first touches.  ``hash_ops`` and
+        ``candidate_windows`` count the same for both.
     ``routing_checked_docs`` / ``routing_pruned_docs``
         Documents the fingerprint routing tier examined and how many it
         pruned before candidate generation (the ``routing.*`` family;
@@ -102,6 +109,7 @@ class SearchStats:
     probe_signatures: int = 0
     hash_ops: int = 0
     candidate_windows: int = 0
+    verify_carried: int = 0
     num_results: int = 0
     shared_windows: int = 0
     changed_windows: int = 0

@@ -478,6 +478,9 @@ class PKWiseSearcher:
                     else:
                         candidates[interval] = count
                 merged = merge_intervals(candidates.keys(), merge_gap)
+                # Verification state lives as long as its interval's
+                # extent: what this merge did not keep starts over.
+                verifier.retain(merged)
                 now = clock()
                 stats.candidate_time += now - last
                 last = now
@@ -491,6 +494,7 @@ class PKWiseSearcher:
         stats.changed_windows = stream.changed_windows
         stats.hash_ops = verifier.hash_ops
         stats.candidate_windows = verifier.candidate_windows
+        stats.verify_carried = verifier.verify_carried
         stats.num_results = len(pairs)
         return SearchResult(pairs=pairs, stats=stats)
 

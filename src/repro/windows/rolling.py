@@ -4,7 +4,10 @@
 pkwise variant and the baselines verify with it, and the tests use it
 as the reference for the rolling verifier
 (:class:`~repro.core.verify.IntervalVerifier`, the one implementation
-of Section 4.3's O(1)-per-slide update).
+of Section 4.3's O(1)-per-slide update — incremental along the data
+axis, where it rolls a table across an interval, and along the query
+axis, where it updates each live interval's first overlap per query
+slide instead of recomputing it).
 """
 
 from __future__ import annotations

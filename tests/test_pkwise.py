@@ -282,3 +282,111 @@ class TestPhaseInstrumentation:
         searcher = PKWiseSearcher(small_corpus, params)
         stats = searcher.search(small_corpus[0]).stats
         assert stats.shared_windows > stats.changed_windows
+
+
+class TestVerificationStateAcrossSlides:
+    """``_search`` keeps one verifier state per merged interval, for as
+    long as the interval is merged and no longer."""
+
+    W, TAU = 10, 2
+
+    @pytest.fixture
+    def churn(self):
+        # 3,000 query windows stitched from stretches of twelve
+        # documents: candidates open, grow, merge and close throughout.
+        rng = random.Random(24)
+        vocab = [f"t{i}" for i in range(150)]
+        data = DocumentCollection()
+        docs = [[rng.choice(vocab) for _ in range(300)] for _ in range(12)]
+        for tokens in docs:
+            data.add_tokens(tokens)
+        tokens = []
+        while len(tokens) < 3000 + self.W - 1:
+            if rng.random() < 0.6:
+                source = rng.choice(docs)
+                at = rng.randrange(len(source) - 60)
+                stretch = source[at : at + rng.randint(15, 60)]
+                stretch[rng.randrange(len(stretch))] = rng.choice(vocab)
+                tokens.extend(stretch)
+            else:
+                tokens.extend(rng.choice(vocab) for _ in range(rng.randint(5, 30)))
+        query = data.encode_query_tokens(tokens[: 3000 + self.W - 1])
+        params = SearchParams(w=self.W, tau=self.TAU, k_max=2)
+        return PKWiseSearcher(data, params), query
+
+    def test_states_follow_merged_and_nothing_grows_with_the_query(
+        self, churn, monkeypatch
+    ):
+        from repro.core import IntervalVerifier
+
+        searcher, query = churn
+        seen = {"merged": 0, "states": 0, "retains": 0}
+
+        class Watched(IntervalVerifier):
+            def retain(self, live):
+                super().retain(live)
+                assert set(self._states) <= set(live)
+                seen["merged"] = max(seen["merged"], len(live))
+                seen["retains"] += 1
+
+            def verify_interval(self, *args):
+                pairs = super().verify_interval(*args)
+                seen["states"] = max(seen["states"], len(self._states))
+                for name, value in vars(self).items():
+                    if isinstance(value, list) and name != "query_ranks":
+                        assert len(value) <= len(self._query_changes), name
+                return pairs
+
+        class Forgetful(IntervalVerifier):
+            """Every call a first touch: verification as it was before."""
+
+            def verify_interval(self, *args):
+                self._states.clear()
+                return super().verify_interval(*args)
+
+        monkeypatch.setattr("repro.core.pkwise.IntervalVerifier", Watched)
+        got = searcher.search(query)
+        assert seen["retains"] > 300 and seen["merged"] > 3
+        assert 0 < seen["states"] <= seen["merged"]
+        assert got.stats.verify_carried > 0
+
+        monkeypatch.setattr("repro.core.pkwise.IntervalVerifier", Forgetful)
+        want = searcher.search(query)
+        assert want.stats.verify_carried == 0
+        assert got.pairs == want.pairs and got.pairs
+        assert (got.stats.hash_ops, got.stats.candidate_windows) == (
+            want.stats.hash_ops, want.stats.candidate_windows
+        )
+
+    def test_live_index_carries_state_in_a_mapped_segment_and_the_memtable(
+        self, tmp_path
+    ):
+        from repro import IngestStore
+        from repro.baselines import BruteForceSearcher
+
+        rng = random.Random(7)
+        params = SearchParams(w=self.W, tau=self.TAU, k_max=2)
+        vocab = [f"t{i}" for i in range(80)]
+        texts = [[rng.choice(vocab) for _ in range(90)] for _ in range(8)]
+        shared = texts[1][10:60]
+        texts[6][20:70] = shared  # a memtable document reuses a segment's text
+        store = IngestStore.create(
+            params, directory=tmp_path / "live", data=DocumentCollection()
+        )
+        for tokens in texts[:5]:
+            store.add_tokens(tokens)
+        store.flush()
+        store.close()
+        store = IngestStore.open(tmp_path / "live")  # the segment is mapped
+        for tokens in texts[5:]:
+            store.add_tokens(tokens)
+        assert store.num_segments == 1 and store.memtable_docs == 3
+        assert not store._segments[0].rank_docs._values.flags["OWNDATA"]
+        query = store.data.encode_query_tokens(shared[:3] + ["t999"] + shared[4:])
+        got = store.searcher().search(query)
+        want = BruteForceSearcher(store.data, params, order=store.order).search(query)
+        assert pairs_as_set(got) == pairs_as_set(want)
+        assert {pair.doc_id for pair in got.pairs} >= {1, 6}
+        # Most windows meet the intervals the window before them met.
+        assert got.stats.verify_carried > len(query.tokens) - self.W
+        store.close()

@@ -237,6 +237,153 @@ class TestVerifierAgainstReference:
         assert verifier.verify_interval(0, slice_accessor([doc_ranks]), 0, 8) == []
         assert verifier.candidate_windows == 1
         assert verifier.hash_ops - before == 2 * w
+
+        # On the carried state the exit costs lookups only: the segment
+        # is not cut again, and there is still no change list.
+        def no_slice(*_args):
+            raise AssertionError("a carried interval read its ranks again")
+
+        verifier.advance_to(1)
+        before = verifier.hash_ops
+        assert verifier.verify_interval(0, no_slice, 0, 8) == []
+        assert verifier.verify_carried == 1
+        assert verifier.candidate_windows == 2
+        assert verifier.hash_ops - before == 2 * w
         # One window further the jump lands inside: the roll is reached.
         with pytest.raises(AssertionError, match="dead interval"):
             verifier.verify_interval(0, slice_accessor([doc_ranks]), 0, 9)
+
+
+def fresh_answer(query_ranks, w, tau, query_start, rank_slice, interval):
+    """One call on a verifier that has seen nothing else:
+    ``(pairs, hash_ops spent, candidate_windows)``."""
+    verifier = IntervalVerifier(query_ranks, w, tau)
+    verifier.advance_to(query_start)
+    before = verifier.hash_ops
+    doc_id, u, v = interval
+    pairs = verifier.verify_interval(doc_id, rank_slice, u, v)
+    return pairs, verifier.hash_ops - before, verifier.candidate_windows
+
+
+class TestCarriedState:
+    """What the verifier keeps per interval between query windows changes
+    the cost of a call, never its answer or its abstract counts."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 1_000_000),
+        tau_pick=st.sampled_from(["0", "5", "w - 1"]),
+        alphabet=st.sampled_from(["4", "zipfian"]),
+        packed=st.booleans(),
+        prune=st.booleans(),
+    )
+    def test_every_call_equals_a_fresh_verifier(
+        self, seed, tau_pick, alphabet, packed, prune
+    ):
+        rng = random.Random(seed)
+        w = rng.randint(6, 10)
+        tau = {"0": 0, "5": 5, "w - 1": w - 1}[tau_pick]
+        if alphabet == "4":
+            draw = lambda length: [rng.randrange(4) for _ in range(length)]
+        else:
+            draw = lambda length: zipfian(rng, length)
+        query_ranks = draw(w + rng.randint(4, 30))
+        # A run of slides that change nothing: ranks[p] == ranks[p + w].
+        at = rng.randrange(len(query_ranks) - w)
+        for p in range(at, min(at + rng.randint(1, w), len(query_ranks) - w)):
+            query_ranks[p + w] = query_ranks[p]
+        docs = [draw(w + rng.randint(0, 40)) for _ in range(3)]
+        for doc_ranks in docs:  # reuse: a stretch of the query
+            if rng.random() < 0.7:
+                length = rng.randint(w, min(len(doc_ranks), len(query_ranks)))
+                src = rng.randint(0, len(query_ranks) - length)
+                dst = rng.randint(0, len(doc_ranks) - length)
+                doc_ranks[dst : dst + length] = query_ranks[src : src + length]
+        rank_slice = slice_accessor(
+            PackedRankDocs.from_lists(docs) if packed else docs
+        )
+
+        def some_interval():
+            doc_id = rng.randrange(len(docs))
+            u = rng.randint(0, len(docs[doc_id]) - w)
+            return doc_id, u, rng.randint(u, len(docs[doc_id]) - w)
+
+        def moved(interval):
+            # persists / grows / shrinks; None = vanishes
+            doc_id, u, v = interval
+            move = rng.choice(["stay", "stay", "grow", "shrink", "vanish"])
+            if move == "grow":
+                return doc_id, max(0, u - rng.randint(0, 2)), min(
+                    len(docs[doc_id]) - w, v + rng.randint(0, 3)
+                )
+            if move == "shrink" and v > u:
+                return doc_id, u + 1, v
+            return None if move == "vanish" else interval
+
+        carried = IntervalVerifier(query_ranks, w, tau)
+        live = {some_interval() for _ in range(rng.randint(1, 4))}
+        gone = []
+        held = set()  # intervals the verifier has a state for
+        expect_carried = 0
+        for query_start in range(len(query_ranks) - w + 1):
+            after = {moved(interval) for interval in live}
+            gone.extend(live - after)
+            if gone and rng.random() < 0.3:
+                after.add(rng.choice(gone))  # returns with the same extent
+            if rng.random() < 0.2:
+                after.add(some_interval())
+            live = after - {None}
+            if prune:
+                carried.retain(live)
+                held &= live
+                assert set(carried._states) == held
+            if not live or rng.random() < 0.15:
+                continue  # a window nobody verifies: the next advance jumps
+            carried.advance_to(query_start)
+            for interval in sorted(live):
+                want = fresh_answer(
+                    query_ranks, w, tau, query_start, rank_slice, interval
+                )
+                ops = carried.hash_ops
+                windows = carried.candidate_windows
+                doc_id, u, v = interval
+                got = carried.verify_interval(doc_id, rank_slice, u, v)
+                assert (
+                    got, carried.hash_ops - ops, carried.candidate_windows - windows
+                ) == want
+            expect_carried += len(live & held)
+            held |= live
+        assert carried.verify_carried == expect_carried
+
+    def test_a_stale_stamp_is_recomputed_not_replayed(self):
+        # Window 0 -> 1 swaps 9 for 1 (overlap with [1, 2, 3]: 2 -> 3),
+        # window 1 -> 2 swaps 2 for 5 (3 -> 2).  Replaying the second
+        # slide alone on the overlap of window 0 would read 1 and miss
+        # the pair that window 2 holds at tau = 1.
+        w, tau = 3, 1
+        query_ranks = [9, 2, 3, 1, 5, 6]
+        rank_slice = slice_accessor([[1, 2, 3]])
+        verifier = IntervalVerifier(query_ranks, w, tau)
+        assert [tuple(m) for m in verifier.verify_interval(0, rank_slice, 0, 0)] == [
+            (0, 0, 0, 2)
+        ]
+        verifier.advance_to(1)  # nobody verifies window 1
+        verifier.advance_to(2)
+        got = verifier.verify_interval(0, rank_slice, 0, 0)
+        assert [tuple(m) for m in got] == [(0, 0, 2, 2)]
+        assert got == fresh_answer(query_ranks, w, tau, 2, rank_slice, (0, 0, 0))[0]
+        assert verifier.verify_carried == 1  # carried segment, recomputed overlap
+        # Verified twice in one window: nothing is replayed twice.
+        assert verifier.verify_interval(0, rank_slice, 0, 0) == got
+        # One advance over several windows replays every change in it.
+        jumped = IntervalVerifier(query_ranks, w, tau)
+        jumped.verify_interval(0, rank_slice, 0, 0)
+        jumped.advance_to(2)
+        assert jumped.verify_interval(0, rank_slice, 0, 0) == got
+        verifier.advance_to(3)
+        jumped.advance_to(3)
+        assert (
+            verifier.verify_interval(0, rank_slice, 0, 0)
+            == jumped.verify_interval(0, rank_slice, 0, 0)
+            == fresh_answer(query_ranks, w, tau, 3, rank_slice, (0, 0, 0))[0]
+        )
