@@ -69,7 +69,7 @@ class AdaptSearcher(BaselineSearcher):
         for doc_id, ranks in enumerate(self.rank_docs):
             slider = WindowSlider(ranks, params.w)
             for start, _outgoing, _incoming in slider.slides():
-                prefix = slider.multiset.prefix(prefix_len)
+                prefix = slider.window[:prefix_len]
                 for key in occurrence_keys(prefix):
                     self._postings.setdefault(key, []).append((doc_id, start))
         self.index_build_seconds = time.perf_counter() - build_start
@@ -93,7 +93,7 @@ class AdaptSearcher(BaselineSearcher):
         slider = WindowSlider(query_ranks, w)
         for start, _outgoing, _incoming in slider.slides():
             t0 = time.perf_counter()
-            prefix = slider.multiset.prefix(max_prefix)
+            prefix = slider.window[:max_prefix]
             keys = occurrence_keys(prefix)
             stats.signatures_generated += len(keys)
             stats.signature_tokens += len(keys)

@@ -336,7 +336,10 @@ class PKWiseSearcher:
     #: to event-at-a-time probing.  Larger runs amortize the fixed
     #: numpy cost of a batched probe over more signatures; 32 events at
     #: the typical ~9 signatures each lands in the regime where the
-    #: compact index's vectorized gather beats the dict index.
+    #: compact index's vectorized gather beats the dict index.  It
+    #: stays because the harness prefers it: event-at-a-time probing
+    #: (a value of 1) reads ``search-routed`` p50 25.3 / 26.3 ms against
+    #: 19.4 / 20.2 (PR 25, seeds 1-2; +18% while a slot memo existed).
     _PROBE_CHUNK_EVENTS = 32
 
     def _search(

@@ -71,7 +71,7 @@ class PKWiseNonIntervalSearcher:
         clock = time.perf_counter
         last = clock()
         for start, _outgoing, _incoming in slider.slides():
-            signatures = generate_signatures(slider.multiset.raw, tau, self.scheme)
+            signatures = generate_signatures(slider.window, tau, self.scheme)
             stats.signatures_generated += len(signatures)
             stats.signature_tokens += sum(len(s) for s in signatures)
             now = clock()

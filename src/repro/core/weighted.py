@@ -203,7 +203,7 @@ class WeightedPKWiseSearcher:
     def _index_document(self, doc_id: int, ranks: Sequence[int]) -> None:
         slider = WindowSlider(ranks, self.w)
         for start, _outgoing, _incoming in slider.slides():
-            signatures, fallback = self._window_signatures(slider.multiset.raw)
+            signatures, fallback = self._window_signatures(slider.window)
             keys = set(signatures)
             if fallback:
                 keys.add(UNIVERSAL_SIGNATURE)
@@ -224,7 +224,7 @@ class WeightedPKWiseSearcher:
         slider = WindowSlider(query_ranks, w)
         for start, _outgoing, _incoming in slider.slides():
             t0 = time.perf_counter()
-            signatures, fallback = self._window_signatures(slider.multiset.raw)
+            signatures, fallback = self._window_signatures(slider.window)
             stats.signatures_generated += len(signatures)
             stats.signature_tokens += sum(len(s) for s in signatures)
             t1 = time.perf_counter()

@@ -68,9 +68,8 @@ def prefix_sharing(
         slider = WindowSlider(ranks, w)
         previous: list[int] | None = None
         for _start, _out, _in in slider.slides():
-            raw = slider.multiset.raw
-            length = prefix_length(raw, tau, scheme)
-            prefix = raw[:length]
+            window = slider.window
+            prefix = window[: prefix_length(window, tau, scheme)]
             if previous is not None:
                 pairs += 1
                 if prefix == previous:

@@ -11,12 +11,14 @@ overhead, picklable in O(bytes), and mmap-able without copying (the
 snapshot envelope in :mod:`repro.persistence` stores these columns
 verbatim).
 
-Keys are :func:`~repro.signatures.signature_hash` values (the paper's
-Section 7.1 signature hashing); this module is the only place that
-decides so — the dict index keys on rank tuples.  A 64-bit hash
-collision merges two postings lists, which can only *add* candidates —
-rolling verification removes them — so final search results are
-pair-identical to the dict index (covered by the collision tests).
+Keys are 64-bit FNV-1a values (the paper's Section 7.1 signature
+hashing), and :func:`~repro.signatures.generate.signature_hashes` is the
+one function that computes them — for the freeze, the fold and every
+probe; the dict index keys on rank tuples.  A 64-bit hash collision
+merges two postings lists, which can only *add* candidates — rolling
+verification removes them — so final search results are pair-identical
+to the dict index (covered by the collision tests).  Nothing is written
+after construction: any number of threads may probe one instance.
 
 :class:`PackedRankDocs` applies the same treatment to the searcher's
 per-document rank sequences (one values column + offsets).  The
@@ -29,11 +31,12 @@ columns.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 
 from ..errors import IndexStateError
-from ..signatures.generate import Signature, signature_hash, signature_hashes
+from ..signatures.generate import Signature, signature_hashes
 from .interval_index import IntervalIndex
 from .intervals import ProbeBatch, WindowInterval
 
@@ -116,18 +119,34 @@ class CompactIntervalIndex:
         # is [total, total) — empty — and no mask/compress pass is
         # needed to drop missed signatures from the fancy-indexing.
         self._offsets_padded = np.concatenate([offsets, offsets[-1:]])
-        # signature -> slot memo (misses stored as -1).  Keyed on the
-        # signature tuple, not its hash: the pure-Python FNV hash is the
-        # dominant cost of a scalar slot lookup (~2.5us vs ~0.2us for a dict
-        # hit), so a repeat probe of a memoized signature skips hashing
-        # and the scalar np.searchsorted alike.  Cleared wholesale at
-        # the bound to stay O(1) per probe; worst-case footprint is a
-        # few MiB.
-        self._slots: dict[Signature, int] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def _assembled(cls, like, keys, docs, us, vs, **counts) -> "CompactIntervalIndex":
+        """The index over one row per posting, ``keys[i]`` being the hash
+        of the signature that owns ``(docs[i], us[i], vs[i])``.
+
+        The sort is stable: within a key, postings keep the order they
+        came in.  ``like`` lends ``w``, ``tau`` and the scheme.
+        """
+        order = np.argsort(keys, kind="stable")
+        unique_keys, run_lengths = np.unique(keys[order], return_counts=True)
+        offsets = np.zeros(len(unique_keys) + 1, dtype=np.int64)
+        np.cumsum(run_lengths, out=offsets[1:])
+        return cls(
+            like.w,
+            like.tau,
+            like.scheme,
+            keys=unique_keys,
+            offsets=offsets,
+            docs=_packed_column(docs[order]),
+            us=_packed_column(us[order]),
+            vs=_packed_column(vs[order]),
+            **counts,
+        )
+
     @classmethod
     def from_index(cls, index: IntervalIndex) -> "CompactIntervalIndex":
         """Freeze a built dict :class:`IntervalIndex` into columns.
@@ -136,35 +155,21 @@ class CompactIntervalIndex:
         share one postings run.  Within a key, postings keep the source
         append order.
         """
-        buckets: dict[int, list[WindowInterval]] = {}
-        for key, postings in index._postings.items():
-            h = signature_hash(key)
-            existing = buckets.get(h)
-            if existing is None:
-                buckets[h] = list(postings)
-            else:
-                existing.extend(postings)
-        ordered = sorted(buckets.items())
-        keys = np.asarray([h for h, _ in ordered], dtype=np.uint64)
-        offsets = np.zeros(len(ordered) + 1, dtype=np.int64)
-        docs: list[int] = []
-        us: list[int] = []
-        vs: list[int] = []
-        for i, (_, postings) in enumerate(ordered):
-            for interval in postings:
-                docs.append(interval.doc_id)
-                us.append(interval.u)
-                vs.append(interval.v)
-            offsets[i + 1] = len(docs)
-        return cls(
-            index.w,
-            index.tau,
-            index.scheme,
-            keys=keys,
-            offsets=offsets,
-            docs=_packed_column(docs),
-            us=_packed_column(us),
-            vs=_packed_column(vs),
+        postings = index._postings
+        run_lengths = np.fromiter(
+            map(len, postings.values()), dtype=np.int64, count=len(postings)
+        )
+        # An interval is a (doc, u, v) tuple: chaining twice reads every
+        # posting of every key off as one flat int64 run.
+        rows = np.fromiter(
+            chain.from_iterable(chain.from_iterable(postings.values())),
+            dtype=np.int64,
+            count=3 * int(run_lengths.sum()),
+        ).reshape(-1, 3)
+        return cls._assembled(
+            index,
+            np.repeat(signature_hashes(list(postings)), run_lengths),
+            *rows.T,
             num_documents=index.num_documents,
             num_windows=index.num_windows,
             build_stats=index.build_stats,
@@ -196,32 +201,22 @@ class CompactIntervalIndex:
             (index if isinstance(index, cls) else cls.from_index(index), base)
             for index, base in parts
         ]
-        keys = np.concatenate(
-            [np.repeat(p._keys, np.diff(p._offsets)) for p, _ in frozen]
-        )
         docs = np.concatenate(
             [p._docs.astype(np.int64) + base for p, base in frozen]
         )
         keep = ~np.isin(docs, np.fromiter(removed, dtype=np.int64))
-        order = np.flatnonzero(keep)
-        order = order[np.argsort(keys[order], kind="stable")]
-        unique_keys, counts = np.unique(keys[order], return_counts=True)
-        offsets = np.zeros(len(unique_keys) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        first = frozen[0][0]
         build_stats: dict[str, int] = {}
         for part, _ in frozen:
             for name, value in part.build_stats.items():
                 build_stats[name] = build_stats.get(name, 0) + value
-        return cls(
-            first.w,
-            first.tau,
-            first.scheme,
-            keys=unique_keys,
-            offsets=offsets,
-            docs=_packed_column(docs[order]),
-            us=_packed_column(np.concatenate([p._us for p, _ in frozen])[order]),
-            vs=_packed_column(np.concatenate([p._vs for p, _ in frozen])[order]),
+        return cls._assembled(
+            frozen[0][0],
+            np.concatenate(
+                [np.repeat(p._keys, np.diff(p._offsets)) for p, _ in frozen]
+            )[keep],
+            docs[keep],
+            np.concatenate([p._us for p, _ in frozen])[keep],
+            np.concatenate([p._vs for p, _ in frozen])[keep],
             num_documents=sum(p.num_documents for p, _ in frozen),
             num_windows=sum(p.num_windows for p, _ in frozen),
             build_stats=build_stats,
@@ -267,26 +262,19 @@ class CompactIntervalIndex:
     # ------------------------------------------------------------------
     # Probe contract (mirrors IntervalIndex)
     # ------------------------------------------------------------------
-    #: Bound on the hash -> slot memo (entries, hits and misses alike).
-    _SLOT_CACHE_MAX = 1 << 16
+    def _run_slots(self, signatures: Sequence[Signature]) -> np.ndarray:
+        """Key-column position of each signature's postings run.
 
-    #: Below this many memo *misses* in one batch, they resolve through
-    #: the scalar slot path: the vectorized FNV/searchsorted pipeline
-    #: has a fixed numpy-call overhead that only amortizes once a couple
-    #: dozen signatures need hashing at once.
-    _VECTOR_MIN = 24
-
-    def _slot(self, signature: Signature) -> int:
-        slot = self._slots.get(signature)
-        if slot is None:
-            keys = self._keys
-            h = signature_hash(signature)
-            lo = int(np.searchsorted(keys, h))
-            slot = lo if lo < len(keys) and int(keys[lo]) == h else -1
-            if len(self._slots) >= self._SLOT_CACHE_MAX:
-                self._slots.clear()
-            self._slots[signature] = slot
-        return slot
+        A signature the index does not hold gets slot ``len(keys)``,
+        whose run in the padded offsets is empty.
+        """
+        keys = self._keys
+        hashes = signature_hashes(signatures)
+        slots = np.searchsorted(keys, hashes)
+        held = slots < len(keys)
+        held[held] = keys[slots[held]] == hashes[held]
+        slots[~held] = len(keys)
+        return slots
 
     def probe_many(
         self,
@@ -295,59 +283,22 @@ class CompactIntervalIndex:
     ) -> ProbeBatch:
         """Resolve a whole batch of signatures with one vectorized gather.
 
-        Memo-first: every signature is first looked up in the tuple ->
-        slot memo (one dict hit, no hashing), and only the misses are
-        resolved — scalar for a handful, or by hashing them all at once
-        (:func:`~repro.signatures.generate.signature_hashes`) plus a
-        single ``np.searchsorted`` over the sorted key column when there
-        are enough to amortize the vector pipeline.  Resolved slots are
-        memoized, so steady-state probing of a working set is pure dict
-        hits followed by one fancy-indexed gather of all hit postings
-        runs out of the flat columns — no per-posting Python work at
-        all.  Hit order matches the scalar loop: signature order,
+        Three steps, none of which writes to the index: hash the batch
+        (:func:`~repro.signatures.generate.signature_hashes`), find
+        every hash with one ``np.searchsorted`` over the sorted key
+        column, and gather all hit postings runs out of the flat columns
+        with one fancy-indexing pass — no per-posting Python work at
+        all.  Hit order matches the dict index: signature order,
         postings append order within a signature.  ``signs`` carries the
         per-signature +1/-1 candidate delta (omitted = all +1).
         """
         n = len(signatures)
         if n == 0:
             return ProbeBatch.empty()
-        memo = self._slots
-        slot_list: list[int] = []
-        missing: list[int] = []
-        for signature in signatures:
-            slot = memo.get(signature)
-            if slot is None:
-                missing.append(len(slot_list))
-                slot_list.append(-1)
-            else:
-                slot_list.append(slot)
-        if missing:
-            if len(missing) < self._VECTOR_MIN:
-                for i in missing:
-                    slot_list[i] = self._slot(signatures[i])
-            else:
-                keys = self._keys
-                hashes = signature_hashes([signatures[i] for i in missing])
-                if len(keys):
-                    positions = np.minimum(
-                        np.searchsorted(keys, hashes), len(keys) - 1
-                    )
-                    resolved = np.where(
-                        keys[positions] == hashes, positions, -1
-                    ).tolist()
-                else:
-                    resolved = [-1] * len(missing)
-                if len(memo) + len(missing) > self._SLOT_CACHE_MAX:
-                    memo.clear()
-                for i, slot in zip(missing, resolved):
-                    slot_list[i] = slot
-                    memo[signatures[i]] = slot
-        slot_column = np.asarray(slot_list, dtype=np.int64)
-        # Misses gather through the padded sentinel slot (empty run).
-        slot_column[slot_column < 0] = len(self._keys)
+        slots = self._run_slots(signatures)
         padded = self._offsets_padded
-        starts = padded[slot_column]
-        counts = padded[slot_column + 1] - starts
+        starts = padded[slots]
+        counts = padded[slots + 1] - starts
         total = int(counts.sum())
         if total == 0:
             return ProbeBatch.empty(probed=n)
@@ -365,7 +316,7 @@ class CompactIntervalIndex:
         )
 
     def __contains__(self, signature: Signature) -> bool:
-        return self._slot(signature) >= 0
+        return bool(self._run_slots([signature])[0] < len(self._keys))
 
     # ------------------------------------------------------------------
     # Mutation is refused — the structure is frozen by design.

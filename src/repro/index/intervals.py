@@ -130,6 +130,21 @@ class ProbeBatch:
         np.cumsum(self.sig_counts, out=bounds[1:])
         return bounds
 
+    def _kept(self, keep: np.ndarray) -> "ProbeBatch":
+        """The entries flagged in ``keep``; ``self`` when that is all."""
+        if keep.all():
+            return self
+        owner = np.repeat(
+            np.arange(self.probed, dtype=np.int64), self.sig_counts
+        )
+        sig_counts = np.bincount(owner[keep], minlength=self.probed).astype(
+            np.int64
+        )
+        return ProbeBatch(
+            self.docs[keep], self.us[keep], self.vs[keep],
+            self.signs[keep], sig_counts, self.probed,
+        )
+
     def without_docs(self, removed) -> "ProbeBatch":
         """The batch minus entries of tombstoned documents (vectorized).
 
@@ -144,19 +159,7 @@ class ProbeBatch:
         removed_column = np.fromiter(removed, dtype=np.int64)
         if not len(removed_column):
             return self
-        keep = ~np.isin(self.docs, removed_column)
-        if keep.all():
-            return self
-        owner = np.repeat(
-            np.arange(self.probed, dtype=np.int64), self.sig_counts
-        )
-        sig_counts = np.bincount(owner[keep], minlength=self.probed).astype(
-            np.int64
-        )
-        return ProbeBatch(
-            self.docs[keep], self.us[keep], self.vs[keep],
-            self.signs[keep], sig_counts, self.probed,
-        )
+        return self._kept(~np.isin(self.docs, removed_column))
 
     def where_docs(self, allowed: np.ndarray) -> "ProbeBatch":
         """The batch restricted to documents flagged in a boolean mask.
@@ -166,25 +169,15 @@ class ProbeBatch:
         ``sig_counts`` re-derived exactly as in :meth:`without_docs` so
         per-signature slicing keeps working.  Doc ids at or beyond the
         mask's length are *kept* — a document the tier never
-        fingerprinted must not be pruned.  Returns ``self`` unchanged
-        when every entry survives.
+        fingerprinted must not be pruned — so an empty mask keeps
+        everything.  Returns ``self`` unchanged when every entry
+        survives.
         """
-        if not len(self.docs):
+        if not len(self.docs) or not len(allowed):
             return self
-        keep = (self.docs >= len(allowed)) | allowed[
-            np.minimum(self.docs, len(allowed) - 1)
-        ]
-        if keep.all():
-            return self
-        owner = np.repeat(
-            np.arange(self.probed, dtype=np.int64), self.sig_counts
-        )
-        sig_counts = np.bincount(owner[keep], minlength=self.probed).astype(
-            np.int64
-        )
-        return ProbeBatch(
-            self.docs[keep], self.us[keep], self.vs[keep],
-            self.signs[keep], sig_counts, self.probed,
+        return self._kept(
+            (self.docs >= len(allowed))
+            | allowed[np.minimum(self.docs, len(allowed) - 1)]
         )
 
     def __repr__(self) -> str:

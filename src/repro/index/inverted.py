@@ -35,7 +35,7 @@ class WindowInvertedIndex:
         postings = self._postings
         for start, _outgoing, _incoming in slider.slides():
             signatures = generate_signatures(
-                slider.multiset.raw, self.tau, self.scheme
+                slider.window, self.tau, self.scheme
             )
             self.generated_signatures += len(signatures)
             self.generated_token_cost += sum(len(s) for s in signatures)

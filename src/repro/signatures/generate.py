@@ -79,7 +79,9 @@ def signature_hash(signature: Signature) -> int:
     compactness; we use 64 bits to make collisions negligible while
     keeping the same memory-shape argument.  The frozen
     :class:`~repro.index.CompactIntervalIndex` keys on it; the dict
-    index keys on the rank tuples themselves (collision-free).
+    index keys on the rank tuples themselves (collision-free).  This
+    scalar form is the reference the tests hold :func:`signature_hashes`
+    to, bit for bit; the library itself calls only that kernel.
     """
     value = 0xCBF29CE484222325
     for rank in signature:
@@ -108,8 +110,8 @@ def signature_hashes(signatures: Sequence[Signature]) -> np.ndarray:
     all ``n`` signatures at once — the little-endian byte view of the
     ``uint64`` rank column replaces the scalar shift-and-mask loop, and
     unsigned multiplication wraps modulo 2**64 exactly like the masked
-    Python multiply.  This is what makes batched probing cheap: the
-    scalar hash is the dominant cost of a compact-index probe.
+    Python multiply.  Freezing, folding and probing the compact index
+    all key through this one function.
     """
     n = len(signatures)
     out = np.empty(n, dtype=np.uint64)

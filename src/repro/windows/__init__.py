@@ -1,22 +1,19 @@
 """Sliding-window substrate.
 
 A window is ``w`` consecutive tokens viewed as a multiset.  This package
-provides the data structures the paper's Section 4 relies on: a sorted
-multiset (the paper suggests a binary search tree; a bisect-backed
-sorted list is fastest in CPython for window-sized collections), a
-:class:`WindowSlider` that walks a document maintaining the sorted
-view, and :func:`window_overlap`, the one-shot multiset-intersection
-size that non-rolling algorithms and the tests use as the reference.
+provides what the paper's Section 4 relies on: a
+:class:`WindowSlider` that walks a document maintaining the window's
+sorted view, and :func:`window_overlap`, the one-shot
+multiset-intersection size that non-rolling algorithms and the tests
+use as the reference.
 The rolling O(1)-per-slide update of Section 4.3 lives in
 :class:`repro.core.verify.IntervalVerifier`.
 """
 
 from .rolling import window_overlap
 from .slider import WindowSlider
-from .sorted_multiset import SortedMultiset
 
 __all__ = [
-    "SortedMultiset",
     "WindowSlider",
     "window_overlap",
 ]

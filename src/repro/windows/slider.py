@@ -3,15 +3,15 @@
 Used by the interval-sharing index builder and query processor
 (Section 4): for each slide from ``W(d, i)`` to ``W(d, i + 1)`` exactly
 one token leaves (``d[i]``) and one enters (``d[i + w]``), so the sorted
-multiset is maintained incrementally instead of re-sorted per window.
+window is maintained incrementally instead of re-sorted per window.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Iterator, Sequence
 
 from ..errors import ConfigurationError
-from .sorted_multiset import SortedMultiset
 
 
 class WindowSlider:
@@ -26,9 +26,12 @@ class WindowSlider:
 
     Attributes
     ----------
-    multiset:
-        The sorted multiset of the *current* window; valid between
-        iterations of :meth:`slides`.
+    window:
+        The ranks of the *current* window as a plain sorted list (the
+        paper's Section 4.1 suggests a binary search tree; for
+        window-sized collections a list kept by ``bisect`` is faster in
+        CPython); valid between iterations of :meth:`slides`.  Read it,
+        slice it — do not write to it.
     start:
         Start position of the current window.
     """
@@ -39,7 +42,7 @@ class WindowSlider:
         self.ranks = ranks
         self.w = w
         self.start = 0
-        self.multiset = SortedMultiset(ranks[:w]) if len(ranks) >= w else SortedMultiset()
+        self.window: list[int] = sorted(ranks[:w]) if len(ranks) >= w else []
 
     @property
     def num_windows(self) -> int:
@@ -49,9 +52,9 @@ class WindowSlider:
     def slides(self) -> Iterator[tuple[int, int | None, int | None]]:
         """Yield ``(start, outgoing, incoming)`` for every window.
 
-        The first yield is ``(0, None, None)`` with the multiset already
+        The first yield is ``(0, None, None)`` with the window already
         holding ``W(d, 0)``; each subsequent yield reports the rank that
-        left and the rank that entered, after the multiset was updated.
+        left and the rank that entered, after the window was updated.
         """
         if self.num_windows == 0:
             return
@@ -59,16 +62,16 @@ class WindowSlider:
         yield (0, None, None)
         ranks = self.ranks
         w = self.w
-        multiset = self.multiset
+        window = self.window
         for start in range(1, self.num_windows):
             outgoing = ranks[start - 1]
             incoming = ranks[start + w - 1]
             if outgoing != incoming:
-                multiset.remove(outgoing)
-                multiset.add(incoming)
+                del window[bisect_left(window, outgoing)]
+                insort(window, incoming)
             self.start = start
             yield (start, outgoing, incoming)
 
     def sorted_window(self) -> list[int]:
         """Sorted ranks of the current window (copy)."""
-        return self.multiset.as_list()
+        return list(self.window)

@@ -11,6 +11,7 @@ mapped snapshot.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import random
 import sys
@@ -118,16 +119,13 @@ class TestCompactParity:
 class TestHashedCollisions:
     """Colliding keys merge postings runs: extra candidates, same pairs."""
 
-    def _collide_all_hashes(self, monkeypatch):
+    def _collide_all_hashes(self, monkeypatch, value=7):
         from repro.index import compact as compact_module
 
-        # Both the scalar and the vectorized hasher must collide, or
-        # the batched probe path would "hash" differently from freezing.
-        monkeypatch.setattr(compact_module, "signature_hash", lambda sig: 7)
         monkeypatch.setattr(
             compact_module,
             "signature_hashes",
-            lambda sigs: np.full(len(sigs), 7, dtype=np.uint64),
+            lambda sigs: np.full(len(sigs), value, dtype=np.uint64),
         )
 
     def test_compact_collision_pairs_survive(self, built, queries, monkeypatch):
@@ -152,10 +150,9 @@ class TestHashedCollisions:
     def test_two_keys_share_a_bucket(self, monkeypatch):
         # Minimal shape of the collision property: two distinct tuple
         # keys, one bucket, both postings runs preserved.
-        from repro.index import compact as compact_module
         from repro.partition import equi_width_scheme
 
-        monkeypatch.setattr(compact_module, "signature_hash", lambda sig: 42)
+        self._collide_all_hashes(monkeypatch, value=42)
         scheme = equi_width_scheme(8, 2)
         index = IntervalIndex(4, 1, scheme)
         index._postings[(1, 2)] = [ProbeHit(0, 0, 3)]
@@ -165,6 +162,83 @@ class TestHashedCollisions:
         for key in ((1, 2), (3, 4)):
             (run,) = probe_runs(frozen.probe_many([key]))
             assert sorted(run) == [(0, 0, 3), (1, 5, 9)]
+
+
+class TestWrittenOnce:
+    """A frozen index is one set of columns, however it was assembled,
+    and reading it leaves every one of them as it was."""
+
+    #: BLAKE2b of the five columns (names, dtypes, bytes) of the ``built``
+    #: index, taken at commit 9ae3187 — the last to freeze through the
+    #: bucket dict.  It moves only if the stored format does.
+    COLUMNS_DIGEST = "e92d88aa70c2326376368a6dc34dd7f7"
+
+    @staticmethod
+    def digest(index):
+        columns = index.to_arrays()[1]
+        state = hashlib.blake2b(digest_size=16)
+        for name in CompactIntervalIndex.COLUMNS:
+            state.update(f"{name}:{columns[name].dtype.str}:".encode())
+            state.update(columns[name].tobytes())
+        return state.hexdigest()
+
+    def test_freeze_and_fold_assemble_the_same_columns(self, built):
+        _data, searcher = built
+        frozen = CompactIntervalIndex.from_index(searcher.index)
+        folded = CompactIntervalIndex.merged([(searcher.index, 0)])
+        refolded = CompactIntervalIndex.merged([(frozen, 0)])
+        columns = frozen.to_arrays()[1]
+        assert tuple(columns) == CompactIntervalIndex.COLUMNS
+        for other in (folded, refolded):
+            for name, column in other.to_arrays()[1].items():
+                assert column.dtype == columns[name].dtype, name
+                assert column.tobytes() == columns[name].tobytes(), name
+        assert self.digest(frozen) == self.COLUMNS_DIGEST
+
+    def test_probing_writes_nothing(self, built):
+        _data, searcher = built
+        index = searcher.compacted().index
+        held = list(searcher.index._postings)
+        missing = [(10**9 + i, 10**9 + i + 1) for i in range(50)]
+        rng = random.Random(9)
+        batches = [[()], [held[0]], [missing[0]], held[:200], missing]
+        for _ in range(45):
+            batch = rng.sample(held, 100) + rng.sample(missing, 20) + [()]
+            rng.shuffle(batch)
+            batches.append(batch)
+        before = dict(vars(index))
+        sizes = {name: len(value) for name, value in before.items()
+                 if hasattr(value, "__len__")}
+        copies = {name: value.copy() for name, value in before.items()
+                  if isinstance(value, np.ndarray)}
+        assert len(copies) == 6  # the five columns and the padded offsets
+        expected = [probe_runs(index.probe_many(batch)) for batch in batches]
+        assert held[0] in index and missing[0] not in index and () not in index
+        errors: list[BaseException] = []
+
+        def probe() -> None:
+            try:
+                for _ in range(5):
+                    for batch, runs in zip(batches, expected):
+                        assert probe_runs(index.probe_many(batch)) == runs
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=probe) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        after = vars(index)
+        assert after.keys() == before.keys()
+        for name, value in before.items():
+            assert after[name] is value, name
+        assert {name: len(after[name]) for name in sizes} == sizes
+        for name, copy in copies.items():
+            assert after[name].dtype == copy.dtype, name
+            assert after[name].tobytes() == copy.tobytes(), name
 
 
 class TestFrozenGuards:

@@ -294,9 +294,7 @@ class TestTrafficAuditRemovals:
     def test_windows_exports_one_of_each(self):
         import repro.windows
 
-        assert sorted(repro.windows.__all__) == [
-            "SortedMultiset", "WindowSlider", "window_overlap",
-        ]
+        assert sorted(repro.windows.__all__) == ["WindowSlider", "window_overlap"]
         for name in ("TreapMultiset", "RollingOverlap"):
             assert not hasattr(repro.windows, name)
 

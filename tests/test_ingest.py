@@ -543,7 +543,9 @@ class TestFoldIsMerge:
 
     def test_colliding_hashes_merge_as_multisets(self, monkeypatch):
         monkeypatch.setattr(
-            compact_module, "signature_hash", lambda sig: sum(sig) % 5
+            compact_module,
+            "signature_hashes",
+            lambda sigs: np.asarray([sum(sig) % 5 for sig in sigs], dtype=np.uint64),
         )
 
         def check(store, ranks_of, segment, dead):

@@ -2,7 +2,7 @@
 
 Covers the vectorized FNV hasher against the scalar reference, the
 dict/compact ``probe_many`` parity contract (hit-for-hit, including
-forced 64-bit collisions and memo steady state), the flat-column batch
+forced 64-bit collisions and repeated probes), the flat-column batch
 protocol itself (``sig_counts`` slicing, empty and all-OOV batches,
 tombstone filtering), and the searcher-level guarantees the batched
 slide loop must preserve: pair parity with tombstones and a populated,
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import PKWiseSearcher, SearchParams
 from repro.index import CompactIntervalIndex, ProbeBatch
@@ -56,6 +58,21 @@ class TestSignatureHashes:
         assert vectorized.dtype == np.uint64
         assert vectorized.tolist() == [signature_hash(s) for s in signatures]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6).map(tuple),
+            max_size=30,
+        )
+    )
+    def test_any_batch_matches_scalar_reference(self, signatures):
+        # The scalar hash is called nowhere in src/: it is the reference
+        # this kernel is held to, lazy / OOV (negative) ranks and the
+        # empty tuple included.
+        assert signature_hashes(signatures).tolist() == [
+            signature_hash(s) for s in signatures
+        ]
+
     def test_empty_input(self):
         assert len(signature_hashes([])) == 0
 
@@ -85,29 +102,21 @@ class TestProbeManyParity:
         _data, searcher = built
         dict_index, compact_index = self._indexes(searcher)
         keys = list(dict_index._postings)
-        assert len(keys) > CompactIntervalIndex._VECTOR_MIN
         oov = (10**9, 10**9 + 1)
-        batch_keys = keys + [oov]
-        signs = [1 if i % 3 else -1 for i in range(len(batch_keys))]
-        a = dict_index.probe_many(batch_keys, signs)
-        b = compact_index.probe_many(batch_keys, signs)
-        assert a.probed == b.probed == len(batch_keys)
-        assert a.entries == b.entries > 0
-        assert batch_rows(a) == batch_rows(b)
-        assert a.sig_counts.tolist() == b.sig_counts.tolist()
-        # Steady state: the memo is now warm; a repeat probe must be
-        # identical (this exercises the all-hits small-dict-gets path).
-        again = compact_index.probe_many(batch_keys, signs)
-        assert batch_rows(again) == batch_rows(b)
-
-    def test_small_batches_agree(self, built):
-        _data, searcher = built
-        dict_index, compact_index = self._indexes(searcher)
-        keys = list(dict_index._postings)[:5]  # below _VECTOR_MIN
-        a = dict_index.probe_many(keys)
-        b = compact_index.probe_many(keys)
-        assert batch_rows(a) == batch_rows(b)
-        assert a.signs.tolist() == [1] * a.entries  # default sign is +1
+        for batch_keys in (keys[:1], keys[:5], keys + [oov]):
+            signs = [1 if i % 3 else -1 for i in range(len(batch_keys))]
+            a = dict_index.probe_many(batch_keys, signs)
+            b = compact_index.probe_many(batch_keys, signs)
+            assert a.probed == b.probed == len(batch_keys)
+            assert a.entries == b.entries > 0
+            assert batch_rows(a) == batch_rows(b)
+            assert a.sig_counts.tolist() == b.sig_counts.tolist()
+            # A probe leaves nothing behind: asked again, the same rows.
+            again = compact_index.probe_many(batch_keys, signs)
+            assert batch_rows(again) == batch_rows(b)
+            unsigned = compact_index.probe_many(batch_keys)
+            assert batch_rows(unsigned) == batch_rows(dict_index.probe_many(batch_keys))
+            assert unsigned.signs.tolist() == [1] * b.entries  # default sign is +1
 
     def test_sig_counts_slice_matches_scalar_probe(self, built):
         # The dict index's scalar ``probe`` is the reference postings
@@ -122,7 +131,6 @@ class TestProbeManyParity:
 
     def test_forced_collision_merges_runs(self, built, monkeypatch):
         _data, searcher = built
-        monkeypatch.setattr(compact_module, "signature_hash", lambda sig: 7)
         monkeypatch.setattr(
             compact_module,
             "signature_hashes",
@@ -187,6 +195,22 @@ class TestProbeBatchEdges:
         batch = ProbeBatch.from_rows([0], [1], [2], [1], [1])
         assert batch.without_docs({99}) is batch
         assert batch.without_docs(set()) is batch
+
+
+    def test_where_docs_keeps_ids_beyond_the_mask(self):
+        batch = ProbeBatch.from_rows(
+            docs=[0, 1, 1, 2],
+            us=[0, 5, 9, 3],
+            vs=[4, 8, 12, 6],
+            signs=[1, 1, -1, 1],
+            sig_counts=[2, 1, 0, 1],
+        )
+        filtered = batch.where_docs(np.asarray([True, False]))
+        assert filtered.docs.tolist() == [0, 2]  # 2 was never fingerprinted
+        assert filtered.sig_counts.tolist() == [1, 0, 0, 1]
+        assert batch.where_docs(np.asarray([True, True])) is batch
+        # A mask over no document at all prunes none (IndexError once).
+        assert batch.where_docs(np.zeros(0, dtype=bool)) is batch
 
 
 class TestSearcherLevelBatching:
