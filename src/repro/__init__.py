@@ -118,7 +118,7 @@ from .partition import (
     workload_cost,
 )
 
-__version__ = "2.13.0"
+__version__ = "2.14.0"
 
 __all__ = [
     "__version__",

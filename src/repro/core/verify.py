@@ -18,6 +18,11 @@ with two comparisons per query change instead of recomputing it
 (:class:`_IntervalState`).  It does not skip calls: every (query window,
 interval) is still verified, and returns what a fresh verifier would.
 
+All three tables — the query window's, an interval's first window's and
+the per-call copy rolled across it — are plain ``dict``s from rank to
+multiplicity, so each of Eq. 4's hash operations is one C-level ``dict``
+operation; an absent rank reads as 0 through ``.get``.
+
 The verifier never sees a whole document: it reads ``d[u : v + w]``
 through the rank container's slice accessor (:func:`slice_accessor`),
 one kernel for packed columns, tiered views and plain lists.
@@ -65,7 +70,7 @@ class _IntervalState:
 
     def __init__(self, ranks: list[int], w: int) -> None:
         self.ranks = ranks
-        self.first: Counter[int] = Counter(ranks[:w])
+        self.first: dict[int, int] = dict(Counter(ranks[:w]))
         self.changes: list[int] | None = None
         self.overlap = 0
         self.stamp = -1
@@ -82,9 +87,10 @@ class IntervalVerifier:
         Search parameters.
 
     The verifier is positional: :meth:`advance_to` moves the query-side
-    table to a given query window (normally one slide at a time), then
-    :meth:`verify_interval` checks one candidate interval of one data
-    document against the current query window.
+    table (a ``dict`` that never holds a zero) to a given query window
+    (normally one slide at a time), then :meth:`verify_interval` checks
+    one candidate interval of one data document against the current
+    query window.
 
     One verifier serves one query against one rank container: the state
     it carries from window to window is keyed by ``(doc_id, u, v)``
@@ -98,7 +104,7 @@ class IntervalVerifier:
         self.w = w
         self.tau = tau
         self.query_start = 0
-        self._query_counts: Counter[int] = Counter(query_ranks[:w])
+        self._query_counts: dict[int, int] = dict(Counter(query_ranks[:w]))
         self.hash_ops = min(w, len(query_ranks))  # initial fill operations
         self.candidate_windows = 0
         #: ``verify_interval`` calls answered from a carried state.
@@ -160,7 +166,7 @@ class IntervalVerifier:
                 del counts[outgoing]
             else:
                 counts[outgoing] = before - 1
-            after = counts[incoming] + 1
+            after = counts.get(incoming, 0) + 1
             counts[incoming] = after
             replay.append((outgoing, before, incoming, after))
         self.hash_ops += 2 * len(replay)
@@ -260,7 +266,7 @@ class IntervalVerifier:
         cursor = 0  # changes rolled so far
 
         matches: list[MatchPair] = []
-        data_counts = first.copy()
+        data_counts = dict(first)
         query_get = query_counts.get
         data_get = data_counts.get
         candidate_windows = 0
@@ -288,9 +294,8 @@ class IntervalVerifier:
                 old = data_counts[outgoing]
                 if query_get(outgoing, 0) >= old:
                     overlap -= 1
-                # A rank that left stays in the table at 0 (``del`` on
-                # a Counter is a Python-level call); the copy dies with
-                # this call.
+                # A rank that left stays at 0: one store measured cheaper
+                # than a branch and a ``del``; the copy dies with this call.
                 data_counts[outgoing] = old - 1
                 new = data_get(incoming, 0) + 1
                 data_counts[incoming] = new

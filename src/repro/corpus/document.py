@@ -47,10 +47,7 @@ class Document:
     @property
     def source_tokens(self) -> tuple[str, ...] | None:
         """Original token strings when encoded from text, else None."""
-        try:
-            return self._source
-        except AttributeError:  # documents unpickled from older snapshots
-            return None
+        return self._source
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro import CorpusError, DocumentCollection, PKWiseSearcher
@@ -46,6 +48,14 @@ class TestDocument:
         assert list(doc) == [0, 1, 0]
         assert doc[0] == 0
         assert doc[1:] == (1, 0)
+
+    def test_source_tokens_survive_a_pickle_round_trip(self):
+        data = DocumentCollection()
+        doc = pickle.loads(pickle.dumps(data.add_text("a b c")))
+        query = pickle.loads(pickle.dumps(data.encode_query("a zzz c")))
+        assert doc.source_tokens is None
+        assert query.source_tokens == ("a", "zzz", "c")
+        assert data.decode_window(query, 0, 3) == ["a", "zzz", "c"]
 
 
 class TestCollection:

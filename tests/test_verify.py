@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,67 @@ def fresh_answer(query_ranks, w, tau, query_start, rank_slice, interval):
     return pairs, verifier.hash_ops - before, verifier.candidate_windows
 
 
+def carried_case(rng, tau_pick, alphabet, query_slides):
+    """``(w, tau, query_ranks, docs)``: a query of ``w + query_slides``
+    ranks holding a run of slides that change nothing, and three
+    documents, most of them reusing a stretch of it."""
+    w = rng.randint(6, 10)
+    tau = {"0": 0, "5": 5, "w - 1": w - 1}[tau_pick]
+    if alphabet == "4":
+        draw = lambda length: [rng.randrange(4) for _ in range(length)]
+    else:
+        draw = lambda length: zipfian(rng, length)
+    query_ranks = draw(w + query_slides)
+    # A run of slides that change nothing: ranks[p] == ranks[p + w].
+    at = rng.randrange(len(query_ranks) - w)
+    for p in range(at, min(at + rng.randint(1, w), len(query_ranks) - w)):
+        query_ranks[p + w] = query_ranks[p]
+    docs = [draw(w + rng.randint(0, 40)) for _ in range(3)]
+    for doc_ranks in docs:  # reuse: a stretch of the query
+        if rng.random() < 0.7:
+            length = rng.randint(w, min(len(doc_ranks), len(query_ranks)))
+            src = rng.randint(0, len(query_ranks) - length)
+            dst = rng.randint(0, len(doc_ranks) - length)
+            doc_ranks[dst : dst + length] = query_ranks[src : src + length]
+    return w, tau, query_ranks, docs
+
+
+def live_intervals(rng, w, query_ranks, docs):
+    """``(query_start, live, verified)`` for every query window: each
+    interval persists, grows, shrinks or vanishes from one window to the
+    next, a vanished one may return with the same extent, and some
+    windows are verified by nobody (the next advance jumps)."""
+
+    def some_interval():
+        doc_id = rng.randrange(len(docs))
+        u = rng.randint(0, len(docs[doc_id]) - w)
+        return doc_id, u, rng.randint(u, len(docs[doc_id]) - w)
+
+    def moved(interval):
+        # persists / grows / shrinks; None = vanishes
+        doc_id, u, v = interval
+        move = rng.choice(["stay", "stay", "grow", "shrink", "vanish"])
+        if move == "grow":
+            return doc_id, max(0, u - rng.randint(0, 2)), min(
+                len(docs[doc_id]) - w, v + rng.randint(0, 3)
+            )
+        if move == "shrink" and v > u:
+            return doc_id, u + 1, v
+        return None if move == "vanish" else interval
+
+    live = {some_interval() for _ in range(rng.randint(1, 4))}
+    gone = []
+    for query_start in range(len(query_ranks) - w + 1):
+        after = {moved(interval) for interval in live}
+        gone.extend(live - after)
+        if gone and rng.random() < 0.3:
+            after.add(rng.choice(gone))  # returns with the same extent
+        if rng.random() < 0.2:
+            after.add(some_interval())
+        live = after - {None}
+        yield query_start, live, bool(live) and rng.random() >= 0.15
+
+
 class TestCarriedState:
     """What the verifier keeps per interval between query windows changes
     the cost of a call, never its answer or its abstract counts."""
@@ -281,65 +343,28 @@ class TestCarriedState:
         self, seed, tau_pick, alphabet, packed, prune
     ):
         rng = random.Random(seed)
-        w = rng.randint(6, 10)
-        tau = {"0": 0, "5": 5, "w - 1": w - 1}[tau_pick]
-        if alphabet == "4":
-            draw = lambda length: [rng.randrange(4) for _ in range(length)]
-        else:
-            draw = lambda length: zipfian(rng, length)
-        query_ranks = draw(w + rng.randint(4, 30))
-        # A run of slides that change nothing: ranks[p] == ranks[p + w].
-        at = rng.randrange(len(query_ranks) - w)
-        for p in range(at, min(at + rng.randint(1, w), len(query_ranks) - w)):
-            query_ranks[p + w] = query_ranks[p]
-        docs = [draw(w + rng.randint(0, 40)) for _ in range(3)]
-        for doc_ranks in docs:  # reuse: a stretch of the query
-            if rng.random() < 0.7:
-                length = rng.randint(w, min(len(doc_ranks), len(query_ranks)))
-                src = rng.randint(0, len(query_ranks) - length)
-                dst = rng.randint(0, len(doc_ranks) - length)
-                doc_ranks[dst : dst + length] = query_ranks[src : src + length]
+        w, tau, query_ranks, docs = carried_case(
+            rng, tau_pick, alphabet, query_slides=rng.randint(4, 30)
+        )
         rank_slice = slice_accessor(
             PackedRankDocs.from_lists(docs) if packed else docs
         )
-
-        def some_interval():
-            doc_id = rng.randrange(len(docs))
-            u = rng.randint(0, len(docs[doc_id]) - w)
-            return doc_id, u, rng.randint(u, len(docs[doc_id]) - w)
-
-        def moved(interval):
-            # persists / grows / shrinks; None = vanishes
-            doc_id, u, v = interval
-            move = rng.choice(["stay", "stay", "grow", "shrink", "vanish"])
-            if move == "grow":
-                return doc_id, max(0, u - rng.randint(0, 2)), min(
-                    len(docs[doc_id]) - w, v + rng.randint(0, 3)
-                )
-            if move == "shrink" and v > u:
-                return doc_id, u + 1, v
-            return None if move == "vanish" else interval
-
         carried = IntervalVerifier(query_ranks, w, tau)
-        live = {some_interval() for _ in range(rng.randint(1, 4))}
-        gone = []
         held = set()  # intervals the verifier has a state for
         expect_carried = 0
-        for query_start in range(len(query_ranks) - w + 1):
-            after = {moved(interval) for interval in live}
-            gone.extend(live - after)
-            if gone and rng.random() < 0.3:
-                after.add(rng.choice(gone))  # returns with the same extent
-            if rng.random() < 0.2:
-                after.add(some_interval())
-            live = after - {None}
+        for query_start, live, verified in live_intervals(rng, w, query_ranks, docs):
             if prune:
                 carried.retain(live)
                 held &= live
                 assert set(carried._states) == held
-            if not live or rng.random() < 0.15:
-                continue  # a window nobody verifies: the next advance jumps
+            if not verified:
+                continue
             carried.advance_to(query_start)
+            # The query-side table is its definition: no zero, no
+            # negative, no leftover key.
+            assert carried._query_counts == dict(
+                Counter(query_ranks[query_start : query_start + w])
+            )
             for interval in sorted(live):
                 want = fresh_answer(
                     query_ranks, w, tau, query_start, rank_slice, interval
@@ -387,3 +412,46 @@ class TestCarriedState:
             == jumped.verify_interval(0, rank_slice, 0, 0)
             == fresh_answer(query_ranks, w, tau, 3, rank_slice, (0, 0, 0))[0]
         )
+
+
+class TestTables:
+    """The verifier's three tables are plain ``dict``s: no update, read
+    or copy of one leaves C for a ``Counter`` method."""
+
+    @pytest.mark.parametrize(
+        "seed, tau_pick, alphabet",
+        [(1, "5", "4"), (2, "0", "zipfian"), (3, "w - 1", "4")],
+    )
+    def test_no_table_operation_reaches_a_counter_method(
+        self, monkeypatch, seed, tau_pick, alphabet
+    ):
+        def python_level(*_args):
+            raise AssertionError("a table operation left C for a Counter method")
+
+        for name in ("copy", "__missing__", "__delitem__"):
+            monkeypatch.setattr(Counter, name, python_level)
+
+        rng = random.Random(seed)
+        w, tau, query_ranks, docs = carried_case(
+            rng, tau_pick, alphabet, query_slides=280
+        )
+        rank_slice = slice_accessor(docs)
+        verifier = IntervalVerifier(query_ranks, w, tau)
+        windows = 0
+        for query_start, live, verified in live_intervals(rng, w, query_ranks, docs):
+            verifier.retain(live)
+            if not verified:
+                continue
+            windows += 1
+            verifier.advance_to(query_start)
+            assert type(verifier._query_counts) is dict
+            for doc_id, u, v in sorted(live):
+                got = verifier.verify_interval(doc_id, rank_slice, u, v)
+                assert [tuple(match) for match in got] == reference_matches(
+                    docs[doc_id], query_ranks, query_start, u, v, w, tau, doc_id
+                )
+            assert verifier._states
+            for state in verifier._states.values():
+                assert type(state.first) is dict
+        assert windows >= 200
+        assert verifier.verify_carried > 0  # intervals did persist
