@@ -85,7 +85,6 @@ from .errors import (
     WorkerStartupError,
 )
 from .index import CompactIntervalIndex, IntervalIndex, PackedRankDocs
-from .ingest import CompactionPolicy, IngestStore, LSMSearcher
 from .faults import FaultPlan, FaultSpec
 from .obs import (
     MetricsRegistry,
@@ -96,20 +95,10 @@ from .obs import (
     get_tracer,
 )
 from .ordering import GlobalOrder
-from .parallel import ParallelExecutor
 from .params import SearchParams, suggested_subpartitions
 from .persistence import PersistenceError, SearcherBundle, save_searcher
 from .postprocess import Passage, filter_passages, merge_passages
 from .routing import RoutingPolicy
-from .service import (
-    ResilientClient,
-    RouterResponse,
-    SearchService,
-    ServiceResponse,
-    ShardPlan,
-    ShardRouter,
-    ShardSupervisor,
-)
 from .partition import (
     CostWeights,
     GreedyPartitioner,
@@ -118,7 +107,43 @@ from .partition import (
     workload_cost,
 )
 
-__version__ = "2.14.0"
+__version__ = "2.15.0"
+
+# The serving, parallel and ingest layers pull in http.server,
+# urllib.request (ssl, email) and multiprocessing — 90 modules and 7 MB
+# that a process which only builds or searches never touches.  Their
+# re-exports resolve on first use (PEP 562); the names and ``__all__``
+# are the same.
+_LAZY = {
+    "ResilientClient": "service",
+    "RouterResponse": "service",
+    "SearchService": "service",
+    "ServiceResponse": "service",
+    "ShardPlan": "service",
+    "ShardRouter": "service",
+    "ShardSupervisor": "service",
+    "ParallelExecutor": "parallel",
+    "CompactionPolicy": "ingest",
+    "IngestStore": "ingest",
+    "LSMSearcher": "ingest",
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY.values():  # repro.service, as an attribute
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "__version__",

@@ -288,7 +288,9 @@ class Index:
         :meth:`add` / :meth:`remove` layers a mutable memtable over it.
         ``mmap=True`` memory-maps the snapshot's array columns instead
         of copying them — near-constant cold open, and concurrent
-        processes mapping the same file share one page cache.
+        processes mapping the same file share one page cache.  The
+        snapshot stores the corpus once: ``index.data`` decodes a
+        document from the rank columns each time one is asked for.
         ``fallback`` controls rotated-snapshot recovery as in
         :func:`~repro.persistence.load_bundle`.  A file written by a
         pre-2.0 release is a typed

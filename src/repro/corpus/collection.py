@@ -16,11 +16,62 @@ from ..tokenize import Tokenizer, Vocabulary, WhitespaceTokenizer
 from .document import Document
 
 
+class ColumnDocuments(Sequence):
+    """The documents of an opened snapshot, read through its rank columns.
+
+    The global order is a bijection between token ids and ranks, so the
+    rank column the verifier reads already holds every document:
+    document ``i`` is ``token_of_rank[rank_docs.doc_ranks(i)]``
+    (:meth:`~repro.GlobalOrder.token_table`).  A :class:`Document` is
+    made on each access and not kept; lengths and names are answered
+    without decoding.  Documents appended after the load are ordinary
+    :class:`Document` objects behind the column-backed prefix.
+    """
+
+    __slots__ = ("_rank_docs", "_token_of_rank", "_names", "_appended")
+
+    def __init__(self, rank_docs, token_of_rank, names: Sequence[str]) -> None:
+        if len(names) != len(rank_docs):
+            raise CorpusError(
+                f"{len(names)} document names for {len(rank_docs)} rank columns"
+            )
+        self._rank_docs = rank_docs
+        self._token_of_rank = token_of_rank
+        self._names = names
+        self._appended: list[Document] = []
+
+    def __len__(self) -> int:
+        return len(self._rank_docs) + len(self._appended)
+
+    def __getitem__(self, doc_id):
+        if isinstance(doc_id, slice):
+            return [self[i] for i in range(*doc_id.indices(len(self)))]
+        index = doc_id + len(self) if doc_id < 0 else doc_id
+        if not 0 <= index < len(self):
+            raise IndexError(f"doc_id {doc_id} out of range")
+        stored = len(self._rank_docs)
+        if index >= stored:
+            return self._appended[index - stored]
+        tokens = self._token_of_rank[self._rank_docs.doc_ranks(index)]
+        return Document(index, tokens.tolist(), name=self._names[index])
+
+    def append(self, document: Document) -> None:
+        self._appended.append(document)
+
+    def lengths(self) -> list[int]:
+        return self._rank_docs.lengths() + [len(d) for d in self._appended]
+
+    def names(self) -> list[str]:
+        return list(self._names) + [d.name for d in self._appended]
+
+
 class DocumentCollection:
     """An ordered, append-only set of tokenized documents.
 
     Construct empty and :meth:`add_text`/:meth:`add_tokens`, or use the
-    loader helpers in :mod:`repro.corpus.loaders`.
+    loader helpers in :mod:`repro.corpus.loaders`.  A collection that
+    came out of a snapshot (:meth:`over_columns`) has the same surface;
+    its documents are a :class:`ColumnDocuments` view.
     """
 
     def __init__(
@@ -31,6 +82,16 @@ class DocumentCollection:
         self.tokenizer = tokenizer if tokenizer is not None else WhitespaceTokenizer()
         self.vocabulary = vocabulary if vocabulary is not None else Vocabulary()
         self._documents: list[Document] = []
+
+    @classmethod
+    def over_columns(
+        cls, tokenizer, vocabulary, rank_docs, token_of_rank, names
+    ) -> "DocumentCollection":
+        """The collection a snapshot reopens as: tokenizer, vocabulary
+        and names from its header, tokens through ``rank_docs``."""
+        self = cls(tokenizer=tokenizer, vocabulary=vocabulary)
+        self._documents = ColumnDocuments(rank_docs, token_of_rank, names)
+        return self
 
     # ------------------------------------------------------------------
     # Construction
@@ -112,7 +173,7 @@ class DocumentCollection:
     # Access
     # ------------------------------------------------------------------
     @property
-    def documents(self) -> list[Document]:
+    def documents(self) -> Sequence[Document]:
         """The documents, in insertion (doc_id) order."""
         return self._documents
 
@@ -125,13 +186,28 @@ class DocumentCollection:
     def __getitem__(self, doc_id: int) -> Document:
         return self._documents[doc_id]
 
+    def lengths(self) -> list[int]:
+        """Document lengths in doc-id order; a snapshot-backed
+        collection reads them off its offsets column, not its tokens."""
+        documents = self._documents
+        if isinstance(documents, ColumnDocuments):
+            return documents.lengths()
+        return [len(document) for document in documents]
+
+    def names(self) -> list[str]:
+        """Document names in doc-id order (no token is read)."""
+        documents = self._documents
+        if isinstance(documents, ColumnDocuments):
+            return documents.names()
+        return [document.name for document in documents]
+
     def total_tokens(self) -> int:
         """Sum of document lengths."""
-        return sum(len(document) for document in self._documents)
+        return sum(self.lengths())
 
     def total_windows(self, w: int) -> int:
         """Total number of sliding windows of size ``w`` over all docs."""
-        return sum(document.num_windows(w) for document in self._documents)
+        return sum(max(0, length - w + 1) for length in self.lengths())
 
     def subset(self, doc_ids: Iterable[int]) -> "DocumentCollection":
         """A new collection containing the given documents (re-numbered).

@@ -435,9 +435,14 @@ class PackedRankDocs(Sequence):
             doc_id += len(self)
         if not 0 <= doc_id < len(self):
             raise IndexError(f"doc_id {doc_id} out of range")
-        start = int(self._offsets[doc_id])
-        end = int(self._offsets[doc_id + 1])
-        return self._values[start:end].tolist()
+        return self.doc_ranks(doc_id).tolist()
+
+    def doc_ranks(self, doc_id: int) -> np.ndarray:
+        """Document ``doc_id``'s run of the values column, as the array
+        view itself (no list): what a snapshot's document view maps back
+        to token ids.  ``doc_id`` is not checked."""
+        offsets = self._offsets
+        return self._values[offsets.item(doc_id) : offsets.item(doc_id + 1)]
 
     def rank_slice(self, doc_id: int, lo: int, hi: int) -> list[int]:
         """``packed[doc_id][lo:hi]`` for ``0 <= lo <= hi`` without
@@ -455,6 +460,10 @@ class PackedRankDocs(Sequence):
         rank is read."""
         offsets = self._offsets
         return offsets.item(doc_id + 1) - offsets.item(doc_id)
+
+    def lengths(self) -> list[int]:
+        """Every document's length from the offsets column alone."""
+        return np.diff(self._offsets).tolist()
 
     def nbytes(self) -> int:
         """Bytes held by the two columns."""

@@ -164,6 +164,16 @@ class GlobalOrder:
         """Token id holding non-negative ``rank``."""
         return self._token_of_rank[rank]
 
+    def token_table(self) -> np.ndarray:
+        """Token id of every rank, laid out so ``table[ranks]`` decodes a
+        rank column in one take: build-time ranks from the front, the
+        lazily admitted (negative) ones from the back, where numpy's
+        negative indexing finds them.  The order is a bijection, so this
+        is how a snapshot reads its documents back without storing them.
+        """
+        admitted = list(self._extra_ranks)  # arrival order: ranks -1, -2, ...
+        return np.array(self._token_of_rank + admitted[::-1], dtype=np.int64)
+
     def frequency_of_rank(self, rank: int) -> int:
         """Window frequency of the token at ``rank`` (0 for negatives)."""
         if rank < 0:
@@ -197,6 +207,14 @@ class GlobalOrder:
         clone._built_size = self._built_size
         clone._extra_ranks = dict(self._extra_ranks)
         clone.num_data_windows = self.num_data_windows
+        return clone
+
+    def detached(self) -> "GlobalOrder":
+        """A :meth:`snapshot` that holds no vocabulary: what an index
+        file pickles when its collection header stores the one copy.
+        The loader puts it back with ``snapshot(vocabulary)``."""
+        clone = self.snapshot()
+        clone._vocabulary = None
         return clone
 
     def rank_sequence(self, tokens: Sequence[int]) -> list[int]:

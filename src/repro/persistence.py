@@ -11,10 +11,14 @@ There is one on-disk layout, shared by index snapshots, the ingest
 (:func:`write_envelope` / :func:`read_envelope`): a 16-byte magic, an
 8-byte little-endian TOC length, a pickled TOC, then each section's raw
 bytes at a 64-byte aligned offset.  Small sections (params, order,
-scheme, data, checkpoint records) are pickled; a snapshot's index and
-rank columns are stored as raw typed arrays, so ``load_bundle(path,
-mmap=True)`` maps them with ``mmap`` + ``np.frombuffer`` without
-copying — workers sharing one snapshot share one page cache.  Every
+scheme, the collection header, checkpoint records) are pickled; a
+snapshot's index and rank columns are stored as raw typed arrays, so
+``load_bundle(path, mmap=True)`` maps them with ``mmap`` +
+``np.frombuffer`` without copying — workers sharing one snapshot share
+one page cache.  A snapshot holds its corpus once: the rank columns
+are the documents (the global order is a bijection), so ``data`` is a
+header — tokenizer, vocabulary, names — and the loaded collection reads
+tokens back through the ranks.  Every
 section, pickled or raw, carries a BLAKE2b payload digest in the TOC,
 so a flipped bit on disk surfaces as a typed :class:`PersistenceError`
 naming the corrupt section — never a pickle error or silently wrong
@@ -49,12 +53,13 @@ import numpy as np
 
 from . import faults
 from .core.pkwise import PKWiseSearcher
+from .corpus import DocumentCollection
 from .errors import ReproError
 from .index.compact import CompactIntervalIndex, PackedRankDocs
 from .routing import FingerprintTier
 
 _MAGIC = b"repro-envelope-3"  # exactly 16 bytes
-_TOC_VERSION = 3
+_TOC_VERSION = 4  # 4: a snapshot's "data" section is a header, not documents
 _HEAD_SIZE = len(_MAGIC) + 8  # magic + TOC length
 _ALIGN = 64
 _INDEX_KIND = "pkwise-index"
@@ -302,8 +307,9 @@ class SearcherBundle:
 
     #: The frozen query engine.
     searcher: PKWiseSearcher
-    #: The bundled :class:`~repro.DocumentCollection`, or None for
-    #: ids-only index files.
+    #: The bundled :class:`~repro.DocumentCollection` (its documents a
+    #: view over the searcher's rank columns), or None for ids-only
+    #: index files.
     data: object = None
     #: The file that actually loaded (a rotated sibling after a fallback).
     path: Path | None = None
@@ -327,8 +333,15 @@ def save_searcher(
     snapshotted; anything else is a typed :class:`PersistenceError`.
 
     Pass the :class:`~repro.DocumentCollection` as ``data`` to bundle
-    the original documents (needed to decode matches back to text, e.g.
-    by the CLI); omit it for a leaner, ids-only index file.
+    the documents (needed to encode text queries and to decode matches
+    back to text, e.g. by the CLI); omit it for a leaner, ids-only
+    index file.  The corpus is stored once: the file keeps the
+    collection's *header* — tokenizer, vocabulary, names — and reads the
+    tokens back from the rank columns (the global order is a
+    bijection).  ``data`` must therefore be the searcher's own
+    collection: a different document count, or a document whose length
+    disagrees with its rank column, is a :class:`PersistenceError`
+    naming the first such doc id.
 
     ``rotate=N`` keeps the previous N snapshot generations as
     ``path.1`` (newest) through ``path.N`` (oldest) before writing the
@@ -340,8 +353,6 @@ def save_searcher(
             f"snapshots hold a PKWiseSearcher, got {type(searcher).__name__}"
         )
     path = Path(path)
-    if rotate:
-        _rotate_snapshots(path, rotate)
     frozen = searcher.compacted()
     params = frozen.params
     index_meta, index_arrays = frozen.index.to_arrays()
@@ -368,15 +379,23 @@ def save_searcher(
         arrays.update(
             {f"routing.{name}": array for name, array in tier.to_arrays().items()}
         )
+    sections = {
+        "meta": meta,
+        "order": frozen.order,
+        "scheme": frozen.scheme,
+        "data": None,
+    }
+    if data is not None:
+        sections["data"] = _collection_header(data, frozen.rank_docs)
+        # The header holds the one vocabulary; ids-only, the order's is
+        # the only copy and stays.
+        sections["order"] = frozen.order.detached()
+    if rotate:
+        _rotate_snapshots(path, rotate)
     write_envelope(
         path,
         _INDEX_KIND,
-        {
-            "meta": meta,
-            "order": frozen.order,
-            "scheme": frozen.scheme,
-            "data": data,
-        },
+        sections,
         arrays,
         header={
             "params": {
@@ -387,6 +406,33 @@ def save_searcher(
             },
         },
     )
+
+
+def _collection_header(data: DocumentCollection, rank_docs) -> dict:
+    """What a snapshot keeps of ``data`` — everything but the tokens,
+    which ``rank_docs`` already holds.  Refuses a collection that is not
+    the one ``rank_docs`` ranks (O(documents), nothing decoded)."""
+    lengths = data.lengths()
+    ranked = rank_docs.lengths()
+    if len(lengths) != len(ranked):
+        raise PersistenceError(
+            f"data has {len(lengths)} documents, the searcher ranks "
+            f"{len(ranked)}: doc id {min(len(lengths), len(ranked))} is "
+            f"in one and not the other — pass the searcher's own collection"
+        )
+    for doc_id, (length, rank_length) in enumerate(zip(lengths, ranked)):
+        # A compaction purges a tombstoned document down to an empty run.
+        if rank_length not in (length, 0):
+            raise PersistenceError(
+                f"data document {doc_id} has {length} tokens, the searcher "
+                f"ranks {rank_length} for that id — pass the searcher's own "
+                f"collection"
+            )
+    return {
+        "tokenizer": data.tokenizer,
+        "vocabulary": data.vocabulary,
+        "names": data.names(),
+    }
 
 
 def _load_snapshot(path: Path, *, mmap: bool) -> tuple[PKWiseSearcher, object]:
@@ -416,14 +462,24 @@ def _load_snapshot(path: Path, *, mmap: bool) -> tuple[PKWiseSearcher, object]:
             # snapshot raises RoutingUnavailableError instead of
             # silently decoding every rank column to build them.
             routing_tier = None
+        header = sections.get("data")
+        order = sections["order"]
+        rank_docs = PackedRankDocs.from_arrays(columns("ranks."))
+        data = None
+        if header is not None:
+            order = order.snapshot(header["vocabulary"])
+            data = DocumentCollection.over_columns(
+                header["tokenizer"], header["vocabulary"],
+                rank_docs, order.token_table(), header["names"],
+            )
         searcher = PKWiseSearcher.from_prebuilt(
             meta["params"],
-            sections["order"],
+            order,
             sections["scheme"],
             CompactIntervalIndex.from_arrays(
                 meta["index"], sections["scheme"], columns("index.")
             ),
-            PackedRankDocs.from_arrays(columns("ranks.")),
+            rank_docs,
             build_seconds=meta.get("build_seconds", 0.0),
             removed=meta.get("removed", ()),
             index_epoch=meta.get("index_epoch", 0),
@@ -433,7 +489,7 @@ def _load_snapshot(path: Path, *, mmap: bool) -> tuple[PKWiseSearcher, object]:
         raise PersistenceError(
             f"{path}: snapshot is missing section {exc}"
         ) from exc
-    return searcher, sections.get("data")
+    return searcher, data
 
 
 def load_bundle(

@@ -186,7 +186,7 @@ class ShardPlan:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        sizes = [len(doc) for doc in data]
+        sizes = data.lengths()
         ranges = partition_ranges(sizes, num_shards)
         specs = []
         for shard_id, (lo, hi) in enumerate(ranges):

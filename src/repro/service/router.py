@@ -395,7 +395,7 @@ class ShardRouter:
         """
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        sizes = [len(doc) for doc in data]
+        sizes = data.lengths()
         ranges = partition_ranges(sizes, shards)
         backends = []
         for shard_id, (lo, hi) in enumerate(ranges):

@@ -375,6 +375,46 @@ class TestModuleSurface:
         assert "build_index" not in repro.__all__
         assert "open_index" not in repro.__all__
 
+    def test_import_leaves_the_serving_stack_out(self):
+        # repro.service / repro.parallel / repro.ingest re-exports resolve
+        # on first use (PEP 562): a process that only builds or searches
+        # never loads http.server, urllib.request or multiprocessing.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys, repro\n"
+            "heavy = ('http.server', 'urllib.request', 'multiprocessing')\n"
+            "print([name for name in heavy if name in sys.modules])\n"
+            "lazy = [n for n in repro.__all__ if n not in vars(repro)]\n"
+            "print(sorted(lazy))\n"
+            "assert set(repro.__all__) <= set(dir(repro))\n"
+            "assert repro.SearchService is repro.service.SearchService\n"
+            "assert repro.ParallelExecutor is repro.parallel.ParallelExecutor\n"
+            "assert repro.IngestStore is repro.ingest.IngestStore\n"
+            "from repro import *\n"
+            "assert ShardRouter is repro.service.ShardRouter\n"
+            "print([name for name in heavy if name in sys.modules])\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        before, lazy, after = done.stdout.splitlines()
+        assert before == "[]"
+        assert lazy == str(sorted([
+            "CompactionPolicy", "IngestStore", "LSMSearcher", "ParallelExecutor",
+            "ResilientClient", "RouterResponse", "SearchService",
+            "ServiceResponse", "ShardPlan", "ShardRouter", "ShardSupervisor",
+        ]))
+        assert after == "['http.server', 'urllib.request', 'multiprocessing']"
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.nope
+
     def test_version_bumped(self):
         import re
         from pathlib import Path

@@ -8,22 +8,29 @@ run checkpoint and an ingest ``MANIFEST``).
 from __future__ import annotations
 
 import pickle
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
+    DocumentCollection,
     FaultPlan,
     FaultSpec,
     Index,
+    PackedRankDocs,
     PersistenceError,
     PKWiseSearcher,
     SearchParams,
+    ShardPlan,
     WeightedPKWiseSearcher,
     faults,
     save_searcher,
 )
+from repro.corpus.collection import ColumnDocuments
 from repro.ingest.manifest import (
     MANIFEST_KIND,
     ManifestState,
@@ -149,7 +156,7 @@ class TestRoundtrip:
         assert [p.name for p in tmp_path.iterdir()] == ["index.idx"]
 
     def test_failing_dump_cleans_temp_and_keeps_old_file(self, built, tmp_path):
-        _data, searcher = built
+        data, searcher = built
         path = tmp_path / "index.idx"
         save_searcher(searcher, path)
         good_bytes = path.read_bytes()
@@ -158,8 +165,10 @@ class TestRoundtrip:
             def __reduce__(self):
                 raise RuntimeError("simulated dump failure")
 
+        broken = data.subset(range(len(data)))
+        broken.tokenizer = Unpicklable()  # pickled with the data header
         with pytest.raises(RuntimeError, match="simulated dump failure"):
-            save_searcher(searcher, path, data=Unpicklable())
+            save_searcher(searcher, path, data=broken)
         assert not list(tmp_path.glob("*.tmp"))
         # The previous index file survives a failed overwrite untouched.
         assert path.read_bytes() == good_bytes
@@ -474,6 +483,225 @@ class TestRotation:
         (tmp_path / "index.idx.1").write_bytes(b"bad snapshot too")
         with pytest.raises(PersistenceError, match="index.idx[^.]"):
             load_bundle(path)
+
+
+# ----------------------------------------------------------------------
+# A snapshot stores the corpus once: documents come back through ranks.
+# ----------------------------------------------------------------------
+W, TAU = 5, 1
+TOKEN_LISTS = st.lists(st.lists(st.integers(0, 7), max_size=24), min_size=1, max_size=5)
+
+
+def _text(prefix: str, tokens) -> str:
+    return " ".join(f"{prefix}{token}" for token in tokens)
+
+
+class TestCorpusStoredOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        docs=TOKEN_LISTS,
+        added=TOKEN_LISTS,
+        shape=st.sampled_from(["built", "live", "tombstoned", "purged"]),
+        victim=st.integers(0, 99),
+        mmap=st.booleans(),
+        with_data=st.booleans(),
+    )
+    def test_round_trip_reads_the_same_corpus(
+        self, docs, added, shape, victim, mmap, with_data
+    ):
+        data = DocumentCollection()
+        for doc_id, tokens in enumerate(docs):
+            data.add_tokens([f"t{token}" for token in tokens], name=f"name-{doc_id}")
+        index = Index.build(data, w=W, tau=TAU, k_max=2)
+        purged = None
+        if shape != "built":
+            # Tokens first seen after the build rank below zero; "t"
+            # ones mixed in keep the old documents findable.
+            for number, tokens in enumerate(added):
+                index.add(
+                    _text("new", tokens) + " " + _text("t", tokens),
+                    name=f"added-{number}",
+                )
+        if shape in ("tombstoned", "purged"):
+            index.remove(victim % len(index.data))
+        if shape == "purged":
+            index.compact()
+            purged = victim % len(index.data)
+        texts = [_text("t", tokens) for tokens in docs + added]
+        expected_pairs = [pairs_as_set(index.search_text(text)) for text in texts]
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch, "index.idx")
+            if with_data:
+                index.save(path)
+            else:
+                save_searcher(index.searcher(), path)
+            with Index.open(path, mmap=mmap) as opened:
+                found = [
+                    pairs_as_set(opened.search(index.encode_query(text)))
+                    for text in texts
+                ]
+                assert found == expected_pairs
+                if not with_data:
+                    assert opened.data is None
+                    return
+                assert [
+                    pairs_as_set(opened.search_text(text)) for text in texts
+                ] == expected_pairs
+                assert len(opened.data) == len(index.data)
+                assert opened.data.names() == [d.name for d in index.data]
+                for before, after in zip(index.data, opened.data):
+                    assert after.doc_id == before.doc_id
+                    assert after.name == before.name
+                    if before.doc_id == purged:
+                        # A compaction emptied its rank column.
+                        assert after.tokens == ()
+                        continue
+                    assert after.tokens == before.tokens
+                    for start in range(after.num_windows(W)):
+                        assert opened.data.decode_window(
+                            after, start, W
+                        ) == index.data.decode_window(before, start, W)
+
+    def test_add_text_on_an_opened_snapshot_still_appends(self, built, tmp_path):
+        data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path, data=data)
+        with Index.open(path, mmap=True) as opened:
+            text = " ".join(data.vocabulary.decode(data[1].tokens[:40])) + " brand new"
+            with opened.serve() as service:
+                doc_id = service.add_text(text, name="late")
+                assert doc_id == len(data) == len(opened.data) - 1
+                found = pairs_as_set(service.search_text(text).pairs)
+                grown = service.searcher
+            assert {pair[0] for pair in found} >= {1, doc_id}
+            late = opened.data[doc_id]
+            assert late is opened.data[-1] and late.name == "late"
+            assert opened.data.vocabulary.decode(late.tokens[-2:]) == ["brand", "new"]
+            assert opened.data[1].tokens == data[1].tokens
+            assert opened.data.lengths() == data.lengths() + [42]
+            # The service's engine took the write, not the Index it was
+            # served from: their collection has outgrown the Index's
+            # ranks, which used to be written out as it was.
+            with pytest.raises(PersistenceError, match="doc id 6"):
+                opened.save(tmp_path / "stale.idx")
+            assert not (tmp_path / "stale.idx").exists()
+            # The grown engine saves and reopens like any other.
+            save_searcher(grown, tmp_path / "grown.idx", data=opened.data)
+        with Index.open(tmp_path / "grown.idx") as reopened:
+            assert [d.tokens for d in reopened.data][:-1] == [d.tokens for d in data]
+            assert reopened.data[doc_id].tokens == late.tokens
+            assert pairs_as_set(reopened.search_text(text)) == found
+
+    def test_the_view_keeps_nothing_and_counting_decodes_nothing(
+        self, built, tmp_path, monkeypatch
+    ):
+        data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path, data=data)
+        ShardPlan.build(data, searcher.params, tmp_path / "shards", num_shards=2)
+        opened = load_bundle(path, mmap=True).data
+        view = opened.documents
+        assert isinstance(view, ColumnDocuments) and not hasattr(view, "__dict__")
+        held = {name: getattr(view, name) for name in ColumnDocuments.__slots__}
+
+        def decoded(*_args):
+            raise AssertionError("a document was decoded")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PackedRankDocs, "doc_ranks", decoded)
+            assert len(opened) == len(data)
+            assert opened.lengths() == [len(d) for d in data]
+            assert opened.names() == [d.name for d in data]
+            assert opened.total_tokens() == data.total_tokens()
+            assert opened.total_windows(10) == data.total_windows(10)
+            assert repr(opened) == repr(data)
+            plan = ShardPlan.ensure(
+                opened, searcher.params, tmp_path / "shards", num_shards=2
+            )
+            assert plan.num_documents == len(data)
+            with pytest.raises(AssertionError, match="decoded"):
+                opened[0]
+        # Reading makes a Document each time and writes nothing back.
+        assert opened[0] is not opened[0] and opened[0] == data[0]
+        assert [d.tokens for d in opened] == [d.tokens for d in data]
+        assert opened[-1].tokens == data[-1].tokens
+        assert [d.doc_id for d in view[1:3]] == [1, 2]
+        with pytest.raises(IndexError):
+            opened[len(data)]
+        assert all(getattr(view, name) is value for name, value in held.items())
+        assert view._appended == []
+
+    def test_the_file_holds_a_header_and_one_vocabulary(self, built, tmp_path):
+        data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path, data=data)
+        _header, sections, _arrays = read_envelope(path, "pkwise-index")
+        assert set(sections["data"]) == {"tokenizer", "vocabulary", "names"}
+        assert sections["order"]._vocabulary is None
+        assert load_bundle(path).searcher.order._vocabulary is not None
+        # Ids-only, nothing else would hold the vocabulary: the order keeps it.
+        save_searcher(searcher, path)
+        _header, sections, _arrays = read_envelope(path, "pkwise-index")
+        assert sections["data"] is None
+        assert list(sections["order"]._vocabulary) == list(data.vocabulary)
+
+    @pytest.mark.parametrize(
+        "alter, doc_id",
+        [
+            pytest.param(lambda docs: docs[:-1], 5, id="fewer"),
+            pytest.param(lambda docs: docs + [docs[0]], 6, id="more"),
+            pytest.param(
+                lambda docs: docs[:2] + [docs[2][:-1]] + docs[3:], 2, id="shorter"
+            ),
+        ],
+    )
+    def test_a_collection_that_is_not_the_searchers_is_refused(
+        self, built, tmp_path, alter, doc_id
+    ):
+        data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path, data=data, rotate=1)
+        good_bytes = path.read_bytes()
+        other = DocumentCollection(vocabulary=data.vocabulary)
+        for tokens in alter([list(d.tokens) for d in data]):
+            other.add_token_ids(tokens)
+        with pytest.raises(PersistenceError, match=rf"\b{doc_id}\b.*own collection"):
+            save_searcher(searcher, path, data=other, rotate=1)
+        # Refused before anything moved: no rotation, no new file.
+        assert path.read_bytes() == good_bytes
+        assert not (tmp_path / "index.idx.1").exists()
+
+    def test_corrupt_rank_column_names_its_section(self, built, tmp_path):
+        # The documents are read through ranks.values now; its digest
+        # is still what catches a flipped byte, before any of them is.
+        data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path, data=data)
+        raw = bytearray(path.read_bytes())
+        raw[-8] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        for mmap in (False, True):
+            with pytest.raises(
+                PersistenceError, match="section 'ranks.values' is corrupt"
+            ):
+                Index.open(path, fallback=False, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_pre_bump_envelope_says_rebuild(self, built, tmp_path, mmap):
+        # Envelope version 3 pickled every document beside the ranks;
+        # there is no shim: such a file is refused by its TOC version.
+        data, searcher = built
+        path = tmp_path / "index.idx"
+        save_searcher(searcher, path, data=data)
+        raw = path.read_bytes()
+        toc_length = int.from_bytes(raw[16:24], "little")
+        toc = pickle.loads(raw[24 : 24 + toc_length])
+        assert toc["version"] == 4
+        old_toc = pickle.dumps({**toc, "version": 3}, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(old_toc) == toc_length
+        path.write_bytes(raw[:24] + old_toc + raw[24 + toc_length :])
+        with pytest.raises(PersistenceError, match="rebuild the file"):
+            Index.open(path, fallback=False, mmap=mmap)
 
 
 # ----------------------------------------------------------------------
