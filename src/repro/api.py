@@ -55,7 +55,7 @@ from .corpus import (
 )
 from .errors import ConfigurationError, RoutingUnavailableError
 from .index import ProbeHit
-from .params import DEFAULT_K_MAX, SearchParams, suggested_subpartitions
+from .params import SearchParams
 from .persistence import load_bundle, save_searcher
 from .routing import RoutingPolicy
 
@@ -112,81 +112,6 @@ def _as_collection(data) -> DocumentCollection:
     )
 
 
-def params_from_values(
-    *,
-    w: int | None,
-    tau: int | None,
-    k_max: int = DEFAULT_K_MAX,
-    m: int | None = None,
-    what: str = "building an index",
-) -> SearchParams:
-    """The one rule from loose ``w``/``tau`` values to :class:`SearchParams`.
-
-    Both ``w`` and ``tau`` are required; an omitted ``m`` follows the
-    paper's Section 7.5 rule.  Shared by :meth:`Index.build`,
-    :meth:`Index.open_live` and the ``repro`` command line.
-    """
-    if w is None or tau is None:
-        raise ConfigurationError(
-            f"{what} needs either params=SearchParams(...) or both w= and tau="
-        )
-    return SearchParams(
-        w=w,
-        tau=tau,
-        k_max=k_max,
-        m=m if m is not None else suggested_subpartitions(tau),
-    )
-
-
-def _build_searcher(
-    data,
-    params: SearchParams | None,
-    *,
-    w: int | None,
-    tau: int | None,
-    k_max: int,
-    m: int | None,
-    greedy_partition: bool,
-    sample_ratio: float,
-    jobs: int,
-    routing=None,
-):
-    """Shared build kernel behind :meth:`Index.build`."""
-    collection = _as_collection(data)
-    if params is None:
-        params = params_from_values(w=w, tau=tau, k_max=k_max, m=m)
-    elif w is not None or tau is not None or m is not None:
-        raise ConfigurationError(
-            "pass either params= or the individual w=/tau=/m= values, not both"
-        )
-    if routing is not None:
-        params = params.with_routing(routing)
-
-    order = None
-    scheme = None
-    if greedy_partition:
-        from .ordering import GlobalOrder
-        from .partition import GreedyPartitioner
-
-        order = GlobalOrder(collection, params.w)
-        partitioner = GreedyPartitioner(
-            collection,
-            params,
-            order=order,
-            b1_fraction=0.25,
-            b2_fraction=0.1,
-            sample_ratio=sample_ratio,
-        )
-        scheme, _report = partitioner.partition()
-
-    from .parallel import ParallelExecutor
-
-    searcher = ParallelExecutor(jobs=jobs).build_searcher(
-        collection, params, scheme=scheme, order=order
-    )
-    return searcher, collection
-
-
 class Index:
     """A built (or loaded) similarity index, ready to query.
 
@@ -230,7 +155,7 @@ class Index:
         *,
         w: int | None = None,
         tau: int | None = None,
-        k_max: int = DEFAULT_K_MAX,
+        k_max: int | None = None,
         m: int | None = None,
         greedy_partition: bool = False,
         sample_ratio: float = 0.01,
@@ -249,9 +174,7 @@ class Index:
         ``greedy_partition=True`` runs the cost-based greedy
         partitioner (Section 5) before indexing — slower to build,
         faster to query on skewed corpora.  ``jobs > 1`` (or ``0`` for
-        one per CPU) builds the index across worker processes.  Call
-        :meth:`compacted` on the result to freeze it onto the
-        array-backed structures a snapshot stores.
+        one per CPU) builds the index across worker processes.
 
         ``routing`` sets the fingerprint routing policy the index
         searches under — a :class:`~repro.RoutingPolicy`, its dict
@@ -259,17 +182,28 @@ class Index:
         Fingerprints are written here, so ``block_tokens`` is read; the
         policy rides on the params through :meth:`save` / :meth:`open`.
         """
-        searcher, collection = _build_searcher(
-            data,
-            params,
-            w=w,
-            tau=tau,
-            k_max=k_max,
-            m=m,
-            greedy_partition=greedy_partition,
-            sample_ratio=sample_ratio,
-            jobs=jobs,
-            routing=routing,
+        collection = _as_collection(data)
+        params = SearchParams.from_values(params, w=w, tau=tau, k_max=k_max, m=m)
+        if routing is not None:
+            params = params.with_routing(routing)
+        order = scheme = None
+        if greedy_partition:
+            from .ordering import GlobalOrder
+            from .partition import GreedyPartitioner
+
+            order = GlobalOrder(collection, params.w)
+            scheme, _report = GreedyPartitioner(
+                collection,
+                params,
+                order=order,
+                b1_fraction=0.25,
+                b2_fraction=0.1,
+                sample_ratio=sample_ratio,
+            ).partition()
+        from .parallel import ParallelExecutor
+
+        searcher = ParallelExecutor(jobs=jobs).build_searcher(
+            collection, params, scheme=scheme, order=order
         )
         return cls(searcher, collection)
 
@@ -279,7 +213,6 @@ class Index:
         path: str | Path,
         *,
         mmap: bool = False,
-        fallback: bool = True,
         routing: RoutingPolicy | dict | str | None = None,
     ) -> "Index":
         """Load an index saved by :meth:`save` (or ``repro index``).
@@ -291,8 +224,8 @@ class Index:
         processes mapping the same file share one page cache.  The
         snapshot stores the corpus once: ``index.data`` decodes a
         document from the rank columns each time one is asked for.
-        ``fallback`` controls rotated-snapshot recovery as in
-        :func:`~repro.persistence.load_bundle`.  A file written by a
+        A corrupt file falls back to its newest intact rotated
+        generation (:func:`~repro.persistence.load_bundle`); one written by a
         pre-2.0 release is a typed
         :class:`~repro.persistence.PersistenceError`: rebuild it.
 
@@ -306,7 +239,7 @@ class Index:
         SECURITY: snapshots contain pickled sections; only open files
         you (or your pipeline) wrote.
         """
-        bundle = load_bundle(path, fallback=fallback, mmap=mmap)
+        bundle = load_bundle(path, mmap=mmap)
         searcher = bundle.searcher
         if routing is not None:
             params = searcher.params.with_routing_mode(routing)
@@ -333,7 +266,7 @@ class Index:
         *,
         w: int | None = None,
         tau: int | None = None,
-        k_max: int = DEFAULT_K_MAX,
+        k_max: int | None = None,
         m: int | None = None,
         policy=None,
         routing: RoutingPolicy | dict | str | None = None,
@@ -349,7 +282,9 @@ class Index:
         final WAL record included.  Otherwise a fresh store is created
         there (durable) or fully in memory (``directory=None``);
         creation needs ``params`` or ``w=``/``tau=`` like
-        :meth:`build`.
+        :meth:`build`.  Values given on resume must be the ones the
+        directory was created with — anything else is a
+        :class:`~repro.errors.ConfigurationError` naming both.
 
         ``background=True`` starts the background compactor thread, so
         memtable flushes and segment compactions happen off the write
@@ -373,9 +308,19 @@ class Index:
         without any builds its own on the first routed query.
         """
         from .ingest import IngestStore
-        from .ingest.manifest import MANIFEST_NAME
+        from .ingest.manifest import MANIFEST_NAME, read_manifest
 
-        if directory is not None and (Path(directory) / MANIFEST_NAME).exists():
+        resuming = directory is not None and (Path(directory) / MANIFEST_NAME).exists()
+        given = params is not None or (w, tau, k_max, m) != (None, None, None, None)
+        if given or not resuming:
+            params = SearchParams.from_values(
+                params, w=w, tau=tau, k_max=k_max, m=m,
+                what="resuming a live index with values" if resuming
+                else "creating a live index",
+            )
+        if resuming:
+            if given:
+                params.require_same_search(read_manifest(directory).params, directory)
             store = IngestStore.open(
                 directory,
                 policy=policy,
@@ -384,10 +329,6 @@ class Index:
                 fsync=fsync,
             )
         else:
-            if params is None:
-                params = params_from_values(
-                    w=w, tau=tau, k_max=k_max, m=m, what="creating a live index"
-                )
             store = IngestStore.create(
                 params,
                 directory=directory,
@@ -478,11 +419,6 @@ class Index:
     ):
         """Encode ``text`` and search it in one step."""
         return self.search(self.encode_query(text), routing=routing)
-
-    def search_many(self, queries, *, jobs: int = 1):
-        """Run a query workload (``jobs`` worker processes; ``0`` = one
-        per CPU, as in :meth:`build`)."""
-        return self._searcher.search_many(queries, jobs=jobs)
 
     # ------------------------------------------------------------------
     # Mutation (the unified write path)
@@ -599,16 +535,6 @@ class Index:
                 **kwargs,
             )
         return SearchService(self._searcher, self.data, **kwargs)
-
-    def compacted(self) -> "Index":
-        """This index frozen onto array-backed structures (see
-        :meth:`~repro.PKWiseSearcher.compacted`)."""
-        return type(self)(
-            self._searcher.compacted(),
-            self.data,
-            path=self.path,
-            load_seconds=self.load_seconds,
-        )
 
     def close(self) -> None:
         """Release the engine's resources.  Idempotent."""

@@ -61,24 +61,27 @@ import sys
 import time
 from pathlib import Path
 
-from .api import Index, params_from_values
+from .api import Index
 from .core.selfjoin import local_similarity_self_join
 from .corpus import collection_from_directory
 from .corpus.loaders import text_files
 from .errors import ConfigurationError, ReproError
 from .obs import MetricsRegistry, configure_tracing, disable_tracing
-from .params import SearchParams
+from .params import DEFAULT_K_MAX, DEFAULT_TAU, DEFAULT_W, SearchParams
 from .postprocess import filter_passages, merge_passages
 from .routing import ROUTING_MODES, RoutingPolicy
 
 
 def _add_search_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-w", "--window", type=int, default=25,
-                        help="window size in tokens (default 25)")
-    parser.add_argument("--tau", type=int, default=5,
-                        help="max differing tokens per window pair (default 5)")
-    parser.add_argument("--k-max", type=int, default=4,
-                        help="number of signature classes (default 4)")
+    """No argparse defaults: ``repro ingest`` must tell "not given"
+    from a value when it resumes; :func:`_params_from_args` fills them."""
+    parser.add_argument("-w", "--window", type=int, default=None,
+                        help=f"window size in tokens (default {DEFAULT_W})")
+    parser.add_argument("--tau", type=int, default=None,
+                        help="max differing tokens per window pair "
+                             f"(default {DEFAULT_TAU})")
+    parser.add_argument("--k-max", type=int, default=None,
+                        help=f"number of signature classes (default {DEFAULT_K_MAX})")
     parser.add_argument("-m", "--sub-partitions", type=int, default=None,
                         help="sub-partitions per class (default: paper rule)")
 
@@ -120,8 +123,11 @@ def _add_routing_layout_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args: argparse.Namespace) -> SearchParams:
-    params = params_from_values(
-        w=args.window, tau=args.tau, k_max=args.k_max, m=args.sub_partitions
+    params = SearchParams.from_values(
+        w=DEFAULT_W if args.window is None else args.window,
+        tau=DEFAULT_TAU if args.tau is None else args.tau,
+        k_max=args.k_max,
+        m=args.sub_partitions,
     )
     mode = getattr(args, "routing", None)
     block = getattr(args, "routing_block", None)
@@ -193,7 +199,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             f"--routing-block sets the fingerprint layout when --dir is "
             f"created; {directory} exists and keeps the one it was created with"
         )
-    params = _params_from_args(args) if creating else None
+    given = (args.window, args.tau, args.k_max, args.sub_partitions) != (None,) * 4
+    params = _params_from_args(args) if creating or given else None
     index = Index.open_live(
         directory,
         params,
@@ -247,15 +254,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     index = Index.open(
         args.index, mmap=args.mmap, routing=args.routing
     )
-    searcher, data = index.searcher(), index.data
-    if data is None:
-        raise ReproError(
-            "index was saved without the document collection; rebuild with "
-            "'repro index' to enable text reports"
-        )
-    params = searcher.params
-    queries = [
-        data.encode_query(
+    searcher, data, params = index.searcher(), index.data, index.params
+    queries = [  # an ids-only snapshot is Index.encode_query's typed error
+        index.encode_query(
             Path(path).read_text(encoding="utf-8"), name=Path(path).name
         )
         for path in args.query

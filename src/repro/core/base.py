@@ -116,16 +116,6 @@ class SearchStats:
     routing_checked_docs: int = 0
     routing_pruned_docs: int = 0
 
-    @property
-    def total_time(self) -> float:
-        """Sum of the phase times (routing gate included)."""
-        return (
-            self.routing_fingerprint_time
-            + self.signature_time
-            + self.candidate_time
-            + self.verify_time
-        )
-
     def phase_seconds(self) -> dict[str, float]:
         """Per-phase wall-clock breakdown keyed by short phase name."""
         return {
@@ -176,18 +166,6 @@ class SearchStats:
     def snapshot(self) -> dict:
         """Canonical registry snapshot (what parallel workers ship back)."""
         return self.to_registry().snapshot()
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "SearchStats":
-        """Inverse of :meth:`snapshot`."""
-        return cls.from_registry(MetricsRegistry.from_snapshot(snapshot))
-
-    def to_dict(self) -> dict:
-        """All fields (plus ``total_time``) as a JSON-ready dict."""
-        row = {name: getattr(self, name)
-               for name in STAT_TIMER_FIELDS + STAT_COUNTER_FIELDS}
-        row["total_time"] = self.total_time
-        return row
 
 
 # Every dataclass field must be classified as a timer or a counter;

@@ -363,9 +363,8 @@ class PKWiseSearcher:
         actually executed, so an unchanged window with nothing to
         verify costs no clock reads at all (the per-section scheme
         needed five per window); the few untimed instructions between
-        phases land in the next boundary's reading, keeping
-        ``total_time == signature + candidate + verify`` by
-        construction.
+        phases land in the next boundary's reading, so the three
+        phase times sum to the time of the whole loop.
         """
         stats = SearchStats()
         params = self.params

@@ -17,7 +17,6 @@ exact ground truth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -236,31 +235,3 @@ def make_profile_collection(
         )
     return data, queries, ground_truth
 
-
-def effective_universe_size(data: DocumentCollection) -> int:
-    """Distinct token ids that actually occur in the data documents."""
-    used: set[int] = set()
-    for document in data:
-        used.update(document.tokens)
-    return len(used)
-
-
-def log_log_slope(frequencies: list[int]) -> float:
-    """Least-squares slope of log(frequency) vs log(rank).
-
-    A Zipf sample with exponent ``s`` has slope close to ``-s`` over the
-    head of the distribution; tests use this to validate the generator.
-    """
-    pairs = [
-        (math.log(rank + 1), math.log(freq))
-        for rank, freq in enumerate(sorted(frequencies, reverse=True))
-        if freq > 0
-    ]
-    n = len(pairs)
-    if n < 2:
-        raise CorpusError("need at least two non-zero frequencies")
-    mean_x = sum(x for x, _ in pairs) / n
-    mean_y = sum(y for _, y in pairs) / n
-    num = sum((x - mean_x) * (y - mean_y) for x, y in pairs)
-    den = sum((x - mean_x) ** 2 for x, _ in pairs)
-    return num / den

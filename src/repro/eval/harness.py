@@ -14,7 +14,7 @@ With ``jobs > 1`` the workload is sharded across a process pool by
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..core.base import MatchPair, SearchStats
 from ..corpus import Document
@@ -52,14 +52,7 @@ class QueryFailure:
     attempts: int
 
     def to_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "query_id": self.query_id,
-            "query_name": self.query_name,
-            "error_type": self.error_type,
-            "error_message": self.error_message,
-            "attempts": self.attempts,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QueryFailure":
@@ -76,18 +69,8 @@ class RecoveryReport:
     checkpoint_saves: int = 0
     resumed_items: int = 0
 
-    def any(self) -> bool:
-        """True when any recovery action occurred."""
-        return any(self.to_dict().values())
-
     def to_dict(self) -> dict:
-        return {
-            "chunk_retries": self.chunk_retries,
-            "chunk_bisections": self.chunk_bisections,
-            "pool_restarts": self.pool_restarts,
-            "checkpoint_saves": self.checkpoint_saves,
-            "resumed_items": self.resumed_items,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -99,24 +82,6 @@ class WorkerReport:
     num_queries: int = 0
     seconds: float = 0.0
     stats: SearchStats = field(default_factory=SearchStats)
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary of this worker's share.
-
-        ``phases`` decomposes the worker's busy time into the paper's
-        three phases (plus everything else under ``other``), so skew can
-        be attributed to a phase, not just observed in total seconds.
-        """
-        phases = self.stats.phase_seconds()
-        phases["other"] = max(0.0, self.seconds - sum(phases.values()))
-        return {
-            "worker_id": self.worker_id,
-            "chunks": self.chunks,
-            "num_queries": self.num_queries,
-            "seconds": self.seconds,
-            "phases": phases,
-            "stats": self.stats.to_dict(),
-        }
 
 
 @dataclass
@@ -171,35 +136,6 @@ class AggregateRun:
             f"cands={self.stats.candidate_windows:<9} "
             f"results={self.num_results}"
         )
-
-    def to_dict(self, include_results: bool = False) -> dict:
-        """JSON-ready dict of the run (no hand-rolled field lists).
-
-        ``include_results`` additionally embeds every match pair, keyed
-        by query id; leave it off for benchmark records where only the
-        aggregates matter.
-        """
-        row = {
-            "name": self.name,
-            "num_queries": self.num_queries,
-            "total_seconds": self.total_seconds,
-            "avg_query_seconds": self.avg_query_seconds,
-            "num_results": self.num_results,
-            "jobs": self.jobs,
-            "worker_skew": self.worker_skew,
-            "phases": self.stats.phase_seconds(),
-            "stats": self.stats.to_dict(),
-            "workers": [report.to_dict() for report in self.worker_reports],
-            "failures": [failure.to_dict() for failure in self.failures],
-        }
-        if self.recovery is not None:
-            row["recovery"] = self.recovery.to_dict()
-        if include_results:
-            row["results_by_query"] = {
-                str(query_id): [list(pair) for pair in pairs]
-                for query_id, pairs in self.results_by_query.items()
-            }
-        return row
 
     def metrics_snapshot(self) -> dict:
         """The run as a structured :mod:`repro.obs` metrics snapshot.

@@ -30,7 +30,7 @@ columns.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
 import numpy as np
@@ -340,14 +340,6 @@ class CompactIntervalIndex:
         """Total number of stored intervals."""
         return len(self._docs)
 
-    def size_in_entries(self) -> int:
-        """Abstract index size: one entry per (signature, interval)."""
-        return self.num_postings
-
-    def postings_lengths(self) -> Iterator[int]:
-        """Iterator of per-key postings-run lengths (analysis)."""
-        return iter(np.diff(self._offsets).tolist())
-
     def nbytes(self) -> int:
         """Bytes held by the five columns (the mmap-able payload)."""
         return sum(
@@ -465,12 +457,8 @@ class PackedRankDocs(Sequence):
         """Every document's length from the offsets column alone."""
         return np.diff(self._offsets).tolist()
 
-    def nbytes(self) -> int:
-        """Bytes held by the two columns."""
-        return self._offsets.nbytes + self._values.nbytes
-
     def __repr__(self) -> str:
         return (
-            f"PackedRankDocs(docs={len(self)}, "
-            f"tokens={len(self._values)}, bytes={self.nbytes()})"
+            f"PackedRankDocs(docs={len(self)}, tokens={len(self._values)}, "
+            f"bytes={self._offsets.nbytes + self._values.nbytes})"
         )

@@ -24,11 +24,6 @@ class WindowInterval(NamedTuple):
     u: int
     v: int
 
-    @property
-    def num_windows(self) -> int:
-        """Number of windows the interval covers (inclusive ends)."""
-        return self.v - self.u + 1
-
     def __str__(self) -> str:
         return f"d{self.doc_id}[{self.u},{self.v}]"
 

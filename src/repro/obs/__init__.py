@@ -9,7 +9,7 @@ Two orthogonal primitives:
   ship registry snapshots back with each chunk and the executor merges
   them, so serial and ``--jobs N`` runs of one workload produce
   identical merged counters.
-* :class:`Tracer` / :func:`span` — hierarchical span timing emitting
+* :class:`Tracer` — hierarchical span timing emitting
   JSON-lines events; disabled by default at near-zero cost.  Enabled by
   the CLI's ``--trace FILE`` flag or :func:`configure_tracing`.
 
@@ -29,7 +29,6 @@ from .trace import (
     configure_tracing,
     disable_tracing,
     get_tracer,
-    span,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "ObservabilityError",
     "Tracer",
     "get_tracer",
-    "span",
     "configure_tracing",
     "disable_tracing",
 ]

@@ -110,7 +110,8 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def configure(self, path: str) -> None:
-        """Start (or redirect) tracing to ``path`` (append, line-buffered)."""
+        """Start (or redirect) tracing to ``path`` (append; written out by
+        :meth:`disable`)."""
         self.disable()
         self._path = str(path)
         self._handle = open(self._path, "a", encoding="utf-8")
@@ -123,11 +124,6 @@ class Tracer:
         self._owner_pid = None
         if handle is not None and not handle.closed:
             handle.close()
-
-    def flush(self) -> None:
-        """Flush buffered events to the sink."""
-        if self._handle is not None and not self._handle.closed:
-            self._handle.flush()
 
     close = disable
 
@@ -165,11 +161,6 @@ _DEFAULT_TRACER = Tracer()
 def get_tracer() -> Tracer:
     """The process-wide default tracer used by the library's spans."""
     return _DEFAULT_TRACER
-
-
-def span(name: str, **attrs) -> Span | _NullSpan:
-    """Open a span on the default tracer (no-op while disabled)."""
-    return _DEFAULT_TRACER.span(name, **attrs)
 
 
 def configure_tracing(path: str) -> Tracer:

@@ -226,10 +226,6 @@ class GlobalOrder:
         """Rank sequence of a document (original token order preserved)."""
         return self.rank_sequence(document.tokens)
 
-    def sorted_window(self, document: Document, start: int, w: int) -> list[int]:
-        """Ranks of window ``W(document, start)`` sorted by O (ascending)."""
-        return sorted(self.rank_sequence(document.window(start, w)))
-
     def __repr__(self) -> str:
         return (
             f"GlobalOrder(universe={self._built_size}, w={self.w}, "

@@ -78,6 +78,17 @@ from .checkpoint import (
 #: thousands of items.
 CHUNKS_PER_WORKER = 4
 
+#: Failed attempts a unit may make before it is bisected (multi-item
+#: units) or quarantined (single items): a unit runs at most three times.
+CHUNK_RETRIES = 2
+
+#: Cap (seconds) of the exponential delay before a failed unit is
+#: re-dispatched: ``min(cap, retry_backoff * 2**(attempt - 1))``.
+RETRY_BACKOFF_CAP = 1.0
+
+#: Newly completed chunks between two flushes of a run checkpoint.
+CHECKPOINT_EVERY = 1
+
 
 def split_blocks(total: int, parts: int) -> list[tuple[int, int]]:
     """Cut ``range(total)`` into at most ``parts`` contiguous blocks.
@@ -127,20 +138,13 @@ class ParallelExecutor:
     chunk_size:
         Items per dispatched chunk; ``None`` derives it from the
         workload size and ``CHUNKS_PER_WORKER``.
-    chunk_retries:
-        Failed-attempt budget per unit before it is bisected (multi-item
-        units) or quarantined (single items).  ``2`` means a unit runs
-        at most three times.
     max_pool_restarts:
         Worker-death budget for one operation; exceeding it raises
         :class:`~repro.errors.WorkerCrashError` (completed chunks are
         preserved in the checkpoint when one is configured).
-    retry_backoff / retry_backoff_cap:
-        Base and cap (seconds) of the capped exponential delay before a
-        failed unit is re-dispatched: ``min(cap, base * 2**(attempt-1))``.
-    checkpoint_every:
-        Flush the run checkpoint after this many newly completed chunks
-        (``1`` = after every chunk; only meaningful with ``checkpoint=``).
+    retry_backoff:
+        Base (seconds) of the exponential delay before a failed unit is
+        re-dispatched, capped at ``RETRY_BACKOFF_CAP``.
     """
 
     def __init__(
@@ -149,11 +153,8 @@ class ParallelExecutor:
         start_method: str | None = None,
         chunk_size: int | None = None,
         *,
-        chunk_retries: int = 2,
         max_pool_restarts: int = 3,
         retry_backoff: float = 0.05,
-        retry_backoff_cap: float = 1.0,
-        checkpoint_every: int = 1,
     ) -> None:
         if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
@@ -171,28 +172,19 @@ class ParallelExecutor:
             )
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        if chunk_retries < 0:
-            raise ConfigurationError(
-                f"chunk_retries must be >= 0, got {chunk_retries}"
-            )
         if max_pool_restarts < 0:
             raise ConfigurationError(
                 f"max_pool_restarts must be >= 0, got {max_pool_restarts}"
             )
-        if retry_backoff < 0 or retry_backoff_cap < 0:
-            raise ConfigurationError("retry backoff values must be >= 0")
-        if checkpoint_every < 1:
+        if retry_backoff < 0:
             raise ConfigurationError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+                f"retry_backoff must be >= 0, got {retry_backoff}"
             )
         self.jobs = jobs
         self.start_method = start_method
         self.chunk_size = chunk_size
-        self.chunk_retries = chunk_retries
         self.max_pool_restarts = max_pool_restarts
         self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
-        self.checkpoint_every = checkpoint_every
 
     # ------------------------------------------------------------------
     # Pool plumbing
@@ -272,7 +264,7 @@ class ParallelExecutor:
         ``pool_args`` comes from :meth:`_worker_state`.  Per completed
         unit ``on_result(unit, result)`` fires exactly once.  A unit
         whose task raises an :class:`Exception` is retried
-        up to ``chunk_retries`` times with capped exponential backoff,
+        up to ``CHUNK_RETRIES`` times with capped exponential backoff,
         then bisected (multi-item) or handed to ``on_poison(item, exc,
         attempts)`` (single item).  A dead worker process breaks the
         whole pool (:class:`BrokenProcessPool`); in-flight units are
@@ -295,10 +287,10 @@ class ParallelExecutor:
 
         def handle_failure(unit: _Unit, exc: Exception) -> None:
             unit.attempts += 1
-            if unit.attempts <= self.chunk_retries:
+            if unit.attempts <= CHUNK_RETRIES:
                 recovery.chunk_retries += 1
                 delay = min(
-                    self.retry_backoff_cap,
+                    RETRY_BACKOFF_CAP,
                     self.retry_backoff * (2 ** (unit.attempts - 1)),
                 )
                 if delay > 0:
@@ -470,7 +462,7 @@ class ParallelExecutor:
                     snapshot=snapshot,
                     rows=rows,
                 )
-                if run_checkpoint.dirty >= self.checkpoint_every:
+                if run_checkpoint.dirty >= CHECKPOINT_EVERY:
                     run_checkpoint.flush()
 
         def on_poison(item, exc: Exception, attempts: int) -> None:
@@ -486,7 +478,7 @@ class ParallelExecutor:
             failures.append(failure)
             if run_checkpoint is not None:
                 run_checkpoint.record_failure(failure.to_dict())
-                if run_checkpoint.dirty >= self.checkpoint_every:
+                if run_checkpoint.dirty >= CHECKPOINT_EVERY:
                     run_checkpoint.flush()
 
         with get_tracer().span(
@@ -732,7 +724,7 @@ class ParallelExecutor:
             results.extend(pairs)
             if run_checkpoint is not None:
                 run_checkpoint.record(doc_ids, pid=pid, elapsed=elapsed, pairs=pairs)
-                if run_checkpoint.dirty >= self.checkpoint_every:
+                if run_checkpoint.dirty >= CHECKPOINT_EVERY:
                     run_checkpoint.flush()
 
         with get_tracer().span(

@@ -27,6 +27,12 @@ from .routing.policy import RoutingPolicy
 #: Default number of token classes (the paper's default, Section 7.1).
 DEFAULT_K_MAX = 4
 
+#: What the ``repro`` command line uses for an omitted ``-w`` / ``--tau``
+#: (the paper's default setting, Section 7.1).  The library has no
+#: default for either: ``SearchParams`` and ``from_values`` require both.
+DEFAULT_W = 25
+DEFAULT_TAU = 5
+
 #: Suggested rule from Section 7.5: use m = 1 for tau <= 20 and
 #: m = 0.25 * tau for larger thresholds.
 LARGE_TAU_CUTOFF = 20
@@ -118,16 +124,62 @@ class SearchParams:
             )
         object.__setattr__(self, "theta", self.w - self.tau)
 
+    @classmethod
+    def from_values(
+        cls,
+        params: "SearchParams | None" = None,
+        *,
+        w: int | None = None,
+        tau: int | None = None,
+        k_max: int | None = None,
+        m: int | None = None,
+        what: str = "building an index",
+    ) -> "SearchParams":
+        """The one rule from a caller's loose values to validated parameters.
+
+        Every door that takes ``params=`` or ``w=``/``tau=`` (and
+        optionally ``k_max=``/``m=``) calls this: either the finished
+        object or the values, never both; ``w`` and ``tau`` are both
+        required; an omitted ``k_max`` is :data:`DEFAULT_K_MAX` and an
+        omitted ``m`` follows the paper's Section 7.5 rule.
+        """
+        loose = any(value is not None for value in (w, tau, k_max, m))
+        if params is not None:
+            if loose:
+                raise ConfigurationError(
+                    "pass either params= or the individual "
+                    "w=/tau=/k_max=/m= values, not both"
+                )
+            return params
+        if w is None or tau is None:
+            raise ConfigurationError(
+                f"{what} needs either params=SearchParams(...) or both w= and tau="
+            )
+        return cls(
+            w=w,
+            tau=tau,
+            k_max=DEFAULT_K_MAX if k_max is None else k_max,
+            m=suggested_subpartitions(tau) if m is None else m,
+        )
+
+    def require_same_search(self, stored: "SearchParams", where: object) -> None:
+        """Raise unless these are the values ``where`` was created with:
+        resuming a live index under others would search windows its
+        segments were never indexed for.  Routing is not compared — on
+        resume it is a mode (:meth:`with_routing_mode`)."""
+        asked, kept = (
+            f"w={p.w}, tau={p.tau}, k_max={p.k_max}, m={p.m}" for p in (self, stored)
+        )
+        if asked != kept:
+            raise ConfigurationError(
+                f"{where} was created with {kept} and cannot be resumed with "
+                f"{asked}; omit the values to resume it, or create a new index"
+            )
+
     def with_k_max(self, k_max: int) -> "SearchParams":
         """Return a copy with a different ``k_max`` (re-validated)."""
         return SearchParams(
             w=self.w, tau=self.tau, k_max=k_max, m=self.m, routing=self.routing
-        )
-
-    def with_m(self, m: int) -> "SearchParams":
-        """Return a copy with a different sub-partition count ``m``."""
-        return SearchParams(
-            w=self.w, tau=self.tau, k_max=self.k_max, m=m, routing=self.routing
         )
 
     def with_routing(self, routing: RoutingPolicy | dict | str | None) -> "SearchParams":

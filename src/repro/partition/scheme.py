@@ -126,19 +126,6 @@ class PartitionScheme:
         class_index, sub = self.group_of(rank)
         return class_index * self.m + sub
 
-    def class_sizes(self) -> list[int]:
-        """Number of ranks per class (index 0 = class 1)."""
-        return [
-            self.class_range(class_index + 1)[1] - self.class_range(class_index + 1)[0]
-            for class_index in range(self.k_max)
-        ]
-
-    def with_m(self, m: int) -> "PartitionScheme":
-        """Copy with a different sub-partition count."""
-        return PartitionScheme(
-            universe_size=self.universe_size, borders=self.borders, m=m
-        )
-
     def key_table(self) -> list[int]:
         """Precomputed ``group_key`` for every non-negative rank.
 

@@ -59,18 +59,6 @@ class Vocabulary:
         add = self.add
         return [add(token) for token in tokens]
 
-    def encode_frozen(self, tokens: Iterable[str]) -> list[int]:
-        """Encode without interning; unknown tokens raise
-        :class:`~repro.errors.UnknownTokenError`."""
-        id_of = self._id_of
-        out: list[int] = []
-        for token in tokens:
-            try:
-                out.append(id_of[token])
-            except KeyError:
-                raise UnknownTokenError(token) from None
-        return out
-
     def encode_query(self, tokens: Iterable[str]) -> list[int]:
         """Encode without interning; unknown tokens map to
         :data:`OOV_TOKEN_ID`.

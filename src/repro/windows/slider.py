@@ -71,7 +71,3 @@ class WindowSlider:
                 insort(window, incoming)
             self.start = start
             yield (start, outgoing, incoming)
-
-    def sorted_window(self) -> list[int]:
-        """Sorted ranks of the current window (copy)."""
-        return list(self.window)

@@ -73,7 +73,7 @@ class TestIndexBuild:
 
     def test_build_compact_is_frozen_with_same_pairs(self):
         plain = Index.build(TEXTS, w=10, tau=2, k_max=3)
-        compact = plain.compacted()
+        compact = Index(plain.searcher().compacted(), plain.data)
         assert not plain.frozen
         assert compact.frozen
         assert (
@@ -180,9 +180,6 @@ class TestSearcherProtocol:
             small_corpus, w=10, theta_weight=8.0, weight_of_token=lambda _t: 1.0
         )
         assert isinstance(weighted, Searcher)
-
-    def test_index_satisfies_protocol(self):
-        assert isinstance(Index.build(TEXTS, w=10, tau=2, k_max=3), Searcher)
 
     @pytest.mark.parametrize(
         "engine_class", [FBWSearcher, PKWiseNonIntervalSearcher]
@@ -321,15 +318,17 @@ class TestSearchManyUnification:
             )
             for d in (0, 3)
         ]
-        run = index.search_many(queries)
+        run = index.searcher().search_many(queries)
         assert run.num_queries == 2
         assert set(run.results_by_query) == {0, 1}
         # jobs=0 is "one per CPU" everywhere jobs= is taken, not only in
         # Index.build (2.4 raised "jobs must be >= 1, got 0" here).
         for auto in (
-            index.search_many(queries, jobs=0),
+            index.searcher().search_many(queries, jobs=0),
             run_searcher(index.searcher(), queries, jobs=0),
-            Index.build(small_corpus, index.params, jobs=0).search_many(queries),
+            run_searcher(
+                Index.build(small_corpus, index.params, jobs=0).searcher(), queries
+            ),
         ):
             assert auto.results_by_query == run.results_by_query
 

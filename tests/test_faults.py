@@ -288,7 +288,8 @@ class TestQuarantine:
         _data, _params, searcher, queries = workload
         run = _executor().run_workload(searcher, queries)
         assert run.failures == []
-        assert run.recovery is not None and not run.recovery.any()
+        assert run.recovery is not None
+        assert not any(run.recovery.to_dict().values())
         counters = run.metrics_snapshot()["metrics"]["counters"]
         assert not any(key.startswith("run.recovery") for key in counters)
         assert "run.quarantined_queries" not in counters

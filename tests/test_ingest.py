@@ -950,8 +950,6 @@ class TestQueryAfterAddTokenVisibility:
         assert vocab.id_of(self.NEW_WORDS[0]) >= 0
         with pytest.raises(UnknownTokenError):
             vocab.id_of("never-seen-token")
-        with pytest.raises(UnknownTokenError):
-            vocab.encode_frozen(["never-seen-token"])
         # encode_query never raises: sentinel only.
         assert tuple(index.encode_query("never-seen-token").tokens) == (-1,)
         index.close()

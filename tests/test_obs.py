@@ -123,7 +123,8 @@ class TestSearchStatsOnRegistry:
     def test_registry_round_trip_is_lossless(self):
         stats = self.make_stats()
         assert SearchStats.from_registry(stats.to_registry()) == stats
-        assert SearchStats.from_snapshot(stats.snapshot()) == stats
+        via_wire = MetricsRegistry.from_snapshot(stats.snapshot())
+        assert SearchStats.from_registry(via_wire) == stats
 
     def test_merge_equals_registry_merge(self):
         left, right = self.make_stats(1), self.make_stats(3)
@@ -132,14 +133,6 @@ class TestSearchStatsOnRegistry:
         registry = left.to_registry()
         registry.merge_snapshot(right.snapshot())
         assert SearchStats.from_registry(registry) == via_stats
-
-    def test_to_dict_covers_every_field(self):
-        row = self.make_stats().to_dict()
-        for name in STAT_COUNTER_FIELDS + STAT_TIMER_FIELDS:
-            assert name in row
-        assert row["total_time"] == pytest.approx(
-            sum(row[name] for name in STAT_TIMER_FIELDS)
-        )
 
     def test_phase_seconds_names_the_phases(self):
         phases = self.make_stats().phase_seconds()
@@ -190,29 +183,6 @@ class TestSerialParallelCounterParity:
         parallel = run_searcher(searcher, queries, jobs=2).metrics_snapshot()
         assert parallel["metrics"]["counters"] == serial["metrics"]["counters"]
 
-    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method required")
-    def test_aggregate_to_dict_round_trips_with_phases(self, reuse_corpus):
-        data, queries = reuse_corpus
-        searcher = PKWiseSearcher(data, SearchParams(w=12, tau=3, k_max=2))
-        run = run_searcher(searcher, queries, jobs=2)
-        payload = json.loads(json.dumps(run.to_dict()))
-        assert set(payload["phases"]) == {
-            "routing", "signature", "candidate", "verify",
-        }
-        for report in payload["workers"]:
-            assert set(report["phases"]) == {
-                "routing", "signature", "candidate", "verify", "other",
-            }
-            assert report["phases"]["other"] >= 0.0
-        rebuilt = SearchStats.from_snapshot(
-            SearchStats(**{
-                key: value
-                for key, value in payload["stats"].items()
-                if key != "total_time"
-            }).snapshot()
-        )
-        assert rebuilt.num_results == run.stats.num_results
-
 
 class TestTracer:
     def test_disabled_tracer_is_noop_and_reusable(self):
@@ -257,11 +227,10 @@ class TestTracer:
             assert get_tracer().enabled
             with get_tracer().span("configured"):
                 pass
-            get_tracer().flush()
-            assert "configured" in path.read_text()
         finally:
             disable_tracing()
         assert not get_tracer().enabled
+        assert "configured" in path.read_text()
 
     def test_search_emits_spans_when_enabled(self, tmp_path, reuse_corpus):
         data, queries = reuse_corpus
@@ -270,7 +239,6 @@ class TestTracer:
         configure_tracing(str(path))
         try:
             run_searcher(searcher, queries)
-            get_tracer().flush()
         finally:
             disable_tracing()
         events = [json.loads(line) for line in path.read_text().splitlines()]

@@ -117,14 +117,6 @@ class TestGlobalOrder:
         freqs = [order.frequency_of_rank(r) for r in range(order.universe_size)]
         assert freqs == sorted(freqs)
 
-    def test_sorted_window(self):
-        data = DocumentCollection()
-        document = data.add_text("the lord of the rings")
-        order = GlobalOrder(data, 4)
-        window = order.sorted_window(document, 0, 4)
-        assert window == sorted(window)
-        assert len(window) == 4
-
     def test_rank_document_preserves_positions(self):
         data = DocumentCollection()
         document = data.add_text("a b a")

@@ -684,7 +684,7 @@ class TestCorpusStoredOnce:
             with pytest.raises(
                 PersistenceError, match="section 'ranks.values' is corrupt"
             ):
-                Index.open(path, fallback=False, mmap=mmap)
+                Index.open(path, mmap=mmap)
 
     @pytest.mark.parametrize("mmap", [False, True])
     def test_pre_bump_envelope_says_rebuild(self, built, tmp_path, mmap):
@@ -701,7 +701,7 @@ class TestCorpusStoredOnce:
         assert len(old_toc) == toc_length
         path.write_bytes(raw[:24] + old_toc + raw[24 + toc_length :])
         with pytest.raises(PersistenceError, match="rebuild the file"):
-            Index.open(path, fallback=False, mmap=mmap)
+            Index.open(path, mmap=mmap)
 
 
 # ----------------------------------------------------------------------

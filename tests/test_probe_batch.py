@@ -235,12 +235,8 @@ class TestSearcherLevelBatching:
         assert stats.signature_time > 0
         assert stats.candidate_time > 0
         assert stats.verify_time > 0
-        # Boundary timing: the three phases are the whole accounting.
-        assert stats.total_time == pytest.approx(
-            stats.signature_time + stats.candidate_time + stats.verify_time
-        )
         # The registry roundtrip must carry the new counters.
-        back = type(stats).from_snapshot(stats.snapshot())
+        back = type(stats).from_registry(stats.to_registry())
         assert back.probe_batches == stats.probe_batches
         assert back.probe_signatures == stats.probe_signatures
 

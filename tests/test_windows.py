@@ -37,7 +37,7 @@ class TestWindowSlider:
         slider = WindowSlider([1, 2, 3, 4, 5], 3)
         contents = []
         for start, _out, _in in slider.slides():
-            contents.append((start, slider.sorted_window()))
+            contents.append((start, list(slider.window)))
         assert contents == [
             (0, [1, 2, 3]),
             (1, [2, 3, 4]),
@@ -46,7 +46,7 @@ class TestWindowSlider:
 
     def test_multiset_maintained_with_duplicates(self):
         slider = WindowSlider([1, 1, 2, 1, 1], 3)
-        windows = [slider.sorted_window() for _ in slider.slides()]
+        windows = [list(slider.window) for _ in slider.slides()]
         assert windows == [[1, 1, 2], [1, 1, 2], [1, 1, 2]]
 
     def test_short_sequence(self):
@@ -72,5 +72,5 @@ class TestWindowSlider:
     def test_matches_fresh_sort(self, ranks, w):
         slider = WindowSlider(ranks, w)
         for start, _out, _in in slider.slides():
-            assert slider.sorted_window() == sorted(ranks[start : start + w])
+            assert list(slider.window) == sorted(ranks[start : start + w])
 
