@@ -43,7 +43,7 @@ Fault kinds:
 
 Injection-point catalog (see ``docs/robustness.md`` for semantics):
 ``parallel.worker.chunk`` (context ``kind`` = ``search`` / ``selfjoin``
-/ ``frequency`` / ``index``), ``parallel.worker.query``,
+/ ``index``), ``parallel.worker.query``,
 ``parallel.worker.document``, ``persistence.write``,
 ``persistence.read``, ``service.request``, ``client.request``,
 ``shards.scatter`` (router → shard sub-request, context ``shard``,

@@ -6,14 +6,6 @@ windows that contain the token — with ties broken by token string.  The
 window-level processing in the library operates on rank sequences.
 """
 
-from .global_order import (
-    GlobalOrder,
-    window_frequencies,
-    window_frequencies_of_documents,
-)
+from .global_order import GlobalOrder, window_frequencies
 
-__all__ = [
-    "GlobalOrder",
-    "window_frequencies",
-    "window_frequencies_of_documents",
-]
+__all__ = ["GlobalOrder", "window_frequencies"]

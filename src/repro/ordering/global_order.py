@@ -17,7 +17,7 @@ total order consistent between both sides).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
@@ -44,21 +44,10 @@ def window_frequencies(data: DocumentCollection, w: int) -> list[int]:
     and document we count the union of those intervals, as array
     operations over all occurrences at once (one stable sort).
     """
-    return window_frequencies_of_documents(data, len(data.vocabulary), w)
-
-
-def window_frequencies_of_documents(
-    documents: Iterable[Document], vocabulary_size: int, w: int
-) -> list[int]:
-    """:func:`window_frequencies` over an explicit document subset.
-
-    Counts are per document, so frequency vectors computed over a
-    partition of a collection sum elementwise to the full collection's
-    vector — the reduction used by parallel index construction.
-    """
+    vocabulary_size = len(data.vocabulary)
     if w < 1:
         raise ConfigurationError(f"window size must be >= 1, got {w}")
-    kept = [document.tokens for document in documents if len(document) >= w]
+    kept = [document.tokens for document in data if len(document) >= w]
     if not kept:
         return [0] * vocabulary_size
     lengths = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
@@ -96,36 +85,10 @@ class GlobalOrder:
     """
 
     def __init__(self, data: DocumentCollection, w: int) -> None:
-        self._init_from_frequencies(
-            data.vocabulary, w, window_frequencies(data, w), data.total_windows(w)
-        )
-
-    @classmethod
-    def from_frequencies(
-        cls,
-        vocabulary,
-        w: int,
-        frequencies: Sequence[int],
-        num_data_windows: int,
-    ) -> "GlobalOrder":
-        """Build an order from a precomputed window-frequency vector.
-
-        Given the vector :func:`window_frequencies` would produce (e.g.
-        assembled by summing per-partition vectors from
-        :func:`window_frequencies_of_documents`), this yields an order
-        identical to ``GlobalOrder(data, w)`` without touching the
-        documents again.
-        """
-        self = cls.__new__(cls)
-        self._init_from_frequencies(vocabulary, w, list(frequencies), num_data_windows)
-        return self
-
-    def _init_from_frequencies(
-        self, vocabulary, w: int, freq: list[int], num_data_windows: int
-    ) -> None:
-        self._vocabulary = vocabulary
+        freq = window_frequencies(data, w)
+        self._vocabulary = data.vocabulary
         self.w = w
-        token_of = vocabulary.token_of
+        token_of = data.vocabulary.token_of
         order = sorted(range(len(freq)), key=lambda t: (freq[t], token_of(t)))
         self._rank_of_token: list[int] = [0] * len(freq)
         self._token_of_rank: list[int] = order
@@ -134,7 +97,7 @@ class GlobalOrder:
         self._freq_of_rank: list[int] = [freq[token] for token in order]
         self._built_size = len(freq)
         self._extra_ranks: dict[int, int] = {}
-        self.num_data_windows = num_data_windows
+        self.num_data_windows = data.total_windows(w)
 
     # ------------------------------------------------------------------
     @property

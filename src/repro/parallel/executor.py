@@ -117,6 +117,31 @@ class _Unit:
         self.attempts = attempts
 
 
+def _reap(pool: ProcessPoolExecutor) -> None:
+    """Stop ``pool`` now and join its processes and threads.
+
+    Workers are killed, not drained or sent SIGTERM: a forked worker
+    inherits its parent's Python signal handlers, and one that turns
+    SIGTERM into ``KeyboardInterrupt`` (``repro serve`` installs such a
+    handler) lets a worker inside a task catch it and wait for more
+    work.  A worker killed part way through writing its reply leaves
+    half a message in the reply pipe, and the pool's manager thread
+    would wait for the rest forever: this process holds a write end of
+    that pipe too.  Closing it once every worker is gone turns the wait
+    into end-of-file, so the shutdown returns, and no thread of the pool
+    is left for a later ``fork`` to copy.
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for process in processes:
+        process.kill()
+    for process in processes:
+        process.join()
+    result_queue = getattr(pool, "_result_queue", None)
+    if result_queue is not None:
+        result_queue._writer.close()
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _reraise(item, exc: Exception, attempts: int) -> None:
     """``on_poison`` of the exact-or-error operations (build, self-join):
     there is no per-item report that makes a partial result safe."""
@@ -277,7 +302,9 @@ class ParallelExecutor:
         Any abort (``KeyboardInterrupt``, ``WorkerCrashError``, an
         ``on_poison`` re-raise) terminates worker processes immediately
         and flushes the checkpoint before propagating, so Ctrl-C never
-        hangs on pool join and never loses completed chunks.
+        hangs on pool join and never loses completed chunks.  The pool
+        is joined, threads and all, before the abort propagates
+        (:func:`_reap`).
         """
         pending: deque[_Unit] = deque(units)
         in_flight: dict = {}
@@ -375,11 +402,7 @@ class ParallelExecutor:
                 pool.shutdown(wait=True)
         except BaseException:
             if pool is not None:
-                for process in list(
-                    (getattr(pool, "_processes", None) or {}).values()
-                ):
-                    process.terminate()
-                pool.shutdown(wait=False, cancel_futures=True)
+                _reap(pool)
             if checkpoint is not None:
                 # force=True: the file named by WorkerCrashError must
                 # exist even when the crash beat the first chunk.
@@ -560,49 +583,51 @@ class ParallelExecutor:
     ) -> PKWiseSearcher:
         """Build a :class:`PKWiseSearcher` by document partition.
 
-        Two supervised phases: (1) per-block window-frequency vectors,
-        summed elementwise into the exact global vector the serial
-        :class:`GlobalOrder` would compute; (2) per-block partial
-        interval indexes, merged in document order so every postings
-        list matches the serial build byte for byte.  A worker lost in
-        either phase costs one pool restart, never the build.
+        The global order is computed in-process (one vectorised pass,
+        :class:`GlobalOrder`); the interval index is built per contiguous
+        document block under the supervised pool, and the partial indexes
+        are merged in document order, so every postings list matches the
+        serial build byte for byte.  Workers receive ``(task_id, lo,
+        hi)`` and a block's result is keyed by ``lo``, never by arrival,
+        whatever retries and bisection made of the blocks.  An index is
+        exact-or-error like the self-join: a worker lost costs one pool
+        restart, a block that keeps failing re-raises its exception.
         """
         started = time.perf_counter()
         if self.jobs == 1 or len(data) <= 1:
             return PKWiseSearcher(data, params, scheme=scheme, order=order)
-        tracer = get_tracer()
         if order is None:
-            frequencies = [0] * len(data.vocabulary)
-
-            def add_frequencies(_lo: int, partial) -> None:
-                for token_id, count in enumerate(partial):
-                    frequencies[token_id] += count
-
-            with tracer.span("parallel.frequency_pass") as phase_span:
-                self._build_phase(
-                    (data, params.w),
-                    len(data),
-                    worker.frequency_chunk,
-                    add_frequencies,
-                    phase_span,
-                )
-            order = GlobalOrder.from_frequencies(
-                data.vocabulary, params.w, frequencies, data.total_windows(params.w)
-            )
+            order = GlobalOrder(data, params.w)
         if scheme is None:
             scheme = default_scheme(params, order)
 
+        units = [
+            _Unit(range(lo, hi))
+            for lo, hi in split_blocks(len(data), self.jobs * CHUNKS_PER_WORKER)
+        ]
+        processes = min(self.jobs, len(units))
+        recovery = RecoveryReport()
         parts: dict[int, tuple] = {}
-        with tracer.span(
+        with get_tracer().span(
             "parallel.build_searcher", documents=len(data)
         ) as build_span:
-            self._build_phase(
-                (data, params, scheme, order),
-                len(data),
-                worker.index_chunk,
-                parts.__setitem__,
-                build_span,
-            )
+            with self._worker_state((data, params, scheme, order)) as pool_args:
+                self._supervise(
+                    units=units,
+                    task_fn=worker.index_chunk,
+                    make_task=lambda task_id, unit: (
+                        task_id,
+                        unit.items.start,
+                        unit.items.stop,
+                    ),
+                    pool_args=pool_args,
+                    processes=processes,
+                    recovery=recovery,
+                    on_result=lambda unit, result: parts.__setitem__(
+                        unit.items.start, result
+                    ),
+                    on_poison=_reraise,
+                )
             index = IntervalIndex(params.w, params.tau, scheme)
             rank_docs: list[list[int]] = []
             for lo in sorted(parts):
@@ -610,7 +635,11 @@ class ParallelExecutor:
                 index.merge(partial_index)
                 rank_docs.extend(partial_ranks)
             build_span.annotate(
-                windows=index.num_windows, postings=index.num_postings
+                jobs=processes,
+                chunks=len(units),
+                pool_restarts=recovery.pool_restarts,
+                windows=index.num_windows,
+                postings=index.num_postings,
             )
         return PKWiseSearcher.from_prebuilt(
             params,
@@ -619,44 +648,6 @@ class ParallelExecutor:
             index,
             rank_docs,
             build_seconds=time.perf_counter() - started,
-        )
-
-    def _build_phase(
-        self, state, num_documents: int, task_fn, on_result, span
-    ) -> None:
-        """One supervised pass of ``task_fn`` over contiguous document blocks.
-
-        Workers receive ``(task_id, lo, hi)`` and ``on_result(lo,
-        result)`` fires exactly once per completed block, whatever
-        retries and bisection made of the blocks; callers combine by
-        ``lo``, never by arrival, which keeps the build deterministic.
-        An index is exact-or-error like the self-join, so a block that
-        keeps failing re-raises its exception.  ``span`` is annotated
-        with the dispatch shape and any pool restarts.
-        """
-        units = [
-            _Unit(range(lo, hi))
-            for lo, hi in split_blocks(num_documents, self.jobs * CHUNKS_PER_WORKER)
-        ]
-        processes = min(self.jobs, len(units))
-        recovery = RecoveryReport()
-        with self._worker_state(state) as pool_args:
-            self._supervise(
-                units=units,
-                task_fn=task_fn,
-                make_task=lambda task_id, unit: (
-                    task_id,
-                    unit.items.start,
-                    unit.items.stop,
-                ),
-                pool_args=pool_args,
-                processes=processes,
-                recovery=recovery,
-                on_result=lambda unit, result: on_result(unit.items.start, result),
-                on_poison=_reraise,
-            )
-        span.annotate(
-            jobs=processes, chunks=len(units), pool_restarts=recovery.pool_restarts
         )
 
     # ------------------------------------------------------------------

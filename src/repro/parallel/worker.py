@@ -2,11 +2,11 @@
 
 Everything here runs inside worker processes of the executor's one
 supervised pool (a ``ProcessPoolExecutor``, rebuilt after a worker
-death; all four task functions below run under it).  The shared read-only
-state (a searcher, or the pieces of an index build) lives in the module
-global ``_STATE``: under the ``fork`` start method the parent sets it
-before creating the pool and children inherit it for free; under
-``spawn`` a pool initializer repopulates it in each child — from a
+death; all three task functions below run under it).  The shared
+read-only state (a searcher, or the pieces of an index build) lives in
+the module global ``_STATE``: under the ``fork`` start method the parent
+sets it before creating the pool and children inherit it for free;
+under ``spawn`` a pool initializer repopulates it in each child — from a
 :mod:`repro.persistence` file for searchers, from a pickled payload
 otherwise.  The initializers also re-install the parent's active
 :class:`~repro.faults.FaultPlan`, so injected faults fire identically
@@ -15,13 +15,13 @@ under every start method.
 Task functions take one picklable tuple whose first element is the
 dispatch id.  The workload and self-join tasks return ``(chunk_index,
 pid, elapsed_seconds, ...)`` so the parent can attribute busy time to
-workers; the two build tasks return their partial result alone (the
-parent keys it by the block's first document).  Every task function
-passes through the :mod:`repro.faults` injection point
-``parallel.worker.chunk`` once per chunk (``kind`` = ``search`` /
-``selfjoin`` / ``frequency`` / ``index``); ``parallel.worker.query``
-fires once per workload query and ``parallel.worker.document`` once per
-self-join probe document — all no-ops unless a fault plan is active.
+workers; the build task returns its partial index alone (the parent
+keys it by the block's first document).  Every task function passes
+through the :mod:`repro.faults` injection point ``parallel.worker.chunk``
+once per chunk (``kind`` = ``search`` / ``selfjoin`` / ``index``);
+``parallel.worker.query`` fires once per workload query and
+``parallel.worker.document`` once per self-join probe document — all
+no-ops unless a fault plan is active.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .. import faults
 from ..core.base import SearchStats
 from ..core.selfjoin import document_join_pairs
 from ..index.interval_index import IntervalIndex
-from ..ordering.global_order import window_frequencies_of_documents
 
 #: Read-only shared state for the current pool generation.
 _STATE = None
@@ -111,23 +110,6 @@ def search_chunk(task):
         rows.append((position, query.doc_id, result.pairs))
     elapsed = time.perf_counter() - started
     return chunk_index, os.getpid(), elapsed, stats.snapshot(), rows
-
-
-def frequency_chunk(task):
-    """Window-frequency vector over one contiguous document block.
-
-    ``task`` is ``(chunk_index, lo, hi)``; shared state: ``(data, w)``.
-    The vectors of any set of blocks covering the collection sum
-    elementwise to ``window_frequencies(data, w)``.
-    """
-    chunk_index, lo, hi = task
-    faults.inject(
-        "parallel.worker.chunk", chunk_index=chunk_index, kind="frequency"
-    )
-    data, w = _STATE
-    return window_frequencies_of_documents(
-        (data[doc_id] for doc_id in range(lo, hi)), len(data.vocabulary), w
-    )
 
 
 def index_chunk(task):

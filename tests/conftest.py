@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
-from collections import Counter
+import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from repro import DocumentCollection, GlobalOrder, SearchParams
+from repro import DocumentCollection, PKWiseSearcher, SearchParams
+
+
+def _load_oracle():
+    """``benchmarks/e2e/oracle.Oracle``, loaded by path: the benchmark
+    directory is not a package, and the oracle imports nothing of repro."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("e2e_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Oracle
+
+
+Oracle = _load_oracle()
 
 
 @pytest.fixture
@@ -38,6 +54,32 @@ def small_corpus():
     return data
 
 
+@pytest.fixture
+def built(small_corpus):
+    """``small_corpus`` and a dict-index engine over it."""
+    return small_corpus, PKWiseSearcher(small_corpus, SearchParams(w=10, tau=2, k_max=3))
+
+
+@pytest.fixture
+def queries(small_corpus):
+    """Documents 0, 3 and 5 cut to 40 tokens and re-encoded as queries
+    (0 and 3 share the planted segment)."""
+    return [
+        small_corpus.encode_query_tokens(
+            small_corpus.vocabulary.decode(small_corpus[d].tokens[:40])
+        )
+        for d in (0, 3, 5)
+    ]
+
+
+@pytest.fixture
+def query(small_corpus):
+    """Doc 0's tokens 8-38 as a query: it matches docs 0 and 3, which a
+    router over two or three shards holds in different shards."""
+    words = small_corpus.vocabulary.decode(small_corpus[0].tokens[8:38])
+    return small_corpus.encode_query_tokens(words, name="cross-shard")
+
+
 def random_collection(rng: random.Random, *, max_docs=4, max_len=40, max_vocab=25):
     """A random collection + query for randomized equivalence tests."""
     vocab = rng.randint(3, max_vocab)
@@ -51,22 +93,73 @@ def random_collection(rng: random.Random, *, max_docs=4, max_len=40, max_vocab=2
     return data, query
 
 
-def brute_force_pairs(data: DocumentCollection, query, w: int, tau: int) -> set:
-    """Reference implementation: every window pair, one-shot overlaps."""
-    out = set()
-    query_tokens = query.tokens
-    for document in data:
-        for i in range(document.num_windows(w)):
-            counts = Counter(document.tokens[i : i + w])
-            for j in range(max(0, len(query_tokens) - w + 1)):
-                window = query_tokens[j : j + w]
-                query_counts = Counter(window)
-                overlap = sum(
-                    min(count, query_counts[token]) for token, count in counts.items()
-                )
-                if w - overlap <= tau:
-                    out.add((document.doc_id, i, j, overlap))
-    return out
+def make_corpus(seed, *, docs=6, length=80, vocab=40, planted=True):
+    """Seeded random corpus and the rng that made it.  With ``planted``,
+    doc 3 carries doc 0's tokens 10-40 with one edit, so a query cut from
+    doc 0 matches two documents."""
+    rng = random.Random(seed)
+    data = DocumentCollection()
+    token_docs = [
+        [f"t{rng.randrange(vocab)}" for _ in range(length)] for _ in range(docs)
+    ]
+    if planted and docs >= 4:
+        segment = token_docs[0][10:40]
+        segment[5] = "t-planted"
+        token_docs[3][20:50] = segment
+    for tokens in token_docs:
+        data.add_tokens(tokens)
+    return data, rng
+
+
+def make_queries(data, rng, *, count=4, vocab=40, length=30):
+    """Queries over a ``make_corpus`` collection: query ``2k`` is cut from
+    document ``-k`` (query 0 from doc 0, which the planted copy repeats,
+    query 2 from the last one), odd ones are random, and query ``4k + 2``
+    carries a word that no document has every 12 positions."""
+    queries = []
+    for i in range(count):
+        if i % 2 == 0 and len(data) > 0:
+            source = data[-(i // 2) % len(data)]
+            tokens = data.vocabulary.decode(source.tokens[8 : 8 + length])
+        else:
+            tokens = [f"t{rng.randrange(vocab)}" for _ in range(length)]
+        if i % 4 == 2:
+            tokens[5::12] = ["unseen"] * len(tokens[5::12])
+        queries.append(data.encode_query_tokens(tokens, name=f"q{i}"))
+    return queries
+
+
+def expected_pairs(data, query, w: int, tau: int, *, ndocs=None, removed=()) -> set:
+    """The reference: every ``(doc_id, data_start, query_start, overlap)``
+    with ``overlap >= w - tau``, from the benchmark's numpy oracle.
+
+    ``ndocs`` keeps the first ``ndocs`` documents and ``removed`` drops
+    tombstoned ids: a live index part way through its writes.  The oracle
+    indexes a table by token id, where the out-of-vocabulary id -1 would
+    alias the last vocabulary token, so every negative id becomes one id
+    past the vocabulary instead.
+    """
+    size = len(data.vocabulary)
+    tokens = [size if token < 0 else token for token in query.tokens]
+    oracle = Oracle([document.tokens for document in data], size + 1, w, tau)
+    return set(oracle.expected(tokens, ndocs=ndocs, removed=removed))
+
+
+@contextmanager
+def serving(server):
+    """Run ``server.serve_forever`` on a daemon thread for the block, then
+    shut the server down.  It polls for shutdown every 0.05 s: at the
+    stdlib's 0.5 s every ``shutdown()`` waits up to half a second."""
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 def pairs_as_set(result) -> set:

@@ -19,7 +19,7 @@ from repro.baselines import (
 )
 from repro.baselines.fbw import default_winnow_window
 
-from .conftest import brute_force_pairs, pairs_as_set, random_collection
+from .conftest import expected_pairs, pairs_as_set, random_collection
 
 EXACT_BASELINES = [
     (BruteForceSearcher, {}),
@@ -41,7 +41,7 @@ class TestExactness:
         w = rng.randint(3, 10)
         tau = rng.randint(0, min(3, w - 2))
         params = SearchParams(w=w, tau=tau, k_max=1)
-        expected = brute_force_pairs(data, query, w, tau)
+        expected = expected_pairs(data, query, w, tau)
         order = GlobalOrder(data, w)
         for cls, kwargs in EXACT_BASELINES:
             try:
@@ -60,7 +60,7 @@ class TestExactness:
         tau = rng.randint(0, min(2, w - 2))
         params = SearchParams(w=w, tau=tau, k_max=1)
         order = GlobalOrder(data, w)
-        expected = brute_force_pairs(data, query, w, tau)
+        expected = expected_pairs(data, query, w, tau)
         fbw = FBWSearcher(data, params, order=order)
         assert pairs_as_set(fbw.search(query)) <= expected
 

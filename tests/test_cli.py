@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -360,8 +361,14 @@ class TestErrors:
         self, flag, tmp_path, capsys
     ):
         # Refused on the arguments alone, before anything is opened.
-        rc = main(["serve", "--index", str(tmp_path / "nope.idx"),
-                   "--shards", "2"] + flag)
+        # `serve` makes SIGTERM raise KeyboardInterrupt in this process;
+        # left installed, every later forked pool worker would inherit it.
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            rc = main(["serve", "--index", str(tmp_path / "nope.idx"),
+                       "--shards", "2"] + flag)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
         err = capsys.readouterr().err
         assert rc == 2
         assert f"error: {flag[0]} cannot be combined with --shards" in err

@@ -1,12 +1,14 @@
 """Tests for the compact array-backed index and its snapshot files.
 
-Covers the freeze (``PKWiseSearcher.compacted``) parity contract —
-serial, fork, spawn, and behind a :class:`~repro.SearchService` — the
-hash-collision path collisions can only *add* candidates, the frozen
+Covers the freeze (``PKWiseSearcher.compacted``) contract — the
+reference pairs serially, under fork and spawn, and behind a
+:class:`~repro.SearchService` — the hash-collision path (collisions can
+only *add* candidates), the columns a freeze writes once, the frozen
 mutation guards, the mmap-able snapshot envelope (roundtrip, digests,
 truncation, tombstones), the :class:`~repro.index.PackedRankDocs`
 sequence and slice semantics, and concurrent search threads on one
-mapped snapshot.
+mapped snapshot.  ``test_exactness.py`` crosses the same storage values
+with routing, topology and lifecycle.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from hypothesis import strategies as st
 from repro import (
     Index,
     PersistenceError,
-    PKWiseSearcher,
-    SearchParams,
     SearchService,
     save_searcher,
 )
@@ -37,29 +37,13 @@ from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs, Pro
 from repro.ingest import Tier, TieredRankDocs
 from repro.persistence import load_bundle
 
-from .conftest import pairs_as_set, probe_runs
+from .conftest import expected_pairs, pairs_as_set, probe_runs
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-@pytest.fixture
-def built(small_corpus):
-    params = SearchParams(w=10, tau=2, k_max=3)
-    return small_corpus, PKWiseSearcher(small_corpus, params)
-
-
-@pytest.fixture
-def queries(small_corpus):
-    # Re-encode document slices as queries (includes the planted overlap).
-    return [
-        small_corpus.encode_query_tokens(
-            [
-                small_corpus.vocabulary.decode([t])[0]
-                for t in small_corpus[d].tokens[:40]
-            ]
-        )
-        for d in (0, 3, 5)
-    ]
+def reference(data, queries) -> list[set]:
+    return [expected_pairs(data, query, 10, 2) for query in queries]
 
 
 class TestCompactParity:
@@ -68,10 +52,8 @@ class TestCompactParity:
         frozen = searcher.compacted()
         assert frozen.frozen and not searcher.frozen
         assert isinstance(frozen.index, CompactIntervalIndex)
-        for query in queries:
-            assert pairs_as_set(frozen.search(query)) == pairs_as_set(
-                searcher.search(query)
-            )
+        got = [pairs_as_set(frozen.search(query)) for query in queries]
+        assert got == reference(data, queries)
 
     def test_compacted_of_frozen_is_self(self, built):
         _data, searcher = built
@@ -99,8 +81,8 @@ class TestCompactParity:
         assert forked.results_by_query == serial.results_by_query
 
     def test_parity_under_spawn(self, built, queries):
-        # The spawn transport writes a compact v3 snapshot and each
-        # worker memory-maps it; results must match the serial run.
+        # The spawn transport writes a compact snapshot and each worker
+        # memory-maps it; results must match the serial run.
         _data, searcher = built
         serial = run_searcher(searcher, queries)
         spawned = run_searcher(
@@ -110,10 +92,9 @@ class TestCompactParity:
 
     def test_parity_behind_service(self, built, queries):
         data, searcher = built
-        expected = [pairs_as_set(searcher.search(query)) for query in queries]
         with SearchService(searcher.compacted(), data, max_workers=2) as service:
-            got = [set(map(tuple, service.search(q).pairs)) for q in queries]
-        assert got == expected
+            got = [pairs_as_set(service.search(query)) for query in queries]
+        assert got == reference(data, queries)
 
 
 class TestHashedCollisions:
@@ -294,10 +275,8 @@ class TestV3Snapshots:
         for mmap in (False, True):
             loaded = load_bundle(path, mmap=mmap).searcher
             assert loaded.frozen
-            for query in queries:
-                assert pairs_as_set(loaded.search(query)) == pairs_as_set(
-                    searcher.search(query)
-                )
+            got = [pairs_as_set(loaded.search(query)) for query in queries]
+            assert got == reference(data, queries)
 
     def test_plain_save_opens_with_mmap(self, built, queries, tmp_path):
         data, searcher = built

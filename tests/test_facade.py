@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro import ConfigurationError, DocumentCollection, Index, SearchParams, api
+from repro import ConfigurationError, Index, SearchParams, api
 from repro.api import Searcher
 from repro.baselines import (
     AdaptSearcher,
@@ -26,7 +26,7 @@ from repro.index import CompactIntervalIndex, IntervalIndex, WindowInvertedIndex
 from repro.parallel import ParallelExecutor
 from repro.partition import PartitionScheme
 
-from .conftest import pairs_as_set
+from .conftest import expected_pairs, pairs_as_set
 
 TEXTS = [
     "alpha beta gamma delta epsilon zeta eta theta iota kappa lamda mu "
@@ -81,19 +81,14 @@ class TestIndexBuild:
             == compact.search_text(TEXTS[0]).sorted_pairs()
         )
 
-    def test_parity_with_direct_construction(self, small_corpus):
+    def test_parity_with_direct_construction(self, small_corpus, query):
         params = SearchParams(w=10, tau=2, k_max=3)
         direct = PKWiseSearcher(small_corpus, params)
         facade = Index.build(small_corpus, params)
-        query = small_corpus.encode_query_tokens(
-            [
-                small_corpus.vocabulary.decode([t])[0]
-                for t in small_corpus[0].tokens[10:40]
-            ]
-        )
-        assert pairs_as_set(facade.search(query)) == pairs_as_set(
-            direct.search(query)
-        )
+        want = expected_pairs(small_corpus, query, 10, 2)
+        assert want
+        assert pairs_as_set(facade.search(query)) == want
+        assert pairs_as_set(direct.search(query)) == want
 
 
 class TestIndexRoundtrip:

@@ -13,8 +13,11 @@ from __future__ import annotations
 import contextlib
 import json
 import multiprocessing
+import os
 import random
 import signal
+import struct
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -33,6 +36,7 @@ from repro.errors import ConfigurationError, FaultInjectionError
 from repro.eval.harness import serial_run
 from repro.obs import configure_tracing, disable_tracing
 from repro.parallel.checkpoint import RunCheckpoint, workload_fingerprint
+from repro.parallel.executor import _reap
 from repro.persistence import PersistenceError
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -322,6 +326,48 @@ class TestKeyboardInterrupt:
             executor.run_workload(wrapped, queries, checkpoint=checkpoint)
         assert checkpoint.exists()  # completed chunks were preserved
 
+    @needs_fork
+    def test_abort_joins_a_pool_left_with_half_a_reply(self):
+        # A worker that Ctrl-C or terminate() stops part way through its
+        # reply leaves a length header with no body in the reply pipe.
+        # The pool's manager thread then waits for the body forever, and
+        # before the abort path closed its own write end of the pipe, a
+        # Ctrl-C'd `repro selfjoin --jobs 2` could hang at exit.
+        pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+        assert pool.submit(abs, -1).result() == 1
+        manager = pool._executor_manager_thread
+        os.write(pool._result_queue._writer.fileno(), struct.pack("!i", 64))
+        with _deadline(20):
+            _reap(pool)
+        assert not manager.is_alive()
+
+    def test_abort_reaps_workers_forked_under_a_sigterm_handler(
+        self, workload, tmp_path
+    ):
+        # `repro serve` turns SIGTERM into KeyboardInterrupt so that its
+        # loops unwind, and a pool forked from such a process inherits
+        # the handler.  A worker inside a task then survives SIGTERM and
+        # waits for more work, so an abort that sent SIGTERM and joined
+        # hung here.  Worker B sleeps in query 2 while A is interrupted
+        # on query 4; the abort must still return promptly.
+        _data, _params, searcher, queries = workload
+        faults.install_plan(
+            FaultPlan([FaultSpec(point="parallel.worker.query", kind="delay",
+                                 match={"position": 2}, delay_seconds=5.0)])
+        )
+
+        def unwind(signum, frame):  # noqa: ARG001 - signal API
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGTERM, unwind)
+        try:
+            with _deadline(30), pytest.raises(KeyboardInterrupt):
+                _executor().run_workload(
+                    _InterruptingSearcher(searcher, interrupt_doc_id=4), queries
+                )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
 
 @needs_fork
 class TestWorkerKill:
@@ -413,15 +459,12 @@ class TestWorkerKill:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_kill_during_build_recovers(self, workload, tmp_path, start_method):
-        # One worker dies in each build phase.  Before 2.5 the phases ran
-        # under multiprocessing.Pool.map, which never returns once a
-        # worker is lost: this test hung instead of failing.
+        # One build worker dies.  Before 2.5 the build ran under
+        # multiprocessing.Pool.map, which never returns once a worker is
+        # lost: this test hung instead of failing.
         data, params, serial, _queries = workload
         faults.install_plan(
-            FaultPlan(
-                [_kill_one_chunk("frequency"), _kill_one_chunk("index")],
-                ledger=tmp_path / "ledger",
-            )
+            FaultPlan([_kill_one_chunk("index")], ledger=tmp_path / "ledger")
         )
         trace = tmp_path / "build.jsonl"
         configure_tracing(str(trace))
@@ -438,10 +481,7 @@ class TestWorkerKill:
             event["name"]: event["attrs"]["pool_restarts"]
             for event in map(json.loads, trace.read_text().splitlines())
         }
-        assert restarts == {
-            "parallel.frequency_pass": 1,
-            "parallel.build_searcher": 1,
-        }
+        assert restarts == {"parallel.build_searcher": 1}
 
     def test_build_exact_or_error_on_poison(self, workload):
         # A block that never stops failing re-raises: no partial index.

@@ -21,7 +21,7 @@ from repro import (
     SearchParams,
 )
 
-from .conftest import brute_force_pairs, pairs_as_set
+from .conftest import expected_pairs, pairs_as_set
 
 
 def corpus(seed=0, docs=3, length=50, vocab=60):
@@ -86,7 +86,7 @@ class TestAddDocument:
         query = data.encode_query_tokens(
             [f"t{rng.randrange(60)}" for _ in range(30)]
         )
-        assert pairs_as_set(index.search(query)) == brute_force_pairs(
+        assert pairs_as_set(index.search(query)) == expected_pairs(
             data, query, 8, 2
         )
 
@@ -106,7 +106,7 @@ class TestAddDocument:
         assert pairs_as_set(index.search(query)) == before
         index.compact()
         assert pairs_as_set(index.search(query)) == before
-        assert before == brute_force_pairs(data, query, 8, 2)
+        assert before == expected_pairs(data, query, 8, 2)
 
 
 class TestRemoveDocument:

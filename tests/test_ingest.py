@@ -3,10 +3,12 @@
 The contract under test, end to end:
 
 * **Exactness for any interleaving** — a store mutated by any sequence
-  of adds / removes / flushes / compactions returns pair-for-pair the
-  results of a one-shot :class:`~repro.PKWiseSearcher` built over the
-  final collection state (Theorem 1: the shared global order makes
-  tier boundaries invisible to the result set).
+  of adds / removes / flushes / compactions, and reopened from its WAL,
+  returns the reference pairs over the final collection state
+  (Theorem 1: the shared global order makes tier boundaries invisible
+  to the result set); the ``live`` and ``reopen`` cells of
+  ``test_exactness.py`` cross this with storage, routing and execution.
+  A fold is also pinned column for column against a rebuild.
 * **Serving never stops** — an install commits under the write side of
   the store's own lock, a query holds the read side for its whole run;
   queries interleaved with a mutation storm (behind a service or
@@ -56,6 +58,8 @@ from repro.ingest import Tier, read_wal, wal_generations
 from repro.persistence import PersistenceError
 from repro.signatures.maintain import SignatureStream
 
+from .conftest import expected_pairs
+
 PARAMS = SearchParams(w=8, tau=2, k_max=2)
 VOCAB = 40
 DOC_LEN = 36
@@ -83,15 +87,15 @@ def store_pairs(store, query):
     return canonical_pair_order(store.searcher().search(query).pairs)
 
 
-def one_shot_reference(texts, live_ids):
-    """A one-shot searcher over the full text history + tombstones."""
-    ref_data = DocumentCollection()
+def reference(texts, live_ids, query_tokens):
+    """The reference pairs, in canonical order, over the full text
+    history with every id outside ``live_ids`` removed."""
+    data = DocumentCollection()
     for tokens in texts:
-        ref_data.add_tokens(tokens)
-    ref = PKWiseSearcher(ref_data, PARAMS)
-    for doc_id in set(range(len(texts))) - set(live_ids):
-        ref._remove_document(doc_id)
-    return ref_data, ref
+        data.add_tokens(tokens)
+    removed = set(range(len(texts))) - set(live_ids)
+    return sorted(expected_pairs(data, data.encode_query_tokens(query_tokens),
+                                 PARAMS.w, PARAMS.tau, removed=removed))
 
 
 class TestStoreBasics:
@@ -101,13 +105,9 @@ class TestStoreBasics:
         store = IngestStore.create(PARAMS, data=DocumentCollection())
         for tokens in texts:
             store.add_tokens(tokens)
-        ref_data, ref = one_shot_reference(texts, range(len(texts)))
         query_tokens = make_tokens(rng, 24)
         got = store_pairs(store, store.data.encode_query_tokens(query_tokens))
-        want = canonical_pair_order(
-            ref.search(ref_data.encode_query_tokens(query_tokens)).pairs
-        )
-        assert got == want
+        assert got == reference(texts, range(len(texts)), query_tokens)
         store.close()
 
     def test_flush_and_compact_preserve_results(self):
@@ -222,16 +222,12 @@ class TestInterleavingProperty:
                 store.flush()
             else:
                 store.compact()
-        ref_data, ref = one_shot_reference(texts, live_ids)
         for _ in range(5):
             query_tokens = make_tokens(rng, 24)
             got = store_pairs(
                 store, store.data.encode_query_tokens(query_tokens)
             )
-            want = canonical_pair_order(
-                ref.search(ref_data.encode_query_tokens(query_tokens)).pairs
-            )
-            assert got == want
+            assert got == reference(texts, live_ids, query_tokens)
         store.close()
 
     def test_interleaving_under_live_service_traffic(self):
@@ -295,15 +291,11 @@ class TestInterleavingProperty:
         for per_query in epochs:
             assert per_query == sorted(per_query)  # epochs only move up
         # The final state is exact against a one-shot build.
-        ref_data, ref = one_shot_reference(texts, live_ids)
         for query_tokens in (make_tokens(rng, 24) for _ in range(3)):
             got = store_pairs(
                 store, store.data.encode_query_tokens(query_tokens)
             )
-            want = canonical_pair_order(
-                ref.search(ref_data.encode_query_tokens(query_tokens)).pairs
-            )
-            assert got == want
+            assert got == reference(texts, live_ids, query_tokens)
         store.close()
 
     def test_standalone_query_across_a_fold_is_exact(self):
@@ -316,10 +308,7 @@ class TestInterleavingProperty:
             store.add_tokens(tokens)
         store.flush()
         store.remove(0)
-        ref_data, ref = one_shot_reference(texts, range(1, 6))
-        want = canonical_pair_order(
-            ref.search(ref_data.encode_query_tokens(texts[0])).pairs
-        )
+        want = reference(texts, range(1, 6), texts[0])
         parked, folded = threading.Event(), threading.Event()
         windows = itertools.count()
 
@@ -356,14 +345,11 @@ class TestInterleavingProperty:
 
         def by_document(pairs) -> dict[int, list]:
             grouped: dict[int, list] = {}
-            for pair in canonical_pair_order(pairs):
-                grouped.setdefault(pair.doc_id, []).append(pair)
+            for pair in sorted(map(tuple, pairs)):
+                grouped.setdefault(pair[0], []).append(pair)
             return grouped
 
-        ref_data, ref = one_shot_reference(variants, range(len(variants)))
-        pairs_of = by_document(
-            ref.search(ref_data.encode_query_tokens(base)).pairs
-        )
+        pairs_of = by_document(reference(variants, range(len(variants)), base))
         assert len(pairs_of) == len(variants)
         index = repro.Index.open_live(
             params=PARAMS,

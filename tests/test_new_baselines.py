@@ -12,7 +12,7 @@ from repro import DocumentCollection, GlobalOrder, SearchParams
 from repro.baselines import MinHashLSHSearcher, WinnowingSearcher
 from repro.baselines.minhash import sliding_window_minima
 
-from .conftest import brute_force_pairs, pairs_as_set, random_collection
+from .conftest import expected_pairs, pairs_as_set, random_collection
 
 
 class TestSlidingWindowMinima:
@@ -48,7 +48,7 @@ class TestWinnowing:
         tau = rng.randint(0, min(2, w - 2))
         params = SearchParams(w=w, tau=tau, k_max=1)
         order = GlobalOrder(data, w)
-        expected = brute_force_pairs(data, query, w, tau)
+        expected = expected_pairs(data, query, w, tau)
         winnowing = WinnowingSearcher(data, params, order=order)
         assert pairs_as_set(winnowing.search(query)) <= expected
 
@@ -87,7 +87,7 @@ class TestMinHashLSH:
         tau = rng.randint(0, min(2, w - 2))
         params = SearchParams(w=w, tau=tau, k_max=1)
         order = GlobalOrder(data, w)
-        expected = brute_force_pairs(data, query, w, tau)
+        expected = expected_pairs(data, query, w, tau)
         searcher = MinHashLSHSearcher(data, params, order=order)
         assert pairs_as_set(searcher.search(query)) <= expected
 

@@ -1,6 +1,7 @@
 """Tests for repro.obs: metrics registry, span tracer, and the
 SearchStats-on-registry refactor (merge semantics, snapshot round-trips,
-serial vs parallel counter parity)."""
+serial vs parallel counter parity; every pooled cell of
+``test_exactness.py`` checks the last one too)."""
 
 from __future__ import annotations
 

@@ -6,7 +6,8 @@ counterpart returns.  The suite asserts exact equality (not just set
 equality: per-query lists are canonically ordered on both sides) under
 the fork start method, covers the spawn/pickle fallback, and pins the
 degenerate cases: ``jobs=1`` pass-through, an empty workload, and a
-workload smaller than the worker count.
+workload smaller than the worker count.  ``test_exactness.py`` crosses
+the execution axis with storage, routing, topology and lifecycle.
 """
 
 from __future__ import annotations
@@ -281,14 +282,16 @@ class TestDegenerateWorkloads:
 class TestSpawnFallback:
     """The portable path: state travels via persistence/pickle."""
 
-    def test_search_and_join_parity_under_spawn(self, corpus, params):
-        data, queries = corpus
-        searcher = PKWiseSearcher(data, params)
-        serial = run_searcher(searcher, queries)
-        parallel = run_searcher(
-            searcher, queries, jobs=2, start_method="spawn"
+    def test_self_join_parity_under_spawn(self, corpus, params):
+        data, _queries = corpus
+        serial = local_similarity_self_join(
+            data, params, exclude_same_document_within=params.w
         )
-        assert parallel.results_by_query == serial.results_by_query
+        spawned = ParallelExecutor(jobs=2, start_method="spawn").self_join(
+            data, params, exclude_same_document_within=params.w,
+            searcher=PKWiseSearcher(data, params),  # one spawn pool, not two
+        )
+        assert spawned == serial
 
     def test_build_parity_under_spawn(self, corpus, params):
         data, _queries = corpus

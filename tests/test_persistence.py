@@ -23,8 +23,6 @@ from repro import (
     Index,
     PackedRankDocs,
     PersistenceError,
-    PKWiseSearcher,
-    SearchParams,
     ShardPlan,
     WeightedPKWiseSearcher,
     faults,
@@ -46,15 +44,9 @@ from repro.persistence import (
     write_envelope,
 )
 
-from .conftest import brute_force_pairs, pairs_as_set
+from .conftest import expected_pairs, pairs_as_set
 
 MAGIC = b"repro-envelope-3"
-
-
-@pytest.fixture
-def built(small_corpus):
-    params = SearchParams(w=10, tau=2, k_max=3)
-    return small_corpus, PKWiseSearcher(small_corpus, params)
 
 
 @pytest.fixture
@@ -79,8 +71,8 @@ class TestRoundtrip:
             loaded = load_bundle(path, mmap=mmap).searcher
             assert loaded.frozen and not searcher.frozen
             for query in (data[0], data[3], data[5]):
-                assert pairs_as_set(loaded.search(query)) == pairs_as_set(
-                    searcher.search(query)
+                assert pairs_as_set(loaded.search(query)) == expected_pairs(
+                    data, query, 10, 2
                 )
 
     def test_bundle_with_data(self, built, tmp_path):
@@ -130,7 +122,7 @@ class TestRoundtrip:
         write_envelope(path, "pkwise-index", sections, arrays, header)
         with Index.open(path, mmap=True) as index:
             for query in (data[0], data[3]):
-                assert pairs_as_set(index.search(query)) == brute_force_pairs(
+                assert pairs_as_set(index.search(query)) == expected_pairs(
                     data, query, 10, 2
                 )
 

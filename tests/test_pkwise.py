@@ -22,7 +22,7 @@ from repro import (
 from repro.core.pkwise import default_scheme
 from repro.signatures import SignatureStream
 
-from .conftest import brute_force_pairs, pairs_as_set, random_collection
+from .conftest import expected_pairs, pairs_as_set, random_collection
 
 
 class TestPaperExample1:
@@ -51,7 +51,7 @@ class TestEquivalence:
             params = SearchParams(w=w, tau=tau, k_max=k_max, m=m)
         except ConfigurationError:
             return
-        expected = brute_force_pairs(data, query, w, tau)
+        expected = expected_pairs(data, query, w, tau)
         order = GlobalOrder(data, w)
         interval = PKWiseSearcher(data, params, order=order)
         nonint = PKWiseNonIntervalSearcher(data, params, order=order)
@@ -178,7 +178,7 @@ class TestChangedOnlyEvents:
         last_window = len(ranks) - self.W
         assert starts[-1] == last_window + 1 and starts[-2] <= last_window - 3
         result = searcher.search(query)
-        assert pairs_as_set(result) == brute_force_pairs(data, query, self.W, 1)
+        assert pairs_as_set(result) == expected_pairs(data, query, self.W, 1)
         assert any(pair.query_start == last_window for pair in result.pairs)
 
     def test_cancel_inside_an_unchanged_run(self, trailing_run):

@@ -5,8 +5,9 @@ dict/compact ``probe_many`` parity contract (hit-for-hit, including
 forced 64-bit collisions and repeated probes), the flat-column batch
 protocol itself (``sig_counts`` slicing, empty and all-OOV batches,
 tombstone filtering), and the searcher-level guarantees the batched
-slide loop must preserve: pair parity with tombstones and a populated,
-reconciling ``SearchStats`` phase breakdown.
+slide loop must preserve: pair parity with tombstones, pairs
+independent of the prefetch chunk size, and a populated, reconciling
+``SearchStats`` phase breakdown.
 """
 
 from __future__ import annotations
@@ -16,31 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PKWiseSearcher, SearchParams
+from repro import PKWiseSearcher
 from repro.index import CompactIntervalIndex, ProbeBatch
 from repro.index import compact as compact_module
 from repro.signatures.generate import signature_hash, signature_hashes
 
-from .conftest import pairs_as_set, probe_runs
-
-
-@pytest.fixture
-def built(small_corpus):
-    params = SearchParams(w=10, tau=2, k_max=3)
-    return small_corpus, PKWiseSearcher(small_corpus, params)
-
-
-@pytest.fixture
-def queries(small_corpus):
-    return [
-        small_corpus.encode_query_tokens(
-            [
-                small_corpus.vocabulary.decode([t])[0]
-                for t in small_corpus[d].tokens[:40]
-            ]
-        )
-        for d in (0, 3, 5)
-    ]
+from .conftest import expected_pairs, pairs_as_set, probe_runs
 
 
 class TestSignatureHashes:
@@ -222,7 +204,7 @@ class TestSearcherLevelBatching:
         for query in queries:
             a = pairs_as_set(searcher.search(query))
             b = pairs_as_set(frozen.search(query))
-            assert a == b
+            assert a == b == expected_pairs(data, query, 10, 2, removed={3})
             assert not any(pair[0] == 3 for pair in a)
 
     def test_stats_populated_and_reconcile(self, built, queries):

@@ -34,6 +34,8 @@ from repro import (
 from repro.service import CircuitBreaker, ResilientClient, serve_http
 from repro.service.client import MIN_RETRY_AFTER, _parse_retry_after
 
+from .conftest import serving
+
 
 @pytest.fixture(autouse=True)
 def _clean_plan():
@@ -569,16 +571,11 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def scripted_server():
     """An in-thread HTTP server replaying ScriptedHandler.script."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        ScriptedHandler.script = []
-        server.shutdown()
-        server.server_close()
-        thread.join(5)
+    with serving(ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)) as server:
+        try:
+            yield f"http://127.0.0.1:{server.server_address[1]}"
+        finally:
+            ScriptedHandler.script = []
 
 
 class TestClientOverHTTP:
@@ -715,10 +712,7 @@ class TestServiceFaultPoint:
             )
         )
         with SearchService(searcher, data, max_workers=2) as service:
-            httpd = serve_http(service, port=0)
-            thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-            thread.start()
-            try:
+            with serving(serve_http(service, port=0)) as httpd:
                 client = ResilientClient(
                     httpd.url,
                     retries=3,
@@ -730,6 +724,3 @@ class TestServiceFaultPoint:
                 # retry succeeds once the single trigger is spent.
                 reply = client.search(token_ids=list(data[0].tokens[:10]))
                 assert "pairs" in reply
-            finally:
-                httpd.shutdown()
-                httpd.server_close()

@@ -3,10 +3,13 @@
 The contract under test:
 
 * **Conservativeness** — ``exact`` mode never changes results: over
-  random corpora and a ``(w, tau)`` grid, a routed searcher returns
-  pair-for-pair the results of the same searcher with routing off —
+  random corpora and a ``(w, tau)`` grid, a routed searcher returns the
+  reference pairs, as the same searcher with routing off does —
   serially, under fork and spawn workers, through a 3-shard router,
-  and across any LSM interleaving of adds/removes/flushes/compactions.
+  and across any LSM interleaving of adds/removes/flushes/compactions
+  (``test_exactness.py`` crosses the routing axis with the others).
+* **Survivors** — the fingerprint tier keeps every document with a true
+  match and prunes documents that share no token with the query.
 * **API surface** — :class:`~repro.RoutingPolicy` is a frozen kw-only
   dataclass that normalizes from strings/dicts, rides on
   :class:`~repro.SearchParams`, and round-trips through format-v3
@@ -23,7 +26,6 @@ import dataclasses
 import json
 import multiprocessing
 import random
-import threading
 import urllib.request
 import zlib
 
@@ -32,7 +34,6 @@ import pytest
 
 from repro import (
     ConfigurationError,
-    DocumentCollection,
     Index,
     PKWiseSearcher,
     RoutingPolicy,
@@ -51,7 +52,7 @@ from repro.routing import (
 )
 from repro.service import ShardRouter, serve_http
 
-from .conftest import pairs_as_set
+from .conftest import expected_pairs, make_corpus, make_queries, pairs_as_set, serving
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -60,34 +61,6 @@ PARAM_GRID = [
     SearchParams(w=8, tau=2, k_max=2),
     SearchParams(w=12, tau=3, k_max=2),
 ]
-
-
-def make_corpus(seed, *, docs=6, length=80, vocab=40, planted=True):
-    """Random corpus; optionally plant a near-duplicate cross-doc segment."""
-    rng = random.Random(seed)
-    data = DocumentCollection()
-    token_docs = [
-        [f"t{rng.randrange(vocab)}" for _ in range(length)] for _ in range(docs)
-    ]
-    if planted and docs >= 4:
-        segment = token_docs[0][10:40]
-        segment[5] = "t-planted"
-        token_docs[3][20:50] = segment
-    for tokens in token_docs:
-        data.add_tokens(tokens)
-    return data, rng
-
-
-def make_queries(data, rng, *, count=4, vocab=40, length=30):
-    """Mix of planted (from doc 0) and random queries."""
-    queries = []
-    for i in range(count):
-        if i % 2 == 0 and len(data) > 0:
-            tokens = data.vocabulary.decode(data[0].tokens[8 : 8 + length])
-        else:
-            tokens = [f"t{rng.randrange(vocab)}" for _ in range(length)]
-        queries.append(data.encode_query_tokens(tokens, name=f"q{i}"))
-    return queries
 
 
 def routed_pair(data, params):
@@ -257,9 +230,9 @@ class TestExactRoutingIdentity:
         data, rng = make_corpus(seed)
         off, routed = routed_pair(data, params)
         for query in make_queries(data, rng):
-            want = canonical_pair_order(off.search(query).pairs)
-            got = canonical_pair_order(routed.search(query).pairs)
-            assert got == want
+            want = sorted(expected_pairs(data, query, params.w, params.tau))
+            assert canonical_pair_order(off.search(query).pairs) == want
+            assert canonical_pair_order(routed.search(query).pairs) == want
 
     def test_per_request_override_matches_params_policy(self):
         params = PARAM_GRID[1]
@@ -322,8 +295,8 @@ class TestExactRoutingIdentity:
         params = PARAM_GRID[1]
         data, rng = make_corpus(6)
         query = make_queries(data, rng, count=1)[0]
-        off = PKWiseSearcher(data, params.with_routing("off"))
-        want = pairs_as_set(off.search(query))
+        want = expected_pairs(data, query, params.w, params.tau)
+        assert want
         with ShardRouter.local(
             data, params.with_routing("exact"), shards=3
         ) as router:
@@ -569,10 +542,7 @@ class TestRoutingService:
     def test_http_routing_body(self):
         service, data, rng = self._service()
         query_text = " ".join(data.vocabulary.decode(data[0].tokens[8:38]))
-        httpd = serve_http(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with service, serving(serve_http(service, port=0)) as httpd:
             def post(payload):
                 request = urllib.request.Request(
                     f"{httpd.url}/search",
@@ -600,7 +570,3 @@ class TestRoutingService:
                 assert status == 400 and "routing" in error["error"]
             status, again = post({"text": query_text, "routing": "exact"})
             assert status == 200 and again["pairs"] == routed["pairs"]
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            service.close()

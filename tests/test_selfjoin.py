@@ -10,10 +10,10 @@ from repro import (
     local_similarity_self_join,
 )
 
-from .conftest import brute_force_pairs
+from .conftest import expected_pairs
 
 
-def make_corpus_with_copy():
+def corpus_with_copy():
     rng = random.Random(5)
     data = DocumentCollection()
     docs = [
@@ -27,7 +27,7 @@ def make_corpus_with_copy():
 
 class TestSelfJoin:
     def test_finds_cross_document_copy(self):
-        data = make_corpus_with_copy()
+        data = corpus_with_copy()
         params = SearchParams(w=10, tau=2, k_max=2)
         pairs = local_similarity_self_join(data, params)
         cross = [p for p in pairs if p.left_doc != p.right_doc]
@@ -36,14 +36,14 @@ class TestSelfJoin:
         )
 
     def test_no_identity_pairs(self):
-        data = make_corpus_with_copy()
+        data = corpus_with_copy()
         params = SearchParams(w=10, tau=2, k_max=2)
         pairs = local_similarity_self_join(data, params)
         for p in pairs:
             assert (p.left_doc, p.left_start) != (p.right_doc, p.right_start)
 
     def test_canonical_orientation_unique(self):
-        data = make_corpus_with_copy()
+        data = corpus_with_copy()
         params = SearchParams(w=10, tau=2, k_max=2)
         pairs = local_similarity_self_join(data, params)
         assert len(pairs) == len(set(pairs))
@@ -51,7 +51,7 @@ class TestSelfJoin:
             assert (p.left_doc, p.left_start) < (p.right_doc, p.right_start)
 
     def test_matches_bruteforce_reference(self):
-        data = make_corpus_with_copy()
+        data = corpus_with_copy()
         w, tau = 10, 2
         params = SearchParams(w=w, tau=tau, k_max=2)
         got = {
@@ -60,7 +60,7 @@ class TestSelfJoin:
         }
         expected = set()
         for document in data:
-            for doc_id, data_start, query_start, _overlap in brute_force_pairs(
+            for doc_id, data_start, query_start, _overlap in expected_pairs(
                 data, document, w, tau
             ):
                 left = (doc_id, data_start)
@@ -81,7 +81,7 @@ class TestSelfJoin:
         assert filtered == []
 
     def test_overlap_values_correct(self):
-        data = make_corpus_with_copy()
+        data = corpus_with_copy()
         params = SearchParams(w=10, tau=2, k_max=2)
         for p in local_similarity_self_join(data, params):
             left_window = data[p.left_doc].tokens[p.left_start : p.left_start + 10]

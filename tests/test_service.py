@@ -31,7 +31,7 @@ from repro.service import (
     serve_http,
 )
 
-from .conftest import pairs_as_set
+from .conftest import pairs_as_set, serving
 
 
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
@@ -435,14 +435,8 @@ class TestHTTP:
     @pytest.fixture
     def server(self, small_corpus, searcher):
         with SearchService(searcher, small_corpus, max_workers=2) as service:
-            httpd = serve_http(service, port=0)
-            thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-            thread.start()
-            try:
+            with serving(serve_http(service, port=0)) as httpd:
                 yield httpd
-            finally:
-                httpd.shutdown()
-                httpd.server_close()
 
     def test_healthz(self, server):
         health = remote_healthz(server.url)
@@ -595,35 +589,30 @@ class TestHTTP:
         data.add_text("a b c d e")
         service = SearchService(stub, data, max_workers=1, max_queue=1,
                                 cache_size=0)
-        httpd = serve_http(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            results: list = []
+        with service, serving(serve_http(service, port=0)) as httpd:
+            try:
+                results: list = []
 
-            def fire() -> None:
-                try:
-                    results.append(remote_search(httpd.url, "a b c"))
-                except Exception as exc:  # noqa: BLE001 - collected below
-                    results.append(exc)
+                def fire() -> None:
+                    try:
+                        results.append(remote_search(httpd.url, "a b c"))
+                    except Exception as exc:  # noqa: BLE001 - collected below
+                        results.append(exc)
 
-            threads = [threading.Thread(target=fire) for _ in range(4)]
-            for t in threads:
-                t.start()
-            assert stub.started.wait(5)
-            time.sleep(0.2)  # let the rest hit the full queue
-            stub.release.set()
-            for t in threads:
-                t.join()
-            overloads = [
-                r for r in results if isinstance(r, ServiceOverloadError)
-            ]
-            completions = [r for r in results if isinstance(r, dict)]
-            assert overloads, "expected at least one 429 rejection"
-            assert completions, "expected at least one success"
-            assert all(o.retry_after > 0 for o in overloads)
-        finally:
-            stub.release.set()
-            httpd.shutdown()
-            httpd.server_close()
-            service.close()
+                threads = [threading.Thread(target=fire) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                assert stub.started.wait(5)
+                time.sleep(0.2)  # let the rest hit the full queue
+                stub.release.set()
+                for t in threads:
+                    t.join()
+                overloads = [
+                    r for r in results if isinstance(r, ServiceOverloadError)
+                ]
+                completions = [r for r in results if isinstance(r, dict)]
+                assert overloads, "expected at least one 429 rejection"
+                assert completions, "expected at least one success"
+                assert all(o.retry_after > 0 for o in overloads)
+            finally:
+                stub.release.set()

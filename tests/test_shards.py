@@ -1,4 +1,4 @@
-"""Tests for sharded serving: plans (service.plan), router parity, faults."""
+"""Tests for sharded serving: plans (service.plan), router parity, its cache, faults."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro import (
     faults,
 )
 from repro.errors import ServiceClosedError
-from repro.eval.harness import canonical_pair_order
 from repro.persistence import generation_name, load_bundle
 from repro.service import (
     ResilientClient,
@@ -33,6 +32,8 @@ from repro.service.client import _request
 from repro.service.plan import MANIFEST_NAME, ShardPlan, partition_ranges
 from repro.service.router import LocalShardBackend, ShardRouter
 
+from .conftest import expected_pairs, serving
+
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
 
 
@@ -42,17 +43,9 @@ def _clear_fault_plan():
     faults.clear_plan()
 
 
-@pytest.fixture
-def query(small_corpus):
-    """A query cut from doc 0 — matches docs 0 and 3 (different shards)."""
-    tokens = small_corpus[0].tokens[8:38]
-    words = small_corpus.vocabulary.decode(tokens)
-    return small_corpus.encode_query_tokens(words, name="cross-shard")
-
-
-def expected_pairs(corpus, query):
-    searcher = PKWiseSearcher(corpus, PARAMS)
-    return canonical_pair_order(list(searcher.search(query).pairs))
+def single_pairs(corpus, query):
+    """What one index returns, in canonical order: the reference pairs."""
+    return sorted(expected_pairs(corpus, query, PARAMS.w, PARAMS.tau))
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +161,7 @@ class TestRouterParity:
     def test_local_router_matches_single_index(
         self, small_corpus, query, shards
     ):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         assert single, "fixture query must produce matches"
         with ShardRouter.local(
             small_corpus, PARAMS, shards=shards
@@ -186,7 +179,7 @@ class TestRouterParity:
     ):
         # A plan's snapshot files behind in-process services: what the
         # worker processes map, without spawning them.
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         plan = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=shards)
         backends = []
         for spec in plan.shards:
@@ -210,20 +203,15 @@ class TestRouterParity:
             ],
             params=PARAMS,
         )
-        single = canonical_pair_order(list(index.search(query)))
+        single = single_pairs(small_corpus, query)
         with index.serve(shards=3) as router:
             assert router.num_shards == 3
             assert list(router.search(query).pairs) == single
 
     def test_http_round_trip(self, small_corpus, query):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         with ShardRouter.local(small_corpus, PARAMS, shards=3) as router:
-            server = serve_http(router, port=0)
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            thread.start()
-            try:
+            with serving(serve_http(router, port=0)) as server:
                 health = remote_healthz(server.url)
                 assert health["status"] == "ok"
                 assert health["num_shards"] == 3
@@ -234,16 +222,12 @@ class TestRouterParity:
                     tuple(p) for p in single
                 ]
                 assert "partial" not in reply
-            finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=5)
 
 
 # ----------------------------------------------------------------------
 class TestPartialResults:
     def test_dead_shard_reports_partial(self, small_corpus, query):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         with ShardRouter.local(small_corpus, PARAMS, shards=3) as router:
             dead = router.backends[1]
             lo, hi = dead.doc_lo, dead.doc_hi
@@ -294,21 +278,12 @@ class TestPartialResults:
                     ]
                 )
             )
-            server = serve_http(router, port=0)
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            thread.start()
-            try:
+            with serving(serve_http(router, port=0)) as server:
                 reply = remote_search(
                     server.url, token_ids=list(query.tokens)
                 )
                 assert reply["partial"] is True
                 assert reply["failures"][0]["position"] == 0
-            finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=5)
 
     def test_closed_router_raises(self, small_corpus, query):
         router = ShardRouter.local(small_corpus, PARAMS, shards=2)
@@ -357,7 +332,7 @@ def router_counters(router):
 
 class TestRouterCache:
     def test_repeat_is_answered_without_a_sub_request(self, small_corpus, query):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         router, backends = counting_router(small_corpus)
         with router:
             first = router.search(query)
@@ -382,7 +357,7 @@ class TestRouterCache:
             assert router.healthz()["cache_entries"] == 1
 
     def test_routing_modes_are_separate_entries(self, small_corpus, query):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         router, backends = counting_router(small_corpus)
         with router:
             for routing in (None, "exact"):
@@ -400,7 +375,7 @@ class TestRouterCache:
     def test_partial_is_not_stored_and_the_retry_uses_shard_caches(
         self, small_corpus, query
     ):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         router, backends = counting_router(small_corpus)
         with router:
             backends[1].down = True
@@ -422,7 +397,7 @@ class TestRouterCache:
             assert router_counters(router)["router.partial_responses"] == 2
 
     def test_stored_reply_outlives_dead_shards(self, small_corpus, query):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         router, backends = counting_router(small_corpus)
         with router:
             router.search(query)
@@ -438,7 +413,7 @@ class TestRouterCache:
                 router.search(other)
 
     def test_replace_replica_invalidates(self, small_corpus, query):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         router, backends = counting_router(small_corpus)
         with router:
             router.search(query)
@@ -519,7 +494,7 @@ class TestRouterCache:
             )
             for doc in (0, 1, 2, 3)
         ]
-        expected = [expected_pairs(small_corpus, query) for query in queries]
+        expected = [single_pairs(small_corpus, query) for query in queries]
         router, _backends = counting_router(small_corpus, cache_size=2)
         wrong: list = []
 
@@ -573,21 +548,16 @@ class TestRouterCache:
             return dumps(value, *args, **kwargs)
 
         with service:
-            single = expected_pairs(corpus, corpus.encode_query(text))
+            single = single_pairs(corpus, corpus.encode_query(text))
             assert (len(single) > 1000) if reuse else not single
-            server = serve_http(service, port=0)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            monkeypatch.setattr(json, "dumps", counting_dumps)
-            try:
-                miss, hit, hit_again = (
-                    remote_search(server.url, text) for _ in range(3)
-                )
-            finally:
-                monkeypatch.undo()
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=5)
+            with serving(serve_http(service, port=0)) as server:
+                monkeypatch.setattr(json, "dumps", counting_dumps)
+                try:
+                    miss, hit, hit_again = (
+                        remote_search(server.url, text) for _ in range(3)
+                    )
+                finally:
+                    monkeypatch.undo()
         assert not miss["cached"] and hit["cached"] and hit_again["cached"]
         assert [tuple(pair) for pair in miss["pairs"]] == [tuple(p) for p in single]
         assert miss["num_pairs"] == len(single)
@@ -600,16 +570,13 @@ class TestRouterCache:
         assert encoded == [len(single)]
 
     def test_http_partial_reply_is_never_a_hit(self, small_corpus, query):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         router, backends = counting_router(small_corpus)
         backends[0].down = True
         lo, hi = backends[0].doc_lo, backends[0].doc_hi
         survivors = [list(p) for p in single if not lo <= p[0] < hi]
         with router:
-            server = serve_http(router, port=0)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            try:
+            with serving(serve_http(router, port=0)) as server:
                 for asked in (1, 2):
                     reply = remote_search(
                         server.url, token_ids=list(query.tokens)
@@ -620,16 +587,12 @@ class TestRouterCache:
                     assert reply["num_pairs"] == len(survivors)
                     assert backends[1].calls == asked
                 assert remote_healthz(server.url)["cache_entries"] == 0
-            finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=5)
 
 
 # ----------------------------------------------------------------------
 class TestHedging:
     def test_hedge_covers_one_slow_shard(self, small_corpus, query):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         # The first scatter attempt for shard 0 sleeps well past the
         # hedge trigger; the hedge (second attempt) finds the fault
         # exhausted and answers promptly.
@@ -668,14 +631,9 @@ class TestRouterIsReadOnly:
     def test_write_verbs_answer_405_and_serving_continues(
         self, small_corpus, query, path, body
     ):
-        single = expected_pairs(small_corpus, query)
+        single = single_pairs(small_corpus, query)
         with ShardRouter.local(small_corpus, PARAMS, shards=2) as router:
-            server = serve_http(router, port=0)
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            thread.start()
-            try:
+            with serving(serve_http(router, port=0)) as server:
                 sent = []
 
                 def send(http_timeout):
@@ -695,10 +653,6 @@ class TestRouterIsReadOnly:
                 assert [tuple(p) for p in reply["pairs"]] == [
                     tuple(p) for p in single
                 ]
-            finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=5)
 
 
 def test_service_public_names():

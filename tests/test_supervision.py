@@ -29,12 +29,10 @@ from repro import (
     ConfigurationError,
     FaultPlan,
     FaultSpec,
-    PKWiseSearcher,
     SearchParams,
     faults,
 )
 from repro.errors import WorkerStartupError
-from repro.eval.harness import canonical_pair_order
 from repro.persistence import generation_name
 from repro.service.plan import ShardPlan, ShardSpec
 from repro.service.router import ShardRouter
@@ -52,6 +50,8 @@ from repro.service.workers import (
     stop_shard_workers,
 )
 
+from .conftest import expected_pairs
+
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
 
 
@@ -59,19 +59,6 @@ PARAMS = SearchParams(w=10, tau=2, k_max=3)
 def _clear_fault_plan():
     yield
     faults.clear_plan()
-
-
-@pytest.fixture
-def query(small_corpus):
-    """A query cut from doc 0 — matches docs 0 and 3 (different shards)."""
-    tokens = small_corpus[0].tokens[8:38]
-    words = small_corpus.vocabulary.decode(tokens)
-    return small_corpus.encode_query_tokens(words, name="cross-shard")
-
-
-def expected_pairs(corpus, query):
-    searcher = PKWiseSearcher(corpus, PARAMS)
-    return canonical_pair_order(list(searcher.search(query).pairs))
 
 
 def counters(registry) -> dict:
@@ -84,7 +71,7 @@ class TestReplicaFailover:
     def test_replicated_router_matches_single_index(
         self, small_corpus, query, replicas
     ):
-        single = expected_pairs(small_corpus, query)
+        single = sorted(expected_pairs(small_corpus, query, PARAMS.w, PARAMS.tau))
         assert single, "fixture query must produce matches"
         with ShardRouter.local(
             small_corpus, PARAMS, shards=2, replicas=replicas
@@ -97,7 +84,7 @@ class TestReplicaFailover:
         # Replica 0 of shard 0 fails on every attempt; with R=2 the
         # router fails over to replica 1 and the caller sees a full,
         # non-partial answer — zero QueryFailures.
-        single = expected_pairs(small_corpus, query)
+        single = sorted(expected_pairs(small_corpus, query, PARAMS.w, PARAMS.tau))
         with ShardRouter.local(
             small_corpus, PARAMS, shards=2, replicas=2
         ) as router:
@@ -158,7 +145,7 @@ class TestReplicaFailover:
     def test_all_replicas_failed_reports_shard_failure(
         self, small_corpus, query
     ):
-        single = expected_pairs(small_corpus, query)
+        single = sorted(expected_pairs(small_corpus, query, PARAMS.w, PARAMS.tau))
         with ShardRouter.local(
             small_corpus, PARAMS, shards=2, replicas=2
         ) as router:
@@ -646,7 +633,7 @@ class TestEndToEndSelfHealing:
     def test_sigkill_under_load_zero_failures_then_heals(
         self, small_corpus, query, tmp_path
     ):
-        single = expected_pairs(small_corpus, query)
+        single = sorted(expected_pairs(small_corpus, query, PARAMS.w, PARAMS.tau))
         assert single
         plan = ShardPlan.build(
             small_corpus, PARAMS, tmp_path, num_shards=2, replicas=2
