@@ -27,10 +27,33 @@ document none of whose covers comes within ``2 * tau`` missing bits of
 *any* tested query window therefore cannot contain a qualifying
 window, and pruning it never changes results (recall 1.0).
 
-The missing-bit count is the asymmetric half of the Hamming distance:
-``F(Q) & ~M == (F(Q) | M) ^ M``, so the kernel is a popcount over an
-XOR of packed ``uint64`` columns, fully vectorized with
-``np.bitwise_count``.
+Kernel
+------
+The missing-bit count is the asymmetric half of the Hamming distance,
+``popcount(F(Q) & ~cover)``, and :meth:`FingerprintTier.survivors`
+answers it for every tested window against every cover in a few
+whole-array passes:
+
+* **Span table.**  OR is idempotent, so a window is the OR of two
+  overlapping spans of ``span`` tokens, the largest power of two
+  ``<= w``: ``F(Q_p) = T[p] | T[p + w - span]``.  The table ``T`` of
+  span ORs is built by doubling (``T = T[:-s] | T[s:]`` for ``s = 1,
+  2, 4, ...``) in ``log2(w)`` passes, and every tested window is then
+  one gather.
+* **Complement columns.**  The covers' complement is derived once per
+  compiled tier, lane-major — ``missing_lanes = (~cover_lanes).T``,
+  :data:`LANES` contiguous rows of one ``uint64`` per cover — and is
+  never stored, so the snapshot holds ``cover_lanes`` / ``cover_counts``
+  only.  Missing bits are a (positions × covers) ``uint16`` matrix
+  accumulated lane by lane with ``np.bitwise_count``; a cover survives
+  when any tested window misses at most the budget.  The cost is
+  tested windows × covers × :data:`LANES` popcounts.
+* **Block bound.**  Positions are taken in blocks so that neither the
+  matrix (positions × covers) nor the block's span table (tokens ×
+  lanes) exceeds :data:`_BLOCK_CELLS` cells, and each block hashes only
+  the tokens its windows read, ``[p_first, p_last + w)``.  A block
+  holds at least one position, so working memory is bounded by ``w``
+  and the tier's size, never by the query's length.
 
 Determinism
 -----------
@@ -55,6 +78,12 @@ LANES = 8
 
 #: Total fingerprint width in bits.
 FINGERPRINT_BITS = LANES * 64
+
+#: Most cells one block of the survivor test holds, in the missing-bit
+#: matrix (positions × covers, ``uint16``) and in the span table (tokens
+#: × lanes, ``uint64``).  The longest ``search-routed`` query (~110
+#: positions against ~2,900 covers) fits in one block with room to spare.
+_BLOCK_CELLS = 1 << 20
 
 _U64 = np.uint64
 _BIT_MASK = _U64(FINGERPRINT_BITS - 1)
@@ -87,29 +116,62 @@ def missing_bit_budget(tau: int) -> int:
 
 
 def _as_u64(ranks) -> np.ndarray:
-    """Rank sequence -> ``uint64`` array (negative ranks wrap, fixed)."""
-    return np.asarray(ranks, dtype=np.int64).astype(np.uint64)
+    """Rank sequence -> ``uint64`` array (negative ranks wrap, fixed).
+
+    A view when ``ranks`` already is an ``int64`` array: nothing here
+    writes to it.
+    """
+    return np.asarray(ranks, dtype=np.int64).view(np.uint64)
 
 
-def _token_masks(u64_ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token (lane, single-bit mask) columns for OR-fingerprinting."""
+def _token_lanes(u64_ranks: np.ndarray) -> np.ndarray:
+    """One :data:`LANES`-wide row per token, its one fingerprint bit set."""
     bits = _mix64(u64_ranks ^ _TOKEN_SEED) & _BIT_MASK
-    return (bits >> _LANE_SHIFT).astype(np.int64), np.left_shift(_ONE, bits & _LOW6)
+    rows = np.zeros((len(bits), LANES), dtype=np.uint64)
+    rows[np.arange(len(bits)), (bits >> _LANE_SHIFT).astype(np.intp)] = (
+        np.left_shift(_ONE, bits & _LOW6)
+    )
+    return rows
 
 
-def _query_positions(n: int, w: int, tau: int) -> list[int]:
-    """Window starts tested on the query side (stride ``tau + 1``)."""
-    last = n - w
-    positions = list(range(0, last + 1, tau + 1))
-    if positions[-1] != last:
-        positions.append(last)
-    return positions
+def _window_fingerprints(
+    u64_ranks: np.ndarray, starts: np.ndarray, w: int
+) -> np.ndarray:
+    """OR-fingerprints of the ``w``-windows of ``u64_ranks`` at ``starts``.
+
+    ``table[i]`` ends as the OR of tokens ``[i, i + span)``, ``span``
+    the largest power of two ``<= w``; OR is idempotent, so the two
+    spans at ``p`` and ``p + w - span`` make the window at ``p``.
+    """
+    table = _token_lanes(u64_ranks)
+    span = 1
+    while 2 * span <= w:
+        table = table[:-span] | table[span:]
+        span *= 2
+    return table[starts] | table[starts + (w - span)]
+
+
+def _covers_within(
+    windows: np.ndarray, missing_lanes: np.ndarray, budget: int
+) -> np.ndarray:
+    """Per cover: does some row of ``windows`` miss at most ``budget`` of
+    its bits?  The (windows × covers) missing-bit counts are summed lane
+    by lane; at most 512 bits can miss, so ``uint16`` holds them."""
+    missing = np.zeros((len(windows), missing_lanes.shape[1]), dtype=np.uint16)
+    for lane in range(LANES):
+        missing += np.bitwise_count(windows[:, lane, None] & missing_lanes[lane])
+    return (missing <= budget).any(axis=0)
 
 
 class _Compiled:
-    """Flat concatenated columns the survivor kernel runs over."""
+    """Flat concatenated columns the survivor kernel runs over.
 
-    __slots__ = ("cover_lanes", "cover_counts", "doc_of_cover")
+    ``missing_lanes`` is the covers' complement, lane-major: row ``l``
+    holds lane ``l`` of ``~cover`` for every cover, contiguous.  It is
+    derived here and never stored.
+    """
+
+    __slots__ = ("cover_lanes", "cover_counts", "doc_of_cover", "missing_lanes")
 
     def __init__(self, cover_lanes, cover_counts) -> None:
         self.cover_lanes = cover_lanes
@@ -117,6 +179,7 @@ class _Compiled:
         self.doc_of_cover = np.repeat(
             np.arange(len(cover_counts), dtype=np.int64), cover_counts
         )
+        self.missing_lanes = np.ascontiguousarray((~cover_lanes).T)
 
 
 class FingerprintTier:
@@ -195,11 +258,8 @@ class FingerprintTier:
         if pad:
             # Repeating the last token leaves every OR unchanged.
             u = np.concatenate([u, np.full(pad, u[-1], dtype=np.uint64)])
-        lane, mask = _token_masks(u)
-        token_lanes = np.zeros((len(u), LANES), dtype=np.uint64)
-        token_lanes[np.arange(len(u)), lane] = mask
         block_lanes = np.bitwise_or.reduce(
-            token_lanes.reshape(nblocks, block_len, LANES), axis=1
+            _token_lanes(u).reshape(nblocks, block_len, LANES), axis=1
         )
         if nblocks > 1:
             return block_lanes[:-1] | block_lanes[1:]
@@ -299,19 +359,32 @@ class FingerprintTier:
             return None
 
         compiled = self._compile()
-        positions = _query_positions(n, w, tau)
-        lane, mask = _token_masks(u)
-        token_lanes = np.zeros((n, LANES), dtype=np.uint64)
-        token_lanes[np.arange(n), lane] = mask
-
-        cover_lanes = compiled.cover_lanes
-        inverted = ~cover_lanes
-        cover_ok = np.zeros(len(cover_lanes), dtype=bool)
-        budget_u = np.int64(budget)
-        for start in positions:
-            window = np.bitwise_or.reduce(token_lanes[start : start + w], axis=0)
-            missing = np.bitwise_count(window[None, :] & inverted).sum(axis=1)
-            cover_ok |= missing.astype(np.int64) <= budget_u
+        missing_lanes = compiled.missing_lanes
+        ncovers = missing_lanes.shape[1]
+        # Tested window starts: k * stride for k = 0, 1, ..., plus the
+        # last start n - w when the stride steps over it.
+        stride = tau + 1
+        last = n - w
+        npositions = -(-last // stride) + 1
+        # A block of P positions fills P × ncovers matrix cells and a span
+        # table of at most ((P - 1) * stride + w) × LANES.
+        per_block = max(
+            1,
+            min(
+                _BLOCK_CELLS // max(ncovers, 1),
+                (_BLOCK_CELLS // LANES - w) // stride + 1,
+            ),
+        )
+        cover_ok = np.zeros(ncovers, dtype=bool)
+        for k in range(0, npositions, per_block):
+            starts = np.minimum(
+                np.arange(k, min(k + per_block, npositions)) * stride, last
+            )
+            first = int(starts[0])
+            windows = _window_fingerprints(
+                u[first : int(starts[-1]) + w], starts - first, w
+            )
+            cover_ok |= _covers_within(windows, missing_lanes, budget)
 
         alive = (
             np.bincount(

@@ -9,7 +9,10 @@ The contract under test:
   and across any LSM interleaving of adds/removes/flushes/compactions
   (``test_exactness.py`` crosses the routing axis with the others).
 * **Survivors** — the fingerprint tier keeps every document with a true
-  match and prunes documents that share no token with the query.
+  match and prunes documents that share no token with the query.  The
+  whole-array kernel returns, bit for bit, the mask of the per-window
+  loop kept here as :func:`reference_survivors`, and its working memory
+  does not grow with the query.
 * **API surface** — :class:`~repro.RoutingPolicy` is a frozen kw-only
   dataclass that normalizes from strings/dicts, rides on
   :class:`~repro.SearchParams`, and round-trips through format-v3
@@ -26,6 +29,7 @@ import dataclasses
 import json
 import multiprocessing
 import random
+import tracemalloc
 import urllib.request
 import zlib
 
@@ -48,6 +52,7 @@ from repro.routing import (
     FINGERPRINT_BITS,
     ROUTING_MODES,
     FingerprintTier,
+    fingerprints,
     missing_bit_budget,
 )
 from repro.service import ShardRouter, serve_http
@@ -68,6 +73,44 @@ def routed_pair(data, params):
     off = PKWiseSearcher(data, params.with_routing("off"))
     routed = PKWiseSearcher(data, params.with_routing("exact"))
     return off, routed
+
+
+def reference_survivors(tier, query_ranks, *, w, tau):
+    """:meth:`FingerprintTier.survivors` one tested window at a time.
+
+    Each window is OR-reduced from its own tokens and tested against
+    every cover separately; the kernel must return this mask bit for bit.
+    """
+    u = np.asarray(query_ranks, dtype=np.int64).astype(np.uint64)
+    n = len(u)
+    budget = missing_bit_budget(tau)
+    if tier.ndocs == 0 or n < w or budget >= FINGERPRINT_BITS:
+        return None
+    last = n - w
+    positions = list(range(0, last + 1, tau + 1))
+    if positions[-1] != last:
+        positions.append(last)
+    token_lanes = fingerprints._token_lanes(u)
+    compiled = tier._compile()
+    inverted = ~compiled.cover_lanes
+    cover_ok = np.zeros(len(inverted), dtype=bool)
+    for start in positions:
+        window = np.bitwise_or.reduce(token_lanes[start : start + w], axis=0)
+        missing = np.bitwise_count(window[None, :] & inverted).sum(axis=1)
+        cover_ok |= missing <= budget
+    alive = (
+        np.bincount(compiled.doc_of_cover, weights=cover_ok, minlength=tier.ndocs)
+        > 0
+    )
+    out = np.zeros(tier.doc_lo + tier.ndocs, dtype=bool)
+    out[tier.doc_lo :] = alive
+    return out
+
+
+def assert_same_mask(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +261,119 @@ class TestFingerprintTier:
     def test_exact_budget_derivation(self):
         assert missing_bit_budget(0) == 0
         assert missing_bit_budget(3) == 6
+
+
+# ----------------------------------------------------------------------
+class TestSurvivorKernel:
+    """The whole-array kernel equals :func:`reference_survivors`."""
+
+    # (w, tau, block_len): w = 1, w not a power of two, w == block_len,
+    # tau = w - 1.
+    LAYOUTS = [(1, 0, 16), (7, 2, 16), (8, 2, 8), (12, 3, 16), (16, 5, 16), (8, 7, 16)]
+
+    @staticmethod
+    def _rank_docs(seed, w):
+        """A ``make_corpus`` collection's rank sequences with an empty
+        and a shorter-than-``w`` document spliced in."""
+        data, rng = make_corpus(seed, docs=8)
+        searcher = PKWiseSearcher(data, SearchParams(w=8, tau=2, k_max=2))
+        docs = [list(searcher.rank_docs[i]) for i in range(len(data))]
+        return docs[:2] + [[]] + [docs[2][: w - 1]] + docs[2:], rng
+
+    @staticmethod
+    def _queries(docs, rng, w, tau):
+        """Queries of ``w``, ``w + 1`` and ``w + tau + 1`` tokens, one
+        whose last start is off the stride, cut from document 0 and
+        drawn at random (negative OOV ranks included)."""
+        stride = tau + 1
+        lengths = [w, w + 1, w + tau + 1, w + 2 * stride + 1, 40]
+        queries = []
+        for length in lengths:
+            queries.append(docs[0][5 : 5 + length])
+            queries.append([rng.randrange(-1, 45) for _ in range(length)])
+        return queries
+
+    @pytest.mark.parametrize("cells", [None, 1, 200], ids=["default", "cells1", "cells200"])
+    @pytest.mark.parametrize("w, tau, block_len", LAYOUTS)
+    def test_matches_reference_loop(self, monkeypatch, w, tau, block_len, cells):
+        # Small cell counts cut every query into many position blocks.
+        if cells is not None:
+            monkeypatch.setattr(fingerprints, "_BLOCK_CELLS", cells)
+        kept = pruned = 0
+        for seed in range(3):
+            docs, rng = self._rank_docs(seed, w)
+            built = FingerprintTier.from_rank_docs(docs, block_len=block_len)
+            tiers = [
+                built,
+                FingerprintTier.from_arrays(built.to_arrays(), block_len=block_len),
+                built.rebased(3),
+            ]
+            has_covers = np.asarray(built.to_arrays()["cover_counts"]) > 0
+            for query in self._queries(docs, rng, w, tau):
+                for tier in tiers:
+                    want = reference_survivors(tier, query, w=w, tau=tau)
+                    assert_same_mask(tier.survivors(query, w=w, tau=tau), want)
+                    kept += int(want[tier.doc_lo :].sum())
+                    pruned += int((has_covers & ~want[tier.doc_lo :]).sum())
+        # Some fingerprinted document survives, and some is pruned unless
+        # the budget covers a whole window (a w-window sets <= w bits).
+        assert kept and (pruned or 2 * tau >= w)
+
+    def test_long_query_spans_several_blocks(self):
+        # ~18k covers: a block at the default cell count holds ~57 of the
+        # query's ~300 tested positions.
+        rng = np.random.default_rng(0)
+        docs = [rng.integers(0, 5000, 80).tolist() for _ in range(2000)]
+        tier = FingerprintTier.from_rank_docs(docs, block_len=8)
+        query = docs[7][:40] + rng.integers(0, 5000, 860).tolist()
+        ncovers = len(tier.to_arrays()["cover_lanes"])
+        assert -(-(len(query) - 8) // 3) + 1 > 4 * (fingerprints._BLOCK_CELLS // ncovers)
+        want = reference_survivors(tier, query, w=8, tau=2)
+        assert want[7] and not want.all()
+        assert_same_mask(tier.survivors(query, w=8, tau=2), want)
+
+    def test_live_view_matches_reference(self):
+        # A TieredFingerprints view over a segment and the memtable
+        # equals one flat tier over the same documents.
+        params = SearchParams(w=8, tau=2, k_max=2)
+        data, rng = make_corpus(11, docs=9)
+        texts = [" ".join(data.vocabulary.decode(doc.tokens)) for doc in data]
+        index = Index.open_live(params=params, routing="exact")
+        for text in texts[:5]:
+            index.add(text)
+        index.flush()
+        for text in texts[5:]:
+            index.add(text)
+        searcher = index.searcher()
+        view = searcher.routing_fingerprints()
+        flat = FingerprintTier.from_rank_docs(
+            searcher.rank_docs, **params.routing.layout(params.w)
+        )
+        for query in make_queries(data, rng, count=4):
+            ranks = searcher.order.rank_document(query)
+            want = reference_survivors(flat, ranks, w=params.w, tau=params.tau)
+            assert_same_mask(view.survivors(ranks, w=params.w, tau=params.tau), want)
+        index.close()
+
+    def test_working_memory_is_bounded_for_a_long_query(self):
+        # A million-token query.  Only the uint64 copy of the input may
+        # grow with the query; the rest is one block of at most
+        # _BLOCK_CELLS cells, whose span table peaks at 16 MiB while it
+        # doubles.  Token lanes for the whole query alone are 64 MB.
+        _, _, rank_docs, _ = TestFingerprintTier()._tier_and_corpus()
+        tier = FingerprintTier.from_rank_docs(rank_docs, block_len=16)
+        tier.survivors(list(rank_docs[0]), w=8, tau=2)  # compile outside the window
+        rng = random.Random(0)
+        query = [rng.randrange(45) for _ in range(1_000_000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mask = tier.survivors(query, w=8, tau=2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert mask is not None and mask.any()
+        assert peak < 8 * len(query) + 24 * 2**20, peak
 
 
 # ----------------------------------------------------------------------
@@ -375,6 +531,35 @@ class TestExactRoutingIdentity:
             check(f"after add {round_} past the last flush")
         for index in indexes:
             index.close()
+
+
+# ----------------------------------------------------------------------
+class TestHostileInputAtTheRoutingDoor:
+    """Inputs at the edge of the budget derivation, through
+    ``Index.search_text``: routed replies are the reference pairs."""
+
+    @pytest.mark.parametrize(
+        "tau, kind",
+        [(2, "all-oov"), (7, "all-oov"), (7, "reuse"), (7, "oov-mixed")],
+        ids=["all-oov", "all-oov-tau-w-1", "reuse-tau-w-1", "oov-mixed-tau-w-1"],
+    )
+    def test_routed_equals_reference(self, tau, kind):
+        params = SearchParams(w=8, tau=tau, k_max=1)
+        data, rng = make_corpus(12)
+        texts = [" ".join(data.vocabulary.decode(doc.tokens)) for doc in data]
+        index = Index.build(texts, params, routing="exact")
+        words = data.vocabulary.decode(data[0].tokens[8:38])
+        if kind == "all-oov":
+            words = [f"unseen{i}" for i in range(30)]
+        elif kind == "oov-mixed":
+            words = [f"unseen{i}" if i % 3 == 0 else word for i, word in enumerate(words)]
+        text = " ".join(words)
+        want = expected_pairs(index.data, index.encode_query(text), params.w, tau)
+        assert bool(want) == (kind != "all-oov")
+        routed = index.search_text(text)
+        assert routed.stats.routing_checked_docs == len(data)
+        assert pairs_as_set(routed) == want
+        assert pairs_as_set(index.search_text(text, routing="off")) == want
 
 
 # ----------------------------------------------------------------------
