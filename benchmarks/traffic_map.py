@@ -71,7 +71,7 @@ def record(logs: Path, work: Path) -> list[str]:
     for i, tokens in enumerate(texts):  # the corpus is work/*.txt
         (work / f"d{i}.txt").write_text(" ".join(tokens))
     sizes = ("-w", "12", "--tau", "3", "--k-max", "3", "-m", "1")
-    repro("index", "--data", ".", "--out", "idx", *sizes, "--min-tokens", "1", "--jobs", "2",
+    repro("index", "--data", ".", "--out", "idx", *sizes, "--min-tokens", "1",
           "--greedy-partition", "--sample-ratio", "0.5", "--rotate", "1", "--routing", "exact",
           "--routing-block", "64")
     repro("ingest", "--dir", "lsm", "--data", ".", *sizes, "--from-stdin", "--remove", "2",

@@ -8,8 +8,7 @@ underneath.
 
 * :meth:`Index.build` — corpus in (a
   :class:`~repro.DocumentCollection`, a directory path, or raw texts),
-  queryable :class:`Index` out; optional greedy partitioning and
-  multi-process builds.
+  queryable :class:`Index` out; optional greedy partitioning.
 * :meth:`Index.open` / :meth:`Index.save` — round-trip through the
   snapshot format in :mod:`repro.persistence` (the engine is stored
   frozen onto its compact array columns); ``Index.open(path,
@@ -47,6 +46,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from .core.base import MatchPair
+from .core.pkwise import PKWiseSearcher
 from .corpus import (
     Document,
     DocumentCollection,
@@ -159,7 +159,6 @@ class Index:
         m: int | None = None,
         greedy_partition: bool = False,
         sample_ratio: float = 0.01,
-        jobs: int = 1,
         routing: RoutingPolicy | dict | str | None = None,
     ) -> "Index":
         """Build a ready-to-query pkwise index over ``data``.
@@ -173,8 +172,7 @@ class Index:
 
         ``greedy_partition=True`` runs the cost-based greedy
         partitioner (Section 5) before indexing — slower to build,
-        faster to query on skewed corpora.  ``jobs > 1`` (or ``0`` for
-        one per CPU) builds the index across worker processes.
+        faster to query on skewed corpora.
 
         ``routing`` sets the fingerprint routing policy the index
         searches under — a :class:`~repro.RoutingPolicy`, its dict
@@ -200,11 +198,7 @@ class Index:
                 b2_fraction=0.1,
                 sample_ratio=sample_ratio,
             ).partition()
-        from .parallel import ParallelExecutor
-
-        searcher = ParallelExecutor(jobs=jobs).build_searcher(
-            collection, params, scheme=scheme, order=order
-        )
+        searcher = PKWiseSearcher(collection, params, scheme=scheme, order=order)
         return cls(searcher, collection)
 
     @classmethod

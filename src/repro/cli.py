@@ -28,10 +28,11 @@ Examples::
     repro serve  --index corpus.lsm --live --port 8080
     repro query  --server http://127.0.0.1:8080 --text "some passage"
 
-``repro index``, ``repro search`` and ``repro selfjoin`` take
-``--jobs N`` to spread the work over ``N`` worker processes
-(``--jobs 0`` = one per CPU); results are identical to single-process
-runs.  Observability flags (on every subcommand but ``query``):
+``repro search`` and ``repro selfjoin`` take ``--jobs N`` to spread
+the queries or probe documents over ``N`` worker processes (``--jobs
+0`` = one per CPU); results are identical to single-process runs.
+``repro index`` builds in-process.  Observability flags (on every
+subcommand but ``query``):
 ``--trace FILE`` appends JSON-lines span events from
 :mod:`repro.obs`, ``--metrics-out FILE`` writes a structured metrics
 snapshot whose counters are identical across ``--jobs`` settings, and
@@ -150,7 +151,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         params,
         greedy_partition=args.greedy_partition,
         sample_ratio=args.sample_ratio,
-        jobs=args.jobs,
     )
     searcher = index.searcher()
     if args.greedy_partition:
@@ -169,7 +169,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         registry.counter("index.num_documents").inc(len(data))
         registry.counter("index.num_windows").inc(searcher.index.num_windows)
         registry.counter("index.num_postings").inc(searcher.index.num_postings)
-        registry.gauge("run.jobs").set(args.jobs)
         _write_metrics(
             args.metrics_out,
             {"name": "index", "schema_version": 1,
@@ -588,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_params(index_parser)
     _add_routing_flags(index_parser)
     _add_routing_layout_flag(index_parser)
-    _add_jobs_flag(index_parser)
     _add_obs_flags(index_parser)
     index_parser.set_defaults(func=_cmd_index)
 

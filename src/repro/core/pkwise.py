@@ -156,10 +156,8 @@ class PKWiseSearcher:
     ) -> "PKWiseSearcher":
         """Assemble a searcher around an already-built interval index.
 
-        Used by :meth:`repro.parallel.ParallelExecutor.build_searcher`
-        after merging its supervised pool's per-block partial indexes in
-        document order, and by the snapshot loader; the parts must be
-        mutually consistent (``rank_docs[i]`` is document ``i``'s rank
+        Used by the snapshot loader and the LSM ingest store; the parts
+        must be mutually consistent (``rank_docs[i]`` is document ``i``'s rank
         sequence under ``order``, and ``index`` covers exactly those
         documents with ``scheme``/``params``).  ``index`` may be the
         dict :class:`~repro.index.IntervalIndex` or a frozen

@@ -88,14 +88,14 @@ def local_similarity_self_join(
     dedup pipelines rarely want them.  Pass ``params.w`` to drop exactly
     the self-overlapping pairs; ``None`` keeps everything.
 
-    ``jobs`` distributes both the index build and the join itself over
-    that many worker processes (``0`` or ``None`` = one per CPU;
-    :class:`~repro.parallel.ParallelExecutor` runs ``jobs=1`` in-process);
-    the output is identical to the serial join.  ``checkpoint`` names a
-    file that accumulates completed document blocks so a long join
-    interrupted by a crash or Ctrl-C can be re-invoked with
-    ``resume=True`` and finish from where it stopped (a checkpoint runs
-    the supervised dispatcher even at ``jobs=1``).
+    The index is built in-process; ``jobs`` distributes the join's
+    probe documents over that many worker processes (``0`` or ``None`` =
+    one per CPU; :class:`~repro.parallel.ParallelExecutor` runs
+    ``jobs=1`` in-process); the output is identical to the serial join.
+    ``checkpoint`` names a file that accumulates completed document
+    blocks so a long join interrupted by a crash or Ctrl-C can be
+    re-invoked with ``resume=True`` and finish from where it stopped (a
+    checkpoint runs the supervised dispatcher even at ``jobs=1``).
     """
     from ..parallel import ParallelExecutor
 

@@ -42,8 +42,8 @@ Fault kinds:
     ``finally`` blocks and pool bookkeeping, exactly like a SIGKILL.
 
 Injection-point catalog (see ``docs/robustness.md`` for semantics):
-``parallel.worker.chunk`` (context ``kind`` = ``search`` / ``selfjoin``
-/ ``index``), ``parallel.worker.query``,
+``parallel.worker.chunk`` (context ``kind`` = ``search`` /
+``selfjoin``), ``parallel.worker.query``,
 ``parallel.worker.document``, ``persistence.write``,
 ``persistence.read``, ``service.request``, ``client.request``,
 ``shards.scatter`` (router → shard sub-request, context ``shard``,

@@ -71,7 +71,7 @@ class CompactIntervalIndex:
     :meth:`merged` (concatenate tier indexes — the LSM fold) or
     :meth:`from_arrays` (rehydrate saved/mapped columns).  The probe
     contract matches :meth:`IntervalIndex.probe_many`; mutation
-    (``index_document``/``merge``) raises
+    (``index_document``) raises
     :class:`~repro.errors.IndexStateError` — freezing is one-way.
     """
 
@@ -322,9 +322,6 @@ class CompactIntervalIndex:
     # Mutation is refused — the structure is frozen by design.
     # ------------------------------------------------------------------
     def index_document(self, doc_id: int, ranks: Sequence[int]) -> None:
-        raise IndexStateError(_FROZEN_MESSAGE)
-
-    def merge(self, other) -> None:
         raise IndexStateError(_FROZEN_MESSAGE)
 
     # ------------------------------------------------------------------

@@ -83,37 +83,6 @@ class IntervalIndex:
             self.build_stats[name] += getattr(stream, name)
 
     # ------------------------------------------------------------------
-    def merge(self, other: "IntervalIndex") -> None:
-        """Absorb another index built over a disjoint document partition.
-
-        Postings lists are concatenated, so merging partial indexes in
-        ascending doc_id-block order reproduces exactly the lists a
-        serial build over the whole collection would have produced
-        (serial ``index_document`` also appends in doc_id order).  The
-        parameters and scheme must match.
-        """
-        if (
-            self.w != other.w
-            or self.tau != other.tau
-            or self.scheme != other.scheme
-        ):
-            raise IndexStateError(
-                "cannot merge interval indexes built with different "
-                "parameters or schemes"
-            )
-        postings = self._postings
-        for key, intervals in other._postings.items():
-            existing = postings.get(key)
-            if existing is None:
-                postings[key] = list(intervals)
-            else:
-                existing.extend(intervals)
-        self.num_documents += other.num_documents
-        self.num_windows += other.num_windows
-        for name in self.build_stats:
-            self.build_stats[name] += other.build_stats[name]
-
-    # ------------------------------------------------------------------
     def probe(self, signature: Signature) -> list[WindowInterval]:
         """Postings list of ``signature`` (empty list if absent)."""
         return self._postings.get(signature, [])

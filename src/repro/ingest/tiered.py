@@ -13,8 +13,8 @@ into the single-index shape the pkwise search kernel expects:
   for each probed signature come back grouped, ordered by tier base and
   within a tier in postings-append order, which is exactly the order a
   serial from-scratch build over the same documents would have stored
-  (the parallel build's exact-merge argument, applied at probe time;
-  a fold applies it once more, for good —
+  (postings are appended in doc-id order, so concatenating disjoint
+  doc-id blocks in order is exact; a fold applies it once more, for good —
   :meth:`~repro.index.CompactIntervalIndex.merged` sorts the tiers'
   concatenated postings the same way, without re-signaturing).
 * :class:`TieredRankDocs` resolves a global doc id to its owning tier's
@@ -164,11 +164,6 @@ class TieredIntervalIndex:
         )
 
     index_document = add_document
-
-    def merge(self, other) -> None:
-        raise IndexStateError(
-            "a tiered LSM index cannot merge; compaction folds tiers instead"
-        )
 
     # -- aggregate introspection ----------------------------------------
     @property

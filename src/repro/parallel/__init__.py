@@ -1,20 +1,20 @@
-"""Multi-core batch execution (query sharding, build, self-join).
+"""Multi-core batch execution (query sharding, self-join).
 
 The pkwise pipeline is embarrassingly parallel at two natural grains:
-queries within a workload, and data-document partitions within index
-construction or a self-join.  :class:`ParallelExecutor` exploits both
-with a process pool (pure-Python hot loops gain nothing from threads
-under the GIL) while guaranteeing that every parallel code path returns
-exactly what the serial path returns, in the same order.
+queries within a workload, and probe documents within a self-join.
+:class:`ParallelExecutor` exploits both with a process pool
+(pure-Python hot loops gain nothing from threads under the GIL) while
+guaranteeing that every parallel code path returns exactly what the
+serial path returns, in the same order.
 
 Worker state transport
 ----------------------
-Workers need the read-only searcher (or collection).  On POSIX the pool
-uses the ``fork`` start method and workers inherit it through
-copy-on-write memory — zero serialization cost.  Where ``fork`` is
-unavailable (Windows, macOS default) the executor falls back to
-``spawn``: a :class:`~repro.PKWiseSearcher` travels through a temporary
-:mod:`repro.persistence` index file, any other payload through pickle.
+Workers need the read-only searcher.  On POSIX the pool uses the
+``fork`` start method and workers inherit it through copy-on-write
+memory — zero serialization cost.  Where ``fork`` is unavailable
+(Windows, macOS default) the executor falls back to ``spawn``: a
+:class:`~repro.PKWiseSearcher` travels through a temporary
+:mod:`repro.persistence` index file, any other engine through pickle.
 
 Fault tolerance
 ---------------
@@ -30,12 +30,11 @@ from .checkpoint import (
     selfjoin_fingerprint,
     workload_fingerprint,
 )
-from .executor import ParallelExecutor, split_blocks
+from .executor import ParallelExecutor
 
 __all__ = [
     "ParallelExecutor",
     "RunCheckpoint",
     "selfjoin_fingerprint",
-    "split_blocks",
     "workload_fingerprint",
 ]

@@ -1,14 +1,14 @@
 """The multi-core execution engine behind ``--jobs``.
 
-:class:`ParallelExecutor` runs the three batch-shaped operations of the
-library — a query workload, index construction, and the all-pairs
-self-join — across a process pool, with four invariants:
+:class:`ParallelExecutor` runs the two batch-shaped operations of the
+library — a query workload and the all-pairs self-join — across a
+process pool, with four invariants.  (Index construction stays
+in-process: a pooled build measured no faster than the serial one.)
 
 * **Determinism.**  Every operation returns exactly what its serial
-  counterpart returns: per-query pair lists in canonical order, an
-  interval index with byte-identical postings lists, self-join pairs in
-  sorted order.  Chunks are reassembled by item identity (query
-  position, document id), never by arrival.
+  counterpart returns: per-query pair lists in canonical order,
+  self-join pairs in sorted order.  Chunks are reassembled by item
+  identity (query position, document id), never by arrival.
 * **Chunked dispatch.**  Work is cut into ~``CHUNKS_PER_WORKER`` pieces
   per worker so one slow shard cannot idle the rest of the pool; the
   resulting skew is measured and reported per worker.
@@ -16,7 +16,7 @@ self-join — across a process pool, with four invariants:
   and the pool: ``jobs=1`` (or a trivially small input) runs in-process,
   and "one per CPU" is spelled here and nowhere else (``jobs=0`` or
   ``None``).  Callers pass ``jobs`` through unconditionally.
-* **Crash recovery, one pool.**  All three operations run under the
+* **Crash recovery, one pool.**  Both operations run under the
   same *supervised* dispatch (:mod:`concurrent.futures`): a chunk that
   raises is retried with capped exponential backoff, a chunk that keeps
   failing is bisected until the poison item is isolated, and a worker
@@ -25,10 +25,10 @@ self-join — across a process pool, with four invariants:
   re-dispatched.  Surviving results stay exact — a failed chunk
   contributes nothing until a retry completes it whole.  Poison queries
   are quarantined into typed :class:`~repro.eval.harness.QueryFailure`
-  records on the run; a poison build block or self-join document
-  re-raises (an index and a join are exact-or-error).  Optional
-  chunk-granularity checkpoints make workloads and self-joins resumable
-  after a crash or Ctrl-C (see :mod:`repro.parallel.checkpoint`).
+  records on the run; a poison self-join document re-raises (a join is
+  exact-or-error).  Optional chunk-granularity checkpoints make
+  workloads and self-joins resumable after a crash or Ctrl-C (see
+  :mod:`repro.parallel.checkpoint`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from pathlib import Path
 
 from .. import faults
 from ..core.base import SearchStats
-from ..core.pkwise import PKWiseSearcher, default_scheme
+from ..core.pkwise import PKWiseSearcher
 from ..corpus import Document, DocumentCollection
 from ..errors import ConfigurationError, WorkerCrashError
 from ..eval.harness import (
@@ -58,7 +58,6 @@ from ..eval.harness import (
     canonical_pair_order,
     serial_run,
 )
-from ..index.interval_index import IntervalIndex
 from ..obs import MetricsRegistry, get_tracer
 from ..ordering import GlobalOrder
 from ..params import SearchParams
@@ -88,23 +87,6 @@ RETRY_BACKOFF_CAP = 1.0
 
 #: Newly completed chunks between two flushes of a run checkpoint.
 CHECKPOINT_EVERY = 1
-
-
-def split_blocks(total: int, parts: int) -> list[tuple[int, int]]:
-    """Cut ``range(total)`` into at most ``parts`` contiguous blocks.
-
-    Blocks differ in size by at most one and are returned in order, so
-    concatenating per-block results preserves item order.
-    """
-    parts = max(1, min(parts, total))
-    base, remainder = divmod(total, parts)
-    blocks = []
-    lo = 0
-    for part in range(parts):
-        hi = lo + base + (1 if part < remainder else 0)
-        blocks.append((lo, hi))
-        lo = hi
-    return blocks
 
 
 class _Unit:
@@ -143,13 +125,13 @@ def _reap(pool: ProcessPoolExecutor) -> None:
 
 
 def _reraise(item, exc: Exception, attempts: int) -> None:
-    """``on_poison`` of the exact-or-error operations (build, self-join):
-    there is no per-item report that makes a partial result safe."""
+    """``on_poison`` of the exact-or-error self-join: there is no
+    per-item report that makes a partial join safe."""
     raise exc
 
 
 class ParallelExecutor:
-    """Process-pool execution of workloads, builds, and self-joins.
+    """Process-pool execution of query workloads and self-joins.
 
     Parameters
     ----------
@@ -223,10 +205,10 @@ class ParallelExecutor:
         construction: under ``fork`` the state sits in ``worker._STATE``
         for the whole run and every pool generation inherits it; under
         ``spawn`` each generation replays the initializer — a snapshot
-        file that every worker memory-maps (``PKWiseSearcher`` state:
-        one file, one shared page cache, near-constant per-worker
-        startup instead of a full unpickle), a pickled payload
-        otherwise.  The active fault plan travels in the initargs so
+        file that every worker memory-maps (a ``PKWiseSearcher``: one
+        file, one shared page cache, near-constant per-worker startup
+        instead of a full unpickle), the pickled searcher for any other
+        engine.  The active fault plan travels in the initargs so
         injection points fire identically under every start method.
         """
         pool_args = {"mp_context": multiprocessing.get_context(self.start_method)}
@@ -572,86 +554,7 @@ class ParallelExecutor:
         )
 
     # ------------------------------------------------------------------
-    # (b) Parallel index construction
-    # ------------------------------------------------------------------
-    def build_searcher(
-        self,
-        data: DocumentCollection,
-        params: SearchParams,
-        scheme: PartitionScheme | None = None,
-        order: GlobalOrder | None = None,
-    ) -> PKWiseSearcher:
-        """Build a :class:`PKWiseSearcher` by document partition.
-
-        The global order is computed in-process (one vectorised pass,
-        :class:`GlobalOrder`); the interval index is built per contiguous
-        document block under the supervised pool, and the partial indexes
-        are merged in document order, so every postings list matches the
-        serial build byte for byte.  Workers receive ``(task_id, lo,
-        hi)`` and a block's result is keyed by ``lo``, never by arrival,
-        whatever retries and bisection made of the blocks.  An index is
-        exact-or-error like the self-join: a worker lost costs one pool
-        restart, a block that keeps failing re-raises its exception.
-        """
-        started = time.perf_counter()
-        if self.jobs == 1 or len(data) <= 1:
-            return PKWiseSearcher(data, params, scheme=scheme, order=order)
-        if order is None:
-            order = GlobalOrder(data, params.w)
-        if scheme is None:
-            scheme = default_scheme(params, order)
-
-        units = [
-            _Unit(range(lo, hi))
-            for lo, hi in split_blocks(len(data), self.jobs * CHUNKS_PER_WORKER)
-        ]
-        processes = min(self.jobs, len(units))
-        recovery = RecoveryReport()
-        parts: dict[int, tuple] = {}
-        with get_tracer().span(
-            "parallel.build_searcher", documents=len(data)
-        ) as build_span:
-            with self._worker_state((data, params, scheme, order)) as pool_args:
-                self._supervise(
-                    units=units,
-                    task_fn=worker.index_chunk,
-                    make_task=lambda task_id, unit: (
-                        task_id,
-                        unit.items.start,
-                        unit.items.stop,
-                    ),
-                    pool_args=pool_args,
-                    processes=processes,
-                    recovery=recovery,
-                    on_result=lambda unit, result: parts.__setitem__(
-                        unit.items.start, result
-                    ),
-                    on_poison=_reraise,
-                )
-            index = IntervalIndex(params.w, params.tau, scheme)
-            rank_docs: list[list[int]] = []
-            for lo in sorted(parts):
-                partial_index, partial_ranks = parts[lo]
-                index.merge(partial_index)
-                rank_docs.extend(partial_ranks)
-            build_span.annotate(
-                jobs=processes,
-                chunks=len(units),
-                pool_restarts=recovery.pool_restarts,
-                windows=index.num_windows,
-                postings=index.num_postings,
-            )
-        return PKWiseSearcher.from_prebuilt(
-            params,
-            order,
-            scheme,
-            index,
-            rank_docs,
-            build_seconds=time.perf_counter() - started,
-        )
-
-    # ------------------------------------------------------------------
-    # (c) Parallel self-join
+    # (b) Parallel self-join
     # ------------------------------------------------------------------
     def self_join(
         self,
@@ -670,21 +573,24 @@ class ParallelExecutor:
         Each block is one slice of probe documents joined against the
         whole collection; the canonical-orientation filter already
         deduplicates across blocks, and the final sort makes the output
-        identical to the serial join.  Pass a prebuilt ``searcher`` to
-        skip (re)building the index.  ``jobs=1`` without a checkpoint
-        (or a single document) runs the same probes in-process.
+        identical to the serial join.  The index is built in-process
+        before any probe block is dispatched; pass a prebuilt
+        ``searcher`` to skip building it.  ``jobs=1`` without a
+        checkpoint (or a single document) runs the same probes
+        in-process.
 
         Supervised like :meth:`run_workload` (chunk retries, pool
         restarts, ``checkpoint=``/``resume=``), with one difference: a
         self-join is *exact-or-error*, so a document that keeps failing
         re-raises its exception (after flushing the checkpoint) instead
         of being quarantined — there is no per-item report that could
-        make a partial join safe to consume.
+        make a partial join safe to consume.  The ``parallel.self_join``
+        span records ``chunks`` and ``pool_restarts``.
         """
         from ..core.selfjoin import document_join_pairs
 
         if searcher is None:
-            searcher = self.build_searcher(data, params, scheme=scheme, order=order)
+            searcher = PKWiseSearcher(data, params, scheme=scheme, order=order)
         documents = list(data)
         in_process = checkpoint is None and (
             self.jobs == 1 or len(documents) <= 1
@@ -747,7 +653,9 @@ class ParallelExecutor:
                         checkpoint=run_checkpoint,
                     )
             results.sort()
-            join_span.annotate(pairs=len(results))
+            join_span.annotate(
+                pairs=len(results), pool_restarts=recovery.pool_restarts
+            )
         if run_checkpoint is not None:
             run_checkpoint.flush()
             run_checkpoint.remove()

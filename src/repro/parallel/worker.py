@@ -2,25 +2,22 @@
 
 Everything here runs inside worker processes of the executor's one
 supervised pool (a ``ProcessPoolExecutor``, rebuilt after a worker
-death; all three task functions below run under it).  The shared
-read-only state (a searcher, or the pieces of an index build) lives in
-the module global ``_STATE``: under the ``fork`` start method the parent
-sets it before creating the pool and children inherit it for free;
-under ``spawn`` a pool initializer repopulates it in each child — from a
-:mod:`repro.persistence` file for searchers, from a pickled payload
-otherwise.  The initializers also re-install the parent's active
-:class:`~repro.faults.FaultPlan`, so injected faults fire identically
-under every start method.
+death; both task functions below run under it).  The shared read-only
+searcher lives in the module global ``_STATE``: under the ``fork`` start
+method the parent sets it before creating the pool and children inherit
+it for free; under ``spawn`` a pool initializer repopulates it in each
+child — from a :mod:`repro.persistence` file for a ``PKWiseSearcher``,
+from a pickle for any other engine.  The initializers also re-install
+the parent's active :class:`~repro.faults.FaultPlan`, so injected faults
+fire identically under every start method.
 
 Task functions take one picklable tuple whose first element is the
-dispatch id.  The workload and self-join tasks return ``(chunk_index,
-pid, elapsed_seconds, ...)`` so the parent can attribute busy time to
-workers; the build task returns its partial index alone (the parent
-keys it by the block's first document).  Every task function passes
-through the :mod:`repro.faults` injection point ``parallel.worker.chunk``
-once per chunk (``kind`` = ``search`` / ``selfjoin`` / ``index``);
-``parallel.worker.query`` fires once per workload query and
-``parallel.worker.document`` once per self-join probe document — all
+dispatch id and return ``(chunk_index, pid, elapsed_seconds, ...)`` so
+the parent can attribute busy time to workers.  Every task function
+passes through the :mod:`repro.faults` injection point
+``parallel.worker.chunk`` once per chunk (``kind`` = ``search`` /
+``selfjoin``); ``parallel.worker.query`` fires once per workload query
+and ``parallel.worker.document`` once per self-join probe document — all
 no-ops unless a fault plan is active.
 """
 
@@ -32,7 +29,6 @@ import time
 from .. import faults
 from ..core.base import SearchStats
 from ..core.selfjoin import document_join_pairs
-from ..index.interval_index import IntervalIndex
 
 #: Read-only shared state for the current pool generation.
 _STATE = None
@@ -51,7 +47,7 @@ def clear_forked_state() -> None:
 
 
 def init_state(payload, fault_plan=None) -> None:
-    """Pool initializer (spawn fallback): install a pickled payload."""
+    """Pool initializer (spawn fallback): install a pickled searcher."""
     global _STATE
     _STATE = payload
     if fault_plan is not None:
@@ -110,28 +106,6 @@ def search_chunk(task):
         rows.append((position, query.doc_id, result.pairs))
     elapsed = time.perf_counter() - started
     return chunk_index, os.getpid(), elapsed, stats.snapshot(), rows
-
-
-def index_chunk(task):
-    """Partial interval index over one contiguous document block.
-
-    ``task`` is ``(chunk_index, lo, hi)``; shared state: ``(data,
-    params, scheme, order)``.  Returns ``(index, rank_docs)``; merging
-    the partial indexes in document order reproduces the serial build
-    exactly (see :meth:`~repro.index.interval_index.IntervalIndex.merge`).
-    """
-    chunk_index, lo, hi = task
-    faults.inject(
-        "parallel.worker.chunk", chunk_index=chunk_index, kind="index"
-    )
-    data, params, scheme, order = _STATE
-    index = IntervalIndex(params.w, params.tau, scheme)
-    rank_docs = []
-    for doc_id in range(lo, hi):
-        ranks = order.rank_document(data[doc_id])
-        rank_docs.append(ranks)
-        index.index_document(doc_id, ranks)
-    return index, rank_docs
 
 
 def selfjoin_chunk(task):

@@ -18,7 +18,9 @@ from repro import (
     FaultSpec,
     Index,
     ParallelExecutor,
+    SearchParams,
     WorkerCrashError,
+    collection_from_directory,
     faults,
 )
 from repro.cli import main
@@ -119,14 +121,13 @@ class TestFrontDoor:
                 ["--tau", "1", "--greedy-partition", "--sample-ratio", "0.3"],
                 {"tau": 1, "greedy_partition": True, "sample_ratio": 0.3},
             ),
-            (["--tau", "3", "--jobs", "2"], {"tau": 3, "jobs": 2}),
             (["--tau", "3", "--routing", "exact"], {"tau": 3, "routing": "exact"}),
             (
                 ["--tau", "3", "--routing", "exact", "--routing-block", "64"],
                 {"tau": 3, "routing": {"mode": "exact", "block_tokens": 64}},
             ),
         ],
-        ids=["plain", "greedy", "jobs2", "routing-exact", "routing-block"],
+        ids=["plain", "greedy", "routing-exact", "routing-block"],
     )
     def test_index_writes_what_index_build_saves(
         self, corpus_dir, tmp_path, flags, build_kwargs
@@ -301,6 +302,52 @@ class TestSelfJoin:
         assert rc == 0
         out = capsys.readouterr().out
         assert "doc0.txt ~ doc5.txt" in out
+
+    def test_jobs_checkpoint_resume_print_the_serial_output(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        directory, _query = corpus_dir
+        selfjoin = ["selfjoin", "--data", str(directory), "-w", "20", "--tau", "4"]
+        assert main(selfjoin) == 0
+        expected = capsys.readouterr().out
+        assert "doc0.txt ~ doc5.txt" in expected
+
+        checkpoint = tmp_path / "join.ckpt"
+        parallel = selfjoin + ["--jobs", "2", "--checkpoint", str(checkpoint)]
+        assert main(parallel) == 0
+        assert capsys.readouterr().out == expected
+        assert not checkpoint.exists()  # removed on success
+
+        # An interrupted join (one worker killed, no restart budget)
+        # leaves the checkpoint behind; --resume finishes it.
+        params = SearchParams.from_values(w=20, tau=4)
+        faults.install_plan(
+            FaultPlan(
+                [
+                    FaultSpec(
+                        point="parallel.worker.document",
+                        kind="kill",
+                        match={"doc_id": 3},
+                        max_triggers=1,
+                    )
+                ],
+                ledger=tmp_path / "ledger",
+            )
+        )
+        try:
+            with pytest.raises(WorkerCrashError):
+                ParallelExecutor(jobs=2, max_pool_restarts=0).self_join(
+                    collection_from_directory(directory),
+                    params,
+                    exclude_same_document_within=params.w,
+                    checkpoint=checkpoint,
+                )
+        finally:
+            faults.clear_plan()
+        assert checkpoint.exists()
+        assert main(parallel + ["--resume"]) == 0
+        assert capsys.readouterr().out == expected
+        assert not checkpoint.exists()
 
     def test_no_replication(self, tmp_path, capsys):
         directory = tmp_path / "unique"

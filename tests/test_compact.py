@@ -228,8 +228,6 @@ class TestFrozenGuards:
         frozen = searcher.compacted()
         with pytest.raises(IndexStateError, match="frozen"):
             frozen.index.index_document(99, [1, 2, 3])
-        with pytest.raises(IndexStateError, match="frozen"):
-            frozen.index.merge(searcher.index)
 
     def test_remove_document_still_works(self, built, queries):
         _data, searcher = built

@@ -6,8 +6,8 @@ against ``conftest.expected_pairs`` (the benchmark's numpy oracle, which
 shares no code with ``repro``).  Axes: the engine as built (dict), frozen
 (compact) or saved and mapped (mmap); routing ``off``, ``exact``, or off
 with every ``request`` asking for exact; ``serial`` behind a
-``SearchService`` or a ``--jobs 2`` build and workload under ``fork`` /
-``spawn``; one index, 3 shards, or 2 shards x 2 replicas; built once,
+``SearchService`` or a ``--jobs 2`` workload under ``fork`` / ``spawn``;
+one index, 3 shards, or 2 shards x 2 replicas; built once,
 then seeded add / remove / flush / compact (live), or the same on a
 durable store closed and reopened with ``Index.open_live`` (reopen).
 
@@ -25,9 +25,8 @@ from itertools import combinations, product
 
 import pytest
 
-from repro import DocumentCollection, Index, SearchParams
+from repro import DocumentCollection, Index, PKWiseSearcher, SearchParams
 from repro.eval import run_searcher
-from repro.parallel import ParallelExecutor
 from repro.service import LocalShardBackend, ShardPlan, ShardRouter
 
 from .conftest import expected_pairs, make_corpus, make_queries
@@ -145,8 +144,7 @@ def plan_writes(rng, texts, steps=12):
 
 
 def open_engine(cell, data, params, override, tmp_path):
-    jobs, method = (1, None) if cell.execution == "serial" else (2, cell.execution)
-    searcher = ParallelExecutor(jobs, method).build_searcher(data, params)
+    searcher = PKWiseSearcher(data, params)
     if cell.storage == "dict":
         return Index(searcher, data)
     if cell.storage == "compact":

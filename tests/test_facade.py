@@ -248,7 +248,8 @@ class TestRemovedFacadeNames:
 
 
 class TestTrafficAuditRemovals:
-    """2.1: options and forks no benchmark, CLI or server path reached."""
+    """2.1: options and forks no benchmark, CLI or server path reached;
+    2.19: the parallel index build, which measured no gain."""
 
     @pytest.mark.parametrize(
         "construct",
@@ -268,13 +269,11 @@ class TestTrafficAuditRemovals:
             lambda data, params, scheme: PKWiseNonIntervalSearcher(
                 data, params, hashed=False
             ),
-            lambda data, params, scheme: ParallelExecutor(jobs=1).build_searcher(
-                data, params, hashed=False
-            ),
+            lambda data, params, scheme: Index.build(data, params, hashed=False),
         ],
         ids=[
             "IntervalIndex", "WindowInvertedIndex", "CompactIntervalIndex",
-            "PKWiseSearcher", "PKWiseNonIntervalSearcher", "build_searcher",
+            "PKWiseSearcher", "PKWiseNonIntervalSearcher", "Index.build",
         ],
     )
     def test_hashed_keyword_is_gone(self, small_corpus, construct):
@@ -282,6 +281,22 @@ class TestTrafficAuditRemovals:
         scheme = PartitionScheme.single(8)
         with pytest.raises(TypeError, match="hashed"):
             construct(small_corpus, params, scheme)
+
+    def test_parallel_build_is_gone(self, small_corpus, capsys):
+        # The pool keeps workloads and self-joins, which it speeds up.
+        import repro.parallel
+        from repro.cli import main
+
+        with pytest.raises(TypeError, match="jobs"):
+            Index.build(small_corpus, w=10, tau=2, jobs=2)
+        with pytest.raises(SystemExit) as raised:
+            main(["index", "--data", "d", "--out", "o", "--jobs", "2"])
+        assert raised.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not hasattr(ParallelExecutor, "build_searcher")
+        assert not hasattr(repro.parallel, "split_blocks")
+        assert not hasattr(IntervalIndex, "merge")
+        assert not hasattr(CompactIntervalIndex, "merge")
 
     def test_windows_exports_one_of_each(self):
         import repro.windows
@@ -316,14 +331,11 @@ class TestSearchManyUnification:
         run = index.searcher().search_many(queries)
         assert run.num_queries == 2
         assert set(run.results_by_query) == {0, 1}
-        # jobs=0 is "one per CPU" everywhere jobs= is taken, not only in
-        # Index.build (2.4 raised "jobs must be >= 1, got 0" here).
+        # jobs=0 is "one per CPU" everywhere jobs= is taken (2.4 raised
+        # "jobs must be >= 1, got 0" here).
         for auto in (
             index.searcher().search_many(queries, jobs=0),
             run_searcher(index.searcher(), queries, jobs=0),
-            run_searcher(
-                Index.build(small_corpus, index.params, jobs=0).searcher(), queries
-            ),
         ):
             assert auto.results_by_query == run.results_by_query
 
@@ -408,6 +420,29 @@ class TestModuleSurface:
         assert after == "['http.server', 'urllib.request', 'multiprocessing']"
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             repro.nope
+
+    def test_build_save_open_search_stay_off_the_pool_plane(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "from repro import Index\n"
+            "text = ' '.join(f'w{i % 17}' for i in range(60))\n"
+            "Index.build([text, 'a b c ' * 10], w=12, tau=2).save(sys.argv[1])\n"
+            "with Index.open(sys.argv[1]) as index:\n"
+            "    assert index.search_text(text).pairs\n"
+            "pool = ('repro.parallel', 'multiprocessing', 'concurrent.futures')\n"
+            "print([name for name in pool if name in sys.modules])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "index.idx")],
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout == "[]\n"
 
     def test_version_bumped(self):
         import re

@@ -93,11 +93,11 @@ def _deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _kill_one_chunk(kind: str) -> FaultSpec:
+def _kill_one_document() -> FaultSpec:
     return FaultSpec(
-        point="parallel.worker.chunk",
+        point="parallel.worker.document",
         kind="kill",
-        match={"kind": kind},
+        match={"doc_id": 4},
         max_triggers=1,
     )
 
@@ -449,56 +449,39 @@ class TestWorkerKill:
         with pytest.raises(WorkerCrashError) as info:
             executor.run_workload(searcher, queries)
         assert info.value.restarts == 1
-        # The build spends the same budget under the same supervisor.
+        # The self-join spends the same budget under the same supervisor.
         faults.install_plan(
-            FaultPlan([_kill_one_chunk("index")], ledger=tmp_path / "build")
+            FaultPlan([_kill_one_document()], ledger=tmp_path / "join")
         )
         with _deadline(60), pytest.raises(WorkerCrashError) as info:
-            executor.build_searcher(data, params)
+            executor.self_join(data, params, searcher=searcher)
         assert info.value.restarts == 1
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_kill_during_build_recovers(self, workload, tmp_path, start_method):
-        # One build worker dies.  Before 2.5 the build ran under
-        # multiprocessing.Pool.map, which never returns once a worker is
-        # lost: this test hung instead of failing.
-        data, params, serial, _queries = workload
+    def test_kill_during_self_join_recovers(self, workload, tmp_path, start_method):
+        # One self-join worker dies under the default restart budget: the
+        # join still equals the serial one, and its span says what it cost.
+        data, params, searcher, _queries = workload
+        expected = local_similarity_self_join(data, params)
         faults.install_plan(
-            FaultPlan([_kill_one_chunk("index")], ledger=tmp_path / "ledger")
+            FaultPlan([_kill_one_document()], ledger=tmp_path / "ledger")
         )
-        trace = tmp_path / "build.jsonl"
+        trace = tmp_path / "join.jsonl"
         configure_tracing(str(trace))
         try:
             with _deadline(120):
-                built = _executor(start_method=start_method).build_searcher(
-                    data, params
+                pairs = _executor(start_method=start_method).self_join(
+                    data, params, searcher=searcher
                 )
         finally:
             disable_tracing()
-        assert built.index._postings == serial.index._postings
-        assert built.rank_docs == serial.rank_docs
-        restarts = {
-            event["name"]: event["attrs"]["pool_restarts"]
+        assert pairs == expected
+        spans = [
+            event["attrs"]
             for event in map(json.loads, trace.read_text().splitlines())
-        }
-        assert restarts == {"parallel.build_searcher": 1}
-
-    def test_build_exact_or_error_on_poison(self, workload):
-        # A block that never stops failing re-raises: no partial index.
-        data, params, _searcher, _queries = workload
-        faults.install_plan(
-            FaultPlan(
-                [
-                    FaultSpec(
-                        point="parallel.worker.chunk",
-                        kind="raise",
-                        match={"kind": "index"},
-                    )
-                ]
-            )
-        )
-        with _deadline(60), pytest.raises(FaultInjectionError):
-            _executor().build_searcher(data, params)
+            if event["name"] == "parallel.self_join"
+        ]
+        assert [span["pool_restarts"] for span in spans] == [1]
 
 
 @needs_fork

@@ -1,10 +1,10 @@
 """Parity suite for the multi-core execution engine.
 
-Every parallel code path — sharded query workloads, partitioned index
-construction, blocked self-join — must return exactly what its serial
-counterpart returns.  The suite asserts exact equality (not just set
-equality: per-query lists are canonically ordered on both sides) under
-the fork start method, covers the spawn/pickle fallback, and pins the
+Every parallel code path — sharded query workloads and the blocked
+self-join — must return exactly what its serial counterpart returns.
+The suite asserts exact equality (not just set equality: per-query
+lists are canonically ordered on both sides) under the fork start
+method, covers the spawn fallback, and pins the
 degenerate cases: ``jobs=1`` pass-through, an empty workload, and a
 workload smaller than the worker count.  ``test_exactness.py`` crosses
 the execution axis with storage, routing, topology and lifecycle.
@@ -28,7 +28,6 @@ from repro import (
 from repro.errors import ConfigurationError
 from repro.eval import run_searcher
 from repro.eval.harness import canonical_pair_order, serial_run
-from repro.parallel import split_blocks
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -139,34 +138,6 @@ class TestSerialOrderingContract:
             )
 
 
-class TestBuildParity:
-    def test_parallel_build_matches_serial_index(self, corpus, params):
-        data, _queries = corpus
-        serial = PKWiseSearcher(data, params)
-        parallel = ParallelExecutor(jobs=3).build_searcher(data, params)
-        assert parallel.index._postings == serial.index._postings
-        assert parallel.rank_docs == serial.rank_docs
-        assert parallel.index.num_windows == serial.index.num_windows
-        assert parallel.index.build_stats == serial.index.build_stats
-        assert parallel.scheme == serial.scheme
-
-    def test_parallel_build_searches_identically(self, corpus, params):
-        data, queries = corpus
-        serial = PKWiseSearcher(data, params)
-        parallel = ParallelExecutor(jobs=2).build_searcher(data, params)
-        for query in queries:
-            assert (
-                parallel.search(query).sorted_pairs()
-                == serial.search(query).sorted_pairs()
-            )
-
-    def test_single_document_collection_falls_back_to_serial(self, params):
-        data = DocumentCollection()
-        data.add_tokens([f"t{i % 9}" for i in range(40)])
-        searcher = ParallelExecutor(jobs=4).build_searcher(data, params)
-        assert searcher.index.num_documents == 1
-
-
 class TestSelfJoinParity:
     def test_matches_serial(self, corpus, params):
         data, _queries = corpus
@@ -188,7 +159,7 @@ class TestSelfJoinParity:
     def test_prebuilt_searcher_reuse(self, corpus, params):
         data, _queries = corpus
         executor = ParallelExecutor(jobs=2)
-        searcher = executor.build_searcher(data, params)
+        searcher = PKWiseSearcher(data, params)
         serial = local_similarity_self_join(
             data, params, exclude_same_document_within=params.w
         )
@@ -249,7 +220,7 @@ class TestDegenerateWorkloads:
         for text in ("a b c", "d e f", "a b d", "c a"):
             data.add_tokens(text.split())
         executor = ParallelExecutor(jobs=jobs)
-        searcher = executor.build_searcher(data, params)
+        searcher = PKWiseSearcher(data, params)
         assert searcher.index.num_windows == 0
         queries = [data[0], data.encode_query_tokens(["a", "b"])]
         run = executor.run_workload(searcher, queries)
@@ -288,18 +259,9 @@ class TestSpawnFallback:
             data, params, exclude_same_document_within=params.w
         )
         spawned = ParallelExecutor(jobs=2, start_method="spawn").self_join(
-            data, params, exclude_same_document_within=params.w,
-            searcher=PKWiseSearcher(data, params),  # one spawn pool, not two
+            data, params, exclude_same_document_within=params.w
         )
         assert spawned == serial
-
-    def test_build_parity_under_spawn(self, corpus, params):
-        data, _queries = corpus
-        serial = PKWiseSearcher(data, params)
-        parallel = ParallelExecutor(jobs=2, start_method="spawn").build_searcher(
-            data, params
-        )
-        assert parallel.index._postings == serial.index._postings
 
 
 class TestExecutorConfig:
@@ -330,11 +292,3 @@ class TestExecutorConfig:
 
         assert ParallelExecutor(jobs=None).jobs == (os.cpu_count() or 1)
         assert ParallelExecutor(jobs=0).jobs == (os.cpu_count() or 1)
-
-    def test_split_blocks_partitions_exactly(self):
-        for total in (0, 1, 5, 17):
-            for parts in (1, 2, 4, 9):
-                blocks = split_blocks(total, parts)
-                covered = [i for lo, hi in blocks for i in range(lo, hi)]
-                assert covered == list(range(total))
-                assert len(blocks) <= max(1, min(parts, total))
