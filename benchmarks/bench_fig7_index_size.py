@@ -33,7 +33,7 @@ def _measure(profile: str, w: int, tau: int) -> dict[str, int]:
     params = SearchParams(w=w, tau=tau, k_max=4)
     flat = params.with_k_max(1)
     sizes = {
-        "pkwise": PKWiseSearcher(data, params, order=order).index.size_in_entries(),
+        "pkwise": PKWiseSearcher(data, params, order=order).index.num_postings,
         "adapt": AdaptSearcher(data, flat, order=order).index_entries,
         "faerie": FaerieSearcher(data, flat, order=order).index_entries,
         "fbw": FBWSearcher(data, flat, order=order).index_entries,

@@ -346,9 +346,8 @@ class Index:
     ) -> None:
         """Persist this index to ``path`` (atomic write).
 
-        The engine is frozen with
-        :meth:`~repro.PKWiseSearcher.compacted` and written in the one
-        mmap-able snapshot layout; ``rotate=N`` keeps the previous N
+        The engine — frozen since it was built or opened — is written in
+        the one mmap-able snapshot layout; ``rotate=N`` keeps the previous N
         snapshot generations.  ``compact`` is a single-valued residue
         of the 1.x pickle format, kept only because the end-to-end
         benchmark (which this library may not edit) still passes
@@ -382,7 +381,8 @@ class Index:
 
     @property
     def frozen(self) -> bool:
-        """True when backed by a frozen compact index (read-only)."""
+        """True when backed by a frozen compact index: a built or opened
+        index, until its first write layers a live store over it."""
         return bool(getattr(self._searcher, "frozen", False))
 
     # ------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """pkwise: partitioned k-wise signatures with interval sharing (Alg. 4).
 
-This is the paper's proposed algorithm.  Indexing streams signature
-open/close events over every data document into an
-:class:`~repro.index.IntervalIndex`.  Query processing streams the same
-events over the query document; the candidate interval multiset ``A`` is
+This is the paper's proposed algorithm.  Indexing cuts every data
+window's signatures into maximal window intervals in one array pass over
+the corpus (:class:`~repro.signatures.bulk.CorpusRuns`), written straight
+into a frozen :class:`~repro.index.CompactIntervalIndex`.  Query
+processing streams signature open/close events over the query document
+(Algorithm 5, :class:`~repro.signatures.SignatureStream`); the candidate
+interval multiset ``A`` is
 carried from window to window and only updated when the signature set
 changes (Lines 12-16 of Algorithm 4), merged (with the Section 4.3
 gap rule), and verified with rolling hash tables and early-termination
@@ -23,7 +26,7 @@ from ..errors import (
     RoutingUnavailableError,
     SearchCancelled,
 )
-from ..index.interval_index import IntervalIndex
+from ..index.compact import CompactIntervalIndex, PackedRankDocs
 from ..obs import get_tracer
 from ..index.intervals import WindowInterval, merge_intervals
 from ..ordering import GlobalOrder
@@ -85,6 +88,12 @@ def default_scheme(
 class PKWiseSearcher:
     """Local similarity search with partitioned k-wise signatures.
 
+    A constructed searcher is frozen: its index is a
+    :class:`~repro.index.CompactIntervalIndex` and its rank sequences a
+    :class:`~repro.index.PackedRankDocs`, both written once here, so
+    :meth:`compacted` and a snapshot save rebuild nothing.  Documents are
+    added through :meth:`repro.Index.add`, which layers a memtable over it.
+
     Parameters
     ----------
     data:
@@ -119,17 +128,16 @@ class PKWiseSearcher:
                 f"scheme.m ({scheme.m}) disagrees with params.m ({params.m})"
             )
         self.scheme = scheme
-        self.rank_docs: list[list[int]] = [
-            self.order.rank_document(document) for document in data
-        ]
+        rank_lists = [self.order.rank_document(document) for document in data]
         self._removed: set[int] = set()
         build_start = time.perf_counter()
         with get_tracer().span(
-            "pkwise.index_build", documents=len(self.rank_docs)
+            "pkwise.index_build", documents=len(rank_lists)
         ) as build_span:
-            self.index = IntervalIndex(params.w, params.tau, scheme)
-            for doc_id, ranks in enumerate(self.rank_docs):
-                self.index.index_document(doc_id, ranks)
+            self.rank_docs = PackedRankDocs.from_lists(rank_lists)
+            self.index = CompactIntervalIndex.from_rank_docs(
+                self.rank_docs, params.w, params.tau, scheme
+            )
             build_span.annotate(
                 windows=self.index.num_windows, postings=self.index.num_postings
             )
@@ -159,10 +167,8 @@ class PKWiseSearcher:
         Used by the snapshot loader and the LSM ingest store; the parts
         must be mutually consistent (``rank_docs[i]`` is document ``i``'s rank
         sequence under ``order``, and ``index`` covers exactly those
-        documents with ``scheme``/``params``).  ``index`` may be the
-        dict :class:`~repro.index.IntervalIndex` or a frozen
-        :class:`~repro.index.CompactIntervalIndex`; ``rank_docs``
-        likewise a list of lists or a
+        documents with ``scheme``/``params``): a frozen
+        :class:`~repro.index.CompactIntervalIndex` and a
         :class:`~repro.index.PackedRankDocs`.  ``removed`` /
         ``index_epoch`` restore tombstones and the cache epoch of a
         snapshotted searcher.  ``routing_tier`` is the fingerprint
@@ -195,33 +201,11 @@ class PKWiseSearcher:
         return self
 
     def compacted(self) -> "PKWiseSearcher":
-        """A frozen copy of this searcher over array-backed structures.
-
-        The interval index becomes a
-        :class:`~repro.index.CompactIntervalIndex` and the rank
-        sequences a :class:`~repro.index.PackedRankDocs`; search results
-        stay pair-identical (hash-merged postings only add candidates,
-        which verification removes).  The copy shares the order/scheme
-        and carries over tombstones and the index epoch; documents are
-        added through :meth:`repro.Index.add` (the LSM write path),
-        which layers a memtable over it.  Returns ``self`` when already
-        compact.
-        """
-        from ..index.compact import CompactIntervalIndex, PackedRankDocs
-
-        if self.frozen:
-            return self
-        return type(self).from_prebuilt(
-            self.params,
-            self.order,
-            self.scheme,
-            CompactIntervalIndex.from_index(self.index),
-            PackedRankDocs.from_lists(self.rank_docs),
-            self.index_build_seconds,
-            removed=self._removed,
-            index_epoch=self.index_epoch,
-            routing_tier=self._routing_tier,
-        )
+        """The frozen form of this engine: ``self``, which is built or
+        loaded frozen.  The live view answers with a frozen searcher over
+        all its tiers (:meth:`repro.ingest.LSMSearcher.compacted`), which
+        is what a snapshot save asks for."""
+        return self
 
     @property
     def frozen(self) -> bool:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..corpus import Document
-from ..index.interval_index import IntervalIndex
+from ..index.compact import CompactIntervalIndex
 from ..ordering import GlobalOrder
 from ..partition.scheme import PartitionScheme
 from ..signatures.prefix import prefix_length
@@ -101,20 +101,20 @@ class PostingsReport:
         )
 
 
-def postings_statistics(index: IntervalIndex) -> PostingsReport:
+def postings_statistics(index: CompactIntervalIndex) -> PostingsReport:
     """Summary of the index's postings-length distribution.
 
     High singleton fraction = highly selective signatures = cheap
     candidate generation; a heavy tail means some signatures behave like
     frequent single tokens and the partitioning may want another class.
     """
-    lengths = list(index.postings_lengths())
-    if not lengths:
+    lengths = index.postings_lengths()
+    if not len(lengths):
         return PostingsReport(0, 0, 0.0, 0, 0.0)
     return PostingsReport(
         num_signatures=len(lengths),
-        num_postings=sum(lengths),
-        mean_length=sum(lengths) / len(lengths),
-        max_length=max(lengths),
-        singleton_fraction=sum(1 for n in lengths if n == 1) / len(lengths),
+        num_postings=int(lengths.sum()),
+        mean_length=float(lengths.mean()),
+        max_length=int(lengths.max()),
+        singleton_fraction=float((lengths == 1).mean()),
     )

@@ -1,8 +1,10 @@
 """Compact, frozen, array-backed form of the interval index.
 
-:class:`CompactIntervalIndex` freezes an :class:`IntervalIndex` into
-five flat numpy columns: sorted 64-bit signature-hash keys, per-key
-offsets, and packed ``(doc, u, v)`` posting columns.  ``probe_many``
+:class:`CompactIntervalIndex` holds the interval index as five flat
+numpy columns: sorted 64-bit signature-hash keys, per-key offsets, and
+packed ``(doc, u, v)`` posting columns.  A corpus is written into them
+in one array pass (:meth:`CompactIntervalIndex.from_rank_docs`); a
+memtable's dict :class:`IntervalIndex` is frozen into them.  ``probe_many``
 keeps the exact contract of the dict index (one
 :class:`~repro.index.intervals.ProbeBatch` per batch of signatures) but
 resolves keys by binary search instead of hashing tuples, and the whole
@@ -13,8 +15,8 @@ verbatim).
 
 Keys are 64-bit FNV-1a values (the paper's Section 7.1 signature
 hashing), and :func:`~repro.signatures.generate.signature_hashes` is the
-one function that computes them — for the freeze, the fold and every
-probe; the dict index keys on rank tuples.  A 64-bit hash collision
+one function that computes them — for the build, the freeze, the fold
+and every probe; the dict index keys on rank tuples.  A 64-bit hash collision
 merges two postings lists, which can only *add* candidates — rolling
 verification removes them — so final search results are pair-identical
 to the dict index (covered by the collision tests).  Nothing is written
@@ -37,6 +39,7 @@ import numpy as np
 
 from ..errors import IndexStateError
 from ..signatures.generate import Signature, signature_hashes
+from ..signatures.maintain import COUNTERS
 from .interval_index import IntervalIndex
 from .intervals import ProbeBatch, WindowInterval
 
@@ -47,27 +50,30 @@ from .intervals import ProbeBatch, WindowInterval
 ProbeHit = WindowInterval
 
 _FROZEN_MESSAGE = (
-    "compact index is frozen: build documents into an IntervalIndex "
-    "and re-freeze (CompactIntervalIndex.from_index) to change it"
+    "compact index is frozen: add documents through Index.add, which "
+    "layers a memtable over it"
 )
 
 _INT32 = np.iinfo(np.int32)
 
 
-def _packed_column(values: Sequence[int]) -> np.ndarray:
-    """An int32 column when every value fits, otherwise int64."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size == 0 or (
-        _INT32.min <= int(arr.min()) and int(arr.max()) <= _INT32.max
+def _packed_column(values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """An int32 column when every value fits, otherwise int64 (an
+    integer array already of that type is returned as is)."""
+    if not isinstance(values, np.ndarray):
+        values = np.asarray(values, dtype=np.int64)
+    if values.size == 0 or (
+        _INT32.min <= int(values.min()) and int(values.max()) <= _INT32.max
     ):
-        return arr.astype(np.int32)
-    return arr
+        return values.astype(np.int32, copy=False)
+    return values.astype(np.int64, copy=False)
 
 
 class CompactIntervalIndex:
     """Frozen signature -> postings index over flat array columns.
 
-    Construct with :meth:`from_index` (freeze a built dict index),
+    Construct with :meth:`from_rank_docs` (index a corpus),
+    :meth:`from_index` (freeze a memtable's dict index),
     :meth:`merged` (concatenate tier indexes — the LSM fold) or
     :meth:`from_arrays` (rehydrate saved/mapped columns).  The probe
     contract matches :meth:`IntervalIndex.probe_many`; mutation
@@ -80,6 +86,9 @@ class CompactIntervalIndex:
 
     #: Column names in the order :meth:`to_arrays` emits them.
     COLUMNS = ("keys", "offsets", "docs", "us", "vs")
+
+    #: What ``from_rank_docs`` concatenates its blocks' posting rows onto.
+    _EMPTY_ROWS = (np.empty(0, dtype=np.uint64),) + (np.empty(0, dtype=np.int32),) * 3
 
     def __init__(
         self,
@@ -132,19 +141,54 @@ class CompactIntervalIndex:
         came in.  ``like`` lends ``w``, ``tau`` and the scheme.
         """
         order = np.argsort(keys, kind="stable")
-        unique_keys, run_lengths = np.unique(keys[order], return_counts=True)
-        offsets = np.zeros(len(unique_keys) + 1, dtype=np.int64)
-        np.cumsum(run_lengths, out=offsets[1:])
+        keys = keys[order]
+        head = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        offsets = np.append(np.flatnonzero(head), len(keys)).astype(np.int64)
         return cls(
             like.w,
             like.tau,
             like.scheme,
-            keys=unique_keys,
+            keys=keys[head],
             offsets=offsets,
             docs=_packed_column(docs[order]),
             us=_packed_column(us[order]),
             vs=_packed_column(vs[order]),
             **counts,
+        )
+
+    @classmethod
+    def from_rank_docs(
+        cls, rank_docs: "PackedRankDocs", w: int, tau: int, scheme
+    ) -> "CompactIntervalIndex":
+        """Index every window of a packed corpus in one array pass.
+
+        :class:`~repro.signatures.bulk.CorpusRuns` cuts the corpus's
+        signatures into maximal window runs, a block at a time, and each
+        block's runs are keyed as they come.  The columns and
+        ``build_stats`` are those of :meth:`from_index` over a dict
+        index that indexed the same documents one by one (a 64-bit hash
+        collision only permutes postings within the shared key).
+        """
+        # Imported here: a process that only opens and searches snapshots
+        # (every shard worker) never loads the build kernel.
+        from ..signatures.bulk import CorpusRuns
+
+        runs = CorpusRuns(rank_docs._offsets, rank_docs._values, w, tau, scheme)
+        rows = [cls._EMPTY_ROWS]
+        for chunk in runs.runs():
+            rows.append((
+                signature_hashes(chunk.ranks, chunk.lengths),
+                *map(_packed_column, (chunk.docs, chunk.us, chunk.vs)),
+            ))
+        columns = [np.concatenate(column) for column in zip(*rows)]
+        del rows  # one copy of the rows through the sort by key
+        return cls._assembled(
+            runs,
+            *columns,
+            num_documents=len(rank_docs),
+            num_windows=runs.num_windows,
+            build_stats={name: getattr(runs, name) for name in COUNTERS},
         )
 
     @classmethod
@@ -336,6 +380,10 @@ class CompactIntervalIndex:
     def num_postings(self) -> int:
         """Total number of stored intervals."""
         return len(self._docs)
+
+    def postings_lengths(self) -> np.ndarray:
+        """Every key's postings-run length, read off the offsets column."""
+        return np.diff(self._offsets)
 
     def nbytes(self) -> int:
         """Bytes held by the five columns (the mmap-able payload)."""

@@ -1,4 +1,4 @@
-"""The interval postings index (Section 4.1).
+"""The interval postings index (Section 4.1), one document at a time.
 
 Maps each signature to the maximal window intervals that generate it.
 Built by consuming :class:`~repro.signatures.SignatureStream` events per
@@ -7,6 +7,12 @@ prefix generates it and closes just before the first window that stops
 generating it.  The stream already collapses duplicate-signature "false"
 opens/closes (the paper's gamma counter), so every event here is a true
 transition and every stored interval is maximal.
+
+This is the live memtable's index, where documents arrive one by one,
+and the reference the corpus build is held to: a constructed searcher
+indexes its whole corpus in one array pass
+(:meth:`~repro.index.CompactIntervalIndex.from_rank_docs`), postings
+for postings what this class appends.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from collections.abc import Sequence
 from ..errors import IndexStateError
 from ..partition.scheme import PartitionScheme
 from ..signatures.generate import Signature
-from ..signatures.maintain import SignatureStream
+from ..signatures.maintain import COUNTERS, SignatureStream
 from .intervals import ProbeBatch, WindowInterval
 
 
@@ -43,12 +49,7 @@ class IntervalIndex:
         self._postings: dict[Signature, list[WindowInterval]] = {}
         self.num_documents = 0
         self.num_windows = 0
-        self.build_stats: dict[str, int] = {
-            "generated_signatures": 0,
-            "generated_token_cost": 0,
-            "shared_windows": 0,
-            "changed_windows": 0,
-        }
+        self.build_stats: dict[str, int] = dict.fromkeys(COUNTERS, 0)
 
     # ------------------------------------------------------------------
     def index_document(self, doc_id: int, ranks: Sequence[int]) -> None:
@@ -127,29 +128,12 @@ class IntervalIndex:
         return signature in self._postings
 
     @property
-    def num_signatures(self) -> int:
-        """Number of distinct signatures indexed."""
-        return len(self._postings)
-
-    @property
     def num_postings(self) -> int:
         """Total number of stored intervals."""
         return sum(len(postings) for postings in self._postings.values())
 
-    def size_in_entries(self) -> int:
-        """Abstract index size: one entry per (signature, interval).
-
-        Used by the Figure 7 bench; comparable across index types when
-        the window-level index counts one entry per (signature, window).
-        """
-        return self.num_postings
-
-    def postings_lengths(self):
-        """Iterator of per-signature postings-list lengths (analysis)."""
-        return (len(postings) for postings in self._postings.values())
-
     def __repr__(self) -> str:
         return (
-            f"IntervalIndex(signatures={self.num_signatures}, "
+            f"IntervalIndex(signatures={len(self._postings)}, "
             f"postings={self.num_postings}, docs={self.num_documents})"
         )

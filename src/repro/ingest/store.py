@@ -422,9 +422,9 @@ class IngestStore:
         """Wrap an existing searcher as the base tier of an in-memory store.
 
         This is the lazy upgrade behind ``Index.add`` /
-        ``SearchService.add_document`` on a statically built index —
-        including frozen compact snapshots, which gain a mutable
-        memtable on top without thawing.  Mutations are not durable;
+        ``SearchService.add_document`` on a built or opened index: its
+        frozen compact index becomes the base segment and gains a
+        mutable memtable on top without thawing.  Mutations are not durable;
         create a directory-backed store for that.
         """
         if isinstance(searcher, LSMSearcher):
@@ -444,9 +444,8 @@ class IngestStore:
         )
         num_docs = len(searcher.rank_docs)
         if num_docs:
-            kind = "segment" if searcher.frozen else "memtable"
             store._segments.append(
-                Tier(0, num_docs, 1, searcher.index, searcher.rank_docs, kind,
+                Tier(0, num_docs, 1, searcher.index, searcher.rank_docs, "segment",
                      fingerprints=_stored_fingerprints(searcher, 0))
             )
             store._generation = 2

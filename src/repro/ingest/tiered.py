@@ -175,15 +175,8 @@ class TieredIntervalIndex:
         return sum(tier.index.num_windows for tier in self.tiers)
 
     @property
-    def num_signatures(self) -> int:
-        return sum(tier.index.num_signatures for tier in self.tiers)
-
-    @property
     def num_postings(self) -> int:
         return sum(tier.index.num_postings for tier in self.tiers)
-
-    def size_in_entries(self) -> int:
-        return self.num_postings
 
     def __repr__(self) -> str:
         return (

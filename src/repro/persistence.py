@@ -324,11 +324,12 @@ def save_searcher(
     *,
     rotate: int = 0,
 ) -> None:
-    """Freeze ``searcher`` and write its snapshot to ``path`` (atomic).
+    """Write ``searcher``'s snapshot to ``path`` (atomic).
 
-    The searcher is frozen with :meth:`~repro.PKWiseSearcher.compacted`
-    (a no-op when it already is) and its index/rank columns stored as
-    raw typed arrays, so :func:`load_bundle` can map them.  Only
+    A built or opened searcher is frozen already; a live one is folded
+    into one frozen searcher first (:meth:`~repro.PKWiseSearcher.compacted`).
+    Its index/rank columns are stored as raw typed arrays, so
+    :func:`load_bundle` can map them.  Only
     :class:`~repro.PKWiseSearcher` (and its live LSM view) can be
     snapshotted; anything else is a typed :class:`PersistenceError`.
 

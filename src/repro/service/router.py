@@ -402,7 +402,7 @@ class ShardRouter:
             subset = data.subset(range(lo, hi))
             for replica in range(replicas):
                 service = SearchService(
-                    PKWiseSearcher(subset, params).compacted(),
+                    PKWiseSearcher(subset, params),
                     subset,
                     name=f"{name}-shard-{shard_id:03d}-r{replica}",
                     cache_size=cache_size,

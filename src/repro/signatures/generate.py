@@ -78,8 +78,8 @@ def signature_hash(signature: Signature) -> int:
     The paper hashes signatures to 4-byte integers for index
     compactness; we use 64 bits to make collisions negligible while
     keeping the same memory-shape argument.  The frozen
-    :class:`~repro.index.CompactIntervalIndex` keys on it; the dict
-    index keys on the rank tuples themselves (collision-free).  This
+    :class:`~repro.index.CompactIntervalIndex` keys on it; the memtable's
+    dict index keys on the rank tuples themselves (collision-free).  This
     scalar form is the reference the tests hold :func:`signature_hashes`
     to, bit for bit; the library itself calls only that kernel.
     """
@@ -100,22 +100,35 @@ _BYTE_SHIFT = np.uint64(8)
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-def signature_hashes(signatures: Sequence[Signature]) -> np.ndarray:
+def signature_hashes(
+    signatures: Sequence[Signature] | np.ndarray,
+    lengths: np.ndarray | None = None,
+) -> np.ndarray:
     """Vectorized :func:`signature_hash` over a batch of signatures.
 
-    Returns a ``uint64`` array with ``out[i] == signature_hash(
-    signatures[i])`` bit for bit (asserted by tests).  Signatures are
-    grouped by length so each group hashes as one ``(n, length)`` rank
-    matrix: the FNV-1a byte rounds run as numpy column operations over
-    all ``n`` signatures at once — the little-endian byte view of the
-    ``uint64`` rank column replaces the scalar shift-and-mask loop, and
-    unsigned multiplication wraps modulo 2**64 exactly like the masked
-    Python multiply.  Freezing, folding and probing the compact index
-    all key through this one function.
+    ``signatures`` is a sequence of rank tuples, or — with ``lengths`` —
+    a rank matrix whose row ``i`` holds signature ``i`` in its first
+    ``lengths[i]`` columns (what :class:`~repro.signatures.bulk.CorpusRuns`
+    yields).  Returns a ``uint64`` array with ``out[i] ==
+    signature_hash(signature i)`` bit for bit (asserted by tests).
+    Signatures are grouped by length so each group hashes as one ``(n,
+    length)`` rank matrix: the FNV-1a byte rounds run as numpy column
+    operations over all ``n`` signatures at once — the little-endian
+    byte view of the ``uint64`` rank column replaces the scalar
+    shift-and-mask loop, and unsigned multiplication wraps modulo 2**64
+    exactly like the masked Python multiply.  Building, folding and
+    probing the compact index all key through this one function.
     """
     n = len(signatures)
     out = np.empty(n, dtype=np.uint64)
     if n == 0:
+        return out
+    if lengths is not None:
+        matrix = np.asarray(signatures, dtype=np.int64)
+        lengths = np.asarray(lengths)
+        for length in np.unique(lengths).tolist():
+            rows = np.flatnonzero(lengths == length)
+            out[rows] = _fnv_rows(matrix[rows, :length])
         return out
     by_length: dict[int, list[int]] = {}
     for i, signature in enumerate(signatures):
@@ -126,28 +139,30 @@ def signature_hashes(signatures: Sequence[Signature]) -> np.ndarray:
             if len(positions) < n
             else signatures
         )
-        # int64 round trip keeps negative ranks (the OOV sentinel)
-        # congruent with the scalar hash's two's-complement bytes.
-        ranks = np.asarray(rows, dtype=np.int64).astype(np.uint64)
-        if length:
-            ranks = ranks.reshape(len(positions), length)
-        else:
-            ranks = ranks.reshape(len(positions), 0)
-        values = np.full(len(positions), _FNV_OFFSET, dtype=np.uint64)
-        for column in range(length):
-            if _LITTLE_ENDIAN:
-                rank_bytes = ranks[:, column : column + 1].view(np.uint8)
-                for byte_index in range(8):
-                    values ^= rank_bytes[:, byte_index]
-                    values *= _FNV_PRIME
-            else:  # pragma: no cover - big-endian fallback
-                remaining = ranks[:, column].copy()
-                for _ in range(8):
-                    values ^= remaining & _BYTE_MASK
-                    values *= _FNV_PRIME
-                    remaining >>= _BYTE_SHIFT
+        ranks = np.asarray(rows, dtype=np.int64).reshape(len(positions), length)
         if len(positions) < n:
-            out[positions] = values
+            out[positions] = _fnv_rows(ranks)
         else:
-            out = values
+            out = _fnv_rows(ranks)
     return out
+
+
+def _fnv_rows(ranks: np.ndarray) -> np.ndarray:
+    """FNV-1a of every row of an ``(n, length)`` ``int64`` rank matrix."""
+    # The uint64 view keeps negative ranks (the OOV sentinel) congruent
+    # with the scalar hash's two's-complement bytes.
+    ranks = ranks.astype(np.uint64)
+    values = np.full(len(ranks), _FNV_OFFSET, dtype=np.uint64)
+    for column in range(ranks.shape[1]):
+        if _LITTLE_ENDIAN:
+            rank_bytes = ranks[:, column : column + 1].view(np.uint8)
+            for byte_index in range(8):
+                values ^= rank_bytes[:, byte_index]
+                values *= _FNV_PRIME
+        else:  # pragma: no cover - big-endian fallback
+            remaining = ranks[:, column].copy()
+            for _ in range(8):
+                values ^= remaining & _BYTE_MASK
+                values *= _FNV_PRIME
+                remaining >>= _BYTE_SHIFT
+    return values

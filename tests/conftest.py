@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro import DocumentCollection, PKWiseSearcher, SearchParams
+from repro.index import IntervalIndex
 
 
 def _load_oracle():
@@ -56,8 +57,19 @@ def small_corpus():
 
 @pytest.fixture
 def built(small_corpus):
-    """``small_corpus`` and a dict-index engine over it."""
+    """``small_corpus`` and an engine built over it (frozen, as built)."""
     return small_corpus, PKWiseSearcher(small_corpus, SearchParams(w=10, tau=2, k_max=3))
+
+
+def reference_index(searcher) -> IntervalIndex:
+    """The dict index of ``searcher``'s documents, indexed one at a time
+    by :meth:`IntervalIndex.index_document` (Algorithm 5's stream): what
+    a built engine's columns are held to, and what a test that reads
+    postings by signature (``_postings``, scalar ``probe``) reads."""
+    index = IntervalIndex(searcher.params.w, searcher.params.tau, searcher.scheme)
+    for doc_id, ranks in enumerate(searcher.rank_docs):
+        index.index_document(doc_id, ranks)
+    return index
 
 
 @pytest.fixture

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import GlobalOrder, PartitionScheme, PKWiseSearcher, SearchParams
+from repro import (
+    DocumentCollection,
+    GlobalOrder,
+    PartitionScheme,
+    PKWiseSearcher,
+    SearchParams,
+)
 from repro.eval import (
     multiset_jaccard,
     postings_statistics,
@@ -87,10 +93,13 @@ class TestPostingsStatistics:
         assert "signatures" in str(report)
 
     def test_empty_index(self):
-        from repro.index import IntervalIndex
-
-        index = IntervalIndex(5, 1, PartitionScheme.single(10))
+        # Every document shorter than w: no window, no posting.
+        data = DocumentCollection()
+        data.add_text("a b c")
+        data.add_text("d e")
+        index = PKWiseSearcher(data, SearchParams(w=5, tau=1, k_max=1)).index
         report = postings_statistics(index)
+        assert (index.num_documents, index.num_windows) == (2, 0)
         assert report.num_signatures == 0
         assert report.mean_length == 0.0
 

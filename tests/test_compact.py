@@ -1,9 +1,9 @@
 """Tests for the compact array-backed index and its snapshot files.
 
-Covers the freeze (``PKWiseSearcher.compacted``) contract — the
-reference pairs serially, under fork and spawn, and behind a
+Covers the built engine — frozen at construction, the reference pairs
+serially, under fork and spawn, and behind a
 :class:`~repro.SearchService` — the hash-collision path (collisions can
-only *add* candidates), the columns a freeze writes once, the frozen
+only *add* candidates), the columns a build or freeze writes once, the frozen
 mutation guards, the mmap-able snapshot envelope (roundtrip, digests,
 truncation, tombstones), the :class:`~repro.index.PackedRankDocs`
 sequence and slice semantics, and concurrent search threads on one
@@ -18,6 +18,7 @@ import multiprocessing
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from hypothesis import strategies as st
 
 from repro import (
     Index,
+    PartitionScheme,
     PersistenceError,
+    PKWiseSearcher,
     SearchService,
     save_searcher,
 )
@@ -37,7 +40,7 @@ from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs, Pro
 from repro.ingest import Tier, TieredRankDocs
 from repro.persistence import load_bundle
 
-from .conftest import expected_pairs, pairs_as_set, probe_runs
+from .conftest import expected_pairs, pairs_as_set, probe_runs, reference_index
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -49,35 +52,32 @@ def reference(data, queries) -> list[set]:
 class TestCompactParity:
     def test_serial_pairs_identical(self, built, queries):
         data, searcher = built
-        frozen = searcher.compacted()
-        assert frozen.frozen and not searcher.frozen
-        assert isinstance(frozen.index, CompactIntervalIndex)
-        got = [pairs_as_set(frozen.search(query)) for query in queries]
+        assert searcher.frozen
+        assert isinstance(searcher.index, CompactIntervalIndex)
+        assert isinstance(searcher.rank_docs, PackedRankDocs)
+        got = [pairs_as_set(searcher.search(query)) for query in queries]
         assert got == reference(data, queries)
 
     def test_compacted_of_frozen_is_self(self, built):
         _data, searcher = built
-        frozen = searcher.compacted()
-        assert frozen.compacted() is frozen
+        assert searcher.compacted() is searcher
 
     def test_probe_contract_matches(self, built):
         _data, searcher = built
-        frozen = searcher.compacted()
-        assert frozen.index.num_postings == searcher.index.size_in_entries()
-        keys = list(searcher.index._postings)
-        runs = probe_runs(frozen.index.probe_many(keys))
+        dict_index = reference_index(searcher)
+        assert searcher.index.num_postings == dict_index.num_postings
+        keys = list(dict_index._postings)
+        runs = probe_runs(searcher.index.probe_many(keys))
         assert len(runs) == len(keys)
         for key, run in zip(keys, runs):
-            assert sorted(run) == sorted(map(tuple, searcher.index.probe(key)))
+            assert run == list(map(tuple, dict_index.probe(key)))
         assert sum(map(len, runs)) > 0
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
     def test_parity_under_fork(self, built, queries):
         _data, searcher = built
-        serial = run_searcher(searcher.compacted(), queries)
-        forked = run_searcher(
-            searcher.compacted(), queries, jobs=2, start_method="fork"
-        )
+        serial = run_searcher(searcher, queries)
+        forked = run_searcher(searcher, queries, jobs=2, start_method="fork")
         assert forked.results_by_query == serial.results_by_query
 
     def test_parity_under_spawn(self, built, queries):
@@ -85,14 +85,12 @@ class TestCompactParity:
         # memory-maps it; results must match the serial run.
         _data, searcher = built
         serial = run_searcher(searcher, queries)
-        spawned = run_searcher(
-            searcher.compacted(), queries, jobs=2, start_method="spawn"
-        )
+        spawned = run_searcher(searcher, queries, jobs=2, start_method="spawn")
         assert spawned.results_by_query == serial.results_by_query
 
     def test_parity_behind_service(self, built, queries):
         data, searcher = built
-        with SearchService(searcher.compacted(), data, max_workers=2) as service:
+        with SearchService(searcher, data, max_workers=2) as service:
             got = [pairs_as_set(service.search(query)) for query in queries]
         assert got == reference(data, queries)
 
@@ -106,19 +104,19 @@ class TestHashedCollisions:
         monkeypatch.setattr(
             compact_module,
             "signature_hashes",
-            lambda sigs: np.full(len(sigs), value, dtype=np.uint64),
+            lambda sigs, lengths=None: np.full(len(sigs), value, dtype=np.uint64),
         )
 
     def test_compact_collision_pairs_survive(self, built, queries, monkeypatch):
-        _data, baseline = built
+        data, baseline = built
         expected = [pairs_as_set(baseline.search(q)) for q in queries]
         base_candidates = sum(
             baseline.search(q).stats.candidate_windows for q in queries
         )
         self._collide_all_hashes(monkeypatch)
-        frozen = baseline.compacted()
+        frozen = PKWiseSearcher(data, baseline.params)
         assert frozen.index.num_signatures == 1
-        assert frozen.index.num_postings == baseline.index.size_in_entries()
+        assert frozen.index.num_postings == baseline.index.num_postings
         results = [frozen.search(q) for q in queries]
         assert [pairs_as_set(result) for result in results] == expected
         # Merged postings can only add candidates; verification removes
@@ -164,22 +162,26 @@ class TestWrittenOnce:
         return state.hexdigest()
 
     def test_freeze_and_fold_assemble_the_same_columns(self, built):
+        # The build's one array pass, the freeze of the dict reference and
+        # both folds: one set of columns, and the stats of one build.
         _data, searcher = built
-        frozen = CompactIntervalIndex.from_index(searcher.index)
-        folded = CompactIntervalIndex.merged([(searcher.index, 0)])
+        dict_index = reference_index(searcher)
+        frozen = CompactIntervalIndex.from_index(dict_index)
+        folded = CompactIntervalIndex.merged([(dict_index, 0)])
         refolded = CompactIntervalIndex.merged([(frozen, 0)])
-        columns = frozen.to_arrays()[1]
+        meta, columns = frozen.to_arrays()
         assert tuple(columns) == CompactIntervalIndex.COLUMNS
-        for other in (folded, refolded):
+        for other in (searcher.index, folded, refolded):
             for name, column in other.to_arrays()[1].items():
                 assert column.dtype == columns[name].dtype, name
                 assert column.tobytes() == columns[name].tobytes(), name
+        assert searcher.index.to_arrays()[0] == meta
         assert self.digest(frozen) == self.COLUMNS_DIGEST
 
     def test_probing_writes_nothing(self, built):
         _data, searcher = built
-        index = searcher.compacted().index
-        held = list(searcher.index._postings)
+        index = searcher.index
+        held = list(reference_index(searcher)._postings)
         missing = [(10**9 + i, 10**9 + i + 1) for i in range(50)]
         rng = random.Random(9)
         batches = [[()], [held[0]], [missing[0]], held[:200], missing]
@@ -222,20 +224,44 @@ class TestWrittenOnce:
             assert after[name].tobytes() == copy.tobytes(), name
 
 
+class TestBuildMemory:
+    def test_working_set_is_one_block_whatever_the_document_lengths(self):
+        # A million tokens as one document and as 10,000 short ones.  The
+        # rows a posting holds until the one sort by key (its hash, three
+        # int32 columns, the permutation, the sorted key and columns) are
+        # 48 bytes; beyond them the build holds one block of at most
+        # _BLOCK_CELLS window cells, never a matrix of all the windows of
+        # a document (2 x 10**8 bytes here for the long one).
+        rng = np.random.default_rng(0)
+        values = rng.integers(0, 5000, 10**6).astype(np.int32)
+        scheme = PartitionScheme(universe_size=5000, borders=(4000,))
+        for lengths in ([10**6], [100] * 10**4):
+            offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            packed = PackedRankDocs(offsets, values)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                index = CompactIntervalIndex.from_rank_docs(packed, 50, 5, scheme)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert index.num_postings > 10**5
+            assert peak - 48 * index.num_postings < 6 * 2**20, (lengths[0], peak)
+
+
 class TestFrozenGuards:
     def test_index_mutation_raises(self, built):
         _data, searcher = built
-        frozen = searcher.compacted()
         with pytest.raises(IndexStateError, match="frozen"):
-            frozen.index.index_document(99, [1, 2, 3])
+            searcher.index.index_document(99, [1, 2, 3])
 
     def test_remove_document_still_works(self, built, queries):
         _data, searcher = built
-        frozen = searcher.compacted()
-        before = frozen.search(queries[1])
+        before = searcher.search(queries[1])
         assert any(pair.doc_id == 0 for pair in before.pairs)
-        frozen._remove_document(0)
-        after = frozen.search(queries[1])
+        searcher._remove_document(0)
+        after = searcher.search(queries[1])
         assert not any(pair.doc_id == 0 for pair in after.pairs)
 
     def test_service_add_upgrades_frozen_to_live(self, built, small_corpus):
@@ -244,7 +270,7 @@ class TestFrozenGuards:
         # compact index becomes the frozen base segment and the add
         # lands in a memtable, immediately searchable.
         data, searcher = built
-        with SearchService(searcher.compacted(), data, max_workers=1) as service:
+        with SearchService(searcher, data, max_workers=1) as service:
             new_id = service.add_document(small_corpus[0])
             assert new_id == len(small_corpus) - 1
             result = service.search(small_corpus[0])
@@ -530,8 +556,9 @@ class TestSearchThreadsShareNothing:
 class TestTypedResults:
     def test_probe_hits_have_named_fields(self, built):
         _data, searcher = built
-        key = next(iter(searcher.index._postings))
-        hit = searcher.index.probe(key)[0]
+        dict_index = reference_index(searcher)
+        key = next(iter(dict_index._postings))
+        hit = dict_index.probe(key)[0]
         assert isinstance(hit, ProbeHit)
         assert hit.doc_id == hit[0] and hit.u == hit[1] and hit.v == hit[2]
         doc_id, u, v = hit  # tuple unpack keeps working
@@ -541,8 +568,7 @@ class TestTypedResults:
         from repro import MatchPair
 
         _data, searcher = built
-        for engine in (searcher, searcher.compacted()):
-            pair = engine.search(queries[1]).pairs[0]
-            assert isinstance(pair, MatchPair)
-            assert pair.doc_id == pair[0]
-            assert pair.overlap == pair[3]
+        pair = searcher.search(queries[1]).pairs[0]
+        assert isinstance(pair, MatchPair)
+        assert pair.doc_id == pair[0]
+        assert pair.overlap == pair[3]

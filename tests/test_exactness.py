@@ -3,8 +3,9 @@
 pkwise is exact (Lemma 3/4), so no layer may add, drop or alter a window
 pair.  A cell takes one value on each axis and checks every reply
 against ``conftest.expected_pairs`` (the benchmark's numpy oracle, which
-shares no code with ``repro``).  Axes: the engine as built (dict), frozen
-(compact) or saved and mapped (mmap); routing ``off``, ``exact``, or off
+shares no code with ``repro``).  Axes: documents added one by one into a
+live memtable's dict index (dict), the engine as built, frozen (compact),
+or saved and mapped (mmap); routing ``off``, ``exact``, or off
 with every ``request`` asking for exact; ``serial`` behind a
 ``SearchService`` or a ``--jobs 2`` workload under ``fork`` / ``spawn``;
 one index, 3 shards, or 2 shards x 2 replicas; built once,
@@ -50,7 +51,9 @@ INVALID = [
     ("execution", ("spawn",), "lifecycle", ("reopen",),
      "spawn workers map a folded snapshot of the store, as in the live cell"),
     ("storage", ("dict",), "topology", ("sharded", "replicated"),
-     "every shard is frozen: ShardRouter.local compacts, plan files are mapped"),
+     "every shard is frozen: ShardRouter.local builds, plan files are mapped"),
+    ("storage", ("dict",), "lifecycle", ("oneshot",),
+     "a build is frozen: the dict index is the live memtable's, fed one document at a time"),
     ("storage", ("dict", "compact"), "lifecycle", ("reopen",),
      "a reopened store maps its segment files"),
     ("topology", ("sharded", "replicated"), "lifecycle", ("live", "reopen"),
@@ -60,10 +63,11 @@ INVALID = [
 
 Cell = namedtuple("Cell", AXES)
 CELLS = [Cell(*row.split()) for row in (
-    "dict     off      serial  single      oneshot",
-    "dict     exact    fork    single      oneshot",
+    "dict     off      serial  single      live",
+    "dict     exact    fork    single      live",
     "dict     request  serial  single      live",
     "compact  off      fork    single      live",
+    "compact  exact    fork    single      oneshot",
     "compact  off      serial  sharded     oneshot",
     "compact  exact    serial  replicated  oneshot",
     "compact  request  serial  sharded     oneshot",
@@ -145,13 +149,9 @@ def plan_writes(rng, texts, steps=12):
 
 def open_engine(cell, data, params, override, tmp_path):
     searcher = PKWiseSearcher(data, params)
-    if cell.storage == "dict":
-        return Index(searcher, data)
     if cell.storage == "compact":
-        frozen = searcher.compacted()
-        assert frozen.frozen and not searcher.frozen
-        assert frozen.compacted() is frozen
-        return Index(frozen, data)
+        assert searcher.frozen and searcher.compacted() is searcher
+        return Index(searcher, data)
     Index(searcher, data).save(tmp_path / "index.idx")
     opened = Index.open(tmp_path / "index.idx", mmap=True, routing=override)
     assert opened.frozen
@@ -232,8 +232,9 @@ def test_cell(cell, tmp_path):
         return check([reply.pairs for reply in replies], len(data))
 
     directory = tmp_path / "store"
-    if cell.lifecycle == "reopen":
-        index = Index.open_live(directory, params)
+    if cell.lifecycle == "reopen" or cell.storage == "dict":
+        durable = cell.lifecycle == "reopen"
+        index = Index.open_live(directory if durable else None, params)
         ops = [("add", doc_id) for doc_id in range(len(data))] + ops
     else:
         index = open_engine(cell, data, params, override, tmp_path)

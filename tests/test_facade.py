@@ -72,14 +72,22 @@ class TestIndexBuild:
             Index.build(12345, w=10, tau=2)
 
     def test_build_compact_is_frozen_with_same_pairs(self):
-        plain = Index.build(TEXTS, w=10, tau=2, k_max=3)
-        compact = Index(plain.searcher().compacted(), plain.data)
-        assert not plain.frozen
-        assert compact.frozen
-        assert (
-            plain.search_text(TEXTS[0]).sorted_pairs()
-            == compact.search_text(TEXTS[0]).sorted_pairs()
+        # A build is frozen as built; a write layers a memtable over it,
+        # as over an opened snapshot, and the pairs stay the reference's.
+        built = Index.build(TEXTS, w=10, tau=2, k_max=3)
+        assert built.frozen and not built.live
+        assert built.searcher().compacted() is built.searcher()
+        query = built.encode_query(TEXTS[0])
+        assert pairs_as_set(built.search(query)) == expected_pairs(
+            built.data, query, 10, 2
         )
+        new_id = built.add(TEXTS[0])
+        assert built.live and not built.frozen
+        assert built.searcher().store.num_segments == 1
+        assert pairs_as_set(built.search(query)) == expected_pairs(
+            built.data, query, 10, 2
+        )
+        assert any(pair.doc_id == new_id for pair in built.search(query).pairs)
 
     def test_parity_with_direct_construction(self, small_corpus, query):
         params = SearchParams(w=10, tau=2, k_max=3)

@@ -148,7 +148,7 @@ class TestWindowInvertedIndex:
         window_index = WindowInvertedIndex(6, 1, scheme)
         interval_index.index_document(0, ranks)
         window_index.index_document(0, ranks)
-        assert interval_index.size_in_entries() <= window_index.size_in_entries()
+        assert interval_index.num_postings <= window_index.num_postings
 
     def test_signature_and_posting_counts(self):
         scheme = PartitionScheme.single(3)

@@ -107,13 +107,13 @@ class TestIndexShapes:
         data, _queries, _truth, params, order = workload
         pkwise = PKWiseSearcher(data, params, order=order)
         adapt = AdaptSearcher(data, params.with_k_max(1), order=order)
-        assert pkwise.index.size_in_entries() < adapt.index_entries
+        assert pkwise.index.num_postings < adapt.index_entries
 
     def test_fbw_index_smallest(self, workload):
         data, _queries, _truth, params, order = workload
         pkwise = PKWiseSearcher(data, params, order=order)
         fbw = FBWSearcher(data, params.with_k_max(1), order=order)
-        assert fbw.index_entries < pkwise.index.size_in_entries()
+        assert fbw.index_entries < pkwise.index.num_postings
 
 
 class TestScalabilityMechanics:
@@ -158,4 +158,4 @@ class TestSharedOrderConsistency:
         order = GlobalOrder(small_corpus, 10)
         core = PKWiseSearcher(small_corpus, params, order=order)
         baseline = StandardPrefixSearcher(small_corpus, params, order=order)
-        assert core.rank_docs == baseline.rank_docs
+        assert list(core.rank_docs) == baseline.rank_docs

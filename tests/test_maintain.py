@@ -11,14 +11,17 @@ from __future__ import annotations
 import random
 from collections import Counter
 from math import comb
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Index, PartitionScheme
 from repro.corpus.synthetic import make_profile_collection
+from repro.index import IntervalIndex, PackedRankDocs
 from repro.ordering.global_order import OOV_RANK
-from repro.signatures import SignatureStream, generate_signatures, prefix_length
+from repro.signatures import SignatureStream, bulk, generate_signatures, prefix_length
+from repro.signatures.maintain import COUNTERS
 
 
 def replay_presence(ranks, w, tau, scheme):
@@ -90,17 +93,35 @@ def scratch_counters(ranks, w, tau, scheme):
 
 
 def stream_counters(stream):
-    return Counter(
-        {
-            name: getattr(stream, name)
-            for name in (
-                "generated_signatures",
-                "generated_token_cost",
-                "shared_windows",
-                "changed_windows",
-            )
-        }
-    )
+    return Counter({name: getattr(stream, name) for name in COUNTERS})
+
+
+def assert_corpus_runs_match(documents, w, tau, scheme, block_cells=None):
+    """The corpus kernel against both references: its runs are the
+    postings ``index_document`` appends, per signature in the same order,
+    and its counters the stream's and the from-scratch ones."""
+    packed = PackedRankDocs.from_lists(documents)
+    with mock.patch.object(bulk, "_BLOCK_CELLS", block_cells or bulk._BLOCK_CELLS):
+        kernel = bulk.CorpusRuns(packed._offsets, packed._values, w, tau, scheme)
+        postings: dict = {}
+        for chunk in kernel.runs():
+            for ranks, length, *run in zip(
+                chunk.ranks.tolist(), chunk.lengths.tolist(),
+                chunk.docs.tolist(), chunk.us.tolist(), chunk.vs.tolist(),
+            ):
+                postings.setdefault(tuple(ranks[:length]), []).append(tuple(run))
+    reference = IntervalIndex(w, tau, scheme)
+    scratch = Counter()
+    for doc_id, ranks in enumerate(documents):
+        reference.index_document(doc_id, ranks)
+        scratch.update(scratch_counters(ranks, w, tau, scheme))
+    assert postings == {
+        signature: list(map(tuple, runs))
+        for signature, runs in reference._postings.items()
+    }
+    assert stream_counters(kernel) == Counter(reference.build_stats) == scratch
+    assert kernel.num_windows == reference.num_windows
+    return postings
 
 
 class TestPaperExample5:
@@ -172,6 +193,61 @@ class TestEquivalence:
         streamed, stream = replay_presence(ranks, 50, 5, scheme)
         assert streamed == scratch_presence(ranks, 50, 5, scheme)
         assert stream_counters(stream) == scratch_counters(ranks, 50, 5, scheme)
+
+    # -- the corpus kernel (repro.signatures.bulk) against both ----------
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 1_000_000))
+    def test_corpus_runs_match_index_document(self, seed):
+        # k_max 1-4 and m 1-3 over several documents, lengths below, at
+        # and above w, cut into blocks of one window, a few, or one block.
+        rng = random.Random(seed)
+        universe = rng.randint(3, 25)
+        k_max = rng.randint(1, 4)
+        borders = tuple(sorted(rng.randint(0, universe) for _ in range(k_max - 1)))
+        m = rng.randint(1, 3)
+        scheme = PartitionScheme(universe_size=universe, borders=borders, m=m)
+        w = rng.randint(2, 10)
+        tau = rng.randint(0, min(4, w - 1))
+        documents = [
+            [rng.randrange(universe) for _ in range(rng.choice([0, w - 1, w, rng.randint(0, 40)]))]
+            for _ in range(rng.randint(1, 5))
+        ]
+        cells = rng.choice([1, 3 * w, None])
+        assert_corpus_runs_match(documents, w, tau, scheme, block_cells=cells)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 1_000_000), k=st.integers(1, 4), m=st.integers(1, 3))
+    def test_corpus_runs_all_k_with_duplicates(self, seed, k, m):
+        # Non-partitioned k-wise (Section 7.2) over a tiny vocabulary:
+        # every group is duplicate-heavy, combinations repeat.
+        rng = random.Random(seed)
+        scheme = PartitionScheme.all_k(4, k, m=m)
+        w = rng.randint(2, 8)
+        tau = rng.randint(0, w - 1)
+        documents = [
+            [rng.randrange(4) for _ in range(rng.randint(0, 30))] for _ in range(3)
+        ]
+        assert_corpus_runs_match(documents, w, tau, scheme, block_cells=rng.choice([1, None]))
+
+    def test_corpus_runs_across_block_seams(self):
+        # The benchmark's shape cut by seams inside each document, with
+        # short documents and ranks below zero between them: the runs and
+        # the Eq. 2 comparisons join across every seam.
+        rng = random.Random(7)
+        universe = 2000
+        scheme = PartitionScheme(universe_size=universe, borders=(1500, 1850, 1960))
+        documents = []
+        for length in (480, 12, 50, 310, 0, 49):
+            ranks = [
+                universe - min(universe, int(rng.paretovariate(0.6)))
+                for _ in range(length)
+            ]
+            for _ in range(length // 60):
+                ranks[rng.randrange(length)] = rng.choice([-1, -2, OOV_RANK])
+            documents.append(ranks)
+        whole = assert_corpus_runs_match(documents, 50, 5, scheme)
+        for cells in (50, 7 * 50, 64 * 50 + 1):
+            assert assert_corpus_runs_match(documents, 50, 5, scheme, cells) == whole
 
 
 class TestCornerCases:

@@ -17,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    CompactIntervalIndex,
     DocumentCollection,
     FaultPlan,
     FaultSpec,
     Index,
     PackedRankDocs,
     PersistenceError,
+    PKWiseSearcher,
     ShardPlan,
     WeightedPKWiseSearcher,
     faults,
@@ -44,7 +46,7 @@ from repro.persistence import (
     write_envelope,
 )
 
-from .conftest import expected_pairs, pairs_as_set
+from .conftest import expected_pairs, pairs_as_set, reference_index
 
 MAGIC = b"repro-envelope-3"
 
@@ -69,7 +71,7 @@ class TestRoundtrip:
         save_searcher(searcher, path)
         for mmap in (False, True):
             loaded = load_bundle(path, mmap=mmap).searcher
-            assert loaded.frozen and not searcher.frozen
+            assert loaded.frozen and searcher.frozen
             for query in (data[0], data[3], data[5]):
                 assert pairs_as_set(loaded.search(query)) == expected_pairs(
                     data, query, 10, 2
@@ -127,10 +129,20 @@ class TestRoundtrip:
                 )
 
     def test_saving_a_frozen_searcher_writes_the_same_bytes(self, built, tmp_path):
+        # The build's array pass, the streamed dict reference frozen by
+        # from_index, and the snapshot re-saved: one file.
         _data, searcher = built
+        streamed = PKWiseSearcher.from_prebuilt(
+            searcher.params, searcher.order, searcher.scheme,
+            CompactIntervalIndex.from_index(reference_index(searcher)),
+            PackedRankDocs.from_lists(list(searcher.rank_docs)),
+            searcher.index_build_seconds,
+        )
         save_searcher(searcher, tmp_path / "a.idx")
-        save_searcher(searcher.compacted(), tmp_path / "b.idx")
-        assert (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
+        save_searcher(streamed, tmp_path / "b.idx")
+        save_searcher(load_bundle(tmp_path / "a.idx").searcher, tmp_path / "c.idx")
+        written = {(tmp_path / name).read_bytes() for name in ("a.idx", "b.idx", "c.idx")}
+        assert len(written) == 1
 
     def test_weighted_searcher_is_a_typed_error(self, small_corpus, tmp_path):
         weighted = WeightedPKWiseSearcher(

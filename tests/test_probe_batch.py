@@ -22,7 +22,7 @@ from repro.index import CompactIntervalIndex, ProbeBatch
 from repro.index import compact as compact_module
 from repro.signatures.generate import signature_hash, signature_hashes
 
-from .conftest import expected_pairs, pairs_as_set, probe_runs
+from .conftest import expected_pairs, pairs_as_set, probe_runs, reference_index
 
 
 class TestSignatureHashes:
@@ -50,10 +50,16 @@ class TestSignatureHashes:
     def test_any_batch_matches_scalar_reference(self, signatures):
         # The scalar hash is called nowhere in src/: it is the reference
         # this kernel is held to, lazy / OOV (negative) ranks and the
-        # empty tuple included.
-        assert signature_hashes(signatures).tolist() == [
-            signature_hash(s) for s in signatures
-        ]
+        # empty tuple included — as tuples and as the corpus build's
+        # padded rank matrix plus lengths.
+        want = [signature_hash(s) for s in signatures]
+        assert signature_hashes(signatures).tolist() == want
+        width = max(map(len, signatures), default=0)
+        matrix = np.full((len(signatures), width), 99, dtype=np.int64)
+        for row, signature in zip(matrix, signatures):
+            row[: len(signature)] = signature
+        lengths = np.asarray([len(s) for s in signatures], dtype=np.int64)
+        assert signature_hashes(matrix, lengths).tolist() == want
 
     def test_empty_input(self):
         assert len(signature_hashes([])) == 0
@@ -78,7 +84,7 @@ def batch_rows(batch: ProbeBatch) -> list[tuple]:
 
 class TestProbeManyParity:
     def _indexes(self, searcher):
-        return searcher.index, searcher.compacted().index
+        return reference_index(searcher), searcher.index
 
     def test_dict_and_compact_agree(self, built):
         _data, searcher = built
@@ -118,21 +124,22 @@ class TestProbeManyParity:
             "signature_hashes",
             lambda sigs: np.full(len(sigs), 7, dtype=np.uint64),
         )
-        collided = CompactIntervalIndex.from_index(searcher.index)
+        dict_index = reference_index(searcher)
+        collided = CompactIntervalIndex.from_index(dict_index)
         assert collided.num_signatures == 1
-        keys = list(searcher.index._postings)[:30]
+        keys = list(dict_index._postings)[:30]
         batch = collided.probe_many(keys)
         # Every signature now resolves to the single merged run: only
         # ever *more* candidates than the un-collided index returns.
         assert set(batch.sig_counts.tolist()) == {collided.num_postings}
-        honest = searcher.compacted().index.probe_many(keys)
+        honest = searcher.index.probe_many(keys)
         assert batch.entries >= honest.entries
 
 
 class TestProbeBatchEdges:
     def test_empty_batch(self, built):
         _data, searcher = built
-        for index in (searcher.index, searcher.compacted().index):
+        for index in (reference_index(searcher), searcher.index):
             batch = index.probe_many(())
             assert batch.probed == 0 and batch.entries == 0
             assert len(batch) == 0
@@ -141,7 +148,7 @@ class TestProbeBatchEdges:
     def test_all_oov_batch(self, built):
         _data, searcher = built
         oov = [(10**8 + i, 10**8 + i + 1) for i in range(40)]
-        for index in (searcher.index, searcher.compacted().index):
+        for index in (reference_index(searcher), searcher.index):
             batch = index.probe_many(oov)
             assert batch.probed == len(oov)
             assert batch.entries == 0
@@ -197,15 +204,14 @@ class TestProbeBatchEdges:
 
 class TestSearcherLevelBatching:
     def test_tombstone_parity_dict_vs_compact(self, built, queries):
+        # The dict side is the live memtable's, removed from in
+        # test_exactness.py's dict-*-live cells.
         data, searcher = built
-        frozen = searcher.compacted()
         searcher._remove_document(3)
-        frozen._remove_document(3)
         for query in queries:
-            a = pairs_as_set(searcher.search(query))
-            b = pairs_as_set(frozen.search(query))
-            assert a == b == expected_pairs(data, query, 10, 2, removed={3})
-            assert not any(pair[0] == 3 for pair in a)
+            got = pairs_as_set(searcher.search(query))
+            assert got == expected_pairs(data, query, 10, 2, removed={3})
+            assert not any(pair[0] == 3 for pair in got)
 
     def test_stats_populated_and_reconcile(self, built, queries):
         _data, searcher = built

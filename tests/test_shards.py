@@ -313,7 +313,7 @@ class CountingBackend(LocalShardBackend):
 
 def counting_backend(corpus, shard_id, lo, hi):
     subset = corpus.subset(range(lo, hi))
-    service = SearchService(PKWiseSearcher(subset, PARAMS).compacted(), subset)
+    service = SearchService(PKWiseSearcher(subset, PARAMS), subset)
     return CountingBackend(service, shard_id=shard_id, doc_lo=lo, doc_hi=hi)
 
 
