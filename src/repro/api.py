@@ -294,6 +294,11 @@ class Index:
         side, so each reply is exact for the documents live at one
         moment.  A write waits for the queries already running and a
         query for the write in progress; a fold's merge blocks neither.
+        An add only appends; the first query after a burst of adds
+        takes the write side just long enough to index them in one
+        array pass, then runs under the read side.  An add that lands
+        between that catch-up and the query is left to the next query,
+        like one that lands mid-query.
 
         ``routing`` sets the store's :class:`~repro.RoutingPolicy` on
         creation and overrides its *mode* on resume (the stored layout

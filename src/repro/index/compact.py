@@ -3,24 +3,27 @@
 :class:`CompactIntervalIndex` holds the interval index as five flat
 numpy columns: sorted 64-bit signature-hash keys, per-key offsets, and
 packed ``(doc, u, v)`` posting columns.  A corpus is written into them
-in one array pass (:meth:`CompactIntervalIndex.from_rank_docs`); a
-memtable's dict :class:`IntervalIndex` is frozen into them.  ``probe_many``
-keeps the exact contract of the dict index (one
-:class:`~repro.index.intervals.ProbeBatch` per batch of signatures) but
-resolves keys by binary search instead of hashing tuples, and the whole
-structure is a handful of contiguous buffers — ~10x less Python-object
-overhead, picklable in O(bytes), and mmap-able without copying (the
-snapshot envelope in :mod:`repro.persistence` stores these columns
-verbatim).
+in one array pass (:meth:`CompactIntervalIndex.from_rank_docs`), and so
+is each write burst of a live memtable, which
+:meth:`~CompactIntervalIndex.merged` then joins onto the columns it
+has.  ``probe_many`` keeps the exact contract (one
+:class:`~repro.index.intervals.ProbeBatch` per batch of signatures) of
+the dict :class:`IntervalIndex`, the one-document Algorithm 5 build the
+tests hold these columns to, but resolves keys by binary search instead
+of hashing tuples, and the whole structure is a handful of contiguous
+buffers — ~10x less Python-object overhead, picklable in O(bytes), and
+mmap-able without copying (the snapshot envelope in
+:mod:`repro.persistence` stores these columns verbatim).
 
 Keys are 64-bit FNV-1a values (the paper's Section 7.1 signature
 hashing), and :func:`~repro.signatures.generate.signature_hashes` is the
-one function that computes them — for the build, the freeze, the fold
-and every probe; the dict index keys on rank tuples.  A 64-bit hash collision
-merges two postings lists, which can only *add* candidates — rolling
-verification removes them — so final search results are pair-identical
-to the dict index (covered by the collision tests).  Nothing is written
-after construction: any number of threads may probe one instance.
+one function that computes them — for the build, a memtable catch-up,
+the fold and every probe; the dict index keys on rank tuples.  A 64-bit
+hash collision merges two postings lists, which can only *add*
+candidates — rolling verification removes them — so final search
+results are pair-identical to the dict index (covered by the collision
+tests).  Nothing is written after construction: any number of threads
+may probe one instance.
 
 :class:`PackedRankDocs` applies the same treatment to the searcher's
 per-document rank sequences (one values column + offsets).  The
@@ -72,9 +75,10 @@ def _packed_column(values: Sequence[int] | np.ndarray) -> np.ndarray:
 class CompactIntervalIndex:
     """Frozen signature -> postings index over flat array columns.
 
-    Construct with :meth:`from_rank_docs` (index a corpus),
-    :meth:`from_index` (freeze a memtable's dict index),
-    :meth:`merged` (concatenate tier indexes — the LSM fold) or
+    Construct with :meth:`from_rank_docs` (index a corpus or a
+    memtable's write burst), :meth:`from_index` (freeze the dict
+    reference build), :meth:`merged` (concatenate tier indexes — a
+    memtable catch-up and the LSM fold) or
     :meth:`from_arrays` (rehydrate saved/mapped columns).  The probe
     contract matches :meth:`IntervalIndex.probe_many`; mutation
     (``index_document``) raises
@@ -193,7 +197,9 @@ class CompactIntervalIndex:
 
     @classmethod
     def from_index(cls, index: IntervalIndex) -> "CompactIntervalIndex":
-        """Freeze a built dict :class:`IntervalIndex` into columns.
+        """Freeze a built dict :class:`IntervalIndex` into columns: what
+        the tests hold :meth:`from_rank_docs` and a memtable's columns
+        to, byte for byte.  No live path calls it.
 
         Tuple keys are hashed; equal hashes (genuine 64-bit collisions)
         share one postings run.  Within a key, postings keep the source
@@ -227,9 +233,8 @@ class CompactIntervalIndex:
 
         ``parts`` is a non-empty list of ``(index, doc_offset)`` over
         disjoint doc-id blocks in ascending order; each index holds its
-        block under local ids and is shifted by its offset.  A dict
-        :class:`IntervalIndex` part is frozen first (:meth:`from_index`).
-        Postings of the doc ids in ``removed`` (output ids) are dropped.
+        block under local ids and is shifted by its offset.  Postings of
+        the doc ids in ``removed`` (output ids) are dropped.
 
         Postings are ``(doc, u, v)`` triples under one global order, so
         no signature is generated again: a stable sort of the
@@ -241,28 +246,24 @@ class CompactIntervalIndex:
         and ``build_stats`` are summed over the parts, so they still
         count the work spent on documents dropped here.
         """
-        frozen = [
-            (index if isinstance(index, cls) else cls.from_index(index), base)
-            for index, base in parts
-        ]
         docs = np.concatenate(
-            [p._docs.astype(np.int64) + base for p, base in frozen]
+            [p._docs.astype(np.int64) + base for p, base in parts]
         )
         keep = ~np.isin(docs, np.fromiter(removed, dtype=np.int64))
         build_stats: dict[str, int] = {}
-        for part, _ in frozen:
+        for part, _ in parts:
             for name, value in part.build_stats.items():
                 build_stats[name] = build_stats.get(name, 0) + value
         return cls._assembled(
-            frozen[0][0],
+            parts[0][0],
             np.concatenate(
-                [np.repeat(p._keys, np.diff(p._offsets)) for p, _ in frozen]
+                [np.repeat(p._keys, np.diff(p._offsets)) for p, _ in parts]
             )[keep],
             docs[keep],
-            np.concatenate([p._us for p, _ in frozen])[keep],
-            np.concatenate([p._vs for p, _ in frozen])[keep],
-            num_documents=sum(p.num_documents for p, _ in frozen),
-            num_windows=sum(p.num_windows for p, _ in frozen),
+            np.concatenate([p._us for p, _ in parts])[keep],
+            np.concatenate([p._vs for p, _ in parts])[keep],
+            num_documents=sum(p.num_documents for p, _ in parts),
+            num_windows=sum(p.num_windows for p, _ in parts),
             build_stats=build_stats,
         )
 

@@ -8,11 +8,12 @@ generating it.  The stream already collapses duplicate-signature "false"
 opens/closes (the paper's gamma counter), so every event here is a true
 transition and every stored interval is maximal.
 
-This is the live memtable's index, where documents arrive one by one,
-and the reference the corpus build is held to: a constructed searcher
-indexes its whole corpus in one array pass
-(:meth:`~repro.index.CompactIntervalIndex.from_rank_docs`), postings
-for postings what this class appends.
+No live path builds one.  It is the paper reference: the one-document
+Algorithm 5 build that the bulk kernel and the memtable are held to.  A
+constructed searcher indexes its whole corpus in one array pass
+(:meth:`~repro.index.CompactIntervalIndex.from_rank_docs`), and a live
+memtable each burst of writes the same way, postings for postings what
+this class appends (``tests/conftest.py::reference_index`` builds it).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """repro.ingest: LSM-style streaming ingestion.
 
-The write path of the library.  Writes land in a mutable dict-backed
-memtable (:mod:`~repro.ingest.memtable`), queries fan out over
+The write path of the library.  Writes land in a memtable
+(:mod:`~repro.ingest.memtable`), which appends their rank lists and
+indexes each burst of them in one array pass when a query or a seal
+needs it; queries fan out over
 memtable + frozen compact segments with exact merged results
 (:mod:`~repro.ingest.tiered`, :mod:`~repro.ingest.searcher`), and a
 background compactor folds sealed memtables and tombstones into new

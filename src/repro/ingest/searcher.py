@@ -21,10 +21,16 @@ from a one-shot searcher over the same documents; result caching is the
 service's business (:class:`~repro.service.cache.ResultCache`, keyed on
 the store's mutation epoch).
 
-The only things a live engine adds to the kernel: the read lock and
-per-tier routing.  :meth:`LSMSearcher.search` holds the read side of
-the store's lock for the whole query, whoever calls it, so no add,
-remove or install lands mid-query.  Fingerprints live per tier
+The only things a live engine adds to the kernel: the store's lock, the
+memtable catch-up and per-tier routing.  :meth:`LSMSearcher.search`
+holds the read side of the store's lock for the whole query, whoever
+calls it, so no add, remove or install lands mid-query.  A query that
+finds the active memtable behind its adds first takes the write side
+just long enough to index the pending documents in one array pass
+(:meth:`~repro.ingest.Memtable.catch_up`), then runs under the read
+side like any other: concurrent queries that all found it behind catch
+up once and still run side by side.
+Fingerprints live per tier
 (maintained on insert by the memtable, stored with a segment, or built
 on the first routed query), and
 :class:`~repro.ingest.tiered.TieredFingerprints` glues their survivor
@@ -60,6 +66,7 @@ class LSMSearcher(PKWiseSearcher):
         self.index = TieredIntervalIndex(tiers, params.w, params.tau, self.scheme)
         self.rank_docs = TieredRankDocs(tiers)
         self._fingerprints = TieredFingerprints(tiers, params)
+        self._memtable = tiers[-1].index
 
     @property
     def index_epoch(self) -> int:
@@ -71,10 +78,25 @@ class LSMSearcher(PKWiseSearcher):
         a tier without stored fingerprints builds them on demand)."""
         return self._fingerprints
 
-    # -- search: the kernel under the read lock; batches stay serial ---
+    # -- search: the kernel under the store's lock; batches stay serial
     def search(self, query, *, cancel=None, routing=None):
+        """The kernel under the read side of the store's lock.  A query
+        that finds the active memtable behind its adds first catches it
+        up under the write side, which it holds for nothing else."""
         lock = self.store._lock
         lock.acquire_read()
+        if self._memtable.behind:
+            lock.release_read()
+            lock.acquire_write()
+            try:
+                # A no-op when another query caught up while this one
+                # waited for the write side.
+                self._memtable.catch_up()
+            finally:
+                lock.release_write()
+            # An add landing before the read side is back has no
+            # postings yet: it is not seen, as if it landed mid-query.
+            lock.acquire_read()
         try:
             return super().search(query, cancel=cancel, routing=routing)
         finally:
@@ -100,7 +122,8 @@ class LSMSearcher(PKWiseSearcher):
 
     def close(self) -> None:
         """The engine is shared; closing the store is explicit
-        (:meth:`~repro.ingest.IngestStore.close`)."""
+        (:meth:`~repro.ingest.IngestStore.close`), and the engine keeps
+        answering queries after it."""
 
     def __repr__(self) -> str:
         tiers = self.index.tiers

@@ -2,7 +2,8 @@
 
 One store owns everything mutable about a live corpus:
 
-* the **active memtable** (dict-backed, search-visible immediately),
+* the **active memtable** (rank lists appended at add time and indexed
+  a write burst at a time; search-visible immediately),
 * the ordered list of frozen tiers — compact **segments** plus any
   sealed memtables a fold has not consumed yet,
 * the **tombstone** set and the mutation epoch result caches key on,
@@ -69,10 +70,10 @@ from .wal import WriteAheadLog, read_wal, wal_generations, wal_name
 class _ReadWriteLock:
     """Writer-preferring readers-writer lock.
 
-    Searches share the index (readers); adds, removes and installs
-    mutate postings dicts and tier lists that a concurrent probe may be
-    iterating (writers).  Writer preference keeps mutations from
-    starving under a steady query stream.
+    Searches share the index (readers); adds, removes, installs and
+    memtable catch-ups change the rank lists, tombstones, tier lists
+    and columns a concurrent query reads (writers).  Writer preference
+    keeps mutations from starving under a steady query stream.
     """
 
     def __init__(self) -> None:
@@ -463,7 +464,13 @@ class IngestStore:
     # ------------------------------------------------------------------
     def searcher(self) -> LSMSearcher:
         """The store's query engine — one object for the store's life;
-        installs re-point it, they never replace it."""
+        installs re-point it, they never replace it.  A closed store no
+        longer holds it (:meth:`close`)."""
+        if self._view is None:
+            raise IndexStateError(
+                "ingest store is closed; the engine searcher() returned "
+                "before close() still answers queries"
+            )
         return self._view
 
     @property
@@ -652,7 +659,7 @@ class IngestStore:
         active = self._active
         active_tier = Tier(
             active.doc_lo, None, active.generation,
-            active.index, active.rank_docs, "memtable",
+            active, active.rank_docs, "memtable",
             fingerprints=active.fingerprints,
         )
         self._view._install((*self._segments, active_tier))
@@ -669,14 +676,15 @@ class IngestStore:
             return outcome
 
     def _seal(self):
-        """Freeze the active memtable into a sealed tier; rotate the WAL."""
+        """Freeze the active memtable into a sealed tier, caught up so
+        that the fold only merges; rotate the WAL."""
         def commit():
             if self._closed or len(self._active) == 0:
                 return None
             old = self._active
             sealed = Tier(
                 old.doc_lo, old.doc_hi, old.generation,
-                old.index, old.rank_docs, "memtable",
+                old.catch_up(), old.rank_docs, "memtable",
                 fingerprints=old.fingerprints,
             )
             self._segments.append(sealed)
@@ -707,9 +715,12 @@ class IngestStore:
 
         Returns the new segment's generation, or None when there was
         nothing to fold.  Safe to call concurrently with writes and
-        queries; folds serialize among themselves.
+        queries; folds serialize among themselves.  A closed store
+        raises :class:`~repro.errors.IndexStateError`, like every other
+        mutation.
         """
         with self._fold_lock:
+            self._check_open()
             self._seal()
             pending = [t for t in self._segments if t.kind == "memtable"]
             if not pending:
@@ -720,8 +731,10 @@ class IngestStore:
 
     def compact(self):
         """Fold *all* tiers (after sealing) into one segment covering
-        the whole corpus, dropping tombstoned documents for good."""
+        the whole corpus, dropping tombstoned documents for good.  A
+        closed store raises :class:`~repro.errors.IndexStateError`."""
         with self._fold_lock:
+            self._check_open()
             self._seal()
             pending = list(self._segments)
             if not pending:
@@ -861,13 +874,13 @@ class IngestStore:
         :meth:`compact` first to drop them physically.
         """
         with self._fold_lock:
-            with self._mutex:
-                # The live memtable is frozen under the mutex: a
-                # concurrent add mutates its dict index.
+            with self._writer():
+                # Under the write side: no add lands while the memtable
+                # is caught up and its rank lists are packed.
                 active = self._active
                 tiers = self._segments + [Tier(
                     active.doc_lo, active.doc_hi, active.generation,
-                    CompactIntervalIndex.from_index(active.index),
+                    active.catch_up(),
                     PackedRankDocs.from_lists(active.rank_docs), "segment",
                 )]
                 removed = set(self.removed)
@@ -924,13 +937,17 @@ class IngestStore:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the compactor and close the WAL; queries keep working
-        (the tiers are in memory)."""
+        """Stop the compactor, wait out a fold in flight and close the
+        WAL.  The engine keeps answering queries (the tiers are in
+        memory) and keeps the store; the store lets go of the engine, so
+        once the caller drops both they are freed by reference counting,
+        not left to the cyclic collector."""
         self.stop_compactor()
-        with self._mutex:
+        with self._fold_lock, self._writer():
             self._closed = True
             if self._wal is not None:
                 self._wal.close()
+            self._view = None
 
     def __repr__(self) -> str:
         return (

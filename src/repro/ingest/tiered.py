@@ -7,7 +7,7 @@ indexes its documents under local ids; these views glue the tiers back
 into the single-index shape the pkwise search kernel expects:
 
 * :class:`TieredIntervalIndex` satisfies the ``probe_many`` contract
-  of :class:`~repro.index.IntervalIndex`.  A batched probe
+  of :class:`~repro.index.CompactIntervalIndex`.  A batched probe
   fans out to every tier, offsets each tier's hit docs by its base, and
   merges the batches *signature-wise* with one stable argsort — entries
   for each probed signature come back grouped, ordered by tier base and
@@ -25,7 +25,8 @@ into the single-index shape the pkwise search kernel expects:
 All three are read-only views: tier *membership* only changes when the store
 re-points its engine over a new tier tuple, under the write side of
 its lock, so a search (which holds the read side) never sees tiers
-appear or vanish mid-query.
+appear or vanish mid-query.  The active memtable's columns are replaced
+under the write side too, when a seal or a query catches it up.
 """
 
 from __future__ import annotations
@@ -60,11 +61,13 @@ class Tier:
         #: through already-installed views without a reinstall.
         self._doc_hi = doc_hi
         self.generation = generation
-        #: ``probe_many``-capable index over local ids ``0..doc_hi-doc_lo-1``.
+        #: ``probe_many``-capable index over local ids ``0..doc_hi-doc_lo-1``:
+        #: frozen columns, or the active :class:`~repro.ingest.Memtable`
+        #: itself (its columns are replaced as it catches up).
         self.index = index
         #: Local-id rank sequences (list of lists or PackedRankDocs).
         self.rank_docs = rank_docs
-        #: ``"segment"`` (frozen compact) or ``"memtable"`` (dict).
+        #: ``"segment"`` (packed ranks) or ``"memtable"`` (rank lists).
         self.kind = kind
         #: Backing snapshot file for segments persisted to disk.
         self.path = path
@@ -153,9 +156,6 @@ class TieredIntervalIndex:
             sig_counts = sig_counts + batch.sig_counts
         return ProbeBatch(docs, us, vs, signs_column, sig_counts, probed)
 
-    def __contains__(self, signature) -> bool:
-        return any(signature in tier.index for tier in self.tiers)
-
     # -- mutation is a store concern ------------------------------------
     def add_document(self, doc_id, ranks) -> None:
         raise IndexStateError(
@@ -166,14 +166,6 @@ class TieredIntervalIndex:
     index_document = add_document
 
     # -- aggregate introspection ----------------------------------------
-    @property
-    def num_documents(self) -> int:
-        return sum(tier.index.num_documents for tier in self.tiers)
-
-    @property
-    def num_windows(self) -> int:
-        return sum(tier.index.num_windows for tier in self.tiers)
-
     @property
     def num_postings(self) -> int:
         return sum(tier.index.num_postings for tier in self.tiers)

@@ -162,12 +162,19 @@ class TestWrittenOnce:
         return state.hexdigest()
 
     def test_freeze_and_fold_assemble_the_same_columns(self, built):
-        # The build's one array pass, the freeze of the dict reference and
-        # both folds: one set of columns, and the stats of one build.
+        # The build's one array pass, the freeze of the dict reference, a
+        # fold of two halves built apart (a memtable's catch-up) and a
+        # fold of the freeze: one set of columns, the stats of one build.
         _data, searcher = built
-        dict_index = reference_index(searcher)
-        frozen = CompactIntervalIndex.from_index(dict_index)
-        folded = CompactIntervalIndex.merged([(dict_index, 0)])
+        frozen = CompactIntervalIndex.from_index(reference_index(searcher))
+        params, ranks = searcher.params, list(searcher.rank_docs)
+        head, tail = (
+            CompactIntervalIndex.from_rank_docs(
+                PackedRankDocs.from_lists(part), params.w, params.tau, searcher.scheme
+            )
+            for part in (ranks[:2], ranks[2:])
+        )
+        folded = CompactIntervalIndex.merged([(head, 0), (tail, 2)])
         refolded = CompactIntervalIndex.merged([(frozen, 0)])
         meta, columns = frozen.to_arrays()
         assert tuple(columns) == CompactIntervalIndex.COLUMNS

@@ -4,8 +4,9 @@ pkwise is exact (Lemma 3/4), so no layer may add, drop or alter a window
 pair.  A cell takes one value on each axis and checks every reply
 against ``conftest.expected_pairs`` (the benchmark's numpy oracle, which
 shares no code with ``repro``).  Axes: documents added one by one into a
-live memtable's dict index (dict), the engine as built, frozen (compact),
-or saved and mapped (mmap); routing ``off``, ``exact``, or off
+live memtable, whose columns catch up when a query or a seal finds it
+behind (memtable), the engine as built, frozen (compact), or saved and
+mapped (mmap); routing ``off``, ``exact``, or off
 with every ``request`` asking for exact; ``serial`` behind a
 ``SearchService`` or a ``--jobs 2`` workload under ``fork`` / ``spawn``;
 one index, 3 shards, or 2 shards x 2 replicas; built once,
@@ -33,7 +34,7 @@ from repro.service import LocalShardBackend, ShardPlan, ShardRouter
 from .conftest import expected_pairs, make_corpus, make_queries
 
 AXES = {
-    "storage": ("dict", "compact", "mmap"),
+    "storage": ("memtable", "compact", "mmap"),
     "routing": ("off", "exact", "request"),
     "execution": ("serial", "fork", "spawn"),
     "topology": ("single", "sharded", "replicated"),
@@ -46,15 +47,15 @@ INVALID = [
      "the router scatters to shard services on threads; a pool runs one engine"),
     ("execution", ("fork", "spawn"), "routing", ("request",),
      "pool workers search under the engine's own mode; no request carries one"),
-    ("execution", ("spawn",), "storage", ("dict", "compact"),
+    ("execution", ("spawn",), "storage", ("memtable", "compact"),
      "spawn workers map a saved snapshot of any engine: that is the mmap value"),
     ("execution", ("spawn",), "lifecycle", ("reopen",),
      "spawn workers map a folded snapshot of the store, as in the live cell"),
-    ("storage", ("dict",), "topology", ("sharded", "replicated"),
+    ("storage", ("memtable",), "topology", ("sharded", "replicated"),
      "every shard is frozen: ShardRouter.local builds, plan files are mapped"),
-    ("storage", ("dict",), "lifecycle", ("oneshot",),
-     "a build is frozen: the dict index is the live memtable's, fed one document at a time"),
-    ("storage", ("dict", "compact"), "lifecycle", ("reopen",),
+    ("storage", ("memtable",), "lifecycle", ("oneshot",),
+     "a build is frozen: only a live index has a memtable, fed one document at a time"),
+    ("storage", ("memtable", "compact"), "lifecycle", ("reopen",),
      "a reopened store maps its segment files"),
     ("topology", ("sharded", "replicated"), "lifecycle", ("live", "reopen"),
      "the router is a read path: /ingest and /remove answer 405"),
@@ -63,9 +64,9 @@ INVALID = [
 
 Cell = namedtuple("Cell", AXES)
 CELLS = [Cell(*row.split()) for row in (
-    "dict     off      serial  single      live",
-    "dict     exact    fork    single      live",
-    "dict     request  serial  single      live",
+    "memtable off      serial  single      live",
+    "memtable exact    fork    single      live",
+    "memtable request  serial  single      live",
     "compact  off      fork    single      live",
     "compact  exact    fork    single      oneshot",
     "compact  off      serial  sharded     oneshot",
@@ -232,7 +233,7 @@ def test_cell(cell, tmp_path):
         return check([reply.pairs for reply in replies], len(data))
 
     directory = tmp_path / "store"
-    if cell.lifecycle == "reopen" or cell.storage == "dict":
+    if cell.lifecycle == "reopen" or cell.storage == "memtable":
         durable = cell.lifecycle == "reopen"
         index = Index.open_live(directory if durable else None, params)
         ops = [("add", doc_id) for doc_id in range(len(data))] + ops

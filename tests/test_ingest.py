@@ -22,6 +22,7 @@ The contract under test, end to end:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import pathlib
@@ -30,7 +31,9 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -49,16 +52,17 @@ from repro import (
     ServiceOverloadError,
     faults,
 )
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, IndexStateError
 from repro.eval.harness import canonical_pair_order
 from repro.faults import KILL_EXIT_CODE, FaultPlan, FaultSpec
 from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs
 from repro.index import compact as compact_module
-from repro.ingest import Tier, read_wal, wal_generations
+from repro.ingest import Memtable, Tier, read_wal, wal_generations
 from repro.persistence import PersistenceError
+from repro.signatures import bulk
 from repro.signatures.maintain import SignatureStream
 
-from .conftest import expected_pairs
+from .conftest import expected_pairs, reference_index
 
 PARAMS = SearchParams(w=8, tau=2, k_max=2)
 VOCAB = 40
@@ -528,11 +532,16 @@ class TestFoldIsMerge:
         run_fold_ops(ops, self.check_exact)
 
     def test_colliding_hashes_merge_as_multisets(self, monkeypatch):
-        monkeypatch.setattr(
-            compact_module,
-            "signature_hashes",
-            lambda sigs: np.asarray([sum(sig) % 5 for sig in sigs], dtype=np.uint64),
-        )
+        def colliding(signatures, lengths=None):
+            # Both forms of signature_hashes: tuples (the dict reference's
+            # freeze), or a rank matrix plus lengths (the memtable's bulk
+            # catch-up), so colliding keys reach the fold through columns.
+            if lengths is not None:
+                signatures = [row[:n] for row, n in
+                              zip(signatures.tolist(), lengths.tolist())]
+            return np.asarray([sum(sig) % 5 for sig in signatures], dtype=np.uint64)
+
+        monkeypatch.setattr(compact_module, "signature_hashes", colliding)
 
         def check(store, ranks_of, segment, dead):
             want_index, want_ranks = scratch_columns(
@@ -568,6 +577,252 @@ class TestFoldIsMerge:
         assert counters["ingest.fold_postings_merged"] == merged + kept
         assert counters["ingest.fold_postings_dropped"] == merged - kept > 0
         store.close()
+
+
+def assert_same_index(got, want):
+    """Equal columns (dtypes and bytes) and equal meta: the document and
+    window counts and ``build_stats``."""
+    assert got.to_arrays()[0] == want.to_arrays()[0]
+    assert_same_columns(got.to_arrays()[1], want.to_arrays()[1])
+
+
+def memtable_reference(store, memtable):
+    """``from_index`` of the dict build over ``memtable``'s documents,
+    indexed one at a time by Algorithm 5's stream."""
+    documents = SimpleNamespace(
+        params=store.params, scheme=store.scheme, rank_docs=memtable.rank_docs
+    )
+    return CompactIntervalIndex.from_index(reference_index(documents))
+
+
+class TestMemtableCatchUp:
+    """An add appends a rank list; the memtable indexes what is pending
+    in one array pass when a query or a seal finds it behind, and its
+    columns are the freeze of the dict build over the same documents."""
+
+    @pytest.mark.parametrize("block_cells", [None, 16], ids=["one-block", "seams"])
+    def test_bursts_equal_the_dict_build(self, block_cells):
+        # Lengths 0..30 straddle w (8); 16 cells are two windows a block,
+        # so blocks cut documents and runs cross seams.
+        rng = random.Random(11)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        memtable = store._active
+        query = make_query(store.data, rng)
+        with mock.patch.object(bulk, "_BLOCK_CELLS", block_cells or bulk._BLOCK_CELLS):
+            assert_same_index(memtable.columns, memtable_reference(store, memtable))
+            for burst in (1, 2, 7, 100):
+                for _ in range(burst):
+                    store.add_tokens(zipf_tokens(rng, rng.randrange(31)))
+                assert memtable.behind
+                store.searcher().search(query)
+                assert not memtable.behind
+                assert_same_index(memtable.columns, memtable_reference(store, memtable))
+            assert any(len(ranks) < PARAMS.w for ranks in memtable.rank_docs)
+            store.flush()
+            empty = store._active
+            store.searcher().search(query)
+            assert len(empty) == 0 and not empty.behind
+            assert_same_index(empty.columns, memtable_reference(store, empty))
+        store.close()
+
+    def test_a_sealed_memtable_is_whole(self):
+        rng = random.Random(12)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        for _ in range(5):
+            store.add_tokens(make_tokens(rng))
+        memtable = store._active
+        assert memtable.behind and memtable.columns.num_documents == 0
+        store._seal()
+        sealed = store._segments[-1]
+        assert sealed.kind == "memtable" and sealed.index is memtable.columns
+        assert not memtable.behind
+        assert_same_index(sealed.index, memtable_reference(store, memtable))
+        with no_signature_streams(), mock.patch.object(
+            Memtable, "catch_up", side_effect=AssertionError("a fold caught up")
+        ):
+            assert store.flush() is not None
+        store.close()
+
+    def test_a_live_probe_writes_nothing(self):
+        rng = random.Random(13)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        view = store.searcher()
+        query = make_query(store.data, rng)
+        for _ in range(3):
+            store.add_tokens(make_tokens(rng))
+        view.search(query)
+        for _ in range(2):
+            store.add_tokens(make_tokens(rng))
+        memtable = store._active
+        columns = memtable.columns
+        copies = {name: column.copy() for name, column in columns.to_arrays()[1].items()}
+        held = list(reference_index(view)._postings)
+        assert view.index.probe_many(held).entries == columns.num_postings
+        assert memtable.columns is columns and memtable.behind
+        view.search(query)  # behind: the write side, columns replaced
+        caught = memtable.columns
+        assert caught is not columns and not memtable.behind
+        for name, column in columns.to_arrays()[1].items():
+            assert column.tobytes() == copies[name].tobytes(), name
+        view.search(query)  # caught up: the read side, nothing replaced
+        assert memtable.columns is caught
+        store.close()
+
+    def test_racing_queries_catch_up_exactly(self):
+        # A writer and three query threads on fewer cores: whichever
+        # query finds the memtable behind catches it up under the write
+        # side.  Each reply holds a document whole or not at all, and
+        # every document whose add returned before the query started.
+        rng = random.Random(14)
+        base = make_tokens(rng, 40)
+        texts = [base]
+        for _ in range(30):
+            tokens = list(base)
+            tokens[rng.randrange(len(tokens))] = "edit"
+            texts.append(tokens)
+        pairs_of: dict[int, list] = {}
+        for pair in reference(texts, range(len(texts)), base):
+            pairs_of.setdefault(pair[0], []).append(pair)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        store.add_tokens(base)  # every query token is in the vocabulary
+        query = store.data.encode_query_tokens(base)
+        added, failures = [0], []
+        done = threading.Event()
+
+        def writer() -> None:
+            try:
+                for tokens in texts[1:]:
+                    added.append(store.add_tokens(tokens))
+                    time.sleep(0.002)  # let queries in between adds
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+            finally:
+                done.set()
+
+        def reader() -> None:
+            try:
+                while not done.is_set():
+                    visible = set(added)
+                    got: dict[int, list] = {}
+                    for pair in sorted(map(tuple, store.searcher().search(query).pairs)):
+                        got.setdefault(pair[0], []).append(pair)
+                    assert all(pairs == pairs_of[doc] for doc, pairs in got.items())
+                    assert visible <= got.keys()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert len(added) == len(texts)
+        store.searcher().search(query)
+        memtable = store._active
+        assert_same_index(memtable.columns, memtable_reference(store, memtable))
+        store.close()
+
+    def test_queries_that_find_it_behind_catch_up_once_then_read(self):
+        # Both queries see the memtable behind while they hold the read
+        # side together.  Each takes the write side in turn; the first
+        # indexes the pending documents, the second finds nothing to do,
+        # and neither runs its kernel under the write side.
+        rng = random.Random(15)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        view = store.searcher()
+        query = make_query(store.data, rng)
+        for _ in range(3):
+            store.add_tokens(make_tokens(rng))
+        lock = store._lock
+        both_looked = threading.Barrier(2, timeout=10)
+        real_behind, real_kernel = Memtable.behind.fget, PKWiseSearcher._search
+        writer_held, replies, failures = [], [], []
+
+        def behind(memtable):
+            seen = real_behind(memtable)
+            both_looked.wait()
+            return seen
+
+        def kernel(searcher, *args):
+            writer_held.append(lock._writer)
+            return real_kernel(searcher, *args)
+
+        def reader() -> None:
+            try:
+                replies.append(canonical_pair_order(view.search(query).pairs))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        with mock.patch.object(Memtable, "behind", property(behind)), \
+                mock.patch.object(PKWiseSearcher, "_search", kernel), \
+                mock.patch.object(
+                    CompactIntervalIndex, "from_rank_docs",
+                    wraps=CompactIntervalIndex.from_rank_docs,
+                ) as index_burst:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert index_burst.call_count == 1
+        assert len(index_burst.call_args.args[0]) == 3
+        assert writer_held == [False, False]
+        assert replies[0] == replies[1] == store_pairs(store, query)
+        store.close()
+
+    def test_a_closed_live_index_is_freed_by_reference_counting(self):
+        # Without the cyclic collector, only reference counts free a
+        # closed store: the store lets go of its engine at close.
+        gc.collect()
+        gc.disable()
+        try:
+            index = repro.Index.open_live(None, PARAMS)
+            index.add("a b c d e f g h i j k l")
+            assert index.search_text("b c d e f g h i j").pairs
+            store = index.searcher().store
+            keys = weakref.ref(store._active.columns.to_arrays()[1]["keys"])
+            index.close()
+            with pytest.raises(IndexStateError, match="closed"):
+                store.searcher()
+            assert index.search_text("b c d e f g h i j").pairs  # still answers
+            del index, store
+            assert keys() is None
+        finally:
+            gc.enable()
+
+
+class TestClosedStore:
+    def test_every_mutation_raises_and_queries_still_answer(self):
+        rng = random.Random(16)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
+        for _ in range(3):
+            store.add_tokens(make_tokens(rng))
+        store.flush()
+        store.add_tokens(make_tokens(rng))
+        view = store.searcher()
+        query = make_query(store.data, rng)
+        before = canonical_pair_order(view.search(query).pairs)
+        store.close()
+        for mutation in (
+            lambda: store.add_tokens(make_tokens(rng)),
+            lambda: store.remove(0),
+            store.flush,
+            store.compact,
+        ):
+            with pytest.raises(IndexStateError, match="closed"):
+                mutation()
+        assert store.num_segments == 1 and len(store._active) == 1
+        assert canonical_pair_order(view.search(query).pairs) == before
 
 
 class TestNoOpRemove:
