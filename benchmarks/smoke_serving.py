@@ -27,7 +27,9 @@ With ``--shards N`` the smoke instead exercises the sharded stack:
 ``repro serve --shards N`` (N worker processes + scatter router),
 asserts pair-for-pair parity against the single-process server and that
 the repeat was a hit of the router's own result cache, writes the
-deterministic metrics record, then SIGKILLs one worker mid-run and
+deterministic metrics record, checks that 100 sequential cache hits grow
+the router's thread count by at most 2 (the HTTP front door reuses its
+handler threads), then SIGKILLs one worker mid-run and
 asserts that the cached text is still answered whole (from the router,
 no sub-request) while a text never asked before gets partial results
 naming the dead shard (the supervisor is disabled so the corpse stays
@@ -141,6 +143,12 @@ def _healthz_any_status(url: str) -> tuple[int, dict]:
         return exc.code, json.load(exc)
 
 
+def _thread_count(pid: int) -> int:
+    """The ``Threads:`` line of ``/proc/<pid>/status``."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    return int(re.search(r"^Threads:\s+(\d+)", status, re.M).group(1))
+
+
 def _parse_shard_line(line: str) -> dict:
     """``SHARD 1 http://h:p pid=123 docs=[2,4) replica=0`` -> dict.
 
@@ -218,6 +226,15 @@ def run_sharded(args: argparse.Namespace, index_path: Path,
         # The repeat was the router's hit: it reached no shard.
         assert counters["router.cache_hits"] == 1, counters
         assert counters["service.cache_hits"] == 0, counters
+
+        # The front door reuses its handler threads: sequential hits add
+        # at most the one a finishing connection can still hold (and a
+        # spare), not one per request.
+        threads = _thread_count(server.pid)
+        for _ in range(100):
+            assert remote_search(url, query_text)["cached"]
+        grown = _thread_count(server.pid) - threads
+        assert grown <= 2, f"the router grew {grown} threads over 100 hits"
 
         victim = shards[1]
         os.kill(victim["pid"], signal.SIGKILL)

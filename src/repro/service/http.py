@@ -14,7 +14,8 @@ endpoints:
     field, and a body that is not JSON text (undecodable bytes, nesting
     past the recursion limit) answer ``400`` before the service is
     called; a body over :data:`MAX_BODY_BYTES` answers ``413`` and
-    closes the connection (it is never read).
+    closes the connection (it is never read), and a query of more than
+    :data:`MAX_QUERY_TOKENS` tokens answers ``413`` unsearched.
     ``GET /search?q=...`` accepts
     the same query as a URL parameter for curl-friendliness.  Replies
     ``{"pairs": [[doc_id, data_start, query_start, overlap], ...],
@@ -49,6 +50,29 @@ endpoints:
     envelope the CLI's ``--metrics-out`` writes, so two serving runs
     of one workload diff counter for counter.
 
+The door keeps the stdlib server's semantics without three of its
+costs, which were most of a cache hit:
+
+* **Handler threads are reused.**  A thread that finishes a connection
+  waits for the next one; a connection that finds no idle thread gets a
+  new one, so concurrency still equals the number of open connections
+  (no cap: the service's admission queue answers ``429``).
+  :meth:`~ServiceHTTPServer.server_close` ends the idle threads; a busy
+  one exits when its connection ends.
+* **The request head is split by hand**, not by ``email.feedparser``,
+  with the stdlib's answers: ``400`` bad syntax (HTTP/0.9 included),
+  ``505`` HTTP/2 and later, ``414`` a request line over 64 KiB, ``431``
+  more than 100 headers or a header line over 64 KiB, and its
+  ``Connection`` / ``Expect: 100-continue`` handling.  An obs-fold
+  continuation line and two different ``Content-Length`` values also
+  answer ``400``.  Every error the door itself raises is JSON and
+  closes the connection.
+* **A reply is one write**: status line, headers and body.
+
+A connection that stalls for :attr:`ServiceRequestHandler.timeout`
+seconds in one read or write (a head or body never finished, a reply
+never read) is closed.
+
 The server binds but does not accept until :py:meth:`serve_forever`
 runs; use :func:`serve_http` for the common blocking case or drive the
 returned server from your own thread (as the tests do).
@@ -57,6 +81,9 @@ returned server from your own thread (as the tests do).
 from __future__ import annotations
 
 import json
+import queue
+import re
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -76,6 +103,16 @@ from .service import SearchService
 #: Largest accepted /search request body, in bytes (64 MiB): a query
 #: document is token text, not a corpus; anything bigger is a mistake.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Longest accepted /search query, in tokens (2**20): 64 MiB of
+#: one-character tokens would be ~3e7 query windows.
+MAX_QUERY_TOKENS = 2**20
+
+# The stdlib's limits on a request head (http.client._MAXLINE / _MAXHEADERS).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# As the stdlib: a version number part of more than 10 digits is a 400.
+_HTTP_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})")
+_HEADER_NAME = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -83,14 +120,90 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
-    # Headers and body leave as two writes; with Nagle on, the body of
-    # every keep-alive reply waits ~40 ms for the client's delayed ACK.
+    # A ``100 Continue`` and its reply are two writes; with Nagle on, the
+    # second would wait ~40 ms for the client's delayed ACK.
     disable_nagle_algorithm = True
+    #: Seconds a connection may stall in one read or write before it is
+    #: closed (``handle_one_request`` turns the ``TimeoutError`` into a
+    #: closed connection, and the thread goes back to idle).
+    timeout = 30
 
     # ------------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
             super().log_message(format, *args)
+
+    def parse_request(self) -> bool:
+        """Split the request line and headers read from ``rfile``.
+
+        ``self.headers`` is a dict keyed by the lower-cased header name
+        (a repeated header keeps its first value).  Returns False once
+        an error reply is sent, or for an empty request line.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        version = _HTTP_VERSION.fullmatch(words[-1]) if len(words) == 3 else None
+        if version is None:
+            self.send_error(400, f"bad request line {requestline!r}")
+            return False
+        version = int(version[1]), int(version[2])
+        if version >= (2, 0):
+            self.send_error(505, f"{words[-1]} is not supported")
+            return False
+        self.command, path, self.request_version = words
+        # As the stdlib does: '//x' would read as a scheme-less absolute URI.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        self.close_connection = version < (1, 1)
+
+        headers: dict[str, str] = {}
+        count = 0
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, f"header line over {_MAX_LINE} bytes")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            count += 1
+            if count > _MAX_HEADERS:
+                self.send_error(431, f"more than {_MAX_HEADERS} headers")
+                return False
+            name, colon, value = line.partition(b":")
+            if not colon or not _HEADER_NAME.fullmatch(name):
+                # Also an obs-fold line (leading space or tab), which the
+                # email parser glued to the header before it.
+                self.send_error(400, f"bad header line {line[:80]!r}")
+                return False
+            key = name.decode("ascii").lower()
+            value = value.strip().decode("iso-8859-1")
+            if headers.setdefault(key, value) != value and key == "content-length":
+                self.send_error(400, "two different Content-Length values")
+                return False
+        self.headers = headers
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and version >= (1, 1)
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Every error the stdlib or :meth:`parse_request` raises is a
+        JSON reply that closes the connection."""
+        self.close_connection = True
+        self._reply_error(int(code), message or self.responses[code][0])
 
     def _reply(
         self, status: int, payload: dict, headers: dict | None = None,
@@ -99,13 +212,20 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         if pairs_json is not None:  # spliced in as the last member
             body = body[:-1] + b', "pairs": ' + pairs_json + b"}"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        reason = self.responses[status][0] if status in self.responses else ""
+        head = (
+            f"{self.protocol_version} {status} {reason}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if self.close_connection:
+            head += "Connection: close\r\n"
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            head += f"{name}: {value}\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
+        if self.server.verbose:
+            self.log_request(status, len(body))
 
     def _reply_error(self, status: int, message: str, **extra) -> None:
         headers = extra.pop("headers", None)
@@ -147,7 +267,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._reply_error(404, f"unknown path {url.path!r}")
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(self.headers.get("content-length", "0"))
         except ValueError:
             length = -1
         if length < 0:
@@ -227,6 +347,39 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         )
 
     # ------------------------------------------------------------------
+    def _query(self, payload: dict):
+        """The query ``Document`` of a /search body, or None once a 400
+        is sent.  Text is encoded here, once, so that its length can be
+        checked before the service sees it."""
+        from ..corpus import Document
+
+        if payload.get("text") is not None:
+            data = self.server.service.data
+            if data is None:
+                self._reply_error(
+                    400, "this server holds no document collection to "
+                    "encode 'text'; send 'token_ids'"
+                )
+                return None
+            try:
+                return data.encode_query(str(payload["text"]))
+            except ReproError as exc:
+                self._reply_error(400, str(exc))
+                return None
+        token_ids = payload.get("token_ids")
+        if token_ids is None:
+            self._reply_error(400, "body needs 'text' or 'token_ids'")
+            return None
+        if not isinstance(token_ids, list) or not all(
+            isinstance(token, int)
+            and not isinstance(token, bool)
+            and -(2**63) <= token < 2**63
+            for token in token_ids
+        ):
+            self._reply_error(400, "'token_ids' must be a list of 64-bit ints")
+            return None
+        return Document(-1, token_ids, name="http-query")
+
     def _search(self, payload: dict) -> None:
         service = self.server.service
         timeout = payload.get("timeout")
@@ -240,33 +393,18 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             except ConfigurationError as exc:
                 self._reply_error(400, str(exc))
                 return
+        query = self._query(payload)
+        if query is None:
+            return
+        if len(query.tokens) > MAX_QUERY_TOKENS:
+            self._reply_error(
+                413,
+                f"query of {len(query.tokens)} tokens is over "
+                f"{MAX_QUERY_TOKENS}",
+            )
+            return
         try:
-            if payload.get("text") is not None:
-                response = service.search_text(
-                    str(payload["text"]), timeout=timeout, routing=routing
-                )
-            elif payload.get("token_ids") is not None:
-                from ..corpus import Document
-
-                token_ids = payload["token_ids"]
-                if not isinstance(token_ids, list) or not all(
-                    isinstance(token, int)
-                    and not isinstance(token, bool)
-                    and -(2**63) <= token < 2**63
-                    for token in token_ids
-                ):
-                    self._reply_error(
-                        400, "'token_ids' must be a list of 64-bit ints"
-                    )
-                    return
-                response = service.search(
-                    Document(-1, token_ids, name="http-query"),
-                    timeout=timeout,
-                    routing=routing,
-                )
-            else:
-                self._reply_error(400, "body needs 'text' or 'token_ids'")
-                return
+            response = service.search(query, timeout=timeout, routing=routing)
         except ServiceOverloadError as exc:
             self._reply_error(
                 429,
@@ -322,15 +460,16 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to one :class:`SearchService`.
 
     A :class:`~repro.service.router.ShardRouter` (``search`` /
-    ``search_text`` / ``healthz`` / ``metrics_snapshot``) is fronted
+    ``data`` / ``healthz`` / ``metrics_snapshot``) is fronted
     the same way: N shard workers behind the same three read endpoints,
     the two write endpoints refused with ``405``.
+
+    A handler thread serves one connection at a time and, when it ends,
+    waits on an inbox of its own for the next (see the module notes).
 
     ``port=0`` binds an OS-assigned ephemeral port; read the final
     address from :attr:`server_address`.
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -341,6 +480,9 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     ) -> None:
         self.service = service
         self.verbose = verbose
+        self._idle: list[queue.SimpleQueue] = []  # inboxes of idle threads
+        self._idle_lock = threading.Lock()
+        self._closed = False
         super().__init__((host, port), ServiceRequestHandler)
 
     @property
@@ -348,6 +490,44 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         """Base URL of the bound address (http://host:port)."""
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to an idle handler thread, or start one."""
+        with self._idle_lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is not None:
+            inbox.put((request, client_address))
+            return
+        threading.Thread(
+            target=self._handler_loop,
+            args=(request, client_address),
+            name=f"http-handler-{self.server_address[1]}",
+            daemon=True,
+        ).start()
+
+    def _handler_loop(self, request, client_address) -> None:
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        while True:
+            # finish_request, handle_error on a raise, shutdown_request.
+            self.process_request_thread(request, client_address)
+            with self._idle_lock:
+                if self._closed:
+                    return
+                self._idle.append(inbox)
+            handoff = inbox.get()
+            if handoff is None:  # server_close
+                return
+            request, client_address = handoff
+
+    def server_close(self) -> None:
+        """Close the socket and end the idle handler threads; a busy
+        one exits when its connection ends."""
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put(None)
 
 
 def serve_http(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import socket
+import sys
 import threading
 import time
 
@@ -91,6 +94,33 @@ class CancellableSearcher:
 
     def close(self) -> None:
         pass
+
+
+def handler_threads(server) -> list[threading.Thread]:
+    """The live handler threads of ``server`` (named after its port)."""
+    name = f"http-handler-{server.server_address[1]}"
+    return [thread for thread in threading.enumerate() if thread.name == name]
+
+
+def wait_for(condition, seconds: float = 1.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def read_until_eof(sock: socket.socket) -> bytes:
+    """Everything the server sends until it closes (a reset after the
+    replies, from request bytes it left unread, ends the read too)."""
+    received = b""
+    try:
+        while chunk := sock.recv(65536):
+            received += chunk
+    except ConnectionResetError:
+        assert received, "reset before any reply"
+    return received
 
 
 class RecordingSearcher:
@@ -456,8 +486,8 @@ class TestHTTP:
     def test_keep_alive_replies_do_not_wait_for_delayed_ack(
         self, server, small_corpus
     ):
-        # Headers and body are two writes; with Nagle on, each reply on
-        # a reused connection stalled ~40 ms on the client's delayed ACK.
+        # With Nagle on and a reply in two writes (headers, body), each
+        # reply on a reused connection stalled ~40 ms on the delayed ACK.
         import http.client
         import json
         import statistics
@@ -560,6 +590,112 @@ class TestHTTP:
         after = remote_search(server.url, text)
         assert before["num_pairs"] > 0 and after["pairs"] == before["pairs"]
 
+    @pytest.mark.parametrize(
+        "head, body, statuses",
+        [
+            (b"this is not http\r\n\r\n", b"", [400]),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", b"", [505]),
+            (b"GET /healthz HTTP/1." + b"1" * 5000 + b"\r\n\r\n", b"", [400]),
+            (b"GET /healthz HTTP/1.1\r\n"
+             + b"".join(b"X-%d: v\r\n" % i for i in range(101)) + b"\r\n",
+             b"", [431]),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70 * 1024
+             + b"\r\n\r\n", b"", [431]),
+            (b"GET /healthz HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", b"", [400]),
+            (b"POST /search HTTP/1.1\r\nContent-Length: 2\r\n"
+             b"Content-Length: 3\r\n\r\n{}", b"", [400]),
+            (b"POST /search HTTP/1.1\r\nContent-Length: 21\r\n"
+             b"Expect: 100-continue\r\nConnection: close\r\n\r\n",
+             b'{"token_ids": [1, 2]}', [100, 200]),
+            (b"GET /healthz HTTP/1.1\r\n\r\n"
+             b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n", b"", [200, 404]),
+            (b"GET /healthz HTTP/1.0\r\n\r\n", b"", [200]),
+        ],
+        ids=["garbage-request-line", "http-2", "5000-digit-version", "101-headers",
+             "70-KiB-header-line", "obs-fold", "two-content-lengths",
+             "expect-100-continue", "pipelined", "http-1.0"],
+    )
+    def test_hostile_request_heads(
+        self, server, small_corpus, head, body, statuses
+    ):
+        # The request head is split by hand: each case keeps the stdlib's
+        # answer (or, for obs-fold and two Content-Lengths, refuses what
+        # its email parser let through).  Every case ends with a reply
+        # saying ``Connection: close``, and an error reply is JSON.
+        import json
+
+        text = " ".join(
+            small_corpus.vocabulary.decode(small_corpus[0].tokens[10:40])
+        )
+        before = remote_search(server.url, text)
+        with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+            sock.sendall(head)
+            received = b""
+            if body:  # wait for the interim reply before sending the body
+                while b"\r\n\r\n" not in received:
+                    chunk = sock.recv(65536)
+                    assert chunk, received
+                    received += chunk
+                assert received.startswith(b"HTTP/1.1 100 ")
+                sock.sendall(body)
+            received += read_until_eof(sock)
+        found = re.findall(rb"HTTP/1\.1 (\d{3}) ", received)
+        assert [int(status) for status in found] == statuses, received[:300]
+        last_head, _, last_body = received[
+            received.rindex(b"HTTP/1.1 "):
+        ].partition(b"\r\n\r\n")
+        assert b"\r\nConnection: close" in last_head
+        if statuses[-1] >= 400:
+            assert json.loads(last_body)["error"]
+        after = remote_search(server.url, text)
+        assert before["num_pairs"] > 0 and after["pairs"] == before["pairs"]
+
+    def test_query_over_the_token_limit_answers_413(self, server, monkeypatch):
+        import urllib.error
+        import urllib.request
+
+        import repro.service.http as door
+        from repro import ReproError
+
+        monkeypatch.setattr(door, "MAX_QUERY_TOKENS", 5)
+        for over in ({"token_ids": [1] * 6}, {"text": "a b c d e f"}):
+            with pytest.raises(ReproError, match="6 tokens is over 5") as info:
+                remote_search(server.url, **over)
+            assert info.value.status == 413
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(f"{server.url}/search?q=a+b+c+d+e+f")
+        assert info.value.code == 413
+        remote_search(server.url, token_ids=[1] * 5)
+        counters = remote_metrics(server.url)["metrics"]["counters"]
+        assert counters["service.requests"] == 1  # the three 413s never arrived
+
+    def test_a_stalled_body_is_closed_and_its_thread_reused(
+        self, server, small_corpus, monkeypatch
+    ):
+        # With no timeout, each connection that announced a body and sent
+        # part of it pinned a handler thread, unanswered, for ever.
+        from repro.service.http import ServiceRequestHandler
+
+        assert ServiceRequestHandler.timeout == 30
+        monkeypatch.setattr(ServiceRequestHandler, "timeout", 0.2)
+        text = " ".join(
+            small_corpus.vocabulary.decode(small_corpus[0].tokens[10:40])
+        )
+        before = remote_search(server.url, text)
+        assert wait_for(lambda: len(server._idle) == 1)
+        with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+            sock.sendall(
+                b"POST /search HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n" + b'{"te'
+            )
+            started = time.monotonic()
+            assert read_until_eof(sock) == b""  # closed without a reply
+            assert time.monotonic() - started < 1.0
+        assert wait_for(lambda: len(server._idle) == 1), "thread did not idle"
+        after = remote_search(server.url, text)
+        assert after["pairs"] == before["pairs"] and after["cached"]
+        assert len(handler_threads(server)) == 1
+
     def test_oversized_body_closes_the_connection(self, server):
         # The 413 leaves the announced body unread; on a kept-alive
         # connection whatever follows the headers was parsed as the next
@@ -616,3 +752,71 @@ class TestHTTP:
                 assert all(o.retry_after > 0 for o in overloads)
             finally:
                 stub.release.set()
+
+
+class TestHandlerThreads:
+    """A handler thread serves one connection after another."""
+
+    def test_sequential_connections_reuse_one_thread(self, small_corpus, searcher):
+        with SearchService(searcher, small_corpus) as service:
+            with serving(serve_http(service, port=0)) as server:
+                for _ in range(200):
+                    assert remote_healthz(server.url)["status"] == "ok"
+                # A thread still finishing one connection when the next
+                # arrives is the only reason for a second.
+                assert 1 <= len(handler_threads(server)) <= 2
+
+    def test_concurrent_blocked_requests_get_a_thread_each(self):
+        stub = BlockingSearcher()
+        data = DocumentCollection()
+        data.add_text("a b c d e")
+        clients = 8  # more than this host has cores
+        service = SearchService(stub, data, max_workers=1, max_queue=clients,
+                                cache_size=0)
+        results: list = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with service, serving(serve_http(service, port=0)) as server:
+                threads = [
+                    threading.Thread(
+                        target=lambda: results.append(
+                            remote_search(server.url, token_ids=[1, 2, 3])
+                        )
+                    )
+                    for _ in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                try:
+                    assert wait_for(
+                        lambda: len(handler_threads(server)) == clients, 5
+                    ), len(handler_threads(server))
+                finally:
+                    stub.release.set()
+                for thread in threads:
+                    thread.join(10)
+                    assert not thread.is_alive()
+                assert len(handler_threads(server)) == clients
+        finally:
+            sys.setswitchinterval(switch)
+            stub.release.set()
+        assert len(results) == clients
+        assert all(reply["num_pairs"] == 0 for reply in results)
+
+    def test_server_close_ends_every_handler_thread(self, small_corpus, searcher):
+        import http.client
+
+        with SearchService(searcher, small_corpus) as service:
+            with serving(serve_http(service, port=0)) as server:
+                connections = [
+                    http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+                    for _ in range(3)
+                ]
+                for connection in connections:  # three at once: three threads
+                    connection.request("GET", "/healthz")
+                    assert connection.getresponse().read()
+                for connection in connections:
+                    connection.close()
+                assert wait_for(lambda: len(server._idle) == 3)
+            assert wait_for(lambda: not handler_threads(server))

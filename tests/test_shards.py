@@ -654,6 +654,25 @@ class TestRouterIsReadOnly:
                     tuple(p) for p in single
                 ]
 
+    def test_query_over_the_token_limit_answers_413(
+        self, small_corpus, query, monkeypatch
+    ):
+        import repro.service.http as door
+        from repro import ReproError
+
+        single = single_pairs(small_corpus, query)
+        monkeypatch.setattr(door, "MAX_QUERY_TOKENS", len(query.tokens))
+        with ShardRouter.local(small_corpus, PARAMS, shards=2) as router:
+            with serving(serve_http(router, port=0)) as server:
+                with pytest.raises(ReproError, match="tokens is over") as info:
+                    remote_search(server.url, token_ids=list(query.tokens) * 2)
+                assert info.value.status == 413
+                assert "router.requests" not in router_counters(router)
+                reply = remote_search(server.url, token_ids=list(query.tokens))
+                assert [tuple(p) for p in reply["pairs"]] == [
+                    tuple(p) for p in single
+                ]
+
 
 def test_service_public_names():
     """The plan/router/workers split exports what ``shards.py`` did."""
