@@ -10,7 +10,8 @@ exactly as an operator would hit it:
    ``REPRO_FAULTS`` kill plan armed at the ``ingest.compact`` manifest
    phase — the process dies mid-compaction with the fault layer's
    kill exit code (87), after the segment file is written but before
-   the manifest references it,
+   the manifest references it; every add record its WAL holds carries
+   the ``text`` it was given,
 3. resumes with a second ``repro ingest`` run (no faults): the WAL
    replays every acknowledged document, the orphaned segment from the
    killed compaction is swept, batch 2 streams in, one document is
@@ -97,6 +98,7 @@ def main() -> int:
 
     from repro import DocumentCollection, Index, PKWiseSearcher, SearchParams
     from repro.faults import KILL_EXIT_CODE, FaultPlan, FaultSpec
+    from repro.ingest import read_wal, wal_generations
 
     texts = make_texts()
     with tempfile.TemporaryDirectory(prefix="smoke_ingest_") as tmp:
@@ -123,10 +125,23 @@ def main() -> int:
             )
             return 1
         orphans = list(store.glob("segment.g*.idx"))
+        logged = [
+            record
+            for _gen, path in wal_generations(store)
+            for record in read_wal(path)[0]
+        ]
         print(
             f"leg 1: killed mid-compaction (exit {crash.returncode}), "
-            f"{len(orphans)} orphaned segment file(s) on disk"
+            f"{len(orphans)} orphaned segment file(s) on disk, "
+            f"{len(logged)} WAL record(s)"
         )
+        if len(logged) != BATCH1 or any(
+            record["op"] != "add" or not isinstance(record.get("text"), str)
+            for record in logged
+        ):
+            print(f"FAIL: the killed run's WAL should hold {BATCH1} add "
+                  f"records, each carrying its text", file=sys.stderr)
+            return 1
 
         # --- leg 2: resume, stream batch 2, retract, compact ----------
         metrics_path = tmp_path / "ingest_metrics.json"
@@ -193,6 +208,11 @@ def main() -> int:
         if recovered < 1:
             print("FAIL: the killed compaction left a segment file the "
                   "resume leg should have swept", file=sys.stderr)
+            return 1
+        replayed = ingest_metrics["counters"].get("ingest.wal_replayed", 0)
+        if replayed != len(logged):
+            print(f"FAIL: the resume leg replayed {replayed} WAL records, "
+                  f"the killed run left {len(logged)}", file=sys.stderr)
             return 1
         # The resume leg's compaction merges tier columns; the retracted
         # document's postings must be masked out, and both fold counters

@@ -115,12 +115,11 @@ class DocumentCollection:
         frequency tables would be inconsistent.
         """
         vocab_size = len(self.vocabulary)
-        for token_id in token_ids:
-            if not 0 <= token_id < vocab_size:
-                raise CorpusError(
-                    f"token id {token_id} out of range for vocabulary of "
-                    f"size {vocab_size}"
-                )
+        if token_ids and not (min(token_ids) >= 0 and max(token_ids) < vocab_size):
+            bad = next(t for t in token_ids if not 0 <= t < vocab_size)
+            raise CorpusError(
+                f"token id {bad} out of range for vocabulary of size {vocab_size}"
+            )
         document = Document(len(self._documents), token_ids, name=name)
         self._documents.append(document)
         return document

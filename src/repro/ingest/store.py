@@ -222,7 +222,7 @@ class IngestStore:
         if self.directory is not None and data is None:
             raise ConfigurationError(
                 "a durable ingest store needs a document collection "
-                "(the WAL records token strings)"
+                "(the WAL records text and token strings)"
             )
         self.policy = policy if policy is not None else CompactionPolicy()
         self.fsync = fsync
@@ -307,9 +307,9 @@ class IngestStore:
             store._wal = WriteAheadLog(
                 store.directory / wal_name(1), fsync=fsync
             )
-        vocabulary = data.vocabulary
+        decode = data.vocabulary.decode
         for document in list(data.documents):
-            tokens = [vocabulary.token_of(t) for t in document.tokens]
+            tokens = decode(document.tokens)
             store._log({"op": "add", "tokens": tokens, "name": document.name})
             store._index_ranks(store.order.rank_document(document))
         store.mutation_epoch = 0  # bootstrap is construction, not mutation
@@ -523,27 +523,31 @@ class IngestStore:
         self.metrics.counter("ingest.adds").inc()
         return doc_id
 
-    def add_text(self, text: str, name: str | None = None) -> int:
-        """Tokenize, log, and index one document; returns its doc id."""
+    def _require_data(self) -> None:
         if self.data is None:
             raise ConfigurationError(
                 "this store carries no document collection; ingest "
                 "pre-encoded documents via add_document instead"
             )
-        return self.add_tokens(self.data.tokenizer.tokenize(text), name=name)
+
+    def add_text(self, text: str, name: str | None = None) -> int:
+        """Tokenize, log, and index one document; returns its doc id.
+        The WAL record carries ``text``: replay tokenizes it again."""
+        self._require_data()
+        tokens = self.data.tokenizer.tokenize(text)
+        return self._add({"op": "add", "text": text, "name": name}, tokens)
 
     def add_tokens(self, tokens, name: str | None = None) -> int:
         """Log and index one document given as token strings."""
-        if self.data is None:
-            raise ConfigurationError(
-                "this store carries no document collection; ingest "
-                "pre-encoded documents via add_document instead"
-            )
+        self._require_data()
         tokens = list(tokens)
+        return self._add({"op": "add", "tokens": tokens, "name": name}, tokens)
+
+    def _add(self, record: dict, tokens: list) -> int:
         with self._writer():
             self._check_open()
-            self._log({"op": "add", "tokens": tokens, "name": name})
-            document = self.data.add_tokens(tokens, name=name)
+            self._log(record)
+            document = self.data.add_tokens(tokens, name=record["name"])
             doc_id = self._index_ranks(self.order.rank_document(document))
             if doc_id != document.doc_id:
                 raise IndexStateError(
@@ -562,7 +566,7 @@ class IngestStore:
         flow) and a free-standing one, which is appended first.
         Query-encoded documents (OOV sentinel ids) are refused.
         """
-        if any(token < 0 for token in document.tokens):
+        if min(document.tokens, default=0) < 0:
             raise CorpusError(
                 "query-encoded documents (OOV sentinel ids) cannot be "
                 "ingested as data"
@@ -575,7 +579,7 @@ class IngestStore:
                 if documents and documents[-1] is document:
                     # Already appended by the caller through the
                     # collection; log it and index in place.
-                    tokens = [vocabulary.token_of(t) for t in document.tokens]
+                    tokens = vocabulary.decode(document.tokens)
                     self._log({"op": "add", "tokens": tokens,
                                "name": document.name})
                     doc_id = self._index_ranks(
@@ -583,9 +587,7 @@ class IngestStore:
                     )
                 else:
                     try:
-                        tokens = [
-                            vocabulary.token_of(t) for t in document.tokens
-                        ]
+                        tokens = vocabulary.decode(document.tokens)
                     except IndexError:
                         raise CorpusError(
                             "document is encoded against a different "
@@ -623,20 +625,31 @@ class IngestStore:
     def _replay(self, record: dict) -> None:
         """Re-apply one WAL record during recovery (no logging, no locks)."""
         op = record.get("op")
+        seq = record.get("seq")
         if op == "add":
-            document = self.data.add_tokens(
-                record["tokens"], name=record.get("name")
-            )
+            if isinstance(record.get("text"), str):
+                tokens = self.data.tokenizer.tokenize(record["text"])
+            elif isinstance(record.get("tokens"), list):
+                tokens = record["tokens"]
+            else:
+                raise PersistenceError(
+                    f"WAL add record seq={seq} carries neither a 'text' "
+                    f"string nor a 'tokens' list"
+                )
+            document = self.data.add_tokens(tokens, name=record.get("name"))
             self._active.add(self.order.rank_document(document))
             self.metrics.counter("ingest.wal_replayed").inc()
         elif op == "remove":
-            doc_id = record["doc_id"]
+            doc_id = record.get("doc_id")
+            if not isinstance(doc_id, int):
+                raise PersistenceError(
+                    f"WAL remove record seq={seq} carries no integer 'doc_id'"
+                )
             if 0 <= doc_id < self.next_doc_id:
                 self.removed.add(doc_id)
             self.metrics.counter("ingest.wal_replayed").inc()
         else:
-            raise PersistenceError(f"unknown WAL op {op!r}")
-        seq = record.get("seq")
+            raise PersistenceError(f"unknown WAL op {op!r} in record seq={seq}")
         if seq is not None:
             self._seq = max(self._seq, seq + 1)
 

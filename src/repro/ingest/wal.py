@@ -12,11 +12,15 @@ Design notes:
   torn final record must be detectable and skippable without giving up
   on the rest of the file, and line framing makes "the rest of the
   file" well defined.
-* **Token strings, not ids.**  Ids are an artifact of interning order;
-  replaying strings through ``DocumentCollection.add_tokens`` re-interns
-  them in the original arrival order, so the rebuilt vocabulary, rank
-  sequences, and lazily-admitted negative ranks all come out identical
-  to the pre-crash process.
+* **Text or token strings, not ids.**  Ids are an artifact of
+  interning order; an add record carries the ``text`` it was given
+  (``IngestStore.add_text``, tokenized again at replay by the store's
+  own tokenizer) or its ``tokens`` (``add_tokens``, ``add_document``,
+  the bootstrap), and replaying either through
+  ``DocumentCollection.add_tokens`` re-interns them in the original
+  arrival order, so the rebuilt vocabulary, rank sequences, and
+  lazily-admitted negative ranks all come out identical to the
+  pre-crash process.
 * **Torn tails are tolerated, corruption is not.**  A bad record with
   nothing valid after it is the expected signature of a crash mid-append
   and replay simply stops there; a bad record *followed by* valid ones

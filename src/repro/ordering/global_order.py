@@ -181,7 +181,14 @@ class GlobalOrder:
         return clone
 
     def rank_sequence(self, tokens: Sequence[int]) -> list[int]:
-        """Map a token-id sequence to its rank sequence."""
+        """Map a token-id sequence to its rank sequence.
+
+        When every id was known at build time the ranks are one gather;
+        otherwise each goes through :meth:`rank`, the one place the OOV
+        sentinel and lazily admitted tokens are ranked.
+        """
+        if tokens and min(tokens) >= 0 and max(tokens) < self._built_size:
+            return list(map(self._rank_of_token.__getitem__, tokens))
         rank = self.rank
         return [rank(token) for token in tokens]
 

@@ -137,15 +137,6 @@ class PartitionScheme:
         """
         return _key_table(self)
 
-    def describe(self) -> str:
-        """Human-readable summary of class rank ranges."""
-        parts = []
-        for class_index in range(1, self.k_max + 1):
-            lo, hi = self.class_range(class_index)
-            parts.append(f"class {class_index}: ranks [{lo}, {hi})")
-        suffix = f", m={self.m}" if self.m > 1 else ""
-        return "; ".join(parts) + suffix
-
 
 @lru_cache(maxsize=64)
 def _key_table(scheme: PartitionScheme) -> list[int]:

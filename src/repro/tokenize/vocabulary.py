@@ -9,6 +9,8 @@ arrays indexed by token id.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import compress, count, repeat
+from operator import is_
 
 from ..errors import UnknownTokenError
 
@@ -28,9 +30,8 @@ class Vocabulary:
     ``add`` interns a token and returns its id; ``encode`` interns a
     whole sequence.  Lookup of unknown tokens via ``id_of`` raises
     :class:`~repro.errors.UnknownTokenError` (a ``KeyError`` subclass
-    naming the token); use ``get`` for an optional lookup and
-    ``encode_query`` for a non-mutating encoding that maps unknown
-    tokens to :data:`OOV_TOKEN_ID`.
+    naming the token); use ``encode_query`` for a non-mutating
+    encoding that maps unknown tokens to :data:`OOV_TOKEN_ID`.
 
     The mapping is append-only: ids are stable for the lifetime of the
     vocabulary, which the rest of the library relies on (token ids are
@@ -55,9 +56,23 @@ class Vocabulary:
         return token_id
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        """Intern each token of ``tokens`` and return their ids."""
+        """Intern each token of ``tokens`` and return their ids.
+
+        One dictionary pass looks every token up; when one is missing,
+        a second pass finds the misses and only they go through
+        :meth:`add`, in first-seen order, so the ids are those of
+        interning the tokens one at a time.
+        """
+        tokens = tokens if isinstance(tokens, list) else list(tokens)
+        try:
+            return list(map(self._id_of.__getitem__, tokens))
+        except KeyError:
+            pass
+        ids = list(map(self._id_of.get, tokens))
         add = self.add
-        return [add(token) for token in tokens]
+        for position in compress(count(), map(is_, ids, repeat(None))):
+            ids[position] = add(tokens[position])
+        return ids
 
     def encode_query(self, tokens: Iterable[str]) -> list[int]:
         """Encode without interning; unknown tokens map to
@@ -85,10 +100,6 @@ class Vocabulary:
             return self._id_of[token]
         except KeyError:
             raise UnknownTokenError(token) from None
-
-    def get(self, token: str) -> int | None:
-        """Return the id of ``token`` or ``None`` if unknown."""
-        return self._id_of.get(token)
 
     def token_of(self, token_id: int) -> str:
         """Return the string of ``token_id`` (OOV sentinel included)."""

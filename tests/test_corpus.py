@@ -90,6 +90,9 @@ class TestCollection:
             data.add_token_ids([5])
         with pytest.raises(CorpusError):
             data.add_token_ids([-1])
+        with pytest.raises(CorpusError, match="token id 7 out of range"):
+            data.add_token_ids([0, 7, -1, 9])
+        assert len(data) == 1
 
     def test_totals(self):
         data = DocumentCollection()

@@ -62,7 +62,7 @@ from repro.persistence import PersistenceError
 from repro.signatures import bulk
 from repro.signatures.maintain import SignatureStream
 
-from .conftest import expected_pairs, reference_index
+from .conftest import expected_pairs, pairs_as_set, reference_index, serving
 
 PARAMS = SearchParams(w=8, tau=2, k_max=2)
 VOCAB = 40
@@ -100,6 +100,14 @@ def reference(texts, live_ids, query_tokens):
     removed = set(range(len(texts))) - set(live_ids)
     return sorted(expected_pairs(data, data.encode_query_tokens(query_tokens),
                                  PARAMS.w, PARAMS.tau, removed=removed))
+
+
+def wal_records(directory):
+    return [
+        record
+        for _gen, path in wal_generations(directory)
+        for record in read_wal(path)[0]
+    ]
 
 
 class TestStoreBasics:
@@ -879,11 +887,7 @@ class TestNoOpRemove:
         store.remove(2)
         store.remove(2)
         store.close()
-        records = [
-            record
-            for _gen, path in wal_generations(directory)
-            for record in read_wal(path)[0]
-        ]
+        records = wal_records(directory)
         assert [r["op"] for r in records] == ["add", "add", "add", "remove"]
         reopened = IngestStore.open(directory)
         assert reopened.removed == {2}
@@ -1001,6 +1005,95 @@ class TestDurability:
         raw[len(raw) // 2] ^= 0xFF
         manifest.write_bytes(bytes(raw))
         with pytest.raises(PersistenceError):
+            IngestStore.open(directory)
+
+    def test_text_and_token_records_reopen_to_identical_pairs(self, tmp_path):
+        # add_text logs the text it was given, add_tokens its token list;
+        # replay re-interns both in arrival order.
+        directory = tmp_path / "store"
+        store = IngestStore.create(PARAMS, directory=directory, data=DocumentCollection())
+        rng = random.Random(31)
+        documents = [make_tokens(rng) for _ in range(14)]
+        for step, tokens in enumerate(documents):
+            if step % 2:
+                store.add_text(" ".join(tokens))
+            else:
+                store.add_tokens(tokens)
+            if step == 6:
+                store.flush()
+        store.remove(3)
+        store.remove(11)
+        query_tokens = documents[9][:16] + documents[12][10:26]
+        before = store_pairs(store, store.data.encode_query_tokens(query_tokens))
+        vocabulary = list(store.data.vocabulary)
+        store.close()
+        shapes = {"text" in r for r in wal_records(directory) if r["op"] == "add"}
+        assert shapes == {True, False}
+        reopened = IngestStore.open(directory)
+        assert list(reopened.data.vocabulary) == vocabulary
+        assert (reopened.next_doc_id, reopened.removed) == (14, {3, 11})
+        requery = reopened.data.encode_query_tokens(query_tokens)
+        assert before and store_pairs(reopened, requery) == before
+        reopened.close()
+
+    def test_torn_text_record_tail_loses_one_document(self, tmp_path):
+        directory = tmp_path / "store"
+        store, _live = drive_durable(directory, steps=10)
+        rng = random.Random(202)
+        store.add_text(" ".join(make_tokens(rng)))
+        docs_before = store.next_doc_id
+        store.close()
+        _gen, tail_path = wal_generations(directory)[-1]
+        raw = tail_path.read_bytes()
+        assert "text" in read_wal(tail_path)[0][-1]
+        last = raw.rstrip(b"\n").rfind(b"\n") + 1
+        tail_path.write_bytes(raw[: last + (len(raw) - last) // 2])
+        reopened = IngestStore.open(directory)
+        assert reopened.next_doc_id == docs_before - 1
+        assert reopened.metrics_snapshot()["counters"]["ingest.torn_wal_tails"] == 1
+        reopened.close()
+
+    def test_replay_tokenizes_with_the_stores_tokenizer(self, tmp_path):
+        # Case and punctuation survive only under this tokenizer: a replay
+        # through any other would intern a different vocabulary.
+        from repro.tokenize import WordTokenizer
+
+        directory = tmp_path / "store"
+        data = DocumentCollection(tokenizer=WordTokenizer(lowercase=False))
+        store = IngestStore.create(PARAMS, directory=directory, data=data)
+        rng = random.Random(41)
+        words = [f"{rng.choice('tT')}{rng.randrange(20)}{rng.choice(['', ',', '.'])}"
+                 for _ in range(6 * DOC_LEN)]
+        texts = [" ".join(words[i:i + DOC_LEN]) for i in range(0, len(words), DOC_LEN)]
+        for text in texts:
+            store.add_text(text)
+        query = " ".join(words[DOC_LEN + 4:DOC_LEN + 28])
+        before = store_pairs(store, store.data.encode_query(query))
+        vocabulary = list(store.data.vocabulary)
+        store.close()  # every add exists only in the WAL
+        assert [r["text"] for r in wal_records(directory)] == texts
+        reopened = IngestStore.open(directory)
+        assert list(reopened.data.vocabulary) == vocabulary
+        assert before and store_pairs(reopened, reopened.data.encode_query(query)) == before
+        reopened.close()
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"op": "add", "name": "x"}, {"op": "add", "text": 7}, {"op": "remove"}],
+        ids=["add-without-text-or-tokens", "add-with-non-string-text",
+             "remove-without-doc-id"],
+    )
+    def test_malformed_record_is_a_typed_error(self, tmp_path, record):
+        from repro.ingest import WriteAheadLog
+
+        directory = tmp_path / "store"
+        store, _live = drive_durable(directory, steps=4)
+        store.close()
+        _gen, tail_path = wal_generations(directory)[-1]
+        wal = WriteAheadLog(tail_path)
+        wal.append({"seq": 99, **record})  # digest-valid, shape-invalid
+        wal.close()
+        with pytest.raises(PersistenceError, match="seq=99"):
             IngestStore.open(directory)
 
     def test_orphan_segments_are_cleaned_at_open(self, tmp_path):
@@ -1194,3 +1287,66 @@ class TestQueryAfterAddTokenVisibility:
         # encode_query never raises: sentinel only.
         assert tuple(index.encode_query("never-seen-token").tokens) == (-1,)
         index.close()
+
+
+#: What the add door is sent: each must end in a typed error or an add
+#: the index then answers exactly, before and after a WAL reopen.
+ADD_DOOR_CASES = {
+    "empty": "",
+    "whitespace-only": " \t\n  ",
+    "one-token": "t3",
+    "shorter-than-w": "t1 t2 t3 t4 t5",
+    "2**16-one-char-tokens": " ".join(
+        random.Random(16).choices("abcdefghijklmnopqrstuvwxyz", k=1 << 16)
+    ),
+    "neither-str-nor-document": 42,
+}
+
+
+class TestAddDoor:
+    @pytest.mark.parametrize("door", ["index", "http"])
+    @pytest.mark.parametrize("case", list(ADD_DOOR_CASES))
+    def test_hostile_add_is_typed_or_exact(self, tmp_path, door, case):
+        from repro.errors import ConfigurationError, ReproError
+        from repro.service import serve_http
+        from repro.service.client import _request, remote_search
+
+        value = ADD_DOOR_CASES[case]
+        rng = random.Random(3)
+        texts = [" ".join(make_tokens(rng)) for _ in range(3)]
+        accepted = isinstance(value, str)
+        query = " ".join(texts[1].split()[5:25] + (value.split()[:30] if accepted else []))
+        directory = tmp_path / "live"
+        index = repro.Index.open_live(directory, PARAMS)
+        for text in texts:
+            index.add(text)
+        if door == "index":  # Index.add on a live index
+            if accepted:
+                assert index.add(value) == len(texts)
+            else:
+                with pytest.raises(ConfigurationError, match="str or Document"):
+                    index.add(value)
+            answered = pairs_as_set(index.search_text(query).pairs)
+        else:  # POST /ingest, as repro serve --live serves it
+            service = index.serve()
+            with serving(serve_http(service, port=0)) as server:
+                if accepted:
+                    reply = _request(f"{server.url}/ingest", {"text": value})
+                    assert reply["doc_id"] == len(texts)
+                else:
+                    with pytest.raises(ReproError, match="string 'text'") as info:
+                        _request(f"{server.url}/ingest", {"text": value})
+                    assert info.value.status == 400
+                answered = pairs_as_set(remote_search(server.url, query)["pairs"])
+            service.close()
+        texts += [value] if accepted else []
+        data = DocumentCollection()
+        for text in texts:
+            data.add_text(text)
+        want = expected_pairs(data, data.encode_query(query), PARAMS.w, PARAMS.tau)
+        assert want and answered == want
+        index.close()
+        reopened = repro.Index.open_live(directory)  # the adds replay as text
+        assert reopened.searcher().store.next_doc_id == len(texts)
+        assert pairs_as_set(reopened.search_text(query).pairs) == want
+        reopened.close()

@@ -126,6 +126,26 @@ class TestGlobalOrder:
         assert ranks[0] != ranks[1]
 
 
+class TestRankSequence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-1, 11), max_size=30),
+        st.lists(st.integers(-1, 11), max_size=30),
+    )
+    def test_equals_per_token_rank(self, first, second):
+        # Ids 0-5 are built, -1 is the OOV sentinel, 6-11 are admitted
+        # lazily in whatever order they first arrive; ``first`` admits
+        # some, ``second`` then mixes admitted, new and built ids.
+        data = DocumentCollection()
+        data.add_tokens(["a", "b", "c", "a", "d", "e", "f", "b"])
+        bulk = GlobalOrder(data, 3)
+        assert bulk.universe_size == 6
+        per_token = bulk.snapshot()
+        for tokens in (first, second, [], [5, 0, 3]):
+            assert bulk.rank_sequence(tokens) == [per_token.rank(t) for t in tokens]
+            assert bulk._extra_ranks == per_token._extra_ranks
+
+
 class TestGlobalOrderEdges:
     def test_window_larger_than_all_documents(self):
         data = DocumentCollection()

@@ -145,8 +145,3 @@ class TestFactories:
         assert scheme.m == 4 and scheme.k_max == 2
         assert scheme.group_of(4) == (1, 0)
         assert scheme.group_of(9) == (2, 3)
-
-    def test_describe(self):
-        scheme = PartitionScheme(universe_size=10, borders=(5,), m=2)
-        text = scheme.describe()
-        assert "class 1" in text and "m=2" in text

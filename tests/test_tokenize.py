@@ -111,9 +111,6 @@ class TestVocabulary:
         with pytest.raises(KeyError):
             Vocabulary().id_of("missing")
 
-    def test_get_returns_none_for_unknown(self):
-        assert Vocabulary().get("missing") is None
-
     def test_contains_and_iter(self):
         vocab = Vocabulary(["a", "b"])
         assert "a" in vocab
@@ -130,6 +127,21 @@ class TestVocabulary:
         assert len(set(mapping.values())) == len(mapping)
         # Decoding inverts encoding.
         assert vocab.decode(ids) == tokens
+
+    @given(
+        st.lists(st.sampled_from("abcdefgh"), max_size=6),
+        st.lists(st.sampled_from("abcdefghijkl"), max_size=40),
+        st.booleans(),
+    )
+    def test_encode_equals_sequential_add(self, known, tokens, as_generator):
+        # ``encode`` looks every token up in one pass and interns only
+        # the misses; a new token repeated inside one list must get the
+        # id its first occurrence was given, exactly as add() one by one.
+        bulk, sequential = Vocabulary(known), Vocabulary(known)
+        ids = bulk.encode(iter(tokens) if as_generator else tokens)
+        assert ids == [sequential.add(token) for token in tokens]
+        assert len(bulk) == len(sequential)
+        assert list(bulk) == list(sequential)
 
 
 class TestTokenizerUnicode:
