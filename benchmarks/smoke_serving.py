@@ -33,7 +33,10 @@ handler threads), then SIGKILLs one worker mid-run and
 asserts that the cached text is still answered whole (from the router,
 no sub-request) while a text never asked before gets partial results
 naming the dead shard (the supervisor is disabled so the corpse stays
-dead for the assertion).
+dead for the assertion).  The worker launcher (its ``LAUNCHER pid=``
+line) must still run one thread after the kill phase, and no ``SHARD``
+pid may outlive the router; its peak RSS is printed beside the summary,
+since it is neither the router nor a worker.
 
 With ``--chaos`` (requires ``--replicas >= 2``) the smoke becomes a
 self-healing drill: ``repro serve --shards N --replicas R`` with the
@@ -41,10 +44,12 @@ supervisor on, then a seeded loop SIGKILLs random workers under a
 sustained query stream.  Every query during every outage must come back
 complete and pair-identical (replica failover), and after each kill the
 supervisor must restart + re-admit the worker until ``/healthz`` is
-``ok`` again with no operator action.  The drill repeats one text, so
-its server runs with ``--cache-size 0``: with the result caches on,
-every query after the first would be answered by the router alone and
-"0 lost queries" would say nothing about failover.  The emitted
+``ok`` again with no operator action; the median time from a kill to
+that re-admission is printed on stdout, outside the metrics record.
+The drill repeats one text, so its server runs with ``--cache-size
+0``: with the result caches on, every query after the first would be
+answered by the router alone and "0 lost queries" would say nothing
+about failover.  The emitted
 metrics record is a hand-built envelope of chaos counters (kills, query
 failures = 0, parity violations = 0, heals) that is identical across
 runs, so two chaos runs diff clean under ``check_regression.py
@@ -66,6 +71,7 @@ import os
 import random
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -105,17 +111,24 @@ def write_corpus(directory: Path) -> tuple[str, str]:
 
 
 def _spawn_server(cmd: list[str], startup_timeout: float):
-    """Start a serve subprocess; returns (process, url, shard_lines).
+    """Start a serve subprocess; returns (process, url, shard_lines,
+    launcher_pid).
 
     ``shard_lines`` collects the ``SHARD <id> <url> pid=<pid> ...``
-    lines a sharded server prints before ``SERVING`` (empty otherwise).
+    lines a sharded server prints before ``SERVING`` (empty otherwise);
+    ``launcher_pid`` is from its ``LAUNCHER pid=<pid>`` line (None
+    otherwise).
     """
     server = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
     deadline = time.monotonic() + startup_timeout
     url = None
     shard_lines: list[str] = []
+    launcher_pid = None
     while time.monotonic() < deadline:
         line = server.stdout.readline()
+        if line.startswith("LAUNCHER pid="):
+            launcher_pid = int(line.split("=", 1)[1])
+            continue
         if line.startswith("SHARD "):
             shard_lines.append(line.strip())
             continue
@@ -128,7 +141,7 @@ def _spawn_server(cmd: list[str], startup_timeout: float):
         server.terminate()
         server.wait(timeout=10)
         raise RuntimeError(f"no SERVING line from {' '.join(cmd)}")
-    return server, url, shard_lines
+    return server, url, shard_lines, launcher_pid
 
 
 def _healthz_any_status(url: str) -> tuple[int, dict]:
@@ -143,10 +156,23 @@ def _healthz_any_status(url: str) -> tuple[int, dict]:
         return exc.code, json.load(exc)
 
 
-def _thread_count(pid: int) -> int:
-    """The ``Threads:`` line of ``/proc/<pid>/status``."""
+def _status_field(pid: int, name: str) -> str:
+    """One line of ``/proc/<pid>/status``, e.g. ``Threads`` or ``VmHWM``."""
     status = Path(f"/proc/{pid}/status").read_text()
-    return int(re.search(r"^Threads:\s+(\d+)", status, re.M).group(1))
+    return re.search(rf"^{name}:\s+(.*)$", status, re.M).group(1)
+
+
+def _thread_count(pid: int) -> int:
+    return int(_status_field(pid, "Threads"))
+
+
+def _exists(pid: int) -> bool:
+    """``kill(pid, 0)`` as the benchmark harness asks it: a zombie counts."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _parse_shard_line(line: str) -> dict:
@@ -181,7 +207,7 @@ def run_sharded(args: argparse.Namespace, index_path: Path,
     )
 
     # Reference answer from the single-process server.
-    server, url, _ = _spawn_server(
+    server, url, _, _ = _spawn_server(
         [sys.executable, "-m", "repro.cli", "serve",
          "--index", str(index_path), "--port", "0"],
         args.startup_timeout,
@@ -196,7 +222,7 @@ def run_sharded(args: argparse.Namespace, index_path: Path,
 
     # --no-supervise: this mode asserts the *partial-results* contract,
     # which needs the killed worker to stay dead instead of healing.
-    server, url, shard_lines = _spawn_server(
+    server, url, shard_lines, launcher_pid = _spawn_server(
         [sys.executable, "-m", "repro.cli", "serve",
          "--index", str(index_path), "--port", "0",
          "--shards", str(args.shards), "--no-supervise"],
@@ -272,14 +298,25 @@ def run_sharded(args: argparse.Namespace, index_path: Path,
         code, degraded = _healthz_any_status(url)
         assert degraded["status"] == "degraded", degraded
         assert code == 200, (code, degraded)
+
+        # The launcher forks every worker, so it must stay single-threaded.
+        assert launcher_pid is not None, "no LAUNCHER line"
+        assert _thread_count(launcher_pid) == 1, (
+            f"the launcher runs {_thread_count(launcher_pid)} threads"
+        )
+        launcher_hwm = _status_field(launcher_pid, "VmHWM")
     finally:
         server.terminate()
         server.wait(timeout=30)
+    outlived = [shard["pid"] for shard in shards if _exists(shard["pid"])]
+    assert not outlived, f"shard workers {outlived} outlived the router"
+    assert not _exists(launcher_pid), "the launcher outlived the router"
 
     print(f"sharded smoke ok: {first['num_pairs']} pairs across "
           f"{args.shards} shards, parity + router cache verified; killed "
           f"shard {victim['shard_id']} -> cached text still whole, fresh "
-          f"text {len(survivors)} partial pairs")
+          f"text {len(survivors)} partial pairs; launcher VmHWM "
+          f"{launcher_hwm}")
     return snapshot
 
 
@@ -304,7 +341,7 @@ def run_chaos(args: argparse.Namespace, index_path: Path,
 
     assert args.replicas >= 2, "--chaos needs --replicas >= 2 (failover)"
 
-    server, url, _ = _spawn_server(
+    server, url, _, _ = _spawn_server(
         [sys.executable, "-m", "repro.cli", "serve",
          "--index", str(index_path), "--port", "0"],
         args.startup_timeout,
@@ -318,7 +355,7 @@ def run_chaos(args: argparse.Namespace, index_path: Path,
 
     # --cache-size 0 (router and workers): the drill repeats one text,
     # and only an uncached query scatters and can exercise failover.
-    server, url, shard_lines = _spawn_server(
+    server, url, shard_lines, _ = _spawn_server(
         [sys.executable, "-m", "repro.cli", "serve",
          "--index", str(index_path), "--port", "0",
          "--shards", str(args.shards), "--replicas", str(args.replicas),
@@ -329,6 +366,7 @@ def run_chaos(args: argparse.Namespace, index_path: Path,
     query_failures = 0
     parity_violations = 0
     healed = 0
+    heal_seconds: list[float] = []
     rng = random.Random(SEED)
     try:
         shards = [_parse_shard_line(line) for line in shard_lines]
@@ -348,6 +386,7 @@ def run_chaos(args: argparse.Namespace, index_path: Path,
             replicas = _supervisor_replicas(url)
             assert all(r["state"] == "ok" for r in replicas), replicas
             victim = rng.choice(replicas)
+            killed_at = time.monotonic()
             os.kill(victim["pid"], signal.SIGKILL)
             # Sustained queries across the outage; heal = every replica
             # back to ok with one more completed restart than before.
@@ -359,6 +398,7 @@ def run_chaos(args: argparse.Namespace, index_path: Path,
                 if (all(r["state"] == "ok" for r in replicas)
                         and restarts >= round_no + 1):
                     healed += 1
+                    heal_seconds.append(time.monotonic() - killed_at)
                     break
                 if time.monotonic() > deadline:
                     raise AssertionError(
@@ -382,6 +422,9 @@ def run_chaos(args: argparse.Namespace, index_path: Path,
     print(f"chaos smoke ok: {args.kills} kills across {args.shards}x"
           f"{args.replicas} workers, {queries} queries, 0 failures, "
           f"0 parity violations, {healed} heals")
+    # Wall clock, so printed beside the record rather than in it.
+    print(f"kill -> re-admit: median {statistics.median(heal_seconds):.2f}s "
+          f"over {len(heal_seconds)} kills")
     return {
         "counters": {
             "chaos.kills": args.kills,

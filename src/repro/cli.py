@@ -362,7 +362,6 @@ def _graceful_sigterm() -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import serve_http
 
-    _graceful_sigterm()
     if args.shards > 1:
         if args.live:
             print("error: --live and --shards are mutually exclusive",
@@ -387,103 +386,121 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             return 2
         return _serve_sharded(args)
-    if args.live:
-        index = Index.open_live(
-            args.index, routing=args.routing, background=True
-        )
-        store = index.searcher().store
-        print(
-            f"opened live ingest store {args.index} "
-            f"(w={index.params.w}, tau={index.params.tau}, "
-            f"docs={store.next_doc_id}, segments={store.num_segments}, "
-            f"background compactor on)",
-            file=sys.stderr,
-        )
-    else:
-        index = Index.open(
-            args.index, mmap=args.mmap, routing=args.routing
-        )
-        print(
-            f"loaded {index} in {index.load_seconds:.2f}s "
-            f"(w={index.params.w}, tau={index.params.tau})",
-            file=sys.stderr,
-        )
-    service = index.serve(
-        max_workers=args.workers,
-        max_queue=64 if args.max_queue is None else args.max_queue,
-        cache_size=args.cache_size,
-        default_timeout=args.request_timeout,
-    )
-    server = serve_http(
-        service, host=args.host, port=args.port, verbose=args.verbose
-    )
-    host, port = server.server_address[:2]
-    # Machine-readable line on stdout: smoke scripts parse the URL from
-    # it (mandatory with --port 0, where the OS picks the port).
-    print(f"SERVING http://{host}:{port}", flush=True)
+    index = service = server = None
+    # Everything from the handler install to serve_forever() sits in the
+    # try: a SIGTERM anywhere in it unwinds through the same cleanup.
     try:
+        _graceful_sigterm()
+        if args.live:
+            index = Index.open_live(
+                args.index, routing=args.routing, background=True
+            )
+            store = index.searcher().store
+            print(
+                f"opened live ingest store {args.index} "
+                f"(w={index.params.w}, tau={index.params.tau}, "
+                f"docs={store.next_doc_id}, segments={store.num_segments}, "
+                f"background compactor on)",
+                file=sys.stderr,
+            )
+        else:
+            index = Index.open(
+                args.index, mmap=args.mmap, routing=args.routing
+            )
+            print(
+                f"loaded {index} in {index.load_seconds:.2f}s "
+                f"(w={index.params.w}, tau={index.params.tau})",
+                file=sys.stderr,
+            )
+        service = index.serve(
+            max_workers=args.workers,
+            max_queue=64 if args.max_queue is None else args.max_queue,
+            cache_size=args.cache_size,
+            default_timeout=args.request_timeout,
+        )
+        server = serve_http(
+            service, host=args.host, port=args.port, verbose=args.verbose
+        )
+        host, port = server.server_address[:2]
+        # Machine-readable line on stdout: smoke scripts parse the URL from
+        # it (mandatory with --port 0, where the OS picks the port).
+        print(f"SERVING http://{host}:{port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down ...", file=sys.stderr)
     finally:
-        server.server_close()
-        if args.metrics_out:
-            _write_metrics(args.metrics_out, service.metrics_snapshot())
-        service.close()
-        index.close()
+        if server is not None:
+            server.server_close()
+        if service is not None:
+            if args.metrics_out:
+                _write_metrics(args.metrics_out, service.metrics_snapshot())
+            service.close()
+        if index is not None:
+            index.close()
     return 0
 
 
 def _serve_sharded(args: argparse.Namespace) -> int:
     """``repro serve --shards N``: worker processes + scatter router.
 
-    Builds (or reuses) a :class:`~repro.service.ShardPlan` of compact
-    snapshots next to the index, spawns ``--replicas`` ``repro serve``
-    processes per shard mapping that shard's snapshot, and fronts them
-    with a :class:`~repro.service.ShardRouter` on the requested port.
-    One ``SHARD <id> <url> pid=<pid> docs=[lo,hi) replica=<r>`` line
-    per worker goes to stdout before the ``SERVING`` line so smoke
-    scripts can target (or kill) individual workers.  Unless
-    ``--no-supervise`` is given, a
-    :class:`~repro.service.ShardSupervisor` watches the workers and
-    restarts + re-admits dead ones automatically.
+    Forks the :class:`~repro.service.WorkerLauncher` first — before the
+    snapshot is opened and before any thread starts — and prints
+    ``LAUNCHER pid=<pid>``.  Then builds (or reuses) a
+    :class:`~repro.service.ShardPlan` of compact snapshots next to the
+    index, has the launcher fork ``--replicas`` ``repro serve`` workers
+    per shard mapping that shard's snapshot, and fronts them with a
+    :class:`~repro.service.ShardRouter` on the requested port.  One
+    ``SHARD <id> <url> pid=<pid> docs=[lo,hi) replica=<r>`` line per
+    worker goes to stdout before the ``SERVING`` line so smoke scripts
+    can target (or kill) individual workers.  Unless ``--no-supervise``
+    is given, a :class:`~repro.service.ShardSupervisor` watches the
+    workers and has the launcher fork replacements for dead ones.
     """
     from .service import (
         ShardPlan,
         ShardRouter,
         ShardSupervisor,
+        WorkerLauncher,
         backends_for_workers,
         serve_http,
         spawn_shard_workers,
         stop_shard_workers,
     )
 
-    index = Index.open(args.index, mmap=args.mmap)
-    if index.data is None:
-        print("error: sharded serving needs an index saved with its data",
-              file=sys.stderr)
-        return 1
-    shard_dir = Path(args.shard_dir or f"{args.index}.shards")
-    plan = ShardPlan.ensure(
-        index.data,
-        index.params,
-        shard_dir,
-        num_shards=args.shards,
-        replicas=args.replicas,
-    )
-    print(
-        f"shard plan: {plan.num_shards} shards x {plan.replicas} replica(s) "
-        f"over {plan.num_documents} documents (generation {plan.generation}) "
-        f"in {shard_dir}",
-        file=sys.stderr,
-    )
-    workers = spawn_shard_workers(
-        shard_dir, plan, cache_size=args.cache_size, workers=args.workers
-    )
+    launcher = WorkerLauncher.start()
+    print(f"LAUNCHER pid={launcher.pid}", flush=True)
+    workers = []
     router = None
     server = None
     supervisor = None
     try:
+        _graceful_sigterm()
+        index = Index.open(args.index, mmap=args.mmap)
+        if index.data is None:
+            print("error: sharded serving needs an index saved with its data",
+                  file=sys.stderr)
+            return 1
+        shard_dir = Path(args.shard_dir or f"{args.index}.shards")
+        plan = ShardPlan.ensure(
+            index.data,
+            index.params,
+            shard_dir,
+            num_shards=args.shards,
+            replicas=args.replicas,
+        )
+        print(
+            f"shard plan: {plan.num_shards} shards x {plan.replicas} "
+            f"replica(s) over {plan.num_documents} documents (generation "
+            f"{plan.generation}) in {shard_dir}",
+            file=sys.stderr,
+        )
+        workers = spawn_shard_workers(
+            shard_dir,
+            plan,
+            launcher=launcher,
+            cache_size=args.cache_size,
+            workers=args.workers,
+        )
         for worker in workers:
             spec = worker.spec
             print(
@@ -510,10 +527,9 @@ def _serve_sharded(args: argparse.Namespace) -> int:
         )
         host, port = server.server_address[:2]
         print(f"SERVING http://{host}:{port}", flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            print("shutting down ...", file=sys.stderr)
+        server.serve_forever()
+    except KeyboardInterrupt:
+        print("shutting down ...", file=sys.stderr)
     finally:
         if server is not None:
             server.server_close()
@@ -525,6 +541,7 @@ def _serve_sharded(args: argparse.Namespace) -> int:
         if router is not None:
             router.close()
         stop_shard_workers(workers)
+        launcher.close()
     return 0
 
 

@@ -134,7 +134,9 @@ class WorkerStartupError(ServiceError):
 
     Raised by :func:`~repro.service.workers.spawn_shard_workers` when a
     worker process exits before printing its ``SERVING`` line or fails
-    to serve within the startup timeout.  Carries the worker's exit
+    to serve within the startup timeout, or when the
+    :class:`~repro.service.workers.WorkerLauncher` that forks workers is
+    gone.  Carries the worker's exit
     code (``None`` if it is still running) and the tail of its captured
     stderr so the operator sees *why* the worker died instead of a bare
     timeout.

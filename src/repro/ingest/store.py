@@ -407,9 +407,15 @@ class IngestStore:
         store._wal = WriteAheadLog(
             directory / wal_name(store._generation), fsync=fsync
         )
-        store._refresh_view_locked()
-        if background:
-            store.start_compactor()
+        try:
+            store._refresh_view_locked()
+            if background:
+                store.start_compactor()
+        except BaseException:
+            # Interrupted here (a SIGTERM at `repro serve --live` start-up),
+            # the store must not keep its WAL open or a compactor running.
+            store.close()
+            raise
         return store
 
     @classmethod

@@ -127,6 +127,27 @@ class Tracer:
 
     close = disable
 
+    def forget(self) -> None:
+        """Let go of a sink inherited across ``fork()`` and start a fresh
+        span count, as a new process would.
+
+        The parent still owns the file and whatever its buffer held when
+        the process forked, so the handle is pointed at ``/dev/null``
+        before it is closed: nothing is written twice.
+        """
+        handle, self._handle = self._handle, None
+        self._path = None
+        self._owner_pid = None
+        self._next_id = 0
+        self._stack = []
+        if handle is not None and not handle.closed:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, handle.fileno())
+            finally:
+                os.close(devnull)
+            handle.close()
+
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs) -> Span | _NullSpan:
         """A context-managed span named ``name`` with static attributes."""

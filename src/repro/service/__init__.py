@@ -26,8 +26,9 @@ thread-safe query service:
   fails over to sibling replicas before declaring a shard dead, merges
   pairs in canonical order, hedges slow shards and reports dead shards
   as partial results (a read path only: ``/ingest`` and ``/remove``
-  answer 405 on a router); :mod:`~repro.service.workers` — spawning
-  and stopping the worker processes, and the one worker → backend rule.
+  answer 405 on a router); :mod:`~repro.service.workers` — the
+  :class:`WorkerLauncher` every worker process is forked from, stopping
+  the workers, and the one worker → backend rule.
 * :class:`~repro.service.supervisor.ShardSupervisor` — self-healing
   supervision of the spawned worker processes: detects death, restarts
   from the snapshot, re-admits after health + generation checks, and
@@ -55,6 +56,7 @@ from .router import (
 from .supervisor import ShardSupervisor
 from .workers import (
     ShardWorker,
+    WorkerLauncher,
     backends_for_workers,
     spawn_one_worker,
     spawn_shard_workers,
@@ -85,6 +87,7 @@ __all__ = [
     "LocalShardBackend",
     "HTTPShardBackend",
     "ShardWorker",
+    "WorkerLauncher",
     "partition_ranges",
     "spawn_one_worker",
     "spawn_shard_workers",

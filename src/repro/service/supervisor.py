@@ -176,7 +176,7 @@ class ShardSupervisor:
         router.attach_supervisor(self)
 
     # ------------------------------------------------------------------
-    # Default collaborators (real subprocess workers over HTTP)
+    # Default collaborators (forked worker processes over HTTP)
     # ------------------------------------------------------------------
     def _default_spawn(self, spec, replica: int) -> ShardWorker:
         if self.directory is None:

@@ -26,6 +26,7 @@ from repro import (
 from repro.cli import main
 from repro.errors import RoutingUnavailableError
 from repro.persistence import read_envelope
+from repro.service import WorkerLauncher
 
 
 @pytest.fixture
@@ -421,6 +422,51 @@ class TestErrors:
         assert f"error: {flag[0]} cannot be combined with --shards" in err
         assert "repro index --routing" in err
         assert "repro query --routing" in err
+
+
+class TestServeStartupDoor:
+    def test_sigterm_right_after_serving_exits_cleanly(self, corpus_dir, tmp_path):
+        # A SIGTERM the moment `SERVING` is out -- as a supervisor's stop
+        # or a test teardown sends it -- must unwind like one that lands
+        # in serve_forever(): exit 0, no traceback, --metrics-out written.
+        # Twelve serve processes alternate between a snapshot and a live
+        # store (WAL replayed on open), each forked as a shard worker is.
+        directory, _query = corpus_dir
+        index_path = tmp_path / "corpus.idx"
+        store = tmp_path / "store"
+        assert main(["index", "--data", str(directory), "--out",
+                     str(index_path), "-w", "20", "--tau", "4"]) == 0
+        assert main(["ingest", "--dir", str(store), "--data", str(directory),
+                     "-w", "20", "--tau", "4"]) == 0
+        sources = (["--index", str(index_path)],
+                   ["--index", str(store), "--live"])
+        with WorkerLauncher.start() as launcher:
+            for trial in range(12):
+                metrics = tmp_path / f"metrics-{trial}.json"
+                stderr = tmp_path / f"stderr-{trial}.txt"
+                read_fd, write_fd = os.pipe()
+                with stderr.open("w") as err:
+                    try:
+                        process = launcher.launch(
+                            ["serve", *sources[trial % 2], "--port", "0",
+                             "--metrics-out", str(metrics)],
+                            stdout=write_fd, stderr=err.fileno(),
+                        )
+                    finally:
+                        os.close(write_fd)
+                with open(read_fd) as stdout:
+                    assert stdout.readline().startswith("SERVING ")
+                    os.kill(process.pid, signal.SIGTERM)
+                    code = process.wait(timeout=30)
+                text = stderr.read_text()
+                assert (code, "Traceback" in text, metrics.exists()) == (
+                    0, False, True
+                ), (trial, text)
+        reopened = Index.open_live(store)
+        try:
+            assert len(reopened.data) == 6
+        finally:
+            reopened.close()
 
 
 class TestCliFilters:

@@ -950,6 +950,30 @@ class TestDurability:
         ] > 0
         reopened.close()
 
+    def test_open_interrupted_after_the_wal_closes_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        # A SIGTERM at `repro serve --live` start-up can land after the
+        # new WAL is open: the half-opened store must be closed.
+        directory = tmp_path / "store"
+        store, _live = drive_durable(directory, steps=6)
+        store.close()
+        closed = []
+        close = IngestStore.close
+        monkeypatch.setattr(
+            IngestStore, "close",
+            lambda self: (closed.append(self), close(self))[1],
+        )
+
+        def interrupted(self, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(IngestStore, "start_compactor", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            IngestStore.open(directory, background=True)
+        assert len(closed) == 1 and closed[0]._closed
+        assert closed[0]._wal._handle.closed
+
     def test_torn_wal_tail_is_tolerated(self, tmp_path):
         directory = tmp_path / "store"
         store, _live = drive_durable(directory, steps=12)

@@ -705,6 +705,7 @@ def test_service_public_names():
             "LocalShardBackend",
             "HTTPShardBackend",
             "ShardWorker",
+            "WorkerLauncher",
             "partition_ranges",
             "spawn_one_worker",
             "spawn_shard_workers",

@@ -9,31 +9,41 @@ Three layers, progressively less faked:
   fake processes, a fake router, and a fake clock, so every transition
   (ok → dead → restarting → readmitted / quarantined) is exercised
   deterministically, including the generation-consistency gate.
-* ``TestWorkerStartup`` / ``TestEndToEndSelfHealing`` — real
-  subprocesses: fail-fast startup diagnostics, and the acceptance
-  scenario (SIGKILL one of R=2 workers under a live query stream →
-  zero failed queries, pair-identical results, automatic re-admission).
+* ``TestWorkerStartup`` / ``TestWorkerLauncher`` /
+  ``TestEndToEndSelfHealing`` — real processes: fail-fast startup
+  diagnostics, the launcher's lifecycle (a SIGKILLed worker's status,
+  a router or launcher killed outright, what a forked worker inherits
+  from a ``--faults --trace`` router), and the acceptance scenario
+  (SIGKILL one of R=2 workers under a live query stream → zero failed
+  queries, pair-identical results, automatic re-admission).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import (
     ConfigurationError,
     FaultPlan,
     FaultSpec,
+    Index,
     SearchParams,
     faults,
 )
 from repro.errors import WorkerStartupError
 from repro.persistence import generation_name
+from repro.service.client import remote_metrics, remote_search
 from repro.service.plan import ShardPlan, ShardSpec
 from repro.service.router import ShardRouter
 from repro.service.supervisor import (
@@ -44,8 +54,10 @@ from repro.service.supervisor import (
 )
 from repro.service.workers import (
     ShardWorker,
+    WorkerLauncher,
     _read_serving_line,
     backends_for_workers,
+    spawn_one_worker,
     spawn_shard_workers,
     stop_shard_workers,
 )
@@ -59,6 +71,12 @@ PARAMS = SearchParams(w=10, tau=2, k_max=3)
 def _clear_fault_plan():
     yield
     faults.clear_plan()
+
+
+@pytest.fixture
+def launcher():
+    with WorkerLauncher.start() as launcher:
+        yield launcher
 
 
 def counters(registry) -> dict:
@@ -629,16 +647,239 @@ class TestWorkerStartup:
 
 
 # ----------------------------------------------------------------------
+def _alive(pid: int) -> bool:
+    """Running, not a zombie waiting for a parent that may never reap it."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    return re.search(r"^State:\s+Z", status, re.M) is None
+
+
+def _start_router(index_path, shard_dir, *extra, env=None):
+    """``repro serve --shards 2`` as a subprocess; returns the process,
+    the launcher pid, ``{worker pid: url}`` and the router's URL."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    router = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--index",
+         str(index_path), "--port", "0", "--shards", "2", "--shard-dir",
+         str(shard_dir), *extra],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, **(env or {}), "PYTHONPATH": src},
+    )
+    launcher_pid, workers, url = None, {}, None
+    for line in router.stdout:
+        fields = line.split()
+        if fields[0] == "LAUNCHER":
+            launcher_pid = int(fields[1].removeprefix("pid="))
+        elif fields[0] == "SHARD":
+            workers[int(fields[3].removeprefix("pid="))] = fields[2]
+        elif fields[0] == "SERVING":
+            url = fields[1]
+            break
+    assert url is not None, router.stderr.read()
+    return router, launcher_pid, workers, url
+
+
+def _stop_router(router) -> None:
+    router.terminate()
+    router.wait(timeout=30)
+    router.stdout.close()
+    router.stderr.close()
+
+
+def _signal_masks(pid: int) -> dict:
+    status = Path(f"/proc/{pid}/status").read_text()
+    return dict(re.findall(r"^(Sig(?:Ign|Cgt|Blk)):\s+(\w+)", status, re.M))
+
+
+class TestWorkerLauncher:
+    @pytest.fixture
+    def plan_dir(self, small_corpus, tmp_path):
+        ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
+        return tmp_path
+
+    @pytest.fixture
+    def index_path(self, small_corpus, tmp_path):
+        path = tmp_path / "corpus.idx"
+        Index.build(small_corpus, PARAMS).save(path)
+        return path
+
+    def test_refused_from_a_process_with_threads(self):
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait, name="bystander")
+        bystander.start()
+        try:
+            with pytest.raises(ConfigurationError, match="bystander"):
+                WorkerLauncher.start()
+        finally:
+            release.set()
+            bystander.join(timeout=10)
+        assert not bystander.is_alive()
+
+    def test_sigkilled_worker_reports_minus_nine(self, plan_dir, launcher):
+        workers = spawn_shard_workers(plan_dir, launcher=launcher)
+        try:
+            victim = workers[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            assert victim.process.wait(timeout=10) == -signal.SIGKILL
+            assert victim.process.returncode == -signal.SIGKILL
+            assert workers[1].process.poll() is None
+            # The supervisor reads the relayed status as it read Popen's.
+            supervisor = ShardSupervisor(
+                FakeRouter(), workers, max_crash_streak=0,
+                probe=lambda worker: {"status": "ok"},
+            )
+            supervisor.check_once()
+            first = supervisor.status()["replicas"][0]
+            assert first["state"] == STATE_QUARANTINED
+            assert (
+                f"worker pid {victim.pid} exited with code -9"
+                in first["last_error"]
+            )
+        finally:
+            stop_shard_workers(workers)
+        assert all(worker.process.returncode is not None for worker in workers)
+
+    def test_worker_that_cannot_serve_reports_code_and_stderr(
+        self, tmp_path, launcher
+    ):
+        # No snapshot behind the spec: the forked `repro serve` ends in
+        # main's exit code, which reaches the caller with its stderr.
+        with pytest.raises(WorkerStartupError) as info:
+            spawn_one_worker(tmp_path, make_spec(), launcher=launcher)
+        assert info.value.returncode == 2
+        assert "error:" in info.value.stderr
+        assert make_spec().path in info.value.stderr
+
+    def test_router_sigkill_takes_the_launcher_and_workers(
+        self, index_path, tmp_path
+    ):
+        router, launcher_pid, workers, _url = _start_router(
+            index_path, tmp_path / "shards"
+        )
+        pids = [launcher_pid, *workers]
+        assert len(workers) == 2 and all(map(_alive, pids))
+        os.kill(router.pid, signal.SIGKILL)
+        router.wait(timeout=10)
+        router.stdout.close()
+        router.stderr.close()
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids)), [pid for pid in pids if _alive(pid)]
+
+    def test_killed_launcher_fails_the_next_restart(self, plan_dir, launcher):
+        workers = spawn_shard_workers(plan_dir, launcher=launcher)
+        supervisor = ShardSupervisor(
+            FakeRouter(), workers, directory=plan_dir, max_crash_streak=1,
+            probe=lambda worker: {"status": "ok"},
+        )
+        try:
+            os.kill(launcher.pid, signal.SIGKILL)
+            # Its workers die with it, and report so through the handle.
+            for worker in workers:
+                assert worker.process.wait(timeout=10) == -signal.SIGKILL
+            with pytest.raises(WorkerStartupError, match="launcher"):
+                spawn_one_worker(plan_dir, workers[0].spec, launcher=launcher)
+            supervisor.check_once()
+            for replica in supervisor.status()["replicas"]:
+                assert replica["state"] == STATE_QUARANTINED
+                assert "restart failed" in replica["last_error"]
+                assert f"launcher (pid {launcher.pid}) is gone" in (
+                    replica["last_error"]
+                )
+            stats = counters(supervisor.metrics_registry)
+            assert stats["supervisor.deaths"] == 2
+            assert stats["supervisor.restart_failures"] == 2
+            assert stats["supervisor.quarantines"] == 2
+        finally:
+            stop_shard_workers(supervisor.workers)
+
+    def test_worker_starts_as_a_fresh_serve_would(self, index_path, tmp_path):
+        # The router runs a --faults plan and a --trace sink; a worker
+        # inherits neither, reads REPRO_FAULTS afresh, and holds the
+        # signal dispositions and descriptors a fresh `repro serve` has.
+        router_plan = tmp_path / "router-plan.json"
+        env_plan = tmp_path / "env-plan.json"
+        FaultPlan(
+            [FaultSpec(point="service.request", kind="raise", max_triggers=1)],
+            ledger=tmp_path / "router-ledger",
+        ).to_json_file(router_plan)
+        FaultPlan(
+            [FaultSpec(point="service.request", kind="raise", max_triggers=1)],
+            ledger=tmp_path / "env-ledger",
+        ).to_json_file(env_plan)
+        trace = tmp_path / "router.trace"
+        router, launcher_pid, workers, url = _start_router(
+            index_path, tmp_path / "shards",
+            "--faults", str(router_plan), "--trace", str(trace),
+            env={faults.PLAN_ENV_VAR: str(env_plan)},
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        fresh = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--index",
+             str(index_path), "--port", "0"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            assert fresh.stdout.readline().startswith("SERVING ")
+            reply = remote_search(url, "w1 w2 w3 w4 w5 w6 w7 w8 w9 w10 w11")
+            assert not reply.get("partial"), reply
+            # REPRO_FAULTS fired once, in a worker; the router's plan never.
+            claims = list((tmp_path / "env-ledger").iterdir())
+            assert len(claims) == 1
+            assert int(claims[0].read_text()) in workers
+            assert not (tmp_path / "router-ledger").exists()
+            for pid, worker_url in workers.items():
+                # Its own registry: one completed search, nothing else's.
+                counters = remote_metrics(worker_url)["metrics"]["counters"]
+                assert counters["service.completed"] == 1, counters
+                assert not [name for name in counters
+                            if name.startswith(("router.", "supervisor."))]
+                assert _signal_masks(pid) == _signal_masks(fresh.pid)
+                assert _signal_masks(pid) != _signal_masks(launcher_pid)
+                targets = {
+                    int(fd): os.readlink(f"/proc/{pid}/fd/{fd}")
+                    for fd in os.listdir(f"/proc/{pid}/fd")
+                }
+                assert str(trace) not in targets.values()
+                pipes = [fd for fd, target in targets.items()
+                         if target.startswith("pipe:")]
+                assert pipes == [1], targets
+                unix = {
+                    line.split()[6] for line in
+                    Path("/proc/net/unix").read_text().splitlines()[1:]
+                }
+                sockets = [target[len("socket:["):-1]
+                           for target in targets.values()
+                           if target.startswith("socket:")]
+                assert sockets and not unix.intersection(sockets), targets
+        finally:
+            fresh.terminate()
+            fresh.wait(timeout=30)
+            fresh.stdout.close()
+            _stop_router(router)
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert events and {event["pid"] for event in events} == {router.pid}
+
+
+# ----------------------------------------------------------------------
 class TestEndToEndSelfHealing:
     def test_sigkill_under_load_zero_failures_then_heals(
-        self, small_corpus, query, tmp_path
+        self, small_corpus, query, tmp_path, launcher
     ):
         single = sorted(expected_pairs(small_corpus, query, PARAMS.w, PARAMS.tau))
         assert single
         plan = ShardPlan.build(
             small_corpus, PARAMS, tmp_path, num_shards=2, replicas=2
         )
-        workers = spawn_shard_workers(tmp_path, plan, startup_timeout=120.0)
+        workers = spawn_shard_workers(
+            tmp_path, plan, launcher=launcher, startup_timeout=120.0
+        )
         router = None
         supervisor = None
         try:
