@@ -26,10 +26,11 @@ change, not noise.
 With ``--shards N`` the smoke instead exercises the sharded stack:
 ``repro serve --shards N`` (N worker processes + scatter router),
 asserts pair-for-pair parity against the single-process server and that
-the repeat was a hit of the router's own result cache, writes the
-deterministic metrics record, checks that 100 sequential cache hits grow
-the router's thread count by at most 2 (the HTTP front door reuses its
-handler threads), then SIGKILLs one worker mid-run and
+the repeat was a hit of the router's result cache (the shards hold
+none), writes the deterministic metrics record, checks that 100
+sequential cache hits grow the router's thread count by at most 2 (the
+HTTP front door reuses its handler threads), then SIGKILLs one worker
+mid-run and
 asserts that the cached text is still answered whole (from the router,
 no sub-request) while a text never asked before gets partial results
 naming the dead shard (the supervisor is disabled so the corpse stays
@@ -47,7 +48,7 @@ supervisor must restart + re-admit the worker until ``/healthz`` is
 ``ok`` again with no operator action; the median time from a kill to
 that re-admission is printed on stdout, outside the metrics record.
 The drill repeats one text, so its server runs with ``--cache-size
-0``: with the result caches on, every query after the first would be
+0``: with the router's result cache on, every query after the first would be
 answered by the router alone and "0 lost queries" would say nothing
 about failover.  The emitted
 metrics record is a hand-built envelope of chaos counters (kills, query
@@ -249,9 +250,11 @@ def run_sharded(args: argparse.Namespace, index_path: Path,
         # here are deterministic, the recovery path below is not.
         snapshot = remote_metrics(url)
         counters = snapshot["metrics"]["counters"]
-        # The repeat was the router's hit: it reached no shard.
+        # The repeat was the router's hit: it reached no shard, and the
+        # shards hold no cache of their own.
         assert counters["router.cache_hits"] == 1, counters
         assert counters["service.cache_hits"] == 0, counters
+        assert snapshot["metrics"]["gauges"]["service.cache_entries"] == 0, snapshot
 
         # The front door reuses its handler threads: sequential hits add
         # at most the one a finishing connection can still hold (and a
@@ -353,8 +356,8 @@ def run_chaos(args: argparse.Namespace, index_path: Path,
         server.wait(timeout=10)
     assert reference["num_pairs"] > 0, "smoke query found no matches"
 
-    # --cache-size 0 (router and workers): the drill repeats one text,
-    # and only an uncached query scatters and can exercise failover.
+    # --cache-size 0 (the router's, the only tier): the drill repeats one
+    # text, and only an uncached query scatters and can exercise failover.
     server, url, shard_lines, _ = _spawn_server(
         [sys.executable, "-m", "repro.cli", "serve",
          "--index", str(index_path), "--port", "0",

@@ -3,25 +3,28 @@
 
 A temp ``sitecustomize.py`` on ``PYTHONPATH`` installs a ``sys.setprofile`` hook
 in every Python process the traffic starts (pool workers, ``repro serve``
-children) and logs each ``src/repro`` code object entered.  Traffic: ``e2e/run.py
---tiny``, the examples, ``smoke_faults.py``, one pass of the six subcommands.
-Prints the functions outside ``service/`` / ``ingest/`` (fenced until ROADMAP
-item 2A) nothing entered, minus ``traffic_exempt.txt``, whose lines ``<fnmatch
-pattern> <reason>`` match ``repro/file.py::Qual.name``.  ``--check`` exits 1 on
-a remainder, a failed step or an exemption without a reason.
+children, forked shard workers) and logs each ``src/repro`` code object entered.
+Traffic: ``e2e/run.py --tiny``, the examples, ``smoke_faults.py``, the three
+serving smokes (single process, ``--shards 3``, ``--shards 2 --replicas 2
+--chaos``), one pass of the six subcommands, and a ``repro serve --live`` pass
+that takes one add and one remove over HTTP, then answers a routed query.
+Prints the functions nothing entered, minus ``traffic_exempt.txt``, whose lines
+``<fnmatch pattern> <reason>`` match ``repro/file.py::Qual.name``.  ``--check``
+exits 1 on a remainder, a failed step or an exemption without a reason.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 import tempfile
+import urllib.request
 from fnmatch import fnmatchcase
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-FENCED = ("repro/service/", "repro/ingest/")
 HOOK = """\
 import os, sys, threading
 _seen = set()
@@ -62,10 +65,27 @@ def record(logs: Path, work: Path) -> list[str]:
     def repro(*args, **kw):
         run("-m", "repro.cli", *args, "--trace", "trace.jsonl", "--metrics-out", "metrics", **kw)
 
+    def serve(*args):
+        """``repro serve --port 0 ...`` in the background, and its URL."""
+        server = subprocess.Popen([sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                                   *args], env=env, cwd=work, text=True, stdout=subprocess.PIPE)
+        return server, server.stdout.readline().split()[-1]  # "SERVING http://host:port"
+
+    def post(url, body):
+        print("traffic: POST", url, file=sys.stderr)
+        request = urllib.request.Request(url, json.dumps(body).encode(),
+                                         {"Content-Type": "application/json"})
+        try:
+            urllib.request.urlopen(request, timeout=30).close()
+        except OSError:
+            failed.append(f"POST {url}")
+
     run(f"{ROOT}/benchmarks/e2e/run.py", "--tiny")
     for script in sorted((ROOT / "examples").glob("*.py")):
         run(str(script))
     run(f"{ROOT}/benchmarks/smoke_faults.py")
+    for smoke in ([], ["--shards", "3"], ["--shards", "2", "--replicas", "2", "--chaos"]):
+        run(f"{ROOT}/benchmarks/smoke_serving.py", "--out", "smoke.json", *smoke)
     texts = [[f"t{(7919 * i + j * j) % 300}" for j in range(200)] for i in range(6)]
     texts[1][40:100] = texts[0][20:80]  # planted reuse: search and selfjoin find it
     for i, tokens in enumerate(texts):  # the corpus is work/*.txt
@@ -81,15 +101,21 @@ def record(logs: Path, work: Path) -> list[str]:
           "--mmap", "--routing", "off", "--jobs", "2", "--checkpoint", "search.ckpt")
     repro("selfjoin", "--data", ".", *sizes, "--min-tokens", "1", "--jobs", "2",
           "--checkpoint", "join.ckpt")
-    serve = [sys.executable, "-m", "repro.cli", "serve", "--index", "idx", "--port", "0",
-             "--mmap", "--routing", "exact", "--request-timeout", "30"]
-    with subprocess.Popen(serve, env=env, cwd=work, text=True, stdout=subprocess.PIPE) as server:
-        url = server.stdout.readline().split()[-1]  # "SERVING http://host:port"
+    server, url = serve("--index", "idx", "--mmap", "--routing", "exact",
+                        "--request-timeout", "30")
+    with server:
         ask = ("-m", "repro.cli", "query", "--server", url, "--retries", "1", "--timeout", "30")
         run(*ask, "--query", "d1.txt", "--show-pairs", "--routing", "off", "--request-timeout", "9")
         run(*ask, "--healthz")
         server.terminate()  # the CLI unwinds SIGTERM like Ctrl-C and exits 0
-    return failed + ["repro serve"] * bool(server.returncode)
+    live, url = serve("--index", "lsm", "--live")
+    with live:
+        post(f"{url}/ingest", {"text": " ".join(texts[4])})
+        post(f"{url}/remove", {"doc_id": 0})
+        run("-m", "repro.cli", "query", "--server", url, "--query", "d1.txt", "--routing", "exact")
+        live.terminate()
+    return failed + ["repro serve"] * bool(server.returncode) + [
+        "repro serve --live"] * bool(live.returncode)
 
 
 def main() -> int:
@@ -100,12 +126,12 @@ def main() -> int:
         failed = record(Path(logs), Path(work))
         entered = {line for log in Path(logs).glob("*.log") for line in log.read_text().split()}
     everything = [found for path in sorted((SRC / "repro").rglob("*.py"))
-                  if not (rel := path.relative_to(SRC).as_posix()).startswith(FENCED)
-                  for found in functions(rel, ast.parse(path.read_text()))]
+                  for found in functions(path.relative_to(SRC).as_posix(),
+                                         ast.parse(path.read_text()))]
     idle = [(name, size) for key, name, size in everything if key not in entered]
     left = [pair for pair in idle if not any(fnmatchcase(pair[0], entry[0]) for entry in exempt)]
-    print(f"{len(everything)} functions ({sum(size for *_, size in everything)} lines) outside "
-          f"service/ and ingest/; nothing entered {len(idle)} ({sum(size for _, size in idle)} "
+    print(f"{len(everything)} functions ({sum(size for *_, size in everything)} lines); "
+          f"nothing entered {len(idle)} ({sum(size for _, size in idle)} "
           f"lines), {len(idle) - len(left)} of them exempt, {len(left)} left:",
           *(f"  {name}  ({size} lines)" for name, size in left), sep="\n")
     problems = [f"traffic step failed: {step}" for step in failed] + [

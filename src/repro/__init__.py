@@ -107,7 +107,7 @@ from .partition import (
     workload_cost,
 )
 
-__version__ = "2.24.0"
+__version__ = "2.25.0"
 
 # The serving, parallel and ingest layers pull in http.server,
 # urllib.request (ssl, email) and multiprocessing — 90 modules and 7 MB

@@ -490,7 +490,6 @@ class Index:
         *,
         shards: int = 1,
         replicas: int = 1,
-        hedge_after: float | None = None,
         **kwargs,
     ):
         """Wrap this index in a serving front-end.
@@ -502,10 +501,10 @@ class Index:
         :class:`~repro.service.ShardRouter` scatter-gathering over them
         (pair-for-pair identical results; ``replicas=R`` serves each
         shard from R independent in-process services with automatic
-        failover; ``hedge_after`` enables hedged sub-requests to slow
-        shards).  Keyword arguments are forwarded to each underlying
-        service (``max_workers``, ``max_queue``, ``cache_size`` — which
-        also sizes the router's own result cache — ``default_timeout`` ...).
+        failover).  Keyword arguments are forwarded to each underlying
+        service (``max_workers``, ``max_queue``, ``cache_size``,
+        ``default_timeout`` ...); with shards, ``cache_size`` sizes the
+        router's result cache and the shard services run without one.
         """
         from .service import SearchService
 
@@ -530,7 +529,6 @@ class Index:
                 shards=shards,
                 replicas=replicas,
                 default_timeout=default_timeout,
-                hedge_after=hedge_after,
                 **kwargs,
             )
         return SearchService(self._searcher, self.data, **kwargs)

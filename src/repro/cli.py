@@ -448,8 +448,9 @@ def _serve_sharded(args: argparse.Namespace) -> int:
     ``LAUNCHER pid=<pid>``.  Then builds (or reuses) a
     :class:`~repro.service.ShardPlan` of compact snapshots next to the
     index, has the launcher fork ``--replicas`` ``repro serve`` workers
-    per shard mapping that shard's snapshot, and fronts them with a
-    :class:`~repro.service.ShardRouter` on the requested port.  One
+    per shard mapping that shard's snapshot (with no result cache), and
+    fronts them with a :class:`~repro.service.ShardRouter` on the
+    requested port, whose cache ``--cache-size`` sizes.  One
     ``SHARD <id> <url> pid=<pid> docs=[lo,hi) replica=<r>`` line per
     worker goes to stdout before the ``SERVING`` line so smoke scripts
     can target (or kill) individual workers.  Unless ``--no-supervise``
@@ -498,7 +499,6 @@ def _serve_sharded(args: argparse.Namespace) -> int:
             shard_dir,
             plan,
             launcher=launcher,
-            cache_size=args.cache_size,
             workers=args.workers,
         )
         for worker in workers:
@@ -512,7 +512,6 @@ def _serve_sharded(args: argparse.Namespace) -> int:
             backends_for_workers(workers),
             index.data,
             default_timeout=args.request_timeout,
-            hedge_after=args.hedge_after,
             cache_size=args.cache_size,
         )
         if not args.no_supervise:
@@ -689,8 +688,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="admission queue bound (default 64; "
                                    "refused with --shards)")
     serve_parser.add_argument("--cache-size", type=int, default=256,
-                              help="result cache entries, router's and workers' "
-                                   "alike with --shards; 0 disables (default 256)")
+                              help="result cache entries (with --shards, the "
+                                   "router's; shard workers run without one); "
+                                   "0 disables (default 256)")
     serve_parser.add_argument("--request-timeout", type=float, default=None,
                               help="default per-request deadline in seconds")
     serve_parser.add_argument("--verbose", action="store_true",
@@ -725,9 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="disable the shard supervisor: dead "
                                    "workers stay dead and queries degrade "
                                    "to partial results (sharded mode only)")
-    serve_parser.add_argument("--hedge-after", type=float, default=None,
-                              help="seconds before hedging a slow shard "
-                                   "sub-request (sharded mode only)")
     _add_routing_flags(serve_parser)
     _add_obs_flags(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)

@@ -115,8 +115,8 @@ class CircuitOpenError(ServiceError):
     """The client's circuit breaker is open; the request was not sent.
 
     Raised by :class:`~repro.service.client.ResilientClient` after
-    ``failure_threshold`` consecutive connect/5xx failures; requests
-    fail fast until the ``reset_after`` cooldown admits a half-open
+    ``FAILURE_THRESHOLD`` consecutive connect/5xx failures; requests
+    fail fast until the ``BREAKER_RESET`` cooldown admits a half-open
     probe.  ``retry_after`` estimates seconds until that probe.
     """
 

@@ -111,10 +111,6 @@ class LSMSearcher(PKWiseSearcher):
             )
         return super().search_many(queries, jobs=1)
 
-    # -- mutation (routed through the store) ----------------------------
-    def _remove_document(self, doc_id: int) -> None:
-        self.store.remove(doc_id)
-
     # -- lifecycle ------------------------------------------------------
     def compacted(self) -> PKWiseSearcher:
         """A plain frozen searcher over every live document (all tiers)."""

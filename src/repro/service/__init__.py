@@ -24,11 +24,11 @@ thread-safe query service:
   :mod:`~repro.service.router` — :class:`ShardRouter` fans every query
   out to one replica per shard (in-process services or HTTP workers),
   fails over to sibling replicas before declaring a shard dead, merges
-  pairs in canonical order, hedges slow shards and reports dead shards
-  as partial results (a read path only: ``/ingest`` and ``/remove``
-  answer 405 on a router); :mod:`~repro.service.workers` — the
-  :class:`WorkerLauncher` every worker process is forked from, stopping
-  the workers, and the one worker → backend rule.
+  pairs in canonical order, reports dead shards as partial results and
+  holds the deployment's one result cache (a read path only: ``/ingest``
+  and ``/remove`` answer 405 on a router); :mod:`~repro.service.workers`
+  — the :class:`WorkerLauncher` every worker process is forked from,
+  stopping the workers, and the one worker → backend rule.
 * :class:`~repro.service.supervisor.ShardSupervisor` — self-healing
   supervision of the spawned worker processes: detects death, restarts
   from the snapshot, re-admits after health + generation checks, and

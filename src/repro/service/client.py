@@ -58,6 +58,19 @@ MIN_RETRY_AFTER = 0.05
 #: the budget on a nap it can never wake up from usefully.
 MIN_ATTEMPT_BUDGET = 0.01
 
+#: Retry backoff envelope (seconds): attempt *n* sleeps a uniform draw
+#: from ``[0, min(BACKOFF_CAP, BACKOFF * 2**(n-1))]`` — full jitter.
+BACKOFF = 0.1
+BACKOFF_CAP = 2.0
+
+#: Socket timeout of one attempt (seconds), before the deadline clamp.
+HTTP_TIMEOUT = 30.0
+
+#: Circuit breaker: consecutive failures that open it, and the seconds
+#: it stays open before one half-open probe is let through.
+FAILURE_THRESHOLD = 5
+BREAKER_RESET = 30.0
+
 
 def _parse_retry_after(value, default: float = 1.0) -> float:
     """A sane ``retry_after`` from an untrusted response body.
@@ -183,27 +196,16 @@ class CircuitBreaker:
     """Consecutive-failure circuit breaker (closed → open → half-open).
 
     *Closed* passes every request through, counting consecutive
-    failures; at ``failure_threshold`` it *opens* and
-    :meth:`allow` fails fast with
-    :class:`~repro.errors.CircuitOpenError` for ``reset_after``
-    seconds.  The first request after the cooldown runs as the
-    *half-open* probe — its success closes the circuit, its failure
-    re-opens it (and restarts the cooldown); concurrent requests keep
-    failing fast while the probe is in flight.  Thread-safe.
+    failures; at :data:`FAILURE_THRESHOLD` it *opens* and :meth:`allow`
+    fails fast with :class:`~repro.errors.CircuitOpenError` for
+    :data:`BREAKER_RESET` seconds.  The first request after the cooldown
+    runs as the *half-open* probe — a reply closes the circuit
+    (:meth:`record_success`, :meth:`record_reply`), a failure re-opens
+    it and restarts the cooldown; concurrent requests keep failing fast
+    while the probe is in flight.  Thread-safe.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        reset_after: float = 30.0,
-        clock=time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        self.failure_threshold = failure_threshold
-        self.reset_after = reset_after
+    def __init__(self, clock=time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._state = "closed"
@@ -223,14 +225,14 @@ class CircuitBreaker:
                 return
             if self._state == "open":
                 elapsed = self._clock() - self._opened_at
-                if elapsed >= self.reset_after:
+                if elapsed >= BREAKER_RESET:
                     self._state = "half-open"
                     return  # this caller is the probe
                 raise CircuitOpenError(
                     f"circuit breaker open after {self._failures} consecutive "
                     f"failures; next probe in "
-                    f"{self.reset_after - elapsed:.2f}s",
-                    retry_after=max(MIN_RETRY_AFTER, self.reset_after - elapsed),
+                    f"{BREAKER_RESET - elapsed:.2f}s",
+                    retry_after=max(MIN_RETRY_AFTER, BREAKER_RESET - elapsed),
                 )
             # half-open: one probe is already in flight
             raise CircuitOpenError(
@@ -243,10 +245,18 @@ class CircuitBreaker:
             self._state = "closed"
             self._failures = 0
 
+    def record_reply(self) -> None:
+        """A reply the server is not at fault for (a 4xx, a 429): it ends
+        a half-open probe as a success and leaves a closed count alone."""
+        with self._lock:
+            if self._state == "half-open":
+                self._state = "closed"
+                self._failures = 0
+
     def record_failure(self) -> None:
         with self._lock:
             self._failures += 1
-            if self._state == "half-open" or self._failures >= self.failure_threshold:
+            if self._state == "half-open" or self._failures >= FAILURE_THRESHOLD:
                 self._state = "open"
                 self._opened_at = self._clock()
 
@@ -260,21 +270,19 @@ class ResilientClient:
         Server root, e.g. ``"http://127.0.0.1:8080"``.
     retries:
         Re-attempts after the first try (``3`` = at most four round
-        trips per call).
-    backoff / backoff_cap:
-        Exponential delay envelope (seconds): attempt *n* sleeps a
-        uniform draw from ``[0, min(cap, backoff * 2**(n-1))]`` — full
-        jitter — but never less than the server's clamped
-        ``retry_after`` hint when one came back.
+        trips per call).  Attempt *n* sleeps a full-jitter draw under
+        the :data:`BACKOFF` / :data:`BACKOFF_CAP` envelope, but never
+        less than the server's clamped ``retry_after`` hint when one
+        came back.
     deadline:
         Total wall-clock budget (seconds) per call across every attempt
         and backoff sleep; exceeding it raises
         :class:`~repro.errors.DeadlineExceededError` chaining the last
         transport error.  ``None`` = unbounded.  The budget is enforced
         *per attempt*, not just between them: each attempt's socket
-        timeout is clamped to ``min(http_timeout, remaining budget)``,
+        timeout is clamped to ``min(HTTP_TIMEOUT, remaining budget)``,
         so a single hung connection can overrun the deadline by at most
-        one socket-timeout resolution — never by ``http_timeout``
+        one socket-timeout resolution — never by :data:`HTTP_TIMEOUT`
         multiples — and an attempt whose budget is already spent raises
         before sending rather than firing a doomed request.  Backoff
         sleeps are clamped the same way: a sleep never eats the budget
@@ -283,20 +291,19 @@ class ResilientClient:
         attempt at all — or the server's ``retry_after`` hint does not
         fit inside it — the loop raises *before* sleeping instead of
         discovering the exhausted budget on wake-up.
-    http_timeout:
-        Socket timeout per individual attempt (upper bound; see
-        ``deadline`` for the per-attempt clamp).
-    failure_threshold / breaker_reset:
-        Circuit-breaker tuning (see :class:`CircuitBreaker`).
     rng / clock / sleep:
         Injection points for deterministic tests.
 
     What retries: connection-level failures (``URLError``), 5xx
     responses, and 429 overload (honoring ``retry_after``).  What does
-    not: other 4xx responses (the request itself is wrong) and
+    not: other 4xx responses (the request itself is wrong),
     :class:`CircuitOpenError` (the point of the breaker is *not*
-    sending).  Only connect/5xx failures count toward the breaker; an
-    overloaded-but-responsive server (429) neither trips nor resets it.
+    sending), and transport faults outside ``URLError`` (a read
+    timeout, a dropped connection).  Connect/5xx failures and those
+    transport faults count toward the breaker; an answering server (a
+    4xx, or 429 overload) neither trips it nor resets a closed count,
+    but ends a half-open probe as a success — so a probe always
+    resolves the breaker, and it can never stay half-open.
     """
 
     def __init__(
@@ -304,31 +311,17 @@ class ResilientClient:
         base_url: str,
         *,
         retries: int = 3,
-        backoff: float = 0.1,
-        backoff_cap: float = 2.0,
         deadline: float | None = 30.0,
-        http_timeout: float = 30.0,
-        failure_threshold: int = 5,
-        breaker_reset: float = 30.0,
         rng: random.Random | None = None,
         clock=time.monotonic,
         sleep=time.sleep,
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if backoff < 0 or backoff_cap < 0:
-            raise ValueError("backoff values must be >= 0")
         self.base_url = base_url.rstrip("/")
         self.retries = retries
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
         self.deadline = deadline
-        self.http_timeout = http_timeout
-        self.breaker = CircuitBreaker(
-            failure_threshold=failure_threshold,
-            reset_after=breaker_reset,
-            clock=clock,
-        )
+        self.breaker = CircuitBreaker(clock=clock)
         self._rng = rng if rng is not None else random.Random()
         self._clock = clock
         self._sleep = sleep
@@ -336,7 +329,7 @@ class ResilientClient:
     # ------------------------------------------------------------------
     def _delay(self, attempt: int, hint: float | None) -> float:
         """Full-jitter exponential backoff, floored by the server hint."""
-        envelope = min(self.backoff_cap, self.backoff * (2 ** (attempt - 1)))
+        envelope = min(BACKOFF_CAP, BACKOFF * (2 ** (attempt - 1)))
         delay = self._rng.uniform(0.0, envelope)
         if hint is not None:
             delay = max(delay, hint)
@@ -345,8 +338,8 @@ class ResilientClient:
     def _call(self, send):
         """Run ``send(http_timeout)`` under the retry policy and breaker.
 
-        ``send`` receives the per-attempt socket timeout: the configured
-        ``http_timeout`` clamped to whatever remains of the deadline
+        ``send`` receives the per-attempt socket timeout:
+        :data:`HTTP_TIMEOUT` clamped to whatever remains of the deadline
         budget, so no single attempt can sleep past the deadline.
         """
         deadline_at = (
@@ -356,7 +349,7 @@ class ResilientClient:
         last_error: Exception | None = None
         while True:
             self.breaker.allow()
-            http_timeout = self.http_timeout
+            http_timeout = HTTP_TIMEOUT
             if deadline_at is not None:
                 remaining = deadline_at - self._clock()
                 if remaining <= 0:
@@ -371,8 +364,8 @@ class ResilientClient:
             try:
                 result = send(http_timeout)
             except ServiceOverloadError as exc:
-                # The server is alive, just busy: retry after its hint,
-                # without moving the breaker either way.
+                # The server is alive, just busy: retry after its hint.
+                self.breaker.record_reply()
                 last_error = exc
                 hint = _parse_retry_after(exc.retry_after)
             except ReproError as exc:
@@ -381,6 +374,7 @@ class ResilientClient:
                     self.breaker.record_failure()
                     last_error = exc
                 else:
+                    self.breaker.record_reply()
                     raise  # a 4xx: retrying the same bad request is futile
             except urllib.error.URLError as exc:
                 self.breaker.record_failure()
@@ -388,6 +382,9 @@ class ResilientClient:
                     f"cannot reach {self.base_url}: {exc.reason}"
                 )
                 last_error.__cause__ = exc
+            except Exception:
+                self.breaker.record_failure()  # e.g. a read timeout
+                raise
             else:
                 self.breaker.record_success()
                 return result

@@ -95,10 +95,6 @@ class ShardSpec:
     generation: int
     num_tokens: int = 0
 
-    @property
-    def num_documents(self) -> int:
-        return self.doc_hi - self.doc_lo
-
     def to_dict(self) -> dict:
         return {
             "shard_id": self.shard_id,

@@ -1,4 +1,4 @@
-"""Scatter-gather over shard backends: failover, hedging, partial results.
+"""Scatter-gather over shard backends: failover, deadline, partial results.
 
 Given one backend per replica of every shard of a corpus partition
 (:mod:`~repro.service.plan`), a query's exact answer is the union of
@@ -19,20 +19,21 @@ backends were started on.
   ids, and merges in the existing canonical pair order (shards own
   disjoint ascending id ranges and each reply is already canonically
   ordered, so the merge is an order-preserving concatenation).
-  Per-query deadlines bound the gather; one **hedged request** per slow
-  shard fires after ``hedge_after`` seconds; a *failed* replica fails
-  over to the next replica of the same shard *before* the shard is
-  declared dead, so with R >= 2 a single worker death costs zero
-  queries (``router.failovers`` counts these).  Only when every replica
-  of a shard has failed does the shard become a
-  :class:`~repro.eval.harness.QueryFailure` on the response — callers
-  get partial results plus an explicit account of what is missing.
-* Result cache — a *complete* response is kept in the router's own
-  :class:`~repro.service.cache.ResultCache` (sized like the shards',
-  ``cache_size``), so a repeated query costs no sub-request and is
-  answered even with shards down.  A partial response is never stored:
-  its repeat re-scatters, and the healthy shards answer from their own
-  caches.  :meth:`ShardRouter.replace_replica` strands every entry.
+  Per-query deadlines bound the gather; a *failed* replica fails over
+  to the next replica of the same shard *before* the shard is declared
+  dead, so with R >= 2 a single worker death costs zero queries
+  (``router.failovers`` counts these).  At most one attempt per shard
+  is in flight.  Only when every replica of a shard has failed does
+  the shard become a :class:`~repro.eval.harness.QueryFailure` on the
+  response — callers get partial results plus an explicit account of
+  what is missing.
+* Result cache — a *complete* response is kept in the router's
+  :class:`~repro.service.cache.ResultCache` (``cache_size``), the one
+  cache tier of a sharded deployment: shards run without one, since
+  the router answers every repeat.  A repeated query costs no
+  sub-request and is answered even with shards down.  A partial
+  response is never stored: its repeat re-scatters.
+  :meth:`ShardRouter.replace_replica` strands every entry.
 * Self-healing — :class:`~repro.service.supervisor.ShardSupervisor`
   heals dead replicas through :meth:`ShardRouter.mark_replica_down`,
   :meth:`~ShardRouter.replace_replica` and
@@ -86,10 +87,9 @@ from .service import SearchService, ServiceResponse
 # Shard backends
 # ----------------------------------------------------------------------
 class _ShardReply(NamedTuple):
-    """Normalized per-shard result: shard-local pairs + serving metadata."""
+    """Normalized per-shard result: shard-local pairs + the shard's epoch."""
 
     pairs: tuple
-    cached: bool
     index_epoch: int
 
 
@@ -115,7 +115,7 @@ class LocalShardBackend:
         self, query: Document, *, timeout: float | None, routing=None
     ) -> _ShardReply:
         response = self.service.search(query, timeout=timeout, routing=routing)
-        return _ShardReply(response.pairs, response.cached, response.index_epoch)
+        return _ShardReply(response.pairs, response.index_epoch)
 
     def healthz(self) -> dict:
         return self.service.healthz()
@@ -140,8 +140,8 @@ class HTTPShardBackend:
     """One shard served by a worker process over the HTTP front-end.
 
     Sub-requests go through a :class:`ResilientClient` (its retries
-    absorb transient transport faults; the router's hedging absorbs
-    tail latency).  The client's per-call deadline is left unbounded —
+    absorb transient transport faults).  The client's per-call deadline
+    is left unbounded —
     the router enforces the per-query deadline at the gather side and
     abandons the shard past it.
     """
@@ -172,9 +172,7 @@ class HTTPShardBackend:
             token_ids=list(query.tokens), timeout=timeout, routing=routing
         )
         pairs = tuple(MatchPair(*pair) for pair in reply.get("pairs", ()))
-        return _ShardReply(
-            pairs, bool(reply.get("cached")), int(reply.get("index_epoch", 0))
-        )
+        return _ShardReply(pairs, int(reply.get("index_epoch", 0)))
 
     def healthz(self) -> dict:
         return self._client.healthz()
@@ -308,10 +306,6 @@ class ShardRouter:
     default_timeout:
         Per-query deadline (seconds) across scatter + gather when the
         caller passes none.  ``None`` = wait for every shard.
-    hedge_after:
-        Seconds to wait for a shard before sending one hedged duplicate
-        sub-request (to the next replica, when there is one); first
-        reply wins.  ``None`` disables hedging.
     cache_size:
         Entries in the router's own result cache; ``0`` disables it.
     """
@@ -322,7 +316,6 @@ class ShardRouter:
         data: DocumentCollection | None = None,
         *,
         default_timeout: float | None = None,
-        hedge_after: float | None = None,
         cache_size: int = 256,
         name: str = "shard-router",
     ) -> None:
@@ -349,12 +342,11 @@ class ShardRouter:
         self.data = data
         self.name = name
         self.default_timeout = default_timeout
-        self.hedge_after = hedge_after
         self.started_at = time.time()
         self._closed = False
         self._supervisor = None
-        # Four threads per backend: room for hedges and failovers plus
-        # concurrent callers.
+        # Four threads per backend: room for failovers plus concurrent
+        # callers.
         self._pool = ThreadPoolExecutor(
             max_workers=4 * len(backends),
             thread_name_prefix=f"{name}-scatter",
@@ -380,7 +372,6 @@ class ShardRouter:
         shards: int,
         replicas: int = 1,
         default_timeout: float | None = None,
-        hedge_after: float | None = None,
         cache_size: int = 256,
         name: str = "shard-router",
         **service_kwargs,
@@ -391,7 +382,7 @@ class ShardRouter:
         document subset, mirroring the process isolation of worker
         replicas — no searcher state (lazy routing tiers) is shared
         through one object.  ``cache_size`` sizes the router's result
-        cache and each service's alike.
+        cache; the services run without one, as shard workers do.
         """
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
@@ -405,7 +396,7 @@ class ShardRouter:
                     PKWiseSearcher(subset, params),
                     subset,
                     name=f"{name}-shard-{shard_id:03d}-r{replica}",
-                    cache_size=cache_size,
+                    cache_size=0,
                     **service_kwargs,
                 )
                 backends.append(
@@ -421,7 +412,6 @@ class ShardRouter:
             backends,
             data,
             default_timeout=default_timeout,
-            hedge_after=hedge_after,
             cache_size=cache_size,
             name=name,
         )
@@ -693,7 +683,6 @@ class ShardRouter:
             raise error from last_error
         pairs: list[MatchPair] = []
         shard_epochs: dict[int, int] = {}
-        cached_votes: list[bool] = []
         for rset in self._sets:
             reply = results.get(rset.shard_id)
             if reply is None:
@@ -703,7 +692,6 @@ class ShardRouter:
             self._last_epochs[rset.shard_id] = max(
                 self._last_epochs[rset.shard_id], reply.index_epoch
             )
-            cached_votes.append(reply.cached)
             offset = rset.doc_lo
             # Shard-local doc ids renumber from 0 within [doc_lo, doc_hi);
             # adding the offset restores global ids.  Ranges ascend and
@@ -714,15 +702,14 @@ class ShardRouter:
                 for pair in reply.pairs
             )
         # Only a complete response is stored (after a failed shard the
-        # repeat re-scatters and the healthy shards answer from their
-        # caches), and only under an epoch the gather did not move.
+        # repeat re-scatters), and only under an epoch the gather did
+        # not move.
         entry = (
             self.cache.put(key, pairs)
             if not failures and self._cache_epoch() == key[2]
             else ResultEntry(pairs)
         )
-        cached = bool(cached_votes) and all(cached_votes)
-        return self._respond(entry, cached, start, shard_epochs, failures)
+        return self._respond(entry, False, start, shard_epochs, failures)
 
     def _respond(
         self, entry: ResultEntry, cached: bool, start: float,
@@ -791,112 +778,67 @@ class ShardRouter:
     def _scatter_gather(
         self, query: Document, deadline_at: float | None, routing=None
     ):
-        """Fan out one sub-request per shard; fail over, hedge, collect.
+        """Fan out one sub-request per shard; fail over, collect.
 
         Per shard the replicas form a preference list (healthy first).
-        The first replica is tried immediately; every *failed* attempt
-        advances to the next untried replica (``router.failovers``)
-        before the shard is given up on — a shard fails only once all
-        of its replicas have failed or the deadline passes.  Hedging
-        races one extra replica per straggling shard after
-        ``hedge_after`` seconds; first reply wins.
+        The first replica is tried immediately; a *failed* attempt moves
+        on to the next replica (``router.failovers``), so a shard fails
+        only once all of its replicas have failed or the deadline
+        passes.  At most one attempt per shard is in flight.
         """
-        # Per-shard scatter state, keyed by shard id.
-        order: dict[int, list] = {}  # replica preference order
-        cursor: dict[int, int] = {}  # next index in order to try
-        in_flight: dict[int, int] = {}  # outstanding attempts
-        attempts: dict[int, int] = {}  # total attempts started
+        with self._health_lock:
+            order = {rset.shard_id: rset.preference_order() for rset in self._sets}
+        attempts = dict.fromkeys(order, 0)
         errors: dict[int, Exception] = {}
         outstanding: dict = {}  # future -> (shard_id, backend)
-        unresolved: set[int] = set(self._by_id)
         results: dict[int, _ShardReply] = {}
         failures: list[QueryFailure] = []
         last_error: Exception | None = None
 
         def submit(shard_id: int, *, is_failover: bool) -> None:
-            backend = order[shard_id][cursor[shard_id] % len(order[shard_id])]
-            cursor[shard_id] += 1
+            backend = order[shard_id][attempts[shard_id]]
             attempts[shard_id] += 1
-            in_flight[shard_id] += 1
             future = self._pool.submit(
-                self._shard_call,
-                backend,
-                query,
-                deadline_at,
-                routing,
+                self._shard_call, backend, query, deadline_at, routing,
                 is_failover,
             )
             outstanding[future] = (shard_id, backend)
 
-        with self._health_lock:
-            for rset in self._sets:
-                order[rset.shard_id] = rset.preference_order()
-                cursor[rset.shard_id] = 0
-                in_flight[rset.shard_id] = 0
-                attempts[rset.shard_id] = 0
-        for shard_id in (rset.shard_id for rset in self._sets):
+        for shard_id in order:
             submit(shard_id, is_failover=False)
-        hedge_at = (
-            time.monotonic() + self.hedge_after
-            if self.hedge_after is not None
-            else None
-        )
-        while outstanding and unresolved:
-            now = time.monotonic()
-            if deadline_at is not None and now >= deadline_at:
-                break
-            wait_until = deadline_at
-            if hedge_at is not None:
-                wait_until = (
-                    hedge_at if wait_until is None else min(wait_until, hedge_at)
-                )
-            wait_timeout = (
-                None if wait_until is None else max(0.0, wait_until - now)
-            )
+        while outstanding:
+            wait_timeout = None
+            if deadline_at is not None:
+                wait_timeout = deadline_at - time.monotonic()
+                if wait_timeout <= 0:
+                    break
             done, _ = wait(
-                set(outstanding), timeout=wait_timeout,
-                return_when=FIRST_COMPLETED,
+                outstanding, timeout=wait_timeout, return_when=FIRST_COMPLETED
             )
             for future in done:
                 shard_id, backend = outstanding.pop(future)
-                in_flight[shard_id] -= 1
-                if shard_id not in unresolved:
-                    continue  # another attempt already answered
                 try:
                     results[shard_id] = future.result()
                 except Exception as exc:  # noqa: BLE001 - per-replica isolation
                     errors[shard_id] = exc
                     last_error = exc
                     self._note_replica_failure(backend)
-                    if cursor[shard_id] < len(order[shard_id]):
+                    if attempts[shard_id] < len(order[shard_id]):
                         # Untried replicas remain: fail over before the
                         # shard is declared dead.
                         with self._metrics_lock:
                             self._registry.counter("router.failovers").inc()
                         submit(shard_id, is_failover=True)
-                    elif in_flight[shard_id] == 0:
-                        # Every replica tried, none still racing.
+                    else:
                         failures.append(
                             self._shard_failure(
                                 query, shard_id, exc, attempts[shard_id]
                             )
                         )
-                        unresolved.discard(shard_id)
                 else:
-                    unresolved.discard(shard_id)
                     self._note_replica_success(backend)
-            if hedge_at is not None and time.monotonic() >= hedge_at:
-                hedge_at = None  # at most one hedge per shard per query
-                for shard_id in sorted(unresolved):
-                    if in_flight[shard_id] == 0:
-                        continue  # failover already racing; nothing to hedge
-                    with self._metrics_lock:
-                        self._registry.counter("router.hedges").inc()
-                    # The hedge goes to the next replica in preference
-                    # order (wrapping back to the head when every
-                    # replica already has an attempt out).
-                    submit(shard_id, is_failover=False)
-        for shard_id in sorted(unresolved):
+        for future, (shard_id, _backend) in outstanding.items():
+            future.cancel()  # best effort; a late reply is discarded
             error = errors.get(shard_id)
             if error is None:
                 error = DeadlineExceededError(
@@ -907,8 +849,6 @@ class ShardRouter:
             failures.append(
                 self._shard_failure(query, shard_id, error, attempts[shard_id])
             )
-        for future in outstanding:
-            future.cancel()  # best effort; late replies are discarded
         failures.sort(key=lambda failure: failure.position)
         return results, failures, last_error
 
@@ -937,5 +877,5 @@ class ShardRouter:
         return (
             f"ShardRouter({self.name!r}, shards={len(self._sets)}, "
             f"replicas={[len(rset) for rset in self._sets]}, "
-            f"hedge_after={self.hedge_after}, closed={self._closed})"
+            f"closed={self._closed})"
         )

@@ -110,10 +110,6 @@ class ServiceFuture:
         self._response: ServiceResponse | None = None
         self._error: BaseException | None = None
 
-    def done(self) -> bool:
-        """True once a response or error is set."""
-        return self._event.is_set()
-
     def result(self, timeout: float | None = None) -> ServiceResponse:
         """Block until resolved; raises the request's error if it failed."""
         if not self._event.wait(timeout):
@@ -253,11 +249,6 @@ class SearchService:
     def queue_depth(self) -> int:
         """Requests currently waiting for a worker."""
         return len(self._queue)
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has begun."""
-        return self._closed
 
     def healthz(self) -> dict:
         """Liveness summary served by the HTTP front-end's ``/healthz``."""

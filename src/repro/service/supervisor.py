@@ -36,11 +36,12 @@ Each replica walks a small state machine::
   :func:`~repro.service.workers.backend_for_worker`, the same rule
   start-up uses, so a healed replica keeps its retry budget.
 * **Quarantine** — a replica whose crash streak exceeds
-  ``max_crash_streak`` is parked for an exponentially growing backoff
-  (``backoff_base * 2^excess``, capped at ``backoff_cap``) instead of
-  burning CPU on a restart loop; the condition is surfaced in
-  ``/healthz`` as a :class:`~repro.errors.ReplicaQuarantinedError`
-  message with its ``retry_after``.
+  :data:`MAX_CRASH_STREAK` is parked for an exponentially growing
+  backoff (``BACKOFF_BASE * 2^(excess - 1)``, capped at
+  :data:`BACKOFF_CAP`) instead of burning CPU on a restart loop; the
+  condition is surfaced in ``/healthz`` as a
+  :class:`~repro.errors.ReplicaQuarantinedError` message with its
+  ``retry_after``.
 
 Fault-injection points: ``supervisor.restart`` (before each respawn)
 and ``supervisor.readmit`` (before each re-admission attempt), both
@@ -76,6 +77,18 @@ STATE_OK = "ok"
 STATE_DEAD = "dead"
 STATE_RESTARTING = "restarting"
 STATE_QUARANTINED = "quarantined"
+
+#: Socket timeout (seconds) of each ``/healthz`` probe.
+HEALTH_TIMEOUT = 2.0
+
+#: Consecutive failures (death, failed restart, failed readmit) a
+#: replica is allowed before it is quarantined.
+MAX_CRASH_STREAK = 3
+
+#: Quarantine backoff: ``BACKOFF_BASE * 2^(streak - MAX_CRASH_STREAK - 1)``
+#: seconds, capped at ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.5
+BACKOFF_CAP = 30.0
 
 
 class _ReplicaRecord:
@@ -118,14 +131,6 @@ class ShardSupervisor:
         restart, from the original spec.
     check_interval:
         Seconds between liveness sweeps of the monitor thread.
-    health_timeout:
-        Socket timeout for each ``/healthz`` probe.
-    max_crash_streak:
-        Consecutive failures (death, failed restart, failed readmit)
-        tolerated before the replica is quarantined.
-    backoff_base / backoff_cap:
-        Quarantine backoff: ``backoff_base * 2^(streak - max - 1)``
-        seconds, capped at ``backoff_cap``.
     spawn_worker / make_backend / probe / clock:
         Injection points for tests: respawn a worker from a spec,
         wrap a worker in a router backend, probe a worker's health
@@ -139,24 +144,14 @@ class ShardSupervisor:
         *,
         directory: str | Path | None = None,
         check_interval: float = 1.0,
-        health_timeout: float = 2.0,
-        max_crash_streak: int = 3,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
         spawn_worker=None,
         make_backend=None,
         probe=None,
         clock=time.monotonic,
-        name: str = "shard-supervisor",
     ) -> None:
         self.router = router
         self.directory = Path(directory) if directory is not None else None
         self.check_interval = check_interval
-        self.health_timeout = health_timeout
-        self.max_crash_streak = max_crash_streak
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.name = name
         self._spawn_worker = spawn_worker or self._default_spawn
         self._make_backend = make_backend or self._default_backend
         self._probe = probe or self._default_probe
@@ -194,7 +189,7 @@ class ShardSupervisor:
         return backend_for_worker(worker, replicas=replicas)
 
     def _default_probe(self, worker: ShardWorker) -> dict:
-        return remote_healthz(worker.url, http_timeout=self.health_timeout)
+        return remote_healthz(worker.url, http_timeout=HEALTH_TIMEOUT)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -205,7 +200,7 @@ class ShardSupervisor:
             if self._thread is None or not self._thread.is_alive():
                 self._stop.clear()
                 self._thread = threading.Thread(
-                    target=self._run, name=self.name, daemon=True
+                    target=self._run, name="shard-supervisor", daemon=True
                 )
                 self._thread.start()
         return self
@@ -296,8 +291,8 @@ class ShardSupervisor:
 
     def _quarantine(self, key: tuple[int, int], record: _ReplicaRecord) -> None:
         shard_id, replica = key
-        excess = record.crash_streak - self.max_crash_streak
-        backoff = min(self.backoff_cap, self.backoff_base * (2 ** (excess - 1)))
+        excess = record.crash_streak - MAX_CRASH_STREAK
+        backoff = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (excess - 1)))
         error = ReplicaQuarantinedError(
             f"shard {shard_id} replica {replica} crash-looped "
             f"{record.crash_streak} times; quarantined for {backoff:.1f}s "
@@ -315,7 +310,7 @@ class ShardSupervisor:
     def _restart_if_allowed(
         self, key: tuple[int, int], record: _ReplicaRecord
     ) -> None:
-        if record.crash_streak > self.max_crash_streak:
+        if record.crash_streak > MAX_CRASH_STREAK:
             self._quarantine(key, record)
         else:
             self._restart_and_readmit(key, record)
@@ -346,7 +341,7 @@ class ShardSupervisor:
                 record.state = STATE_DEAD
                 record.crash_streak += 1
                 record.last_error = f"restart failed: {exc}"
-            if record.crash_streak > self.max_crash_streak:
+            if record.crash_streak > MAX_CRASH_STREAK:
                 self._quarantine(key, record)
             return
         self.metrics_registry.counter("supervisor.restarts").inc()
@@ -400,7 +395,7 @@ class ShardSupervisor:
                 record.state = STATE_DEAD
                 record.crash_streak += 1
                 record.last_error = f"readmit failed: {exc}"
-            if record.crash_streak > self.max_crash_streak:
+            if record.crash_streak > MAX_CRASH_STREAK:
                 self._quarantine(key, record)
             return False
         return True
@@ -432,7 +427,7 @@ class ShardSupervisor:
                     )
                 replicas.append(entry)
         return {
-            "name": self.name,
+            "name": "shard-supervisor",
             "check_interval": self.check_interval,
             "replicas": replicas,
         }
@@ -448,4 +443,4 @@ class ShardSupervisor:
             states = sorted(
                 (key, record.state) for key, record in self._records.items()
             )
-        return f"ShardSupervisor({self.name!r}, {states})"
+        return f"ShardSupervisor({states})"

@@ -2,7 +2,8 @@
 
 ``repro serve --shards N --replicas R`` runs every replica of every
 shard as its own ``repro serve --mmap`` process over that shard's
-snapshot.  This module decides the *process lifecycle* and nothing
+snapshot, with no result cache of its own (the router's answers every
+repeat).  This module decides the *process lifecycle* and nothing
 about routing:
 
 * :class:`WorkerLauncher` is the one way a worker process comes to be.
@@ -61,6 +62,9 @@ _ORPHAN_GRACE_SECONDS = 3.0
 
 #: ``prctl`` option that signals a child when its parent exits.
 _PR_SET_PDEATHSIG = 1
+
+#: Seconds a worker has to print its ``SERVING`` line.
+STARTUP_TIMEOUT = 60.0
 
 
 class WorkerLauncher:
@@ -449,9 +453,9 @@ class ShardWorker:
     #: long-running worker can never deadlock on a full pipe); read
     #: back into :class:`WorkerStartupError` when startup fails.
     stderr_path: Path | None = None
-    #: The ``launcher`` / ``cache_size`` / ``workers`` /
-    #: ``startup_timeout`` this worker was spawned with; a restart passes
-    #: them to :func:`spawn_one_worker` again, so they are stated once.
+    #: The ``launcher`` / ``workers`` this worker was spawned with; a
+    #: restart passes them to :func:`spawn_one_worker` again, so they
+    #: are stated once.
     spawn_settings: dict = field(default_factory=dict)
 
     @property
@@ -488,15 +492,8 @@ def _read_serving_line(
     """
     deadline = time.monotonic() + timeout
     assert process.stdout is not None
-    selector: selectors.DefaultSelector | None = selectors.DefaultSelector()
-    try:
+    with selectors.DefaultSelector() as selector:
         selector.register(process.stdout, selectors.EVENT_READ)
-    except (ValueError, OSError, KeyError):
-        # Not a selectable stream (e.g. a test double); fall back to
-        # short blocking reads guarded by the same poll()/deadline loop.
-        selector.close()
-        selector = None
-    try:
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -506,32 +503,24 @@ def _read_serving_line(
                     returncode=process.poll(),
                     stderr=_stderr_tail(stderr_path),
                 )
-            if selector is not None:
-                # Wait for readable stdout first: a worker that printed
-                # SERVING and then exited still hands over its URL.
-                ready = selector.select(timeout=min(0.1, remaining))
-                if not ready:
-                    if process.poll() is not None:
-                        raise WorkerStartupError(
-                            f"shard worker (pid {process.pid}) exited with "
-                            f"code {process.returncode} before serving",
-                            returncode=process.returncode,
-                            stderr=_stderr_tail(stderr_path),
-                        )
-                    continue
+            # Wait for readable stdout first: a worker that printed
+            # SERVING and then exited still hands over its URL.
+            if not selector.select(timeout=min(0.1, remaining)):
+                if process.poll() is not None:
+                    raise WorkerStartupError(
+                        f"shard worker (pid {process.pid}) exited with "
+                        f"code {process.returncode} before serving",
+                        returncode=process.returncode,
+                        stderr=_stderr_tail(stderr_path),
+                    )
+                continue
             line = process.stdout.readline()
             if not line:
                 # EOF: the worker closed stdout without ever serving.
-                returncode = process.poll()
-                if returncode is None:
-                    if selector is None:
-                        if process.poll() is None:
-                            time.sleep(0.05)
-                            continue
-                    try:
-                        returncode = process.wait(timeout=1.0)
-                    except subprocess.TimeoutExpired:
-                        returncode = None
+                try:
+                    returncode = process.wait(timeout=1.0)
+                except subprocess.TimeoutExpired:
+                    returncode = None
                 raise WorkerStartupError(
                     f"shard worker (pid {process.pid}) closed stdout "
                     f"(exit code {returncode}) before serving",
@@ -540,9 +529,6 @@ def _read_serving_line(
                 )
             if line.startswith("SERVING "):
                 return line.split(None, 1)[1].strip()
-    finally:
-        if selector is not None:
-            selector.close()
 
 
 def _launch_worker(
@@ -551,15 +537,11 @@ def _launch_worker(
     replica: int,
     *,
     launcher: WorkerLauncher,
-    cache_size: int | None,
     workers: int | None,
-    startup_timeout: float,
 ) -> ShardWorker:
     """Start one worker process; :func:`_await_serving` reads its URL."""
     argv = ["serve", "--index", str(directory / spec.path), "--port", "0",
-            "--mmap"]
-    if cache_size is not None:
-        argv += ["--cache-size", str(cache_size)]
+            "--mmap", "--cache-size", "0"]
     if workers is not None:
         argv += ["--workers", str(workers)]
     stderr_fd, stderr_name = tempfile.mkstemp(
@@ -582,20 +564,13 @@ def _launch_worker(
         url="",
         replica=replica,
         stderr_path=Path(stderr_name),
-        spawn_settings={
-            "launcher": launcher,
-            "cache_size": cache_size,
-            "workers": workers,
-            "startup_timeout": startup_timeout,
-        },
+        spawn_settings={"launcher": launcher, "workers": workers},
     )
 
 
 def _await_serving(worker: ShardWorker) -> None:
     worker.url = _read_serving_line(
-        worker.process,
-        worker.spawn_settings["startup_timeout"],
-        stderr_path=worker.stderr_path,
+        worker.process, STARTUP_TIMEOUT, stderr_path=worker.stderr_path
     )
 
 
@@ -605,9 +580,7 @@ def spawn_one_worker(
     *,
     launcher: WorkerLauncher,
     replica: int = 0,
-    cache_size: int | None = None,
     workers: int | None = None,
-    startup_timeout: float = 60.0,
 ) -> ShardWorker:
     """Start (and wait for) a single shard worker process.
 
@@ -620,13 +593,7 @@ def spawn_one_worker(
     reaped before the error leaves.
     """
     worker = _launch_worker(
-        Path(directory),
-        spec,
-        replica,
-        launcher=launcher,
-        cache_size=cache_size,
-        workers=workers,
-        startup_timeout=startup_timeout,
+        Path(directory), spec, replica, launcher=launcher, workers=workers
     )
     try:
         _await_serving(worker)
@@ -641,19 +608,16 @@ def spawn_shard_workers(
     plan: ShardPlan | None = None,
     *,
     launcher: WorkerLauncher,
-    cache_size: int | None = None,
     workers: int | None = None,
-    startup_timeout: float = 60.0,
-    replicas: int | None = None,
 ) -> list[ShardWorker]:
-    """Start ``replicas`` ``repro serve`` processes per shard of ``plan``.
+    """Start ``plan.replicas`` ``repro serve`` processes per shard of ``plan``.
 
     Each worker is forked by ``launcher``, maps its shard's compact
     snapshot (``--mmap``; replicas of a shard share the file, and the
     page cache deduplicates the mapping) and binds an ephemeral port;
     the returned :class:`ShardWorker`\\ s carry the parsed URLs,
-    shard-major (``[s0r0, s0r1, ..., s1r0, ...]``).  ``replicas=None``
-    uses the plan's recorded count.  All processes launch before any
+    shard-major (``[s0r0, s0r1, ..., s1r0, ...]``).  All processes
+    launch before any
     ``SERVING`` line is awaited, so startup latency is one worker's, not
     the sum.  On any startup failure — including a worker that dies
     before serving, which raises :class:`~repro.errors.WorkerStartupError`
@@ -663,23 +627,14 @@ def spawn_shard_workers(
     directory = Path(directory)
     if plan is None:
         plan = ShardPlan.load(directory)
-    if replicas is None:
-        replicas = plan.replicas
-    if replicas < 1:
-        raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
     spawned: list[ShardWorker] = []
     try:
         for spec in plan.shards:
-            for replica in range(replicas):
+            for replica in range(plan.replicas):
                 spawned.append(
                     _launch_worker(
-                        directory,
-                        spec,
-                        replica,
-                        launcher=launcher,
-                        cache_size=cache_size,
+                        directory, spec, replica, launcher=launcher,
                         workers=workers,
-                        startup_timeout=startup_timeout,
                     )
                 )
         for worker in spawned:

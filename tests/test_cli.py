@@ -176,6 +176,13 @@ class TestFrontDoor:
         assert raised.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_serve_hedge_after_is_gone(self, capsys):
+        # Hedging left the router; its flag is refused, not ignored.
+        with pytest.raises(SystemExit) as raised:
+            main(["serve", "--index", "x", "--shards", "2", "--hedge-after", "1"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --hedge-after 1" in capsys.readouterr().err
+
     def test_ingest_takes_the_layout_only_when_it_creates(
         self, corpus_dir, tmp_path, capsys
     ):

@@ -31,6 +31,7 @@ from repro import (
     ServiceOverloadError,
     faults,
 )
+import repro.service.client as client_module
 from repro.service import CircuitBreaker, ResilientClient, serve_http
 from repro.service.client import MIN_RETRY_AFTER, _parse_retry_after
 
@@ -42,6 +43,22 @@ def _clean_plan():
     faults.clear_plan()
     yield
     faults.clear_plan()
+
+
+@pytest.fixture
+def breaker_at(monkeypatch):
+    """Set the breaker's threshold (and cooldown) for one test."""
+
+    def set_to(threshold: int, reset: float = 10.0) -> None:
+        monkeypatch.setattr(client_module, "FAILURE_THRESHOLD", threshold)
+        monkeypatch.setattr(client_module, "BREAKER_RESET", reset)
+
+    return set_to
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(client_module, "BACKOFF", 0.0)
 
 
 class FakeClock:
@@ -79,7 +96,6 @@ def make_client(**kwargs) -> tuple[ResilientClient, FakeClock, list[float]]:
         clock.advance(seconds)
 
     kwargs.setdefault("rng", ZeroRng())
-    kwargs.setdefault("backoff", 0.0)
     client = ResilientClient(
         "http://test.invalid", clock=clock, sleep=sleep, **kwargs
     )
@@ -138,12 +154,14 @@ class TestParseRetryAfter:
 
 
 class TestCircuitBreaker:
+    @pytest.fixture(autouse=True)
+    def _breaker_settings(self, breaker_at):
+        self.breaker_at = breaker_at
+
     def make(self, threshold: int = 3, reset_after: float = 10.0):
+        self.breaker_at(threshold, reset_after)
         clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=threshold, reset_after=reset_after, clock=clock
-        )
-        return breaker, clock
+        return CircuitBreaker(clock=clock), clock
 
     def test_opens_after_threshold_consecutive_failures(self):
         breaker, _clock = self.make(threshold=3)
@@ -199,10 +217,6 @@ class TestCircuitBreaker:
             breaker.allow()
         assert info.value.retry_after == pytest.approx(6.0)
 
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0)
-
 
 class TestCircuitBreakerConcurrency:
     """Real threads hammering one breaker: the lock must hold its story."""
@@ -224,11 +238,10 @@ class TestCircuitBreakerConcurrency:
             thread.join()
         return results
 
-    def test_half_open_admits_exactly_one_probe(self):
+    def test_half_open_admits_exactly_one_probe(self, breaker_at):
         clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_after=10.0, clock=clock
-        )
+        breaker_at(1)
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
         clock.advance(10.0)
 
@@ -243,15 +256,14 @@ class TestCircuitBreakerConcurrency:
         assert results.count("admitted") == 1
         assert breaker.state == "half-open"
 
-    def test_concurrent_failures_during_half_open_single_trip(self):
+    def test_concurrent_failures_during_half_open_single_trip(self, breaker_at):
         # The probe fails while stale in-flight requests also report
         # failures: the breaker must land in one clean "open" cooldown,
         # and the eventual successful probe must fully reset the
         # failure count (no leftover ghost failures from the pile-up).
         clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=3, reset_after=10.0, clock=clock
-        )
+        breaker_at(3)
+        breaker = CircuitBreaker(clock=clock)
         for _ in range(3):
             breaker.record_failure()
         clock.advance(10.0)
@@ -274,24 +286,22 @@ class TestCircuitBreakerConcurrency:
         breaker.record_failure()
         assert breaker.state == "open"
 
-    def test_closed_state_failure_counting_is_atomic(self):
+    def test_closed_state_failure_counting_is_atomic(self, breaker_at):
         # N racing failures with threshold N must trip exactly at the
         # threshold — a lost update would leave the breaker closed.
         clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=16, reset_after=10.0, clock=clock
-        )
+        breaker_at(16)
+        breaker = CircuitBreaker(clock=clock)
         self._contend(16, breaker.record_failure)
         assert breaker.state == "open"
 
-    def test_mixed_allow_and_failure_race_keeps_state_legal(self):
+    def test_mixed_allow_and_failure_race_keeps_state_legal(self, breaker_at):
         # Interleave admissions and failures from many threads; the
         # breaker must always be in exactly one legal state and never
         # raise anything but CircuitOpenError.
         clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=4, reset_after=0.0, clock=clock
-        )
+        breaker_at(4, 0.0)
+        breaker = CircuitBreaker(clock=clock)
 
         def hammer() -> None:
             for _ in range(50):
@@ -329,8 +339,9 @@ class TestRetryPolicy:
         assert sleeps == [pytest.approx(0.2)]
         assert client.breaker.state == "closed"
 
-    def test_overload_is_breaker_neutral(self):
-        client, _clock, _sleeps = make_client(retries=5, failure_threshold=2)
+    def test_overload_is_breaker_neutral(self, breaker_at):
+        breaker_at(2)
+        client, _clock, _sleeps = make_client(retries=5)
         send = ScriptedSend(
             [ServiceOverloadError("busy", retry_after=0.05)] * 4 + [{"ok": 1}]
         )
@@ -338,13 +349,13 @@ class TestRetryPolicy:
         assert client.breaker.state == "closed"
 
     def test_5xx_retries_and_counts_toward_breaker(self):
-        client, _clock, _sleeps = make_client(retries=2, failure_threshold=10)
+        client, _clock, _sleeps = make_client(retries=2)
         send = ScriptedSend([http_error(500), http_error(502), {"ok": 1}])
         assert client._call(send) == {"ok": 1}
         assert send.calls == 3
 
     def test_5xx_exhausted_raises_last_error(self):
-        client, _clock, _sleeps = make_client(retries=2, failure_threshold=10)
+        client, _clock, _sleeps = make_client(retries=2)
         send = ScriptedSend([http_error(500, f"fail {i}") for i in range(3)])
         with pytest.raises(ReproError, match="fail 2"):
             client._call(send)
@@ -358,12 +369,13 @@ class TestRetryPolicy:
         assert send.calls == 1
 
     def test_connect_error_wrapped_and_retried(self):
-        client, _clock, _sleeps = make_client(retries=1, failure_threshold=10)
+        client, _clock, _sleeps = make_client(retries=1)
         send = ScriptedSend([urllib.error.URLError("refused"), {"ok": 1}])
         assert client._call(send) == {"ok": 1}
 
-    def test_connect_errors_open_the_breaker(self):
-        client, _clock, _sleeps = make_client(retries=5, failure_threshold=3)
+    def test_connect_errors_open_the_breaker(self, breaker_at):
+        breaker_at(3)
+        client, _clock, _sleeps = make_client(retries=5)
         send = ScriptedSend([urllib.error.URLError("refused")] * 6)
         with pytest.raises(CircuitOpenError):
             client._call(send)
@@ -373,9 +385,7 @@ class TestRetryPolicy:
         assert client.breaker.state == "open"
 
     def test_deadline_exhaustion_raises_typed_error(self):
-        client, _clock, _sleeps = make_client(
-            retries=50, deadline=1.0, failure_threshold=100
-        )
+        client, _clock, _sleeps = make_client(retries=50, deadline=1.0)
         send = ScriptedSend(
             [ServiceOverloadError("busy", retry_after=0.4)] * 51
         )
@@ -385,7 +395,9 @@ class TestRetryPolicy:
         # 1.0s budget at 0.4s per sleep: attempts at t=0, .4, .8 then stop.
         assert send.calls == 3
 
-    def test_backoff_envelope_is_exponential_and_capped(self):
+    def test_backoff_envelope_is_exponential_and_capped(self, monkeypatch):
+        monkeypatch.setattr(client_module, "BACKOFF", 0.1)
+        monkeypatch.setattr(client_module, "BACKOFF_CAP", 0.35)
         clock = FakeClock()
         sleeps: list[float] = []
 
@@ -396,10 +408,7 @@ class TestRetryPolicy:
         client = ResilientClient(
             "http://test.invalid",
             retries=4,
-            backoff=0.1,
-            backoff_cap=0.35,
             deadline=None,
-            failure_threshold=100,
             rng=MaxRng(),
             clock=clock,
             sleep=sleep,
@@ -435,17 +444,55 @@ class TestRetryPolicy:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="retries"):
             ResilientClient("http://x", retries=-1)
-        with pytest.raises(ValueError, match="backoff"):
-            ResilientClient("http://x", backoff=-0.1)
+
+
+class TestProbeResolvesTheBreaker:
+    """Every half-open probe resolves the breaker: a reply (a 4xx, a
+    429) closes it, any other exception re-opens it, so it can never
+    stay half-open and refuse every later call."""
+
+    def open_client(self, breaker_at, *, retries: int):
+        breaker_at(1, 10.0)
+        client, clock, _sleeps = make_client(retries=retries)
+        with pytest.raises(ReproError):
+            client._call(ScriptedSend([http_error(503)] * (retries + 1)))
+        assert client.breaker.state == "open"
+        clock.advance(10.0)  # the next call is the probe
+        return client, clock
+
+    def test_4xx_probe_closes_the_breaker(self, breaker_at):
+        client, _clock = self.open_client(breaker_at, retries=0)
+        with pytest.raises(ReproError, match="bad request"):
+            client._call(ScriptedSend([http_error(400, "bad request")]))
+        assert client.breaker.state == "closed"
+        assert client._call(ScriptedSend([{"ok": 1}])) == {"ok": 1}
+
+    def test_429_probe_closes_the_breaker_and_its_retry_is_sent(
+        self, breaker_at
+    ):
+        client, _clock = self.open_client(breaker_at, retries=3)
+        send = ScriptedSend(
+            [ServiceOverloadError("busy", retry_after=0.05), {"ok": 1}]
+        )
+        assert client._call(send) == {"ok": 1}
+        assert send.calls == 2
+        assert client._call(ScriptedSend([{"ok": 2}])) == {"ok": 2}
+
+    def test_timed_out_probe_reopens_the_breaker(self, breaker_at):
+        client, clock = self.open_client(breaker_at, retries=0)
+        with pytest.raises(TimeoutError):
+            client._call(ScriptedSend([TimeoutError("read timed out")]))
+        assert client.breaker.state == "open"
+        clock.advance(10.0)
+        assert client._call(ScriptedSend([{"ok": 1}])) == {"ok": 1}
+        assert client.breaker.state == "closed"
 
 
 class TestDeadlineClamp:
     """Satellite fix: per-attempt socket timeout honors the deadline budget."""
 
     def test_socket_timeout_clamped_to_remaining_budget(self):
-        client, clock, _sleeps = make_client(
-            retries=10, deadline=5.0, http_timeout=30.0, failure_threshold=100
-        )
+        client, clock, _sleeps = make_client(retries=10, deadline=5.0)
         send = ScriptedSend([urllib.error.URLError("hang")] * 10)
         original_call = send.__call__
 
@@ -468,9 +515,7 @@ class TestDeadlineClamp:
         # A scripted slow server exceeds the deadline mid-attempt: the
         # old behavior would send again with the full 30s socket
         # timeout; now the follow-up attempt raises *before* sending.
-        client, clock, _sleeps = make_client(
-            retries=5, deadline=5.0, http_timeout=30.0, failure_threshold=100
-        )
+        client, clock, _sleeps = make_client(retries=5, deadline=5.0)
         send = ScriptedSend([urllib.error.URLError("slow")] * 6)
         original_call = send.__call__
 
@@ -486,39 +531,30 @@ class TestDeadlineClamp:
         assert isinstance(info.value.__cause__, ServiceError)
 
     def test_no_deadline_passes_http_timeout_through(self):
-        client, _clock, _sleeps = make_client(
-            retries=0, deadline=None, http_timeout=7.5
-        )
+        client, _clock, _sleeps = make_client(retries=0, deadline=None)
         send = ScriptedSend([{"ok": 1}])
         assert client._call(send) == {"ok": 1}
-        assert send.timeouts == [pytest.approx(7.5)]
+        assert send.timeouts == [pytest.approx(client_module.HTTP_TIMEOUT)]
 
     def test_budget_exactly_exhausted_raises_before_sending(self):
         # The server's retry_after hint lands exactly on the deadline:
         # honoring it would eat the whole budget, so the loop must
         # raise *before* sleeping — no nap it can never wake up from
         # usefully, no second send.
-        client, _clock, sleeps = make_client(
-            retries=5, deadline=1.0, failure_threshold=100
-        )
+        client, _clock, sleeps = make_client(retries=5, deadline=1.0)
         send = ScriptedSend([ServiceOverloadError("busy", retry_after=1.0)] * 2)
         with pytest.raises(DeadlineExceededError):
             client._call(send)
         assert send.calls == 1
         assert sleeps == []
 
-    def test_backoff_sleep_clamped_to_remaining_budget(self):
+    def test_backoff_sleep_clamped_to_remaining_budget(self, monkeypatch):
         # A huge server hint cannot be honored, but a plain backoff
         # sleep that merely *overshoots* the budget is clamped so the
         # final attempt still gets its slice of the deadline.
-        client, clock, sleeps = make_client(
-            retries=1,
-            deadline=1.0,
-            backoff=10.0,  # unclamped first delay would be 10s
-            backoff_cap=10.0,
-            rng=MaxRng(),
-            failure_threshold=100,
-        )
+        monkeypatch.setattr(client_module, "BACKOFF", 10.0)  # first delay 10s
+        monkeypatch.setattr(client_module, "BACKOFF_CAP", 10.0)
+        client, clock, sleeps = make_client(retries=1, deadline=1.0, rng=MaxRng())
         send = ScriptedSend(
             [http_error(500), http_error(500), http_error(500)]
         )
@@ -578,6 +614,7 @@ def scripted_server():
             ScriptedHandler.script = []
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestClientOverHTTP:
     def test_429_then_200_within_deadline(self, scripted_server):
         ScriptedHandler.script = [
@@ -585,21 +622,13 @@ class TestClientOverHTTP:
             (429, {"error": "overloaded", "retry_after": "garbage"}),
             (200, {"status": "ok"}),
         ]
-        client = ResilientClient(
-            scripted_server, retries=5, backoff=0.0, deadline=10.0
-        )
+        client = ResilientClient(scripted_server, retries=5, deadline=10.0)
         assert client.healthz() == {"status": "ok"}
 
-    def test_persistent_5xx_opens_breaker(self, scripted_server):
+    def test_persistent_5xx_opens_breaker(self, scripted_server, breaker_at):
+        breaker_at(3, 60.0)
         ScriptedHandler.script = [(503, {"error": "down"})] * 10
-        client = ResilientClient(
-            scripted_server,
-            retries=8,
-            backoff=0.0,
-            deadline=10.0,
-            failure_threshold=3,
-            breaker_reset=60.0,
-        )
+        client = ResilientClient(scripted_server, retries=8, deadline=10.0)
         with pytest.raises(CircuitOpenError):
             client.healthz()
         assert client.breaker.state == "open"
@@ -608,9 +637,7 @@ class TestClientOverHTTP:
             client.healthz()
 
     def test_unreachable_server_raises_service_error(self):
-        client = ResilientClient(
-            "http://127.0.0.1:9", retries=1, backoff=0.0, deadline=5.0
-        )
+        client = ResilientClient("http://127.0.0.1:9", retries=1, deadline=5.0)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.healthz()
 
@@ -621,33 +648,19 @@ class TestClientOverHTTP:
             (200, b"<<<truncated garbage"),
             (200, {"status": "ok"}),
         ]
-        client = ResilientClient(
-            scripted_server, retries=3, backoff=0.0, deadline=10.0
-        )
+        client = ResilientClient(scripted_server, retries=3, deadline=10.0)
         assert client.healthz() == {"status": "ok"}
 
     def test_persistent_garbage_body_surfaces_typed(self, scripted_server):
         ScriptedHandler.script = [(200, b"not json at all")] * 4
-        client = ResilientClient(
-            scripted_server,
-            retries=2,
-            backoff=0.0,
-            deadline=10.0,
-            failure_threshold=100,
-        )
+        client = ResilientClient(scripted_server, retries=2, deadline=10.0)
         with pytest.raises(ServiceError, match="malformed JSON") as info:
             client.healthz()
         assert getattr(info.value, "status", None) == 502
 
     def test_non_dict_200_body_surfaces_typed(self, scripted_server):
         ScriptedHandler.script = [(200, [1, 2, 3])] * 2
-        client = ResilientClient(
-            scripted_server,
-            retries=1,
-            backoff=0.0,
-            deadline=10.0,
-            failure_threshold=100,
-        )
+        client = ResilientClient(scripted_server, retries=1, deadline=10.0)
         with pytest.raises(ServiceError, match="JSON object") as info:
             client.healthz()
         assert getattr(info.value, "status", None) == 502
@@ -697,6 +710,7 @@ class TestResultCacheEpochScan:
         assert cache.evictions == 2
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestServiceFaultPoint:
     def test_injected_service_fault_surfaces_as_500_and_client_retries(self):
         data = DocumentCollection()
@@ -713,13 +727,7 @@ class TestServiceFaultPoint:
         )
         with SearchService(searcher, data, max_workers=2) as service:
             with serving(serve_http(service, port=0)) as httpd:
-                client = ResilientClient(
-                    httpd.url,
-                    retries=3,
-                    backoff=0.0,
-                    deadline=10.0,
-                    failure_threshold=10,
-                )
+                client = ResilientClient(httpd.url, retries=3, deadline=10.0)
                 # First attempt hits the injected fault (HTTP 500), the
                 # retry succeeds once the single trigger is spent.
                 reply = client.search(token_ids=list(data[0].tokens[:10]))

@@ -312,8 +312,9 @@ class CountingBackend(LocalShardBackend):
 
 
 def counting_backend(corpus, shard_id, lo, hi):
+    # No result cache, as a shard behind a router runs.
     subset = corpus.subset(range(lo, hi))
-    service = SearchService(PKWiseSearcher(subset, PARAMS), subset)
+    service = SearchService(PKWiseSearcher(subset, PARAMS), subset, cache_size=0)
     return CountingBackend(service, shard_id=shard_id, doc_lo=lo, doc_hi=hi)
 
 
@@ -372,7 +373,7 @@ class TestRouterCache:
             with pytest.raises(ConfigurationError):
                 router.search(query, routing="approx")
 
-    def test_partial_is_not_stored_and_the_retry_uses_shard_caches(
+    def test_partial_is_not_stored_and_the_retry_re_scatters(
         self, small_corpus, query
     ):
         single = single_pairs(small_corpus, query)
@@ -382,11 +383,16 @@ class TestRouterCache:
             for asked in (1, 2):
                 partial = router.search(query)
                 assert partial.partial and len(partial.failures) == 1
-                assert backends[0].calls == asked, "a partial must re-scatter"
+                assert not partial.cached
+                assert [b.calls for b in backends] == [asked, asked], (
+                    "a partial must re-scatter to every shard"
+                )
                 assert len(router.cache) == 0
-            # The healthy shard answered the repeat from its own cache:
-            # only the failed shard has any searching left to do.
-            assert router_counters(router)["service.cache_hits"] == 1
+            # The healthy shard searched the repeat again: no tier below
+            # the router holds an answer.
+            counters = router_counters(router)
+            assert counters["service.cache_hits"] == 0
+            assert counters["service.completed"] == 2
             backends[1].down = False
             complete = router.search(query)
             assert not complete.partial and list(complete.pairs) == single
@@ -457,15 +463,18 @@ class TestRouterCache:
             assert counters["router.cache_misses"] == 3
             assert len(router.cache) == 0
 
-    def test_one_cache_size_sizes_both_tiers(self, small_corpus):
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, cache_size=0
-        ) as router:
-            assert router.cache.capacity == 0
-            assert [b.service.cache.capacity for b in router.backends] == [0, 0]
-        with ShardRouter.local(small_corpus, PARAMS, shards=2) as router:
-            assert router.cache.capacity == 256
-            assert [b.service.cache.capacity for b in router.backends] == [256] * 2
+    def test_cache_size_sizes_the_router_tier_only(self, small_corpus):
+        for size, expected in ((0, 0), (None, 256), (8, 8)):
+            kwargs = {} if size is None else {"cache_size": size}
+            with ShardRouter.local(
+                small_corpus, PARAMS, shards=2, replicas=2, **kwargs
+            ) as router:
+                assert router.cache.capacity == expected
+                assert [
+                    backend.service.cache.capacity
+                    for rset in router.replica_sets
+                    for backend in rset.replicas
+                ] == [0] * 4
 
     def test_lru_bound_and_evictions(self, small_corpus):
         queries = [
@@ -587,38 +596,6 @@ class TestRouterCache:
                     assert reply["num_pairs"] == len(survivors)
                     assert backends[1].calls == asked
                 assert remote_healthz(server.url)["cache_entries"] == 0
-
-
-# ----------------------------------------------------------------------
-class TestHedging:
-    def test_hedge_covers_one_slow_shard(self, small_corpus, query):
-        single = single_pairs(small_corpus, query)
-        # The first scatter attempt for shard 0 sleeps well past the
-        # hedge trigger; the hedge (second attempt) finds the fault
-        # exhausted and answers promptly.
-        faults.install_plan(
-            FaultPlan(
-                [
-                    FaultSpec(
-                        point="shards.scatter",
-                        kind="delay",
-                        match={"shard": 0},
-                        delay_seconds=0.5,
-                        max_triggers=1,
-                    )
-                ]
-            )
-        )
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=3, hedge_after=0.05
-        ) as router:
-            response = router.search(query)
-            assert not response.partial
-            assert [tuple(p) for p in response.pairs] == [
-                tuple(p) for p in single
-            ]
-            metrics = router.metrics_snapshot()["metrics"]
-            assert metrics["counters"]["router.hedges"] >= 1
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,8 @@ from repro.errors import WorkerStartupError
 from repro.persistence import generation_name
 from repro.service.client import remote_metrics, remote_search
 from repro.service.plan import ShardPlan, ShardSpec
+import repro.service.supervisor as supervisor_module
+import repro.service.workers as workers_module
 from repro.service.router import ShardRouter
 from repro.service.supervisor import (
     STATE_DEAD,
@@ -366,6 +368,13 @@ def make_worker(spec: ShardSpec, replica: int = 0) -> ShardWorker:
 
 
 class TestSupervisorStateMachine:
+    @pytest.fixture(autouse=True)
+    def _quarantine_settings(self, monkeypatch):
+        """A short crash streak and round backoff numbers to assert on."""
+        monkeypatch.setattr(supervisor_module, "MAX_CRASH_STREAK", 2)
+        monkeypatch.setattr(supervisor_module, "BACKOFF_BASE", 1.0)
+        monkeypatch.setattr(supervisor_module, "BACKOFF_CAP", 8.0)
+
     def make_supervisor(self, workers, **kwargs):
         router = FakeRouter()
         clock = FakeClock()
@@ -381,9 +390,6 @@ class TestSupervisorStateMachine:
             make_backend=lambda worker: ("backend", worker.url),
             probe=lambda worker: {"status": "ok"},
             clock=clock,
-            max_crash_streak=2,
-            backoff_base=1.0,
-            backoff_cap=8.0,
         )
         defaults.update(kwargs)
         supervisor = ShardSupervisor(router, workers, **defaults)
@@ -572,13 +578,12 @@ class TestSupervisorStateMachine:
         assert healed._client.retries == at_startup[0]._client.retries
         assert healed._client.retries == (2 if replicas == 1 else 0)
 
-    def test_supervisor_fault_points_fire(self):
+    def test_supervisor_fault_points_fire(self, monkeypatch):
         worker = make_worker(make_spec())
         # Generous streak budget: the two injected failures must not
         # tip the replica into quarantine before the healing sweep.
-        supervisor, router, _clock, spawned = self.make_supervisor(
-            [worker], max_crash_streak=5
-        )
+        monkeypatch.setattr(supervisor_module, "MAX_CRASH_STREAK", 5)
+        supervisor, router, _clock, spawned = self.make_supervisor([worker])
         worker.process.die(-9)
         faults.install_plan(
             FaultPlan(
@@ -718,7 +723,9 @@ class TestWorkerLauncher:
             bystander.join(timeout=10)
         assert not bystander.is_alive()
 
-    def test_sigkilled_worker_reports_minus_nine(self, plan_dir, launcher):
+    def test_sigkilled_worker_reports_minus_nine(
+        self, plan_dir, launcher, monkeypatch
+    ):
         workers = spawn_shard_workers(plan_dir, launcher=launcher)
         try:
             victim = workers[0]
@@ -727,9 +734,9 @@ class TestWorkerLauncher:
             assert victim.process.returncode == -signal.SIGKILL
             assert workers[1].process.poll() is None
             # The supervisor reads the relayed status as it read Popen's.
+            monkeypatch.setattr(supervisor_module, "MAX_CRASH_STREAK", 0)
             supervisor = ShardSupervisor(
-                FakeRouter(), workers, max_crash_streak=0,
-                probe=lambda worker: {"status": "ok"},
+                FakeRouter(), workers, probe=lambda worker: {"status": "ok"}
             )
             supervisor.check_once()
             first = supervisor.status()["replicas"][0]
@@ -770,10 +777,13 @@ class TestWorkerLauncher:
             time.sleep(0.05)
         assert not any(map(_alive, pids)), [pid for pid in pids if _alive(pid)]
 
-    def test_killed_launcher_fails_the_next_restart(self, plan_dir, launcher):
+    def test_killed_launcher_fails_the_next_restart(
+        self, plan_dir, launcher, monkeypatch
+    ):
         workers = spawn_shard_workers(plan_dir, launcher=launcher)
+        monkeypatch.setattr(supervisor_module, "MAX_CRASH_STREAK", 1)
         supervisor = ShardSupervisor(
-            FakeRouter(), workers, directory=plan_dir, max_crash_streak=1,
+            FakeRouter(), workers, directory=plan_dir,
             probe=lambda worker: {"status": "ok"},
         )
         try:
@@ -870,16 +880,15 @@ class TestWorkerLauncher:
 # ----------------------------------------------------------------------
 class TestEndToEndSelfHealing:
     def test_sigkill_under_load_zero_failures_then_heals(
-        self, small_corpus, query, tmp_path, launcher
+        self, small_corpus, query, tmp_path, launcher, monkeypatch
     ):
         single = sorted(expected_pairs(small_corpus, query, PARAMS.w, PARAMS.tau))
         assert single
         plan = ShardPlan.build(
             small_corpus, PARAMS, tmp_path, num_shards=2, replicas=2
         )
-        workers = spawn_shard_workers(
-            tmp_path, plan, launcher=launcher, startup_timeout=120.0
-        )
+        monkeypatch.setattr(workers_module, "STARTUP_TIMEOUT", 120.0)
+        workers = spawn_shard_workers(tmp_path, plan, launcher=launcher)
         router = None
         supervisor = None
         try:
