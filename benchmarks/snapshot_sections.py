@@ -4,9 +4,12 @@
     PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT]
 
 Without a path it builds the smoke snapshot (REUTERS profile at scale
-0.02, routed).  Exit 1 when ``data`` is more than 1 KB larger than its
-tokenizer, vocabulary and names pickled by themselves: a snapshot reads
-its tokens back from ``ranks.values`` and must not store them twice.
+0.02, routed) and a small durable live store over the same corpus
+(adds, a flush, a removal, a compaction), and checks both the snapshot
+and the store's ``MANIFEST``.  Exit 1 when ``data`` is more than 1 KB
+larger than its tokenizer, vocabulary and names pickled by themselves:
+a snapshot reads its tokens back from ``ranks.values``, and a live
+store from its segments', so neither may store them twice.
 """
 
 import pickle
@@ -15,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 from repro import Index, make_profile_collection
+from repro.ingest.manifest import manifest_path
 from repro.persistence import read_envelope
 
 SLACK = 1024
@@ -48,4 +52,16 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         corpus = make_profile_collection("REUTERS", 0.02, 1)[0]
         Index.build(corpus, w=50, tau=5, k_max=4, routing="exact").save(f"{scratch}/smoke.idx")
-        sys.exit(main(Path(scratch, "smoke.idx")))
+        status = main(Path(scratch, "smoke.idx"))
+        live = Index.open_live(Path(scratch, "live"), w=50, tau=5, k_max=4)
+        texts = [" ".join(corpus.vocabulary.decode(d.tokens)) for d in corpus]
+        for text in texts[: len(texts) // 2]:
+            live.add(text)
+        live.flush()
+        for text in texts[len(texts) // 2 :]:
+            live.add(text)
+        live.remove(0)
+        live.compact()
+        live.close()
+        print()
+        sys.exit(main(manifest_path(Path(scratch, "live"))) or status)

@@ -17,7 +17,8 @@ from .document import Document
 
 
 class ColumnDocuments(Sequence):
-    """The documents of an opened snapshot, read through its rank columns.
+    """The documents of an opened snapshot, or of a reopened live store's
+    sealed prefix, read through its rank columns.
 
     The global order is a bijection between token ids and ranks, so the
     rank column the verifier reads already holds every document:
@@ -28,7 +29,7 @@ class ColumnDocuments(Sequence):
     :class:`Document` objects behind the column-backed prefix.
     """
 
-    __slots__ = ("_rank_docs", "_token_of_rank", "_names", "_appended")
+    __slots__ = ("_rank_docs", "_stored", "_token_of_rank", "_names", "_appended")
 
     def __init__(self, rank_docs, token_of_rank, names: Sequence[str]) -> None:
         if len(names) != len(rank_docs):
@@ -36,12 +37,13 @@ class ColumnDocuments(Sequence):
                 f"{len(names)} document names for {len(rank_docs)} rank columns"
             )
         self._rank_docs = rank_docs
+        self._stored = len(rank_docs)
         self._token_of_rank = token_of_rank
         self._names = names
         self._appended: list[Document] = []
 
     def __len__(self) -> int:
-        return len(self._rank_docs) + len(self._appended)
+        return self._stored + len(self._appended)
 
     def __getitem__(self, doc_id):
         if isinstance(doc_id, slice):
@@ -49,7 +51,7 @@ class ColumnDocuments(Sequence):
         index = doc_id + len(self) if doc_id < 0 else doc_id
         if not 0 <= index < len(self):
             raise IndexError(f"doc_id {doc_id} out of range")
-        stored = len(self._rank_docs)
+        stored = self._stored
         if index >= stored:
             return self._appended[index - stored]
         tokens = self._token_of_rank[self._rank_docs.doc_ranks(index)]

@@ -3,8 +3,12 @@
 The manifest is the single point of truth for what is on disk: which
 compact segment files are live, the sealed prefix of the corpus they
 cover, the tombstones accumulated against that prefix, and the first
-WAL generation whose records are *not* yet folded into a segment.  The
-recovery invariant is::
+WAL generation whose records are *not* yet folded into a segment.  It
+is a header, like a snapshot's ``data`` section: the tokenizer, the one
+vocabulary, document names and the global order without its vocabulary
+(:meth:`~repro.GlobalOrder.detached`).  It holds no document — the
+segments' rank columns are the sealed documents, and their list must
+tile ``[0, next_doc_id)`` exactly.  The recovery invariant is::
 
     manifest state  +  replay of WAL generations >= wal_generation
         ==  pre-crash live state   (pair-identical query results)
@@ -74,7 +78,8 @@ class ManifestState:
         self.params = params
         self.order = order
         self.scheme = scheme
-        #: Collection snapshot covering exactly ``[0, next_doc_id)``.
+        #: Collection header of ``[0, next_doc_id)``: ``{"tokenizer",
+        #: "vocabulary", "names"}`` (the tokens are the segments').
         self.data = data
         #: ``[{"file", "doc_lo", "doc_hi", "generation"}, ...]`` ascending.
         self.segments = segments
@@ -118,6 +123,13 @@ def read_manifest(directory: str | Path) -> ManifestState:
     """Load and validate the manifest of an ingest directory."""
     path = manifest_path(directory)
     header, sections, _arrays = read_envelope(path, MANIFEST_KIND)
+    data = sections["data"]
+    if not isinstance(data, dict):
+        raise PersistenceError(
+            f"{path} stores every document: it was written by repro 2.25 "
+            f"or earlier, and repro 2.25 reads it — re-ingest the corpus "
+            f"into a new directory to open it with this release"
+        )
     segments = list(header.get("segments", []))
     lo = 0
     for segment in segments:
@@ -129,15 +141,14 @@ def read_manifest(directory: str | Path) -> ManifestState:
             )
         lo = segment["doc_hi"]
     next_doc_id = header["next_doc_id"]
-    if lo > next_doc_id:
+    if lo != next_doc_id:
         raise PersistenceError(
             f"{path}: segments cover {lo} docs but next_doc_id is "
-            f"{next_doc_id}"
+            f"{next_doc_id} — the segment list does not tile the corpus"
         )
-    data = sections["data"]
-    if data is not None and len(data) != next_doc_id:
+    if len(data["names"]) != next_doc_id:
         raise PersistenceError(
-            f"{path}: collection snapshot has {len(data)} docs, "
+            f"{path}: collection header names {len(data['names'])} docs, "
             f"next_doc_id says {next_doc_id}"
         )
     return ManifestState(

@@ -63,7 +63,7 @@ from .manifest import (
 )
 from .memtable import Memtable
 from .searcher import LSMSearcher
-from .tiered import Tier
+from .tiered import Tier, TieredRankDocs
 from .wal import WriteAheadLog, read_wal, wal_generations, wal_name
 
 
@@ -160,30 +160,35 @@ class CompactionPolicy:
 
 
 class _SealedSnapshot:
-    """Immutable copy of the sealed prefix, taken at seal time.
+    """What the manifest says of the sealed prefix, taken at seal time.
 
     Manifest writes happen off-lock (during folds), so they must not
     touch live objects that concurrent adds mutate; everything a
-    manifest needs is copied here while the writer lock is held.
+    manifest needs is copied here while the writer lock is held.  No
+    document is: the sealed documents are the segments' rank columns.
     """
 
-    __slots__ = ("data", "order", "tombstones", "next_doc_id", "wal_generation")
+    __slots__ = ("header", "order", "tombstones", "next_doc_id", "wal_generation")
 
-    def __init__(self, *, data, order, tombstones, next_doc_id, wal_generation):
-        self.data = data
+    def __init__(self, *, header, order, tombstones, next_doc_id, wal_generation):
+        #: :func:`_sealed_header` of the collection.
+        self.header = header
+        #: The global order without its vocabulary (``detached()``).
         self.order = order
         self.tombstones = tombstones
         self.next_doc_id = next_doc_id
         self.wal_generation = wal_generation
 
 
-def _copy_collection(data: DocumentCollection) -> DocumentCollection:
-    """Point-in-time copy: documents shared (immutable), vocabulary copied."""
-    clone = DocumentCollection(
-        tokenizer=data.tokenizer, vocabulary=data.vocabulary.copy()
-    )
-    clone._documents = list(data.documents)
-    return clone
+def _sealed_header(data: DocumentCollection) -> dict:
+    """What a manifest keeps of ``data``: its tokenizer, a copy of its
+    vocabulary (adds go on interning into the live one) and its names.
+    Nothing is decoded."""
+    return {
+        "tokenizer": data.tokenizer,
+        "vocabulary": data.vocabulary.copy(),
+        "names": data.names(),
+    }
 
 
 def _stored_fingerprints(searcher, doc_lo: int) -> FingerprintTier | None:
@@ -295,10 +300,9 @@ class IngestStore:
                     f"{store.directory} already holds an ingest store; "
                     f"use IngestStore.open to resume it"
                 )
-            empty = DocumentCollection(tokenizer=data.tokenizer)
             store._snapshot = _SealedSnapshot(
-                data=empty,
-                order=order.snapshot(empty.vocabulary),
+                header=_sealed_header(DocumentCollection(tokenizer=data.tokenizer)),
+                order=order.detached(),
                 tombstones=set(),
                 next_doc_id=0,
                 wal_generation=1,
@@ -328,44 +332,28 @@ class IngestStore:
         background: bool = False,
         fsync: bool = False,
     ) -> "IngestStore":
-        """Recover a durable store: manifest, segments, then WAL replay."""
+        """Recover a durable store: manifest, segments, then WAL replay.
+
+        The manifest holds no document: the sealed ones are read back
+        through the mapped segments' rank columns, as
+        :meth:`repro.Index.open` reads a snapshot's, and replay appends
+        the rest."""
         directory = Path(directory)
         state = read_manifest(directory)
         if routing is not None:
             # On resume routing is a mode: the stored layout stays, and
             # memtables created from here on fingerprint under it.
             state.params = state.params.with_routing_mode(routing)
-        if state.data is None:
-            raise PersistenceError(
-                f"{manifest_path(directory)} carries no document collection"
-            )
-        store = cls(
-            state.params,
-            state.order,
-            state.scheme,
-            state.data,
-            directory=directory,
-            policy=policy if policy is not None else
-            CompactionPolicy.from_dict(state.policy),
-            fsync=fsync,
-        )
-        store.removed.update(state.tombstones)
-        # Snapshot the sealed prefix *before* replay mutates the live
-        # collection/order (a compact() before the next seal reuses it).
-        store._snapshot = _SealedSnapshot(
-            data=_copy_collection(state.data),
-            order=state.order.snapshot(state.data.vocabulary.copy()),
-            tombstones=set(state.tombstones),
-            next_doc_id=state.next_doc_id,
-            wal_generation=state.wal_generation,
-        )
-        referenced = set()
+        segments = []
         for record in state.segments:
             path = directory / record["file"]
-            referenced.add(record["file"])
-            bundle = load_bundle(path, fallback=False, mmap=True)
-            segment = bundle.searcher
-            store._segments.append(
+            segment = load_bundle(path, fallback=False, mmap=True).searcher
+            if len(segment.rank_docs) != record["doc_hi"] - record["doc_lo"]:
+                raise PersistenceError(
+                    f"{path} holds {len(segment.rank_docs)} docs, the "
+                    f"manifest says [{record['doc_lo']}, {record['doc_hi']})"
+                )
+            segments.append(
                 Tier(
                     record["doc_lo"],
                     record["doc_hi"],
@@ -377,6 +365,34 @@ class IngestStore:
                     _stored_fingerprints(segment, record["doc_lo"]),
                 )
             )
+        header = state.data
+        order = state.order.snapshot(header["vocabulary"])
+        data = DocumentCollection.over_columns(
+            header["tokenizer"], header["vocabulary"],
+            TieredRankDocs(segments), order.token_table(), header["names"],
+        )
+        store = cls(
+            state.params,
+            order,
+            state.scheme,
+            data,
+            directory=directory,
+            policy=policy if policy is not None else
+            CompactionPolicy.from_dict(state.policy),
+            fsync=fsync,
+        )
+        store._segments = segments
+        store.removed.update(state.tombstones)
+        # Snapshot the sealed prefix *before* replay mutates the live
+        # collection/order (a compact() before the next seal reuses it).
+        store._snapshot = _SealedSnapshot(
+            header=_sealed_header(data),
+            order=state.order,
+            tombstones=set(state.tombstones),
+            next_doc_id=state.next_doc_id,
+            wal_generation=state.wal_generation,
+        )
+        referenced = {record["file"] for record in state.segments}
         for orphan in directory.glob(f"{SEGMENT_STEM}.g*.idx"):
             if orphan.name not in referenced:
                 orphan.unlink()
@@ -719,8 +735,8 @@ class IngestStore:
                 )
             if self.directory is not None:
                 self._snapshot = _SealedSnapshot(
-                    data=_copy_collection(self.data),
-                    order=self.order.snapshot(self.data.vocabulary.copy()),
+                    header=_sealed_header(self.data),
+                    order=self.order.detached(),
                     tombstones=set(self.removed),
                     next_doc_id=old.doc_hi,
                     wal_generation=self._generation,
@@ -799,9 +815,11 @@ class IngestStore:
         path = fingerprints = None
         snapshot = self._snapshot
         if self.directory is not None:
+            # An ids-only snapshot: its order keeps its own vocabulary.
             segment_searcher = PKWiseSearcher.from_prebuilt(
-                self.params, snapshot.order, self.scheme,
-                compact_index, packed,
+                self.params,
+                snapshot.order.snapshot(snapshot.header["vocabulary"]),
+                self.scheme, compact_index, packed,
             )
             faults.inject(
                 "ingest.compact", phase="segment", generation=generation
@@ -824,7 +842,7 @@ class IngestStore:
                 params=self.params,
                 order=snapshot.order,
                 scheme=self.scheme,
-                data=snapshot.data,
+                data=snapshot.header,
                 segments=[
                     {
                         "file": t.path.name,
@@ -873,7 +891,7 @@ class IngestStore:
             params=self.params,
             order=snapshot.order,
             scheme=self.scheme,
-            data=snapshot.data,
+            data=snapshot.header,
             segments=[],
             tombstones=set(),
             next_doc_id=0,

@@ -228,6 +228,18 @@ class TieredRankDocs(Sequence):
             return docs.doc_length(doc_id - tier.doc_lo)
         return len(docs[doc_id - tier.doc_lo])
 
+    def doc_ranks(self, doc_id: int) -> np.ndarray:
+        """The owning segment's run of ``doc_id``, as an array view: what
+        a reopened store's collection decodes a sealed document from.
+        Segment tiers only; ``doc_id`` is not checked."""
+        slot = bisect_right(self._starts, doc_id) - 1
+        return self._tiers[slot].rank_docs.doc_ranks(doc_id - self._starts[slot])
+
+    def lengths(self) -> list[int]:
+        """Every document's length from the segments' offsets columns.
+        Segment tiers only."""
+        return [n for tier in self._tiers for n in tier.rank_docs.lengths()]
+
     def __repr__(self) -> str:
         return f"TieredRankDocs({len(self._tiers)} tiers, docs={len(self)})"
 

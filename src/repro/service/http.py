@@ -31,7 +31,9 @@ endpoints:
 ``POST /ingest``
     JSON body ``{"text": "...", "name": "optional"}``: add one document
     through the service's LSM write path (upgrading a read-only
-    searcher to a live tiered view on the first call).  Replies
+    searcher to a live tiered view on the first call).  A document of
+    more than :data:`MAX_QUERY_TOKENS` tokens answers ``413``, unlogged
+    and uninterned.  Replies
     ``{"doc_id": N, "index_epoch": e}``; the document is searchable as
     soon as the reply is sent.
 ``POST /remove``
@@ -103,8 +105,8 @@ from .service import SearchService
 #: Largest accepted /search request body, in bytes (64 MiB): a query
 #: document is token text, not a corpus; anything bigger is a mistake.
 MAX_BODY_BYTES = 64 * 1024 * 1024
-#: Longest accepted /search query, in tokens (2**20): 64 MiB of
-#: one-character tokens would be ~3e7 query windows.
+#: Longest accepted /search query or /ingest document, in tokens
+#: (2**20): 64 MiB of one-character tokens would be ~3e7 windows.
 MAX_QUERY_TOKENS = 2**20
 
 # The stdlib's limits on a request head (http.client._MAXLINE / _MAXHEADERS).
@@ -313,6 +315,16 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if name is not None and not isinstance(name, str):
             self._reply_error(400, "'name' must be a string")
             return
+        data = service.data
+        if data is not None:
+            # Counted before the WAL or the vocabulary sees the text; the
+            # store tokenizes it again (its WAL record carries the text).
+            length = len(data.tokenizer.tokenize(text))
+            if length > MAX_QUERY_TOKENS:
+                self._reply_error(
+                    413, f"document of {length} tokens is over {MAX_QUERY_TOKENS}"
+                )
+                return
         try:
             doc_id = service.add_text(text, name=name)
         except ServiceClosedError as exc:

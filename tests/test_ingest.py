@@ -26,6 +26,7 @@ import gc
 import itertools
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -57,7 +58,14 @@ from repro.eval.harness import canonical_pair_order
 from repro.faults import KILL_EXIT_CODE, FaultPlan, FaultSpec
 from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs
 from repro.index import compact as compact_module
-from repro.ingest import Memtable, Tier, read_wal, wal_generations
+from repro.ingest import (
+    Memtable,
+    Tier,
+    read_manifest,
+    read_wal,
+    wal_generations,
+    write_manifest,
+)
 from repro.persistence import PersistenceError
 from repro.signatures import bulk
 from repro.signatures.maintain import SignatureStream
@@ -1031,6 +1039,131 @@ class TestDurability:
         with pytest.raises(PersistenceError):
             IngestStore.open(directory)
 
+    def test_short_segment_list_is_refused(self, tmp_path):
+        # The segments are the only copy of the sealed documents: a
+        # digest-valid manifest whose list stops short of next_doc_id
+        # used to open and answer without them.
+        directory = tmp_path / "store"
+        store = IngestStore.create(PARAMS, directory=directory, data=DocumentCollection())
+        rng = random.Random(9)
+        for _ in range(6):
+            store.add_tokens(make_tokens(rng))
+        store.flush()
+        store.close()
+        state = read_manifest(directory)
+        assert state.next_doc_id == 6 and state.segments
+        state.segments = []
+        write_manifest(directory, state)
+        with pytest.raises(PersistenceError, match="does not tile the corpus"):
+            IngestStore.open(directory)
+        with pytest.raises(PersistenceError, match="does not tile the corpus"):
+            repro.Index.open_live(directory)
+
+    def test_manifest_written_with_documents_names_its_release(self, tmp_path):
+        directory = tmp_path / "store"
+        store, _live = drive_durable(directory, steps=8)
+        store.flush()
+        store.close()
+        state = read_manifest(directory)
+        old = DocumentCollection(tokenizer=state.data["tokenizer"],
+                                 vocabulary=state.data["vocabulary"])
+        state.data = old  # the shape repro 2.25 and earlier wrote
+        write_manifest(directory, state)
+        with pytest.raises(PersistenceError, match="repro 2.25 reads it"):
+            IngestStore.open(directory)
+
+    def test_manifest_size_does_not_grow_with_tokens(self, tmp_path):
+        # Two stores over one vocabulary, one with 4x the documents: the
+        # manifest is a header, so only the extra names may show.
+        def manifest_bytes(name, docs):
+            rng = random.Random(17)
+            store = IngestStore.create(
+                PARAMS, directory=tmp_path / name, data=DocumentCollection()
+            )
+            store.add_tokens([f"t{token}" for token in range(VOCAB)])
+            for _ in range(docs - 1):
+                store.add_tokens(make_tokens(rng))
+            store.flush()
+            names = read_manifest(tmp_path / name).data["names"]
+            store.close()
+            return (tmp_path / name / "MANIFEST").stat().st_size, names
+
+        small, small_names = manifest_bytes("small", 40)
+        large, large_names = manifest_bytes("large", 160)
+        extra_names = len(pickle.dumps(large_names, pickle.HIGHEST_PROTOCOL)) - len(
+            pickle.dumps(small_names, pickle.HIGHEST_PROTOCOL)
+        )
+        assert abs(large - small) <= extra_names + 1024
+
+    def test_reopen_after_flush_remove_compact_decodes_no_document(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.corpus.collection import ColumnDocuments
+
+        directory = tmp_path / "store"
+        store = IngestStore.create(PARAMS, directory=directory, data=DocumentCollection())
+        rng = random.Random(23)
+        removed = set()
+        for round_ in range(3):
+            for _ in range(8):
+                store.add_tokens(make_tokens(rng), name=f"r{round_}-{rng.random()}")
+            victim = rng.randrange(store.next_doc_id)
+            store.remove(victim)
+            removed.add(victim)
+            store.flush()
+        store.compact()  # purges the tombstones so far
+        for _ in range(5):
+            store.add_tokens(make_tokens(rng))
+        # A fold purges the tombstones in its span and keeps the others.
+        first = min(set(range(8)) - removed)
+        kept = {first, store.next_doc_id - 2}  # in the manifest, in the WAL
+        for doc_id in (first, store.next_doc_id - 3):
+            store.remove(doc_id)
+            removed.add(doc_id)
+        store.flush()  # two segments on disk
+        store.remove(store.next_doc_id - 2)
+        removed.add(store.next_doc_id - 2)
+        store.add_tokens(make_tokens(rng))  # only in the WAL
+        assert store.removed == kept
+        live = [i for i in range(store.next_doc_id) if i not in removed]
+        documents = {i: (store.data[i].tokens, store.data[i].name) for i in live}
+        vocabulary = list(store.data.vocabulary)
+        queries = [make_tokens(rng, 24) for _ in range(4)] + [
+            list(store.data.vocabulary.decode(documents[live[0]][0]))
+        ]
+        before = [
+            store_pairs(store, store.data.encode_query_tokens(q)) for q in queries
+        ]
+        store.close()
+
+        def decode(self, doc_id):
+            raise AssertionError(f"open decoded document {doc_id}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ColumnDocuments, "__getitem__", decode)
+            reopened = IngestStore.open(directory)
+        assert reopened.num_segments == 2
+        assert isinstance(reopened.data.documents, ColumnDocuments)
+        assert reopened.removed == kept
+        assert list(reopened.data.vocabulary) == vocabulary
+        lengths = reopened.data.lengths()
+        for doc_id, (tokens, name) in documents.items():
+            document = reopened.data[doc_id]
+            assert (document.tokens, document.name) == (tokens, name)
+            assert lengths[doc_id] == len(tokens)
+        after = [
+            store_pairs(reopened, reopened.data.encode_query_tokens(q))
+            for q in queries
+        ]
+        assert before[-1] and after == before
+        exported = repro.Index(reopened.searcher(), reopened.data)
+        exported.save(tmp_path / "export.idx")
+        snapshot = repro.Index.open(tmp_path / "export.idx")
+        assert [snapshot.data[i].tokens for i in live] == [
+            documents[i][0] for i in live
+        ]
+        reopened.close()
+
     def test_text_and_token_records_reopen_to_identical_pairs(self, tmp_path):
         # add_text logs the text it was given, add_tokens its token list;
         # replay re-interns both in arrival order.
@@ -1374,3 +1507,30 @@ class TestAddDoor:
         assert reopened.searcher().store.next_doc_id == len(texts)
         assert pairs_as_set(reopened.search_text(query).pairs) == want
         reopened.close()
+
+    def test_document_over_the_token_limit_answers_413(self, tmp_path, monkeypatch):
+        # Refused before the WAL or the vocabulary sees it, like a query
+        # over the same limit.
+        import repro.service.http as door
+        from repro.errors import ReproError
+        from repro.service import serve_http
+        from repro.service.client import _request
+
+        monkeypatch.setattr(door, "MAX_QUERY_TOKENS", 5)
+        directory = tmp_path / "live"
+        index = repro.Index.open_live(directory, PARAMS)
+        index.add("t1 t2 t3")
+        store = index.searcher().store
+        service = index.serve()
+        with serving(serve_http(service, port=0)) as server:
+            before = (store.next_doc_id, len(wal_records(directory)),
+                      len(store.data.vocabulary))
+            with pytest.raises(ReproError, match="6 tokens is over 5") as info:
+                _request(f"{server.url}/ingest", {"text": "t1 u2 u3 u4 u5 u6"})
+            assert info.value.status == 413
+            assert (store.next_doc_id, len(wal_records(directory)),
+                    len(store.data.vocabulary)) == before
+            reply = _request(f"{server.url}/ingest", {"text": "u1 u2 u3 u4 u5"})
+            assert reply["doc_id"] == before[0]
+        service.close()
+        index.close()

@@ -730,12 +730,14 @@ def _write_manifest(directory: Path, built) -> Path:
         directory,
         ManifestState(
             params=searcher.params,
-            order=searcher.order,
+            order=searcher.order.detached(),
             scheme=searcher.scheme,
-            data=data,
+            # A header, no document: with no segment, no sealed doc id.
+            data={"tokenizer": data.tokenizer, "vocabulary": data.vocabulary,
+                  "names": []},
             segments=[],
             tombstones={2},
-            next_doc_id=len(data),
+            next_doc_id=0,
             wal_generation=1,
             generation=1,
             policy={},
