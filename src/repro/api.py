@@ -41,6 +41,7 @@ Quickstart::
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -121,7 +122,7 @@ class Index:
     :meth:`open`; use as a context manager to release resources.
     """
 
-    __slots__ = ("_searcher", "_store", "data", "path", "load_seconds")
+    __slots__ = ("_searcher", "_store", "_store_lock", "data", "path", "load_seconds")
 
     def __init__(
         self,
@@ -136,6 +137,8 @@ class Index:
         #: The LSM ingest store once this index has been mutated (or
         #: was opened live); None for a purely read-side index.
         self._store = getattr(searcher, "store", None)
+        #: Held by the first write while it layers that store.
+        self._store_lock = threading.Lock()
         #: The paired :class:`~repro.DocumentCollection` (None for
         #: ids-only snapshots — text queries then raise).
         self.data = data
@@ -429,13 +432,28 @@ class Index:
         engine as the base segment of an in-memory
         :class:`~repro.ingest.IngestStore`, whose engine takes over;
         frozen compact indexes upgrade the same way (the compact
-        segment stays frozen — writes land in the memtable).
+        segment stays frozen — writes land in the memtable).  This is
+        the only place an index becomes live, and a service writes
+        through its index, so concurrent first writes make one store.
+        A query already running on the old engine finishes there:
+        nothing ever mutates it.
         """
-        if self._store is None:
-            from .ingest import IngestStore
+        store = self._store
+        if store is not None:
+            return store
+        with self._store_lock:
+            if self._store is None:
+                if self.data is None:
+                    raise ConfigurationError(
+                        "index has no document collection (saved ids-only); "
+                        "rebuild the snapshot with its data to write to it"
+                    )
+                from .ingest import IngestStore
 
-            self._store = IngestStore.from_searcher(self._searcher, self.data)
-            self._searcher = self._store.searcher()
+                store = IngestStore.from_searcher(self._searcher, self.data)
+                # The engine first: whoever sees the store sees its engine.
+                self._searcher = store.searcher()
+                self._store = store
         return self._store
 
     def add(self, document_or_text, *, name: str | None = None) -> int:
@@ -444,18 +462,13 @@ class Index:
         Returns the new doc id.  The document is immediately
         searchable: it lands in the store's mutable memtable and every
         subsequent query fans out over memtable + frozen segments with
-        exact merged results.
+        exact merged results.  An index without a document collection
+        refuses both.
         """
-        store = self._ensure_store()
         if isinstance(document_or_text, str):
-            if self.data is None:
-                raise ConfigurationError(
-                    "index has no document collection (saved ids-only); "
-                    "pass an encoded Document instead of raw text"
-                )
-            return store.add_text(document_or_text, name=name)
+            return self._ensure_store().add_text(document_or_text, name=name)
         if isinstance(document_or_text, Document):
-            return store.add_document(document_or_text)
+            return self._ensure_store().add_document(document_or_text)
         raise ConfigurationError(
             f"Index.add takes a str or Document, "
             f"got {type(document_or_text).__name__}"
@@ -531,7 +544,7 @@ class Index:
                 default_timeout=default_timeout,
                 **kwargs,
             )
-        return SearchService(self._searcher, self.data, **kwargs)
+        return SearchService(self, **kwargs)
 
     def close(self) -> None:
         """Release the engine's resources.  Idempotent."""

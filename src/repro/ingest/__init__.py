@@ -15,9 +15,9 @@ stops and never reads half a change.  A write-ahead token log
 (:mod:`~repro.ingest.wal`) makes acknowledged mutations crash-safe.
 
 Most callers never touch this package directly: ``Index.add`` /
-``Index.remove`` / ``Index.flush`` / ``Index.compact`` (and the
-mutation methods of :class:`~repro.service.SearchService`) are backed
-by an :class:`IngestStore` transparently.  Use the store directly for
+``Index.remove`` / ``Index.flush`` / ``Index.compact`` (which the
+:class:`~repro.service.SearchService` serving an index writes through)
+are backed by an :class:`IngestStore` transparently.  Use the store directly for
 durable streaming ingestion (``IngestStore.create(directory=...)`` /
 ``IngestStore.open``), which is what ``repro ingest`` and
 ``repro serve --live`` do.

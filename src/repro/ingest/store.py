@@ -66,6 +66,13 @@ from .searcher import LSMSearcher
 from .tiered import Tier, TieredRankDocs
 from .wal import WriteAheadLog, read_wal, wal_generations, wal_name
 
+#: Seconds the background compactor sleeps between policy checks when
+#: no write wakes it.
+COMPACTOR_POLL_SECONDS = 0.05
+
+#: Seconds :meth:`IngestStore.stop_compactor` waits for the thread.
+COMPACTOR_STOP_TIMEOUT = 10.0
+
 
 class _ReadWriteLock:
     """Writer-preferring readers-writer lock.
@@ -205,7 +212,8 @@ class IngestStore:
     Construct with :meth:`create` (fresh store, optionally durable),
     :meth:`open` (recover a durable store: manifest + WAL replay), or
     :meth:`from_searcher` (wrap an existing searcher as the base tier —
-    the lazy upgrade behind ``Index.add`` on a static index).
+    the lazy upgrade behind ``Index.add`` on a static index).  Every
+    store has its :class:`~repro.DocumentCollection`: adds append to it.
     """
 
     def __init__(
@@ -213,7 +221,7 @@ class IngestStore:
         params,
         order,
         scheme,
-        data=None,
+        data: DocumentCollection,
         *,
         directory=None,
         policy=None,
@@ -224,11 +232,6 @@ class IngestStore:
         self.scheme = scheme
         self.data = data
         self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None and data is None:
-            raise ConfigurationError(
-                "a durable ingest store needs a document collection "
-                "(the WAL records text and token strings)"
-            )
         self.policy = policy if policy is not None else CompactionPolicy()
         self.fsync = fsync
         self._segments: list[Tier] = []
@@ -435,23 +438,17 @@ class IngestStore:
         return store
 
     @classmethod
-    def from_searcher(
-        cls,
-        searcher,
-        data=None,
-        *,
-        policy=None,
-    ) -> "IngestStore":
+    def from_searcher(cls, searcher, data: DocumentCollection) -> "IngestStore":
         """Wrap an existing searcher as the base tier of an in-memory store.
 
-        This is the lazy upgrade behind ``Index.add`` /
-        ``SearchService.add_document`` on a built or opened index: its
-        frozen compact index becomes the base segment and gains a
-        mutable memtable on top without thawing.  Mutations are not durable;
-        create a directory-backed store for that.
+        This is the lazy upgrade behind the first write on a built or
+        opened :class:`~repro.Index` (``Index._ensure_store``, whether
+        the write came through the index or its service): its frozen
+        compact index becomes the base segment and gains a mutable
+        memtable on top without thawing.  ``data`` is the searcher's
+        collection, which adds go on appending to.  Mutations are not
+        durable; create a directory-backed store for that.
         """
-        if isinstance(searcher, LSMSearcher):
-            return searcher.store
         if not isinstance(searcher, PKWiseSearcher):
             raise ConfigurationError(
                 f"{type(searcher).__name__} cannot take writes: live "
@@ -463,7 +460,6 @@ class IngestStore:
             searcher.order,
             searcher.scheme,
             data,
-            policy=policy,
         )
         num_docs = len(searcher.rank_docs)
         if num_docs:
@@ -545,38 +541,33 @@ class IngestStore:
         self.metrics.counter("ingest.adds").inc()
         return doc_id
 
-    def _require_data(self) -> None:
-        if self.data is None:
-            raise ConfigurationError(
-                "this store carries no document collection; ingest "
-                "pre-encoded documents via add_document instead"
+    def _require_next(self, doc_id: int) -> None:
+        """Refuse an add whose collection doc id is not the memtable's
+        next one, before it has logged, appended or indexed anything."""
+        if doc_id != self.next_doc_id:
+            raise IndexStateError(
+                f"collection assigned doc id {doc_id} but the memtable is "
+                f"at {self.next_doc_id} — collection mutated outside the store"
             )
 
     def add_text(self, text: str, name: str | None = None) -> int:
         """Tokenize, log, and index one document; returns its doc id.
         The WAL record carries ``text``: replay tokenizes it again."""
-        self._require_data()
         tokens = self.data.tokenizer.tokenize(text)
         return self._add({"op": "add", "text": text, "name": name}, tokens)
 
     def add_tokens(self, tokens, name: str | None = None) -> int:
         """Log and index one document given as token strings."""
-        self._require_data()
         tokens = list(tokens)
         return self._add({"op": "add", "tokens": tokens, "name": name}, tokens)
 
     def _add(self, record: dict, tokens: list) -> int:
         with self._writer():
             self._check_open()
+            self._require_next(len(self.data))
             self._log(record)
             document = self.data.add_tokens(tokens, name=record["name"])
             doc_id = self._index_ranks(self.order.rank_document(document))
-            if doc_id != document.doc_id:
-                raise IndexStateError(
-                    f"collection assigned doc id {document.doc_id} but the "
-                    f"memtable is at {doc_id} — collection mutated outside "
-                    f"the store"
-                )
         self._after_write()
         return doc_id
 
@@ -595,34 +586,22 @@ class IngestStore:
             )
         with self._writer():
             self._check_open()
-            if self.data is not None:
-                documents = self.data.documents
-                vocabulary = self.data.vocabulary
-                if documents and documents[-1] is document:
-                    # Already appended by the caller through the
-                    # collection; log it and index in place.
-                    tokens = vocabulary.decode(document.tokens)
-                    self._log({"op": "add", "tokens": tokens,
-                               "name": document.name})
-                    doc_id = self._index_ranks(
-                        self.order.rank_document(document)
-                    )
-                else:
-                    try:
-                        tokens = vocabulary.decode(document.tokens)
-                    except IndexError:
-                        raise CorpusError(
-                            "document is encoded against a different "
-                            "vocabulary than this store's collection"
-                        ) from None
-                    self._log({"op": "add", "tokens": tokens,
-                               "name": document.name})
-                    appended = self.data.add_tokens(tokens, name=document.name)
-                    doc_id = self._index_ranks(
-                        self.order.rank_document(appended)
-                    )
-            else:
-                doc_id = self._index_ranks(self.order.rank_document(document))
+            documents = self.data.documents
+            # Already appended by the caller through the collection: log
+            # it and index it in place.
+            appended = bool(documents) and documents[-1] is document
+            self._require_next(len(documents) - appended)
+            try:
+                tokens = self.data.vocabulary.decode(document.tokens)
+            except IndexError:
+                raise CorpusError(
+                    "document is encoded against a different "
+                    "vocabulary than this store's collection"
+                ) from None
+            self._log({"op": "add", "tokens": tokens, "name": document.name})
+            if not appended:
+                document = self.data.add_tokens(tokens, name=document.name)
+            doc_id = self._index_ranks(self.order.rank_document(document))
         self._after_write()
         return doc_id
 
@@ -931,7 +910,7 @@ class IngestStore:
     # ------------------------------------------------------------------
     # Background compactor
     # ------------------------------------------------------------------
-    def start_compactor(self, poll_seconds: float = 0.05) -> None:
+    def start_compactor(self) -> None:
         """Start the background thread that flushes/compacts on policy."""
         with self._mutex:
             if self._compactor is not None or self._closed:
@@ -939,25 +918,24 @@ class IngestStore:
             self._stop = False
             thread = threading.Thread(
                 target=self._compactor_loop,
-                args=(poll_seconds,),
                 name="repro-ingest-compactor",
                 daemon=True,
             )
             self._compactor = thread
         thread.start()
 
-    def stop_compactor(self, timeout: float = 10.0) -> None:
+    def stop_compactor(self) -> None:
         thread = self._compactor
         if thread is None:
             return
         self._stop = True
         self._wake.set()
-        thread.join(timeout=timeout)
+        thread.join(timeout=COMPACTOR_STOP_TIMEOUT)
         self._compactor = None
 
-    def _compactor_loop(self, poll_seconds: float) -> None:
+    def _compactor_loop(self) -> None:
         while True:
-            self._wake.wait(poll_seconds)
+            self._wake.wait(COMPACTOR_POLL_SECONDS)
             self._wake.clear()
             if self._stop:
                 return

@@ -1,7 +1,7 @@
 """Concurrent query serving: :class:`SearchService` plus an HTTP front-end.
 
-The serving layer turns a loaded searcher bundle into a long-running,
-thread-safe query service:
+The serving layer turns a loaded :class:`~repro.Index` into a
+long-running, thread-safe query service:
 
 * :class:`SearchService` — bounded worker pool with admission control
   (typed :class:`~repro.errors.ServiceOverloadError` carrying a

@@ -326,7 +326,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 )
                 return
         try:
-            doc_id = service.add_text(text, name=name)
+            doc_id = service.add(text, name=name)
         except ServiceClosedError as exc:
             self._reply_error(503, str(exc))
             return
@@ -344,7 +344,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._reply_error(400, "body needs an integer 'doc_id'")
             return
         try:
-            service.remove_document(doc_id)
+            service.remove(doc_id)
         except ServiceClosedError as exc:
             self._reply_error(503, str(exc))
             return

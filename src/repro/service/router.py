@@ -63,6 +63,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import NamedTuple
 
 from .. import faults
+from ..api import Index
 from ..core.base import MatchPair
 from ..core.pkwise import PKWiseSearcher
 from ..corpus import Document, DocumentCollection
@@ -393,8 +394,7 @@ class ShardRouter:
             subset = data.subset(range(lo, hi))
             for replica in range(replicas):
                 service = SearchService(
-                    PKWiseSearcher(subset, params),
-                    subset,
+                    Index(PKWiseSearcher(subset, params), subset),
                     name=f"{name}-shard-{shard_id:03d}-r{replica}",
                     cache_size=0,
                     **service_kwargs,

@@ -1,4 +1,4 @@
-"""A thread-safe, long-running search service over a loaded searcher.
+"""A thread-safe, long-running search service over a loaded index.
 
 Every prior entry point of the library is batch-shaped: load, run,
 exit.  :class:`SearchService` is the resident layer for serving a
@@ -24,14 +24,17 @@ exit.  :class:`SearchService` is the resident layer for serving a
 * **Result caching.**  An epoch-invalidated LRU
   (:class:`~repro.service.cache.ResultCache`) keyed by canonical query
   token hash + params fingerprint + index epoch.  Mutations
-  (:meth:`add_document` / :meth:`remove_document`) bump the engine's
-  epoch, so cached and fresh results are always pair-for-pair
+  (:meth:`add` / :meth:`remove`, or the served index's own) bump the
+  engine's epoch, so cached and fresh results are always pair-for-pair
   identical; a flush or compaction changes no pair, moves no epoch and
   empties nothing.
 * **No index lock.**  A snapshot engine is immutable and a live one
   (:class:`~repro.ingest.LSMSearcher`) locks inside ``search``; the
   service only checks, before caching a result, that no write moved
   the epoch during the search.
+* **One owner for writes.**  The service serves an
+  :class:`~repro.Index` and writes through it, so the index and the
+  service share one live store whoever writes first.
 * **Observability.**  All of it reports through a
   :class:`~repro.obs.MetricsRegistry`: request/latency timers,
   queue-depth gauges, cache hit/miss counters, plus the searchers' own
@@ -43,14 +46,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from collections.abc import Sequence
 
 from .. import faults
-from ..corpus import Document, DocumentCollection
+from ..corpus import Document
 from ..errors import (
     ConfigurationError,
     DeadlineExceededError,
-    ReproError,
     SearchCancelled,
     ServiceClosedError,
     ServiceOverloadError,
@@ -163,20 +164,19 @@ class SearchService:
 
     Parameters
     ----------
-    searcher:
-        Any object satisfying the :class:`repro.api.Searcher` protocol:
+    index:
+        The :class:`~repro.Index` served.  Each request reads its engine
+        as ``index.searcher()`` once, when a worker takes it: any object
+        satisfying the :class:`repro.api.Searcher` protocol, whose
         ``search(query, *, cancel=None, routing=None)`` returns an
         object with ``pairs``.  The service passes its deadline hook as
         ``cancel=`` on every uncached request and ``routing=`` (the
         mode string) exactly when the request overrides the mode.
-        The first write layers an :class:`~repro.ingest.IngestStore`
-        over a snapshot engine and serves that store's engine from
-        then on; an engine that is not a :class:`~repro.PKWiseSearcher`
-        refuses writes (``ConfigurationError``) and keeps serving.
-    data:
-        Optional :class:`~repro.DocumentCollection` bundled with the
-        searcher; required only by :meth:`search_text` (and hence the
-        HTTP front-end's ``text`` queries).
+        :meth:`search_text` (and the HTTP front-end's ``text`` queries)
+        encode against ``index.data``.  Writes are the index's
+        (:meth:`~repro.Index.add` / :meth:`~repro.Index.remove`): an
+        engine that is not a :class:`~repro.PKWiseSearcher` refuses
+        them (``ConfigurationError``) and keeps serving.
     max_workers:
         Worker threads draining the admission queue.
     max_queue:
@@ -191,8 +191,7 @@ class SearchService:
 
     def __init__(
         self,
-        searcher,
-        data: DocumentCollection | None = None,
+        index,
         *,
         max_workers: int = 4,
         max_queue: int = 64,
@@ -206,13 +205,13 @@ class SearchService:
             raise ConfigurationError(f"max_queue must be >= 1, got {max_queue}")
         if cache_size < 0:
             raise ConfigurationError(f"cache_size must be >= 0, got {cache_size}")
-        self.searcher = searcher
-        self.data = data
+        #: The served :class:`~repro.Index`.
+        self.index = index
         self.name = name
         self.default_timeout = default_timeout
         self.cache = ResultCache(cache_size)
         self.started_at = time.time()
-        self._params_key = repr(getattr(searcher, "params", None))
+        self._params_key = repr(getattr(index.searcher(), "params", None))
         self._metrics_lock = threading.Lock()
         self._registry = MetricsRegistry()
         self._registry.gauge("service.workers").set(max_workers)
@@ -225,7 +224,6 @@ class SearchService:
         self._queue_capacity = max_queue
         self._queue_lock = threading.Lock()
         self._queue_ready = threading.Condition(self._queue_lock)
-        self._upgrade_lock = threading.Lock()
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"{name}-worker-{i}", daemon=True
@@ -239,11 +237,17 @@ class SearchService:
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def data(self):
+        """The served index's :class:`~repro.DocumentCollection` (None
+        for an ids-only snapshot)."""
+        return self.index.data
+
+    @property
     def index_epoch(self) -> int:
         """The engine's own mutation counter: one step per add or
         remove, none for a fold.  Monotone over the service's life (a
         store layered over a snapshot starts at the snapshot's epoch)."""
-        return getattr(self.searcher, "index_epoch", 0)
+        return getattr(self.index.searcher(), "index_epoch", 0)
 
     @property
     def queue_depth(self) -> int:
@@ -252,10 +256,11 @@ class SearchService:
 
     def healthz(self) -> dict:
         """Liveness summary served by the HTTP front-end's ``/healthz``."""
+        searcher = self.index.searcher()
         info = {
             "status": "closed" if self._closed else "ok",
             "service": self.name,
-            "documents": len(getattr(self.searcher, "rank_docs", ())),
+            "documents": len(getattr(searcher, "rank_docs", ())),
             "index_epoch": self.index_epoch,
             "queue_depth": self.queue_depth,
             "queue_capacity": self._queue_capacity,
@@ -263,7 +268,7 @@ class SearchService:
             "cache_entries": len(self.cache),
             "uptime_seconds": time.time() - self.started_at,
         }
-        store = getattr(self.searcher, "store", None)
+        store = getattr(searcher, "store", None)
         if store is not None:
             info["ingest"] = {
                 "memtable_docs": store.memtable_docs,
@@ -283,7 +288,7 @@ class SearchService:
         self.cache.to_registry(registry, "service")
         registry.gauge("service.queue_depth_now").set(self.queue_depth)
         registry.gauge("service.index_epoch").set(self.index_epoch)
-        store = getattr(self.searcher, "store", None)
+        store = getattr(self.index.searcher(), "store", None)
         if store is not None:
             registry.merge_snapshot(store.metrics_snapshot())
         return {
@@ -390,75 +395,26 @@ class SearchService:
         timeout: float | None = None,
         routing=None,
     ) -> ServiceResponse:
-        """Encode ``text`` against the bundled collection and search it."""
-        if self.data is None:
-            raise ReproError(
-                "service has no document collection; reload the index with "
-                "its data bundle (repro index saves it by default) or "
-                "submit pre-encoded Document queries"
-            )
+        """Encode ``text`` against the index's collection and search it."""
         return self.search(
-            self.data.encode_query(text), timeout=timeout, routing=routing
+            self.index.encode_query(text), timeout=timeout, routing=routing
         )
 
     # ------------------------------------------------------------------
     # Index mutation (write side)
     # ------------------------------------------------------------------
-    def _live_store(self):
-        """The ingest store backing mutations, upgrading lazily.
-
-        Every write on a :class:`SearchService` flows through a
-        :class:`~repro.ingest.IngestStore` (the LSM write path).  If the
-        current searcher does not carry one yet — including a frozen
-        compact searcher, which is read-only on its own — the existing
-        index becomes the base segment of a fresh in-memory store whose
-        engine takes over, so the first write upgrades the service to
-        live ingestion transparently (a query already running on the
-        old engine finishes there: nothing ever mutates it).
-        """
-        store = getattr(self.searcher, "store", None)
-        if store is not None:
-            return store
-        with self._upgrade_lock:
-            store = getattr(self.searcher, "store", None)
-            if store is None:
-                from ..ingest import IngestStore
-
-                store = IngestStore.from_searcher(self.searcher, self.data)
-                self.searcher = store.searcher()
-        return store
-
-    def add_document(self, document: Document) -> int:
-        """Index one more document; invalidates cached results via epoch.
-
-        Routed through the LSM ingest write path: the document lands in
-        the store's mutable memtable (upgrading a plain or frozen
-        compact searcher to a tiered live view on first write) and
-        becomes visible to the next search atomically.
-        """
-        store = self._live_store()
-        doc_id = store.add_document(document)
+    def add(self, text_or_document, *, name: str | None = None) -> int:
+        """:meth:`Index.add <repro.Index.add>` on the served index;
+        returns the new doc id.  Cached results age out by epoch."""
+        doc_id = self.index.add(text_or_document, name=name)
         with self._metrics_lock:
             self._registry.counter("service.mutations").inc()
         return doc_id
 
-    def add_text(self, text: str, name: str | None = None) -> int:
-        """Tokenize ``text`` into the bundled collection and index it."""
-        if self.data is None:
-            raise ReproError("service has no document collection to tokenize into")
-        store = self._live_store()
-        if store.data is self.data:
-            doc_id = store.add_text(text, name=name)
-        else:
-            doc_id = store.add_document(self.data.add_text(text, name=name))
-        with self._metrics_lock:
-            self._registry.counter("service.mutations").inc()
-        return doc_id
-
-    def remove_document(self, doc_id: int) -> None:
-        """Tombstone ``doc_id``; invalidates cached results via epoch."""
-        store = self._live_store()
-        store.remove(doc_id)
+    def remove(self, doc_id: int) -> None:
+        """:meth:`Index.remove <repro.Index.remove>` on the served
+        index.  Cached results age out by epoch."""
+        self.index.remove(doc_id)
         with self._metrics_lock:
             self._registry.counter("service.mutations").inc()
 
@@ -507,10 +463,11 @@ class SearchService:
             faults.inject(
                 "service.request", query_name=request.query.name
             )
+            searcher = self.index.searcher()
             key = (
                 request.cache_key[0],
                 request.cache_key[1],
-                self.index_epoch,
+                getattr(searcher, "index_epoch", 0),
             )
             entry = self.cache.get(key)
             was_cached = entry is not None
@@ -519,7 +476,7 @@ class SearchService:
                     {} if request.routing is None
                     else {"routing": request.routing}
                 )
-                result = self.searcher.search(
+                result = searcher.search(
                     request.query, cancel=cancelled, **override
                 )
                 pairs = canonical_pair_order(list(result.pairs))

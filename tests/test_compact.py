@@ -90,7 +90,7 @@ class TestCompactParity:
 
     def test_parity_behind_service(self, built, queries):
         data, searcher = built
-        with SearchService(searcher, data, max_workers=2) as service:
+        with SearchService(Index(searcher, data), max_workers=2) as service:
             got = [pairs_as_set(service.search(query)) for query in queries]
         assert got == reference(data, queries)
 
@@ -277,8 +277,8 @@ class TestFrozenGuards:
         # compact index becomes the frozen base segment and the add
         # lands in a memtable, immediately searchable.
         data, searcher = built
-        with SearchService(searcher, data, max_workers=1) as service:
-            new_id = service.add_document(small_corpus[0])
+        with SearchService(Index(searcher, data), max_workers=1) as service:
+            new_id = service.add(small_corpus[0])
             assert new_id == len(small_corpus) - 1
             result = service.search(small_corpus[0])
             assert any(pair.doc_id == new_id for pair in result.pairs)

@@ -10,8 +10,10 @@ mapped (mmap); routing ``off``, ``exact``, or off
 with every ``request`` asking for exact; ``serial`` behind a
 ``SearchService`` or a ``--jobs 2`` workload under ``fork`` / ``spawn``;
 one index, 3 shards, or 2 shards x 2 replicas; built once,
-then seeded add / remove / flush / compact (live), or the same on a
-durable store closed and reopened with ``Index.open_live`` (reopen).
+then seeded add / remove / flush / compact (live), the same on a
+durable store closed and reopened with ``Index.open_live`` (reopen), or
+the same adds and removes sent through ``index.serve()`` while queries
+alternate between the index and its service (served).
 
 The cells are a pairwise cover: two values of two axes meet in some cell
 unless ``INVALID`` says why they cannot, which the first test checks, so
@@ -38,7 +40,7 @@ AXES = {
     "routing": ("off", "exact", "request"),
     "execution": ("serial", "fork", "spawn"),
     "topology": ("single", "sharded", "replicated"),
-    "lifecycle": ("oneshot", "live", "reopen"),
+    "lifecycle": ("oneshot", "live", "reopen", "served"),
 }
 
 #: ``(axis, values, axis, values, reason)``: pairs no cell may hold.
@@ -49,7 +51,7 @@ INVALID = [
      "pool workers search under the engine's own mode; no request carries one"),
     ("execution", ("spawn",), "storage", ("memtable", "compact"),
      "spawn workers map a saved snapshot of any engine: that is the mmap value"),
-    ("execution", ("spawn",), "lifecycle", ("reopen",),
+    ("execution", ("spawn",), "lifecycle", ("reopen", "served"),
      "spawn workers map a folded snapshot of the store, as in the live cell"),
     ("storage", ("memtable",), "topology", ("sharded", "replicated"),
      "every shard is frozen: ShardRouter.local builds, plan files are mapped"),
@@ -57,7 +59,7 @@ INVALID = [
      "a build is frozen: only a live index has a memtable, fed one document at a time"),
     ("storage", ("memtable", "compact"), "lifecycle", ("reopen",),
      "a reopened store maps its segment files"),
-    ("topology", ("sharded", "replicated"), "lifecycle", ("live", "reopen"),
+    ("topology", ("sharded", "replicated"), "lifecycle", ("live", "reopen", "served"),
      "the router is a read path: /ingest and /remove answer 405"),
 ]
 
@@ -67,8 +69,10 @@ CELLS = [Cell(*row.split()) for row in (
     "memtable off      serial  single      live",
     "memtable exact    fork    single      live",
     "memtable request  serial  single      live",
+    "memtable exact    serial  single      served",
     "compact  off      fork    single      live",
     "compact  exact    fork    single      oneshot",
+    "compact  off      fork    single      served",
     "compact  off      serial  sharded     oneshot",
     "compact  exact    serial  replicated  oneshot",
     "compact  request  serial  sharded     oneshot",
@@ -80,6 +84,7 @@ CELLS = [Cell(*row.split()) for row in (
     "mmap     exact    spawn   single      live",
     "mmap     request  serial  replicated  oneshot",
     "mmap     request  serial  single      reopen",
+    "mmap     request  serial  single      served",
 )]
 
 #: Cell ``n`` searches with ``GRID[n % len(GRID)]``.
@@ -239,24 +244,38 @@ def test_cell(cell, tmp_path):
         ops = [("add", doc_id) for doc_id in range(len(data))] + ops
     else:
         index = open_engine(cell, data, params, override, tmp_path)
+    # Served: writes go through the service, and after every step the
+    # queries alternate between the index and the service.
+    service = index.serve() if cell.lifecycle == "served" else None
+    writer = service or index
     ndocs, removed = len(data), set()
-    for op, doc_id in ops:
+    for step, (op, doc_id) in enumerate(ops):
         if op == "add":
-            assert index.add(" ".join(texts[doc_id])) == doc_id
+            assert writer.add(" ".join(texts[doc_id])) == doc_id
             ndocs = doc_id + 1
         elif op == "remove":
-            index.remove(doc_id)
+            writer.remove(doc_id)
             removed.add(doc_id)
         else:
             getattr(index, op)()
             if op == "compact":
                 assert not index.searcher().store.removed  # purged
-            results = [index.search(query, routing=request)
-                       for query in encoded(index.data, queries)]
-            if cell.routing != "off":  # every tier's documents meet the gate
-                for result in results[:-1]:  # the last query has no window
-                    assert result.stats.routing_checked_docs == ndocs
-            check([result.pairs for result in results], ndocs, removed, op)
+        if service is None and op in ("add", "remove"):
+            continue
+        replies = []
+        for number, query in enumerate(encoded(index.data, queries)):
+            if service is not None and (number + step) % 2:
+                replies.append(service.search(query, routing=request).pairs)
+                continue
+            result = index.search(query, routing=request)
+            # Every tier's documents meet the gate; the last query has
+            # no window.
+            if cell.routing != "off" and number < len(queries) - 1:
+                assert result.stats.routing_checked_docs == ndocs
+            replies.append(result.pairs)
+        check(replies, ndocs, removed, f"{op} at step {step}")
+    if service is not None:
+        service.close()
     if cell.lifecycle == "reopen":
         index.close()  # the last add lives only in the write-ahead log
         index = Index.open_live(directory, routing=override)

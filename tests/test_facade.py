@@ -152,6 +152,16 @@ class TestIndexRoundtrip:
         with pytest.raises(ConfigurationError, match="ids-only"):
             index.search_text("anything")
 
+    def test_writes_without_data_raise(self, small_corpus):
+        # A live store always has its collection: an ids-only index
+        # refuses a Document as it refuses text, and stays frozen.
+        index = Index(PKWiseSearcher(small_corpus, SearchParams(w=10, tau=2, k_max=3)))
+        for write in (lambda: index.add(small_corpus[0]), lambda: index.add("a b"),
+                      lambda: index.remove(0), index.flush):
+            with pytest.raises(ConfigurationError, match="ids-only"):
+                write()
+        assert not index.live and index.frozen
+
     def test_repr_names_engine_and_source(self):
         index = Index.build(TEXTS, w=10, tau=2, k_max=3)
         assert "PKWiseSearcher" in repr(index)
@@ -215,9 +225,9 @@ class TestSearcherProtocol:
         with Index(engine, small_corpus).serve(cache_size=0) as service:
             assert pairs_as_set(service.search(query).pairs) == want
             with pytest.raises(ConfigurationError, match="Served"):
-                service.add_text("a b c")
+                service.add("a b c")
             with pytest.raises(ConfigurationError, match="Served"):
-                service.remove_document(0)
+                service.remove(0)
             assert len(small_corpus) == documents
             assert pairs_as_set(service.search(query).pairs) == want
 

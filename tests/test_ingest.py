@@ -258,7 +258,7 @@ class TestInterleavingProperty:
         for tokens in seed_texts:
             store.add_tokens(tokens)
         service = SearchService(
-            store.searcher(), data, max_workers=2, max_queue=256
+            repro.Index(store.searcher(), data), max_workers=2, max_queue=256
         )
         queries = [make_query(data, rng) for _ in range(4)]
         overloads: list[Exception] = []
@@ -1358,7 +1358,7 @@ class TestQueryAfterAddTokenVisibility:
     frozen lookups raise the typed
     :class:`~repro.errors.UnknownTokenError`) on every live path —
     in-memory upgrade, durable resume, compact-snapshot upgrade, and
-    the service's ``add_text``.
+    the service's ``add``.
     """
 
     NEW_WORDS = [f"freshword{i}" for i in range(DOC_LEN)]
@@ -1422,8 +1422,8 @@ class TestQueryAfterAddTokenVisibility:
         from repro.tokenize import OOV_TOKEN_ID
 
         index = repro.Index.build(self._seed_texts(), PARAMS)
-        service = SearchService(index.searcher(), index.data)
-        service.add_text(self._new_doc_text())
+        service = index.serve()
+        service.add(self._new_doc_text())
         reply = service.search_text(self._probe_text())
         assert reply.pairs
         # And the service's encode path kept the sentinel contract for
@@ -1506,6 +1506,36 @@ class TestAddDoor:
         reopened = repro.Index.open_live(directory)  # the adds replay as text
         assert reopened.searcher().store.next_doc_id == len(texts)
         assert pairs_as_set(reopened.search_text(query).pairs) == want
+        reopened.close()
+
+    @pytest.mark.parametrize("given", ["text", "appended-document"])
+    def test_a_refused_add_leaves_no_trace(self, tmp_path, given):
+        # A document appended through index.data behind the store's back
+        # puts the collection one doc id ahead of the memtable: the next
+        # add is refused before it logs, appends, indexes or bumps.
+        rng = random.Random(4)
+        directory = tmp_path / "live"
+        index = repro.Index.open_live(directory, PARAMS)
+        for _ in range(3):
+            index.add(" ".join(make_tokens(rng)))
+        store, data = index.searcher().store, index.data
+        document = data.add_text(" ".join(make_tokens(rng)))
+        if given == "appended-document":
+            document = data.add_text(" ".join(make_tokens(rng)))
+
+        def state():
+            counters = store.metrics_snapshot()["counters"]
+            return (len(data), store.next_doc_id, store.mutation_epoch,
+                    counters.get("ingest.wal_records", 0),
+                    len(wal_records(directory)))
+
+        before = state()
+        with pytest.raises(IndexStateError, match="mutated outside the store"):
+            index.add(" ".join(make_tokens(rng)) if given == "text" else document)
+        assert state() == before
+        index.close()
+        reopened = repro.Index.open_live(directory)
+        assert reopened.searcher().store.next_doc_id == len(reopened.data) == 3
         reopened.close()
 
     def test_document_over_the_token_limit_answers_413(self, tmp_path, monkeypatch):

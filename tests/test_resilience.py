@@ -23,6 +23,7 @@ from repro import (
     DocumentCollection,
     FaultPlan,
     FaultSpec,
+    Index,
     PKWiseSearcher,
     ReproError,
     SearchParams,
@@ -725,7 +726,7 @@ class TestServiceFaultPoint:
                 ]
             )
         )
-        with SearchService(searcher, data, max_workers=2) as service:
+        with SearchService(Index(searcher, data), max_workers=2) as service:
             with serving(serve_http(service, port=0)) as httpd:
                 client = ResilientClient(httpd.url, retries=3, deadline=10.0)
                 # First attempt hits the injected fault (HTTP 500), the

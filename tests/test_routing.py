@@ -705,7 +705,7 @@ class TestRoutingService:
     def _service(self):
         data, rng = make_corpus(9)
         searcher = PKWiseSearcher(data, self.PARAMS.with_routing("exact"))
-        return SearchService(searcher, data), data, rng
+        return SearchService(Index(searcher, data)), data, rng
 
     def test_cache_is_keyed_per_policy(self):
         service, data, rng = self._service()

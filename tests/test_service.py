@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 import socket
 import sys
@@ -185,7 +186,7 @@ class TestServiceBasics:
             for q in queries
         }
         assert any(reference.values()), "corpus queries must produce matches"
-        with SearchService(searcher, max_workers=2) as service:
+        with SearchService(Index(searcher), max_workers=2) as service:
             for q in queries:
                 fresh = service.search(q)
                 again = service.search(q)
@@ -202,7 +203,7 @@ class TestServiceBasics:
                 for t in small_corpus[0].tokens[10:40]
             ]
         )
-        with SearchService(searcher, small_corpus) as service:
+        with SearchService(Index(searcher, small_corpus)) as service:
             before = service.search(query)
             assert service.search(query).cached
             epoch = service.index_epoch
@@ -213,7 +214,7 @@ class TestServiceBasics:
                     for t in query.tokens
                 ]
             )
-            new_id = service.add_document(new_doc)
+            new_id = service.add(new_doc)
             # The first mutation upgrades to the LSM write path; the
             # upgrade itself is no epoch step, the add is the one.
             assert service.index_epoch == epoch + 1
@@ -222,7 +223,7 @@ class TestServiceBasics:
             assert len(after.pairs) > len(before.pairs)
             assert any(pair.doc_id == new_id for pair in after.pairs)
             # Removing it restores the original pair set (fresh epoch).
-            service.remove_document(new_id)
+            service.remove(new_id)
             restored = service.search(query)
             assert not restored.cached
             assert pairs_as_set(list(restored.pairs)) == pairs_as_set(
@@ -263,7 +264,8 @@ class TestServiceBasics:
             # A write that lands after the request's key was minted and
             # before its search took the read side: the reply is newer
             # than its key, and is not stored under it.
-            engine, search = service.searcher, service.searcher.search
+            engine = service.index.searcher()
+            search = engine.search
             other = index.encode_query(text_of(2, 30, 60))
             late_ids = []
 
@@ -292,14 +294,14 @@ class TestServiceBasics:
 
     def test_validation(self, searcher):
         with pytest.raises(ConfigurationError):
-            SearchService(searcher, max_workers=0)
+            SearchService(Index(searcher), max_workers=0)
         with pytest.raises(ConfigurationError):
-            SearchService(searcher, max_queue=0)
+            SearchService(Index(searcher), max_queue=0)
         with pytest.raises(ConfigurationError):
-            SearchService(searcher, cache_size=-1)
+            SearchService(Index(searcher), cache_size=-1)
 
     def test_metrics_and_healthz(self, searcher, queries):
-        with SearchService(searcher, name="t") as service:
+        with SearchService(Index(searcher), name="t") as service:
             service.search(queries[0])
             service.search(queries[0])
             snapshot = service.metrics_snapshot()
@@ -320,7 +322,7 @@ class TestServiceBasics:
         # request overrides it.
         stub = RecordingSearcher()
         doc = DocumentCollection().add_text("a b c")
-        with SearchService(stub, max_workers=1) as service:
+        with SearchService(Index(stub), max_workers=1) as service:
             assert not service.search(doc).cached
             assert service.search(doc).cached  # no engine call
             policy = RoutingPolicy(mode="exact", block_tokens=64)
@@ -332,9 +334,83 @@ class TestServiceBasics:
         assert routed["routing"] == "exact"  # the mode, whatever was passed
 
     def test_search_text_needs_data(self, searcher):
-        with SearchService(searcher) as service:
+        with SearchService(Index(searcher)) as service:
             with pytest.raises(Exception, match="collection"):
                 service.search_text("anything at all")
+
+
+class TestOneStore:
+    """A service writes through the Index it serves: whoever writes
+    first, the two share one live store over one collection."""
+
+    W, TAU = 20, 2
+
+    @staticmethod
+    def _text(seed: int, length: int = 40) -> str:
+        rng = random.Random(seed)
+        return " ".join(f"s{seed}w{rng.randrange(60)}" for _ in range(length))
+
+    def _found(self, reply, doc_id: int) -> bool:
+        return any(pair.doc_id == doc_id for pair in reply.pairs)
+
+    def test_writes_through_either_front_end_reach_both(self, tmp_path):
+        texts = [self._text(seed) for seed in range(6)]
+        index = Index.build(texts, w=self.W, tau=self.TAU)
+        z, y = self._text(100), self._text(101)
+        with index.serve() as service:
+            assert service.add(z, name="z") == 6
+            assert self._found(index.search_text(z), 6)
+            assert index.add(y, name="y") == 7
+            assert self._found(service.search_text(y), 7)
+            assert service.add(self._text(102)) == 8
+            assert len(index.data) == 9 == index.searcher().store.next_doc_id
+            counters = service.metrics_snapshot()["metrics"]["counters"]
+            assert counters["service.mutations"] == 2  # its own writes
+        index.save(tmp_path / "grown.idx")
+        with Index.open(tmp_path / "grown.idx") as reopened:
+            assert reopened.data.names()[6:8] == ["z", "y"]
+            assert self._found(reopened.search_text(z), 6)
+            assert self._found(reopened.search_text(y), 7)
+
+    def test_concurrent_first_writes_make_one_store(self, monkeypatch):
+        from repro import IngestStore
+
+        index = Index.build([self._text(seed) for seed in range(6)],
+                            w=self.W, tau=self.TAU)
+        upgrade = IngestStore.from_searcher.__func__
+        upgrades = []
+
+        def slow_upgrade(cls, searcher, data):
+            upgrades.append(searcher)
+            time.sleep(0.2)  # both writers arrive while the first upgrades
+            return upgrade(cls, searcher, data)
+
+        monkeypatch.setattr(IngestStore, "from_searcher", classmethod(slow_upgrade))
+        texts = {"index": self._text(200), "service": self._text(201)}
+        barrier = threading.Barrier(2)
+        ids, errors = {}, []
+        with index.serve() as service:
+            writers = {"index": index, "service": service}
+
+            def write(door: str) -> None:
+                barrier.wait(5)
+                try:
+                    ids[door] = writers[door].add(texts[door])
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=write, args=(door,))
+                       for door in writers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert not errors, errors
+            assert len(upgrades) == 1
+            assert sorted(ids.values()) == [6, 7]
+            for door, doc_id in ids.items():
+                assert self._found(index.search_text(texts[door]), doc_id)
+                assert self._found(service.search_text(texts[door]), doc_id)
 
 
 class TestConcurrency:
@@ -346,7 +422,7 @@ class TestConcurrency:
         }
         failures: list[str] = []
         with SearchService(
-            searcher, max_workers=4, max_queue=256, cache_size=64
+            Index(searcher), max_workers=4, max_queue=256, cache_size=64
         ) as service:
             def worker(thread_id: int) -> None:
                 # Each thread replays the workload in its own order, so
@@ -374,7 +450,7 @@ class TestConcurrency:
 
     def test_overload_rejection(self):
         stub = BlockingSearcher()
-        service = SearchService(stub, max_workers=1, max_queue=1, cache_size=0)
+        service = SearchService(Index(stub), max_workers=1, max_queue=1, cache_size=0)
         try:
             doc = DocumentCollection().add_text("a b c")
             running = service.submit(doc)
@@ -394,7 +470,7 @@ class TestConcurrency:
 
     def test_deadline_in_queue(self):
         stub = BlockingSearcher()
-        service = SearchService(stub, max_workers=1, max_queue=8, cache_size=0)
+        service = SearchService(Index(stub), max_workers=1, max_queue=8, cache_size=0)
         try:
             doc = DocumentCollection().add_text("a b c")
             blocker = service.submit(doc)
@@ -413,7 +489,7 @@ class TestConcurrency:
 
     def test_deadline_cancels_mid_search(self):
         service = SearchService(
-            CancellableSearcher(), max_workers=1, cache_size=0
+            Index(CancellableSearcher()), max_workers=1, cache_size=0
         )
         try:
             doc = DocumentCollection().add_text("a b c")
@@ -436,7 +512,7 @@ class TestConcurrency:
 
 class TestLifecycle:
     def test_close_drain_completes_queued(self, searcher, queries):
-        service = SearchService(searcher, max_workers=1, cache_size=0)
+        service = SearchService(Index(searcher), max_workers=1, cache_size=0)
         futures = [service.submit(q) for q in queries]
         service.close(drain=True)
         for future in futures:
@@ -444,7 +520,7 @@ class TestLifecycle:
 
     def test_close_abort_fails_queued(self):
         stub = BlockingSearcher()
-        service = SearchService(stub, max_workers=1, max_queue=8, cache_size=0)
+        service = SearchService(Index(stub), max_workers=1, max_queue=8, cache_size=0)
         doc = DocumentCollection().add_text("a b c")
         service.submit(doc)
         assert stub.started.wait(5)
@@ -455,7 +531,7 @@ class TestLifecycle:
             queued.result(5)
 
     def test_submit_after_close(self, searcher, queries):
-        service = SearchService(searcher)
+        service = SearchService(Index(searcher))
         service.close()
         with pytest.raises(ServiceClosedError):
             service.submit(queries[0])
@@ -464,7 +540,7 @@ class TestLifecycle:
 class TestHTTP:
     @pytest.fixture
     def server(self, small_corpus, searcher):
-        with SearchService(searcher, small_corpus, max_workers=2) as service:
+        with SearchService(Index(searcher, small_corpus), max_workers=2) as service:
             with serving(serve_http(service, port=0)) as httpd:
                 yield httpd
 
@@ -723,7 +799,7 @@ class TestHTTP:
         stub = BlockingSearcher()
         data = DocumentCollection()
         data.add_text("a b c d e")
-        service = SearchService(stub, data, max_workers=1, max_queue=1,
+        service = SearchService(Index(stub, data), max_workers=1, max_queue=1,
                                 cache_size=0)
         with service, serving(serve_http(service, port=0)) as httpd:
             try:
@@ -758,7 +834,7 @@ class TestHandlerThreads:
     """A handler thread serves one connection after another."""
 
     def test_sequential_connections_reuse_one_thread(self, small_corpus, searcher):
-        with SearchService(searcher, small_corpus) as service:
+        with SearchService(Index(searcher, small_corpus)) as service:
             with serving(serve_http(service, port=0)) as server:
                 for _ in range(200):
                     assert remote_healthz(server.url)["status"] == "ok"
@@ -771,7 +847,7 @@ class TestHandlerThreads:
         data = DocumentCollection()
         data.add_text("a b c d e")
         clients = 8  # more than this host has cores
-        service = SearchService(stub, data, max_workers=1, max_queue=clients,
+        service = SearchService(Index(stub, data), max_workers=1, max_queue=clients,
                                 cache_size=0)
         results: list = []
         switch = sys.getswitchinterval()
@@ -807,7 +883,7 @@ class TestHandlerThreads:
     def test_server_close_ends_every_handler_thread(self, small_corpus, searcher):
         import http.client
 
-        with SearchService(searcher, small_corpus) as service:
+        with SearchService(Index(searcher, small_corpus)) as service:
             with serving(serve_http(service, port=0)) as server:
                 connections = [
                     http.client.HTTPConnection(*server.server_address[:2], timeout=10)

@@ -186,7 +186,7 @@ class TestRouterParity:
             bundle = load_bundle(tmp_path / spec.path, mmap=True)
             backends.append(
                 LocalShardBackend(
-                    SearchService(bundle.searcher, bundle.data),
+                    SearchService(Index(bundle.searcher, bundle.data)),
                     shard_id=spec.shard_id,
                     doc_lo=spec.doc_lo,
                     doc_hi=spec.doc_hi,
@@ -314,7 +314,7 @@ class CountingBackend(LocalShardBackend):
 def counting_backend(corpus, shard_id, lo, hi):
     # No result cache, as a shard behind a router runs.
     subset = corpus.subset(range(lo, hi))
-    service = SearchService(PKWiseSearcher(subset, PARAMS), subset, cache_size=0)
+    service = SearchService(Index(PKWiseSearcher(subset, PARAMS), subset), cache_size=0)
     return CountingBackend(service, shard_id=shard_id, doc_lo=lo, doc_hi=hi)
 
 
@@ -545,7 +545,7 @@ class TestRouterCache:
             corpus.add_tokens(tokens)
         text = " ".join(words if reuse else [f"unseen{i}" for i in range(40)])
         if tier == "service":
-            service = SearchService(PKWiseSearcher(corpus, PARAMS), corpus)
+            service = SearchService(Index(PKWiseSearcher(corpus, PARAMS), corpus))
         else:
             service = ShardRouter.local(corpus, PARAMS, shards=2)
         encoded = []
