@@ -57,9 +57,13 @@ VOCAB = 70
 KILL_POSITION = 3
 POISON_POSITION = 6
 # The resume scenario kills inside the third chunk (positions {4,5} at
-# chunk_size=2): it is only dispatched after an earlier chunk completed
-# and was checkpointed, so the resumed run provably skips work.
+# two queries a chunk): it is only dispatched after an earlier chunk
+# completed and was checkpointed, so the resumed run provably skips work.
 RESUME_KILL_POSITION = 5
+# The pool's constants for every drill: NUM_DOCS queries over two
+# workers at two chunks a worker is two queries a chunk, and a failed
+# chunk is re-dispatched at once.
+POOL_CONSTANTS = {"CHUNKS_PER_WORKER": 2, "RETRY_BACKOFF": 0.0}
 
 
 def build_workload():
@@ -74,6 +78,15 @@ def build_workload():
     searcher = PKWiseSearcher(data, params)
     queries = [data[i] for i in range(len(data))]
     return data, params, searcher, queries
+
+
+def pool_constants(**overrides):
+    """Patch :mod:`repro.parallel.executor`'s constants for one drill."""
+    from unittest import mock
+
+    return mock.patch.multiple(
+        "repro.parallel.executor", **POOL_CONSTANTS, **overrides
+    )
 
 
 def env_activated_plan(specs, workdir: Path, seed: int = SEED):
@@ -119,9 +132,8 @@ def scenario_exactness() -> None:
             Path(workdir),
         )
         try:
-            executor = ParallelExecutor(jobs=2, chunk_size=2,
-                                        retry_backoff=0.0)
-            run = executor.run_workload(searcher, queries)
+            with pool_constants():
+                run = ParallelExecutor(jobs=2).run_workload(searcher, queries)
         finally:
             deactivate()
 
@@ -202,7 +214,8 @@ def scenario_resume() -> None:
 
     data, params, searcher, queries = build_workload()
     clean = serial_run(searcher, queries)
-    with tempfile.TemporaryDirectory(prefix="smoke-faults-") as workdir:
+    with (tempfile.TemporaryDirectory(prefix="smoke-faults-") as workdir,
+          pool_constants(MAX_POOL_RESTARTS=0)):
         workdir = Path(workdir)
         checkpoint = workdir / "run.ckpt"
         env_activated_plan(
@@ -213,8 +226,7 @@ def scenario_resume() -> None:
             ],
             workdir,
         )
-        executor = ParallelExecutor(jobs=2, chunk_size=2, retry_backoff=0.0,
-                                    max_pool_restarts=0)
+        executor = ParallelExecutor(jobs=2)
         try:
             try:
                 executor.run_workload(searcher, queries,
@@ -223,7 +235,7 @@ def scenario_resume() -> None:
                 pass
             else:
                 raise AssertionError(
-                    "kill with max_pool_restarts=0 should abort the run"
+                    "kill with MAX_POOL_RESTARTS=0 should abort the run"
                 )
         finally:
             deactivate()

@@ -10,7 +10,8 @@ serving smokes (single process, ``--shards 3``, ``--shards 2 --replicas 2
 that takes one add and one remove over HTTP, then answers a routed query.
 Prints the functions nothing entered, minus ``traffic_exempt.txt``, whose lines
 ``<fnmatch pattern> <reason>`` match ``repro/file.py::Qual.name``.  ``--check``
-exits 1 on a remainder, a failed step or an exemption without a reason.
+exits 1 on a remainder, a failed step, an exemption without a reason or a stale
+exemption (one that matches nothing idle).
 """
 
 import ast
@@ -139,7 +140,7 @@ def main() -> int:
     stale = [f"stale exemption (matches nothing idle): {entry[0]}" for entry in exempt
              if not any(fnmatchcase(name, entry[0]) for name, _ in idle)]
     print(*problems, *stale, sep="\n", file=sys.stderr)
-    return 1 if "--check" in sys.argv[1:] and (left or problems) else 0
+    return 1 if "--check" in sys.argv[1:] and (left or problems or stale) else 0
 
 
 if __name__ == "__main__":

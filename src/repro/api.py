@@ -73,10 +73,12 @@ class Searcher(Protocol):
     """What every query engine in the library provides.
 
     ``search`` returns an object with ``pairs`` and ``stats``;
-    ``search_many`` returns an
-    :class:`~repro.eval.harness.AggregateRun`; ``close`` releases any
-    resources (a no-op for the in-memory engines, but part of the
-    contract so callers can treat engines uniformly).
+    ``close`` releases any resources (a no-op for the in-memory
+    engines, but part of the contract so callers can treat engines
+    uniformly).  A batch of queries is not an engine method:
+    :func:`~repro.eval.run_searcher` runs one over any engine (serially
+    or on :class:`~repro.parallel.ParallelExecutor`'s pool) and returns
+    an :class:`~repro.eval.harness.AggregateRun`.
 
     The keywords of ``search`` are the serving stack's engine contract:
     :class:`~repro.service.SearchService` passes its deadline hook as
@@ -93,8 +95,6 @@ class Searcher(Protocol):
     """
 
     def search(self, query, *, cancel=None, routing=None): ...
-
-    def search_many(self, queries, *, jobs: int = 1): ...
 
     def close(self) -> None: ...
 

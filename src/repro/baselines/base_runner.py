@@ -1,7 +1,7 @@
 """Shared plumbing for baseline searchers.
 
-Every baseline shares the same setup — a global order, rank-converted
-data documents, and a ``search_many`` aggregator — so it lives here once.
+Every baseline shares the same setup — a global order and rank-converted
+data documents — so it lives here once.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from abc import ABC, abstractmethod
 
 from ..corpus import Document, DocumentCollection
 from ..core.base import SearchResult
-from ..obs import get_tracer
 from ..ordering import GlobalOrder
 from ..params import SearchParams
 
@@ -35,23 +34,6 @@ class BaselineSearcher(ABC):
     @abstractmethod
     def search(self, query: Document) -> SearchResult:
         """All matching window pairs between ``query`` and the data."""
-
-    def search_many(self, queries: list[Document], *, jobs: int = 1):
-        """Search every query; returns an :class:`~repro.eval.AggregateRun`.
-
-        One shape for serial and sharded runs — see
-        :meth:`repro.PKWiseSearcher.search_many`.
-        """
-        from ..eval.harness import run_searcher
-
-        with get_tracer().span(
-            "baseline.search_many", algorithm=self.name, queries=len(queries)
-        ) as many_span:
-            run = run_searcher(self, queries, jobs=jobs)
-            many_span.annotate(
-                results=run.stats.num_results, **run.stats.phase_seconds()
-            )
-        return run
 
     def close(self) -> None:
         """Release resources (no-op; in-memory structures). Idempotent."""

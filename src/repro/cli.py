@@ -247,9 +247,20 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_resume_without_checkpoint(args: argparse.Namespace) -> None:
+    """``--resume`` continues a ``--checkpoint`` file; alone it would
+    silently start from scratch.  Refused before anything is opened."""
+    if args.resume and args.checkpoint is None:
+        raise ConfigurationError(
+            "--resume needs --checkpoint FILE, the checkpoint of the "
+            "interrupted run"
+        )
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     from .eval.harness import run_searcher
 
+    _refuse_resume_without_checkpoint(args)
     index = Index.open(
         args.index, mmap=args.mmap, routing=args.routing
     )
@@ -307,6 +318,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfjoin(args: argparse.Namespace) -> int:
+    _refuse_resume_without_checkpoint(args)
     params = _params_from_args(args)
     data = collection_from_directory(args.data, min_tokens=args.min_tokens)
     print(f"loaded {data}", file=sys.stderr)

@@ -482,19 +482,6 @@ class PKWiseSearcher:
         stats.num_results = len(pairs)
         return SearchResult(pairs=pairs, stats=stats)
 
-    # ------------------------------------------------------------------
-    def search_many(self, queries: list[Document], *, jobs: int = 1):
-        """Search every query; returns an :class:`~repro.eval.AggregateRun`.
-
-        The same shape the parallel executor produces, so serial and
-        ``jobs=N`` callers consume one type: per-query pair lists in
-        canonical order under ``results_by_query``, summed stats under
-        ``stats``.
-        """
-        from ..eval.harness import run_searcher
-
-        return run_searcher(self, queries, jobs=jobs)
-
     def close(self) -> None:
         """Release resources (no-op; in-memory index). Idempotent."""
 

@@ -106,12 +106,6 @@ class PKWiseNonIntervalSearcher:
         stats.num_results = len(pairs)
         return SearchResult(pairs=pairs, stats=stats)
 
-    def search_many(self, queries: list[Document], *, jobs: int = 1):
-        """Search every query; returns an :class:`~repro.eval.AggregateRun`."""
-        from ..eval.harness import run_searcher
-
-        return run_searcher(self, queries, jobs=jobs)
-
     def close(self) -> None:
         """Release resources (no-op; in-memory index). Idempotent."""
 

@@ -14,9 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..corpus import DocumentCollection
-from ..ordering import GlobalOrder
 from ..params import SearchParams
-from ..partition.scheme import PartitionScheme
 from .pkwise import PKWiseSearcher
 
 
@@ -69,11 +67,8 @@ def document_join_pairs(
 def local_similarity_self_join(
     data: DocumentCollection,
     params: SearchParams,
-    scheme: PartitionScheme | None = None,
-    order: GlobalOrder | None = None,
     exclude_same_document_within: int | None = None,
     jobs: int = 1,
-    start_method: str | None = None,
     checkpoint=None,
     resume: bool = False,
 ) -> list[SelfJoinPair]:
@@ -95,16 +90,15 @@ def local_similarity_self_join(
     ``checkpoint`` names a file that accumulates completed document
     blocks so a long join interrupted by a crash or Ctrl-C can be
     re-invoked with ``resume=True`` and finish from where it stopped (a
-    checkpoint runs the supervised dispatcher even at ``jobs=1``).
+    checkpoint runs the supervised dispatcher even at ``jobs=1``;
+    ``resume=True`` without one raises
+    :class:`~repro.errors.ConfigurationError`).
     """
     from ..parallel import ParallelExecutor
 
-    executor = ParallelExecutor(jobs=jobs, start_method=start_method)
-    return executor.self_join(
+    return ParallelExecutor(jobs).self_join(
         data,
         params,
-        scheme=scheme,
-        order=order,
         exclude_same_document_within=exclude_same_document_within,
         checkpoint=checkpoint,
         resume=resume,

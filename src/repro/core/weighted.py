@@ -264,11 +264,5 @@ class WeightedPKWiseSearcher:
         stats.num_results = len(pairs)
         return WeightedSearchResult(pairs, stats)
 
-    def search_many(self, queries: list[Document], *, jobs: int = 1):
-        """Search every query; returns an :class:`~repro.eval.AggregateRun`."""
-        from ..eval.harness import run_searcher
-
-        return run_searcher(self, queries, jobs=jobs)
-
     def close(self) -> None:
         """Release resources (no-op; in-memory postings). Idempotent."""

@@ -79,9 +79,10 @@ class WorkerCrashError(ReproError):
     """The parallel worker pool crashed more times than allowed.
 
     Raised by :class:`~repro.parallel.ParallelExecutor` when worker
-    processes keep dying (``max_pool_restarts`` exceeded).  Work that
-    completed before the crash is preserved in the run's checkpoint
-    when one was configured — rerun with ``resume=True``.
+    processes keep dying (``MAX_POOL_RESTARTS`` of
+    :mod:`repro.parallel.executor` exceeded).  Work that completed
+    before the crash is preserved in the run's checkpoint when one was
+    configured — rerun with ``resume=True``.
     """
 
     def __init__(self, message: str, restarts: int = 0) -> None:

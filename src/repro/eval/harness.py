@@ -173,8 +173,6 @@ def run_searcher(
     name: str | None = None,
     *,
     jobs: int = 1,
-    start_method: str | None = None,
-    chunk_size: int | None = None,
     checkpoint=None,
     resume: bool = False,
 ) -> AggregateRun:
@@ -190,19 +188,18 @@ def run_searcher(
     deterministically, identical to the serial run.
     :class:`~repro.parallel.ParallelExecutor` decides between
     :func:`serial_run` in-process (``jobs=1``, no checkpoint) and its
-    pool; ``start_method`` and ``chunk_size`` are forwarded to it.
+    pool.
 
     ``checkpoint`` names a file that accumulates completed chunks
     (atomic, checksummed) so an interrupted run can be re-invoked with
     ``resume=True`` and finish from where it stopped; setting it runs
-    the supervised dispatcher even at ``jobs=1``.
+    the supervised dispatcher even at ``jobs=1``.  ``resume=True``
+    without a ``checkpoint`` raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     from ..parallel import ParallelExecutor
 
-    executor = ParallelExecutor(
-        jobs=jobs, start_method=start_method, chunk_size=chunk_size
-    )
-    return executor.run_workload(
+    return ParallelExecutor(jobs).run_workload(
         searcher, queries, name=name, checkpoint=checkpoint, resume=resume
     )
 

@@ -40,7 +40,6 @@ masks by doc id.
 from __future__ import annotations
 
 from ..core.pkwise import PKWiseSearcher
-from ..errors import ConfigurationError
 from .tiered import TieredFingerprints, TieredIntervalIndex, TieredRankDocs
 
 
@@ -78,7 +77,7 @@ class LSMSearcher(PKWiseSearcher):
         a tier without stored fingerprints builds them on demand)."""
         return self._fingerprints
 
-    # -- search: the kernel under the store's lock; batches stay serial
+    # -- search: the kernel under the store's lock
     def search(self, query, *, cancel=None, routing=None):
         """The kernel under the read side of the store's lock.  A query
         that finds the active memtable behind its adds first catches it
@@ -101,15 +100,6 @@ class LSMSearcher(PKWiseSearcher):
             return super().search(query, cancel=cancel, routing=routing)
         finally:
             lock.release_read()
-
-    def search_many(self, queries, *, jobs: int = 1):
-        if jobs != 1:
-            raise ConfigurationError(
-                "a live LSM searcher runs queries serially (its store is "
-                "process-local); save a compact snapshot for parallel "
-                "batch runs"
-            )
-        return super().search_many(queries, jobs=1)
 
     # -- lifecycle ------------------------------------------------------
     def compacted(self) -> PKWiseSearcher:

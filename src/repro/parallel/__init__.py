@@ -9,12 +9,13 @@ serial path returns, in the same order.
 
 Worker state transport
 ----------------------
-Workers need the read-only searcher.  On POSIX the pool uses the
-``fork`` start method and workers inherit it through copy-on-write
-memory — zero serialization cost.  Where ``fork`` is unavailable
-(Windows, macOS default) the executor falls back to ``spawn``: a
+Workers need the read-only searcher.  Wherever :mod:`multiprocessing`
+offers ``fork`` (Linux, macOS) the pool forks and workers inherit it
+through copy-on-write memory — zero serialization cost.  Where it does
+not (Windows) the executor uses ``spawn``: a
 :class:`~repro.PKWiseSearcher` travels through a temporary
 :mod:`repro.persistence` index file, any other engine through pickle.
+The choice is the constant ``executor.START_METHOD``, not an option.
 
 Fault tolerance
 ---------------

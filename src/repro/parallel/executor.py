@@ -59,9 +59,7 @@ from ..eval.harness import (
     serial_run,
 )
 from ..obs import MetricsRegistry, get_tracer
-from ..ordering import GlobalOrder
 from ..params import SearchParams
-from ..partition.scheme import PartitionScheme
 from . import worker
 from .checkpoint import (
     SELFJOIN_KIND,
@@ -81,9 +79,23 @@ CHUNKS_PER_WORKER = 4
 #: units) or quarantined (single items): a unit runs at most three times.
 CHUNK_RETRIES = 2
 
-#: Cap (seconds) of the exponential delay before a failed unit is
-#: re-dispatched: ``min(cap, retry_backoff * 2**(attempt - 1))``.
+#: Base (seconds) of the exponential delay before a failed unit is
+#: re-dispatched: ``min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * 2**(attempt - 1))``.
+RETRY_BACKOFF = 0.05
+
+#: Cap (seconds) of that delay.
 RETRY_BACKOFF_CAP = 1.0
+
+#: Worker deaths one operation survives; one more raises
+#: :class:`~repro.errors.WorkerCrashError` (completed chunks are
+#: preserved in the checkpoint when one is configured).
+MAX_POOL_RESTARTS = 3
+
+#: How pool workers start.  ``fork``: workers inherit the searcher
+#: through copy-on-write memory.  ``spawn``, the only method where
+#: ``fork`` does not exist: the searcher travels through a persisted
+#: index file or pickle.
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 #: Newly completed chunks between two flushes of a run checkpoint.
 CHECKPOINT_EVERY = 1
@@ -124,6 +136,15 @@ def _reap(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _require_checkpoint_to_resume(checkpoint, resume: bool) -> None:
+    """Refuse ``resume=True`` without a checkpoint: there is nothing to
+    resume from, and a run from scratch would hide the mistake."""
+    if resume and checkpoint is None:
+        raise ConfigurationError(
+            "resume=True needs the checkpoint file of the interrupted run"
+        )
+
+
 def _reraise(item, exc: Exception, attempts: int) -> None:
     """``on_poison`` of the exact-or-error self-join: there is no
     per-item report that makes a partial join safe."""
@@ -133,65 +154,20 @@ def _reraise(item, exc: Exception, attempts: int) -> None:
 class ParallelExecutor:
     """Process-pool execution of query workloads and self-joins.
 
-    Parameters
-    ----------
-    jobs:
-        Worker processes; ``0`` or ``None`` means one per CPU.  ``1``
-        disables the pool (serial pass-through).
-    start_method:
-        ``"fork"`` (POSIX; workers inherit state through copy-on-write)
-        or ``"spawn"`` (portable; state travels through a persisted
-        index file or pickle).  ``None`` picks ``fork`` when available.
-    chunk_size:
-        Items per dispatched chunk; ``None`` derives it from the
-        workload size and ``CHUNKS_PER_WORKER``.
-    max_pool_restarts:
-        Worker-death budget for one operation; exceeding it raises
-        :class:`~repro.errors.WorkerCrashError` (completed chunks are
-        preserved in the checkpoint when one is configured).
-    retry_backoff:
-        Base (seconds) of the exponential delay before a failed unit is
-        re-dispatched, capped at ``RETRY_BACKOFF_CAP``.
+    ``jobs`` is the number of worker processes; ``0`` or ``None`` means
+    one per CPU, and ``1`` disables the pool (serial pass-through).
+    Everything else about the pool — start method, chunk size, retry
+    backoff, restart budget — is a constant of this module.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        start_method: str | None = None,
-        chunk_size: int | None = None,
-        *,
-        max_pool_restarts: int = 3,
-        retry_backoff: float = 0.05,
-    ) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ConfigurationError(
                 f"jobs must be >= 1 (or 0 for one per CPU), got {jobs}"
             )
-        available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else "spawn"
-        elif start_method not in available:
-            raise ConfigurationError(
-                f"start method {start_method!r} not available here "
-                f"(have: {', '.join(available)})"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_pool_restarts < 0:
-            raise ConfigurationError(
-                f"max_pool_restarts must be >= 0, got {max_pool_restarts}"
-            )
-        if retry_backoff < 0:
-            raise ConfigurationError(
-                f"retry_backoff must be >= 0, got {retry_backoff}"
-            )
         self.jobs = jobs
-        self.start_method = start_method
-        self.chunk_size = chunk_size
-        self.max_pool_restarts = max_pool_restarts
-        self.retry_backoff = retry_backoff
 
     # ------------------------------------------------------------------
     # Pool plumbing
@@ -211,9 +187,9 @@ class ParallelExecutor:
         engine.  The active fault plan travels in the initargs so
         injection points fire identically under every start method.
         """
-        pool_args = {"mp_context": multiprocessing.get_context(self.start_method)}
+        pool_args = {"mp_context": multiprocessing.get_context(START_METHOD)}
         plan = faults.get_plan()
-        if self.start_method == "fork":
+        if START_METHOD == "fork":
             worker.set_forked_state(state)
             try:
                 yield pool_args
@@ -242,12 +218,7 @@ class ParallelExecutor:
 
     def _chunk(self, items: list) -> list[list]:
         """Cut ``items`` into dispatch chunks (order-preserving)."""
-        if not items:
-            return []
-        if self.chunk_size is not None:
-            size = self.chunk_size
-        else:
-            size = max(1, math.ceil(len(items) / (self.jobs * CHUNKS_PER_WORKER)))
+        size = max(1, math.ceil(len(items) / (self.jobs * CHUNKS_PER_WORKER)))
         return [items[lo : lo + size] for lo in range(0, len(items), size)]
 
     # ------------------------------------------------------------------
@@ -279,7 +250,7 @@ class ParallelExecutor:
         rest requeue *without* being charged an attempt (an innocent
         chunk sharing a pool with a crasher must not drift toward
         quarantine) — and the pool is rebuilt, at most
-        ``max_pool_restarts`` times.
+        ``MAX_POOL_RESTARTS`` times.
 
         Any abort (``KeyboardInterrupt``, ``WorkerCrashError``, an
         ``on_poison`` re-raise) terminates worker processes immediately
@@ -300,7 +271,7 @@ class ParallelExecutor:
                 recovery.chunk_retries += 1
                 delay = min(
                     RETRY_BACKOFF_CAP,
-                    self.retry_backoff * (2 ** (unit.attempts - 1)),
+                    RETRY_BACKOFF * (2 ** (unit.attempts - 1)),
                 )
                 if delay > 0:
                     time.sleep(delay)
@@ -343,10 +314,10 @@ class ParallelExecutor:
             pool.shutdown(wait=True)
             pool = None
             restarts += 1
-            if restarts > self.max_pool_restarts:
+            if restarts > MAX_POOL_RESTARTS:
                 raise WorkerCrashError(
                     f"worker pool crashed {restarts} times "
-                    f"(max_pool_restarts={self.max_pool_restarts})"
+                    f"(MAX_POOL_RESTARTS={MAX_POOL_RESTARTS})"
                     + (
                         f"; completed chunks are preserved in checkpoint "
                         f"{checkpoint.path} — rerun with resume=True"
@@ -416,11 +387,13 @@ class ParallelExecutor:
         surviving query's results remain exact (byte-identical to a
         serial run over the surviving subset).  ``checkpoint=`` names a
         file that accumulates completed chunks so an interrupted run
-        (worker crashes beyond ``max_pool_restarts``, Ctrl-C, power
+        (worker crashes beyond ``MAX_POOL_RESTARTS``, Ctrl-C, power
         loss after a flush) can continue with ``resume=True``; the file
         is removed when the run completes.  A checkpoint forces the
-        supervised path even at ``jobs=1``.
+        supervised path even at ``jobs=1``; ``resume=True`` without one
+        raises :class:`~repro.errors.ConfigurationError`.
         """
+        _require_checkpoint_to_resume(checkpoint, resume)
         if checkpoint is None and (self.jobs == 1 or len(queries) <= 1):
             return serial_run(searcher, queries, name=name)
 
@@ -560,10 +533,7 @@ class ParallelExecutor:
         self,
         data: DocumentCollection,
         params: SearchParams,
-        scheme: PartitionScheme | None = None,
-        order: GlobalOrder | None = None,
         exclude_same_document_within: int | None = None,
-        searcher: PKWiseSearcher | None = None,
         *,
         checkpoint: str | Path | None = None,
         resume: bool = False,
@@ -574,8 +544,7 @@ class ParallelExecutor:
         whole collection; the canonical-orientation filter already
         deduplicates across blocks, and the final sort makes the output
         identical to the serial join.  The index is built in-process
-        before any probe block is dispatched; pass a prebuilt
-        ``searcher`` to skip building it.  ``jobs=1`` without a
+        before any probe block is dispatched.  ``jobs=1`` without a
         checkpoint (or a single document) runs the same probes
         in-process.
 
@@ -589,8 +558,8 @@ class ParallelExecutor:
         """
         from ..core.selfjoin import document_join_pairs
 
-        if searcher is None:
-            searcher = PKWiseSearcher(data, params, scheme=scheme, order=order)
+        _require_checkpoint_to_resume(checkpoint, resume)
+        searcher = PKWiseSearcher(data, params)
         documents = list(data)
         in_process = checkpoint is None and (
             self.jobs == 1 or len(documents) <= 1

@@ -57,9 +57,10 @@ def workload_cost(
     # Imported here: core depends on partition.scheme, so the reverse
     # import lives inside the function to keep the module graph acyclic.
     from ..core.pkwise import PKWiseSearcher
+    from ..eval.harness import serial_run
 
     searcher = PKWiseSearcher(data, params, scheme=scheme, order=order)
-    totals = searcher.search_many(queries).stats
+    totals = serial_run(searcher, queries).stats
     return totals.abstract_cost(weights.c_comb, weights.c_int, weights.c_hash)
 
 
@@ -82,11 +83,12 @@ def calibrated_weights(
     greedy search prefer schemes that lose on wall clock.
     """
     from ..core.pkwise import PKWiseSearcher, default_scheme
+    from ..eval.harness import serial_run
 
     if scheme is None:
         scheme = default_scheme(params, order)
     searcher = PKWiseSearcher(data, params, scheme=scheme, order=order)
-    totals = searcher.search_many(queries).stats
+    totals = serial_run(searcher, queries).stats
     c_comb = totals.signature_time / max(1, totals.signature_tokens)
     c_int = totals.candidate_time / max(1, totals.postings_entries)
     c_hash = totals.verify_time / max(1, totals.hash_ops)

@@ -18,6 +18,7 @@ from repro.baselines import (
     StandardPrefixSearcher,
 )
 from repro.baselines.fbw import default_winnow_window
+from repro.eval import run_searcher
 
 from .conftest import expected_pairs, pairs_as_set, random_collection
 
@@ -186,7 +187,7 @@ class TestSearchMany:
     def test_aggregates(self, small_corpus):
         params = SearchParams(w=10, tau=1, k_max=1)
         searcher = StandardPrefixSearcher(small_corpus, params)
-        run = searcher.search_many([small_corpus[0], small_corpus[1]])
+        run = run_searcher(searcher, [small_corpus[0], small_corpus[1]])
         assert run.num_queries == 2
         assert run.stats.num_results == sum(
             len(pairs) for pairs in run.results_by_query.values()

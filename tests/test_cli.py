@@ -25,6 +25,7 @@ from repro import (
 )
 from repro.cli import main
 from repro.errors import RoutingUnavailableError
+from repro.parallel import executor as executor_module
 from repro.persistence import read_envelope
 from repro.service import WorkerLauncher
 
@@ -219,7 +220,7 @@ class TestFrontDoor:
         assert capsys.readouterr().err == f"error: {raised.value}\n"
 
     def test_search_jobs_checkpoint_resume_print_the_serial_output(
-        self, corpus_dir, tmp_path, capsys
+        self, corpus_dir, tmp_path, capsys, monkeypatch
     ):
         directory, query_path = corpus_dir
         index_path = tmp_path / "corpus.idx"
@@ -262,9 +263,10 @@ class TestFrontDoor:
                     ledger=tmp_path / "ledger",
                 )
             )
+            monkeypatch.setattr(executor_module, "MAX_POOL_RESTARTS", 0)
             try:
                 with pytest.raises(WorkerCrashError):
-                    ParallelExecutor(jobs=2, max_pool_restarts=0).run_workload(
+                    ParallelExecutor(jobs=2).run_workload(
                         index.searcher(), queries, checkpoint=checkpoint
                     )
             finally:
@@ -312,7 +314,7 @@ class TestSelfJoin:
         assert "doc0.txt ~ doc5.txt" in out
 
     def test_jobs_checkpoint_resume_print_the_serial_output(
-        self, corpus_dir, tmp_path, capsys
+        self, corpus_dir, tmp_path, capsys, monkeypatch
     ):
         directory, _query = corpus_dir
         selfjoin = ["selfjoin", "--data", str(directory), "-w", "20", "--tau", "4"]
@@ -342,9 +344,10 @@ class TestSelfJoin:
                 ledger=tmp_path / "ledger",
             )
         )
+        monkeypatch.setattr(executor_module, "MAX_POOL_RESTARTS", 0)
         try:
             with pytest.raises(WorkerCrashError):
-                ParallelExecutor(jobs=2, max_pool_restarts=0).self_join(
+                ParallelExecutor(jobs=2).self_join(
                     collection_from_directory(directory),
                     params,
                     exclude_same_document_within=params.w,
@@ -400,6 +403,23 @@ class TestErrors:
         process.stderr.close()
         assert process.wait(timeout=60) != 0
         assert "Traceback" not in stderr and "BrokenPipe" not in stderr
+
+    @pytest.mark.parametrize("command", ["search", "selfjoin"])
+    def test_resume_without_checkpoint_is_refused(self, command, tmp_path, capsys):
+        # Without --checkpoint there is nothing to resume: refused on
+        # the arguments alone, before the index or corpus is opened.
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "search": ["--index", missing, "--query", missing],
+            "selfjoin": ["--data", missing],
+        }[command]
+        assert main([command, *inputs, "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --resume needs --checkpoint FILE, the checkpoint of "
+            "the interrupted run\n"
+        )
 
     def test_index_missing_directory(self, tmp_path):
         rc = main(

@@ -38,6 +38,7 @@ from repro.errors import IndexStateError
 from repro.eval import run_searcher
 from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs, ProbeHit
 from repro.ingest import Tier, TieredRankDocs
+from repro.parallel import executor as executor_module
 from repro.persistence import load_bundle
 
 from .conftest import expected_pairs, pairs_as_set, probe_runs, reference_index
@@ -74,18 +75,20 @@ class TestCompactParity:
         assert sum(map(len, runs)) > 0
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-    def test_parity_under_fork(self, built, queries):
+    def test_parity_under_fork(self, built, queries, monkeypatch):
         _data, searcher = built
         serial = run_searcher(searcher, queries)
-        forked = run_searcher(searcher, queries, jobs=2, start_method="fork")
+        monkeypatch.setattr(executor_module, "START_METHOD", "fork")
+        forked = run_searcher(searcher, queries, jobs=2)
         assert forked.results_by_query == serial.results_by_query
 
-    def test_parity_under_spawn(self, built, queries):
+    def test_parity_under_spawn(self, built, queries, monkeypatch):
         # The spawn transport writes a compact snapshot and each worker
         # memory-maps it; results must match the serial run.
         _data, searcher = built
         serial = run_searcher(searcher, queries)
-        spawned = run_searcher(searcher, queries, jobs=2, start_method="spawn")
+        monkeypatch.setattr(executor_module, "START_METHOD", "spawn")
+        spawned = run_searcher(searcher, queries, jobs=2)
         assert spawned.results_by_query == serial.results_by_query
 
     def test_parity_behind_service(self, built, queries):

@@ -31,6 +31,7 @@ import pytest
 
 from repro import DocumentCollection, Index, PKWiseSearcher, SearchParams
 from repro.eval import run_searcher
+from repro.parallel import executor as executor_module
 from repro.service import LocalShardBackend, ShardPlan, ShardRouter
 
 from .conftest import expected_pairs, make_corpus, make_queries
@@ -184,15 +185,17 @@ def encoded(data, queries):
     return [data.encode_query_tokens(query.source_tokens) for query in queries]
 
 
-def answers(cell, index, queries, request):
+def answers(cell, index, queries, request, monkeypatch):
     """Per query, the pairs ``index`` returns under ``cell.execution``."""
     if cell.execution == "serial":
         with index.serve() as service:
             return [service.search(q, routing=request).pairs
                     for q in encoded(index.data, queries)]
+    # One query per chunk, workers started the cell's way.
+    monkeypatch.setattr(executor_module, "CHUNKS_PER_WORKER", len(queries))
+    monkeypatch.setattr(executor_module, "START_METHOD", cell.execution)
     serial, pooled = (
-        run_searcher(index.searcher(), encoded(index.data, queries), jobs=jobs,
-                     chunk_size=1, start_method=cell.execution)
+        run_searcher(index.searcher(), encoded(index.data, queries), jobs=jobs)
         for jobs in (1, 2)
     )
     assert [*pooled.results_by_query.items()] == [*serial.results_by_query.items()]
@@ -203,7 +206,7 @@ def answers(cell, index, queries, request):
 
 
 @pytest.mark.parametrize("cell", CELLS, ids="-".join)
-def test_cell(cell, tmp_path):
+def test_cell(cell, tmp_path, monkeypatch):
     number = CELLS.index(cell)
     params = GRID[number % len(GRID)]
     data, rng = make_corpus(number, docs=5 + number % 3, vocab=200)
@@ -282,6 +285,6 @@ def test_cell(cell, tmp_path):
         store = index.searcher().store
         assert store.next_doc_id == ndocs
         assert store.metrics_snapshot()["counters"]["ingest.wal_replayed"] > 0
-    replies = answers(cell, index, queries, request)
+    replies = answers(cell, index, queries, request, monkeypatch)
     index.close()
     check(replies, ndocs, removed)

@@ -335,6 +335,18 @@ class TestTrafficAuditRemovals:
 
 
 class TestSearchManyUnification:
+    """A batch of queries over any engine is ``run_searcher``'s
+    AggregateRun; no engine carries a ``search_many`` of its own."""
+
+    def test_no_engine_defines_search_many(self):
+        from repro.ingest import LSMSearcher
+
+        for engine in (
+            PKWiseSearcher, PKWiseNonIntervalSearcher, WeightedPKWiseSearcher,
+            BruteForceSearcher, FBWSearcher, LSMSearcher, Searcher,
+        ):
+            assert not hasattr(engine, "search_many"), engine.__name__
+
     def test_facade_search_many_returns_run(self, small_corpus):
         index = Index.build(small_corpus, SearchParams(w=10, tau=2, k_max=3))
         queries = [
@@ -346,16 +358,12 @@ class TestSearchManyUnification:
             )
             for d in (0, 3)
         ]
-        run = index.searcher().search_many(queries)
+        run = run_searcher(index.searcher(), queries)
         assert run.num_queries == 2
         assert set(run.results_by_query) == {0, 1}
-        # jobs=0 is "one per CPU" everywhere jobs= is taken (2.4 raised
-        # "jobs must be >= 1, got 0" here).
-        for auto in (
-            index.searcher().search_many(queries, jobs=0),
-            run_searcher(index.searcher(), queries, jobs=0),
-        ):
-            assert auto.results_by_query == run.results_by_query
+        # jobs=0 is "one per CPU".
+        auto = run_searcher(index.searcher(), queries, jobs=0)
+        assert auto.results_by_query == run.results_by_query
 
     def test_weighted_and_baseline_agree_on_shape(self, small_corpus):
         params = SearchParams(w=10, tau=2, k_max=3)
@@ -371,7 +379,7 @@ class TestSearchManyUnification:
             small_corpus, w=10, theta_weight=8.0, weight_of_token=lambda _t: 1.0
         )
         for engine in (weighted, BruteForceSearcher(small_corpus, params)):
-            run = engine.search_many(queries)
+            run = run_searcher(engine, queries)
             assert run.num_queries == 1
             assert hasattr(run, "stats") and hasattr(run, "results_by_query")
 
@@ -452,6 +460,10 @@ class TestModuleSurface:
             "Index.build([text, 'a b c ' * 10], w=12, tau=2).save(sys.argv[1])\n"
             "with Index.open(sys.argv[1]) as index:\n"
             "    assert index.search_text(text).pairs\n"
+            "# The greedy partitioner scores its sampled workload serially.\n"
+            "greedy = Index.build([text] * 4, w=12, tau=2, greedy_partition=True,\n"
+            "                     sample_ratio=0.5)\n"
+            "assert greedy.search_text(text).pairs\n"
             "pool = ('repro.parallel', 'multiprocessing', 'concurrent.futures')\n"
             "print([name for name in pool if name in sys.modules])\n"
         )

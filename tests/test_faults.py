@@ -33,8 +33,10 @@ from repro import (
     local_similarity_self_join,
 )
 from repro.errors import ConfigurationError, FaultInjectionError
+from repro.eval import run_searcher
 from repro.eval.harness import serial_run
 from repro.obs import configure_tracing, disable_tracing
+from repro.parallel import executor as executor_module
 from repro.parallel.checkpoint import RunCheckpoint, workload_fingerprint
 from repro.parallel.executor import _reap
 from repro.persistence import PersistenceError
@@ -65,11 +67,12 @@ def workload():
     return data, params, searcher, queries
 
 
-def _executor(**kwargs) -> ParallelExecutor:
-    kwargs.setdefault("jobs", 2)
-    kwargs.setdefault("chunk_size", 2)
-    kwargs.setdefault("retry_backoff", 0.0)
-    return ParallelExecutor(**kwargs)
+@pytest.fixture(autouse=True)
+def _pool_constants(monkeypatch):
+    """Two-item chunks for the 9-item workload on two workers (so a
+    poison item is bisected out), and retries without backoff."""
+    monkeypatch.setattr(executor_module, "CHUNKS_PER_WORKER", 4)
+    monkeypatch.setattr(executor_module, "RETRY_BACKOFF", 0.0)
 
 
 @contextlib.contextmanager
@@ -249,7 +252,7 @@ class TestQuarantine:
                 ]
             )
         )
-        run = _executor().run_workload(searcher, queries)
+        run = ParallelExecutor(jobs=2).run_workload(searcher, queries)
         assert len(run.failures) == 1
         failure = run.failures[0]
         assert failure.position == 6
@@ -283,14 +286,14 @@ class TestQuarantine:
                 ledger=tmp_path / "ledger",
             )
         )
-        run = _executor().run_workload(searcher, queries)
+        run = ParallelExecutor(jobs=2).run_workload(searcher, queries)
         assert run.failures == []
         assert run.recovery.chunk_retries >= 1
         assert run.results_by_query == clean.results_by_query
 
     def test_clean_run_reports_no_recovery(self, workload):
         _data, _params, searcher, queries = workload
-        run = _executor().run_workload(searcher, queries)
+        run = ParallelExecutor(jobs=2).run_workload(searcher, queries)
         assert run.failures == []
         assert run.recovery is not None
         assert not any(run.recovery.to_dict().values())
@@ -321,7 +324,7 @@ class TestKeyboardInterrupt:
         _data, _params, searcher, queries = workload
         wrapped = _InterruptingSearcher(searcher, interrupt_doc_id=4)
         checkpoint = tmp_path / "run.ckpt"
-        executor = _executor()
+        executor = ParallelExecutor(jobs=2)
         with pytest.raises(KeyboardInterrupt):
             executor.run_workload(wrapped, queries, checkpoint=checkpoint)
         assert checkpoint.exists()  # completed chunks were preserved
@@ -362,7 +365,7 @@ class TestKeyboardInterrupt:
         previous = signal.signal(signal.SIGTERM, unwind)
         try:
             with _deadline(30), pytest.raises(KeyboardInterrupt):
-                _executor().run_workload(
+                ParallelExecutor(jobs=2).run_workload(
                     _InterruptingSearcher(searcher, interrupt_doc_id=4), queries
                 )
         finally:
@@ -387,7 +390,7 @@ class TestWorkerKill:
                 ledger=tmp_path / "ledger",
             )
         )
-        run = _executor().run_workload(searcher, queries)
+        run = ParallelExecutor(jobs=2).run_workload(searcher, queries)
         assert run.failures == []
         assert run.recovery.pool_restarts >= 1
         assert run.results_by_query == clean.results_by_query
@@ -418,7 +421,7 @@ class TestWorkerKill:
                 ledger=tmp_path / "ledger",
             )
         )
-        run = _executor().run_workload(searcher, queries)
+        run = ParallelExecutor(jobs=2).run_workload(searcher, queries)
         assert [failure.position for failure in run.failures] == [6]
         assert run.recovery.pool_restarts >= 1
         surviving = {
@@ -429,7 +432,7 @@ class TestWorkerKill:
         assert dict(run.results_by_query) == surviving
 
     def test_persistent_killer_raises_worker_crash_error(
-        self, workload, tmp_path
+        self, workload, tmp_path, monkeypatch
     ):
         data, params, searcher, queries = workload
         faults.install_plan(
@@ -445,7 +448,8 @@ class TestWorkerKill:
                 ledger=tmp_path / "ledger",
             )
         )
-        executor = _executor(max_pool_restarts=0)
+        monkeypatch.setattr(executor_module, "MAX_POOL_RESTARTS", 0)
+        executor = ParallelExecutor(jobs=2)
         with pytest.raises(WorkerCrashError) as info:
             executor.run_workload(searcher, queries)
         assert info.value.restarts == 1
@@ -454,25 +458,26 @@ class TestWorkerKill:
             FaultPlan([_kill_one_document()], ledger=tmp_path / "join")
         )
         with _deadline(60), pytest.raises(WorkerCrashError) as info:
-            executor.self_join(data, params, searcher=searcher)
+            executor.self_join(data, params)
         assert info.value.restarts == 1
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_kill_during_self_join_recovers(self, workload, tmp_path, start_method):
+    def test_kill_during_self_join_recovers(
+        self, workload, tmp_path, start_method, monkeypatch
+    ):
         # One self-join worker dies under the default restart budget: the
         # join still equals the serial one, and its span says what it cost.
-        data, params, searcher, _queries = workload
+        data, params, _searcher, _queries = workload
         expected = local_similarity_self_join(data, params)
         faults.install_plan(
             FaultPlan([_kill_one_document()], ledger=tmp_path / "ledger")
         )
         trace = tmp_path / "join.jsonl"
+        monkeypatch.setattr(executor_module, "START_METHOD", start_method)
         configure_tracing(str(trace))
         try:
             with _deadline(120):
-                pairs = _executor(start_method=start_method).self_join(
-                    data, params, searcher=searcher
-                )
+                pairs = ParallelExecutor(jobs=2).self_join(data, params)
         finally:
             disable_tracing()
         assert pairs == expected
@@ -486,7 +491,9 @@ class TestWorkerKill:
 
 @needs_fork
 class TestCheckpointResume:
-    def test_workload_resume_matches_uninterrupted(self, workload, tmp_path):
+    def test_workload_resume_matches_uninterrupted(
+        self, workload, tmp_path, monkeypatch
+    ):
         _data, _params, searcher, queries = workload
         clean = serial_run(searcher, queries)
         checkpoint = tmp_path / "run.ckpt"
@@ -503,7 +510,8 @@ class TestCheckpointResume:
                 ledger=tmp_path / "ledger",
             )
         )
-        executor = _executor(max_pool_restarts=0)
+        monkeypatch.setattr(executor_module, "MAX_POOL_RESTARTS", 0)
+        executor = ParallelExecutor(jobs=2)
         with pytest.raises(WorkerCrashError, match="resume=True"):
             executor.run_workload(searcher, queries, checkpoint=checkpoint)
         assert checkpoint.exists()
@@ -520,7 +528,9 @@ class TestCheckpointResume:
         )
         assert not checkpoint.exists()  # removed on success
 
-    def test_selfjoin_resume_matches_uninterrupted(self, workload, tmp_path):
+    def test_selfjoin_resume_matches_uninterrupted(
+        self, workload, tmp_path, monkeypatch
+    ):
         data, params, _searcher, _queries = workload
         expected = local_similarity_self_join(data, params)
         checkpoint = tmp_path / "join.ckpt"
@@ -537,7 +547,8 @@ class TestCheckpointResume:
                 ledger=tmp_path / "ledger",
             )
         )
-        executor = _executor(max_pool_restarts=0)
+        monkeypatch.setattr(executor_module, "MAX_POOL_RESTARTS", 0)
+        executor = ParallelExecutor(jobs=2)
         with pytest.raises(WorkerCrashError):
             executor.self_join(data, params, checkpoint=checkpoint)
         assert checkpoint.exists()
@@ -552,10 +563,22 @@ class TestCheckpointResume:
     def test_checkpoint_works_at_jobs_1(self, workload, tmp_path):
         _data, _params, searcher, queries = workload
         clean = serial_run(searcher, queries)
-        run = ParallelExecutor(jobs=1, chunk_size=2).run_workload(
+        run = ParallelExecutor(jobs=1).run_workload(
             searcher, queries, checkpoint=tmp_path / "run.ckpt"
         )
         assert run.results_by_query == clean.results_by_query
+
+    def test_resume_without_checkpoint_refused(self, workload):
+        data, params, searcher, queries = workload
+        refused = pytest.raises(ConfigurationError, match="checkpoint")
+        with refused:
+            run_searcher(searcher, queries, resume=True)
+        with refused:
+            ParallelExecutor(jobs=2).run_workload(searcher, queries, resume=True)
+        with refused:
+            local_similarity_self_join(data, params, resume=True)
+        with refused:
+            ParallelExecutor(jobs=2).self_join(data, params, resume=True)
 
     def test_fingerprint_mismatch_rejected(self, workload, tmp_path):
         _data, _params, searcher, queries = workload
@@ -567,7 +590,7 @@ class TestCheckpointResume:
         checkpoint.record([0], pid=1, elapsed=0.0, snapshot={}, rows=[])
         checkpoint.flush()
         with pytest.raises(PersistenceError, match="different run"):
-            _executor().run_workload(
+            ParallelExecutor(jobs=2).run_workload(
                 searcher, queries[:-1], checkpoint=checkpoint.path, resume=True
             )
 
@@ -585,7 +608,7 @@ class TestCheckpointResume:
             )
         )
         with pytest.raises(FaultInjectionError):
-            _executor().self_join(data, params)
+            ParallelExecutor(jobs=2).self_join(data, params)
 
 
 class TestSpawnFailureParity:
@@ -598,7 +621,7 @@ class TestSpawnFailureParity:
             "spawn",
         ],
     )
-    def test_quarantine_report_identical(self, workload, start_method):
+    def test_quarantine_report_identical(self, workload, start_method, monkeypatch):
         _data, _params, searcher, queries = workload
         clean = serial_run(searcher, queries)
         faults.install_plan(
@@ -613,9 +636,8 @@ class TestSpawnFailureParity:
                 ]
             )
         )
-        run = _executor(start_method=start_method).run_workload(
-            searcher, queries
-        )
+        monkeypatch.setattr(executor_module, "START_METHOD", start_method)
+        run = ParallelExecutor(jobs=2).run_workload(searcher, queries)
         report = [failure.to_dict() for failure in run.failures]
         assert report == [
             {

@@ -22,6 +22,7 @@ from repro import (
 from repro.core.base import STAT_COUNTER_FIELDS, STAT_TIMER_FIELDS
 from repro.eval import run_searcher
 from repro.obs import configure_tracing, disable_tracing, get_tracer
+from repro.parallel import executor as executor_module
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -163,13 +164,15 @@ class TestSerialParallelCounterParity:
             pytest.param(2, "spawn", id="2-spawn"),
         ],
     )
-    def test_counters_field_for_field(self, reuse_corpus, jobs, start_method):
+    def test_counters_field_for_field(
+        self, reuse_corpus, jobs, start_method, monkeypatch
+    ):
         data, queries = reuse_corpus
         searcher = PKWiseSearcher(data, SearchParams(w=12, tau=3, k_max=2))
         serial = run_searcher(searcher, queries)
-        parallel = run_searcher(
-            searcher, queries, jobs=jobs, chunk_size=1, start_method=start_method
-        )
+        monkeypatch.setattr(executor_module, "CHUNKS_PER_WORKER", len(queries))  # 1 a chunk
+        monkeypatch.setattr(executor_module, "START_METHOD", start_method)
+        parallel = run_searcher(searcher, queries, jobs=jobs)
         serial_snap = serial.stats.snapshot()
         parallel_snap = parallel.stats.snapshot()
         assert parallel_snap["counters"] == serial_snap["counters"]

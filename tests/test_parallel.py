@@ -28,6 +28,7 @@ from repro import (
 from repro.errors import ConfigurationError
 from repro.eval import run_searcher
 from repro.eval.harness import canonical_pair_order, serial_run
+from repro.parallel import executor as executor_module
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -79,11 +80,12 @@ class TestWorkloadParity:
         assert parallel.stats.num_results == serial.stats.num_results
         assert parallel.stats.candidate_windows == serial.stats.candidate_windows
 
-    def test_matchpair_set_equality_per_query(self, corpus, params):
+    def test_matchpair_set_equality_per_query(self, corpus, params, monkeypatch):
         data, queries = corpus
         searcher = PKWiseSearcher(data, params)
         serial = run_searcher(searcher, queries)
-        parallel = run_searcher(searcher, queries, jobs=2, chunk_size=1)
+        monkeypatch.setattr(executor_module, "CHUNKS_PER_WORKER", len(queries))  # 1 a chunk
+        parallel = run_searcher(searcher, queries, jobs=2)
         for query_id, pairs in serial.results_by_query.items():
             assert set(parallel.results_by_query[query_id]) == set(pairs)
 
@@ -156,21 +158,6 @@ class TestSelfJoinParity:
         parallel = local_similarity_self_join(data, params, jobs=2)
         assert parallel == serial
 
-    def test_prebuilt_searcher_reuse(self, corpus, params):
-        data, _queries = corpus
-        executor = ParallelExecutor(jobs=2)
-        searcher = PKWiseSearcher(data, params)
-        serial = local_similarity_self_join(
-            data, params, exclude_same_document_within=params.w
-        )
-        parallel = executor.self_join(
-            data,
-            params,
-            exclude_same_document_within=params.w,
-            searcher=searcher,
-        )
-        assert parallel == serial
-
 
 class TestDegenerateWorkloads:
     """Empty/degenerate inputs return empty results with sane stats."""
@@ -203,12 +190,15 @@ class TestDegenerateWorkloads:
         assert sum(r.num_queries for r in parallel.worker_reports) == num_queries
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_chunk_size_larger_than_workload(self, corpus, params, jobs):
+    def test_chunk_size_larger_than_workload(
+        self, corpus, params, jobs, monkeypatch
+    ):
         data, queries = corpus
         searcher = PKWiseSearcher(data, params)
-        run = ParallelExecutor(jobs=jobs, chunk_size=1000).run_workload(
-            searcher, queries
-        )
+        # A fraction of a chunk per worker: one chunk, far larger than
+        # the workload, holds all of it.
+        monkeypatch.setattr(executor_module, "CHUNKS_PER_WORKER", 0.001)
+        run = ParallelExecutor(jobs=jobs).run_workload(searcher, queries)
         serial = serial_run(searcher, queries)
         assert run.results_by_query == serial.results_by_query
 
@@ -228,8 +218,7 @@ class TestDegenerateWorkloads:
         assert all(pairs == [] for pairs in run.results_by_query.values())
         assert run.worker_skew >= 1.0
         join = executor.self_join(
-            data, params, exclude_same_document_within=params.w,
-            searcher=searcher,
+            data, params, exclude_same_document_within=params.w
         )
         assert join == []
 
@@ -253,39 +242,46 @@ class TestDegenerateWorkloads:
 class TestSpawnFallback:
     """The portable path: state travels via persistence/pickle."""
 
-    def test_self_join_parity_under_spawn(self, corpus, params):
+    def test_self_join_parity_under_spawn(self, corpus, params, monkeypatch):
         data, _queries = corpus
         serial = local_similarity_self_join(
             data, params, exclude_same_document_within=params.w
         )
-        spawned = ParallelExecutor(jobs=2, start_method="spawn").self_join(
+        monkeypatch.setattr(executor_module, "START_METHOD", "spawn")
+        spawned = ParallelExecutor(jobs=2).self_join(
             data, params, exclude_same_document_within=params.w
         )
         assert spawned == serial
 
 
 class TestExecutorConfig:
-    def test_constructor_takes_five_values(self):
-        # What a caller (the CLI, run_searcher, smoke_faults.py) sets;
-        # the other retry knobs are constants of repro.parallel.executor.
-        assert list(inspect.signature(ParallelExecutor).parameters) == [
-            "jobs", "start_method", "chunk_size",
-            "max_pool_restarts", "retry_backoff",
+    def test_constructor_takes_jobs_only(self):
+        # What a caller (the CLI, run_searcher) sets; start method, chunk
+        # size, backoff and restart budget are constants of
+        # repro.parallel.executor, which tests monkeypatch.
+        assert list(inspect.signature(ParallelExecutor).parameters) == ["jobs"]
+
+    def test_batch_entry_points_take_no_pool_options(self):
+        def settable(function, inputs):
+            return list(inspect.signature(function).parameters)[inputs:]
+
+        assert settable(run_searcher, 2) == ["name", "jobs", "checkpoint", "resume"]
+        assert settable(local_similarity_self_join, 2) == [
+            "exclude_same_document_within", "jobs", "checkpoint", "resume",
         ]
+        assert settable(ParallelExecutor.run_workload, 3) == [
+            "name", "checkpoint", "resume",
+        ]
+        assert settable(ParallelExecutor.self_join, 3) == [
+            "exclude_same_document_within", "checkpoint", "resume",
+        ]
+        assert executor_module.START_METHOD in multiprocessing.get_all_start_methods()
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             ParallelExecutor(jobs=-1)
         with pytest.raises(ConfigurationError):
             ParallelExecutor(jobs=-2)
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(jobs=2, chunk_size=0)
-
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(jobs=2, start_method="teleport")
 
     def test_jobs_none_means_cpu_count(self):
         import os

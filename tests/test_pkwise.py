@@ -20,6 +20,7 @@ from repro import (
     SearchStats,
 )
 from repro.core.pkwise import default_scheme
+from repro.eval import run_searcher
 from repro.signatures import SignatureStream
 
 from .conftest import expected_pairs, pairs_as_set, random_collection
@@ -220,7 +221,7 @@ class TestStats:
         params = SearchParams(w=10, tau=1, k_max=2)
         searcher = PKWiseSearcher(small_corpus, params)
         queries = [small_corpus[0], small_corpus[1]]
-        run = searcher.search_many(queries)
+        run = run_searcher(searcher, queries)
         assert run.num_queries == 2
         assert len(run.results_by_query) == 2
         assert run.stats.num_results == sum(

@@ -47,6 +47,7 @@ from repro import (
 )
 from repro.errors import IndexStateError
 from repro.eval.harness import canonical_pair_order, run_searcher
+from repro.parallel import executor as executor_module
 from repro.persistence import read_envelope, write_envelope
 from repro.routing import (
     FINGERPRINT_BITS,
@@ -427,15 +428,14 @@ class TestExactRoutingIdentity:
             "spawn",
         ],
     )
-    def test_parallel_workers_match_serial(self, start_method):
+    def test_parallel_workers_match_serial(self, start_method, monkeypatch):
         params = PARAM_GRID[1]
         data, rng = make_corpus(5)
         _, routed = routed_pair(data, params)
         queries = make_queries(data, rng)
         serial = run_searcher(routed, queries)
-        parallel = run_searcher(
-            routed, queries, jobs=2, start_method=start_method
-        )
+        monkeypatch.setattr(executor_module, "START_METHOD", start_method)
+        parallel = run_searcher(routed, queries, jobs=2)
         assert parallel.results_by_query == serial.results_by_query
         # routing.* counters must merge identically across workers.
         assert (
