@@ -13,8 +13,10 @@ from functools import lru_cache
 
 import pytest
 
-from repro import PartitionScheme, PKWiseSearcher, SearchParams
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
 from repro.eval import run_searcher
+from repro.partition.scheme import PartitionScheme
 
 from common import order_for, workload, write_report
 

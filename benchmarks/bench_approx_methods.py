@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import GlobalOrder, PKWiseSearcher, SearchParams
+from repro import SearchParams
 from repro.baselines import FBWSearcher, MinHashLSHSearcher, WinnowingSearcher
+from repro.core.pkwise import PKWiseSearcher
 from repro.eval import evaluate_quality, run_searcher
+from repro.ordering import GlobalOrder
 
 from common import workload, write_report
 

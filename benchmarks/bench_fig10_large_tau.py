@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import GlobalOrder, PKWiseSearcher, SearchParams
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
 from repro.eval import run_searcher
+from repro.ordering import GlobalOrder
 
 from common import pan_workload, write_report
 

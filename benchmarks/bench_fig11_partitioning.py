@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    GreedyPartitioner,
-    PKWiseSearcher,
-    SearchParams,
-    equi_width_scheme,
-)
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
 from repro.eval import run_searcher
+from repro.partition import GreedyPartitioner
 from repro.partition.cost_model import calibrated_weights
+from repro.partition.equi_width import equi_width_scheme
 
 from common import order_for, workload, write_report
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import PKWiseSearcher, SearchParams
+from repro import SearchParams
 from repro.baselines import FBWSearcher
+from repro.core.pkwise import PKWiseSearcher
 from repro.corpus.plagiarism import ObfuscationLevel
 from repro.corpus.synthetic import ReuseSpec
 from repro.eval import evaluate_quality, run_searcher
@@ -46,7 +47,7 @@ def _measure(algorithm: str, w: int, tau: int):
         levels=tuple(LEVELS),
         num_queries=16,  # 4 ground-truth cases per obfuscation level
     )
-    from repro import GlobalOrder
+    from repro.ordering import GlobalOrder
 
     order = GlobalOrder(data, w)
     params = SearchParams(w=w, tau=tau, k_max=3)

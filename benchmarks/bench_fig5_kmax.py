@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import pytest
 
-from repro import PKWiseSearcher, SearchParams
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
 from repro.eval import run_searcher
 
 from common import order_for, workload, write_report

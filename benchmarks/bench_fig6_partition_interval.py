@@ -17,13 +17,11 @@ from functools import lru_cache
 
 import pytest
 
-from repro import (
-    PartitionScheme,
-    PKWiseNonIntervalSearcher,
-    PKWiseSearcher,
-    SearchParams,
-)
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.core.pkwise_nonint import PKWiseNonIntervalSearcher
 from repro.eval import run_searcher
+from repro.partition.scheme import PartitionScheme
 
 from common import order_for, workload, write_report
 

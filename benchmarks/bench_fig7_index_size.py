@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import PKWiseSearcher, SearchParams
+from repro import SearchParams
 from repro.baselines import AdaptSearcher, FaerieSearcher, FBWSearcher
+from repro.core.pkwise import PKWiseSearcher
 
 from common import order_for, workload, write_report
 

@@ -14,8 +14,10 @@ from functools import lru_cache
 
 import pytest
 
-from repro import PKWiseNonIntervalSearcher, PKWiseSearcher, SearchParams
+from repro import SearchParams
 from repro.baselines import AdaptSearcher, FaerieSearcher, FBWSearcher
+from repro.core.pkwise import PKWiseSearcher
+from repro.core.pkwise_nonint import PKWiseNonIntervalSearcher
 from repro.eval import run_searcher
 
 from common import order_for, workload, write_report

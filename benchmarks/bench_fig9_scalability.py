@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import GlobalOrder, PKWiseSearcher, SearchParams
+from repro import SearchParams
 from repro.baselines import AdaptSearcher
+from repro.core.pkwise import PKWiseSearcher
 from repro.eval import run_searcher
+from repro.ordering import GlobalOrder
 
 from common import pan_workload, workload, write_report
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import GreedyPartitioner, PKWiseSearcher, SearchParams
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
 from repro.eval import run_searcher
+from repro.partition import GreedyPartitioner
 
 from common import order_for, workload, write_report
 

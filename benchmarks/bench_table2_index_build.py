@@ -16,8 +16,10 @@ import time
 
 import pytest
 
-from repro import GreedyPartitioner, PKWiseSearcher, SearchParams
+from repro import SearchParams
 from repro.baselines import AdaptSearcher, FaerieSearcher, FBWSearcher
+from repro.core.pkwise import PKWiseSearcher
+from repro.partition import GreedyPartitioner
 
 from common import order_for, workload, write_report
 

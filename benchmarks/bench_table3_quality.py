@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import PKWiseSearcher, SearchParams
+from repro import SearchParams
 from repro.baselines import FBWSearcher
+from repro.core.pkwise import PKWiseSearcher
 from repro.eval import evaluate_quality, run_searcher
 
 from common import order_for, workload, write_report

@@ -21,7 +21,6 @@ from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
-from repro import GlobalOrder
 from repro.corpus.plagiarism import ObfuscationLevel
 from repro.corpus.synthetic import (
     DATASET_PROFILES,
@@ -29,6 +28,7 @@ from repro.corpus.synthetic import (
     SyntheticCorpusGenerator,
     make_profile_collection,
 )
+from repro.ordering import GlobalOrder
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

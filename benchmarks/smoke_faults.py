@@ -2,7 +2,7 @@
 """CI smoke for the fault-tolerance layer: fixed-seed kill + corrupt plans.
 
 Runs the acceptance scenarios of the robustness layer end to end with a
-deterministic :class:`repro.FaultPlan` — activated through the
+deterministic :class:`repro.faults.FaultPlan` — activated through the
 ``REPRO_FAULTS`` environment variable exactly as an operator would —
 and asserts *exactness*, not just survival:
 
@@ -67,7 +67,9 @@ POOL_CONSTANTS = {"CHUNKS_PER_WORKER": 2, "RETRY_BACKOFF": 0.0}
 
 
 def build_workload():
-    from repro import DocumentCollection, PKWiseSearcher, SearchParams
+    from repro import SearchParams
+    from repro.core.pkwise import PKWiseSearcher
+    from repro.corpus import DocumentCollection
 
     rng = random.Random(SEED)
     vocab = [f"w{i}" for i in range(VOCAB)]
@@ -97,7 +99,8 @@ def env_activated_plan(specs, workdir: Path, seed: int = SEED):
     proving the whole file → env → activation path, not just
     ``install_plan``.
     """
-    from repro import FaultPlan, faults
+    from repro import faults
+    from repro.faults import FaultPlan
 
     workdir.mkdir(parents=True, exist_ok=True)
     plan = FaultPlan(specs, seed=seed, ledger=workdir / "ledger")
@@ -115,8 +118,9 @@ def deactivate():
 
 
 def scenario_exactness() -> None:
-    from repro import FaultSpec, ParallelExecutor
     from repro.eval.harness import serial_run
+    from repro.faults import FaultSpec
+    from repro.parallel import ParallelExecutor
 
     _data, _params, searcher, queries = build_workload()
     clean = serial_run(searcher, queries)
@@ -162,8 +166,9 @@ def scenario_exactness() -> None:
 
 
 def scenario_corrupt() -> None:
-    from repro import FaultSpec, PersistenceError, save_searcher
-    from repro.persistence import load_bundle
+    from repro import PersistenceError
+    from repro.faults import FaultSpec
+    from repro.persistence import load_bundle, save_searcher
 
     _data, _params, searcher, _queries = build_workload()
     with tempfile.TemporaryDirectory(prefix="smoke-faults-") as workdir:
@@ -204,13 +209,11 @@ def scenario_corrupt() -> None:
 
 
 def scenario_resume() -> None:
-    from repro import (
-        FaultSpec,
-        ParallelExecutor,
-        WorkerCrashError,
-        local_similarity_self_join,
-    )
+    from repro import local_similarity_self_join
+    from repro.errors import WorkerCrashError
     from repro.eval.harness import serial_run
+    from repro.faults import FaultSpec
+    from repro.parallel import ParallelExecutor
 
     data, params, searcher, queries = build_workload()
     clean = serial_run(searcher, queries)

@@ -96,7 +96,9 @@ def main() -> int:
     args = parser.parse_args()
     _ensure_importable()
 
-    from repro import DocumentCollection, Index, PKWiseSearcher, SearchParams
+    from repro import Index, SearchParams
+    from repro.core.pkwise import PKWiseSearcher
+    from repro.corpus import DocumentCollection
     from repro.faults import KILL_EXIT_CODE, FaultPlan, FaultSpec
     from repro.ingest import read_wal, wal_generations
 

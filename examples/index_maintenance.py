@@ -14,15 +14,11 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import (
-    DocumentCollection,
-    Index,
-    PKWiseSearcher,
-    SearchParams,
-    save_searcher,
-)
+from repro import Index, SearchParams
+from repro.core.pkwise import PKWiseSearcher
 from repro.corpus.synthetic import DatasetProfile, SyntheticCorpusGenerator
 from repro.eval import postings_statistics, prefix_sharing
+from repro.persistence import save_searcher
 
 
 def main() -> None:

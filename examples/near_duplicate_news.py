@@ -15,12 +15,9 @@ Run:  python examples/near_duplicate_news.py
 
 from __future__ import annotations
 
-from repro import (
-    DocumentCollection,
-    Index,
-    PKWiseSearcher,
-    SearchParams,
-)
+from repro import Index, SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
 from repro.corpus.plagiarism import ObfuscationLevel, PlagiarismInjector
 from repro.corpus.synthetic import DatasetProfile, SyntheticCorpusGenerator
 

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro import (
-    PKWiseSearcher,
-    SearchParams,
-    make_profile_collection,
-    merge_passages,
-)
+from repro import SearchParams, make_profile_collection
+from repro.core.pkwise import PKWiseSearcher
 from repro.corpus.synthetic import ReuseSpec
 from repro.eval import evaluate_quality, run_searcher
+from repro.postprocess import merge_passages
 
 
 def main() -> None:

@@ -11,7 +11,9 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import DocumentCollection, PKWiseSearcher, SearchParams
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
 
 
 def main() -> None:

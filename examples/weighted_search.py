@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 
-from repro import (
-    DocumentCollection,
-    PKWiseSearcher,
-    SearchParams,
-    WeightedPKWiseSearcher,
-)
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.core.weighted import WeightedPKWiseSearcher
+from repro.corpus import DocumentCollection
 
 
 def main() -> None:

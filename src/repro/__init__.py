@@ -33,207 +33,53 @@ Quickstart — the :class:`Index` facade is the documented entry point::
     index.remove(doc_id)
     index.compact()
 
-The individual layers (:class:`DocumentCollection`,
-:class:`PKWiseSearcher`, :class:`SearchParams`, ...) remain importable
-directly for fine-grained control.  See DESIGN.md for the full system
-inventory and EXPERIMENTS.md for the reproduction of every table and
-figure of the paper.
+This package exports the facade, the values it takes and returns, the
+synthetic corpus generator the examples use, the self-join and the
+errors :class:`Index` raises — nothing else.  Engines, index
+containers, the serving stack, partitioners, observability and fault
+injection are imported from the module that defines them (``from
+repro.core.pkwise import PKWiseSearcher``) or from the subpackage that
+exports them (``from repro.service import ShardPlan``).  A name
+outside a package's ``__all__`` is internal and may change in any
+release.  See DESIGN.md for the full system inventory and
+EXPERIMENTS.md for the reproduction of every table and figure of the
+paper.
 """
 
-from . import api
-from .api import Index, ProbeHit, Searcher
-from .core import (
-    MatchPair,
-    PKWiseNonIntervalSearcher,
-    PKWiseSearcher,
-    SearchResult,
-    SearchStats,
-    SelfJoinPair,
-    WeightedMatchPair,
-    WeightedPKWiseSearcher,
-    WeightedSearchResult,
-    local_similarity_self_join,
-)
-from .corpus import (
-    CollectionStats,
-    Document,
-    DocumentCollection,
-    GroundTruthPair,
-    ObfuscationLevel,
-    collection_from_directory,
-    collection_from_texts,
-    make_profile_collection,
-)
+from .api import Index
+from .core.base import MatchPair, SearchResult
+from .core.selfjoin import local_similarity_self_join
+from .corpus.synthetic import make_profile_collection
 from .errors import (
-    CircuitOpenError,
     ConfigurationError,
     CorpusError,
-    DeadlineExceededError,
-    FaultInjectionError,
     IndexStateError,
-    PartitioningError,
-    ReplicaQuarantinedError,
     ReproError,
     RoutingUnavailableError,
-    SearchCancelled,
-    ServiceClosedError,
-    ServiceError,
-    ServiceOverloadError,
-    TokenizationError,
-    UnknownTokenError,
-    WorkerCrashError,
-    WorkerStartupError,
 )
-from .index import CompactIntervalIndex, IntervalIndex, PackedRankDocs
-from .faults import FaultPlan, FaultSpec
-from .obs import (
-    MetricsRegistry,
-    ObservabilityError,
-    Tracer,
-    configure_tracing,
-    disable_tracing,
-    get_tracer,
-)
-from .ordering import GlobalOrder
-from .params import SearchParams, suggested_subpartitions
-from .persistence import PersistenceError, SearcherBundle, save_searcher
-from .postprocess import Passage, filter_passages, merge_passages
-from .routing import RoutingPolicy
-from .partition import (
-    CostWeights,
-    GreedyPartitioner,
-    PartitionScheme,
-    equi_width_scheme,
-    workload_cost,
-)
+from .params import SearchParams
+from .persistence import PersistenceError
+from .routing.policy import RoutingPolicy
 
-__version__ = "2.28.0"
-
-# The serving, parallel and ingest layers pull in http.server,
-# urllib.request (ssl, email) and multiprocessing — 90 modules and 7 MB
-# that a process which only builds or searches never touches.  Their
-# re-exports resolve on first use (PEP 562); the names and ``__all__``
-# are the same.
-_LAZY = {
-    "ResilientClient": "service",
-    "RouterResponse": "service",
-    "SearchService": "service",
-    "ServiceResponse": "service",
-    "ShardPlan": "service",
-    "ShardRouter": "service",
-    "ShardSupervisor": "service",
-    "ParallelExecutor": "parallel",
-    "CompactionPolicy": "ingest",
-    "IngestStore": "ingest",
-    "LSMSearcher": "ingest",
-}
-
-
-def __getattr__(name: str):
-    from importlib import import_module
-
-    if name in _LAZY.values():  # repro.service, as an attribute
-        return import_module(f"{__name__}.{name}")
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
-
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
-    # Facade (the documented entry point)
-    "api",
+    # The facade and its values
     "Index",
-    "Searcher",
-    # Serving
-    "SearchService",
-    "ServiceResponse",
-    "ResilientClient",
-    "ShardPlan",
-    "ShardRouter",
-    "ShardSupervisor",
-    "RouterResponse",
-    # Fault injection (robustness testing)
-    "FaultPlan",
-    "FaultSpec",
-    # Core search
-    "PKWiseSearcher",
-    "PKWiseNonIntervalSearcher",
-    "WeightedPKWiseSearcher",
-    "IntervalIndex",
-    "CompactIntervalIndex",
-    "PackedRankDocs",
-    "ProbeHit",
-    "MatchPair",
-    "WeightedMatchPair",
-    "WeightedSearchResult",
-    "SearchResult",
-    "SearchStats",
     "SearchParams",
     "RoutingPolicy",
-    "suggested_subpartitions",
-    "SelfJoinPair",
-    "local_similarity_self_join",
-    # Streaming ingestion (LSM write path)
-    "IngestStore",
-    "CompactionPolicy",
-    "LSMSearcher",
-    # Parallel execution
-    "ParallelExecutor",
-    # Observability
-    "MetricsRegistry",
-    "Tracer",
-    "get_tracer",
-    "configure_tracing",
-    "disable_tracing",
-    "ObservabilityError",
-    # Post-processing
-    "Passage",
-    "merge_passages",
-    "filter_passages",
-    # Persistence
-    "save_searcher",
-    "SearcherBundle",
-    "PersistenceError",
-    # Corpus
-    "Document",
-    "DocumentCollection",
-    "CollectionStats",
-    "collection_from_directory",
-    "collection_from_texts",
+    "SearchResult",
+    "MatchPair",
+    # Synthetic corpus
     "make_profile_collection",
-    "GroundTruthPair",
-    "ObfuscationLevel",
-    # Ordering and partitioning
-    "GlobalOrder",
-    "PartitionScheme",
-    "GreedyPartitioner",
-    "CostWeights",
-    "workload_cost",
-    "equi_width_scheme",
-    # Errors
+    # Self-join
+    "local_similarity_self_join",
+    # Errors the facade raises
     "ReproError",
     "ConfigurationError",
-    "TokenizationError",
     "CorpusError",
-    "PartitioningError",
     "IndexStateError",
+    "PersistenceError",
     "RoutingUnavailableError",
-    "SearchCancelled",
-    "UnknownTokenError",
-    "ServiceError",
-    "ServiceOverloadError",
-    "DeadlineExceededError",
-    "ServiceClosedError",
-    "ReplicaQuarantinedError",
-    "WorkerStartupError",
-    "CircuitOpenError",
-    "FaultInjectionError",
-    "WorkerCrashError",
 ]

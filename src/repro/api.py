@@ -7,7 +7,7 @@ object that covers the common lifecycle without knowing the layers
 underneath.
 
 * :meth:`Index.build` — corpus in (a
-  :class:`~repro.DocumentCollection`, a directory path, or raw texts),
+  :class:`~repro.corpus.DocumentCollection`, a directory path, or raw texts),
   queryable :class:`Index` out; optional greedy partitioning.
 * :meth:`Index.open` / :meth:`Index.save` — round-trip through the
   snapshot format in :mod:`repro.persistence` (the engine is stored
@@ -23,7 +23,7 @@ underneath.
 Search results are typed and frozen end to end: ``search`` yields
 :class:`~repro.core.base.MatchPair` (named fields ``doc_id`` /
 ``data_start`` / ``query_start`` / ``overlap``) and index probes yield
-:class:`~repro.index.ProbeHit` (``doc_id`` / ``u`` / ``v``); both are
+:class:`~repro.index.compact.ProbeHit` (``doc_id`` / ``u`` / ``v``); both are
 NamedTuples, so positional unpacking keeps working.
 
 Quickstart::
@@ -46,7 +46,6 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-from .core.base import MatchPair
 from .core.pkwise import PKWiseSearcher
 from .corpus import (
     Document,
@@ -54,18 +53,16 @@ from .corpus import (
     collection_from_directory,
     collection_from_texts,
 )
-from .errors import ConfigurationError, RoutingUnavailableError
-from .index import ProbeHit
+from .errors import (
+    ConfigurationError,
+    IndexStateError,
+    RoutingUnavailableError,
+)
 from .params import SearchParams
 from .persistence import load_bundle, save_searcher
 from .routing import RoutingPolicy
 
-__all__ = [
-    "Index",
-    "Searcher",
-    "MatchPair",
-    "ProbeHit",
-]
+__all__ = ["Index", "Searcher"]
 
 
 @runtime_checkable
@@ -87,11 +84,12 @@ class Searcher(Protocol):
     uncached request, and :meth:`Index.search` / the service pass
     ``routing=`` (a mode string or a :class:`~repro.RoutingPolicy`, read
     for its ``mode``) exactly when a request overrides the engine's.
-    :class:`~repro.PKWiseSearcher` and the LSM view implement both.
-    The batch-only engines (:class:`~repro.PKWiseNonIntervalSearcher`,
-    :class:`~repro.WeightedPKWiseSearcher`, :mod:`repro.baselines`)
-    take the query alone, which is all the evaluation harness and
-    :class:`~repro.parallel.ParallelExecutor` call them with.
+    :class:`~repro.core.pkwise.PKWiseSearcher` and the LSM view implement both.
+    The batch-only engines
+    (:class:`~repro.core.pkwise_nonint.PKWiseNonIntervalSearcher`,
+    :class:`~repro.core.weighted.WeightedPKWiseSearcher`,
+    :mod:`repro.baselines`) take the query alone, which is all the evaluation
+    harness and :class:`~repro.parallel.ParallelExecutor` call them with.
     """
 
     def search(self, query, *, cancel=None, routing=None): ...
@@ -122,7 +120,10 @@ class Index:
     :meth:`open`; use as a context manager to release resources.
     """
 
-    __slots__ = ("_searcher", "_store", "_store_lock", "data", "path", "load_seconds")
+    __slots__ = (
+        "_searcher", "_store", "_store_lock", "_closed", "data", "path",
+        "load_seconds",
+    )
 
     def __init__(
         self,
@@ -139,7 +140,9 @@ class Index:
         self._store = getattr(searcher, "store", None)
         #: Held by the first write while it layers that store.
         self._store_lock = threading.Lock()
-        #: The paired :class:`~repro.DocumentCollection` (None for
+        #: Set by :meth:`close`; a closed index takes no more writes.
+        self._closed = False
+        #: The paired :class:`~repro.corpus.DocumentCollection` (None for
         #: ids-only snapshots — text queries then raise).
         self.data = data
         #: Source file, or None when built in memory.
@@ -166,7 +169,7 @@ class Index:
     ) -> "Index":
         """Build a ready-to-query pkwise index over ``data``.
 
-        ``data`` may be a :class:`~repro.DocumentCollection`, a
+        ``data`` may be a :class:`~repro.corpus.DocumentCollection`, a
         directory of ``.txt`` files, or an iterable of raw text
         strings.  Pass either a full :class:`~repro.SearchParams` or
         the individual ``w``/``tau`` (and optionally ``k_max``/``m``)
@@ -265,7 +268,6 @@ class Index:
         tau: int | None = None,
         k_max: int | None = None,
         m: int | None = None,
-        policy=None,
         routing: RoutingPolicy | dict | str | None = None,
         background: bool = False,
         fsync: bool = False,
@@ -285,7 +287,7 @@ class Index:
 
         ``background=True`` starts the background compactor thread, so
         memtable flushes and segment compactions happen off the write
-        path (:class:`~repro.ingest.CompactionPolicy` decides when).
+        path (the constants of :mod:`repro.ingest.store` decide when).
         ``fsync=True`` makes every WAL append durable against power
         loss, not just process crash.
 
@@ -325,7 +327,6 @@ class Index:
                 params.require_same_search(read_manifest(directory).params, directory)
             store = IngestStore.open(
                 directory,
-                policy=policy,
                 routing=routing,
                 background=background,
                 fsync=fsync,
@@ -334,7 +335,6 @@ class Index:
             store = IngestStore.create(
                 params,
                 directory=directory,
-                policy=policy,
                 routing=routing,
                 background=background,
                 fsync=fsync,
@@ -436,8 +436,13 @@ class Index:
         the only place an index becomes live, and a service writes
         through its index, so concurrent first writes make one store.
         A query already running on the old engine finishes there:
-        nothing ever mutates it.
+        nothing ever mutates it.  After :meth:`close` every write raises
+        :class:`~repro.errors.IndexStateError`, live or not.
         """
+        if self._closed:
+            raise IndexStateError(
+                "index is closed; it answers queries but takes no writes"
+            )
         store = self._store
         if store is not None:
             return store
@@ -518,9 +523,16 @@ class Index:
         service (``max_workers``, ``max_queue``, ``cache_size``,
         ``default_timeout`` ...); with shards, ``cache_size`` sizes the
         router's result cache and the shard services run without one.
+        ``shards`` or ``replicas`` below 1 is a
+        :class:`~repro.errors.ConfigurationError`.
         """
         from .service import SearchService
 
+        if shards < 1 or replicas < 1:
+            raise ConfigurationError(
+                f"serve needs shards >= 1 and replicas >= 1, got "
+                f"shards={shards}, replicas={replicas}"
+            )
         if shards > 1 or replicas > 1:
             if self._store is not None:
                 raise ConfigurationError(
@@ -547,7 +559,9 @@ class Index:
         return SearchService(self, **kwargs)
 
     def close(self) -> None:
-        """Release the engine's resources.  Idempotent."""
+        """Release the engine's resources.  Idempotent.  The index still
+        answers queries; writes raise."""
+        self._closed = True
         if self._store is not None:
             self._store.close()
         self._searcher.close()

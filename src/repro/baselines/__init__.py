@@ -1,10 +1,11 @@
 """Baseline algorithms compared against pkwise in Section 7.
 
-* :class:`BruteForceSearcher` — exhaustive rolling verification; the
-  test oracle.
-* :class:`StandardPrefixSearcher` — 1-prefix filtering (Lemma 1), i.e.
-  pkwise with ``k_max = 1``.
-* :class:`KPrefixSearcher` — fixed k-prefix filtering (Lemma 2).
+* :class:`~repro.baselines.bruteforce.BruteForceSearcher` — exhaustive
+  rolling verification; the test oracle.
+* :class:`~repro.baselines.prefix_join.StandardPrefixSearcher` —
+  1-prefix filtering (Lemma 1), i.e. pkwise with ``k_max = 1``.
+* :class:`~repro.baselines.prefix_join.KPrefixSearcher` — fixed
+  k-prefix filtering (Lemma 2).
 * :class:`AdaptSearcher` — the adaptive prefix framework of Wang, Li &
   Feng (SIGMOD 2012) applied to materialized windows.
 * :class:`FaerieSearcher` — the heap-based approximate dictionary
@@ -17,22 +18,17 @@
 * :class:`MinHashLSHSearcher` — MinHash sketches with LSH banding
   (Broder 1997 / Gionis et al. 1999); approximate.
 
-All exact baselines return exactly the same :class:`~repro.core.MatchPair`
+All exact baselines return exactly the same :class:`~repro.core.base.MatchPair`
 sets as pkwise (asserted by the integration tests); the approximate ones
 return subsets.
 """
 
 from .adapt import AdaptSearcher
-from .bruteforce import BruteForceSearcher
 from .faerie import FaerieSearcher
 from .fbw import FBWSearcher, WinnowingSearcher
 from .minhash import MinHashLSHSearcher
-from .prefix_join import KPrefixSearcher, StandardPrefixSearcher
 
 __all__ = [
-    "BruteForceSearcher",
-    "StandardPrefixSearcher",
-    "KPrefixSearcher",
     "AdaptSearcher",
     "FaerieSearcher",
     "FBWSearcher",

@@ -43,7 +43,7 @@ Robustness surfaces: ``repro search``/``repro selfjoin`` take
 ``--checkpoint FILE`` (+ ``--resume``) to survive interruption,
 ``repro index --rotate N`` keeps rotated snapshot generations, and
 ``repro query --retries/--timeout`` drives the retrying
-:class:`~repro.service.ResilientClient`.
+:class:`~repro.service.client.ResilientClient`.
 
 Snapshots: ``repro index`` writes the one array-backed snapshot
 layout, and ``repro search``/``repro serve`` accept ``--mmap`` to map

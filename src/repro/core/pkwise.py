@@ -3,10 +3,10 @@
 This is the paper's proposed algorithm.  Indexing cuts every data
 window's signatures into maximal window intervals in one array pass over
 the corpus (:class:`~repro.signatures.bulk.CorpusRuns`), written straight
-into a frozen :class:`~repro.index.CompactIntervalIndex`.  Query
+into a frozen :class:`~repro.index.compact.CompactIntervalIndex`.  Query
 processing streams signature open/close events over the query document
-(Algorithm 5, :class:`~repro.signatures.SignatureStream`); the candidate
-interval multiset ``A`` is
+(Algorithm 5, :class:`~repro.signatures.maintain.SignatureStream`); the
+candidate interval multiset ``A`` is
 carried from window to window and only updated when the signature set
 changes (Lines 12-16 of Algorithm 4), merged (with the Section 4.3
 gap rule), and verified with rolling hash tables and early-termination
@@ -89,8 +89,8 @@ class PKWiseSearcher:
     """Local similarity search with partitioned k-wise signatures.
 
     A constructed searcher is frozen: its index is a
-    :class:`~repro.index.CompactIntervalIndex` and its rank sequences a
-    :class:`~repro.index.PackedRankDocs`, both written once here, so
+    :class:`~repro.index.compact.CompactIntervalIndex` and its rank sequences a
+    :class:`~repro.index.compact.PackedRankDocs`, both written once here, so
     :meth:`compacted` and a snapshot save rebuild nothing.  Documents are
     added through :meth:`repro.Index.add`, which layers a memtable over it.
 
@@ -168,8 +168,8 @@ class PKWiseSearcher:
         must be mutually consistent (``rank_docs[i]`` is document ``i``'s rank
         sequence under ``order``, and ``index`` covers exactly those
         documents with ``scheme``/``params``): a frozen
-        :class:`~repro.index.CompactIntervalIndex` and a
-        :class:`~repro.index.PackedRankDocs`.  ``removed`` /
+        :class:`~repro.index.compact.CompactIntervalIndex` and a
+        :class:`~repro.index.compact.PackedRankDocs`.  ``removed`` /
         ``index_epoch`` restore tombstones and the cache epoch of a
         snapshotted searcher.  ``routing_tier`` is the fingerprint
         routing slot: ``"auto"`` (the default) builds lazily from
@@ -203,8 +203,8 @@ class PKWiseSearcher:
     def compacted(self) -> "PKWiseSearcher":
         """The frozen form of this engine: ``self``, which is built or
         loaded frozen.  The live view answers with a frozen searcher over
-        all its tiers (:meth:`repro.ingest.LSMSearcher.compacted`), which
-        is what a snapshot save asks for."""
+        all its tiers (:meth:`repro.ingest.searcher.LSMSearcher.compacted`),
+        which is what a snapshot save asks for."""
         return self
 
     @property

@@ -45,7 +45,7 @@ def slice_accessor(rank_docs) -> Callable[[int, int, int], list[int]]:
     """``rank_slice(doc_id, lo, hi) -> d[lo:hi]`` as a plain list.
 
     A container that can cut the slice without decoding the document
-    (:class:`~repro.index.PackedRankDocs`,
+    (:class:`~repro.index.compact.PackedRankDocs`,
     :class:`~repro.ingest.tiered.TieredRankDocs`) brings its own
     ``rank_slice``; list-backed documents are sliced as lists.  Resolved
     once per query, so the verifier's kernel never asks what it holds.

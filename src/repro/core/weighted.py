@@ -45,7 +45,7 @@ class WeightedSearchResult(NamedTuple):
     A named tuple so existing ``pairs, stats = searcher.search(query)``
     unpacking keeps working while the attribute access
     (``result.pairs`` / ``result.stats``) matches
-    :class:`~repro.core.SearchResult`, letting the weighted searcher
+    :class:`~repro.core.base.SearchResult`, letting the weighted searcher
     satisfy the :class:`repro.api.Searcher` protocol and run through
     the shared workload harness.
     """

@@ -1,25 +1,18 @@
 """Corpus substrate: documents, collections, loaders, and generators.
 
 The corpora the paper evaluates on (REUTERS, TREC, PAN-PC-10) are not
-redistributable, so this package ships synthetic generators whose
-statistics are calibrated to Table 1 of the paper, plus a plagiarism
-injector that produces exact ground-truth spans for the quality
-experiments (Appendix D.2).  Text of your own enters through
-:func:`collection_from_directory` (one ``.txt`` file per document) or
-:func:`collection_from_texts`.
+redistributable, so :mod:`repro.corpus.synthetic` ships generators whose
+statistics are calibrated to Table 1 of the paper, and
+:mod:`repro.corpus.plagiarism` a plagiarism injector that produces
+exact ground-truth spans for the quality experiments (Appendix D.2).
+Text of your own enters through :func:`collection_from_directory` (one
+``.txt`` file per document) or :func:`collection_from_texts`.
 """
 
 from .collection import DocumentCollection
 from .document import Document
 from .loaders import collection_from_directory, collection_from_texts
-from .plagiarism import GroundTruthPair, ObfuscationLevel, PlagiarismInjector
 from .stats import CollectionStats
-from .synthetic import (
-    DATASET_PROFILES,
-    DatasetProfile,
-    SyntheticCorpusGenerator,
-    make_profile_collection,
-)
 
 __all__ = [
     "Document",
@@ -27,11 +20,4 @@ __all__ = [
     "CollectionStats",
     "collection_from_directory",
     "collection_from_texts",
-    "SyntheticCorpusGenerator",
-    "DatasetProfile",
-    "DATASET_PROFILES",
-    "make_profile_collection",
-    "PlagiarismInjector",
-    "GroundTruthPair",
-    "ObfuscationLevel",
 ]

@@ -23,7 +23,7 @@ class ColumnDocuments(Sequence):
     The global order is a bijection between token ids and ranks, so the
     rank column the verifier reads already holds every document:
     document ``i`` is ``token_of_rank[rank_docs.doc_ranks(i)]``
-    (:meth:`~repro.GlobalOrder.token_table`).  A :class:`Document` is
+    (:meth:`~repro.ordering.GlobalOrder.token_table`).  A :class:`Document` is
     made on each access and not kept; lengths and names are answered
     without decoding.  Documents appended after the load are ordinary
     :class:`Document` objects behind the column-backed prefix.
@@ -130,8 +130,8 @@ class DocumentCollection:
         """Tokenize a query document against this collection's vocabulary.
 
         Query tokens absent from the vocabulary map to the
-        :data:`~repro.tokenize.OOV_TOKEN_ID` sentinel instead of being
-        interned.  This never mutates the shared vocabulary (safe under
+        :data:`~repro.tokenize.vocabulary.OOV_TOKEN_ID` sentinel instead of
+        being interned.  This never mutates the shared vocabulary (safe under
         concurrent queries, and worker processes stay byte-identical to
         the parent), and it is exact: an OOV token cannot occur in any
         data window, so it contributes nothing to window overlap either

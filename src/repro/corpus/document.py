@@ -26,7 +26,7 @@ class Document:
     source_tokens:
         Optional original token strings.  Query encodings carry them so
         out-of-vocabulary positions (sentinel id, see
-        :data:`~repro.tokenize.OOV_TOKEN_ID`) can still be displayed
+        :data:`~repro.tokenize.vocabulary.OOV_TOKEN_ID`) can still be displayed
         faithfully; identity (equality/hash) ignores them.
     """
 

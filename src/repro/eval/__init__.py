@@ -6,26 +6,13 @@ the Section 5.1 phase decomposition, and the Section 7.3 structural
 measurements (adjacent-prefix sharing, postings-length distribution).
 """
 
-from .analysis import (
-    PostingsReport,
-    PrefixSharingReport,
-    multiset_jaccard,
-    postings_statistics,
-    prefix_sharing,
-)
-from .harness import AggregateRun, WorkerReport, canonical_pair_order, run_searcher
-from .metrics import QualityReport, evaluate_quality
+from .analysis import postings_statistics, prefix_sharing
+from .harness import run_searcher
+from .metrics import evaluate_quality
 
 __all__ = [
-    "QualityReport",
     "evaluate_quality",
-    "AggregateRun",
-    "WorkerReport",
-    "canonical_pair_order",
     "run_searcher",
-    "PrefixSharingReport",
-    "PostingsReport",
     "prefix_sharing",
     "postings_statistics",
-    "multiset_jaccard",
 ]

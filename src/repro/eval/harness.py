@@ -4,7 +4,7 @@
 an :class:`AggregateRun` with the per-query averages the paper reports
 (average query processing time, per-phase split, candidate and result
 counts).  Wall-clock per phase comes from the searchers' own
-instrumentation (:class:`~repro.core.SearchStats`).
+instrumentation (:class:`~repro.core.base.SearchStats`).
 
 With ``jobs > 1`` the workload is sharded across a process pool by
 :class:`~repro.parallel.ParallelExecutor`; the merged run carries one

@@ -1,8 +1,8 @@
 """The interval postings index (Section 4.1), one document at a time.
 
 Maps each signature to the maximal window intervals that generate it.
-Built by consuming :class:`~repro.signatures.SignatureStream` events per
-data document: a signature's interval opens at the first window whose
+Built by consuming :class:`~repro.signatures.maintain.SignatureStream` events
+per data document: a signature's interval opens at the first window whose
 prefix generates it and closes just before the first window that stops
 generating it.  The stream already collapses duplicate-signature "false"
 opens/closes (the paper's gamma counter), so every event here is a true
@@ -11,7 +11,7 @@ transition and every stored interval is maximal.
 No live path builds one.  It is the paper reference: the one-document
 Algorithm 5 build that the bulk kernel and the memtable are held to.  A
 constructed searcher indexes its whole corpus in one array pass
-(:meth:`~repro.index.CompactIntervalIndex.from_rank_docs`), and a live
+(:meth:`~repro.index.compact.CompactIntervalIndex.from_rank_docs`), and a live
 memtable each burst of writes the same way, postings for postings what
 this class appends (``tests/conftest.py::reference_index`` builds it).
 """
@@ -40,7 +40,7 @@ class IntervalIndex:
 
     Postings are keyed by the signature's rank tuple (collision-free);
     the paper's Section 7.1 signature hashing happens when the index is
-    frozen (:class:`~repro.index.CompactIntervalIndex`).
+    frozen (:class:`~repro.index.compact.CompactIntervalIndex`).
     """
 
     def __init__(self, w: int, tau: int, scheme: PartitionScheme) -> None:

@@ -23,27 +23,7 @@ durable streaming ingestion (``IngestStore.create(directory=...)`` /
 ``repro serve --live`` do.
 """
 
-from .manifest import ManifestState, read_manifest, write_manifest
-from .memtable import Memtable
-from .searcher import LSMSearcher
-from .store import CompactionPolicy, IngestStore
-from .tiered import Tier, TieredFingerprints, TieredIntervalIndex, TieredRankDocs
-from .wal import WriteAheadLog, read_wal, wal_generations, wal_name
+from .store import IngestStore
+from .wal import read_wal, wal_generations
 
-__all__ = [
-    "CompactionPolicy",
-    "IngestStore",
-    "LSMSearcher",
-    "ManifestState",
-    "Memtable",
-    "Tier",
-    "TieredFingerprints",
-    "TieredIntervalIndex",
-    "TieredRankDocs",
-    "WriteAheadLog",
-    "read_manifest",
-    "read_wal",
-    "wal_generations",
-    "wal_name",
-    "write_manifest",
-]
+__all__ = ["IngestStore", "read_wal", "wal_generations"]

@@ -6,7 +6,7 @@ cover, the tombstones accumulated against that prefix, and the first
 WAL generation whose records are *not* yet folded into a segment.  It
 is a header, like a snapshot's ``data`` section: the tokenizer, the one
 vocabulary, document names and the global order without its vocabulary
-(:meth:`~repro.GlobalOrder.detached`).  It holds no document — the
+(:meth:`~repro.ordering.GlobalOrder.detached`).  It holds no document — the
 segments' rank columns are the sealed documents, and their list must
 tile ``[0, next_doc_id)`` exactly.  The recovery invariant is::
 
@@ -58,7 +58,6 @@ class ManifestState:
         "next_doc_id",
         "wal_generation",
         "generation",
-        "policy",
     )
 
     def __init__(
@@ -73,7 +72,6 @@ class ManifestState:
         next_doc_id,
         wal_generation,
         generation,
-        policy,
     ) -> None:
         self.params = params
         self.order = order
@@ -90,8 +88,6 @@ class ManifestState:
         self.wal_generation = wal_generation
         #: Highest tier/WAL generation the store had handed out.
         self.generation = generation
-        #: Compaction-policy knobs (plain dict; informational on read).
-        self.policy = policy
 
 
 def manifest_path(directory: str | Path) -> Path:
@@ -105,7 +101,6 @@ def write_manifest(directory: str | Path, state: ManifestState) -> None:
         "wal_generation": state.wal_generation,
         "generation": state.generation,
         "segments": [dict(segment) for segment in state.segments],
-        "policy": dict(state.policy),
     }
     sections = {
         "params": state.params,
@@ -161,5 +156,4 @@ def read_manifest(directory: str | Path) -> ManifestState:
         next_doc_id=next_doc_id,
         wal_generation=header["wal_generation"],
         generation=header["generation"],
-        policy=dict(header.get("policy", {})),
     )

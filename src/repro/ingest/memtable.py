@@ -8,11 +8,11 @@ into the global doc-id space, exactly like a shard.
 An add only appends the document's rank list (and its routing
 fingerprints, when the store's policy keeps them): nothing is
 signatured.  The memtable's index is frozen
-:class:`~repro.index.CompactIntervalIndex` columns over its first
+:class:`~repro.index.compact.CompactIntervalIndex` columns over its first
 ``columns.num_documents`` documents.  :meth:`Memtable.catch_up` indexes
 the documents added since in one array pass
-(:meth:`~repro.index.CompactIntervalIndex.from_rank_docs`) and joins
-them on with :meth:`~repro.index.CompactIntervalIndex.merged` — the
+(:meth:`~repro.index.compact.CompactIntervalIndex.from_rank_docs`) and joins
+them on with :meth:`~repro.index.compact.CompactIntervalIndex.merged` — the
 columns a build over all ``n`` documents writes.  It replaces the
 columns object and never mutates one.  The store calls it only under
 the write side of its lock: at seal, so a sealed memtable is whole and

@@ -3,16 +3,16 @@
 A store has one :class:`LSMSearcher` for its whole life
 (:meth:`~repro.ingest.IngestStore.searcher` always returns it), and it
 satisfies the full :class:`~repro.api.Searcher` protocol — the serving
-layer cannot tell it from a plain :class:`~repro.PKWiseSearcher`.
+layer cannot tell it from a plain :class:`~repro.core.pkwise.PKWiseSearcher`.
 Whenever tier membership changes (seal, flush, compaction) the store
 re-points it over the new tiers, under the write side of its lock;
 adds into the active memtable and tombstones are visible at once, with
 no install.
 
-A live engine *is* the kernel: :meth:`~repro.PKWiseSearcher._search` is
-inherited unchanged and runs once per query, over one
-:class:`~repro.ingest.tiered.TieredIntervalIndex` (``probe_many`` fans
-out to every tier and merges signature-wise) and one
+A live engine *is* the kernel:
+:meth:`~repro.core.pkwise.PKWiseSearcher._search` is inherited unchanged and
+runs once per query, over one :class:`~repro.ingest.tiered.TieredIntervalIndex`
+(``probe_many`` fans out to every tier and merges signature-wise) and one
 :class:`~repro.ingest.tiered.TieredRankDocs` (verification resolves a
 global doc id through its owning tier); the store's tombstone set is
 shared by reference, so the kernel's read-time ``without_docs`` filter
@@ -27,7 +27,7 @@ holds the read side of the store's lock for the whole query, whoever
 calls it, so no add, remove or install lands mid-query.  A query that
 finds the active memtable behind its adds first takes the write side
 just long enough to index the pending documents in one array pass
-(:meth:`~repro.ingest.Memtable.catch_up`), then runs under the read
+(:meth:`~repro.ingest.memtable.Memtable.catch_up`), then runs under the read
 side like any other: concurrent queries that all found it behind catch
 up once and still run side by side.
 Fingerprints live per tier

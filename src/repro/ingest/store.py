@@ -66,8 +66,17 @@ from .searcher import LSMSearcher
 from .tiered import Tier, TieredRankDocs
 from .wal import WriteAheadLog, read_wal, wal_generations, wal_name
 
-#: Seconds the background compactor sleeps between policy checks when
-#: no write wakes it.
+#: Seal the memtable once it holds this many documents ...
+MEMTABLE_MAX_DOCS = 256
+
+#: ... or this many tokens, whichever trips first.
+MEMTABLE_MAX_TOKENS = 1 << 18
+
+#: Fold all segments into one when their count exceeds this.
+MAX_SEGMENTS = 4
+
+#: Seconds the background compactor sleeps between checks when no
+#: write wakes it.
 COMPACTOR_POLL_SECONDS = 0.05
 
 #: Seconds :meth:`IngestStore.stop_compactor` waits for the thread.
@@ -117,55 +126,6 @@ class _ReadWriteLock:
             self._condition.notify_all()
 
 
-class CompactionPolicy:
-    """When to seal the memtable and when to fold segments together."""
-
-    __slots__ = ("memtable_max_docs", "memtable_max_tokens", "max_segments")
-
-    def __init__(
-        self,
-        *,
-        memtable_max_docs: int = 256,
-        memtable_max_tokens: int = 1 << 18,
-        max_segments: int = 4,
-    ) -> None:
-        if memtable_max_docs < 1 or memtable_max_tokens < 1 or max_segments < 1:
-            raise ConfigurationError("compaction policy thresholds must be >= 1")
-        #: Seal the memtable once it holds this many documents ...
-        self.memtable_max_docs = memtable_max_docs
-        #: ... or this many tokens, whichever trips first.
-        self.memtable_max_tokens = memtable_max_tokens
-        #: Fold all segments into one when their count exceeds this.
-        self.max_segments = max_segments
-
-    def should_flush(self, memtable: Memtable) -> bool:
-        return len(memtable) > 0 and (
-            len(memtable) >= self.memtable_max_docs
-            or memtable.total_tokens >= self.memtable_max_tokens
-        )
-
-    def should_compact(self, num_segments: int) -> bool:
-        return num_segments > self.max_segments
-
-    def to_dict(self) -> dict:
-        return {
-            "memtable_max_docs": self.memtable_max_docs,
-            "memtable_max_tokens": self.memtable_max_tokens,
-            "max_segments": self.max_segments,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompactionPolicy":
-        return cls(**data) if data else cls()
-
-    def __repr__(self) -> str:
-        return (
-            f"CompactionPolicy(docs<={self.memtable_max_docs}, "
-            f"tokens<={self.memtable_max_tokens}, "
-            f"segments<={self.max_segments})"
-        )
-
-
 class _SealedSnapshot:
     """What the manifest says of the sealed prefix, taken at seal time.
 
@@ -213,7 +173,7 @@ class IngestStore:
     :meth:`open` (recover a durable store: manifest + WAL replay), or
     :meth:`from_searcher` (wrap an existing searcher as the base tier —
     the lazy upgrade behind ``Index.add`` on a static index).  Every
-    store has its :class:`~repro.DocumentCollection`: adds append to it.
+    store has its :class:`~repro.corpus.DocumentCollection`: adds append to it.
     """
 
     def __init__(
@@ -224,7 +184,6 @@ class IngestStore:
         data: DocumentCollection,
         *,
         directory=None,
-        policy=None,
         fsync: bool = False,
     ) -> None:
         self.params = params
@@ -232,7 +191,6 @@ class IngestStore:
         self.scheme = scheme
         self.data = data
         self.directory = Path(directory) if directory is not None else None
-        self.policy = policy if policy is not None else CompactionPolicy()
         self.fsync = fsync
         self._segments: list[Tier] = []
         self._active: Memtable | None = None
@@ -269,9 +227,6 @@ class IngestStore:
         *,
         directory=None,
         data=None,
-        order=None,
-        scheme=None,
-        policy=None,
         routing=None,
         background: bool = False,
         fsync: bool = False,
@@ -281,19 +236,9 @@ class IngestStore:
         if routing is not None:
             params = params.with_routing(routing)
         data = data if data is not None else DocumentCollection()
-        if order is None:
-            order = GlobalOrder(data, params.w)
-        if scheme is None:
-            scheme = default_scheme(params, order)
-        store = cls(
-            params,
-            order,
-            scheme,
-            data,
-            directory=directory,
-            policy=policy,
-            fsync=fsync,
-        )
+        order = GlobalOrder(data, params.w)
+        scheme = default_scheme(params, order)
+        store = cls(params, order, scheme, data, directory=directory, fsync=fsync)
         store._generation = 1
         store._active = Memtable(0, 1, params, scheme)
         if store.directory is not None:
@@ -330,7 +275,6 @@ class IngestStore:
         cls,
         directory,
         *,
-        policy=None,
         routing=None,
         background: bool = False,
         fsync: bool = False,
@@ -380,8 +324,6 @@ class IngestStore:
             state.scheme,
             data,
             directory=directory,
-            policy=policy if policy is not None else
-            CompactionPolicy.from_dict(state.policy),
             fsync=fsync,
         )
         store._segments = segments
@@ -654,16 +596,25 @@ class IngestStore:
         if seq is not None:
             self._seq = max(self._seq, seq + 1)
 
+    def _should_flush(self) -> bool:
+        active = self._active
+        return len(active) > 0 and (
+            len(active) >= MEMTABLE_MAX_DOCS
+            or active.total_tokens >= MEMTABLE_MAX_TOKENS
+        )
+
+    def _should_compact(self) -> bool:
+        return self.num_segments > MAX_SEGMENTS
+
     def _after_write(self) -> None:
         """Trigger rolls outside the writer lock."""
         if self._compactor is not None:
-            if self.policy.should_flush(self._active) or \
-                    self.policy.should_compact(self.num_segments):
+            if self._should_flush() or self._should_compact():
                 self._wake.set()
             return
-        if self.policy.should_flush(self._active):
+        if self._should_flush():
             self.flush()
-        if self.policy.should_compact(self.num_segments):
+        if self._should_compact():
             self.compact()
 
     # ------------------------------------------------------------------
@@ -835,7 +786,6 @@ class IngestStore:
                 next_doc_id=snapshot.next_doc_id,
                 wal_generation=snapshot.wal_generation,
                 generation=generation,
-                policy=self.policy.to_dict(),
             ))
 
         def commit():
@@ -876,7 +826,6 @@ class IngestStore:
             next_doc_id=0,
             wal_generation=1,
             generation=1,
-            policy=self.policy.to_dict(),
         ))
 
     # ------------------------------------------------------------------
@@ -886,7 +835,7 @@ class IngestStore:
         """A standalone frozen searcher over every document (global ids).
 
         Tombstones carry over as tombstones (matching
-        :meth:`~repro.PKWiseSearcher.compacted` semantics); use
+        :meth:`~repro.core.pkwise.PKWiseSearcher.compacted` semantics); use
         :meth:`compact` first to drop them physically.
         """
         with self._fold_lock:
@@ -911,7 +860,8 @@ class IngestStore:
     # Background compactor
     # ------------------------------------------------------------------
     def start_compactor(self) -> None:
-        """Start the background thread that flushes/compacts on policy."""
+        """Start the background thread that flushes and compacts once the
+        memtable or the segment count passes its constant above."""
         with self._mutex:
             if self._compactor is not None or self._closed:
                 return
@@ -940,9 +890,9 @@ class IngestStore:
             if self._stop:
                 return
             try:
-                if self.policy.should_flush(self._active):
+                if self._should_flush():
                     self.flush()
-                if self.policy.should_compact(self.num_segments):
+                if self._should_compact():
                     self.compact()
             except Exception as exc:  # keep serving; surface via metrics
                 self.last_error = exc

@@ -7,7 +7,7 @@ indexes its documents under local ids; these views glue the tiers back
 into the single-index shape the pkwise search kernel expects:
 
 * :class:`TieredIntervalIndex` satisfies the ``probe_many`` contract
-  of :class:`~repro.index.CompactIntervalIndex`.  A batched probe
+  of :class:`~repro.index.compact.CompactIntervalIndex`.  A batched probe
   fans out to every tier, offsets each tier's hit docs by its base, and
   merges the batches *signature-wise* with one stable argsort — entries
   for each probed signature come back grouped, ordered by tier base and
@@ -15,7 +15,7 @@ into the single-index shape the pkwise search kernel expects:
   serial from-scratch build over the same documents would have stored
   (postings are appended in doc-id order, so concatenating disjoint
   doc-id blocks in order is exact; a fold applies it once more, for good —
-  :meth:`~repro.index.CompactIntervalIndex.merged` sorts the tiers'
+  :meth:`~repro.index.compact.CompactIntervalIndex.merged` sorts the tiers'
   concatenated postings the same way, without re-signaturing).
 * :class:`TieredRankDocs` resolves a global doc id to its owning tier's
   rank sequence; verification reads it by slice (``rank_slice``).
@@ -62,8 +62,9 @@ class Tier:
         self._doc_hi = doc_hi
         self.generation = generation
         #: ``probe_many``-capable index over local ids ``0..doc_hi-doc_lo-1``:
-        #: frozen columns, or the active :class:`~repro.ingest.Memtable`
-        #: itself (its columns are replaced as it catches up).
+        #: frozen columns, or the active
+        #: :class:`~repro.ingest.memtable.Memtable` itself (its columns are
+        #: replaced as it catches up).
         self.index = index
         #: Local-id rank sequences (list of lists or PackedRankDocs).
         self.rank_docs = rank_docs

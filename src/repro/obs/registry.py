@@ -1,9 +1,10 @@
 """Typed metrics registry: counters, timers, and gauges.
 
 The registry is the single aggregation surface for every execution path
-in the library.  Searchers accumulate into :class:`~repro.core.SearchStats`
-on the hot path (plain attribute adds), and that dataclass converts
-losslessly to and from a registry; parallel workers ship registry
+in the library.  Searchers accumulate into
+:class:`~repro.core.base.SearchStats` on the hot path (plain attribute adds),
+and that dataclass converts losslessly to and from a registry; parallel workers
+ship registry
 *snapshots* (plain nested dicts) back to the executor, which merges them
 deterministically.  Three metric types with fixed merge semantics:
 

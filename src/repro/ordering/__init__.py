@@ -6,6 +6,6 @@ windows that contain the token — with ties broken by token string.  The
 window-level processing in the library operates on rank sequences.
 """
 
-from .global_order import GlobalOrder, window_frequencies
+from .global_order import GlobalOrder
 
-__all__ = ["GlobalOrder", "window_frequencies"]
+__all__ = ["GlobalOrder"]

@@ -13,7 +13,7 @@ Workers need the read-only searcher.  Wherever :mod:`multiprocessing`
 offers ``fork`` (Linux, macOS) the pool forks and workers inherit it
 through copy-on-write memory — zero serialization cost.  Where it does
 not (Windows) the executor uses ``spawn``: a
-:class:`~repro.PKWiseSearcher` travels through a temporary
+:class:`~repro.core.pkwise.PKWiseSearcher` travels through a temporary
 :mod:`repro.persistence` index file, any other engine through pickle.
 The choice is the constant ``executor.START_METHOD``, not an option.
 
@@ -23,19 +23,10 @@ Workloads and self-joins run under supervised dispatch: failed chunks
 retry with capped exponential backoff, repeat offenders are bisected
 down to the poison item, dead worker processes trigger bounded pool
 restarts, and optional chunk-granularity checkpoints
-(:class:`RunCheckpoint`) make interrupted runs resumable.
+(:class:`~repro.parallel.checkpoint.RunCheckpoint`) make interrupted runs
+resumable.
 """
 
-from .checkpoint import (
-    RunCheckpoint,
-    selfjoin_fingerprint,
-    workload_fingerprint,
-)
 from .executor import ParallelExecutor
 
-__all__ = [
-    "ParallelExecutor",
-    "RunCheckpoint",
-    "selfjoin_fingerprint",
-    "workload_fingerprint",
-]
+__all__ = ["ParallelExecutor"]

@@ -376,7 +376,7 @@ class ParallelExecutor:
     ) -> AggregateRun:
         """Shard ``queries`` over the pool; merge into an AggregateRun.
 
-        The merged run is identical to :func:`~repro.eval.serial_run`
+        The merged run is identical to :func:`~repro.eval.harness.serial_run`
         on the same inputs — per-query pair lists in canonical order,
         ``results_by_query`` keyed and inserted in workload order —
         plus per-worker skew reports.  Timing fields reflect the

@@ -83,7 +83,7 @@ def search_chunk(task):
     ``position`` is the query's index in the original workload; results
     come back per query so the parent can restore workload order.
 
-    Stats travel as a :meth:`~repro.core.SearchStats.snapshot` registry
+    Stats travel as a :meth:`~repro.core.base.SearchStats.snapshot` registry
     dict, not a live object: the snapshot is the cross-process wire
     format of :mod:`repro.obs`, and the parent merges the chunks'
     registries deterministically (sorted keys, pure sums for counters),

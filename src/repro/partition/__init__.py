@@ -8,16 +8,6 @@ model (Equations 2-4) and the greedy two-level blocking algorithm that
 chooses class borders to minimize workload cost.
 """
 
-from .cost_model import CostWeights, workload_cost
-from .equi_width import equi_width_scheme
-from .greedy import GreedyPartitioner, PartitioningReport
-from .scheme import PartitionScheme
+from .greedy import GreedyPartitioner
 
-__all__ = [
-    "PartitionScheme",
-    "CostWeights",
-    "workload_cost",
-    "equi_width_scheme",
-    "GreedyPartitioner",
-    "PartitioningReport",
-]
+__all__ = ["GreedyPartitioner"]

@@ -3,8 +3,8 @@
 Index construction (and especially greedy partitioning) is the
 expensive, offline part of the pipeline; production deployments build
 once and serve many queries.  This module persists a fully built
-:class:`~repro.PKWiseSearcher` — frozen onto its compact array-backed
-structures — to a single file.
+:class:`~repro.core.pkwise.PKWiseSearcher` — frozen onto its compact
+array-backed structures — to a single file.
 
 There is one on-disk layout, shared by index snapshots, the ingest
 ``MANIFEST`` and the parallel executor's run checkpoints
@@ -307,7 +307,7 @@ class SearcherBundle:
 
     #: The frozen query engine.
     searcher: PKWiseSearcher
-    #: The bundled :class:`~repro.DocumentCollection` (its documents a
+    #: The bundled :class:`~repro.corpus.DocumentCollection` (its documents a
     #: view over the searcher's rank columns), or None for ids-only
     #: index files.
     data: object = None
@@ -327,13 +327,14 @@ def save_searcher(
     """Write ``searcher``'s snapshot to ``path`` (atomic).
 
     A built or opened searcher is frozen already; a live one is folded
-    into one frozen searcher first (:meth:`~repro.PKWiseSearcher.compacted`).
-    Its index/rank columns are stored as raw typed arrays, so
-    :func:`load_bundle` can map them.  Only
-    :class:`~repro.PKWiseSearcher` (and its live LSM view) can be
-    snapshotted; anything else is a typed :class:`PersistenceError`.
+    into one frozen searcher first
+    (:meth:`~repro.core.pkwise.PKWiseSearcher.compacted`). Its index/rank
+    columns are stored as raw typed arrays, so :func:`load_bundle` can map
+    them.  Only :class:`~repro.core.pkwise.PKWiseSearcher` (and its live LSM
+    view) can be snapshotted; anything else is a typed
+    :class:`PersistenceError`.
 
-    Pass the :class:`~repro.DocumentCollection` as ``data`` to bundle
+    Pass the :class:`~repro.corpus.DocumentCollection` as ``data`` to bundle
     the documents (needed to encode text queries and to decode matches
     back to text, e.g. by the CLI); omit it for a leaner, ids-only
     index file.  The corpus is stored once: the file keeps the

@@ -13,27 +13,15 @@ runs only over the survivors.
 
 Routing is a mode — ``"off"`` or ``"exact"`` — and ``exact`` uses a
 conservative budget derived from ``tau`` and the query stride (see
-:func:`missing_bit_budget`): recall is exactly 1.0 by construction.
-There is no lossy mode.
+:func:`~repro.routing.fingerprints.missing_bit_budget`): recall is exactly 1.0
+by construction. There is no lossy mode.
 
 The public surface is :class:`RoutingPolicy` (carried on
 :class:`~repro.params.SearchParams`) and :class:`FingerprintTier` (the
 per-searcher data structure).
 """
 
-from .fingerprints import (
-    FINGERPRINT_BITS,
-    LANES,
-    FingerprintTier,
-    missing_bit_budget,
-)
+from .fingerprints import FingerprintTier
 from .policy import ROUTING_MODES, RoutingPolicy
 
-__all__ = [
-    "RoutingPolicy",
-    "ROUTING_MODES",
-    "FingerprintTier",
-    "FINGERPRINT_BITS",
-    "LANES",
-    "missing_bit_budget",
-]
+__all__ = ["RoutingPolicy", "ROUTING_MODES", "FingerprintTier"]

@@ -272,7 +272,7 @@ class FingerprintTier:
         """Fingerprint every document of ``rank_docs`` in one pass.
 
         ``rank_docs`` is one tier's rank sequences under local ids (a
-        list of lists or a :class:`~repro.index.PackedRankDocs`);
+        list of lists or a :class:`~repro.index.compact.PackedRankDocs`);
         ``doc_lo`` is the global id of its first document.
         """
         tier = cls(block_len=block_len, doc_lo=doc_lo)

@@ -37,7 +37,7 @@ class RoutingPolicy:
         ``"off"`` disables the tier; ``"exact"`` prunes documents that
         provably hold no qualifying window (recall 1.0 — the
         missing-bit budget is derived from ``tau`` and the query
-        stride, see :func:`~repro.routing.missing_bit_budget`).
+        stride, see :func:`~repro.routing.fingerprints.missing_bit_budget`).
     block_tokens:
         Tumbling-block width floor for document fingerprints; the
         effective width is ``max(block_tokens, w)``.  Smaller blocks

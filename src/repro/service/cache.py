@@ -11,8 +11,8 @@ cache exploits exactly that and nothing more:
   token-id sequence), so two :class:`~repro.corpus.Document` objects
   with the same tokens share an entry regardless of name or identity.
 * The index epoch is the searcher's mutation counter
-  (:attr:`~repro.PKWiseSearcher.index_epoch`); any add / remove bumps
-  it, which makes every prior entry unreachable — cached and fresh
+  (:attr:`~repro.core.pkwise.PKWiseSearcher.index_epoch`); any add / remove
+  bumps it, which makes every prior entry unreachable — cached and fresh
   results are pair-for-pair identical by construction.  Stale-epoch
   entries are also actively purged on insert so a mutation burst
   cannot pin dead entries in the LRU.

@@ -18,8 +18,8 @@ exit.  :class:`SearchService` is the resident layer for serving a
 * **Deadlines and cooperative cancellation.**  A per-request timeout
   becomes a monotonic deadline; the worker checks it before starting
   and the searcher checks it *between query windows in the slide loop*
-  (the ``cancel`` hook of :meth:`~repro.PKWiseSearcher.search`), so a
-  doomed request stops consuming CPU mid-query instead of running to
+  (the ``cancel`` hook of :meth:`~repro.core.pkwise.PKWiseSearcher.search`), so
+  a doomed request stops consuming CPU mid-query instead of running to
   completion.
 * **Result caching.**  An epoch-invalidated LRU
   (:class:`~repro.service.cache.ResultCache`) keyed by canonical query
@@ -29,7 +29,7 @@ exit.  :class:`SearchService` is the resident layer for serving a
   identical; a flush or compaction changes no pair, moves no epoch and
   empties nothing.
 * **No index lock.**  A snapshot engine is immutable and a live one
-  (:class:`~repro.ingest.LSMSearcher`) locks inside ``search``; the
+  (:class:`~repro.ingest.searcher.LSMSearcher`) locks inside ``search``; the
   service only checks, before caching a result, that no write moved
   the epoch during the search.
 * **One owner for writes.**  The service serves an
@@ -175,7 +175,7 @@ class SearchService:
         :meth:`search_text` (and the HTTP front-end's ``text`` queries)
         encode against ``index.data``.  Writes are the index's
         (:meth:`~repro.Index.add` / :meth:`~repro.Index.remove`): an
-        engine that is not a :class:`~repro.PKWiseSearcher` refuses
+        engine that is not a :class:`~repro.core.pkwise.PKWiseSearcher` refuses
         them (``ConfigurationError``) and keeps serving.
     max_workers:
         Worker threads draining the admission queue.
@@ -238,7 +238,7 @@ class SearchService:
     # ------------------------------------------------------------------
     @property
     def data(self):
-        """The served index's :class:`~repro.DocumentCollection` (None
+        """The served index's :class:`~repro.corpus.DocumentCollection` (None
         for an ids-only snapshot)."""
         return self.index.data
 

@@ -9,25 +9,4 @@ corpus's signatures — or a live memtable's burst of writes — into the
 same interval postings in one array pass.
 """
 
-from .generate import (
-    Signature,
-    generate_signatures,
-    signatures_from_prefix,
-    signature_hash,
-)
-from .incremental import IncrementalPrefixLength
-from .maintain import SignatureEvent, SignatureStream
-from .prefix import coverage_of, prefix_length, weighted_prefix_length
-
-__all__ = [
-    "prefix_length",
-    "weighted_prefix_length",
-    "coverage_of",
-    "Signature",
-    "generate_signatures",
-    "signatures_from_prefix",
-    "signature_hash",
-    "SignatureStream",
-    "SignatureEvent",
-    "IncrementalPrefixLength",
-]
+__all__ = []

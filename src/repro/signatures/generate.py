@@ -78,7 +78,7 @@ def signature_hash(signature: Signature) -> int:
     The paper hashes signatures to 4-byte integers for index
     compactness; we use 64 bits to make collisions negligible while
     keeping the same memory-shape argument.  The frozen
-    :class:`~repro.index.CompactIntervalIndex` keys on it; the dict
+    :class:`~repro.index.compact.CompactIntervalIndex` keys on it; the dict
     reference index keys on the rank tuples themselves (collision-free).  This
     scalar form is the reference the tests hold :func:`signature_hashes`
     to, bit for bit; the library itself calls only that kernel.

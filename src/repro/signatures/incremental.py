@@ -13,7 +13,7 @@ bisect-maintained sorted list, keeping per-group token counts and total
 coverage.  Its ``length`` is provably the minimal prefix length after
 every slide: coverage is non-decreasing and 0/1-increment in the prefix
 length, so "coverage == tau + 1 and the last token is covering" pins the
-unique minimum that :func:`~repro.signatures.prefix_length` computes
+unique minimum that :func:`~repro.signatures.prefix.prefix_length` computes
 from scratch — asserted by property tests over random documents and
 schemes.
 
@@ -35,7 +35,7 @@ changes, ``(rank, group key)`` tokens that ``joined`` and that ``left``
 — the outgoing token, the incoming one, and the boundary tokens the
 repair takes in or lets go, a token that did both (a duplicate of the
 boundary token stepping into its place) cancelling out — which is all
-:class:`~repro.signatures.SignatureStream` needs to update the
+:class:`~repro.signatures.maintain.SignatureStream` needs to update the
 signatures.
 """
 

@@ -2,18 +2,12 @@
 
 A window is ``w`` consecutive tokens viewed as a multiset.  This package
 provides what the paper's Section 4 relies on: a
-:class:`WindowSlider` that walks a document maintaining the window's
-sorted view, and :func:`window_overlap`, the one-shot
+:class:`~repro.windows.slider.WindowSlider` that walks a document
+maintaining the window's sorted view, and
+:func:`~repro.windows.rolling.window_overlap`, the one-shot
 multiset-intersection size that non-rolling algorithms and the tests
-use as the reference.
-The rolling O(1)-per-slide update of Section 4.3 lives in
-:class:`repro.core.verify.IntervalVerifier`.
+use as the reference.  The rolling O(1)-per-slide update of Section 4.3 lives
+in :class:`repro.core.verify.IntervalVerifier`.
 """
 
-from .rolling import window_overlap
-from .slider import WindowSlider
-
-__all__ = [
-    "WindowSlider",
-    "window_overlap",
-]
+__all__ = []

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from repro import DocumentCollection, PKWiseSearcher, SearchParams
-from repro.index import IntervalIndex
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
+from repro.index.interval_index import IntervalIndex
 
 
 def _load_oracle():

@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    DocumentCollection,
-    GlobalOrder,
-    PartitionScheme,
-    PKWiseSearcher,
-    SearchParams,
-)
-from repro.eval import (
-    multiset_jaccard,
-    postings_statistics,
-    prefix_sharing,
-)
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
+from repro.eval import postings_statistics, prefix_sharing
+from repro.eval.analysis import multiset_jaccard
+from repro.ordering import GlobalOrder
+from repro.partition.scheme import PartitionScheme
 
 
 class TestMultisetJaccard:
@@ -62,7 +57,7 @@ class TestPrefixSharing:
         assert wide.average_jaccard >= narrow.average_jaccard - 0.05
 
     def test_empty_documents(self):
-        from repro import DocumentCollection
+        from repro.corpus import DocumentCollection
 
         data = DocumentCollection()
         data.add_text("a b")
@@ -106,7 +101,8 @@ class TestPostingsStatistics:
 
 class TestAnalysisOnProfiles:
     def test_postings_singleton_heavy_for_tight_tau(self, small_corpus):
-        from repro import PKWiseSearcher, SearchParams
+        from repro import SearchParams
+        from repro.core.pkwise import PKWiseSearcher
         from repro.eval import postings_statistics
 
         tight = PKWiseSearcher(small_corpus, SearchParams(w=20, tau=1, k_max=2))

@@ -4,18 +4,14 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
-from repro import (
-    ConfigurationError,
-    CorpusError,
-    IndexStateError,
-    PartitioningError,
-    ReproError,
-    TokenizationError,
-)
+from repro import ConfigurationError, CorpusError, IndexStateError, ReproError
+from repro.errors import PartitioningError, TokenizationError
 
 #: ``repro`` and every sub-package: each ``__all__`` is a promise.
 PACKAGES = ["repro"] + [
@@ -23,6 +19,81 @@ PACKAGES = ["repro"] + [
     for module in pkgutil.iter_modules(repro.__path__)
     if module.ispkg
 ]
+
+#: The whole public surface, literally.  A package exports what another
+#: package, the CLI, a bench or an example imports from it; a name
+#: outside these lists is internal and may change in any release.
+SURFACE = {
+    "repro": [
+        "__version__",
+        "Index",
+        "SearchParams",
+        "RoutingPolicy",
+        "SearchResult",
+        "MatchPair",
+        "make_profile_collection",
+        "local_similarity_self_join",
+        "ReproError",
+        "ConfigurationError",
+        "CorpusError",
+        "IndexStateError",
+        "PersistenceError",
+        "RoutingUnavailableError",
+    ],
+    "repro.baselines": [
+        "AdaptSearcher",
+        "FaerieSearcher",
+        "FBWSearcher",
+        "WinnowingSearcher",
+        "MinHashLSHSearcher",
+    ],
+    "repro.core": [],
+    "repro.corpus": [
+        "Document",
+        "DocumentCollection",
+        "CollectionStats",
+        "collection_from_directory",
+        "collection_from_texts",
+    ],
+    "repro.eval": [
+        "evaluate_quality",
+        "run_searcher",
+        "prefix_sharing",
+        "postings_statistics",
+    ],
+    "repro.index": [],
+    "repro.ingest": ["IngestStore", "read_wal", "wal_generations"],
+    "repro.obs": [
+        "MetricsRegistry",
+        "get_tracer",
+        "configure_tracing",
+        "disable_tracing",
+    ],
+    "repro.ordering": ["GlobalOrder"],
+    "repro.parallel": ["ParallelExecutor"],
+    "repro.partition": ["GreedyPartitioner"],
+    "repro.routing": ["RoutingPolicy", "ROUTING_MODES", "FingerprintTier"],
+    "repro.service": [
+        "SearchService",
+        "serve_http",
+        "ShardPlan",
+        "ShardRouter",
+        "ShardSupervisor",
+        "WorkerLauncher",
+        "spawn_shard_workers",
+        "stop_shard_workers",
+        "backends_for_workers",
+    ],
+    "repro.signatures": [],
+    "repro.tokenize": ["Tokenizer", "WhitespaceTokenizer", "Vocabulary"],
+    "repro.windows": [],
+}
+
+#: Prose that shows ``from repro... import ...`` lines to a reader.
+DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+    f"docs/{path.name}"
+    for path in (Path(repro.__file__).parents[2] / "docs").glob("*.md")
+)
 
 
 class TestErrorHierarchy:
@@ -53,6 +124,29 @@ class TestPublicSurface:
             assert hasattr(module, name), (
                 f"{package}.__all__ lists missing name {name}"
             )
+
+    def test_surface_is_pinned(self):
+        assert sorted(PACKAGES) == sorted(SURFACE)
+        for package, names in SURFACE.items():
+            assert importlib.import_module(package).__all__ == names, package
+        # The sharded tier is plan / router / workers; no shards module.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service.shards")
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_doc_imports_resolve(self, doc):
+        text = (Path(repro.__file__).parents[2] / doc).read_text("utf-8")
+        statements = re.findall(
+            r"^\s*from (repro[\w.]*) import (\([^)]*\)|.+)$",
+            text,
+            re.MULTILINE,
+        )
+        for module_name, names in statements:
+            module = importlib.import_module(module_name)
+            names = re.sub(r"\bas \w+", "", names.split("#")[0])
+            for name in re.findall(r"\w+", names):
+                if not hasattr(module, name):
+                    importlib.import_module(f"{module_name}.{name}")
 
     def test_version_string(self):
         assert repro.__version__.count(".") == 2

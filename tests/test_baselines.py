@@ -8,17 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import GlobalOrder, SearchParams
-from repro.baselines import (
-    AdaptSearcher,
-    BruteForceSearcher,
-    FaerieSearcher,
-    FBWSearcher,
-    KPrefixSearcher,
-    StandardPrefixSearcher,
-)
+from repro import SearchParams
+from repro.baselines import AdaptSearcher, FaerieSearcher, FBWSearcher
+from repro.baselines.bruteforce import BruteForceSearcher
 from repro.baselines.fbw import default_winnow_window
+from repro.baselines.prefix_join import KPrefixSearcher, StandardPrefixSearcher
 from repro.eval import run_searcher
+from repro.ordering import GlobalOrder
 
 from .conftest import expected_pairs, pairs_as_set, random_collection
 
@@ -67,7 +63,7 @@ class TestExactness:
 
     def test_fbw_finds_verbatim_copy(self):
         # A verbatim replication must be recoverable via fingerprints.
-        from repro import DocumentCollection
+        from repro.corpus import DocumentCollection
 
         rng = random.Random(0)
         data = DocumentCollection()
@@ -84,7 +80,7 @@ class TestExactness:
 
 class TestAdapt:
     def test_k_limit_clamped_to_window(self):
-        from repro import DocumentCollection
+        from repro.corpus import DocumentCollection
 
         data = DocumentCollection()
         data.add_text("a b c d e")
@@ -93,7 +89,7 @@ class TestAdapt:
         assert adapt.k_limit == 2  # w - tau
 
     def test_rejects_bad_k_limit(self):
-        from repro import DocumentCollection
+        from repro.corpus import DocumentCollection
 
         data = DocumentCollection()
         data.add_text("a b c")
@@ -123,7 +119,7 @@ class TestAdapt:
 
 class TestKPrefix:
     def test_rejects_prefix_longer_than_window(self):
-        from repro import DocumentCollection
+        from repro.corpus import DocumentCollection
 
         data = DocumentCollection()
         data.add_text("a b c")
@@ -131,7 +127,7 @@ class TestKPrefix:
             KPrefixSearcher(data, SearchParams(w=3, tau=2, k_max=1), k=2)
 
     def test_rejects_bad_k(self):
-        from repro import DocumentCollection
+        from repro.corpus import DocumentCollection
 
         data = DocumentCollection()
         data.add_text("a b c")
@@ -150,7 +146,7 @@ class TestKPrefix:
 
 class TestFaerie:
     def test_index_entries(self):
-        from repro import DocumentCollection
+        from repro.corpus import DocumentCollection
 
         data = DocumentCollection()
         data.add_text("a b a b")  # windows (a b a), (b a b): 2 distinct tokens each

@@ -13,19 +13,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro import (
-    FaultPlan,
-    FaultSpec,
-    Index,
-    ParallelExecutor,
-    SearchParams,
-    WorkerCrashError,
-    collection_from_directory,
-    faults,
-)
+from repro import Index, SearchParams, faults
 from repro.cli import main
-from repro.errors import RoutingUnavailableError
-from repro.parallel import executor as executor_module
+from repro.corpus import collection_from_directory
+from repro.errors import RoutingUnavailableError, WorkerCrashError
+from repro.faults import FaultPlan, FaultSpec
+from repro.parallel import ParallelExecutor, executor as executor_module
 from repro.persistence import read_envelope
 from repro.service import WorkerLauncher
 

@@ -2,10 +2,10 @@
 
 Covers the built engine — frozen at construction, the reference pairs
 serially, under fork and spawn, and behind a
-:class:`~repro.SearchService` — the hash-collision path (collisions can
+:class:`~repro.service.SearchService` — the hash-collision path (collisions can
 only *add* candidates), the columns a build or freeze writes once, the frozen
 mutation guards, the mmap-able snapshot envelope (roundtrip, digests,
-truncation, tombstones), the :class:`~repro.index.PackedRankDocs`
+truncation, tombstones), the :class:`~repro.index.compact.PackedRankDocs`
 sequence and slice semantics, and concurrent search threads on one
 mapped snapshot.  ``test_exactness.py`` crosses the same storage values
 with routing, topology and lifecycle.
@@ -25,21 +25,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    Index,
-    PartitionScheme,
-    PersistenceError,
-    PKWiseSearcher,
-    SearchService,
-    save_searcher,
-)
-from repro.core import slice_accessor
+from repro import Index, PersistenceError
+from repro.core.pkwise import PKWiseSearcher
+from repro.core.verify import slice_accessor
 from repro.errors import IndexStateError
 from repro.eval import run_searcher
-from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs, ProbeHit
-from repro.ingest import Tier, TieredRankDocs
+from repro.index.compact import CompactIntervalIndex, PackedRankDocs, ProbeHit
+from repro.index.interval_index import IntervalIndex
+from repro.ingest.tiered import Tier, TieredRankDocs
 from repro.parallel import executor as executor_module
-from repro.persistence import load_bundle
+from repro.partition.scheme import PartitionScheme
+from repro.persistence import load_bundle, save_searcher
+from repro.service import SearchService
 
 from .conftest import expected_pairs, pairs_as_set, probe_runs, reference_index
 
@@ -132,7 +129,7 @@ class TestHashedCollisions:
     def test_two_keys_share_a_bucket(self, monkeypatch):
         # Minimal shape of the collision property: two distinct tuple
         # keys, one bucket, both postings runs preserved.
-        from repro.partition import equi_width_scheme
+        from repro.partition.equi_width import equi_width_scheme
 
         self._collide_all_hashes(monkeypatch, value=42)
         scheme = equi_width_scheme(8, 2)
@@ -367,7 +364,7 @@ class TestV3Snapshots:
                 load_bundle(path, fallback=False, mmap=mode)
 
     def test_compact_requires_pkwise(self, small_corpus, tmp_path):
-        from repro.core import WeightedPKWiseSearcher
+        from repro.core.weighted import WeightedPKWiseSearcher
 
         weighted = WeightedPKWiseSearcher(
             small_corpus, w=10, theta_weight=8.0, weight_of_token=lambda _t: 1.0

@@ -6,9 +6,11 @@ import pickle
 
 import pytest
 
-from repro import CorpusError, DocumentCollection, PKWiseSearcher
+from repro import CorpusError
+from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import (
     CollectionStats,
+    DocumentCollection,
     collection_from_directory,
     collection_from_texts,
 )
@@ -71,7 +73,7 @@ class TestCollection:
             assert data.add_text(f"doc {index}").doc_id == index
 
     def test_encode_query_oov_sentinel(self):
-        from repro.tokenize import OOV_TOKEN_ID
+        from repro.tokenize.vocabulary import OOV_TOKEN_ID
 
         data = DocumentCollection()
         data.add_text("a b c")
@@ -197,7 +199,7 @@ class TestDocumentDecoding:
         assert window == ["the", "lord", "and", "the"]
 
     def test_query_window_vocab_decode_shows_sentinel(self, paper_example):
-        from repro.tokenize import OOV_TOKEN
+        from repro.tokenize.vocabulary import OOV_TOKEN
 
         data, query, params = paper_example
         searcher = PKWiseSearcher(data, params)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro import PKWiseSearcher, SearchParams
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
 from repro.eval import run_searcher
 
 

@@ -29,10 +29,13 @@ from itertools import combinations, product
 
 import pytest
 
-from repro import DocumentCollection, Index, PKWiseSearcher, SearchParams
+from repro import Index, SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
 from repro.eval import run_searcher
 from repro.parallel import executor as executor_module
-from repro.service import LocalShardBackend, ShardPlan, ShardRouter
+from repro.service import ShardPlan, ShardRouter
+from repro.service.router import LocalShardBackend
 
 from .conftest import expected_pairs, make_corpus, make_queries
 

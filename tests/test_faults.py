@@ -21,22 +21,19 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro import (
-    DocumentCollection,
-    FaultPlan,
-    FaultSpec,
-    ParallelExecutor,
-    PKWiseSearcher,
-    SearchParams,
+from repro import SearchParams, faults, local_similarity_self_join
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
+from repro.errors import (
+    ConfigurationError,
+    FaultInjectionError,
     WorkerCrashError,
-    faults,
-    local_similarity_self_join,
 )
-from repro.errors import ConfigurationError, FaultInjectionError
 from repro.eval import run_searcher
 from repro.eval.harness import serial_run
+from repro.faults import FaultPlan, FaultSpec
 from repro.obs import configure_tracing, disable_tracing
-from repro.parallel import executor as executor_module
+from repro.parallel import ParallelExecutor, executor as executor_module
 from repro.parallel.checkpoint import RunCheckpoint, workload_fingerprint
 from repro.parallel.executor import _reap
 from repro.persistence import PersistenceError

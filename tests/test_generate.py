@@ -9,8 +9,8 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PartitionScheme
-from repro.signatures import (
+from repro.partition.scheme import PartitionScheme
+from repro.signatures.generate import (
     generate_signatures,
     signature_hash,
     signatures_from_prefix,

@@ -13,13 +13,10 @@ import random
 
 import pytest
 
-from repro import (
-    DocumentCollection,
-    GlobalOrder,
-    Index,
-    PKWiseSearcher,
-    SearchParams,
-)
+from repro import Index, SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
+from repro.ordering import GlobalOrder
 
 from .conftest import expected_pairs, pairs_as_set
 

@@ -8,8 +8,9 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PartitionScheme
-from repro.signatures import IncrementalPrefixLength, prefix_length
+from repro.partition.scheme import PartitionScheme
+from repro.signatures.incremental import IncrementalPrefixLength
+from repro.signatures.prefix import prefix_length
 
 
 def random_setup(rng: random.Random):

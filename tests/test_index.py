@@ -7,10 +7,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PartitionScheme
-from repro.index import IntervalIndex, WindowInvertedIndex, merge_intervals
-from repro.index.intervals import WindowInterval
-from repro.signatures import generate_signatures
+from repro.index.interval_index import IntervalIndex
+from repro.index.intervals import WindowInterval, merge_intervals
+from repro.index.inverted import WindowInvertedIndex
+from repro.partition.scheme import PartitionScheme
+from repro.signatures.generate import generate_signatures
 
 
 class TestIntervals:

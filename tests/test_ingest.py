@@ -12,7 +12,7 @@ The contract under test, end to end:
 * **Serving never stops** — an install commits under the write side of
   the store's own lock, a query holds the read side for its whole run;
   queries interleaved with a mutation storm (behind a service or
-  standalone) see zero :class:`~repro.ServiceOverloadError`, no pair
+  standalone) see zero :class:`~repro.errors.ServiceOverloadError`, no pair
   from a removed document, and per-thread epochs only move forward.
 * **Crash safety** — segment files and the manifest are persisted
   before the in-memory flip; dying at any ``ingest.compact`` phase (or
@@ -43,30 +43,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import (
-    CompactionPolicy,
-    DocumentCollection,
-    IngestStore,
-    PKWiseSearcher,
-    SearchParams,
-    SearchService,
+from repro import SearchParams, faults
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
+from repro.errors import (
+    FaultInjectionError,
+    IndexStateError,
     ServiceOverloadError,
-    faults,
 )
-from repro.errors import FaultInjectionError, IndexStateError
 from repro.eval.harness import canonical_pair_order
 from repro.faults import KILL_EXIT_CODE, FaultPlan, FaultSpec
-from repro.index import CompactIntervalIndex, IntervalIndex, PackedRankDocs
 from repro.index import compact as compact_module
-from repro.ingest import (
-    Memtable,
-    Tier,
-    read_manifest,
-    read_wal,
-    wal_generations,
-    write_manifest,
-)
+from repro.index.compact import CompactIntervalIndex, PackedRankDocs
+from repro.index.interval_index import IntervalIndex
+from repro.ingest import IngestStore, read_wal, wal_generations
+from repro.ingest import store as ingest_store
+from repro.ingest.manifest import read_manifest, write_manifest
+from repro.ingest.memtable import Memtable
+from repro.ingest.tiered import Tier
 from repro.persistence import PersistenceError
+from repro.service import SearchService
 from repro.signatures import bulk
 from repro.signatures.maintain import SignatureStream
 
@@ -150,12 +146,11 @@ class TestStoreBasics:
         assert store_pairs(store, query) == mid
         store.close()
 
-    def test_policy_triggers_synchronous_flush(self):
+    def test_policy_triggers_synchronous_flush(self, monkeypatch):
         rng = random.Random(2)
-        policy = CompactionPolicy(memtable_max_docs=3, max_segments=2)
-        store = IngestStore.create(
-            PARAMS, data=DocumentCollection(), policy=policy
-        )
+        monkeypatch.setattr(ingest_store, "MEMTABLE_MAX_DOCS", 3)
+        monkeypatch.setattr(ingest_store, "MAX_SEGMENTS", 2)
+        store = IngestStore.create(PARAMS, data=DocumentCollection())
         for _ in range(10):
             store.add_tokens(make_tokens(rng))
         assert store.memtable_docs < 10  # rolls happened automatically
@@ -318,7 +313,7 @@ class TestInterleavingProperty:
             assert got == reference(texts, live_ids, query_tokens)
         store.close()
 
-    def test_standalone_query_across_a_fold_is_exact(self):
+    def test_standalone_query_across_a_fold_is_exact(self, monkeypatch):
         # No SearchService anywhere: the store's own lock is all that
         # keeps a fold from purging tombstones under a running query.
         rng = random.Random(5)
@@ -371,11 +366,9 @@ class TestInterleavingProperty:
 
         pairs_of = by_document(reference(variants, range(len(variants)), base))
         assert len(pairs_of) == len(variants)
-        index = repro.Index.open_live(
-            params=PARAMS,
-            policy=CompactionPolicy(memtable_max_docs=4, max_segments=1),
-            background=True,
-        )
+        monkeypatch.setattr(ingest_store, "MEMTABLE_MAX_DOCS", 4)
+        monkeypatch.setattr(ingest_store, "MAX_SEGMENTS", 1)
+        index = repro.Index.open_live(params=PARAMS, background=True)
         store = index.searcher().store
         added: list[int] = []  # ids whose add() has returned
         removing: list[int] = []  # ids whose remove() has been called
@@ -1072,6 +1065,33 @@ class TestDurability:
         with pytest.raises(PersistenceError, match="repro 2.25 reads it"):
             IngestStore.open(directory)
 
+    def test_manifest_with_a_compaction_policy_opens(self, tmp_path):
+        # 2.26-2.28 wrote the compaction thresholds into the header; the
+        # thresholds are constants now and the key is ignored.
+        from repro.ingest.manifest import MANIFEST_KIND, manifest_path
+        from repro.persistence import read_envelope, write_envelope
+
+        directory = tmp_path / "store"
+        store, live = drive_durable(directory, steps=8)
+        store.flush()
+        tokens = store.data.vocabulary.decode(store.data[live[0]].tokens)
+        want = store_pairs(store, store.data.encode_query_tokens(tokens))
+        assert want
+        store.close()
+        path = manifest_path(directory)
+        header, sections, _arrays = read_envelope(path, MANIFEST_KIND)
+        assert "policy" not in header
+        header["policy"] = {"memtable_max_docs": 2, "memtable_max_tokens": 9,
+                            "max_segments": 1}
+        write_envelope(path, MANIFEST_KIND, sections, header=header)
+        reopened = IngestStore.open(directory)
+        query = reopened.data.encode_query_tokens(tokens)
+        assert store_pairs(reopened, query) == want
+        for _ in range(3):
+            reopened.add_tokens(tokens)
+        assert reopened.memtable_docs == 3  # the stored thresholds are not read
+        reopened.close()
+
     def test_manifest_size_does_not_grow_with_tokens(self, tmp_path):
         # Two stores over one vocabulary, one with 4x the documents: the
         # manifest is a header, so only the extra names may show.
@@ -1213,7 +1233,7 @@ class TestDurability:
     def test_replay_tokenizes_with_the_stores_tokenizer(self, tmp_path):
         # Case and punctuation survive only under this tokenizer: a replay
         # through any other would intern a different vocabulary.
-        from repro.tokenize import WordTokenizer
+        from repro.tokenize.tokenizer import WordTokenizer
 
         directory = tmp_path / "store"
         data = DocumentCollection(tokenizer=WordTokenizer(lowercase=False))
@@ -1241,7 +1261,7 @@ class TestDurability:
              "remove-without-doc-id"],
     )
     def test_malformed_record_is_a_typed_error(self, tmp_path, record):
-        from repro.ingest import WriteAheadLog
+        from repro.ingest.wal import WriteAheadLog
 
         directory = tmp_path / "store"
         store, _live = drive_durable(directory, steps=4)
@@ -1269,7 +1289,7 @@ class TestDurability:
 
 CRASH_SCRIPT = """
 import pathlib, sys
-from repro import IngestStore
+from repro.ingest import IngestStore
 from repro.faults import FaultPlan, FaultSpec, install_plan
 
 directory = pathlib.Path(sys.argv[1])
@@ -1376,7 +1396,7 @@ class TestQueryAfterAddTokenVisibility:
         return " ".join(self.NEW_WORDS[: PARAMS.w + PARAMS.tau + 1])
 
     def _assert_resolves(self, index):
-        from repro.tokenize import OOV_TOKEN_ID
+        from repro.tokenize.vocabulary import OOV_TOKEN_ID
 
         query = index.encode_query(self._probe_text())
         assert OOV_TOKEN_ID not in query.tokens
@@ -1384,7 +1404,7 @@ class TestQueryAfterAddTokenVisibility:
         assert pairs, "memtable-interned tokens did not resolve"
 
     def test_in_memory_upgrade_resolves_new_tokens(self):
-        from repro.tokenize import OOV_TOKEN_ID
+        from repro.tokenize.vocabulary import OOV_TOKEN_ID
 
         index = repro.Index.build(self._seed_texts(), PARAMS)
         before = index.encode_query(self._probe_text())
@@ -1419,7 +1439,7 @@ class TestQueryAfterAddTokenVisibility:
         index.close()
 
     def test_service_add_text_resolves_new_tokens(self):
-        from repro.tokenize import OOV_TOKEN_ID
+        from repro.tokenize.vocabulary import OOV_TOKEN_ID
 
         index = repro.Index.build(self._seed_texts(), PARAMS)
         service = index.serve()

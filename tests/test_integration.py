@@ -6,22 +6,16 @@ import random
 
 import pytest
 
-from repro import (
-    DocumentCollection,
-    GlobalOrder,
-    PKWiseNonIntervalSearcher,
-    PKWiseSearcher,
-    SearchParams,
-)
-from repro.baselines import (
-    AdaptSearcher,
-    FaerieSearcher,
-    FBWSearcher,
-    StandardPrefixSearcher,
-)
+from repro import SearchParams
+from repro.baselines import AdaptSearcher, FaerieSearcher, FBWSearcher
+from repro.baselines.prefix_join import StandardPrefixSearcher
+from repro.core.pkwise import PKWiseSearcher
+from repro.core.pkwise_nonint import PKWiseNonIntervalSearcher
+from repro.corpus import DocumentCollection
 from repro.corpus.plagiarism import ObfuscationLevel
 from repro.corpus.synthetic import ReuseSpec, make_profile_collection
 from repro.eval import evaluate_quality, run_searcher
+from repro.ordering import GlobalOrder
 
 from .conftest import pairs_as_set
 

@@ -19,13 +19,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    ConfigurationError,
-    GlobalOrder,
-    PartitionScheme,
-    PKWiseSearcher,
-    SearchParams,
-)
+from repro import ConfigurationError, SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.ordering import GlobalOrder
+from repro.partition.scheme import PartitionScheme
 
 from .conftest import pairs_as_set, random_collection
 
@@ -132,7 +129,7 @@ class TestResultSoundness:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 1_000_000))
     def test_every_result_satisfies_constraint(self, seed):
-        from repro.windows import window_overlap
+        from repro.windows.rolling import window_overlap
 
         rng = random.Random(seed)
         data, query = random_collection(rng)

@@ -16,12 +16,16 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Index, PartitionScheme
+from repro import Index
 from repro.corpus.synthetic import make_profile_collection
-from repro.index import IntervalIndex, PackedRankDocs
+from repro.index.compact import PackedRankDocs
+from repro.index.interval_index import IntervalIndex
 from repro.ordering.global_order import OOV_RANK
-from repro.signatures import SignatureStream, bulk, generate_signatures, prefix_length
-from repro.signatures.maintain import COUNTERS
+from repro.partition.scheme import PartitionScheme
+from repro.signatures import bulk
+from repro.signatures.generate import generate_signatures
+from repro.signatures.maintain import COUNTERS, SignatureStream
+from repro.signatures.prefix import prefix_length
 
 
 def replay_presence(ranks, w, tau, scheme):

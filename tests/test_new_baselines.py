@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DocumentCollection, GlobalOrder, SearchParams
+from repro import SearchParams
 from repro.baselines import MinHashLSHSearcher, WinnowingSearcher
 from repro.baselines.minhash import sliding_window_minima
+from repro.corpus import DocumentCollection
+from repro.ordering import GlobalOrder
 
 from .conftest import expected_pairs, pairs_as_set, random_collection
 

@@ -10,18 +10,19 @@ import multiprocessing
 
 import pytest
 
-from repro import (
-    DocumentCollection,
-    MetricsRegistry,
-    ObservabilityError,
-    PKWiseSearcher,
-    SearchParams,
-    SearchStats,
-    Tracer,
-)
-from repro.core.base import STAT_COUNTER_FIELDS, STAT_TIMER_FIELDS
+from repro import SearchParams
+from repro.core.base import STAT_COUNTER_FIELDS, STAT_TIMER_FIELDS, SearchStats
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
 from repro.eval import run_searcher
-from repro.obs import configure_tracing, disable_tracing, get_tracer
+from repro.obs import (
+    MetricsRegistry,
+    configure_tracing,
+    disable_tracing,
+    get_tracer,
+)
+from repro.obs.registry import ObservabilityError
+from repro.obs.trace import Tracer
 from repro.parallel import executor as executor_module
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()

@@ -7,8 +7,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DocumentCollection, GlobalOrder
-from repro.ordering import window_frequencies
+from repro.corpus import DocumentCollection
+from repro.ordering import GlobalOrder
+from repro.ordering.global_order import window_frequencies
 
 
 def brute_window_frequencies(data, w):

@@ -18,17 +18,13 @@ import random
 
 import pytest
 
-from repro import (
-    DocumentCollection,
-    ParallelExecutor,
-    PKWiseSearcher,
-    SearchParams,
-    local_similarity_self_join,
-)
+from repro import SearchParams, local_similarity_self_join
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
 from repro.errors import ConfigurationError
 from repro.eval import run_searcher
 from repro.eval.harness import canonical_pair_order, serial_run
-from repro.parallel import executor as executor_module
+from repro.parallel import ParallelExecutor, executor as executor_module
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 

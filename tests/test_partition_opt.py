@@ -4,18 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    CostWeights,
-    DocumentCollection,
-    GlobalOrder,
-    GreedyPartitioner,
-    PartitionScheme,
-    SearchParams,
-    equi_width_scheme,
-    workload_cost,
-)
+from repro import SearchParams
+from repro.corpus import DocumentCollection
 from repro.corpus.synthetic import make_profile_collection
 from repro.errors import PartitioningError
+from repro.ordering import GlobalOrder
+from repro.partition import GreedyPartitioner
+from repro.partition.cost_model import CostWeights, workload_cost
+from repro.partition.equi_width import equi_width_scheme
+from repro.partition.scheme import PartitionScheme
 
 
 @pytest.fixture(scope="module")

@@ -16,21 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    CompactIntervalIndex,
-    DocumentCollection,
-    FaultPlan,
-    FaultSpec,
-    Index,
-    PackedRankDocs,
-    PersistenceError,
-    PKWiseSearcher,
-    ShardPlan,
-    WeightedPKWiseSearcher,
-    faults,
-    save_searcher,
-)
+from repro import Index, PersistenceError, faults
+from repro.core.pkwise import PKWiseSearcher
+from repro.core.weighted import WeightedPKWiseSearcher
+from repro.corpus import DocumentCollection
 from repro.corpus.collection import ColumnDocuments
+from repro.faults import FaultPlan, FaultSpec
+from repro.index.compact import CompactIntervalIndex, PackedRankDocs
 from repro.ingest.manifest import (
     MANIFEST_KIND,
     ManifestState,
@@ -43,8 +35,10 @@ from repro.persistence import (
     load_bundle,
     read_envelope,
     rotated_paths,
+    save_searcher,
     write_envelope,
 )
+from repro.service import ShardPlan
 
 from .conftest import expected_pairs, pairs_as_set, reference_index
 
@@ -735,7 +729,6 @@ def _write_manifest(directory: Path, built) -> Path:
             next_doc_id=0,
             wal_generation=1,
             generation=1,
-            policy={},
         ),
     )
     return manifest_path(directory)

@@ -8,20 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    ConfigurationError,
-    DocumentCollection,
-    GlobalOrder,
-    PartitionScheme,
-    PKWiseNonIntervalSearcher,
-    PKWiseSearcher,
-    SearchCancelled,
-    SearchParams,
-    SearchStats,
-)
-from repro.core.pkwise import default_scheme
+from repro import ConfigurationError, SearchParams
+from repro.core.base import SearchStats
+from repro.core.pkwise import PKWiseSearcher, default_scheme
+from repro.core.pkwise_nonint import PKWiseNonIntervalSearcher
+from repro.corpus import DocumentCollection
+from repro.errors import SearchCancelled
 from repro.eval import run_searcher
-from repro.signatures import SignatureStream
+from repro.ordering import GlobalOrder
+from repro.partition.scheme import PartitionScheme
+from repro.signatures.maintain import SignatureStream
 
 from .conftest import expected_pairs, pairs_as_set, random_collection
 
@@ -99,7 +95,7 @@ class TestSchemes:
         assert scheme.class_range(4)[1] == order.universe_size
 
     def test_k_max_1_equals_standard_prefix(self, small_corpus):
-        from repro.baselines import StandardPrefixSearcher
+        from repro.baselines.prefix_join import StandardPrefixSearcher
 
         params = SearchParams(w=10, tau=2, k_max=1)
         order = GlobalOrder(small_corpus, 10)
@@ -319,7 +315,7 @@ class TestVerificationStateAcrossSlides:
     def test_states_follow_merged_and_nothing_grows_with_the_query(
         self, churn, monkeypatch
     ):
-        from repro.core import IntervalVerifier
+        from repro.core.verify import IntervalVerifier
 
         searcher, query = churn
         seen = {"merged": 0, "states": 0, "retains": 0}
@@ -363,8 +359,8 @@ class TestVerificationStateAcrossSlides:
     def test_live_index_carries_state_in_a_mapped_segment_and_the_memtable(
         self, tmp_path
     ):
-        from repro import IngestStore
-        from repro.baselines import BruteForceSearcher
+        from repro.baselines.bruteforce import BruteForceSearcher
+        from repro.ingest import IngestStore
 
         rng = random.Random(7)
         params = SearchParams(w=self.W, tau=self.TAU, k_max=2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import DocumentCollection
+from repro.corpus import DocumentCollection
 from repro.corpus.plagiarism import (
     GroundTruthPair,
     ObfuscationLevel,

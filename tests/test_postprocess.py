@@ -7,7 +7,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MatchPair, Passage, filter_passages, merge_passages
+from repro import MatchPair
+from repro.postprocess import Passage, filter_passages, merge_passages
 
 
 def pair(doc=0, d=0, q=0, overlap=10):

@@ -7,9 +7,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PartitionScheme
 from repro.params import max_prefix_length
-from repro.signatures import coverage_of, prefix_length, weighted_prefix_length
+from repro.partition.scheme import PartitionScheme
+from repro.signatures.prefix import (
+    coverage_of,
+    prefix_length,
+    weighted_prefix_length,
+)
 
 
 class TestPaperExamples:

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PKWiseSearcher
-from repro.index import CompactIntervalIndex, ProbeBatch
+from repro.core.pkwise import PKWiseSearcher
 from repro.index import compact as compact_module
+from repro.index.compact import CompactIntervalIndex
+from repro.index.intervals import ProbeBatch
 from repro.signatures.generate import signature_hash, signature_hashes
 
 from .conftest import expected_pairs, pairs_as_set, probe_runs, reference_index

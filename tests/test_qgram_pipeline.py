@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import random
 
-from repro import DocumentCollection, PKWiseSearcher, SearchParams
-from repro.tokenize import QGramTokenizer
+from repro import SearchParams
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
+from repro.tokenize.tokenizer import QGramTokenizer
 
 
 def make_collection(q=2):

@@ -17,24 +17,25 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro import (
+from repro import Index, ReproError, SearchParams, faults
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
+from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
-    DocumentCollection,
-    FaultPlan,
-    FaultSpec,
-    Index,
-    PKWiseSearcher,
-    ReproError,
-    SearchParams,
-    SearchService,
     ServiceError,
     ServiceOverloadError,
-    faults,
 )
+from repro.faults import FaultPlan, FaultSpec
+from repro.service import SearchService
 import repro.service.client as client_module
-from repro.service import CircuitBreaker, ResilientClient, serve_http
-from repro.service.client import MIN_RETRY_AFTER, _parse_retry_after
+from repro.service import serve_http
+from repro.service.client import (
+    CircuitBreaker,
+    MIN_RETRY_AFTER,
+    ResilientClient,
+    _parse_retry_after,
+)
 
 from .conftest import serving
 
@@ -671,7 +672,7 @@ class TestResultCacheEpochScan:
     """Satellite fix: one stale-entry scan per epoch advance, not per put."""
 
     def test_single_scan_per_epoch_burst(self):
-        from repro.service import ResultCache
+        from repro.service.cache import ResultCache
 
         cache = ResultCache(capacity=64)
         for i in range(10):
@@ -687,7 +688,7 @@ class TestResultCacheEpochScan:
         assert len(cache) == 10
 
     def test_stale_epoch_straggler_purged_on_next_advance(self):
-        from repro.service import ResultCache
+        from repro.service.cache import ResultCache
 
         cache = ResultCache(capacity=64)
         cache.put(("a", "p", 1), (1,))
@@ -701,7 +702,7 @@ class TestResultCacheEpochScan:
         assert len(cache) == 1
 
     def test_len_is_lock_safe_and_counts_entries(self):
-        from repro.service import ResultCache
+        from repro.service.cache import ResultCache
 
         cache = ResultCache(capacity=4)
         assert len(cache) == 0

@@ -39,24 +39,18 @@ import pytest
 from repro import (
     ConfigurationError,
     Index,
-    PKWiseSearcher,
     RoutingPolicy,
     RoutingUnavailableError,
     SearchParams,
-    SearchService,
 )
+from repro.core.pkwise import PKWiseSearcher
 from repro.errors import IndexStateError
 from repro.eval.harness import canonical_pair_order, run_searcher
 from repro.parallel import executor as executor_module
 from repro.persistence import read_envelope, write_envelope
-from repro.routing import (
-    FINGERPRINT_BITS,
-    ROUTING_MODES,
-    FingerprintTier,
-    fingerprints,
-    missing_bit_budget,
-)
-from repro.service import ShardRouter, serve_http
+from repro.routing import ROUTING_MODES, FingerprintTier, fingerprints
+from repro.routing.fingerprints import FINGERPRINT_BITS, missing_bit_budget
+from repro.service import SearchService, ShardRouter, serve_http
 
 from .conftest import expected_pairs, make_corpus, make_queries, pairs_as_set, serving
 

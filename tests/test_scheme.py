@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PartitionScheme, equi_width_scheme
 from repro.errors import PartitioningError
+from repro.partition.equi_width import equi_width_scheme
+from repro.partition.scheme import PartitionScheme
 
 
 class TestClassLookup:

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import random
 
-from repro import (
-    DocumentCollection,
-    SearchParams,
-    local_similarity_self_join,
-)
+from repro import SearchParams, local_similarity_self_join
+from repro.corpus import DocumentCollection
 
 from .conftest import expected_pairs
 
@@ -88,6 +85,6 @@ class TestSelfJoin:
             right_window = data[p.right_doc].tokens[
                 p.right_start : p.right_start + 10
             ]
-            from repro.windows import window_overlap
+            from repro.windows.rolling import window_overlap
 
             assert window_overlap(left_window, right_window) == p.overlap

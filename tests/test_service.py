@@ -11,29 +11,20 @@ import time
 
 import pytest
 
-from repro import (
+from repro import Index, RoutingPolicy, SearchParams, ConfigurationError
+from repro.core.base import SearchResult
+from repro.core.pkwise import PKWiseSearcher
+from repro.corpus import DocumentCollection
+from repro.errors import (
     DeadlineExceededError,
-    DocumentCollection,
-    Index,
-    PKWiseSearcher,
-    RoutingPolicy,
     SearchCancelled,
-    SearchParams,
-    SearchService,
     ServiceClosedError,
     ServiceOverloadError,
-    ConfigurationError,
 )
-from repro.core.base import SearchResult
 from repro.eval.harness import canonical_pair_order
-from repro.service import (
-    ResultCache,
-    query_token_hash,
-    remote_healthz,
-    remote_metrics,
-    remote_search,
-    serve_http,
-)
+from repro.service import SearchService, serve_http
+from repro.service.cache import ResultCache, query_token_hash
+from repro.service.client import remote_healthz, remote_metrics, remote_search
 
 from .conftest import pairs_as_set, serving
 
@@ -373,7 +364,7 @@ class TestOneStore:
             assert self._found(reopened.search_text(y), 7)
 
     def test_concurrent_first_writes_make_one_store(self, monkeypatch):
-        from repro import IngestStore
+        from repro.ingest import IngestStore
 
         index = Index.build([self._text(seed) for seed in range(6)],
                             w=self.W, tau=self.TAU)

@@ -33,15 +33,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import (
-    ConfigurationError,
-    FaultPlan,
-    FaultSpec,
-    Index,
-    SearchParams,
-    faults,
-)
+from repro import ConfigurationError, Index, SearchParams, faults
 from repro.errors import WorkerStartupError
+from repro.faults import FaultPlan, FaultSpec
 from repro.persistence import generation_name
 from repro.service.client import remote_metrics, remote_search
 from repro.service.plan import ShardPlan, ShardSpec

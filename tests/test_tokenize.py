@@ -7,12 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import TokenizationError
-from repro.tokenize import (
-    QGramTokenizer,
-    Vocabulary,
-    WhitespaceTokenizer,
-    WordTokenizer,
-)
+from repro.tokenize import Vocabulary, WhitespaceTokenizer
+from repro.tokenize.tokenizer import QGramTokenizer, WordTokenizer
 
 
 class TestWhitespaceTokenizer:
@@ -152,7 +148,7 @@ class TestTokenizerUnicode:
         assert "naïve" in tokens and "café" in tokens
 
     def test_word_tokenizer_ascii_only_words(self):
-        from repro.tokenize import WordTokenizer
+        from repro.tokenize.tokenizer import WordTokenizer
 
         # The word tokenizer extracts ASCII alphanumerics; non-Latin
         # scripts need the whitespace tokenizer.

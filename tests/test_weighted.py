@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    ConfigurationError,
-    DocumentCollection,
-    GlobalOrder,
-    PartitionScheme,
-    SearchParams,
+from repro import ConfigurationError, SearchParams
+from repro.baselines.bruteforce import BruteForceSearcher
+from repro.core.weighted import (
+    UNIVERSAL_SIGNATURE,
     WeightedPKWiseSearcher,
+    weighted_overlap,
 )
-from repro.baselines import BruteForceSearcher
-from repro.core.weighted import UNIVERSAL_SIGNATURE, weighted_overlap
+from repro.corpus import DocumentCollection
+from repro.ordering import GlobalOrder
+from repro.partition.scheme import PartitionScheme
 
 from .conftest import random_collection
 

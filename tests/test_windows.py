@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.windows import WindowSlider, window_overlap
+from repro.windows.rolling import window_overlap
+from repro.windows.slider import WindowSlider
 
 
 class TestWindowOverlap:
