@@ -42,14 +42,6 @@ HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
 
 
-@pytest.fixture(autouse=True)
-def _clean_plan():
-    """No fault plan leaks into (or out of) any test."""
-    faults.clear_plan()
-    yield
-    faults.clear_plan()
-
-
 @pytest.fixture(scope="module")
 def workload():
     """Searcher + queries with a matching clean serial baseline."""

@@ -76,13 +76,6 @@ DOC_LEN = 36
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
 
-@pytest.fixture(autouse=True)
-def _no_fault_leak():
-    faults.clear_plan()
-    yield
-    faults.clear_plan()
-
-
 def make_tokens(rng, length=DOC_LEN):
     return [f"t{rng.randrange(VOCAB)}" for _ in range(length)]
 
@@ -115,17 +108,6 @@ def wal_records(directory):
 
 
 class TestStoreBasics:
-    def test_memtable_only_parity(self):
-        rng = random.Random(0)
-        texts = [make_tokens(rng) for _ in range(4)]
-        store = IngestStore.create(PARAMS, data=DocumentCollection())
-        for tokens in texts:
-            store.add_tokens(tokens)
-        query_tokens = make_tokens(rng, 24)
-        got = store_pairs(store, store.data.encode_query_tokens(query_tokens))
-        assert got == reference(texts, range(len(texts)), query_tokens)
-        store.close()
-
     def test_flush_and_compact_preserve_results(self):
         rng = random.Random(1)
         store = IngestStore.create(PARAMS, data=DocumentCollection())
@@ -1492,7 +1474,9 @@ class TestAddDoor:
         rng = random.Random(3)
         texts = [" ".join(make_tokens(rng)) for _ in range(3)]
         accepted = isinstance(value, str)
-        query = " ".join(texts[1].split()[5:25] + (value.split()[:30] if accepted else []))
+        # Ten words of the new document: a few windows, each matching
+        # hundreds of its positions.
+        query = " ".join(texts[1].split()[5:25] + (value.split()[:10] if accepted else []))
         directory = tmp_path / "live"
         index = repro.Index.open_live(directory, PARAMS)
         for text in texts:

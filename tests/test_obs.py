@@ -1,12 +1,11 @@
 """Tests for repro.obs: metrics registry, span tracer, and the
-SearchStats-on-registry refactor (merge semantics, snapshot round-trips,
-serial vs parallel counter parity; every pooled cell of
-``test_exactness.py`` checks the last one too)."""
+SearchStats-on-registry refactor (merge semantics, snapshot round-trips).
+Serial and pooled merged counters are equal field for field in every
+pooled cell of ``test_exactness.py``."""
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 
 import pytest
 
@@ -23,9 +22,6 @@ from repro.obs import (
 )
 from repro.obs.registry import ObservabilityError
 from repro.obs.trace import Tracer
-from repro.parallel import executor as executor_module
-
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestRegistry:
@@ -151,42 +147,6 @@ def reuse_corpus():
     data.add_tokens([f"v{i}" for i in range(90)] + base[10:50])
     queries = [data[0], data[1], data.encode_query_tokens(base[20:80])]
     return data, queries
-
-
-class TestSerialParallelCounterParity:
-    """Acceptance: serial and --jobs N merged counters are identical."""
-
-    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method required")
-    @pytest.mark.parametrize(
-        "jobs, start_method",
-        [
-            pytest.param(2, "fork", id="2"),
-            pytest.param(3, "fork", id="3"),
-            pytest.param(2, "spawn", id="2-spawn"),
-        ],
-    )
-    def test_counters_field_for_field(
-        self, reuse_corpus, jobs, start_method, monkeypatch
-    ):
-        data, queries = reuse_corpus
-        searcher = PKWiseSearcher(data, SearchParams(w=12, tau=3, k_max=2))
-        serial = run_searcher(searcher, queries)
-        monkeypatch.setattr(executor_module, "CHUNKS_PER_WORKER", len(queries))  # 1 a chunk
-        monkeypatch.setattr(executor_module, "START_METHOD", start_method)
-        parallel = run_searcher(searcher, queries, jobs=jobs)
-        serial_snap = serial.stats.snapshot()
-        parallel_snap = parallel.stats.snapshot()
-        assert parallel_snap["counters"] == serial_snap["counters"]
-        for name in STAT_COUNTER_FIELDS:
-            assert getattr(parallel.stats, name) == getattr(serial.stats, name)
-
-    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method required")
-    def test_metrics_snapshot_counters_match(self, reuse_corpus):
-        data, queries = reuse_corpus
-        searcher = PKWiseSearcher(data, SearchParams(w=12, tau=3, k_max=2))
-        serial = run_searcher(searcher, queries).metrics_snapshot()
-        parallel = run_searcher(searcher, queries, jobs=2).metrics_snapshot()
-        assert parallel["metrics"]["counters"] == serial["metrics"]["counters"]
 
 
 class TestTracer:

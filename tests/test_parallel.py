@@ -1,13 +1,11 @@
-"""Parity suite for the multi-core execution engine.
+"""The multi-core execution engine beyond its pairs.
 
-Every parallel code path — sharded query workloads and the blocked
-self-join — must return exactly what its serial counterpart returns.
-The suite asserts exact equality (not just set equality: per-query
-lists are canonically ordered on both sides) under the fork start
-method, covers the spawn fallback, and pins the
-degenerate cases: ``jobs=1`` pass-through, an empty workload, and a
-workload smaller than the worker count.  ``test_exactness.py`` crosses
-the execution axis with storage, routing, topology and lifecycle.
+A pooled query workload's pairs and merged counters are
+``test_exactness.py``'s fork and spawn cells.  This suite pins the rest:
+the serial order of a run's lists, the blocked self-join against its
+serial counterpart (under fork and spawn), the degenerate cases —
+``jobs=1`` pass-through, an empty workload, a workload smaller than the
+worker count — and the executor's one knob.
 """
 
 from __future__ import annotations
@@ -64,66 +62,6 @@ def params():
     return SearchParams(w=12, tau=3, k_max=2)
 
 
-class TestWorkloadParity:
-    def test_results_identical_to_serial(self, corpus, params):
-        data, queries = corpus
-        searcher = PKWiseSearcher(data, params)
-        serial = run_searcher(searcher, queries)
-        parallel = run_searcher(searcher, queries, jobs=3)
-        assert parallel.results_by_query == serial.results_by_query
-        assert list(parallel.results_by_query) == list(serial.results_by_query)
-        assert parallel.num_queries == serial.num_queries
-        assert parallel.stats.num_results == serial.stats.num_results
-        assert parallel.stats.candidate_windows == serial.stats.candidate_windows
-
-    def test_matchpair_set_equality_per_query(self, corpus, params, monkeypatch):
-        data, queries = corpus
-        searcher = PKWiseSearcher(data, params)
-        serial = run_searcher(searcher, queries)
-        monkeypatch.setattr(executor_module, "CHUNKS_PER_WORKER", len(queries))  # 1 a chunk
-        parallel = run_searcher(searcher, queries, jobs=2)
-        for query_id, pairs in serial.results_by_query.items():
-            assert set(parallel.results_by_query[query_id]) == set(pairs)
-
-    def test_jobs_one_is_serial_passthrough(self, corpus, params):
-        data, queries = corpus
-        searcher = PKWiseSearcher(data, params)
-        run = run_searcher(searcher, queries, jobs=1)
-        assert run.jobs == 1
-        assert run.worker_reports == []
-        assert run.worker_skew == 1.0
-
-    def test_empty_workload(self, corpus, params):
-        data, _queries = corpus
-        searcher = PKWiseSearcher(data, params)
-        run = run_searcher(searcher, [], jobs=4)
-        assert run.num_queries == 0
-        assert run.results_by_query == {}
-        assert run.avg_query_seconds == 0.0
-
-    def test_workload_smaller_than_worker_count(self, corpus, params):
-        data, queries = corpus
-        searcher = PKWiseSearcher(data, params)
-        serial = run_searcher(searcher, queries[:2])
-        parallel = run_searcher(searcher, queries[:2], jobs=8)
-        assert parallel.results_by_query == serial.results_by_query
-        # Never more pool workers than dispatched chunks.
-        assert parallel.jobs <= 2
-
-    def test_worker_reports_cover_all_queries(self, corpus, params):
-        data, queries = corpus
-        searcher = PKWiseSearcher(data, params)
-        run = run_searcher(searcher, queries, jobs=2)
-        assert sum(report.num_queries for report in run.worker_reports) == len(
-            queries
-        )
-        assert run.worker_skew >= 1.0
-        merged_results = sum(
-            report.stats.num_results for report in run.worker_reports
-        )
-        assert merged_results == run.stats.num_results
-
-
 class TestSerialOrderingContract:
     def test_serial_results_canonically_sorted(self, corpus, params):
         data, queries = corpus
@@ -173,6 +111,9 @@ class TestDegenerateWorkloads:
         assert run.metrics_snapshot()["phases"] == {
             "routing": 0.0, "signature": 0.0, "candidate": 0.0, "verify": 0.0,
         }
+        batch = run_searcher(searcher, [], jobs=jobs)
+        assert batch.num_queries == 0 and batch.results_by_query == {}
+        assert batch.avg_query_seconds == 0.0
 
     @pytest.mark.parametrize("jobs,num_queries", [(8, 2), (16, 3), (64, 2)])
     def test_jobs_larger_than_chunks(self, corpus, params, jobs, num_queries):
@@ -184,6 +125,8 @@ class TestDegenerateWorkloads:
         assert parallel.jobs <= num_queries  # never more workers than chunks
         assert parallel.worker_skew >= 1.0
         assert sum(r.num_queries for r in parallel.worker_reports) == num_queries
+        assert (sum(r.stats.num_results for r in parallel.worker_reports)
+                == parallel.stats.num_results)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_chunk_size_larger_than_workload(
@@ -226,8 +169,11 @@ class TestDegenerateWorkloads:
         run = run_searcher(searcher, [data[0], short_query], jobs=jobs)
         assert run.results_by_query[1] == []  # the short query: no windows
         assert run.num_queries == 2
-        serial = run_searcher(searcher, [data[0], short_query])
+        serial = run_searcher(searcher, [data[0], short_query], jobs=1)
         assert run.results_by_query == serial.results_by_query
+        # jobs=1 passes through: no pool, no worker report.
+        assert serial.jobs == 1 and serial.worker_reports == []
+        assert serial.worker_skew == 1.0
 
     def test_empty_collection_self_join(self, params):
         assert local_similarity_self_join(

@@ -49,30 +49,35 @@ class TestWorkloadCost:
         assert a == b
 
 
+@pytest.fixture(scope="module")
+def greedy(tiny_workload):
+    """One greedy run over ``tiny_workload``: the partitioner, the
+    workload it sampled, and the scheme and report it produced."""
+    data, _queries, params, order = tiny_workload
+    partitioner = GreedyPartitioner(
+        data, params, order=order, b1_fraction=0.5, b2_fraction=0.25,
+        sample_ratio=0.2,
+    )
+    workload = partitioner.sample_workload()
+    scheme, report = partitioner.partition(workload=workload)
+    return partitioner, workload, scheme, report
+
+
 class TestGreedyPartitioner:
-    def test_produces_valid_scheme(self, tiny_workload):
-        data, _queries, params, order = tiny_workload
-        partitioner = GreedyPartitioner(
-            data, params, order=order, b1_fraction=0.5, b2_fraction=0.25,
-            sample_ratio=0.2,
-        )
-        scheme, report = partitioner.partition()
+    def test_produces_valid_scheme(self, tiny_workload, greedy):
+        _data, _queries, params, _order = tiny_workload
+        _partitioner, _workload, scheme, report = greedy
         assert scheme.k_max == params.k_max
         assert len(scheme.borders) == params.k_max - 1
         assert report.evaluations > 0
         assert len(report.stage_borders) == params.k_max - 1
 
-    def test_beats_or_ties_standard_prefix(self, tiny_workload):
+    def test_beats_or_ties_standard_prefix(self, tiny_workload, greedy):
         # Stage 1 evaluates the degenerate boundary |U| (pure 1-wise),
         # so the greedy result can never cost more than standard prefix
         # filtering on the same workload.
         data, _queries, params, order = tiny_workload
-        partitioner = GreedyPartitioner(
-            data, params, order=order, b1_fraction=0.5, b2_fraction=0.25,
-            sample_ratio=0.2,
-        )
-        workload = partitioner.sample_workload()
-        scheme, _report = partitioner.partition(workload=workload)
+        _partitioner, workload, scheme, _report = greedy
         greedy_cost = workload_cost(data, workload, params, scheme, order)
         single_cost = workload_cost(
             data, workload, params, PartitionScheme.single(order.universe_size),
@@ -80,23 +85,13 @@ class TestGreedyPartitioner:
         )
         assert greedy_cost <= single_cost
 
-    def test_stage_costs_non_increasing(self, tiny_workload):
-        data, _queries, params, order = tiny_workload
-        partitioner = GreedyPartitioner(
-            data, params, order=order, b1_fraction=0.5, b2_fraction=0.25,
-            sample_ratio=0.2,
-        )
-        _scheme, report = partitioner.partition()
+    def test_stage_costs_non_increasing(self, greedy):
+        _partitioner, _workload, _scheme, report = greedy
         for earlier, later in zip(report.stage_costs, report.stage_costs[1:]):
             assert later <= earlier + 1e-9
 
-    def test_borders_non_decreasing(self, tiny_workload):
-        data, _queries, params, order = tiny_workload
-        partitioner = GreedyPartitioner(
-            data, params, order=order, b1_fraction=0.5, b2_fraction=0.25,
-            sample_ratio=0.2,
-        )
-        scheme, _report = partitioner.partition()
+    def test_borders_non_decreasing(self, greedy):
+        _partitioner, _workload, scheme, _report = greedy
         assert list(scheme.borders) == sorted(scheme.borders)
 
     def test_sample_workload_size(self, tiny_workload):
@@ -107,15 +102,16 @@ class TestGreedyPartitioner:
         workload = partitioner.sample_workload()
         assert len(workload) == max(1, round(0.25 * len(data)))
 
-    def test_deterministic_given_seed(self, tiny_workload):
+    def test_deterministic_given_seed(self, tiny_workload, greedy):
+        # A second partitioner with the same inputs and seed samples the
+        # same workload and picks the same borders.
         data, _queries, params, order = tiny_workload
-        kwargs = dict(
-            order=order, b1_fraction=0.5, b2_fraction=0.25, sample_ratio=0.2,
-            seed=11,
-        )
-        scheme_a, _ = GreedyPartitioner(data, params, **kwargs).partition()
-        scheme_b, _ = GreedyPartitioner(data, params, **kwargs).partition()
-        assert scheme_a.borders == scheme_b.borders
+        _partitioner, _workload, scheme, _report = greedy
+        again, _ = GreedyPartitioner(
+            data, params, order=order, b1_fraction=0.5, b2_fraction=0.25,
+            sample_ratio=0.2, seed=0,
+        ).partition()
+        assert again.borders == scheme.borders
 
     def test_explicit_workload_used(self, tiny_workload):
         data, queries, params, order = tiny_workload

@@ -45,13 +45,6 @@ from .conftest import expected_pairs, pairs_as_set, reference_index
 MAGIC = b"repro-envelope-3"
 
 
-@pytest.fixture
-def _clean_plan():
-    faults.clear_plan()
-    yield
-    faults.clear_plan()
-
-
 def corrupt_plan(point: str, section: str) -> FaultPlan:
     return FaultPlan(
         [FaultSpec(point=point, kind="corrupt", match={"section": section})]
@@ -59,18 +52,6 @@ def corrupt_plan(point: str, section: str) -> FaultPlan:
 
 
 class TestRoundtrip:
-    def test_search_results_identical(self, built, tmp_path):
-        data, searcher = built
-        path = tmp_path / "index.idx"
-        save_searcher(searcher, path)
-        for mmap in (False, True):
-            loaded = load_bundle(path, mmap=mmap).searcher
-            assert loaded.frozen and searcher.frozen
-            for query in (data[0], data[3], data[5]):
-                assert pairs_as_set(loaded.search(query)) == expected_pairs(
-                    data, query, 10, 2
-                )
-
     def test_bundle_with_data(self, built, tmp_path):
         data, searcher = built
         path = tmp_path / "index.idx"
@@ -323,7 +304,6 @@ class TestErrors:
         assert not (tmp_path / "index.idx").exists()
 
 
-@pytest.mark.usefixtures("_clean_plan")
 class TestChecksums:
     """A flipped payload byte is a typed error, never a pickle error."""
 
@@ -740,7 +720,6 @@ def _read_manifest(path: Path):
     return state
 
 
-@pytest.mark.usefixtures("_clean_plan")
 @pytest.mark.parametrize(
     "write, read, kind, section",
     [

@@ -2,12 +2,10 @@
 
 The contract under test:
 
-* **Conservativeness** — ``exact`` mode never changes results: over
-  random corpora and a ``(w, tau)`` grid, a routed searcher returns the
-  reference pairs, as the same searcher with routing off does —
-  serially, under fork and spawn workers, through a 3-shard router,
-  and across any LSM interleaving of adds/removes/flushes/compactions
-  (``test_exactness.py`` crosses the routing axis with the others).
+* **Conservativeness** — ``exact`` mode never changes results: every
+  routing cell of ``test_exactness.py`` (serial, pooled, sharded, live,
+  per request) returns the reference pairs; here, only inputs at the
+  edge of the budget derivation.
 * **Survivors** — the fingerprint tier keeps every document with a true
   match and prunes documents that share no token with the query.  The
   whole-array kernel returns, bit for bit, the mask of the per-window
@@ -20,14 +18,13 @@ The contract under test:
   typed :class:`~repro.RoutingUnavailableError` (eagerly at
   ``Index.open``, lazily at query time).
 * **Observability** — the ``routing.*`` counters report checked and
-  pruned documents identically across start methods.
+  pruned documents (merged across workers in the pooled cells).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import random
 import tracemalloc
 import urllib.request
@@ -45,29 +42,12 @@ from repro import (
 )
 from repro.core.pkwise import PKWiseSearcher
 from repro.errors import IndexStateError
-from repro.eval.harness import canonical_pair_order, run_searcher
-from repro.parallel import executor as executor_module
 from repro.persistence import read_envelope, write_envelope
 from repro.routing import ROUTING_MODES, FingerprintTier, fingerprints
 from repro.routing.fingerprints import FINGERPRINT_BITS, missing_bit_budget
-from repro.service import SearchService, ShardRouter, serve_http
+from repro.service import SearchService, serve_http
 
 from .conftest import expected_pairs, make_corpus, make_queries, pairs_as_set, serving
-
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-PARAM_GRID = [
-    SearchParams(w=8, tau=1, k_max=2),
-    SearchParams(w=8, tau=2, k_max=2),
-    SearchParams(w=12, tau=3, k_max=2),
-]
-
-
-def routed_pair(data, params):
-    """(off, exact) searcher pair over the same collection."""
-    off = PKWiseSearcher(data, params.with_routing("off"))
-    routed = PKWiseSearcher(data, params.with_routing("exact"))
-    return off, routed
 
 
 def reference_survivors(tier, query_ranks, *, w, tau):
@@ -358,8 +338,7 @@ class TestSurvivorKernel:
         _, _, rank_docs, _ = TestFingerprintTier()._tier_and_corpus()
         tier = FingerprintTier.from_rank_docs(rank_docs, block_len=16)
         tier.survivors(list(rank_docs[0]), w=8, tau=2)  # compile outside the window
-        rng = random.Random(0)
-        query = [rng.randrange(45) for _ in range(1_000_000)]
+        query = np.random.default_rng(0).integers(0, 45, 1_000_000).tolist()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -373,158 +352,18 @@ class TestSurvivorKernel:
 
 # ----------------------------------------------------------------------
 class TestExactRoutingIdentity:
-    """Property: exact routing is pair-for-pair identical to off."""
-
-    @pytest.mark.parametrize("params", PARAM_GRID, ids=lambda p: f"w{p.w}t{p.tau}")
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_off_vs_exact_over_random_corpora(self, params, seed):
-        data, rng = make_corpus(seed)
-        off, routed = routed_pair(data, params)
-        for query in make_queries(data, rng):
-            want = sorted(expected_pairs(data, query, params.w, params.tau))
-            assert canonical_pair_order(off.search(query).pairs) == want
-            assert canonical_pair_order(routed.search(query).pairs) == want
-
-    def test_per_request_override_matches_params_policy(self):
-        params = PARAM_GRID[1]
-        data, rng = make_corpus(3)
-        off, routed = routed_pair(data, params)
-        query = make_queries(data, rng, count=1)[0]
-        want = pairs_as_set(off.search(query))
-        # Routed params + off override == off; off params + exact
-        # override == off results (conservative).
-        assert pairs_as_set(routed.search(query, routing=RoutingPolicy())) == want
-        assert (
-            pairs_as_set(
-                off.search(query, routing=RoutingPolicy(mode="exact"))
-            )
-            == want
-        )
+    """Exact routing's counters.  Its pairs equal off's in every routing
+    cell of ``test_exactness.py``, per request and live ones included."""
 
     def test_routing_counters_report_pruning(self):
-        params = PARAM_GRID[1]
         data, rng = make_corpus(4)
-        _, routed = routed_pair(data, params)
+        routed = PKWiseSearcher(data, SearchParams(w=8, tau=2, k_max=2, routing="exact"))
         query = make_queries(data, rng, count=2)[1]  # random: prunable
         result = routed.search(query)
         stats = result.stats
         assert stats.routing_checked_docs == len(data)
         assert 0 <= stats.routing_pruned_docs <= stats.routing_checked_docs
         assert stats.phase_seconds()["routing"] >= 0.0
-
-    @pytest.mark.parametrize(
-        "start_method",
-        [
-            pytest.param(
-                "fork",
-                marks=pytest.mark.skipif(not HAVE_FORK, reason="no fork"),
-            ),
-            "spawn",
-        ],
-    )
-    def test_parallel_workers_match_serial(self, start_method, monkeypatch):
-        params = PARAM_GRID[1]
-        data, rng = make_corpus(5)
-        _, routed = routed_pair(data, params)
-        queries = make_queries(data, rng)
-        serial = run_searcher(routed, queries)
-        monkeypatch.setattr(executor_module, "START_METHOD", start_method)
-        parallel = run_searcher(routed, queries, jobs=2)
-        assert parallel.results_by_query == serial.results_by_query
-        # routing.* counters must merge identically across workers.
-        assert (
-            parallel.stats.routing_checked_docs
-            == serial.stats.routing_checked_docs
-        )
-        assert (
-            parallel.stats.routing_pruned_docs
-            == serial.stats.routing_pruned_docs
-        )
-
-    def test_sharded_router_matches_single_index(self):
-        params = PARAM_GRID[1]
-        data, rng = make_corpus(6)
-        query = make_queries(data, rng, count=1)[0]
-        want = expected_pairs(data, query, params.w, params.tau)
-        assert want
-        with ShardRouter.local(
-            data, params.with_routing("exact"), shards=3
-        ) as router:
-            assert pairs_as_set(router.search(query)) == want
-            # Per-request override through the scatter-gather path.
-            assert (
-                pairs_as_set(router.search(query, routing="exact")) == want
-            )
-            assert pairs_as_set(router.search(query, routing="off")) == want
-
-    @pytest.mark.parametrize(
-        "seed, per_request",
-        [
-            pytest.param(17, False, id="17"),
-            pytest.param(29, False, id="29"),
-            pytest.param(17, True, id="17-per-request"),
-        ],
-    )
-    def test_lsm_interleaving_matches_off(self, seed, per_request):
-        params = SearchParams(w=8, tau=2, k_max=2)
-        rng = random.Random(seed)
-        if per_request:
-            # One live index whose policy is off -- its memtable keeps no
-            # fingerprints -- queried with routing on the request.
-            indexes = [Index.open_live(params=params)]
-            variants = [(indexes[0], "off"), (indexes[0], "exact")]
-        else:
-            indexes = [
-                Index.open_live(params=params, routing=mode)
-                for mode in ("off", "exact")
-            ]
-            variants = [(index, None) for index in indexes]
-        vocab = 40
-
-        def new_text(length=60):
-            return " ".join(f"t{rng.randrange(vocab)}" for _ in range(length))
-
-        def check(where):
-            query_text = new_text(24)
-            results = [
-                index.search(index.encode_query(query_text), routing=routing)
-                for index, routing in variants
-            ]
-            off, exact = (canonical_pair_order(r.pairs) for r in results)
-            assert off == exact, f"diverged {where}"
-            # Every document of every tier went through the gate.
-            assert results[1].stats.routing_checked_docs == len(indexes[0].data)
-
-        live = []
-        for step in range(30):
-            op = rng.random()
-            if op < 0.55 or not live:
-                text = new_text()
-                ids = {index.add(text) for index in indexes}
-                assert len(ids) == 1
-                live.append(ids.pop())
-            elif op < 0.75:
-                victim = rng.choice(live)
-                live.remove(victim)
-                for index in indexes:
-                    index.remove(victim)
-            elif op < 0.9:
-                for index in indexes:
-                    index.flush()
-            else:
-                for index in indexes:
-                    index.compact()
-            if step % 5 == 4:
-                check(f"at step {step}")
-        # Across a flush, then after further adds with no install between.
-        for index in indexes:
-            index.flush()
-        for round_ in range(2):
-            for index in indexes:
-                index.add(new_text())
-            check(f"after add {round_} past the last flush")
-        for index in indexes:
-            index.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Tests for sharded serving: plans (service.plan), router parity, its cache, faults."""
+"""Tests for sharded serving: plans (service.plan), the router's cache, faults,
+the read-only door.  Its pairs are ``test_exactness.py``'s sharded and
+replicated cells."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import DocumentCollection
 from repro.errors import ServiceClosedError, ServiceError
 from repro.faults import FaultPlan, FaultSpec
-from repro.persistence import generation_name, load_bundle
+from repro.persistence import generation_name
 from repro.service import SearchService, serve_http
 from repro.service.client import (
     ResilientClient,
@@ -32,12 +34,6 @@ from repro.service.router import LocalShardBackend, ShardRouter
 from .conftest import expected_pairs, serving
 
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
-
-
-@pytest.fixture(autouse=True)
-def _clear_fault_plan():
-    yield
-    faults.clear_plan()
 
 
 def single_pairs(corpus, query):
@@ -150,75 +146,6 @@ class TestShardPlan:
         assert generation_name("shard-001", 7) == "shard-001.g000007.idx"
         with pytest.raises(ValueError):
             generation_name("shard-001", 0)
-
-
-# ----------------------------------------------------------------------
-class TestRouterParity:
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_local_router_matches_single_index(
-        self, small_corpus, query, shards
-    ):
-        single = single_pairs(small_corpus, query)
-        assert single, "fixture query must produce matches"
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=shards
-        ) as router:
-            response = router.search(query)
-            assert list(response.pairs) == single
-            assert not response.partial
-            cached = router.search(query)
-            assert cached.cached
-            assert list(cached.pairs) == single
-
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_snapshot_router_matches_single_index(
-        self, small_corpus, query, tmp_path, shards
-    ):
-        # A plan's snapshot files behind in-process services: what the
-        # worker processes map, without spawning them.
-        single = single_pairs(small_corpus, query)
-        plan = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=shards)
-        backends = []
-        for spec in plan.shards:
-            bundle = load_bundle(tmp_path / spec.path, mmap=True)
-            backends.append(
-                LocalShardBackend(
-                    SearchService(Index(bundle.searcher, bundle.data)),
-                    shard_id=spec.shard_id,
-                    doc_lo=spec.doc_lo,
-                    doc_hi=spec.doc_hi,
-                )
-            )
-        with ShardRouter(backends, small_corpus) as router:
-            assert list(router.search(query).pairs) == single
-
-    def test_index_serve_shards_facade(self, small_corpus, query):
-        index = Index.build(
-            [
-                " ".join(small_corpus.vocabulary.decode(doc.tokens))
-                for doc in small_corpus
-            ],
-            params=PARAMS,
-        )
-        single = single_pairs(small_corpus, query)
-        with index.serve(shards=3) as router:
-            assert router.num_shards == 3
-            assert list(router.search(query).pairs) == single
-
-    def test_http_round_trip(self, small_corpus, query):
-        single = single_pairs(small_corpus, query)
-        with ShardRouter.local(small_corpus, PARAMS, shards=3) as router:
-            with serving(serve_http(router, port=0)) as server:
-                health = remote_healthz(server.url)
-                assert health["status"] == "ok"
-                assert health["num_shards"] == 3
-                reply = remote_search(
-                    server.url, token_ids=list(query.tokens)
-                )
-                assert [tuple(p) for p in reply["pairs"]] == [
-                    tuple(p) for p in single
-                ]
-                assert "partial" not in reply
 
 
 # ----------------------------------------------------------------------
@@ -627,6 +554,9 @@ class TestRouterIsReadOnly:
                 assert [tuple(p) for p in reply["pairs"]] == [
                     tuple(p) for p in single
                 ]
+                assert "partial" not in reply  # a whole reply says nothing
+                health = remote_healthz(server.url)
+                assert (health["status"], health["num_shards"]) == ("ok", 2)
 
     def test_query_over_the_token_limit_answers_413(
         self, small_corpus, query, monkeypatch

@@ -63,12 +63,6 @@ from .conftest import expected_pairs
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
 
 
-@pytest.fixture(autouse=True)
-def _clear_fault_plan():
-    yield
-    faults.clear_plan()
-
-
 @pytest.fixture
 def launcher():
     with WorkerLauncher.start() as launcher:
@@ -81,19 +75,6 @@ def counters(registry) -> dict:
 
 # ----------------------------------------------------------------------
 class TestReplicaFailover:
-    @pytest.mark.parametrize("replicas", [1, 2])
-    def test_replicated_router_matches_single_index(
-        self, small_corpus, query, replicas
-    ):
-        single = sorted(expected_pairs(small_corpus, query, PARAMS.w, PARAMS.tau))
-        assert single, "fixture query must produce matches"
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, replicas=replicas
-        ) as router:
-            response = router.search(query)
-            assert list(response.pairs) == single
-            assert not response.partial
-
     def test_single_replica_failure_is_invisible(self, small_corpus, query):
         # Replica 0 of shard 0 fails on every attempt; with R=2 the
         # router fails over to replica 1 and the caller sees a full,
