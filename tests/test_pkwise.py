@@ -290,7 +290,7 @@ class TestVerificationStateAcrossSlides:
 
     @pytest.fixture
     def churn(self):
-        # 3,000 query windows stitched from stretches of twelve
+        # 1,000 query windows stitched from stretches of twelve
         # documents: candidates open, grow, merge and close throughout.
         rng = random.Random(24)
         vocab = [f"t{i}" for i in range(150)]
@@ -299,7 +299,7 @@ class TestVerificationStateAcrossSlides:
         for tokens in docs:
             data.add_tokens(tokens)
         tokens = []
-        while len(tokens) < 3000 + self.W - 1:
+        while len(tokens) < 1000 + self.W - 1:
             if rng.random() < 0.6:
                 source = rng.choice(docs)
                 at = rng.randrange(len(source) - 60)
@@ -308,7 +308,7 @@ class TestVerificationStateAcrossSlides:
                 tokens.extend(stretch)
             else:
                 tokens.extend(rng.choice(vocab) for _ in range(rng.randint(5, 30)))
-        query = data.encode_query_tokens(tokens[: 3000 + self.W - 1])
+        query = data.encode_query_tokens(tokens[: 1000 + self.W - 1])
         params = SearchParams(w=self.W, tau=self.TAU, k_max=2)
         return PKWiseSearcher(data, params), query
 
