@@ -425,13 +425,13 @@ class PackedRankDocs(Sequence):
     @classmethod
     def from_lists(cls, rank_docs: Sequence[Sequence[int]]) -> "PackedRankDocs":
         offsets = np.zeros(len(rank_docs) + 1, dtype=np.int64)
-        total = 0
-        for i, ranks in enumerate(rank_docs):
-            total += len(ranks)
-            offsets[i + 1] = total
-        values: list[int] = []
-        for ranks in rank_docs:
-            values.extend(ranks)
+        np.cumsum(
+            np.fromiter(map(len, rank_docs), dtype=np.int64, count=len(rank_docs)),
+            out=offsets[1:],
+        )
+        values = np.fromiter(
+            chain.from_iterable(rank_docs), dtype=np.int64, count=int(offsets[-1])
+        )
         return cls(offsets, _packed_column(values))
 
     @classmethod

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,18 @@ DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
 )
 
 
+def declared_dependencies() -> set[str]:
+    """The distribution names in ``pyproject.toml``'s ``[project]
+    dependencies`` (read with a pattern: ``tomllib`` is 3.11+)."""
+    text = (Path(repro.__file__).parents[2] / "pyproject.toml").read_text("utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.MULTILINE | re.DOTALL)
+    return {
+        re.match(r"[\w.-]+", requirement).group(0).lower()
+        for requirement in re.findall(r'"([^"]+)"', listed.group(1) if listed else "")
+    }
+
+
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
         "error",
@@ -147,6 +161,21 @@ class TestPublicSurface:
             for name in re.findall(r"\w+", names):
                 if not hasattr(module, name):
                     importlib.import_module(f"{module_name}.{name}")
+
+    def test_third_party_imports_are_declared(self):
+        # A clean ``pip install .`` must give an importable package: every
+        # top-level import under src/repro outside the standard library is
+        # a declared dependency (each imports under its distribution name).
+        imported = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+        assert third_party
+        assert third_party <= declared_dependencies()
 
     def test_version_string(self):
         assert repro.__version__.count(".") == 2

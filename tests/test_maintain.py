@@ -13,6 +13,8 @@ from collections import Counter
 from math import comb
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from repro.corpus.synthetic import make_profile_collection
 from repro.index.compact import PackedRankDocs
 from repro.index.interval_index import IntervalIndex
 from repro.ordering.global_order import OOV_RANK
+from repro.params import suggested_subpartitions
 from repro.partition.scheme import PartitionScheme
 from repro.signatures import bulk
 from repro.signatures.generate import generate_signatures
@@ -100,10 +103,9 @@ def stream_counters(stream):
     return Counter({name: getattr(stream, name) for name in COUNTERS})
 
 
-def assert_corpus_runs_match(documents, w, tau, scheme, block_cells=None):
-    """The corpus kernel against both references: its runs are the
-    postings ``index_document`` appends, per signature in the same order,
-    and its counters the stream's and the from-scratch ones."""
+def corpus_runs(documents, w, tau, scheme, block_cells=None):
+    """The corpus kernel's runs as ``{signature: [(doc, u, v), ...]}``,
+    with its counters and window count."""
     packed = PackedRankDocs.from_lists(documents)
     with mock.patch.object(bulk, "_BLOCK_CELLS", block_cells or bulk._BLOCK_CELLS):
         kernel = bulk.CorpusRuns(packed._offsets, packed._values, w, tau, scheme)
@@ -114,6 +116,16 @@ def assert_corpus_runs_match(documents, w, tau, scheme, block_cells=None):
                 chunk.docs.tolist(), chunk.us.tolist(), chunk.vs.tolist(),
             ):
                 postings.setdefault(tuple(ranks[:length]), []).append(tuple(run))
+    return postings, stream_counters(kernel), kernel.num_windows
+
+
+def assert_corpus_runs_match(documents, w, tau, scheme, block_cells=None):
+    """The corpus kernel against both references: its runs are the
+    postings ``index_document`` appends, per signature in the same order,
+    and its counters the stream's and the from-scratch ones."""
+    runs = postings, counters, num_windows = corpus_runs(
+        documents, w, tau, scheme, block_cells
+    )
     reference = IntervalIndex(w, tau, scheme)
     scratch = Counter()
     for doc_id, ranks in enumerate(documents):
@@ -123,9 +135,9 @@ def assert_corpus_runs_match(documents, w, tau, scheme, block_cells=None):
         signature: list(map(tuple, runs))
         for signature, runs in reference._postings.items()
     }
-    assert stream_counters(kernel) == Counter(reference.build_stats) == scratch
-    assert kernel.num_windows == reference.num_windows
-    return postings
+    assert counters == Counter(reference.build_stats) == scratch
+    assert num_windows == reference.num_windows
+    return runs
 
 
 class TestPaperExample5:
@@ -233,25 +245,51 @@ class TestEquivalence:
         ]
         assert_corpus_runs_match(documents, w, tau, scheme, block_cells=rng.choice([1, None]))
 
-    def test_corpus_runs_across_block_seams(self):
+    @pytest.mark.parametrize(
+        "tau, m, lengths, draw",
+        [
+            (5, 1, (480, 12, 50, 310, 0, 49), "head"),
+            (5, 2, (480, 12, 50, 310, 0, 49), "head"),
+            (25, suggested_subpartitions(25), (120, 12, 50, 90, 0, 49), "upper"),
+        ],
+        ids=["tau5-m1", "tau5-m2", "tau25-m6"],
+    )
+    def test_corpus_runs_across_block_seams(self, tau, m, lengths, draw):
         # The benchmark's shape cut by seams inside each document, with
         # short documents and ranks below zero between them: the runs and
-        # the Eq. 2 comparisons join across every seam.
+        # the Eq. 2 comparisons join across every seam.  At tau = 25 the
+        # prefix bound (62) passes w = 50, so the table holds whole
+        # windows; ranks of classes 3 and 4 only ("upper") spread them
+        # over many small groups, and about half the windows never reach
+        # coverage, each its own prefix.
         rng = random.Random(7)
         universe = 2000
-        scheme = PartitionScheme(universe_size=universe, borders=(1500, 1850, 1960))
+        scheme = PartitionScheme(universe_size=universe, borders=(1500, 1850, 1960), m=m)
         documents = []
-        for length in (480, 12, 50, 310, 0, 49):
+        for length in lengths:
             ranks = [
                 universe - min(universe, int(rng.paretovariate(0.6)))
+                if draw == "head" else rng.randrange(1850, universe)
                 for _ in range(length)
             ]
             for _ in range(length // 60):
                 ranks[rng.randrange(length)] = rng.choice([-1, -2, OOV_RANK])
             documents.append(ranks)
-        whole = assert_corpus_runs_match(documents, 50, 5, scheme)
+        whole = assert_corpus_runs_match(documents, 50, tau, scheme)
         for cells in (50, 7 * 50, 64 * 50 + 1):
-            assert assert_corpus_runs_match(documents, 50, 5, scheme, cells) == whole
+            assert corpus_runs(documents, 50, tau, scheme, cells) == whole
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_group_starts_place_every_rank_as_group_key(self, m):
+        # Class 2 is narrower than m = 3, class 3 is empty: a rank's group
+        # is the number of group starts at or below it.
+        scheme = PartitionScheme(universe_size=20, borders=(3, 5, 5, 12), m=m)
+        starts, classes = bulk._group_starts(scheme)
+        keys = [m] + list(range(2 * m, (scheme.k_max + 1) * m))
+        assert list(classes) == [key // m for key in keys]
+        for rank in range(-2, scheme.universe_size + 2):
+            group = int(np.searchsorted(starts, rank, side="right"))
+            assert keys[group] == scheme.group_key(rank), rank
 
 
 class TestCornerCases:
