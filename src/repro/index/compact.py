@@ -2,9 +2,11 @@
 
 :class:`CompactIntervalIndex` holds the interval index as five flat
 numpy columns: sorted 64-bit signature-hash keys, per-key offsets, and
-packed ``(doc, u, v)`` posting columns.  A corpus is written into them
-in one array pass (:meth:`CompactIntervalIndex.from_rank_docs`), and so
-is each write burst of a live memtable, which
+packed ``(doc, u, v)`` posting columns, each integer column at the
+narrowest signed width that holds its values (:func:`_packed_column`).
+A corpus is written into them in one array pass
+(:meth:`CompactIntervalIndex.from_rank_docs`), and so is each write
+burst of a live memtable, which
 :meth:`~CompactIntervalIndex.merged` then joins onto the columns it
 has.  ``probe_many`` keeps the exact contract (one
 :class:`~repro.index.intervals.ProbeBatch` per batch of signatures) of
@@ -57,19 +59,37 @@ _FROZEN_MESSAGE = (
     "layers a memtable over it"
 )
 
-_INT32 = np.iinfo(np.int32)
+#: The widths a stored integer column may take below int64, narrowest first.
+_NARROW = tuple(np.iinfo(dtype) for dtype in (np.int16, np.int32))
 
 
 def _packed_column(values: Sequence[int] | np.ndarray) -> np.ndarray:
-    """An int32 column when every value fits, otherwise int64 (an
-    integer array already of that type is returned as is)."""
+    """``values`` as the narrowest of int16, int32 and int64 that holds
+    every one of them (an integer array already of that type is
+    returned as is; an empty column is int16).
+
+    Every stored integer column — ranks and their offsets, the posting
+    columns and their offsets, the routing tier's cover counts — is
+    written through here, so a build, a memtable catch-up, a fold and a
+    segment file all store the same widths for the same values.  Readers
+    take the dtype from the column itself; a gather that hands values on
+    to arithmetic widens them first (:func:`_at_least_int32`).
+    """
     if not isinstance(values, np.ndarray):
         values = np.asarray(values, dtype=np.int64)
-    if values.size == 0 or (
-        _INT32.min <= int(values.min()) and int(values.max()) <= _INT32.max
-    ):
-        return values.astype(np.int32, copy=False)
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    for width in _NARROW:
+        if width.min <= lo and hi <= width.max:
+            return values.astype(width.dtype, copy=False)
     return values.astype(np.int64, copy=False)
+
+
+def _at_least_int32(column: np.ndarray) -> np.ndarray:
+    """``column`` widened to int32 if it is narrower.  Under NumPy 2 an
+    int16 column plus a Python int wraps silently (``32700 + 100`` is
+    ``-32736``) or raises when the int itself does not fit int16, so an
+    int16 id never meets a tier's base or a window length."""
+    return column.astype(np.promote_types(column.dtype, np.int32), copy=False)
 
 
 class CompactIntervalIndex:
@@ -91,8 +111,9 @@ class CompactIntervalIndex:
     #: Column names in the order :meth:`to_arrays` emits them.
     COLUMNS = ("keys", "offsets", "docs", "us", "vs")
 
-    #: What ``from_rank_docs`` concatenates its blocks' posting rows onto.
-    _EMPTY_ROWS = (np.empty(0, dtype=np.uint64),) + (np.empty(0, dtype=np.int32),) * 3
+    #: What ``from_rank_docs`` concatenates its blocks' posting rows onto
+    #: (int16, so the rows keep the narrowest width every block fits).
+    _EMPTY_ROWS = (np.empty(0, dtype=np.uint64),) + (np.empty(0, dtype=np.int16),) * 3
 
     def __init__(
         self,
@@ -148,7 +169,7 @@ class CompactIntervalIndex:
         keys = keys[order]
         head = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        offsets = np.append(np.flatnonzero(head), len(keys)).astype(np.int64)
+        offsets = _packed_column(np.append(np.flatnonzero(head), len(keys)))
         return cls(
             like.w,
             like.tau,
@@ -333,16 +354,20 @@ class CompactIntervalIndex:
         every hash with one ``np.searchsorted`` over the sorted key
         column, and gather all hit postings runs out of the flat columns
         with one fancy-indexing pass — no per-posting Python work at
-        all.  Hit order matches the dict index: signature order,
-        postings append order within a signature.  ``signs`` carries the
-        per-signature +1/-1 candidate delta (omitted = all +1).
+        all.  The gathered columns are int32 or wider whatever width
+        they are stored at, so a caller may shift ids by a tier's base
+        or add ``w`` to a window start.  Hit order matches the dict
+        index: signature order, postings append order within a
+        signature.  ``signs`` carries the per-signature +1/-1 candidate
+        delta (omitted = all +1).
         """
         n = len(signatures)
         if n == 0:
             return ProbeBatch.empty()
         slots = self._run_slots(signatures)
         padded = self._offsets_padded
-        starts = padded[slots]
+        # int64 from here on: a run count summed over tiers must not wrap.
+        starts = padded[slots].astype(np.int64)
         counts = padded[slots + 1] - starts
         total = int(counts.sum())
         if total == 0:
@@ -355,10 +380,10 @@ class CompactIntervalIndex:
             hit_signs = np.ones(total, dtype=np.int8)
         else:
             hit_signs = np.repeat(np.asarray(signs, dtype=np.int8), counts)
-        return ProbeBatch(
-            self._docs[take], self._us[take], self._vs[take],
-            hit_signs, counts, probed=n,
+        docs, us, vs = (
+            _at_least_int32(column[take]) for column in (self._docs, self._us, self._vs)
         )
+        return ProbeBatch(docs, us, vs, hit_signs, counts, probed=n)
 
     def __contains__(self, signature: Signature) -> bool:
         return bool(self._run_slots([signature])[0] < len(self._keys))
@@ -432,7 +457,7 @@ class PackedRankDocs(Sequence):
         values = np.fromiter(
             chain.from_iterable(rank_docs), dtype=np.int64, count=int(offsets[-1])
         )
-        return cls(offsets, _packed_column(values))
+        return cls(_packed_column(offsets), _packed_column(values))
 
     @classmethod
     def concatenated(
@@ -454,7 +479,7 @@ class PackedRankDocs(Sequence):
         lengths[dropped] = 0
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return cls(offsets, _packed_column(values))
+        return cls(_packed_column(offsets), _packed_column(values))
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"offsets": self._offsets, "values": self._values}

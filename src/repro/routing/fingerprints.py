@@ -282,11 +282,16 @@ class FingerprintTier:
 
     # -- persistence ----------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flat columns for the snapshot envelope."""
+        """Flat columns for the snapshot envelope; the cover counts at
+        the narrowest width that holds them (:meth:`from_arrays` widens
+        them back)."""
+        # Imported here: repro.index imports this package (via params).
+        from ..index.compact import _packed_column
+
         compiled = self._compile()
         return {
             "cover_lanes": compiled.cover_lanes,
-            "cover_counts": compiled.cover_counts,
+            "cover_counts": _packed_column(compiled.cover_counts),
         }
 
     def describe(self) -> dict:

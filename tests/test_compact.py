@@ -22,18 +22,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Index, PersistenceError
+from repro import Index, PersistenceError, SearchParams
 from repro.core.pkwise import PKWiseSearcher
 from repro.core.verify import slice_accessor
+from repro.corpus import DocumentCollection
 from repro.errors import IndexStateError
-from repro.index.compact import CompactIntervalIndex, PackedRankDocs, ProbeHit
+from repro.index.compact import (
+    CompactIntervalIndex,
+    PackedRankDocs,
+    ProbeHit,
+    _packed_column,
+)
 from repro.index.interval_index import IntervalIndex
-from repro.ingest.tiered import Tier, TieredRankDocs
+from repro.ingest import IngestStore
+from repro.ingest.tiered import Tier, TieredIntervalIndex, TieredRankDocs
 from repro.partition.scheme import PartitionScheme
-from repro.persistence import load_bundle, save_searcher
+from repro.persistence import load_bundle, read_envelope, save_searcher, write_envelope
 from repro.service import SearchService
+from repro.signatures.generate import generate_signatures, signature_hashes
 
-from .conftest import pairs_as_set, probe_runs, reference_index
+from .conftest import (
+    expected_pairs,
+    make_corpus,
+    make_queries,
+    pairs_as_set,
+    probe_runs,
+    reference_index,
+)
 
 
 class TestHashedCollisions:
@@ -86,9 +101,12 @@ class TestWrittenOnce:
     and reading it leaves every one of them as it was."""
 
     #: BLAKE2b of the five columns (names, dtypes, bytes) of the ``built``
-    #: index, taken at commit 9ae3187 — the last to freeze through the
-    #: bucket dict.  It moves only if the stored format does.
-    COLUMNS_DIGEST = "e92d88aa70c2326376368a6dc34dd7f7"
+    #: index, re-derived when every column took the narrowest width that
+    #: holds it (int16 here).  Widened back to int64 offsets and int32
+    #: posting columns, the columns give e92d88aa70c2326376368a6dc34dd7f7,
+    #: the digest taken at commit 9ae3187 — the last to freeze through
+    #: the bucket dict.  It moves only if the stored format does.
+    COLUMNS_DIGEST = "69e3cda8f5eccedb58024505799ce824"
 
     @staticmethod
     def digest(index):
@@ -173,8 +191,9 @@ class TestBuildMemory:
     def test_working_set_is_one_block_whatever_the_document_lengths(self):
         # 200,000 tokens as one document and as 2,000 short ones.  The
         # rows a posting holds until the one sort by key (its hash, three
-        # int32 columns, the permutation, the sorted key and columns) are
-        # 48 bytes; beyond them the build holds one block of at most
+        # columns of int16 or int32 each, the permutation, the sorted key
+        # and columns) are at most 48 bytes, 36 when every column fits
+        # int16; beyond them the build holds one block of at most
         # _BLOCK_CELLS window cells, never a matrix of all the windows of
         # a document (4 x 10**7 bytes here for the long one).
         rng = np.random.default_rng(0)
@@ -357,12 +376,19 @@ class TestPackedRankDocs:
             packed[3]
 
     @settings(max_examples=60, deadline=None)
-    @given(lists=RANK_LISTS, wide=st.booleans(), dropped=st.integers(0, 6))
+    @given(
+        lists=RANK_LISTS,
+        wide=st.sampled_from([(None, np.int16), (2**15, np.int32), (2**31, np.int64)]),
+        dropped=st.integers(0, 6),
+    )
     def test_rank_slice_is_list_slicing(self, lists, wide, dropped):
-        if wide:  # one rank past int32: the column falls back to int64
-            lists = [lists[0] + [2**40], *lists[1:]]
+        # Ranks that fit int16, one rank past int16 and one past int32:
+        # the column takes the narrowest width that holds them.
+        past, dtype = wide
+        if past is not None:
+            lists = [lists[0] + [past], *lists[1:]]
         packed = PackedRankDocs.from_lists(lists)
-        assert packed._values.dtype == (np.int64 if wide else np.int32)
+        assert packed._values.dtype == dtype
         assert_slices_like_lists(packed, lists)
         assert [packed.doc_length(i) for i in range(len(lists))] == [
             len(ranks) for ranks in lists
@@ -511,3 +537,148 @@ class TestTypedResults:
         assert isinstance(pair, MatchPair)
         assert pair.doc_id == pair[0]
         assert pair.overlap == pair[3]
+
+
+def stored_at_old_widths(path):
+    """Rewrite the snapshot or segment file at ``path`` with the widths
+    3.0.1 stored: int64 offsets and cover counts, int32 ranks and
+    postings.  Same TOC version, sections and values."""
+    header, sections, arrays = read_envelope(path, "pkwise-index")
+    write_envelope(path, "pkwise-index", sections, {
+        name: array.astype(
+            np.int64 if name.endswith(("offsets", "cover_counts")) else np.int32
+        ) if array.dtype.kind == "i" else array
+        for name, array in arrays.items()
+    }, header)
+
+
+def integer_columns(path):
+    """Every integer array section of the envelope at ``path``."""
+    arrays = read_envelope(path, "pkwise-index")[2]
+    return {name: array for name, array in arrays.items() if array.dtype.kind == "i"}
+
+
+class TestColumnWidths:
+    """Every stored integer column takes the narrowest of int16, int32
+    and int64 that holds it; a probe widens once, to int32 at least, so
+    no sum after it wraps, and a file at the old widths still answers."""
+
+    def test_probe_batches_are_width_invariant(self, built):
+        _data, searcher = built
+        meta, columns = searcher.index.to_arrays()
+        keys = list(reference_index(searcher)._postings)
+        batches = []
+        for dtype in (np.int16, np.int32, np.int64):
+            index = CompactIntervalIndex.from_arrays(meta, searcher.scheme, {
+                name: column if name == "keys" else column.astype(dtype)
+                for name, column in columns.items()
+            })
+            batch = index.probe_many(keys, [(-1) ** i for i in range(len(keys))])
+            for column in (batch.docs, batch.us, batch.vs):
+                assert column.dtype.itemsize >= 4
+            batches.append((probe_runs(batch), batch.signs.tolist()))
+        assert batches[0] == batches[1] == batches[2]
+        assert columns["docs"].dtype == np.int16  # what the build stored
+
+    @staticmethod
+    def int16_tier(doc_lo, n=100):
+        """A hand-made segment tier of ``n`` local documents whose one
+        signature, ``(1,)``, has a posting in each, over int16 columns."""
+        ids = np.arange(n, dtype=np.int16)
+        index = CompactIntervalIndex(
+            8, 2, None, keys=signature_hashes([(1,)]),
+            offsets=np.array([0, n], dtype=np.int16), docs=ids, us=ids, vs=ids + 1,
+        )
+        return Tier(doc_lo, doc_lo + n, 1, index, None, "segment")
+
+    @pytest.mark.parametrize("doc_lo", [32_700, 40_000])
+    def test_global_ids_past_int16(self, doc_lo):
+        # At 32,700 the local ids past 67 land past int16 (an int16 sum
+        # wraps to -32,768); 40,000 does not fit int16 at all (NumPy 2
+        # raises).  One tier, and two merged signature-wise.
+        high = self.int16_tier(doc_lo)
+        for tiers in ([high], [self.int16_tier(0), high]):
+            batch = TieredIntervalIndex(tiers, 8, 2, None).probe_many([(1,)])
+            assert batch.docs.tolist()[-100:] == list(range(doc_lo, doc_lo + 100))
+            assert batch.vs.tolist()[-100:] == list(range(1, 101))
+
+    def test_window_past_int16_in_one_document(self):
+        # One document of 32,800 tokens; the query repeats its last 60,
+        # so the matching windows start past 32,767 - w and end past
+        # int16.  The stored window starts still fit int16.
+        rng = random.Random(5)
+        tokens = [f"t{rng.randrange(3000)}" for _ in range(32_800)]
+        data = DocumentCollection()
+        data.add_tokens(tokens)
+        data.add_tokens(tokens[:200])
+        w, tau = 50, 5
+        index = Index.build(data, w=w, tau=tau, k_max=4)
+        query = data.encode_query_tokens(tokens[-60:])
+        got = pairs_as_set(index.search(query))
+        assert got == expected_pairs(data, query, w, tau)
+        assert max(pair[1] for pair in got) > 32_767 - w
+        searcher = index.searcher()
+        assert searcher.index.to_arrays()[1]["us"].dtype == np.int16
+        # The last window's signatures: a caller adding w to a probed
+        # window start reads the true window end, past int16.
+        ranks = sorted(searcher.rank_docs.rank_slice(0, 32_800 - w, 32_800))
+        batch = searcher.index.probe_many(generate_signatures(ranks, tau, searcher.scheme))
+        assert int((batch.vs + w).max()) == 32_800
+
+    def test_old_width_snapshot_answers_identically(self, tmp_path):
+        data, _rng = make_corpus(4, docs=8)
+        index = Index.build(data, w=8, tau=2, k_max=2, routing="exact")
+        narrow, old = tmp_path / "narrow.idx", tmp_path / "old.idx"
+        index.save(narrow)
+        index.save(old)
+        stored_at_old_widths(old)
+        assert {a.dtype for a in integer_columns(narrow).values()} == {np.dtype(np.int16)}
+        assert {a.dtype for a in integer_columns(old).values()} == {
+            np.dtype(np.int32), np.dtype(np.int64)
+        }
+        queries = make_queries(data, random.Random(4))
+        with Index.open(narrow, mmap=True) as a, Index.open(old, mmap=True) as b:
+            assert b.searcher().rank_docs._values.dtype == np.int32
+            for query in queries:
+                for routing in ("off", "exact"):
+                    assert pairs_as_set(a.search(query, routing=routing)) == pairs_as_set(
+                        b.search(query, routing=routing)
+                    )
+
+    def test_old_width_segment_folds_narrow(self, tmp_path):
+        # A sealed segment at 3.0.1's widths, then an int16 memtable:
+        # the flush and the fold store every column at its narrowest
+        # width, and the pairs are the oracle's throughout.
+        data, rng = make_corpus(6, docs=10)
+        params = SearchParams(w=8, tau=2, k_max=2, routing="exact")
+        texts = [data.vocabulary.decode(document.tokens) for document in data]
+        store = IngestStore.create(params, directory=tmp_path)
+        for tokens in texts[:5]:
+            store.add_tokens(tokens)
+        store.flush()
+        store.close()
+        (segment,) = tmp_path.glob("segment.g*.idx")
+        stored_at_old_widths(segment)
+        assert integer_columns(segment)["index.docs"].dtype == np.int32
+        store = IngestStore.open(tmp_path)
+        for tokens in texts[5:]:
+            store.add_tokens(tokens)
+        store.remove(1)
+        queries = make_queries(store.data, rng)
+
+        def assert_oracle_pairs():
+            for query in queries:
+                assert pairs_as_set(store.searcher().search(query)) == expected_pairs(
+                    store.data, query, params.w, params.tau, removed={1}
+                )
+
+        assert_oracle_pairs()
+        store.flush()
+        assert_oracle_pairs()
+        store.compact()
+        assert_oracle_pairs()
+        store.close()
+        (folded,) = tmp_path.glob("segment.g*.idx")
+        for name, column in integer_columns(folded).items():
+            assert column.dtype == _packed_column(column.astype(np.int64)).dtype, name
+        assert integer_columns(folded)["ranks.values"].dtype == np.int16

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro import Index
 from repro.corpus.synthetic import make_profile_collection
-from repro.index.compact import PackedRankDocs
+from repro.index.compact import CompactIntervalIndex, PackedRankDocs
 from repro.index.interval_index import IntervalIndex
 from repro.ordering.global_order import OOV_RANK
 from repro.params import suggested_subpartitions
@@ -103,12 +103,14 @@ def stream_counters(stream):
     return Counter({name: getattr(stream, name) for name in COUNTERS})
 
 
-def corpus_runs(documents, w, tau, scheme, block_cells=None):
+def corpus_runs(documents, w, tau, scheme, block_cells=None, dtype=None):
     """The corpus kernel's runs as ``{signature: [(doc, u, v), ...]}``,
-    with its counters and window count."""
+    with its counters and window count; ``dtype`` stores the rank column
+    at that width instead of the narrowest."""
     packed = PackedRankDocs.from_lists(documents)
+    values = packed._values if dtype is None else packed._values.astype(dtype)
     with mock.patch.object(bulk, "_BLOCK_CELLS", block_cells or bulk._BLOCK_CELLS):
-        kernel = bulk.CorpusRuns(packed._offsets, packed._values, w, tau, scheme)
+        kernel = bulk.CorpusRuns(packed._offsets, values, w, tau, scheme)
         postings: dict = {}
         for chunk in kernel.runs():
             for ranks, length, *run in zip(
@@ -278,6 +280,34 @@ class TestEquivalence:
         whole = assert_corpus_runs_match(documents, 50, tau, scheme)
         for cells in (50, 7 * 50, 64 * 50 + 1):
             assert corpus_runs(documents, 50, tau, scheme, cells) == whole
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_corpus_runs_are_width_invariant(self, m):
+        # The same ranks, lazily admitted negative ones among them, in an
+        # int16, an int32 and an int64 column: one set of runs and
+        # counters, and one set of index columns, stored at int16.
+        rng = random.Random(11)
+        universe = 2000
+        scheme = PartitionScheme(universe_size=universe, borders=(1500, 1850, 1960), m=m)
+        documents = []
+        for length in (480, 12, 50, 310, 0, 49):
+            ranks = [universe - min(universe, int(rng.paretovariate(0.6))) for _ in range(length)]
+            for _ in range(length // 60):
+                ranks[rng.randrange(length)] = rng.choice([-1, -2, -3])
+            documents.append(ranks)
+        packed = PackedRankDocs.from_lists(documents)
+        assert packed._values.dtype == np.int16
+        runs, columns = [], []
+        for dtype in (np.int16, np.int32, np.int64):
+            runs.append(corpus_runs(documents, 50, 5, scheme, 7 * 50, dtype=dtype))
+            index = CompactIntervalIndex.from_rank_docs(
+                PackedRankDocs(packed._offsets, packed._values.astype(dtype)), 50, 5, scheme
+            )
+            columns.append({name: (c.dtype.str, c.tobytes()) for name, c in index.to_arrays()[1].items()})
+            assert index.build_stats == dict(runs[-1][1])
+        assert runs[0] == runs[1] == runs[2]
+        assert columns[0] == columns[1] == columns[2]
+        assert columns[0]["docs"][0] == np.dtype(np.int16).str
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_group_starts_place_every_rank_as_group_key(self, m):

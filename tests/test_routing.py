@@ -42,6 +42,7 @@ from repro import (
 )
 from repro.core.pkwise import PKWiseSearcher
 from repro.errors import IndexStateError
+from repro.index.compact import PackedRankDocs
 from repro.persistence import read_envelope, write_envelope
 from repro.routing import ROUTING_MODES, FingerprintTier, fingerprints
 from repro.routing.fingerprints import FINGERPRINT_BITS, missing_bit_budget
@@ -232,6 +233,31 @@ class TestFingerprintTier:
         assert np.array_equal(got, want)
         with pytest.raises(IndexStateError):
             loaded.add([1, 2, 3])
+
+    def test_covers_are_width_invariant(self):
+        # One rank column at int16, int32 and int64, a lazily admitted
+        # (negative) rank in it: the same covers, and the counts stored
+        # at the narrowest width that holds them, which from_arrays
+        # reads like the int64 column older files hold.
+        _, _, rank_docs, _ = self._tier_and_corpus()
+        lists = [list(ranks) for ranks in rank_docs]
+        lists[1][3] = -2
+        packed = PackedRankDocs.from_lists(lists)
+        stored = []
+        for dtype in (np.int16, np.int32, np.int64):
+            column = PackedRankDocs(packed._offsets, packed._values.astype(dtype))
+            arrays = FingerprintTier.from_rank_docs(column, block_len=16).to_arrays()
+            stored.append({name: (a.dtype, a.tobytes()) for name, a in arrays.items()})
+        assert stored[0] == stored[1] == stored[2]
+        assert stored[0]["cover_counts"][0] == np.int16
+        query = lists[1][:40]
+        masks = [
+            FingerprintTier.from_arrays(
+                {**arrays, "cover_counts": arrays["cover_counts"].astype(dtype)}, block_len=16
+            ).survivors(query, w=8, tau=2)
+            for dtype in (np.int16, np.int64)
+        ]
+        assert masks[0][1] and np.array_equal(masks[0], masks[1])
 
     def test_exact_budget_derivation(self):
         assert missing_bit_budget(0) == 0
