@@ -182,9 +182,11 @@ class Index:
 
         ``routing`` sets the fingerprint routing policy the index
         searches under — a :class:`~repro.RoutingPolicy`, its dict
-        form, or a bare mode string (``"off"`` / ``"exact"``).
-        Fingerprints are written here, so ``block_tokens`` is read; the
-        policy rides on the params through :meth:`save` / :meth:`open`.
+        form, or a bare mode string (``"off"`` / ``"exact"``).  The
+        policy rides on the params through :meth:`save` / :meth:`open`;
+        the fingerprints, laid out by its ``block_tokens``, are built at
+        the first save under a routing mode or the first routed query,
+        whichever comes first.
         """
         collection = _as_collection(data)
         params = SearchParams.from_values(params, w=w, tau=tau, k_max=k_max, m=m)

@@ -20,13 +20,15 @@ from collections import Counter
 from collections.abc import Callable
 from itertools import islice
 
+import numpy as np
+
 from ..corpus import Document, DocumentCollection
 from ..errors import (
     ConfigurationError,
     RoutingUnavailableError,
     SearchCancelled,
 )
-from ..index.compact import CompactIntervalIndex, PackedRankDocs
+from ..index.compact import CompactIntervalIndex
 from ..obs import get_tracer
 from ..index.intervals import WindowInterval, merge_intervals
 from ..ordering import GlobalOrder
@@ -74,15 +76,14 @@ def default_scheme(
         else:
             fraction = (class_index - 2) / (k_max - 2)
         thresholds.append(freq_low * (freq_high / freq_low) ** fraction)
-    borders = []
-    rank = 0
-    for threshold in thresholds:
-        while (
-            rank < size and order.relative_frequency_of_rank(rank) < threshold
-        ):
-            rank += 1
-        borders.append(rank)
-    return PartitionScheme(universe_size=size, borders=tuple(borders), m=params.m)
+    # Class c starts at the first rank whose relative frequency reaches
+    # its threshold, and never before the class below it.
+    borders = np.maximum.accumulate(
+        np.searchsorted(order.relative_frequencies(), thresholds, side="left")
+    )
+    return PartitionScheme(
+        universe_size=size, borders=tuple(borders.tolist()), m=params.m
+    )
 
 
 class PKWiseSearcher:
@@ -128,13 +129,12 @@ class PKWiseSearcher:
                 f"scheme.m ({scheme.m}) disagrees with params.m ({params.m})"
             )
         self.scheme = scheme
-        rank_lists = [self.order.rank_document(document) for document in data]
         self._removed: set[int] = set()
         build_start = time.perf_counter()
         with get_tracer().span(
-            "pkwise.index_build", documents=len(rank_lists)
+            "pkwise.index_build", documents=len(data)
         ) as build_span:
-            self.rank_docs = PackedRankDocs.from_lists(rank_lists)
+            self.rank_docs = self.order.rank_documents(data)
             self.index = CompactIntervalIndex.from_rank_docs(
                 self.rank_docs, params.w, params.tau, scheme
             )
@@ -245,9 +245,11 @@ class PKWiseSearcher:
     def routing_fingerprints(self) -> FingerprintTier:
         """The document fingerprint tier gating this searcher's queries.
 
-        Built on the first routed query when the slot is ``"auto"`` and
-        kept in the slot; the build is deterministic, so serial, fork,
-        and spawn workers reconstruct byte-identical tiers.
+        When the slot is ``"auto"``, the first call — the first routed
+        query, or a snapshot save under a routing mode — builds it from
+        the rank column (:meth:`FingerprintTier.from_rank_docs`) and
+        keeps it in the slot; the build is deterministic, so serial,
+        fork, and spawn workers reconstruct byte-identical tiers.
         """
         tier = self._routing_tier
         if tier is None:

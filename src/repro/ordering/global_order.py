@@ -17,7 +17,7 @@ total order consistent between both sides).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
 import numpy as np
@@ -32,44 +32,82 @@ from ..errors import ConfigurationError
 OOV_RANK = -(1 << 60)
 
 
-def window_frequencies(data: DocumentCollection, w: int) -> list[int]:
+#: Most tokens one block of :func:`window_frequencies` holds.  Blocks
+#: are whole documents (a longer document is a block of its own), so the
+#: order's working set is a few dozen bytes per block token, whatever
+#: the corpus's size.
+_BLOCK_TOKENS = 1 << 15
+
+
+def window_frequencies(data: DocumentCollection, w: int) -> np.ndarray:
     """Number of data windows of size ``w`` containing each token.
 
-    Returns a list indexed by token id (length = vocabulary size).  A
-    window "contains" a token if at least one of its ``w`` positions
-    holds it; multiplicities within one window do not add.
+    Returns an ``int64`` array indexed by token id (length = vocabulary
+    size).  A window "contains" a token if at least one of its ``w``
+    positions holds it; multiplicities within one window do not add.
 
     For each occurrence at position ``p`` the containing window starts
     form the interval ``[max(0, p - w + 1), min(p, n - w)]``; per token
-    and document we count the union of those intervals, as array
-    operations over all occurrences at once (one stable sort).
+    and document we count the union of those intervals.  A union never
+    leaves its document, so documents of at least ``w`` tokens are
+    counted in blocks of whole documents of about :data:`_BLOCK_TOKENS`
+    tokens, each in a few array passes over int16 or int32 columns
+    (:func:`_count_block`); documents shorter than ``w`` have no window.
     """
-    vocabulary_size = len(data.vocabulary)
     if w < 1:
         raise ConfigurationError(f"window size must be >= 1, got {w}")
+    freq = np.zeros(len(data.vocabulary), dtype=np.int64)
     kept = [document.tokens for document in data if len(document) >= w]
-    if not kept:
-        return [0] * vocabulary_size
     lengths = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
-    total = int(lengths.sum())
-    tokens = np.fromiter(chain.from_iterable(kept), dtype=np.int64, count=total)
-    position = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    lo = np.maximum(position - (w - 1), 0)
-    hi = np.minimum(position, np.repeat(lengths - w, lengths))
-    # Bring each token's occurrences within one document together, in
-    # position order.  Their window ranges then have non-decreasing
-    # ends, so what is already counted for the token ends at the
-    # previous occurrence's `hi` (the loop's high-water mark).
-    key = np.repeat(np.arange(len(kept)) * vocabulary_size, lengths) + tokens
-    order = np.argsort(key, kind="stable")
-    key, lo, hi = key[order], lo[order], hi[order]
-    counted_to = np.empty_like(hi)
-    counted_to[0] = -1
-    counted_to[1:] = np.where(key[1:] == key[:-1], hi[:-1], -1)
+    ends = np.cumsum(lengths)
+    token_dtype = (
+        np.int16 if len(freq) <= 1 << 15 else np.int32 if len(freq) <= 1 << 31 else np.int64
+    )
+    first = 0
+    while first < len(kept):
+        stop = max(
+            first + 1,
+            int(np.searchsorted(ends, ends[first] - lengths[first] + _BLOCK_TOKENS, "right")),
+        )
+        block = lengths[first:stop]
+        tokens = np.fromiter(
+            chain.from_iterable(kept[first:stop]), dtype=token_dtype, count=int(block.sum())
+        )
+        _count_block(tokens, block, w, freq)
+        first = stop
+    return freq
+
+
+def _count_block(tokens: np.ndarray, lengths: np.ndarray, w: int, freq: np.ndarray) -> None:
+    """Add the window frequencies of one block of documents to ``freq``.
+
+    Positions are block-wide: an occurrence at ``p`` of a document whose
+    windows start at ``first .. last`` lies in the windows starting at
+    ``[max(p - w + 1, first), min(p, last)]``.  A stable sort by token
+    (numpy's radix sort on int16) lines each token's occurrences up in
+    document, then position order, so their ranges have non-decreasing
+    ends and what is already counted for the token ends at the previous
+    occurrence's ``hi``.  When that occurrence is in an earlier document,
+    its ranges all end before this document's first window, so no
+    document key is needed.
+    """
+    ends = np.cumsum(lengths)
+    position_dtype = np.int32 if ends[-1] <= np.iinfo(np.int32).max else np.int64
+    position = np.arange(ends[-1], dtype=position_dtype)
+    lo = np.maximum(
+        position - (w - 1), np.repeat((ends - lengths).astype(position_dtype), lengths)
+    )
+    hi = np.minimum(position, np.repeat((ends - w).astype(position_dtype), lengths))
+    del position
+    order = np.argsort(tokens, kind="stable")
+    tokens, lo, hi = tokens[order], lo[order], hi[order]
+    del order
+    same = tokens[1:] == tokens[:-1]
+    counted_to = np.full_like(hi, -1)
+    counted_to[1:][same] = hi[:-1][same]
     new_windows = hi - np.maximum(lo, counted_to + 1) + 1
-    # Float weights are exact here: window counts stay far below 2**53.
-    freq = np.bincount(tokens[order], weights=new_windows, minlength=vocabulary_size)
-    return freq.astype(np.int64).tolist()
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    freq[tokens[starts]] += np.add.reduceat(new_windows, starts, dtype=np.int64)
 
 
 class GlobalOrder:
@@ -88,13 +126,16 @@ class GlobalOrder:
         freq = window_frequencies(data, w)
         self._vocabulary = data.vocabulary
         self.w = w
-        token_of = data.vocabulary.token_of
-        order = sorted(range(len(freq)), key=lambda t: (freq[t], token_of(t)))
-        self._rank_of_token: list[int] = [0] * len(freq)
-        self._token_of_rank: list[int] = order
-        for rank, token in enumerate(order):
-            self._rank_of_token[token] = rank
-        self._freq_of_rank: list[int] = [freq[token] for token in order]
+        # By name, then stably by frequency: the order by (frequency, name).
+        by_name = np.array(
+            sorted(range(len(freq)), key=data.vocabulary.token_of), dtype=np.int64
+        )
+        order = by_name[np.argsort(freq[by_name], kind="stable")]
+        rank_of_token = np.empty(len(freq), dtype=np.int64)
+        rank_of_token[order] = np.arange(len(freq))
+        self._rank_of_token: list[int] = rank_of_token.tolist()
+        self._token_of_rank: list[int] = order.tolist()
+        self._freq_of_rank: list[int] = freq[order].tolist()
         self._built_size = len(freq)
         self._extra_ranks: dict[int, int] = {}
         self.num_data_windows = data.total_windows(w)
@@ -149,6 +190,14 @@ class GlobalOrder:
             return 0.0
         return self.frequency_of_rank(rank) / self.num_data_windows
 
+    def relative_frequencies(self) -> np.ndarray:
+        """:meth:`relative_frequency_of_rank` of every build-time rank, as
+        ``float64``: ascending, since the order sorts by frequency."""
+        freq = np.array(self._freq_of_rank, dtype=np.float64)
+        if self.num_data_windows == 0:
+            return np.zeros_like(freq)
+        return freq / self.num_data_windows
+
     # ------------------------------------------------------------------
     def snapshot(self, vocabulary=None) -> "GlobalOrder":
         """A point-in-time copy safe to pickle while this order keeps
@@ -195,6 +244,37 @@ class GlobalOrder:
     def rank_document(self, document: Document) -> list[int]:
         """Rank sequence of a document (original token order preserved)."""
         return self.rank_sequence(document.tokens)
+
+    def rank_documents(self, documents: Iterable[Document]):
+        """The rank column of ``documents``, as a build stores it: a
+        :class:`~repro.index.compact.PackedRankDocs`.
+
+        Their tokens are packed into one narrow column and ranked by one
+        gather.  Tokens outside the build-time universe go through
+        :meth:`rank` in order of first occurrence, so lazy admission
+        assigns the ranks a :meth:`rank_document` per document would.
+        """
+        # Imported here: repro.index imports this package (via partition).
+        from ..index.compact import PackedRankDocs, _packed_column
+
+        columns = PackedRankDocs.from_lists(
+            [document.tokens for document in documents]
+        ).to_arrays()
+        tokens = columns["values"]
+        table = _packed_column(self._rank_of_token)
+        known = (tokens >= 0) & (tokens < self._built_size)
+        if known.all():
+            ranks = table[tokens]
+        else:
+            unknown = tokens[~known]
+            values, first = np.unique(unknown, return_index=True)
+            arrival = np.argsort(first)
+            admitted = np.empty(len(values), dtype=np.int64)
+            admitted[arrival] = [self.rank(token) for token in values[arrival].tolist()]
+            ranks = np.empty(len(tokens), dtype=np.int64)
+            ranks[known] = table[tokens[known]]
+            ranks[~known] = admitted[np.searchsorted(values, unknown)]
+        return PackedRankDocs(columns["offsets"], _packed_column(ranks))
 
     def __repr__(self) -> str:
         return (

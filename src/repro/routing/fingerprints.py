@@ -85,6 +85,14 @@ FINGERPRINT_BITS = LANES * 64
 #: positions against ~2,900 covers) fits in one block with room to spare.
 _BLOCK_CELLS = 1 << 20
 
+#: Most tokens, and most blocks, one chunk of
+#: :meth:`FingerprintTier.from_rank_docs` reads at once: the bit matrix
+#: is at most 1 MiB (blocks × 512 ``bool``), the per-token columns a
+#: few dozen bytes a token.  Chunks are whole documents, so a longer
+#: document is a chunk of its own.
+_CHUNK_TOKENS = 1 << 15
+_CHUNK_BLOCKS = 1 << 11
+
 _U64 = np.uint64
 _BIT_MASK = _U64(FINGERPRINT_BITS - 1)
 _LANE_SHIFT = _U64(6)
@@ -163,6 +171,33 @@ def _covers_within(
     return (missing <= budget).any(axis=0)
 
 
+def _cover_rows(
+    ranks: np.ndarray, lengths: np.ndarray, blocks: np.ndarray, block_len: int
+) -> np.ndarray:
+    """The ``cover_lanes`` rows of one chunk of documents: ``ranks`` is
+    their concatenated rank column, ``blocks[d]`` the number of tumbling
+    blocks of ``block_len`` tokens document ``d`` is cut into."""
+    block_ends = blocks.cumsum()
+    nblocks = int(block_ends[-1])
+    # Token i of a document whose tokens start at s and blocks at b is
+    # in block b + (i - s) // block_len = (i + b * block_len - s) // block_len.
+    shift = (block_ends - blocks) * block_len - (lengths.cumsum() - lengths)
+    block_of_token = (np.arange(len(ranks)) + np.repeat(shift, lengths)) // block_len
+    bits = _mix64(_as_u64(ranks) ^ _TOKEN_SEED) & _BIT_MASK
+    matrix = np.zeros((nblocks, FINGERPRINT_BITS), dtype=bool)
+    matrix.reshape(-1)[block_of_token * FINGERPRINT_BITS + bits.view(np.int64)] = True
+    block_lanes = np.packbits(matrix, axis=1, bitorder="little").view("<u8")
+    block_lanes = block_lanes.astype(np.uint64, copy=False)
+    # Each block ORed with the next of its document.  The last block of a
+    # document ORs with itself, and is kept only when it is the only one.
+    last = block_ends - 1
+    following = np.arange(1, nblocks + 1)
+    following[last[blocks > 0]] = last[blocks > 0]
+    keep = np.ones(nblocks, dtype=bool)
+    keep[last[blocks > 1]] = False
+    return (block_lanes | block_lanes[following])[keep]
+
+
 class _Compiled:
     """Flat concatenated columns the survivor kernel runs over.
 
@@ -185,10 +220,11 @@ class _Compiled:
 class FingerprintTier:
     """Block-cover fingerprints for one contiguous doc-id range.
 
-    Grows incrementally (:meth:`add`, the memtable insert path) or
-    builds in one pass over a rank-docs sequence
-    (:meth:`from_rank_docs`), and freezes to flat numpy columns for the
-    snapshot envelope (:meth:`to_arrays` / :meth:`from_arrays`).
+    Built from a whole rank column in bounded chunks
+    (:meth:`from_rank_docs`) and grown one document at a time through
+    the same producer (:meth:`add`, the memtable insert path); freezes
+    to flat numpy columns for the snapshot envelope (:meth:`to_arrays` /
+    :meth:`from_arrays`).
     ``doc_lo`` is the global id of the first fingerprinted document —
     survivor masks cover ``[0, doc_lo + ndocs)`` with the prefix all
     False (ids below ``doc_lo`` belong to other tiers; the live view
@@ -235,49 +271,76 @@ class FingerprintTier:
         """Fingerprint the next document (global id ``doc_lo + ndocs``).
 
         ``ranks`` is the document's rank sequence (any int sequence or
-        array; negative lazy/OOV ranks hash fine).  O(len(ranks)).
+        array; negative lazy/OOV ranks hash fine), fingerprinted by
+        :meth:`from_rank_docs` as a corpus of one.  O(len(ranks)).
         """
         if self.frozen:
             raise IndexStateError(
                 "cannot add documents to a frozen fingerprint tier"
             )
-        lanes = self._fingerprint_document(ranks)
-        self._cover_lanes.append(lanes)
-        self._cover_counts.append(len(lanes))
-        self._compiled = None
+        # Imported here: repro.index imports this package (via params).
+        from ..index.compact import PackedRankDocs
 
-    def _fingerprint_document(self, ranks) -> np.ndarray:
-        """One document's ``cover_lanes`` rows."""
-        u = _as_u64(ranks)
-        n = len(u)
-        if n == 0:
-            return np.zeros((0, LANES), dtype=np.uint64)
-        block_len = self.block_len
-        nblocks = -(-n // block_len)
-        pad = nblocks * block_len - n
-        if pad:
-            # Repeating the last token leaves every OR unchanged.
-            u = np.concatenate([u, np.full(pad, u[-1], dtype=np.uint64)])
-        block_lanes = np.bitwise_or.reduce(
-            _token_lanes(u).reshape(nblocks, block_len, LANES), axis=1
+        ranks = np.asarray(ranks, dtype=np.int64)
+        one = self.from_rank_docs(
+            PackedRankDocs(np.array([0, len(ranks)]), ranks), block_len=self.block_len
         )
-        if nblocks > 1:
-            return block_lanes[:-1] | block_lanes[1:]
-        return block_lanes
+        self._cover_lanes.extend(one._cover_lanes)
+        self._cover_counts.extend(one._cover_counts)
+        self._compiled = None
 
     @classmethod
     def from_rank_docs(
         cls, rank_docs, *, block_len: int, doc_lo: int = 0
     ) -> "FingerprintTier":
-        """Fingerprint every document of ``rank_docs`` in one pass.
+        """Fingerprint every document of ``rank_docs``: the one producer
+        of ``cover_lanes`` rows.
 
         ``rank_docs`` is one tier's rank sequences under local ids (a
-        list of lists or a :class:`~repro.index.compact.PackedRankDocs`);
-        ``doc_lo`` is the global id of its first document.
+        :class:`~repro.index.compact.PackedRankDocs`, or a list of lists,
+        packed first); ``doc_lo`` is the global id of its first document.
+        The columns are read in chunks of whole documents of at most
+        :data:`_CHUNK_TOKENS` tokens and :data:`_CHUNK_BLOCKS` blocks (a
+        longer document is a chunk of its own).  A chunk hashes each token
+        once and sets its bit in a (blocks × 512) bit matrix, which
+        ``np.packbits`` turns into the blocks' lanes; a document's covers
+        are then the OR of its consecutive blocks, a one-block document's
+        its one block.  The tier stays open to :meth:`add`.
         """
+        # Imported here: repro.index imports this package (via params).
+        from ..index.compact import PackedRankDocs
+
+        if not isinstance(rank_docs, PackedRankDocs):
+            rank_docs = PackedRankDocs.from_lists(rank_docs)
+        columns = rank_docs.to_arrays()
+        offsets, values = columns["offsets"], columns["values"]
+        lengths = (offsets[1:] - offsets[:-1]).astype(np.int64)
+        blocks = -(-lengths // block_len)
+        token_ends, block_ends = lengths.cumsum(), blocks.cumsum()
+        lanes = [np.zeros((0, LANES), dtype=np.uint64)]
+        first = 0
+        while first < len(lengths):
+            token_bound = token_ends[first] - lengths[first] + _CHUNK_TOKENS
+            block_bound = block_ends[first] - blocks[first] + _CHUNK_BLOCKS
+            stop = max(
+                first + 1,
+                min(
+                    int(np.searchsorted(token_ends, token_bound, "right")),
+                    int(np.searchsorted(block_ends, block_bound, "right")),
+                ),
+            )
+            lanes.append(
+                _cover_rows(
+                    values[offsets.item(first) : offsets.item(stop)],
+                    lengths[first:stop],
+                    blocks[first:stop],
+                    block_len,
+                )
+            )
+            first = stop
         tier = cls(block_len=block_len, doc_lo=doc_lo)
-        for local_id in range(len(rank_docs)):
-            tier.add(rank_docs[local_id])
+        tier._cover_lanes = lanes
+        tier._cover_counts = np.where(blocks > 1, blocks - 1, blocks).tolist()
         return tier
 
     # -- persistence ----------------------------------------------------

@@ -12,6 +12,7 @@ pooled and served, are ``test_exactness.py``'s compact and mmap cells.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 import sys
 import threading
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Index, PersistenceError, SearchParams
+from repro import Index, PersistenceError, SearchParams, make_profile_collection
 from repro.core.pkwise import PKWiseSearcher
 from repro.core.verify import slice_accessor
 from repro.corpus import DocumentCollection
@@ -185,6 +186,49 @@ class TestWrittenOnce:
         for name, copy in copies.items():
             assert after[name].dtype == copy.dtype, name
             assert after[name].tobytes() == copy.tobytes(), name
+
+
+class TestSetupBytes:
+    """What a snapshot stores of the set-up — the order, the scheme, the
+    rank column, the index and the routing tier — is the same bytes
+    however it is computed."""
+
+    #: BLAKE2b of every array section (name, dtype, bytes) and of the
+    #: pickled ``order`` and ``scheme`` of a REUTERS profile snapshot
+    #: (scale 0.02, seed 7: 156 documents, 39,872 tokens, two blocks of
+    #: the order and two fingerprint chunks), unrouted and routed.
+    #: Taken at commit 7481b82, where the order sorted by a key per
+    #: token and every document was ranked and fingerprinted in a loop.
+    DIGESTS = {
+        "off": "bc03b9166a6493f2cc5fa96e38bccb60",
+        "exact": "064bc3bff660d5732436a838a72b6040",
+    }
+
+    def test_snapshot_sections_are_unchanged(self, tmp_path, monkeypatch):
+        from repro import persistence
+
+        written = {}
+        real = persistence.write_envelope
+
+        def capture(path, kind, sections, arrays=None, header=None):
+            written.update(sections=sections, arrays=arrays)
+            return real(path, kind, sections, arrays, header)
+
+        monkeypatch.setattr(persistence, "write_envelope", capture)
+        data, _queries, _truth = make_profile_collection("REUTERS", scale=0.02, seed=7)
+        for routing, want in self.DIGESTS.items():
+            Index.build(data, w=25, tau=5, k_max=4, routing=routing).save(tmp_path / "x.idx")
+            state = hashlib.blake2b(digest_size=16)
+            for name, array in sorted(written["arrays"].items()):
+                state.update(f"{name}:{array.dtype.str}:".encode())
+                state.update(array.tobytes())
+            for name in ("order", "scheme"):
+                state.update(f"{name}:".encode())
+                state.update(
+                    pickle.dumps(written["sections"][name], protocol=pickle.HIGHEST_PROTOCOL)
+                )
+            assert ("routing.cover_lanes" in written["arrays"]) == (routing == "exact")
+            assert state.hexdigest() == want, routing
 
 
 class TestBuildMemory:

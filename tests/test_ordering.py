@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import DocumentCollection
 from repro.ordering import GlobalOrder
-from repro.ordering.global_order import window_frequencies
+from repro.ordering.global_order import _BLOCK_TOKENS, window_frequencies
+from repro.routing import FingerprintTier
+from repro.tokenize import Vocabulary
 
 
 def brute_window_frequencies(data, w):
@@ -22,6 +27,17 @@ def brute_window_frequencies(data, w):
                 for start in range(max(0, n - w + 1))
                 if token in document.tokens[start : start + w]
             )
+    return freq
+
+
+def per_document_window_frequencies(data, w):
+    """Every window of every document, one set of tokens each."""
+    freq = [0] * len(data.vocabulary)
+    for document in data:
+        tokens = document.tokens
+        for start in range(len(tokens) - w + 1):
+            for token in set(tokens[start : start + w]):
+                freq[token] += 1
     return freq
 
 
@@ -40,7 +56,7 @@ class TestWindowFrequencies:
     def test_short_document_contributes_nothing(self):
         data = DocumentCollection()
         data.add_text("a b")
-        assert window_frequencies(data, 5) == [0, 0]
+        assert window_frequencies(data, 5).tolist() == [0, 0]
 
     def test_w_equals_one(self):
         data = DocumentCollection()
@@ -57,7 +73,68 @@ class TestWindowFrequencies:
         for _ in range(rng.randint(1, 3)):
             length = rng.randint(1, 25)
             data.add_tokens([f"t{rng.randrange(6)}" for _ in range(length)])
-        assert window_frequencies(data, w) == brute_window_frequencies(data, w)
+        assert window_frequencies(data, w).tolist() == brute_window_frequencies(data, w)
+
+    @pytest.mark.parametrize("vocabulary_size", [300, 40_000])
+    def test_blocks_match_the_per_document_count(self, vocabulary_size):
+        # More than two blocks of tokens, one document longer than a
+        # block, documents shorter than w between them; 40,000 names
+        # take the int32 token column.  Tokens come from a pool of 60
+        # so that they repeat within windows, the high ids among them.
+        rng = random.Random(vocabulary_size)
+        data = DocumentCollection(
+            vocabulary=Vocabulary(f"t{i}" for i in range(vocabulary_size))
+        )
+        pool = rng.sample(range(vocabulary_size), 59) + [vocabulary_size - 1]
+        lengths = [rng.choice([0, 3, 7, 40, 300, 900]) for _ in range(260)]
+        lengths[60] = _BLOCK_TOKENS + 7
+        for length in lengths:
+            data.add_token_ids([rng.choice(pool) for _ in range(length)])
+        assert data.total_tokens() > 2 * _BLOCK_TOKENS
+        for w in (1, 7):
+            freq = window_frequencies(data, w).tolist()
+            assert freq == per_document_window_frequencies(data, w)
+        # The order is the one by (frequency, name): "t10" before "t9".
+        order = GlobalOrder(data, 7)
+        token_of = data.vocabulary.token_of
+        assert order._token_of_rank == sorted(
+            range(vocabulary_size), key=lambda t: (freq[t], token_of(t))
+        )
+
+
+class TestSetupMemory:
+    """The order and the fingerprints work in bounded blocks: their
+    tracemalloc peaks stay a few MB over 2**18 tokens (the order's was
+    20 MB when it sorted every occurrence of the corpus at once)."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(0)
+        data = DocumentCollection(vocabulary=Vocabulary(f"t{i}" for i in range(5000)))
+        for tokens in np.split(rng.integers(0, 5000, 2**18), 2048):
+            data.add_token_ids(tokens.tolist())
+        return data
+
+    @staticmethod
+    def peak(build):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = build()
+            return built, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_order(self, corpus):
+        order, peak = self.peak(lambda: GlobalOrder(corpus, 50))
+        assert order.num_data_windows == 2048 * (128 - 50 + 1)
+        assert peak < 3 * 2**20, peak
+
+    def test_fingerprints(self, corpus):
+        ranks = GlobalOrder(corpus, 50).rank_documents(corpus)
+        tier, peak = self.peak(lambda: FingerprintTier.from_rank_docs(ranks, block_len=128))
+        assert tier.ndocs == 2048
+        assert peak < 3 * 2**20, peak
 
 
 class TestGlobalOrder:
