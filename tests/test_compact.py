@@ -36,11 +36,11 @@ from repro.index.compact import (
 )
 from repro.index.interval_index import IntervalIndex
 from repro.ingest import IngestStore
-from repro.ingest.tiered import Tier, TieredIntervalIndex, TieredRankDocs
+from repro.ingest.tiered import Tier, TieredRankDocs
 from repro.partition.scheme import PartitionScheme
 from repro.persistence import load_bundle, read_envelope, save_searcher, write_envelope
 from repro.service import SearchService
-from repro.signatures.generate import generate_signatures, signature_hashes
+from repro.signatures.generate import generate_signatures
 
 from .conftest import (
     expected_pairs,
@@ -606,45 +606,6 @@ class TestColumnWidths:
     """Every stored integer column takes the narrowest of int16, int32
     and int64 that holds it; a probe widens once, to int32 at least, so
     no sum after it wraps, and a file at the old widths still answers."""
-
-    def test_probe_batches_are_width_invariant(self, built):
-        _data, searcher = built
-        meta, columns = searcher.index.to_arrays()
-        keys = list(reference_index(searcher)._postings)
-        batches = []
-        for dtype in (np.int16, np.int32, np.int64):
-            index = CompactIntervalIndex.from_arrays(meta, searcher.scheme, {
-                name: column if name == "keys" else column.astype(dtype)
-                for name, column in columns.items()
-            })
-            batch = index.probe_many(keys, [(-1) ** i for i in range(len(keys))])
-            for column in (batch.docs, batch.us, batch.vs):
-                assert column.dtype.itemsize >= 4
-            batches.append((probe_runs(batch), batch.signs.tolist()))
-        assert batches[0] == batches[1] == batches[2]
-        assert columns["docs"].dtype == np.int16  # what the build stored
-
-    @staticmethod
-    def int16_tier(doc_lo, n=100):
-        """A hand-made segment tier of ``n`` local documents whose one
-        signature, ``(1,)``, has a posting in each, over int16 columns."""
-        ids = np.arange(n, dtype=np.int16)
-        index = CompactIntervalIndex(
-            8, 2, None, keys=signature_hashes([(1,)]),
-            offsets=np.array([0, n], dtype=np.int16), docs=ids, us=ids, vs=ids + 1,
-        )
-        return Tier(doc_lo, doc_lo + n, 1, index, None, "segment")
-
-    @pytest.mark.parametrize("doc_lo", [32_700, 40_000])
-    def test_global_ids_past_int16(self, doc_lo):
-        # At 32,700 the local ids past 67 land past int16 (an int16 sum
-        # wraps to -32,768); 40,000 does not fit int16 at all (NumPy 2
-        # raises).  One tier, and two merged signature-wise.
-        high = self.int16_tier(doc_lo)
-        for tiers in ([high], [self.int16_tier(0), high]):
-            batch = TieredIntervalIndex(tiers, 8, 2, None).probe_many([(1,)])
-            assert batch.docs.tolist()[-100:] == list(range(doc_lo, doc_lo + 100))
-            assert batch.vs.tolist()[-100:] == list(range(1, 101))
 
     def test_window_past_int16_in_one_document(self):
         # One document of 32,800 tokens; the query repeats its last 60,

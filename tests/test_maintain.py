@@ -11,24 +11,20 @@ from __future__ import annotations
 import random
 from collections import Counter
 from math import comb
-from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Index
 from repro.corpus.synthetic import make_profile_collection
-from repro.index.compact import CompactIntervalIndex, PackedRankDocs
-from repro.index.interval_index import IntervalIndex
 from repro.ordering.global_order import OOV_RANK
-from repro.params import suggested_subpartitions
 from repro.partition.scheme import PartitionScheme
-from repro.signatures import bulk
 from repro.signatures.generate import generate_signatures
 from repro.signatures.maintain import COUNTERS, SignatureStream
 from repro.signatures.prefix import prefix_length
+
+from .test_seams import cross_seams, seam_case
 
 
 def replay_presence(ranks, w, tau, scheme):
@@ -103,45 +99,6 @@ def stream_counters(stream):
     return Counter({name: getattr(stream, name) for name in COUNTERS})
 
 
-def corpus_runs(documents, w, tau, scheme, block_cells=None, dtype=None):
-    """The corpus kernel's runs as ``{signature: [(doc, u, v), ...]}``,
-    with its counters and window count; ``dtype`` stores the rank column
-    at that width instead of the narrowest."""
-    packed = PackedRankDocs.from_lists(documents)
-    values = packed._values if dtype is None else packed._values.astype(dtype)
-    with mock.patch.object(bulk, "_BLOCK_CELLS", block_cells or bulk._BLOCK_CELLS):
-        kernel = bulk.CorpusRuns(packed._offsets, values, w, tau, scheme)
-        postings: dict = {}
-        for chunk in kernel.runs():
-            for ranks, length, *run in zip(
-                chunk.ranks.tolist(), chunk.lengths.tolist(),
-                chunk.docs.tolist(), chunk.us.tolist(), chunk.vs.tolist(),
-            ):
-                postings.setdefault(tuple(ranks[:length]), []).append(tuple(run))
-    return postings, stream_counters(kernel), kernel.num_windows
-
-
-def assert_corpus_runs_match(documents, w, tau, scheme, block_cells=None):
-    """The corpus kernel against both references: its runs are the
-    postings ``index_document`` appends, per signature in the same order,
-    and its counters the stream's and the from-scratch ones."""
-    runs = postings, counters, num_windows = corpus_runs(
-        documents, w, tau, scheme, block_cells
-    )
-    reference = IntervalIndex(w, tau, scheme)
-    scratch = Counter()
-    for doc_id, ranks in enumerate(documents):
-        reference.index_document(doc_id, ranks)
-        scratch.update(scratch_counters(ranks, w, tau, scheme))
-    assert postings == {
-        signature: list(map(tuple, runs))
-        for signature, runs in reference._postings.items()
-    }
-    assert counters == Counter(reference.build_stats) == scratch
-    assert num_windows == reference.num_windows
-    return runs
-
-
 class TestPaperExample5:
     def test_prefix_maintenance_walkthrough(self):
         # Example 5: d = [E, G, A, F, C, B, D], w=4, tau=1, alphabetical
@@ -212,115 +169,38 @@ class TestEquivalence:
         assert streamed == scratch_presence(ranks, 50, 5, scheme)
         assert stream_counters(stream) == scratch_counters(ranks, 50, 5, scheme)
 
-    # -- the corpus kernel (repro.signatures.bulk) against both ----------
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 1_000_000))
-    def test_corpus_runs_match_index_document(self, seed):
-        # k_max 1-4 and m 1-3 over several documents, lengths below, at
-        # and above w, cut into blocks of one window, a few, or one block.
-        rng = random.Random(seed)
-        universe = rng.randint(3, 25)
-        k_max = rng.randint(1, 4)
-        borders = tuple(sorted(rng.randint(0, universe) for _ in range(k_max - 1)))
-        m = rng.randint(1, 3)
-        scheme = PartitionScheme(universe_size=universe, borders=borders, m=m)
-        w = rng.randint(2, 10)
-        tau = rng.randint(0, min(4, w - 1))
-        documents = [
-            [rng.randrange(universe) for _ in range(rng.choice([0, w - 1, w, rng.randint(0, 40)]))]
-            for _ in range(rng.randint(1, 5))
-        ]
-        cells = rng.choice([1, 3 * w, None])
-        assert_corpus_runs_match(documents, w, tau, scheme, block_cells=cells)
+    # -- the corpus kernel's block and width seams: named cases of
+    # test_seams.cross_seams, which holds the runs' columns and counters to
+    # index_document's, one document at a time.
+    def test_corpus_runs_match_index_document(self):
+        cross_seams(seam_case(k_max=4, m=3, bulk_cells=1))  # a block per cell
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 1_000_000), k=st.integers(1, 4), m=st.integers(1, 3))
-    def test_corpus_runs_all_k_with_duplicates(self, seed, k, m):
-        # Non-partitioned k-wise (Section 7.2) over a tiny vocabulary:
-        # every group is duplicate-heavy, combinations repeat.
-        rng = random.Random(seed)
-        scheme = PartitionScheme.all_k(4, k, m=m)
-        w = rng.randint(2, 8)
-        tau = rng.randint(0, w - 1)
-        documents = [
-            [rng.randrange(4) for _ in range(rng.randint(0, 30))] for _ in range(3)
-        ]
-        assert_corpus_runs_match(documents, w, tau, scheme, block_cells=rng.choice([1, None]))
+    def test_corpus_runs_all_k_with_duplicates(self):
+        # Non-partitioned k-wise over four tokens: every group repeats.
+        cross_seams(seam_case(size=4, k_max=4, m=2, borders=(0, 0, 0)))
 
     @pytest.mark.parametrize(
-        "tau, m, lengths, draw",
-        [
-            (5, 1, (480, 12, 50, 310, 0, 49), "head"),
-            (5, 2, (480, 12, 50, 310, 0, 49), "head"),
-            (25, suggested_subpartitions(25), (120, 12, 50, 90, 0, 49), "upper"),
-        ],
-        ids=["tau5-m1", "tau5-m2", "tau25-m6"],
+        "tau, m", [(5, 1), (5, 2), (25, 6)], ids=["tau5-m1", "tau5-m2", "tau25-m6"]
     )
-    def test_corpus_runs_across_block_seams(self, tau, m, lengths, draw):
-        # The benchmark's shape cut by seams inside each document, with
-        # short documents and ranks below zero between them: the runs and
-        # the Eq. 2 comparisons join across every seam.  At tau = 25 the
-        # prefix bound (62) passes w = 50, so the table holds whole
-        # windows; ranks of classes 3 and 4 only ("upper") spread them
-        # over many small groups, and about half the windows never reach
-        # coverage, each its own prefix.
-        rng = random.Random(7)
-        universe = 2000
-        scheme = PartitionScheme(universe_size=universe, borders=(1500, 1850, 1960), m=m)
-        documents = []
-        for length in lengths:
-            ranks = [
-                universe - min(universe, int(rng.paretovariate(0.6)))
-                if draw == "head" else rng.randrange(1850, universe)
-                for _ in range(length)
-            ]
-            for _ in range(length // 60):
-                ranks[rng.randrange(length)] = rng.choice([-1, -2, OOV_RANK])
-            documents.append(ranks)
-        whole = assert_corpus_runs_match(documents, 50, tau, scheme)
-        for cells in (50, 7 * 50, 64 * 50 + 1):
-            assert corpus_runs(documents, 50, tau, scheme, cells) == whole
+    def test_corpus_runs_across_block_seams(self, tau, m):
+        # At tau = 25 the prefix bound (62) passes w = 50, so the table
+        # holds whole windows; seams fall inside every long document, and
+        # classes start on ranks the documents hold.
+        lengths = [120, 12, 50, 75, 0, 49]
+        cross_seams(seam_case(
+            w=50, tau=tau, k_max=4, m=m, lengths=lengths, borders=(30, 36, 38), bulk_cells=7 * 50
+        ))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_corpus_runs_are_width_invariant(self, m):
-        # The same ranks, lazily admitted negative ones among them, in an
-        # int16, an int32 and an int64 column: one set of runs and
-        # counters, and one set of index columns, stored at int16.
-        rng = random.Random(11)
-        universe = 2000
-        scheme = PartitionScheme(universe_size=universe, borders=(1500, 1850, 1960), m=m)
-        documents = []
-        for length in (480, 12, 50, 310, 0, 49):
-            ranks = [universe - min(universe, int(rng.paretovariate(0.6))) for _ in range(length)]
-            for _ in range(length // 60):
-                ranks[rng.randrange(length)] = rng.choice([-1, -2, -3])
-            documents.append(ranks)
-        packed = PackedRankDocs.from_lists(documents)
-        assert packed._values.dtype == np.int16
-        runs, columns = [], []
-        for dtype in (np.int16, np.int32, np.int64):
-            runs.append(corpus_runs(documents, 50, 5, scheme, 7 * 50, dtype=dtype))
-            index = CompactIntervalIndex.from_rank_docs(
-                PackedRankDocs(packed._offsets, packed._values.astype(dtype)), 50, 5, scheme
-            )
-            columns.append({name: (c.dtype.str, c.tobytes()) for name, c in index.to_arrays()[1].items()})
-            assert index.build_stats == dict(runs[-1][1])
-        assert runs[0] == runs[1] == runs[2]
-        assert columns[0] == columns[1] == columns[2]
-        assert columns[0]["docs"][0] == np.dtype(np.int16).str
+        # int16 ranks, lazily admitted ones among them, built at every width.
+        cross_seams(seam_case(m=m, late=[12, 30]))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_group_starts_place_every_rank_as_group_key(self, m):
-        # Class 2 is narrower than m = 3, class 3 is empty: a rank's group
-        # is the number of group starts at or below it.
-        scheme = PartitionScheme(universe_size=20, borders=(3, 5, 5, 12), m=m)
-        starts, classes = bulk._group_starts(scheme)
-        keys = [m] + list(range(2 * m, (scheme.k_max + 1) * m))
-        assert list(classes) == [key // m for key in keys]
-        for rank in range(-2, scheme.universe_size + 2):
-            group = int(np.searchsorted(starts, rank, side="right"))
-            assert keys[group] == scheme.group_key(rank), rank
-
+        # Class 2 is narrower than m = 3, class 3 is empty; w = 20 is
+        # below Theorem 2's bound at m > 1, so those cases build only.
+        cross_seams(seam_case(w=20, size=20, k_max=5, m=m, borders=(3, 5, 5, 12)))
 
 class TestCornerCases:
     """Slides at the prefix boundary ``b`` (k_max=1, tau=1: the prefix

@@ -12,33 +12,11 @@ from hypothesis import strategies as st
 
 from repro.corpus import DocumentCollection
 from repro.ordering import GlobalOrder
-from repro.ordering.global_order import _BLOCK_TOKENS, window_frequencies
+from repro.ordering.global_order import window_frequencies
 from repro.routing import FingerprintTier
 from repro.tokenize import Vocabulary
 
-
-def brute_window_frequencies(data, w):
-    freq = [0] * len(data.vocabulary)
-    for document in data:
-        n = len(document)
-        for token in range(len(data.vocabulary)):
-            freq[token] += sum(
-                1
-                for start in range(max(0, n - w + 1))
-                if token in document.tokens[start : start + w]
-            )
-    return freq
-
-
-def per_document_window_frequencies(data, w):
-    """Every window of every document, one set of tokens each."""
-    freq = [0] * len(data.vocabulary)
-    for document in data:
-        tokens = document.tokens
-        for start in range(len(tokens) - w + 1):
-            for token in set(tokens[start : start + w]):
-                freq[token] += 1
-    return freq
+from .test_seams import cross_seams, seam_case
 
 
 class TestWindowFrequencies:
@@ -65,41 +43,15 @@ class TestWindowFrequencies:
         assert freq[data.vocabulary.id_of("a")] == 2
         assert freq[data.vocabulary.id_of("b")] == 1
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 8))
-    def test_matches_brute_force(self, seed, w):
-        rng = random.Random(seed)
-        data = DocumentCollection()
-        for _ in range(rng.randint(1, 3)):
-            length = rng.randint(1, 25)
-            data.add_tokens([f"t{rng.randrange(6)}" for _ in range(length)])
-        assert window_frequencies(data, w).tolist() == brute_window_frequencies(data, w)
+    # The block seams: named cases of test_seams.cross_seams, which holds
+    # the counts to the per-document count and the order to its key.
+    def test_matches_brute_force(self):
+        cross_seams(seam_case(w=1, tau=0, k_max=1, m=1, size=6, order_tokens=1))
 
     @pytest.mark.parametrize("vocabulary_size", [300, 40_000])
     def test_blocks_match_the_per_document_count(self, vocabulary_size):
-        # More than two blocks of tokens, one document longer than a
-        # block, documents shorter than w between them; 40,000 names
-        # take the int32 token column.  Tokens come from a pool of 60
-        # so that they repeat within windows, the high ids among them.
-        rng = random.Random(vocabulary_size)
-        data = DocumentCollection(
-            vocabulary=Vocabulary(f"t{i}" for i in range(vocabulary_size))
-        )
-        pool = rng.sample(range(vocabulary_size), 59) + [vocabulary_size - 1]
-        lengths = [rng.choice([0, 3, 7, 40, 300, 900]) for _ in range(260)]
-        lengths[60] = _BLOCK_TOKENS + 7
-        for length in lengths:
-            data.add_token_ids([rng.choice(pool) for _ in range(length)])
-        assert data.total_tokens() > 2 * _BLOCK_TOKENS
-        for w in (1, 7):
-            freq = window_frequencies(data, w).tolist()
-            assert freq == per_document_window_frequencies(data, w)
-        # The order is the one by (frequency, name): "t10" before "t9".
-        order = GlobalOrder(data, 7)
-        token_of = data.vocabulary.token_of
-        assert order._token_of_rank == sorted(
-            range(vocabulary_size), key=lambda t: (freq[t], token_of(t))
-        )
+        # 40,000 names take the int32 token column.
+        cross_seams(seam_case(size=vocabulary_size))
 
 
 class TestSetupMemory:

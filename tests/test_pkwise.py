@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from repro import ConfigurationError, SearchParams
 from repro.core.base import SearchStats
-from repro.core.pkwise import (
-    DEFAULT_FREQ_HIGH,
-    DEFAULT_FREQ_LOW,
-    PKWiseSearcher,
-    default_scheme,
-)
+from repro.core.pkwise import PKWiseSearcher, default_scheme
 from repro.core.pkwise_nonint import PKWiseNonIntervalSearcher
 from repro.corpus import DocumentCollection
 from repro.errors import SearchCancelled
@@ -25,6 +20,7 @@ from repro.partition.scheme import PartitionScheme
 from repro.signatures.maintain import SignatureStream
 
 from .conftest import expected_pairs, pairs_as_set, random_collection
+from .test_seams import cross_seams, seam_case
 
 
 class TestPaperExample1:
@@ -112,78 +108,21 @@ class TestSchemes:
         )
 
 
-def per_rank_borders(params, order, freq_low, freq_high):
-    """``default_scheme``'s borders by walking the ranks one at a time."""
-    size, k_max = order.universe_size, params.k_max
-    if k_max == 1 or size == 0:
-        return ()
-    borders, rank = [], 0
-    for class_index in range(2, k_max + 1):
-        fraction = 0.0 if k_max == 2 else (class_index - 2) / (k_max - 2)
-        threshold = freq_low * (freq_high / freq_low) ** fraction
-        while rank < size and order.relative_frequency_of_rank(rank) < threshold:
-            rank += 1
-        borders.append(rank)
-    return tuple(borders)
-
-
 class TestSetupParity:
     """The array set-up gives what the per-rank and per-document loops
-    gave: the default scheme's borders and a shared order's rank column."""
+    gave: named cases of ``test_seams.cross_seams``, which holds the
+    default scheme's borders and a shared order's ranks to those loops."""
 
     @pytest.mark.parametrize("k_max", [1, 2, 4])
-    def test_default_scheme_borders(self, small_corpus, k_max):
-        params = SearchParams(w=10, tau=2, k_max=k_max)
-        order = GlobalOrder(small_corpus, 10)
-        relative = order.relative_frequency_of_rank
-        # The last rank of a frequency several ranks share.
-        tied = max(r for r in range(1, order.universe_size) if relative(r) == relative(r - 1))
-        exact = relative(tied)
-        spans = [
-            (DEFAULT_FREQ_LOW, DEFAULT_FREQ_HIGH),
-            (exact, order.relative_frequency_of_rank(order.universe_size - 1)),
-            (0.3, 0.01),  # descending thresholds
-        ]
-        for low, high in spans:
-            scheme = default_scheme(params, order, low, high)
-            assert scheme.borders == per_rank_borders(params, order, low, high)
-            assert all(type(border) is int for border in scheme.borders)
-        if k_max > 1:
-            # The first threshold is ``exact`` itself: the class starts
-            # at the first rank of that frequency, not after it.
-            border = default_scheme(params, order, *spans[1]).borders[0]
-            assert border < tied and relative(border) == exact
-            assert relative(border - 1) < exact
+    def test_default_scheme_borders(self, k_max):
+        cross_seams(seam_case(k_max=k_max, m=1))
 
     @pytest.mark.parametrize("k_max", [1, 2, 4])
     def test_default_scheme_without_data_windows(self, k_max):
-        data = DocumentCollection()
-        data.add_text("too short")
-        params = SearchParams(w=10, tau=2, k_max=k_max)
-        order = GlobalOrder(data, 10)
-        assert order.num_data_windows == 0 and order.universe_size == 2
-        scheme = default_scheme(params, order)
-        assert scheme.borders == per_rank_borders(
-            params, order, DEFAULT_FREQ_LOW, DEFAULT_FREQ_HIGH
-        ) == (2,) * (k_max - 1)
+        cross_seams(seam_case(w=10, k_max=k_max, m=1, lengths=[9, 0, 2]))
 
-    def test_shared_order_ranks_like_rank_document(self, small_corpus):
-        # An order built on one collection, then a second collection over
-        # the same vocabulary whose new words arrive after it was built:
-        # they are admitted lazily, in order of first occurrence.
-        params = SearchParams(w=10, tau=2, k_max=2)
-        reference = GlobalOrder(small_corpus, 10)
-        shared = GlobalOrder(small_corpus, 10)
-        later = DocumentCollection(vocabulary=small_corpus.vocabulary)
-        for text in ("new1 the new2 new1 of", "x new3 new2 y", "new4 " * 12):
-            later.add_text(text)
-        for document in small_corpus:
-            later.add_token_ids(document.tokens[::-1])
-        want = [reference.rank_document(document) for document in later]
-        searcher = PKWiseSearcher(later, params, order=shared)
-        assert list(searcher.rank_docs) == want
-        assert list(shared._extra_ranks.items()) == list(reference._extra_ranks.items())
-        assert len(shared._extra_ranks) == len(later.vocabulary) - shared.universe_size > 0
+    def test_shared_order_ranks_like_rank_document(self):
+        cross_seams(seam_case(late=[12, 30, 5]))
 
 
 class TestEdgeCases:

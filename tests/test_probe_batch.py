@@ -21,10 +21,10 @@ from repro.core.pkwise import PKWiseSearcher
 from repro.index import compact as compact_module
 from repro.index.compact import CompactIntervalIndex
 from repro.index.intervals import ProbeBatch
-from repro.ordering.global_order import OOV_RANK
 from repro.signatures.generate import signature_hash, signature_hashes
 
 from .conftest import pairs_as_set, probe_runs, reference_index
+from .test_seams import cross_seams, seam_case
 
 
 class TestSignatureHashes:
@@ -64,20 +64,9 @@ class TestSignatureHashes:
         assert signature_hashes(matrix, lengths).tolist() == want
 
     def test_rank_matrix_width_is_invisible(self):
-        # The build hashes signatures straight off its rank table, at the
-        # rank column's width: an int16, an int32 and an int64 matrix of
-        # the same ranks, lazily admitted negative ones included, hash
-        # alike; OOV_RANK only fits the int64 one.
-        rng = np.random.default_rng(3)
-        matrix = rng.integers(-3, 20_000, size=(200, 4))
-        lengths = rng.integers(1, 5, size=200)
-        want = [signature_hash(tuple(row[:n])) for row, n in zip(matrix.tolist(), lengths)]
-        for dtype in (np.int16, np.int32, np.int64):
-            assert signature_hashes(matrix.astype(dtype), lengths).tolist() == want
-        matrix[::7, 0] = OOV_RANK
-        assert signature_hashes(matrix, lengths).tolist() == [
-            signature_hash(tuple(row[:n])) for row, n in zip(matrix.tolist(), lengths)
-        ]
+        # A named case of test_seams.cross_seams: the build hashes off its
+        # rank table at int16, int32 and int64 alike.
+        cross_seams(seam_case())
 
     def test_empty_input(self):
         assert len(signature_hashes([])) == 0

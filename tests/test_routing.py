@@ -8,9 +8,9 @@ The contract under test:
   edge of the budget derivation.
 * **Producer** — :meth:`FingerprintTier.from_rank_docs` (and
   :meth:`~FingerprintTier.add`, which goes through it) writes, byte for
-  byte, the covers of the layout's definition kept here as
-  :func:`reference_cover_lanes`, whatever the rank column's width and
-  wherever its chunk seams fall.
+  byte, the covers of the layout's definition, whatever the rank
+  column's width and wherever its chunk seams fall: ``test_seams.py``
+  holds it to ``reference_cover_lanes``, here at named cases.
 * **Survivors** — the fingerprint tier keeps every document with a true
   match and prunes documents that share no token with the query.  The
   whole-array kernel returns, bit for bit, the mask of the per-window
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
 import tracemalloc
 import urllib.request
 import zlib
@@ -47,37 +46,13 @@ from repro import (
 )
 from repro.core.pkwise import PKWiseSearcher
 from repro.errors import IndexStateError
-from repro.index.compact import PackedRankDocs
-from repro.ordering.global_order import OOV_RANK
 from repro.persistence import read_envelope, write_envelope
 from repro.routing import ROUTING_MODES, FingerprintTier, fingerprints
-from repro.routing.fingerprints import (
-    _CHUNK_BLOCKS,
-    _CHUNK_TOKENS,
-    FINGERPRINT_BITS,
-    LANES,
-    missing_bit_budget,
-)
+from repro.routing.fingerprints import FINGERPRINT_BITS, missing_bit_budget
 from repro.service import SearchService, serve_http
 
 from .conftest import expected_pairs, make_corpus, make_queries, pairs_as_set, serving
-
-
-def reference_cover_lanes(ranks, block_len):
-    """One document's ``cover_lanes`` rows by the layout's definition.
-
-    Tumbling blocks of ``block_len`` tokens, each the OR of its tokens'
-    lanes; a cover per pair of consecutive blocks, their OR; a document
-    of one block keeps that block, an empty one has no row.
-    """
-    lanes = fingerprints._token_lanes(np.asarray(ranks, dtype=np.int64).view(np.uint64))
-    blocks = [
-        np.bitwise_or.reduce(lanes[start : start + block_len], axis=0)
-        for start in range(0, len(lanes), block_len)
-    ]
-    if len(blocks) > 1:
-        blocks = [left | right for left, right in zip(blocks, blocks[1:])]
-    return np.array(blocks, dtype=np.uint64).reshape(-1, LANES)
+from .test_seams import cross_seams, seam_case
 
 
 def reference_survivors(tier, query_ranks, *, w, tau):
@@ -264,29 +239,8 @@ class TestFingerprintTier:
             loaded.add([1, 2, 3])
 
     def test_covers_are_width_invariant(self):
-        # One rank column at int16, int32 and int64, a lazily admitted
-        # (negative) rank in it: the same covers, and the counts stored
-        # at the narrowest width that holds them, which from_arrays
-        # reads like the int64 column older files hold.
-        _, _, rank_docs, _ = self._tier_and_corpus()
-        lists = [list(ranks) for ranks in rank_docs]
-        lists[1][3] = -2
-        packed = PackedRankDocs.from_lists(lists)
-        stored = []
-        for dtype in (np.int16, np.int32, np.int64):
-            column = PackedRankDocs(packed._offsets, packed._values.astype(dtype))
-            arrays = FingerprintTier.from_rank_docs(column, block_len=16).to_arrays()
-            stored.append({name: (a.dtype, a.tobytes()) for name, a in arrays.items()})
-        assert stored[0] == stored[1] == stored[2]
-        assert stored[0]["cover_counts"][0] == np.int16
-        query = lists[1][:40]
-        masks = [
-            FingerprintTier.from_arrays(
-                {**arrays, "cover_counts": arrays["cover_counts"].astype(dtype)}, block_len=16
-            ).survivors(query, w=8, tau=2)
-            for dtype in (np.int16, np.int64)
-        ]
-        assert masks[0][1] and np.array_equal(masks[0], masks[1])
+        # A named case of test_seams.cross_seams: covers at every width.
+        cross_seams(seam_case(block_len=16, late=[12, 30]))
 
     def test_exact_budget_derivation(self):
         assert missing_bit_budget(0) == 0
@@ -295,72 +249,24 @@ class TestFingerprintTier:
 
 # ----------------------------------------------------------------------
 class TestFingerprintProducer:
-    """:meth:`FingerprintTier.from_rank_docs` against
-    :func:`reference_cover_lanes`, document by document."""
-
-    @staticmethod
-    def assert_covers(tier, documents, block_len):
-        want = [reference_cover_lanes(ranks, block_len) for ranks in documents]
-        compiled = tier._compile()
-        assert compiled.cover_counts.tolist() == [len(rows) for rows in want]
-        assert compiled.cover_lanes.dtype == np.uint64
-        assert (
-            compiled.cover_lanes.tobytes()
-            == np.concatenate([np.zeros((0, LANES), np.uint64), *want]).tobytes()
-        )
+    """:meth:`FingerprintTier.from_rank_docs` at its edges and chunk
+    seams: named cases of ``test_seams.cross_seams``, which holds its
+    covers, at every width and added one at a time, to the definition."""
 
     @pytest.mark.parametrize("w, block_len", [(8, 16), (16, 16), (1, 1), (5, 7)])
     def test_edge_lengths_and_column_widths(self, w, block_len):
-        # Empty documents, documents shorter than w, exact multiples of
-        # block_len (block_len == w in the second case), and negative
-        # lazily admitted ranks, in int16, int32 and int64 columns.
-        rng = random.Random(w * 100 + block_len)
+        # Empty documents, shorter than w, and multiples of block_len.
         lengths = [0, 1, w - 1, block_len, 2 * block_len, 3 * block_len,
-                   block_len + 1, 0, 5 * block_len - 1, 0]
-        documents = [[rng.randrange(-4, 300) for _ in range(n)] for n in lengths]
-        packed = PackedRankDocs.from_lists(documents)
-        stored = []
-        for dtype in (np.int16, np.int32, np.int64):
-            column = PackedRankDocs(packed._offsets, packed._values.astype(dtype))
-            tier = FingerprintTier.from_rank_docs(column, block_len=block_len)
-            self.assert_covers(tier, documents, block_len)
-            stored.append(tier.to_arrays()["cover_lanes"].tobytes())
-        assert stored[0] == stored[1] == stored[2]
-        # The lists themselves (packed first), and the same documents
-        # added one at a time onto an open tier, write the same rows.
-        self.assert_covers(
-            FingerprintTier.from_rank_docs(documents, block_len=block_len),
-            documents, block_len,
-        )
-        grown = FingerprintTier(block_len=block_len)
-        for ranks in documents:
-            grown.add(ranks)
-        self.assert_covers(grown, documents, block_len)
+                   block_len + 1, 0, 5 * block_len - 1]
+        cross_seams(seam_case(w=w, tau=min(2, w - 1), lengths=lengths, block_len=block_len))
 
     def test_oov_sentinel_and_admitted_ranks(self):
-        documents = [[OOV_RANK, 3, -1, -2, OOV_RANK] * 7, [OOV_RANK], [-5] * 40]
-        packed = PackedRankDocs.from_lists(documents)
-        assert packed._values.dtype == np.int64
-        tier = FingerprintTier.from_rank_docs(packed, block_len=16)
-        self.assert_covers(tier, documents, 16)
-        tier.add([OOV_RANK, 9, 9])
-        self.assert_covers(tier, [*documents, [OOV_RANK, 9, 9]], 16)
+        cross_seams(seam_case(oov=True, late=[12, 30]))
 
     def test_documents_straddle_the_chunk_bounds(self):
-        # More than two chunks' worth of tokens and of blocks, one
-        # document longer than a chunk (a chunk of its own), empty and
-        # one-block documents between them.
-        rng = random.Random(3)
-        block_len = 16
-        lengths = [rng.choice([0, 1, 15, 16, 17, 50, 130]) for _ in range(1500)]
-        lengths[700] = _CHUNK_TOKENS + 33
-        documents = [[rng.randrange(5000) for _ in range(n)] for n in lengths]
-        assert sum(lengths) > 2 * _CHUNK_TOKENS
-        assert sum(-(-n // block_len) for n in lengths) > 2 * _CHUNK_BLOCKS
-        packed = PackedRankDocs.from_lists(documents)
-        tier = FingerprintTier.from_rank_docs(packed, block_len=block_len, doc_lo=4)
-        assert tier.ndocs == len(documents) and tier.doc_lo == 4
-        self.assert_covers(tier, documents, block_len)
+        # A document longer than a chunk in tokens and in blocks, empty
+        # and one-block documents between them.
+        cross_seams(seam_case(lengths=[0, 4, 90, 1, 0, 17, 40], chunk_tokens=30, chunk_blocks=3))
 
 
 # ----------------------------------------------------------------------
