@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Section table of a snapshot, read from its TOC; guards the ``data``
-header and the width of every integer column.
+header, the width of every integer column and that each per-token
+table is stored once.
 
     PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT]
 
@@ -15,12 +16,20 @@ store's ``MANIFEST`` and each of its segment files.  Exit 1 when
   store them twice;
 * an integer array section is wider than its values need: every stored
   integer column is the narrowest of int16, int32 and int64 that holds
-  it (``repro.index.compact._packed_column``).
+  it (``repro.index.compact._packed_column``);
+* a pickled section stores a per-token table beside its inverse: the
+  vocabulary pickles its token list, not ``_id_of``, and the order its
+  ``_token_of_rank``, not ``_rank_of_token``;
+* a live store's segment stores an ``order`` or ``data``: the store's
+  ``MANIFEST`` holds its one copy of the order and the vocabulary.
 
-A file with a rank column also prints its bytes per corpus token.
+A file with a rank column also prints its bytes per corpus token, and
+the live store its total (``MANIFEST``, segments and WAL) per token of
+the corpus it took in.
 """
 
 import pickle
+import pickletools
 import sys
 import tempfile
 from pathlib import Path
@@ -28,15 +37,16 @@ from pathlib import Path
 from repro import Index, make_profile_collection
 from repro.index.compact import _packed_column
 from repro.ingest.manifest import manifest_path
-from repro.persistence import read_envelope
+from repro.persistence import read_envelope, read_toc
 
 SLACK = 1024
 
+#: Attributes that are another pickled table's inverse: derived on load.
+INVERSES = {"_id_of", "_rank_of_token"}
 
-def main(path: Path) -> int:
-    with open(path, "rb") as handle:
-        handle.seek(16)  # past the magic
-        toc = pickle.loads(handle.read(int.from_bytes(handle.read(8), "little")))
+
+def main(path: Path, segment: bool = False) -> int:
+    toc = read_toc(path)
     entries = {**toc["pickled"], **toc["arrays"]}
     total = sum(entry["length"] for entry in entries.values())
     for name, entry in entries.items():
@@ -54,6 +64,20 @@ def main(path: Path) -> int:
     if stored > parts + SLACK:
         print(f"FAIL: data carries {stored - parts:,d} B beyond its header", file=sys.stderr)
         status = 1
+    if segment and (sections["order"] is not None or sections["data"] is not None):
+        print(f"FAIL: segment {path.name} stores an order or data; its MANIFEST "
+              f"holds the store's one copy", file=sys.stderr)
+        status = 1
+    # Sections start at the first 64-byte boundary past magic, length and TOC.
+    blob = path.read_bytes()
+    start = (24 + int.from_bytes(blob[16:24], "little") + 63) // 64 * 64
+    for name, entry in toc["pickled"].items():
+        payload = blob[start + entry["offset"]:start + entry["offset"] + entry["length"]]
+        names = {arg for _op, arg, _at in pickletools.genops(payload) if isinstance(arg, str)}
+        for inverse in sorted(INVERSES & names):
+            print(f"FAIL: {path.name}'s {name} stores {inverse} beside its inverse",
+                  file=sys.stderr)
+            status = 1
     for name, array in arrays.items():
         narrow = _packed_column(array).dtype if array.dtype.kind == "i" else array.dtype
         if narrow != array.dtype:
@@ -84,8 +108,14 @@ if __name__ == "__main__":
         live.remove(0)
         live.compact()
         live.close()
-        for path in [manifest_path(Path(scratch, "live")),
-                     *sorted(Path(scratch, "live").glob("segment.g*.idx"))]:
+        store = Path(scratch, "live")
+        print()
+        status |= main(manifest_path(store))
+        for path in sorted(store.glob("segment.g*.idx")):
             print()
-            status |= main(path)
+            status |= main(path, segment=True)
+        stored = sum(path.stat().st_size for path in store.iterdir())
+        print(f"\nlive store: {stored:,d} B (MANIFEST, segments, WAL) for "
+              f"{corpus.total_tokens():,d} corpus tokens: "
+              f"{stored / corpus.total_tokens():.3f} B per token")
         sys.exit(status)

@@ -173,9 +173,9 @@ class PKWiseSearcher:
         ``index_epoch`` restore tombstones and the cache epoch of a
         snapshotted searcher.  ``routing_tier`` is the fingerprint
         routing slot: ``"auto"`` (the default) builds lazily from
-        ``rank_docs`` on the first routed query, an explicit
-        :class:`~repro.routing.FingerprintTier` is used as-is (the
-        snapshot loader's mmap path), and ``None`` marks routing unavailable —
+        ``rank_docs`` on the first routed query, an explicit tier (a
+        :class:`~repro.routing.FingerprintTier`, the snapshot loader's
+        mmap path) is used as-is, and ``None`` marks routing unavailable —
         a routed query raises
         :class:`~repro.errors.RoutingUnavailableError`.
         """
@@ -249,7 +249,10 @@ class PKWiseSearcher:
         query, or a snapshot save under a routing mode — builds it from
         the rank column (:meth:`FingerprintTier.from_rank_docs`) and
         keeps it in the slot; the build is deterministic, so serial,
-        fork, and spawn workers reconstruct byte-identical tiers.
+        fork, and spawn workers reconstruct byte-identical tiers.  Any
+        other tier in the slot (a
+        :class:`~repro.ingest.tiered.TieredFingerprints` too) is used as
+        given.
         """
         tier = self._routing_tier
         if tier is None:
@@ -258,7 +261,7 @@ class PKWiseSearcher:
                 "with a routing policy (mode != 'off') or query with "
                 "routing mode 'off'"
             )
-        if not isinstance(tier, FingerprintTier):
+        if tier == "auto":
             tier = self._routing_tier = FingerprintTier.from_rank_docs(
                 self.rank_docs, **self.params.routing.layout(self.params.w)
             )

@@ -6,9 +6,12 @@ cover, the tombstones accumulated against that prefix, and the first
 WAL generation whose records are *not* yet folded into a segment.  It
 is a header, like a snapshot's ``data`` section: the tokenizer, the one
 vocabulary, document names and the global order without its vocabulary
-(:meth:`~repro.ordering.GlobalOrder.detached`).  It holds no document — the
-segments' rank columns are the sealed documents, and their list must
-tile ``[0, next_doc_id)`` exactly.  The recovery invariant is::
+(:meth:`~repro.ordering.GlobalOrder.detached`).  That order is the
+store's one copy: a segment file stores none, and
+:meth:`~repro.ingest.store.IngestStore.open` hands it to each segment's
+load.  It holds no document — the segments' rank columns are the sealed
+documents, and their list must tile ``[0, next_doc_id)`` exactly.  The
+recovery invariant is::
 
     manifest state  +  replay of WAL generations >= wal_generation
         ==  pre-crash live state   (pair-identical query results)
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..persistence import PersistenceError, read_envelope, write_envelope
+from ..persistence import PersistenceError, read_envelope, read_toc, write_envelope
 
 MANIFEST_NAME = "MANIFEST"
 MANIFEST_KIND = "ingest-manifest"
@@ -114,10 +117,28 @@ def write_manifest(directory: str | Path, state: ManifestState) -> None:
     )
 
 
+def _format_version(path: Path):
+    """The envelope format version in ``path``'s TOC, or None."""
+    try:
+        return read_toc(path).get("version")
+    except PersistenceError:
+        return None
+
+
 def read_manifest(directory: str | Path) -> ManifestState:
     """Load and validate the manifest of an ingest directory."""
     path = manifest_path(directory)
-    header, sections, _arrays = read_envelope(path, MANIFEST_KIND)
+    try:
+        header, sections, _arrays = read_envelope(path, MANIFEST_KIND)
+    except PersistenceError:
+        if _format_version(path) == 4:
+            raise PersistenceError(
+                f"{path} was written by repro 3.1.x, whose segments each "
+                f"stored the order and vocabulary again, and repro 3.1.1 "
+                f"reads it — re-ingest the corpus into a new directory to "
+                f"open it with this release"
+            ) from None
+        raise
     data = sections["data"]
     if not isinstance(data, dict):
         raise PersistenceError(

@@ -294,7 +294,9 @@ class IngestStore:
         segments = []
         for record in state.segments:
             path = directory / record["file"]
-            segment = load_bundle(path, fallback=False, mmap=True).searcher
+            segment = load_bundle(
+                path, fallback=False, mmap=True, order=state.order
+            ).searcher
             if len(segment.rank_docs) != record["doc_hi"] - record["doc_lo"]:
                 raise PersistenceError(
                     f"{path} holds {len(segment.rank_docs)} docs, the "
@@ -745,11 +747,9 @@ class IngestStore:
         path = fingerprints = None
         snapshot = self._snapshot
         if self.directory is not None:
-            # An ids-only snapshot: its order keeps its own vocabulary.
+            # No order: the manifest holds the store's one copy.
             segment_searcher = PKWiseSearcher.from_prebuilt(
-                self.params,
-                snapshot.order.snapshot(snapshot.header["vocabulary"]),
-                self.scheme, compact_index, packed,
+                self.params, None, self.scheme, compact_index, packed,
             )
             faults.inject(
                 "ingest.compact", phase="segment", generation=generation

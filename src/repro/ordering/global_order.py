@@ -110,6 +110,14 @@ def _count_block(tokens: np.ndarray, lengths: np.ndarray, w: int, freq: np.ndarr
     freq[tokens[starts]] += np.add.reduceat(new_windows, starts, dtype=np.int64)
 
 
+def _inverse(permutation: np.ndarray) -> list[int]:
+    """The inverse of a permutation of ``range(len(permutation))``: one
+    scatter."""
+    inverse = np.empty(len(permutation), dtype=np.int64)
+    inverse[permutation] = np.arange(len(permutation))
+    return inverse.tolist()
+
+
 class GlobalOrder:
     """The total order O: token id -> dense rank.
 
@@ -131,9 +139,7 @@ class GlobalOrder:
             sorted(range(len(freq)), key=data.vocabulary.token_of), dtype=np.int64
         )
         order = by_name[np.argsort(freq[by_name], kind="stable")]
-        rank_of_token = np.empty(len(freq), dtype=np.int64)
-        rank_of_token[order] = np.arange(len(freq))
-        self._rank_of_token: list[int] = rank_of_token.tolist()
+        self._rank_of_token: list[int] = _inverse(order)
         self._token_of_rank: list[int] = order.tolist()
         self._freq_of_rank: list[int] = freq[order].tolist()
         self._built_size = len(freq)
@@ -228,6 +234,19 @@ class GlobalOrder:
         clone = self.snapshot()
         clone._vocabulary = None
         return clone
+
+    def __getstate__(self) -> dict:
+        """A pickle stores ``_token_of_rank`` and ``_freq_of_rank``, not
+        ``_rank_of_token``: that is their inverse, derived on load."""
+        state = dict(self.__dict__)
+        del state["_rank_of_token"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._rank_of_token = _inverse(
+            np.fromiter(self._token_of_rank, np.int64, len(self._token_of_rank))
+        )
 
     def rank_sequence(self, tokens: Sequence[int]) -> list[int]:
         """Map a token-id sequence to its rank sequence.

@@ -21,6 +21,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from ..errors import PartitioningError
 
 
@@ -140,4 +142,13 @@ class PartitionScheme:
 
 @lru_cache(maxsize=64)
 def _key_table(scheme: PartitionScheme) -> list[int]:
-    return [scheme.group_key(rank) for rank in range(scheme.universe_size)]
+    """One ``searchsorted`` over the group starts: group ``g`` is class
+    1's (key ``m``) at 0, else key ``2m + g - 1``."""
+    # Imported here: the bulk kernel imports this module.
+    from ..signatures.bulk import _group_starts
+
+    starts, _classes = _group_starts(scheme)
+    groups = np.searchsorted(
+        np.asarray(starts, dtype=np.int64), np.arange(scheme.universe_size), side="right"
+    )
+    return np.where(groups == 0, scheme.m, groups + (2 * scheme.m - 1)).tolist()

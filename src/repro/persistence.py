@@ -18,7 +18,10 @@ snapshot's index and rank columns are stored as raw typed arrays, so
 one page cache.  A snapshot holds its corpus once: the rank columns
 are the documents (the global order is a bijection), so ``data`` is a
 header — tokenizer, vocabulary, names — and the loaded collection reads
-tokens back through the ranks.  Every
+tokens back through the ranks.  Each per-token table is stored once, too:
+the vocabulary pickles its token list and the order its rank tables,
+and each rebuilds the inverse on load; a live-store segment stores no
+order at all (its ``MANIFEST`` holds the store's one copy).  Every
 section, pickled or raw, carries a BLAKE2b payload digest in the TOC,
 so a flipped bit on disk surfaces as a typed :class:`PersistenceError`
 naming the corrupt section — never a pickle error or silently wrong
@@ -59,7 +62,10 @@ from .index.compact import CompactIntervalIndex, PackedRankDocs
 from .routing import FingerprintTier
 
 _MAGIC = b"repro-envelope-3"  # exactly 16 bytes
-_TOC_VERSION = 4  # 4: a snapshot's "data" section is a header, not documents
+#: 4: a snapshot's "data" section is a header, not documents.  5: no
+#: per-token table is stored beside its inverse, and a live-store
+#: segment stores no order (its ``MANIFEST`` holds the one copy).
+_TOC_VERSION = 5
 _HEAD_SIZE = len(_MAGIC) + 8  # magic + TOC length
 _ALIGN = 64
 _INDEX_KIND = "pkwise-index"
@@ -167,6 +173,50 @@ def write_envelope(
     _atomic_write(path, serialize)
 
 
+def _open_envelope(path: Path, kind: str):
+    if not path.exists():
+        raise PersistenceError(f"{kind} file {path} does not exist")
+    return open(path, "rb")
+
+
+def _read_toc(handle, path: Path, kind: str) -> tuple[dict, int]:
+    """``(toc, its length)`` from an envelope opened at byte 0."""
+    if handle.read(len(_MAGIC)) != _MAGIC:
+        raise PersistenceError(
+            f"{path} is not a repro 2.0 {kind} file; files written by "
+            f"1.x releases are not migrated — rebuild it with this "
+            f"release (repro index / repro ingest)"
+        )
+    try:
+        toc_length = int.from_bytes(handle.read(8), "little")
+        toc = pickle.loads(handle.read(toc_length))
+    except Exception as exc:
+        raise PersistenceError(
+            f"cannot read {kind} file {path}: malformed TOC: {exc}"
+        ) from exc
+    if not isinstance(toc, dict):
+        raise PersistenceError(f"cannot read {kind} file {path}: malformed TOC")
+    return toc, toc_length
+
+
+def read_toc(path: str | Path) -> dict:
+    """The TOC of the envelope at ``path`` — ``version``, ``kind``,
+    ``header`` and each section's entry — read without a byte of any
+    section, whatever its format version."""
+    path = Path(path)
+    with _open_envelope(path, "envelope") as handle:
+        return _read_toc(handle, path, "envelope")[0]
+
+
+def is_current_envelope(path: str | Path) -> bool:
+    """True when ``path`` is an envelope at this release's format
+    version (only its TOC is read)."""
+    try:
+        return read_toc(path).get("version") == _TOC_VERSION
+    except PersistenceError:
+        return False
+
+
 def read_envelope(
     path: str | Path, kind: str, *, mmap: bool = False
 ) -> tuple[dict, dict, dict]:
@@ -187,26 +237,12 @@ def read_envelope(
     (the error names the corrupt section).
     """
     path = Path(path)
-    if not path.exists():
-        raise PersistenceError(f"{kind} file {path} does not exist")
-    with open(path, "rb") as handle:
-        if handle.read(len(_MAGIC)) != _MAGIC:
+    with _open_envelope(path, kind) as handle:
+        toc, toc_length = _read_toc(handle, path, kind)
+        if toc.get("version") != _TOC_VERSION:
             raise PersistenceError(
-                f"{path} is not a repro 2.0 {kind} file; files written by "
-                f"1.x releases are not migrated — rebuild it with this "
-                f"release (repro index / repro ingest)"
-            )
-        try:
-            toc_length = int.from_bytes(handle.read(8), "little")
-            toc = pickle.loads(handle.read(toc_length))
-        except Exception as exc:
-            raise PersistenceError(
-                f"cannot read {kind} file {path}: malformed TOC: {exc}"
-            ) from exc
-        if not isinstance(toc, dict) or toc.get("version") != _TOC_VERSION:
-            raise PersistenceError(
-                f"{kind} file {path} has a malformed TOC or an unknown "
-                f"format version — rebuild the file"
+                f"{kind} file {path} has format version "
+                f"{toc.get('version')!r}, not {_TOC_VERSION} — rebuild the file"
             )
         if toc.get("kind") != kind:
             raise PersistenceError(
@@ -345,6 +381,10 @@ def save_searcher(
     disagrees with its rank column, is a :class:`PersistenceError`
     naming the first such doc id.
 
+    A searcher whose ``order`` is None is a live-store segment: its
+    store's ``MANIFEST`` holds the one order, so the file stores none
+    and :func:`load_bundle` is handed it back (``order=``).
+
     ``rotate=N`` keeps the previous N snapshot generations as
     ``path.1`` (newest) through ``path.N`` (oldest) before writing the
     new file; :func:`load_bundle` automatically falls back to the
@@ -437,8 +477,11 @@ def _collection_header(data: DocumentCollection, rank_docs) -> dict:
     }
 
 
-def _load_snapshot(path: Path, *, mmap: bool) -> tuple[PKWiseSearcher, object]:
-    """``(searcher, data)`` from one snapshot file."""
+def _load_snapshot(
+    path: Path, *, mmap: bool, order=None
+) -> tuple[PKWiseSearcher, object]:
+    """``(searcher, data)`` from one snapshot file; ``order`` is the
+    global order of a file that stores none (a live-store segment)."""
     _header, sections, arrays = read_envelope(path, _INDEX_KIND, mmap=mmap)
     meta = sections.get("meta")
     if not isinstance(meta, dict):
@@ -465,7 +508,14 @@ def _load_snapshot(path: Path, *, mmap: bool) -> tuple[PKWiseSearcher, object]:
             # silently decoding every rank column to build them.
             routing_tier = None
         header = sections.get("data")
-        order = sections["order"]
+        if sections["order"] is not None:
+            order = sections["order"]
+        elif order is None:
+            raise PersistenceError(
+                f"{path} is a live-store segment: its global order is in "
+                f"the store's MANIFEST — open the store's directory with "
+                f"Index.open_live"
+            )
         rank_docs = PackedRankDocs.from_arrays(columns("ranks."))
         data = None
         if header is not None:
@@ -495,7 +545,7 @@ def _load_snapshot(path: Path, *, mmap: bool) -> tuple[PKWiseSearcher, object]:
 
 
 def load_bundle(
-    path: str | Path, *, fallback: bool = True, mmap: bool = False
+    path: str | Path, *, fallback: bool = True, mmap: bool = False, order=None
 ) -> SearcherBundle:
     """Load a :class:`SearcherBundle` saved by :func:`save_searcher`.
 
@@ -506,6 +556,9 @@ def load_bundle(
     :class:`RuntimeWarning` naming both files; the primary's error is
     re-raised when no candidate loads.  The bundle's ``path`` records
     the file that actually loaded; ``data`` is None for ids-only files.
+    ``order`` is the global order of a live-store segment, whose file
+    stores none (its store's ``MANIFEST`` does); without it such a file
+    raises a :class:`PersistenceError` naming ``Index.open_live``.
 
     SECURITY: this unpickles parts of the file — only load files you
     (or your pipeline) wrote.
@@ -521,7 +574,7 @@ def load_bundle(
     primary_error: PersistenceError | None = None
     for candidate in candidates:
         try:
-            searcher, data = _load_snapshot(candidate, mmap=mmap)
+            searcher, data = _load_snapshot(candidate, mmap=mmap, order=order)
         except PersistenceError as exc:
             if primary_error is None:
                 primary_error = exc

@@ -30,7 +30,7 @@ from ..core.pkwise import PKWiseSearcher
 from ..corpus import DocumentCollection
 from ..errors import ConfigurationError
 from ..params import SearchParams
-from ..persistence import generation_name, save_searcher
+from ..persistence import generation_name, is_current_envelope, save_searcher
 
 #: Manifest file name inside a shard directory.
 MANIFEST_NAME = "shards.json"
@@ -275,6 +275,9 @@ class ShardPlan:
         A manifest that matches in every way except ``replicas`` is
         reused with the new replica count (snapshot files are shared by
         all replicas of a shard, so changing R is a manifest-only edit).
+        A plan is reused only when every shard file is an envelope of
+        this release's format (its TOC alone is read); one written by an
+        older release is rebuilt.
         """
         directory = Path(directory)
         if (directory / MANIFEST_NAME).exists():
@@ -287,7 +290,7 @@ class ShardPlan:
                 and plan.num_shards == num_shards
                 and plan.num_documents == len(data)
                 and plan.params == _manifest_params(params)
-                and all((directory / spec.path).exists() for spec in plan.shards)
+                and all(is_current_envelope(directory / spec.path) for spec in plan.shards)
             ):
                 if plan.replicas != replicas:
                     plan = replace(plan, replicas=replicas)

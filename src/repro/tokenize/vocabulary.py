@@ -119,6 +119,14 @@ class Vocabulary:
         clone._token_of = list(self._token_of)
         return clone
 
+    def __getstate__(self) -> list[str]:
+        """A pickle stores the token list only: ``_id_of`` is its inverse."""
+        return self._token_of
+
+    def __setstate__(self, tokens: list[str]) -> None:
+        self._token_of = tokens
+        self._id_of = dict(zip(tokens, range(len(tokens))))
+
     def __len__(self) -> int:
         return len(self._token_of)
 

@@ -1047,6 +1047,39 @@ class TestDurability:
         with pytest.raises(PersistenceError, match="repro 2.25 reads it"):
             IngestStore.open(directory)
 
+    def test_manifest_of_3_1_names_its_release(self, tmp_path, monkeypatch):
+        # 3.1.x wrote envelope version 4, each of its segments storing the
+        # order and vocabulary again; there is no shim.
+        from repro import persistence
+
+        directory = tmp_path / "store"
+        monkeypatch.setattr(persistence, "_TOC_VERSION", 4)
+        store, _live = drive_durable(directory, steps=8)
+        store.flush()
+        store.close()
+        monkeypatch.undo()
+        for opener in (IngestStore.open, repro.Index.open_live):
+            with pytest.raises(PersistenceError, match="repro 3.1.1 reads it"):
+                opener(directory)
+
+    def test_segment_stores_no_order_and_opens_through_its_store(self, tmp_path):
+        from repro.persistence import read_envelope
+
+        directory = tmp_path / "store"
+        store, live = drive_durable(directory, steps=8)
+        store.flush()
+        tokens = store.data.vocabulary.decode(store.data[live[0]].tokens)
+        want = store_pairs(store, store.data.encode_query_tokens(tokens))
+        store.close()
+        (segment,) = directory.glob("segment.g*.idx")
+        _header, sections, _arrays = read_envelope(segment, "pkwise-index")
+        assert sections["order"] is None and sections["data"] is None
+        with pytest.raises(PersistenceError, match="Index.open_live"):
+            repro.Index.open(segment)
+        reopened = IngestStore.open(directory)
+        assert store_pairs(reopened, reopened.data.encode_query_tokens(tokens)) == want
+        reopened.close()
+
     def test_manifest_with_a_compaction_policy_opens(self, tmp_path):
         # 2.26-2.28 wrote the compaction thresholds into the header; the
         # thresholds are constants now and the key is ignored.

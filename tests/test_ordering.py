@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import tracemalloc
 
@@ -146,6 +147,22 @@ class TestGlobalOrder:
         order = GlobalOrder(data, 6)
         freqs = [order.frequency_of_rank(r) for r in range(order.universe_size)]
         assert freqs == sorted(freqs)
+
+    def test_pickle_stores_each_table_once(self):
+        # The order pickles _token_of_rank, not its inverse, and the
+        # vocabulary its token list, not _id_of: loading derives both.
+        empty = DocumentCollection()
+        for data, order in (self._paper_order(), (empty, GlobalOrder(empty, 4))):
+            order.rank(data.vocabulary.add("and"))
+            loaded = pickle.loads(pickle.dumps(order.snapshot(data.vocabulary.copy())))
+            assert "_rank_of_token" not in order.__getstate__()
+            assert data.vocabulary.__getstate__() == list(data.vocabulary)
+            assert vars(loaded).keys() == vars(order).keys()
+            assert loaded._rank_of_token == order._rank_of_token
+            assert loaded._token_of_rank == order._token_of_rank
+            assert loaded._extra_ranks == order._extra_ranks
+            assert loaded._vocabulary._id_of == data.vocabulary._id_of
+            assert list(loaded._vocabulary) == list(data.vocabulary)
 
     def test_rank_document_preserves_positions(self):
         data = DocumentCollection()

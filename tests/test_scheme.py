@@ -96,6 +96,16 @@ class TestSubPartitions:
             class_index, sub = scheme.group_of(rank)
             assert key == class_index * 3 + sub
             assert key // 3 == class_index
+        # The key table (one searchsorted over the group starts) holds the
+        # same keys; classes 3 and 5 are empty, class 4 narrower than m = 6.
+        for m in (1, 2, 6):
+            for scheme in (
+                PartitionScheme(universe_size=12, borders=(6,), m=m),
+                PartitionScheme(universe_size=20, borders=(3, 7, 7, 10, 10), m=m),
+                PartitionScheme(universe_size=20, borders=(0, 0, 20), m=m),
+            ):
+                size = scheme.universe_size
+                assert scheme.key_table() == [scheme.group_key(r) for r in range(size)]
 
     @settings(max_examples=40, deadline=None)
     @given(

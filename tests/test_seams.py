@@ -24,7 +24,7 @@ from repro import RoutingPolicy, SearchParams
 from repro.core.pkwise import DEFAULT_FREQ_HIGH, DEFAULT_FREQ_LOW, PKWiseSearcher, default_scheme
 from repro.corpus import DocumentCollection
 from repro.index.compact import CompactIntervalIndex, PackedRankDocs, _packed_column
-from repro.ingest.tiered import Tier, TieredIntervalIndex, TieredRankDocs
+from repro.ingest.tiered import Tier, TieredFingerprints, TieredIntervalIndex, TieredRankDocs
 from repro.ordering import GlobalOrder
 from repro.ordering.global_order import OOV_RANK, window_frequencies
 from repro.params import max_prefix_length
@@ -235,9 +235,13 @@ def cross_seams(case):
         tiers = [Tier(lo + at, lo + at + n, 1, engine.index, ranks, "segment") for at in (0, n)]
         index = TieredIntervalIndex(tiers, w, tau, scheme)
         routed = FingerprintTier.from_rank_docs(list(ranks) * 2, doc_lo=lo, **routing.layout(w))
-        tiered = PKWiseSearcher.from_prebuilt(
-            params, order, scheme, index, TieredRankDocs(tiers), routing_tier=routed
-        )
+        # One tier over both, and the tiers' own, used as given (no rebuild).
+        tiered = [
+            PKWiseSearcher.from_prebuilt(
+                params, order, scheme, index, TieredRankDocs(tiers), routing_tier=fingerprints
+            )
+            for fingerprints in (routed, TieredFingerprints(tiers, params))
+        ]
         longest = max(data, key=len).tokens
         cut = vocabulary.decode(longest[len(longest) // 3:])
         cut[len(cut) // 2:len(cut) // 2 + 1] = ["unseen"]
@@ -245,8 +249,9 @@ def cross_seams(case):
         for query in map(data.encode_query_tokens, (cut, noise)):
             want = expected_pairs(data, query, w, tau)
             assert pairs_as_set(engine.search(query, routing="off")) == want
-            got = pairs_as_set(tiered.search(query, routing="exact"))
-            assert got == {(lo + at + doc, *rest) for at in (0, n) for doc, *rest in want}
+            for searcher in tiered:
+                got = pairs_as_set(searcher.search(query, routing="exact"))
+                assert got == {(lo + at + doc, *rest) for at in (0, n) for doc, *rest in want}
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

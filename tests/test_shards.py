@@ -20,7 +20,7 @@ from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import DocumentCollection
 from repro.errors import ServiceClosedError, ServiceError
 from repro.faults import FaultPlan, FaultSpec
-from repro.persistence import generation_name
+from repro.persistence import PersistenceError, generation_name
 from repro.service import SearchService, serve_http
 from repro.service.client import (
     ResilientClient,
@@ -117,6 +117,31 @@ class TestShardPlan:
         )
         assert rebuilt.num_shards == 2
         assert ShardPlan.load(tmp_path).num_shards == 2
+
+    def test_ensure_rebuilds_shard_files_of_an_older_format(
+        self, small_corpus, query, tmp_path, monkeypatch
+    ):
+        # A plan written by 3.1.x (envelope version 4) has every file in
+        # place, but no worker could open one: ensure reads each file's
+        # TOC and rebuilds the plan.
+        from repro import persistence
+
+        monkeypatch.setattr(persistence, "_TOC_VERSION", 4)
+        old = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
+        monkeypatch.undo()
+        with pytest.raises(PersistenceError, match="rebuild the file"):
+            Index.open(tmp_path / old.shards[0].path)
+        plan = ShardPlan.ensure(small_corpus, PARAMS, tmp_path, num_shards=2)
+        assert plan.shards == old.shards
+        backends = [
+            LocalShardBackend(
+                SearchService(Index.open(tmp_path / spec.path)),
+                shard_id=spec.shard_id, doc_lo=spec.doc_lo, doc_hi=spec.doc_hi,
+            )
+            for spec in plan.shards
+        ]
+        with ShardRouter(backends, small_corpus) as router:
+            assert list(router.search(query).pairs) == single_pairs(small_corpus, query)
 
     @pytest.mark.parametrize(
         "damage",
