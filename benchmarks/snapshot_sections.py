@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """Section table of a snapshot, read from its TOC; guards the ``data``
-header, the width of every integer column and that each per-token
-table is stored once.
+header, the width of every integer column and of the signature keys,
+and that each per-token table is stored once.
 
-    PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT]
+    PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT | MANIFEST]
 
 Without a path it builds the smoke snapshot (REUTERS profile at scale
-0.02, routed) and a small durable live store over the same corpus
-(adds, a flush, a removal, a compaction), and checks the snapshot, the
-store's ``MANIFEST`` and each of its segment files.  Exit 1 when
+0.02, routed), a two-shard plan over the same corpus and a small durable
+live store over it (adds, a flush, a removal, a compaction), and checks
+the snapshot, each shard file, the store's ``MANIFEST`` and each of its
+segment files.  A ``MANIFEST`` path checks that store's segment files
+too.  Exit 1 when
 
 * ``data`` is more than 1 KB larger than its tokenizer, vocabulary and
   names pickled by themselves: a snapshot reads its tokens back from
@@ -17,15 +19,18 @@ store's ``MANIFEST`` and each of its segment files.  Exit 1 when
 * an integer array section is wider than its values need: every stored
   integer column is the narrowest of int16, int32 and int64 that holds
   it (``repro.index.compact._packed_column``);
+* the signature keys (``index.keys``) are not ``<u4``: the paper's 4-byte
+  hash, which ``repro.signatures.generate.signature_hashes`` yields
+  (8-byte keys were a fifth of the search-reuse snapshot);
 * a pickled section stores a per-token table beside its inverse: the
   vocabulary pickles its token list, not ``_id_of``, and the order its
   ``_token_of_rank``, not ``_rank_of_token``;
 * a live store's segment stores an ``order`` or ``data``: the store's
   ``MANIFEST`` holds its one copy of the order and the vocabulary.
 
-A file with a rank column also prints its bytes per corpus token, and
-the live store its total (``MANIFEST``, segments and WAL) per token of
-the corpus it took in.
+A file with signature keys prints their share of the file, one with a
+rank column its bytes per corpus token, and the live store its total
+(``MANIFEST``, segments and WAL) per token of the corpus it took in.
 """
 
 import pickle
@@ -36,10 +41,14 @@ from pathlib import Path
 
 from repro import Index, make_profile_collection
 from repro.index.compact import _packed_column
-from repro.ingest.manifest import manifest_path
+from repro.ingest.manifest import MANIFEST_KIND, manifest_path
 from repro.persistence import read_envelope, read_toc
+from repro.service import ShardPlan
 
 SLACK = 1024
+
+#: The one width of a stored signature-key column.
+KEY_DTYPE = "<u4"
 
 #: Attributes that are another pickled table's inverse: derived on load.
 INVERSES = {"_id_of", "_rank_of_token"}
@@ -84,6 +93,14 @@ def main(path: Path, segment: bool = False) -> int:
             print(f"FAIL: {path.name} stores {name} as {array.dtype}; "
                   f"its values fit {narrow}", file=sys.stderr)
             status = 1
+    keys = arrays.get("index.keys")
+    if keys is not None:
+        print(f"index.keys: {keys.nbytes:,d} B, {keys.nbytes / path.stat().st_size:.1%} "
+              f"of the file")
+        if keys.dtype.str != KEY_DTYPE:
+            print(f"FAIL: {path.name} stores index.keys as {keys.dtype.str}, "
+                  f"not {KEY_DTYPE}", file=sys.stderr)
+            status = 1
     if "ranks.values" in arrays and arrays["ranks.values"].size:
         tokens = arrays["ranks.values"].size
         print(f"{path.stat().st_size:,d} B for {tokens:,d} corpus tokens: "
@@ -91,13 +108,29 @@ def main(path: Path, segment: bool = False) -> int:
     return status
 
 
+def check_store(manifest: Path) -> int:
+    """``main`` over a live store's ``MANIFEST`` and each of its segments."""
+    status = main(manifest)
+    for path in sorted(manifest.parent.glob("segment.g*.idx")):
+        print()
+        status |= main(path, segment=True)
+    return status
+
+
 if __name__ == "__main__":
     if len(sys.argv) > 1:
-        sys.exit(main(Path(sys.argv[1])))
+        path = Path(sys.argv[1])
+        check = check_store if read_toc(path)["kind"] == MANIFEST_KIND else main
+        sys.exit(check(path))
     with tempfile.TemporaryDirectory() as scratch:
         corpus = make_profile_collection("REUTERS", 0.02, 1)[0]
-        Index.build(corpus, w=50, tau=5, k_max=4, routing="exact").save(f"{scratch}/smoke.idx")
+        index = Index.build(corpus, w=50, tau=5, k_max=4, routing="exact")
+        index.save(f"{scratch}/smoke.idx")
         status = main(Path(scratch, "smoke.idx"))
+        plan = ShardPlan.build(corpus, index.params, Path(scratch, "shards"), num_shards=2)
+        for spec in plan.shards:
+            print()
+            status |= main(Path(scratch, "shards", spec.path))
         live = Index.open_live(Path(scratch, "live"), w=50, tau=5, k_max=4)
         texts = [" ".join(corpus.vocabulary.decode(d.tokens)) for d in corpus]
         for text in texts[: len(texts) // 2]:
@@ -110,10 +143,7 @@ if __name__ == "__main__":
         live.close()
         store = Path(scratch, "live")
         print()
-        status |= main(manifest_path(store))
-        for path in sorted(store.glob("segment.g*.idx")):
-            print()
-            status |= main(path, segment=True)
+        status |= check_store(manifest_path(store))
         stored = sum(path.stat().st_size for path in store.iterdir())
         print(f"\nlive store: {stored:,d} B (MANIFEST, segments, WAL) for "
               f"{corpus.total_tokens():,d} corpus tokens: "

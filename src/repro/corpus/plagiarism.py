@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from ..errors import CorpusError
 from .collection import DocumentCollection
+from .document import Document
 
 
 class ObfuscationLevel(enum.Enum):
@@ -91,6 +92,10 @@ class PlagiarismInjector:
             raise CorpusError("vocabulary_size must be >= 1")
         self._rng = random.Random(seed)
         self._vocabulary_size = vocabulary_size
+        #: ``(collection, segment_length, len(collection), donors)`` of the
+        #: last splice: a collection only grows, so its donors are one
+        #: scan per collection and segment length, not one per case.
+        self._donors: tuple | None = None
 
     # ------------------------------------------------------------------
     def obfuscate(
@@ -169,7 +174,7 @@ class PlagiarismInjector:
         donate a segment.
         """
         rng = self._rng
-        donors = [d for d in data if len(d) >= segment_length]
+        donors = self._donors_of(data, segment_length)
         if not donors:
             return query_tokens, None
         donor = donors[rng.randrange(len(donors))]
@@ -189,6 +194,15 @@ class PlagiarismInjector:
             level=level,
         )
         return new_tokens, truth
+
+    def _donors_of(
+        self, data: DocumentCollection, segment_length: int
+    ) -> list[Document]:
+        """The documents of ``data`` at least ``segment_length`` long."""
+        key = (data, segment_length, len(data))
+        if self._donors is None or self._donors[:3] != key:
+            self._donors = (*key, [d for d in data if len(d) >= segment_length])
+        return self._donors[3]
 
 
 def shift_spans(

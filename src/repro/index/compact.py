@@ -1,7 +1,7 @@
 """Compact, frozen, array-backed form of the interval index.
 
 :class:`CompactIntervalIndex` holds the interval index as five flat
-numpy columns: sorted 64-bit signature-hash keys, per-key offsets, and
+numpy columns: sorted 4-byte signature-hash keys, per-key offsets, and
 packed ``(doc, u, v)`` posting columns, each integer column at the
 narrowest signed width that holds its values (:func:`_packed_column`).
 A corpus is written into them in one array pass
@@ -17,15 +17,16 @@ buffers — ~10x less Python-object overhead, picklable in O(bytes), and
 mmap-able without copying (the snapshot envelope in
 :mod:`repro.persistence` stores these columns verbatim).
 
-Keys are 64-bit FNV-1a values (the paper's Section 7.1 signature
-hashing), and :func:`~repro.signatures.generate.signature_hashes` is the
-one function that computes them — for the build, a memtable catch-up,
-the fold and every probe; the dict index keys on rank tuples.  A 64-bit
-hash collision merges two postings lists, which can only *add*
-candidates — rolling verification removes them — so final search
-results are pair-identical to the dict index (covered by the collision
-tests).  Nothing is written after construction: any number of threads
-may probe one instance.
+Keys are ``uint32``: 64-bit FNV-1a values xor-folded to the 4 bytes of
+the paper's Section 7.1 signature hashing, and
+:func:`~repro.signatures.generate.signature_hashes` is the one function
+that computes them — for the build, a memtable catch-up, the fold and
+every probe; the dict index keys on rank tuples.  A hash collision
+merges two postings lists, which can only *add* candidates — rolling
+verification removes them — so final search results are pair-identical
+to the dict index (covered by the collision tests, a real 32-bit
+collision among them).  Nothing is written after construction: any
+number of threads may probe one instance.
 
 :class:`PackedRankDocs` applies the same treatment to the searcher's
 per-document rank sequences (one values column + offsets).  The
@@ -111,9 +112,12 @@ class CompactIntervalIndex:
     #: Column names in the order :meth:`to_arrays` emits them.
     COLUMNS = ("keys", "offsets", "docs", "us", "vs")
 
-    #: What ``from_rank_docs`` concatenates its blocks' posting rows onto
-    #: (int16, so the rows keep the narrowest width every block fits).
-    _EMPTY_ROWS = (np.empty(0, dtype=np.uint64),) + (np.empty(0, dtype=np.int16),) * 3
+    #: What ``from_rank_docs`` concatenates its blocks' posting rows onto:
+    #: ``uint32`` keys, as ``signature_hashes`` yields them (a wider empty
+    #: key column would widen every block's keys with it), and int16
+    #: posting columns, so the rows keep the narrowest width every block
+    #: fits.
+    _EMPTY_ROWS = (np.empty(0, dtype=np.uint32),) + (np.empty(0, dtype=np.int16),) * 3
 
     def __init__(
         self,
@@ -192,7 +196,7 @@ class CompactIntervalIndex:
         signatures into maximal window runs, a block at a time, and each
         block's runs are keyed as they come.  The columns and
         ``build_stats`` are those of :meth:`from_index` over a dict
-        index that indexed the same documents one by one (a 64-bit hash
+        index that indexed the same documents one by one (a 32-bit hash
         collision only permutes postings within the shared key).
         """
         # Imported here: a process that only opens and searches snapshots
@@ -222,7 +226,7 @@ class CompactIntervalIndex:
         the tests hold :meth:`from_rank_docs` and a memtable's columns
         to, byte for byte.  No live path calls it.
 
-        Tuple keys are hashed; equal hashes (genuine 64-bit collisions)
+        Tuple keys are hashed; equal hashes (genuine 32-bit collisions)
         share one postings run.  Within a key, postings keep the source
         append order.
         """
@@ -261,11 +265,12 @@ class CompactIntervalIndex:
         no signature is generated again: a stable sort of the
         concatenated postings by key keeps, within a key, part order and
         then each part's append order — the order a serial build over
-        the same documents appends in.  Absent a 64-bit hash collision
+        the same documents appends in.  Absent a 32-bit hash collision
         the columns equal :meth:`from_index` of that build (a collision
-        only permutes postings within the shared key).  ``num_windows``
-        and ``build_stats`` are summed over the parts, so they still
-        count the work spent on documents dropped here.
+        only permutes postings within the shared key).  Every part's keys
+        are ``uint32``, so the concatenated key column stays ``uint32``.
+        ``num_windows`` and ``build_stats`` are summed over the parts, so
+        they still count the work spent on documents dropped here.
         """
         docs = np.concatenate(
             [p._docs.astype(np.int64) + base for p, base in parts]

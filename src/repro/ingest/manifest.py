@@ -117,6 +117,15 @@ def write_manifest(directory: str | Path, state: ManifestState) -> None:
     )
 
 
+#: Envelope version of an older store's ``MANIFEST`` -> what wrote it and
+#: the last release that reads it.
+_OLDER_STORES = {
+    4: ("repro 3.1.x, whose segments each stored the order and "
+        "vocabulary again", "3.1.1"),
+    5: ("repro 3.2.x, whose segments keyed signatures on 8 bytes", "3.2.0"),
+}
+
+
 def _format_version(path: Path):
     """The envelope format version in ``path``'s TOC, or None."""
     try:
@@ -131,10 +140,11 @@ def read_manifest(directory: str | Path) -> ManifestState:
     try:
         header, sections, _arrays = read_envelope(path, MANIFEST_KIND)
     except PersistenceError:
-        if _format_version(path) == 4:
+        older = _OLDER_STORES.get(_format_version(path))
+        if older is not None:
+            written_by, reader = older
             raise PersistenceError(
-                f"{path} was written by repro 3.1.x, whose segments each "
-                f"stored the order and vocabulary again, and repro 3.1.1 "
+                f"{path} was written by {written_by}, and repro {reader} "
                 f"reads it — re-ingest the corpus into a new directory to "
                 f"open it with this release"
             ) from None

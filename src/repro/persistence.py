@@ -64,8 +64,9 @@ from .routing import FingerprintTier
 _MAGIC = b"repro-envelope-3"  # exactly 16 bytes
 #: 4: a snapshot's "data" section is a header, not documents.  5: no
 #: per-token table is stored beside its inverse, and a live-store
-#: segment stores no order (its ``MANIFEST`` holds the one copy).
-_TOC_VERSION = 5
+#: segment stores no order (its ``MANIFEST`` holds the one copy).  6:
+#: signature-hash keys are ``uint32`` (the paper's 4 bytes), not 8 bytes.
+_TOC_VERSION = 6
 _HEAD_SIZE = len(_MAGIC) + 8  # magic + TOC length
 _ALIGN = 64
 _INDEX_KIND = "pkwise-index"

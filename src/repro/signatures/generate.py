@@ -73,11 +73,13 @@ def generate_signatures(
 
 
 def signature_hash(signature: Signature) -> int:
-    """Stable 64-bit hash of a signature (FNV-1a over the ranks).
+    """Stable 32-bit hash of a signature: FNV-1a over the ranks, its
+    64-bit value xor-folded to 4 bytes.
 
-    The paper hashes signatures to 4-byte integers for index
-    compactness; we use 64 bits to make collisions negligible while
-    keeping the same memory-shape argument.  The frozen
+    The paper (Section 7.1) hashes signatures to 4-byte integers to keep
+    the index compact, and so does this key.  A collision only merges
+    two postings runs under one key: it adds candidates, which
+    verification rejects, and never changes a pair.  The frozen
     :class:`~repro.index.compact.CompactIntervalIndex` keys on it; the dict
     reference index keys on the rank tuples themselves (collision-free).  This
     scalar form is the reference the tests hold :func:`signature_hashes`
@@ -90,13 +92,14 @@ def signature_hash(signature: Signature) -> int:
             value ^= rank & 0xFF
             value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
             rank >>= 8
-    return value
+    return (value ^ (value >> 32)) & 0xFFFFFFFF
 
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 _BYTE_MASK = np.uint64(0xFF)
 _BYTE_SHIFT = np.uint64(8)
+_FOLD_SHIFT = np.uint64(32)
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
@@ -109,18 +112,20 @@ def signature_hashes(
     ``signatures`` is a sequence of rank tuples, or — with ``lengths`` —
     a rank matrix whose row ``i`` holds signature ``i`` in its first
     ``lengths[i]`` columns (what :class:`~repro.signatures.bulk.CorpusRuns`
-    yields).  Returns a ``uint64`` array with ``out[i] ==
+    yields).  Returns a ``uint32`` array with ``out[i] ==
     signature_hash(signature i)`` bit for bit (asserted by tests).
     Signatures are grouped by length so each group hashes as one ``(n,
     length)`` rank matrix: the FNV-1a byte rounds run as numpy column
     operations over all ``n`` signatures at once — the little-endian
     byte view of the ``uint64`` rank column replaces the scalar
     shift-and-mask loop, and unsigned multiplication wraps modulo 2**64
-    exactly like the masked Python multiply.  Building, folding and
-    probing the compact index all key through this one function.
+    exactly like the masked Python multiply.  Each row's 64-bit value is
+    xor-folded to 4 bytes last.  Building, a memtable catch-up, folding
+    and probing the compact index all key through this one function, so
+    every key column is ``uint32``.
     """
     n = len(signatures)
-    out = np.empty(n, dtype=np.uint64)
+    out = np.empty(n, dtype=np.uint32)
     if n == 0:
         return out
     if lengths is not None:
@@ -148,7 +153,8 @@ def signature_hashes(
 
 
 def _fnv_rows(ranks: np.ndarray) -> np.ndarray:
-    """FNV-1a of every row of an ``(n, length)`` ``int64`` rank matrix."""
+    """FNV-1a of every row of an ``(n, length)`` ``int64`` rank matrix,
+    xor-folded to ``uint32``."""
     # The uint64 view keeps negative ranks (the OOV sentinel) congruent
     # with the scalar hash's two's-complement bytes.
     ranks = ranks.astype(np.uint64)
@@ -165,4 +171,5 @@ def _fnv_rows(ranks: np.ndarray) -> np.ndarray:
                 values ^= remaining & _BYTE_MASK
                 values *= _FNV_PRIME
                 remaining >>= _BYTE_SHIFT
-    return values
+    values ^= values >> _FOLD_SHIFT
+    return values.astype(np.uint32)

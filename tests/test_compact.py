@@ -52,6 +52,49 @@ from .conftest import (
 )
 
 
+#: Ranks the real collision is drawn from: shard 1's (see
+#: ``collision_corpus``), below the planted windows' filler tokens.
+_SHARD_LO, _FILLER = 800, 1584
+
+
+def real_collision(seed: int = 1) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Two 2-rank signatures over four distinct ranks of
+    ``[_SHARD_LO, _FILLER)`` whose 4-byte keys are equal: a seeded
+    birthday search, 2**16 draws a round (about 1.5 rounds at 780 ranks)."""
+    from repro.signatures.generate import signature_hashes
+
+    rng = np.random.default_rng(seed)
+    seen: dict[int, tuple[int, int]] = {}
+    while True:
+        pairs = np.sort(rng.integers(_SHARD_LO, _FILLER, size=(1 << 16, 2)), axis=1)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+        keys = signature_hashes(pairs, np.full(len(pairs), 2))
+        for key, pair in zip(keys.tolist(), map(tuple, pairs.tolist())):
+            other = seen.setdefault(key, pair)
+            if len({*other, *pair}) == 4:
+                return other, pair
+
+
+def collision_corpus(first, second) -> list[list[str]]:
+    """200 documents of ``w`` = 8 tokens, the last two holding ``first``
+    and ``second``.
+
+    ``c0000`` .. ``c1599`` each sit in one window, so every token has the
+    same window frequency, its rank is its number and, with ``k_max`` = 2,
+    all of them are class 2 of one group.  Shard 1 of 2 (documents
+    100-199) holds c0800 .. c1599, and in its own order the 800 tokens it
+    lacks rank first (class 1), so its tokens keep those ranks too.  Each
+    pair's two ranks are the smallest of their window, so with ``tau`` = 1
+    (a prefix of 3) each pair is one of its window's signatures."""
+    name = "c{:04d}".format
+    planted = {*first, *second, *range(_FILLER, _FILLER + 12)}
+    pool = [rank for rank in range(1600) if rank not in planted]
+    documents = [[name(rank) for rank in pool[i : i + 8]] for i in range(0, len(pool), 8)]
+    for pair, filler in ((first, _FILLER), (second, _FILLER + 6)):
+        documents.append([name(rank) for rank in (*pair, *range(filler, filler + 6))])
+    return documents
+
+
 class TestHashedCollisions:
     """Colliding keys merge postings runs: extra candidates, same pairs."""
 
@@ -61,7 +104,7 @@ class TestHashedCollisions:
         monkeypatch.setattr(
             compact_module,
             "signature_hashes",
-            lambda sigs, lengths=None: np.full(len(sigs), value, dtype=np.uint64),
+            lambda sigs, lengths=None: np.full(len(sigs), value, dtype=np.uint32),
         )
 
     def test_compact_collision_pairs_survive(self, built, queries, monkeypatch):
@@ -82,19 +125,90 @@ class TestHashedCollisions:
 
     def test_two_keys_share_a_bucket(self, monkeypatch):
         # Minimal shape of the collision property: two distinct tuple
-        # keys, one bucket, both postings runs preserved.
+        # keys, one bucket, both postings runs preserved — two signatures
+        # whose 4-byte keys really are equal, then any two forced to.
         from repro.partition.equi_width import equi_width_scheme
 
-        self._collide_all_hashes(monkeypatch, value=42)
         scheme = equi_width_scheme(8, 2)
-        index = IntervalIndex(4, 1, scheme)
-        index._postings[(1, 2)] = [ProbeHit(0, 0, 3)]
-        index._postings[(3, 4)] = [ProbeHit(1, 5, 9)]
-        frozen = CompactIntervalIndex.from_index(index)
-        assert frozen.num_signatures == 1
-        for key in ((1, 2), (3, 4)):
-            (run,) = probe_runs(frozen.probe_many([key]))
-            assert sorted(run) == [(0, 0, 3), (1, 5, 9)]
+        for forced, (first, second) in ((False, real_collision()), (True, ((1, 2), (3, 4)))):
+            if forced:
+                self._collide_all_hashes(monkeypatch, value=42)
+            index = IntervalIndex(4, 1, scheme)
+            index._postings[first] = [ProbeHit(0, 0, 3)]
+            index._postings[second] = [ProbeHit(1, 5, 9)]
+            frozen = CompactIntervalIndex.from_index(index)
+            assert frozen.num_signatures == 1
+            assert frozen.to_arrays()[1]["keys"].dtype == np.uint32
+            for key in (first, second):
+                (run,) = probe_runs(frozen.probe_many([key]))
+                assert sorted(run) == [(0, 0, 3), (1, 5, 9)]
+
+    def test_a_real_collision_is_exact_on_every_path(self, tmp_path):
+        # Two planted windows whose signatures share a 4-byte key, built,
+        # saved and mapped, live (a memtable catch-up, then a fold) and
+        # sharded: every key column is uint32, each probe of the two
+        # signatures returns the merged run, and every query's pairs are
+        # the reference's.
+        from repro.service import ShardPlan, ShardRouter
+        from repro.service.router import LocalShardBackend
+
+        first, second = real_collision()
+        texts = collision_corpus(first, second)
+        data = DocumentCollection()
+        for tokens in texts:
+            data.add_tokens(tokens)
+        params = SearchParams(w=8, tau=1, k_max=2)
+        x, y = len(texts) - 2, len(texts) - 1
+        signatures = [first, second]
+
+        def merged_run(index, docs):
+            keys = index.to_arrays()[1]["keys"]
+            assert keys.dtype == np.uint32 and len(np.unique(keys)) == len(keys)
+            runs = probe_runs(index.probe_many(signatures))
+            assert runs[0] == runs[1] and {hit[0] for hit in runs[0]} == docs
+
+        def check_pairs(engine, truth):
+            for doc_id in (x, y):
+                query = truth.encode_query_tokens(texts[doc_id])
+                want = sorted(expected_pairs(truth, query, params.w, params.tau))
+                assert len(want) >= 1
+                assert sorted(map(tuple, engine.search(query).pairs)) == want
+
+        built = Index.build(data, params)
+        assert built.searcher().order.rank(data.vocabulary.id_of("c0001")) == 1
+        merged_run(built.searcher().index, {x, y})
+        check_pairs(built, data)
+        built.save(tmp_path / "x.idx")
+        with Index.open(tmp_path / "x.idx", mmap=True) as opened:
+            merged_run(opened.searcher().index, {x, y})
+            check_pairs(opened, data)
+
+        plan = ShardPlan.build(data, params, tmp_path / "shards", num_shards=2)
+        assert [(s.doc_lo, s.doc_hi) for s in plan.shards] == [(0, 100), (100, 200)]
+        backends = []
+        for spec in plan.shards:
+            shard = Index.open(tmp_path / "shards" / spec.path, mmap=True)
+            assert shard.searcher().index.to_arrays()[1]["keys"].dtype == np.uint32
+            backends.append(LocalShardBackend(
+                shard.serve(), shard_id=spec.shard_id, doc_lo=spec.doc_lo,
+                doc_hi=spec.doc_hi,
+            ))
+        merged_run(shard.searcher().index, {x - 100, y - 100})
+        with ShardRouter(backends, data) as router:
+            check_pairs(router, data)
+
+        truth = DocumentCollection()
+        for tokens in texts + texts[-2:]:
+            truth.add_tokens(tokens)
+        for tokens in texts[-2:]:
+            built.add(" ".join(tokens))
+        check_pairs(built, truth)  # the memtable catches up on the query
+        store = built.searcher().store
+        merged_run(store._active.columns, {0, 1})
+        built.flush()  # the fold
+        merged_run(store._segments[-1].index, {0, 1})
+        check_pairs(built, truth)
+        built.close()
 
 
 class TestWrittenOnce:
@@ -103,11 +217,14 @@ class TestWrittenOnce:
 
     #: BLAKE2b of the five columns (names, dtypes, bytes) of the ``built``
     #: index, re-derived when every column took the narrowest width that
-    #: holds it (int16 here).  Widened back to int64 offsets and int32
-    #: posting columns, the columns give e92d88aa70c2326376368a6dc34dd7f7,
-    #: the digest taken at commit 9ae3187 — the last to freeze through
-    #: the bucket dict.  It moves only if the stored format does.
-    COLUMNS_DIGEST = "69e3cda8f5eccedb58024505799ce824"
+    #: holds it (int16 here), then again when keys were folded to 4 bytes
+    #: (69e3cda8f5eccedb58024505799ce824 with 8-byte keys): sorting by
+    #: the folded key reorders the runs, each run keeping its postings.
+    #: Widened back to int64 offsets and int32 posting columns, the
+    #: 8-byte columns gave e92d88aa70c2326376368a6dc34dd7f7, the digest
+    #: taken at commit 9ae3187 — the last to freeze through the bucket
+    #: dict.  It moves only if the stored format does.
+    COLUMNS_DIGEST = "94ca4db0bea3470604e4b116bc39fb7c"
 
     @staticmethod
     def digest(index):
@@ -201,11 +318,13 @@ class TestSetupBytes:
     #: token and every document was ranked and fingerprinted in a loop
     #: (bc03b916... / 064bc3bf...); re-derived when the pickled order
     #: stopped storing ``_rank_of_token``, the inverse of its
-    #: ``_token_of_rank``.  The array sections, the scheme and the
-    #: order's ``_token_of_rank`` / ``_freq_of_rank`` kept their bytes.
+    #: ``_token_of_rank``, and again when keys were folded to 4 bytes
+    #: (3aa85e0f... / 7ae71367... with 8-byte keys).  The rank and
+    #: routing sections, the scheme and the order kept their bytes; the
+    #: index's runs kept theirs, re-sorted under the folded keys.
     DIGESTS = {
-        "off": "3aa85e0f0cb11b2d748746d7a338714b",
-        "exact": "7ae713673971904873a2b3ae1f60c264",
+        "off": "34d541dbe080cf4f7e9800a26fb93721",
+        "exact": "aa1f8bb44375084567200056f0e87e0c",
     }
 
     def test_snapshot_sections_are_unchanged(self, tmp_path, monkeypatch):
@@ -238,10 +357,10 @@ class TestSetupBytes:
 class TestBuildMemory:
     def test_working_set_is_one_block_whatever_the_document_lengths(self):
         # 200,000 tokens as one document and as 2,000 short ones.  The
-        # rows a posting holds until the one sort by key (its hash, three
-        # columns of int16 or int32 each, the permutation, the sorted key
-        # and columns) are at most 48 bytes, 36 when every column fits
-        # int16; beyond them the build holds one block of at most
+        # rows a posting holds until the one sort by key (its 4-byte hash,
+        # three columns of int16 or int32 each, the permutation, the
+        # sorted key and columns) are at most 40 bytes, 28 when every
+        # column fits int16; beyond them the build holds one block of at most
         # _BLOCK_CELLS window cells, never a matrix of all the windows of
         # a document (4 x 10**7 bytes here for the long one).
         rng = np.random.default_rng(0)
@@ -259,7 +378,7 @@ class TestBuildMemory:
             finally:
                 tracemalloc.stop()
             assert index.num_postings > 2 * 10**4
-            assert peak - 48 * index.num_postings < 6 * 2**20, (lengths[0], peak)
+            assert peak - 40 * index.num_postings < 6 * 2**20, (lengths[0], peak)
 
 
 class TestFrozenGuards:

@@ -128,10 +128,12 @@ class TestSignatureHash:
         assert signature_hash((1, 2)) != signature_hash((2, 1))
         assert signature_hash((1,)) != signature_hash((1, 0))
 
-    def test_64_bit_range(self):
-        for signature in [(0,), (2**40, 7), (-5, 3)]:
+    def test_32_bit_range(self):
+        # The paper's 4-byte key (Section 7.1): the 64-bit FNV-1a value
+        # xor-folded, so its high half still moves the key.
+        for signature in [(0,), (2**40, 7), (-5, 3), (2**63 - 1,)]:
             value = signature_hash(signature)
-            assert 0 <= value < 2**64
+            assert 0 <= value < 2**32
 
     def test_collision_free_on_small_universe(self):
         seen = {}

@@ -530,7 +530,7 @@ class TestFoldIsMerge:
             if lengths is not None:
                 signatures = [row[:n] for row, n in
                               zip(signatures.tolist(), lengths.tolist())]
-            return np.asarray([sum(sig) % 5 for sig in signatures], dtype=np.uint64)
+            return np.asarray([sum(sig) % 5 for sig in signatures], dtype=np.uint32)
 
         monkeypatch.setattr(compact_module, "signature_hashes", colliding)
 
@@ -1049,18 +1049,20 @@ class TestDurability:
 
     def test_manifest_of_3_1_names_its_release(self, tmp_path, monkeypatch):
         # 3.1.x wrote envelope version 4, each of its segments storing the
-        # order and vocabulary again; there is no shim.
+        # order and vocabulary again; 3.2.x wrote version 5, its segments
+        # keyed on 8 bytes.  There is no shim.
         from repro import persistence
 
-        directory = tmp_path / "store"
-        monkeypatch.setattr(persistence, "_TOC_VERSION", 4)
-        store, _live = drive_durable(directory, steps=8)
-        store.flush()
-        store.close()
-        monkeypatch.undo()
-        for opener in (IngestStore.open, repro.Index.open_live):
-            with pytest.raises(PersistenceError, match="repro 3.1.1 reads it"):
-                opener(directory)
+        for version, release in ((4, "3.1.1"), (5, "3.2.0")):
+            directory = tmp_path / f"store{version}"
+            monkeypatch.setattr(persistence, "_TOC_VERSION", version)
+            store, _live = drive_durable(directory, steps=8)
+            store.flush()
+            store.close()
+            monkeypatch.undo()
+            for opener in (IngestStore.open, repro.Index.open_live):
+                with pytest.raises(PersistenceError, match=f"repro {release} reads it"):
+                    opener(directory)
 
     def test_segment_stores_no_order_and_opens_through_its_store(self, tmp_path):
         from repro.persistence import read_envelope

@@ -662,16 +662,17 @@ class TestCorpusStoredOnce:
     @pytest.mark.parametrize("mmap", [False, True])
     def test_pre_bump_envelope_says_rebuild(self, built, tmp_path, mmap):
         # Envelope version 3 pickled every document beside the ranks, 4
-        # (3.1.x) each per-token table beside its inverse; there is no
-        # shim: such a file is refused by its TOC version.
+        # (3.1.x) each per-token table beside its inverse, 5 (3.2.x)
+        # 8-byte signature keys; there is no shim: such a file is refused
+        # by its TOC version.
         data, searcher = built
         path = tmp_path / "index.idx"
         save_searcher(searcher, path, data=data)
         raw = path.read_bytes()
         toc_length = int.from_bytes(raw[16:24], "little")
         toc = pickle.loads(raw[24 : 24 + toc_length])
-        assert toc["version"] == 5
-        for version in (3, 4):
+        assert toc["version"] == 6
+        for version in (3, 4, 5):
             old_toc = pickle.dumps({**toc, "version": version}, protocol=pickle.HIGHEST_PROTOCOL)
             assert len(old_toc) == toc_length
             path.write_bytes(raw[:24] + old_toc + raw[24 + toc_length :])

@@ -93,6 +93,49 @@ class TestSpliceCase:
         assert truth.level is ObfuscationLevel.HIGH
         assert truth.query_id == 7
 
+    def test_donors_are_one_scan_per_collection(self, monkeypatch):
+        # Each case draws a donor from the documents long enough to give
+        # a segment; that list is one scan of a collection per segment
+        # length (a collection only grows), not one per case.
+        scans = []
+        real = DocumentCollection.__iter__
+
+        def counted(collection):
+            scans.append(collection)
+            return real(collection)
+
+        monkeypatch.setattr(DocumentCollection, "__iter__", counted)
+        data, other = make_data(), make_data(num_docs=2)
+        injector = PlagiarismInjector(seed=4, vocabulary_size=len(data.vocabulary))
+        for length in (20, 20, 20, 30, 30):
+            for _ in range(10):
+                assert injector.splice_case(data, 0, [1, 2], length, ObfuscationLevel.NONE)[1]
+        assert len(scans) == 2
+        injector.splice_case(other, 0, [1, 2], 30, ObfuscationLevel.NONE)
+        data.add_tokens(["long"] * 40)
+        _tokens, truth = injector.splice_case(data, 0, [1, 2], 30, ObfuscationLevel.NONE)
+        assert scans == [data, data, other, data] and truth is not None
+
+    def test_profile_collection_is_pinned(self):
+        # BLAKE2b of the data, queries (names and tokens), vocabulary and
+        # ground truth of one seeded call, taken while every case scanned
+        # the collection for its donors: caching the list moved nothing.
+        import hashlib
+
+        from repro.corpus.synthetic import ReuseSpec, make_profile_collection
+
+        data, queries, truth = make_profile_collection(
+            "REUTERS", 0.02, 7, reuse=ReuseSpec(cases_per_query=2, segment_length=150),
+            num_queries=24,
+        )
+        state = hashlib.blake2b(digest_size=16)
+        for document in [*data, *queries]:
+            state.update(repr((document.name, list(document.tokens))).encode())
+        state.update(repr(data.vocabulary.decode(range(len(data.vocabulary)))).encode())
+        state.update(repr(truth).encode())
+        assert (len(data), len(queries), len(truth)) == (156, 24, 48)
+        assert state.hexdigest() == "a1fc6b52750bdc8891ca95fe5972479d"
+
 
 class TestShiftSpans:
     def _truth(self, span, query_id=0):

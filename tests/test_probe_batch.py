@@ -39,7 +39,7 @@ class TestSignatureHashes:
             tuple(range(9)),
         ]
         vectorized = signature_hashes(signatures)
-        assert vectorized.dtype == np.uint64
+        assert vectorized.dtype == np.uint32
         assert vectorized.tolist() == [signature_hash(s) for s in signatures]
 
     @settings(max_examples=200, deadline=None)
@@ -130,7 +130,7 @@ class TestProbeManyParity:
         monkeypatch.setattr(
             compact_module,
             "signature_hashes",
-            lambda sigs: np.full(len(sigs), 7, dtype=np.uint64),
+            lambda sigs: np.full(len(sigs), 7, dtype=np.uint32),
         )
         dict_index = reference_index(searcher)
         collided = CompactIntervalIndex.from_index(dict_index)

@@ -121,18 +121,20 @@ class TestShardPlan:
     def test_ensure_rebuilds_shard_files_of_an_older_format(
         self, small_corpus, query, tmp_path, monkeypatch
     ):
-        # A plan written by 3.1.x (envelope version 4) has every file in
-        # place, but no worker could open one: ensure reads each file's
-        # TOC and rebuilds the plan.
+        # A plan written by 3.1.x (envelope version 4) or 3.2.x (5, 8-byte
+        # keys) has every file in place, but no worker could open one:
+        # ensure reads each file's TOC and rebuilds the plan.
         from repro import persistence
 
-        monkeypatch.setattr(persistence, "_TOC_VERSION", 4)
-        old = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
-        monkeypatch.undo()
-        with pytest.raises(PersistenceError, match="rebuild the file"):
-            Index.open(tmp_path / old.shards[0].path)
-        plan = ShardPlan.ensure(small_corpus, PARAMS, tmp_path, num_shards=2)
-        assert plan.shards == old.shards
+        for version in (4, 5):
+            monkeypatch.setattr(persistence, "_TOC_VERSION", version)
+            old = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
+            monkeypatch.undo()
+            with pytest.raises(PersistenceError, match="rebuild the file"):
+                Index.open(tmp_path / old.shards[0].path)
+            plan = ShardPlan.ensure(small_corpus, PARAMS, tmp_path, num_shards=2)
+            assert plan.shards == old.shards
+            assert persistence.is_current_envelope(tmp_path / plan.shards[0].path)
         backends = [
             LocalShardBackend(
                 SearchService(Index.open(tmp_path / spec.path)),
