@@ -1,16 +1,17 @@
 #!/usr/bin/env python
 """Section table of a snapshot, read from its TOC; guards the ``data``
 header, the width of every integer column and of the signature keys,
-and that each per-token table is stored once.
+that each per-token table is stored once and that shard files are
+ids-only.
 
-    PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT | MANIFEST]
+    PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT | MANIFEST | shards.json]
 
 Without a path it builds the smoke snapshot (REUTERS profile at scale
 0.02, routed), a two-shard plan over the same corpus and a small durable
 live store over it (adds, a flush, a removal, a compaction), and checks
 the snapshot, each shard file, the store's ``MANIFEST`` and each of its
 segment files.  A ``MANIFEST`` path checks that store's segment files
-too.  Exit 1 when
+too, a ``shards.json`` path each of that plan's shard files.  Exit 1 when
 
 * ``data`` is more than 1 KB larger than its tokenizer, vocabulary and
   names pickled by themselves: a snapshot reads its tokens back from
@@ -25,12 +26,19 @@ too.  Exit 1 when
 * a pickled section stores a per-token table beside its inverse: the
   vocabulary pickles its token list, not ``_id_of``, and the order its
   ``_token_of_rank``, not ``_rank_of_token``;
+* the order's ``_token_of_rank`` or ``_freq_of_rank`` is not an integer
+  array at its narrowest width (int lists cost every process that opens
+  the file about 1 MB of int objects at |V| = 10,518);
 * a live store's segment stores an ``order`` or ``data``: the store's
-  ``MANIFEST`` holds its one copy of the order and the vocabulary.
+  ``MANIFEST`` holds its one copy of the order and the vocabulary;
+* a shard file stores ``data``: the router encodes every query against
+  the one collection it holds and sends token ids (a vocabulary in each
+  shard file was 1.19 MB of live objects per worker at |V| = 10,518).
 
 A file with signature keys prints their share of the file, one with a
-rank column its bytes per corpus token, and the live store its total
-(``MANIFEST``, segments and WAL) per token of the corpus it took in.
+rank column its bytes per corpus token, a plan its shard files' bytes
+per corpus token, and the live store its total (``MANIFEST``, segments
+and WAL) per token of the corpus it took in.
 """
 
 import pickle
@@ -39,11 +47,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro import Index, make_profile_collection
 from repro.index.compact import _packed_column
 from repro.ingest.manifest import MANIFEST_KIND, manifest_path
 from repro.persistence import read_envelope, read_toc
 from repro.service import ShardPlan
+from repro.service.plan import MANIFEST_NAME as PLAN_NAME
 
 SLACK = 1024
 
@@ -53,8 +64,11 @@ KEY_DTYPE = "<u4"
 #: Attributes that are another pickled table's inverse: derived on load.
 INVERSES = {"_id_of", "_rank_of_token"}
 
+#: The order's stored tables: integer arrays at their narrowest width.
+ORDER_TABLES = ("_token_of_rank", "_freq_of_rank")
 
-def main(path: Path, segment: bool = False) -> int:
+
+def main(path: Path, segment: bool = False, shard: bool = False) -> int:
     toc = read_toc(path)
     entries = {**toc["pickled"], **toc["arrays"]}
     total = sum(entry["length"] for entry in entries.values())
@@ -77,6 +91,19 @@ def main(path: Path, segment: bool = False) -> int:
         print(f"FAIL: segment {path.name} stores an order or data; its MANIFEST "
               f"holds the store's one copy", file=sys.stderr)
         status = 1
+    if shard and sections["data"] is not None:
+        print(f"FAIL: shard file {path.name} stores data; the router holds the "
+              f"one collection and sends token ids", file=sys.stderr)
+        status = 1
+    order = sections["order"]
+    for name in ORDER_TABLES if order is not None else ():
+        table = vars(order).get(name)
+        if not (isinstance(table, np.ndarray) and table.dtype.kind == "i"
+                and _packed_column(table).dtype == table.dtype):
+            kind = table.dtype if isinstance(table, np.ndarray) else type(table).__name__
+            print(f"FAIL: {path.name}'s order stores {name} as {kind}, not an "
+                  f"integer array at its narrowest width", file=sys.stderr)
+            status = 1
     # Sections start at the first 64-byte boundary past magic, length and TOC.
     blob = path.read_bytes()
     start = (24 + int.from_bytes(blob[16:24], "little") + 63) // 64 * 64
@@ -108,6 +135,21 @@ def main(path: Path, segment: bool = False) -> int:
     return status
 
 
+def check_plan(manifest: Path) -> int:
+    """``main`` over each shard file of the plan ``manifest`` describes,
+    and the files' bytes per corpus token."""
+    plan = ShardPlan.load(manifest.parent)
+    status, stored = 0, 0
+    for spec in plan.shards:
+        print()
+        status |= main(manifest.parent / spec.path, shard=True)
+        stored += (manifest.parent / spec.path).stat().st_size
+    tokens = sum(spec.num_tokens for spec in plan.shards)
+    print(f"\n{plan.num_shards} shard files: {stored:,d} B for {tokens:,d} corpus "
+          f"tokens: {stored / tokens:.3f} B per token")
+    return status
+
+
 def check_store(manifest: Path) -> int:
     """``main`` over a live store's ``MANIFEST`` and each of its segments."""
     status = main(manifest)
@@ -120,6 +162,8 @@ def check_store(manifest: Path) -> int:
 if __name__ == "__main__":
     if len(sys.argv) > 1:
         path = Path(sys.argv[1])
+        if path.name == PLAN_NAME:
+            sys.exit(check_plan(path))
         check = check_store if read_toc(path)["kind"] == MANIFEST_KIND else main
         sys.exit(check(path))
     with tempfile.TemporaryDirectory() as scratch:
@@ -127,10 +171,8 @@ if __name__ == "__main__":
         index = Index.build(corpus, w=50, tau=5, k_max=4, routing="exact")
         index.save(f"{scratch}/smoke.idx")
         status = main(Path(scratch, "smoke.idx"))
-        plan = ShardPlan.build(corpus, index.params, Path(scratch, "shards"), num_shards=2)
-        for spec in plan.shards:
-            print()
-            status |= main(Path(scratch, "shards", spec.path))
+        ShardPlan.build(corpus, index.params, Path(scratch, "shards"), num_shards=2)
+        status |= check_plan(Path(scratch, "shards", PLAN_NAME))
         live = Index.open_live(Path(scratch, "live"), w=50, tau=5, k_max=4)
         texts = [" ".join(corpus.vocabulary.decode(d.tokens)) for d in corpus]
         for text in texts[: len(texts) // 2]:

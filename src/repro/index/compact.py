@@ -152,11 +152,6 @@ class CompactIntervalIndex:
         self._docs = docs
         self._us = us
         self._vs = vs
-        # Offsets with one extra trailing entry so the batched gather
-        # can treat "miss" as slot len(keys): that slot's postings run
-        # is [total, total) — empty — and no mask/compress pass is
-        # needed to drop missed signatures from the fancy-indexing.
-        self._offsets_padded = np.concatenate([offsets, offsets[-1:]])
 
     # ------------------------------------------------------------------
     # Construction
@@ -337,7 +332,7 @@ class CompactIntervalIndex:
         """Key-column position of each signature's postings run.
 
         A signature the index does not hold gets slot ``len(keys)``,
-        whose run in the padded offsets is empty.
+        whose run ``[offsets[-1], offsets[-1])`` is empty.
         """
         keys = self._keys
         hashes = signature_hashes(signatures)
@@ -370,10 +365,12 @@ class CompactIntervalIndex:
         if n == 0:
             return ProbeBatch.empty()
         slots = self._run_slots(signatures)
-        padded = self._offsets_padded
+        offsets = self._offsets
         # int64 from here on: a run count summed over tiers must not wrap.
-        starts = padded[slots].astype(np.int64)
-        counts = padded[slots + 1] - starts
+        # A missed slot ends where it starts, at the last offset: the
+        # offsets column is read in place, never copied.
+        starts = offsets[slots].astype(np.int64)
+        counts = offsets[np.minimum(slots + 1, len(self._keys))] - starts
         total = int(counts.sum())
         if total == 0:
             return ProbeBatch.empty(probed=n)

@@ -5,8 +5,8 @@ compact segment files are live, the sealed prefix of the corpus they
 cover, the tombstones accumulated against that prefix, and the first
 WAL generation whose records are *not* yet folded into a segment.  It
 is a header, like a snapshot's ``data`` section: the tokenizer, the one
-vocabulary, document names and the global order without its vocabulary
-(:meth:`~repro.ordering.GlobalOrder.detached`).  That order is the
+vocabulary, document names and the global order (its tables are
+integer columns; the order holds no vocabulary).  That order is the
 store's one copy: a segment file stores none, and
 :meth:`~repro.ingest.store.IngestStore.open` hands it to each segment's
 load.  It holds no document — the segments' rank columns are the sealed
@@ -123,6 +123,8 @@ _OLDER_STORES = {
     4: ("repro 3.1.x, whose segments each stored the order and "
         "vocabulary again", "3.1.1"),
     5: ("repro 3.2.x, whose segments keyed signatures on 8 bytes", "3.2.0"),
+    6: ("repro 3.3.x, whose global order pickled its tables as int lists",
+        "3.3.0"),
 }
 
 

@@ -140,7 +140,7 @@ class _SealedSnapshot:
     def __init__(self, *, header, order, tombstones, next_doc_id, wal_generation):
         #: :func:`_sealed_header` of the collection.
         self.header = header
-        #: The global order without its vocabulary (``detached()``).
+        #: A :meth:`~repro.ordering.GlobalOrder.snapshot` of the global order.
         self.order = order
         self.tombstones = tombstones
         self.next_doc_id = next_doc_id
@@ -250,7 +250,7 @@ class IngestStore:
                 )
             store._snapshot = _SealedSnapshot(
                 header=_sealed_header(DocumentCollection(tokenizer=data.tokenizer)),
-                order=order.detached(),
+                order=order.snapshot(),
                 tombstones=set(),
                 next_doc_id=0,
                 wal_generation=1,
@@ -315,7 +315,7 @@ class IngestStore:
                 )
             )
         header = state.data
-        order = state.order.snapshot(header["vocabulary"])
+        order = state.order.snapshot()
         data = DocumentCollection.over_columns(
             header["tokenizer"], header["vocabulary"],
             TieredRankDocs(segments), order.token_table(), header["names"],
@@ -668,7 +668,7 @@ class IngestStore:
             if self.directory is not None:
                 self._snapshot = _SealedSnapshot(
                     header=_sealed_header(self.data),
-                    order=self.order.detached(),
+                    order=self.order.snapshot(),
                     tombstones=set(self.removed),
                     next_doc_id=old.doc_hi,
                     wal_generation=self._generation,

@@ -110,12 +110,17 @@ def _count_block(tokens: np.ndarray, lengths: np.ndarray, w: int, freq: np.ndarr
     freq[tokens[starts]] += np.add.reduceat(new_windows, starts, dtype=np.int64)
 
 
-def _inverse(permutation: np.ndarray) -> list[int]:
-    """The inverse of a permutation of ``range(len(permutation))``: one
-    scatter."""
-    inverse = np.empty(len(permutation), dtype=np.int64)
-    inverse[permutation] = np.arange(len(permutation))
-    return inverse.tolist()
+def _inverse(permutation: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation of ``range(len(permutation))``, at the
+    permutation's width (both hold the same values): one scatter."""
+    inverse = np.empty_like(permutation)
+    inverse[permutation] = np.arange(len(permutation), dtype=permutation.dtype)
+    return _read_only(inverse)
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 class GlobalOrder:
@@ -127,21 +132,29 @@ class GlobalOrder:
     order without renumbering anything.
 
     The order also carries the window frequency of each *rank*, which
-    the cost model and the partitioners consume.
+    the cost model and the partitioners consume.  Its three per-token
+    tables are read-only integer columns, each at the narrowest width
+    that holds it (:func:`~repro.index.compact._packed_column`); a
+    pickle stores ``_token_of_rank`` and ``_freq_of_rank``, and the
+    loader derives ``_rank_of_token``, their inverse, by one scatter.
+    The order holds no vocabulary: it maps token ids, whatever strings
+    they stand for.
     """
 
     def __init__(self, data: DocumentCollection, w: int) -> None:
+        # Imported here: repro.index imports this package (via partition).
+        from ..index.compact import _packed_column
+
         freq = window_frequencies(data, w)
-        self._vocabulary = data.vocabulary
         self.w = w
         # By name, then stably by frequency: the order by (frequency, name).
         by_name = np.array(
             sorted(range(len(freq)), key=data.vocabulary.token_of), dtype=np.int64
         )
         order = by_name[np.argsort(freq[by_name], kind="stable")]
-        self._rank_of_token: list[int] = _inverse(order)
-        self._token_of_rank: list[int] = order.tolist()
-        self._freq_of_rank: list[int] = freq[order].tolist()
+        self._token_of_rank = _read_only(_packed_column(order))
+        self._freq_of_rank = _read_only(_packed_column(freq[order]))
+        self._rank_of_token = _inverse(self._token_of_rank)
         self._built_size = len(freq)
         self._extra_ranks: dict[int, int] = {}
         self.num_data_windows = data.total_windows(w)
@@ -163,7 +176,7 @@ class GlobalOrder:
         if token_id < 0:
             return OOV_RANK
         if token_id < self._built_size:
-            return self._rank_of_token[token_id]
+            return int(self._rank_of_token[token_id])
         rank = self._extra_ranks.get(token_id)
         if rank is None:
             rank = -1 - len(self._extra_ranks)
@@ -172,7 +185,7 @@ class GlobalOrder:
 
     def token_of_rank(self, rank: int) -> int:
         """Token id holding non-negative ``rank``."""
-        return self._token_of_rank[rank]
+        return int(self._token_of_rank[rank])
 
     def token_table(self) -> np.ndarray:
         """Token id of every rank, laid out so ``table[ranks]`` decodes a
@@ -182,13 +195,15 @@ class GlobalOrder:
         is how a snapshot reads its documents back without storing them.
         """
         admitted = list(self._extra_ranks)  # arrival order: ranks -1, -2, ...
-        return np.array(self._token_of_rank + admitted[::-1], dtype=np.int64)
+        return np.concatenate(
+            (self._token_of_rank, np.array(admitted[::-1], dtype=np.int64))
+        )
 
     def frequency_of_rank(self, rank: int) -> int:
         """Window frequency of the token at ``rank`` (0 for negatives)."""
         if rank < 0:
             return 0
-        return self._freq_of_rank[rank]
+        return int(self._freq_of_rank[rank])
 
     def relative_frequency_of_rank(self, rank: int) -> float:
         """Window frequency normalized by the number of data windows."""
@@ -199,40 +214,21 @@ class GlobalOrder:
     def relative_frequencies(self) -> np.ndarray:
         """:meth:`relative_frequency_of_rank` of every build-time rank, as
         ``float64``: ascending, since the order sorts by frequency."""
-        freq = np.array(self._freq_of_rank, dtype=np.float64)
         if self.num_data_windows == 0:
-            return np.zeros_like(freq)
-        return freq / self.num_data_windows
+            return np.zeros(self._built_size)
+        return self._freq_of_rank / self.num_data_windows
 
     # ------------------------------------------------------------------
-    def snapshot(self, vocabulary=None) -> "GlobalOrder":
+    def snapshot(self) -> "GlobalOrder":
         """A point-in-time copy safe to pickle while this order keeps
         admitting tokens.
 
-        The build-time tables are frozen after construction and are
-        shared; only the lazy-admission map is copied.  Pass the
-        matching vocabulary snapshot so the copy does not pin (or race
-        with) the live, still-interning vocabulary.
+        The build-time tables are read-only and are shared; only the
+        lazy-admission map is copied.
         """
         clone = GlobalOrder.__new__(GlobalOrder)
-        clone._vocabulary = (
-            vocabulary if vocabulary is not None else self._vocabulary
-        )
-        clone.w = self.w
-        clone._rank_of_token = self._rank_of_token
-        clone._token_of_rank = self._token_of_rank
-        clone._freq_of_rank = self._freq_of_rank
-        clone._built_size = self._built_size
+        clone.__dict__.update(self.__dict__)
         clone._extra_ranks = dict(self._extra_ranks)
-        clone.num_data_windows = self.num_data_windows
-        return clone
-
-    def detached(self) -> "GlobalOrder":
-        """A :meth:`snapshot` that holds no vocabulary: what an index
-        file pickles when its collection header stores the one copy.
-        The loader puts it back with ``snapshot(vocabulary)``."""
-        clone = self.snapshot()
-        clone._vocabulary = None
         return clone
 
     def __getstate__(self) -> dict:
@@ -244,21 +240,26 @@ class GlobalOrder:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._rank_of_token = _inverse(
-            np.fromiter(self._token_of_rank, np.int64, len(self._token_of_rank))
-        )
+        _read_only(self._freq_of_rank)
+        self._rank_of_token = _inverse(_read_only(self._token_of_rank))
 
     def rank_sequence(self, tokens: Sequence[int]) -> list[int]:
         """Map a token-id sequence to its rank sequence.
 
-        When every id was known at build time the ranks are one gather;
-        otherwise each goes through :meth:`rank`, the one place the OOV
-        sentinel and lazily admitted tokens are ranked.
+        Ids known at build time are ranked by one gather, negative ids
+        (the OOV sentinel) take :data:`OOV_RANK`, and ids past the
+        build-time universe go through :meth:`rank` in order, so lazy
+        admission sees them as it would one by one.
         """
-        if tokens and min(tokens) >= 0 and max(tokens) < self._built_size:
-            return list(map(self._rank_of_token.__getitem__, tokens))
-        rank = self.rank
-        return [rank(token) for token in tokens]
+        ids = np.fromiter(tokens, np.int64, len(tokens))
+        known = (ids >= 0) & (ids < self._built_size)
+        if known.all():
+            return self._rank_of_token[ids].tolist()
+        ranks = np.full(len(ids), OOV_RANK, dtype=np.int64)
+        ranks[known] = self._rank_of_token[ids[known]]
+        late = ids >= self._built_size
+        ranks[late] = [self.rank(token) for token in ids[late].tolist()]
+        return ranks.tolist()
 
     def rank_document(self, document: Document) -> list[int]:
         """Rank sequence of a document (original token order preserved)."""
@@ -280,7 +281,7 @@ class GlobalOrder:
             [document.tokens for document in documents]
         ).to_arrays()
         tokens = columns["values"]
-        table = _packed_column(self._rank_of_token)
+        table = self._rank_of_token
         known = (tokens >= 0) & (tokens < self._built_size)
         if known.all():
             ranks = table[tokens]

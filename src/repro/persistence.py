@@ -19,8 +19,9 @@ one page cache.  A snapshot holds its corpus once: the rank columns
 are the documents (the global order is a bijection), so ``data`` is a
 header — tokenizer, vocabulary, names — and the loaded collection reads
 tokens back through the ranks.  Each per-token table is stored once, too:
-the vocabulary pickles its token list and the order its rank tables,
-and each rebuilds the inverse on load; a live-store segment stores no
+the vocabulary pickles its token list and the order two narrow integer
+arrays (token of rank, frequency of rank), and each rebuilds the
+inverse on load; a live-store segment stores no
 order at all (its ``MANIFEST`` holds the store's one copy).  Every
 section, pickled or raw, carries a BLAKE2b payload digest in the TOC,
 so a flipped bit on disk surfaces as a typed :class:`PersistenceError`
@@ -66,7 +67,9 @@ _MAGIC = b"repro-envelope-3"  # exactly 16 bytes
 #: per-token table is stored beside its inverse, and a live-store
 #: segment stores no order (its ``MANIFEST`` holds the one copy).  6:
 #: signature-hash keys are ``uint32`` (the paper's 4 bytes), not 8 bytes.
-_TOC_VERSION = 6
+#: 7: the global order pickles its tables as narrow integer arrays, not
+#: int lists, and holds no vocabulary.
+_TOC_VERSION = 7
 _HEAD_SIZE = len(_MAGIC) + 8  # magic + TOC length
 _ALIGN = 64
 _INDEX_KIND = "pkwise-index"
@@ -374,7 +377,8 @@ def save_searcher(
     Pass the :class:`~repro.corpus.DocumentCollection` as ``data`` to bundle
     the documents (needed to encode text queries and to decode matches
     back to text, e.g. by the CLI); omit it for a leaner, ids-only
-    index file.  The corpus is stored once: the file keeps the
+    index file that holds no vocabulary at all (what a shard plan's
+    files are: the router encodes).  The corpus is stored once: the file keeps the
     collection's *header* — tokenizer, vocabulary, names — and reads the
     tokens back from the rank columns (the global order is a
     bijection).  ``data`` must therefore be the searcher's own
@@ -430,9 +434,6 @@ def save_searcher(
     }
     if data is not None:
         sections["data"] = _collection_header(data, frozen.rank_docs)
-        # The header holds the one vocabulary; ids-only, the order's is
-        # the only copy and stays.
-        sections["order"] = frozen.order.detached()
     if rotate:
         _rotate_snapshots(path, rotate)
     write_envelope(
@@ -520,7 +521,6 @@ def _load_snapshot(
         rank_docs = PackedRankDocs.from_arrays(columns("ranks."))
         data = None
         if header is not None:
-            order = order.snapshot(header["vocabulary"])
             data = DocumentCollection.over_columns(
                 header["tokenizer"], header["vocabulary"],
                 rank_docs, order.token_table(), header["names"],

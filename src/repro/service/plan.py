@@ -9,11 +9,12 @@ about serving them:
 
 * :func:`partition_ranges` — N contiguous doc-id ranges balanced by
   token count.
-* :class:`ShardSpec` / :class:`ShardPlan` — one compact snapshot per
-  range under generation-named files
+* :class:`ShardSpec` / :class:`ShardPlan` — one ids-only compact
+  snapshot per range under generation-named files
   (:func:`~repro.persistence.generation_name`) plus the JSON manifest
-  ``shards.json`` that maps ranges to files and records ``replicas``
-  (how many workers serve each shard's one snapshot).
+  ``shards.json`` that maps ranges to files, records ``replicas`` (how
+  many workers serve each shard's one snapshot) and a digest of the
+  corpus the files were built from.
 
 :mod:`~repro.service.router` scatters queries over a plan's shards,
 :mod:`~repro.service.workers` turns a plan into worker processes.
@@ -21,10 +22,13 @@ about serving them:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from ..core.pkwise import PKWiseSearcher
 from ..corpus import DocumentCollection
@@ -43,6 +47,17 @@ MANIFEST_VERSION = 1
 def _manifest_params(params: SearchParams) -> dict:
     """The search parameters a manifest records and ``ensure`` compares."""
     return {"w": params.w, "tau": params.tau, "k_max": params.k_max, "m": params.m}
+
+
+def _corpus_digest(data: DocumentCollection) -> str:
+    """BLAKE2b of ``data``'s document lengths and token ids: what a plan's
+    shard files were cut from.  Read one document at a time, so a
+    collection opened over rank columns is never decoded whole."""
+    state = hashlib.blake2b(digest_size=16)
+    state.update(np.asarray(data.lengths(), dtype=np.int64).tobytes())
+    for document in data:
+        state.update(np.fromiter(document.tokens, np.int64, len(document)).tobytes())
+    return state.hexdigest()
 
 
 def partition_ranges(
@@ -132,6 +147,8 @@ class ShardPlan:
     generation: int
     params: dict
     replicas: int = 1
+    #: :func:`_corpus_digest` of the collection the shards were built from.
+    digest: str | None = None
 
     @property
     def num_shards(self) -> int:
@@ -174,8 +191,10 @@ class ShardPlan:
 
         Each shard is built from :meth:`DocumentCollection.subset` of a
         contiguous doc-id range — subsets share the parent vocabulary,
-        so every shard file can encode any query identically — and
-        written as a snapshot file so workers mmap it zero-copy.
+        so a query's token ids mean the same in every shard — and
+        written as an ids-only snapshot file so workers mmap it
+        zero-copy and unpickle no vocabulary: the router encodes every
+        query and sends token ids.
         Re-building a higher ``generation`` into the same directory
         leaves the previous generation's files in place: workers that
         still map them keep serving until they are restarted.
@@ -189,7 +208,7 @@ class ShardPlan:
             subset = data.subset(range(lo, hi))
             searcher = PKWiseSearcher(subset, params)
             name = generation_name(f"shard-{shard_id:03d}", generation)
-            save_searcher(searcher, directory / name, data=subset)
+            save_searcher(searcher, directory / name)
             specs.append(
                 ShardSpec(
                     shard_id=shard_id,
@@ -206,6 +225,7 @@ class ShardPlan:
             generation=generation,
             params=_manifest_params(params),
             replicas=replicas,
+            digest=_corpus_digest(data),
         )
         plan.validate()
         plan.save(directory)
@@ -222,6 +242,7 @@ class ShardPlan:
             "generation": self.generation,
             "replicas": self.replicas,
             "params": self.params,
+            "digest": self.digest,
             "shards": [spec.to_dict() for spec in self.shards],
         }
         target = directory / MANIFEST_NAME
@@ -252,6 +273,7 @@ class ShardPlan:
                 params=dict(payload.get("params", {})),
                 # Pre-replication manifests carry no key: one worker per shard.
                 replicas=int(payload.get("replicas", 1)),
+                digest=payload.get("digest"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
@@ -275,9 +297,12 @@ class ShardPlan:
         A manifest that matches in every way except ``replicas`` is
         reused with the new replica count (snapshot files are shared by
         all replicas of a shard, so changing R is a manifest-only edit).
-        A plan is reused only when every shard file is an envelope of
-        this release's format (its TOC alone is read); one written by an
-        older release is rebuilt.
+        A plan is reused only when it was cut from ``data`` itself (its
+        :func:`_corpus_digest`: the shard files are ids-only, so a plan of
+        an edited corpus of the same size would answer the router's new
+        token ids from the old documents) and every shard file is an
+        envelope of this release's format (its TOC alone is read); any
+        other plan, or one that records no digest, is rebuilt.
         """
         directory = Path(directory)
         if (directory / MANIFEST_NAME).exists():
@@ -290,6 +315,7 @@ class ShardPlan:
                 and plan.num_shards == num_shards
                 and plan.num_documents == len(data)
                 and plan.params == _manifest_params(params)
+                and plan.digest == _corpus_digest(data)
                 and all(is_current_envelope(directory / spec.path) for spec in plan.shards)
             ):
                 if plan.replicas != replicas:

@@ -302,8 +302,9 @@ class ShardRouter:
         the same shard (identical doc range).  The per-shard ranges
         must be disjoint, contiguous, and tile ``[0, num_documents)``.
     data:
-        Collection used to encode ``search_text`` queries (any shard
-        subset works — subsets share the parent vocabulary).
+        Collection used to encode ``search_text`` queries: the one the
+        plan was cut from.  Shard files are ids-only, so this is the
+        deployment's one vocabulary; shards receive token ids.
     default_timeout:
         Per-query deadline (seconds) across scatter + gather when the
         caller passes none.  ``None`` = wait for every shard.
@@ -730,7 +731,8 @@ class ShardRouter:
     def search_text(
         self, text: str, *, timeout: float | None = None, routing=None
     ) -> RouterResponse:
-        """Encode ``text`` (any shard vocabulary works) and search it."""
+        """Encode ``text`` against the router's collection and search its
+        token ids on every shard."""
         if self.data is None:
             raise ReproError(
                 "router has no document collection to encode text queries; "

@@ -1050,10 +1050,11 @@ class TestDurability:
     def test_manifest_of_3_1_names_its_release(self, tmp_path, monkeypatch):
         # 3.1.x wrote envelope version 4, each of its segments storing the
         # order and vocabulary again; 3.2.x wrote version 5, its segments
-        # keyed on 8 bytes.  There is no shim.
+        # keyed on 8 bytes; 3.3.x version 6, its order's tables int lists.
+        # There is no shim.
         from repro import persistence
 
-        for version, release in ((4, "3.1.1"), (5, "3.2.0")):
+        for version, release in ((4, "3.1.1"), (5, "3.2.0"), (6, "3.3.0")):
             directory = tmp_path / f"store{version}"
             monkeypatch.setattr(persistence, "_TOC_VERSION", version)
             store, _live = drive_durable(directory, steps=8)

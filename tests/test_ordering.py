@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import DocumentCollection
+from repro.index.compact import _packed_column
 from repro.ordering import GlobalOrder
 from repro.ordering.global_order import window_frequencies
 from repro.routing import FingerprintTier
@@ -149,20 +150,25 @@ class TestGlobalOrder:
         assert freqs == sorted(freqs)
 
     def test_pickle_stores_each_table_once(self):
-        # The order pickles _token_of_rank, not its inverse, and the
-        # vocabulary its token list, not _id_of: loading derives both.
+        # The order pickles _token_of_rank and _freq_of_rank as read-only
+        # arrays at their narrowest width, not their inverse _rank_of_token
+        # and no vocabulary; the vocabulary pickles its token list, not
+        # _id_of.  Loading derives both inverses.
         empty = DocumentCollection()
         for data, order in (self._paper_order(), (empty, GlobalOrder(empty, 4))):
             order.rank(data.vocabulary.add("and"))
-            loaded = pickle.loads(pickle.dumps(order.snapshot(data.vocabulary.copy())))
-            assert "_rank_of_token" not in order.__getstate__()
+            state = order.__getstate__()
+            loaded = pickle.loads(pickle.dumps(order.snapshot()))
+            assert state.keys() == vars(order).keys() - {"_rank_of_token"}
+            assert "_vocabulary" not in state
             assert data.vocabulary.__getstate__() == list(data.vocabulary)
             assert vars(loaded).keys() == vars(order).keys()
-            assert loaded._rank_of_token == order._rank_of_token
-            assert loaded._token_of_rank == order._token_of_rank
+            for name in ("_rank_of_token", "_token_of_rank", "_freq_of_rank"):
+                column, built = getattr(loaded, name), getattr(order, name)
+                assert isinstance(column, np.ndarray) and not column.flags.writeable
+                assert column.dtype == built.dtype == _packed_column(column.tolist()).dtype
+                assert column.tolist() == built.tolist()
             assert loaded._extra_ranks == order._extra_ranks
-            assert loaded._vocabulary._id_of == data.vocabulary._id_of
-            assert list(loaded._vocabulary) == list(data.vocabulary)
 
     def test_rank_document_preserves_positions(self):
         data = DocumentCollection()

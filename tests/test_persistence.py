@@ -588,12 +588,12 @@ class TestCorpusStoredOnce:
             assert opened.total_tokens() == data.total_tokens()
             assert opened.total_windows(10) == data.total_windows(10)
             assert repr(opened) == repr(data)
-            plan = ShardPlan.ensure(
-                opened, searcher.params, tmp_path / "shards", num_shards=2
-            )
-            assert plan.num_documents == len(data)
             with pytest.raises(AssertionError, match="decoded"):
                 opened[0]
+        # A plan is reused only for the corpus it was cut from, so ensure
+        # reads every token (one document at a time) to compare digests.
+        plan = ShardPlan.ensure(opened, searcher.params, tmp_path / "shards", num_shards=2)
+        assert plan == ShardPlan.load(tmp_path / "shards")
         # Reading makes a Document each time and writes nothing back.
         assert opened[0] is not opened[0] and opened[0] == data[0]
         assert [d.tokens for d in opened] == [d.tokens for d in data]
@@ -610,13 +610,13 @@ class TestCorpusStoredOnce:
         save_searcher(searcher, path, data=data)
         _header, sections, _arrays = read_envelope(path, "pkwise-index")
         assert set(sections["data"]) == {"tokenizer", "vocabulary", "names"}
-        assert sections["order"]._vocabulary is None
-        assert load_bundle(path).searcher.order._vocabulary is not None
-        # Ids-only, nothing else would hold the vocabulary: the order keeps it.
+        assert b"Vocabulary" not in pickle.dumps(sections["order"])
+        # Ids-only (what a shard plan's files are), it holds no vocabulary:
+        # the order maps token ids and holds none of its own.
         save_searcher(searcher, path)
         _header, sections, _arrays = read_envelope(path, "pkwise-index")
         assert sections["data"] is None
-        assert list(sections["order"]._vocabulary) == list(data.vocabulary)
+        assert b"Vocabulary" not in pickle.dumps(sections)
 
     @pytest.mark.parametrize(
         "alter, doc_id",
@@ -663,16 +663,17 @@ class TestCorpusStoredOnce:
     def test_pre_bump_envelope_says_rebuild(self, built, tmp_path, mmap):
         # Envelope version 3 pickled every document beside the ranks, 4
         # (3.1.x) each per-token table beside its inverse, 5 (3.2.x)
-        # 8-byte signature keys; there is no shim: such a file is refused
-        # by its TOC version.
+        # 8-byte signature keys, 6 (3.3.x) the order's tables as int
+        # lists; there is no shim: such a file is refused by its TOC
+        # version.
         data, searcher = built
         path = tmp_path / "index.idx"
         save_searcher(searcher, path, data=data)
         raw = path.read_bytes()
         toc_length = int.from_bytes(raw[16:24], "little")
         toc = pickle.loads(raw[24 : 24 + toc_length])
-        assert toc["version"] == 6
-        for version in (3, 4, 5):
+        assert toc["version"] == 7
+        for version in (3, 4, 5, 6):
             old_toc = pickle.dumps({**toc, "version": version}, protocol=pickle.HIGHEST_PROTOCOL)
             assert len(old_toc) == toc_length
             path.write_bytes(raw[:24] + old_toc + raw[24 + toc_length :])
@@ -702,7 +703,7 @@ def _write_manifest(directory: Path, built) -> Path:
         directory,
         ManifestState(
             params=searcher.params,
-            order=searcher.order.detached(),
+            order=searcher.order.snapshot(),
             scheme=searcher.scheme,
             # A header, no document: with no segment, no sealed doc id.
             data={"tokenizer": data.tokenizer, "vocabulary": data.vocabulary,

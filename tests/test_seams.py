@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import RoutingPolicy, SearchParams
 from repro.core.pkwise import DEFAULT_FREQ_HIGH, DEFAULT_FREQ_LOW, PKWiseSearcher, default_scheme
-from repro.corpus import DocumentCollection
+from repro.corpus import Document, DocumentCollection
 from repro.index.compact import CompactIntervalIndex, PackedRankDocs, _packed_column
 from repro.ingest.tiered import Tier, TieredFingerprints, TieredIntervalIndex, TieredRankDocs
 from repro.ordering import GlobalOrder
@@ -133,6 +133,15 @@ def build_inputs(draw):
     )
 
 
+def widened(order, dtype):
+    """A snapshot of ``order`` with each of its tables at least ``dtype``."""
+    wide = order.snapshot()
+    for name in ("_token_of_rank", "_freq_of_rank", "_rank_of_token"):
+        column = getattr(order, name)
+        setattr(wide, name, column.astype(np.promote_types(column.dtype, dtype)))
+    return wide
+
+
 def stored(columns):
     """Every column's dtype and bytes; integer columns must be narrowest."""
     for name, c in columns.items():
@@ -174,6 +183,22 @@ def cross_seams(case):
         rank_docs = order.rank_documents(data)
         assert list(rank_docs) == [reference.rank_document(document) for document in data]
         assert list(order._extra_ranks.items()) == list(reference._extra_ranks.items())
+        # 2: the order's tables at their width and every wider one rank
+        # alike through each door, the OOV sentinel and ids past the
+        # build-time universe among the tokens, and every rank a Python int.
+        fresh = range(len(vocabulary), len(vocabulary) + 3)  # not admitted yet
+        pool = [-1, *rng.sample(range(size), min(size, 5)), *range(size, len(vocabulary)), *fresh]
+        documents = [*data, Document(-1, rng.choices(pool, k=rng.randint(0, 40)))]
+        one_by_one = order.snapshot()
+        want = [[one_by_one.rank(token) for token in d.tokens] for d in documents]
+        for dtype in WIDTHS[WIDTHS.index(order._token_of_rank.dtype.type):]:
+            for door in (
+                lambda wide: list(wide.rank_documents(documents)),
+                lambda wide: [wide.rank_sequence(d.tokens) for d in documents],
+                lambda wide: [[wide.rank(token) for token in d.tokens] for d in documents],
+            ):
+                got = door(widened(order, dtype))
+                assert got == want and {type(r) for ranks in got for r in ranks} <= {int}
         # 1 and 2: the build's columns and counters, and the covers, at the
         # rank column's width (OOV_RANK takes int64) and every wider one, and
         # one document at a time; borders on held ranks meet group starts.

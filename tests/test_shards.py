@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import threading
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro import (
     RoutingPolicy,
     SearchParams,
     faults,
+    make_profile_collection,
 )
 from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import DocumentCollection
@@ -39,6 +41,20 @@ PARAMS = SearchParams(w=10, tau=2, k_max=3)
 def single_pairs(corpus, query):
     """What one index returns, in canonical order: the reference pairs."""
     return sorted(expected_pairs(corpus, query, PARAMS.w, PARAMS.tau))
+
+
+def plan_pairs(directory, plan, corpus, query):
+    """``query``'s pairs from ``plan``'s shard files, behind a router that
+    encodes against ``corpus``."""
+    backends = [
+        LocalShardBackend(
+            SearchService(Index.open(directory / spec.path)),
+            shard_id=spec.shard_id, doc_lo=spec.doc_lo, doc_hi=spec.doc_hi,
+        )
+        for spec in plan.shards
+    ]
+    with ShardRouter(backends, corpus) as router:
+        return list(router.search(query).pairs)
 
 
 # ----------------------------------------------------------------------
@@ -121,12 +137,13 @@ class TestShardPlan:
     def test_ensure_rebuilds_shard_files_of_an_older_format(
         self, small_corpus, query, tmp_path, monkeypatch
     ):
-        # A plan written by 3.1.x (envelope version 4) or 3.2.x (5, 8-byte
-        # keys) has every file in place, but no worker could open one:
-        # ensure reads each file's TOC and rebuilds the plan.
+        # A plan written by 3.1.x (envelope version 4), 3.2.x (5, 8-byte
+        # keys) or 3.3.x (6, the order's tables as int lists) has every
+        # file in place, but no worker could open one: ensure reads each
+        # file's TOC and rebuilds the plan.
         from repro import persistence
 
-        for version in (4, 5):
+        for version in (4, 5, 6):
             monkeypatch.setattr(persistence, "_TOC_VERSION", version)
             old = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
             monkeypatch.undo()
@@ -135,15 +152,50 @@ class TestShardPlan:
             plan = ShardPlan.ensure(small_corpus, PARAMS, tmp_path, num_shards=2)
             assert plan.shards == old.shards
             assert persistence.is_current_envelope(tmp_path / plan.shards[0].path)
-        backends = [
-            LocalShardBackend(
-                SearchService(Index.open(tmp_path / spec.path)),
-                shard_id=spec.shard_id, doc_lo=spec.doc_lo, doc_hi=spec.doc_hi,
-            )
-            for spec in plan.shards
-        ]
-        with ShardRouter(backends, small_corpus) as router:
-            assert list(router.search(query).pairs) == single_pairs(small_corpus, query)
+        assert plan_pairs(tmp_path, plan, small_corpus, query) == single_pairs(
+            small_corpus, query
+        )
+
+    def test_ensure_rebuilds_a_plan_of_another_corpus_of_the_same_size(
+        self, small_corpus, query, tmp_path
+    ):
+        # The same documents in another order: same size, same parameters.
+        # Shard files are ids-only, so serving the old plan would answer
+        # the router's token ids from the old documents; ensure compares
+        # the corpus digest in shards.json, and rebuilds a plan without one.
+        old = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
+        rotated = DocumentCollection(vocabulary=small_corpus.vocabulary)
+        for document in [*small_corpus][1:] + [small_corpus[0]]:
+            rotated.add_token_ids(document.tokens)
+        want = single_pairs(rotated, query)
+        assert want != single_pairs(small_corpus, query)
+        plan = ShardPlan.ensure(rotated, PARAMS, tmp_path, num_shards=2)
+        assert plan_pairs(tmp_path, plan, rotated, query) == want
+        assert plan.digest != old.digest
+        payload = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        del payload["digest"]
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload))
+        assert ShardPlan.load(tmp_path).digest is None
+        assert ShardPlan.ensure(rotated, PARAMS, tmp_path, num_shards=2) == plan
+        assert ShardPlan.load(tmp_path) == plan
+
+    def test_opening_a_shard_file_builds_no_per_token_object(self, tmp_path):
+        # A shard of the serve-sharded corpus (|V| = 10,518): ids-only, its
+        # order two narrow arrays, its index columns mapped in place.
+        # Opening one allocated 2.32 MB when each shard file pickled the
+        # collection's vocabulary and the order's tables as int lists.
+        data = make_profile_collection("REUTERS", scale=0.1, seed=7)[0]
+        params = SearchParams(w=25, tau=5, k_max=4)
+        path = tmp_path / ShardPlan.build(data, params, tmp_path, num_shards=2).shards[0].path
+        Index.open(path, mmap=True).close()  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            index = Index.open(path, mmap=True)
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert index.data is None
+        assert allocated < 0.25 * 2**20, allocated
 
     @pytest.mark.parametrize(
         "damage",
