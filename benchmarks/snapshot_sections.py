@@ -26,9 +26,11 @@ too, a ``shards.json`` path each of that plan's shard files.  Exit 1 when
 * a pickled section stores a per-token table beside its inverse: the
   vocabulary pickles its token list, not ``_id_of``, and the order its
   ``_token_of_rank``, not ``_rank_of_token``;
-* the order's ``_token_of_rank`` or ``_freq_of_rank`` is not an integer
-  array at its narrowest width (int lists cost every process that opens
-  the file about 1 MB of int objects at |V| = 10,518);
+* the order's stored ``_token_of_rank``, ``_freq_of_rank`` or
+  ``_admitted`` is not an integer array at its narrowest width, or the
+  order stores any dict or list (int lists cost every process that
+  opens the file about 1 MB of int objects at |V| = 10,518; a dict of
+  lazily admitted tokens was half of a live store's ``MANIFEST``);
 * a live store's segment stores an ``order`` or ``data``: the store's
   ``MANIFEST`` holds its one copy of the order and the vocabulary;
 * a shard file stores ``data``: the router encodes every query against
@@ -41,6 +43,7 @@ per corpus token, and the live store its total (``MANIFEST``, segments
 and WAL) per token of the corpus it took in.
 """
 
+import io
 import pickle
 import pickletools
 import sys
@@ -65,7 +68,27 @@ KEY_DTYPE = "<u4"
 INVERSES = {"_id_of", "_rank_of_token"}
 
 #: The order's stored tables: integer arrays at their narrowest width.
-ORDER_TABLES = ("_token_of_rank", "_freq_of_rank")
+ORDER_TABLES = ("_token_of_rank", "_freq_of_rank", "_admitted")
+
+
+class _StoredState:
+    """Stands in for the order's class on load: keeps the state as stored."""
+
+    def __setstate__(self, state):
+        self.state = state
+
+
+class _StateUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if (module, name) == ("repro.ordering.global_order", "GlobalOrder"):
+            return _StoredState
+        return super().find_class(module, name)
+
+
+def stored_order_state(payload: bytes) -> dict | None:
+    """The order section's pickled state as the file stores it, or None."""
+    order = _StateUnpickler(io.BytesIO(payload)).load()
+    return order.state if isinstance(order, _StoredState) else None
 
 
 def main(path: Path, segment: bool = False, shard: bool = False) -> int:
@@ -95,20 +118,25 @@ def main(path: Path, segment: bool = False, shard: bool = False) -> int:
         print(f"FAIL: shard file {path.name} stores data; the router holds the "
               f"one collection and sends token ids", file=sys.stderr)
         status = 1
-    order = sections["order"]
-    for name in ORDER_TABLES if order is not None else ():
-        table = vars(order).get(name)
-        if not (isinstance(table, np.ndarray) and table.dtype.kind == "i"
-                and _packed_column(table).dtype == table.dtype):
-            kind = table.dtype if isinstance(table, np.ndarray) else type(table).__name__
-            print(f"FAIL: {path.name}'s order stores {name} as {kind}, not an "
-                  f"integer array at its narrowest width", file=sys.stderr)
-            status = 1
     # Sections start at the first 64-byte boundary past magic, length and TOC.
     blob = path.read_bytes()
     start = (24 + int.from_bytes(blob[16:24], "little") + 63) // 64 * 64
     for name, entry in toc["pickled"].items():
         payload = blob[start + entry["offset"]:start + entry["offset"] + entry["length"]]
+        state = stored_order_state(payload) if name == "order" else None
+        for table in ORDER_TABLES if state is not None else ():
+            column = state.get(table)
+            if not (isinstance(column, np.ndarray) and column.dtype.kind == "i"
+                    and _packed_column(column).dtype == column.dtype):
+                kind = column.dtype if isinstance(column, np.ndarray) else type(column).__name__
+                print(f"FAIL: {path.name}'s order stores {table} as {kind}, not an "
+                      f"integer array at its narrowest width", file=sys.stderr)
+                status = 1
+        for key, value in (state or {}).items():
+            if isinstance(value, (dict, list)):
+                print(f"FAIL: {path.name}'s order stores {key} as a "
+                      f"{type(value).__name__}, not an integer column", file=sys.stderr)
+                status = 1
         names = {arg for _op, arg, _at in pickletools.genops(payload) if isinstance(arg, str)}
         for inverse in sorted(INVERSES & names):
             print(f"FAIL: {path.name}'s {name} stores {inverse} beside its inverse",

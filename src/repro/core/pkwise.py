@@ -37,7 +37,7 @@ from ..partition.scheme import PartitionScheme
 from ..routing import FingerprintTier, RoutingPolicy
 from ..signatures.maintain import SignatureStream
 from .base import SearchResult, SearchStats
-from .verify import IntervalVerifier, slice_accessor
+from .verify import IntervalVerifier
 
 
 #: Relative window-frequency span used by :func:`default_scheme`:
@@ -374,7 +374,7 @@ class PKWiseSearcher:
 
         stream = SignatureStream(query_ranks, w, tau, self.scheme)
         verifier = IntervalVerifier(query_ranks, w, tau)
-        rank_slice = slice_accessor(self.rank_docs)
+        rank_slice = self.rank_docs.rank_slice
         index = self.index
         merge_gap = w // 2
         chunk_target = self._PROBE_CHUNK_EVENTS

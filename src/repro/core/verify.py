@@ -24,8 +24,9 @@ multiplicity, so each of Eq. 4's hash operations is one C-level ``dict``
 operation; an absent rank reads as 0 through ``.get``.
 
 The verifier never sees a whole document: it reads ``d[u : v + w]``
-through the rank container's slice accessor (:func:`slice_accessor`),
-one kernel for packed columns, tiered views and plain lists.
+through the rank container's ``rank_slice``, which every container a
+search holds brings (a packed column, a memtable's growing one, the
+tiered view over both).
 """
 
 from __future__ import annotations
@@ -39,21 +40,6 @@ import numpy as np
 
 from ..errors import ReproError
 from .base import MatchPair
-
-
-def slice_accessor(rank_docs) -> Callable[[int, int, int], list[int]]:
-    """``rank_slice(doc_id, lo, hi) -> d[lo:hi]`` as a plain list.
-
-    A container that can cut the slice without decoding the document
-    (:class:`~repro.index.compact.PackedRankDocs`,
-    :class:`~repro.ingest.tiered.TieredRankDocs`) brings its own
-    ``rank_slice``; list-backed documents are sliced as lists.  Resolved
-    once per query, so the verifier's kernel never asks what it holds.
-    """
-    try:
-        return rank_docs.rank_slice
-    except AttributeError:
-        return lambda doc_id, lo, hi: rank_docs[doc_id][lo:hi]
 
 
 class _IntervalState:
@@ -196,8 +182,8 @@ class IntervalVerifier:
     ) -> list[MatchPair]:
         """All matches of the current query window in ``d[u, v]``.
 
-        ``rank_slice(doc_id, lo, hi)`` is the rank container's slice
-        accessor (:func:`slice_accessor`); only ``d[u : v + w]`` — the
+        ``rank_slice(doc_id, lo, hi)`` is the rank container's
+        ``rank_slice``; only ``d[u : v + w]`` — the
         ranks this interval can touch — is fetched, once per carried
         state, and every position below is relative to that segment.
         The work is ordered so that the cheapest decisive test comes

@@ -100,12 +100,12 @@ class DocumentCollection:
     # ------------------------------------------------------------------
     def add_text(self, text: str, name: str | None = None) -> Document:
         """Tokenize ``text`` with the collection tokenizer and append it."""
-        token_ids = self.vocabulary.encode(self.tokenizer.tokenize(text))
-        return self.add_token_ids(token_ids, name=name)
+        return self.add_tokens(self.tokenizer.tokenize(text), name=name)
 
     def add_tokens(self, tokens: Sequence[str], name: str | None = None) -> Document:
-        """Append a document given as pre-split token strings."""
-        return self.add_token_ids(self.vocabulary.encode(tokens), name=name)
+        """Append a document given as pre-split token strings.  The
+        vocabulary interns them, so their ids need no range check."""
+        return self._append(self.vocabulary.encode(tokens), name)
 
     def add_token_ids(
         self, token_ids: Sequence[int], name: str | None = None
@@ -122,6 +122,9 @@ class DocumentCollection:
             raise CorpusError(
                 f"token id {bad} out of range for vocabulary of size {vocab_size}"
             )
+        return self._append(token_ids, name)
+
+    def _append(self, token_ids: Sequence[int], name: str | None) -> Document:
         document = Document(len(self._documents), token_ids, name=name)
         self._documents.append(document)
         return document

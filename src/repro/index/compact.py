@@ -438,9 +438,10 @@ class PackedRankDocs(Sequence):
     — the :class:`Sequence` contract, for the callers that walk
     documents (fingerprint builds, tests).  Nothing is cached and
     nothing is written after construction, so any number of search
-    threads may read one instance.  Read-only: appending documents
-    requires thawing to lists first (the searcher's frozen guard raises
-    before ever getting here).
+    threads may read one instance.  Read-only: a live memtable appends
+    to its own growing column
+    (:class:`~repro.ingest.memtable.RankColumn`), which readers read
+    through these same methods.
     """
 
     def __init__(self, offsets: np.ndarray, values: np.ndarray) -> None:
@@ -463,18 +464,16 @@ class PackedRankDocs(Sequence):
 
     @classmethod
     def concatenated(
-        cls, parts: Sequence[Sequence[Sequence[int]]], removed: Iterable[int] = ()
+        cls, parts: Sequence["PackedRankDocs"], removed: Iterable[int] = ()
     ) -> "PackedRankDocs":
         """Rank columns of consecutive tiers as one — the fold's companion
         to :meth:`CompactIntervalIndex.merged`.
 
-        A plain list-of-lists part is packed first (:meth:`from_lists`).
         Each doc id in ``removed`` (output ids) keeps its slot with an
         empty run.  Columns are sliced directly: no document is decoded.
         """
-        packed = [p if isinstance(p, cls) else cls.from_lists(p) for p in parts]
-        lengths = np.concatenate([np.diff(p._offsets) for p in packed])
-        values = np.concatenate([p._values for p in packed])
+        lengths = np.concatenate([np.diff(p._offsets) for p in parts])
+        values = np.concatenate([p._values for p in parts])
         dropped = np.zeros(len(lengths), dtype=bool)
         dropped[np.fromiter(removed, dtype=np.int64)] = True
         values = values[~np.repeat(dropped, lengths)]

@@ -1,8 +1,8 @@
 """repro.ingest: LSM-style streaming ingestion.
 
 The write path of the library.  Writes land in a memtable
-(:mod:`~repro.ingest.memtable`), which appends their rank lists and
-indexes each burst of them in one array pass when a query or a seal
+(:mod:`~repro.ingest.memtable`), which appends their ranks to one rank
+column and indexes each burst of them in one array pass when a query or a seal
 needs it; queries fan out over
 memtable + frozen compact segments with exact merged results
 (:mod:`~repro.ingest.tiered`, :mod:`~repro.ingest.searcher`), and a

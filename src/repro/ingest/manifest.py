@@ -125,6 +125,8 @@ _OLDER_STORES = {
     5: ("repro 3.2.x, whose segments keyed signatures on 8 bytes", "3.2.0"),
     6: ("repro 3.3.x, whose global order pickled its tables as int lists",
         "3.3.0"),
+    7: ("repro 3.4.x, whose global order pickled its lazily admitted "
+        "tokens as a dict", "3.4.0"),
 }
 
 

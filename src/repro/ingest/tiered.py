@@ -36,9 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.verify import slice_accessor
 from ..errors import IndexStateError
-from ..index.compact import PackedRankDocs
 from ..index.intervals import ProbeBatch
 from ..routing import FingerprintTier
 
@@ -57,7 +55,7 @@ class Tier:
     ) -> None:
         self.doc_lo = doc_lo
         #: ``None`` marks the active-memtable tier: its upper bound
-        #: tracks the shared rank_docs list live, so adds are visible
+        #: tracks the shared rank column live, so adds are visible
         #: through already-installed views without a reinstall.
         self._doc_hi = doc_hi
         self.generation = generation
@@ -66,9 +64,12 @@ class Tier:
         #: :class:`~repro.ingest.memtable.Memtable` itself (its columns are
         #: replaced as it catches up).
         self.index = index
-        #: Local-id rank sequences (list of lists or PackedRankDocs).
+        #: Local-id rank sequences: a segment's
+        #: :class:`~repro.index.compact.PackedRankDocs`, or a memtable's
+        #: :class:`~repro.ingest.memtable.RankColumn` (live for the
+        #: active memtable, appended to no more once sealed).
         self.rank_docs = rank_docs
-        #: ``"segment"`` (packed ranks) or ``"memtable"`` (rank lists).
+        #: ``"segment"`` (frozen on disk or in memory) or ``"memtable"``.
         self.kind = kind
         #: Backing snapshot file for segments persisted to disk.
         self.path = path
@@ -191,7 +192,7 @@ class TieredRankDocs(Sequence):
     def __init__(self, tiers: Sequence[Tier]) -> None:
         self._tiers = tuple(tiers)
         self._starts = [tier.doc_lo for tier in tiers]
-        self._slices = [slice_accessor(tier.rank_docs) for tier in tiers]
+        self._slices = [tier.rank_docs.rank_slice for tier in tiers]
 
     def __len__(self) -> int:
         if not self._tiers:
@@ -214,31 +215,27 @@ class TieredRankDocs(Sequence):
         return tier.rank_docs[doc_id - tier.doc_lo]
 
     def rank_slice(self, doc_id: int, lo: int, hi: int) -> list[int]:
-        """``self[doc_id][lo:hi]`` cut by the owning tier (a segment's
-        column or a memtable's list).  ``doc_id`` is not checked — the
-        verifier gets it from a probe of these very tiers."""
+        """``self[doc_id][lo:hi]`` cut by the owning tier's rank column
+        (a segment's, or a memtable's growing one).  ``doc_id`` is not
+        checked — the verifier gets it from a probe of these very tiers."""
         slot = bisect_right(self._starts, doc_id) - 1
         return self._slices[slot](doc_id - self._starts[slot], lo, hi)
 
     def doc_length(self, doc_id: int) -> int:
-        """``len(self[doc_id])``; a segment answers from its offsets
+        """``len(self[doc_id])``, answered by the owning tier's offsets
         column without reading a rank."""
         tier = self._owner(doc_id)
-        docs = tier.rank_docs
-        if isinstance(docs, PackedRankDocs):
-            return docs.doc_length(doc_id - tier.doc_lo)
-        return len(docs[doc_id - tier.doc_lo])
+        return tier.rank_docs.doc_length(doc_id - tier.doc_lo)
 
     def doc_ranks(self, doc_id: int) -> np.ndarray:
-        """The owning segment's run of ``doc_id``, as an array view: what
+        """The owning tier's run of ``doc_id``, as an array view: what
         a reopened store's collection decodes a sealed document from.
-        Segment tiers only; ``doc_id`` is not checked."""
+        ``doc_id`` is not checked."""
         slot = bisect_right(self._starts, doc_id) - 1
         return self._tiers[slot].rank_docs.doc_ranks(doc_id - self._starts[slot])
 
     def lengths(self) -> list[int]:
-        """Every document's length from the segments' offsets columns.
-        Segment tiers only."""
+        """Every document's length from the tiers' offsets columns."""
         return [n for tier in self._tiers for n in tier.rank_docs.lengths()]
 
     def __repr__(self) -> str:

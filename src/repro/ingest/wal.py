@@ -72,6 +72,11 @@ def wal_generations(directory: str | Path) -> list[tuple[int, Path]]:
     return sorted(found)
 
 
+#: Encodes every record: compact separators, built once (``json.dumps``
+#: with separators other than its defaults builds an encoder per call).
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _record_digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=_WAL_DIGEST_SIZE).hexdigest()
 
@@ -93,7 +98,7 @@ class WriteAheadLog:
 
     def append(self, record: dict) -> None:
         """Append one mutation record (checksummed, framed, flushed)."""
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        payload = _RECORD_ENCODER.encode(record).encode("utf-8")
         line = payload + b"\t" + _record_digest(payload).encode("ascii") + b"\n"
         line = faults.inject_bytes(
             "ingest.wal",

@@ -68,8 +68,9 @@ _MAGIC = b"repro-envelope-3"  # exactly 16 bytes
 #: segment stores no order (its ``MANIFEST`` holds the one copy).  6:
 #: signature-hash keys are ``uint32`` (the paper's 4 bytes), not 8 bytes.
 #: 7: the global order pickles its tables as narrow integer arrays, not
-#: int lists, and holds no vocabulary.
-_TOC_VERSION = 7
+#: int lists, and holds no vocabulary.  8: it stores its lazily admitted
+#: tokens as such a column too, not a dict.
+_TOC_VERSION = 8
 _HEAD_SIZE = len(_MAGIC) + 8  # magic + TOC length
 _ALIGN = 64
 _INDEX_KIND = "pkwise-index"

@@ -274,19 +274,23 @@ class FingerprintTier:
         array; negative lazy/OOV ranks hash fine), fingerprinted by
         :meth:`from_rank_docs` as a corpus of one.  O(len(ranks)).
         """
-        if self.frozen:
-            raise IndexStateError(
-                "cannot add documents to a frozen fingerprint tier"
-            )
         # Imported here: repro.index imports this package (via params).
         from ..index.compact import PackedRankDocs
 
         ranks = np.asarray(ranks, dtype=np.int64)
-        one = self.from_rank_docs(
-            PackedRankDocs(np.array([0, len(ranks)]), ranks), block_len=self.block_len
-        )
-        self._cover_lanes.extend(one._cover_lanes)
-        self._cover_counts.extend(one._cover_counts)
+        self.extend(PackedRankDocs(np.array([0, len(ranks)]), ranks))
+
+    def extend(self, rank_docs) -> None:
+        """Fingerprint every document of the packed rank column
+        ``rank_docs`` as the next ones: the rows :meth:`add` per document
+        would append, from one :meth:`from_rank_docs`."""
+        if self.frozen:
+            raise IndexStateError(
+                "cannot add documents to a frozen fingerprint tier"
+            )
+        more = self.from_rank_docs(rank_docs, block_len=self.block_len)
+        self._cover_lanes.extend(more._cover_lanes)
+        self._cover_counts.extend(more._cover_counts)
         self._compiled = None
 
     @classmethod

@@ -9,8 +9,6 @@ arrays indexed by token id.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import compress, count, repeat
-from operator import is_
 
 from ..errors import UnknownTokenError
 
@@ -24,11 +22,27 @@ OOV_TOKEN_ID = -1
 OOV_TOKEN = "<oov>"
 
 
+class _Interning(dict):
+    """``token -> id`` that interns a missing token when it is looked up
+    by ``[]`` (``__missing__``): it takes the next id and joins
+    ``tokens``, the id -> token list.  ``get`` and ``in`` intern nothing."""
+
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: list[str]) -> None:
+        super().__init__(zip(tokens, range(len(tokens))))
+        self.tokens = tokens
+
+    def __missing__(self, token: str) -> int:
+        token_id = self[token] = len(self.tokens)
+        self.tokens.append(token)
+        return token_id
+
+
 class Vocabulary:
     """Mutable string<->id mapping with dense ids.
 
-    ``add`` interns a token and returns its id; ``encode`` interns a
-    whole sequence.  Lookup of unknown tokens via ``id_of`` raises
+    ``encode`` interns a sequence of tokens and returns their ids.  Lookup of unknown tokens via ``id_of`` raises
     :class:`~repro.errors.UnknownTokenError` (a ``KeyError`` subclass
     naming the token); use ``encode_query`` for a non-mutating
     encoding that maps unknown tokens to :data:`OOV_TOKEN_ID`.
@@ -41,38 +55,16 @@ class Vocabulary:
     __slots__ = ("_id_of", "_token_of")
 
     def __init__(self, tokens: Iterable[str] = ()) -> None:
-        self._id_of: dict[str, int] = {}
         self._token_of: list[str] = []
-        for token in tokens:
-            self.add(token)
-
-    def add(self, token: str) -> int:
-        """Intern ``token`` and return its id (existing or new)."""
-        token_id = self._id_of.get(token)
-        if token_id is None:
-            token_id = len(self._token_of)
-            self._id_of[token] = token_id
-            self._token_of.append(token)
-        return token_id
+        self._id_of = _Interning(self._token_of)
+        self.encode(tokens)
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        """Intern each token of ``tokens`` and return their ids.
-
-        One dictionary pass looks every token up; when one is missing,
-        a second pass finds the misses and only they go through
-        :meth:`add`, in first-seen order, so the ids are those of
-        interning the tokens one at a time.
-        """
-        tokens = tokens if isinstance(tokens, list) else list(tokens)
-        try:
-            return list(map(self._id_of.__getitem__, tokens))
-        except KeyError:
-            pass
-        ids = list(map(self._id_of.get, tokens))
-        add = self.add
-        for position in compress(count(), map(is_, ids, repeat(None))):
-            ids[position] = add(tokens[position])
-        return ids
+        """Intern each token of ``tokens`` and return their ids: one
+        pass of dictionary lookups, a missing token interned where it is
+        met (:class:`_Interning`), so the ids are those of interning the
+        tokens one at a time."""
+        return list(map(self._id_of.__getitem__, tokens))
 
     def encode_query(self, tokens: Iterable[str]) -> list[int]:
         """Encode without interning; unknown tokens map to
@@ -96,10 +88,10 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         """Return the id of ``token``; raises
         :class:`~repro.errors.UnknownTokenError` if unknown."""
-        try:
-            return self._id_of[token]
-        except KeyError:
-            raise UnknownTokenError(token) from None
+        token_id = self._id_of.get(token)
+        if token_id is None:
+            raise UnknownTokenError(token)
+        return token_id
 
     def token_of(self, token_id: int) -> str:
         """Return the string of ``token_id`` (OOV sentinel included)."""
@@ -107,17 +99,13 @@ class Vocabulary:
             return OOV_TOKEN
         return self._token_of[token_id]
 
-    def copy(self) -> "Vocabulary":
-        """An independent copy with identical ids.
-
-        Snapshot isolation for persistence: the ingest store copies the
-        vocabulary at seal time so manifest writes (which happen off the
-        writer lock) never race with concurrent interning.
-        """
-        clone = Vocabulary()
-        clone._id_of = dict(self._id_of)
-        clone._token_of = list(self._token_of)
-        return clone
+    def state_at(self, length: int) -> list[str]:
+        """What a pickle stores of this vocabulary as it stood when it
+        held ``length`` tokens: their list.  Interning only appends, so a
+        length taken under the ingest store's writer lock is a
+        point-in-time copy that is cut here, when a manifest is written
+        off-lock."""
+        return self._token_of[:length]
 
     def __getstate__(self) -> list[str]:
         """A pickle stores the token list only: ``_id_of`` is its inverse."""
@@ -125,7 +113,7 @@ class Vocabulary:
 
     def __setstate__(self, tokens: list[str]) -> None:
         self._token_of = tokens
-        self._id_of = dict(zip(tokens, range(len(tokens))))
+        self._id_of = _Interning(tokens)
 
     def __len__(self) -> int:
         return len(self._token_of)

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro import Index, PersistenceError, SearchParams, make_profile_collection
 from repro.core.pkwise import PKWiseSearcher
-from repro.core.verify import slice_accessor
 from repro.corpus import DocumentCollection
 from repro.errors import IndexStateError
 from repro.index.compact import (
@@ -36,6 +35,7 @@ from repro.index.compact import (
 )
 from repro.index.interval_index import IntervalIndex
 from repro.ingest import IngestStore
+from repro.ingest.memtable import RankColumn
 from repro.ingest.tiered import Tier, TieredRankDocs
 from repro.partition.scheme import PartitionScheme
 from repro.persistence import load_bundle, read_envelope, save_searcher, write_envelope
@@ -49,6 +49,7 @@ from .conftest import (
     pairs_as_set,
     probe_runs,
     reference_index,
+    slice_accessor,
 )
 
 
@@ -175,7 +176,7 @@ class TestHashedCollisions:
                 assert sorted(map(tuple, engine.search(query).pairs)) == want
 
         built = Index.build(data, params)
-        assert built.searcher().order.rank(data.vocabulary.id_of("c0001")) == 1
+        assert built.searcher().order.rank_sequence([data.vocabulary.id_of("c0001")]) == [1]
         merged_run(built.searcher().index, {x, y})
         check_pairs(built, data)
         built.save(tmp_path / "x.idx")
@@ -325,10 +326,14 @@ class TestSetupBytes:
     #: Re-derived once more when the order pickled its tables as int16 /
     #: int32 arrays instead of int lists (34d541db... / aa1f8bb4...): every
     #: array section and the scheme kept their bytes, and the order's
-    #: tables read back as the same ints.
+    #: tables read back as the same ints.  Re-derived when the order
+    #: stored its lazily admitted tokens as an integer column instead of
+    #: a dict (ddfc7f22... / 08181d9d...): here that is an empty int16
+    #: ``_admitted`` in place of an empty ``_extra_ranks``; every array
+    #: section, the scheme and the order's two tables kept their bytes.
     DIGESTS = {
-        "off": "ddfc7f220c24801096004ca1897b5303",
-        "exact": "08181d9df4fbf068da7f858d09f464c7",
+        "off": "97cf4af258bddf4c0437a290570df985",
+        "exact": "cf8b2df3c8f6b03e07b4cf4cabe0bf77",
     }
 
     def test_snapshot_sections_are_unchanged(self, tmp_path, monkeypatch):
@@ -571,16 +576,19 @@ class TestPackedRankDocs:
         assert_slices_like_lists(folded, kept)
         assert folded.doc_length(dropped) == 0
         # The same answers through the live index's view: a segment, a
-        # sealed memtable and the active one (whose list grows in place).
+        # sealed memtable and the active one (whose column grows in place).
         first, second = len(lists) // 3, 2 * len(lists) // 3
-        active = [list(ranks) for ranks in lists[second:]]
+        sealed, active = RankColumn(), RankColumn()
+        sealed.extend(PackedRankDocs.from_lists(lists[first:second]))
+        for ranks in lists[second:]:
+            active.append(np.array(ranks, dtype=np.int64))
         tiered = TieredRankDocs([
             Tier(0, first, 1, None, PackedRankDocs.from_lists(lists[:first]),
                  "segment"),
-            Tier(first, second, 2, None, lists[first:second], "memtable"),
+            Tier(first, second, 2, None, sealed, "memtable"),
             Tier(second, None, 3, None, active, "memtable"),
         ])
-        active.append([7, 7, 8])
+        active.append(np.array([7, 7, 8], dtype=np.int16))
         assert_slices_like_lists(tiered, lists + [[7, 7, 8]])
         assert tiered.doc_length(len(lists)) == 3
 

@@ -664,16 +664,16 @@ class TestCorpusStoredOnce:
         # Envelope version 3 pickled every document beside the ranks, 4
         # (3.1.x) each per-token table beside its inverse, 5 (3.2.x)
         # 8-byte signature keys, 6 (3.3.x) the order's tables as int
-        # lists; there is no shim: such a file is refused by its TOC
-        # version.
+        # lists, 7 (3.4.x) its admitted tokens as a dict; there is no
+        # shim: such a file is refused by its TOC version.
         data, searcher = built
         path = tmp_path / "index.idx"
         save_searcher(searcher, path, data=data)
         raw = path.read_bytes()
         toc_length = int.from_bytes(raw[16:24], "little")
         toc = pickle.loads(raw[24 : 24 + toc_length])
-        assert toc["version"] == 7
-        for version in (3, 4, 5, 6):
+        assert toc["version"] == 8
+        for version in (3, 4, 5, 6, 7):
             old_toc = pickle.dumps({**toc, "version": version}, protocol=pickle.HIGHEST_PROTOCOL)
             assert len(old_toc) == toc_length
             path.write_bytes(raw[:24] + old_toc + raw[24 + toc_length :])
@@ -703,7 +703,7 @@ def _write_manifest(directory: Path, built) -> Path:
         directory,
         ManifestState(
             params=searcher.params,
-            order=searcher.order.snapshot(),
+            order=searcher.order,
             scheme=searcher.scheme,
             # A header, no document: with no segment, no sealed doc id.
             data={"tokenizer": data.tokenizer, "vocabulary": data.vocabulary,

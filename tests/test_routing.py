@@ -169,7 +169,7 @@ class TestFingerprintTier:
         query = data.encode_query_tokens(
             data.vocabulary.decode(data[0].tokens[8:38])
         )
-        ranks = [searcher.order.rank(token) for token in query.tokens]
+        ranks = searcher.order.rank_document(query)
         mask = tier.survivors(ranks, w=self.PARAMS.w, tau=self.PARAMS.tau)
         matched_docs = {pair.doc_id for pair in searcher.search(query).pairs}
         assert matched_docs  # the planted copy matches

@@ -138,12 +138,13 @@ class TestShardPlan:
         self, small_corpus, query, tmp_path, monkeypatch
     ):
         # A plan written by 3.1.x (envelope version 4), 3.2.x (5, 8-byte
-        # keys) or 3.3.x (6, the order's tables as int lists) has every
-        # file in place, but no worker could open one: ensure reads each
-        # file's TOC and rebuilds the plan.
+        # keys), 3.3.x (6, the order's tables as int lists) or 3.4.x (7,
+        # its admitted tokens as a dict) has every file in place, but no
+        # worker could open one: ensure reads each file's TOC and
+        # rebuilds the plan.
         from repro import persistence
 
-        for version in (4, 5, 6):
+        for version in (4, 5, 6, 7):
             monkeypatch.setattr(persistence, "_TOC_VERSION", version)
             old = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
             monkeypatch.undo()

@@ -92,9 +92,8 @@ class TestQGramTokenizer:
 class TestVocabulary:
     def test_dense_ids(self):
         vocab = Vocabulary()
-        assert vocab.add("a") == 0
-        assert vocab.add("b") == 1
-        assert vocab.add("a") == 0
+        assert vocab.encode(["a"]) == [0]
+        assert vocab.encode(["b", "a"]) == [1, 0]
         assert len(vocab) == 2
 
     def test_encode_decode_roundtrip(self):
@@ -130,13 +129,16 @@ class TestVocabulary:
         st.booleans(),
     )
     def test_encode_equals_sequential_add(self, known, tokens, as_generator):
-        # ``encode`` looks every token up in one pass and interns only
-        # the misses; a new token repeated inside one list must get the
-        # id its first occurrence was given, exactly as add() one by one.
-        bulk, sequential = Vocabulary(known), Vocabulary(known)
+        # ``encode`` looks every token up in one pass and interns each
+        # miss where it meets it; a new token repeated inside one list
+        # must get the id its first occurrence was given, exactly as
+        # interning one token at a time (the dict below) does.
+        bulk = Vocabulary(known)
+        sequential: dict[str, int] = {}
+        for token in known:
+            sequential.setdefault(token, len(sequential))
         ids = bulk.encode(iter(tokens) if as_generator else tokens)
-        assert ids == [sequential.add(token) for token in tokens]
-        assert len(bulk) == len(sequential)
+        assert ids == [sequential.setdefault(token, len(sequential)) for token in tokens]
         assert list(bulk) == list(sequential)
 
 

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.verify import IntervalVerifier, slice_accessor
+from repro.core.verify import IntervalVerifier
 from repro.index.compact import PackedRankDocs
 from repro.windows.rolling import window_overlap
+
+from .conftest import slice_accessor
 
 
 def reference_matches(doc_ranks, query_ranks, query_start, u, v, w, tau, doc_id=0):
