@@ -28,7 +28,7 @@ class BaselineSearcher(ABC):
         self.params = params
         self.order = order if order is not None else GlobalOrder(data, params.w)
         self.rank_docs: list[list[int]] = [
-            self.order.rank_document(document) for document in data
+            self.order.rank_document(document, admit=True) for document in data
         ]
 
     @abstractmethod

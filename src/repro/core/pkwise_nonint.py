@@ -47,7 +47,7 @@ class PKWiseNonIntervalSearcher:
             )
         self.scheme = scheme
         self.rank_docs: list[list[int]] = [
-            self.order.rank_document(document) for document in data
+            self.order.rank_document(document, admit=True) for document in data
         ]
         build_start = time.perf_counter()
         self.index = WindowInvertedIndex(params.w, params.tau, scheme)

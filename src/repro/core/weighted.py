@@ -144,7 +144,7 @@ class WeightedPKWiseSearcher:
                     f"token weights must be positive; rank {rank} has {weight}"
                 )
         self.rank_docs: list[list[int]] = [
-            self.order.rank_document(document) for document in data
+            self.order.rank_document(document, admit=True) for document in data
         ]
         build_start = time.perf_counter()
         self._postings: dict[Signature, list[tuple[int, int]]] = {}

@@ -585,6 +585,17 @@ class TestHTTP:
         reply = remote_search(server.url, token_ids=tokens)
         assert reply["num_pairs"] > 0
 
+    def test_search_by_token_ids_past_the_vocabulary(self, server, small_corpus, searcher):
+        # An id no document holds, however large, ranks as the OOV
+        # sentinel does; the order's rank table is not sized by it.
+        tokens = list(small_corpus[0].tokens[10:40])
+        order = searcher.order
+        table, admitted = order._rank_of_token, order.num_admitted
+        reply = remote_search(server.url, token_ids=[10**9, *tokens, 2**62])
+        oov = remote_search(server.url, token_ids=[-1, *tokens, -1])
+        assert reply["num_pairs"] == oov["num_pairs"] > 0
+        assert order._rank_of_token is table and order.num_admitted == admitted
+
     def test_metrics_endpoint(self, server, small_corpus):
         text = " ".join(
             small_corpus.vocabulary.decode(small_corpus[0].tokens[5:35])
