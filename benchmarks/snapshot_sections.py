@@ -5,6 +5,7 @@ that each per-token table is stored once and that shard files are
 ids-only.
 
     PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT | MANIFEST | shards.json]
+    PYTHONPATH=src python benchmarks/snapshot_sections.py --digests FILE
 
 Without a path it builds the smoke snapshot (REUTERS profile at scale
 0.02, routed), a two-shard plan over the same corpus and a small durable
@@ -28,9 +29,10 @@ too, a ``shards.json`` path each of that plan's shard files.  Exit 1 when
   ``_token_of_rank``, not ``_rank_of_token``;
 * the order's stored ``_token_of_rank``, ``_freq_of_rank`` or
   ``_admitted`` is not an integer array at its narrowest width, or the
-  order stores any dict or list (int lists cost every process that
-  opens the file about 1 MB of int objects at |V| = 10,518; a dict of
-  lazily admitted tokens was half of a live store's ``MANIFEST``);
+  order stores anything but integers and integer arrays: a dict, a list
+  or a vocabulary (int lists cost every process that opens the file
+  about 1 MB of int objects at |V| = 10,518; a dict of lazily admitted
+  tokens was half of a live store's ``MANIFEST``);
 * a live store's segment stores an ``order`` or ``data``: the store's
   ``MANIFEST`` holds its one copy of the order and the vocabulary;
 * a shard file stores ``data``: the router encodes every query against
@@ -41,6 +43,10 @@ A file with signature keys prints their share of the file, one with a
 rank column its bytes per corpus token, a plan its shard files' bytes
 per corpus token, and the live store its total (``MANIFEST``, segments
 and WAL) per token of the corpus it took in.
+
+``--digests FILE`` prints the file's section table as its TOC records
+it: each section's dtype (``pickle`` for a pickled one) and BLAKE2b
+digest.  ``tests/test_persistence.py`` pins the smoke snapshot's.
 """
 
 import io
@@ -133,7 +139,7 @@ def main(path: Path, segment: bool = False, shard: bool = False) -> int:
                       f"integer array at its narrowest width", file=sys.stderr)
                 status = 1
         for key, value in (state or {}).items():
-            if isinstance(value, (dict, list)):
+            if not isinstance(value, (int, np.ndarray)):
                 print(f"FAIL: {path.name}'s order stores {key} as a "
                       f"{type(value).__name__}, not an integer column", file=sys.stderr)
                 status = 1
@@ -187,7 +193,48 @@ def check_store(manifest: Path) -> int:
     return status
 
 
+def section_digests(path: Path) -> dict[str, str]:
+    """``{section: "dtype digest"}`` of the envelope at ``path``, from its
+    TOC; a pickled section's dtype is ``pickle``."""
+    toc = read_toc(path)
+    return {name: f"{entry.get('dtype', 'pickle')} {entry['digest']}"
+            for name, entry in {**toc["pickled"], **toc["arrays"]}.items()}
+
+
+def smoke(scratch: Path) -> int:
+    """Build the smoke snapshot (``scratch/smoke.idx``), a two-shard plan
+    and a live store over one corpus in ``scratch``; check all three."""
+    corpus = make_profile_collection("REUTERS", 0.02, 1)[0]
+    index = Index.build(corpus, w=50, tau=5, k_max=4, routing="exact")
+    index.save(scratch / "smoke.idx")
+    status = main(scratch / "smoke.idx")
+    ShardPlan.build(corpus, index.params, scratch / "shards", num_shards=2)
+    status |= check_plan(scratch / "shards" / PLAN_NAME)
+    live = Index.open_live(scratch / "live", w=50, tau=5, k_max=4)
+    texts = [" ".join(corpus.vocabulary.decode(d.tokens)) for d in corpus]
+    for text in texts[: len(texts) // 2]:
+        live.add(text)
+    live.flush()
+    for text in texts[len(texts) // 2 :]:
+        live.add(text)
+    live.remove(0)
+    live.compact()
+    live.close()
+    store = scratch / "live"
+    print()
+    status |= check_store(manifest_path(store))
+    stored = sum(path.stat().st_size for path in store.iterdir())
+    print(f"\nlive store: {stored:,d} B (MANIFEST, segments, WAL) for "
+          f"{corpus.total_tokens():,d} corpus tokens: "
+          f"{stored / corpus.total_tokens():.3f} B per token")
+    return status
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--digests"]:
+        for name, digest in section_digests(Path(sys.argv[2])).items():
+            print(f"{name:22s} {digest}")
+        sys.exit(0)
     if len(sys.argv) > 1:
         path = Path(sys.argv[1])
         if path.name == PLAN_NAME:
@@ -195,27 +242,4 @@ if __name__ == "__main__":
         check = check_store if read_toc(path)["kind"] == MANIFEST_KIND else main
         sys.exit(check(path))
     with tempfile.TemporaryDirectory() as scratch:
-        corpus = make_profile_collection("REUTERS", 0.02, 1)[0]
-        index = Index.build(corpus, w=50, tau=5, k_max=4, routing="exact")
-        index.save(f"{scratch}/smoke.idx")
-        status = main(Path(scratch, "smoke.idx"))
-        ShardPlan.build(corpus, index.params, Path(scratch, "shards"), num_shards=2)
-        status |= check_plan(Path(scratch, "shards", PLAN_NAME))
-        live = Index.open_live(Path(scratch, "live"), w=50, tau=5, k_max=4)
-        texts = [" ".join(corpus.vocabulary.decode(d.tokens)) for d in corpus]
-        for text in texts[: len(texts) // 2]:
-            live.add(text)
-        live.flush()
-        for text in texts[len(texts) // 2 :]:
-            live.add(text)
-        live.remove(0)
-        live.compact()
-        live.close()
-        store = Path(scratch, "live")
-        print()
-        status |= check_store(manifest_path(store))
-        stored = sum(path.stat().st_size for path in store.iterdir())
-        print(f"\nlive store: {stored:,d} B (MANIFEST, segments, WAL) for "
-              f"{corpus.total_tokens():,d} corpus tokens: "
-              f"{stored / corpus.total_tokens():.3f} B per token")
-        sys.exit(status)
+        sys.exit(smoke(Path(scratch)))

@@ -17,17 +17,17 @@ from repro.corpus import DocumentCollection
 from repro.index.interval_index import IntervalIndex
 
 
-def _load_oracle():
-    """``benchmarks/e2e/oracle.Oracle``, loaded by path: the benchmark
-    directory is not a package, and the oracle imports nothing of repro."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("e2e_oracle", path)
+def load_script(relative: str):
+    """A script under ``benchmarks/``, loaded by path: it is not a package."""
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Oracle
+    return module
 
 
-Oracle = _load_oracle()
+#: The benchmark's oracle, which imports nothing of repro.
+Oracle = load_script("benchmarks/e2e/oracle.py").Oracle
 
 
 #: Handlers a test must leave as it found them: a forked pool worker
@@ -50,6 +50,19 @@ def _clean_plan():
             signal.signal(signum, handler)  # spare the tests that follow
     if leaked:
         pytest.fail(f"the test left its {' and '.join(leaked)} handler installed")
+
+
+class FakeClock:
+    """A monotonic clock that moves only when a test advances it."""
+
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 Covers the built engine's columns — the hash-collision path (collisions
 can only *add* candidates), the columns a build or freeze writes once, the
-frozen mutation guards, the mmap-able snapshot envelope (roundtrip,
-digests, truncation, tombstones), the
+frozen mutation guards, a mapped snapshot's tombstones and truncation
+(the envelope's other rules are ``test_persistence.py``'s), the
 :class:`~repro.index.compact.PackedRankDocs` sequence and slice semantics,
 and concurrent search threads on one mapped snapshot.  Its pairs, serial,
 pooled and served, are ``test_exactness.py``'s compact and mmap cells.
@@ -11,8 +11,6 @@ pooled and served, are ``test_exactness.py``'s compact and mmap cells.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import random
 import sys
 import threading
@@ -23,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Index, PersistenceError, SearchParams, make_profile_collection
+from repro import Index, PersistenceError, SearchParams
 from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import DocumentCollection
 from repro.errors import IndexStateError
@@ -216,26 +214,6 @@ class TestWrittenOnce:
     """A frozen index is one set of columns, however it was assembled,
     and reading it leaves every one of them as it was."""
 
-    #: BLAKE2b of the five columns (names, dtypes, bytes) of the ``built``
-    #: index, re-derived when every column took the narrowest width that
-    #: holds it (int16 here), then again when keys were folded to 4 bytes
-    #: (69e3cda8f5eccedb58024505799ce824 with 8-byte keys): sorting by
-    #: the folded key reorders the runs, each run keeping its postings.
-    #: Widened back to int64 offsets and int32 posting columns, the
-    #: 8-byte columns gave e92d88aa70c2326376368a6dc34dd7f7, the digest
-    #: taken at commit 9ae3187 — the last to freeze through the bucket
-    #: dict.  It moves only if the stored format does.
-    COLUMNS_DIGEST = "94ca4db0bea3470604e4b116bc39fb7c"
-
-    @staticmethod
-    def digest(index):
-        columns = index.to_arrays()[1]
-        state = hashlib.blake2b(digest_size=16)
-        for name in CompactIntervalIndex.COLUMNS:
-            state.update(f"{name}:{columns[name].dtype.str}:".encode())
-            state.update(columns[name].tobytes())
-        return state.hexdigest()
-
     def test_freeze_and_fold_assemble_the_same_columns(self, built):
         # The build's one array pass, the freeze of the dict reference, a
         # fold of two halves built apart (a memtable's catch-up) and a
@@ -258,7 +236,6 @@ class TestWrittenOnce:
                 assert column.dtype == columns[name].dtype, name
                 assert column.tobytes() == columns[name].tobytes(), name
         assert searcher.index.to_arrays()[0] == meta
-        assert self.digest(frozen) == self.COLUMNS_DIGEST
 
     def test_probing_writes_nothing(self, built):
         _data, searcher = built
@@ -304,63 +281,6 @@ class TestWrittenOnce:
         for name, copy in copies.items():
             assert after[name].dtype == copy.dtype, name
             assert after[name].tobytes() == copy.tobytes(), name
-
-
-class TestSetupBytes:
-    """What a snapshot stores of the set-up — the order, the scheme, the
-    rank column, the index and the routing tier — is the same bytes
-    however it is computed."""
-
-    #: BLAKE2b of every array section (name, dtype, bytes) and of the
-    #: pickled ``order`` and ``scheme`` of a REUTERS profile snapshot
-    #: (scale 0.02, seed 7: 156 documents, 39,872 tokens, two blocks of
-    #: the order and two fingerprint chunks), unrouted and routed.
-    #: Taken at commit 7481b82, where the order sorted by a key per
-    #: token and every document was ranked and fingerprinted in a loop
-    #: (bc03b916... / 064bc3bf...); re-derived when the pickled order
-    #: stopped storing ``_rank_of_token``, the inverse of its
-    #: ``_token_of_rank``, and again when keys were folded to 4 bytes
-    #: (3aa85e0f... / 7ae71367... with 8-byte keys).  The rank and
-    #: routing sections, the scheme and the order kept their bytes; the
-    #: index's runs kept theirs, re-sorted under the folded keys.
-    #: Re-derived once more when the order pickled its tables as int16 /
-    #: int32 arrays instead of int lists (34d541db... / aa1f8bb4...): every
-    #: array section and the scheme kept their bytes, and the order's
-    #: tables read back as the same ints.  Re-derived when the order
-    #: stored its lazily admitted tokens as an integer column instead of
-    #: a dict (ddfc7f22... / 08181d9d...): here that is an empty int16
-    #: ``_admitted`` in place of an empty ``_extra_ranks``; every array
-    #: section, the scheme and the order's two tables kept their bytes.
-    DIGESTS = {
-        "off": "97cf4af258bddf4c0437a290570df985",
-        "exact": "cf8b2df3c8f6b03e07b4cf4cabe0bf77",
-    }
-
-    def test_snapshot_sections_are_unchanged(self, tmp_path, monkeypatch):
-        from repro import persistence
-
-        written = {}
-        real = persistence.write_envelope
-
-        def capture(path, kind, sections, arrays=None, header=None):
-            written.update(sections=sections, arrays=arrays)
-            return real(path, kind, sections, arrays, header)
-
-        monkeypatch.setattr(persistence, "write_envelope", capture)
-        data, _queries, _truth = make_profile_collection("REUTERS", scale=0.02, seed=7)
-        for routing, want in self.DIGESTS.items():
-            Index.build(data, w=25, tau=5, k_max=4, routing=routing).save(tmp_path / "x.idx")
-            state = hashlib.blake2b(digest_size=16)
-            for name, array in sorted(written["arrays"].items()):
-                state.update(f"{name}:{array.dtype.str}:".encode())
-                state.update(array.tobytes())
-            for name in ("order", "scheme"):
-                state.update(f"{name}:".encode())
-                state.update(
-                    pickle.dumps(written["sections"][name], protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            assert ("routing.cover_lanes" in written["arrays"]) == (routing == "exact")
-            assert state.hexdigest() == want, routing
 
 
 class TestBuildMemory:
@@ -434,25 +354,6 @@ class TestFrozenGuards:
 
 
 class TestV3Snapshots:
-    def test_plain_save_opens_with_mmap(self, built, queries, tmp_path):
-        data, searcher = built
-        path = tmp_path / "index.idx"
-        Index(searcher, data).save(path)  # no keyword: the one format
-        with Index.open(path, mmap=True) as index:
-            assert index.frozen
-            assert pairs_as_set(index.search(queries[0])) == pairs_as_set(
-                searcher.search(queries[0])
-            )
-
-    def test_bundle_data_roundtrips(self, built, tmp_path):
-        data, searcher = built
-        path = tmp_path / "index.idx"
-        save_searcher(searcher, path, data=data)
-        assert path.read_bytes()[:16] == b"repro-envelope-3"
-        bundle = load_bundle(path, mmap=True)
-        assert len(bundle.data) == len(data)
-        assert bundle.data[0].tokens == data[0].tokens
-
     def test_tombstones_survive_roundtrip(self, built, queries, tmp_path):
         _data, searcher = built
         searcher._remove_document(0)
@@ -466,16 +367,6 @@ class TestV3Snapshots:
             pair.doc_id == 0 for pair in loaded.search(queries[1]).pairs
         )
 
-    def test_flipped_array_byte_is_typed_error(self, built, tmp_path):
-        _data, searcher = built
-        path = tmp_path / "index.idx"
-        save_searcher(searcher, path)
-        raw = bytearray(path.read_bytes())
-        raw[-8] ^= 0xFF  # inside the last array section
-        path.write_bytes(bytes(raw))
-        with pytest.raises(PersistenceError):
-            load_bundle(path, fallback=False)
-
     def test_truncated_file_is_typed_error(self, built, tmp_path):
         _data, searcher = built
         path = tmp_path / "index.idx"
@@ -488,35 +379,6 @@ class TestV3Snapshots:
             path.write_bytes(raw[:20])  # not even a whole TOC length
             with pytest.raises(PersistenceError):
                 load_bundle(path, fallback=False, mmap=mode)
-
-    def test_compact_requires_pkwise(self, small_corpus, tmp_path):
-        from repro.core.weighted import WeightedPKWiseSearcher
-
-        weighted = WeightedPKWiseSearcher(
-            small_corpus, w=10, theta_weight=8.0, weight_of_token=lambda _t: 1.0
-        )
-        with pytest.raises(PersistenceError, match="PKWiseSearcher"):
-            save_searcher(weighted, tmp_path / "w.idx")
-        assert not (tmp_path / "w.idx").exists()
-
-    def test_mmap_load_shares_file_pages(self, built, tmp_path):
-        _data, searcher = built
-        path = tmp_path / "index.idx"
-        save_searcher(searcher, path)
-        loaded = load_bundle(path, mmap=True).searcher
-        keys = loaded.index._keys
-        # The column is a view over the mapped buffer, not a copy.
-        assert not keys.flags["OWNDATA"]
-
-    def test_index_facade_open_mmap(self, built, queries, tmp_path):
-        data, searcher = built
-        path = tmp_path / "index.idx"
-        Index(searcher, data).save(path, compact=True)
-        with Index.open(path, mmap=True) as index:
-            assert index.frozen
-            assert pairs_as_set(index.search(queries[0])) == pairs_as_set(
-                searcher.search(queries[0])
-            )
 
 
 RANK_LISTS = st.lists(

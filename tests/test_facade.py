@@ -92,17 +92,6 @@ class TestIndexRoundtrip:
                 == index.search_text(TEXTS[0]).sorted_pairs()
             )
 
-    def test_compact_save_mmap_open(self, tmp_path):
-        index = Index.build(TEXTS, w=10, tau=2, k_max=3)
-        path = tmp_path / "corpus.idx"
-        index.save(path, compact=True)
-        with Index.open(path, mmap=True) as loaded:
-            assert loaded.frozen
-            assert (
-                loaded.search_text(TEXTS[0]).sorted_pairs()
-                == index.search_text(TEXTS[0]).sorted_pairs()
-            )
-
     def test_opened_snapshot_accepts_add(self, tmp_path):
         # 1.3-style usage: open, then mutate.  The opened engine is
         # frozen; the first add layers a memtable over it.

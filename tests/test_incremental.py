@@ -1,10 +1,7 @@
-"""Tests for incremental index maintenance and top-k search.
-
-Mutations go through the :class:`repro.Index` facade — the unified
-write path that backs every add/remove with the LSM ingest pipeline
-(memtable + frozen segments).  The legacy direct-mutation methods on
-searchers remain importable but warn; ``TestDeprecatedMutation`` pins
-that contract.
+"""Tests for incremental index maintenance through the :class:`repro.Index`
+facade: an add is found, a removal is not, and one undoes nothing of the
+other.  Every add / remove / flush / compact step's pairs are the
+``live`` and ``served`` cells of ``test_exactness.py``.
 """
 
 from __future__ import annotations
@@ -16,9 +13,8 @@ import pytest
 from repro import Index, SearchParams
 from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import DocumentCollection
-from repro.ordering import GlobalOrder
 
-from .conftest import expected_pairs, pairs_as_set
+from .conftest import pairs_as_set
 
 
 def corpus(seed=0, docs=3, length=50, vocab=60):
@@ -43,28 +39,6 @@ class TestAddDocument:
         for start in range(new_doc.num_windows(10)):
             assert (doc_id, start, start, 10) in pairs_as_set(result)
 
-    def test_incremental_equals_batch(self):
-        # Index built incrementally returns the same results as one
-        # built from the full collection (with a shared order).
-        data, rng = corpus(seed=1, docs=4)
-        params = SearchParams(w=8, tau=2, k_max=2)
-        order = GlobalOrder(data, params.w)
-        batch = PKWiseSearcher(data, params, order=order)
-
-        partial = data.subset(range(2))
-        incremental = Index(
-            PKWiseSearcher(partial, params, order=order), partial
-        )
-        incremental.add(data[2])
-        incremental.add(data[3])
-
-        query = data.encode_query_tokens(
-            [f"t{rng.randrange(60)}" for _ in range(30)]
-        )
-        assert pairs_as_set(incremental.search(query)) == pairs_as_set(
-            batch.search(query)
-        )
-
     def test_added_document_with_new_tokens(self):
         data, _rng = corpus(seed=2)
         params = SearchParams(w=6, tau=1, k_max=2)
@@ -73,38 +47,6 @@ class TestAddDocument:
         doc_id = index.add(new_doc)
         result = index.search(new_doc)
         assert (doc_id, 0, 0, 6) in pairs_as_set(result)
-
-    def test_added_results_are_exact(self):
-        data, rng = corpus(seed=3, docs=2)
-        params = SearchParams(w=8, tau=2, k_max=2)
-        index = Index(PKWiseSearcher(data, params), data)
-        extra = data.add_tokens([f"t{rng.randrange(60)}" for _ in range(40)])
-        index.add(extra)
-        query = data.encode_query_tokens(
-            [f"t{rng.randrange(60)}" for _ in range(30)]
-        )
-        assert pairs_as_set(index.search(query)) == expected_pairs(
-            data, query, 8, 2
-        )
-
-    def test_results_exact_across_flush_and_compact(self):
-        # Folding the memtable into a frozen segment (and folding all
-        # tiers into one) must not change a single pair.
-        data, rng = corpus(seed=9, docs=2)
-        params = SearchParams(w=8, tau=2, k_max=2)
-        index = Index(PKWiseSearcher(data, params), data)
-        extra = data.add_tokens([f"t{rng.randrange(60)}" for _ in range(40)])
-        index.add(extra)
-        query = data.encode_query_tokens(
-            [f"t{rng.randrange(60)}" for _ in range(30)]
-        )
-        before = pairs_as_set(index.search(query))
-        index.flush()
-        assert pairs_as_set(index.search(query)) == before
-        index.compact()
-        assert pairs_as_set(index.search(query)) == before
-        assert before == expected_pairs(data, query, 8, 2)
-
 
 class TestRemoveDocument:
     def test_removed_document_excluded(self):

@@ -276,9 +276,8 @@ class TestSharingCounters:
 
 
     def test_golden_counters_of_a_seeded_build(self):
-        # Literals taken at 2.8.0 (regenerate-and-diff): Eq. 2's
-        # accounting, the postings and one query's probe plan must not
-        # drift with how the stream enumerates its deltas.
+        # Eq. 2's accounting, the postings and one query's probe plan do
+        # not drift with how the stream enumerates its deltas.
         data, queries, _ = make_profile_collection(
             "REUTERS", 0.01, 11, num_queries=2
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pickle
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Index, PersistenceError, faults
+from repro import Index, PersistenceError, faults, make_profile_collection, persistence
 from repro.core.pkwise import PKWiseSearcher
 from repro.core.weighted import WeightedPKWiseSearcher
 from repro.corpus import DocumentCollection
 from repro.corpus.collection import ColumnDocuments
 from repro.faults import FaultPlan, FaultSpec
 from repro.index.compact import CompactIntervalIndex, PackedRankDocs
+from repro.ingest import IngestStore
 from repro.ingest.manifest import (
+    _OLDER_STORES,
     MANIFEST_KIND,
     ManifestState,
     manifest_path,
@@ -32,6 +35,7 @@ from repro.ingest.manifest import (
 )
 from repro.parallel.checkpoint import WORKLOAD_KIND, RunCheckpoint
 from repro.persistence import (
+    is_current_envelope,
     load_bundle,
     read_envelope,
     rotated_paths,
@@ -40,7 +44,7 @@ from repro.persistence import (
 )
 from repro.service import ShardPlan
 
-from .conftest import expected_pairs, pairs_as_set, reference_index
+from .conftest import expected_pairs, load_script, pairs_as_set, reference_index
 
 MAGIC = b"repro-envelope-3"
 
@@ -153,26 +157,6 @@ class TestRoundtrip:
         assert path.read_bytes() == good_bytes
         assert load_bundle(path).searcher.params == searcher.params
 
-    def test_failing_write_cleans_temp_and_keeps_old_file(
-        self, built, tmp_path, monkeypatch
-    ):
-        # The failure lands inside the temp-file write, not before it.
-        import repro.persistence as persistence
-
-        _data, searcher = built
-        path = tmp_path / "index.idx"
-        save_searcher(searcher, path)
-        good_bytes = path.read_bytes()
-
-        def failing_fsync(_fd):
-            raise OSError("simulated disk full")
-
-        monkeypatch.setattr(persistence.os, "fsync", failing_fsync)
-        with pytest.raises(OSError, match="disk full"):
-            save_searcher(searcher, path)
-        assert not list(tmp_path.glob("*.tmp"))
-        assert path.read_bytes() == good_bytes
-
     def test_concurrent_writers_use_distinct_temp_names(
         self, built, tmp_path, monkeypatch
     ):
@@ -201,16 +185,6 @@ class TestRoundtrip:
             assert Path(name).parent == tmp_path
 
 
-class MarkerBomb:
-    """Unpickling an instance creates ``marker`` (it calls ``open``)."""
-
-    def __init__(self, marker: Path) -> None:
-        self.marker = str(marker)
-
-    def __reduce__(self):
-        return (open, (self.marker, "w"))
-
-
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(PersistenceError, match="does not exist"):
@@ -226,48 +200,6 @@ class TestErrors:
         path = tmp_path / "wrong.idx"
         path.write_bytes(pickle.dumps({"hello": "world"}))
         with pytest.raises(PersistenceError, match="rebuild"):
-            load_bundle(path)
-
-    def test_v1_file_names_the_old_version(self, tmp_path):
-        path = tmp_path / "old.idx"
-        path.write_bytes(
-            pickle.dumps(
-                {"magic": "repro-pkwise-index", "version": 1, "searcher": None}
-            )
-        )
-        with pytest.raises(PersistenceError, match="1.x releases"):
-            load_bundle(path)
-
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_pre_2_0_pickle_is_rejected_without_unpickling(self, tmp_path, mmap):
-        # A 1.3 ``save_searcher`` default: one pickled dict.  Nothing of
-        # it may be unpickled — the payload here would create a file.
-        marker = tmp_path / "unpickled.marker"
-        path = tmp_path / "old.idx"
-        path.write_bytes(
-            pickle.dumps(
-                {
-                    "magic": "repro-envelope",
-                    "version": 2,
-                    "kind": "pkwise-index",
-                    "header": {},
-                    "sections": {"searcher": MarkerBomb(marker)},
-                    "digests": {},
-                }
-            )
-        )
-        with pytest.raises(PersistenceError, match="rebuild"):
-            load_bundle(path, mmap=mmap)
-        assert not marker.exists()
-        # The payload is live: unpickling it does create the marker.
-        pickle.loads(path.read_bytes())["sections"]["searcher"].close()
-        assert marker.exists()
-
-    def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "future.idx"
-        toc = pickle.dumps({"version": 999, "kind": "pkwise-index"})
-        path.write_bytes(MAGIC + len(toc).to_bytes(8, "little") + toc)
-        with pytest.raises(PersistenceError, match="version"):
             load_bundle(path)
 
     def test_malformed_toc(self, tmp_path):
@@ -286,12 +218,6 @@ class TestErrors:
         path = tmp_path / "partial.idx"
         write_envelope(path, "pkwise-index", {"meta": {"params": None}})
         with pytest.raises(PersistenceError, match="missing section"):
-            load_bundle(path)
-
-    def test_wrong_kind_envelope(self, tmp_path):
-        path = tmp_path / "other.ckpt"
-        write_envelope(path, "workload-checkpoint", {"records": []})
-        with pytest.raises(PersistenceError, match="not 'pkwise-index'"):
             load_bundle(path)
 
     def test_index_save_compact_false_names_the_removal(self, built, tmp_path):
@@ -334,10 +260,11 @@ class TestChecksums:
 
     def test_flipped_byte_on_disk_is_typed_error(self, built, tmp_path):
         # No fault plan at all: corrupt the file bytes directly, inside
-        # the last raw column.  The digest check names the section.
-        _data, searcher = built
+        # the last raw column, which the documents are read through too.
+        # The digest check names the section before any of them is read.
+        data, searcher = built
         path = tmp_path / "index.idx"
-        save_searcher(searcher, path)
+        save_searcher(searcher, path, data=data)
         raw = bytearray(path.read_bytes())
         raw[-8] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -346,16 +273,6 @@ class TestChecksums:
                 PersistenceError, match="section 'ranks.values' is corrupt"
             ):
                 load_bundle(path, fallback=False, mmap=mmap)
-
-    def test_flipped_byte_in_pickled_section_is_typed_error(self, built, tmp_path):
-        data, searcher = built
-        path = tmp_path / "index.idx"
-        save_searcher(searcher, path, data=data)
-        raw = path.read_bytes()
-        at = raw.index(pickle.dumps(searcher.scheme, protocol=pickle.HIGHEST_PROTOCOL))
-        path.write_bytes(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :])
-        with pytest.raises(PersistenceError, match="section 'scheme' is corrupt"):
-            load_bundle(path, fallback=False)
 
     def test_truncated_section_is_named(self, built, tmp_path):
         _data, searcher = built
@@ -604,20 +521,6 @@ class TestCorpusStoredOnce:
         assert all(getattr(view, name) is value for name, value in held.items())
         assert view._appended == []
 
-    def test_the_file_holds_a_header_and_one_vocabulary(self, built, tmp_path):
-        data, searcher = built
-        path = tmp_path / "index.idx"
-        save_searcher(searcher, path, data=data)
-        _header, sections, _arrays = read_envelope(path, "pkwise-index")
-        assert set(sections["data"]) == {"tokenizer", "vocabulary", "names"}
-        assert b"Vocabulary" not in pickle.dumps(sections["order"])
-        # Ids-only (what a shard plan's files are), it holds no vocabulary:
-        # the order maps token ids and holds none of its own.
-        save_searcher(searcher, path)
-        _header, sections, _arrays = read_envelope(path, "pkwise-index")
-        assert sections["data"] is None
-        assert b"Vocabulary" not in pickle.dumps(sections)
-
     @pytest.mark.parametrize(
         "alter, doc_id",
         [
@@ -644,41 +547,6 @@ class TestCorpusStoredOnce:
         assert path.read_bytes() == good_bytes
         assert not (tmp_path / "index.idx.1").exists()
 
-    def test_corrupt_rank_column_names_its_section(self, built, tmp_path):
-        # The documents are read through ranks.values now; its digest
-        # is still what catches a flipped byte, before any of them is.
-        data, searcher = built
-        path = tmp_path / "index.idx"
-        save_searcher(searcher, path, data=data)
-        raw = bytearray(path.read_bytes())
-        raw[-8] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        for mmap in (False, True):
-            with pytest.raises(
-                PersistenceError, match="section 'ranks.values' is corrupt"
-            ):
-                Index.open(path, mmap=mmap)
-
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_pre_bump_envelope_says_rebuild(self, built, tmp_path, mmap):
-        # Envelope version 3 pickled every document beside the ranks, 4
-        # (3.1.x) each per-token table beside its inverse, 5 (3.2.x)
-        # 8-byte signature keys, 6 (3.3.x) the order's tables as int
-        # lists, 7 (3.4.x) its admitted tokens as a dict; there is no
-        # shim: such a file is refused by its TOC version.
-        data, searcher = built
-        path = tmp_path / "index.idx"
-        save_searcher(searcher, path, data=data)
-        raw = path.read_bytes()
-        toc_length = int.from_bytes(raw[16:24], "little")
-        toc = pickle.loads(raw[24 : 24 + toc_length])
-        assert toc["version"] == 8
-        for version in (3, 4, 5, 6, 7):
-            old_toc = pickle.dumps({**toc, "version": version}, protocol=pickle.HIGHEST_PROTOCOL)
-            assert len(old_toc) == toc_length
-            path.write_bytes(raw[:24] + old_toc + raw[24 + toc_length :])
-            with pytest.raises(PersistenceError, match="rebuild the file"):
-                Index.open(path, mmap=mmap)
 
 
 # ----------------------------------------------------------------------
@@ -788,23 +656,109 @@ class TestOtherEnvelopeKinds:
         assert path.read_bytes() == good_bytes
         read(path)
 
-    def test_pre_2_0_file_is_rejected_without_unpickling(
-        self, built, tmp_path, write, read, kind, section
-    ):
+
+# ----------------------------------------------------------------------
+# The stored format: the section checker's rules, and one digest table.
+# ----------------------------------------------------------------------
+#: The checker's smoke snapshot, but ``meta`` (the build time): moves only with the format.
+SMOKE_DIGESTS = {
+    "order": "pickle 9864c9659e850c2f438d49ef1f06e581",
+    "scheme": "pickle 2987227c80c7401be0a4f3b0450a55f3",
+    "data": "pickle 7caf42e68d32f0d39842f6164ecdb241",
+    "index.keys": "<u4 7c1ead56ec5803a30f929b6b4993e88b",
+    "index.offsets": "<i2 6657ae84622a6ca0dec6a2a967ed296e",
+    "index.docs": "<i2 309d8a79ba32c49152a5e26d950b7d87",
+    "index.us": "<i2 8d7912724b6f80c6423b7431184a0a80",
+    "index.vs": "<i2 3f58bad73c968d9e511d666e7da49625",
+    "ranks.offsets": "<i4 a8890fe8fff5eb81ea0467c7c9aa6d0b",
+    "ranks.values": "<i2 aa79ef732ea5a0f234beb4b1595b5d9d",
+    "routing.cover_lanes": "<u8 5995171e859afcadc6151a1a6879624f",
+    "routing.cover_counts": "<i2 898d898b8094a08f77a35df7f52f7bd2",
+}
+
+
+def test_section_checker_passes_a_snapshot_a_plan_and_a_live_store(tmp_path, capsys):
+    checker = load_script("benchmarks/snapshot_sections.py")
+    assert checker.smoke(tmp_path) == 0, capsys.readouterr().err
+    digests = checker.section_digests(tmp_path / "smoke.idx")
+    del digests["meta"]
+    assert digests == SMOKE_DIGESTS
+    # Unrouted, the same corpus stores the same sections but the tier's.
+    corpus = make_profile_collection("REUTERS", 0.02, 1)[0]
+    Index.build(corpus, w=50, tau=5, k_max=4).save(tmp_path / "off.idx")
+    digests = checker.section_digests(tmp_path / "off.idx")
+    del digests["meta"]
+    assert digests == {name: digest for name, digest in SMOKE_DIGESTS.items()
+                       if not name.startswith("routing.")}
+
+
+# ----------------------------------------------------------------------
+# A file of an older format is refused, or its plan rebuilt, unread.
+# ----------------------------------------------------------------------
+class MarkerBomb:
+    """Unpickling an instance creates ``marker``."""
+
+    def __init__(self, marker: Path) -> None:
+        self.marker = marker
+
+    def __reduce__(self):
+        return (Path.touch, (self.marker,))
+
+
+def _write_snapshot(directory: Path, built) -> Path:
+    data, searcher = built
+    save_searcher(searcher, directory / "index.idx", data=data)
+    return directory / "index.idx"
+
+
+def _write_plan(directory: Path, built) -> Path:
+    data, searcher = built
+    plan = ShardPlan.build(data, searcher.params, directory / "shards", num_shards=2)
+    return directory / "shards" / plan.shards[0].path
+
+
+#: The pickles 1.x wrote (1, 2), then every envelope version before this one.
+OLDER_VERSIONS = [1, 2, 3, *_OLDER_STORES]
+
+
+@pytest.mark.parametrize("version", OLDER_VERSIONS)
+@pytest.mark.parametrize("kind", ["snapshot", "checkpoint", "manifest", "plan"])
+def test_an_older_file_is_refused_unread(built, tmp_path, monkeypatch, kind, version):
+    assert sorted(_OLDER_STORES) == list(range(4, persistence._TOC_VERSION))
+    write = {"snapshot": _write_snapshot, "checkpoint": _write_checkpoint,
+             "manifest": _write_manifest, "plan": _write_plan}[kind]
+    with monkeypatch.context() as patch:
+        if version > 2:
+            patch.setattr(persistence, "_TOC_VERSION", version)
         path = write(tmp_path, built)
-        marker = tmp_path / "unpickled.marker"
-        path.write_bytes(
-            pickle.dumps(
-                {
-                    "magic": "repro-envelope",
-                    "version": 2,
-                    "kind": kind,
-                    "header": {"fingerprint": "fingerprint"},
-                    "sections": {section: MarkerBomb(marker)},
-                    "digests": {},
-                }
-            )
-        )
-        with pytest.raises(PersistenceError, match="rebuild"):
-            read(path)
-        assert not marker.exists()
+    marker = tmp_path / "unpickled.marker"
+    old = pickle.dumps(
+        {"magic": "repro-pkwise-index", "version": 1, "searcher": MarkerBomb(marker)}
+        if version == 1 else
+        {"magic": "repro-envelope", "version": 2, "sections": {"data": MarkerBomb(marker)}}
+    )
+    if version <= 2:
+        path.write_bytes(old)
+        said = "1.x releases are not migrated — rebuild it"
+    elif kind == "manifest" and version in _OLDER_STORES:
+        said = f"repro {_OLDER_STORES[version][1]} reads it"
+    else:
+        said = "rebuild the file"
+    openers = {
+        "snapshot": [partial(Index.open, path, mmap=False), partial(Index.open, path, mmap=True)],
+        "checkpoint": [partial(RunCheckpoint.load, path, WORKLOAD_KIND, "fingerprint")],
+        "manifest": [partial(IngestStore.open, path.parent),
+                     partial(Index.open_live, path.parent)],
+        "plan": [partial(Index.open, path)],
+    }[kind]
+    for opener in openers:
+        with pytest.raises(PersistenceError, match=said):
+            opener()
+    if kind == "plan":
+        data, searcher = built
+        plan = ShardPlan.ensure(data, searcher.params, path.parent, num_shards=2)
+        assert all(is_current_envelope(path.parent / spec.path) for spec in plan.shards)
+        Index.open(path).close()
+    assert not marker.exists()
+    pickle.loads(old)  # the payload is live: unpickling it does create the marker
+    assert marker.exists()

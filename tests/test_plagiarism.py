@@ -117,9 +117,7 @@ class TestSpliceCase:
         assert scans == [data, data, other, data] and truth is not None
 
     def test_profile_collection_is_pinned(self):
-        # BLAKE2b of the data, queries (names and tokens), vocabulary and
-        # ground truth of one seeded call, taken while every case scanned
-        # the collection for its donors: caching the list moved nothing.
+        # One seeded call's data, queries, vocabulary and truth: the generator's output is fixed.
         import hashlib
 
         from repro.corpus.synthetic import ReuseSpec, make_profile_collection

@@ -37,7 +37,7 @@ from repro.service.client import (
     _parse_retry_after,
 )
 
-from .conftest import serving
+from .conftest import FakeClock, serving
 
 
 @pytest.fixture
@@ -54,17 +54,6 @@ def breaker_at(monkeypatch):
 @pytest.fixture
 def no_backoff(monkeypatch):
     monkeypatch.setattr(client_module, "BACKOFF", 0.0)
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class ZeroRng:

@@ -171,22 +171,6 @@ class TestResultCache:
 
 
 class TestServiceBasics:
-    def test_serial_parity_and_cache_hit(self, searcher, queries):
-        reference = {
-            q.name: tuple(canonical_pair_order(searcher.search(q).pairs))
-            for q in queries
-        }
-        assert any(reference.values()), "corpus queries must produce matches"
-        with SearchService(Index(searcher), max_workers=2) as service:
-            for q in queries:
-                fresh = service.search(q)
-                again = service.search(q)
-                assert not fresh.cached
-                assert again.cached
-                assert fresh.pairs == reference[q.name]
-                assert again.pairs == reference[q.name]
-            assert service.cache.hits >= len(queries)
-
     def test_epoch_invalidation_refreshes_results(self, small_corpus, searcher):
         query = small_corpus.encode_query_tokens(
             [

@@ -22,7 +22,7 @@ from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import DocumentCollection
 from repro.errors import ServiceClosedError, ServiceError
 from repro.faults import FaultPlan, FaultSpec
-from repro.persistence import PersistenceError, generation_name
+from repro.persistence import generation_name
 from repro.service import SearchService, serve_http
 from repro.service.client import (
     ResilientClient,
@@ -133,29 +133,6 @@ class TestShardPlan:
         )
         assert rebuilt.num_shards == 2
         assert ShardPlan.load(tmp_path).num_shards == 2
-
-    def test_ensure_rebuilds_shard_files_of_an_older_format(
-        self, small_corpus, query, tmp_path, monkeypatch
-    ):
-        # A plan written by 3.1.x (envelope version 4), 3.2.x (5, 8-byte
-        # keys), 3.3.x (6, the order's tables as int lists) or 3.4.x (7,
-        # its admitted tokens as a dict) has every file in place, but no
-        # worker could open one: ensure reads each file's TOC and
-        # rebuilds the plan.
-        from repro import persistence
-
-        for version in (4, 5, 6, 7):
-            monkeypatch.setattr(persistence, "_TOC_VERSION", version)
-            old = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
-            monkeypatch.undo()
-            with pytest.raises(PersistenceError, match="rebuild the file"):
-                Index.open(tmp_path / old.shards[0].path)
-            plan = ShardPlan.ensure(small_corpus, PARAMS, tmp_path, num_shards=2)
-            assert plan.shards == old.shards
-            assert persistence.is_current_envelope(tmp_path / plan.shards[0].path)
-        assert plan_pairs(tmp_path, plan, small_corpus, query) == single_pairs(
-            small_corpus, query
-        )
 
     def test_ensure_rebuilds_a_plan_of_another_corpus_of_the_same_size(
         self, small_corpus, query, tmp_path

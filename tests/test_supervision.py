@@ -58,7 +58,7 @@ from repro.service.workers import (
     stop_shard_workers,
 )
 
-from .conftest import expected_pairs
+from .conftest import FakeClock, expected_pairs
 
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
 
@@ -261,17 +261,6 @@ class TestRouterReplicaAdmin:
 # ----------------------------------------------------------------------
 # Supervisor state machine with fakes
 # ----------------------------------------------------------------------
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 class FakeProcess:
     """subprocess.Popen stand-in with a controllable liveness flag."""
 
