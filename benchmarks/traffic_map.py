@@ -7,7 +7,8 @@ children, forked shard workers) and logs each ``src/repro`` code object entered.
 Traffic: ``e2e/run.py --tiny``, the examples, ``smoke_faults.py``, the three
 serving smokes (single process, ``--shards 3``, ``--shards 2 --replicas 2
 --chaos``), one pass of the six subcommands, and a ``repro serve --live`` pass
-that takes one add and one remove over HTTP, then answers a routed query.
+that takes an add, a routed query, a remove, another add and another routed
+query over HTTP.
 Prints the functions nothing entered, minus ``traffic_exempt.txt``, whose lines
 ``<fnmatch pattern> <reason>`` match ``repro/file.py::Qual.name``.  ``--check``
 exits 1 on a remainder, a failed step, an exemption without a reason or a stale
@@ -93,8 +94,7 @@ def record(logs: Path, work: Path) -> list[str]:
         (work / f"d{i}.txt").write_text(" ".join(tokens))
     sizes = ("-w", "12", "--tau", "3", "--k-max", "3", "-m", "1")
     repro("index", "--data", ".", "--out", "idx", *sizes, "--min-tokens", "1",
-          "--greedy-partition", "--sample-ratio", "0.5", "--rotate", "1", "--routing", "exact",
-          "--routing-block", "64")
+          "--greedy-partition", "--sample-ratio", "0.5", "--rotate", "1", "--routing", "exact")
     repro("ingest", "--dir", "lsm", "--data", ".", *sizes, "--from-stdin", "--remove", "2",
           "--flush", "--fsync", "--routing", "exact", stdin=" ".join(texts[3]) + "\n")
     repro("ingest", "--dir", "lsm", *sizes, "--compact")  # a resume, values checked
@@ -111,9 +111,13 @@ def record(logs: Path, work: Path) -> list[str]:
         server.terminate()  # the CLI unwinds SIGTERM like Ctrl-C and exits 0
     live, url = serve("--index", "lsm", "--live")
     with live:
+        routed = ("-m", "repro.cli", "query", "--server", url, "--query", "d1.txt",
+                  "--routing", "exact")
         post(f"{url}/ingest", {"text": " ".join(texts[4])})
+        run(*routed)  # fingerprints the memtable's document
         post(f"{url}/remove", {"doc_id": 0})
-        run("-m", "repro.cli", "query", "--server", url, "--query", "d1.txt", "--routing", "exact")
+        post(f"{url}/ingest", {"text": " ".join(texts[5])})
+        run(*routed)  # and then only the one added since
         live.terminate()
     return failed + ["repro serve"] * bool(server.returncode) + [
         "repro serve --live"] * bool(live.returncode)

@@ -82,8 +82,8 @@ class Searcher(Protocol):
     ``cancel=`` (a zero-argument callable polled between query windows;
     True aborts with :class:`~repro.errors.SearchCancelled`) on every
     uncached request, and :meth:`Index.search` / the service pass
-    ``routing=`` (a mode string or a :class:`~repro.RoutingPolicy`, read
-    for its ``mode``) exactly when a request overrides the engine's.
+    ``routing=`` (a mode string or a :class:`~repro.RoutingPolicy`)
+    exactly when a request overrides the engine's.
     :class:`~repro.core.pkwise.PKWiseSearcher` and the LSM view implement both.
     The batch-only engines
     (:class:`~repro.core.pkwise_nonint.PKWiseNonIntervalSearcher`,
@@ -184,9 +184,9 @@ class Index:
         searches under — a :class:`~repro.RoutingPolicy`, its dict
         form, or a bare mode string (``"off"`` / ``"exact"``).  The
         policy rides on the params through :meth:`save` / :meth:`open`;
-        the fingerprints, laid out by its ``block_tokens``, are built at
-        the first save under a routing mode or the first routed query,
-        whichever comes first.
+        the fingerprints are built from the rank column at the first save
+        under a routing mode or the first routed query, whichever comes
+        first.
         """
         collection = _as_collection(data)
         params = SearchParams.from_values(params, w=w, tau=tau, k_max=k_max, m=m)
@@ -231,9 +231,8 @@ class Index:
         pre-2.0 release is a typed
         :class:`~repro.persistence.PersistenceError`: rebuild it.
 
-        ``routing`` overrides the snapshot's routing *mode* for every
-        query through this index (of a :class:`~repro.RoutingPolicy`
-        only ``mode`` is read; the stored layout stays).  ``"exact"``
+        ``routing`` overrides the snapshot's routing mode for every
+        query through this index.  ``"exact"``
         against a snapshot saved without fingerprints raises
         :class:`~repro.errors.RoutingUnavailableError` here, at open
         time, rather than on the first query.
@@ -244,7 +243,7 @@ class Index:
         bundle = load_bundle(path, mmap=mmap)
         searcher = bundle.searcher
         if routing is not None:
-            params = searcher.params.with_routing_mode(routing)
+            params = searcher.params.with_routing(routing)
             if params.routing.enabled and searcher._routing_tier is None:
                 raise RoutingUnavailableError(
                     f"{path} was saved without routing fingerprints; "
@@ -308,10 +307,9 @@ class Index:
         like one that lands mid-query.
 
         ``routing`` sets the store's :class:`~repro.RoutingPolicy` on
-        creation and overrides its *mode* on resume (the stored layout
-        stays) — new memtables maintain fingerprints incrementally;
-        segments keep the fingerprints they were saved with, and a tier
-        without any builds its own on the first routed query.
+        creation and overrides it on resume.  Segments keep the
+        fingerprints they were saved with; a routed query builds a tier's
+        from its rank column, for the documents it has none of yet.
         """
         from .ingest import IngestStore
         from .ingest.manifest import MANIFEST_NAME, read_manifest

@@ -70,7 +70,7 @@ from .errors import ConfigurationError, ReproError
 from .obs import MetricsRegistry, configure_tracing, disable_tracing
 from .params import DEFAULT_K_MAX, DEFAULT_TAU, DEFAULT_W, SearchParams
 from .postprocess import filter_passages, merge_passages
-from .routing import ROUTING_MODES, RoutingPolicy
+from .routing import ROUTING_MODES
 
 
 def _add_search_params(parser: argparse.ArgumentParser) -> None:
@@ -115,14 +115,6 @@ def _add_routing_flags(parser: argparse.ArgumentParser) -> None:
                              "(default: the index's stored policy)")
 
 
-def _add_routing_layout_flag(parser: argparse.ArgumentParser) -> None:
-    """Only for the commands that write fingerprints: layout is decided
-    there, and every other command takes routing as a mode."""
-    parser.add_argument("--routing-block", type=int, default=None,
-                        help="tokens per fingerprint block (default 128; "
-                             "alone it implies --routing exact)")
-
-
 def _params_from_args(args: argparse.Namespace) -> SearchParams:
     params = SearchParams.from_values(
         w=DEFAULT_W if args.window is None else args.window,
@@ -130,13 +122,7 @@ def _params_from_args(args: argparse.Namespace) -> SearchParams:
         k_max=args.k_max,
         m=args.sub_partitions,
     )
-    mode = getattr(args, "routing", None)
-    block = getattr(args, "routing_block", None)
-    if block is None:
-        return params.with_routing(mode)
-    return params.with_routing(
-        RoutingPolicy(mode=mode or "exact", block_tokens=block)
-    )
+    return params.with_routing(getattr(args, "routing", None))
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
@@ -193,11 +179,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     paths = text_files(args.data) if args.data else []
     directory = Path(args.dir)
     creating = not (directory / MANIFEST_NAME).exists()
-    if not creating and args.routing_block is not None:
-        raise ConfigurationError(
-            f"--routing-block sets the fingerprint layout when --dir is "
-            f"created; {directory} exists and keeps the one it was created with"
-        )
     given = (args.window, args.tau, args.k_max, args.sub_partitions) != (None,) * 4
     params = _params_from_args(args) if creating or given else None
     index = Index.open_live(
@@ -614,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(.1 newest .. .N oldest; default 0)")
     _add_search_params(index_parser)
     _add_routing_flags(index_parser)
-    _add_routing_layout_flag(index_parser)
     _add_obs_flags(index_parser)
     index_parser.set_defaults(func=_cmd_index)
 
@@ -643,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "durability, slower)")
     _add_search_params(ingest_parser)
     _add_routing_flags(ingest_parser)
-    _add_routing_layout_flag(ingest_parser)
     _add_obs_flags(ingest_parser)
     ingest_parser.set_defaults(func=_cmd_ingest)
 

@@ -263,7 +263,7 @@ class PKWiseSearcher:
             )
         if tier == "auto":
             tier = self._routing_tier = FingerprintTier.from_rank_docs(
-                self.rank_docs, **self.params.routing.layout(self.params.w)
+                self.rank_docs, w=self.params.w
             )
         return tier
 
@@ -275,9 +275,7 @@ class PKWiseSearcher:
         )
         if allowed is not None:
             stats.routing_checked_docs += tier.ndocs
-            stats.routing_pruned_docs += tier.ndocs - int(
-                allowed[tier.doc_lo :].sum()
-            )
+            stats.routing_pruned_docs += tier.ndocs - int(allowed.sum())
         return allowed
 
     # ------------------------------------------------------------------
@@ -299,8 +297,7 @@ class PKWiseSearcher:
 
         ``routing`` overrides the routing mode for this request
         (``None`` uses ``self.params.routing``): a mode string or a
-        :class:`~repro.RoutingPolicy`, of which only ``mode`` is read —
-        the tier's layout was fixed where its fingerprints were written.
+        :class:`~repro.RoutingPolicy`.
         """
         tracer = get_tracer()
         if not tracer.enabled:

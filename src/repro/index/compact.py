@@ -501,6 +501,14 @@ class PackedRankDocs(Sequence):
             raise IndexError(f"doc_id {doc_id} out of range")
         return self.doc_ranks(doc_id).tolist()
 
+    def docs_from(self, first: int) -> "PackedRankDocs":
+        """Documents ``first`` on as a column of their own (ids from 0),
+        over a view of this one's values: what a catch-up indexes and a
+        routed query fingerprints of a grown memtable."""
+        offsets = self._offsets[first:]
+        start = offsets.item(0)
+        return PackedRankDocs(offsets - start, self._values[start:])
+
     def doc_ranks(self, doc_id: int) -> np.ndarray:
         """Document ``doc_id``'s run of the values column, as the array
         view itself (no list): what a snapshot's document view maps back

@@ -118,15 +118,20 @@ def write_manifest(directory: str | Path, state: ManifestState) -> None:
 
 
 #: Envelope version of an older store's ``MANIFEST`` -> what wrote it and
-#: the last release that reads it.
+#: the last releases that read it.  Up to 2.25 a ``MANIFEST`` stored every
+#: document; the file is not read to tell which kind it is.
 _OLDER_STORES = {
-    4: ("repro 3.1.x, whose segments each stored the order and "
-        "vocabulary again", "3.1.1"),
-    5: ("repro 3.2.x, whose segments keyed signatures on 8 bytes", "3.2.0"),
+    3: ("repro 2.0–2.14, which stored every document in it",
+        "repro 2.14.0 reads it"),
+    4: ("repro 2.15–3.1.x, whose segments each stored the order and "
+        "vocabulary again", "repro 3.1.1 reads it, or repro 2.25 if it "
+        "was written by 2.25 or before and stores every document"),
+    5: ("repro 3.2.x, whose segments keyed signatures on 8 bytes",
+        "repro 3.2.0 reads it"),
     6: ("repro 3.3.x, whose global order pickled its tables as int lists",
-        "3.3.0"),
+        "repro 3.3.0 reads it"),
     7: ("repro 3.4.x, whose global order pickled its lazily admitted "
-        "tokens as a dict", "3.4.0"),
+        "tokens as a dict", "repro 3.4.0 reads it"),
 }
 
 
@@ -146,20 +151,14 @@ def read_manifest(directory: str | Path) -> ManifestState:
     except PersistenceError:
         older = _OLDER_STORES.get(_format_version(path))
         if older is not None:
-            written_by, reader = older
+            written_by, readers = older
             raise PersistenceError(
-                f"{path} was written by {written_by}, and repro {reader} "
-                f"reads it — re-ingest the corpus into a new directory to "
-                f"open it with this release"
+                f"{path} was written by {written_by}, and {readers} — "
+                f"re-ingest the corpus into a new directory to open it with "
+                f"this release"
             ) from None
         raise
     data = sections["data"]
-    if not isinstance(data, dict):
-        raise PersistenceError(
-            f"{path} stores every document: it was written by repro 2.25 "
-            f"or earlier, and repro 2.25 reads it — re-ingest the corpus "
-            f"into a new directory to open it with this release"
-        )
     segments = list(header.get("segments", []))
     lo = 0
     for segment in segments:

@@ -6,8 +6,8 @@ tiered probe layer (:mod:`repro.ingest.tiered`) offsets its hits back
 into the global doc-id space, exactly like a shard.
 
 An add only appends the document's ranks to the memtable's one rank
-column, a :class:`RankColumn` (and its routing fingerprints, when the
-store's policy keeps them): nothing is signatured.  The memtable's index is frozen
+column, a :class:`RankColumn`: nothing is signatured or fingerprinted.
+The memtable's index is frozen
 :class:`~repro.index.compact.CompactIntervalIndex` columns over its first
 ``columns.num_documents`` documents.  :meth:`Memtable.catch_up` indexes
 the documents added since — a slice of the column — in one array pass
@@ -28,7 +28,6 @@ import numpy as np
 from ..index.compact import CompactIntervalIndex, PackedRankDocs
 from ..params import SearchParams
 from ..partition.scheme import PartitionScheme
-from ..routing import FingerprintTier
 
 #: Tokens (and documents) a memtable's rank column has room for before
 #: its first growth ...
@@ -110,10 +109,7 @@ class Memtable:
     """Tier over documents ``doc_lo .. doc_lo+n-1``, indexed a write
     burst at a time; the active tier's probe object."""
 
-    __slots__ = (
-        "doc_lo", "generation", "columns", "rank_docs", "total_tokens",
-        "fingerprints",
-    )
+    __slots__ = ("doc_lo", "generation", "columns", "rank_docs", "total_tokens")
 
     def __init__(
         self,
@@ -136,17 +132,6 @@ class Memtable:
             self.rank_docs, params.w, params.tau, scheme
         )
         self.total_tokens = 0
-        #: Routing fingerprints, maintained on insert when the store's
-        #: policy enables the tier (``None`` otherwise — a per-request
-        #: routed query then builds them on demand, see
-        #: :class:`~repro.ingest.tiered.TieredFingerprints`).
-        routing = params.routing
-        if routing.enabled:
-            self.fingerprints = FingerprintTier(
-                doc_lo=doc_lo, **routing.layout(params.w)
-            )
-        else:
-            self.fingerprints = None
 
     def add(self, ranks: np.ndarray) -> int:
         """Append one document's ranks (an integer array); returns its
@@ -154,8 +139,6 @@ class Memtable:
         local_id = len(self.rank_docs)
         self.rank_docs.append(ranks)
         self.total_tokens += len(ranks)
-        if self.fingerprints is not None:
-            self.fingerprints.add(ranks)
         return self.doc_lo + local_id
 
     def extend(self, documents: PackedRankDocs) -> None:
@@ -163,8 +146,6 @@ class Memtable:
         (a store's bootstrap)."""
         self.rank_docs.extend(documents)
         self.total_tokens += len(documents.to_arrays()["values"])
-        if self.fingerprints is not None:
-            self.fingerprints.extend(documents)
 
     @property
     def behind(self) -> bool:
@@ -178,11 +159,8 @@ class Memtable:
         columns = self.columns
         indexed = columns.num_documents
         if indexed < len(self.rank_docs):
-            ranks = self.rank_docs.to_arrays()
-            offsets = ranks["offsets"][indexed:]
-            start = offsets.item(0)
             fresh = CompactIntervalIndex.from_rank_docs(
-                PackedRankDocs(offsets - start, ranks["values"][start:]),
+                self.rank_docs.docs_from(indexed),
                 columns.w, columns.tau, columns.scheme,
             )
             self.columns = (

@@ -30,9 +30,9 @@ just long enough to index the pending documents in one array pass
 (:meth:`~repro.ingest.memtable.Memtable.catch_up`), then runs under the read
 side like any other: concurrent queries that all found it behind catch
 up once and still run side by side.
-Fingerprints live per tier
-(maintained on insert by the memtable, stored with a segment, or built
-on the first routed query), and
+Fingerprints live per tier (stored with a segment, or built from the
+tier's rank column by the first routed query and extended by later ones
+as the memtable grows), and
 :class:`~repro.ingest.tiered.TieredFingerprints` glues their survivor
 masks by doc id.
 """

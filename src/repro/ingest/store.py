@@ -196,12 +196,12 @@ def _id_column(document) -> np.ndarray:
     return np.fromiter(document.tokens, np.int64, len(document))
 
 
-def _stored_fingerprints(searcher, doc_lo: int) -> FingerprintTier | None:
+def _stored_fingerprints(searcher) -> FingerprintTier | None:
     """The fingerprints ``searcher`` already carries (loaded from its
-    snapshot, or built by a save or a routed query), re-based to the
-    tier's global doc range; ``None`` leaves the tier to build them."""
+    snapshot, or built by a save or a routed query); ``None`` leaves the
+    tier to build them."""
     stored = searcher._routing_tier
-    return stored.rebased(doc_lo) if isinstance(stored, FingerprintTier) else None
+    return stored if isinstance(stored, FingerprintTier) else None
 
 
 class IngestStore:
@@ -232,6 +232,9 @@ class IngestStore:
         self.fsync = fsync
         self._segments: list[Tier] = []
         self._active: Memtable | None = None
+        #: The active memtable's tier, one per memtable: fingerprints a
+        #: routed query builds on it outlive the installs of folds.
+        self._active_tier: Tier | None = None
         self._generation = 0
         #: Live tombstones (shared by reference with the engine; only
         #: ever mutated in place, under the write side).
@@ -328,9 +331,7 @@ class IngestStore:
         directory = Path(directory)
         state = read_manifest(directory)
         if routing is not None:
-            # On resume routing is a mode: the stored layout stays, and
-            # memtables created from here on fingerprint under it.
-            state.params = state.params.with_routing_mode(routing)
+            state.params = state.params.with_routing(routing)
         segments = []
         for record in state.segments:
             path = directory / record["file"]
@@ -351,7 +352,7 @@ class IngestStore:
                     segment.rank_docs,
                     "segment",
                     path,
-                    _stored_fingerprints(segment, record["doc_lo"]),
+                    _stored_fingerprints(segment),
                 )
             )
         header = state.data
@@ -449,7 +450,7 @@ class IngestStore:
         if num_docs:
             store._segments.append(
                 Tier(0, num_docs, 1, searcher.index, searcher.rank_docs, "segment",
-                     fingerprints=_stored_fingerprints(searcher, 0))
+                     fingerprints=_stored_fingerprints(searcher))
             )
             store._generation = 2
         else:
@@ -665,13 +666,13 @@ class IngestStore:
     # Installs (tier flips)
     # ------------------------------------------------------------------
     def _refresh_view_locked(self) -> None:
-        active = self._active
-        active_tier = Tier(
-            active.doc_lo, None, active.generation,
-            active, active.rank_docs, "memtable",
-            fingerprints=active.fingerprints,
-        )
-        self._view._install((*self._segments, active_tier))
+        active, tier = self._active, self._active_tier
+        if tier is None or tier.index is not active:
+            tier = self._active_tier = Tier(
+                active.doc_lo, None, active.generation,
+                active, active.rank_docs, "memtable",
+            )
+        self._view._install((*self._segments, tier))
 
     def _run_install(self, commit):
         """Run ``commit`` (a tier flip) and re-point the engine over its
@@ -694,7 +695,7 @@ class IngestStore:
             sealed = Tier(
                 old.doc_lo, old.doc_hi, old.generation,
                 old.catch_up(), old.rank_docs, "memtable",
-                fingerprints=old.fingerprints,
+                fingerprints=self._active_tier.fingerprints,
             )
             self._segments.append(sealed)
             self._generation += 1
@@ -799,7 +800,7 @@ class IngestStore:
             path = self.directory / generation_name(SEGMENT_STEM, generation)
             save_searcher(segment_searcher, path)
             # With routing on, the save fingerprinted the segment.
-            fingerprints = _stored_fingerprints(segment_searcher, doc_lo)
+            fingerprints = _stored_fingerprints(segment_searcher)
         new_tier = Tier(
             doc_lo, doc_hi, generation, compact_index, packed, "segment", path,
             fingerprints,

@@ -73,12 +73,11 @@ class Tier:
         self.kind = kind
         #: Backing snapshot file for segments persisted to disk.
         self.path = path
-        #: Routing :class:`~repro.routing.FingerprintTier` for this
-        #: tier's doc range, and its only home: the memtable's
-        #: insert-maintained tier, a segment's stored columns, or
-        #: ``None`` until :class:`TieredFingerprints` builds it on the
-        #: first routed query (a frozen tier outlives view installs, so
-        #: that build happens once).
+        #: Routing :class:`~repro.routing.FingerprintTier` over this
+        #: tier's documents (local ids): a segment's stored columns, or
+        #: ``None`` until :class:`TieredFingerprints` builds them on the
+        #: first routed query, and extends them on the next ones as an
+        #: active memtable grows.
         self.fingerprints = fingerprints
 
     @property
@@ -246,28 +245,32 @@ class TieredFingerprints:
     """The tiers' routing fingerprints behind one ``survivors`` call.
 
     Exposes what the kernel's routing gate reads of a
-    :class:`~repro.routing.FingerprintTier` — ``survivors``, ``ndocs``,
-    ``doc_lo`` — over every document of every tier.
+    :class:`~repro.routing.FingerprintTier` — ``survivors`` and
+    ``ndocs`` — over every document of every tier, each tier's mask
+    placed at its first global doc id.
     """
-
-    doc_lo = 0
 
     def __init__(self, tiers: Sequence[Tier], params) -> None:
         self._tiers = tuple(tiers)
-        self._layout = params.routing.layout(params.w)
+        self._w = params.w
 
     @property
     def ndocs(self) -> int:
         return self._tiers[-1].doc_hi
 
     def _of(self, tier: Tier) -> FingerprintTier:
-        """``tier``'s fingerprints, built (and kept on it) when missing
-        or — an active memtable the store's policy does not fingerprint
-        on insert — behind the documents added since."""
+        """``tier``'s fingerprints, kept on it: built from its rank
+        column for the documents they miss (all of them at first, an
+        active memtable's added since later), then joined on."""
         built = tier.fingerprints
-        if built is None or built.ndocs != len(tier):
-            built = tier.fingerprints = FingerprintTier.from_rank_docs(
-                tier.rank_docs, doc_lo=tier.doc_lo, **self._layout
+        have = 0 if built is None else built.ndocs
+        if have < len(tier):
+            fresh = FingerprintTier.from_rank_docs(
+                tier.rank_docs.docs_from(have), w=self._w
+            )
+            built = tier.fingerprints = (
+                fresh if built is None
+                else FingerprintTier.concatenated([built, fresh])
             )
         return built
 
@@ -281,5 +284,5 @@ class TieredFingerprints:
                 mask = self._of(tier).survivors(query_ranks, w=w, tau=tau)
                 if mask is None:
                     return None
-                out[tier.doc_lo : len(mask)] = mask[tier.doc_lo :]
+                out[tier.doc_lo : tier.doc_lo + len(mask)] = mask
         return out

@@ -166,7 +166,7 @@ class SearchParams:
         """Raise unless these are the values ``where`` was created with:
         resuming a live index under others would search windows its
         segments were never indexed for.  Routing is not compared — on
-        resume it is a mode (:meth:`with_routing_mode`)."""
+        resume it is a mode (:meth:`with_routing`)."""
         asked, kept = (
             f"w={p.w}, tau={p.tau}, k_max={p.k_max}, m={p.m}" for p in (self, stored)
         )
@@ -195,10 +195,3 @@ class SearchParams:
             m=self.m,
             routing=RoutingPolicy.from_dict(routing),
         )
-
-    def with_routing_mode(self, routing: RoutingPolicy | dict | str) -> "SearchParams":
-        """Return a copy under the *mode* of ``routing``, layout kept:
-        what opening or resuming an index does with ``routing=``, since
-        the fingerprints already written fix the layout."""
-        mode = RoutingPolicy.from_dict(routing).mode
-        return self.with_routing(self.routing.with_mode(mode))

@@ -2,8 +2,9 @@
 
 Window-level indexing bounds per-query cost but still touches every
 data document.  This package adds a *routing tier*: per-block 512-bit
-OR-fingerprints (a saturating simhash over token ids), computed per
-document at build/ingest time and stored as flat numpy columns.  At
+OR-fingerprints (a saturating simhash over token ids), computed from a
+tier's rank column when it is saved or first routed, and stored as flat
+numpy columns.  At
 query time the tier vector-computes missing bits (popcount over AND-NOT
 of packed ``uint64`` lanes — equivalently the asymmetric half of the
 XOR Hamming distance) between the query's window fingerprints and every
@@ -16,9 +17,9 @@ conservative budget derived from ``tau`` and the query stride (see
 :func:`~repro.routing.fingerprints.missing_bit_budget`): recall is exactly 1.0
 by construction. There is no lossy mode.
 
-The public surface is :class:`RoutingPolicy` (carried on
-:class:`~repro.params.SearchParams`) and :class:`FingerprintTier` (the
-per-searcher data structure).
+The public surface is :class:`RoutingPolicy` (one mode, carried on
+:class:`~repro.params.SearchParams`) and :class:`FingerprintTier` (one
+tier's covers, a function of its rank column and ``w``).
 """
 
 from .fingerprints import FingerprintTier

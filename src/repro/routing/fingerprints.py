@@ -3,13 +3,14 @@
 Layout
 ------
 Every document's rank sequence is cut into tumbling blocks of
-``block_len = max(block_tokens, w)`` tokens.  Each block gets a 512-bit
+``max(BLOCK_TOKENS, w)`` tokens.  Each block gets a 512-bit
 OR-fingerprint — bit ``mix(rank) mod 512`` set for every token in the
 block, packed into :data:`LANES` ``uint64`` lanes — and what is stored
 is the *cover* of every pair of consecutive blocks,
-``cover_i = block_i | block_{i+1}``.  Because ``block_len >= w``, any
-``w``-window of the document lies within two consecutive blocks, hence
-within some stored cover.
+``cover_i = block_i | block_{i+1}``.  Because a block is at least ``w``
+tokens long, any ``w``-window of the document lies within two
+consecutive blocks, hence within some stored cover.  The covers are a
+function of the rank column and ``w`` alone.
 
 Conservativeness
 ----------------
@@ -41,7 +42,7 @@ whole-array passes:
   2, 4, ...``) in ``log2(w)`` passes, and every tested window is then
   one gather.
 * **Complement columns.**  The covers' complement is derived once per
-  compiled tier, lane-major — ``missing_lanes = (~cover_lanes).T``,
+  tier, lane-major — ``missing_lanes = (~cover_lanes).T``,
   :data:`LANES` contiguous rows of one ``uint64`` per cover — and is
   never stored, so the snapshot holds ``cover_lanes`` / ``cover_counts``
   only.  Missing bits are a (positions × covers) ``uint16`` matrix
@@ -67,8 +68,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import IndexStateError
-
 #: Packed ``uint64`` lanes per fingerprint (8 lanes = 512 bits).  64
 #: bits saturate on realistic blocks (a 256-token cover would set
 #: nearly every bit, leaving no missing-bit signal); 512 keeps cover
@@ -78,6 +77,11 @@ LANES = 8
 
 #: Total fingerprint width in bits.
 FINGERPRINT_BITS = LANES * 64
+
+#: Floor of the tumbling-block length, in tokens: a tier over windows of
+#: ``w`` tokens is built in blocks of ``max(BLOCK_TOKENS, w)``.  Smaller
+#: blocks prune harder but store more covers.
+BLOCK_TOKENS = 128
 
 #: Most cells one block of the survivor test holds, in the missing-bit
 #: matrix (positions × covers, ``uint16``) and in the span table (tokens
@@ -111,6 +115,11 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _U64(30))) * _SPLIT_M1
     z = (z ^ (z >> _U64(27))) * _SPLIT_M2
     return z ^ (z >> _U64(31))
+
+
+def block_length(w: int) -> int:
+    """Tokens per tumbling block of a tier over ``w``-token windows."""
+    return max(BLOCK_TOKENS, w)
 
 
 def missing_bit_budget(tau: int) -> int:
@@ -198,17 +207,21 @@ def _cover_rows(
     return (block_lanes | block_lanes[following])[keep]
 
 
-class _Compiled:
-    """Flat concatenated columns the survivor kernel runs over.
+class FingerprintTier:
+    """Block-cover fingerprints of one tier's documents (local ids
+    ``0..ndocs-1``): the flat columns the survivor kernel runs over.
 
-    ``missing_lanes`` is the covers' complement, lane-major: row ``l``
-    holds lane ``l`` of ``~cover`` for every cover, contiguous.  It is
-    derived here and never stored.
+    Made from a rank column (:meth:`from_rank_docs`) or from a snapshot's
+    columns (:meth:`from_arrays`) and never changed; a tier that grows
+    gets a new one (:meth:`concatenated`).  ``missing_lanes`` is the
+    covers' complement, lane-major: row ``l`` holds lane ``l`` of
+    ``~cover`` for every cover, contiguous.  It is derived here and never
+    stored.
     """
 
     __slots__ = ("cover_lanes", "cover_counts", "doc_of_cover", "missing_lanes")
 
-    def __init__(self, cover_lanes, cover_counts) -> None:
+    def __init__(self, cover_lanes: np.ndarray, cover_counts: np.ndarray) -> None:
         self.cover_lanes = cover_lanes
         self.cover_counts = cover_counts
         self.doc_of_cover = np.repeat(
@@ -216,106 +229,34 @@ class _Compiled:
         )
         self.missing_lanes = np.ascontiguousarray((~cover_lanes).T)
 
-
-class FingerprintTier:
-    """Block-cover fingerprints for one contiguous doc-id range.
-
-    Built from a whole rank column in bounded chunks
-    (:meth:`from_rank_docs`) and grown one document at a time through
-    the same producer (:meth:`add`, the memtable insert path); freezes
-    to flat numpy columns for the snapshot envelope (:meth:`to_arrays` /
-    :meth:`from_arrays`).
-    ``doc_lo`` is the global id of the first fingerprinted document —
-    survivor masks cover ``[0, doc_lo + ndocs)`` with the prefix all
-    False (ids below ``doc_lo`` belong to other tiers; the live view
-    glues the tiers' masks by doc id).
-    """
-
-    __slots__ = (
-        "block_len",
-        "doc_lo",
-        "_cover_lanes",
-        "_cover_counts",
-        "_compiled",
-    )
-
-    def __init__(self, *, block_len: int, doc_lo: int = 0) -> None:
-        if block_len < 1:
-            raise ValueError(f"block_len must be >= 1, got {block_len}")
-        self.block_len = block_len
-        self.doc_lo = doc_lo
-        self._cover_lanes: list | None = []
-        self._cover_counts: list[int] = []
-        self._compiled: _Compiled | None = None
-
-    # -- pickling (``__slots__`` classes need explicit state) ----------
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-
-    # -- construction ---------------------------------------------------
     @property
     def ndocs(self) -> int:
-        """Documents fingerprinted so far."""
-        return len(self._cover_counts)
+        """Documents fingerprinted."""
+        return len(self.cover_counts)
 
-    @property
-    def frozen(self) -> bool:
-        """True when array-backed (loaded from a snapshot); no adds."""
-        return self._cover_lanes is None
-
-    def add(self, ranks) -> None:
-        """Fingerprint the next document (global id ``doc_lo + ndocs``).
-
-        ``ranks`` is the document's rank sequence (any int sequence or
-        array; negative lazy/OOV ranks hash fine), fingerprinted by
-        :meth:`from_rank_docs` as a corpus of one.  O(len(ranks)).
-        """
-        # Imported here: repro.index imports this package (via params).
-        from ..index.compact import PackedRankDocs
-
-        ranks = np.asarray(ranks, dtype=np.int64)
-        self.extend(PackedRankDocs(np.array([0, len(ranks)]), ranks))
-
-    def extend(self, rank_docs) -> None:
-        """Fingerprint every document of the packed rank column
-        ``rank_docs`` as the next ones: the rows :meth:`add` per document
-        would append, from one :meth:`from_rank_docs`."""
-        if self.frozen:
-            raise IndexStateError(
-                "cannot add documents to a frozen fingerprint tier"
-            )
-        more = self.from_rank_docs(rank_docs, block_len=self.block_len)
-        self._cover_lanes.extend(more._cover_lanes)
-        self._cover_counts.extend(more._cover_counts)
-        self._compiled = None
-
+    # -- construction ---------------------------------------------------
     @classmethod
-    def from_rank_docs(
-        cls, rank_docs, *, block_len: int, doc_lo: int = 0
-    ) -> "FingerprintTier":
-        """Fingerprint every document of ``rank_docs``: the one producer
-        of ``cover_lanes`` rows.
+    def from_rank_docs(cls, rank_docs, *, w: int) -> "FingerprintTier":
+        """Fingerprint every document of ``rank_docs`` in blocks of
+        :func:`block_length` tokens: the one producer of ``cover_lanes``
+        rows.
 
-        ``rank_docs`` is one tier's rank sequences under local ids (a
+        ``rank_docs`` is one tier's rank sequences (a
         :class:`~repro.index.compact.PackedRankDocs`, or a list of lists,
-        packed first); ``doc_lo`` is the global id of its first document.
-        The columns are read in chunks of whole documents of at most
-        :data:`_CHUNK_TOKENS` tokens and :data:`_CHUNK_BLOCKS` blocks (a
-        longer document is a chunk of its own).  A chunk hashes each token
-        once and sets its bit in a (blocks × 512) bit matrix, which
-        ``np.packbits`` turns into the blocks' lanes; a document's covers
-        are then the OR of its consecutive blocks, a one-block document's
-        its one block.  The tier stays open to :meth:`add`.
+        packed first).  The columns are read in chunks of whole documents
+        of at most :data:`_CHUNK_TOKENS` tokens and :data:`_CHUNK_BLOCKS`
+        blocks (a longer document is a chunk of its own).  A chunk hashes
+        each token once and sets its bit in a (blocks × 512) bit matrix,
+        which ``np.packbits`` turns into the blocks' lanes; a document's
+        covers are then the OR of its consecutive blocks, a one-block
+        document's its one block.
         """
         # Imported here: repro.index imports this package (via params).
         from ..index.compact import PackedRankDocs
 
         if not isinstance(rank_docs, PackedRankDocs):
             rank_docs = PackedRankDocs.from_lists(rank_docs)
+        block_len = block_length(w)
         columns = rank_docs.to_arrays()
         offsets, values = columns["offsets"], columns["values"]
         lengths = (offsets[1:] - offsets[:-1]).astype(np.int64)
@@ -342,84 +283,46 @@ class FingerprintTier:
                 )
             )
             first = stop
-        tier = cls(block_len=block_len, doc_lo=doc_lo)
-        tier._cover_lanes = lanes
-        tier._cover_counts = np.where(blocks > 1, blocks - 1, blocks).tolist()
-        return tier
+        return cls(np.concatenate(lanes), np.where(blocks > 1, blocks - 1, blocks))
 
-    # -- persistence ----------------------------------------------------
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "FingerprintTier":
+        """A tier straight over a snapshot's (mmap-able) columns, the
+        cover counts widened back from their stored width."""
+        return cls(
+            np.asarray(arrays["cover_lanes"], dtype=np.uint64).reshape(-1, LANES),
+            np.ascontiguousarray(arrays["cover_counts"], dtype=np.int64),
+        )
+
+    @classmethod
+    def concatenated(cls, parts) -> "FingerprintTier":
+        """The documents of consecutive tiers as one tier."""
+        return cls(
+            np.concatenate([part.cover_lanes for part in parts]),
+            np.concatenate([part.cover_counts for part in parts]),
+        )
+
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Flat columns for the snapshot envelope; the cover counts at
-        the narrowest width that holds them (:meth:`from_arrays` widens
-        them back)."""
+        the narrowest width that holds them."""
         # Imported here: repro.index imports this package (via params).
         from ..index.compact import _packed_column
 
-        compiled = self._compile()
         return {
-            "cover_lanes": compiled.cover_lanes,
-            "cover_counts": _packed_column(compiled.cover_counts),
+            "cover_lanes": self.cover_lanes,
+            "cover_counts": _packed_column(self.cover_counts),
         }
-
-    def describe(self) -> dict:
-        """Layout parameters persisted next to the arrays."""
-        return {
-            "block_len": self.block_len,
-            "doc_lo": self.doc_lo,
-            "ndocs": self.ndocs,
-            "lanes": LANES,
-        }
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: dict[str, np.ndarray],
-        *,
-        block_len: int,
-        doc_lo: int = 0,
-    ) -> "FingerprintTier":
-        """Rebuild a frozen tier straight over mmap-able columns."""
-        tier = cls(block_len=block_len, doc_lo=doc_lo)
-        cover_counts = np.ascontiguousarray(arrays["cover_counts"], dtype=np.int64)
-        cover_lanes = np.asarray(arrays["cover_lanes"], dtype=np.uint64)
-        tier._cover_lanes = None
-        tier._cover_counts = cover_counts  # len() works on the array
-        tier._compiled = _Compiled(cover_lanes.reshape(-1, LANES), cover_counts)
-        return tier
-
-    def rebased(self, doc_lo: int) -> "FingerprintTier":
-        """A frozen tier over the same columns, first document ``doc_lo``.
-
-        A segment file stores its fingerprints under local ids; the
-        ingest store re-bases them to the tier's global doc range.
-        """
-        return type(self).from_arrays(
-            self.to_arrays(), block_len=self.block_len, doc_lo=doc_lo
-        )
-
-    def _compile(self) -> _Compiled:
-        """Concatenate per-doc arrays into the kernel's flat columns."""
-        compiled = self._compiled
-        if compiled is not None:
-            return compiled
-        if self._cover_lanes:
-            cover_lanes = np.concatenate(self._cover_lanes, axis=0)
-        else:
-            cover_lanes = np.zeros((0, LANES), dtype=np.uint64)
-        counts = np.asarray(self._cover_counts, dtype=np.int64)
-        compiled = _Compiled(cover_lanes, counts)
-        self._compiled = compiled
-        return compiled
 
     # -- the survivor kernel --------------------------------------------
     def survivors(self, query_ranks, *, w: int, tau: int) -> np.ndarray | None:
-        """Boolean mask over global doc ids ``[0, doc_lo + ndocs)``.
+        """Boolean mask over the tier's documents.
 
         ``True`` means the document *may* contain a qualifying window
         and must go to exact verification; ``False`` means it provably
         cannot.  Returns ``None`` when the tier cannot prune anything
         (empty tier, query shorter than ``w``, or a ``2 * tau`` budget
-        at or above the fingerprint width).
+        at or above the fingerprint width).  The block length the covers
+        were built at is not read: any length ``>= w`` is conservative.
         """
         ndocs = self.ndocs
         u = _as_u64(query_ranks)
@@ -430,8 +333,7 @@ class FingerprintTier:
         if budget >= FINGERPRINT_BITS:
             return None
 
-        compiled = self._compile()
-        missing_lanes = compiled.missing_lanes
+        missing_lanes = self.missing_lanes
         ncovers = missing_lanes.shape[1]
         # Tested window starts: k * stride for k = 0, 1, ..., plus the
         # last start n - w when the stride steps over it.
@@ -457,19 +359,7 @@ class FingerprintTier:
                 u[first : int(starts[-1]) + w], starts - first, w
             )
             cover_ok |= _covers_within(windows, missing_lanes, budget)
-
-        alive = (
-            np.bincount(
-                compiled.doc_of_cover, weights=cover_ok, minlength=ndocs
-            )
-            > 0
-        )
-        out = np.zeros(self.doc_lo + ndocs, dtype=bool)
-        out[self.doc_lo :] = alive
-        return out
+        return np.bincount(self.doc_of_cover, weights=cover_ok, minlength=ndocs) > 0
 
     def __repr__(self) -> str:
-        return (
-            f"FingerprintTier(docs=[{self.doc_lo},{self.doc_lo + self.ndocs}), "
-            f"block_len={self.block_len}, frozen={self.frozen})"
-        )
+        return f"FingerprintTier(docs={self.ndocs}, covers={len(self.cover_lanes)})"

@@ -8,7 +8,7 @@ endpoints:
     JSON body ``{"text": "..."}`` or ``{"token_ids": [...]}`` plus an
     optional ``"timeout"`` (seconds) and an optional ``"routing"``
     (``"off"``/``"exact"``, or a :meth:`~repro.RoutingPolicy.to_dict`
-    object of which only ``"mode"`` is read) overriding the serving
+    object, ``{"mode": ...}``) overriding the serving
     index's routing mode per request.  A non-numeric ``timeout``,
     token ids outside signed 64 bits, an unknown routing mode or
     field, and a body that is not JSON text (undecodable bytes, nesting

@@ -333,8 +333,8 @@ class SearchService:
 
         ``routing`` (a mode string or a :class:`~repro.RoutingPolicy`)
         overrides the searcher's routing mode for this request only;
-        nothing but the mode is read and cached entries are keyed by
-        it, so routed and unrouted results never mix.
+        cached entries are keyed by the mode, so routed and unrouted
+        results never mix.
         """
         if self._closed:
             raise ServiceClosedError(f"{self.name} is closed")

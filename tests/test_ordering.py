@@ -87,7 +87,7 @@ class TestSetupMemory:
 
     def test_fingerprints(self, corpus):
         ranks = GlobalOrder(corpus, 50).rank_documents(corpus)
-        tier, peak = self.peak(lambda: FingerprintTier.from_rank_docs(ranks, block_len=128))
+        tier, peak = self.peak(lambda: FingerprintTier.from_rank_docs(ranks, w=50))
         assert tier.ndocs == 2048
         assert peak < 3 * 2**20, peak
 

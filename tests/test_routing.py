@@ -6,22 +6,23 @@ The contract under test:
   routing cell of ``test_exactness.py`` (serial, pooled, sharded, live,
   per request) returns the reference pairs; here, only inputs at the
   edge of the budget derivation.
-* **Producer** — :meth:`FingerprintTier.from_rank_docs` (and
-  :meth:`~FingerprintTier.add`, which goes through it) writes, byte for
-  byte, the covers of the layout's definition, whatever the rank
-  column's width and wherever its chunk seams fall: ``test_seams.py``
-  holds it to ``reference_cover_lanes``, here at named cases.
+* **Producer** — :meth:`FingerprintTier.from_rank_docs` writes, byte
+  for byte, the covers of the layout's definition at
+  ``max(BLOCK_TOKENS, w)``, whatever the rank column's width and
+  wherever its chunk seams fall: ``test_seams.py`` holds it to
+  ``reference_cover_lanes``, here at named cases.
 * **Survivors** — the fingerprint tier keeps every document with a true
   match and prunes documents that share no token with the query.  The
   whole-array kernel returns, bit for bit, the mask of the per-window
   loop kept here as :func:`reference_survivors`, and its working memory
   does not grow with the query.
 * **API surface** — :class:`~repro.RoutingPolicy` is a frozen kw-only
-  dataclass that normalizes from strings/dicts, rides on
-  :class:`~repro.SearchParams`, and round-trips through format-v3
-  snapshots; asking a fingerprint-less snapshot to route raises the
-  typed :class:`~repro.RoutingUnavailableError` (eagerly at
-  ``Index.open``, lazily at query time).
+  dataclass of one mode that normalizes from strings/dicts, rides on
+  :class:`~repro.SearchParams`, and round-trips through snapshots, one
+  written at another block length included; asking a fingerprint-less
+  snapshot to route raises the typed
+  :class:`~repro.RoutingUnavailableError` (eagerly at ``Index.open``,
+  lazily at query time).
 * **Observability** — the ``routing.*`` counters report checked and
   pruned documents (merged across workers in the pooled cells).
 """
@@ -45,7 +46,6 @@ from repro import (
     SearchParams,
 )
 from repro.core.pkwise import PKWiseSearcher
-from repro.errors import IndexStateError
 from repro.persistence import read_envelope, write_envelope
 from repro.routing import ROUTING_MODES, FingerprintTier, fingerprints
 from repro.routing.fingerprints import FINGERPRINT_BITS, missing_bit_budget
@@ -71,20 +71,13 @@ def reference_survivors(tier, query_ranks, *, w, tau):
     if positions[-1] != last:
         positions.append(last)
     token_lanes = fingerprints._token_lanes(u)
-    compiled = tier._compile()
-    inverted = ~compiled.cover_lanes
+    inverted = ~tier.cover_lanes
     cover_ok = np.zeros(len(inverted), dtype=bool)
     for start in positions:
         window = np.bitwise_or.reduce(token_lanes[start : start + w], axis=0)
         missing = np.bitwise_count(window[None, :] & inverted).sum(axis=1)
         cover_ok |= missing <= budget
-    alive = (
-        np.bincount(compiled.doc_of_cover, weights=cover_ok, minlength=tier.ndocs)
-        > 0
-    )
-    out = np.zeros(tier.doc_lo + tier.ndocs, dtype=bool)
-    out[tier.doc_lo :] = alive
-    return out
+    return np.bincount(tier.doc_of_cover, weights=cover_ok, minlength=tier.ndocs) > 0
 
 
 def assert_same_mask(got, want):
@@ -110,13 +103,13 @@ class TestRoutingPolicy:
     def test_from_dict_normalizes(self):
         assert RoutingPolicy.from_dict(None) == RoutingPolicy()
         assert RoutingPolicy.from_dict("exact").mode == "exact"
-        policy = RoutingPolicy.from_dict({"mode": "exact", "block_tokens": 64})
-        assert (policy.mode, policy.block_tokens) == ("exact", 64)
+        policy = RoutingPolicy.from_dict({"mode": "exact"})
+        assert policy == RoutingPolicy(mode="exact")
         assert RoutingPolicy.from_dict(policy) is policy
 
     def test_round_trips_through_dict(self):
-        policy = RoutingPolicy(mode="exact", block_tokens=64)
-        assert policy.to_dict() == {"mode": "exact", "block_tokens": 64}
+        policy = RoutingPolicy(mode="exact")
+        assert policy.to_dict() == {"mode": "exact"}
         assert RoutingPolicy.from_dict(policy.to_dict()) == policy
 
     def test_validation_errors_are_typed(self):
@@ -125,10 +118,9 @@ class TestRoutingPolicy:
         with pytest.raises(ConfigurationError):
             RoutingPolicy.from_dict("fuzzy")
         with pytest.raises(ConfigurationError):
-            RoutingPolicy(block_tokens=0)
-        with pytest.raises(ConfigurationError):
             RoutingPolicy.from_dict(3.14)
-        # The lossy mode and its knobs are gone, not aliased.
+        # The lossy mode, its knobs and the block length are gone, not
+        # aliased.
         assert ROUTING_MODES == ("off", "exact")
         with pytest.raises(ConfigurationError):
             RoutingPolicy(mode="approx")
@@ -136,15 +128,10 @@ class TestRoutingPolicy:
             "approx",
             {"mode": "exact", "bands": 2},
             {"hamming_budget": 3},
+            {"mode": "exact", "block_tokens": 64},
         ):
             with pytest.raises(ConfigurationError):
                 RoutingPolicy.from_dict(removed)
-
-    def test_with_mode(self):
-        policy = RoutingPolicy(mode="off", block_tokens=64)
-        routed = policy.with_mode("exact")
-        assert routed.mode == "exact" and routed.block_tokens == 64
-        assert policy.mode == "off"  # original untouched
 
     def test_rides_on_params_and_repr(self):
         params = SearchParams(w=8, tau=2, k_max=2).with_routing("exact")
@@ -157,11 +144,15 @@ class TestRoutingPolicy:
 class TestFingerprintTier:
     PARAMS = SearchParams(w=8, tau=2, k_max=2)
 
+    @pytest.fixture(autouse=True)
+    def blocks_of_16(self, monkeypatch):
+        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 16)
+
     def _tier_and_corpus(self, seed=0):
         data, rng = make_corpus(seed)
         searcher = PKWiseSearcher(data, self.PARAMS)
         rank_docs = searcher.rank_docs
-        tier = FingerprintTier.from_rank_docs(rank_docs, block_len=16)
+        tier = FingerprintTier.from_rank_docs(rank_docs, w=self.PARAMS.w)
         return data, searcher, rank_docs, tier
 
     def test_survivors_keep_every_true_match(self):
@@ -188,7 +179,7 @@ class TestFingerprintTier:
         assert not mask.any()
 
     def test_survivors_none_when_unprunable(self):
-        empty = FingerprintTier(block_len=16)
+        empty = FingerprintTier.from_rank_docs([], w=8)
         assert empty.survivors([1, 2, 3], w=8, tau=2) is None
         data, searcher, rank_docs, tier = self._tier_and_corpus()
         # Query shorter than w: no window to fingerprint.
@@ -203,44 +194,22 @@ class TestFingerprintTier:
             is None
         )
 
-    def test_doc_lo_offsets_global_mask(self):
-        # ``rank_docs`` is one tier's local sequence; ``doc_lo`` places
-        # its first document in the global id space.
-        _, searcher, rank_docs, base = self._tier_and_corpus()
-        tier = FingerprintTier.from_rank_docs(
-            rank_docs, block_len=16, doc_lo=2
-        )
-        query = rank_docs[0][8:38]
-        mask = tier.survivors(query, w=8, tau=2)
-        assert len(mask) == 2 + len(rank_docs)
-        assert not mask[:2].any()  # prefix below doc_lo is never alive
-        assert mask[2]  # document 0 of the tier is global id 2
-        assert np.array_equal(mask[2:], base.survivors(query, w=8, tau=2))
-        rebased = base.rebased(2)
-        assert rebased.frozen and rebased.doc_lo == 2
-        assert np.array_equal(rebased.survivors(query, w=8, tau=2), mask)
-
     def test_array_round_trip_is_identical(self):
         data, searcher, rank_docs, tier = self._tier_and_corpus()
         arrays = {
             key: np.asarray(value) for key, value in tier.to_arrays().items()
         }
         assert sorted(arrays) == ["cover_counts", "cover_lanes"]
-        meta = tier.describe()
-        loaded = FingerprintTier.from_arrays(
-            arrays, block_len=meta["block_len"], doc_lo=meta["doc_lo"]
-        )
-        assert loaded.frozen and loaded.ndocs == tier.ndocs
+        loaded = FingerprintTier.from_arrays(arrays)
+        assert loaded.ndocs == tier.ndocs
         query = list(range(40))
         got = loaded.survivors(query, w=8, tau=2)
         want = tier.survivors(query, w=8, tau=2)
         assert np.array_equal(got, want)
-        with pytest.raises(IndexStateError):
-            loaded.add([1, 2, 3])
 
     def test_covers_are_width_invariant(self):
         # A named case of test_seams.cross_seams: covers at every width.
-        cross_seams(seam_case(block_len=16, late=[12, 30]))
+        cross_seams(seam_case(block_tokens=16, late=[12, 30]))
 
     def test_exact_budget_derivation(self):
         assert missing_bit_budget(0) == 0
@@ -251,14 +220,15 @@ class TestFingerprintTier:
 class TestFingerprintProducer:
     """:meth:`FingerprintTier.from_rank_docs` at its edges and chunk
     seams: named cases of ``test_seams.cross_seams``, which holds its
-    covers, at every width and added one at a time, to the definition."""
+    covers, at every width and grown a document at a time, to the
+    definition."""
 
     @pytest.mark.parametrize("w, block_len", [(8, 16), (16, 16), (1, 1), (5, 7)])
     def test_edge_lengths_and_column_widths(self, w, block_len):
         # Empty documents, shorter than w, and multiples of block_len.
         lengths = [0, 1, w - 1, block_len, 2 * block_len, 3 * block_len,
                    block_len + 1, 0, 5 * block_len - 1]
-        cross_seams(seam_case(w=w, tau=min(2, w - 1), lengths=lengths, block_len=block_len))
+        cross_seams(seam_case(w=w, tau=min(2, w - 1), lengths=lengths, block_tokens=block_len))
 
     def test_oov_sentinel_and_admitted_ranks(self):
         cross_seams(seam_case(oov=True, late=[12, 30]))
@@ -306,31 +276,29 @@ class TestSurvivorKernel:
         if cells is not None:
             monkeypatch.setattr(fingerprints, "_BLOCK_CELLS", cells)
         kept = pruned = 0
+        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", block_len)
         for seed in range(3):
             docs, rng = self._rank_docs(seed, w)
-            built = FingerprintTier.from_rank_docs(docs, block_len=block_len)
-            tiers = [
-                built,
-                FingerprintTier.from_arrays(built.to_arrays(), block_len=block_len),
-                built.rebased(3),
-            ]
-            has_covers = np.asarray(built.to_arrays()["cover_counts"]) > 0
+            built = FingerprintTier.from_rank_docs(docs, w=w)
+            tiers = [built, FingerprintTier.from_arrays(built.to_arrays())]
+            has_covers = built.cover_counts > 0
             for query in self._queries(docs, rng, w, tau):
                 for tier in tiers:
                     want = reference_survivors(tier, query, w=w, tau=tau)
                     assert_same_mask(tier.survivors(query, w=w, tau=tau), want)
-                    kept += int(want[tier.doc_lo :].sum())
-                    pruned += int((has_covers & ~want[tier.doc_lo :]).sum())
+                    kept += int(want.sum())
+                    pruned += int((has_covers & ~want).sum())
         # Some fingerprinted document survives, and some is pruned unless
         # the budget covers a whole window (a w-window sets <= w bits).
         assert kept and (pruned or 2 * tau >= w)
 
-    def test_long_query_spans_several_blocks(self):
+    def test_long_query_spans_several_blocks(self, monkeypatch):
         # ~18k covers: a block at the default cell count holds ~57 of the
         # query's ~300 tested positions.
+        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 8)
         rng = np.random.default_rng(0)
         docs = [rng.integers(0, 5000, 80).tolist() for _ in range(2000)]
-        tier = FingerprintTier.from_rank_docs(docs, block_len=8)
+        tier = FingerprintTier.from_rank_docs(docs, w=8)
         query = docs[7][:40] + rng.integers(0, 5000, 860).tolist()
         ncovers = len(tier.to_arrays()["cover_lanes"])
         assert -(-(len(query) - 8) // 3) + 1 > 4 * (fingerprints._BLOCK_CELLS // ncovers)
@@ -340,7 +308,8 @@ class TestSurvivorKernel:
 
     def test_live_view_matches_reference(self):
         # A TieredFingerprints view over a segment and the memtable
-        # equals one flat tier over the same documents.
+        # equals one flat tier over the same documents, before and after
+        # the memtable's fingerprints grow by one more add.
         params = SearchParams(w=8, tau=2, k_max=2)
         data, rng = make_corpus(11, docs=9)
         texts = [" ".join(data.vocabulary.decode(doc.tokens)) for doc in data]
@@ -348,27 +317,26 @@ class TestSurvivorKernel:
         for text in texts[:5]:
             index.add(text)
         index.flush()
-        for text in texts[5:]:
-            index.add(text)
         searcher = index.searcher()
-        view = searcher.routing_fingerprints()
-        flat = FingerprintTier.from_rank_docs(
-            searcher.rank_docs, **params.routing.layout(params.w)
-        )
-        for query in make_queries(data, rng, count=4):
-            ranks = searcher.order.rank_document(query)
-            want = reference_survivors(flat, ranks, w=params.w, tau=params.tau)
-            assert_same_mask(view.survivors(ranks, w=params.w, tau=params.tau), want)
+        queries = make_queries(data, rng, count=4)
+        for more in (texts[5:], texts[:1]):
+            for text in more:
+                index.add(text)
+            view = searcher.routing_fingerprints()
+            flat = FingerprintTier.from_rank_docs(searcher.rank_docs, w=params.w)
+            for query in queries:
+                ranks = searcher.order.rank_document(query)
+                want = reference_survivors(flat, ranks, w=params.w, tau=params.tau)
+                assert_same_mask(view.survivors(ranks, w=params.w, tau=params.tau), want)
         index.close()
 
-    def test_working_memory_is_bounded_for_a_long_query(self):
+    def test_working_memory_is_bounded_for_a_long_query(self, monkeypatch):
         # A million-token query.  Only the uint64 copy of the input may
         # grow with the query; the rest is one block of at most
         # _BLOCK_CELLS cells, whose span table peaks at 16 MiB while it
         # doubles.  Token lanes for the whole query alone are 64 MB.
-        _, _, rank_docs, _ = TestFingerprintTier()._tier_and_corpus()
-        tier = FingerprintTier.from_rank_docs(rank_docs, block_len=16)
-        tier.survivors(list(rank_docs[0]), w=8, tau=2)  # compile outside the window
+        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 16)
+        _, _, rank_docs, tier = TestFingerprintTier()._tier_and_corpus()
         query = np.random.default_rng(0).integers(0, 45, 1_000_000).tolist()
         tracemalloc.start()
         try:
@@ -430,8 +398,8 @@ class TestHostileInputAtTheRoutingDoor:
 class TestRoutingPersistence:
     PARAMS = SearchParams(w=8, tau=2, k_max=2)
 
-    def _build(self, routing):
-        data, rng = make_corpus(8)
+    def _build(self, routing, length=80):
+        data, rng = make_corpus(8, length=length)
         texts = [" ".join(data.vocabulary.decode(doc.tokens)) for doc in data]
         index = Index.build(texts, self.PARAMS, routing=routing)
         query_text = " ".join(
@@ -448,7 +416,7 @@ class TestRoutingPersistence:
         loaded = Index.open(path, mmap=mmap)
         assert loaded.params.routing.mode == "exact"
         tier = loaded.searcher()._routing_tier
-        assert isinstance(tier, FingerprintTier) and tier.frozen
+        assert isinstance(tier, FingerprintTier)
         assert pairs_as_set(loaded.search_text(query_text)) == want
         result = loaded.search_text(query_text)
         assert result.stats.routing_checked_docs > 0
@@ -475,13 +443,17 @@ class TestRoutingPersistence:
         loaded.close()
 
     @pytest.mark.parametrize("mmap", [False, True])
-    def test_2_5_layout_snapshot_opens_unchanged(self, tmp_path, mmap):
+    def test_2_5_layout_snapshot_opens_unchanged(self, tmp_path, monkeypatch, mmap):
         # What 2.5 wrote: the same sections plus a MinHash column and a
-        # ``bands`` layout key.  The loader picks columns by name, so
-        # both are simply not read -- there is no branch for them.
-        index, query_text = self._build("exact")
+        # ``bands`` layout key; and what 3.5.0 wrote at
+        # ``block_tokens=64``: covers of 64-token blocks.  The loader
+        # picks columns by name and the kernel reads no block length, so
+        # there is no branch for either.
+        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 64)
+        index, query_text = self._build("exact", length=200)
         current = tmp_path / "routed.pkz"
         index.save(current)
+        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 128)
         header, sections, arrays = read_envelope(current, "pkwise-index")
         arrays["routing.band_minima"] = np.zeros(
             (len(arrays["routing.cover_lanes"]), 4), dtype=np.uint64
@@ -490,52 +462,43 @@ class TestRoutingPersistence:
         legacy = tmp_path / "routed-2.5.pkz"
         write_envelope(legacy, "pkwise-index", sections, arrays, header=header)
         loaded = Index.open(legacy, mmap=mmap)
+        stored = loaded.searcher().routing_fingerprints()
+        rebuilt = FingerprintTier.from_rank_docs(loaded.searcher().rank_docs, w=8)
+        assert len(stored.cover_lanes) > len(rebuilt.cover_lanes)
         routed = loaded.search_text(query_text)
         assert routed.stats.routing_checked_docs > 0
         assert pairs_as_set(routed) == pairs_as_set(index.search_text(query_text))
         assert pairs_as_set(routed) == pairs_as_set(
             loaded.search_text(query_text, routing="off")
         )
+        # Writes layer a memtable fingerprinted at 128 over those covers.
+        for text in (query_text, " ".join(reversed(query_text.split()))):
+            doc_id = loaded.add(text)
+            want = expected_pairs(loaded.data, loaded.encode_query(text), 8, 2)
+            assert doc_id in {pair[0] for pair in want}
+            assert pairs_as_set(loaded.search_text(text)) == want
         loaded.close()
-
-    def test_open_and_resume_keep_the_stored_layout(self, tmp_path):
-        # Layout is decided where fingerprints are written; opening or
-        # resuming under routing= changes the mode and nothing else.
-        policy = RoutingPolicy(mode="off", block_tokens=64)
-        index, _ = self._build(policy.with_mode("exact"))
-        path = tmp_path / "routed.pkz"
-        index.save(path)
-        for override in ("exact", RoutingPolicy(mode="exact")):
-            loaded = Index.open(path, routing=override)
-            assert loaded.params.routing == policy.with_mode("exact")
-            loaded.add("a b c d e f g h i j")
-            assert loaded._store._active.fingerprints.block_len == 64
-            loaded.close()
-
-        directory = tmp_path / "store"
-        Index.open_live(directory, self.PARAMS, routing=policy).close()
-        resumed = Index.open_live(directory, routing="exact")
-        assert resumed.params.routing == policy.with_mode("exact")
-        assert resumed._store._active.fingerprints.block_len == 64
-        resumed.close()
 
     def test_segment_fingerprints_are_stored_and_reused(
         self, tmp_path, monkeypatch
     ):
-        # A durable routed store fingerprints a document on insert and
-        # once more when its segment is written; no query, install or
-        # reopen fingerprints a segment document again.  Every fingerprint
-        # comes out of from_rank_docs (an insert is a corpus of one), so
-        # the documents passing through it are counted.
+        # A durable routed store fingerprints a memtable document when a
+        # routed query first finds it, and once more when its segment is
+        # written; no query, install or reopen fingerprints a document
+        # again.  Every fingerprint comes out of from_rank_docs, so the
+        # documents passing through it are counted.  The store is written
+        # at 64-token blocks (what 3.5.0 wrote at ``block_tokens=64``) and
+        # resumed at 128.
         fingerprinted = []
         real = FingerprintTier.from_rank_docs.__func__
 
-        def counted(cls, rank_docs, **layout):
+        def counted(cls, rank_docs, *, w):
             fingerprinted.extend([1] * len(rank_docs))
-            return real(cls, rank_docs, **layout)
+            return real(cls, rank_docs, w=w)
 
         monkeypatch.setattr(FingerprintTier, "from_rank_docs", classmethod(counted))
-        data, rng = make_corpus(10, docs=7)
+        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 64)
+        data, rng = make_corpus(10, docs=7, length=200)
         texts = [" ".join(data.vocabulary.decode(doc.tokens)) for doc in data]
         query_text = " ".join(data.vocabulary.decode(data[0].tokens[8:38]))
         directory = tmp_path / "store"
@@ -544,23 +507,34 @@ class TestRoutingPersistence:
             index.add(text)
         index.flush()
         assert pairs_as_set(index.search_text(query_text))
+        assert len(fingerprinted) == 4  # as the segment was written
         for text in texts[4:]:
             index.add(text)
+            index.search_text(query_text)  # the memtable's new document only
+        assert len(fingerprinted) == len(texts)
         index.flush()  # second seal: two segments, both with stored tiers
         assert index._store.num_segments == 2
-        assert len(fingerprinted) == 2 * len(texts)
+        assert len(fingerprinted) == len(texts) + 3
         routed = index.search_text(query_text)
-        assert len(fingerprinted) == 2 * len(texts)
+        assert len(fingerprinted) == len(texts) + 3
         assert routed.stats.routing_checked_docs == len(texts)
-        want = pairs_as_set(index.search_text(query_text, routing="off"))
+        want = expected_pairs(index.data, index.encode_query(query_text), 8, 2)
         assert {pair.doc_id for pair in routed.pairs} >= {0, 3}
         assert pairs_as_set(routed) == want
         index.close()
 
+        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 128)
         del fingerprinted[:]
         reopened = Index.open_live(directory, routing="exact")
+        # 200 tokens: four 64-token blocks, three covers a document.
+        segments = reopened.searcher().store._segments
+        assert [len(tier.fingerprints.cover_lanes) for tier in segments] == [4 * 3, 3 * 3]
         assert pairs_as_set(reopened.search_text(query_text)) == want
         assert fingerprinted == []
+        doc_id = reopened.add(query_text)
+        want = expected_pairs(reopened.data, reopened.encode_query(query_text), 8, 2)
+        assert doc_id in {pair[0] for pair in want}
+        assert pairs_as_set(reopened.search_text(query_text)) == want
         reopened.close()
 
 
@@ -576,11 +550,8 @@ class TestRoutingService:
     def test_cache_is_keyed_per_policy(self):
         service, data, rng = self._service()
         query = make_queries(data, rng, count=1)[0]
-        # An override is keyed by its mode: a layout it also names is
-        # not read, so it cannot split the cache.
-        first = service.search(
-            query, routing={"mode": "exact", "block_tokens": 64}
-        )
+        # An override is keyed by its mode, however it is spelt.
+        first = service.search(query, routing={"mode": "exact"})
         second = service.search(query, routing="exact")
         third = service.search(query, routing=RoutingPolicy(mode="exact"))
         crossed = service.search(query, routing="off")
@@ -616,6 +587,7 @@ class TestRoutingService:
                 "approx",
                 {"mode": "exact", "bands": 2},
                 {"hamming_budget": 3},
+                {"mode": "exact", "block_tokens": 64},
             ):
                 status, error = post({"text": query_text, "routing": removed})
                 assert status == 400 and "routing" in error["error"]

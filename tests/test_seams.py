@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import RoutingPolicy, SearchParams
+from repro import SearchParams
 from repro.core.pkwise import DEFAULT_FREQ_HIGH, DEFAULT_FREQ_LOW, PKWiseSearcher, default_scheme
 from repro.corpus import Document, DocumentCollection
 from repro.index.compact import CompactIntervalIndex, PackedRankDocs, _packed_column
@@ -55,6 +55,7 @@ CONSTANTS = {
     "chunk_blocks": "repro.routing.fingerprints._CHUNK_BLOCKS",
     "cover_cells": "repro.routing.fingerprints._BLOCK_CELLS",
     "column_start": "repro.ingest.memtable.COLUMN_START",
+    "block_tokens": "repro.routing.fingerprints.BLOCK_TOKENS",
 }
 
 
@@ -110,9 +111,9 @@ def seam_case(**fields):
     ``borders=None`` draws them from the held ranks."""
     case = SimpleNamespace(
         tau=2, k_max=3, m=2, size=40, lengths=[0, 4, 22, 9, 13, 30], late=[8], oov=False,
-        borders=None, block_len=5, seed=1, doc_lo=2**15 - 2,
+        borders=None, seed=1, doc_lo=2**15 - 2,
         bulk_cells=40, order_tokens=25, chunk_tokens=25, chunk_blocks=3, cover_cells=100,
-        column_start=8, bootstrap=2,
+        column_start=8, block_tokens=5, bootstrap=2,
     )
     vars(case).update(fields)
     if "w" not in fields:
@@ -136,12 +137,11 @@ def build_inputs(draw):
     return seam_case(
         w=w, tau=tau, k_max=k_max, m=m, lengths=draw(lengths), late=draw(lengths)[:2],
         size=LARGE if draw(st.integers(0, 7)) == 3 else draw(st.integers(3, 60)),  # 1 in 8
-        oov=draw(st.booleans()), block_len=draw(st.integers(1, 2 * w)),
-        seed=draw(st.integers(0, 2**32 - 1)),
+        oov=draw(st.booleans()), seed=draw(st.integers(0, 2**32 - 1)),
         doc_lo=draw(st.sampled_from([0, 2**15 - 6, 2**15 - 2, 2**15, 40_000])),
         bootstrap=draw(st.integers(0, 6)),
         **{name: draw(st.integers(1, top))
-           for name, top in zip(CONSTANTS, (32 * w, 120, 120, 12, 2048, 3 * w))},
+           for name, top in zip(CONSTANTS, (32 * w, 120, 120, 12, 2048, 3 * w, 2 * w))},
     )
 
 
@@ -231,7 +231,7 @@ def cross_seams(case):
         ]
         built = reference_index(SimpleNamespace(params=case, scheme=scheme, rank_docs=documents))
         meta, columns = CompactIntervalIndex.from_index(built).to_arrays()
-        covers = [reference_cover_lanes(ranks, case.block_len) for ranks in documents]
+        covers = [reference_cover_lanes(ranks, max(case.block_tokens, w)) for ranks in documents]
         covers = stored({
             "cover_lanes": np.concatenate([np.zeros((0, LANES), np.uint64), *covers]),
             "cover_counts": _packed_column([len(rows) for rows in covers]),
@@ -241,11 +241,11 @@ def cross_seams(case):
             column = PackedRankDocs(packed._offsets, packed._values.astype(dtype))
             index = CompactIntervalIndex.from_rank_docs(column, w, tau, scheme)
             assert index.to_arrays()[0] == meta and stored(index.to_arrays()[1]) == stored(columns)
-            tier = FingerprintTier.from_rank_docs(column, block_len=case.block_len)
+            tier = FingerprintTier.from_rank_docs(column, w=w)
             assert stored(tier.to_arrays()) == covers
-        grown = FingerprintTier(block_len=case.block_len)
-        for ranks in documents:
-            grown.add(ranks)
+        grown = FingerprintTier.concatenated(
+            [FingerprintTier.from_rank_docs([ranks], w=w) for ranks in documents]
+        )
         assert stored(grown.to_arrays()) == covers
         # 1: columns stored at any width probe alike, signs and all, at
         # int32 at least; so do they as one tier, and two merged, from doc_lo.
@@ -270,20 +270,13 @@ def cross_seams(case):
             return
         # 3: pairs of the built engine, and routed, of its index as two
         # merged tiers from doc_lo on.
-        routing = RoutingPolicy(mode="exact", block_tokens=case.block_len)
-        params = SearchParams(w=w, tau=tau, k_max=case.k_max, m=case.m, routing=routing)
+        params = SearchParams(w=w, tau=tau, k_max=case.k_max, m=case.m, routing="exact")
         engine = PKWiseSearcher(data, params, scheme=scheme, order=order)
-        ranks = engine.rank_docs
-        tiers = [Tier(lo + at, lo + at + n, 1, engine.index, ranks, "segment") for at in (0, n)]
-        index = TieredIntervalIndex(tiers, w, tau, scheme)
-        routed = FingerprintTier.from_rank_docs(list(ranks) * 2, doc_lo=lo, **routing.layout(w))
-        # One tier over both, and the tiers' own, used as given (no rebuild).
-        tiered = [
-            PKWiseSearcher.from_prebuilt(
-                params, order, scheme, index, TieredRankDocs(tiers), routing_tier=fingerprints
-            )
-            for fingerprints in (routed, TieredFingerprints(tiers, params))
-        ]
+        tiers = [Tier(lo + at, lo + at + n, 1, engine.index, engine.rank_docs, "segment") for at in (0, n)]
+        tiered = PKWiseSearcher.from_prebuilt(
+            params, order, scheme, TieredIntervalIndex(tiers, w, tau, scheme),
+            TieredRankDocs(tiers), routing_tier=TieredFingerprints(tiers, params),
+        )
         longest = max(data, key=len).tokens
         cut = vocabulary.decode(longest[len(longest) // 3:])
         cut[len(cut) // 2:len(cut) // 2 + 1] = ["unseen"]
@@ -291,9 +284,8 @@ def cross_seams(case):
         for query in map(data.encode_query_tokens, (cut, noise)):
             want = expected_pairs(data, query, w, tau)
             assert pairs_as_set(engine.search(query, routing="off")) == want
-            for searcher in tiered:
-                got = pairs_as_set(searcher.search(query, routing="exact"))
-                assert got == {(lo + at + doc, *rest) for at in (0, n) for doc, *rest in want}
+            got = pairs_as_set(tiered.search(query, routing="exact"))
+            assert got == {(lo + at + doc, *rest) for at in (0, n) for doc, *rest in want}
         # 3: the corpus through a live store whose rank column starts at
         # ``column_start`` tokens: the first ``bootstrap`` documents in one
         # block, the rest one add at a time across the column's growths, a

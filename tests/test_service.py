@@ -300,7 +300,7 @@ class TestServiceBasics:
         with SearchService(Index(stub), max_workers=1) as service:
             assert not service.search(doc).cached
             assert service.search(doc).cached  # no engine call
-            policy = RoutingPolicy(mode="exact", block_tokens=64)
+            policy = RoutingPolicy(mode="exact")
             assert not service.search(doc, routing=policy).cached
         plain, routed = stub.calls
         assert set(plain) == {"cancel"} and callable(plain["cancel"])
