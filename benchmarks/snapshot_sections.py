@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Section table of a snapshot, read from its TOC; guards the ``data``
 header, the width of every integer column and of the signature keys,
-that each per-token table is stored once and that shard files are
-ids-only.
+that postings store run counts and interval lengths, that each
+per-token table is stored once and that shard files are ids-only.
 
     PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT | MANIFEST | shards.json]
     PYTHONPATH=src python benchmarks/snapshot_sections.py --digests FILE
@@ -19,8 +19,14 @@ too, a ``shards.json`` path each of that plan's shard files.  Exit 1 when
   ``ranks.values``, and a live store from its segments', so neither may
   store them twice;
 * an integer array section is wider than its values need: every stored
-  integer column is the narrowest of int16, int32 and int64 that holds
-  it (``repro.index.compact._packed_column``);
+  integer column is the narrowest of int8, int16, int32 and int64 that
+  holds it (``repro.index.compact._packed_column``), so the run counts
+  (``index.counts``), interval lengths (``index.lens``) and cover counts
+  (``routing.cover_counts``) mostly store at one byte;
+* the index stores ``index.offsets`` or ``index.vs``: a key's run is its
+  count and an interval its length, which mostly fit one byte where
+  absolute offsets and ends took four (a fifth of the search-reuse
+  snapshot);
 * the signature keys (``index.keys``) are not ``<u4``: the paper's 4-byte
   hash, which ``repro.signatures.generate.signature_hashes`` yields
   (8-byte keys were a fifth of the search-reuse snapshot);
@@ -69,6 +75,9 @@ SLACK = 1024
 
 #: The one width of a stored signature-key column.
 KEY_DTYPE = "<u4"
+
+#: Index sections the counts and lengths replace: derived on load, if at all.
+ABSOLUTE_POSTINGS = ("index.offsets", "index.vs")
 
 #: Attributes that are another pickled table's inverse: derived on load.
 INVERSES = {"_id_of", "_rank_of_token"}
@@ -153,6 +162,11 @@ def main(path: Path, segment: bool = False, shard: bool = False) -> int:
         if narrow != array.dtype:
             print(f"FAIL: {path.name} stores {name} as {array.dtype}; "
                   f"its values fit {narrow}", file=sys.stderr)
+            status = 1
+    for name in ABSOLUTE_POSTINGS:
+        if name in arrays:
+            print(f"FAIL: {path.name} stores {name}; the index stores run counts "
+                  f"and interval lengths (index.counts, index.lens)", file=sys.stderr)
             status = 1
     keys = arrays.get("index.keys")
     if keys is not None:

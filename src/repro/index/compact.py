@@ -1,9 +1,15 @@
 """Compact, frozen, array-backed form of the interval index.
 
 :class:`CompactIntervalIndex` holds the interval index as five flat
-numpy columns: sorted 4-byte signature-hash keys, per-key offsets, and
-packed ``(doc, u, v)`` posting columns, each integer column at the
-narrowest signed width that holds its values (:func:`_packed_column`).
+numpy columns: sorted 4-byte signature-hash keys, each key's run count,
+and packed ``(doc, u, v - u)`` posting columns — a posting is a window
+interval ``d[u, v]``, stored as its start and its length — each integer
+column at the narrowest signed width that holds its values
+(:func:`_packed_column`).  Most keys hold one posting and most intervals
+span a few windows, so counts and lengths mostly store at one byte where
+absolute offsets and ends took four.  The constructor derives the runs'
+offsets once, with one cumsum, and a probe adds the lengths back onto
+the starts, so readers see ``(doc, u, v)`` as before.
 A corpus is written into them in one array pass
 (:meth:`CompactIntervalIndex.from_rank_docs`), and so is each write
 burst of a live memtable, which
@@ -61,16 +67,16 @@ _FROZEN_MESSAGE = (
 )
 
 #: The widths a stored integer column may take below int64, narrowest first.
-_NARROW = tuple(np.iinfo(dtype) for dtype in (np.int16, np.int32))
+_NARROW = tuple(np.iinfo(dtype) for dtype in (np.int8, np.int16, np.int32))
 
 
 def _packed_column(values: Sequence[int] | np.ndarray) -> np.ndarray:
-    """``values`` as the narrowest of int16, int32 and int64 that holds
-    every one of them (an integer array already of that type is
-    returned as is; an empty column is int16).
+    """``values`` as the narrowest of int8, int16, int32 and int64 that
+    holds every one of them (an integer array already of that type is
+    returned as is; an empty column is int8).
 
     Every stored integer column — ranks and their offsets, the posting
-    columns and their offsets, the routing tier's cover counts — is
+    columns and their run counts, the routing tier's cover counts — is
     written through here, so a build, a memtable catch-up, a fold and a
     segment file all store the same widths for the same values.  Readers
     take the dtype from the column itself; a gather that hands values on
@@ -87,9 +93,9 @@ def _packed_column(values: Sequence[int] | np.ndarray) -> np.ndarray:
 
 def _at_least_int32(column: np.ndarray) -> np.ndarray:
     """``column`` widened to int32 if it is narrower.  Under NumPy 2 an
-    int16 column plus a Python int wraps silently (``32700 + 100`` is
-    ``-32736``) or raises when the int itself does not fit int16, so an
-    int16 id never meets a tier's base or a window length."""
+    int8 or int16 column plus a Python int wraps silently (``32700 + 100``
+    is ``-32736`` at int16) or raises when the int itself does not fit,
+    so a narrow id never meets a tier's base or a window length."""
     return column.astype(np.promote_types(column.dtype, np.int32), copy=False)
 
 
@@ -110,14 +116,14 @@ class CompactIntervalIndex:
     frozen = True
 
     #: Column names in the order :meth:`to_arrays` emits them.
-    COLUMNS = ("keys", "offsets", "docs", "us", "vs")
+    COLUMNS = ("keys", "counts", "docs", "us", "lens")
 
     #: What ``from_rank_docs`` concatenates its blocks' posting rows onto:
     #: ``uint32`` keys, as ``signature_hashes`` yields them (a wider empty
-    #: key column would widen every block's keys with it), and int16
+    #: key column would widen every block's keys with it), and int8
     #: posting columns, so the rows keep the narrowest width every block
     #: fits.
-    _EMPTY_ROWS = (np.empty(0, dtype=np.uint32),) + (np.empty(0, dtype=np.int16),) * 3
+    _EMPTY_ROWS = (np.empty(0, dtype=np.uint32),) + (np.empty(0, dtype=np.int8),) * 3
 
     def __init__(
         self,
@@ -126,10 +132,10 @@ class CompactIntervalIndex:
         scheme,
         *,
         keys: np.ndarray,
-        offsets: np.ndarray,
+        counts: np.ndarray,
         docs: np.ndarray,
         us: np.ndarray,
-        vs: np.ndarray,
+        lens: np.ndarray,
         num_documents: int = 0,
         num_windows: int = 0,
         build_stats: dict[str, int] | None = None,
@@ -140,26 +146,37 @@ class CompactIntervalIndex:
         self.num_documents = num_documents
         self.num_windows = num_windows
         self.build_stats = dict(build_stats or {})
-        if len(offsets) != len(keys) + 1:
+        if len(counts) != len(keys):
             raise IndexStateError(
-                f"offsets column has {len(offsets)} entries for "
-                f"{len(keys)} keys (want keys + 1)"
+                f"counts column has {len(counts)} entries for {len(keys)} keys"
             )
-        if not (len(docs) == len(us) == len(vs)):
+        if not (len(docs) == len(us) == len(lens)):
             raise IndexStateError("posting columns differ in length")
+        # Each run's start, derived once: int32 unless the postings need
+        # more, so it costs 4 B a key in memory and nothing on file.
+        offsets = np.zeros(
+            len(keys) + 1,
+            dtype=np.int32 if len(docs) <= np.iinfo(np.int32).max else np.int64,
+        )
+        np.cumsum(counts, dtype=offsets.dtype, out=offsets[1:])
+        if offsets.item(-1) != len(docs):
+            raise IndexStateError(
+                f"counts column sums to {offsets.item(-1)} for {len(docs)} postings"
+            )
         self._keys = keys
+        self._counts = counts
         self._offsets = offsets
         self._docs = docs
         self._us = us
-        self._vs = vs
+        self._lens = lens
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def _assembled(cls, like, keys, docs, us, vs, **counts) -> "CompactIntervalIndex":
+    def _assembled(cls, like, keys, docs, us, lens, **sizes) -> "CompactIntervalIndex":
         """The index over one row per posting, ``keys[i]`` being the hash
-        of the signature that owns ``(docs[i], us[i], vs[i])``.
+        of the signature that owns ``(docs[i], us[i], us[i] + lens[i])``.
 
         The sort is stable: within a key, postings keep the order they
         came in.  ``like`` lends ``w``, ``tau`` and the scheme.
@@ -168,17 +185,16 @@ class CompactIntervalIndex:
         keys = keys[order]
         head = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        offsets = _packed_column(np.append(np.flatnonzero(head), len(keys)))
         return cls(
             like.w,
             like.tau,
             like.scheme,
             keys=keys[head],
-            offsets=offsets,
+            counts=_packed_column(np.diff(np.append(np.flatnonzero(head), len(keys)))),
             docs=_packed_column(docs[order]),
             us=_packed_column(us[order]),
-            vs=_packed_column(vs[order]),
-            **counts,
+            lens=_packed_column(lens[order]),
+            **sizes,
         )
 
     @classmethod
@@ -203,7 +219,7 @@ class CompactIntervalIndex:
         for chunk in runs.runs():
             rows.append((
                 signature_hashes(chunk.ranks, chunk.lengths),
-                *map(_packed_column, (chunk.docs, chunk.us, chunk.vs)),
+                *map(_packed_column, (chunk.docs, chunk.us, chunk.vs - chunk.us)),
             ))
         columns = [np.concatenate(column) for column in zip(*rows)]
         del rows  # one copy of the rows through the sort by key
@@ -236,10 +252,13 @@ class CompactIntervalIndex:
             dtype=np.int64,
             count=3 * int(run_lengths.sum()),
         ).reshape(-1, 3)
+        docs, us, vs = rows.T
         return cls._assembled(
             index,
             np.repeat(signature_hashes(list(postings)), run_lengths),
-            *rows.T,
+            docs,
+            us,
+            vs - us,
             num_documents=index.num_documents,
             num_windows=index.num_windows,
             build_stats=index.build_stats,
@@ -277,12 +296,10 @@ class CompactIntervalIndex:
                 build_stats[name] = build_stats.get(name, 0) + value
         return cls._assembled(
             parts[0][0],
-            np.concatenate(
-                [np.repeat(p._keys, np.diff(p._offsets)) for p, _ in parts]
-            )[keep],
+            np.concatenate([np.repeat(p._keys, p._counts) for p, _ in parts])[keep],
             docs[keep],
             np.concatenate([p._us for p, _ in parts])[keep],
-            np.concatenate([p._vs for p, _ in parts])[keep],
+            np.concatenate([p._lens for p, _ in parts])[keep],
             num_documents=sum(p.num_documents for p, _ in parts),
             num_windows=sum(p.num_windows for p, _ in parts),
             build_stats=build_stats,
@@ -298,10 +315,10 @@ class CompactIntervalIndex:
             meta["tau"],
             scheme,
             keys=arrays["keys"],
-            offsets=arrays["offsets"],
+            counts=arrays["counts"],
             docs=arrays["docs"],
             us=arrays["us"],
-            vs=arrays["vs"],
+            lens=arrays["lens"],
             num_documents=meta.get("num_documents", 0),
             num_windows=meta.get("num_windows", 0),
             build_stats=meta.get("build_stats"),
@@ -318,10 +335,10 @@ class CompactIntervalIndex:
         }
         arrays = {
             "keys": self._keys,
-            "offsets": self._offsets,
+            "counts": self._counts,
             "docs": self._docs,
             "us": self._us,
-            "vs": self._vs,
+            "lens": self._lens,
         }
         return meta, arrays
 
@@ -356,7 +373,8 @@ class CompactIntervalIndex:
         with one fancy-indexing pass — no per-posting Python work at
         all.  The gathered columns are int32 or wider whatever width
         they are stored at, so a caller may shift ids by a tier's base
-        or add ``w`` to a window start.  Hit order matches the dict
+        or add ``w`` to a window start; each window end is its start
+        plus its stored length.  Hit order matches the dict
         index: signature order, postings append order within a
         signature.  ``signs`` carries the per-signature +1/-1 candidate
         delta (omitted = all +1).
@@ -382,10 +400,10 @@ class CompactIntervalIndex:
             hit_signs = np.ones(total, dtype=np.int8)
         else:
             hit_signs = np.repeat(np.asarray(signs, dtype=np.int8), counts)
-        docs, us, vs = (
-            _at_least_int32(column[take]) for column in (self._docs, self._us, self._vs)
+        docs, us, lens = (
+            _at_least_int32(column[take]) for column in (self._docs, self._us, self._lens)
         )
-        return ProbeBatch(docs, us, vs, hit_signs, counts, probed=n)
+        return ProbeBatch(docs, us, us + lens, hit_signs, counts, probed=n)
 
     def __contains__(self, signature: Signature) -> bool:
         return bool(self._run_slots([signature])[0] < len(self._keys))
@@ -410,14 +428,14 @@ class CompactIntervalIndex:
         return len(self._docs)
 
     def postings_lengths(self) -> np.ndarray:
-        """Every key's postings-run length, read off the offsets column."""
-        return np.diff(self._offsets)
+        """Every key's postings-run length: the stored counts column."""
+        return self._counts
 
     def nbytes(self) -> int:
-        """Bytes held by the five columns (the mmap-able payload)."""
+        """Bytes held by the five stored columns (the mmap-able payload)."""
         return sum(
             column.nbytes
-            for column in (self._keys, self._offsets, self._docs, self._us, self._vs)
+            for column in (self._keys, self._counts, self._docs, self._us, self._lens)
         )
 
     def __repr__(self) -> str:

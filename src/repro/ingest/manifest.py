@@ -132,6 +132,8 @@ _OLDER_STORES = {
         "repro 3.3.0 reads it"),
     7: ("repro 3.4.x, whose global order pickled its lazily admitted "
         "tokens as a dict", "repro 3.4.0 reads it"),
+    8: ("repro 3.5.x, whose segments stored postings as run offsets and "
+        "interval ends", "repro 3.5.0 reads it"),
 }
 
 

@@ -47,13 +47,13 @@ class RankColumn(PackedRankDocs):
     every reader — ``rank_slice``, ``doc_length``, ``doc_ranks``, a
     catch-up's or a seal's slice — reads the column as
     :class:`~repro.index.compact.PackedRankDocs` does.  The values take
-    the width of the ranks appended (int16 while every rank fits it) and
+    the width of the ranks appended (int8 while every rank fits it) and
     widen when wider ones arrive.  Only the store's writer appends, so
     no reader sees a column mid-append.
     """
 
     def __init__(self) -> None:
-        self._value_room = np.empty(COLUMN_START, dtype=np.int16)
+        self._value_room = np.empty(COLUMN_START, dtype=np.int8)
         self._offset_room = np.zeros(COLUMN_START + 1, dtype=np.int64)
         super().__init__(self._offset_room[:1], self._value_room[:0])
 
@@ -65,7 +65,7 @@ class RankColumn(PackedRankDocs):
         """Append every document of a packed rank column in one block."""
         columns = documents.to_arrays()
         # Widened before the column's end is added: a packed column's
-        # offsets may be int16.
+        # offsets may be int8 or int16.
         offsets = columns["offsets"].astype(np.int64)
         self._write(len(offsets) - 1, offsets[1:], columns["values"])
 

@@ -66,7 +66,7 @@ from .manifest import (
 )
 from .memtable import Memtable
 from .searcher import LSMSearcher
-from .tiered import Tier, TieredRankDocs
+from .tiered import Tier, TieredRankDocs, tier_fingerprints
 from .wal import WriteAheadLog, read_wal, wal_generations, wal_name
 
 #: Seal the memtable once it holds this many documents ...
@@ -787,19 +787,22 @@ class IngestStore:
         with self._mutex:
             self._generation += 1
             generation = self._generation
-        path = fingerprints = None
+        path = None
+        fingerprints = self._joined_fingerprints(pending, purged)
         snapshot = self._snapshot
         if self.directory is not None:
             # No order: the manifest holds the store's one copy.
             segment_searcher = PKWiseSearcher.from_prebuilt(
                 self.params, None, self.scheme, compact_index, packed,
+                routing_tier="auto" if fingerprints is None else fingerprints,
             )
             faults.inject(
                 "ingest.compact", phase="segment", generation=generation
             )
             path = self.directory / generation_name(SEGMENT_STEM, generation)
             save_searcher(segment_searcher, path)
-            # With routing on, the save fingerprinted the segment.
+            # With routing on, the save stored the joined fingerprints, or
+            # fingerprinted the segment when there were none.
             fingerprints = _stored_fingerprints(segment_searcher)
         new_tier = Tier(
             doc_lo, doc_hi, generation, compact_index, packed, "segment", path,
@@ -845,6 +848,18 @@ class IngestStore:
                 if tier.path is not None and tier.path != path:
                     tier.path.unlink(missing_ok=True)
         return generation
+
+    def _joined_fingerprints(self, pending, purged) -> FingerprintTier | None:
+        """The folded segment's routing fingerprints: the ``pending``
+        tiers' own, each completed from its rank column, joined.  None
+        when no tier has any yet, or when the fold purges documents, whose
+        covers would outlive them; they are then built from the segment's
+        rank column when first needed."""
+        if purged or all(tier.fingerprints is None for tier in pending):
+            return None
+        return FingerprintTier.concatenated(
+            [tier_fingerprints(tier, self.params.w) for tier in pending]
+        )
 
     @staticmethod
     def _merge_tiers(tiers, removed=()):

@@ -97,6 +97,20 @@ class Tier:
         )
 
 
+def tier_fingerprints(tier: Tier, w: int) -> FingerprintTier:
+    """``tier``'s fingerprints, kept on it: built from its rank column
+    for the documents they miss (all of them at first, an active
+    memtable's added since later), then joined on."""
+    built = tier.fingerprints
+    have = 0 if built is None else built.ndocs
+    if have < len(tier):
+        fresh = FingerprintTier.from_rank_docs(tier.rank_docs.docs_from(have), w=w)
+        built = tier.fingerprints = (
+            fresh if built is None else FingerprintTier.concatenated([built, fresh])
+        )
+    return built
+
+
 class TieredIntervalIndex:
     """Probe-side fan-out over an ordered tuple of :class:`Tier`\\ s.
 
@@ -258,22 +272,6 @@ class TieredFingerprints:
     def ndocs(self) -> int:
         return self._tiers[-1].doc_hi
 
-    def _of(self, tier: Tier) -> FingerprintTier:
-        """``tier``'s fingerprints, kept on it: built from its rank
-        column for the documents they miss (all of them at first, an
-        active memtable's added since later), then joined on."""
-        built = tier.fingerprints
-        have = 0 if built is None else built.ndocs
-        if have < len(tier):
-            fresh = FingerprintTier.from_rank_docs(
-                tier.rank_docs.docs_from(have), w=self._w
-            )
-            built = tier.fingerprints = (
-                fresh if built is None
-                else FingerprintTier.concatenated([built, fresh])
-            )
-        return built
-
     def survivors(self, query_ranks, *, w: int, tau: int) -> np.ndarray | None:
         """Survivor mask over global doc ids ``[0, ndocs)``, or ``None``
         when the query or budget is unprunable (the same verdict on
@@ -281,7 +279,7 @@ class TieredFingerprints:
         out = np.zeros(self.ndocs, dtype=bool)
         for tier in self._tiers:
             if len(tier):
-                mask = self._of(tier).survivors(query_ranks, w=w, tau=tau)
+                mask = tier_fingerprints(tier, self._w).survivors(query_ranks, w=w, tau=tau)
                 if mask is None:
                     return None
                 out[tier.doc_lo : tier.doc_lo + len(mask)] = mask

@@ -69,8 +69,11 @@ _MAGIC = b"repro-envelope-3"  # exactly 16 bytes
 #: signature-hash keys are ``uint32`` (the paper's 4 bytes), not 8 bytes.
 #: 7: the global order pickles its tables as narrow integer arrays, not
 #: int lists, and holds no vocabulary.  8: it stores its lazily admitted
-#: tokens as such a column too, not a dict.
-_TOC_VERSION = 8
+#: tokens as such a column too, not a dict.  9: the index stores each
+#: key's run count and each interval's length (``index.counts``,
+#: ``index.lens``), not run offsets and interval ends, and an integer
+#: column may be int8.
+_TOC_VERSION = 9
 _HEAD_SIZE = len(_MAGIC) + 8  # magic + TOC length
 _ALIGN = 64
 _INDEX_KIND = "pkwise-index"
@@ -421,11 +424,9 @@ def save_searcher(
     if params.routing.enabled:
         # Fingerprints ride in their own section so reopened snapshots
         # (and the shard workers mmapping them) route without decoding
-        # a single rank column.
-        # 3.5.0's reader requires a block length >= 1 here and only
-        # labels its frozen tier with it; no release builds from it.
+        # a single rank column; the meta entry says they are there.
         tier = frozen.routing_fingerprints()
-        meta["routing"] = {"block_len": 1}
+        meta["routing"] = {}
         arrays.update(
             {f"routing.{name}": array for name, array in tier.to_arrays().items()}
         )

@@ -253,7 +253,7 @@ class TestWrittenOnce:
                  if hasattr(value, "__len__")}
         copies = {name: value.copy() for name, value in before.items()
                   if isinstance(value, np.ndarray)}
-        assert len(copies) == 5  # the five columns, read in place
+        assert len(copies) == 6  # the five columns and the derived offsets, read in place
         expected = [probe_runs(index.probe_many(batch)) for batch in batches]
         assert held[0] in index and missing[0] not in index and () not in index
         errors: list[BaseException] = []
@@ -340,17 +340,19 @@ class TestFrozenGuards:
             assert any(pair.doc_id == new_id for pair in result.pairs)
 
     def test_column_shape_validation(self):
-        with pytest.raises(IndexStateError, match="offsets"):
-            CompactIntervalIndex(
-                4,
-                1,
-                None,
-                keys=np.zeros(2, dtype=np.uint64),
-                offsets=np.zeros(2, dtype=np.int64),
-                docs=np.zeros(0, dtype=np.int32),
-                us=np.zeros(0, dtype=np.int32),
-                vs=np.zeros(0, dtype=np.int32),
-            )
+        # One count per key, and the counts sum to the postings.
+        for counts, said in (([1], "1 entries for 2 keys"), ([1, 2], "sums to 3 for 2")):
+            with pytest.raises(IndexStateError, match=said):
+                CompactIntervalIndex(
+                    4,
+                    1,
+                    None,
+                    keys=np.zeros(2, dtype=np.uint32),
+                    counts=np.array(counts, dtype=np.int8),
+                    docs=np.zeros(2, dtype=np.int8),
+                    us=np.zeros(2, dtype=np.int8),
+                    lens=np.zeros(2, dtype=np.int8),
+                )
 
 
 class TestV3Snapshots:
@@ -416,12 +418,14 @@ class TestPackedRankDocs:
     @settings(max_examples=60, deadline=None)
     @given(
         lists=RANK_LISTS,
-        wide=st.sampled_from([(None, np.int16), (2**15, np.int32), (2**31, np.int64)]),
+        wide=st.sampled_from(
+            [(None, np.int8), (2**7, np.int16), (2**15, np.int32), (2**31, np.int64)]
+        ),
         dropped=st.integers(0, 6),
     )
     def test_rank_slice_is_list_slicing(self, lists, wide, dropped):
-        # Ranks that fit int16, one rank past int16 and one past int32:
-        # the column takes the narrowest width that holds them.
+        # Ranks that fit int8, one rank past int8, one past int16 and one
+        # past int32: the column takes the narrowest width that holds them.
         past, dtype = wide
         if past is not None:
             lists = [lists[0] + [past], *lists[1:]]
@@ -600,9 +604,10 @@ def integer_columns(path):
 
 
 class TestColumnWidths:
-    """Every stored integer column takes the narrowest of int16, int32
-    and int64 that holds it; a probe widens once, to int32 at least, so
-    no sum after it wraps, and a file at the old widths still answers."""
+    """Every stored integer column takes the narrowest of int8, int16,
+    int32 and int64 that holds it; a probe widens once, to int32 at
+    least, so no sum after it wraps, and a file at the old widths still
+    answers."""
 
     def test_window_past_int16_in_one_document(self):
         # One document of 32,800 tokens; the query repeats its last 60,
@@ -634,7 +639,9 @@ class TestColumnWidths:
         index.save(narrow)
         index.save(old)
         stored_at_old_widths(old)
-        assert {a.dtype for a in integer_columns(narrow).values()} == {np.dtype(np.int16)}
+        for name, column in integer_columns(narrow).items():
+            assert column.dtype == _packed_column(column.astype(np.int64)).dtype, name
+        assert integer_columns(narrow)["index.lens"].dtype == np.int8
         assert {a.dtype for a in integer_columns(old).values()} == {
             np.dtype(np.int32), np.dtype(np.int64)
         }
@@ -648,7 +655,7 @@ class TestColumnWidths:
                     )
 
     def test_old_width_segment_folds_narrow(self, tmp_path):
-        # A sealed segment at 3.0.1's widths, then an int16 memtable:
+        # A sealed segment at 3.0.1's widths, then an int8 memtable:
         # the flush and the fold store every column at its narrowest
         # width, and the pairs are the oracle's throughout.
         data, rng = make_corpus(6, docs=10)
@@ -683,4 +690,4 @@ class TestColumnWidths:
         (folded,) = tmp_path.glob("segment.g*.idx")
         for name, column in integer_columns(folded).items():
             assert column.dtype == _packed_column(column.astype(np.int64)).dtype, name
-        assert integer_columns(folded)["ranks.values"].dtype == np.int16
+        assert integer_columns(folded)["ranks.values"].dtype == np.int8

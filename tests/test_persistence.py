@@ -663,18 +663,18 @@ class TestOtherEnvelopeKinds:
 # ----------------------------------------------------------------------
 #: The checker's smoke snapshot, but ``meta`` (the build time): moves only with the format.
 SMOKE_DIGESTS = {
-    "order": "pickle 9864c9659e850c2f438d49ef1f06e581",
+    "order": "pickle 2329cc45859421b1a787013d3dbb5ffb",
     "scheme": "pickle 2987227c80c7401be0a4f3b0450a55f3",
     "data": "pickle 7caf42e68d32f0d39842f6164ecdb241",
     "index.keys": "<u4 7c1ead56ec5803a30f929b6b4993e88b",
-    "index.offsets": "<i2 6657ae84622a6ca0dec6a2a967ed296e",
+    "index.counts": "|i1 3efeab9046870f2a86c72c4bb6c3f3f7",
     "index.docs": "<i2 309d8a79ba32c49152a5e26d950b7d87",
     "index.us": "<i2 8d7912724b6f80c6423b7431184a0a80",
-    "index.vs": "<i2 3f58bad73c968d9e511d666e7da49625",
+    "index.lens": "|i1 4ffd15a65ebed682401f66fdccbb6b3f",
     "ranks.offsets": "<i4 a8890fe8fff5eb81ea0467c7c9aa6d0b",
     "ranks.values": "<i2 aa79ef732ea5a0f234beb4b1595b5d9d",
     "routing.cover_lanes": "<u8 5995171e859afcadc6151a1a6879624f",
-    "routing.cover_counts": "<i2 898d898b8094a08f77a35df7f52f7bd2",
+    "routing.cover_counts": "|i1 36f3d94b3eeb6945cbcf0a53661777b5",
 }
 
 

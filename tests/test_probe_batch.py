@@ -65,7 +65,7 @@ class TestSignatureHashes:
 
     def test_rank_matrix_width_is_invisible(self):
         # A named case of test_seams.cross_seams: the build hashes off its
-        # rank table at int16, int32 and int64 alike.
+        # rank table at int8, int16, int32 and int64 alike.
         cross_seams(seam_case())
 
     def test_empty_input(self):

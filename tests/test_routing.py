@@ -484,9 +484,11 @@ class TestRoutingPersistence:
     ):
         # A durable routed store fingerprints a memtable document when a
         # routed query first finds it, and once more when its segment is
-        # written; no query, install or reopen fingerprints a document
-        # again.  Every fingerprint comes out of from_rank_docs, so the
-        # documents passing through it are counted.  The store is written
+        # written, unless a routed query did first: then the fold joins
+        # the memtable's fingerprints onto the segment.  No query, install
+        # or reopen fingerprints a document again.  Every fingerprint
+        # comes out of from_rank_docs, so the documents passing through
+        # it are counted.  The store is written
         # at 64-token blocks (what 3.5.0 wrote at ``block_tokens=64``) and
         # resumed at 128.
         fingerprinted = []
@@ -514,9 +516,9 @@ class TestRoutingPersistence:
         assert len(fingerprinted) == len(texts)
         index.flush()  # second seal: two segments, both with stored tiers
         assert index._store.num_segments == 2
-        assert len(fingerprinted) == len(texts) + 3
+        assert len(fingerprinted) == len(texts)
         routed = index.search_text(query_text)
-        assert len(fingerprinted) == len(texts) + 3
+        assert len(fingerprinted) == len(texts)
         assert routed.stats.routing_checked_docs == len(texts)
         want = expected_pairs(index.data, index.encode_query(query_text), 8, 2)
         assert {pair.doc_id for pair in routed.pairs} >= {0, 3}
@@ -536,6 +538,46 @@ class TestRoutingPersistence:
         assert doc_id in {pair[0] for pair in want}
         assert pairs_as_set(reopened.search_text(query_text)) == want
         reopened.close()
+
+    def test_a_fold_joins_the_tiers_fingerprints(self, monkeypatch):
+        # 134 built documents, then 256 adds, each followed by a routed
+        # query.  Each document is fingerprinted once: the built ones by
+        # the first query, each added one by the query after its add.
+        # The 256th add flushes the memtable, and the fold joins its
+        # fingerprints (and those of the one document no query reached)
+        # onto the new segment; fingerprinting the segment again made it
+        # 645 documents.  A compaction that purges a document builds its
+        # segment's fingerprints again, from the rank column.
+        fingerprinted = []
+        real = FingerprintTier.from_rank_docs.__func__
+
+        def counted(cls, rank_docs, *, w):
+            fingerprinted.extend([1] * len(rank_docs))
+            return real(cls, rank_docs, w=w)
+
+        monkeypatch.setattr(FingerprintTier, "from_rank_docs", classmethod(counted))
+        data, _rng = make_corpus(12, docs=134 + 256, length=40, vocab=400)
+        texts = [" ".join(data.vocabulary.decode(doc.tokens)) for doc in data]
+        index = Index.build(texts[:134], self.PARAMS, routing="exact")
+        w, tau = self.PARAMS.w, self.PARAMS.tau
+        for at, text in enumerate(texts[134:], 134):
+            index.add(text)
+            query = " ".join(text.split()[5:35])
+            routed = index.search_text(query)
+            if at % 16 == 0 or at == len(texts) - 1:
+                assert pairs_as_set(routed) == expected_pairs(
+                    index.data, index.encode_query(query), w, tau
+                )
+        assert index._store.num_segments == 2 and index._store.memtable_docs == 0
+        assert len(fingerprinted) == 390
+        index.remove(200)
+        index.compact()
+        routed = index.search_text(query)
+        assert len(fingerprinted) == 2 * 390
+        assert pairs_as_set(routed) == expected_pairs(
+            index.data, index.encode_query(query), w, tau, removed={200}
+        )
+        index.close()
 
 
 # ----------------------------------------------------------------------

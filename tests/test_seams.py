@@ -5,8 +5,10 @@ hundred tokens cross every seam, and holds the kernels' output to the
 references that define it: the index to the one-document Algorithm 5
 build; the order, scheme, lazy ranks and covers to their per-document
 and per-rank definitions (kept here); the pairs, near and past int16 doc
-ids, to the oracle.  One seeded generator draws its cases; the feature
-suites name their fixed ones with :func:`seam_case`.
+ids, to the oracle.  Its drawn vocabularies, run counts and interval
+lengths cross the width seams of the stored columns: int8 to int16 at
+128, int16 to int32 past 32,767.  One seeded generator draws its cases;
+the feature suites name their fixed ones with :func:`seam_case`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .conftest import (
 
 #: A universe past int16: its top ranks take an int32 rank column.
 LARGE = 2**15 + 2_000
-WIDTHS = (np.int16, np.int32, np.int64)
+WIDTHS = (np.int8, np.int16, np.int32, np.int64)
 #: The case field that shrinks each block constant.
 CONSTANTS = {
     "bulk_cells": "repro.signatures.bulk._BLOCK_CELLS",
@@ -106,12 +108,15 @@ def reference_cover_lanes(ranks, block_len):
 
 def seam_case(**fields):
     """One case of :func:`cross_seams`.  The defaults cross every shrunk
-    block bound, store the ranks at int16 and put global doc ids past
+    block bound, store the ranks at int8 and put global doc ids past
     int16; ``w`` defaults to Theorem 2's bound, so pairs are checked;
-    ``borders=None`` draws them from the held ranks."""
+    ``borders=None`` draws them from the held ranks.  ``copies`` more
+    documents repeat one ``w``-token text, so each of its signatures owns
+    a run of at least that many postings, and a last one of ``flat``
+    windows repeats one token, so one interval spans them all."""
     case = SimpleNamespace(
         tau=2, k_max=3, m=2, size=40, lengths=[0, 4, 22, 9, 13, 30], late=[8], oov=False,
-        borders=None, seed=1, doc_lo=2**15 - 2,
+        borders=None, seed=1, doc_lo=2**15 - 2, copies=0, flat=0,
         bulk_cells=40, order_tokens=25, chunk_tokens=25, chunk_blocks=3, cover_cells=100,
         column_start=8, block_tokens=5, bootstrap=2,
     )
@@ -125,7 +130,9 @@ def seam_case(**fields):
 def build_inputs(draw):
     """``(w, tau, k_max, m)``, ``w`` at Theorem 2's bound, above or below
     it (no pairs then), document lengths (below zero: 0, 1, ``w - 1``,
-    ``w``, ``w + 1``), the block constants, and a seed for the rest."""
+    ``w``, ``w + 1``), a vocabulary on either side of 128 tokens (int8
+    ranks below), or past int16, runs and intervals of none or about 128
+    postings and windows, the block constants, and a seed for the rest."""
     k_max = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3)) if k_max > 1 else 1
     tau = draw(st.integers(0, 6))
@@ -136,7 +143,9 @@ def build_inputs(draw):
     )
     return seam_case(
         w=w, tau=tau, k_max=k_max, m=m, lengths=draw(lengths), late=draw(lengths)[:2],
-        size=LARGE if draw(st.integers(0, 7)) == 3 else draw(st.integers(3, 60)),  # 1 in 8
+        size=LARGE if draw(st.integers(0, 7)) == 3 else draw(st.integers(3, 140)),  # 1 in 8
+        copies=draw(st.one_of(st.just(0), st.integers(120, 136))),
+        flat=draw(st.one_of(st.just(0), st.integers(120, 136))),
         oov=draw(st.booleans()), seed=draw(st.integers(0, 2**32 - 1)),
         doc_lo=draw(st.sampled_from([0, 2**15 - 6, 2**15 - 2, 2**15, 40_000])),
         bootstrap=draw(st.integers(0, 6)),
@@ -177,6 +186,12 @@ def cross_seams(case):
         data = DocumentCollection(vocabulary=vocabulary)
         for length in case.lengths:
             data.add_tokens(rng.choices(pool, k=length))
+        if case.copies:
+            repeated = rng.choices(pool, k=w)
+            for _ in range(case.copies):
+                data.add_tokens(repeated)
+        if case.flat:
+            data.add_tokens([rng.choice(pool)] * (w - 1 + case.flat))
         freq = window_frequencies(data, w).tolist()
         assert freq == per_document_window_frequencies(data, w)
         order = GlobalOrder(data, w)
@@ -256,9 +271,11 @@ def cross_seams(case):
             for name, c in columns.items()
         }).probe_many(signatures, signs) for dtype in WIDTHS]
         assert all(min(b.docs.itemsize, b.us.itemsize, b.vs.itemsize) >= 4 for b in batches)
-        assert probe_runs(batches[0]) == probe_runs(batches[1]) == probe_runs(batches[2])
-        assert batches[0].signs.tolist() == batches[1].signs.tolist() == batches[2].signs.tolist()
-        n, runs = len(documents), probe_runs(batches[0])
+        runs = probe_runs(batches[0])
+        assert runs == [list(built._postings[signature]) for signature in signatures]
+        assert all(probe_runs(b) == runs for b in batches)
+        assert all(b.signs.tolist() == batches[0].signs.tolist() for b in batches)
+        n = len(documents)
         lo = case.doc_lo
         tiers = [Tier(lo + at, lo + at + n, 1, index, packed, "segment") for at in (0, n)]
         for kept in (tiers[1:], tiers):

@@ -8,6 +8,7 @@ import json
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -159,7 +160,8 @@ class TestShardPlan:
 
     def test_opening_a_shard_file_builds_no_per_token_object(self, tmp_path):
         # A shard of the serve-sharded corpus (|V| = 10,518): ids-only, its
-        # order two narrow arrays, its index columns mapped in place.
+        # order two narrow arrays, its index columns mapped in place; the
+        # one column derived on open is the runs' int32 offsets, 4 B a key.
         # Opening one allocated 2.32 MB when each shard file pickled the
         # collection's vocabulary and the order's tables as int lists.
         data = make_profile_collection("REUTERS", scale=0.1, seed=7)[0]
@@ -173,7 +175,9 @@ class TestShardPlan:
         finally:
             tracemalloc.stop()
         assert index.data is None
-        assert allocated < 0.25 * 2**20, allocated
+        offsets = index.searcher().index._offsets
+        assert offsets.dtype == np.int32 and len(offsets) == index.searcher().index.num_signatures + 1
+        assert allocated - offsets.nbytes < 0.25 * 2**20, allocated
 
     @pytest.mark.parametrize(
         "damage",
