@@ -112,20 +112,6 @@ class DeadlineExceededError(ServiceError):
     """A request's deadline passed before its search completed."""
 
 
-class CircuitOpenError(ServiceError):
-    """The client's circuit breaker is open; the request was not sent.
-
-    Raised by :class:`~repro.service.client.ResilientClient` after
-    ``FAILURE_THRESHOLD`` consecutive connect/5xx failures; requests
-    fail fast until the ``BREAKER_RESET`` cooldown admits a half-open
-    probe.  ``retry_after`` estimates seconds until that probe.
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
 class ServiceClosedError(ServiceError):
     """The service has been shut down and accepts no new requests."""
 

@@ -49,7 +49,6 @@ Injection-point catalog (see ``docs/robustness.md`` for semantics):
 ``shards.scatter`` (router → shard sub-request, context ``shard``,
 ``replica``), ``shards.failover`` (before a failover sub-request to
 the next replica of a failed shard, context ``shard``, ``replica``),
-``shards.gather`` (merging one shard's reply, context ``shard``),
 ``supervisor.restart`` (before respawning a dead shard worker, context
 ``shard``, ``replica``), ``supervisor.readmit`` (before the restarted
 worker's health + generation gate, context ``shard``, ``replica``),

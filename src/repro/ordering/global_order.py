@@ -272,9 +272,16 @@ class GlobalOrder:
         lazily admitted (negative) ones from the back, where numpy's
         negative indexing finds them.  The order is a bijection, so this
         is how a snapshot reads its documents back without storing them.
+        The table holds the ids ``0 .. universe_size + num_admitted - 1``,
+        at the narrowest width that holds the largest of them.
         """
+        # Imported here: repro.index imports this package (via partition).
+        from ..index.compact import _packed_column
+
+        end = self._built_size + self._num_admitted
         admitted = self._admitted[: self._num_admitted]
-        return np.concatenate((self._token_of_rank, admitted[::-1]))
+        width = _packed_column([end - 1]).dtype
+        return np.concatenate((self._token_of_rank, admitted[::-1]), dtype=width)
 
     def frequency_of_rank(self, rank: int) -> int:
         """Window frequency of the token at ``rank`` (0 for negatives)."""

@@ -16,8 +16,8 @@ long-running, thread-safe query service:
 * :mod:`~repro.service.client` — ``remote_search`` / ``remote_healthz``
   / ``remote_metrics``, a tiny ``urllib`` client for scripts and the
   ``repro query --server`` CLI path, plus ``ResilientClient``, the production
-  wrapper with jittered retries, a deadline budget, and a circuit
-  breaker (``repro query --retries/--timeout``).
+  wrapper with jittered retries and a deadline budget (``repro query
+  --retries/--timeout``).
 * Sharded scatter-gather serving (``repro serve --shards N --replicas
   R``), one module per decision: :mod:`~repro.service.plan` —
   :class:`ShardPlan` partitions a corpus into compact snapshot shards

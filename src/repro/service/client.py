@@ -14,19 +14,17 @@ Two layers:
   :func:`remote_metrics`) — one HTTP round trip, no retries.
 * :class:`ResilientClient` — the production wrapper: retries with
   capped exponential backoff and **full jitter**, honoring the server's
-  ``retry_after`` hint; a **deadline budget** bounding the total time
-  spent across attempts; and a small **circuit breaker** that fails
-  fast (:class:`~repro.errors.CircuitOpenError`) after a run of
-  consecutive connect/5xx failures, re-probing the server with a single
-  half-open request once a cooldown passes.  Mirrored on the command
-  line by ``repro query --retries/--timeout``.
+  ``retry_after`` hint, and a **deadline budget** bounding the total
+  time spent across attempts.  It keeps no health state between calls:
+  a sharded deployment's replica health is the router's failover and
+  down-set and the supervisor's probe and restart.  Mirrored on the
+  command line by ``repro query --retries/--timeout``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -36,7 +34,7 @@ import json
 
 from .. import faults
 from ..errors import (
-    CircuitOpenError,
+    ConfigurationError,
     DeadlineExceededError,
     ReproError,
     ServiceClosedError,
@@ -44,11 +42,7 @@ from ..errors import (
     ServiceOverloadError,
 )
 from ..routing import RoutingPolicy
-
-#: Floor for server-supplied ``retry_after`` hints: a malformed,
-#: negative, or zero value must never turn the retry loop into a
-#: busy-wait hammering an overloaded server.
-MIN_RETRY_AFTER = 0.05
+from .service import MIN_RETRY_AFTER
 
 #: Smallest deadline budget (seconds) worth spending on one more
 #: attempt.  A backoff sleep is clamped so at least this much budget
@@ -66,18 +60,15 @@ BACKOFF_CAP = 2.0
 #: Socket timeout of one attempt (seconds), before the deadline clamp.
 HTTP_TIMEOUT = 30.0
 
-#: Circuit breaker: consecutive failures that open it, and the seconds
-#: it stays open before one half-open probe is let through.
-FAILURE_THRESHOLD = 5
-BREAKER_RESET = 30.0
-
 
 def _parse_retry_after(value, default: float = 1.0) -> float:
     """A sane ``retry_after`` from an untrusted response body.
 
     Non-numeric values fall back to ``default`` (the error path must
     never raise ``ValueError`` itself); numeric ones clamp to at least
-    :data:`MIN_RETRY_AFTER`.
+    :data:`~repro.service.service.MIN_RETRY_AFTER`, so a malformed,
+    negative or zero hint never turns the retry loop into a busy-wait
+    hammering an overloaded server.
     """
     try:
         parsed = float(value)
@@ -192,77 +183,8 @@ def remote_metrics(base_url: str, http_timeout: float = 10.0) -> dict:
     return _request(f"{base_url.rstrip('/')}/metrics", timeout=http_timeout)
 
 
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker (closed → open → half-open).
-
-    *Closed* passes every request through, counting consecutive
-    failures; at :data:`FAILURE_THRESHOLD` it *opens* and :meth:`allow`
-    fails fast with :class:`~repro.errors.CircuitOpenError` for
-    :data:`BREAKER_RESET` seconds.  The first request after the cooldown
-    runs as the *half-open* probe — a reply closes the circuit
-    (:meth:`record_success`, :meth:`record_reply`), a failure re-opens
-    it and restarts the cooldown; concurrent requests keep failing fast
-    while the probe is in flight.  Thread-safe.
-    """
-
-    def __init__(self, clock=time.monotonic) -> None:
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._failures = 0
-        self._opened_at = 0.0
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"``, or ``"half-open"``."""
-        with self._lock:
-            return self._state
-
-    def allow(self) -> None:
-        """Admit one request or raise :class:`CircuitOpenError`."""
-        with self._lock:
-            if self._state == "closed":
-                return
-            if self._state == "open":
-                elapsed = self._clock() - self._opened_at
-                if elapsed >= BREAKER_RESET:
-                    self._state = "half-open"
-                    return  # this caller is the probe
-                raise CircuitOpenError(
-                    f"circuit breaker open after {self._failures} consecutive "
-                    f"failures; next probe in "
-                    f"{BREAKER_RESET - elapsed:.2f}s",
-                    retry_after=max(MIN_RETRY_AFTER, BREAKER_RESET - elapsed),
-                )
-            # half-open: one probe is already in flight
-            raise CircuitOpenError(
-                "circuit breaker half-open; waiting on the probe request",
-                retry_after=MIN_RETRY_AFTER,
-            )
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._state = "closed"
-            self._failures = 0
-
-    def record_reply(self) -> None:
-        """A reply the server is not at fault for (a 4xx, a 429): it ends
-        a half-open probe as a success and leaves a closed count alone."""
-        with self._lock:
-            if self._state == "half-open":
-                self._state = "closed"
-                self._failures = 0
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            if self._state == "half-open" or self._failures >= FAILURE_THRESHOLD:
-                self._state = "open"
-                self._opened_at = self._clock()
-
-
 class ResilientClient:
-    """Retrying, deadline-bounded, circuit-broken HTTP client.
+    """Retrying, deadline-bounded HTTP client.
 
     Parameters
     ----------
@@ -296,14 +218,10 @@ class ResilientClient:
 
     What retries: connection-level failures (``URLError``), 5xx
     responses, and 429 overload (honoring ``retry_after``).  What does
-    not: other 4xx responses (the request itself is wrong),
-    :class:`CircuitOpenError` (the point of the breaker is *not*
-    sending), and transport faults outside ``URLError`` (a read
-    timeout, a dropped connection).  Connect/5xx failures and those
-    transport faults count toward the breaker; an answering server (a
-    4xx, or 429 overload) neither trips it nor resets a closed count,
-    but ends a half-open probe as a success — so a probe always
-    resolves the breaker, and it can never stay half-open.
+    not: other 4xx responses (the request itself is wrong) and
+    transport faults outside ``URLError`` (a read timeout, a dropped
+    connection).  Each call starts afresh: ``retries=N`` sends up to
+    ``N + 1`` requests, whatever earlier calls met.
     """
 
     def __init__(
@@ -317,11 +235,10 @@ class ResilientClient:
         sleep=time.sleep,
     ) -> None:
         if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+            raise ConfigurationError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")
         self.retries = retries
         self.deadline = deadline
-        self.breaker = CircuitBreaker(clock=clock)
         self._rng = rng if rng is not None else random.Random()
         self._clock = clock
         self._sleep = sleep
@@ -336,7 +253,7 @@ class ResilientClient:
         return delay
 
     def _call(self, send):
-        """Run ``send(http_timeout)`` under the retry policy and breaker.
+        """Run ``send(http_timeout)`` under the retry policy.
 
         ``send`` receives the per-attempt socket timeout:
         :data:`HTTP_TIMEOUT` clamped to whatever remains of the deadline
@@ -348,7 +265,6 @@ class ResilientClient:
         attempt = 0
         last_error: Exception | None = None
         while True:
-            self.breaker.allow()
             http_timeout = HTTP_TIMEOUT
             if deadline_at is not None:
                 remaining = deadline_at - self._clock()
@@ -362,32 +278,21 @@ class ResilientClient:
             faults.inject("client.request", attempt=attempt)
             hint: float | None = None
             try:
-                result = send(http_timeout)
+                return send(http_timeout)
             except ServiceOverloadError as exc:
                 # The server is alive, just busy: retry after its hint.
-                self.breaker.record_reply()
                 last_error = exc
                 hint = _parse_retry_after(exc.retry_after)
             except ReproError as exc:
                 status = getattr(exc, "status", None)
-                if status is not None and status >= 500:
-                    self.breaker.record_failure()
-                    last_error = exc
-                else:
-                    self.breaker.record_reply()
+                if status is None or status < 500:
                     raise  # a 4xx: retrying the same bad request is futile
+                last_error = exc
             except urllib.error.URLError as exc:
-                self.breaker.record_failure()
                 last_error = ServiceError(
                     f"cannot reach {self.base_url}: {exc.reason}"
                 )
                 last_error.__cause__ = exc
-            except Exception:
-                self.breaker.record_failure()  # e.g. a read timeout
-                raise
-            else:
-                self.breaker.record_success()
-                return result
 
             attempt += 1
             if attempt > self.retries:
@@ -453,5 +358,5 @@ class ResilientClient:
     def __repr__(self) -> str:
         return (
             f"ResilientClient({self.base_url!r}, retries={self.retries}, "
-            f"deadline={self.deadline}, breaker={self.breaker.state})"
+            f"deadline={self.deadline})"
         )

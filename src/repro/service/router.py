@@ -40,9 +40,8 @@ backends were started on.
   :meth:`~ShardRouter.readmit_replica`.
 
 Fault-injection points: ``shards.scatter`` (per sub-request, context
-``shard=<id>, replica=<r>``), ``shards.failover`` (before each
-failover sub-request, same context), ``shards.gather`` (per responding
-shard, ``shard=<id>``).
+``shard=<id>, replica=<r>``) and ``shards.failover`` (before each
+failover sub-request, same context).
 
 The router duck-types the read side of the service surface
 (``search`` / ``search_text`` / ``healthz`` / ``metrics_snapshot`` /
@@ -688,7 +687,6 @@ class ShardRouter:
             reply = results.get(rset.shard_id)
             if reply is None:
                 continue
-            faults.inject("shards.gather", shard=rset.shard_id)
             shard_epochs[rset.shard_id] = reply.index_epoch
             self._last_epochs[rset.shard_id] = max(
                 self._last_epochs[rset.shard_id], reply.index_epoch

@@ -61,7 +61,9 @@ from ..obs import MetricsRegistry
 from ..routing import RoutingPolicy
 from .cache import CacheKey, ResultCache, ResultEntry, query_token_hash
 
-#: Floor for retry-after estimates so clients never busy-spin.
+#: Floor (seconds) for a ``retry_after``: the service's own estimates
+#: and, in :mod:`~repro.service.client`, every hint a server sends back,
+#: so no client busy-spins against an overloaded server.
 MIN_RETRY_AFTER = 0.05
 
 #: Fallback per-request latency estimate before any request completed.

@@ -398,6 +398,14 @@ class TestErrors:
         )
         assert rc == 2
 
+    def test_query_negative_retries_is_an_error_line(self, capsys):
+        # Refused before a request is sent: nothing listens on the port.
+        rc = main(["query", "--server", "http://127.0.0.1:9", "--healthz",
+                   "--retries", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: retries must be >= 0, got -1\n"
+
     @pytest.mark.parametrize(
         "flag", [["--routing", "exact"], ["--max-queue", "8"]],
         ids=["routing", "max-queue"],

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import DocumentCollection
+from repro.corpus.collection import ColumnDocuments
 from repro.errors import CorpusError
 from repro.ordering import GlobalOrder
 from repro.ordering.global_order import OOV_RANK, window_frequencies
@@ -225,6 +226,25 @@ class TestGlobalOrderEdges:
         assert order.rank_sequence([0]) == [OOV_RANK]
         assert order.rank_sequence([0], admit=True) == [-1]
         assert order.rank_sequence([0]) == [-1]
+
+    @pytest.mark.parametrize(
+        "built, admitted, width",
+        [(100, 28, np.int8), (100, 29, np.int16), (128, 0, np.int8), (129, 0, np.int16)],
+    )
+    def test_token_table_takes_the_width_of_its_largest_id(self, built, admitted, width):
+        # The decode table holds the ids 0 .. built + admitted - 1, so it is
+        # int8 up to id 127 and int16 past it, whatever the width of the
+        # admitted column; every document decodes to its own tokens.
+        data = DocumentCollection()
+        data.add_tokens([f"t{i}" for i in range(built)])
+        order = GlobalOrder(data, 3)
+        data.add_tokens([f"n{i}" for i in range(admitted)] + ["t0", "t1"])
+        rank_docs = order.rank_documents(data[i] for i in range(len(data)))
+        assert order.num_admitted == admitted
+        table = order.token_table()
+        assert table.dtype == width
+        decoded = ColumnDocuments(rank_docs, table, ["a", "b"])
+        assert [decoded[i].tokens for i in range(2)] == [data[i].tokens for i in range(2)]
 
     def test_admitted_ranks_widen_the_table(self):
         # Past 32,768 admitted tokens the lowest rank leaves int16: the

@@ -1,6 +1,6 @@
-"""Client resilience: retry policy, circuit breaker, retry_after hygiene.
+"""Client resilience: retry policy, deadline budget, retry_after hygiene.
 
-The retry loop and the breaker are tested deterministically by driving
+The retry loop is tested deterministically by driving
 :meth:`ResilientClient._call` with scripted ``send`` callables and fake
 ``rng``/``clock``/``sleep`` hooks; a final integration class exercises
 the real HTTP stack against a scripted in-thread server (429 → 200,
@@ -21,8 +21,9 @@ from repro import Index, ReproError, SearchParams, faults
 from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import DocumentCollection
 from repro.errors import (
-    CircuitOpenError,
+    ConfigurationError,
     DeadlineExceededError,
+    ServiceClosedError,
     ServiceError,
     ServiceOverloadError,
 )
@@ -30,25 +31,10 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.service import SearchService
 import repro.service.client as client_module
 from repro.service import serve_http
-from repro.service.client import (
-    CircuitBreaker,
-    MIN_RETRY_AFTER,
-    ResilientClient,
-    _parse_retry_after,
-)
+from repro.service.client import ResilientClient, _parse_retry_after
+from repro.service.service import MIN_RETRY_AFTER
 
 from .conftest import FakeClock, serving
-
-
-@pytest.fixture
-def breaker_at(monkeypatch):
-    """Set the breaker's threshold (and cooldown) for one test."""
-
-    def set_to(threshold: int, reset: float = 10.0) -> None:
-        monkeypatch.setattr(client_module, "FAILURE_THRESHOLD", threshold)
-        monkeypatch.setattr(client_module, "BREAKER_RESET", reset)
-
-    return set_to
 
 
 @pytest.fixture
@@ -137,171 +123,6 @@ class TestParseRetryAfter:
         assert _parse_retry_after(weird, default=0.75) == 0.75
 
 
-class TestCircuitBreaker:
-    @pytest.fixture(autouse=True)
-    def _breaker_settings(self, breaker_at):
-        self.breaker_at = breaker_at
-
-    def make(self, threshold: int = 3, reset_after: float = 10.0):
-        self.breaker_at(threshold, reset_after)
-        clock = FakeClock()
-        return CircuitBreaker(clock=clock), clock
-
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker, _clock = self.make(threshold=3)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpenError) as info:
-            breaker.allow()
-        assert info.value.retry_after == pytest.approx(10.0)
-
-    def test_success_resets_the_count(self):
-        breaker, _clock = self.make(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_then_close(self):
-        breaker, clock = self.make(threshold=1, reset_after=10.0)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock.advance(10.0)
-        breaker.allow()  # the probe is admitted
-        assert breaker.state == "half-open"
-        with pytest.raises(CircuitOpenError):
-            breaker.allow()  # concurrent request while probe in flight
-        breaker.record_success()
-        assert breaker.state == "closed"
-        breaker.allow()
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker, clock = self.make(threshold=1, reset_after=10.0)
-        breaker.record_failure()
-        clock.advance(10.0)
-        breaker.allow()
-        breaker.record_failure()  # probe failed
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpenError):
-            breaker.allow()  # cooldown restarted
-        clock.advance(10.0)
-        breaker.allow()
-        assert breaker.state == "half-open"
-
-    def test_retry_after_counts_down(self):
-        breaker, clock = self.make(threshold=1, reset_after=10.0)
-        breaker.record_failure()
-        clock.advance(4.0)
-        with pytest.raises(CircuitOpenError) as info:
-            breaker.allow()
-        assert info.value.retry_after == pytest.approx(6.0)
-
-
-class TestCircuitBreakerConcurrency:
-    """Real threads hammering one breaker: the lock must hold its story."""
-
-    def _contend(self, workers: int, action) -> list:
-        """Run ``action()`` on ``workers`` threads released together."""
-        barrier = threading.Barrier(workers)
-        results: list = [None] * workers
-        def run(slot: int) -> None:
-            barrier.wait()
-            results[slot] = action()
-        threads = [
-            threading.Thread(target=run, args=(slot,))
-            for slot in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return results
-
-    def test_half_open_admits_exactly_one_probe(self, breaker_at):
-        clock = FakeClock()
-        breaker_at(1)
-        breaker = CircuitBreaker(clock=clock)
-        breaker.record_failure()
-        clock.advance(10.0)
-
-        def try_allow() -> str:
-            try:
-                breaker.allow()
-            except CircuitOpenError:
-                return "rejected"
-            return "admitted"
-
-        results = self._contend(16, try_allow)
-        assert results.count("admitted") == 1
-        assert breaker.state == "half-open"
-
-    def test_concurrent_failures_during_half_open_single_trip(self, breaker_at):
-        # The probe fails while stale in-flight requests also report
-        # failures: the breaker must land in one clean "open" cooldown,
-        # and the eventual successful probe must fully reset the
-        # failure count (no leftover ghost failures from the pile-up).
-        clock = FakeClock()
-        breaker_at(3)
-        breaker = CircuitBreaker(clock=clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(10.0)
-        breaker.allow()  # the probe
-        assert breaker.state == "half-open"
-        self._contend(16, breaker.record_failure)
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpenError) as info:
-            breaker.allow()  # cooldown restarted by the (single) re-trip
-        assert info.value.retry_after == pytest.approx(10.0)
-        clock.advance(10.0)
-        breaker.allow()  # next probe
-        breaker.record_success()
-        assert breaker.state == "closed"
-        # Counter consistency: the pile-up left nothing behind — it
-        # still takes a full threshold of fresh failures to re-open.
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-
-    def test_closed_state_failure_counting_is_atomic(self, breaker_at):
-        # N racing failures with threshold N must trip exactly at the
-        # threshold — a lost update would leave the breaker closed.
-        clock = FakeClock()
-        breaker_at(16)
-        breaker = CircuitBreaker(clock=clock)
-        self._contend(16, breaker.record_failure)
-        assert breaker.state == "open"
-
-    def test_mixed_allow_and_failure_race_keeps_state_legal(self, breaker_at):
-        # Interleave admissions and failures from many threads; the
-        # breaker must always be in exactly one legal state and never
-        # raise anything but CircuitOpenError.
-        clock = FakeClock()
-        breaker_at(4, 0.0)
-        breaker = CircuitBreaker(clock=clock)
-
-        def hammer() -> None:
-            for _ in range(50):
-                try:
-                    breaker.allow()
-                except CircuitOpenError:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-
-        self._contend(8, hammer)
-        assert breaker.state in ("closed", "open", "half-open")
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-
 class TestRetryPolicy:
     def test_success_first_try(self):
         client, _clock, sleeps = make_client(retries=3)
@@ -321,16 +142,6 @@ class TestRetryPolicy:
         assert client._call(send) == {"ok": True}
         assert send.calls == 2
         assert sleeps == [pytest.approx(0.2)]
-        assert client.breaker.state == "closed"
-
-    def test_overload_is_breaker_neutral(self, breaker_at):
-        breaker_at(2)
-        client, _clock, _sleeps = make_client(retries=5)
-        send = ScriptedSend(
-            [ServiceOverloadError("busy", retry_after=0.05)] * 4 + [{"ok": 1}]
-        )
-        assert client._call(send) == {"ok": 1}
-        assert client.breaker.state == "closed"
 
     def test_5xx_retries_and_counts_toward_breaker(self):
         client, _clock, _sleeps = make_client(retries=2)
@@ -357,16 +168,15 @@ class TestRetryPolicy:
         send = ScriptedSend([urllib.error.URLError("refused"), {"ok": 1}])
         assert client._call(send) == {"ok": 1}
 
-    def test_connect_errors_open_the_breaker(self, breaker_at):
-        breaker_at(3)
-        client, _clock, _sleeps = make_client(retries=5)
-        send = ScriptedSend([urllib.error.URLError("refused")] * 6)
-        with pytest.raises(CircuitOpenError):
+    def test_connect_errors_exhaust_every_retry(self):
+        # However many connections are refused in a row, retries=7 sends
+        # eight attempts, then raises the last one's "cannot reach".
+        client, _clock, _sleeps = make_client(retries=7, deadline=None)
+        send = ScriptedSend([urllib.error.URLError("refused")] * 8)
+        with pytest.raises(ServiceError, match="cannot reach") as info:
             client._call(send)
-        # Three real attempts happened before the breaker started
-        # failing fast.
-        assert send.calls == 3
-        assert client.breaker.state == "open"
+        assert send.calls == 8
+        assert isinstance(info.value.__cause__, urllib.error.URLError)
 
     def test_deadline_exhaustion_raises_typed_error(self):
         client, _clock, _sleeps = make_client(retries=50, deadline=1.0)
@@ -426,50 +236,8 @@ class TestRetryPolicy:
         assert send.calls == 0  # injected before the wire
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="retries"):
+        with pytest.raises(ConfigurationError, match="retries must be >= 0"):
             ResilientClient("http://x", retries=-1)
-
-
-class TestProbeResolvesTheBreaker:
-    """Every half-open probe resolves the breaker: a reply (a 4xx, a
-    429) closes it, any other exception re-opens it, so it can never
-    stay half-open and refuse every later call."""
-
-    def open_client(self, breaker_at, *, retries: int):
-        breaker_at(1, 10.0)
-        client, clock, _sleeps = make_client(retries=retries)
-        with pytest.raises(ReproError):
-            client._call(ScriptedSend([http_error(503)] * (retries + 1)))
-        assert client.breaker.state == "open"
-        clock.advance(10.0)  # the next call is the probe
-        return client, clock
-
-    def test_4xx_probe_closes_the_breaker(self, breaker_at):
-        client, _clock = self.open_client(breaker_at, retries=0)
-        with pytest.raises(ReproError, match="bad request"):
-            client._call(ScriptedSend([http_error(400, "bad request")]))
-        assert client.breaker.state == "closed"
-        assert client._call(ScriptedSend([{"ok": 1}])) == {"ok": 1}
-
-    def test_429_probe_closes_the_breaker_and_its_retry_is_sent(
-        self, breaker_at
-    ):
-        client, _clock = self.open_client(breaker_at, retries=3)
-        send = ScriptedSend(
-            [ServiceOverloadError("busy", retry_after=0.05), {"ok": 1}]
-        )
-        assert client._call(send) == {"ok": 1}
-        assert send.calls == 2
-        assert client._call(ScriptedSend([{"ok": 2}])) == {"ok": 2}
-
-    def test_timed_out_probe_reopens_the_breaker(self, breaker_at):
-        client, clock = self.open_client(breaker_at, retries=0)
-        with pytest.raises(TimeoutError):
-            client._call(ScriptedSend([TimeoutError("read timed out")]))
-        assert client.breaker.state == "open"
-        clock.advance(10.0)
-        assert client._call(ScriptedSend([{"ok": 1}])) == {"ok": 1}
-        assert client.breaker.state == "closed"
 
 
 class TestDeadlineClamp:
@@ -614,16 +382,14 @@ class TestClientOverHTTP:
         # Each wait honors its hint; a garbage hint falls back to 1 s.
         assert sleeps == [pytest.approx(0.05), pytest.approx(1.0)]
 
-    def test_persistent_5xx_opens_breaker(self, scripted_server, breaker_at):
-        breaker_at(3, 60.0)
+    def test_persistent_5xx_sends_every_retry(self, scripted_server):
         ScriptedHandler.script = [(503, {"error": "down"})] * 10
         client = ResilientClient(scripted_server, retries=8, deadline=10.0)
-        with pytest.raises(CircuitOpenError):
+        with pytest.raises(ServiceClosedError, match="down") as info:
             client.healthz()
-        assert client.breaker.state == "open"
-        # Subsequent calls fail fast without touching the network.
-        with pytest.raises(CircuitOpenError):
-            client.healthz()
+        assert info.value.status == 503
+        # Nine requests went out; the tenth scripted reply is still unsent.
+        assert ScriptedHandler.script == [(503, {"error": "down"})]
 
     def test_unreachable_server_raises_service_error(self):
         client = ResilientClient("http://127.0.0.1:9", retries=1, deadline=5.0)
