@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import SearchParams
-from repro.core.pkwise import default_scheme
+from repro.core.pkwise import order_and_scheme
 from repro.eval import prefix_sharing
 
 from common import order_for, workload, write_report
@@ -29,9 +29,8 @@ def _measure(w: int, tau: int):
     if key in _collected:
         return _collected[key]
     data, queries, _truth = workload("REUTERS")
-    order = order_for("REUTERS", w)
     params = SearchParams(w=w, tau=tau, k_max=4)
-    scheme = default_scheme(params, order)
+    order, scheme = order_and_scheme(data, params, order_for("REUTERS", w))
     report = prefix_sharing(queries, order, w, tau, scheme)
     _collected[key] = report
     return report

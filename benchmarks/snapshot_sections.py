@@ -1,8 +1,10 @@
 #!/usr/bin/env python
-"""Section table of a snapshot, read from its TOC; guards the ``data``
-header, the width of every integer column and of the signature keys,
-that postings store run counts and interval lengths, that each
-per-token table is stored once and that shard files are ids-only.
+"""Section table of a snapshot, read from its TOC; guards that a header
+holds only what a reader uses: the ``data`` header, the width of every
+integer column and of the signature keys, that postings and rank
+columns store counts and lengths, that each per-token table is stored
+once, that no window frequency is stored, that strings are stored as
+one joined string each and that shard files are ids-only.
 
     PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT | MANIFEST | shards.json]
     PYTHONPATH=src python benchmarks/snapshot_sections.py --digests FILE
@@ -21,24 +23,33 @@ too, a ``shards.json`` path each of that plan's shard files.  Exit 1 when
 * an integer array section is wider than its values need: every stored
   integer column is the narrowest of int8, int16, int32 and int64 that
   holds it (``repro.index.compact._packed_column``), so the run counts
-  (``index.counts``), interval lengths (``index.lens``) and cover counts
-  (``routing.cover_counts``) mostly store at one byte;
-* the index stores ``index.offsets`` or ``index.vs``: a key's run is its
-  count and an interval its length, which mostly fit one byte where
-  absolute offsets and ends took four (a fifth of the search-reuse
-  snapshot);
+  (``index.counts``), interval lengths (``index.lens``), document
+  lengths (``ranks.lengths``) and cover counts (``routing.cover_counts``)
+  mostly store at one or two bytes;
+* the file stores ``index.offsets``, ``index.vs`` or ``ranks.offsets``:
+  a key's run is its count, an interval its length and a document its
+  length, which mostly fit one or two bytes where absolute offsets and
+  ends took four (a fifth of the search-reuse snapshot); the offsets are
+  derived on open with one cumsum;
 * the signature keys (``index.keys``) are not ``<u4``: the paper's 4-byte
   hash, which ``repro.signatures.generate.signature_hashes`` yields
   (8-byte keys were a fifth of the search-reuse snapshot);
 * a pickled section stores a per-token table beside its inverse: the
-  vocabulary pickles its token list, not ``_id_of``, and the order its
+  vocabulary pickles its tokens, not ``_id_of``, and the order its
   ``_token_of_rank``, not ``_rank_of_token``;
-* the order's stored ``_token_of_rank``, ``_freq_of_rank`` or
-  ``_admitted`` is not an integer array at its narrowest width, or the
-  order stores anything but integers and integer arrays: a dict, a list
-  or a vocabulary (int lists cost every process that opens the file
-  about 1 MB of int objects at |V| = 10,518; a dict of lazily admitted
-  tokens was half of a live store's ``MANIFEST``);
+* the order stores a window-frequency table (``_freq_of_rank``) or
+  ``num_data_windows``: the frequencies choose the order and the default
+  scheme's borders at build time, and no reader uses them after (the
+  table was 4.2% of the search-reuse snapshot);
+* any pickled section holds a list of ``str``: the vocabulary's tokens
+  and the document names are each one joined string and a narrow length
+  column (a list costs three pickle bytes a string more);
+* the order's stored ``_token_of_rank`` or ``_admitted`` is not an
+  integer array at its narrowest width, or the order stores anything but
+  integers and integer arrays: a dict, a list or a vocabulary (int lists
+  cost every process that opens the file about 1 MB of int objects at
+  |V| = 10,518; a dict of lazily admitted tokens was half of a live
+  store's ``MANIFEST``);
 * a live store's segment stores an ``order`` or ``data``: the store's
   ``MANIFEST`` holds its one copy of the order and the vocabulary;
 * a shard file stores ``data``: the router encodes every query against
@@ -67,7 +78,7 @@ import numpy as np
 from repro import Index, make_profile_collection
 from repro.index.compact import _packed_column
 from repro.ingest.manifest import MANIFEST_KIND, manifest_path
-from repro.persistence import read_envelope, read_toc
+from repro.persistence import PersistenceError, read_envelope, read_toc
 from repro.service import ShardPlan
 from repro.service.plan import MANIFEST_NAME as PLAN_NAME
 
@@ -76,18 +87,27 @@ SLACK = 1024
 #: The one width of a stored signature-key column.
 KEY_DTYPE = "<u4"
 
-#: Index sections the counts and lengths replace: derived on load, if at all.
-ABSOLUTE_POSTINGS = ("index.offsets", "index.vs")
+#: Array sections stored as counts or lengths instead -> what replaces
+#: each; the offsets and ends are derived on open.
+DERIVED = {"index.offsets": "index.counts", "index.vs": "index.lens",
+           "ranks.offsets": "ranks.lengths"}
 
 #: Attributes that are another pickled table's inverse: derived on load.
 INVERSES = {"_id_of", "_rank_of_token"}
 
 #: The order's stored tables: integer arrays at their narrowest width.
-ORDER_TABLES = ("_token_of_rank", "_freq_of_rank", "_admitted")
+ORDER_TABLES = ("_token_of_rank", "_admitted")
+
+#: What chose the order at build time and no reader uses after.
+BUILD_TIME = ("_freq_of_rank", "num_data_windows")
+
+#: Classes whose pickled state is kept as the file stores it.
+STATEFUL = {("repro.ordering.global_order", "GlobalOrder"),
+            ("repro.tokenize.vocabulary", "Vocabulary")}
 
 
 class _StoredState:
-    """Stands in for the order's class on load: keeps the state as stored."""
+    """Stands in for a stateful class on load: keeps the state as stored."""
 
     def __setstate__(self, state):
         self.state = state
@@ -95,50 +115,51 @@ class _StoredState:
 
 class _StateUnpickler(pickle.Unpickler):
     def find_class(self, module, name):
-        if (module, name) == ("repro.ordering.global_order", "GlobalOrder"):
+        if (module, name) in STATEFUL:
             return _StoredState
         return super().find_class(module, name)
 
 
-def stored_order_state(payload: bytes) -> dict | None:
-    """The order section's pickled state as the file stores it, or None."""
-    order = _StateUnpickler(io.BytesIO(payload)).load()
-    return order.state if isinstance(order, _StoredState) else None
+def stored_section(payload: bytes):
+    """A pickled section as the file stores it: the order's and the
+    vocabulary's states kept as :class:`_StoredState`."""
+    return _StateUnpickler(io.BytesIO(payload)).load()
 
 
-def main(path: Path, segment: bool = False, shard: bool = False) -> int:
-    toc = read_toc(path)
-    entries = {**toc["pickled"], **toc["arrays"]}
-    total = sum(entry["length"] for entry in entries.values())
-    for name, entry in entries.items():
-        dtype, length = entry.get("dtype", "pickle"), entry["length"]
-        print(f"{name:22s} {dtype:7s} {length:>10,d} B {length / total:6.1%}")
-    _header, sections, arrays = read_envelope(path, toc["kind"])
-    header = sections["data"] or {}
-    parts = sum(
-        len(pickle.dumps(header.get(key), pickle.HIGHEST_PROTOCOL))
-        for key in ("tokenizer", "vocabulary", "names")
-    )
-    stored = entries["data"]["length"]
-    print(f"data: {stored:,d} B stored; tokenizer + vocabulary + names: {parts:,d} B")
+def holds_string_list(value) -> bool:
+    """True when ``value`` holds a list with a ``str`` in it, at any depth
+    of dicts, lists, tuples and stored states."""
+    if isinstance(value, _StoredState):
+        return holds_string_list(value.state)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list) and any(isinstance(item, str) for item in value):
+        return True
+    return isinstance(value, (list, tuple)) and any(map(holds_string_list, value))
+
+
+def check_pickled(path: Path, toc: dict) -> int:
+    """The rules on each pickled section as the file stores it (read
+    without this release's classes, so a state they cannot load is
+    still named); 1 when one fails."""
     status = 0
-    if stored > parts + SLACK:
-        print(f"FAIL: data carries {stored - parts:,d} B beyond its header", file=sys.stderr)
-        status = 1
-    if segment and (sections["order"] is not None or sections["data"] is not None):
-        print(f"FAIL: segment {path.name} stores an order or data; its MANIFEST "
-              f"holds the store's one copy", file=sys.stderr)
-        status = 1
-    if shard and sections["data"] is not None:
-        print(f"FAIL: shard file {path.name} stores data; the router holds the "
-              f"one collection and sends token ids", file=sys.stderr)
-        status = 1
     # Sections start at the first 64-byte boundary past magic, length and TOC.
     blob = path.read_bytes()
     start = (24 + int.from_bytes(blob[16:24], "little") + 63) // 64 * 64
     for name, entry in toc["pickled"].items():
         payload = blob[start + entry["offset"]:start + entry["offset"] + entry["length"]]
-        state = stored_order_state(payload) if name == "order" else None
+        section = stored_section(payload)
+        if holds_string_list(section):
+            print(f"FAIL: {path.name}'s {name} stores a list of str; the vocabulary "
+                  f"and the names are one joined string and a length column each",
+                  file=sys.stderr)
+            status = 1
+        state = section.state if name == "order" and isinstance(section, _StoredState) else None
+        for key in BUILD_TIME if state is not None else ():
+            if key in state:
+                print(f"FAIL: {path.name}'s order stores {key}; the window "
+                      f"frequencies are a build-time value", file=sys.stderr)
+                status = 1
         for table in ORDER_TABLES if state is not None else ():
             column = state.get(table)
             if not (isinstance(column, np.ndarray) and column.dtype.kind == "i"
@@ -157,16 +178,50 @@ def main(path: Path, segment: bool = False, shard: bool = False) -> int:
             print(f"FAIL: {path.name}'s {name} stores {inverse} beside its inverse",
                   file=sys.stderr)
             status = 1
+    return status
+
+
+def main(path: Path, segment: bool = False, shard: bool = False) -> int:
+    toc = read_toc(path)
+    entries = {**toc["pickled"], **toc["arrays"]}
+    total = sum(entry["length"] for entry in entries.values())
+    for name, entry in entries.items():
+        dtype, length = entry.get("dtype", "pickle"), entry["length"]
+        print(f"{name:22s} {dtype:7s} {length:>10,d} B {length / total:6.1%}")
+    status = check_pickled(path, toc)
+    try:
+        _header, sections, arrays = read_envelope(path, toc["kind"])
+    except PersistenceError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
+    header = sections["data"] or {}
+    parts = sum(
+        len(pickle.dumps(header.get(key), pickle.HIGHEST_PROTOCOL))
+        for key in ("tokenizer", "vocabulary", "names")
+    )
+    stored = entries["data"]["length"]
+    print(f"data: {stored:,d} B stored; tokenizer + vocabulary + names: {parts:,d} B")
+    if stored > parts + SLACK:
+        print(f"FAIL: data carries {stored - parts:,d} B beyond its header", file=sys.stderr)
+        status = 1
+    if segment and (sections["order"] is not None or sections["data"] is not None):
+        print(f"FAIL: segment {path.name} stores an order or data; its MANIFEST "
+              f"holds the store's one copy", file=sys.stderr)
+        status = 1
+    if shard and sections["data"] is not None:
+        print(f"FAIL: shard file {path.name} stores data; the router holds the "
+              f"one collection and sends token ids", file=sys.stderr)
+        status = 1
     for name, array in arrays.items():
         narrow = _packed_column(array).dtype if array.dtype.kind == "i" else array.dtype
         if narrow != array.dtype:
             print(f"FAIL: {path.name} stores {name} as {array.dtype}; "
                   f"its values fit {narrow}", file=sys.stderr)
             status = 1
-    for name in ABSOLUTE_POSTINGS:
+    for name, replacement in DERIVED.items():
         if name in arrays:
-            print(f"FAIL: {path.name} stores {name}; the index stores run counts "
-                  f"and interval lengths (index.counts, index.lens)", file=sys.stderr)
+            print(f"FAIL: {path.name} stores {name}; it stores {replacement}, and "
+                  f"{name} is derived on open", file=sys.stderr)
             status = 1
     keys = arrays.get("index.keys")
     if keys is not None:

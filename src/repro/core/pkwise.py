@@ -32,6 +32,7 @@ from ..index.compact import CompactIntervalIndex
 from ..obs import get_tracer
 from ..index.intervals import WindowInterval, merge_intervals
 from ..ordering import GlobalOrder
+from ..ordering.global_order import window_frequencies
 from ..params import SearchParams
 from ..partition.scheme import PartitionScheme
 from ..routing import FingerprintTier, RoutingPolicy
@@ -51,21 +52,23 @@ DEFAULT_FREQ_HIGH = 0.05
 
 def default_scheme(
     params: SearchParams,
-    order: GlobalOrder,
+    relative_frequencies: np.ndarray,
     freq_low: float = DEFAULT_FREQ_LOW,
     freq_high: float = DEFAULT_FREQ_HIGH,
 ) -> PartitionScheme:
     """A frequency-threshold scheme when no cost-optimized one is given.
 
-    Tokens are assigned to classes by their relative window frequency:
-    rare tokens (below ``freq_low``) are selective enough as single
+    ``relative_frequencies`` is each build-time rank's window frequency
+    over the number of data windows, ascending (what
+    :func:`order_and_scheme` counts).  Tokens are assigned to classes by
+    it: rare tokens (below ``freq_low``) are selective enough as single
     tokens; increasingly frequent tokens move into higher classes, with
     the class thresholds log-spaced between ``freq_low`` and
     ``freq_high``.  This mirrors where the greedy cost-based partitioner
     (:mod:`repro.partition.greedy`) typically lands while costing
     nothing to compute; use the partitioner for the tuned result.
     """
-    size = order.universe_size
+    size = len(relative_frequencies)
     k_max = params.k_max
     if k_max == 1 or size == 0:
         return PartitionScheme(universe_size=size, borders=(), m=params.m)
@@ -79,11 +82,32 @@ def default_scheme(
     # Class c starts at the first rank whose relative frequency reaches
     # its threshold, and never before the class below it.
     borders = np.maximum.accumulate(
-        np.searchsorted(order.relative_frequencies(), thresholds, side="left")
+        np.searchsorted(relative_frequencies, thresholds, side="left")
     )
     return PartitionScheme(
         universe_size=size, borders=tuple(borders.tolist()), m=params.m
     )
+
+
+def order_and_scheme(
+    data: DocumentCollection, params: SearchParams, order: GlobalOrder | None = None
+) -> tuple[GlobalOrder, PartitionScheme]:
+    """The global order over ``data`` and its :func:`default_scheme`,
+    from one count of ``data``'s window frequencies.
+
+    The frequencies are a build-time value: they choose the order
+    (§2.2) and the class borders (§5), and neither keeps them, so a
+    stored order or scheme holds none.  A given ``order`` (one shared
+    between searchers) is kept, and the scheme takes the frequencies of
+    its build-time ranks over ``data``.
+    """
+    frequencies = window_frequencies(data, params.w)
+    if order is None:
+        order = GlobalOrder(data, params.w, frequencies)
+    windows = data.total_windows(params.w)
+    ranked = frequencies[order.token_table()[: order.universe_size]]
+    relative = ranked / windows if windows else np.zeros(len(ranked))
+    return order, default_scheme(params, relative)
 
 
 class PKWiseSearcher:
@@ -102,7 +126,8 @@ class PKWiseSearcher:
     params:
         Validated search parameters (w, tau, k_max, m).
     scheme:
-        Partition scheme; defaults to :func:`default_scheme`.  Use
+        Partition scheme; defaults to :func:`default_scheme`
+        (:func:`order_and_scheme`).  Use
         :class:`~repro.partition.GreedyPartitioner` to obtain a
         cost-optimized scheme first.
     order:
@@ -121,9 +146,9 @@ class PKWiseSearcher:
         order: GlobalOrder | None = None,
     ) -> None:
         self.params = params
-        self.order = order if order is not None else GlobalOrder(data, params.w)
         if scheme is None:
-            scheme = default_scheme(params, self.order)
+            order, scheme = order_and_scheme(data, params, order)
+        self.order = order if order is not None else GlobalOrder(data, params.w)
         if scheme.m != params.m:
             raise ConfigurationError(
                 f"scheme.m ({scheme.m}) disagrees with params.m ({params.m})"

@@ -22,7 +22,7 @@ from ..signatures.generate import generate_signatures
 from ..windows.rolling import window_overlap
 from ..windows.slider import WindowSlider
 from .base import MatchPair, SearchResult, SearchStats
-from .pkwise import default_scheme
+from .pkwise import order_and_scheme
 
 
 class PKWiseNonIntervalSearcher:
@@ -38,9 +38,9 @@ class PKWiseNonIntervalSearcher:
         order: GlobalOrder | None = None,
     ) -> None:
         self.params = params
-        self.order = order if order is not None else GlobalOrder(data, params.w)
         if scheme is None:
-            scheme = default_scheme(params, self.order)
+            order, scheme = order_and_scheme(data, params, order)
+        self.order = order if order is not None else GlobalOrder(data, params.w)
         if scheme.m != params.m:
             raise ConfigurationError(
                 f"scheme.m ({scheme.m}) disagrees with params.m ({params.m})"

@@ -35,7 +35,9 @@ collision among them).  Nothing is written after construction: any
 number of threads may probe one instance.
 
 :class:`PackedRankDocs` applies the same treatment to the searcher's
-per-document rank sequences (one values column + offsets).  The
+per-document rank sequences (one values column + offsets; a file
+stores each document's length instead, and the offsets are derived on
+open with one cumsum, as the runs' are).  The
 verifier reads it by slice — ``rank_slice(doc_id, lo, hi)`` cuts the
 ranks of one candidate interval straight off the column — so a search
 decodes no document and the container holds nothing but its two
@@ -75,9 +77,9 @@ def _packed_column(values: Sequence[int] | np.ndarray) -> np.ndarray:
     holds every one of them (an integer array already of that type is
     returned as is; an empty column is int8).
 
-    Every stored integer column — ranks and their offsets, the posting
-    columns and their run counts, the routing tier's cover counts — is
-    written through here, so a build, a memtable catch-up, a fold and a
+    Every stored integer column — ranks and their documents' lengths, the
+    posting columns and their run counts, the routing tier's cover counts —
+    is written through here, so a build, a memtable catch-up, a fold and a
     segment file all store the same widths for the same values.  Readers
     take the dtype from the column itself; a gather that hands values on
     to arithmetic widens them first (:func:`_at_least_int32`).
@@ -501,11 +503,22 @@ class PackedRankDocs(Sequence):
         return cls(_packed_column(offsets), _packed_column(values))
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        return {"offsets": self._offsets, "values": self._values}
+        """The stored columns: each document's length, at the narrowest
+        width (one byte or two where offsets took four), and the values."""
+        return {"lengths": _packed_column(np.diff(self._offsets)), "values": self._values}
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "PackedRankDocs":
-        return cls(arrays["offsets"], arrays["values"])
+        """Over stored columns: the int64 offsets are derived once, by one
+        cumsum of the lengths; the values are used as they are (mapped)."""
+        lengths, values = arrays["lengths"], arrays["values"]
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        if offsets.item(-1) != len(values):
+            raise IndexStateError(
+                f"document lengths sum to {offsets.item(-1)} for {len(values)} ranks"
+            )
+        return cls(offsets, values)
 
     def __len__(self) -> int:
         return len(self._offsets) - 1

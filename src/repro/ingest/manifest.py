@@ -80,7 +80,8 @@ class ManifestState:
         self.order = order
         self.scheme = scheme
         #: Collection header of ``[0, next_doc_id)``: ``{"tokenizer",
-        #: "vocabulary", "names"}`` (the tokens are the segments').
+        #: "vocabulary", "names"}`` (the tokens are the segments'; the
+        #: names joined, :func:`~repro.tokenize.vocabulary.joined_strings`).
         self.data = data
         #: ``[{"file", "doc_lo", "doc_hi", "generation"}, ...]`` ascending.
         self.segments = segments
@@ -134,6 +135,9 @@ _OLDER_STORES = {
         "tokens as a dict", "repro 3.4.0 reads it"),
     8: ("repro 3.5.x, whose segments stored postings as run offsets and "
         "interval ends", "repro 3.5.0 reads it"),
+    9: ("repro 4.0.x, whose global order stored a window-frequency table "
+        "and whose vocabulary and names were lists of strings",
+        "repro 4.0.0 reads it"),
 }
 
 
@@ -177,9 +181,10 @@ def read_manifest(directory: str | Path) -> ManifestState:
             f"{path}: segments cover {lo} docs but next_doc_id is "
             f"{next_doc_id} — the segment list does not tile the corpus"
         )
-    if len(data["names"]) != next_doc_id:
+    _joined, name_lengths = data["names"]
+    if len(name_lengths) != next_doc_id:
         raise PersistenceError(
-            f"{path}: collection header names {len(data['names'])} docs, "
+            f"{path}: collection header names {len(name_lengths)} docs, "
             f"next_doc_id says {next_doc_id}"
         )
     return ManifestState(

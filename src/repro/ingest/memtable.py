@@ -64,10 +64,10 @@ class RankColumn(PackedRankDocs):
     def extend(self, documents: PackedRankDocs) -> None:
         """Append every document of a packed rank column in one block."""
         columns = documents.to_arrays()
-        # Widened before the column's end is added: a packed column's
-        # offsets may be int8 or int16.
-        offsets = columns["offsets"].astype(np.int64)
-        self._write(len(offsets) - 1, offsets[1:], columns["values"])
+        # Summed at int64 before the column's end is added: a packed
+        # column's lengths may be int8 or int16.
+        lengths = columns["lengths"]
+        self._write(len(lengths), np.cumsum(lengths, dtype=np.int64), columns["values"])
 
     def _write(self, count: int, ends, values: np.ndarray) -> None:
         """Append ``count`` documents over ``values``, each ending at its

@@ -45,7 +45,7 @@ import numpy as np
 
 from .. import faults
 from ..corpus import DocumentCollection
-from ..core.pkwise import PKWiseSearcher, default_scheme
+from ..core.pkwise import PKWiseSearcher, order_and_scheme
 from ..errors import ConfigurationError, CorpusError, IndexStateError
 from ..index.compact import CompactIntervalIndex, PackedRankDocs
 from ..obs import MetricsRegistry, get_tracer
@@ -57,6 +57,7 @@ from ..persistence import (
     save_searcher,
 )
 from ..routing import FingerprintTier
+from ..tokenize.vocabulary import joined_strings, split_strings
 from .manifest import (
     SEGMENT_STEM,
     ManifestState,
@@ -177,12 +178,13 @@ class _SealedSnapshot:
 def _sealed_header(data: DocumentCollection) -> dict:
     """What a manifest keeps of ``data``: its tokenizer, its vocabulary
     as a :class:`_Prefix` of today's length (adds go on interning into
-    it) and its names.  Nothing is decoded."""
+    it) and its names, joined (:func:`~repro.tokenize.vocabulary.joined_strings`).
+    Nothing is decoded."""
     vocabulary = data.vocabulary
     return {
         "tokenizer": data.tokenizer,
         "vocabulary": _Prefix(vocabulary, len(vocabulary)),
-        "names": data.names(),
+        "names": joined_strings(data.names()),
     }
 
 
@@ -277,8 +279,7 @@ class IngestStore:
         if routing is not None:
             params = params.with_routing(routing)
         data = data if data is not None else DocumentCollection()
-        order = GlobalOrder(data, params.w)
-        scheme = default_scheme(params, order)
+        order, scheme = order_and_scheme(data, params)
         store = cls(params, order, scheme, data, directory=directory, fsync=fsync)
         store._generation = 1
         store._active = Memtable(0, 1, params, scheme)
@@ -359,7 +360,7 @@ class IngestStore:
         order = state.order
         data = DocumentCollection.over_columns(
             header["tokenizer"], header["vocabulary"],
-            TieredRankDocs(segments), order.token_table(), header["names"],
+            TieredRankDocs(segments), order.token_table(), split_strings(header["names"]),
         )
         store = cls(
             state.params,
@@ -903,10 +904,9 @@ class IngestStore:
                 # below runs off it, over views of the column as it
                 # stands now, which later appends do not reach.
                 active = self._active
-                ranks = active.rank_docs.to_arrays()
                 tiers = self._segments + [Tier(
                     active.doc_lo, active.doc_hi, active.generation, active.catch_up(),
-                    PackedRankDocs(ranks["offsets"], ranks["values"]), "segment",
+                    active.rank_docs.docs_from(0), "segment",
                 )]
                 removed = set(self.removed)
                 epoch = self.mutation_epoch

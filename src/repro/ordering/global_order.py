@@ -135,24 +135,32 @@ class GlobalOrder:
     without renumbering anything; a query's unknown ids take
     :data:`OOV_RANK`.
 
-    The order also carries the window frequency of each *rank*, which
-    the cost model and the partitioners consume.  Its per-token tables
-    are integer columns, each at the narrowest width that holds it
-    (:func:`~repro.index.compact._packed_column`): ``_token_of_rank`` and
-    ``_freq_of_rank`` over the build-time ranks, read-only, and
-    ``_admitted``, the ids of the tokens admitted since, in arrival order
-    (the ``i``-th holds rank ``-1 - i``).  A pickle stores those three
-    and the loader derives ``_rank_of_token``, the table every id is
-    ranked through by one gather (:meth:`rank_ids`): the inverse of
-    ``_token_of_rank``, extended over the admitted ids.  The order holds
-    no vocabulary: it maps token ids, whatever strings they stand for.
+    The window frequencies are a build-time value: they choose the order
+    and the default scheme's class borders
+    (:func:`~repro.core.pkwise.order_and_scheme`), and neither keeps them.
+    The order's per-token tables are integer columns, each at the
+    narrowest width that holds it
+    (:func:`~repro.index.compact._packed_column`): ``_token_of_rank``
+    over the build-time ranks, read-only, and ``_admitted``, the ids of
+    the tokens admitted since, in arrival order (the ``i``-th holds rank
+    ``-1 - i``).  A pickle stores those two and the loader derives
+    ``_rank_of_token``, the table every id is ranked through by one
+    gather (:meth:`rank_ids`): the inverse of ``_token_of_rank``,
+    extended over the admitted ids.  So a built order and its reloaded
+    copy hold the same state.  The order holds no vocabulary: it maps
+    token ids, whatever strings they stand for.
     """
 
-    def __init__(self, data: DocumentCollection, w: int) -> None:
+    def __init__(
+        self, data: DocumentCollection, w: int, frequencies: np.ndarray | None = None
+    ) -> None:
+        """The order over ``data`` by window frequency at ``w``;
+        ``frequencies`` is :func:`window_frequencies` of the two when the
+        caller counted them already."""
         # Imported here: repro.index imports this package (via partition).
         from ..index.compact import _packed_column
 
-        freq = window_frequencies(data, w)
+        freq = window_frequencies(data, w) if frequencies is None else frequencies
         self.w = w
         # By name, then stably by frequency: the order by (frequency, name).
         by_name = np.array(
@@ -160,9 +168,7 @@ class GlobalOrder:
         )
         order = by_name[np.argsort(freq[by_name], kind="stable")]
         self._token_of_rank = _read_only(_packed_column(order))
-        self._freq_of_rank = _read_only(_packed_column(freq[order]))
         self._built_size = len(freq)
-        self.num_data_windows = data.total_windows(w)
         self._derive_rank_table()
 
     def _derive_rank_table(self, admitted: np.ndarray | tuple = ()) -> None:
@@ -283,31 +289,12 @@ class GlobalOrder:
         width = _packed_column([end - 1]).dtype
         return np.concatenate((self._token_of_rank, admitted[::-1]), dtype=width)
 
-    def frequency_of_rank(self, rank: int) -> int:
-        """Window frequency of the token at ``rank`` (0 for negatives)."""
-        if rank < 0:
-            return 0
-        return int(self._freq_of_rank[rank])
-
-    def relative_frequency_of_rank(self, rank: int) -> float:
-        """Window frequency normalized by the number of data windows."""
-        if self.num_data_windows == 0:
-            return 0.0
-        return self.frequency_of_rank(rank) / self.num_data_windows
-
-    def relative_frequencies(self) -> np.ndarray:
-        """:meth:`relative_frequency_of_rank` of every build-time rank, as
-        ``float64``: ascending, since the order sorts by frequency."""
-        if self.num_data_windows == 0:
-            return np.zeros(self._built_size)
-        return self._freq_of_rank / self.num_data_windows
-
     # ------------------------------------------------------------------
     def state_at(self, admitted: int) -> dict:
         """What a pickle stores of this order as it stood when it had
-        admitted ``admitted`` tokens: the two build-time tables and the
-        first ``admitted`` entries of the admitted column, at its
-        narrowest width.  Admission only appends, so a prefix length
+        admitted ``admitted`` tokens: the build-time table and the first
+        ``admitted`` entries of the admitted column, at its narrowest
+        width.  Admission only appends, so a prefix length
         taken under a writer's lock is a point-in-time copy that is cut
         here, when it is pickled."""
         # Imported here: repro.index imports this package (via partition).
@@ -316,9 +303,7 @@ class GlobalOrder:
         return {
             "w": self.w,
             "_token_of_rank": self._token_of_rank,
-            "_freq_of_rank": self._freq_of_rank,
             "_built_size": self._built_size,
-            "num_data_windows": self.num_data_windows,
             "_admitted": _packed_column(self._admitted[:admitted]),
         }
 
@@ -331,10 +316,9 @@ class GlobalOrder:
         state = dict(state)
         admitted = state.pop("_admitted")
         # An unpickled array carries its own copy of its dtype; viewed at
-        # the shared one, the tables pickle again to the same bytes.
-        for name in ("_token_of_rank", "_freq_of_rank"):
-            column = state[name]
-            state[name] = _read_only(column.view(np.dtype(column.dtype.str)))
+        # the shared one, the table pickles again to the same bytes.
+        column = state["_token_of_rank"]
+        state["_token_of_rank"] = _read_only(column.view(np.dtype(column.dtype.str)))
         self.__dict__.update(state)
         self._derive_rank_table(admitted)
 
@@ -365,10 +349,10 @@ class GlobalOrder:
             [document.tokens for document in documents]
         ).to_arrays()
         ranks = self.rank_ids(columns["values"], admit=True)
-        return PackedRankDocs(columns["offsets"], _packed_column(ranks))
+        return PackedRankDocs.from_arrays({**columns, "values": _packed_column(ranks)})
 
     def __repr__(self) -> str:
         return (
             f"GlobalOrder(universe={self._built_size}, w={self.w}, "
-            f"windows={self.num_data_windows}, admitted={self._num_admitted})"
+            f"admitted={self._num_admitted})"
         )

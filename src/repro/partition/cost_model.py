@@ -82,11 +82,11 @@ def calibrated_weights(
     the paper's C++ constants, and the fixed constants can make the
     greedy search prefer schemes that lose on wall clock.
     """
-    from ..core.pkwise import PKWiseSearcher, default_scheme
+    from ..core.pkwise import PKWiseSearcher, order_and_scheme
     from ..eval.harness import serial_run
 
     if scheme is None:
-        scheme = default_scheme(params, order)
+        _, scheme = order_and_scheme(data, params, order)
     searcher = PKWiseSearcher(data, params, scheme=scheme, order=order)
     totals = serial_run(searcher, queries).stats
     c_comb = totals.signature_time / max(1, totals.signature_tokens)

@@ -18,15 +18,17 @@ snapshot's index and rank columns are stored as raw typed arrays, so
 one page cache.  A snapshot holds its corpus once: the rank columns
 are the documents (the global order is a bijection), so ``data`` is a
 header — tokenizer, vocabulary, names — and the loaded collection reads
-tokens back through the ranks.  Each per-token table is stored once, too:
-the vocabulary pickles its token list and the order two narrow integer
-arrays (token of rank, frequency of rank), and each rebuilds the
-inverse on load; a live-store segment stores no
-order at all (its ``MANIFEST`` holds the store's one copy).  Every
-section, pickled or raw, carries a BLAKE2b payload digest in the TOC,
-so a flipped bit on disk surfaces as a typed :class:`PersistenceError`
-naming the corrupt section — never a pickle error or silently wrong
-data.
+tokens back through the ranks.  A header holds only what a reader uses,
+each per-token table once: the vocabulary pickles its tokens and the
+header the document names as one joined string and a narrow length
+column each (the lists are split from them on load), the order one
+narrow integer array (token of rank; the window frequencies that chose
+it are not kept), and each rebuilds its inverse on load; a live-store
+segment stores no order at all (its ``MANIFEST`` holds the store's one
+copy).  Every section, pickled or raw, carries a BLAKE2b payload digest
+in the TOC, so a flipped bit on disk surfaces as a typed
+:class:`PersistenceError` naming the corrupt section — never a pickle
+error or silently wrong data.
 
 Pickle is appropriate for the TOC and the small sections because an
 index file is a local artifact produced by the same trust domain that
@@ -61,6 +63,7 @@ from .corpus import DocumentCollection
 from .errors import ReproError
 from .index.compact import CompactIntervalIndex, PackedRankDocs
 from .routing import FingerprintTier
+from .tokenize.vocabulary import joined_strings, split_strings
 
 _MAGIC = b"repro-envelope-3"  # exactly 16 bytes
 #: 4: a snapshot's "data" section is a header, not documents.  5: no
@@ -72,8 +75,11 @@ _MAGIC = b"repro-envelope-3"  # exactly 16 bytes
 #: tokens as such a column too, not a dict.  9: the index stores each
 #: key's run count and each interval's length (``index.counts``,
 #: ``index.lens``), not run offsets and interval ends, and an integer
-#: column may be int8.
-_TOC_VERSION = 9
+#: column may be int8.  10: the order stores no window-frequency table,
+#: the vocabulary and the document names are each one joined string and
+#: a length column, and the rank column stores each document's length
+#: (``ranks.lengths``), not offsets.
+_TOC_VERSION = 10
 _HEAD_SIZE = len(_MAGIC) + 8  # magic + TOC length
 _ALIGN = 64
 _INDEX_KIND = "pkwise-index"
@@ -479,7 +485,7 @@ def _collection_header(data: DocumentCollection, rank_docs) -> dict:
     return {
         "tokenizer": data.tokenizer,
         "vocabulary": data.vocabulary,
-        "names": data.names(),
+        "names": joined_strings(data.names()),
     }
 
 
@@ -522,7 +528,7 @@ def _load_snapshot(
         if header is not None:
             data = DocumentCollection.over_columns(
                 header["tokenizer"], header["vocabulary"],
-                rank_docs, order.token_table(), header["names"],
+                rank_docs, order.token_table(), split_strings(header["names"]),
             )
         searcher = PKWiseSearcher.from_prebuilt(
             meta["params"],

@@ -258,8 +258,7 @@ class FingerprintTier:
             rank_docs = PackedRankDocs.from_lists(rank_docs)
         block_len = block_length(w)
         columns = rank_docs.to_arrays()
-        offsets, values = columns["offsets"], columns["values"]
-        lengths = (offsets[1:] - offsets[:-1]).astype(np.int64)
+        lengths, values = columns["lengths"].astype(np.int64), columns["values"]
         blocks = -(-lengths // block_len)
         token_ends, block_ends = lengths.cumsum(), blocks.cumsum()
         lanes = [np.zeros((0, LANES), dtype=np.uint64)]
@@ -276,7 +275,7 @@ class FingerprintTier:
             )
             lanes.append(
                 _cover_rows(
-                    values[offsets.item(first) : offsets.item(stop)],
+                    values[token_ends[first] - lengths[first] : token_ends[stop - 1]],
                     lengths[first:stop],
                     blocks[first:stop],
                     block_len,

@@ -8,7 +8,9 @@ arrays indexed by token id.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from ..errors import UnknownTokenError
 
@@ -20,6 +22,26 @@ OOV_TOKEN_ID = -1
 
 #: Display string used when decoding the OOV sentinel.
 OOV_TOKEN = "<oov>"
+
+
+def joined_strings(strings: Sequence[str]) -> tuple[str, np.ndarray]:
+    """``strings`` as a file stores them: one joined string and each
+    string's length in code points, at the narrowest integer width
+    (:func:`~repro.index.compact._packed_column`).  One ``str`` pickles
+    its UTF-8 bytes once, where a list of them costs three more bytes a
+    string; any character may occur in any string."""
+    # Imported here: repro.index imports this package (via corpus).
+    from ..index.compact import _packed_column
+
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    return "".join(strings), _packed_column(lengths)
+
+
+def split_strings(stored: tuple[str, np.ndarray]) -> list[str]:
+    """The list :func:`joined_strings` stored: one slice per length."""
+    joined, lengths = stored
+    ends = np.cumsum(lengths).tolist()
+    return [joined[start:end] for start, end in zip([0, *ends[:-1]], ends)]
 
 
 class _Interning(dict):
@@ -99,21 +121,23 @@ class Vocabulary:
             return OOV_TOKEN
         return self._token_of[token_id]
 
-    def state_at(self, length: int) -> list[str]:
+    def state_at(self, length: int) -> tuple[str, np.ndarray]:
         """What a pickle stores of this vocabulary as it stood when it
-        held ``length`` tokens: their list.  Interning only appends, so a
-        length taken under the ingest store's writer lock is a
-        point-in-time copy that is cut here, when a manifest is written
-        off-lock."""
-        return self._token_of[:length]
+        held ``length`` tokens: their :func:`joined_strings`.  Interning
+        only appends, so a length taken under the ingest store's writer
+        lock is a point-in-time copy that is cut here, when a manifest is
+        written off-lock."""
+        return joined_strings(self._token_of[:length])
 
-    def __getstate__(self) -> list[str]:
-        """A pickle stores the token list only: ``_id_of`` is its inverse."""
-        return self._token_of
+    def __getstate__(self) -> tuple[str, np.ndarray]:
+        """A pickle stores the tokens as one string and a length column
+        only: the token list is split from them on load, and ``_id_of``
+        is its inverse."""
+        return joined_strings(self._token_of)
 
-    def __setstate__(self, tokens: list[str]) -> None:
-        self._token_of = tokens
-        self._id_of = _Interning(tokens)
+    def __setstate__(self, state: tuple[str, np.ndarray]) -> None:
+        self._token_of = split_strings(state)
+        self._id_of = _Interning(self._token_of)
 
     def __len__(self) -> int:
         return len(self._token_of)

@@ -271,6 +271,28 @@ class PerTokenOrder:
         return [self.rank(token, admit) for token in tokens]
 
 
+def per_document_window_frequencies(data, w) -> list[int]:
+    """Every window of every document, one set of tokens each: the
+    number of ``w``-token windows holding each token id (Section 2.2),
+    what ``window_frequencies`` is held to across its blocks."""
+    freq = [0] * len(data.vocabulary)
+    for document in data:
+        tokens = document.tokens
+        for start in range(len(tokens) - w + 1):
+            for token in set(tokens[start : start + w]):
+                freq[token] += 1
+    return freq
+
+
+def frequency_of_rank(data, order) -> list[int]:
+    """The window frequency of each build-time rank of ``order``, by
+    :func:`per_document_window_frequencies`: what the order sorts by and
+    the default scheme's borders are read from.  ``data`` is what the
+    order was built over; the order keeps no frequencies."""
+    freq = per_document_window_frequencies(data, order.w)
+    return [freq[order.token_of_rank(rank)] for rank in range(order.universe_size)]
+
+
 def admitted_ranks(order) -> dict[int, int]:
     """``token id -> lazy rank`` of every token ``order`` admitted, in
     arrival order: what :class:`PerTokenOrder` keeps as a dict."""

@@ -45,7 +45,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import SearchParams, faults
-from repro.core.pkwise import PKWiseSearcher, default_scheme
+from repro.core.pkwise import PKWiseSearcher, order_and_scheme
 from repro.corpus import Document, DocumentCollection
 from repro.errors import (
     FaultInjectionError,
@@ -61,7 +61,6 @@ from repro.ingest import IngestStore, read_wal, wal_generations
 from repro.ingest import store as ingest_store
 from repro.ingest.manifest import read_manifest, write_manifest
 from repro.ingest.memtable import Memtable, RankColumn
-from repro.ordering import GlobalOrder
 from repro.ordering.global_order import OOV_RANK
 from repro.ingest.tiered import Tier
 from repro.persistence import PersistenceError
@@ -754,13 +753,12 @@ class TestRankColumn:
         data = DocumentCollection()
         for _ in range(4):
             data.add_tokens([f"t{rng.randrange(300)}" for _ in range(100)])
-        order = GlobalOrder(data, PARAMS.w)
+        order, scheme = order_and_scheme(data, PARAMS)
         columns = [
             order.rank_ids(np.fromiter(document.tokens, np.int64, len(document)))
             for document in (data[rng.randrange(4)] for _ in range(256))
         ]
         columns = [ranks[: rng.randrange(1, len(ranks))] for ranks in columns]
-        scheme = default_scheme(PARAMS, order)
         tokens = sum(map(len, columns))
         tracemalloc.start()
         try:
@@ -821,14 +819,14 @@ class TestRankColumn:
         reopened.close()
 
     def test_extend_onto_a_filled_column_widens_int16_offsets(self):
-        # A packed block's offsets are int16 below 32,768 tokens; added to
-        # a column's end past int16 they must not wrap.
+        # A packed block's lengths are int16 here; summed onto a column's
+        # end past int16 they must not wrap.
         column = RankColumn()
         column.append(np.arange(40_000) % 7)
         block = PackedRankDocs.from_lists([[1, 2, 3], [], [4] * 30_000])
-        assert block.to_arrays()["offsets"].dtype == np.int16
+        assert block.to_arrays()["lengths"].dtype == np.int16
         column.extend(block)
-        assert column.to_arrays()["offsets"].tolist() == [0, 40_000, 40_003, 40_003, 70_003]
+        assert column._offsets.tolist() == [0, 40_000, 40_003, 40_003, 70_003]
         assert column[1] == [1, 2, 3] and column.doc_length(3) == 30_000
 
     def test_a_snapshot_of_the_live_index_keeps_out_later_adds(self, monkeypatch):

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import SearchParams
+from repro.core.pkwise import default_scheme, order_and_scheme
 from repro.corpus import DocumentCollection
 from repro.corpus.collection import ColumnDocuments
 from repro.errors import CorpusError
@@ -19,7 +21,7 @@ from repro.ordering.global_order import OOV_RANK, window_frequencies
 from repro.routing import FingerprintTier
 from repro.tokenize import Vocabulary
 
-from .conftest import PerTokenOrder, admitted_ranks
+from .conftest import PerTokenOrder, admitted_ranks, frequency_of_rank
 from .test_seams import cross_seams, seam_case
 
 
@@ -83,7 +85,7 @@ class TestSetupMemory:
 
     def test_order(self, corpus):
         order, peak = self.peak(lambda: GlobalOrder(corpus, 50))
-        assert order.num_data_windows == 2048 * (128 - 50 + 1)
+        assert order.universe_size == 5000
         assert peak < 3 * 2**20, peak
 
     def test_fingerprints(self, corpus):
@@ -126,13 +128,18 @@ class TestGlobalOrder:
 
     def test_frequency_of_rank(self):
         data, order = self._paper_order()
-        assert order.frequency_of_rank(0) == 1  # rings
-        assert order.frequency_of_rank(-5) == 0  # any query-only token
+        assert frequency_of_rank(data, order) == [1, 2, 2, 2]  # rings, lord, of, the
 
     def test_relative_frequency(self):
+        # The default scheme reads each rank's frequency over the 2 data
+        # windows, counted once with the order: the order keeps none.
         data, order = self._paper_order()
-        assert order.num_data_windows == 2
-        assert order.frequency_of_rank(3) / 2 == order.relative_frequency_of_rank(3)
+        params = SearchParams(w=4, tau=0, k_max=3, m=1)
+        built, scheme = order_and_scheme(data, params)
+        assert pickle.dumps(built) == pickle.dumps(order)
+        relative = np.array(frequency_of_rank(data, order)) / data.total_windows(4)
+        assert relative.tolist() == [0.5, 1.0, 1.0, 1.0]
+        assert scheme == default_scheme(params, relative)
 
     def test_rank_is_permutation(self):
         rng = random.Random(0)
@@ -149,7 +156,7 @@ class TestGlobalOrder:
         for _ in range(4):
             data.add_tokens([f"t{rng.randrange(15)}" for _ in range(40)])
         order = GlobalOrder(data, 6)
-        freqs = [order.frequency_of_rank(r) for r in range(order.universe_size)]
+        freqs = frequency_of_rank(data, order)
         assert freqs == sorted(freqs)
 
     def test_rank_document_preserves_positions(self):
@@ -212,9 +219,10 @@ class TestGlobalOrderEdges:
     def test_window_larger_than_all_documents(self):
         data = DocumentCollection()
         data.add_text("a b c")
-        order = GlobalOrder(data, 10)
-        assert order.num_data_windows == 0
-        assert order.relative_frequency_of_rank(0) == 0.0
+        params = SearchParams(w=10, tau=1, k_max=3, m=1)
+        order, scheme = order_and_scheme(data, params)
+        assert data.total_windows(10) == 0 and frequency_of_rank(data, order) == [0, 0, 0]
+        assert scheme.borders == (3, 3)  # no window: every token is rare
 
     def test_empty_collection(self):
         data = DocumentCollection()
@@ -255,6 +263,6 @@ class TestGlobalOrderEdges:
         assert order._rank_of_token.dtype == np.int32
         loaded = pickle.loads(pickle.dumps(order))
         assert order.__getstate__()["_admitted"].dtype == np.int32
-        assert not loaded._freq_of_rank.flags.writeable
+        assert not loaded._token_of_rank.flags.writeable
         assert loaded.rank_sequence([39_999, 0, 40_000], admit=True) == [-40_000, -1, -40_001]
         assert order.rank_sequence([40_000], admit=True) == [-40_001]

@@ -8,6 +8,7 @@ run checkpoint and an ingest ``MANIFEST``).
 from __future__ import annotations
 
 import pickle
+import random
 import re
 import tempfile
 from functools import partial
@@ -18,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Index, PersistenceError, faults, make_profile_collection, persistence
+from repro import (
+    Index,
+    PersistenceError,
+    SearchParams,
+    faults,
+    make_profile_collection,
+    persistence,
+)
 from repro.core.pkwise import PKWiseSearcher
 from repro.core.weighted import WeightedPKWiseSearcher
 from repro.corpus import DocumentCollection
@@ -44,6 +52,7 @@ from repro.persistence import (
     write_envelope,
 )
 from repro.service import ShardPlan
+from repro.tokenize.vocabulary import joined_strings
 
 from .conftest import expected_pairs, load_script, pairs_as_set, reference_index
 
@@ -576,7 +585,7 @@ def _write_manifest(directory: Path, built) -> Path:
             scheme=searcher.scheme,
             # A header, no document: with no segment, no sealed doc id.
             data={"tokenizer": data.tokenizer, "vocabulary": data.vocabulary,
-                  "names": []},
+                  "names": joined_strings([])},
             segments=[],
             tombstones={2},
             next_doc_id=0,
@@ -663,15 +672,15 @@ class TestOtherEnvelopeKinds:
 # ----------------------------------------------------------------------
 #: The checker's smoke snapshot, but ``meta`` (the build time): moves only with the format.
 SMOKE_DIGESTS = {
-    "order": "pickle 2329cc45859421b1a787013d3dbb5ffb",
+    "order": "pickle 7fa33ad540d81f0083ed3c40aac1932b",
     "scheme": "pickle 2987227c80c7401be0a4f3b0450a55f3",
-    "data": "pickle 7caf42e68d32f0d39842f6164ecdb241",
+    "data": "pickle dc46de75f7d08b2082114b2b5132ac15",
     "index.keys": "<u4 7c1ead56ec5803a30f929b6b4993e88b",
     "index.counts": "|i1 3efeab9046870f2a86c72c4bb6c3f3f7",
     "index.docs": "<i2 309d8a79ba32c49152a5e26d950b7d87",
     "index.us": "<i2 8d7912724b6f80c6423b7431184a0a80",
     "index.lens": "|i1 4ffd15a65ebed682401f66fdccbb6b3f",
-    "ranks.offsets": "<i4 a8890fe8fff5eb81ea0467c7c9aa6d0b",
+    "ranks.lengths": "<i2 1c381d274d640f41a72b813197567629",
     "ranks.values": "<i2 aa79ef732ea5a0f234beb4b1595b5d9d",
     "routing.cover_lanes": "<u8 5995171e859afcadc6151a1a6879624f",
     "routing.cover_counts": "|i1 36f3d94b3eeb6945cbcf0a53661777b5",
@@ -691,6 +700,71 @@ def test_section_checker_passes_a_snapshot_a_plan_and_a_live_store(tmp_path, cap
     del digests["meta"]
     assert digests == {name: digest for name, digest in SMOKE_DIGESTS.items()
                        if not name.startswith("routing.")}
+
+
+#: Tokens (and names) one joined string must keep apart: multi-byte
+#: UTF-8, lengths past int8 (the length column widens to int16), and
+#: NUL, newline, space and the empty string inside or as a token.
+HOSTILE = {
+    "utf8": ["naïve", "日本語", "😀", "Ωmega", "é"],
+    "long": ["x" * 200, "y" * 128, "z"],
+    "control": ["a\x00b", "\x00", "line\nbreak", "\n", "two words", " ", ""],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("tokens", HOSTILE.values(), ids=HOSTILE)
+def test_hostile_strings_round_trip(tmp_path, monkeypatch, tokens):
+    # Each reopened snapshot and live store keeps every token and name as
+    # it was, and answers every query as the oracle does; the live
+    # store's MANIFEST is cut by state_at while adds grow the vocabulary.
+    rng = random.Random(len(tokens))
+    pool = tokens + ["w0", "w1", "w2"] if tokens else []
+    data = DocumentCollection()
+    for at in range(6 if tokens else 0):
+        data.add_tokens(rng.choices(pool, k=rng.randint(4, 20)), name=f"{pool[at % len(pool)]}{at}")
+    queries = [data.encode_query_tokens(document_tokens) for document_tokens in (
+        *(data.vocabulary.decode(document.tokens) for document in data), pool * 2, ["unseen"] * 8)]
+    width = np.int16 if any(len(token) > 127 for token in tokens) else np.int8
+
+    def answers_like_the_oracle(collection, searcher):
+        assert list(collection.vocabulary)[: len(data.vocabulary)] == list(data.vocabulary)
+        assert collection.names()[: len(data)] == data.names()
+        for query in map(collection.encode_query_tokens, (q.source_tokens for q in queries)):
+            assert pairs_as_set(searcher.search(query)) == expected_pairs(collection, query, 6, 1)
+
+    Index.build(data, w=6, tau=1, k_max=2).save(tmp_path / "index.idx")
+    _header, sections, _arrays = read_envelope(tmp_path / "index.idx", "pkwise-index")
+    assert sections["data"]["names"][1].dtype == width
+    opened = Index.open(tmp_path / "index.idx", mmap=True)
+    answers_like_the_oracle(opened.data, opened.searcher())
+
+    head = DocumentCollection()
+    for document in data[:3]:
+        head.add_tokens(data.vocabulary.decode(document.tokens), name=document.name)
+    params = SearchParams(w=6, tau=1, k_max=2)
+    store = IngestStore.create(params, directory=tmp_path / "store", data=head)
+    for document in data[3:]:
+        store.add_tokens(data.vocabulary.decode(document.tokens), name=document.name)
+    merge, raced = IngestStore._merge_tiers, []
+
+    def racing(tiers, removed=()):
+        raced.append(store.add_tokens([*pool, "late"], name="late\x00name"))
+        return merge(tiers, removed)
+
+    monkeypatch.setattr(IngestStore, "_merge_tiers", staticmethod(racing))
+    store.flush()
+    monkeypatch.undo()
+    assert raced or not tokens  # an empty store has nothing to fold
+    manifest = read_manifest(tmp_path / "store")
+    assert len(manifest.data["vocabulary"]) == len(data.vocabulary)
+    assert manifest.data["names"][1].dtype == width
+    store.close()
+    reopened = IngestStore.open(tmp_path / "store")
+    assert list(reopened.data.vocabulary) == [*data.vocabulary, *("late" for _ in raced)]
+    assert reopened.data.names() == [*data.names(), *("late\x00name" for _ in raced)]
+    answers_like_the_oracle(reopened.data, reopened.searcher())
+    reopened.close()
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro import ConfigurationError, SearchParams
 from repro.core.base import SearchStats
-from repro.core.pkwise import PKWiseSearcher, default_scheme
+from repro.core.pkwise import PKWiseSearcher, order_and_scheme
 from repro.core.pkwise_nonint import PKWiseNonIntervalSearcher
 from repro.corpus import DocumentCollection
 from repro.errors import SearchCancelled
@@ -89,8 +89,7 @@ class TestSchemes:
 
     def test_default_scheme_covers_universe(self, small_corpus):
         params = SearchParams(w=12, tau=2, k_max=4)
-        order = GlobalOrder(small_corpus, 12)
-        scheme = default_scheme(params, order)
+        order, scheme = order_and_scheme(small_corpus, params)
         assert scheme.k_max == 4
         assert scheme.universe_size == order.universe_size
         assert scheme.class_range(4)[1] == order.universe_size

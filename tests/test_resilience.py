@@ -143,7 +143,7 @@ class TestRetryPolicy:
         assert send.calls == 2
         assert sleeps == [pytest.approx(0.2)]
 
-    def test_5xx_retries_and_counts_toward_breaker(self):
+    def test_5xx_retries(self):
         client, _clock, _sleeps = make_client(retries=2)
         send = ScriptedSend([http_error(500), http_error(502), {"ok": 1}])
         assert client._call(send) == {"ok": 1}

@@ -14,6 +14,7 @@ the feature suites name their fixed ones with :func:`seam_case`.
 from __future__ import annotations
 
 import copy
+import pickle
 import random
 from contextlib import ExitStack
 from types import SimpleNamespace
@@ -24,7 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SearchParams
-from repro.core.pkwise import DEFAULT_FREQ_HIGH, DEFAULT_FREQ_LOW, PKWiseSearcher, default_scheme
+from repro.core.pkwise import (
+    DEFAULT_FREQ_HIGH,
+    DEFAULT_FREQ_LOW,
+    PKWiseSearcher,
+    default_scheme,
+    order_and_scheme,
+)
 from repro.corpus import Document, DocumentCollection
 from repro.index.compact import CompactIntervalIndex, PackedRankDocs, _packed_column
 from repro.ingest import IngestStore
@@ -42,6 +49,7 @@ from .conftest import (
     admitted_ranks,
     expected_pairs,
     pairs_as_set,
+    per_document_window_frequencies,
     probe_runs,
     reference_index,
 )
@@ -61,29 +69,17 @@ CONSTANTS = {
 }
 
 
-def per_document_window_frequencies(data, w):
-    """Every window of every document, one set of tokens each: what
-    ``window_frequencies`` is held to across its blocks."""
-    freq = [0] * len(data.vocabulary)
-    for document in data:
-        tokens = document.tokens
-        for start in range(len(tokens) - w + 1):
-            for token in set(tokens[start : start + w]):
-                freq[token] += 1
-    return freq
-
-
-def per_rank_borders(params, order, freq_low, freq_high):
-    """``default_scheme``'s borders by walking the ranks one at a time:
-    what its one ``searchsorted`` is held to."""
-    size, k_max = order.universe_size, params.k_max
+def per_rank_borders(params, relative, freq_low, freq_high):
+    """``default_scheme``'s borders by walking the ranks' relative
+    frequencies one at a time: what its one ``searchsorted`` is held to."""
+    size, k_max = len(relative), params.k_max
     if k_max == 1 or size == 0:
         return ()
     borders, rank = [], 0
     for class_index in range(2, k_max + 1):
         fraction = 0.0 if k_max == 2 else (class_index - 2) / (k_max - 2)
         threshold = freq_low * (freq_high / freq_low) ** fraction
-        while rank < size and order.relative_frequency_of_rank(rank) < threshold:
+        while rank < size and relative[rank] < threshold:
             rank += 1
         borders.append(rank)
     return tuple(borders)
@@ -157,7 +153,7 @@ def build_inputs(draw):
 def widened(order, dtype):
     """A copy of ``order`` with each of its tables at least ``dtype``."""
     wide = copy.deepcopy(order)
-    for name in ("_token_of_rank", "_freq_of_rank", "_rank_of_token"):
+    for name in ("_token_of_rank", "_rank_of_token"):
         column = getattr(order, name)
         setattr(wide, name, column.astype(np.promote_types(column.dtype, dtype)))
     return wide
@@ -198,11 +194,20 @@ def cross_seams(case):
         ranked = order._token_of_rank
         keys = list(zip(np.array(freq)[ranked].tolist(), vocabulary.decode(ranked)))
         assert sorted(ranked) == list(range(size)) and keys == sorted(keys)
-        options = [*order.relative_frequencies().tolist(), DEFAULT_FREQ_LOW, DEFAULT_FREQ_HIGH, 0.3]
+        windows = data.total_windows(w)
+        relative = [freq[token] / windows if windows else 0.0 for token in ranked.tolist()]
+        options = [*relative, DEFAULT_FREQ_LOW, DEFAULT_FREQ_HIGH, 0.3]
         drawn = rng.choice(options) or DEFAULT_FREQ_LOW, rng.choice(options)
         for low, high in [(DEFAULT_FREQ_LOW, DEFAULT_FREQ_HIGH), (0.3, 0.01), drawn]:
-            want = per_rank_borders(case, order, low, high)  # ints: repr tells numpy's apart
-            assert repr(default_scheme(case, order, low, high).borders) == repr(want)
+            want = per_rank_borders(case, relative, low, high)  # ints: repr tells numpy's apart
+            assert repr(default_scheme(case, np.array(relative), low, high).borders) == repr(want)
+        # 2: the one count gives that order and the default scheme; the
+        # order keeps no frequency, so a reloaded copy holds what it holds.
+        built, default = order_and_scheme(data, case)
+        assert default == default_scheme(case, np.array(relative))
+        assert pickle.dumps(built) == pickle.dumps(order)
+        assert set(order.__getstate__()) == {"w", "_token_of_rank", "_built_size", "_admitted"}
+        assert vars(pickle.loads(pickle.dumps(order))).keys() == vars(order).keys()
         # 2: later documents admit new words lazily, in one gather as one by one.
         reference = PerTokenOrder(order)
         for length in case.late:
