@@ -14,7 +14,7 @@ and asserts *exactness*, not just survival:
 ``corrupt``
     A corrupt-bytes fault on snapshot read must surface as a typed
     :class:`~repro.PersistenceError` naming the corrupt section (never
-    a pickle error), and rotation fallback must recover the previous
+    a decoder error), and rotation fallback must recover the previous
     intact snapshot.
 ``resume``
     A kill with recovery disabled aborts the run but leaves an atomic

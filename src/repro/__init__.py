@@ -61,7 +61,7 @@ from .params import SearchParams
 from .persistence import PersistenceError
 from .routing.policy import RoutingPolicy
 
-__version__ = "4.1.0"
+__version__ = "4.2.0"
 
 __all__ = [
     "__version__",

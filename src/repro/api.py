@@ -227,18 +227,16 @@ class Index:
         snapshot stores the corpus once: ``index.data`` decodes a
         document from the rank columns each time one is asked for.
         A corrupt file falls back to its newest intact rotated
-        generation (:func:`~repro.persistence.load_bundle`); one written by a
-        pre-2.0 release is a typed
-        :class:`~repro.persistence.PersistenceError`: rebuild it.
+        generation (:func:`~repro.persistence.load_bundle`); one written by
+        4.1 or before, or whose columns break what the search kernels
+        assume, is a typed :class:`~repro.persistence.PersistenceError`
+        naming the section: rebuild it.
 
         ``routing`` overrides the snapshot's routing mode for every
         query through this index.  ``"exact"``
         against a snapshot saved without fingerprints raises
         :class:`~repro.errors.RoutingUnavailableError` here, at open
         time, rather than on the first query.
-
-        SECURITY: snapshots contain pickled sections; only open files
-        you (or your pipeline) wrote.
         """
         bundle = load_bundle(path, mmap=mmap)
         searcher = bundle.searcher

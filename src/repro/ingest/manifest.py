@@ -17,9 +17,9 @@ recovery invariant is::
         ==  pre-crash live state   (pair-identical query results)
 
 It reuses the checksummed envelope from :mod:`repro.persistence` (kind
-``"ingest-manifest"``, pickled sections only), written atomically, so a
-crash mid-write leaves the previous manifest intact and a corrupted
-file fails loudly with a typed
+``"ingest-manifest"``: JSON sections, and the order's and the header's
+integer columns), written atomically, so a crash mid-write leaves the
+previous manifest intact and a corrupted file fails loudly with a typed
 :class:`~repro.persistence.PersistenceError` instead of resurrecting a
 half-written state.
 
@@ -39,7 +39,20 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..persistence import PersistenceError, read_envelope, read_toc, write_envelope
+from ..errors import ReproError
+from ..params import SearchParams
+from ..partition.scheme import PartitionScheme
+from ..persistence import (
+    PersistenceError,
+    check_dtypes,
+    header_sections,
+    load_header,
+    load_order,
+    older_format_version,
+    order_sections,
+    read_envelope,
+    write_envelope,
+)
 
 MANIFEST_NAME = "MANIFEST"
 MANIFEST_KIND = "ingest-manifest"
@@ -81,7 +94,7 @@ class ManifestState:
         self.scheme = scheme
         #: Collection header of ``[0, next_doc_id)``: ``{"tokenizer",
         #: "vocabulary", "names"}`` (the tokens are the segments'; the
-        #: names joined, :func:`~repro.tokenize.vocabulary.joined_strings`).
+        #: names a list of ``str``).
         self.data = data
         #: ``[{"file", "doc_lo", "doc_hi", "generation"}, ...]`` ascending.
         self.segments = segments
@@ -106,21 +119,26 @@ def write_manifest(directory: str | Path, state: ManifestState) -> None:
         "generation": state.generation,
         "segments": [dict(segment) for segment in state.segments],
     }
+    data = state.data
     sections = {
-        "params": state.params,
-        "order": state.order,
-        "scheme": state.scheme,
-        "data": state.data,
+        "params": state.params.to_dict(),
+        "scheme": state.scheme.to_dict(),
         "tombstones": sorted(state.tombstones),
     }
+    sections["order"], arrays = order_sections(state.order)
+    sections["data"], header_arrays = header_sections(
+        data["tokenizer"], data["vocabulary"], data["names"]
+    )
+    arrays.update(header_arrays)
     write_envelope(
-        manifest_path(directory), MANIFEST_KIND, sections, header=header
+        manifest_path(directory), MANIFEST_KIND, sections, arrays, header=header
     )
 
 
 #: Envelope version of an older store's ``MANIFEST`` -> what wrote it and
 #: the last releases that read it.  Up to 2.25 a ``MANIFEST`` stored every
-#: document; the file is not read to tell which kind it is.
+#: document; the file is not read to tell which kind it is.  From version
+#: 11 on a TOC names the release that wrote it, so this table stops here.
 _OLDER_STORES = {
     3: ("repro 2.0–2.14, which stored every document in it",
         "repro 2.14.0 reads it"),
@@ -138,24 +156,18 @@ _OLDER_STORES = {
     9: ("repro 4.0.x, whose global order stored a window-frequency table "
         "and whose vocabulary and names were lists of strings",
         "repro 4.0.0 reads it"),
+    10: ("repro 4.1.x, whose TOC and small sections were pickles",
+         "repro 4.1.0 reads it"),
 }
-
-
-def _format_version(path: Path):
-    """The envelope format version in ``path``'s TOC, or None."""
-    try:
-        return read_toc(path).get("version")
-    except PersistenceError:
-        return None
 
 
 def read_manifest(directory: str | Path) -> ManifestState:
     """Load and validate the manifest of an ingest directory."""
     path = manifest_path(directory)
     try:
-        header, sections, _arrays = read_envelope(path, MANIFEST_KIND)
+        header, sections, arrays = read_envelope(path, MANIFEST_KIND)
     except PersistenceError:
-        older = _OLDER_STORES.get(_format_version(path))
+        older = _OLDER_STORES.get(older_format_version(path))
         if older is not None:
             written_by, readers = older
             raise PersistenceError(
@@ -164,8 +176,21 @@ def read_manifest(directory: str | Path) -> ManifestState:
                 f"this release"
             ) from None
         raise
-    data = sections["data"]
-    segments = list(header.get("segments", []))
+    for name in ("params", "scheme", "order", "data", "tombstones"):
+        if name not in sections:
+            raise PersistenceError(f"{path}: manifest is missing section {name!r}")
+    try:
+        params = SearchParams.from_dict(sections["params"])
+        scheme = PartitionScheme.from_dict(sections["scheme"])
+        segments = list(header["segments"])
+        next_doc_id = header["next_doc_id"]
+        wal_generation, generation = header["wal_generation"], header["generation"]
+        tombstones = set(sections["tombstones"])
+    except (ReproError, KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(f"{path}: malformed manifest: {exc!r}") from exc
+    check_dtypes(path, arrays)
+    order = load_order(path, sections, arrays)
+    data = load_header(path, sections, arrays, order)
     lo = 0
     for segment in segments:
         if segment["doc_lo"] != lo:
@@ -175,26 +200,24 @@ def read_manifest(directory: str | Path) -> ManifestState:
                 f"does not tile the corpus"
             )
         lo = segment["doc_hi"]
-    next_doc_id = header["next_doc_id"]
     if lo != next_doc_id:
         raise PersistenceError(
             f"{path}: segments cover {lo} docs but next_doc_id is "
             f"{next_doc_id} — the segment list does not tile the corpus"
         )
-    _joined, name_lengths = data["names"]
-    if len(name_lengths) != next_doc_id:
+    if len(data["names"]) != next_doc_id:
         raise PersistenceError(
-            f"{path}: collection header names {len(name_lengths)} docs, "
+            f"{path}: collection header names {len(data['names'])} docs, "
             f"next_doc_id says {next_doc_id}"
         )
     return ManifestState(
-        params=sections["params"],
-        order=sections["order"],
-        scheme=sections["scheme"],
+        params=params,
+        order=order,
+        scheme=scheme,
         data=data,
         segments=segments,
-        tombstones=set(sections["tombstones"]),
+        tombstones=tombstones,
         next_doc_id=next_doc_id,
-        wal_generation=header["wal_generation"],
-        generation=header["generation"],
+        wal_generation=wal_generation,
+        generation=generation,
     )

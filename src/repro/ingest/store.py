@@ -36,7 +36,6 @@ write side → store mutex.
 
 from __future__ import annotations
 
-import copyreg
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,7 +56,6 @@ from ..persistence import (
     save_searcher,
 )
 from ..routing import FingerprintTier
-from ..tokenize.vocabulary import joined_strings, split_strings
 from .manifest import (
     SEGMENT_STEM,
     ManifestState,
@@ -134,10 +132,10 @@ class _Prefix:
     """An append-only table — the vocabulary, the global order — as it
     stood when it held ``length`` entries.
 
-    It pickles as the table itself cut to that prefix
-    (``table.state_at(length)``), so taking one under the writer lock is
-    O(1) whatever the table's size, and the cut is made when a manifest
-    is written, off-lock, while adds go on appending past ``length``.
+    Taking one under the writer lock is O(1) whatever the table's size;
+    the writer asks it for the table's stored columns cut to that prefix
+    (``table.to_arrays(length)``) when a manifest is written, off-lock,
+    while adds go on appending past ``length``.
     """
 
     __slots__ = ("table", "length")
@@ -146,11 +144,8 @@ class _Prefix:
         self.table = table
         self.length = length
 
-    def __reduce_ex__(self, protocol):
-        # copyreg's reconstructor makes a bare instance of the table's
-        # class; unpickling then hands it the cut state (``__setstate__``).
-        state = self.table.state_at(self.length)
-        return copyreg._reconstructor, (type(self.table), object, None), state
+    def to_arrays(self):
+        return self.table.to_arrays(self.length)
 
 
 class _SealedSnapshot:
@@ -178,13 +173,12 @@ class _SealedSnapshot:
 def _sealed_header(data: DocumentCollection) -> dict:
     """What a manifest keeps of ``data``: its tokenizer, its vocabulary
     as a :class:`_Prefix` of today's length (adds go on interning into
-    it) and its names, joined (:func:`~repro.tokenize.vocabulary.joined_strings`).
-    Nothing is decoded."""
+    it) and its names.  Nothing is decoded."""
     vocabulary = data.vocabulary
     return {
         "tokenizer": data.tokenizer,
         "vocabulary": _Prefix(vocabulary, len(vocabulary)),
-        "names": joined_strings(data.names()),
+        "names": data.names(),
     }
 
 
@@ -360,7 +354,7 @@ class IngestStore:
         order = state.order
         data = DocumentCollection.over_columns(
             header["tokenizer"], header["vocabulary"],
-            TieredRankDocs(segments), order.token_table(), split_strings(header["names"]),
+            TieredRankDocs(segments), order.token_table(), header["names"],
         )
         store = cls(
             state.params,

@@ -143,10 +143,10 @@ class GlobalOrder:
     (:func:`~repro.index.compact._packed_column`): ``_token_of_rank``
     over the build-time ranks, read-only, and ``_admitted``, the ids of
     the tokens admitted since, in arrival order (the ``i``-th holds rank
-    ``-1 - i``).  A pickle stores those two and the loader derives
-    ``_rank_of_token``, the table every id is ranked through by one
-    gather (:meth:`rank_ids`): the inverse of ``_token_of_rank``,
-    extended over the admitted ids.  So a built order and its reloaded
+    ``-1 - i``).  A file stores those two (:meth:`to_arrays`) and the
+    loader derives ``_rank_of_token``, the table every id is ranked
+    through by one gather (:meth:`rank_ids`): the inverse of
+    ``_token_of_rank``, extended over the admitted ids.  So a built order and its reloaded
     copy hold the same state.  The order holds no vocabulary: it maps
     token ids, whatever strings they stand for.
     """
@@ -290,37 +290,34 @@ class GlobalOrder:
         return np.concatenate((self._token_of_rank, admitted[::-1]), dtype=width)
 
     # ------------------------------------------------------------------
-    def state_at(self, admitted: int) -> dict:
-        """What a pickle stores of this order as it stood when it had
-        admitted ``admitted`` tokens: the build-time table and the first
-        ``admitted`` entries of the admitted column, at its narrowest
-        width.  Admission only appends, so a prefix length
-        taken under a writer's lock is a point-in-time copy that is cut
-        here, when it is pickled."""
+    def to_arrays(self, admitted: int | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+        """``(meta, columns)`` a file stores of this order as it stood
+        when it had admitted ``admitted`` tokens (default: all): ``w``,
+        and the build-time ``token_of_rank`` column and the first
+        ``admitted`` entries of the ``admitted`` column, at its narrowest
+        width.  Admission only appends, so a count taken under a writer's
+        lock is a point-in-time copy that is cut here, when the file is
+        written; ``_rank_of_token`` is derived on load."""
         # Imported here: repro.index imports this package (via partition).
         from ..index.compact import _packed_column
 
-        return {
-            "w": self.w,
-            "_token_of_rank": self._token_of_rank,
-            "_built_size": self._built_size,
-            "_admitted": _packed_column(self._admitted[:admitted]),
+        cut = self._num_admitted if admitted is None else admitted
+        columns = {
+            "token_of_rank": self._token_of_rank,
+            "admitted": _packed_column(self._admitted[:cut]),
         }
+        return {"w": self.w}, columns
 
-    def __getstate__(self) -> dict:
-        """A pickle stores the columns :meth:`state_at` names, not
-        ``_rank_of_token``: that is derived on load."""
-        return self.state_at(self._num_admitted)
-
-    def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        admitted = state.pop("_admitted")
-        # An unpickled array carries its own copy of its dtype; viewed at
-        # the shared one, the table pickles again to the same bytes.
-        column = state["_token_of_rank"]
-        state["_token_of_rank"] = _read_only(column.view(np.dtype(column.dtype.str)))
-        self.__dict__.update(state)
-        self._derive_rank_table(admitted)
+    @classmethod
+    def from_arrays(cls, meta: dict, columns: dict[str, np.ndarray]) -> "GlobalOrder":
+        """Inverse of :meth:`to_arrays` (the columns may be mapped views),
+        so a built order and its reloaded copy hold the same state."""
+        self = cls.__new__(cls)
+        self.w = meta["w"]
+        self._token_of_rank = _read_only(columns["token_of_rank"])
+        self._built_size = len(self._token_of_rank)
+        self._derive_rank_table(columns["admitted"])
+        return self
 
     def rank_sequence(self, tokens: Sequence[int], *, admit: bool = False) -> list[int]:
         """Map a token-id sequence to its rank sequence, as Python ints

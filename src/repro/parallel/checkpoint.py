@@ -17,7 +17,8 @@ changed parameters, reordered queries) fails with a typed
 :class:`~repro.persistence.PersistenceError` instead of silently
 merging incompatible partial results.
 
-Record shapes (plain dicts, pickled inside the envelope):
+Record shapes (plain dicts, one JSON section of the envelope; a tuple
+comes back as a list, so a resumed run rebuilds its pair tuples):
 
 ``{"type": "unit", "keys": [...], "pid": int, "elapsed": float, ...}``
     One completed chunk.  ``keys`` identifies the finished items

@@ -46,8 +46,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .. import faults
-from ..core.base import SearchStats
+from ..core.base import MatchPair, SearchStats
 from ..core.pkwise import PKWiseSearcher
+from ..core.selfjoin import SelfJoinPair
 from ..corpus import Document, DocumentCollection
 from ..errors import ConfigurationError, WorkerCrashError
 from ..eval.harness import (
@@ -414,13 +415,12 @@ class ParallelExecutor:
                 failures.append(failure)
                 skip.add(failure.position)
             for record in run_checkpoint.unit_records():
+                rows = [
+                    (position, doc_id, [MatchPair(*pair) for pair in pairs])
+                    for position, doc_id, pairs in record["rows"]
+                ]
                 raw_units.append(
-                    (
-                        record["pid"],
-                        record["elapsed"],
-                        record["snapshot"],
-                        record["rows"],
-                    )
+                    (record["pid"], record["elapsed"], record["snapshot"], rows)
                 )
             recovery.resumed_items = len(skip)
             items = [(pos, query) for pos, query in items if pos not in skip]
@@ -576,7 +576,7 @@ class ParallelExecutor:
             )
             done = run_checkpoint.done_keys()
             for record in run_checkpoint.unit_records():
-                results.extend(record["pairs"])
+                results.extend(SelfJoinPair(*pair) for pair in record["pairs"])
             recovery.resumed_items = len(done)
             documents = [
                 document for document in documents if document.doc_id not in done

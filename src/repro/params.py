@@ -124,6 +124,21 @@ class SearchParams:
             )
         object.__setattr__(self, "theta", self.w - self.tau)
 
+    def to_dict(self) -> dict:
+        """JSON-ready form, as a file stores it (``theta`` is derived)."""
+        return {
+            "w": self.w,
+            "tau": self.tau,
+            "k_max": self.k_max,
+            "m": self.m,
+            "routing": self.routing.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "SearchParams":
+        """Inverse of :meth:`to_dict`, validated as any construction is."""
+        return cls(**payload)
+
     @classmethod
     def from_values(
         cls,

@@ -64,6 +64,19 @@ class PartitionScheme:
                 )
             previous = border
 
+    def to_dict(self) -> dict:
+        """JSON-ready form, as a file stores it."""
+        return {"universe_size": self.universe_size, "borders": list(self.borders), "m": self.m}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "PartitionScheme":
+        """Inverse of :meth:`to_dict`, validated as any construction is."""
+        return cls(
+            universe_size=payload["universe_size"],
+            borders=tuple(payload["borders"]),
+            m=payload["m"],
+        )
+
     # ------------------------------------------------------------------
     @property
     def k_max(self) -> int:

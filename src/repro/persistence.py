@@ -6,36 +6,42 @@ once and serve many queries.  This module persists a fully built
 :class:`~repro.core.pkwise.PKWiseSearcher` — frozen onto its compact
 array-backed structures — to a single file.
 
-There is one on-disk layout, shared by index snapshots, the ingest
-``MANIFEST`` and the parallel executor's run checkpoints
-(:func:`write_envelope` / :func:`read_envelope`): a 16-byte magic, an
-8-byte little-endian TOC length, a pickled TOC, then each section's raw
-bytes at a 64-byte aligned offset.  Small sections (params, order,
-scheme, the collection header, checkpoint records) are pickled; a
-snapshot's index and rank columns are stored as raw typed arrays, so
-``load_bundle(path, mmap=True)`` maps them with ``mmap`` +
-``np.frombuffer`` without copying — workers sharing one snapshot share
-one page cache.  A snapshot holds its corpus once: the rank columns
-are the documents (the global order is a bijection), so ``data`` is a
-header — tokenizer, vocabulary, names — and the loaded collection reads
-tokens back through the ranks.  A header holds only what a reader uses,
-each per-token table once: the vocabulary pickles its tokens and the
-header the document names as one joined string and a narrow length
-column each (the lists are split from them on load), the order one
-narrow integer array (token of rank; the window frequencies that chose
-it are not kept), and each rebuilds its inverse on load; a live-store
-segment stores no order at all (its ``MANIFEST`` holds the store's one
-copy).  Every section, pickled or raw, carries a BLAKE2b payload digest
-in the TOC, so a flipped bit on disk surfaces as a typed
-:class:`PersistenceError` naming the corrupt section — never a pickle
-error or silently wrong data.
+There is one on-disk layout, shared by index snapshots, live-store
+segments, shard files, the ingest ``MANIFEST`` and the parallel
+executor's run checkpoints (:func:`write_envelope` /
+:func:`read_envelope`): a 16-byte magic, an 8-byte little-endian TOC
+length, the TOC — UTF-8 JSON of at most :data:`_TOC_MAX` bytes —
+followed by its own BLAKE2b digest, then each section's bytes at a
+64-byte aligned offset.  The TOC names the release that wrote it, the
+envelope's kind, a small header and each section's offset, length and
+digest.  A section is one of two things and nothing else:
 
-Pickle is appropriate for the TOC and the small sections because an
-index file is a local artifact produced by the same trust domain that
-loads it; never load index files from untrusted sources.  A file that
-does not start with the magic is rejected before a byte of it is
-unpickled: snapshots written by pre-2.0 releases are not migrated —
-rebuild them with ``repro index``.
+* a raw integer column, its dtype and shape in the TOC (their product
+  must be the stored length), which ``load_bundle(path, mmap=True)``
+  maps with ``mmap`` + ``np.frombuffer`` without copying — workers
+  sharing one snapshot share one page cache;
+* JSON: the params, the scheme, the index's counts, the tokenizer,
+  checkpoint records (each class's ``to_dict`` / ``from_dict``).
+
+Nothing in a file is unpickled, so a file is data whoever wrote it.  A
+snapshot holds its corpus once: the rank columns are the documents (the
+global order is a bijection), so its collection is a header — the
+tokenizer, and the vocabulary and the document names each as their
+UTF-8 bytes and a narrow length column — and the loaded collection
+reads tokens back through the ranks.  The order is its two integer
+columns (token of rank, lazily admitted ids); a live-store segment
+stores no order and no vocabulary (its ``MANIFEST`` holds the store's
+one copy).
+
+Every section carries a BLAKE2b payload digest in the TOC, and the TOC
+its own, so a flipped bit surfaces as a typed :class:`PersistenceError`
+naming the section or the TOC.  A snapshot's columns are then checked
+once, on open, for what the search kernels assume of them (keys
+sorted, postings inside their documents, ranks inside the order, ...):
+a file with valid digests but impossible contents is refused with an
+error naming the section, never answered wrongly.  A file with the
+magic of 4.1 and before (a pickled TOC) is refused on its magic alone,
+without a byte of its TOC run: rebuild it with ``repro index``.
 
 :func:`save_searcher` can additionally keep rotated snapshot
 generations (``index.idx.1``, ``index.idx.2``, ...); :func:`load_bundle`
@@ -46,14 +52,16 @@ so a crash mid-deploy never leaves serving without an index.
 from __future__ import annotations
 
 import hashlib
+import json
 import mmap as mmap_module
 import os
-import pickle
 import tempfile
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from pickletools import genops
 
 import numpy as np
 
@@ -62,24 +70,24 @@ from .core.pkwise import PKWiseSearcher
 from .corpus import DocumentCollection
 from .errors import ReproError
 from .index.compact import CompactIntervalIndex, PackedRankDocs
+from .ordering import GlobalOrder
+from .params import SearchParams
+from .partition.scheme import PartitionScheme
 from .routing import FingerprintTier
-from .tokenize.vocabulary import joined_strings, split_strings
+from .routing.fingerprints import LANES
+from .tokenize import Tokenizer, Vocabulary
+from .tokenize.vocabulary import split_strings, string_columns
 
-_MAGIC = b"repro-envelope-3"  # exactly 16 bytes
-#: 4: a snapshot's "data" section is a header, not documents.  5: no
-#: per-token table is stored beside its inverse, and a live-store
-#: segment stores no order (its ``MANIFEST`` holds the one copy).  6:
-#: signature-hash keys are ``uint32`` (the paper's 4 bytes), not 8 bytes.
-#: 7: the global order pickles its tables as narrow integer arrays, not
-#: int lists, and holds no vocabulary.  8: it stores its lazily admitted
-#: tokens as such a column too, not a dict.  9: the index stores each
-#: key's run count and each interval's length (``index.counts``,
-#: ``index.lens``), not run offsets and interval ends, and an integer
-#: column may be int8.  10: the order stores no window-frequency table,
-#: the vocabulary and the document names are each one joined string and
-#: a length column, and the rank column stores each document's length
-#: (``ranks.lengths``), not offsets.
-_TOC_VERSION = 10
+_MAGIC = b"repro-envelope-4"  # exactly 16 bytes
+#: The magic of envelope versions 3–10 (repro 2.0–4.1), whose TOC was a
+#: pickle: such a file is refused on its magic, its TOC never run.
+_OLD_MAGIC = b"repro-envelope-3"
+#: 11: the TOC is digested JSON naming its writer, and every section is
+#: JSON or a raw integer column; the order is two columns, the
+#: vocabulary and the names UTF-8 bytes and a length column each.
+_TOC_VERSION = 11
+#: Most bytes a TOC may take: a reader allocates no more for it.
+_TOC_MAX = 1 << 20
 _HEAD_SIZE = len(_MAGIC) + 8  # magic + TOC length
 _ALIGN = 64
 _INDEX_KIND = "pkwise-index"
@@ -92,6 +100,11 @@ class PersistenceError(ReproError):
 
 def _digest(payload) -> str:
     return hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).hexdigest()
+
+
+def _json_bytes(value) -> bytes:
+    """``value`` as a JSON section or TOC stores it, compact."""
+    return json.dumps(value, separators=(",", ":")).encode()
 
 
 def _atomic_write(path: Path, serialize) -> None:
@@ -126,23 +139,26 @@ def write_envelope(
     arrays: dict | None = None,
     header: dict | None = None,
 ) -> None:
-    """Atomically write a checksummed envelope (pickled + raw sections).
+    """Atomically write a checksummed envelope (JSON + raw sections).
 
-    ``sections`` values are pickled independently; ``arrays`` values
-    are numpy arrays stored as raw bytes at 64-byte-aligned offsets
+    ``sections`` values are stored as JSON each; ``arrays`` values are
+    integer numpy arrays stored as raw bytes at 64-byte-aligned offsets
     (dtype and shape recorded in the TOC) so readers can map them
-    zero-copy.  Every payload — pickled or raw — carries a BLAKE2b
-    digest in the TOC.  ``header`` is a small plain-data dict readable
-    without touching any section payload.  ``kind`` names the
-    envelope's schema (index file, workload checkpoint, ingest
-    manifest) and is verified on read.
+    zero-copy.  Every payload carries a BLAKE2b digest in the TOC, and
+    the TOC its own.  ``header`` is a small JSON dict readable without
+    touching any section payload.  ``kind`` names the envelope's schema
+    (index file, workload checkpoint, ingest manifest) and is verified
+    on read.
     """
+    from . import __version__
+
     path = Path(path)
     toc: dict = {
         "version": _TOC_VERSION,
+        "writer": f"repro {__version__}",
         "kind": kind,
         "header": dict(header or {}),
-        "pickled": {},
+        "json": {},
         "arrays": {},
     }
     entries: list[tuple[int, bytes]] = []
@@ -151,7 +167,8 @@ def write_envelope(
     def place(group: str, name: str, blob: bytes, **extra) -> None:
         nonlocal rel
         blob = faults.inject_bytes("persistence.write", blob, section=name, kind=kind)
-        rel = _align(rel)
+        if blob:  # an empty section has no bytes to align
+            rel = _align(rel)
         toc[group][name] = {
             "offset": rel,
             "length": len(blob),
@@ -161,22 +178,32 @@ def write_envelope(
         entries.append((rel, blob))
         rel += len(blob)
 
-    for name, obj in sections.items():
-        place("pickled", name, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    for name, value in sections.items():
+        place("json", name, _json_bytes(value))
     for name, array in (arrays or {}).items():
         array = np.ascontiguousarray(array)
+        if array.dtype.kind not in "iu":
+            raise PersistenceError(
+                f"section {name!r} is {array.dtype}: a file stores integer columns only"
+            )
         place(
             "arrays", name, array.tobytes(),
-            dtype=array.dtype.str, shape=tuple(array.shape),
+            dtype=array.dtype.str, shape=list(array.shape),
         )
-    toc_bytes = pickle.dumps(toc, protocol=pickle.HIGHEST_PROTOCOL)
-    data_start = _align(_HEAD_SIZE + len(toc_bytes))
+    toc_bytes = _json_bytes(toc)
+    if len(toc_bytes) > _TOC_MAX:
+        raise PersistenceError(
+            f"{kind} TOC for {path} is {len(toc_bytes):,d} B, over {_TOC_MAX:,d}"
+        )
+    toc_end = _HEAD_SIZE + len(toc_bytes) + _DIGEST_SIZE
+    data_start = _align(toc_end)
 
     def serialize(handle) -> None:
         handle.write(_MAGIC)
         handle.write(len(toc_bytes).to_bytes(8, "little"))
         handle.write(toc_bytes)
-        position = _HEAD_SIZE + len(toc_bytes)
+        handle.write(hashlib.blake2b(toc_bytes, digest_size=_DIGEST_SIZE).digest())
+        position = toc_end
         for rel_offset, blob in entries:
             target = data_start + rel_offset
             if target > position:
@@ -193,33 +220,91 @@ def _open_envelope(path: Path, kind: str):
     return open(path, "rb")
 
 
+def _pickled_toc_version(handle):
+    """The ``version`` an older envelope's pickled TOC holds, read with
+    :func:`pickletools.genops` (which parses opcodes and runs none), or
+    None.  ``handle`` is just past the magic."""
+    toc_length = int.from_bytes(handle.read(8), "little")
+    if toc_length > _TOC_MAX:
+        return None
+    ops = genops(handle.read(toc_length))
+    try:
+        for _opcode, arg, _at in ops:
+            if arg == "version":
+                for opcode, value, _at in ops:
+                    if opcode.name != "MEMOIZE":
+                        return value if isinstance(value, int) else None
+    except ValueError:  # a torn or foreign pickle: no version to name
+        return None
+    return None
+
+
 def _read_toc(handle, path: Path, kind: str) -> tuple[dict, int]:
-    """``(toc, its length)`` from an envelope opened at byte 0."""
-    if handle.read(len(_MAGIC)) != _MAGIC:
+    """``(toc, where the sections start)`` from an envelope opened at
+    byte 0; an older envelope is refused on its magic."""
+    magic = handle.read(len(_MAGIC))
+    if magic == _OLD_MAGIC:
+        version = _pickled_toc_version(handle)
         raise PersistenceError(
-            f"{path} is not a repro 2.0 {kind} file; files written by "
+            f"{path} is a {kind} file of format version {version} (repro "
+            f"4.1 or before), whose TOC is a pickle this release does not "
+            f"read — rebuild the file"
+        )
+    if magic != _MAGIC:
+        raise PersistenceError(
+            f"{path} is not a repro {kind} file; files written by "
             f"1.x releases are not migrated — rebuild it with this "
             f"release (repro index / repro ingest)"
         )
+    toc_length = int.from_bytes(handle.read(8), "little")
+    if toc_length > _TOC_MAX:
+        raise PersistenceError(
+            f"cannot read {kind} file {path}: malformed TOC: its length "
+            f"{toc_length:,d} B is over {_TOC_MAX:,d}"
+        )
+    toc_bytes = handle.read(toc_length)
+    digest = handle.read(_DIGEST_SIZE)
+    if len(toc_bytes) != toc_length or len(digest) != _DIGEST_SIZE:
+        raise PersistenceError(f"cannot read {kind} file {path}: malformed TOC: truncated")
+    if hashlib.blake2b(toc_bytes, digest_size=_DIGEST_SIZE).digest() != digest:
+        raise PersistenceError(
+            f"{kind} file {path}: the TOC is corrupt (checksum mismatch) — "
+            f"restore from a snapshot or rebuild"
+        )
     try:
-        toc_length = int.from_bytes(handle.read(8), "little")
-        toc = pickle.loads(handle.read(toc_length))
-    except Exception as exc:
+        toc = json.loads(toc_bytes)
+    except (ValueError, RecursionError) as exc:
         raise PersistenceError(
             f"cannot read {kind} file {path}: malformed TOC: {exc}"
         ) from exc
-    if not isinstance(toc, dict):
+    if not (
+        isinstance(toc, dict)
+        and isinstance(toc.get("header"), dict)
+        and all(isinstance(toc.get(group), dict) for group in ("json", "arrays"))
+    ):
         raise PersistenceError(f"cannot read {kind} file {path}: malformed TOC")
-    return toc, toc_length
+    return toc, _align(_HEAD_SIZE + toc_length + _DIGEST_SIZE)
 
 
 def read_toc(path: str | Path) -> dict:
-    """The TOC of the envelope at ``path`` — ``version``, ``kind``,
-    ``header`` and each section's entry — read without a byte of any
-    section, whatever its format version."""
+    """The TOC of the envelope at ``path`` — ``version``, ``writer``,
+    ``kind``, ``header`` and each section's entry — read without a byte
+    of any section."""
     path = Path(path)
     with _open_envelope(path, "envelope") as handle:
         return _read_toc(handle, path, "envelope")[0]
+
+
+def older_format_version(path: str | Path):
+    """The format version of an envelope at ``path`` written by repro 4.1
+    or before (its pickled TOC parsed, never run), or None."""
+    path = Path(path)
+    if not path.exists():
+        return None
+    with open(path, "rb") as handle:
+        if handle.read(len(_OLD_MAGIC)) != _OLD_MAGIC:
+            return None
+        return _pickled_toc_version(handle)
 
 
 def is_current_envelope(path: str | Path) -> bool:
@@ -229,6 +314,19 @@ def is_current_envelope(path: str | Path) -> bool:
         return read_toc(path).get("version") == _TOC_VERSION
     except PersistenceError:
         return False
+
+
+def _array_view(buffer, start: int, entry: dict) -> np.ndarray:
+    """The integer column an ``arrays`` TOC entry describes, viewed at
+    ``start`` of ``buffer``; ``ValueError`` or ``TypeError`` when the
+    entry does not describe one."""
+    dtype = np.dtype(entry["dtype"])
+    if dtype.kind not in "iu" or entry["length"] % dtype.itemsize:
+        raise ValueError(f"{entry['length']} bytes of {dtype}")
+    # The reshape refuses a shape whose size is not the stored length's.
+    return np.frombuffer(
+        buffer, dtype=dtype, count=entry["length"] // dtype.itemsize, offset=start,
+    ).reshape(entry["shape"])
 
 
 def read_envelope(
@@ -241,28 +339,30 @@ def read_envelope(
     mapping stays alive for as long as any returned array does (numpy
     holds the buffer via ``.base``).  With ``mmap=False`` the file is
     read once into memory and arrays view that buffer.  In both modes
-    every section's bytes are verified against their recorded BLAKE2b
-    digest before use.
+    the TOC and every section's bytes are verified against their
+    recorded BLAKE2b digest before use.
 
     Every failure mode is a typed :class:`PersistenceError`: missing
-    file, a file without the magic (anything written before 2.0 —
-    rejected without unpickling it), malformed TOC, wrong kind,
-    truncation, and a section whose bytes no longer match their digest
-    (the error names the corrupt section).
+    file, a file without this release's magic (an older one is refused
+    by its magic, unread), a malformed or corrupt TOC, wrong kind or
+    version, truncation, a section whose bytes no longer match their
+    digest, and an array entry that is not an integer column of its
+    stored length (the error names the section).
     """
     path = Path(path)
     with _open_envelope(path, kind) as handle:
-        toc, toc_length = _read_toc(handle, path, kind)
+        toc, data_start = _read_toc(handle, path, kind)
         if toc.get("version") != _TOC_VERSION:
             raise PersistenceError(
                 f"{kind} file {path} has format version "
-                f"{toc.get('version')!r}, not {_TOC_VERSION} — rebuild the file"
+                f"{toc.get('version')!r}, written by {toc.get('writer')!r}, "
+                f"not {_TOC_VERSION} — open it with that release, or "
+                f"rebuild the file"
             )
         if toc.get("kind") != kind:
             raise PersistenceError(
                 f"{path} is a {toc.get('kind')!r} envelope, not {kind!r}"
             )
-        data_start = _align(_HEAD_SIZE + toc_length)
         if mmap:
             buffer: memoryview | bytes = memoryview(
                 mmap_module.mmap(handle.fileno(), 0, access=mmap_module.ACCESS_READ)
@@ -271,48 +371,50 @@ def read_envelope(
             handle.seek(0)
             buffer = handle.read()
 
-    def corrupt(name: str) -> PersistenceError:
-        return PersistenceError(
-            f"{kind} file {path}: section {name!r} is corrupt "
-            f"(payload checksum mismatch) — restore from a snapshot "
-            f"or rebuild"
-        )
+    def corrupt(name: str, problem: str) -> PersistenceError:
+        return PersistenceError(f"{kind} file {path}: section {name!r} {problem}")
 
-    def span(name: str, entry: dict) -> tuple[int, int]:
-        start = data_start + entry["offset"]
-        end = start + entry["length"]
+    def span(name: str, entry) -> tuple[int, int]:
+        try:
+            offset, length = entry["offset"], entry["length"]
+            if not (isinstance(offset, int) and isinstance(length, int)
+                    and offset >= 0 and length >= 0):
+                raise TypeError(f"offset {offset!r}, length {length!r}")
+        except (KeyError, TypeError) as exc:
+            raise corrupt(name, f"has a malformed TOC entry: {exc}") from None
+        start = data_start + offset
+        end = start + length
         if end > len(buffer):
-            raise PersistenceError(
-                f"{kind} file {path}: section {name!r} is truncated"
-            )
+            raise corrupt(name, "is truncated")
         return start, end
 
+    def checked(name: str, entry, payload):
+        if _digest(payload) != entry.get("digest"):
+            raise corrupt(
+                name, "is corrupt (payload checksum mismatch) — restore from "
+                "a snapshot or rebuild",
+            )
+
     sections: dict = {}
-    for name, entry in toc.get("pickled", {}).items():
+    for name, entry in toc["json"].items():
         start, end = span(name, entry)
         blob = faults.inject_bytes(
             "persistence.read", bytes(buffer[start:end]), section=name, kind=kind
         )
-        if _digest(blob) != entry.get("digest"):
-            raise corrupt(name)
+        checked(name, entry, blob)
         try:
-            sections[name] = pickle.loads(blob)
-        except Exception as exc:  # digest matched but payload won't load
-            raise PersistenceError(
-                f"{kind} file {path}: section {name!r} cannot be "
-                f"deserialized: {exc}"
-            ) from exc
+            sections[name] = json.loads(blob)
+        except (ValueError, RecursionError) as exc:
+            raise corrupt(name, f"cannot be decoded: {exc}") from exc
     arrays: dict = {}
-    for name, entry in toc.get("arrays", {}).items():
+    for name, entry in toc["arrays"].items():
         start, end = span(name, entry)
-        if _digest(buffer[start:end]) != entry.get("digest"):
-            raise corrupt(name)
-        dtype = np.dtype(entry["dtype"])
-        arrays[name] = np.frombuffer(
-            buffer, dtype=dtype, count=entry["length"] // dtype.itemsize,
-            offset=start,
-        ).reshape(entry["shape"])
-    return toc.get("header", {}), sections, arrays
+        checked(name, entry, buffer[start:end])
+        try:
+            arrays[name] = _array_view(buffer, start, entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise corrupt(name, f"is not a stored integer column: {exc}") from None
+    return toc["header"], sections, arrays
 
 
 def rotated_paths(path: str | Path, generations: int) -> list[Path]:
@@ -414,13 +516,25 @@ def save_searcher(
     params = frozen.params
     index_meta, index_arrays = frozen.index.to_arrays()
     meta = {
-        "params": params,
+        "params": params.to_dict(),
         "index": index_meta,
         "removed": sorted(frozen._removed),
         "index_epoch": frozen.index_epoch,
         "build_seconds": frozen.index_build_seconds,
     }
-    arrays = {f"index.{name}": array for name, array in index_arrays.items()}
+    sections = {"meta": meta, "scheme": frozen.scheme.to_dict()}
+    # The order's and the header's columns first: the corpus-sized ones
+    # end the file.
+    arrays = {}
+    if frozen.order is not None:
+        sections["order"], arrays = order_sections(frozen.order)
+    if data is not None:
+        _check_own_collection(data, frozen.rank_docs)
+        sections["data"], header_arrays = header_sections(
+            data.tokenizer, data.vocabulary, data.names()
+        )
+        arrays.update(header_arrays)
+    arrays.update({f"index.{name}": array for name, array in index_arrays.items()})
     arrays.update(
         {
             f"ranks.{name}": array
@@ -436,14 +550,6 @@ def save_searcher(
         arrays.update(
             {f"routing.{name}": array for name, array in tier.to_arrays().items()}
         )
-    sections = {
-        "meta": meta,
-        "order": frozen.order,
-        "scheme": frozen.scheme,
-        "data": None,
-    }
-    if data is not None:
-        sections["data"] = _collection_header(data, frozen.rank_docs)
     if rotate:
         _rotate_snapshots(path, rotate)
     write_envelope(
@@ -462,10 +568,10 @@ def save_searcher(
     )
 
 
-def _collection_header(data: DocumentCollection, rank_docs) -> dict:
-    """What a snapshot keeps of ``data`` — everything but the tokens,
-    which ``rank_docs`` already holds.  Refuses a collection that is not
-    the one ``rank_docs`` ranks (O(documents), nothing decoded)."""
+def _check_own_collection(data: DocumentCollection, rank_docs) -> None:
+    """Refuse a collection that is not the one ``rank_docs`` ranks
+    (O(documents), nothing decoded): a snapshot keeps all of ``data``
+    but the tokens, which ``rank_docs`` already holds."""
     lengths = data.lengths()
     ranked = rank_docs.lengths()
     if len(lengths) != len(ranked):
@@ -482,11 +588,79 @@ def _collection_header(data: DocumentCollection, rank_docs) -> dict:
                 f"ranks {rank_length} for that id — pass the searcher's own "
                 f"collection"
             )
+
+
+def header_sections(tokenizer, vocabulary, names) -> tuple[dict, dict]:
+    """A collection header as a file stores it: the ``data`` JSON
+    section (the tokenizer) and the ``vocabulary.*`` and ``names.*``
+    columns, UTF-8 bytes and a length column each.  ``vocabulary`` is a
+    :class:`~repro.tokenize.Vocabulary` or an ingest store's prefix of
+    one: whatever its ``to_arrays`` cuts."""
+    arrays = {f"vocabulary.{name}": column for name, column in vocabulary.to_arrays().items()}
+    arrays.update({f"names.{name}": column for name, column in string_columns(names).items()})
+    return {"tokenizer": tokenizer.to_dict()}, arrays
+
+
+def order_sections(order) -> tuple[dict, dict]:
+    """A global order as a file stores it: the ``order`` JSON section
+    and the ``order.*`` columns (a :class:`~repro.ordering.GlobalOrder`
+    or an ingest store's prefix of one: whatever its ``to_arrays`` cuts)."""
+    meta, columns = order.to_arrays()
+    return meta, {f"order.{name}": column for name, column in columns.items()}
+
+
+def _prefixed(arrays: dict, prefix: str) -> dict:
     return {
-        "tokenizer": data.tokenizer,
-        "vocabulary": data.vocabulary,
-        "names": joined_strings(data.names()),
+        name[len(prefix):]: array
+        for name, array in arrays.items()
+        if name.startswith(prefix)
     }
+
+
+@contextmanager
+def _decoding(path: Path, name: str):
+    """Any error decoding section ``name`` of ``path`` as a
+    :class:`PersistenceError` naming it."""
+    try:
+        yield
+    except PersistenceError:
+        raise
+    except (ReproError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise PersistenceError(
+            f"{path}: section {name!r} cannot be decoded: {exc!r}"
+        ) from exc
+
+
+def load_order(path: Path, sections: dict, arrays: dict) -> GlobalOrder:
+    """The global order a file stores, its columns checked
+    (:func:`_check_order`)."""
+    columns = _prefixed(arrays, "order.")
+    for name in ("token_of_rank", "admitted"):
+        if name not in columns:
+            raise PersistenceError(f"{path}: file is missing section 'order.{name}'")
+    _check_order(path, columns)
+    with _decoding(path, "order"):
+        return GlobalOrder.from_arrays(sections["order"], columns)
+
+
+def load_header(path: Path, sections: dict, arrays: dict, order: GlobalOrder) -> dict:
+    """``{"tokenizer", "vocabulary", "names"}`` of a stored collection
+    header, a :class:`~repro.tokenize.Tokenizer`, a
+    :class:`~repro.tokenize.Vocabulary` holding a string for every id
+    ``order`` ranks, and the names as a list."""
+    with _decoding(path, "data"):
+        tokenizer = Tokenizer.from_dict(sections["data"]["tokenizer"])
+    with _decoding(path, "vocabulary.utf8"):
+        vocabulary = Vocabulary.from_arrays(_prefixed(arrays, "vocabulary."))
+    ranked = order.universe_size + order.num_admitted
+    if len(vocabulary) < ranked:
+        raise _refused(
+            path, "vocabulary.lengths",
+            f"holds {len(vocabulary)} tokens for the {ranked} ids the order ranks",
+        )
+    with _decoding(path, "names.utf8"):
+        names = split_strings(_prefixed(arrays, "names."))
+    return {"tokenizer": tokenizer, "vocabulary": vocabulary, "names": names}
 
 
 def _load_snapshot(
@@ -498,56 +672,207 @@ def _load_snapshot(
     meta = sections.get("meta")
     if not isinstance(meta, dict):
         raise PersistenceError(f"{path} does not contain a compact searcher")
-
-    def columns(prefix: str) -> dict:
-        return {
-            name[len(prefix):]: array
-            for name, array in arrays.items()
-            if name.startswith(prefix)
-        }
-
-    try:
-        if "routing" in meta:
-            routing_tier = FingerprintTier.from_arrays(columns("routing."))
-        else:
-            # Saved without fingerprints: a routed query against this
-            # snapshot raises RoutingUnavailableError instead of
-            # silently decoding every rank column to build them.
-            routing_tier = None
-        header = sections.get("data")
-        if sections["order"] is not None:
-            order = sections["order"]
-        elif order is None:
-            raise PersistenceError(
-                f"{path} is a live-store segment: its global order is in "
-                f"the store's MANIFEST — open the store's directory with "
-                f"Index.open_live"
-            )
-        rank_docs = PackedRankDocs.from_arrays(columns("ranks."))
-        data = None
-        if header is not None:
+    required = [
+        "scheme", *(f"index.{name}" for name in CompactIntervalIndex.COLUMNS),
+        "ranks.lengths", "ranks.values",
+        *(("routing.cover_lanes", "routing.cover_counts") if "routing" in meta else ()),
+    ]
+    for name in required:
+        if name not in sections and name not in arrays:
+            raise PersistenceError(f"{path}: snapshot is missing section {name!r}")
+    check_dtypes(path, arrays)
+    with _decoding(path, "meta"):
+        params = SearchParams.from_dict(meta["params"])
+        index_meta = meta["index"]
+    with _decoding(path, "scheme"):
+        scheme = PartitionScheme.from_dict(sections["scheme"])
+    if "order" in sections:
+        order = load_order(path, sections, arrays)
+    elif order is None:
+        raise PersistenceError(
+            f"{path} is a live-store segment: its global order is in "
+            f"the store's MANIFEST — open the store's directory with "
+            f"Index.open_live"
+        )
+    ranks = _prefixed(arrays, "ranks.")
+    _check_ranks(path, ranks, order)
+    rank_docs = PackedRankDocs.from_arrays(ranks)
+    doc_lengths = np.diff(rank_docs._offsets)
+    index_columns = _prefixed(arrays, "index.")
+    _check_index(path, index_columns, doc_lengths, params.w)
+    routing_tier = None
+    if "routing" in meta:
+        covers = _prefixed(arrays, "routing.")
+        _check_covers(path, covers, doc_lengths, params.w)
+        routing_tier = FingerprintTier.from_arrays(covers)
+    # else: saved without fingerprints, a routed query against this
+    # snapshot raises RoutingUnavailableError instead of silently
+    # decoding every rank column to build them.
+    data = None
+    if "data" in sections:
+        header = load_header(path, sections, arrays, order)
+        with _decoding(path, "names.lengths"):
             data = DocumentCollection.over_columns(
                 header["tokenizer"], header["vocabulary"],
-                rank_docs, order.token_table(), split_strings(header["names"]),
+                rank_docs, order.token_table(), header["names"],
             )
+    with _decoding(path, "meta"):
         searcher = PKWiseSearcher.from_prebuilt(
-            meta["params"],
+            params,
             order,
-            sections["scheme"],
-            CompactIntervalIndex.from_arrays(
-                meta["index"], sections["scheme"], columns("index.")
-            ),
+            scheme,
+            CompactIntervalIndex.from_arrays(index_meta, scheme, index_columns),
             rank_docs,
             build_seconds=meta.get("build_seconds", 0.0),
             removed=meta.get("removed", ()),
             index_epoch=meta.get("index_epoch", 0),
             routing_tier=routing_tier,
         )
-    except KeyError as exc:
-        raise PersistenceError(
-            f"{path}: snapshot is missing section {exc}"
-        ) from exc
     return searcher, data
+
+
+# ----------------------------------------------------------------------
+# Checks on open: what the kernels assume of the stored columns.  Each
+# runs once, in array passes, when its section opens; a failure is a
+# PersistenceError naming the section.
+# ----------------------------------------------------------------------
+#: Keys or postings one pass of a check reads at a time: its temporaries
+#: stay a few hundred KB, and the loop is fastest near this size.
+_CHECK_BLOCK = 1 << 14
+
+
+#: The columns a reader takes -> their dtype, or None for a signed
+#: integer column of any width.  Each is one-dimensional but the cover
+#: lanes, a (covers, LANES) matrix; a file may hold others, unread.
+_READ_COLUMNS = {
+    **{f"index.{name}": None for name in CompactIntervalIndex.COLUMNS},
+    "index.keys": np.uint32,
+    "ranks.lengths": None, "ranks.values": None,
+    "routing.cover_lanes": np.uint64, "routing.cover_counts": None,
+    "order.token_of_rank": None, "order.admitted": None,
+    "vocabulary.utf8": np.uint8, "vocabulary.lengths": None,
+    "names.utf8": np.uint8, "names.lengths": None,
+}
+
+
+def _refused(path: Path, name: str, problem: str) -> PersistenceError:
+    return PersistenceError(
+        f"{path}: section {name!r} {problem} — the search kernels cannot "
+        f"use it; rebuild the file"
+    )
+
+
+def check_dtypes(path: Path, arrays: dict) -> None:
+    """Every column has the dtype and shape its readers take: the
+    signature keys ``uint32``, the cover lanes ``uint64``, the UTF-8
+    bytes ``uint8``, every other column a signed integer one, each one
+    dimension but the lanes."""
+    for name, array in arrays.items():
+        if name not in _READ_COLUMNS:
+            continue
+        want = _READ_COLUMNS[name]
+        typed = array.dtype == want if want is not None else array.dtype.kind == "i"
+        if not typed or (array.ndim != 1 and name != "routing.cover_lanes"):
+            raise _refused(path, name, f"is a {array.ndim}-d {array.dtype} column")
+
+
+def _holds_each_once(column: np.ndarray, start: int) -> bool:
+    """True when ``column`` holds each of ``start .. start + len - 1`` once."""
+    if not len(column):
+        return True
+    if column.min() < start or column.max() >= start + len(column):
+        return False
+    seen = np.zeros(len(column), dtype=bool)
+    seen[column.astype(np.int64) - start] = True
+    return bool(seen.all())
+
+
+def _check_order(path: Path, columns: dict) -> None:
+    """The order's token-of-rank column is a permutation of its ids, and
+    its admitted column the ids after them, each once."""
+    ranked, admitted = columns["token_of_rank"], columns["admitted"]
+    if not _holds_each_once(ranked, 0):
+        raise _refused(path, "order.token_of_rank", "is not a permutation of its ids")
+    if not _holds_each_once(admitted, len(ranked)):
+        end = len(ranked) + len(admitted)
+        raise _refused(
+            path, "order.admitted", f"is not the ids {len(ranked)}..{end - 1}, each once"
+        )
+
+
+def _check_ranks(path: Path, columns: dict, order: GlobalOrder) -> None:
+    """Each document's length is >= 0 and they sum to the values; every
+    value is a rank of ``order``, in ``[-num_admitted, universe_size)``."""
+    lengths, values = columns["lengths"], columns["values"]
+    if len(lengths) and lengths.min() < 0:
+        raise _refused(path, "ranks.lengths", "holds a negative length")
+    total = int(lengths.sum(dtype=np.int64))
+    if total != len(values):
+        raise _refused(path, "ranks.lengths", f"sums to {total} for {len(values)} ranks")
+    lo, hi = -order.num_admitted, order.universe_size
+    if len(values) and (values.min() < lo or values.max() >= hi):
+        raise _refused(path, "ranks.values", f"holds a rank outside [{lo}, {hi})")
+
+
+def _check_index(path: Path, columns: dict, doc_lengths: np.ndarray, w: int) -> None:
+    """Keys strictly increase; run counts are >= 1 and sum to the
+    postings; each posting's document is one of ``doc_lengths``', and
+    its interval ``[u, u + len]`` of window starts lies inside it
+    (``u >= 0``, ``len >= 0``, ``u + len + w <= length``)."""
+    keys, counts = columns["keys"], columns["counts"]
+    docs, us, lens = columns["docs"], columns["us"], columns["lens"]
+    for lo in range(0, len(keys), _CHECK_BLOCK):
+        block = keys[lo : lo + _CHECK_BLOCK + 1]
+        if np.any(block[1:] <= block[:-1]):
+            raise _refused(path, "index.keys", "is not strictly increasing")
+    if len(counts) != len(keys):
+        raise _refused(path, "index.counts", f"has {len(counts)} entries for {len(keys)} keys")
+    if len(counts) and counts.min() < 1:
+        raise _refused(path, "index.counts", "holds a run count below 1")
+    total = int(counts.sum(dtype=np.int64))
+    if not total == len(docs) == len(us) == len(lens):
+        raise _refused(
+            path, "index.counts",
+            f"sums to {total} for postings columns of {len(docs)}, {len(us)} "
+            f"and {len(lens)} entries",
+        )
+    if len(docs) and (docs.min() < 0 or docs.max() >= len(doc_lengths)):
+        raise _refused(
+            path, "index.docs", f"holds a document id outside [0, {len(doc_lengths)})"
+        )
+    if len(us) and us.min() < 0:
+        raise _refused(path, "index.us", "holds a negative window start")
+    if len(lens) and lens.min() < 0:
+        raise _refused(path, "index.lens", "holds a negative interval length")
+    for lo in range(0, len(docs), _CHECK_BLOCK):
+        block = slice(lo, lo + _CHECK_BLOCK)
+        last = np.add(us[block], lens[block], dtype=np.int64)
+        last += w
+        if np.any(last > doc_lengths[docs[block]]):
+            raise _refused(
+                path, "index.lens", "holds an interval past the last window of its document"
+            )
+
+
+def _check_covers(path: Path, columns: dict, doc_lengths: np.ndarray, w: int) -> None:
+    """One cover count per document; the lanes hold that many covers;
+    and a document of ``L`` tokens has at least one cover when ``L > 0``
+    and at most ``max(1, ceil(L / w))`` (blocks are at least ``w`` long),
+    so every one of its windows lies inside a cover."""
+    lanes, counts = columns["cover_lanes"], columns["cover_counts"]
+    if len(counts) != len(doc_lengths):
+        raise _refused(
+            path, "routing.cover_counts",
+            f"has {len(counts)} entries for {len(doc_lengths)} documents",
+        )
+    covers = int(counts.sum(dtype=np.int64))
+    if lanes.size != covers * LANES:
+        raise _refused(
+            path, "routing.cover_lanes", f"holds {lanes.size} lanes for {covers} covers"
+        )
+    most = np.maximum(1, -(-doc_lengths // w))
+    if np.any(counts < (doc_lengths > 0)) or np.any(counts > most):
+        raise _refused(path, "routing.cover_counts", "holds covers that do not fit their documents")
 
 
 def load_bundle(
@@ -566,8 +891,9 @@ def load_bundle(
     stores none (its store's ``MANIFEST`` does); without it such a file
     raises a :class:`PersistenceError` naming ``Index.open_live``.
 
-    SECURITY: this unpickles parts of the file — only load files you
-    (or your pipeline) wrote.
+    A file whose digests hold but whose columns break what the search
+    kernels assume is a :class:`PersistenceError`
+    naming the section, and falls back like a corrupt one.
     """
     path = Path(path)
     start = time.perf_counter()

@@ -193,7 +193,7 @@ class ShardPlan:
         contiguous doc-id range — subsets share the parent vocabulary,
         so a query's token ids mean the same in every shard — and
         written as an ids-only snapshot file so workers mmap it
-        zero-copy and unpickle no vocabulary: the router encodes every
+        zero-copy and load no vocabulary: the router encodes every
         query and sends token ids.
         Re-building a higher ``generation`` into the same directory
         leaves the previous generation's files in place: workers that

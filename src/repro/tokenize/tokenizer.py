@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 
-from ..errors import TokenizationError
+from ..errors import ConfigurationError, TokenizationError
 
 
 class Tokenizer(ABC):
@@ -28,6 +28,25 @@ class Tokenizer(ABC):
     def __call__(self, text: str) -> list[str]:
         return self.tokenize(text)
 
+    def to_dict(self) -> dict:
+        """JSON-ready form, as a file stores it: ``{"type": ..., <settings>}``.
+        A tokenizer of any other class cannot be stored."""
+        raise ConfigurationError(
+            f"a file stores only the tokenizers {sorted(_TYPES)}, "
+            f"not a {type(self).__name__}"
+        )
+
+    @staticmethod
+    def from_dict(payload: dict) -> "Tokenizer":
+        """Inverse of :meth:`to_dict`."""
+        settings = dict(payload)
+        kind = settings.pop("type", None)
+        if kind not in _TYPES:
+            raise ConfigurationError(f"unknown tokenizer type {kind!r}")
+        if kind == "qgram":
+            settings["inner"] = Tokenizer.from_dict(settings["inner"])
+        return _TYPES[kind](**settings)
+
 
 class WhitespaceTokenizer(Tokenizer):
     """Split on runs of whitespace, exactly as the paper's examples do.
@@ -44,6 +63,9 @@ class WhitespaceTokenizer(Tokenizer):
         if self.lowercase:
             text = text.lower()
         return text.split()
+
+    def to_dict(self) -> dict:
+        return {"type": "whitespace", "lowercase": self.lowercase}
 
     def __repr__(self) -> str:
         return f"WhitespaceTokenizer(lowercase={self.lowercase})"
@@ -75,6 +97,9 @@ class WordTokenizer(Tokenizer):
         if self.min_length > 1:
             words = [word for word in words if len(word) >= self.min_length]
         return words
+
+    def to_dict(self) -> dict:
+        return {"type": "word", "lowercase": self.lowercase, "min_length": self.min_length}
 
     def __repr__(self) -> str:
         return (
@@ -117,5 +142,15 @@ class QGramTokenizer(Tokenizer):
         join = self.separator.join
         return [join(words[i : i + q]) for i in range(len(words) - q + 1)]
 
+    def to_dict(self) -> dict:
+        return {
+            "type": "qgram", "q": self.q, "inner": self.inner.to_dict(),
+            "separator": self.separator,
+        }
+
     def __repr__(self) -> str:
         return f"QGramTokenizer(q={self.q}, inner={self.inner!r})"
+
+
+#: What :meth:`Tokenizer.to_dict` names each storable tokenizer class.
+_TYPES = {"whitespace": WhitespaceTokenizer, "word": WordTokenizer, "qgram": QGramTokenizer}

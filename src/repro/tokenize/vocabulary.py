@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import UnknownTokenError
+from ..errors import CorpusError, UnknownTokenError
 
 #: Sentinel id for out-of-vocabulary tokens in *query* encodings.
 #: Negative so it can never collide with an interned (dense, >= 0) id;
@@ -24,23 +24,38 @@ OOV_TOKEN_ID = -1
 OOV_TOKEN = "<oov>"
 
 
-def joined_strings(strings: Sequence[str]) -> tuple[str, np.ndarray]:
-    """``strings`` as a file stores them: one joined string and each
-    string's length in code points, at the narrowest integer width
-    (:func:`~repro.index.compact._packed_column`).  One ``str`` pickles
-    its UTF-8 bytes once, where a list of them costs three more bytes a
-    string; any character may occur in any string."""
+def string_columns(strings: Sequence[str]) -> dict[str, np.ndarray]:
+    """``strings`` as a file stores them: ``utf8``, their UTF-8 bytes
+    joined as one ``uint8`` column, and ``lengths``, each string's length
+    in code points at the narrowest integer width
+    (:func:`~repro.index.compact._packed_column`).  Any character may
+    occur in any string (a lone surrogate is kept as it is)."""
     # Imported here: repro.index imports this package (via corpus).
     from ..index.compact import _packed_column
 
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-    return "".join(strings), _packed_column(lengths)
+    joined = "".join(strings).encode("utf-8", "surrogatepass")
+    return {"utf8": np.frombuffer(joined, dtype=np.uint8), "lengths": _packed_column(lengths)}
 
 
-def split_strings(stored: tuple[str, np.ndarray]) -> list[str]:
-    """The list :func:`joined_strings` stored: one slice per length."""
-    joined, lengths = stored
-    ends = np.cumsum(lengths).tolist()
+def split_strings(columns: dict[str, np.ndarray]) -> list[str]:
+    """The list :func:`string_columns` stored: the bytes decoded once,
+    then one slice per length.  Bytes that are not UTF-8, a negative
+    length or lengths that do not sum to the decoded string raise
+    :class:`~repro.errors.CorpusError`."""
+    try:
+        joined = columns["utf8"].tobytes().decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"stored strings are not UTF-8: {exc}") from None
+    lengths = columns["lengths"]
+    if len(lengths) and lengths.min() < 0:
+        raise CorpusError("a stored string length is negative")
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
+    if (ends[-1] if ends else 0) != len(joined):
+        raise CorpusError(
+            f"stored string lengths sum to {ends[-1] if ends else 0} for "
+            f"{len(joined)} characters"
+        )
     return [joined[start:end] for start, end in zip([0, *ends[:-1]], ends)]
 
 
@@ -121,23 +136,25 @@ class Vocabulary:
             return OOV_TOKEN
         return self._token_of[token_id]
 
-    def state_at(self, length: int) -> tuple[str, np.ndarray]:
-        """What a pickle stores of this vocabulary as it stood when it
-        held ``length`` tokens: their :func:`joined_strings`.  Interning
-        only appends, so a length taken under the ingest store's writer
-        lock is a point-in-time copy that is cut here, when a manifest is
-        written off-lock."""
-        return joined_strings(self._token_of[:length])
+    def to_arrays(self, length: int | None = None) -> dict[str, np.ndarray]:
+        """The columns a file stores of this vocabulary
+        (:func:`string_columns`), as it stood when it held ``length``
+        tokens (default: all).  Interning only appends, so a length taken
+        under the ingest store's writer lock is a point-in-time copy that
+        is cut here, when a manifest is written off-lock; ``_id_of`` is
+        the list's inverse and is not stored."""
+        return string_columns(self._token_of[:length])
 
-    def __getstate__(self) -> tuple[str, np.ndarray]:
-        """A pickle stores the tokens as one string and a length column
-        only: the token list is split from them on load, and ``_id_of``
-        is its inverse."""
-        return joined_strings(self._token_of)
-
-    def __setstate__(self, state: tuple[str, np.ndarray]) -> None:
-        self._token_of = split_strings(state)
+    @classmethod
+    def from_arrays(cls, columns: dict[str, np.ndarray]) -> "Vocabulary":
+        """Inverse of :meth:`to_arrays`; a token stored twice raises
+        :class:`~repro.errors.CorpusError` (its ids would not be dense)."""
+        self = cls.__new__(cls)
+        self._token_of = split_strings(columns)
         self._id_of = _Interning(self._token_of)
+        if len(self._id_of) != len(self._token_of):
+            raise CorpusError("a token is stored twice")
+        return self
 
     def __len__(self) -> int:
         return len(self._token_of)

@@ -26,7 +26,6 @@ import gc
 import itertools
 import os
 import pathlib
-import pickle
 import random
 import subprocess
 import sys
@@ -58,6 +57,7 @@ from repro.index import compact as compact_module
 from repro.index.compact import CompactIntervalIndex, PackedRankDocs
 from repro.index.interval_index import IntervalIndex
 from repro.ingest import IngestStore, read_wal, wal_generations
+from repro.ingest.wal import wal_name
 from repro.ingest import store as ingest_store
 from repro.ingest.manifest import read_manifest, write_manifest
 from repro.ingest.memtable import Memtable, RankColumn
@@ -67,6 +67,7 @@ from repro.persistence import PersistenceError
 from repro.service import SearchService
 from repro.signatures import bulk
 from repro.signatures.maintain import SignatureStream
+from repro.tokenize.vocabulary import string_columns
 
 from .conftest import (
     PerTokenOrder,
@@ -1085,6 +1086,27 @@ class TestDurability:
         with pytest.raises(PersistenceError):
             IngestStore.open(directory)
 
+    def test_a_raised_toc_byte_is_refused(self, tmp_path):
+        # The MANIFEST's TOC names the first WAL to replay; one byte
+        # raising it (2 -> 5) would skip the WAL holding an acknowledged
+        # add, and the store would open short.  The TOC's own digest
+        # refuses the file instead.
+        directory = tmp_path / "store"
+        index = repro.Index.open_live(directory, w=8, tau=2, k_max=2)
+        index.add(" ".join(f"first{at}" for at in range(12)))
+        index.flush()
+        index.add(" ".join(f"second{at}" for at in range(12)))
+        index.close()
+        manifest = directory / "MANIFEST"
+        generation = read_manifest(directory).wal_generation
+        assert generation == 2 and (directory / wal_name(2)).exists()
+        raw = manifest.read_bytes()
+        stored = b'"wal_generation":2'
+        assert raw.count(stored) == 1
+        manifest.write_bytes(raw.replace(stored, b'"wal_generation":5'))
+        with pytest.raises(PersistenceError, match="TOC is corrupt"):
+            repro.Index.open_live(directory)
+
     def test_short_segment_list_is_refused(self, tmp_path):
         # The segments are the only copy of the sealed documents: a
         # digest-valid manifest whose list stops short of next_doc_id
@@ -1133,11 +1155,11 @@ class TestDurability:
         assert want
         store.close()
         path = manifest_path(directory)
-        header, sections, _arrays = read_envelope(path, MANIFEST_KIND)
+        header, sections, arrays = read_envelope(path, MANIFEST_KIND)
         assert "policy" not in header
         header["policy"] = {"memtable_max_docs": 2, "memtable_max_tokens": 9,
                             "max_segments": 1}
-        write_envelope(path, MANIFEST_KIND, sections, header=header)
+        write_envelope(path, MANIFEST_KIND, sections, arrays, header=header)
         reopened = IngestStore.open(directory)
         query = reopened.data.encode_query_tokens(tokens)
         assert store_pairs(reopened, query) == want
@@ -1164,8 +1186,8 @@ class TestDurability:
 
         small, small_names = manifest_bytes("small", 40)
         large, large_names = manifest_bytes("large", 160)
-        extra_names = len(pickle.dumps(large_names, pickle.HIGHEST_PROTOCOL)) - len(
-            pickle.dumps(small_names, pickle.HIGHEST_PROTOCOL)
+        extra_names = sum(column.nbytes for column in string_columns(large_names).values()) - sum(
+            column.nbytes for column in string_columns(small_names).values()
         )
         assert abs(large - small) <= extra_names + 1024
 

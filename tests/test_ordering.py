@@ -261,8 +261,9 @@ class TestGlobalOrderEdges:
         ids = list(range(40_000))
         assert order.rank_sequence(ids, admit=True) == [-1 - i for i in ids]
         assert order._rank_of_token.dtype == np.int32
-        loaded = pickle.loads(pickle.dumps(order))
-        assert order.__getstate__()["_admitted"].dtype == np.int32
+        meta, columns = order.to_arrays()
+        loaded = GlobalOrder.from_arrays(meta, columns)
+        assert columns["admitted"].dtype == np.int32
         assert not loaded._token_of_rank.flags.writeable
         assert loaded.rank_sequence([39_999, 0, 40_000], admit=True) == [-40_000, -1, -40_001]
         assert order.rank_sequence([40_000], admit=True) == [-40_001]

@@ -10,7 +10,10 @@ from __future__ import annotations
 import pickle
 import random
 import re
+import signal
 import tempfile
+import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -52,11 +55,13 @@ from repro.persistence import (
     write_envelope,
 )
 from repro.service import ShardPlan
-from repro.tokenize.vocabulary import joined_strings
+from repro.tokenize import WhitespaceTokenizer
 
 from .conftest import expected_pairs, load_script, pairs_as_set, reference_index
 
-MAGIC = b"repro-envelope-3"
+MAGIC = b"repro-envelope-4"
+#: The magic of repro 2.0–4.1, whose TOC was a pickle.
+OLD_MAGIC = b"repro-envelope-3"
 
 
 def corrupt_plan(point: str, section: str) -> FaultPlan:
@@ -154,12 +159,12 @@ class TestRoundtrip:
         save_searcher(searcher, path)
         good_bytes = path.read_bytes()
 
-        class Unpicklable:
-            def __reduce__(self):
+        class Unstorable(WhitespaceTokenizer):
+            def to_dict(self):
                 raise RuntimeError("simulated dump failure")
 
         broken = data.subset(range(len(data)))
-        broken.tokenizer = Unpicklable()  # pickled with the data header
+        broken.tokenizer = Unstorable()  # stored with the data header
         with pytest.raises(RuntimeError, match="simulated dump failure"):
             save_searcher(searcher, path, data=broken)
         assert not list(tmp_path.glob("*.tmp"))
@@ -585,7 +590,7 @@ def _write_manifest(directory: Path, built) -> Path:
             scheme=searcher.scheme,
             # A header, no document: with no segment, no sealed doc id.
             data={"tokenizer": data.tokenizer, "vocabulary": data.vocabulary,
-                  "names": joined_strings([])},
+                  "names": []},
             segments=[],
             tombstones={2},
             next_doc_id=0,
@@ -623,8 +628,8 @@ class TestOtherEnvelopeKinds:
         assert path.read_bytes()[: len(MAGIC)] == MAGIC
         assert not list(tmp_path.glob("*.tmp"))
         read(path)
-        _header, sections, arrays = read_envelope(path, kind)
-        assert section in sections and arrays == {}
+        _header, sections, _arrays = read_envelope(path, kind)
+        assert section in sections
 
     def test_wrong_kind(self, built, tmp_path, write, read, kind, section):
         path = write(tmp_path, built)
@@ -642,7 +647,7 @@ class TestOtherEnvelopeKinds:
     def test_flipped_byte_on_disk(self, built, tmp_path, write, read, kind, section):
         path = write(tmp_path, built)
         raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF  # the last pickled section's final byte
+        raw[-1] ^= 0xFF  # the last stored section's final byte
         path.write_bytes(bytes(raw))
         with pytest.raises(PersistenceError, match="is corrupt"):
             read(path)
@@ -672,9 +677,15 @@ class TestOtherEnvelopeKinds:
 # ----------------------------------------------------------------------
 #: The checker's smoke snapshot, but ``meta`` (the build time): moves only with the format.
 SMOKE_DIGESTS = {
-    "order": "pickle 7fa33ad540d81f0083ed3c40aac1932b",
-    "scheme": "pickle 2987227c80c7401be0a4f3b0450a55f3",
-    "data": "pickle dc46de75f7d08b2082114b2b5132ac15",
+    "scheme": "json c1192f6fca793c8700e6dcff5dd94db7",
+    "order": "json 397bad6f032e972cc9453b1d43fd63ae",
+    "data": "json 2dea0dc1f136e2fc9a2153aa1ce5c1e0",
+    "order.token_of_rank": "<i2 3652ced9cb49e8be7c488325061e8780",
+    "order.admitted": "|i1 cae66941d9efbd404e4d88758ea67670",
+    "vocabulary.utf8": "|u1 9b28a18f2c1802bd126639579156a772",
+    "vocabulary.lengths": "|i1 51742a963b45cf1a46a0d55dff5d61ff",
+    "names.utf8": "|u1 49e4c3a9d6dafa25d5cf1d44efb86c07",
+    "names.lengths": "|i1 28b193cc2f9f2e3fe9f94483b5cf90c5",
     "index.keys": "<u4 7c1ead56ec5803a30f929b6b4993e88b",
     "index.counts": "|i1 3efeab9046870f2a86c72c4bb6c3f3f7",
     "index.docs": "<i2 309d8a79ba32c49152a5e26d950b7d87",
@@ -717,7 +728,7 @@ HOSTILE = {
 def test_hostile_strings_round_trip(tmp_path, monkeypatch, tokens):
     # Each reopened snapshot and live store keeps every token and name as
     # it was, and answers every query as the oracle does; the live
-    # store's MANIFEST is cut by state_at while adds grow the vocabulary.
+    # store's MANIFEST is cut by to_arrays while adds grow the vocabulary.
     rng = random.Random(len(tokens))
     pool = tokens + ["w0", "w1", "w2"] if tokens else []
     data = DocumentCollection()
@@ -734,8 +745,8 @@ def test_hostile_strings_round_trip(tmp_path, monkeypatch, tokens):
             assert pairs_as_set(searcher.search(query)) == expected_pairs(collection, query, 6, 1)
 
     Index.build(data, w=6, tau=1, k_max=2).save(tmp_path / "index.idx")
-    _header, sections, _arrays = read_envelope(tmp_path / "index.idx", "pkwise-index")
-    assert sections["data"]["names"][1].dtype == width
+    _header, _sections, arrays = read_envelope(tmp_path / "index.idx", "pkwise-index")
+    assert arrays["names.lengths"].dtype == width
     opened = Index.open(tmp_path / "index.idx", mmap=True)
     answers_like_the_oracle(opened.data, opened.searcher())
 
@@ -758,7 +769,8 @@ def test_hostile_strings_round_trip(tmp_path, monkeypatch, tokens):
     assert raced or not tokens  # an empty store has nothing to fold
     manifest = read_manifest(tmp_path / "store")
     assert len(manifest.data["vocabulary"]) == len(data.vocabulary)
-    assert manifest.data["names"][1].dtype == width
+    _header, _sections, arrays = read_envelope(manifest_path(tmp_path / "store"), MANIFEST_KIND)
+    assert arrays["names.lengths"].dtype == width
     store.close()
     reopened = IngestStore.open(tmp_path / "store")
     assert list(reopened.data.vocabulary) == [*data.vocabulary, *("late" for _ in raced)]
@@ -792,35 +804,56 @@ def _write_plan(directory: Path, built) -> Path:
     return directory / "shards" / plan.shards[0].path
 
 
+def _write_segment(directory: Path, built) -> Path:
+    data, searcher = built
+    store = IngestStore.create(searcher.params, directory=directory / "store", data=data)
+    store.flush()
+    store.close()
+    (segment,) = (directory / "store").glob("segment.g*.idx")
+    return segment
+
+
+def _older_file(version: int, kind: str, marker: Path) -> bytes:
+    """A file as an older release wrote it, holding a ``MarkerBomb``: the
+    pickles 1.x wrote (1, 2), then an envelope of 2.0–4.1 — the old
+    magic and a pickled TOC — at ``version``."""
+    if version == 1:
+        return pickle.dumps(
+            {"magic": "repro-pkwise-index", "version": 1, "searcher": MarkerBomb(marker)}
+        )
+    if version == 2:
+        return pickle.dumps(
+            {"magic": "repro-envelope", "version": 2, "sections": {"data": MarkerBomb(marker)}}
+        )
+    toc = pickle.dumps({"version": version, "kind": kind, "header": {"bomb": MarkerBomb(marker)},
+                        "pickled": {}, "arrays": {}}, protocol=pickle.HIGHEST_PROTOCOL)
+    return OLD_MAGIC + len(toc).to_bytes(8, "little") + toc
+
+
 #: The pickles 1.x wrote (1, 2), then every envelope version before this one.
 OLDER_VERSIONS = [1, 2, *_OLDER_STORES]
 
 
 @pytest.mark.parametrize("version", OLDER_VERSIONS)
-@pytest.mark.parametrize("kind", ["snapshot", "checkpoint", "manifest", "plan"])
-def test_an_older_file_is_refused_unread(built, tmp_path, monkeypatch, kind, version):
+@pytest.mark.parametrize("kind", ["snapshot", "segment", "checkpoint", "manifest", "plan"])
+def test_an_older_file_is_refused_unread(built, tmp_path, kind, version):
     assert sorted(_OLDER_STORES) == list(range(3, persistence._TOC_VERSION))
-    write = {"snapshot": _write_snapshot, "checkpoint": _write_checkpoint,
-             "manifest": _write_manifest, "plan": _write_plan}[kind]
-    with monkeypatch.context() as patch:
-        if version > 2:
-            patch.setattr(persistence, "_TOC_VERSION", version)
-        path = write(tmp_path, built)
+    write = {"snapshot": _write_snapshot, "segment": _write_segment,
+             "checkpoint": _write_checkpoint, "manifest": _write_manifest,
+             "plan": _write_plan}[kind]
+    path = write(tmp_path, built)
     marker = tmp_path / "unpickled.marker"
-    old = pickle.dumps(
-        {"magic": "repro-pkwise-index", "version": 1, "searcher": MarkerBomb(marker)}
-        if version == 1 else
-        {"magic": "repro-envelope", "version": 2, "sections": {"data": MarkerBomb(marker)}}
-    )
+    old = _older_file(version, persistence.read_toc(path)["kind"], marker)
+    path.write_bytes(old)
     if version <= 2:
-        path.write_bytes(old)
         said = "1.x releases are not migrated — rebuild it"
-    elif kind == "manifest" and version in _OLDER_STORES:
+    elif kind == "manifest":
         said = re.escape(_OLDER_STORES[version][1])
     else:
-        said = "rebuild the file"
+        said = f"format version {version} .* rebuild the file"
     openers = {
         "snapshot": [partial(Index.open, path, mmap=False), partial(Index.open, path, mmap=True)],
+        "segment": [partial(IngestStore.open, path.parent), partial(Index.open, path)],
         "checkpoint": [partial(RunCheckpoint.load, path, WORKLOAD_KIND, "fingerprint")],
         "manifest": [partial(IngestStore.open, path.parent),
                      partial(Index.open_live, path.parent)],
@@ -835,5 +868,89 @@ def test_an_older_file_is_refused_unread(built, tmp_path, monkeypatch, kind, ver
         assert all(is_current_envelope(path.parent / spec.path) for spec in plan.shards)
         Index.open(path).close()
     assert not marker.exists()
-    pickle.loads(old)  # the payload is live: unpickling it does create the marker
+    # The payload is live: unpickling it (an envelope's TOC) does create the marker.
+    pickle.loads(old if version <= 2 else old[len(OLD_MAGIC) + 8:])
     assert marker.exists()
+
+
+# ----------------------------------------------------------------------
+# A file whose digests hold is still refused when the kernels cannot use
+# it: each check on open names its section, within a second.
+# ----------------------------------------------------------------------
+@contextmanager
+def _deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block after ``seconds`` (SIGALRM)."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _rewritten(path: Path, **columns) -> None:
+    """Rewrite ``path`` with some of its columns replaced, through the
+    envelope writer: every digest, the TOC's too, holds."""
+    header, sections, arrays = read_envelope(path, "pkwise-index")
+    arrays = {**arrays, **{name.replace("__", "."): column for name, column in columns.items()}}
+    write_envelope(path, "pkwise-index", sections, arrays, header)
+
+
+#: A crafted snapshot -> the section its error names.  Before these
+#: checks the first ran code from its TOC, the second raised an untyped
+#: IndexError on the first query, the third never answered, and the last
+#: answered 0 of its pairs.
+CRAFTED = {
+    "pickled-toc": "TOC",
+    "docs-past-the-last-document": "section 'index.docs'",
+    "lens-of-10**8": "section 'index.lens'",
+    "ranks-of--7": "section 'ranks.values'",
+    "keys-out-of-order": "section 'index.keys'",
+    "counts-of-0": "section 'index.counts'",
+    "lengths-short-of-the-values": "section 'ranks.lengths'",
+    "order-not-a-permutation": "section 'order.token_of_rank'",
+    "docs-unsigned": "section 'index.docs'",
+}
+
+
+@pytest.mark.parametrize("craft", CRAFTED)
+def test_a_file_the_kernels_cannot_use_is_refused_on_open(built, tmp_path, craft):
+    data, searcher = built
+    path = tmp_path / "index.idx"
+    save_searcher(searcher, path, data=data)
+    _header, _sections, stored = read_envelope(path, "pkwise-index")
+    marker = tmp_path / "unpickled.marker"
+    if craft == "pickled-toc":
+        path.write_bytes(_older_file(10, "pkwise-index", marker))
+    elif craft == "docs-past-the-last-document":
+        _rewritten(path, index__docs=stored["index.docs"] + len(data))
+    elif craft == "lens-of-10**8":
+        _rewritten(path, index__lens=np.full(len(stored["index.lens"]), 10**8, dtype=np.int32))
+    elif craft == "ranks-of--7":
+        _rewritten(path, ranks__values=np.full_like(stored["ranks.values"], -7))
+    elif craft == "keys-out-of-order":
+        _rewritten(path, index__keys=stored["index.keys"][::-1].copy())
+    elif craft == "counts-of-0":
+        counts = stored["index.counts"].copy()
+        counts[0], counts[1] = 0, counts[1] + counts[0]
+        _rewritten(path, index__counts=counts)
+    elif craft == "lengths-short-of-the-values":
+        lengths = stored["ranks.lengths"].copy()
+        lengths[0] -= 1
+        _rewritten(path, ranks__lengths=lengths)
+    elif craft == "docs-unsigned":
+        _rewritten(path, index__docs=stored["index.docs"].astype(np.uint64))
+    else:
+        _rewritten(path, order__token_of_rank=np.zeros_like(stored["order.token_of_rank"]))
+    for mmap in (False, True):
+        started = time.perf_counter()
+        with _deadline(2.0), pytest.raises(PersistenceError, match=CRAFTED[craft]):
+            with Index.open(path, mmap=mmap) as opened:
+                opened.search(data[3])
+        assert time.perf_counter() - started < 1.0
+    assert not marker.exists()
