@@ -2,8 +2,9 @@
 """Section table of a snapshot, read from its TOC; guards that a file
 is data and holds only what a reader uses: no pickled TOC or section,
 the width of every integer column and of the signature keys, that
-postings and rank columns store counts and lengths, and that shard
-files and live-store segments store no collection or order.
+postings and rank columns store counts and lengths, that no file stores
+routing covers, and that shard files and live-store segments store no
+collection or order.
 
     PYTHONPATH=src python benchmarks/snapshot_sections.py [SNAPSHOT | MANIFEST | shards.json]
     PYTHONPATH=src python benchmarks/snapshot_sections.py --digests FILE
@@ -22,13 +23,17 @@ too, a ``shards.json`` path each of that plan's shard files.  Exit 1 when
   integer column is the narrowest of int8, int16, int32 and int64 that
   holds it (``repro.index.compact._packed_column``), so the run counts
   (``index.counts``), interval lengths (``index.lens``), document
-  lengths (``ranks.lengths``), cover counts (``routing.cover_counts``)
-  and the order's columns mostly store at one or two bytes;
+  lengths (``ranks.lengths``) and the order's columns mostly store at
+  one or two bytes;
 * the file stores ``index.offsets``, ``index.vs`` or ``ranks.offsets``:
   a key's run is its count, an interval its length and a document its
   length, which mostly fit one or two bytes where absolute offsets and
   ends took four (a fifth of the search-reuse snapshot); the offsets are
   derived on open with one cumsum;
+* the file stores a ``routing.*`` section or a ``meta.routing`` key: a
+  tier's covers are a function of its rank column, built at a process's
+  first routed query (they were 9.1% of the search-routed file, and a
+  reader trusting them answered zeroed covers with no pairs);
 * the signature keys (``index.keys``) are not ``<u4``: the paper's 4-byte
   hash, which ``repro.signatures.generate.signature_hashes`` yields
   (8-byte keys were a fifth of the search-reuse snapshot);
@@ -118,6 +123,13 @@ def main(path: Path, segment: bool = False, shard: bool = False) -> int:
             print(f"FAIL: {path.name} stores {name} as {array.dtype}; "
                   f"its values fit {narrow}", file=sys.stderr)
             status = 1
+    routing = stores(held, ("routing.",))
+    if isinstance(sections.get("meta"), dict) and "routing" in sections["meta"]:
+        routing.append("meta.routing")
+    if routing:
+        print(f"FAIL: {path.name} stores {routing}; routing covers are built from "
+              f"the rank column, never stored", file=sys.stderr)
+        status = 1
     for name, replacement in DERIVED.items():
         if name in arrays:
             print(f"FAIL: {path.name} stores {name}; it stores {replacement}, and "

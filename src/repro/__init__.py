@@ -55,7 +55,6 @@ from .errors import (
     CorpusError,
     IndexStateError,
     ReproError,
-    RoutingUnavailableError,
 )
 from .params import SearchParams
 from .persistence import PersistenceError
@@ -81,5 +80,4 @@ __all__ = [
     "CorpusError",
     "IndexStateError",
     "PersistenceError",
-    "RoutingUnavailableError",
 ]

@@ -53,11 +53,7 @@ from .corpus import (
     collection_from_directory,
     collection_from_texts,
 )
-from .errors import (
-    ConfigurationError,
-    IndexStateError,
-    RoutingUnavailableError,
-)
+from .errors import ConfigurationError, IndexStateError
 from .params import SearchParams
 from .persistence import load_bundle, save_searcher
 from .routing import RoutingPolicy
@@ -184,9 +180,8 @@ class Index:
         searches under — a :class:`~repro.RoutingPolicy`, its dict
         form, or a bare mode string (``"off"`` / ``"exact"``).  The
         policy rides on the params through :meth:`save` / :meth:`open`;
-        the fingerprints are built from the rank column at the first save
-        under a routing mode or the first routed query, whichever comes
-        first.
+        the fingerprints are built from the rank column at the first
+        routed query in each process, and never stored.
         """
         collection = _as_collection(data)
         params = SearchParams.from_values(params, w=w, tau=tau, k_max=k_max, m=m)
@@ -233,23 +228,14 @@ class Index:
         naming the section: rebuild it.
 
         ``routing`` overrides the snapshot's routing mode for every
-        query through this index.  ``"exact"``
-        against a snapshot saved without fingerprints raises
-        :class:`~repro.errors.RoutingUnavailableError` here, at open
-        time, rather than on the first query.
+        query through this index, whatever mode it was saved under: no
+        file stores the routing covers, and the first routed query
+        builds them from the rank column.
         """
         bundle = load_bundle(path, mmap=mmap)
         searcher = bundle.searcher
         if routing is not None:
-            params = searcher.params.with_routing(routing)
-            if params.routing.enabled and searcher._routing_tier is None:
-                raise RoutingUnavailableError(
-                    f"{path} was saved without routing fingerprints; "
-                    f"rebuild it under a routing policy (Index.build(..., "
-                    f"routing='exact') or repro index --routing exact) "
-                    f"to route queries"
-                )
-            searcher.params = params
+            searcher.params = searcher.params.with_routing(routing)
         return cls(
             searcher,
             bundle.data,
@@ -305,9 +291,9 @@ class Index:
         like one that lands mid-query.
 
         ``routing`` sets the store's :class:`~repro.RoutingPolicy` on
-        creation and overrides it on resume.  Segments keep the
-        fingerprints they were saved with; a routed query builds a tier's
-        from its rank column, for the documents it has none of yet.
+        creation and overrides it on resume.  No segment stores
+        fingerprints; a routed query builds a tier's from its rank
+        column, for the documents it has none of yet.
         """
         from .ingest import IngestStore
         from .ingest.manifest import MANIFEST_NAME, read_manifest

@@ -23,11 +23,7 @@ from itertools import islice
 import numpy as np
 
 from ..corpus import Document, DocumentCollection
-from ..errors import (
-    ConfigurationError,
-    RoutingUnavailableError,
-    SearchCancelled,
-)
+from ..errors import ConfigurationError, SearchCancelled
 from ..index.compact import CompactIntervalIndex
 from ..obs import get_tracer
 from ..index.intervals import WindowInterval, merge_intervals
@@ -185,7 +181,6 @@ class PKWiseSearcher:
         *,
         removed=(),
         index_epoch: int = 0,
-        routing_tier="auto",
     ) -> "PKWiseSearcher":
         """Assemble a searcher around an already-built interval index.
 
@@ -196,13 +191,7 @@ class PKWiseSearcher:
         :class:`~repro.index.compact.CompactIntervalIndex` and a
         :class:`~repro.index.compact.PackedRankDocs`.  ``removed`` /
         ``index_epoch`` restore tombstones and the cache epoch of a
-        snapshotted searcher.  ``routing_tier`` is the fingerprint
-        routing slot: ``"auto"`` (the default) builds lazily from
-        ``rank_docs`` on the first routed query, an explicit tier (a
-        :class:`~repro.routing.FingerprintTier`, the snapshot loader's
-        mmap path) is used as-is, and ``None`` marks routing unavailable —
-        a routed query raises
-        :class:`~repro.errors.RoutingUnavailableError`.
+        snapshotted searcher.
         """
         if scheme.m != params.m:
             raise ConfigurationError(
@@ -222,7 +211,6 @@ class PKWiseSearcher:
         self.index = index
         self.index_build_seconds = build_seconds
         self.index_epoch = index_epoch
-        self._routing_tier = routing_tier
         return self
 
     def compacted(self) -> "PKWiseSearcher":
@@ -260,37 +248,23 @@ class PKWiseSearcher:
     # ------------------------------------------------------------------
     # Fingerprint routing tier
     # ------------------------------------------------------------------
-    #: The routing-tier slot.  ``"auto"`` (the class default) builds the
-    #: tier lazily from ``rank_docs`` on the first routed query; an
-    #: explicit :class:`~repro.routing.FingerprintTier` (the snapshot
-    #: loader's mmap path) is used as-is; ``None`` means the snapshot carries no fingerprints
-    #: and routed queries raise :class:`RoutingUnavailableError`.
-    _routing_tier = "auto"
+    #: The routing tier, ``None`` until the first routed query builds it.
+    #: No file stores it: it is a function of the rank column.
+    _routing_tier: FingerprintTier | None = None
 
     def routing_fingerprints(self) -> FingerprintTier:
         """The document fingerprint tier gating this searcher's queries.
 
-        When the slot is ``"auto"``, the first call — the first routed
-        query, or a snapshot save under a routing mode — builds it from
-        the rank column (:meth:`FingerprintTier.from_rank_docs`) and
-        keeps it in the slot; the build is deterministic, so serial,
-        fork, and spawn workers reconstruct byte-identical tiers.  Any
-        other tier in the slot (a
-        :class:`~repro.ingest.tiered.TieredFingerprints` too) is used as
-        given.
+        The first call — the first routed query in this process — builds
+        it from the rank column (:meth:`FingerprintTier.from_rank_docs`)
+        and keeps it; the build is deterministic, so serial, fork, and
+        spawn workers reconstruct byte-identical tiers.
         """
-        tier = self._routing_tier
-        if tier is None:
-            raise RoutingUnavailableError(
-                "this snapshot carries no routing fingerprints; re-save it "
-                "with a routing policy (mode != 'off') or query with "
-                "routing mode 'off'"
-            )
-        if tier == "auto":
-            tier = self._routing_tier = FingerprintTier.from_rank_docs(
+        if self._routing_tier is None:
+            self._routing_tier = FingerprintTier.from_rank_docs(
                 self.rank_docs, w=self.params.w
             )
-        return tier
+        return self._routing_tier
 
     def _route_query(self, query_ranks, stats: SearchStats):
         """Survivor mask (or ``None``) for one routed query."""

@@ -176,13 +176,3 @@ class IndexError_(ReproError):
 
 # Public alias with a less awkward name.
 IndexStateError = IndexError_
-
-
-class RoutingUnavailableError(IndexError_):
-    """Routing was requested but the snapshot carries no fingerprints.
-
-    Raised when a query asks for routing mode ``"exact"`` against a
-    compact snapshot that was saved without a routing section (built
-    with ``mode="off"``).  Rebuild or re-save the snapshot under
-    ``mode="exact"``, or query with ``mode="off"``.
-    """

@@ -30,9 +30,9 @@ just long enough to index the pending documents in one array pass
 (:meth:`~repro.ingest.memtable.Memtable.catch_up`), then runs under the read
 side like any other: concurrent queries that all found it behind catch
 up once and still run side by side.
-Fingerprints live per tier (stored with a segment, or built from the
-tier's rank column by the first routed query and extended by later ones
-as the memtable grows), and
+Fingerprints live per tier (joined onto a segment by its fold, or built
+from the tier's rank column by the first routed query and extended by
+later ones as the memtable grows; no file stores them), and
 :class:`~repro.ingest.tiered.TieredFingerprints` glues their survivor
 masks by doc id.
 """
@@ -73,8 +73,8 @@ class LSMSearcher(PKWiseSearcher):
         return self.store.mutation_epoch
 
     def routing_fingerprints(self) -> TieredFingerprints:
-        """Per-tier fingerprints glued by doc id (never unavailable:
-        a tier without stored fingerprints builds them on demand)."""
+        """Per-tier fingerprints glued by doc id (a tier without
+        fingerprints builds them on demand)."""
         return self._fingerprints
 
     # -- search: the kernel under the store's lock

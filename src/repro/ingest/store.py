@@ -192,14 +192,6 @@ def _id_column(document) -> np.ndarray:
     return np.fromiter(document.tokens, np.int64, len(document))
 
 
-def _stored_fingerprints(searcher) -> FingerprintTier | None:
-    """The fingerprints ``searcher`` already carries (loaded from its
-    snapshot, or built by a save or a routed query); ``None`` leaves the
-    tier to build them."""
-    stored = searcher._routing_tier
-    return stored if isinstance(stored, FingerprintTier) else None
-
-
 class IngestStore:
     """Log-structured write path over memtable + segment tiers.
 
@@ -347,7 +339,6 @@ class IngestStore:
                     segment.rank_docs,
                     "segment",
                     path,
-                    _stored_fingerprints(segment),
                 )
             )
         header = state.data
@@ -443,9 +434,10 @@ class IngestStore:
         )
         num_docs = len(searcher.rank_docs)
         if num_docs:
+            # The tier the searcher's routed queries built, if any.
             store._segments.append(
                 Tier(0, num_docs, 1, searcher.index, searcher.rank_docs, "segment",
-                     fingerprints=_stored_fingerprints(searcher))
+                     fingerprints=searcher._routing_tier)
             )
             store._generation = 2
         else:
@@ -788,17 +780,13 @@ class IngestStore:
         if self.directory is not None:
             # No order: the manifest holds the store's one copy.
             segment_searcher = PKWiseSearcher.from_prebuilt(
-                self.params, None, self.scheme, compact_index, packed,
-                routing_tier="auto" if fingerprints is None else fingerprints,
+                self.params, None, self.scheme, compact_index, packed
             )
             faults.inject(
                 "ingest.compact", phase="segment", generation=generation
             )
             path = self.directory / generation_name(SEGMENT_STEM, generation)
             save_searcher(segment_searcher, path)
-            # With routing on, the save stored the joined fingerprints, or
-            # fingerprinted the segment when there were none.
-            fingerprints = _stored_fingerprints(segment_searcher)
         new_tier = Tier(
             doc_lo, doc_hi, generation, compact_index, packed, "segment", path,
             fingerprints,

@@ -74,8 +74,9 @@ class Tier:
         #: Backing snapshot file for segments persisted to disk.
         self.path = path
         #: Routing :class:`~repro.routing.FingerprintTier` over this
-        #: tier's documents (local ids): a segment's stored columns, or
-        #: ``None`` until :class:`TieredFingerprints` builds them on the
+        #: tier's documents (local ids): the tiers' joined by the fold
+        #: that made a segment, or ``None`` until
+        #: :class:`TieredFingerprints` builds them on the
         #: first routed query, and extends them on the next ones as an
         #: active memtable grows.
         self.fingerprints = fingerprints

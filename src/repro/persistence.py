@@ -73,8 +73,6 @@ from .index.compact import CompactIntervalIndex, PackedRankDocs
 from .ordering import GlobalOrder
 from .params import SearchParams
 from .partition.scheme import PartitionScheme
-from .routing import FingerprintTier
-from .routing.fingerprints import LANES
 from .tokenize import Tokenizer, Vocabulary
 from .tokenize.vocabulary import split_strings, string_columns
 
@@ -429,11 +427,12 @@ def rotated_paths(path: str | Path, generations: int) -> list[Path]:
 def generation_name(stem: str, generation: int, suffix: str = ".idx") -> str:
     """Canonical file name for snapshot ``generation`` of ``stem``.
 
-    Sharded serving writes each shard generation to its own immutable
-    file (``shard-003.g000002.idx``) instead of rotating one path in
-    place: a rolling swap maps the new generation while the old one is
-    still being served, then drops the old mapping.  Zero-padding keeps
-    lexicographic and numeric order identical for directory listings.
+    A shard plan writes each shard generation to its own immutable file
+    (``shard-003.g000002.idx``), and a live store each segment
+    (``segment.g000004.idx``), instead of rewriting one path in place:
+    a worker still mapping an older generation keeps serving it until
+    it is restarted.  Zero-padding keeps lexicographic and numeric
+    order identical for directory listings.
     """
     if generation < 1:
         raise ValueError(f"generation must be >= 1, got {generation}")
@@ -541,15 +540,6 @@ def save_searcher(
             for name, array in frozen.rank_docs.to_arrays().items()
         }
     )
-    if params.routing.enabled:
-        # Fingerprints ride in their own section so reopened snapshots
-        # (and the shard workers mmapping them) route without decoding
-        # a single rank column; the meta entry says they are there.
-        tier = frozen.routing_fingerprints()
-        meta["routing"] = {}
-        arrays.update(
-            {f"routing.{name}": array for name, array in tier.to_arrays().items()}
-        )
     if rotate:
         _rotate_snapshots(path, rotate)
     write_envelope(
@@ -675,7 +665,6 @@ def _load_snapshot(
     required = [
         "scheme", *(f"index.{name}" for name in CompactIntervalIndex.COLUMNS),
         "ranks.lengths", "ranks.values",
-        *(("routing.cover_lanes", "routing.cover_counts") if "routing" in meta else ()),
     ]
     for name in required:
         if name not in sections and name not in arrays:
@@ -700,14 +689,6 @@ def _load_snapshot(
     doc_lengths = np.diff(rank_docs._offsets)
     index_columns = _prefixed(arrays, "index.")
     _check_index(path, index_columns, doc_lengths, params.w)
-    routing_tier = None
-    if "routing" in meta:
-        covers = _prefixed(arrays, "routing.")
-        _check_covers(path, covers, doc_lengths, params.w)
-        routing_tier = FingerprintTier.from_arrays(covers)
-    # else: saved without fingerprints, a routed query against this
-    # snapshot raises RoutingUnavailableError instead of silently
-    # decoding every rank column to build them.
     data = None
     if "data" in sections:
         header = load_header(path, sections, arrays, order)
@@ -726,7 +707,6 @@ def _load_snapshot(
             build_seconds=meta.get("build_seconds", 0.0),
             removed=meta.get("removed", ()),
             index_epoch=meta.get("index_epoch", 0),
-            routing_tier=routing_tier,
         )
     return searcher, data
 
@@ -742,13 +722,13 @@ _CHECK_BLOCK = 1 << 14
 
 
 #: The columns a reader takes -> their dtype, or None for a signed
-#: integer column of any width.  Each is one-dimensional but the cover
-#: lanes, a (covers, LANES) matrix; a file may hold others, unread.
+#: integer column of any width.  Each is one-dimensional; a file may
+#: hold others, unread (a 4.2.0 file's routing covers, which a routed
+#: query builds from the rank column instead).
 _READ_COLUMNS = {
     **{f"index.{name}": None for name in CompactIntervalIndex.COLUMNS},
     "index.keys": np.uint32,
     "ranks.lengths": None, "ranks.values": None,
-    "routing.cover_lanes": np.uint64, "routing.cover_counts": None,
     "order.token_of_rank": None, "order.admitted": None,
     "vocabulary.utf8": np.uint8, "vocabulary.lengths": None,
     "names.utf8": np.uint8, "names.lengths": None,
@@ -764,15 +744,14 @@ def _refused(path: Path, name: str, problem: str) -> PersistenceError:
 
 def check_dtypes(path: Path, arrays: dict) -> None:
     """Every column has the dtype and shape its readers take: the
-    signature keys ``uint32``, the cover lanes ``uint64``, the UTF-8
-    bytes ``uint8``, every other column a signed integer one, each one
-    dimension but the lanes."""
+    signature keys ``uint32``, the UTF-8 bytes ``uint8``, every other
+    column a signed integer one, each one dimension."""
     for name, array in arrays.items():
         if name not in _READ_COLUMNS:
             continue
         want = _READ_COLUMNS[name]
         typed = array.dtype == want if want is not None else array.dtype.kind == "i"
-        if not typed or (array.ndim != 1 and name != "routing.cover_lanes"):
+        if not typed or array.ndim != 1:
             raise _refused(path, name, f"is a {array.ndim}-d {array.dtype} column")
 
 
@@ -852,27 +831,6 @@ def _check_index(path: Path, columns: dict, doc_lengths: np.ndarray, w: int) -> 
             raise _refused(
                 path, "index.lens", "holds an interval past the last window of its document"
             )
-
-
-def _check_covers(path: Path, columns: dict, doc_lengths: np.ndarray, w: int) -> None:
-    """One cover count per document; the lanes hold that many covers;
-    and a document of ``L`` tokens has at least one cover when ``L > 0``
-    and at most ``max(1, ceil(L / w))`` (blocks are at least ``w`` long),
-    so every one of its windows lies inside a cover."""
-    lanes, counts = columns["cover_lanes"], columns["cover_counts"]
-    if len(counts) != len(doc_lengths):
-        raise _refused(
-            path, "routing.cover_counts",
-            f"has {len(counts)} entries for {len(doc_lengths)} documents",
-        )
-    covers = int(counts.sum(dtype=np.int64))
-    if lanes.size != covers * LANES:
-        raise _refused(
-            path, "routing.cover_lanes", f"holds {lanes.size} lanes for {covers} covers"
-        )
-    most = np.maximum(1, -(-doc_lengths // w))
-    if np.any(counts < (doc_lengths > 0)) or np.any(counts > most):
-        raise _refused(path, "routing.cover_counts", "holds covers that do not fit their documents")
 
 
 def load_bundle(

@@ -2,9 +2,9 @@
 
 Window-level indexing bounds per-query cost but still touches every
 data document.  This package adds a *routing tier*: per-block 512-bit
-OR-fingerprints (a saturating simhash over token ids), computed from a
-tier's rank column when it is saved or first routed, and stored as flat
-numpy columns.  At
+OR-fingerprints (a saturating simhash over token ids), built as flat
+numpy columns from a tier's rank column at its first routed query in
+each process, and never stored.  At
 query time the tier vector-computes missing bits (popcount over AND-NOT
 of packed ``uint64`` lanes — equivalently the asymmetric half of the
 XOR Hamming distance) between the query's window fingerprints and every

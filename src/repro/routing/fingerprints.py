@@ -5,12 +5,13 @@ Layout
 Every document's rank sequence is cut into tumbling blocks of
 ``max(BLOCK_TOKENS, w)`` tokens.  Each block gets a 512-bit
 OR-fingerprint — bit ``mix(rank) mod 512`` set for every token in the
-block, packed into :data:`LANES` ``uint64`` lanes — and what is stored
+block, packed into :data:`LANES` ``uint64`` lanes — and what is kept
 is the *cover* of every pair of consecutive blocks,
 ``cover_i = block_i | block_{i+1}``.  Because a block is at least ``w``
 tokens long, any ``w``-window of the document lies within two
-consecutive blocks, hence within some stored cover.  The covers are a
-function of the rank column and ``w`` alone.
+consecutive blocks, hence within some cover.  The covers are a
+function of the rank column and ``w`` alone, so no file stores them:
+each process builds a tier's at its first routed query.
 
 Conservativeness
 ----------------
@@ -43,9 +44,7 @@ whole-array passes:
   one gather.
 * **Complement columns.**  The covers' complement is derived once per
   tier, lane-major — ``missing_lanes = (~cover_lanes).T``,
-  :data:`LANES` contiguous rows of one ``uint64`` per cover — and is
-  never stored, so the snapshot holds ``cover_lanes`` / ``cover_counts``
-  only.  Missing bits are a (positions × covers) ``uint16`` matrix
+  :data:`LANES` contiguous rows of one ``uint64`` per cover.  Missing bits are a (positions × covers) ``uint16`` matrix
   accumulated lane by lane with ``np.bitwise_count``; a cover survives
   when any tested window misses at most the budget.  The cost is
   tested windows × covers × :data:`LANES` popcounts.
@@ -80,7 +79,7 @@ FINGERPRINT_BITS = LANES * 64
 
 #: Floor of the tumbling-block length, in tokens: a tier over windows of
 #: ``w`` tokens is built in blocks of ``max(BLOCK_TOKENS, w)``.  Smaller
-#: blocks prune harder but store more covers.
+#: blocks prune harder but build more covers.
 BLOCK_TOKENS = 128
 
 #: Most cells one block of the survivor test holds, in the missing-bit
@@ -211,12 +210,10 @@ class FingerprintTier:
     """Block-cover fingerprints of one tier's documents (local ids
     ``0..ndocs-1``): the flat columns the survivor kernel runs over.
 
-    Made from a rank column (:meth:`from_rank_docs`) or from a snapshot's
-    columns (:meth:`from_arrays`) and never changed; a tier that grows
-    gets a new one (:meth:`concatenated`).  ``missing_lanes`` is the
-    covers' complement, lane-major: row ``l`` holds lane ``l`` of
-    ``~cover`` for every cover, contiguous.  It is derived here and never
-    stored.
+    Made from a rank column (:meth:`from_rank_docs`) and never changed;
+    a tier that grows gets a new one (:meth:`concatenated`).
+    ``missing_lanes`` is the covers' complement, lane-major: row ``l``
+    holds lane ``l`` of ``~cover`` for every cover, contiguous.
     """
 
     __slots__ = ("cover_lanes", "cover_counts", "doc_of_cover", "missing_lanes")
@@ -241,9 +238,8 @@ class FingerprintTier:
         :func:`block_length` tokens: the one producer of ``cover_lanes``
         rows.
 
-        ``rank_docs`` is one tier's rank sequences (a
-        :class:`~repro.index.compact.PackedRankDocs`, or a list of lists,
-        packed first).  The columns are read in chunks of whole documents
+        ``rank_docs`` is one tier's rank sequences, a
+        :class:`~repro.index.compact.PackedRankDocs`.  The columns are read in chunks of whole documents
         of at most :data:`_CHUNK_TOKENS` tokens and :data:`_CHUNK_BLOCKS`
         blocks (a longer document is a chunk of its own).  A chunk hashes
         each token once and sets its bit in a (blocks × 512) bit matrix,
@@ -251,11 +247,6 @@ class FingerprintTier:
         covers are then the OR of its consecutive blocks, a one-block
         document's its one block.
         """
-        # Imported here: repro.index imports this package (via params).
-        from ..index.compact import PackedRankDocs
-
-        if not isinstance(rank_docs, PackedRankDocs):
-            rank_docs = PackedRankDocs.from_lists(rank_docs)
         block_len = block_length(w)
         columns = rank_docs.to_arrays()
         lengths, values = columns["lengths"].astype(np.int64), columns["values"]
@@ -285,32 +276,12 @@ class FingerprintTier:
         return cls(np.concatenate(lanes), np.where(blocks > 1, blocks - 1, blocks))
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "FingerprintTier":
-        """A tier straight over a snapshot's (mmap-able) columns, the
-        cover counts widened back from their stored width."""
-        return cls(
-            np.asarray(arrays["cover_lanes"], dtype=np.uint64).reshape(-1, LANES),
-            np.ascontiguousarray(arrays["cover_counts"], dtype=np.int64),
-        )
-
-    @classmethod
     def concatenated(cls, parts) -> "FingerprintTier":
         """The documents of consecutive tiers as one tier."""
         return cls(
             np.concatenate([part.cover_lanes for part in parts]),
             np.concatenate([part.cover_counts for part in parts]),
         )
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flat columns for the snapshot envelope; the cover counts at
-        the narrowest width that holds them."""
-        # Imported here: repro.index imports this package (via params).
-        from ..index.compact import _packed_column
-
-        return {
-            "cover_lanes": self.cover_lanes,
-            "cover_counts": _packed_column(self.cover_counts),
-        }
 
     # -- the survivor kernel --------------------------------------------
     def survivors(self, query_ranks, *, w: int, tau: int) -> np.ndarray | None:

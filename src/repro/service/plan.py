@@ -34,7 +34,12 @@ from ..core.pkwise import PKWiseSearcher
 from ..corpus import DocumentCollection
 from ..errors import ConfigurationError
 from ..params import SearchParams
-from ..persistence import generation_name, is_current_envelope, save_searcher
+from ..persistence import (
+    _atomic_write,
+    generation_name,
+    is_current_envelope,
+    save_searcher,
+)
 
 #: Manifest file name inside a shard directory.
 MANIFEST_NAME = "shards.json"
@@ -246,9 +251,8 @@ class ShardPlan:
             "shards": [spec.to_dict() for spec in self.shards],
         }
         target = directory / MANIFEST_NAME
-        scratch = target.with_name(target.name + ".tmp")
-        scratch.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        scratch.replace(target)
+        text = json.dumps(payload, indent=2, sort_keys=True).encode()
+        _atomic_write(target, lambda handle: handle.write(text))
         return target
 
     @classmethod

@@ -40,7 +40,6 @@ SURFACE = {
         "CorpusError",
         "IndexStateError",
         "PersistenceError",
-        "RoutingUnavailableError",
     ],
     "repro.baselines": [
         "AdaptSearcher",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import signal
@@ -16,7 +17,7 @@ import repro
 from repro import Index, SearchParams, faults
 from repro.cli import main
 from repro.corpus import collection_from_directory
-from repro.errors import RoutingUnavailableError, WorkerCrashError
+from repro.errors import WorkerCrashError
 from repro.faults import FaultPlan, FaultSpec
 from repro.parallel import ParallelExecutor, executor as executor_module
 from repro.persistence import read_envelope
@@ -171,22 +172,25 @@ class TestFrontDoor:
         assert raised.value.code == 2
         assert "unrecognized arguments: --hedge-after 1" in capsys.readouterr().err
 
-    def test_search_routing_on_unrouted_snapshot_is_one_message(
+    def test_search_routing_on_unrouted_snapshot_routes_exactly(
         self, corpus_dir, tmp_path, capsys
     ):
+        # No file stores routing covers: an index saved with routing off
+        # routes once asked to, and prints the passages it prints unrouted.
         directory, query_path = corpus_dir
         index_path = tmp_path / "plain.idx"
         main(["index", "--data", str(directory), "--out", str(index_path),
               "-w", "20", "--tau", "4"])
-        with pytest.raises(RoutingUnavailableError) as raised:
-            Index.open(index_path, routing="exact")
+        search = ["search", "--index", str(index_path), "--query", str(query_path)]
         capsys.readouterr()
-        rc = main(
-            ["search", "--index", str(index_path), "--query", str(query_path),
-             "--routing", "exact"]
-        )
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {raised.value}\n"
+        assert main(search) == 0
+        unrouted = capsys.readouterr()
+        metrics = tmp_path / "metrics.json"
+        assert main([*search, "--routing", "exact", "--metrics-out", str(metrics)]) == 0
+        routed = capsys.readouterr()
+        assert "doc1.txt" in unrouted.out and routed.out == unrouted.out
+        assert "error" not in routed.err
+        assert json.loads(metrics.read_text())["metrics"]["counters"]["routing_checked_docs"] == 6
 
     def test_search_jobs_checkpoint_resume_print_the_serial_output(
         self, corpus_dir, tmp_path, capsys, monkeypatch

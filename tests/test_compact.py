@@ -586,13 +586,11 @@ class TestTypedResults:
 
 def stored_at_old_widths(path):
     """Rewrite the snapshot or segment file at ``path`` with the widths
-    3.0.1 stored: int64 offsets and cover counts, int32 ranks and
-    postings.  Same TOC version, sections and values."""
+    3.0.1 stored: int32 ranks, lengths and postings.  Same TOC version,
+    sections and values."""
     header, sections, arrays = read_envelope(path, "pkwise-index")
     write_envelope(path, "pkwise-index", sections, {
-        name: array.astype(
-            np.int64 if name.endswith(("offsets", "cover_counts")) else np.int32
-        ) if array.dtype.kind == "i" else array
+        name: array.astype(np.int32) if array.dtype.kind == "i" else array
         for name, array in arrays.items()
     }, header)
 
@@ -642,9 +640,7 @@ class TestColumnWidths:
         for name, column in integer_columns(narrow).items():
             assert column.dtype == _packed_column(column.astype(np.int64)).dtype, name
         assert integer_columns(narrow)["index.lens"].dtype == np.int8
-        assert {a.dtype for a in integer_columns(old).values()} == {
-            np.dtype(np.int32), np.dtype(np.int64)
-        }
+        assert {a.dtype for a in integer_columns(old).values()} == {np.dtype(np.int32)}
         queries = make_queries(data, random.Random(4))
         with Index.open(narrow, mmap=True) as a, Index.open(old, mmap=True) as b:
             assert b.searcher().rank_docs._values.dtype == np.int32

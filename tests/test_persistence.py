@@ -693,8 +693,6 @@ SMOKE_DIGESTS = {
     "index.lens": "|i1 4ffd15a65ebed682401f66fdccbb6b3f",
     "ranks.lengths": "<i2 1c381d274d640f41a72b813197567629",
     "ranks.values": "<i2 aa79ef732ea5a0f234beb4b1595b5d9d",
-    "routing.cover_lanes": "<u8 5995171e859afcadc6151a1a6879624f",
-    "routing.cover_counts": "|i1 36f3d94b3eeb6945cbcf0a53661777b5",
 }
 
 
@@ -704,13 +702,12 @@ def test_section_checker_passes_a_snapshot_a_plan_and_a_live_store(tmp_path, cap
     digests = checker.section_digests(tmp_path / "smoke.idx")
     del digests["meta"]
     assert digests == SMOKE_DIGESTS
-    # Unrouted, the same corpus stores the same sections but the tier's.
+    # Unrouted, the same corpus stores the same sections: no file stores covers.
     corpus = make_profile_collection("REUTERS", 0.02, 1)[0]
     Index.build(corpus, w=50, tau=5, k_max=4).save(tmp_path / "off.idx")
     digests = checker.section_digests(tmp_path / "off.idx")
     del digests["meta"]
-    assert digests == {name: digest for name, digest in SMOKE_DIGESTS.items()
-                       if not name.startswith("routing.")}
+    assert digests == SMOKE_DIGESTS
 
 
 #: Tokens (and names) one joined string must keep apart: multi-byte

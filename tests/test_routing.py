@@ -18,11 +18,10 @@ The contract under test:
   does not grow with the query.
 * **API surface** — :class:`~repro.RoutingPolicy` is a frozen kw-only
   dataclass of one mode that normalizes from strings/dicts, rides on
-  :class:`~repro.SearchParams`, and round-trips through snapshots, one
-  written at another block length included; asking a fingerprint-less
-  snapshot to route raises the typed
-  :class:`~repro.RoutingUnavailableError` (eagerly at ``Index.open``,
-  lazily at query time).
+  :class:`~repro.SearchParams`, and round-trips through snapshots.  No
+  file stores covers: a snapshot saved with routing off routes exactly
+  (from ``Index.open`` or per query), and one holding a 4.2.0 writer's
+  covers, zeroed or of another block length, routes as if it held none.
 * **Observability** — the ``routing.*`` counters report checked and
   pruned documents (merged across workers in the pooled cells).
 """
@@ -38,14 +37,9 @@ import zlib
 import numpy as np
 import pytest
 
-from repro import (
-    ConfigurationError,
-    Index,
-    RoutingPolicy,
-    RoutingUnavailableError,
-    SearchParams,
-)
+from repro import ConfigurationError, Index, RoutingPolicy, SearchParams
 from repro.core.pkwise import PKWiseSearcher
+from repro.index.compact import PackedRankDocs
 from repro.persistence import read_envelope, write_envelope
 from repro.routing import ROUTING_MODES, FingerprintTier, fingerprints
 from repro.routing.fingerprints import FINGERPRINT_BITS, missing_bit_budget
@@ -179,7 +173,7 @@ class TestFingerprintTier:
         assert not mask.any()
 
     def test_survivors_none_when_unprunable(self):
-        empty = FingerprintTier.from_rank_docs([], w=8)
+        empty = FingerprintTier.from_rank_docs(PackedRankDocs.from_lists([]), w=8)
         assert empty.survivors([1, 2, 3], w=8, tau=2) is None
         data, searcher, rank_docs, tier = self._tier_and_corpus()
         # Query shorter than w: no window to fingerprint.
@@ -193,19 +187,6 @@ class TestFingerprintTier:
             )
             is None
         )
-
-    def test_array_round_trip_is_identical(self):
-        data, searcher, rank_docs, tier = self._tier_and_corpus()
-        arrays = {
-            key: np.asarray(value) for key, value in tier.to_arrays().items()
-        }
-        assert sorted(arrays) == ["cover_counts", "cover_lanes"]
-        loaded = FingerprintTier.from_arrays(arrays)
-        assert loaded.ndocs == tier.ndocs
-        query = list(range(40))
-        got = loaded.survivors(query, w=8, tau=2)
-        want = tier.survivors(query, w=8, tau=2)
-        assert np.array_equal(got, want)
 
     def test_covers_are_width_invariant(self):
         # A named case of test_seams.cross_seams: covers at every width.
@@ -279,15 +260,13 @@ class TestSurvivorKernel:
         monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", block_len)
         for seed in range(3):
             docs, rng = self._rank_docs(seed, w)
-            built = FingerprintTier.from_rank_docs(docs, w=w)
-            tiers = [built, FingerprintTier.from_arrays(built.to_arrays())]
-            has_covers = built.cover_counts > 0
+            tier = FingerprintTier.from_rank_docs(PackedRankDocs.from_lists(docs), w=w)
+            has_covers = tier.cover_counts > 0
             for query in self._queries(docs, rng, w, tau):
-                for tier in tiers:
-                    want = reference_survivors(tier, query, w=w, tau=tau)
-                    assert_same_mask(tier.survivors(query, w=w, tau=tau), want)
-                    kept += int(want.sum())
-                    pruned += int((has_covers & ~want).sum())
+                want = reference_survivors(tier, query, w=w, tau=tau)
+                assert_same_mask(tier.survivors(query, w=w, tau=tau), want)
+                kept += int(want.sum())
+                pruned += int((has_covers & ~want).sum())
         # Some fingerprinted document survives, and some is pruned unless
         # the budget covers a whole window (a w-window sets <= w bits).
         assert kept and (pruned or 2 * tau >= w)
@@ -298,9 +277,9 @@ class TestSurvivorKernel:
         monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 8)
         rng = np.random.default_rng(0)
         docs = [rng.integers(0, 5000, 80).tolist() for _ in range(2000)]
-        tier = FingerprintTier.from_rank_docs(docs, w=8)
+        tier = FingerprintTier.from_rank_docs(PackedRankDocs.from_lists(docs), w=8)
         query = docs[7][:40] + rng.integers(0, 5000, 860).tolist()
-        ncovers = len(tier.to_arrays()["cover_lanes"])
+        ncovers = len(tier.cover_lanes)
         assert -(-(len(query) - 8) // 3) + 1 > 4 * (fingerprints._BLOCK_CELLS // ncovers)
         want = reference_survivors(tier, query, w=8, tau=2)
         assert want[7] and not want.all()
@@ -323,7 +302,9 @@ class TestSurvivorKernel:
             for text in more:
                 index.add(text)
             view = searcher.routing_fingerprints()
-            flat = FingerprintTier.from_rank_docs(searcher.rank_docs, w=params.w)
+            flat = FingerprintTier.from_rank_docs(
+                PackedRankDocs.from_lists(searcher.rank_docs), w=params.w
+            )
             for query in queries:
                 ranks = searcher.order.rank_document(query)
                 want = reference_survivors(flat, ranks, w=params.w, tau=params.tau)
@@ -415,82 +396,84 @@ class TestRoutingPersistence:
         index.save(path)
         loaded = Index.open(path, mmap=mmap)
         assert loaded.params.routing.mode == "exact"
-        tier = loaded.searcher()._routing_tier
-        assert isinstance(tier, FingerprintTier)
         assert pairs_as_set(loaded.search_text(query_text)) == want
         result = loaded.search_text(query_text)
         assert result.stats.routing_checked_docs > 0
         loaded.close()
 
-    def test_open_raises_eagerly_without_fingerprints(self, tmp_path):
-        index, _ = self._build(None)  # saved with routing off
+    def test_open_with_routing_on_an_unrouted_snapshot_routes_exactly(self, tmp_path):
+        index, query_text = self._build(None)  # saved with routing off
+        want = expected_pairs(index.data, index.encode_query(query_text), 8, 2)
         path = tmp_path / "plain.pkz"
         index.save(path)
-        with pytest.raises(RoutingUnavailableError):
-            Index.open(path, mmap=True, routing="exact")
-        # Overriding with "off" on the same snapshot is fine.
-        Index.open(path, mmap=True, routing="off").close()
+        loaded = Index.open(path, mmap=True, routing="exact")
+        routed = loaded.search_text(query_text)
+        assert routed.stats.routing_checked_docs == len(loaded.data)
+        assert want and pairs_as_set(routed) == want
+        loaded.close()
 
-    def test_query_time_raise_without_fingerprints(self, tmp_path):
+    def test_a_routed_query_on_an_unrouted_snapshot_routes_exactly(self, tmp_path):
         index, query_text = self._build(None)
+        want = expected_pairs(index.data, index.encode_query(query_text), 8, 2)
         path = tmp_path / "plain.pkz"
         index.save(path)
         loaded = Index.open(path, mmap=True)
-        with pytest.raises(RoutingUnavailableError):
-            loaded.search_text(query_text, routing="exact")
-        # Routing off still searches.
-        assert loaded.search_text(query_text, routing="off").pairs
+        assert loaded.params.routing.mode == "off"
+        routed = loaded.search_text(query_text, routing="exact")
+        assert routed.stats.routing_checked_docs == len(loaded.data)
+        assert want and pairs_as_set(routed) == want
+        assert pairs_as_set(loaded.search_text(query_text, routing="off")) == want
         loaded.close()
 
     @pytest.mark.parametrize("mmap", [False, True])
     def test_2_5_layout_snapshot_opens_unchanged(self, tmp_path, monkeypatch, mmap):
-        # What 2.5 wrote: the same sections plus a MinHash column and a
-        # ``bands`` layout key; and what 3.5.0 wrote at
-        # ``block_tokens=64``: covers of 64-token blocks.  The loader
-        # picks columns by name and the kernel reads no block length, so
-        # there is no branch for either.
-        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 64)
+        # What 4.2.0 wrote beside the rank column: covers in
+        # ``routing.cover_lanes`` / ``.cover_counts`` and a ``meta.routing``
+        # key (2.5 also a MinHash column and a ``bands`` key, 3.5.0 covers
+        # of 64-token blocks).  No reader reads them: zeroed covers, which
+        # pruned every document while they were trusted, and covers of
+        # 64-token blocks both route to the oracle's pairs.
         index, query_text = self._build("exact", length=200)
+        want = expected_pairs(index.data, index.encode_query(query_text), 8, 2)
+        assert want
         current = tmp_path / "routed.pkz"
         index.save(current)
-        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 128)
         header, sections, arrays = read_envelope(current, "pkwise-index")
-        arrays["routing.band_minima"] = np.zeros(
-            (len(arrays["routing.cover_lanes"]), 4), dtype=np.uint64
-        )
-        sections["meta"]["routing"]["bands"] = 4
-        legacy = tmp_path / "routed-2.5.pkz"
-        write_envelope(legacy, "pkwise-index", sections, arrays, header=header)
-        loaded = Index.open(legacy, mmap=mmap)
-        stored = loaded.searcher().routing_fingerprints()
-        rebuilt = FingerprintTier.from_rank_docs(loaded.searcher().rank_docs, w=8)
-        assert len(stored.cover_lanes) > len(rebuilt.cover_lanes)
-        routed = loaded.search_text(query_text)
-        assert routed.stats.routing_checked_docs > 0
-        assert pairs_as_set(routed) == pairs_as_set(index.search_text(query_text))
-        assert pairs_as_set(routed) == pairs_as_set(
-            loaded.search_text(query_text, routing="off")
-        )
-        # Writes layer a memtable fingerprinted at 128 over those covers.
-        for text in (query_text, " ".join(reversed(query_text.split()))):
-            doc_id = loaded.add(text)
-            want = expected_pairs(loaded.data, loaded.encode_query(text), 8, 2)
-            assert doc_id in {pair[0] for pair in want}
-            assert pairs_as_set(loaded.search_text(text)) == want
-        loaded.close()
+        with monkeypatch.context() as patch:
+            patch.setattr(fingerprints, "BLOCK_TOKENS", 64)
+            at_64 = FingerprintTier.from_rank_docs(index.searcher().rank_docs, w=8)
+        for name, lanes in (("zeroed", np.zeros_like(at_64.cover_lanes)), ("64", at_64.cover_lanes)):
+            arrays.update({
+                "routing.cover_lanes": lanes,
+                "routing.cover_counts": at_64.cover_counts,
+                "routing.band_minima": np.zeros((len(lanes), 4), dtype=np.uint64),
+            })
+            sections["meta"]["routing"] = {"bands": 4}
+            legacy = tmp_path / f"routed-{name}.pkz"
+            write_envelope(legacy, "pkwise-index", sections, arrays, header=header)
+            loaded = Index.open(legacy, mmap=mmap)
+            routed = loaded.search_text(query_text)
+            assert routed.stats.routing_checked_docs == len(loaded.data)
+            assert pairs_as_set(routed) == want, name
+            # Writes layer a memtable over them, routed alike.
+            for text in (query_text, " ".join(reversed(query_text.split()))):
+                doc_id = loaded.add(text)
+                added = expected_pairs(loaded.data, loaded.encode_query(text), 8, 2)
+                assert doc_id in {pair[0] for pair in added}
+                assert pairs_as_set(loaded.search_text(text)) == added
+            loaded.close()
 
     def test_segment_fingerprints_are_stored_and_reused(
         self, tmp_path, monkeypatch
     ):
-        # A durable routed store fingerprints a memtable document when a
-        # routed query first finds it, and once more when its segment is
-        # written, unless a routed query did first: then the fold joins
-        # the memtable's fingerprints onto the segment.  No query, install
-        # or reopen fingerprints a document again.  Every fingerprint
+        # Each sealed document is fingerprinted once per process, at its
+        # first routed query: a flush fingerprints nothing, a memtable
+        # document is fingerprinted when a routed query first finds it and
+        # its fold joins that onto the segment in memory, and a reopened
+        # store, whose files hold no covers, fingerprints each of its
+        # documents again at its first routed query.  Every fingerprint
         # comes out of from_rank_docs, so the documents passing through
-        # it are counted.  The store is written
-        # at 64-token blocks (what 3.5.0 wrote at ``block_tokens=64``) and
-        # resumed at 128.
+        # it are counted.
         fingerprinted = []
         real = FingerprintTier.from_rank_docs.__func__
 
@@ -499,7 +482,6 @@ class TestRoutingPersistence:
             return real(cls, rank_docs, w=w)
 
         monkeypatch.setattr(FingerprintTier, "from_rank_docs", classmethod(counted))
-        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 64)
         data, rng = make_corpus(10, docs=7, length=200)
         texts = [" ".join(data.vocabulary.decode(doc.tokens)) for doc in data]
         query_text = " ".join(data.vocabulary.decode(data[0].tokens[8:38]))
@@ -508,15 +490,15 @@ class TestRoutingPersistence:
         for text in texts[:4]:
             index.add(text)
         index.flush()
+        assert fingerprinted == []
         assert pairs_as_set(index.search_text(query_text))
-        assert len(fingerprinted) == 4  # as the segment was written
+        assert len(fingerprinted) == 4  # the segment, at its first routed query
         for text in texts[4:]:
             index.add(text)
             index.search_text(query_text)  # the memtable's new document only
         assert len(fingerprinted) == len(texts)
-        index.flush()  # second seal: two segments, both with stored tiers
+        index.flush()  # second seal: the fold joins the memtable's
         assert index._store.num_segments == 2
-        assert len(fingerprinted) == len(texts)
         routed = index.search_text(query_text)
         assert len(fingerprinted) == len(texts)
         assert routed.stats.routing_checked_docs == len(texts)
@@ -525,18 +507,17 @@ class TestRoutingPersistence:
         assert pairs_as_set(routed) == want
         index.close()
 
-        monkeypatch.setattr(fingerprints, "BLOCK_TOKENS", 128)
         del fingerprinted[:]
         reopened = Index.open_live(directory, routing="exact")
-        # 200 tokens: four 64-token blocks, three covers a document.
-        segments = reopened.searcher().store._segments
-        assert [len(tier.fingerprints.cover_lanes) for tier in segments] == [4 * 3, 3 * 3]
-        assert pairs_as_set(reopened.search_text(query_text)) == want
         assert fingerprinted == []
+        for _ in range(2):
+            assert pairs_as_set(reopened.search_text(query_text)) == want
+            assert len(fingerprinted) == len(texts)
         doc_id = reopened.add(query_text)
         want = expected_pairs(reopened.data, reopened.encode_query(query_text), 8, 2)
         assert doc_id in {pair[0] for pair in want}
         assert pairs_as_set(reopened.search_text(query_text)) == want
+        assert len(fingerprinted) == len(texts) + 1
         reopened.close()
 
     def test_a_fold_joins_the_tiers_fingerprints(self, monkeypatch):

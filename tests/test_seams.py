@@ -252,21 +252,24 @@ def cross_seams(case):
         built = reference_index(SimpleNamespace(params=case, scheme=scheme, rank_docs=documents))
         meta, columns = CompactIntervalIndex.from_index(built).to_arrays()
         covers = [reference_cover_lanes(ranks, max(case.block_tokens, w)) for ranks in documents]
-        covers = stored({
-            "cover_lanes": np.concatenate([np.zeros((0, LANES), np.uint64), *covers]),
-            "cover_counts": _packed_column([len(rows) for rows in covers]),
-        })
+        covers = (np.concatenate([np.zeros((0, LANES), np.uint64), *covers]).tobytes(),
+                  [len(rows) for rows in covers])
+
+        def cover_columns(tier):
+            assert tier.cover_lanes.dtype == np.uint64
+            return tier.cover_lanes.tobytes(), tier.cover_counts.tolist()
+
         packed = PackedRankDocs.from_lists(documents)
         for dtype in WIDTHS[WIDTHS.index(packed._values.dtype.type):]:
             column = PackedRankDocs(packed._offsets, packed._values.astype(dtype))
             index = CompactIntervalIndex.from_rank_docs(column, w, tau, scheme)
             assert index.to_arrays()[0] == meta and stored(index.to_arrays()[1]) == stored(columns)
-            tier = FingerprintTier.from_rank_docs(column, w=w)
-            assert stored(tier.to_arrays()) == covers
-        grown = FingerprintTier.concatenated(
-            [FingerprintTier.from_rank_docs([ranks], w=w) for ranks in documents]
-        )
-        assert stored(grown.to_arrays()) == covers
+            assert cover_columns(FingerprintTier.from_rank_docs(column, w=w)) == covers
+        grown = FingerprintTier.concatenated([
+            FingerprintTier.from_rank_docs(PackedRankDocs.from_lists([ranks]), w=w)
+            for ranks in documents
+        ])
+        assert cover_columns(grown) == covers
         # 1: columns stored at any width probe alike, signs and all, at
         # int32 at least; so do they as one tier, and two merged, from doc_lo.
         signatures = list(built._postings)
@@ -296,9 +299,9 @@ def cross_seams(case):
         engine = PKWiseSearcher(data, params, scheme=scheme, order=order)
         tiers = [Tier(lo + at, lo + at + n, 1, engine.index, engine.rank_docs, "segment") for at in (0, n)]
         tiered = PKWiseSearcher.from_prebuilt(
-            params, order, scheme, TieredIntervalIndex(tiers, w, tau, scheme),
-            TieredRankDocs(tiers), routing_tier=TieredFingerprints(tiers, params),
+            params, order, scheme, TieredIntervalIndex(tiers, w, tau, scheme), TieredRankDocs(tiers)
         )
+        tiered._routing_tier = TieredFingerprints(tiers, params)
         longest = max(data, key=len).tokens
         cut = vocabulary.decode(longest[len(longest) // 3:])
         cut[len(cut) // 2:len(cut) // 2 + 1] = ["unseen"]

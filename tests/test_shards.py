@@ -110,6 +110,30 @@ class TestShardPlan:
         assert loaded.generation == plan.generation
         loaded.validate()
 
+    def test_concurrent_saves_leave_one_loadable_manifest(self, small_corpus, tmp_path):
+        # Two `repro serve --shards` start-ups sharing a --shard-dir save
+        # shards.json at once.  Each save writes a temp file of its own,
+        # so neither renames the other's away (one fixed shards.json.tmp
+        # raised FileNotFoundError in most of 2 x 2,000 saves).
+        plan = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
+        errors = []
+
+        def save_repeatedly():
+            try:
+                for _ in range(200):
+                    plan.save(tmp_path)
+            except Exception as exc:  # noqa: BLE001 - any error fails the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save_repeatedly) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        assert ShardPlan.load(tmp_path) == plan
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_ensure_reuses_compatible_manifest(self, small_corpus, tmp_path):
         first = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=3)
         mtimes = {
