@@ -487,59 +487,13 @@ class Index:
         """True once this index has a mutable LSM write path attached."""
         return self._store is not None
 
-    def serve(
-        self,
-        *,
-        shards: int = 1,
-        replicas: int = 1,
-        **kwargs,
-    ):
-        """Wrap this index in a serving front-end.
-
-        ``shards=1, replicas=1`` (default) returns a
-        :class:`~repro.service.SearchService` over this index.
-        ``shards=N`` (or ``replicas=R >= 2``) partitions the paired
-        collection into N compact in-process shards and returns a
-        :class:`~repro.service.ShardRouter` scatter-gathering over them
-        (pair-for-pair identical results; ``replicas=R`` serves each
-        shard from R independent in-process services with automatic
-        failover).  Keyword arguments are forwarded to each underlying
-        service (``max_workers``, ``max_queue``, ``cache_size``,
-        ``default_timeout`` ...); with shards, ``cache_size`` sizes the
-        router's result cache and the shard services run without one.
-        ``shards`` or ``replicas`` below 1 is a
-        :class:`~repro.errors.ConfigurationError`.
-        """
+    def serve(self, **kwargs):
+        """This index behind a :class:`~repro.service.SearchService`, which
+        takes ``kwargs`` (``max_workers``, ``max_queue``, ``cache_size``,
+        ``default_timeout`` ...).  Shards are ``repro serve --shards N``:
+        worker processes behind a :class:`~repro.service.ShardRouter`."""
         from .service import SearchService
 
-        if shards < 1 or replicas < 1:
-            raise ConfigurationError(
-                f"serve needs shards >= 1 and replicas >= 1, got "
-                f"shards={shards}, replicas={replicas}"
-            )
-        if shards > 1 or replicas > 1:
-            if self._store is not None:
-                raise ConfigurationError(
-                    "sharded serving rebuilds per-shard compact indexes "
-                    "and cannot host a live ingest store; serve with "
-                    "shards=1 (live writes) or save + reopen read-only"
-                )
-            if self.data is None:
-                raise ConfigurationError(
-                    "sharded serving partitions the document collection; "
-                    "this index was saved ids-only — rebuild with data"
-                )
-            from .service import ShardRouter
-
-            default_timeout = kwargs.pop("default_timeout", None)
-            return ShardRouter.local(
-                self.data,
-                self.params,
-                shards=shards,
-                replicas=replicas,
-                default_timeout=default_timeout,
-                **kwargs,
-            )
         return SearchService(self, **kwargs)
 
     def close(self) -> None:

@@ -10,10 +10,17 @@ collection owns that vocabulary and offers helpers to encode additional
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
+
+import numpy as np
 
 from ..errors import CorpusError
 from ..tokenize import Tokenizer, Vocabulary, WhitespaceTokenizer
 from .document import Document
+
+
+def _joined_ids(documents: Sequence[Document]) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(d.tokens for d in documents), np.int64)
 
 
 class ColumnDocuments(Sequence):
@@ -62,6 +69,15 @@ class ColumnDocuments(Sequence):
 
     def lengths(self) -> list[int]:
         return self._rank_docs.lengths() + [len(d) for d in self._appended]
+
+    def token_ids(self, lo: int, hi: int) -> np.ndarray:
+        """Documents ``lo .. hi - 1``'s token ids, joined: the stored ones
+        by one gather over their rank runs, no :class:`Document` made."""
+        stored = self._stored
+        runs = [self._rank_docs.doc_ranks(i) for i in range(lo, min(hi, stored))]
+        gathered = self._token_of_rank[np.concatenate(runs)] if runs else np.empty(0, np.int64)
+        appended = self._appended[max(lo - stored, 0) : max(hi - stored, 0)]
+        return np.concatenate([gathered, _joined_ids(appended)], dtype=np.int64)
 
     def names(self) -> list[str]:
         return list(self._names) + [d.name for d in self._appended]
@@ -197,6 +213,15 @@ class DocumentCollection:
         if isinstance(documents, ColumnDocuments):
             return documents.lengths()
         return [len(document) for document in documents]
+
+    def token_ids(self, lo: int, hi: int) -> np.ndarray:
+        """The token ids of documents ``lo .. hi - 1``, joined into one
+        int64 array; a snapshot-backed collection gathers them from its
+        rank columns."""
+        documents = self._documents
+        if isinstance(documents, ColumnDocuments):
+            return documents.token_ids(lo, hi)
+        return _joined_ids(documents[lo:hi])
 
     def names(self) -> list[str]:
         """Document names in doc-id order (no token is read)."""

@@ -23,7 +23,7 @@ long-running, thread-safe query service:
   :class:`ShardPlan` partitions a corpus into compact snapshot shards
   (times ``replicas`` workers per shard) with a persisted manifest;
   :mod:`~repro.service.router` — :class:`ShardRouter` fans every query
-  out to one replica per shard (in-process services or HTTP workers),
+  out to one replica per shard (HTTP worker processes),
   fails over to sibling replicas before declaring a shard dead, merges
   pairs in canonical order, reports dead shards as partial results and
   holds the deployment's one result cache (a read path only: ``/ingest``

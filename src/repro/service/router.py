@@ -7,13 +7,14 @@ replica is asked, what happens when it fails or stalls, how replies
 merge — and has no write path: a router serves the generation its
 backends were started on.
 
-* Shard backends — :class:`LocalShardBackend` wraps an in-process
-  :class:`SearchService` (tests, ``Index.serve(shards=N)``);
-  :class:`HTTPShardBackend` wraps a :class:`ResilientClient` to a
-  worker process serving one shard snapshot (``repro serve --shards``,
-  see :mod:`~repro.service.workers`).  Backends carry a ``replica``
-  index; the router groups backends with the same ``shard_id`` into a
-  :class:`ReplicaSet`.
+* Shard backends — :class:`HTTPShardBackend` wraps a
+  :class:`ResilientClient` to a worker process serving one shard
+  snapshot (``repro serve --shards``, see
+  :mod:`~repro.service.workers`).  A backend is whatever has its
+  ``search`` / ``healthz`` / ``metrics_snapshot`` / ``describe`` /
+  ``close`` and its ``shard_id``, ``doc_lo``, ``doc_hi`` and
+  ``replica``; the router groups backends with the same ``shard_id``
+  into a :class:`ReplicaSet`.
 * :class:`ShardRouter` — scatters every query to **one replica per
   shard**, gathers replies, maps shard-local doc ids back to global
   ids, and merges in the existing canonical pair order (shards own
@@ -44,8 +45,8 @@ Fault-injection points: ``shards.scatter`` (per sub-request, context
 failover sub-request, same context).
 
 The router duck-types the read side of the service surface
-(``search`` / ``search_text`` / ``healthz`` / ``metrics_snapshot`` /
-``close``), so :func:`repro.service.http.serve_http` fronts a router
+(``search`` / ``healthz`` / ``metrics_snapshot`` / ``close``, and
+``data``, which the HTTP door encodes text queries with), so :func:`repro.service.http.serve_http` fronts a router
 as it fronts a single service — except ``POST /ingest`` and
 ``/remove``, which answer 405 on a router; ``/metrics`` merges the
 per-replica registries into one deterministic aggregate
@@ -62,25 +63,20 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import NamedTuple
 
 from .. import faults
-from ..api import Index
 from ..core.base import MatchPair
-from ..core.pkwise import PKWiseSearcher
 from ..corpus import Document, DocumentCollection
 from ..errors import (
     ConfigurationError,
     DeadlineExceededError,
-    ReproError,
     ServiceClosedError,
     ServiceError,
 )
 from ..eval.harness import QueryFailure
 from ..obs import MetricsRegistry
-from ..params import SearchParams
 from ..routing import RoutingPolicy
 from .cache import ResultCache, ResultEntry, query_token_hash
 from .client import ResilientClient
-from .plan import partition_ranges
-from .service import SearchService, ServiceResponse
+from .service import ServiceResponse
 
 
 # ----------------------------------------------------------------------
@@ -91,49 +87,6 @@ class _ShardReply(NamedTuple):
 
     pairs: tuple
     index_epoch: int
-
-
-class LocalShardBackend:
-    """One shard served by an in-process :class:`SearchService`."""
-
-    def __init__(
-        self,
-        service: SearchService,
-        *,
-        shard_id: int,
-        doc_lo: int,
-        doc_hi: int,
-        replica: int = 0,
-    ) -> None:
-        self.service = service
-        self.shard_id = shard_id
-        self.doc_lo = doc_lo
-        self.doc_hi = doc_hi
-        self.replica = replica
-
-    def search(
-        self, query: Document, *, timeout: float | None, routing=None
-    ) -> _ShardReply:
-        response = self.service.search(query, timeout=timeout, routing=routing)
-        return _ShardReply(response.pairs, response.index_epoch)
-
-    def healthz(self) -> dict:
-        return self.service.healthz()
-
-    def metrics_snapshot(self) -> dict:
-        return self.service.metrics_snapshot()
-
-    def describe(self) -> dict:
-        return {"backend": "local", "service": self.service.name}
-
-    def close(self) -> None:
-        self.service.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"LocalShardBackend(shard={self.shard_id}, r{self.replica}, "
-            f"docs=[{self.doc_lo},{self.doc_hi}))"
-        )
 
 
 class HTTPShardBackend:
@@ -301,7 +254,7 @@ class ShardRouter:
         the same shard (identical doc range).  The per-shard ranges
         must be disjoint, contiguous, and tile ``[0, num_documents)``.
     data:
-        Collection used to encode ``search_text`` queries: the one the
+        Collection the HTTP door encodes text queries with: the one the
         plan was cut from.  Shard files are ids-only, so this is the
         deployment's one vocabulary; shards receive token ids.
     default_timeout:
@@ -360,61 +313,6 @@ class ShardRouter:
         self._last_epochs = {rset.shard_id: 0 for rset in sets}
         self.cache = ResultCache(cache_size)
         self._replacements = 0
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def local(
-        cls,
-        data: DocumentCollection,
-        params: SearchParams,
-        *,
-        shards: int,
-        replicas: int = 1,
-        default_timeout: float | None = None,
-        cache_size: int = 256,
-        name: str = "shard-router",
-        **service_kwargs,
-    ) -> "ShardRouter":
-        """Build an in-process router: one :class:`SearchService` per replica.
-
-        Every replica of a shard gets its *own* searcher over the same
-        document subset, mirroring the process isolation of worker
-        replicas — no searcher state (lazy routing tiers) is shared
-        through one object.  ``cache_size`` sizes the router's result
-        cache; the services run without one, as shard workers do.
-        """
-        if replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        sizes = data.lengths()
-        ranges = partition_ranges(sizes, shards)
-        backends = []
-        for shard_id, (lo, hi) in enumerate(ranges):
-            subset = data.subset(range(lo, hi))
-            for replica in range(replicas):
-                service = SearchService(
-                    Index(PKWiseSearcher(subset, params), subset),
-                    name=f"{name}-shard-{shard_id:03d}-r{replica}",
-                    cache_size=0,
-                    **service_kwargs,
-                )
-                backends.append(
-                    LocalShardBackend(
-                        service,
-                        shard_id=shard_id,
-                        doc_lo=lo,
-                        doc_hi=hi,
-                        replica=replica,
-                    )
-                )
-        return cls(
-            backends,
-            data,
-            default_timeout=default_timeout,
-            cache_size=cache_size,
-            name=name,
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -724,20 +622,6 @@ class ShardRouter:
         return RouterResponse(
             entry, cached, elapsed, sum(shard_epochs.values()),
             failures, shard_epochs,
-        )
-
-    def search_text(
-        self, text: str, *, timeout: float | None = None, routing=None
-    ) -> RouterResponse:
-        """Encode ``text`` against the router's collection and search its
-        token ids on every shard."""
-        if self.data is None:
-            raise ReproError(
-                "router has no document collection to encode text queries; "
-                "submit pre-encoded Document queries instead"
-            )
-        return self.search(
-            self.data.encode_query(text), timeout=timeout, routing=routing
         )
 
     # ------------------------------------------------------------------

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from repro import SearchParams, faults
+from repro import Index, SearchParams, faults
 from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import DocumentCollection
 from repro.index.interval_index import IntervalIndex
+from repro.service import SearchService, ShardRouter
+from repro.service.plan import partition_ranges
 
 
 def load_script(relative: str):
@@ -210,6 +212,73 @@ def serving(server):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+class ServiceBackend:
+    """One shard served by an in-process ``SearchService``: what the
+    router's tests put where ``repro serve --shards`` puts an
+    ``HTTPShardBackend``, so scatter/gather, failover, partial replies
+    and replica admin run without worker processes."""
+
+    def __init__(self, service, *, shard_id, doc_lo, doc_hi, replica=0) -> None:
+        self.service = service
+        self.shard_id = shard_id
+        self.doc_lo = doc_lo
+        self.doc_hi = doc_hi
+        self.replica = replica
+
+    @classmethod
+    def built(cls, data, params, *, shard_id, doc_lo, doc_hi, replica=0):
+        """Documents ``doc_lo .. doc_hi - 1`` of ``data`` built into a
+        searcher and a service of their own, with no result cache (a
+        worker is forked with ``--cache-size 0``)."""
+        subset = data.subset(range(doc_lo, doc_hi))
+        service = SearchService(Index(PKWiseSearcher(subset, params), subset), cache_size=0)
+        return cls(service, shard_id=shard_id, doc_lo=doc_lo, doc_hi=doc_hi, replica=replica)
+
+    def search(self, query, *, timeout, routing=None):
+        return self.service.search(query, timeout=timeout, routing=routing)
+
+    def healthz(self) -> dict:
+        return self.service.healthz()
+
+    def metrics_snapshot(self) -> dict:
+        return self.service.metrics_snapshot()
+
+    def describe(self) -> dict:
+        return {"backend": "local", "service": self.service.name}
+
+    def close(self) -> None:
+        self.service.close()
+
+
+def local_router(data, params, *, shards, replicas=1, **kwargs) -> ShardRouter:
+    """A router over ``data`` cut as ``ShardPlan.build`` cuts it into
+    ``shards`` ranges, each served by ``replicas`` built backends."""
+    backends = [
+        ServiceBackend.built(data, params, shard_id=shard_id, doc_lo=lo, doc_hi=hi,
+                             replica=replica)
+        for shard_id, (lo, hi) in enumerate(partition_ranges(data.lengths(), shards))
+        for replica in range(replicas)
+    ]
+    return ShardRouter(backends, data, **kwargs)
+
+
+def plan_router(directory, plan, data, *, replicas=1, routing=None) -> ShardRouter:
+    """A router over ``plan``'s shard files under ``directory``, each of
+    ``replicas`` backends a service over its own mapping of the file
+    (the ``--mmap --cache-size 0`` a worker serves)."""
+    backends = [
+        ServiceBackend(
+            Index.open(Path(directory) / spec.path, mmap=True, routing=routing)
+            .serve(cache_size=0),
+            shard_id=spec.shard_id, doc_lo=spec.doc_lo, doc_hi=spec.doc_hi,
+            replica=replica,
+        )
+        for spec in plan.shards
+        for replica in range(replicas)
+    ]
+    return ShardRouter(backends, data)
 
 
 def pairs_as_set(result) -> set:

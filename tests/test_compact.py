@@ -45,6 +45,7 @@ from .conftest import (
     make_corpus,
     make_queries,
     pairs_as_set,
+    plan_router,
     probe_runs,
     reference_index,
     slice_accessor,
@@ -148,8 +149,7 @@ class TestHashedCollisions:
         # sharded: every key column is uint32, each probe of the two
         # signatures returns the merged run, and every query's pairs are
         # the reference's.
-        from repro.service import ShardPlan, ShardRouter
-        from repro.service.router import LocalShardBackend
+        from repro.service import ShardPlan
 
         first, second = real_collision()
         texts = collision_corpus(first, second)
@@ -184,16 +184,10 @@ class TestHashedCollisions:
 
         plan = ShardPlan.build(data, params, tmp_path / "shards", num_shards=2)
         assert [(s.doc_lo, s.doc_hi) for s in plan.shards] == [(0, 100), (100, 200)]
-        backends = []
-        for spec in plan.shards:
-            shard = Index.open(tmp_path / "shards" / spec.path, mmap=True)
-            assert shard.searcher().index.to_arrays()[1]["keys"].dtype == np.uint32
-            backends.append(LocalShardBackend(
-                shard.serve(), shard_id=spec.shard_id, doc_lo=spec.doc_lo,
-                doc_hi=spec.doc_hi,
-            ))
-        merged_run(shard.searcher().index, {x - 100, y - 100})
-        with ShardRouter(backends, data) as router:
+        with plan_router(tmp_path / "shards", plan, data) as router:
+            shards = [backend.service.index.searcher().index for backend in router.backends]
+            assert all(shard.to_arrays()[1]["keys"].dtype == np.uint32 for shard in shards)
+            merged_run(shards[-1], {x - 100, y - 100})
             check_pairs(router, data)
 
         truth = DocumentCollection()

@@ -10,12 +10,13 @@ when a query or a seal finds it behind (memtable), the engine as built,
 frozen (compact), or saved and mapped (mmap); routing ``off``, ``exact``, or off
 with every ``request`` asking for exact; ``serial`` behind a
 ``SearchService`` or a ``--jobs 2`` workload under ``fork`` / ``spawn``;
-one index, 3 shards, or 2 shards x 2 replicas (``Index.serve`` over a
-build, or a plan's mapped files); built once,
-then seeded add / remove / flush / compact (live), the same on a
-durable store closed and reopened with ``Index.open_live`` (reopen), or
-the same adds and removes sent through ``index.serve()`` while queries
-alternate between the index and its service (served).
+one index, 3 shards, or 2 shards x 2 replicas (a ``ShardPlan``'s files,
+each mapped by a service of its own, as ``repro serve --shards``
+serves them); built once, then seeded add / remove / flush / compact
+(live), the same on a durable store closed and reopened with
+``Index.open_live`` (reopen), or the same adds and removes sent
+through ``index.serve()`` while queries alternate between the index and
+its service (served).
 
 The cells are a pairwise cover: two values of two axes meet in some cell
 unless ``INVALID`` says why they cannot, which the first test checks, so
@@ -36,10 +37,9 @@ from repro.core.pkwise import PKWiseSearcher
 from repro.corpus import DocumentCollection
 from repro.eval import run_searcher
 from repro.parallel import executor as executor_module
-from repro.service import ShardPlan, ShardRouter
-from repro.service.router import LocalShardBackend
+from repro.service import ShardPlan
 
-from .conftest import expected_pairs, make_corpus, make_queries
+from .conftest import expected_pairs, make_corpus, make_queries, plan_router
 
 AXES = {
     "storage": ("memtable", "compact", "mmap"),
@@ -59,8 +59,8 @@ INVALID = [
      "spawn workers map a saved snapshot of any engine: that is the mmap value"),
     ("execution", ("spawn",), "lifecycle", ("reopen", "served"),
      "spawn workers map a folded snapshot of the store, as in the live cell"),
-    ("storage", ("memtable",), "topology", ("sharded", "replicated"),
-     "every shard is frozen: ShardRouter.local builds, plan files are mapped"),
+    ("storage", ("memtable", "compact"), "topology", ("sharded", "replicated"),
+     "every shard is a ShardPlan.build file, mapped as a repro serve --shards worker maps it"),
     ("storage", ("memtable",), "lifecycle", ("oneshot",),
      "a build is frozen: only a live index has a memtable, fed one document at a time"),
     ("storage", ("memtable", "compact"), "lifecycle", ("reopen",),
@@ -79,15 +79,16 @@ CELLS = [Cell(*row.split()) for row in (
     "compact  off      fork    single      live",
     "compact  exact    fork    single      oneshot",
     "compact  off      fork    single      served",
-    "compact  off      serial  sharded     oneshot",
-    "compact  exact    serial  replicated  oneshot",
-    "compact  request  serial  sharded     oneshot",
+    "compact  request  serial  single      oneshot",
     "mmap     off      spawn   single      oneshot",
+    "mmap     off      serial  sharded     oneshot",
     "mmap     off      serial  replicated  oneshot",
     "mmap     off      fork    single      reopen",
     "mmap     exact    serial  sharded     oneshot",
+    "mmap     exact    serial  replicated  oneshot",
     "mmap     exact    serial  single      reopen",
     "mmap     exact    spawn   single      live",
+    "mmap     request  serial  sharded     oneshot",
     "mmap     request  serial  replicated  oneshot",
     "mmap     request  serial  single      reopen",
     "mmap     request  serial  single      served",
@@ -172,18 +173,8 @@ def open_engine(cell, data, params, override, tmp_path):
 
 def open_router(cell, data, params, override, tmp_path):
     shards, replicas = (3, 1) if cell.topology == "sharded" else (2, 2)
-    if cell.storage == "compact":
-        return Index.build(data, params).serve(shards=shards, replicas=replicas)
     plan = ShardPlan.build(data, params, tmp_path, num_shards=shards, replicas=replicas)
-    backends = []
-    for spec in plan.shards:
-        for replica in range(replicas):
-            shard = Index.open(tmp_path / spec.path, mmap=True, routing=override)
-            backends.append(LocalShardBackend(
-                shard.serve(), shard_id=spec.shard_id, doc_lo=spec.doc_lo,
-                doc_hi=spec.doc_hi, replica=replica,
-            ))
-    return ShardRouter(backends, data)
+    return plan_router(tmp_path, plan, data, replicas=replicas, routing=override)
 
 
 def encoded(data, queries):

@@ -376,11 +376,17 @@ class TestKeywordOnlyParams:
 
 
 class TestFacadeDoors:
-    @pytest.mark.parametrize("shards, replicas", [(0, 1), (-3, 1), (1, 0)])
-    def test_serve_refuses_fewer_than_one(self, shards, replicas):
+    def test_serve_is_one_service(self):
+        # Sharded serving is repro serve --shards: the in-process door
+        # takes the service's keywords only.
+        from repro.service import SearchService
+
         index = Index.build(TEXTS, w=10, tau=2, k_max=3)
-        with pytest.raises(ConfigurationError, match="shards >= 1 and replicas >= 1"):
-            index.serve(shards=shards, replicas=replicas)
+        with index.serve(cache_size=0) as service:
+            assert type(service) is SearchService and service.cache.capacity == 0
+            assert service.search_text(TEXTS[0]).pairs
+        with pytest.raises(TypeError, match="shards"):
+            index.serve(shards=2)
 
     @pytest.mark.parametrize("kind", ["built", "opened", "live"])
     def test_closed_index_takes_no_writes(self, tmp_path, kind):

@@ -4,6 +4,7 @@ replicated cells."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import tracemalloc
@@ -24,17 +25,18 @@ from repro.corpus import DocumentCollection
 from repro.errors import ServiceClosedError, ServiceError
 from repro.faults import FaultPlan, FaultSpec
 from repro.persistence import generation_name
-from repro.service import SearchService, serve_http
+from repro.service import SearchService, ShardRouter, serve_http
 from repro.service.client import (
     ResilientClient,
     _request,
     remote_healthz,
     remote_search,
 )
-from repro.service.plan import MANIFEST_NAME, ShardPlan, partition_ranges
-from repro.service.router import LocalShardBackend, ShardRouter
+import repro.service.plan as plan_module
+import repro.service.workers as workers_module
+from repro.service.plan import MANIFEST_NAME, ShardPlan, _corpus_digest, partition_ranges
 
-from .conftest import expected_pairs, serving
+from .conftest import ServiceBackend, expected_pairs, local_router, plan_router, serving
 
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
 
@@ -47,14 +49,7 @@ def single_pairs(corpus, query):
 def plan_pairs(directory, plan, corpus, query):
     """``query``'s pairs from ``plan``'s shard files, behind a router that
     encodes against ``corpus``."""
-    backends = [
-        LocalShardBackend(
-            SearchService(Index.open(directory / spec.path)),
-            shard_id=spec.shard_id, doc_lo=spec.doc_lo, doc_hi=spec.doc_hi,
-        )
-        for spec in plan.shards
-    ]
-    with ShardRouter(backends, corpus) as router:
+    with plan_router(directory, plan, corpus) as router:
         return list(router.search(query).pairs)
 
 
@@ -182,6 +177,35 @@ class TestShardPlan:
         assert ShardPlan.ensure(rotated, PARAMS, tmp_path, num_shards=2) == plan
         assert ShardPlan.load(tmp_path) == plan
 
+    def test_corpus_digest_is_the_per_document_digest(
+        self, small_corpus, tmp_path, monkeypatch
+    ):
+        # Blocks of whole documents feed BLAKE2b the bytes one update per
+        # document fed it, so every recorded shards.json digest stands:
+        # for a built collection, its reopened column-backed copy, and
+        # that copy with documents added behind its columns.
+        def per_document(data):
+            state = hashlib.blake2b(digest_size=16)
+            state.update(np.asarray(data.lengths(), dtype=np.int64).tobytes())
+            for document in data:
+                state.update(np.fromiter(document.tokens, np.int64, len(document)).tobytes())
+            return state.hexdigest()
+
+        Index.build(small_corpus, PARAMS).save(tmp_path / "x.idx")
+        reopened = Index.open(tmp_path / "x.idx", mmap=True)
+        grown = Index.open(tmp_path / "x.idx", mmap=True)
+        grown.add("alpha beta gamma delta")
+        grown.add("epsilon zeta")
+        want = per_document(small_corpus)
+        longest = max(small_corpus.lengths())
+        for block in (plan_module.DIGEST_BLOCK_IDS, 2 * longest, longest - 1, 1):
+            monkeypatch.setattr(plan_module, "DIGEST_BLOCK_IDS", block)
+            assert _corpus_digest(small_corpus) == want
+            assert _corpus_digest(reopened.data) == want
+            assert _corpus_digest(grown.data) == per_document(grown.data) != want
+        reopened.close()
+        grown.close()
+
     def test_opening_a_shard_file_builds_no_per_token_object(self, tmp_path):
         # A shard of the serve-sharded corpus (|V| = 10,518): ids-only, its
         # order two narrow arrays, its index columns mapped in place; the
@@ -237,7 +261,7 @@ class TestShardPlan:
 class TestPartialResults:
     def test_dead_shard_reports_partial(self, small_corpus, query):
         single = single_pairs(small_corpus, query)
-        with ShardRouter.local(small_corpus, PARAMS, shards=3) as router:
+        with local_router(small_corpus, PARAMS, shards=3) as router:
             dead = router.backends[1]
             lo, hi = dead.doc_lo, dead.doc_hi
             faults.install_plan(
@@ -264,7 +288,7 @@ class TestPartialResults:
             assert [tuple(p) for p in response.pairs] == survivors
 
     def test_all_shards_down_raises(self, small_corpus, query):
-        with ShardRouter.local(small_corpus, PARAMS, shards=3) as router:
+        with local_router(small_corpus, PARAMS, shards=3) as router:
             faults.install_plan(
                 FaultPlan(
                     [FaultSpec(point="shards.scatter", kind="raise")]
@@ -275,7 +299,7 @@ class TestPartialResults:
             assert len(excinfo.value.failures) == 3
 
     def test_http_partial_reply_shape(self, small_corpus, query):
-        with ShardRouter.local(small_corpus, PARAMS, shards=3) as router:
+        with local_router(small_corpus, PARAMS, shards=3) as router:
             faults.install_plan(
                 FaultPlan(
                     [
@@ -295,14 +319,14 @@ class TestPartialResults:
                 assert reply["failures"][0]["position"] == 0
 
     def test_closed_router_raises(self, small_corpus, query):
-        router = ShardRouter.local(small_corpus, PARAMS, shards=2)
+        router = local_router(small_corpus, PARAMS, shards=2)
         router.close()
         with pytest.raises(ServiceClosedError):
             router.search(query)
 
 
 # ----------------------------------------------------------------------
-class CountingBackend(LocalShardBackend):
+class CountingBackend(ServiceBackend):
     """A real in-process shard that counts its searches, can be taken
     down, and can run a hook while the router is gathering."""
 
@@ -321,10 +345,7 @@ class CountingBackend(LocalShardBackend):
 
 
 def counting_backend(corpus, shard_id, lo, hi):
-    # No result cache, as a shard behind a router runs.
-    subset = corpus.subset(range(lo, hi))
-    service = SearchService(Index(PKWiseSearcher(subset, PARAMS), subset), cache_size=0)
-    return CountingBackend(service, shard_id=shard_id, doc_lo=lo, doc_hi=hi)
+    return CountingBackend.built(corpus, PARAMS, shard_id=shard_id, doc_lo=lo, doc_hi=hi)
 
 
 def counting_router(corpus, shards=2, **kwargs):
@@ -472,18 +493,23 @@ class TestRouterCache:
             assert counters["router.cache_misses"] == 3
             assert len(router.cache) == 0
 
-    def test_cache_size_sizes_the_router_tier_only(self, small_corpus):
+    def test_cache_size_sizes_the_router_tier_only(self, small_corpus, tmp_path):
         for size, expected in ((0, 0), (None, 256), (8, 8)):
             kwargs = {} if size is None else {"cache_size": size}
-            with ShardRouter.local(
-                small_corpus, PARAMS, shards=2, replicas=2, **kwargs
-            ) as router:
+            with local_router(small_corpus, PARAMS, shards=2, **kwargs) as router:
                 assert router.cache.capacity == expected
-                assert [
-                    backend.service.cache.capacity
-                    for rset in router.replica_sets
-                    for backend in rset.replicas
-                ] == [0] * 4
+        # Every worker is forked with no result cache of its own.
+        spec = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2).shards[0]
+        argvs = []
+
+        class Launcher:
+            def launch(self, argv, **_):
+                argvs.append(argv)
+                raise OSError("not started")
+
+        with pytest.raises(OSError, match="not started"):
+            workers_module._launch_worker(tmp_path, spec, 0, launcher=Launcher(), workers=None)
+        assert argvs[0][argvs[0].index("--cache-size") + 1] == "0"
 
     def test_lru_bound_and_evictions(self, small_corpus):
         queries = [
@@ -556,7 +582,7 @@ class TestRouterCache:
         if tier == "service":
             service = SearchService(Index(PKWiseSearcher(corpus, PARAMS), corpus))
         else:
-            service = ShardRouter.local(corpus, PARAMS, shards=2)
+            service = local_router(corpus, PARAMS, shards=2)
         encoded = []
         dumps = json.dumps
 
@@ -618,7 +644,7 @@ class TestRouterIsReadOnly:
         self, small_corpus, query, path, body
     ):
         single = single_pairs(small_corpus, query)
-        with ShardRouter.local(small_corpus, PARAMS, shards=2) as router:
+        with local_router(small_corpus, PARAMS, shards=2) as router:
             with serving(serve_http(router, port=0)) as server:
                 sent = []
 
@@ -651,7 +677,7 @@ class TestRouterIsReadOnly:
 
         single = single_pairs(small_corpus, query)
         monkeypatch.setattr(door, "MAX_QUERY_TOKENS", len(query.tokens))
-        with ShardRouter.local(small_corpus, PARAMS, shards=2) as router:
+        with local_router(small_corpus, PARAMS, shards=2) as router:
             with serving(serve_http(router, port=0)) as server:
                 with pytest.raises(ReproError, match="tokens is over") as info:
                     remote_search(server.url, token_ids=list(query.tokens) * 2)

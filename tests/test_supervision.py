@@ -3,8 +3,8 @@
 Three layers, progressively less faked:
 
 * ``TestReplicaFailover`` / ``TestRouterReplicaAdmin`` — the real
-  router over in-process replicas, with faults injected at the named
-  scatter/failover points.
+  router over in-process replicas (``conftest.ServiceBackend``), with
+  faults injected at the named scatter/failover points.
 * ``TestSupervisorStateMachine`` — the real supervisor driven with
   fake processes, a fake router, and a fake clock, so every transition
   (ok → dead → restarting → readmitted / quarantined) is exercised
@@ -58,7 +58,7 @@ from repro.service.workers import (
     stop_shard_workers,
 )
 
-from .conftest import FakeClock, expected_pairs
+from .conftest import FakeClock, expected_pairs, local_router
 
 PARAMS = SearchParams(w=10, tau=2, k_max=3)
 
@@ -80,9 +80,7 @@ class TestReplicaFailover:
         # router fails over to replica 1 and the caller sees a full,
         # non-partial answer — zero QueryFailures.
         single = sorted(expected_pairs(small_corpus, query, PARAMS.w, PARAMS.tau))
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, replicas=2
-        ) as router:
+        with local_router(small_corpus, PARAMS, shards=2, replicas=2) as router:
             faults.install_plan(
                 FaultPlan(
                     [
@@ -109,9 +107,7 @@ class TestReplicaFailover:
         # Query 1 pays one failover; afterwards the down marker moves
         # the bad replica to the back of the preference order, so query
         # 2 starts on the healthy sibling and pays nothing.
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, replicas=2
-        ) as router:
+        with local_router(small_corpus, PARAMS, shards=2, replicas=2) as router:
             faults.install_plan(
                 FaultPlan(
                     [
@@ -141,9 +137,7 @@ class TestReplicaFailover:
         self, small_corpus, query
     ):
         single = sorted(expected_pairs(small_corpus, query, PARAMS.w, PARAMS.tau))
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, replicas=2
-        ) as router:
+        with local_router(small_corpus, PARAMS, shards=2, replicas=2) as router:
             lo, hi = router.backends[1].doc_lo, router.backends[1].doc_hi
             faults.install_plan(
                 FaultPlan(
@@ -169,9 +163,7 @@ class TestReplicaFailover:
         # Kill the primary, then make the failover attempt itself die
         # at the shards.failover point: the shard must fail with the
         # injected failover error, proving the point sits on the path.
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, replicas=2
-        ) as router:
+        with local_router(small_corpus, PARAMS, shards=2, replicas=2) as router:
             faults.install_plan(
                 FaultPlan(
                     [
@@ -197,18 +189,14 @@ class TestReplicaFailover:
 # ----------------------------------------------------------------------
 class TestRouterReplicaAdmin:
     def test_backends_property_returns_primaries(self, small_corpus):
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, replicas=2
-        ) as router:
+        with local_router(small_corpus, PARAMS, shards=2, replicas=2) as router:
             assert router.num_shards == 2
             assert len(router.backends) == 2
             assert [b.replica for b in router.backends] == [0, 0]
             assert [len(rset) for rset in router.replica_sets] == [2, 2]
 
     def test_mark_and_readmit_roundtrip(self, small_corpus):
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, replicas=2
-        ) as router:
+        with local_router(small_corpus, PARAMS, shards=2, replicas=2) as router:
             rset = router.replica_sets[0]
             router.mark_replica_down(0, 0)
             assert rset.down == {0}
@@ -218,9 +206,7 @@ class TestRouterReplicaAdmin:
             assert [b.replica for b in rset.preference_order()] == [0, 1]
 
     def test_replace_replica_validates_range_and_id(self, small_corpus):
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, replicas=2
-        ) as router:
+        with local_router(small_corpus, PARAMS, shards=2, replicas=2) as router:
             wrong_range = router.replica_sets[1].replicas[0]
             with pytest.raises(ConfigurationError):
                 router.replace_replica(0, 0, wrong_range)
@@ -228,7 +214,7 @@ class TestRouterReplicaAdmin:
                 router.replace_replica(99, 0, router.backends[0])
 
     def test_mismatched_replica_ranges_rejected(self, small_corpus):
-        with ShardRouter.local(small_corpus, PARAMS, shards=2) as router:
+        with local_router(small_corpus, PARAMS, shards=2) as router:
             a, b = router.backends
             # Same shard_id but different ranges cannot be replicas.
             b.shard_id = a.shard_id
@@ -236,9 +222,7 @@ class TestRouterReplicaAdmin:
                 ShardRouter([a, b])
 
     def test_healthz_tracks_replica_health(self, small_corpus):
-        with ShardRouter.local(
-            small_corpus, PARAMS, shards=2, replicas=2
-        ) as router:
+        with local_router(small_corpus, PARAMS, shards=2, replicas=2) as router:
             assert router.healthz()["status"] == "ok"
             # One replica of shard 0 dies: shard degraded, router
             # degraded, every query still fully answerable.
