@@ -218,6 +218,24 @@ class ShardPlan:
         leaves the previous generation's files in place: workers that
         still map them keep serving until they are restarted.
         """
+        return cls._build(
+            data, params, directory, num_shards=num_shards, generation=generation,
+            replicas=replicas, digest=_corpus_digest(data),
+        )
+
+    @classmethod
+    def _build(
+        cls,
+        data: DocumentCollection,
+        params: SearchParams,
+        directory: str | Path,
+        *,
+        num_shards: int,
+        generation: int,
+        replicas: int,
+        digest: str,
+    ) -> "ShardPlan":
+        """:meth:`build` with the corpus digest already taken."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         sizes = data.lengths()
@@ -244,7 +262,7 @@ class ShardPlan:
             generation=generation,
             params=_manifest_params(params),
             replicas=replicas,
-            digest=_corpus_digest(data),
+            digest=digest,
         )
         plan.validate()
         plan.save(directory)
@@ -323,6 +341,7 @@ class ShardPlan:
         other plan, or one that records no digest, is rebuilt.
         """
         directory = Path(directory)
+        digest = None
         if (directory / MANIFEST_NAME).exists():
             try:
                 plan = cls.load(directory)
@@ -333,7 +352,7 @@ class ShardPlan:
                 and plan.num_shards == num_shards
                 and plan.num_documents == len(data)
                 and plan.params == _manifest_params(params)
-                and plan.digest == _corpus_digest(data)
+                and plan.digest == (digest := _corpus_digest(data))
                 and all(is_current_envelope(directory / spec.path) for spec in plan.shards)
             ):
                 if plan.replicas != replicas:
@@ -341,6 +360,7 @@ class ShardPlan:
                     plan.validate()
                     plan.save(directory)
                 return plan
-        return cls.build(
-            data, params, directory, num_shards=num_shards, replicas=replicas
+        return cls._build(
+            data, params, directory, num_shards=num_shards, generation=1,
+            replicas=replicas, digest=digest or _corpus_digest(data),
         )

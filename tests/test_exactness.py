@@ -7,8 +7,9 @@ shares no code with ``repro``); its queries include one of unseen words
 only and one shorter than ``w``, whose reference is empty.  Axes:
 documents added one by one into a live memtable, whose columns catch up
 when a query or a seal finds it behind (memtable), the engine as built,
-frozen (compact), or saved and mapped (mmap); routing ``off``, ``exact``, or off
-with every ``request`` asking for exact; ``serial`` behind a
+frozen (compact), or saved with routing off and mapped (mmap: an
+``exact`` cell opens it with ``routing="exact"``); routing ``off``,
+``exact``, or off with every ``request`` asking for exact; ``serial`` behind a
 ``SearchService`` or a ``--jobs 2`` workload under ``fork`` / ``spawn``;
 one index, 3 shards, or 2 shards x 2 replicas (a ``ShardPlan``'s files,
 each mapped by a service of its own, as ``repro serve --shards``
@@ -16,7 +17,8 @@ serves them); built once, then seeded add / remove / flush / compact
 (live), the same on a durable store closed and reopened with
 ``Index.open_live`` (reopen), or the same adds and removes sent
 through ``index.serve()`` while queries alternate between the index and
-its service (served).
+its service (served).  The writes add words the build never saw, and
+the last add is asked for too: each later query must resolve them.
 
 The cells are a pairwise cover: two values of two axes meet in some cell
 unless ``INVALID`` says why they cannot, which the first test checks, so
@@ -131,10 +133,11 @@ def test_reference_keeps_out_of_vocabulary_words_apart():
     assert len(pairs) == 9 and {pair[0] for pair in pairs} == {0}
 
 
-def new_text(rng, texts):
-    """A random document, half the time holding an edited copy of a slice
-    of an earlier one; lengths straddle every ``w`` of the grid."""
-    tokens = [f"t{rng.randrange(200)}" for _ in range(rng.randint(3, 50))]
+def new_text(rng, texts, shortest=3):
+    """A random document over the corpus's 200 words and 100 more, half
+    the time holding an edited copy of a slice of an earlier one; lengths
+    straddle every ``w`` of the grid."""
+    tokens = [f"t{rng.randrange(300)}" for _ in range(rng.randint(shortest, 50))]
     source = rng.choice(texts)
     if rng.random() < 0.5 and len(source) > 20:
         at = rng.randrange(len(source) - 20)
@@ -145,12 +148,13 @@ def new_text(rng, texts):
 
 
 def plan_writes(rng, texts, steps=12):
-    """Seeded writes over ``texts`` (extended by the adds), ending in an add."""
+    """Seeded writes over ``texts`` (extended by the adds), ending in an
+    add of at least 20 words."""
     live, ops = list(range(len(texts))), []
     for step in range(steps):
         roll = 0.0 if step == steps - 1 else rng.random()
         if roll < 0.5 or not live:
-            texts.append(new_text(rng, texts))
+            texts.append(new_text(rng, texts, 20 if step == steps - 1 else 3))
             live.append(len(texts) - 1)
             ops.append(("add", len(texts) - 1))
         elif roll < 0.7:
@@ -160,21 +164,22 @@ def plan_writes(rng, texts, steps=12):
     return ops
 
 
-def open_engine(cell, data, params, override, tmp_path):
-    searcher = PKWiseSearcher(data, params)
+def open_engine(cell, data, params, tmp_path):
     if cell.storage == "compact":
+        searcher = PKWiseSearcher(data, params)
         assert searcher.frozen and searcher.compacted() is searcher
         return Index(searcher, data)
-    Index(searcher, data).save(tmp_path / "index.idx")
-    opened = Index.open(tmp_path / "index.idx", mmap=True, routing=override)
+    Index.build(data, params.with_routing("off")).save(tmp_path / "index.idx")
+    opened = Index.open(tmp_path / "index.idx", mmap=True, routing=params.routing.mode)
     assert opened.frozen
     return opened
 
 
-def open_router(cell, data, params, override, tmp_path):
+def open_router(cell, data, params, tmp_path):
     shards, replicas = (3, 1) if cell.topology == "sharded" else (2, 2)
-    plan = ShardPlan.build(data, params, tmp_path, num_shards=shards, replicas=replicas)
-    return plan_router(tmp_path, plan, data, replicas=replicas, routing=override)
+    plan = ShardPlan.build(data, params.with_routing("off"), tmp_path,
+                           num_shards=shards, replicas=replicas)
+    return plan_router(tmp_path, plan, data, replicas=replicas, routing=params.routing.mode)
 
 
 def encoded(data, queries):
@@ -207,10 +212,12 @@ def test_cell(cell, tmp_path, monkeypatch):
     params = GRID[number % len(GRID)]
     data, rng = make_corpus(number, docs=5 + number % 3, vocab=200)
     queries = make_queries(data, rng, count=5, vocab=200)
-    queries.append(data.encode_query_tokens([f"unseen{i}" for i in range(30)]))
-    queries.append(data.encode_query_tokens(["t1", "t2", "t3"]))  # < w
     texts = [data.vocabulary.decode(document.tokens) for document in data]
     ops = plan_writes(rng, texts) if cell.lifecycle != "oneshot" else []
+    if ops:
+        queries.append(data.encode_query_tokens(texts[-1]))  # the last add
+    queries.append(data.encode_query_tokens([f"unseen{i}" for i in range(30)]))
+    queries.append(data.encode_query_tokens(["t1", "t2", "t3"]))  # < w
     truth = DocumentCollection()
     for tokens in texts:
         truth.add_tokens(tokens)
@@ -222,17 +229,12 @@ def test_cell(cell, tmp_path, monkeypatch):
         got = [sorted(map(tuple, pairs)) for pairs in replies]
         assert got == want * (len(got) // len(want)), where
 
-    # A snapshot routes only with the fingerprints saved in it: an mmap or
-    # reopened index that routes per request is saved routed, opened off.
-    routed = cell.routing == "exact" or (
-        cell.routing == "request" and cell.storage == "mmap")
-    params = params.with_routing("exact" if routed else "off")
-    override = "off" if cell.routing == "request" else None
+    params = params.with_routing("exact" if cell.routing == "exact" else "off")
     request = "exact" if cell.routing == "request" else None
 
     if cell.topology != "single":
         asked = [request, "off"] if cell.routing == "exact" else [request]
-        with open_router(cell, data, params, override, tmp_path) as router:
+        with open_router(cell, data, params, tmp_path) as router:
             assert router.num_shards == (3 if cell.topology == "sharded" else 2)
             replies = [router.search(q, routing=mode) for mode in asked for q in queries]
         assert not any(reply.partial for reply in replies)
@@ -244,7 +246,7 @@ def test_cell(cell, tmp_path, monkeypatch):
         index = Index.open_live(directory if durable else None, params)
         ops = [("add", doc_id) for doc_id in range(len(data))] + ops
     else:
-        index = open_engine(cell, data, params, override, tmp_path)
+        index = open_engine(cell, data, params, tmp_path)
     # Served: writes go through the service, and after every step the
     # queries alternate between the index and the service.
     service = index.serve() if cell.lifecycle == "served" else None
@@ -279,7 +281,7 @@ def test_cell(cell, tmp_path, monkeypatch):
         service.close()
     if cell.lifecycle == "reopen":
         index.close()  # the last add lives only in the write-ahead log
-        index = Index.open_live(directory, routing=override)
+        index = Index.open_live(directory)
         store = index.searcher().store
         assert store.next_doc_id == ndocs
         assert store.metrics_snapshot()["counters"]["ingest.wal_replayed"] > 0

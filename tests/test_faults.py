@@ -517,38 +517,6 @@ class TestCheckpointResume:
         )
         assert not checkpoint.exists()  # removed on success
 
-    def test_selfjoin_resume_matches_uninterrupted(
-        self, workload, tmp_path, monkeypatch
-    ):
-        data, params, _searcher, _queries = workload
-        expected = local_similarity_self_join(data, params)
-        checkpoint = tmp_path / "join.ckpt"
-        faults.install_plan(
-            FaultPlan(
-                [
-                    FaultSpec(
-                        point="parallel.worker.document",
-                        kind="kill",
-                        match={"doc_id": 4},
-                        max_triggers=1,
-                    )
-                ],
-                ledger=tmp_path / "ledger",
-            )
-        )
-        monkeypatch.setattr(executor_module, "MAX_POOL_RESTARTS", 0)
-        executor = ParallelExecutor(jobs=2)
-        with pytest.raises(WorkerCrashError):
-            executor.self_join(data, params, checkpoint=checkpoint)
-        assert checkpoint.exists()
-        faults.clear_plan()
-
-        resumed = executor.self_join(
-            data, params, checkpoint=checkpoint, resume=True
-        )
-        assert resumed == expected
-        assert not checkpoint.exists()
-
     def test_checkpoint_works_at_jobs_1(self, workload, tmp_path):
         _data, _params, searcher, queries = workload
         clean = serial_run(searcher, queries)

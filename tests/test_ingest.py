@@ -1447,101 +1447,6 @@ class TestCrashRecovery:
         store.close()
 
 
-class TestQueryAfterAddTokenVisibility:
-    """Regression: tokens interned by live-mode adds must resolve in
-    every later text query, and unknown tokens must keep the
-    OOV-sentinel contract (``encode_query`` never raises; only the
-    frozen lookups raise the typed
-    :class:`~repro.errors.UnknownTokenError`) on every live path —
-    in-memory upgrade, durable resume, compact-snapshot upgrade, and
-    the service's ``add``.
-    """
-
-    NEW_WORDS = [f"freshword{i}" for i in range(DOC_LEN)]
-
-    def _seed_texts(self):
-        rng = random.Random(7)
-        return [" ".join(make_tokens(rng)) for _ in range(3)]
-
-    def _new_doc_text(self):
-        return " ".join(self.NEW_WORDS)
-
-    def _probe_text(self):
-        # A w-window-sized slice of the new document: after the add it
-        # must self-match; before, every token is OOV.
-        return " ".join(self.NEW_WORDS[: PARAMS.w + PARAMS.tau + 1])
-
-    def _assert_resolves(self, index):
-        from repro.tokenize.vocabulary import OOV_TOKEN_ID
-
-        query = index.encode_query(self._probe_text())
-        assert OOV_TOKEN_ID not in query.tokens
-        pairs = index.search_text(self._probe_text()).pairs
-        assert pairs, "memtable-interned tokens did not resolve"
-
-    def test_in_memory_upgrade_resolves_new_tokens(self):
-        from repro.tokenize.vocabulary import OOV_TOKEN_ID
-
-        index = repro.Index.build(self._seed_texts(), PARAMS)
-        before = index.encode_query(self._probe_text())
-        assert set(before.tokens) == {OOV_TOKEN_ID}  # sentinel, no raise
-        assert not index.search_text(self._probe_text()).pairs
-        index.add(self._new_doc_text())
-        self._assert_resolves(index)
-        index.close()
-
-    def test_durable_resume_resolves_new_tokens(self, tmp_path):
-        directory = tmp_path / "live"
-        index = repro.Index.open_live(directory, PARAMS)
-        for text in self._seed_texts():
-            index.add(text)
-        index.add(self._new_doc_text())
-        self._assert_resolves(index)
-        index.close()
-        # Resume: WAL replay must re-intern into the reopened vocab.
-        reopened = repro.Index.open_live(directory)
-        self._assert_resolves(reopened)
-        reopened.close()
-
-    def test_compact_snapshot_upgrade_resolves_new_tokens(self, tmp_path):
-        path = tmp_path / "snap.pkz"
-        built = repro.Index.build(self._seed_texts(), PARAMS)
-        built.save(path)
-        built.close()
-        index = repro.Index.open(path, mmap=True)
-        assert index.frozen
-        index.add(self._new_doc_text())  # upgrades frozen -> live
-        self._assert_resolves(index)
-        index.close()
-
-    def test_service_add_text_resolves_new_tokens(self):
-        from repro.tokenize.vocabulary import OOV_TOKEN_ID
-
-        index = repro.Index.build(self._seed_texts(), PARAMS)
-        service = index.serve()
-        service.add(self._new_doc_text())
-        reply = service.search_text(self._probe_text())
-        assert reply.pairs
-        # And the service's encode path kept the sentinel contract for
-        # genuinely unknown tokens.
-        probe = service.data.encode_query("stillunknown tokens here")
-        assert set(probe.tokens) <= {OOV_TOKEN_ID, probe.tokens[0]}
-        service.close()
-
-    def test_typed_errors_stay_consistent_in_live_mode(self):
-        from repro.errors import UnknownTokenError
-
-        index = repro.Index.build(self._seed_texts(), PARAMS)
-        index.add(self._new_doc_text())
-        vocab = index.data.vocabulary
-        assert vocab.id_of(self.NEW_WORDS[0]) >= 0
-        with pytest.raises(UnknownTokenError):
-            vocab.id_of("never-seen-token")
-        # encode_query never raises: sentinel only.
-        assert tuple(index.encode_query("never-seen-token").tokens) == (-1,)
-        index.close()
-
-
 #: What the add door is sent: each must end in a typed error or an add
 #: the index then answers exactly, before and after a WAL reopen.
 ADD_DOOR_CASES = {

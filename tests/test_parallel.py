@@ -3,7 +3,8 @@
 A pooled query workload's pairs and merged counters are
 ``test_exactness.py``'s fork and spawn cells.  This suite pins the rest:
 the serial order of a run's lists, the blocked self-join against its
-serial counterpart (under fork and spawn), the degenerate cases —
+serial counterpart (under spawn, with a worker killed: ``test_faults.py``),
+the degenerate cases —
 ``jobs=1`` pass-through, an empty workload, a workload smaller than the
 worker count — and the executor's one knob.
 """
@@ -179,21 +180,6 @@ class TestDegenerateWorkloads:
         assert local_similarity_self_join(
             DocumentCollection(), params, jobs=2
         ) == []
-
-
-class TestSpawnFallback:
-    """The portable path: state travels via persistence/pickle."""
-
-    def test_self_join_parity_under_spawn(self, corpus, params, monkeypatch):
-        data, _queries = corpus
-        serial = local_similarity_self_join(
-            data, params, exclude_same_document_within=params.w
-        )
-        monkeypatch.setattr(executor_module, "START_METHOD", "spawn")
-        spawned = ParallelExecutor(jobs=2).self_join(
-            data, params, exclude_same_document_within=params.w
-        )
-        assert spawned == serial
 
 
 class TestExecutorConfig:

@@ -39,6 +39,9 @@ class TestEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 1_000_000))
     def test_pkwise_variants_match_bruteforce(self, seed):
+        # Under the default scheme and drawn borders alike (Theorems 1/2).
+        # The oracle's pairs carry their overlaps, grow with tau and ignore
+        # other documents, so the engines' pairs do too.
         rng = random.Random(seed)
         data, query = random_collection(rng)
         w = rng.randint(3, 10)
@@ -51,10 +54,12 @@ class TestEquivalence:
             return
         expected = expected_pairs(data, query, w, tau)
         order = GlobalOrder(data, w)
-        interval = PKWiseSearcher(data, params, order=order)
-        nonint = PKWiseNonIntervalSearcher(data, params, order=order)
-        assert pairs_as_set(interval.search(query)) == expected
-        assert pairs_as_set(nonint.search(query)) == expected
+        borders = sorted(rng.randint(0, order.universe_size) for _ in range(k_max - 1))
+        drawn = PartitionScheme(universe_size=order.universe_size, borders=tuple(borders), m=m)
+        for searcher in (PKWiseSearcher(data, params, order=order),
+                         PKWiseSearcher(data, params, scheme=drawn, order=order),
+                         PKWiseNonIntervalSearcher(data, params, order=order)):
+            assert pairs_as_set(searcher.search(query)) == expected
 
     def test_query_is_data_document(self, small_corpus):
         # Self-similarity: querying with a data document must at least

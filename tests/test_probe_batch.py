@@ -1,8 +1,8 @@
 """Tests for the batch-first probe path (``probe_many``/``ProbeBatch``).
 
 Covers the vectorized FNV hasher against the scalar reference, the
-dict/compact ``probe_many`` parity contract (hit-for-hit, including
-forced 64-bit collisions and repeated probes), the flat-column batch
+dict/compact ``probe_many`` parity contract (hit-for-hit, repeated
+probes included; forced collisions are ``test_compact.py``'s), the flat-column batch
 protocol itself (``sig_counts`` slicing, empty and all-OOV batches,
 tombstone filtering), and the searcher-level guarantees the batched
 slide loop must preserve: pair parity with tombstones, pairs
@@ -18,8 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pkwise import PKWiseSearcher
-from repro.index import compact as compact_module
-from repro.index.compact import CompactIntervalIndex
 from repro.index.intervals import ProbeBatch
 from repro.signatures.generate import signature_hash, signature_hashes
 
@@ -124,25 +122,6 @@ class TestProbeManyParity:
         assert len(runs) == len(keys)
         for key, run in zip(keys, runs):
             assert run == [tuple(hit) for hit in dict_index.probe(key)]
-
-    def test_forced_collision_merges_runs(self, built, monkeypatch):
-        _data, searcher = built
-        monkeypatch.setattr(
-            compact_module,
-            "signature_hashes",
-            lambda sigs: np.full(len(sigs), 7, dtype=np.uint32),
-        )
-        dict_index = reference_index(searcher)
-        collided = CompactIntervalIndex.from_index(dict_index)
-        assert collided.num_signatures == 1
-        keys = list(dict_index._postings)[:30]
-        batch = collided.probe_many(keys)
-        # Every signature now resolves to the single merged run: only
-        # ever *more* candidates than the un-collided index returns.
-        assert set(batch.sig_counts.tolist()) == {collided.num_postings}
-        honest = searcher.index.probe_many(keys)
-        assert batch.entries >= honest.entries
-
 
 class TestProbeBatchEdges:
     def test_empty_batch(self, built):

@@ -21,7 +21,6 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadError,
 )
-from repro.eval.harness import canonical_pair_order
 from repro.service import SearchService, serve_http
 from repro.service.cache import ResultCache, query_token_hash
 from repro.service.client import remote_healthz, remote_metrics, remote_search
@@ -389,40 +388,6 @@ class TestOneStore:
 
 
 class TestConcurrency:
-    def test_stress_parity(self, searcher, queries):
-        """N threads, mixed fresh/repeated workload, pair-for-pair parity."""
-        reference = {
-            q.name: tuple(canonical_pair_order(searcher.search(q).pairs))
-            for q in queries
-        }
-        failures: list[str] = []
-        with SearchService(
-            Index(searcher), max_workers=4, max_queue=256, cache_size=64
-        ) as service:
-            def worker(thread_id: int) -> None:
-                # Each thread replays the workload in its own order, so
-                # every query is requested both fresh and repeated.
-                for round_number in range(4):
-                    for q in queries[thread_id % 2 :: 1]:
-                        response = service.search(q)
-                        if response.pairs != reference[q.name]:
-                            failures.append(
-                                f"thread {thread_id} round {round_number}: "
-                                f"{q.name} diverged"
-                            )
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert not failures
-            assert service.cache.hits > 0
-            counters = service.metrics_snapshot()["metrics"]["counters"]
-            assert counters["service.completed"] == counters["service.requests"]
-
     def test_overload_rejection(self):
         stub = BlockingSearcher()
         service = SearchService(Index(stub), max_workers=1, max_queue=1, cache_size=0)

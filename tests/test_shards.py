@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import threading
 import tracemalloc
 
@@ -155,19 +156,24 @@ class TestShardPlan:
         assert ShardPlan.load(tmp_path).num_shards == 2
 
     def test_ensure_rebuilds_a_plan_of_another_corpus_of_the_same_size(
-        self, small_corpus, query, tmp_path
+        self, small_corpus, query, tmp_path, monkeypatch
     ):
         # The same documents in another order: same size, same parameters.
         # Shard files are ids-only, so serving the old plan would answer
         # the router's token ids from the old documents; ensure compares
         # the corpus digest in shards.json, and rebuilds a plan without one.
+        # It digests the corpus once: for its check and the rebuild alike.
         old = ShardPlan.build(small_corpus, PARAMS, tmp_path, num_shards=2)
         rotated = DocumentCollection(vocabulary=small_corpus.vocabulary)
         for document in [*small_corpus][1:] + [small_corpus[0]]:
             rotated.add_token_ids(document.tokens)
         want = single_pairs(rotated, query)
         assert want != single_pairs(small_corpus, query)
+        digested = []
+        monkeypatch.setattr(plan_module, "_corpus_digest",
+                            lambda data: digested.append(data) or _corpus_digest(data))
         plan = ShardPlan.ensure(rotated, PARAMS, tmp_path, num_shards=2)
+        assert digested == [rotated]
         assert plan_pairs(tmp_path, plan, rotated, query) == want
         assert plan.digest != old.digest
         payload = json.loads((tmp_path / MANIFEST_NAME).read_text())
@@ -259,34 +265,6 @@ class TestShardPlan:
 
 # ----------------------------------------------------------------------
 class TestPartialResults:
-    def test_dead_shard_reports_partial(self, small_corpus, query):
-        single = single_pairs(small_corpus, query)
-        with local_router(small_corpus, PARAMS, shards=3) as router:
-            dead = router.backends[1]
-            lo, hi = dead.doc_lo, dead.doc_hi
-            faults.install_plan(
-                FaultPlan(
-                    [
-                        FaultSpec(
-                            point="shards.scatter",
-                            kind="raise",
-                            match={"shard": 1},
-                        )
-                    ]
-                )
-            )
-            response = router.search(query)
-            assert response.partial
-            assert len(response.failures) == 1
-            failure = response.failures[0]
-            assert failure.position == 1
-            assert failure.query_name.endswith("@shard-001")
-            assert failure.error_type == "FaultInjectionError"
-            survivors = [
-                tuple(p) for p in single if not lo <= p[0] < hi
-            ]
-            assert [tuple(p) for p in response.pairs] == survivors
-
     def test_all_shards_down_raises(self, small_corpus, query):
         with local_router(small_corpus, PARAMS, shards=3) as router:
             faults.install_plan(
@@ -297,26 +275,6 @@ class TestPartialResults:
             with pytest.raises(ServiceError) as excinfo:
                 router.search(query)
             assert len(excinfo.value.failures) == 3
-
-    def test_http_partial_reply_shape(self, small_corpus, query):
-        with local_router(small_corpus, PARAMS, shards=3) as router:
-            faults.install_plan(
-                FaultPlan(
-                    [
-                        FaultSpec(
-                            point="shards.scatter",
-                            kind="raise",
-                            match={"shard": 0},
-                        )
-                    ]
-                )
-            )
-            with serving(serve_http(router, port=0)) as server:
-                reply = remote_search(
-                    server.url, token_ids=list(query.tokens)
-                )
-                assert reply["partial"] is True
-                assert reply["failures"][0]["position"] == 0
 
     def test_closed_router_raises(self, small_corpus, query):
         router = local_router(small_corpus, PARAMS, shards=2)
@@ -530,8 +488,6 @@ class TestRouterCache:
             assert backends[0].calls == 4
 
     def test_concurrent_callers_share_the_tier(self, small_corpus):
-        import sys
-
         queries = [
             small_corpus.encode_query_tokens(
                 small_corpus.vocabulary.decode(small_corpus[doc].tokens[5:35])
@@ -543,7 +499,7 @@ class TestRouterCache:
         wrong: list = []
 
         def ask(offset: int) -> None:
-            for turn in range(40):
+            for turn in range(16):
                 which = (offset + turn) % len(queries)
                 pairs = list(router.search(queries[which]).pairs)
                 if pairs != expected[which]:
@@ -565,8 +521,8 @@ class TestRouterCache:
         finally:
             sys.setswitchinterval(interval)
         assert not wrong
-        assert counters["router.cache_hits"] + counters["router.cache_misses"] == 240
-        assert counters["router.completed"] == 240
+        assert counters["router.cache_hits"] + counters["router.cache_misses"] == 96
+        assert counters["router.completed"] == 96
         assert len(router.cache) <= 2
 
     @pytest.mark.parametrize("tier", ["service", "router"])

@@ -154,7 +154,8 @@ class TestReplicaFailover:
             assert response.partial
             assert len(response.failures) == 1
             failure = response.failures[0]
-            assert failure.position == 1
+            assert failure.position == 1 and failure.query_name.endswith("@shard-001")
+            assert failure.error_type == "FaultInjectionError"
             assert failure.attempts == 2  # primary + failover, both tried
             survivors = [tuple(p) for p in single if not lo <= p[0] < hi]
             assert [tuple(p) for p in response.pairs] == survivors

@@ -36,37 +36,6 @@ class TestVerifyInterval:
         verifier = IntervalVerifier([1, 2, 3], w=3, tau=0)
         assert verifier.verify_interval(0, slice_accessor([[4, 5, 6]]), 0, 0) == []
 
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 1_000_000))
-    def test_matches_reference_on_random_intervals(self, seed):
-        rng = random.Random(seed)
-        w = rng.randint(1, 8)
-        tau = rng.randint(0, max(0, w - 1))
-        doc_ranks = [rng.randrange(6) for _ in range(w + rng.randint(0, 25))]
-        query_ranks = [rng.randrange(6) for _ in range(w + rng.randint(0, 10))]
-        verifier = IntervalVerifier(query_ranks, w, tau)
-        query_start = rng.randint(0, len(query_ranks) - w)
-        verifier.advance_to(query_start)
-        max_start = len(doc_ranks) - w
-        u = rng.randint(0, max_start)
-        v = rng.randint(u, max_start)
-        matches = verifier.verify_interval(0, slice_accessor([doc_ranks]), u, v)
-        got = [tuple(match) for match in matches]
-        assert got == reference_matches(
-            doc_ranks, query_ranks, query_start, u, v, w, tau
-        )
-
-    def test_early_termination_skips_tail(self):
-        # Query shares nothing with the document: the first window
-        # misses by delta = w - tau; the verifier should abandon the
-        # interval after far fewer than v - u + 1 window checks.
-        w, tau = 10, 1
-        doc_ranks = list(range(100, 200))
-        query_ranks = list(range(0, 10))
-        verifier = IntervalVerifier(query_ranks, w, tau)
-        verifier.verify_interval(0, slice_accessor([doc_ranks]), 0, 89)
-        assert verifier.candidate_windows < 30  # 90 windows, but skipped
-
     def test_advance_to_rolls_query(self):
         query_ranks = [1, 2, 3, 4, 5]
         verifier = IntervalVerifier(query_ranks, w=3, tau=0)
@@ -116,30 +85,6 @@ class TestVerifyInterval:
         verifier.verify_interval(0, slice_accessor([[1, 2, 3, 4, 5]]), 0, 2)
         assert verifier.hash_ops > before
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 1_000_000))
-    def test_sequential_query_windows(self, seed):
-        # Full protocol: advance through query windows in order, verify
-        # a fresh interval each time; every result must match reference.
-        rng = random.Random(seed)
-        w = rng.randint(2, 6)
-        tau = rng.randint(0, w - 1)
-        doc_ranks = [rng.randrange(4) for _ in range(w + rng.randint(0, 15))]
-        query_ranks = [rng.randrange(4) for _ in range(w + rng.randint(0, 15))]
-        verifier = IntervalVerifier(query_ranks, w, tau)
-        max_doc_start = len(doc_ranks) - w
-        for query_start in range(len(query_ranks) - w + 1):
-            verifier.advance_to(query_start)
-            got = [
-                tuple(m)
-                for m in verifier.verify_interval(
-                    0, slice_accessor([doc_ranks]), 0, max_doc_start
-                )
-            ]
-            assert got == reference_matches(
-                doc_ranks, query_ranks, query_start, 0, max_doc_start, w, tau
-            )
-
 
 def zipfian(rng, length, universe=30):
     """``length`` ranks with Zipfian frequencies (rank k weighs 1/(k+1))."""
@@ -160,8 +105,8 @@ class TestVerifierAgainstReference:
     )
     def test_accepts_exactly_what_window_overlap_accepts(self, seed, tau_pick, shape):
         rng = random.Random(seed)
-        w = rng.randint(6, 12)
-        tau = {"0": 0, "5": 5, "w - 1": w - 1}[tau_pick]
+        w = rng.randint(1, 12)
+        tau = {"0": 0, "5": min(5, w - 1), "w - 1": w - 1}[tau_pick]
         query_ranks = zipfian(rng, w + rng.randint(0, 12))
         query_start = rng.randint(0, len(query_ranks) - w)
         doc_ranks = zipfian(rng, w + rng.randint(0, 40))
@@ -196,6 +141,7 @@ class TestVerifierAgainstReference:
     # however the implementation gets there.
     COUNTED = [
         # w, tau, query, query_start, doc, u, v -> hash_ops, windows, pairs
+        # Nothing shared: the first miss by w - tau skips to 10 of 90 windows.
         (10, 1, list(range(10)), 0, list(range(100, 200)), 0, 89, 344, 10, 0),
         (6, 1, stride(20, 7, 11), 3, stride(40, 7, 11), 0, 34, 148, 22, 9),
         (8, 2, stride(30, 5, 13), 4,
