@@ -176,14 +176,18 @@ class CompactIntervalIndex:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def _assembled(cls, like, keys, docs, us, lens, **sizes) -> "CompactIntervalIndex":
+    def _assembled(
+        cls, like, keys, docs, us, lens, *, order=None, **sizes
+    ) -> "CompactIntervalIndex":
         """The index over one row per posting, ``keys[i]`` being the hash
         of the signature that owns ``(docs[i], us[i], us[i] + lens[i])``.
 
         The sort is stable: within a key, postings keep the order they
-        came in.  ``like`` lends ``w``, ``tau`` and the scheme.
+        came in.  ``order`` is that sort, if the caller has it.  ``like``
+        lends ``w``, ``tau`` and the scheme.
         """
-        order = np.argsort(keys, kind="stable")
+        if order is None:
+            order = np.argsort(keys, kind="stable")
         keys = keys[order]
         head = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
@@ -225,9 +229,14 @@ class CompactIntervalIndex:
             ))
         columns = [np.concatenate(column) for column in zip(*rows)]
         del rows  # one copy of the rows through the sort by key
+        keys = columns[0]
         return cls._assembled(
             runs,
             *columns,
+            # Keys in no order: sorted by their two 16-bit halves, which
+            # numpy sorts by radix, several times faster than by the 32
+            # bits at once (a merge of sorted parts is the other way round).
+            order=np.lexsort(((keys & 0xFFFF).astype(np.uint16), (keys >> 16).astype(np.uint16))),
             num_documents=len(rank_docs),
             num_windows=runs.num_windows,
             build_stats={name: getattr(runs, name) for name in COUNTERS},

@@ -327,17 +327,31 @@ class ResilientClient:
         timeout: float | None = None,
         routing=None,
     ) -> dict:
-        """Resilient :func:`remote_search`."""
+        """Resilient :func:`remote_search`.  A reply whose ``pairs`` is
+        not a list of ``num_pairs`` rows is not a whole answer: it is a
+        server fault (status 502), retried as one."""
         return self._call(
-            lambda http_timeout: remote_search(
+            lambda http_timeout: self._whole(remote_search(
                 self.base_url,
                 text,
                 token_ids=token_ids,
                 timeout=timeout,
                 routing=routing,
                 http_timeout=http_timeout,
-            )
+            ))
         )
+
+    def _whole(self, reply: dict) -> dict:
+        pairs = reply.get("pairs")
+        if not isinstance(pairs, list) or reply.get("num_pairs") != len(pairs):
+            error = ServiceError(
+                f"search reply from {self.base_url} is not a whole answer: "
+                f"num_pairs {reply.get('num_pairs')!r}, "
+                f"{len(pairs) if isinstance(pairs, list) else 'no'} pair rows"
+            )
+            error.status = 502
+            raise error
+        return reply
 
     def healthz(self) -> dict:
         """Resilient :func:`remote_healthz`."""

@@ -83,9 +83,9 @@ from .service import ServiceResponse
 # Shard backends
 # ----------------------------------------------------------------------
 class _ShardReply(NamedTuple):
-    """Normalized per-shard result: shard-local pairs + the shard's epoch."""
+    """Normalized per-shard result: shard-local pair rows + the shard's epoch."""
 
-    pairs: tuple
+    pairs: list
     index_epoch: int
 
 
@@ -124,8 +124,9 @@ class HTTPShardBackend:
         reply = self._client.search(
             token_ids=list(query.tokens), timeout=timeout, routing=routing
         )
-        pairs = tuple(MatchPair(*pair) for pair in reply.get("pairs", ()))
-        return _ShardReply(pairs, int(reply.get("index_epoch", 0)))
+        # The rows as they came: the router makes each pair once, at its
+        # global doc id.
+        return _ShardReply(reply["pairs"], int(reply.get("index_epoch", 0)))
 
     def healthz(self) -> dict:
         return self._client.healthz()
@@ -595,8 +596,8 @@ class ShardRouter:
             # every reply is canonically ordered, so appending in shard
             # order keeps the merged list canonical without a re-sort.
             pairs.extend(
-                MatchPair(pair[0] + offset, pair[1], pair[2], pair[3])
-                for pair in reply.pairs
+                MatchPair(doc_id + offset, data_start, query_start, overlap)
+                for doc_id, data_start, query_start, overlap in reply.pairs
             )
         # Only a complete response is stored (after a failed shard the
         # repeat re-scatters), and only under an epoch the gather did

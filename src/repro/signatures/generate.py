@@ -101,6 +101,9 @@ _BYTE_MASK = np.uint64(0xFF)
 _BYTE_SHIFT = np.uint64(8)
 _FOLD_SHIFT = np.uint64(32)
 _LITTLE_ENDIAN = sys.byteorder == "little"
+#: ``_FNV_PRIME ** (8 - k)`` mod 2**64 at ``[k]``: the rounds of a rank's
+#: ``8 - k`` high bytes when they are zero.
+_FNV_ZERO_ROUNDS = tuple(np.uint64(pow(0x100000001B3, 8 - k, 2**64)) for k in range(9))
 
 
 def signature_hashes(
@@ -129,11 +132,11 @@ def signature_hashes(
     if n == 0:
         return out
     if lengths is not None:
-        matrix = np.asarray(signatures, dtype=np.int64)
+        matrix = np.asarray(signatures)
         lengths = np.asarray(lengths)
-        for length in np.unique(lengths).tolist():
+        for length in np.flatnonzero(np.bincount(lengths)).tolist():
             rows = np.flatnonzero(lengths == length)
-            out[rows] = _fnv_rows(matrix[rows, :length])
+            out[rows] = _fnv_rows(np.take(matrix, rows, axis=0)[:, :length])
         return out
     by_length: dict[int, list[int]] = {}
     for i, signature in enumerate(signatures):
@@ -153,12 +156,24 @@ def signature_hashes(
 
 
 def _fnv_rows(ranks: np.ndarray) -> np.ndarray:
-    """FNV-1a of every row of an ``(n, length)`` ``int64`` rank matrix,
+    """FNV-1a of every row of an ``(n, length)`` integer rank matrix,
     xor-folded to ``uint32``."""
+    values = np.full(len(ranks), _FNV_OFFSET, dtype=np.uint64)
+    width = ranks.dtype.itemsize
+    if width < 8 and _LITTLE_ENDIAN and not (len(ranks) and ranks.min() < 0):
+        # Narrow ranks, none negative: the high bytes are zero, so their
+        # rounds only multiply, all at once.
+        for column in range(ranks.shape[1]):
+            rank_bytes = ranks[:, column : column + 1].view(np.uint8)
+            for byte_index in range(width):
+                values ^= rank_bytes[:, byte_index]
+                values *= _FNV_PRIME
+            values *= _FNV_ZERO_ROUNDS[width]
+        values ^= values >> _FOLD_SHIFT
+        return values.astype(np.uint32)
     # The uint64 view keeps negative ranks (the OOV sentinel) congruent
     # with the scalar hash's two's-complement bytes.
     ranks = ranks.astype(np.uint64)
-    values = np.full(len(ranks), _FNV_OFFSET, dtype=np.uint64)
     for column in range(ranks.shape[1]):
         if _LITTLE_ENDIAN:
             rank_bytes = ranks[:, column : column + 1].view(np.uint8)

@@ -41,6 +41,7 @@ from repro.params import max_prefix_length
 from repro.partition.scheme import PartitionScheme
 from repro.routing import FingerprintTier, fingerprints
 from repro.routing.fingerprints import LANES
+from repro.signatures.maintain import COUNTERS, SignatureStream
 from repro.tokenize import Vocabulary
 
 from .conftest import (
@@ -127,7 +128,11 @@ def build_inputs(draw):
     it (no pairs then), document lengths (below zero: 0, 1, ``w - 1``,
     ``w``, ``w + 1``), a vocabulary on either side of 128 tokens (int8
     ranks below), or past int16, runs and intervals of none or about 128
-    postings and windows, the block constants, and a seed for the rest."""
+    postings and windows, the block constants, and a seed for the rest.
+    The 20 draws reach the bulk kernel's open/close edges: a group whose
+    ranks stay the same while the prefix length moves its cut (8 of
+    them), a rank repeated inside one slice (17), and a class-1 run
+    carried over a block seam to its document's end (15)."""
     k_max = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3)) if k_max > 1 else 1
     tau = draw(st.integers(0, 6))
@@ -251,6 +256,13 @@ def cross_seams(case):
         ]
         built = reference_index(SimpleNamespace(params=case, scheme=scheme, rank_docs=documents))
         meta, columns = CompactIntervalIndex.from_index(built).to_arrays()
+        streamed = dict.fromkeys(COUNTERS, 0)
+        for ranks in documents:
+            stream = SignatureStream(ranks, w, tau, scheme)
+            for _event in stream.events():
+                pass
+            for name in COUNTERS:
+                streamed[name] += getattr(stream, name)
         covers = [reference_cover_lanes(ranks, max(case.block_tokens, w)) for ranks in documents]
         covers = (np.concatenate([np.zeros((0, LANES), np.uint64), *covers]).tobytes(),
                   [len(rows) for rows in covers])
@@ -263,6 +275,7 @@ def cross_seams(case):
         for dtype in WIDTHS[WIDTHS.index(packed._values.dtype.type):]:
             column = PackedRankDocs(packed._offsets, packed._values.astype(dtype))
             index = CompactIntervalIndex.from_rank_docs(column, w, tau, scheme)
+            assert index.build_stats == streamed
             assert index.to_arrays()[0] == meta and stored(index.to_arrays()[1]) == stored(columns)
             assert cover_columns(FingerprintTier.from_rank_docs(column, w=w)) == covers
         grown = FingerprintTier.concatenated([

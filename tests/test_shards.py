@@ -9,6 +9,7 @@ import json
 import sys
 import threading
 import tracemalloc
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.service.client import (
 import repro.service.plan as plan_module
 import repro.service.workers as workers_module
 from repro.service.plan import MANIFEST_NAME, ShardPlan, _corpus_digest, partition_ranges
+from repro.service.router import HTTPShardBackend
 
 from .conftest import ServiceBackend, expected_pairs, local_router, plan_router, serving
 
@@ -281,6 +283,67 @@ class TestPartialResults:
         router.close()
         with pytest.raises(ServiceClosedError):
             router.search(query)
+
+    @pytest.mark.parametrize(
+        "body",
+        [{}, {"pairs": [[0, 10, 8, 10]], "num_pairs": 2, "cached": False, "seconds": 0.0,
+              "index_epoch": 0}],
+        ids=["empty", "short"],
+    )
+    def test_a_shard_reply_that_is_not_whole_is_a_failure(
+        self, small_corpus, query, body, capsys
+    ):
+        # A stub shard answers every request 200 with ``body``: the router
+        # fails over from it, or answers partial and stores nothing, and
+        # ``repro query`` says ``error:``.
+        asked = []
+
+        class StubShard(BaseHTTPRequestHandler):
+            def do_POST(self):  # noqa: N802 (stdlib handler API)
+                self.rfile.read(int(self.headers["Content-Length"]))
+                asked.append(self.path)
+                payload = json.dumps(body).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        from repro.cli import main
+
+        single = single_pairs(small_corpus, query)
+        (lo, hi), second = partition_ranges([len(doc) for doc in small_corpus], 2)
+        with serving(ThreadingHTTPServer(("127.0.0.1", 0), StubShard)) as server:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+
+            def router(*replicas):
+                stub = HTTPShardBackend(url, shard_id=0, doc_lo=lo, doc_hi=hi, retries=0)
+                backends = [stub] + [
+                    ServiceBackend.built(small_corpus, PARAMS, shard_id=0, doc_lo=lo,
+                                         doc_hi=hi, replica=replica)
+                    for replica in replicas
+                ]
+                backends.append(ServiceBackend.built(
+                    small_corpus, PARAMS, shard_id=1, doc_lo=second[0], doc_hi=second[1]
+                ))
+                return ShardRouter(backends, small_corpus)
+
+            with router(1) as failing_over:
+                reply = failing_over.search(query)
+                assert not reply.partial and list(reply.pairs) == single
+                assert router_counters(failing_over)["router.failovers"] == 1
+            with router() as alone:
+                for times in (1, 2):
+                    partial = alone.search(query)
+                    assert partial.partial and not partial.cached
+                    assert [f.position for f in partial.failures] == [0]
+                    assert partial.failures[0].error_type == "ServiceError"
+                    assert len(alone.cache) == 0 and len(asked) == 1 + times
+            assert main(["query", "--server", url, "--text", "w1 w2", "--retries", "0"]) == 2
+        assert "error: search reply" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
